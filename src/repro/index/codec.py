@@ -30,9 +30,13 @@ Two implementations produce **byte-identical** output:
 * :func:`encode_entries_object` / :func:`decode_entries_object` — the
   per-entry reference path (one ``struct`` call per record);
 * :func:`encode_entries` / :func:`decode_entries` — the batch path:
-  whole columns move through ``array('q')`` buffers (and NumPy when
-  available) with a single ``bytes`` join, falling back to the
-  reference path entry-by-entry only for pool-backed infos.
+  a record whose info is ``None`` or an int64 is four int64 words (the
+  tag byte and its padding read as one word), so whole columns move
+  through strided slices of one ``array('q')`` buffer.  Standard
+  library only: the serving frontend puts these blocks on the wire, and
+  there the set-up cost at four entries matters as much as the
+  per-entry cost at eight thousand.  Pool-backed infos (strings, big
+  ints) and floats take the reference path.
 
 The hypothesis suite (``tests/index/test_codec.py``) proves the two
 paths equal on random entry lists, including the ``info=None`` and
@@ -42,16 +46,13 @@ non-int ``info`` edge cases.
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
+from itertools import repeat
 from typing import Sequence
 
 from .entry import Entry
 from . import kernels
-
-try:  # pragma: no cover - exercised implicitly by both CI matrices
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
 
 #: Format marker leading every encoded block.
 MAGIC = b"WIX1"
@@ -131,72 +132,43 @@ def encode_entries_object(entries: Sequence[Entry]) -> bytes:
     return b"".join(parts)
 
 
-def _all_simple_infos(entries: Sequence[Entry]) -> bool:
-    """Return ``True`` when every info is None or an in-range int."""
-    for e in entries:
-        info = e.info
-        if info is None:
-            continue
-        if (
-            type(info) is int
-            and _I64_MIN <= info <= _I64_MAX
-        ):
-            continue
-        return False
-    return True
+#: Info types the batch path handles; ``bool`` is not ``int`` here.
+_SIMPLE_INFO_TYPES = frozenset({int, type(None)})
+
+_BIG_ENDIAN = sys.byteorder == "big"
+_ZERO_WORD = array("q", (0,))
 
 
 def encode_entries(entries: Sequence[Entry]) -> bytes:
     """Batch encoder; byte-identical to :func:`encode_entries_object`.
 
-    The fast path interleaves the id/day/tag/payload columns through one
-    NumPy structured array (or stays on the reference loop without
-    NumPy or when the kernels are disabled).  Entries with pool-backed
-    infos (strings, big ints) take the reference path — the pool is
-    inherently sequential.
+    ``zip(*entries)`` transposes the batch into id / day / info columns,
+    each column lands in every fourth word of one ``array('q')``, and
+    the words are the record run.  Anything the columns cannot hold
+    (pool-backed or float infos, a field outside int64) goes to the
+    reference path, which encodes it or raises the codec's own error.
     """
-    if (
-        not kernels.vectorized_enabled()
-        or _np is None
-        or len(entries) < 2
-        or not _all_simple_infos(entries)
-    ):
-        return encode_entries_object(entries)
     n = len(entries)
-    out = _np.zeros(
-        n,
-        dtype=_np.dtype(
-            [
-                ("record_id", "<i8"),
-                ("day", "<i8"),
-                ("tag", "u1"),
-                ("pad", "V7"),
-                ("payload", "<i8"),
-            ]
-        ),
-    )
-    try:
-        out["record_id"] = _np.fromiter(
-            (e.record_id for e in entries), dtype=_np.int64, count=n
-        )
-        out["day"] = _np.fromiter(
-            (e.day for e in entries), dtype=_np.int64, count=n
-        )
-        out["tag"] = _np.fromiter(
-            (TAG_NONE if e.info is None else TAG_INT for e in entries),
-            dtype=_np.uint8,
-            count=n,
-        )
-        out["payload"] = _np.fromiter(
-            (0 if e.info is None else e.info for e in entries),
-            dtype=_np.int64,
-            count=n,
-        )
-    except OverflowError:
-        # A record_id/day outside int64: the reference path raises the
-        # codec's own error (or handles it) — defer to it.
+    if not n or not kernels.vectorized_enabled():
         return encode_entries_object(entries)
-    return _HEADER.pack(MAGIC, n, 0) + out.tobytes()
+    ids, days, infos = zip(*entries)
+    all_none = infos.count(None) == n  # the usual batch: tag and payload stay 0
+    if not all_none and not set(map(type, infos)) <= _SIMPLE_INFO_TYPES:
+        return encode_entries_object(entries)
+    words = _ZERO_WORD * (4 * n)
+    try:
+        words[0::4] = array("q", ids)
+        words[1::4] = array("q", days)
+        if not all_none:
+            words[2::4] = array(
+                "q", [TAG_NONE if info is None else TAG_INT for info in infos]
+            )
+            words[3::4] = array("q", [info or 0 for info in infos])
+    except (OverflowError, TypeError):
+        return encode_entries_object(entries)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return _HEADER.pack(MAGIC, n, 0) + words.tobytes()
 
 
 def _parse_header(data: bytes) -> tuple[int, int]:
@@ -248,41 +220,35 @@ def decode_entries_object(data: bytes) -> list[Entry]:
 def decode_entries(data: bytes) -> list[Entry]:
     """Batch decoder; value-identical to :func:`decode_entries_object`.
 
-    Columns come off the buffer through ``array('q')`` / NumPy reads;
-    ``tolist()`` materialises plain Python ints, so decoded entries are
-    indistinguishable (``==`` and ``type``-wise) from the reference
-    path's.  Blocks with pool-backed infos defer to the reference path.
+    The record run is read as int64 words and split into columns by
+    strided slices; iterating an ``array('q')`` yields plain Python
+    ints, so decoded entries are indistinguishable (``==`` and
+    ``type``-wise) from the reference path's.  Blocks with a pool, or
+    with any tag word other than 0 / 1 (floats, unknown tags, dirty
+    padding), defer to the reference path.
     """
-    if not kernels.vectorized_enabled():
-        return decode_entries_object(data)
     count, pool_len = _parse_header(data)
-    if count < 2 or pool_len:
+    if not count or pool_len or not kernels.vectorized_enabled():
         return decode_entries_object(data)
-    body = memoryview(data)[_HEADER.size : _HEADER.size + count * RECORD_SIZE]
-    if _np is not None:
-        raw = _np.frombuffer(body, dtype=_np.int64).reshape(count, 4)
-        tags = _np.frombuffer(body, dtype=_np.uint8).reshape(count, 32)[:, 16]
-        if not _np.all((tags == TAG_NONE) | (tags == TAG_INT)):
-            return decode_entries_object(data)
-        ids = raw[:, 0].tolist()
-        days = raw[:, 1].tolist()
-        payloads = raw[:, 3].tolist()
-        has_info = (tags == TAG_INT).tolist()
+    words = array("q")
+    words.frombytes(memoryview(data)[_HEADER.size :])
+    if _BIG_ENDIAN:
+        words.byteswap()
+    tags = words[2::4]
+    n_none = tags.count(TAG_NONE)
+    if n_none == count:
+        infos = repeat(None)
+    elif n_none + tags.count(TAG_INT) != count:
+        return decode_entries_object(data)
     else:
-        flat = array("q")
-        flat.frombytes(body)
-        ids = flat[0::4].tolist()
-        days = flat[1::4].tolist()
-        payloads = flat[3::4].tolist()
-        tag_col = bytes(body)[16::32]
-        bad = set(tag_col) - {TAG_NONE, TAG_INT}
-        if bad:
-            return decode_entries_object(data)
-        has_info = [t == TAG_INT for t in tag_col]
-    return [
-        Entry(rid, day, payload if flag else None)
-        for rid, day, payload, flag in zip(ids, days, payloads, has_info)
-    ]
+        infos = [
+            payload if tag else None
+            for tag, payload in zip(tags, words[3::4])
+        ]
+    # ``Entry._make`` without its Python frame: zip only yields 3-tuples.
+    return list(
+        map(tuple.__new__, repeat(Entry), zip(words[0::4], words[1::4], infos))
+    )
 
 
 def encoded_size(n_entries: int, pool_bytes: int = 0) -> int:

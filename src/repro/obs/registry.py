@@ -32,6 +32,16 @@ class Counter:
         self.value += amount
 
 
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """Return the ``q``-quantile (nearest-rank) of a sorted list."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    if not ordered:
+        return 0.0
+    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
+    return ordered[rank]
+
+
 @dataclass
 class Histogram:
     """A distribution of observed values with exact quantiles.
@@ -69,24 +79,23 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Return the ``q``-quantile (nearest-rank) of the observations."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
+        return _nearest_rank(sorted(self.values), q)
 
     def summary(self) -> dict[str, float]:
         """Return count/mean/percentile fields for JSON artifacts."""
+        # One sort for all three percentiles.  min/max stay their own
+        # scans: the ends of the sorted list differ from them between
+        # 0.0 and -0.0, and artifacts are compared byte for byte.
+        ordered = sorted(self.values)
+        total = self.total
         return {
             "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
+            "total": total,
+            "mean": total / self.count if ordered else 0.0,
             "min": self.min,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
+            "p50": _nearest_rank(ordered, 0.50),
+            "p95": _nearest_rank(ordered, 0.95),
+            "p99": _nearest_rank(ordered, 0.99),
             "max": self.max,
         }
 
@@ -123,13 +132,7 @@ class SlidingWindow:
 
     def quantile(self, q: float) -> float:
         """Return the ``q``-quantile (nearest-rank) of the window."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._values:
-            return 0.0
-        ordered = sorted(self._values)
-        rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
+        return _nearest_rank(sorted(self._values), q)
 
 
 class CounterWindow:

@@ -4,7 +4,8 @@ Until this package, every number in the repo came from simulated clocks
 inside one synchronous process.  ``repro.serve`` puts an actual service
 in front of :class:`~repro.cluster.coordinator.ClusterCoordinator`:
 
-* :mod:`repro.serve.protocol` — length-prefixed JSON TCP protocol;
+* :mod:`repro.serve.protocol` — length-prefixed TCP protocol (JSON
+  requests and errors, binary WIX1 result frames);
 * :mod:`repro.serve.admission` — the admission-control pipeline
   (per-tenant token buckets, bounded queue with shed-vs-queue overload
   policy, concurrency-limited batched dispatch, deadline propagation

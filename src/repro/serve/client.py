@@ -9,9 +9,9 @@ backend's capacity, which is the whole point of an overload bench.
 
 :class:`InProcessClient` presents the same ``probe``/``scan`` surface
 directly on an :class:`~repro.serve.admission.AdmissionController`,
-skipping sockets and JSON entirely.  The saturation bench uses it so
+skipping sockets and framing entirely.  The saturation bench uses it so
 the measured knee is the *admission pipeline and backend's*, not the
-JSON codec's; the CI smoke job uses the TCP client so the wire path
+wire codec's; the CI smoke job uses the TCP client so the wire path
 stays exercised end to end.
 
 Both raise :class:`~repro.errors.RequestRejected` with the server's
@@ -137,7 +137,7 @@ class FrontendClient:
         deadline_ms: float | None = None,
     ) -> ProbeResult:
         """Timed index probe for ``value`` over days ``[t1, t2]``."""
-        wire = await self._request(
+        response = await self._request(
             {
                 "op": "probe", "value": value, "t1": t1, "t2": t2,
                 "tenant": tenant,
@@ -147,7 +147,7 @@ class FrontendClient:
                 ),
             }
         )
-        result = protocol.result_from_wire(wire)
+        result = protocol.result_from_wire(response)
         assert isinstance(result, ProbeResult)
         return result
 
@@ -160,7 +160,7 @@ class FrontendClient:
         deadline_ms: float | None = None,
     ) -> ScanResult:
         """Timed segment scan over days ``[t1, t2]``."""
-        wire = await self._request(
+        response = await self._request(
             {
                 "op": "scan", "t1": t1, "t2": t2, "tenant": tenant,
                 **(
@@ -169,23 +169,24 @@ class FrontendClient:
                 ),
             }
         )
-        result = protocol.result_from_wire(wire)
+        result = protocol.result_from_wire(response)
         assert isinstance(result, ScanResult)
         return result
 
     async def ping(self) -> bool:
         """Health check; bypasses admission on the server."""
-        return await self._request({"op": "ping"}) == "pong"
+        return (await self._request({"op": "ping"})).get("result") == "pong"
 
     async def stats(self) -> dict[str, Any]:
         """Scrape the server's metrics snapshot."""
-        return await self._request({"op": "stats"})
+        return (await self._request({"op": "stats"})).get("result")
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
 
-    async def _request(self, message: dict[str, Any]) -> Any:
+    async def _request(self, message: dict[str, Any]) -> dict[str, Any]:
+        """Send ``message``; return the ``ok`` response message."""
         await self._ensure_connected()
         request_id = next(self._ids)
         message["id"] = request_id
@@ -251,14 +252,14 @@ class FrontendClient:
         if future is None or future.done():
             return
         if response.get("ok"):
-            future.set_result(response.get("result"))
+            future.set_result(response)
             return
         error = response.get("error") or {}
         code = error.get("code", "internal")
         message = error.get("message", "")
         if code == "backend-error":
             future.set_exception(BackendError(message or code))
-        elif code in ("bad-request", "internal"):
+        elif code in ("bad-request", "internal", "response-too-large"):
             future.set_exception(FrontendError(f"{code}: {message}"))
         else:
             future.set_exception(RequestRejected(code, message))

@@ -1,25 +1,52 @@
-"""Length-prefixed JSON wire protocol for the serving frontend.
+"""Length-prefixed wire protocol for the serving frontend.
 
 Every message — request or response — is one *frame*: a 4-byte
-big-endian unsigned length followed by that many bytes of UTF-8 JSON.
-Framing first, JSON second: a reader never has to scan for delimiters,
-partial reads resume cleanly, and a malformed payload poisons only its
-own frame, not the stream position.
+big-endian unsigned length followed by that many payload bytes.
+Framing first, payload second: a reader never has to scan for
+delimiters, partial reads resume cleanly, and a malformed payload
+poisons only its own frame, not the stream position
+(:func:`read_payload` raises for a torn or oversized frame,
+:func:`decode_frame` for a bad payload; the server drops the peer on
+the first and answers ``bad-request`` on the second).
 
-Requests carry ``id`` (client-chosen correlation number), ``op``
-(``probe`` / ``scan`` / ``ping`` / ``stats``), an optional ``tenant``
-(admission control's rate-limit key, default ``"default"``) and optional
-``deadline_ms`` (propagated through the admission pipeline), plus the
-op's arguments (``value``/``t1``/``t2``).  Responses echo the ``id``
-with either ``ok: true`` and a ``result`` or ``ok: false`` and an
-``error`` object carrying the machine-readable rejection ``code``
+Frame grammar::
+
+    frame   = length payload
+    length  = uint32, big-endian          ; len(payload) <= MAX_FRAME_BYTES
+    payload = json | result
+    json    = "{" ... "}"                 ; one UTF-8 JSON object
+    result  = 0xB1 hlen header block
+    hlen    = uint32, big-endian          ; len(header)
+    header  = "{" ... "}"                 ; one UTF-8 JSON object
+    block   = "WIX1" ...                  ; the rest of the payload
+
+     0        4    5        9          9+hlen              4+length
+     +--------+----+--------+----------+-------------------+
+     | length |0xB1|  hlen  |  header  |   WIX1 block      |
+     +--------+----+--------+----------+-------------------+
+
+Requests, error responses and the ``ping`` / ``stats`` replies are
+``json`` frames.  Requests carry ``id`` (client-chosen correlation
+number), ``op`` (``probe`` / ``scan`` / ``ping`` / ``stats``), an
+optional ``tenant`` (admission control's rate-limit key, default
+``"default"``) and optional ``deadline_ms`` (propagated through the
+admission pipeline), plus the op's arguments (``value``/``t1``/``t2``).
+A ``json`` response echoes the ``id`` with either ``ok: true`` and a
+``result`` or ``ok: false`` and an ``error`` object carrying the
+machine-readable rejection ``code``
 (:class:`~repro.errors.RequestRejected`).
 
-Query results cross the wire as plain JSON (entries are
-``[record_id, day, info]`` triples, day sets are sorted lists) and come
-back as :class:`~repro.core.queries.ProbeResult` /
-:class:`~repro.core.queries.ScanResult` on the client, so in-process and
-TCP callers see identical shapes.
+A probe or scan answer is a ``result`` frame, and there is no other way
+to send one.  Its header holds ``id``, ``ok``, ``kind``, ``seconds``,
+``indexes_probed`` / ``indexes_scanned``, ``covered_days`` and
+``missing_days`` (day sets as sorted lists); its block is the answer's
+entries exactly as :func:`repro.index.codec.encode_entries` wrote them,
+32 bytes an entry, so reporting an answer costs one buffer operation a
+side rather than one JSON triple an entry.  In Python a result message
+is the header dict with the block under ``"entries"``, and
+:func:`result_from_wire` turns it back into the
+:class:`~repro.core.queries.ProbeResult` /
+:class:`~repro.core.queries.ScanResult` an in-process caller gets.
 """
 
 from __future__ import annotations
@@ -31,10 +58,20 @@ from typing import Any
 
 from ..core.queries import ProbeResult, ScanResult
 from ..errors import FrontendError
-from ..index.entry import Entry
+from ..index import codec
 
 #: Frame length prefix: 4-byte big-endian unsigned.
 _LEN = struct.Struct(">I")
+
+#: First payload byte of a result frame.  Not a byte UTF-8 text can
+#: start with, so no JSON payload is ever mistaken for one.
+RESULT_MARKER = b"\xb1"
+
+#: Length prefix, marker and header length of a result frame.
+_RESULT_HEAD = struct.Struct(">IcI")
+
+#: Payload bytes before a result frame's header: marker and ``hlen``.
+_RESULT_HEADER_AT = _RESULT_HEAD.size - _LEN.size
 
 #: Default ceiling on one frame's payload; a peer announcing more is
 #: treated as a protocol violation, not an allocation request.
@@ -43,24 +80,56 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: Operations the server accepts.
 OPS = ("probe", "scan", "ping", "stats")
 
+#: Result class -> (kind, name of its index-count field), and back.
+_RESULT_FIELDS = {
+    ProbeResult: ("probe", "indexes_probed"),
+    ScanResult: ("scan", "indexes_scanned"),
+}
+_RESULT_KINDS = {
+    kind: (cls, field) for cls, (kind, field) in _RESULT_FIELDS.items()
+}
+
+# One encoder and one decoder for every frame: ``json.dumps`` with
+# non-default separators builds a fresh ``JSONEncoder`` per call, which
+# on a small frame costs as much as the encoding.
+_encode_json = json.JSONEncoder(
+    separators=(",", ":"), ensure_ascii=False
+).encode
+_decode_json = json.JSONDecoder().decode
+
+
+def _too_large(size: int) -> FrontendError:
+    return FrontendError(
+        f"frame of {size} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
+    )
+
 
 def encode_frame(message: dict[str, Any]) -> bytes:
-    """Return ``message`` as one length-prefixed JSON frame."""
-    payload = json.dumps(
-        message, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrontendError(
-            f"frame of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    return _LEN.pack(len(payload)) + payload
+    """Return ``message`` as one frame.
+
+    A message with an ``"entries"`` block goes out as a result frame,
+    any other as a JSON frame.
+    """
+    block = message.get("entries")
+    if block is None:
+        payload = _encode_json(message).encode("utf-8")
+        if len(payload) > MAX_FRAME_BYTES:
+            raise _too_large(len(payload))
+        return _LEN.pack(len(payload)) + payload
+    fields = {**message}
+    del fields["entries"]
+    header = _encode_json(fields).encode("utf-8")
+    size = _RESULT_HEADER_AT + len(header) + len(block)
+    if size > MAX_FRAME_BYTES:
+        raise _too_large(size)
+    return b"".join(
+        (_RESULT_HEAD.pack(size, RESULT_MARKER, len(header)), header, block)
+    )
 
 
-def decode_frame(payload: bytes) -> dict[str, Any]:
-    """Decode one frame's JSON payload into a message dict."""
+def _load(text: bytes) -> dict[str, Any]:
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = _decode_json(text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrontendError(f"malformed frame payload: {exc}") from exc
     if not isinstance(message, dict):
@@ -70,17 +139,42 @@ def decode_frame(payload: bytes) -> dict[str, Any]:
     return message
 
 
-async def read_frame(
+def decode_frame(payload: bytes) -> dict[str, Any]:
+    """Decode one frame's payload into a message dict.
+
+    A result frame's block is returned undecoded under ``"entries"``;
+    :func:`result_from_wire` checks and decodes it.
+    """
+    if payload[:1] != RESULT_MARKER:
+        return _load(payload)
+    if len(payload) < _RESULT_HEADER_AT:
+        raise FrontendError(
+            f"malformed frame payload: {len(payload)}-byte result frame"
+        )
+    (header_len,) = _LEN.unpack_from(payload, 1)
+    block_at = _RESULT_HEADER_AT + header_len
+    if block_at > len(payload):
+        raise FrontendError(
+            f"malformed frame payload: {header_len}-byte header overruns "
+            f"the {len(payload)}-byte frame"
+        )
+    message = _load(payload[_RESULT_HEADER_AT:block_at])
+    message["entries"] = payload[block_at:]
+    return message
+
+
+async def read_payload(
     reader: asyncio.StreamReader,
     *,
     max_frame_bytes: int = MAX_FRAME_BYTES,
-) -> dict[str, Any] | None:
-    """Read one frame from ``reader``; ``None`` on clean EOF.
+) -> bytes | None:
+    """Read one frame's payload from ``reader``; ``None`` on clean EOF.
 
     EOF in the middle of a frame (after the prefix, or mid-payload) is a
     torn stream and raises :class:`~repro.errors.FrontendError` — the
     peer vanished mid-message, which callers should not confuse with an
-    orderly close between frames.
+    orderly close between frames.  So does a length over
+    ``max_frame_bytes``.  After either the stream position is lost.
     """
     try:
         prefix = await reader.readexactly(_LEN.size)
@@ -97,12 +191,21 @@ async def read_frame(
             f"(limit {max_frame_bytes})"
         )
     try:
-        payload = await reader.readexactly(length)
+        return await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise FrontendError(
             f"stream closed mid-frame ({len(exc.partial)}/{length} bytes)"
         ) from exc
-    return decode_frame(payload)
+
+
+async def read_frame(
+    reader: asyncio.StreamReader,
+    *,
+    max_frame_bytes: int = MAX_FRAME_BYTES,
+) -> dict[str, Any] | None:
+    """Read and decode one frame; ``None`` on clean EOF."""
+    payload = await read_payload(reader, max_frame_bytes=max_frame_bytes)
+    return None if payload is None else decode_frame(payload)
 
 
 def write_frame(writer: asyncio.StreamWriter, message: dict[str, Any]) -> None:
@@ -115,67 +218,42 @@ def write_frame(writer: asyncio.StreamWriter, message: dict[str, Any]) -> None:
 # ----------------------------------------------------------------------
 
 
-def _entries_to_wire(entries: tuple[Entry, ...]) -> list[list[Any]]:
-    return [[e.record_id, e.day, e.info] for e in entries]
-
-
-def _entries_from_wire(raw: list[Any]) -> tuple[Entry, ...]:
-    return tuple(Entry(int(r), int(d), info) for r, d, info in raw)
-
-
-def probe_result_to_wire(result: ProbeResult) -> dict[str, Any]:
-    """Return a JSON-serialisable view of one probe answer."""
-    return {
-        "kind": "probe",
-        "entries": _entries_to_wire(result.entries),
-        "seconds": result.seconds,
-        "indexes_probed": result.indexes_probed,
-        "covered_days": sorted(result.covered_days),
-        "missing_days": sorted(result.missing_days),
-    }
-
-
-def scan_result_to_wire(result: ScanResult) -> dict[str, Any]:
-    """Return a JSON-serialisable view of one scan answer."""
-    return {
-        "kind": "scan",
-        "entries": _entries_to_wire(result.entries),
-        "seconds": result.seconds,
-        "indexes_scanned": result.indexes_scanned,
-        "covered_days": sorted(result.covered_days),
-        "missing_days": sorted(result.missing_days),
-    }
-
-
 def result_to_wire(result: ProbeResult | ScanResult) -> dict[str, Any]:
-    """Marshal either result kind for the wire."""
-    if isinstance(result, ProbeResult):
-        return probe_result_to_wire(result)
-    if isinstance(result, ScanResult):
-        return scan_result_to_wire(result)
-    raise FrontendError(f"cannot marshal {type(result).__name__}")
+    """Marshal either result kind: header fields plus the entry block."""
+    try:
+        kind, indexes_field = _RESULT_FIELDS[type(result)]
+    except KeyError:
+        raise FrontendError(
+            f"cannot marshal {type(result).__name__}"
+        ) from None
+    return {
+        "kind": kind,
+        "seconds": result.seconds,
+        indexes_field: getattr(result, indexes_field),
+        "covered_days": sorted(result.covered_days),
+        "missing_days": sorted(result.missing_days),
+        "entries": codec.encode_entries(result.entries),
+    }
 
 
 def result_from_wire(wire: dict[str, Any]) -> ProbeResult | ScanResult:
-    """Rebuild the result object a wire payload describes."""
+    """Rebuild the result object a result message describes."""
     try:
-        kind = wire["kind"]
-        entries = _entries_from_wire(wire["entries"])
-        covered = frozenset(wire["covered_days"])
-        missing = frozenset(wire["missing_days"])
-        if kind == "probe":
-            return ProbeResult(
-                entries, wire["seconds"], wire["indexes_probed"],
-                covered, missing,
-            )
-        if kind == "scan":
-            return ScanResult(
-                entries, wire["seconds"], wire["indexes_scanned"],
-                covered, missing,
+        shape = _RESULT_KINDS.get(wire["kind"])
+        if shape is not None:
+            cls, indexes_field = shape
+            return cls(
+                tuple(codec.decode_entries(wire["entries"])),
+                wire["seconds"],
+                wire[indexes_field],
+                frozenset(wire["covered_days"]),
+                frozenset(wire["missing_days"]),
             )
     except (KeyError, TypeError, ValueError) as exc:
+        # ValueError: the codec's EntryCodecError, or a string pool that
+        # is not UTF-8.
         raise FrontendError(f"malformed result payload: {exc}") from exc
-    raise FrontendError(f"unknown result kind {kind!r}")
+    raise FrontendError(f"unknown result kind {wire['kind']!r}")
 
 
 def error_response(
@@ -190,21 +268,27 @@ def error_response(
 
 
 def ok_response(request_id: Any, result: Any) -> dict[str, Any]:
-    """Return the ``ok: true`` response frame body."""
+    """Return the ``ok: true`` JSON response frame body."""
     return {"id": request_id, "ok": True, "result": result}
+
+
+def result_response(request_id: Any, wire: dict[str, Any]) -> dict[str, Any]:
+    """Return the result message for :func:`result_to_wire`'s ``wire``."""
+    return {"id": request_id, "ok": True, **wire}
 
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "OPS",
+    "RESULT_MARKER",
     "decode_frame",
     "encode_frame",
     "error_response",
     "ok_response",
-    "probe_result_to_wire",
     "read_frame",
+    "read_payload",
     "result_from_wire",
+    "result_response",
     "result_to_wire",
-    "scan_result_to_wire",
     "write_frame",
 ]

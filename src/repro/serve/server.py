@@ -1,12 +1,15 @@
 """The asyncio query frontend over a :class:`ClusterCoordinator`.
 
 ``FrontendServer`` owns one :class:`~repro.serve.admission.AdmissionController`
-and speaks the length-prefixed JSON protocol of
+and speaks the length-prefixed protocol of
 :mod:`repro.serve.protocol` on a TCP listener.  Each connection is read
-frame by frame; every request is handled in its own task, so a client
-may pipeline any number of requests on one connection and receive the
-responses as each completes (correlation is by the request ``id`` the
-client chose, not by order).  ``ping`` and ``stats`` bypass admission —
+frame by frame; every request is decoded and handled in its own task,
+so a client may pipeline any number of requests on one connection and
+receive the responses as each completes (correlation is by the request
+``id`` the client chose, not by order).  A frame whose payload does not
+decode is answered ``bad-request`` with ``id: null`` and the connection
+stays; only a torn or oversized frame, after which the stream position
+is unknown, drops the peer.  ``ping`` and ``stats`` bypass admission —
 health checks and metric scrapes must keep working while the query path
 is saturated or draining.
 
@@ -156,13 +159,13 @@ class FrontendServer:
         try:
             while True:
                 try:
-                    message = await protocol.read_frame(reader)
+                    payload = await protocol.read_payload(reader)
                 except FrontendError:
                     break  # torn stream or oversized frame: drop the peer
-                if message is None:
+                if payload is None:
                     break
                 request = asyncio.get_running_loop().create_task(
-                    self._handle_request(message, writer, write_lock)
+                    self._handle_request(payload, writer, write_lock)
                 )
                 requests.add(request)
                 request.add_done_callback(requests.discard)
@@ -183,12 +186,16 @@ class FrontendServer:
 
     async def _handle_request(
         self,
-        message: dict[str, Any],
+        payload: bytes,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
     ) -> None:
-        request_id = message.get("id")
+        request_id = None
         try:
+            message = protocol.decode_frame(payload)
+            if "entries" in message:
+                raise FrontendError("a request must be a JSON frame")
+            request_id = message.get("id")
             response = await self._dispatch(message)
         except RequestRejected as exc:
             response = protocol.error_response(request_id, exc.code, str(exc))
@@ -210,7 +217,16 @@ class FrontendServer:
             )
         async with write_lock:
             try:
-                protocol.write_frame(writer, response)
+                try:
+                    protocol.write_frame(writer, response)
+                except FrontendError as exc:
+                    # Over the frame limit; nothing was written.
+                    protocol.write_frame(
+                        writer,
+                        protocol.error_response(
+                            request_id, "response-too-large", str(exc)
+                        ),
+                    )
                 await writer.drain()
             except (ConnectionError, OSError):
                 pass  # peer went away; nothing to tell it
@@ -236,7 +252,7 @@ class FrontendServer:
         result = await self.controller.submit(
             op, spec, tenant=tenant, deadline_s=deadline_s
         )
-        return protocol.ok_response(
+        return protocol.result_response(
             request_id, protocol.result_to_wire(result)
         )
 

@@ -63,6 +63,81 @@ def test_decoders_agree_with_kernels_on_and_off(entries):
         assert codec.decode_entries(block) == reference
 
 
+# The batch kernel proper runs only when every info is None or an int64;
+# the mixed lists above mostly fall through to the reference path.
+batch_entry_lists = st.lists(
+    st.builds(
+        Entry, record_ids, days,
+        st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1)),
+    ),
+    max_size=200,
+)
+
+
+@given(batch_entry_lists, st.sampled_from((list, tuple)))
+@settings(max_examples=100)
+def test_batch_kernel_matches_reference_on_none_and_int64_infos(entries, seq):
+    reference = codec.encode_entries_object(entries)
+    assert codec.encode_entries(seq(entries)) == reference
+    got = codec.decode_entries(reference)
+    assert got == codec.decode_entries_object(reference) == entries
+    assert all(type(e) is Entry for e in got)
+    assert [type(e.info) for e in got] == [type(e.info) for e in entries]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [],
+        [Entry(7, 3, None)],
+        [Entry(7, 3, 0)],
+        [Entry(7, 3, -(2**63))],
+        [Entry(-(2**63), 2**63 - 1, 2**63 - 1)],
+        [Entry(1, 1, None), Entry(2, 1, None)],
+        [Entry(1, 1, 5), Entry(2, 1, 0)],
+        [Entry(1, 1, None), Entry(2, 1, 0), Entry(3, 2, None), Entry(4, 2, 9)],
+    ],
+    ids=["n0", "n1-none", "n1-zero", "n1-min", "extremes", "all-none",
+         "all-int", "mixed"],
+)
+def test_batch_kernel_edge_sizes_and_info_mixes(entries):
+    reference = codec.encode_entries_object(entries)
+    assert codec.encode_entries(entries) == reference
+    assert len(reference) == codec.encoded_size(len(entries))
+    got = codec.decode_entries(reference)
+    assert got == codec.decode_entries_object(reference) == entries
+    assert [e.info for e in got] == [e.info for e in entries]  # 0 is not None
+
+
+@given(
+    batch_entry_lists,
+    st.integers(min_value=0, max_value=199),
+    st.sampled_from((2**63, -(2**63) - 1, 2**200)),
+    st.sampled_from(("record_id", "day")),
+)
+@settings(max_examples=50)
+def test_out_of_int64_field_is_rejected_at_any_position(
+    entries, position, wide, field
+):
+    entries.insert(
+        min(position, len(entries)), Entry(1, 1, None)._replace(**{field: wide})
+    )
+    for encode in (codec.encode_entries, codec.encode_entries_object):
+        with pytest.raises(codec.EntryCodecError):
+            encode(entries)
+
+
+def test_blocks_the_columns_cannot_hold_decode_like_the_reference():
+    block = bytearray(codec.encode_entries([Entry(1, 2, 3), Entry(4, 5, None)]))
+    # Dirty padding after the tag byte: the reference ignores it.
+    block[codec._HEADER.size + 17] = 0xAB
+    assert codec.decode_entries(bytes(block)) == [Entry(1, 2, 3), Entry(4, 5, None)]
+    # A float needs no pool, so a pool-less block is not a batch block.
+    floats = codec.encode_entries_object([Entry(1, 2, 1.5), Entry(4, 5, 6)])
+    assert codec.decode_entries(floats) == [Entry(1, 2, 1.5), Entry(4, 5, 6)]
+    assert type(codec.decode_entries(floats)[0].info) is float
+
+
 def test_none_info_round_trips():
     entries = [Entry(1, 2, None), Entry(3, 4, None), Entry(5, 6, None)]
     block = codec.encode_entries(entries)

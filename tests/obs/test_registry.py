@@ -55,6 +55,18 @@ class TestHistogram:
             "count", "total", "mean", "min", "p50", "p95", "p99", "max"
         }
 
+    def test_summary_agrees_with_the_single_field_accessors(self):
+        h = Histogram("lat")
+        for v in (0.3, -0.0, 0.0, 7.5, 0.1, 0.1, 2.25, 1e-9, 40.0, 0.7):
+            h.observe(v)
+        assert list(h.summary().items()) == [
+            ("count", h.count), ("total", h.total), ("mean", h.mean),
+            ("min", h.min), ("p50", h.quantile(0.50)),
+            ("p95", h.quantile(0.95)), ("p99", h.quantile(0.99)),
+            ("max", h.max),
+        ]
+        assert h.values[:3] == [0.3, -0.0, 0.0]  # observations left unsorted
+
 
 class TestRegistry:
     def test_create_on_first_use_returns_same_instance(self):

@@ -5,9 +5,26 @@ time-dependent path (bucket refill, queued-deadline expiry) is exact,
 with no real sleeping.
 """
 
+import asyncio
 import threading
 
 import pytest
+
+from repro.serve import protocol
+
+
+def feed_reader(data: bytes, eof: bool = True) -> asyncio.StreamReader:
+    """Build a pre-fed reader (must run inside the event loop)."""
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    if eof:
+        reader.feed_eof()
+    return reader
+
+
+async def read_from(data: bytes, eof: bool = True):
+    """``protocol.read_frame`` on a stream holding exactly ``data``."""
+    return await protocol.read_frame(feed_reader(data, eof))
 
 
 class FakeClock:

@@ -7,25 +7,15 @@ import pytest
 
 from repro.core.queries import ProbeResult, ScanResult
 from repro.errors import FrontendError
+from repro.index import codec
 from repro.index.entry import Entry
 from repro.serve import protocol
+
+from .conftest import feed_reader, read_from
 
 
 def run(coro):
     return asyncio.run(coro)
-
-
-def feed_reader(data: bytes, eof: bool = True) -> asyncio.StreamReader:
-    """Build a pre-fed reader (must run inside the event loop)."""
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    if eof:
-        reader.feed_eof()
-    return reader
-
-
-async def read_from(data: bytes, eof: bool = True):
-    return await protocol.read_frame(feed_reader(data, eof))
 
 
 class TestFraming:
@@ -82,6 +72,19 @@ class TestFraming:
         with pytest.raises(FrontendError, match="object"):
             protocol.decode_frame(b"[1, 2, 3]")
 
+    def test_oversized_result_frame_rejected(self, monkeypatch):
+        message = protocol.result_response(1, protocol.result_to_wire(
+            ProbeResult(
+                tuple(Entry(i, 1, None) for i in range(8)),
+                0.0, 1, frozenset({1}), frozenset(),
+            )
+        ))
+        monkeypatch.setattr(
+            protocol, "MAX_FRAME_BYTES", len(protocol.encode_frame(message)) - 5
+        )
+        with pytest.raises(FrontendError, match="limit"):
+            protocol.encode_frame(message)
+
 
 class TestResultMarshalling:
     def probe_result(self):
@@ -118,22 +121,51 @@ class TestResultMarshalling:
         assert isinstance(rebuilt, ScanResult)
         assert rebuilt == original
 
-    def test_wire_shape_is_plain_json(self):
-        import json
-
+    def test_result_frame_layout_is_pinned_byte_for_byte(self):
         wire = protocol.result_to_wire(self.probe_result())
-        assert wire["kind"] == "probe"
-        assert wire["entries"] == [[4, 2, "x"], [9, 3, None]]
-        assert wire["covered_days"] == [2, 3]
-        json.dumps(wire)  # must not need custom encoders
+        block = codec.encode_entries_object(self.probe_result().entries)
+        assert wire == {
+            "kind": "probe",
+            "seconds": 0.25,
+            "indexes_probed": 3,
+            "covered_days": [2, 3],
+            "missing_days": [4],
+            "entries": block,
+        }
+        header = (
+            b'{"id":7,"ok":true,"kind":"probe","seconds":0.25,'
+            b'"indexes_probed":3,"covered_days":[2,3],"missing_days":[4]}'
+        )
+        frame = protocol.encode_frame(protocol.result_response(7, wire))
+        assert frame == b"".join((
+            struct.pack(">I", 1 + 4 + len(header) + len(block)),
+            b"\xb1",
+            struct.pack(">I", len(header)),
+            header,
+            block,
+        ))
+        # The block is the codec's, untouched: magic, count, pool
+        # length, two 32-byte records, the one-byte string pool.
+        assert block[:4] == b"WIX1"
+        assert len(block) == codec.encoded_size(2, pool_bytes=1)
+        assert frame.endswith(block)
 
-    def test_survives_json_round_trip(self):
-        import json
+    def test_result_frame_round_trips_through_read_frame(self):
+        for original in (self.probe_result(), self.scan_result()):
+            message = protocol.result_response(
+                11, protocol.result_to_wire(original)
+            )
+            received = run(read_from(protocol.encode_frame(message)))
+            assert received == message
+            assert protocol.result_from_wire(received) == original
 
-        wire = json.loads(json.dumps(protocol.result_to_wire(
-            self.scan_result()
-        )))
-        assert protocol.result_from_wire(wire) == self.scan_result()
+    def test_json_replies_stay_json_frames(self):
+        for message in (
+            protocol.ok_response(1, "pong"),
+            protocol.ok_response(2, {"counters": {}}),
+            protocol.error_response(3, "shed-overload", "full"),
+        ):
+            assert protocol.encode_frame(message)[4:5] == b"{"
 
     def test_unknown_kind_rejected(self):
         wire = protocol.result_to_wire(self.probe_result())

@@ -7,10 +7,12 @@ answers, so the wire path is checked for fidelity, not just liveness.
 """
 
 import asyncio
+import struct
 
 import pytest
 
 from repro.errors import FrontendError, RequestRejected
+from repro.serve import is_retryable, protocol
 from repro.serve.admission import AdmissionConfig
 from repro.serve.client import FrontendClient
 from repro.serve.demo import DemoClusterConfig, build_demo_cluster
@@ -158,5 +160,74 @@ class TestEndToEnd:
                     deadline_ms=-1.0,
                 )
             assert exc.value.code == "deadline-expired"
+
+        run(with_server(scenario))
+
+
+class TestFrameErrors:
+    """What the server does with frames it cannot answer as asked."""
+
+    def test_oversize_response_is_answered_not_dropped(self, monkeypatch):
+        async def scenario(server, client):
+            t1, t2 = SMALL.oldest_day, SMALL.last_day
+            assert len(sim().coordinator.scan(t1, t2).entries) > 8
+            with pytest.raises(FrontendError, match="response-too-large") as exc:
+                # Without the error frame this would never settle.
+                await asyncio.wait_for(client.scan(t1, t2), timeout=5.0)
+            assert not is_retryable(exc.value)  # as large on any frontend
+            # The connection and the server both survive it.
+            assert await client.ping() is True
+
+        # Room for any request or error frame, not for a whole-window scan.
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 256)
+        run(with_server(scenario))
+
+    def test_undecodable_payload_poisons_only_its_own_frame(self):
+        async def scenario(server, client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                bad_json = b"{nope"
+                not_an_object = b"[1,2,3]"
+                binary = protocol.encode_frame(protocol.result_response(
+                    9, protocol.result_to_wire(
+                        sim().coordinator.probe(1, SMALL.oldest_day, SMALL.last_day)
+                    ),
+                ))
+                for payload in (bad_json, not_an_object):
+                    writer.write(struct.pack(">I", len(payload)) + payload)
+                writer.write(binary)
+                protocol.write_frame(writer, {"id": 4, "op": "ping"})
+                await writer.drain()
+                replies = [
+                    await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                    for _ in range(4)
+                ]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            rejected = [r for r in replies if not r["ok"]]
+            assert [r["id"] for r in rejected] == [None, None, None]
+            assert {r["error"]["code"] for r in rejected} == {"bad-request"}
+            assert "JSON frame" in rejected[-1]["error"]["message"]
+            assert [r for r in replies if r["ok"]] == [
+                {"id": 4, "ok": True, "result": "pong"}
+            ]
+
+        run(with_server(scenario))
+
+    def test_torn_or_oversized_frame_still_drops_the_peer(self):
+        async def scenario(server, client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                writer.write(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1))
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            finally:
+                writer.close()
+                await writer.wait_closed()
 
         run(with_server(scenario))
