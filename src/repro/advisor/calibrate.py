@@ -21,7 +21,7 @@ from ..analysis.parameters import (
     ImplementationParameters,
 )
 from ..core.records import RecordStore
-from ..index.builder import build_packed_index
+from ..index.builder import build_index_from_store
 from ..index.config import IndexConfig
 from ..storage.disk import SimulatedDisk
 
@@ -67,25 +67,21 @@ def calibrate_parameters(
 
     scratch = SimulatedDisk()
     before = scratch.clock
-    packed = build_packed_index(
-        scratch,
-        config,
-        store.grouped_for(sample),
-        list(sample),
-        source_bytes=store.data_bytes_for(sample),
-    )
+    packed = build_index_from_store(scratch, config, store, sample)
     build_s = (scratch.clock - before) / len(sample)
     s_bytes = packed.allocated_bytes / len(sample)
+
+    # Measured before the insert below mutates ``packed`` and lets the
+    # sample's posting runs go.
+    grouped = store.grouped_for(sample)
+    distinct = max(1, len(grouped))
+    entry_bytes = config.bytes_for(sum(len(e) for e in grouped.values()))
+    c_bytes = entry_bytes / (len(sample) * distinct)
 
     before = scratch.clock
     packed.insert_postings(store.grouped_for([add_day]), [add_day])
     add_s = scratch.clock - before
     s_prime = packed.allocated_bytes / (len(sample) + 1)
-
-    grouped = store.grouped_for(sample)
-    distinct = max(1, len(grouped))
-    entry_bytes = config.bytes_for(sum(len(e) for e in grouped.values()))
-    c_bytes = entry_bytes / (len(sample) * distinct)
 
     return CostParameters(
         name=name,

@@ -53,7 +53,7 @@ from ..errors import (
     SimulatedCrash,
     TransientIOError,
 )
-from ..index.builder import build_packed_index
+from ..index.builder import build_index_from_store
 from ..index.updates import UpdateTechnique
 from ..storage.disk import SimulatedDisk
 from ..storage.faults import RetryPolicy
@@ -189,13 +189,8 @@ class AdvisorEngine:
         attempts = 0
         while True:
             try:
-                return build_packed_index(
-                    target,
-                    config,
-                    store.grouped_for(days),
-                    days,
-                    name=name,
-                    source_bytes=store.data_bytes_for(days),
+                return build_index_from_store(
+                    target, config, store, days, name=name
                 )
             except TransientIOError:
                 attempts += 1

@@ -190,7 +190,7 @@ def measure_build_add_constants(
         ``(build_seconds, add_seconds, s_prime_bytes)`` per day.
     """
     from ..core.records import RecordStore
-    from ..index.builder import build_packed_index
+    from ..index.builder import build_index_from_store
     from ..index.config import IndexConfig
     from ..storage.bufferpool import BufferPoolModel
     from ..storage.disk import SimulatedDisk
@@ -216,13 +216,7 @@ def measure_build_add_constants(
 
     cluster = list(range(1, cluster_days + 1))
     before = disk.clock
-    packed = build_packed_index(
-        disk,
-        index_config,
-        store.grouped_for(cluster),
-        cluster,
-        source_bytes=store.data_bytes_for(cluster),
-    )
+    packed = build_index_from_store(disk, index_config, store, cluster)
     build_s = (disk.clock - before) / cluster_days
 
     before = disk.clock

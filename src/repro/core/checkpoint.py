@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 
 from ..errors import SchemeError
-from ..index.builder import build_packed_index
+from ..index.builder import build_index_from_store
 from ..index.config import IndexConfig
 from ..storage.disk import SimulatedDisk
 from .records import RecordStore
@@ -86,14 +86,7 @@ def restore(
             f"day(s) {sorted(missing)}; the checkpointed bindings need them"
         )
     for name, days in day_sets.items():
-        index = build_packed_index(
-            disk,
-            config,
-            store.grouped_for(days),
-            days,
-            name=name,
-            source_bytes=store.data_bytes_for(days),
-        )
+        index = build_index_from_store(disk, config, store, days, name=name)
         wave.bind(name, index)
     return scheme, wave
 

@@ -30,7 +30,7 @@ from ..index.updates import (
     clone_index,
     packed_rewrite,
 )
-from ..index.builder import build_packed_index
+from ..index.builder import build_index_from_store
 from ..storage.disk import SimulatedDisk
 from .ops import (
     AddOp,
@@ -192,14 +192,12 @@ class PlanExecutor:
     # ------------------------------------------------------------------
 
     def _do_build(self, op: BuildOp) -> None:
-        grouped = self.store.grouped_for(op.days)
-        index = build_packed_index(
+        index = build_index_from_store(
             self._disk_for(op.target),
             self.config,
-            grouped,
+            self.store,
             op.days,
             name=op.target,
-            source_bytes=self.store.data_bytes_for(op.days),
         )
         self.wave.bind(op.target, index)
 

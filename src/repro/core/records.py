@@ -11,6 +11,8 @@ oracle for differential testing of every scheme.
 
 from __future__ import annotations
 
+import weakref
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
@@ -47,30 +49,35 @@ class Record:
             raise ValueError(f"nbytes must be >= 0, got {self.nbytes}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DayBatch:
-    """All records generated on one day."""
+    """All records generated on one day.
+
+    Immutable once built: ``records`` accepts any iterable and is stored
+    as a tuple, so a day's :class:`PostingRun` can never disagree with
+    the batch it was posted from.
+    """
 
     day: int
-    records: list[Record] = field(default_factory=list)
+    records: tuple[Record, ...] = ()
+    #: Number of index entries this batch produces.
+    entry_count: int = field(init=False)
+    #: Raw size of the batch's records.
+    data_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
-        for record in self.records:
+        records = tuple(self.records)
+        for record in records:
             if record.day != self.day:
                 raise WorkloadError(
                     f"record {record.record_id} is for day {record.day}, "
                     f"not batch day {self.day}"
                 )
-
-    @property
-    def entry_count(self) -> int:
-        """Return the number of index entries this batch produces."""
-        return sum(len(r.values) for r in self.records)
-
-    @property
-    def data_bytes(self) -> int:
-        """Return the raw size of the batch's records."""
-        return sum(r.nbytes for r in self.records)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(
+            self, "entry_count", sum(len(r.values) for r in records)
+        )
+        object.__setattr__(self, "data_bytes", sum(r.nbytes for r in records))
 
     def postings(self) -> Iterator[tuple[Any, Entry]]:
         """Yield ``(search_value, entry)`` pairs for every record value."""
@@ -78,12 +85,33 @@ class DayBatch:
             for value in record.values:
                 yield value, Entry(record.record_id, self.day, record.info)
 
-    def grouped(self) -> dict[Any, list[Entry]]:
-        """Return postings grouped by search value."""
-        grouped: dict[Any, list[Entry]] = {}
-        for value, entry in self.postings():
-            grouped.setdefault(value, []).append(entry)
-        return grouped
+
+class PostingRun:
+    """One day's postings, grouped by search value, materialised once.
+
+    ``grouped`` maps each search value to its entries in record order
+    (keys in first-occurrence order) and is never mutated, so every index
+    build over the day merges this run instead of re-posting the records.
+    The store reaches a run only weakly; it lives as long as a packed
+    index built from it holds it (see :meth:`RecordStore.runs_for`).
+
+    The brute-force oracles never touch a run: they re-post through
+    :meth:`DayBatch.postings`, a path the indexes do not share.
+    """
+
+    __slots__ = ("day", "grouped", "__weakref__")
+
+    def __init__(self, batch: DayBatch) -> None:
+        day = batch.day
+        lists: defaultdict[Any, list[Entry]] = defaultdict(list)
+        for record in batch.records:
+            entry = Entry(record.record_id, day, record.info)
+            for value in record.values:
+                lists[value].append(entry)
+        self.day = day
+        self.grouped: dict[Any, tuple[Entry, ...]] = {
+            value: tuple(entries) for value, entries in lists.items()
+        }
 
 
 class RecordStore:
@@ -97,6 +125,9 @@ class RecordStore:
 
     def __init__(self) -> None:
         self._batches: dict[int, DayBatch] = {}
+        self._runs: weakref.WeakValueDictionary[int, PostingRun] = (
+            weakref.WeakValueDictionary()
+        )
 
     def add_batch(self, batch: DayBatch) -> None:
         """Register a day's batch; replacing a day is a usage error."""
@@ -106,7 +137,7 @@ class RecordStore:
 
     def add_records(self, day: int, records: Iterable[Record]) -> DayBatch:
         """Convenience: wrap ``records`` in a batch for ``day`` and add it."""
-        batch = DayBatch(day=day, records=list(records))
+        batch = DayBatch(day=day, records=records)
         self.add_batch(batch)
         return batch
 
@@ -130,16 +161,37 @@ class RecordStore:
         """Return all stored days in ascending order."""
         return sorted(self._batches)
 
+    def runs_for(self, days: Iterable[int]) -> tuple[PostingRun, ...]:
+        """Return the posting runs of ``days``, ascending, each day once.
+
+        A day is posted only if no run of it is alive.  The store holds
+        runs weakly: whoever keeps the returned tuple keeps them alive (a
+        packed index does, until it is mutated or dropped), so a rebuild
+        over days an existing packed index already covers posts nothing.
+        """
+        runs = []
+        for day in sorted(set(days)):
+            run = self._runs.get(day)
+            if run is None:
+                run = self._runs[day] = PostingRun(self.batch(day))
+            runs.append(run)
+        return tuple(runs)
+
     def grouped_for(self, days: Iterable[int]) -> dict[Any, list[Entry]]:
         """Return postings for ``days`` grouped by search value.
 
         Entries are emitted in ascending day order within each value, which
-        is the order a day-at-a-time build would produce.
+        is the order a day-at-a-time build would produce.  The lists are
+        the caller's own; the entries are shared with the days' runs.
         """
         grouped: dict[Any, list[Entry]] = {}
-        for day in sorted(set(days)):
-            for value, entry in self.batch(day).postings():
-                grouped.setdefault(value, []).append(entry)
+        for run in self.runs_for(days):
+            for value, entries in run.grouped.items():
+                merged = grouped.get(value)
+                if merged is None:
+                    grouped[value] = list(entries)
+                else:
+                    merged.extend(entries)
         return grouped
 
     def data_bytes_for(self, days: Iterable[int]) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from ..errors import RecoveryError
-from ..index.builder import build_packed_index
+from ..index.builder import build_index_from_store
 from ..storage.disk import SimulatedDisk
 from ..index.updates import UpdateTechnique
 from .checkpoint import CHECKPOINT_VERSION, restore_scheme
@@ -328,14 +328,8 @@ def restore_op_target(
     if current is not None:
         wave.unbind(target)
         current.drop()
-    days = sorted(expected)
-    rebuilt = build_packed_index(
-        disk,
-        wave.config,
-        store.grouped_for(days),
-        days,
-        name=target,
-        source_bytes=store.data_bytes_for(days),
+    rebuilt = build_index_from_store(
+        disk, wave.config, store, expected, name=target
     )
     wave.bind(target, rebuilt)
     return True

@@ -8,7 +8,7 @@ Section 2.2.
 
 from .btree import BPlusTreeDirectory
 from .bucket import Bucket
-from .builder import build_empty_index, build_packed_index
+from .builder import build_empty_index, build_index_from_store, build_packed_index
 from .config import IndexConfig
 from .constituent import ConstituentIndex
 from .contiguous import ContiguousPolicy
@@ -35,6 +35,7 @@ __all__ = [
     "UpdateTechnique",
     "add_to_index",
     "build_empty_index",
+    "build_index_from_store",
     "build_packed_index",
     "clone_index",
     "delete_from_index",

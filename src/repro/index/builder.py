@@ -12,13 +12,16 @@ CONTIGUOUS ``S'`` an incremental build would leave behind.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..storage.disk import SimulatedDisk
 from .bucket import Bucket
 from .config import IndexConfig
 from .constituent import ConstituentIndex
 from .entry import Entry
+
+if TYPE_CHECKING:
+    from ..core.records import RecordStore
 
 
 def _ordered_values(grouped: Mapping[Any, list[Entry]]) -> list[Any]:
@@ -43,7 +46,7 @@ def build_packed_index(
 
     Args:
         grouped: Search value -> entries (e.g. from
-            :func:`repro.index.entry.entries_by_value`).
+            :func:`repro.index.entry.entries_by_value`); copied, never kept.
         days: The time-set the new index covers.
         source_bytes: Size of the raw records scanned to produce the
             postings; defaults to the index payload size.
@@ -51,9 +54,54 @@ def build_packed_index(
     Returns:
         A packed :class:`ConstituentIndex` occupying one contiguous extent.
     """
+    owned = {value: list(entries) for value, entries in grouped.items() if entries}
+    return _pack(disk, config, owned, days, name=name, source_bytes=source_bytes)
+
+
+def build_index_from_store(
+    disk: SimulatedDisk,
+    config: IndexConfig,
+    store: RecordStore,
+    days: Iterable[int],
+    *,
+    name: str = "I",
+) -> ConstituentIndex:
+    """``BuildIndex`` over the records ``store`` holds for ``days``.
+
+    The one way to build from a record store: the days' posting runs are
+    merged into the buckets and handed to the new index, which holds them
+    until it is first mutated or dropped — so the next build over any of
+    these days (REINDEX's daily rebuild, a repair, a retune) finds them
+    alive instead of re-posting the records.  The device is charged for
+    reading the source records all the same.
+    """
+    days = sorted(set(days))
+    runs = store.runs_for(days)
+    return _pack(
+        disk,
+        config,
+        store.grouped_for(days),
+        days,
+        name=name,
+        source_bytes=store.data_bytes_for(days),
+        runs=runs,
+    )
+
+
+def _pack(
+    disk: SimulatedDisk,
+    config: IndexConfig,
+    grouped: dict[Any, list[Entry]],
+    days: Iterable[int],
+    *,
+    name: str,
+    source_bytes: int | None,
+    runs: tuple = (),
+) -> ConstituentIndex:
+    """Lay ``grouped`` out as one packed index; its lists become the buckets'."""
     index = ConstituentIndex(disk, config, name=name)
     entry_size = config.entry_size_bytes
-    total_entries = sum(len(entries) for entries in grouped.values())
+    total_entries = sum(map(len, grouped.values()))
     total_bytes = total_entries * entry_size
 
     # Pass 1: scan the source records to count bucket sizes.
@@ -64,9 +112,7 @@ def build_packed_index(
     buckets: list[Bucket] = []
     offset = 0
     for value in _ordered_values(grouped):
-        entries = list(grouped[value])
-        if not entries:
-            continue
+        entries = grouped[value]
         bucket = Bucket(
             value=value,
             entries=entries,
@@ -79,7 +125,7 @@ def build_packed_index(
         buckets.append(bucket)
     disk.write(extent, total_bytes)
 
-    index._adopt_packed(extent, buckets, days)
+    index._adopt_packed(extent, buckets, days, runs)
     return index
 
 

@@ -62,6 +62,11 @@ class ConstituentIndex:
         self._shared_extent: Extent | None = None
         self._shared_live_buckets = 0
         self._dropped = False
+        # Posting runs this index was built from (see build_index_from_store):
+        # held only while the index is exactly their merge, i.e. until its
+        # first mutation or its drop, so runs never outlive the packed
+        # indexes that could hand them to the next build.
+        self._runs: tuple = ()
 
     # ------------------------------------------------------------------
     # Construction
@@ -79,8 +84,10 @@ class ConstituentIndex:
         extent: Extent,
         buckets: Iterable[Bucket],
         days: Iterable[int],
+        runs: tuple = (),
     ) -> None:
         """Internal: install a packed layout (used by the builder)."""
+        self._runs = runs
         self._shared_extent = extent
         self.packed = True
         count = 0
@@ -181,6 +188,7 @@ class ConstituentIndex:
         longer packed.
         """
         self._check_not_dropped()
+        self._runs = ()
         start = self.disk.clock
         # Bucket updates hop randomly across the index; with a buffer-pool
         # model only the missing fraction of those hops pays a seek.  The
@@ -281,6 +289,7 @@ class ConstituentIndex:
         buckets shrink per the CONTIGUOUS policy.
         """
         self._check_not_dropped()
+        self._runs = ()
         day_set = set(days)
         if not day_set:
             return 0.0
@@ -502,6 +511,7 @@ class ConstituentIndex:
         self.directory = self.config.directory_factory()
         self.time_set = set()
         self._shared_live_buckets = 0
+        self._runs = ()
         self._dropped = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.core.records import Record, RecordStore
+from repro.core import records
+from repro.core.records import PostingRun, Record, RecordStore
 from repro.index.btree import BPlusTreeDirectory
 from repro.index.config import IndexConfig
 from repro.storage.disk import SimulatedDisk
@@ -56,3 +57,19 @@ def make_store(
 def store30() -> RecordStore:
     """Thirty days of small random batches."""
     return make_store(30)
+
+
+@pytest.fixture
+def posted(monkeypatch) -> list:
+    """The batches posted (one per ``PostingRun`` constructed), in order."""
+    batches = []
+
+    class CountedRun(PostingRun):
+        __slots__ = ()
+
+        def __init__(self, batch):
+            batches.append(batch)
+            super().__init__(batch)
+
+    monkeypatch.setattr(records, "PostingRun", CountedRun)
+    return batches

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.records import DayBatch, Record, RecordStore
+from repro.core.records import DayBatch, PostingRun, Record, RecordStore
 from repro.errors import WorkloadError
 from repro.index.entry import Entry
 
@@ -45,7 +45,7 @@ class TestDayBatch:
         batch = DayBatch(
             day=1, records=[Record(1, 1, ("a",)), Record(2, 1, ("a", "b"))]
         )
-        grouped = batch.grouped()
+        grouped = PostingRun(batch).grouped
         assert [e.record_id for e in grouped["a"]] == [1, 2]
         assert [e.record_id for e in grouped["b"]] == [2]
 
