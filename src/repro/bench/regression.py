@@ -36,9 +36,9 @@ class HeadlineMetric:
     bench: str
     higher_is_better: bool
     description: str
-    #: An optional metric's section may be absent from a fresh report of
-    #: its benchmark (e.g. the flag-gated wall-clock section); absence
-    #: skips the gate instead of failing it.
+    #: An optional metric may be absent from a fresh report of its
+    #: benchmark (e.g. a machine-dependent headline a smoke run does not
+    #: produce); absence skips the gate instead of failing it.
     optional: bool = False
     #: An exact metric is a correctness invariant wearing a number (a
     #: lost-request count, a checksum): the gate is equality with the
@@ -52,9 +52,6 @@ class HeadlineMetric:
             return report.get("speedups", {}).get(
                 "batch256_cached_vs_unbatched_uncached"
             )
-        if self.name == "serving_wallclock_probe_speedup":
-            wallclock = report.get("wallclock") or {}
-            return (wallclock.get("probe_replay") or {}).get("speedup")
         if self.name == "overlap_makespan_ratio_mean":
             return report.get("headline", {}).get("makespan_ratio_mean")
         if self.name == "overlap_reindex_p95_ratio_best":
@@ -91,13 +88,6 @@ HEADLINE_METRICS: tuple[HeadlineMetric, ...] = (
         "serving",
         higher_is_better=True,
         description="batched+cached serving speedup over the paper's model",
-    ),
-    HeadlineMetric(
-        "serving_wallclock_probe_speedup",
-        "serving",
-        higher_is_better=True,
-        description="wall-clock probe replay: vectorized over object path",
-        optional=True,
     ),
     HeadlineMetric(
         "overlap_makespan_ratio_mean",
@@ -289,8 +279,8 @@ def compare(
             continue
         value = current.get(name)
         if value is None and metric.optional:
-            # Flag-gated section not produced by this run (e.g. a report
-            # without --wallclock): skip rather than fail the gate.
+            # Optional headline not produced by this run: skip rather
+            # than fail the gate.
             rows.append(
                 RegressionRow(name, base_value, None, None, False, skipped=True)
             )

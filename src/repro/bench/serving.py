@@ -23,17 +23,13 @@ must beat the baseline by at least 2x in simulated seconds.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 from ..core.records import RecordStore
 from ..core.schemes import scheme_by_name
-from ..index import codec as entry_codec
-from ..index import kernels
 from ..index.config import IndexConfig
-from ..index.entry import Entry
 from ..obs import MetricsRegistry, Tracer
 from ..sim.driver import Simulation
 from ..storage.pagecache import DEFAULT_PAGE_SIZE, PageCache
@@ -314,179 +310,6 @@ def run_serving_bench(config: ServingBenchConfig | None = None) -> dict[str, Any
     return report
 
 
-def _time_probe_replay(
-    wave: Any, values: list[str], lo: int, hi: int, batch_size: int
-) -> tuple[float, int]:
-    """Replay the probe stream once; return ``(wall_seconds, entries)``."""
-    total_entries = 0
-    t0 = time.perf_counter()
-    for start in range(0, len(values), batch_size):
-        chunk = values[start : start + batch_size]
-        batch = wave.probe_many([(v, lo, hi) for v in chunk])
-        for result in batch:
-            total_entries += len(result.entries)
-    return time.perf_counter() - t0, total_entries
-
-
-def _codec_entries(n: int) -> list[Entry]:
-    """Deterministic mixed-info entry list for the codec timing."""
-    return [
-        Entry(i, i % 29, None if i % 5 == 0 else i * 3) for i in range(n)
-    ]
-
-
-def run_wallclock_section(
-    config: ServingBenchConfig | None = None, *, repeats: int = 3
-) -> dict[str, Any]:
-    """Measure wall-clock throughput of the kernels against the object path.
-
-    Everything else in this module charges *simulated* seconds, which by
-    design do not move when the Python implementation gets faster.  This
-    section is the real-time counterpart: the same deterministic replay,
-    build, and codec workloads timed with ``time.perf_counter`` twice —
-    once with the vectorized kernels, once forced onto the object path —
-    reporting best-of-``repeats`` throughput and the speedup ratio.  The
-    two replays must return the same entry count, so every run of the
-    bench re-proves the paths equivalent on live data.
-
-    Wall-clock numbers are inherently machine-dependent, so this section
-    only lands in an artifact behind the CLI's ``--wallclock`` flag —
-    never in the byte-compared default artifacts.
-    """
-    config = config or ServingBenchConfig()
-    last_day = config.window + config.extra_days
-    docs = config.docs_per_day * last_day
-
-    build_seconds = {}
-    sim = None
-    for label, enabled in (("object", False), ("vectorized", True)):
-        best = float("inf")
-        for _ in range(repeats):
-            with kernels.vectorized(enabled):
-                t0 = time.perf_counter()
-                sim = _build_window(config, None)
-                best = min(best, time.perf_counter() - t0)
-        build_seconds[label] = best
-
-    vocabulary = heaps_vocabulary(config.docs_per_day * config.words_per_doc)
-    values = _zipf_values(config, vocabulary)
-    day = sim.result.days[-1].day
-    lo, hi = day - config.window + 1, day
-    # Sustained serving: the whole stream as one batch, so duplicate
-    # probes dedup across the full Zipf tail.  One untimed pass first —
-    # steady-state serving runs with the day columns already built, and
-    # the cold pass would otherwise be billed to exactly one repeat.
-    batch_size = len(values)
-    with kernels.vectorized(True):
-        _time_probe_replay(sim.wave, values, lo, hi, batch_size)
-    replay_seconds = {}
-    replay_entries = {}
-    for label, enabled in (("object", False), ("vectorized", True)):
-        best = float("inf")
-        total = 0
-        for _ in range(repeats):
-            with kernels.vectorized(enabled):
-                elapsed, total = _time_probe_replay(
-                    sim.wave, values, lo, hi, batch_size
-                )
-            best = min(best, elapsed)
-        replay_seconds[label] = best
-        replay_entries[label] = total
-    if replay_entries["object"] != replay_entries["vectorized"]:
-        raise RuntimeError(
-            f"vectorized replay returned {replay_entries['vectorized']} "
-            f"entries, object path {replay_entries['object']} — "
-            "equivalence violated"
-        )
-
-    n_codec = 10_000 if config.quick else 50_000
-    entries = _codec_entries(n_codec)
-    codec_seconds: dict[str, float] = {}
-    for label, fn, arg in (
-        ("object_encode", entry_codec.encode_entries_object, entries),
-        ("batch_encode", entry_codec.encode_entries, entries),
-    ):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn(arg)
-            best = min(best, time.perf_counter() - t0)
-        codec_seconds[label] = best
-    block = entry_codec.encode_entries_object(entries)
-    if entry_codec.encode_entries(entries) != block:
-        raise RuntimeError("batch codec produced different bytes")
-    for label, fn in (
-        ("object_decode", entry_codec.decode_entries_object),
-        ("batch_decode", entry_codec.decode_entries),
-    ):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn(block)
-            best = min(best, time.perf_counter() - t0)
-        codec_seconds[label] = best
-
-    def per_s(count: int, seconds: float) -> float:
-        return count / seconds if seconds > 0 else 0.0
-
-    def ratio(slow: float, fast: float) -> float | None:
-        return slow / fast if fast > 0 else None
-
-    return {
-        "repeats": repeats,
-        "numpy": kernels._np is not None,
-        "probe_replay": {
-            "probes": len(values),
-            "batch_size": batch_size,
-            "entries_returned": replay_entries["vectorized"],
-            "object_seconds": replay_seconds["object"],
-            "vectorized_seconds": replay_seconds["vectorized"],
-            "object_probes_per_s": per_s(
-                len(values), replay_seconds["object"]
-            ),
-            "vectorized_probes_per_s": per_s(
-                len(values), replay_seconds["vectorized"]
-            ),
-            "speedup": ratio(
-                replay_seconds["object"], replay_seconds["vectorized"]
-            ),
-        },
-        "build": {
-            "docs": docs,
-            "days": last_day,
-            "object_seconds": build_seconds["object"],
-            "vectorized_seconds": build_seconds["vectorized"],
-            "object_docs_per_s": per_s(docs, build_seconds["object"]),
-            "vectorized_docs_per_s": per_s(docs, build_seconds["vectorized"]),
-            "speedup": ratio(
-                build_seconds["object"], build_seconds["vectorized"]
-            ),
-        },
-        "codec": {
-            "entries": n_codec,
-            "block_bytes": len(block),
-            "object_encode_entries_per_s": per_s(
-                n_codec, codec_seconds["object_encode"]
-            ),
-            "batch_encode_entries_per_s": per_s(
-                n_codec, codec_seconds["batch_encode"]
-            ),
-            "object_decode_entries_per_s": per_s(
-                n_codec, codec_seconds["object_decode"]
-            ),
-            "batch_decode_entries_per_s": per_s(
-                n_codec, codec_seconds["batch_decode"]
-            ),
-            "encode_speedup": ratio(
-                codec_seconds["object_encode"], codec_seconds["batch_encode"]
-            ),
-            "decode_speedup": ratio(
-                codec_seconds["object_decode"], codec_seconds["batch_decode"]
-            ),
-        },
-    }
-
-
 def validate_report(report: dict[str, Any]) -> None:
     """Raise ``ValueError`` unless ``report`` matches the committed schema.
 
@@ -507,37 +330,6 @@ def validate_report(report: dict[str, Any]) -> None:
             raise ValueError(f"negative seconds in cell {cell}")
     if not report["speedups"]:
         raise ValueError("BENCH_serving report has no speedups")
-
-
-def profile_probe_replay(
-    config: ServingBenchConfig | None = None,
-    path: str | Path = "serving_probe.pstats",
-) -> Path:
-    """Profile the vectorized probe replay; dump pstats to ``path``.
-
-    The profile covers exactly the replay `run_wallclock_section` times
-    (same stream, same batch size), so a regression in the headline can
-    be diagnosed from the artifact without re-running locally.
-    """
-    import cProfile
-
-    config = config or ServingBenchConfig()
-    with kernels.vectorized(True):
-        sim = _build_window(config, None)
-        vocabulary = heaps_vocabulary(
-            config.docs_per_day * config.words_per_doc
-        )
-        values = _zipf_values(config, vocabulary)
-        day = sim.result.days[-1].day
-        lo, hi = day - config.window + 1, day
-        _time_probe_replay(sim.wave, values, lo, hi, len(values))  # warm
-        profiler = cProfile.Profile()
-        profiler.enable()
-        _time_probe_replay(sim.wave, values, lo, hi, len(values))
-        profiler.disable()
-    out = Path(path)
-    profiler.dump_stats(out)
-    return out
 
 
 def write_report(report: dict[str, Any], path: str | Path) -> Path:
@@ -574,41 +366,4 @@ def render_summary(report: dict[str, Any]) -> str:
     for name, value in report["speedups"].items():
         rendered = f"{value:.2f}x" if value is not None else "n/a"
         lines.append(f"  {name}: {rendered}")
-    if "wallclock" in report:
-        lines.append("")
-        lines.append(render_wallclock(report["wallclock"]))
-    return "\n".join(lines)
-
-
-def render_wallclock(wallclock: dict[str, Any]) -> str:
-    """Return a human-readable summary of the wall-clock section."""
-
-    def x(ratio: float | None) -> str:
-        return f"{ratio:.1f}x" if ratio is not None else "n/a"
-
-    lines = ["wall-clock (vectorized kernels vs object path):"]
-    probe = wallclock.get("probe_replay")
-    if probe:
-        lines.append(
-            f"  probe replay: {probe['vectorized_probes_per_s']:,.0f} "
-            f"probes/s vectorized vs {probe['object_probes_per_s']:,.0f} "
-            f"object ({x(probe['speedup'])})"
-        )
-    build = wallclock.get("build")
-    if build:
-        lines.append(
-            f"  window build: {build['vectorized_docs_per_s']:,.0f} "
-            f"docs/s vectorized vs {build['object_docs_per_s']:,.0f} "
-            f"object ({x(build['speedup'])})"
-        )
-    codec_stats = wallclock.get("codec")
-    if codec_stats:
-        lines.append(
-            f"  entry codec: "
-            f"{codec_stats['batch_encode_entries_per_s']:,.0f} entries/s "
-            f"batch encode vs "
-            f"{codec_stats['object_encode_entries_per_s']:,.0f} object "
-            f"({x(codec_stats['encode_speedup'])}); decode "
-            f"{x(codec_stats['decode_speedup'])}"
-        )
     return "\n".join(lines)

@@ -206,15 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument("--window", "-w", type=int, default=None)
     serving.add_argument("--indexes", "-n", type=int, default=None)
     serving.add_argument("--seed", type=int, default=None)
-    serving.add_argument(
-        "--wallclock", action="store_true",
-        help="also time the vectorized kernels against the object path "
-        "(adds a machine-dependent 'wallclock' section to the report)",
-    )
-    serving.add_argument(
-        "--profile", default=None, metavar="PSTATS",
-        help="dump a cProfile pstats file of the vectorized probe replay",
-    )
 
     overlap = sub.add_parser(
         "bench-overlap",
@@ -893,11 +884,9 @@ def _cmd_bench_serving(args: argparse.Namespace) -> int:
 
     from .bench.serving import (
         ServingBenchConfig,
-        profile_probe_replay,
         quick_config,
         render_summary,
         run_serving_bench,
-        run_wallclock_section,
         write_report,
     )
 
@@ -921,16 +910,9 @@ def _cmd_bench_serving(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    if args.wallclock:
-        # Machine-dependent timings: only in the artifact when asked,
-        # so default artifacts stay byte-comparable across machines.
-        report["wallclock"] = run_wallclock_section(config)
     path = write_report(report, args.out)
     print(render_summary(report))
     print(f"\nwrote {path}")
-    if args.profile:
-        pstats_path = profile_probe_replay(config, args.profile)
-        print(f"wrote profile {pstats_path}")
     return 0
 
 

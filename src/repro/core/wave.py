@@ -178,27 +178,6 @@ class WaveIndex:
         """Return the part of ``index``'s time-set inside ``[t1, t2]``."""
         return {d for d in index.time_set if t1 <= d <= t2}
 
-    def _relevant_days_memo(
-        self,
-        index: ConstituentIndex,
-        t1: int,
-        t2: int,
-        memo: dict[tuple[int, int], set[int]],
-    ) -> set[int]:
-        """Memoized :meth:`_relevant_days` for one constituent in a batch.
-
-        Batched serving replays ask many requests over the *same* sliding
-        window, so per-constituent intersection sets repeat; the memo
-        computes each unique ``(t1, t2)`` once.  Callers only read the
-        returned sets, so sharing one set across requests is safe.
-        """
-        key = (t1, t2)
-        days = memo.get(key)
-        if days is None:
-            days = self._relevant_days(index, t1, t2)
-            memo[key] = days
-        return days
-
     def _skip_offline(
         self, name: str, relevant: set[int], degraded: bool, kind: str
     ) -> None:
@@ -368,7 +347,7 @@ class WaveIndex:
         repeated values (a Zipf-skewed query stream repeats hot values
         constantly), and reads the needed buckets in physical offset order
         so touches of the same extent share one seek
-        (:meth:`ConstituentIndex.probe_batch`).
+        (:meth:`ConstituentIndex.probe_batch_buckets`).
 
         Returns per-request :class:`ProbeResult`\\ s in request order —
         each request's answer is identical to what its individual
@@ -376,6 +355,15 @@ class WaveIndex:
         :class:`BatchCostSummary` of what the whole batch cost the device.
         A shared bucket read's seconds are split evenly across the requests
         it served, so per-request latencies sum to the batch total.
+
+        Two identical ``(value, t1, t2)`` requests provably receive
+        identical results — same filtered entries, same cost share, same
+        coverage — so the batch is solved once per *unique* spec and each
+        duplicate gets the same immutable :class:`ProbeResult`.  Cost
+        shares are weighted by duplicate count: with ``N`` total
+        requesters of a value, every copy is charged ``cost / N``.
+        Per-bucket filtering runs on cached day columns via
+        :class:`~repro.index.kernels.RangeFilterCache`.
 
         ``degraded`` behaves as for :meth:`timed_index_probe`, applied
         per constituent: offline or failing constituents are reported in
@@ -385,110 +373,6 @@ class WaveIndex:
         for value, t1, t2 in specs:
             if t1 > t2:
                 raise WaveIndexError(f"empty time range [{t1}, {t2}]")
-        if kernels.vectorized_enabled():
-            return self._probe_many_vectorized(specs, degraded)
-        return self._probe_many_object(specs, degraded)
-
-    def _probe_many_object(
-        self, specs: list[tuple[Any, int, int]], degraded: bool
-    ) -> BatchProbeResult:
-        """Reference batched probe: one accumulator pass per request.
-
-        This is the original per-request implementation, kept verbatim as
-        the baseline the vectorized path is proven equivalent against.
-        """
-        n = len(specs)
-        begin = self._begin_batch()
-        entries: list[list[Entry]] = [[] for _ in range(n)]
-        seconds = [0.0] * n
-        probed = [0] * n
-        covered: list[set[int]] = [set() for _ in range(n)]
-        missing: list[set[int]] = [set() for _ in range(n)]
-        constituents_touched = 0
-        buckets_read = 0
-        duplicate_hits = 0
-        for name in self.constituents:
-            index = self.bindings.get(name)
-            if index is None:
-                continue
-            relevant: list[tuple[int, set[int]]] = []
-            for i, (value, t1, t2) in enumerate(specs):
-                days = self._relevant_days(index, t1, t2)
-                if days:
-                    relevant.append((i, days))
-            if not relevant:
-                continue
-            all_days = set().union(*(days for _, days in relevant))
-            if name in self.offline:
-                self._skip_offline(name, all_days, degraded, "probe")
-                for i, days in relevant:
-                    missing[i].update(days)
-                continue
-            by_value: dict[Any, list[int]] = {}
-            for i, _ in relevant:
-                by_value.setdefault(specs[i][0], []).append(i)
-            try:
-                found, nbuckets = index.probe_batch(by_value)
-            except FaultError:
-                self.offline.add(name)
-                if not degraded:
-                    raise
-                for i, days in relevant:
-                    missing[i].update(days)
-                continue
-            constituents_touched += 1
-            buckets_read += nbuckets
-            for i, days in relevant:
-                probed[i] += 1
-                covered[i].update(days)
-            for value, requesters in by_value.items():
-                got = found.get(value)
-                if got is None:
-                    continue
-                duplicate_hits += len(requesters) - 1
-                bucket_entries, cost = got
-                share = cost / len(requesters)
-                for i in requesters:
-                    _, t1, t2 = specs[i]
-                    entries[i].extend(
-                        e for e in bucket_entries if t1 <= e.day <= t2
-                    )
-                    seconds[i] += share
-        results = tuple(
-            ProbeResult(
-                tuple(entries[i]),
-                seconds[i],
-                probed[i],
-                frozenset(covered[i]),
-                frozenset(missing[i] - covered[i]),
-            )
-            for i in range(n)
-        )
-        summary = self._finish_batch(
-            begin,
-            requests=n,
-            constituents_touched=constituents_touched,
-            buckets_read=buckets_read,
-            duplicate_hits=duplicate_hits,
-        )
-        return BatchProbeResult(results, summary)
-
-    def _probe_many_vectorized(
-        self, specs: list[tuple[Any, int, int]], degraded: bool
-    ) -> BatchProbeResult:
-        """Kernel-backed batched probe: dedup specs, slice day columns.
-
-        Two identical ``(value, t1, t2)`` requests provably receive
-        identical results — same filtered entries, same cost share (the
-        per-value read is split evenly over requesters), same coverage —
-        so the batch is solved once per *unique* spec and each duplicate
-        gets the same immutable :class:`ProbeResult`.  Cost shares are
-        weighted by duplicate count, which reproduces the reference
-        path's charges exactly: with ``N`` total requesters of a value,
-        every copy is charged ``cost / N`` either way.  Per-bucket
-        filtering runs on cached day columns via
-        :class:`~repro.index.kernels.RangeFilterCache`.
-        """
         n = len(specs)
         unique_ids: dict[tuple[Any, int, int], int] = {}
         fanout: list[int] = []
@@ -517,7 +401,12 @@ class WaveIndex:
             days_memo: dict[tuple[int, int], set[int]] = {}
             relevant: list[tuple[int, set[int]]] = []
             for j, (value, t1, t2) in enumerate(uspecs):
-                days = self._relevant_days_memo(index, t1, t2, days_memo)
+                # A replay asks many values over one sliding window:
+                # intersect each unique range once.  The sets are only read.
+                days = days_memo.get((t1, t2))
+                if days is None:
+                    days = self._relevant_days(index, t1, t2)
+                    days_memo[(t1, t2)] = days
                 if days:
                     relevant.append((j, days))
             if not relevant:
@@ -590,94 +479,17 @@ class WaveIndex:
         at least one request is transferred exactly *once*; each request
         filters the shared sweep down to its own range.  The scan's seconds
         are split evenly across the requests it served.
+
+        Duplicate ``(t1, t2)`` requests receive the same immutable
+        :class:`ScanResult`, charged ``cost / N`` per copy over the ``N``
+        requests a constituent served; its sweep is filtered once per
+        unique range through a
+        :class:`~repro.index.kernels.RangeFilterCache`.
         """
         specs = list(requests)
         for t1, t2 in specs:
             if t1 > t2:
                 raise WaveIndexError(f"empty time range [{t1}, {t2}]")
-        if kernels.vectorized_enabled():
-            return self._scan_many_vectorized(specs, degraded)
-        return self._scan_many_object(specs, degraded)
-
-    def _scan_many_object(
-        self, specs: list[tuple[int, int]], degraded: bool
-    ) -> BatchScanResult:
-        """Reference batched scan, kept verbatim as the equivalence baseline."""
-        n = len(specs)
-        begin = self._begin_batch()
-        entries: list[list[Entry]] = [[] for _ in range(n)]
-        seconds = [0.0] * n
-        scanned = [0] * n
-        covered: list[set[int]] = [set() for _ in range(n)]
-        missing: list[set[int]] = [set() for _ in range(n)]
-        constituents_touched = 0
-        duplicate_hits = 0
-        for name in self.constituents:
-            index = self.bindings.get(name)
-            if index is None:
-                continue
-            relevant = []
-            for i, (t1, t2) in enumerate(specs):
-                days = self._relevant_days(index, t1, t2)
-                if days:
-                    relevant.append((i, days))
-            if not relevant:
-                continue
-            all_days = set().union(*(days for _, days in relevant))
-            if name in self.offline:
-                self._skip_offline(name, all_days, degraded, "scan")
-                for i, days in relevant:
-                    missing[i].update(days)
-                continue
-            try:
-                found, cost = index.scan()
-            except FaultError:
-                self.offline.add(name)
-                if not degraded:
-                    raise
-                for i, days in relevant:
-                    missing[i].update(days)
-                continue
-            constituents_touched += 1
-            duplicate_hits += len(relevant) - 1
-            share = cost / len(relevant)
-            for i, days in relevant:
-                scanned[i] += 1
-                covered[i].update(days)
-                seconds[i] += share
-                t1, t2 = specs[i]
-                entries[i].extend(e for e in found if t1 <= e.day <= t2)
-        results = tuple(
-            ScanResult(
-                tuple(entries[i]),
-                seconds[i],
-                scanned[i],
-                frozenset(covered[i]),
-                frozenset(missing[i] - covered[i]),
-            )
-            for i in range(n)
-        )
-        summary = self._finish_batch(
-            begin,
-            requests=n,
-            constituents_touched=constituents_touched,
-            buckets_read=0,
-            duplicate_hits=duplicate_hits,
-        )
-        return BatchScanResult(results, summary)
-
-    def _scan_many_vectorized(
-        self, specs: list[tuple[int, int]], degraded: bool
-    ) -> BatchScanResult:
-        """Kernel-backed batched scan: dedup ranges, filter the sweep once.
-
-        Duplicate ``(t1, t2)`` requests receive the same immutable
-        :class:`ScanResult`; the per-constituent cost split over ``N``
-        requests charges ``cost / N`` per copy exactly as the reference
-        path does.  Each constituent's shared sweep is filtered once per
-        unique range through a :class:`~repro.index.kernels.RangeFilterCache`
-        instead of once per request.
-        """
         n = len(specs)
         unique_ids: dict[tuple[int, int], int] = {}
         fanout: list[int] = []
@@ -702,11 +514,10 @@ class WaveIndex:
             index = self.bindings.get(name)
             if index is None:
                 continue
-            days_memo: dict[tuple[int, int], set[int]] = {}
             relevant = []
             total_requests = 0
             for j, (t1, t2) in enumerate(uspecs):
-                days = self._relevant_days_memo(index, t1, t2, days_memo)
+                days = self._relevant_days(index, t1, t2)
                 if days:
                     relevant.append((j, days))
                     total_requests += weights[j]
@@ -774,6 +585,11 @@ class WaveIndex:
             constituent only partially overlaps the range, i.e. the result
             under-reports and the caller needs a full
             :meth:`timed_index_probe` (which requires timestamps).
+
+        Raises:
+            DegradedWindowError: If a fully covered constituent is offline
+                (there is no ``degraded`` form: without timestamps a
+                partial answer cannot say which days it lost).
         """
         if t1 > t2:
             raise WaveIndexError(f"empty time range [{t1}, {t2}]")
@@ -788,6 +604,12 @@ class WaveIndex:
             if min(days) < t1 or max(days) > t2:
                 exact = False
                 continue
+            if index.name in self.offline:
+                raise DegradedWindowError(
+                    f"constituent {index.name} (days {sorted(days)}) is "
+                    "offline; timed_index_probe(..., degraded=True) "
+                    "answers the surviving window"
+                )
             probed += 1
             found, cost = index.probe(value)
             entries.extend(found)

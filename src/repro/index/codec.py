@@ -52,7 +52,6 @@ from itertools import repeat
 from typing import Sequence
 
 from .entry import Entry
-from . import kernels
 
 #: Format marker leading every encoded block.
 MAGIC = b"WIX1"
@@ -149,7 +148,7 @@ def encode_entries(entries: Sequence[Entry]) -> bytes:
     reference path, which encodes it or raises the codec's own error.
     """
     n = len(entries)
-    if not n or not kernels.vectorized_enabled():
+    if not n:
         return encode_entries_object(entries)
     ids, days, infos = zip(*entries)
     all_none = infos.count(None) == n  # the usual batch: tag and payload stay 0
@@ -228,7 +227,7 @@ def decode_entries(data: bytes) -> list[Entry]:
     padding), defer to the reference path.
     """
     count, pool_len = _parse_header(data)
-    if not count or pool_len or not kernels.vectorized_enabled():
+    if not count or pool_len:
         return decode_entries_object(data)
     words = array("q")
     words.frombytes(memoryview(data)[_HEADER.size :])

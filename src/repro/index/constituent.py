@@ -391,9 +391,9 @@ class ConstituentIndex:
             offset=offset,
         )
 
-    def probe_batch(
+    def probe_batch_buckets(
         self, values: Iterable[Any]
-    ) -> tuple[dict[Any, tuple[list[Entry], float]], int]:
+    ) -> tuple[dict[Any, tuple[Bucket, float]], int]:
         """Probe several values in one offset-ordered sweep.
 
         Duplicate values are read once.  Bucket touches are sorted by
@@ -404,26 +404,11 @@ class ConstituentIndex:
 
         Returns:
             ``(found, buckets_read)`` where ``found`` maps each requested
-            value with a bucket to ``(entries, seconds)`` for its read.
+            value with a bucket to ``(bucket, seconds)`` for its read.
             Values with no bucket are absent (a directory miss is free).
-        """
-        found, buckets_read = self.probe_batch_buckets(values)
-        return (
-            {v: (list(b.entries), s) for v, (b, s) in found.items()},
-            buckets_read,
-        )
-
-    def probe_batch_buckets(
-        self, values: Iterable[Any]
-    ) -> tuple[dict[Any, tuple[Bucket, float]], int]:
-        """Like :meth:`probe_batch`, but return the live buckets uncopied.
-
-        Callers get the :class:`Bucket` objects themselves — with their
-        cached day columns — instead of entry-list copies, so batch
-        filtering (:mod:`repro.index.kernels`) can slice the persistent
-        column rather than re-scanning a fresh copy.  Charges the exact
-        same simulated costs as :meth:`probe_batch`.  Callers must not
-        mutate the returned buckets.
+            The buckets are the live :class:`Bucket` objects, uncopied,
+            so batch filtering (:mod:`repro.index.kernels`) can slice
+            their cached day columns; callers must not mutate them.
         """
         self._check_not_dropped()
         touches: list[Bucket] = []
@@ -452,7 +437,7 @@ class ConstituentIndex:
 
         The whole bucket is still read (entries for one value are stored
         together); filtering happens in memory, as in the paper — on the
-        bucket's day column when the kernels are enabled.
+        bucket's day column.
         """
         self._check_not_dropped()
         bucket = self.directory.get(value)
@@ -475,14 +460,11 @@ class ConstituentIndex:
     def timed_scan(self, t1: int, t2: int) -> tuple[list[Entry], float]:
         """Segment scan restricted to insert days in ``[t1, t2]``.
 
-        The cost is the full scan either way; with the kernels enabled
-        the in-memory filter runs per bucket on the cached day columns
-        (bucket order times entry order equals scan order, so the result
-        is element-identical to filtering the flat scan).
+        The cost is the full scan; the in-memory filter runs per bucket
+        on the cached day columns (bucket order times entry order equals
+        scan order, so the result is element-identical to filtering the
+        flat scan).
         """
-        if not kernels.vectorized_enabled():
-            entries, seconds = self.scan()
-            return [e for e in entries if t1 <= e.day <= t2], seconds
         self._check_not_dropped()
         seconds = self.disk.stream_read(self.allocated_bytes)
         found: list[Entry] = []

@@ -1,42 +1,40 @@
-"""Vectorized hot-path kernels for entry filtering and batch assembly.
+"""Day-column kernels: how the read path filters entries by day range.
 
-Profiling the standard benches (``repro bench-serving``, ``bench-cluster``)
-shows that once the simulated I/O model is warm, real wall-clock time is
-dominated by pure-Python inner loops: the per-entry timestamp filter in
-:meth:`~repro.core.wave.WaveIndex.probe_many` / ``scan_many`` result
-assembly alone accounts for more than half of replay time (millions of
-``e.day`` attribute reads through a generator per batch).  This module
-rewrites those loops on contiguous buffers *behind the existing
-interfaces*:
+Once the simulated I/O model is warm, real wall-clock time of a read is
+dominated by the per-entry timestamp filter (millions of ``e.day``
+attribute reads per batch when done object by object).  This module is
+where that filter lives — ``Bucket.select``, the constituents' timed
+probes and scans, and :meth:`~repro.core.wave.WaveIndex.probe_many` /
+``scan_many`` result assembly all come here — and it runs on contiguous
+buffers:
 
 * each bucket's insert days are mirrored into a compact ``array('q')``
   **day column**, built lazily and maintained incrementally on append
   (:func:`bucket_day_column`);
 * day-range filters run on the column instead of the entry objects —
-  bounds checks first (whole bucket in / out of range), then a
-  ``bisect`` fast path when the column is non-decreasing (the common
-  case: entries arrive in day order), then a NumPy mask when it is not,
+  two ``bisect`` calls and a slice when the column is non-decreasing
+  (the common case: entries arrive in day order); when it is not,
+  bounds checks (whole bucket in / out of range), then a NumPy mask,
   and only as a last resort the object-level comprehension;
 * the filtered result is a *list slice* or an indexed gather of the
-  original ``Entry`` objects, so answers are identical to the object
-  path element for element — the equivalence suite
-  (``tests/core/test_vectorized_equivalence.py``) proves bit-identical
-  answers and simulated-cost charges with the kernels on and off.
+  original ``Entry`` objects, so answers equal the plain comprehension
+  element for element.
 
-Every kernel has an object-level reference implementation and a module
-switch (:func:`set_vectorized`, honoured everywhere the kernels are
-wired in), so any result can be re-derived on the slow path.  NumPy is
-optional: without it the sorted-column and bounds fast paths still
-apply, and the unsorted case falls back to the reference loop.
+There is no switch and no second implementation in ``src/``: the
+object-level batch paths these kernels replaced live on as test oracles
+(``tests/reference/batch.py``), and
+``tests/core/test_vectorized_equivalence.py`` holds ``probe_many`` /
+``scan_many`` to them — answers, cost summaries, clock, I/O and cache
+counters.  NumPy is optional: without it the sorted-column and bounds
+fast paths still apply, and an unsorted column falls back to
+:func:`filter_entries_object`.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 try:  # pragma: no cover - exercised implicitly by both CI matrices
     import numpy as _np
@@ -46,39 +44,6 @@ except ImportError:  # pragma: no cover - numpy-less environments
 if TYPE_CHECKING:
     from .bucket import Bucket
     from .entry import Entry
-
-#: Module switch: ``False`` forces every call site back onto the
-#: object-level reference path.  Controlled by :func:`set_vectorized`
-#: or the ``REPRO_VECTORIZED=0`` environment variable (read at import).
-_ENABLED = os.environ.get("REPRO_VECTORIZED", "1") != "0"
-
-
-def vectorized_enabled() -> bool:
-    """Return ``True`` when the vectorized kernels are switched on."""
-    return _ENABLED
-
-
-def set_vectorized(enabled: bool) -> None:
-    """Globally enable or disable the vectorized kernels.
-
-    The object-level paths are kept callable forever — they are the
-    reference the equivalence suite compares against, and the fallback
-    for environments without NumPy.
-    """
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-@contextmanager
-def vectorized(enabled: bool) -> Iterator[None]:
-    """Context manager pinning the kernel switch inside a ``with`` block."""
-    previous = _ENABLED
-    set_vectorized(enabled)
-    try:
-        yield
-    finally:
-        set_vectorized(previous)
-
 
 # ----------------------------------------------------------------------
 # Day columns
@@ -121,7 +86,7 @@ def bucket_day_column(bucket: "Bucket") -> tuple[array, bool]:
 def filter_entries_object(
     entries: Sequence["Entry"], t1: int, t2: int
 ) -> list["Entry"]:
-    """Reference filter: the object-level comprehension the kernels match."""
+    """The plain comprehension: the kernels' definition and last resort."""
     return [e for e in entries if t1 <= e.day <= t2]
 
 
@@ -134,14 +99,13 @@ def filter_entries(
 ) -> list["Entry"]:
     """Return entries with insert day in ``[t1, t2]``, in input order.
 
-    Identical output to :func:`filter_entries_object`; with the kernels
-    enabled the work happens on the day column: a bounds check retires
-    the all-in/all-out cases in O(1) after the column's min/max are
-    known, a sorted column reduces the filter to two bisects and one
-    list slice, and an unsorted one to a NumPy mask gather.
+    Identical output to :func:`filter_entries_object`; the work happens
+    on the day column: a sorted column reduces the filter to two bisects
+    and one list slice; for an unsorted one a bounds check retires the
+    all-in/all-out cases and a NumPy mask gathers the rest.
     """
-    if not _ENABLED or not entries:
-        return filter_entries_object(entries, t1, t2)
+    if not entries:
+        return []
     if column is None:
         column = day_column(entries)
         sorted_column = is_nondecreasing(column)
@@ -168,8 +132,6 @@ def filter_entries(
 
 def filter_bucket(bucket: "Bucket", t1: int, t2: int) -> list["Entry"]:
     """Filter a bucket's live entries by day range via its cached column."""
-    if not _ENABLED:
-        return filter_entries_object(bucket.entries, t1, t2)
     column, is_sorted = bucket_day_column(bucket)
     return filter_entries(bucket.entries, t1, t2, column, is_sorted)
 
@@ -185,7 +147,7 @@ def bucket_touches_days(bucket: "Bucket", days: frozenset | set) -> bool:
     if not days or not entries:
         return False
     column = bucket._day_column
-    if not _ENABLED or column is None or len(column) != len(entries):
+    if column is None or len(column) != len(entries):
         # Maintenance sweeps (delete_days) hit buckets whose column was
         # never built; materializing one just to throw it away on the
         # following remove_days would cost more than the probe saves.
@@ -208,9 +170,8 @@ class RangeFilterCache:
 
     ``probe_many``/``scan_many`` serve batches where many requests share
     the same ``(t1, t2)`` range (a serving replay uses one sliding
-    window for the whole stream): the object path re-filtered the same
-    bucket once per requester; the cache filters once per *unique*
-    range and hands every requester the same freshly filtered list.
+    window for the whole stream): the cache filters once per *unique*
+    range and hands every requester the same filtered list.
     Sharing is safe because the result is only ever consumed by
     ``list.extend`` into per-request accumulators.
     """
@@ -224,7 +185,7 @@ class RangeFilterCache:
         sorted_column: bool = False,
     ) -> None:
         self.entries = entries
-        if _ENABLED and column is None and len(entries) > 1:
+        if column is None and len(entries) > 1:
             column = day_column(entries)
             sorted_column = is_nondecreasing(column)
         self.column = column
@@ -234,8 +195,6 @@ class RangeFilterCache:
     @classmethod
     def for_bucket(cls, bucket: "Bucket") -> "RangeFilterCache":
         """Return a cache over a bucket's entries and its cached column."""
-        if not _ENABLED:
-            return cls(bucket.entries)
         column, is_sorted = bucket_day_column(bucket)
         return cls(bucket.entries, column, is_sorted)
 
@@ -244,11 +203,8 @@ class RangeFilterCache:
         key = (t1, t2)
         got = self._cache.get(key)
         if got is None:
-            if _ENABLED:
-                got = filter_entries(
-                    self.entries, t1, t2, self.column, self.sorted
-                )
-            else:
-                got = filter_entries_object(self.entries, t1, t2)
+            got = filter_entries(
+                self.entries, t1, t2, self.column, self.sorted
+            )
             self._cache[key] = got
         return got

@@ -40,19 +40,6 @@ from dataclasses import dataclass
 
 from .extent import Extent
 
-#: Lazily bound :mod:`repro.index.kernels` — imported on first touch to
-#: avoid the import cycle ``index -> storage.disk -> pagecache``.
-_kernels = None
-
-
-def _vectorized_enabled() -> bool:
-    global _kernels
-    if _kernels is None:
-        from ..index import kernels
-
-        _kernels = kernels
-    return _kernels.vectorized_enabled()
-
 #: Default page size: 4 KiB, the classic OS/buffer-pool granule.
 DEFAULT_PAGE_SIZE = 4096
 
@@ -193,8 +180,8 @@ class PageCache:
         Every touched page ends up resident and most-recently-used;
         admission evicts LRU pages as needed.
 
-        With the vectorized kernels enabled, the two overwhelmingly
-        common span shapes skip the per-page Python loop:
+        The two overwhelmingly common span shapes skip the per-page
+        Python loop:
 
         * **all resident** (a warm sweep) — bulk counter updates, with
           only the mandatory per-page ``move_to_end`` to keep LRU order
@@ -205,13 +192,14 @@ class PageCache:
 
         Mixed spans — and cold spans larger than the whole cache, where
         later admissions must evict earlier pages of the *same* span —
-        take the reference loop, so counters, LRU order, and victim
-        choice are identical to the per-page path in every case
-        (property-tested in ``tests/storage/test_pagecache_kernel.py``).
+        take the per-page loop, so counters, LRU order, and victim
+        choice are those of touching the pages one by one in every case
+        (property-tested against that definition in
+        ``tests/storage/test_pagecache_kernel.py``).
         """
         span = self._page_span(extent, nbytes, offset)
         k = len(span)
-        if k > 1 and _vectorized_enabled():
+        if k > 1:
             ext_id = extent.extent_id
             resident = self._by_extent.get(ext_id)
             n_hits = len(resident.intersection(span)) if resident else 0

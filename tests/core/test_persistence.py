@@ -202,12 +202,10 @@ class TestBinaryFormat:
         with pytest.raises(WaveIndexError):
             wave_from_bytes(data, SimulatedDisk(), IndexConfig())
 
-    def test_vectorized_switch_does_not_change_bytes(self):
-        from repro.index.kernels import vectorized
+    def test_batch_encoder_does_not_change_bytes(self, monkeypatch):
+        from repro.index import codec
 
         wave = self._simple_wave()
-        with vectorized(True):
-            on = wave_to_bytes(wave)
-        with vectorized(False):
-            off = wave_to_bytes(wave)
-        assert on == off
+        batch = wave_to_bytes(wave)
+        monkeypatch.setattr(codec, "encode_entries", codec.encode_entries_object)
+        assert wave_to_bytes(wave) == batch

@@ -1,35 +1,49 @@
-"""Bit-identical equivalence of the vectorized kernels and the object path.
+"""The batched read path against its object-level oracles.
 
-The kernels (`repro.index.kernels`) promise that flipping the module
-switch changes *nothing observable*: batched queries return the same
-answers in the same order, simulated clocks and I/O statistics charge
-the same costs, page-cache counters agree, and a wave serialises to the
-same snapshot bytes.  These tests run the same workloads twice — kernels
-on and off — and compare everything.
+`WaveIndex.probe_many` / `scan_many` solve each unique request once on
+cached day columns (`repro.index.kernels`).  The promise is that none of
+that is observable: answers come back in the same order, simulated
+clocks and I/O statistics charge the same costs, page-cache counters
+agree, and the wave serialises to the same snapshot.  These tests build
+twin waves on twin disks, serve one with the code under test and the
+other with `tests.reference.batch` — per-request accumulators, per-entry
+filters, a per-page cache — and compare everything.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.executor import PlanExecutor
 from repro.core.persistence import wave_to_json
-from repro.core.schemes import DelScheme
+from repro.core.schemes import ALL_SCHEMES, DelScheme, WataTable4Scheme
 from repro.core.wave import WaveIndex
 from repro.index.config import IndexConfig
-from repro.index.kernels import vectorized
 from repro.index.updates import UpdateTechnique
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagecache import PageCache
 from tests.conftest import make_store
+from tests.reference.batch import (
+    PerPagePageCache,
+    probe_many_object,
+    scan_many_object,
+)
 
 WINDOW, N, LAST = 6, 3, 12
 LO, HI = LAST - WINDOW + 1, LAST
 
+SCHEMES = (*ALL_SCHEMES, WataTable4Scheme)
 
-def build_wave(disk):
+#: Smaller than the ~1.5 KB wave, pages smaller than a bucket: spans are
+#: whole hits, whole misses, mixed, and larger than the cache.
+CACHE_BYTES, PAGE = 1024, 64
+
+
+def build_wave(disk, scheme_cls=DelScheme):
     store = make_store(LAST, seed=13)
     wave = WaveIndex(disk, IndexConfig(), N)
     executor = PlanExecutor(wave, store, UpdateTechnique.SIMPLE_SHADOW)
-    scheme = DelScheme(WINDOW, N)
+    scheme = scheme_cls(WINDOW, N)
     executor.execute(scheme.start_ops())
     for day in range(WINDOW + 1, LAST + 1):
         executor.execute(scheme.transition_ops(day))
@@ -48,120 +62,138 @@ PROBE_REQUESTS = [
 
 SCAN_REQUESTS = [(LO, HI), (HI, HI), (LO, HI), (LO, LO + 1), (HI, HI)]
 
-
-def serve(enabled, page_cache=None, offline=None, degraded=False):
-    """Build and serve one full workload with the kernels pinned."""
-    with vectorized(enabled):
-        disk = SimulatedDisk(page_cache=page_cache)
-        wave = build_wave(disk)
-        if offline:
-            wave.mark_offline(offline)
-        probe = wave.probe_many(PROBE_REQUESTS, degraded=degraded)
-        scan = wave.scan_many(SCAN_REQUESTS, degraded=degraded)
-        probe2 = wave.probe_many(PROBE_REQUESTS, degraded=degraded)  # warm
-        return {
-            "probe_results": tuple(probe.results),
-            "probe_summary": probe.summary,
-            "scan_results": tuple(scan.results),
-            "scan_summary": scan.summary,
-            "warm_results": tuple(probe2.results),
-            "warm_summary": probe2.summary,
-            "clock": disk.clock,
-            "io": disk.stats.snapshot(),
-            "cache": (
-                disk.page_cache.snapshot() if disk.page_cache else None
-            ),
-            "snapshot_json": wave_to_json(wave),
-        }
+# Ranges reach below the window (WATA's soft windows still hold those
+# days) and past its end; "z" is in no record.
+ranges = st.tuples(
+    st.integers(1, LAST + 1), st.integers(1, LAST + 1)
+).map(lambda pair: (min(pair), max(pair)))
+probe_specs = st.tuples(st.sampled_from("abcdefghz"), ranges).map(
+    lambda spec: (spec[0], *spec[1])
+)
 
 
-def assert_equivalent(on, off):
-    assert on["probe_results"] == off["probe_results"]
-    assert on["probe_summary"] == off["probe_summary"]
-    assert on["scan_results"] == off["scan_results"]
-    assert on["scan_summary"] == off["scan_summary"]
-    assert on["warm_results"] == off["warm_results"]
-    assert on["warm_summary"] == off["warm_summary"]
-    assert on["clock"] == off["clock"]
-    assert on["io"] == off["io"]
-    assert on["cache"] == off["cache"]
-    assert on["snapshot_json"] == off["snapshot_json"]
+@st.composite
+def batches(draw, specs):
+    """A batch that is sure to repeat some of its own requests."""
+    base = draw(st.lists(specs, min_size=1, max_size=8))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=6))
+    return draw(st.permutations(base + repeats))
+
+
+def lru_order(cache):
+    """The resident pages, coldest first, extents numbered by age.
+
+    Extent ids are unique per process, so twin disks never share them;
+    twin builds allocate in the same order, so ranks line up.
+    """
+    rank = {ext: i for i, ext in enumerate(sorted({ext for ext, _ in cache._pages}))}
+    return tuple((rank[ext], page) for ext, page in cache._pages)
+
+
+def serve(probe_many, scan_many, cache_cls, scheme_cls, offline, probes, scans):
+    """Build a wave and serve one workload; return all that is observable."""
+    disk = SimulatedDisk(
+        page_cache=cache_cls(CACHE_BYTES, PAGE) if cache_cls else None
+    )
+    wave = build_wave(disk, scheme_cls)
+    if offline:
+        wave.mark_offline(offline)
+    degraded = bool(offline)
+    probe = probe_many(wave, probes, degraded=degraded)
+    scan = scan_many(wave, scans, degraded=degraded)
+    warm = probe_many(wave, probes, degraded=degraded)
+    cache = disk.page_cache
+    return {
+        "probe_results": probe.results,
+        "probe_summary": probe.summary,
+        "scan_results": scan.results,
+        "scan_summary": scan.summary,
+        "warm_results": warm.results,
+        "warm_summary": warm.summary,
+        "clock": disk.clock,
+        "io": disk.stats.snapshot(),
+        "cache": cache and (cache.snapshot(), lru_order(cache)),
+        "snapshot_json": wave_to_json(wave),
+    }
+
+
+def serve_both(cached, *workload):
+    """Serve ``(scheme_cls, offline, probes, scans)`` on both twins."""
+    got = serve(
+        WaveIndex.probe_many,
+        WaveIndex.scan_many,
+        PageCache if cached else None,
+        *workload,
+    )
+    want = serve(
+        probe_many_object,
+        scan_many_object,
+        PerPagePageCache if cached else None,
+        *workload,
+    )
+    return got, want
+
+
+@pytest.mark.parametrize("offline", [None, "I1"], ids=["healthy", "degraded"])
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("scheme_cls", SCHEMES, ids=lambda cls: cls.name)
+@given(probes=batches(probe_specs), scans=batches(ranges))
+@example(probes=PROBE_REQUESTS, scans=SCAN_REQUESTS)
+@settings(max_examples=6, deadline=None)
+def test_serving_matches_oracle(scheme_cls, cached, offline, probes, scans):
+    got, want = serve_both(cached, scheme_cls, offline, probes, scans)
+    for key in want:
+        assert got[key] == want[key], key
+    # The batch contract, against the independent single-request form.
+    wave = build_wave(SimulatedDisk(), scheme_cls)
+    if offline:
+        wave.mark_offline(offline)
+    for (value, t1, t2), result in zip(probes, got["probe_results"]):
+        solo = wave.timed_index_probe(value, t1, t2, degraded=bool(offline))
+        assert result.entries == solo.entries
+        assert result.covered_days == solo.covered_days
+        assert result.missing_days == solo.missing_days
 
 
 class TestBatchedServingEquivalence:
-    def test_uncached_serving_is_bit_identical(self):
-        assert_equivalent(serve(True), serve(False))
-
-    def test_cached_serving_is_bit_identical(self):
-        on = serve(True, page_cache=PageCache(1 << 18))
-        off = serve(False, page_cache=PageCache(1 << 18))
-        assert on["cache"] is not None and on["cache"].hits > 0
-        assert_equivalent(on, off)
-
-    def test_degraded_serving_is_bit_identical(self):
-        on = serve(True, offline="I1", degraded=True)
-        off = serve(False, offline="I1", degraded=True)
-        assert any(r.missing_days for r in on["probe_results"])
-        assert_equivalent(on, off)
+    def test_fixed_requests_exercise_cache_and_degraded_answers(self):
+        got, _ = serve_both(True, DelScheme, "I1", PROBE_REQUESTS, SCAN_REQUESTS)
+        assert got["cache"][0].hits > 0 and got["cache"][0].evictions > 0
+        assert any(r.missing_days for r in got["probe_results"])
 
     def test_duplicate_requests_share_identical_results(self):
-        with vectorized(True):
-            wave = build_wave(SimulatedDisk())
-            batch = wave.probe_many(PROBE_REQUESTS)
-        # Requests 0 and 1 are the same spec: the vectorized path hands
-        # both the same immutable result, and the answer still matches a
-        # solo probe.
-        assert batch.results[0] == batch.results[1]
+        wave = build_wave(SimulatedDisk())
+        batch = wave.probe_many(PROBE_REQUESTS)
+        # Requests 0 and 1 are the same spec: both get the same immutable
+        # result, and the answer still matches a solo probe.
+        assert batch.results[0] is batch.results[1]
         solo = wave.timed_index_probe("a", LO, HI)
         assert sorted(batch.results[0].record_ids) == sorted(solo.record_ids)
 
     def test_weighted_cost_shares_match_reference(self):
         # 3 duplicates + 1 distinct value: every copy must be charged the
-        # same share the object path computes per-request.
+        # same share the oracle computes per request.
         requests = [("a", LO, HI)] * 3 + [("b", LO, HI)]
-        with vectorized(True):
-            on = build_wave(SimulatedDisk()).probe_many(requests)
-        with vectorized(False):
-            off = build_wave(SimulatedDisk()).probe_many(requests)
-        assert [r.seconds for r in on] == [r.seconds for r in off]
-        assert on.summary.duplicate_hits == off.summary.duplicate_hits
+        got = build_wave(SimulatedDisk()).probe_many(requests)
+        want = probe_many_object(build_wave(SimulatedDisk()), requests)
+        assert [r.seconds for r in got] == [r.seconds for r in want]
+        assert got.summary.duplicate_hits == want.summary.duplicate_hits
 
 
 class TestSingleQueryEquivalence:
+    """The single-request forms filter on day columns too."""
+
     @pytest.mark.parametrize("value", ["a", "b", "z"])
     def test_timed_probe(self, value):
-        results = {}
-        for enabled in (True, False):
-            with vectorized(enabled):
-                disk = SimulatedDisk()
-                wave = build_wave(disk)
-                results[enabled] = (
-                    wave.timed_index_probe(value, LO + 1, HI - 1),
-                    disk.clock,
-                )
-        assert results[True] == results[False]
+        disk, twin = SimulatedDisk(), SimulatedDisk()
+        got = build_wave(disk).timed_index_probe(value, LO + 1, HI - 1)
+        want = probe_many_object(build_wave(twin), [(value, LO + 1, HI - 1)])
+        assert got == want.results[0]
+        assert disk.clock == twin.clock
 
     def test_timed_scan(self):
-        results = {}
-        for enabled in (True, False):
-            with vectorized(enabled):
-                disk = SimulatedDisk()
-                wave = build_wave(disk)
-                results[enabled] = (
-                    wave.timed_segment_scan(LO + 1, HI - 1),
-                    disk.clock,
-                )
-        assert results[True] == results[False]
-
-    def test_maintenance_produces_identical_snapshots(self):
-        # The whole build (packed builds, appends, delete_days) must not
-        # depend on the switch either.
-        snapshots = {}
-        for enabled in (True, False):
-            with vectorized(enabled):
-                disk = SimulatedDisk()
-                snapshots[enabled] = (
-                    wave_to_json(build_wave(disk)),
-                    disk.clock,
-                )
-        assert snapshots[True] == snapshots[False]
+        disk, twin = SimulatedDisk(), SimulatedDisk()
+        got = build_wave(disk).timed_segment_scan(LO + 1, HI - 1)
+        want = scan_many_object(build_wave(twin), [(LO + 1, HI - 1)])
+        assert got == want.results[0]
+        assert disk.clock == twin.clock

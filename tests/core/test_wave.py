@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.records import Record, RecordStore
 from repro.core.wave import WaveIndex, constituent_names
-from repro.errors import WaveIndexError
+from repro.errors import DegradedWindowError, WaveIndexError
 from repro.index.builder import build_packed_index
 
 
@@ -169,3 +169,19 @@ class TestClusterAlignedProbe:
 
         with pytest.raises(WaveIndexError):
             wave.cluster_aligned_probe("a", 3, 2)
+
+    def test_needed_offline_constituent_is_refused(self, wave):
+        # A constituent declared dead must not be read into an answer
+        # that claims to be exact and complete.
+        wave.mark_offline("I1")
+        clock = wave.disk.clock
+        with pytest.raises(DegradedWindowError):
+            wave.timed_index_probe("a", 1, 4)
+        with pytest.raises(DegradedWindowError):
+            wave.cluster_aligned_probe("a", 1, 4)
+        assert wave.disk.clock == clock
+        # Ranges that would not have read I1 are unaffected.
+        result, exact = wave.cluster_aligned_probe("a", 3, 4)
+        assert exact and sorted(result.record_ids) == [4]
+        result, exact = wave.cluster_aligned_probe("a", 2, 4)
+        assert not exact and sorted(result.record_ids) == [4]

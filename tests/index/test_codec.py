@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.index import codec
 from repro.index.entry import Entry
-from repro.index.kernels import vectorized
 
 I64 = 2**63
 
@@ -34,11 +33,7 @@ entry_lists = st.lists(
 @given(entry_lists)
 @settings(max_examples=200)
 def test_batch_encoder_is_byte_identical_to_reference(entries):
-    reference = codec.encode_entries_object(entries)
-    with vectorized(True):
-        assert codec.encode_entries(entries) == reference
-    with vectorized(False):
-        assert codec.encode_entries(entries) == reference
+    assert codec.encode_entries(entries) == codec.encode_entries_object(entries)
 
 
 @given(entry_lists)
@@ -54,13 +49,9 @@ def test_round_trip_recovers_identical_entries(entries):
 
 @given(entry_lists)
 @settings(max_examples=100)
-def test_decoders_agree_with_kernels_on_and_off(entries):
+def test_batch_decoder_agrees_with_reference(entries):
     block = codec.encode_entries(entries)
-    reference = codec.decode_entries_object(block)
-    with vectorized(True):
-        assert codec.decode_entries(block) == reference
-    with vectorized(False):
-        assert codec.decode_entries(block) == reference
+    assert codec.decode_entries(block) == codec.decode_entries_object(block)
 
 
 # The batch kernel proper runs only when every info is None or an int64;

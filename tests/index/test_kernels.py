@@ -1,15 +1,14 @@
 """Equivalence proofs for the day-column filter kernels.
 
-Every kernel in `repro.index.kernels` must return exactly what its
-object-level reference returns — element-identical lists, same order —
-for sorted columns (bisect path), unsorted columns (mask path), and with
-the kernels switched off entirely.
+Every kernel in `repro.index.kernels` must return exactly what the plain
+comprehension returns — element-identical lists, same order — for sorted
+columns (bisect path) and unsorted columns (mask path, or the
+comprehension itself without NumPy).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import kernels
 from repro.index.bucket import Bucket
 from repro.index.entry import Entry
 from repro.index.kernels import (
@@ -21,9 +20,6 @@ from repro.index.kernels import (
     filter_entries,
     filter_entries_object,
     is_nondecreasing,
-    set_vectorized,
-    vectorized,
-    vectorized_enabled,
 )
 
 day_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=40)
@@ -43,10 +39,7 @@ def test_filter_entries_matches_reference(days, bounds):
     t1, t2 = bounds
     entries = entries_for(days)
     expected = filter_entries_object(entries, t1, t2)
-    with vectorized(True):
-        assert filter_entries(entries, t1, t2) == expected
-    with vectorized(False):
-        assert filter_entries(entries, t1, t2) == expected
+    assert filter_entries(entries, t1, t2) == expected
 
 
 @given(day_lists, ranges)
@@ -56,10 +49,9 @@ def test_filter_on_sorted_column_matches_reference(days, bounds):
     days = sorted(days)
     entries = entries_for(days)
     expected = filter_entries_object(entries, t1, t2)
-    with vectorized(True):
-        column = day_column(entries)
-        assert is_nondecreasing(column)
-        assert filter_entries(entries, t1, t2, column, True) == expected
+    column = day_column(entries)
+    assert is_nondecreasing(column)
+    assert filter_entries(entries, t1, t2, column, True) == expected
 
 
 @given(day_lists, ranges)
@@ -68,13 +60,10 @@ def test_filter_bucket_and_cache_match_reference(days, bounds):
     t1, t2 = bounds
     bucket = Bucket(value="v", entries=entries_for(days))
     expected = filter_entries_object(bucket.entries, t1, t2)
-    with vectorized(True):
-        assert filter_bucket(bucket, t1, t2) == expected
-        cache = RangeFilterCache.for_bucket(bucket)
-        assert cache.filter(t1, t2) == expected
-        assert cache.filter(t1, t2) == expected  # memoized second hit
-    with vectorized(False):
-        assert filter_bucket(bucket, t1, t2) == expected
+    assert filter_bucket(bucket, t1, t2) == expected
+    cache = RangeFilterCache.for_bucket(bucket)
+    assert cache.filter(t1, t2) == expected
+    assert cache.filter(t1, t2) == expected  # memoized second hit
 
 
 @given(day_lists, st.sets(st.integers(min_value=-60, max_value=60)))
@@ -82,13 +71,10 @@ def test_filter_bucket_and_cache_match_reference(days, bounds):
 def test_bucket_touches_days_matches_reference(days, probe_days):
     bucket = Bucket(value="v", entries=entries_for(days))
     expected = any(e.day in probe_days for e in bucket.entries)
-    with vectorized(True):
-        # Twice: once column-less (reference fallback), once cached.
-        assert bucket_touches_days(bucket, probe_days) == expected
-        bucket_day_column(bucket)
-        assert bucket_touches_days(bucket, probe_days) == expected
-    with vectorized(False):
-        assert bucket_touches_days(bucket, probe_days) == expected
+    # Twice: once column-less (reference fallback), once cached.
+    assert bucket_touches_days(bucket, probe_days) == expected
+    bucket_day_column(bucket)
+    assert bucket_touches_days(bucket, probe_days) == expected
 
 
 def test_column_cache_tracks_appends_incrementally():
@@ -123,22 +109,9 @@ def test_replace_entries_invalidates_column():
 
 def test_remove_days_keeps_select_consistent():
     bucket = Bucket(value="v", entries=entries_for([1, 2, 3, 2, 1]))
-    with vectorized(True):
-        bucket_day_column(bucket)
-        assert bucket.remove_days({2}) == 2
-        assert [e.day for e in bucket.select(0, 9)] == [1, 3, 1]
-
-
-def test_switch_round_trips():
-    before = vectorized_enabled()
-    try:
-        set_vectorized(False)
-        assert not vectorized_enabled()
-        with vectorized(True):
-            assert vectorized_enabled()
-        assert not vectorized_enabled()
-    finally:
-        set_vectorized(before)
+    bucket_day_column(bucket)
+    assert bucket.remove_days({2}) == 2
+    assert [e.day for e in bucket.select(0, 9)] == [1, 3, 1]
 
 
 def test_day_column_is_int64_array():
@@ -149,13 +122,4 @@ def test_day_column_is_int64_array():
 
 
 def test_filter_entries_empty_input():
-    with vectorized(True):
-        assert filter_entries([], 0, 10) == []
-
-
-def test_kernels_module_switch_reaches_bucket_select():
-    bucket = Bucket(value="v", entries=entries_for([1, 2, 3]))
-    with vectorized(False):
-        assert [e.day for e in bucket.select(2, 3)] == [2, 3]
-    with vectorized(True):
-        assert [e.day for e in bucket.select(2, 3)] == [2, 3]
+    assert filter_entries([], 0, 10) == []

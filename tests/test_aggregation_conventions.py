@@ -8,7 +8,6 @@ These tests exercise each aggregation site at its empty boundary.
 
 import pytest
 
-from repro.bench import serving
 from repro.bench.chaos import ChaosSoakConfig
 from repro.bench.elastic import _baseline_qps
 from repro.core.executor import PhaseSeconds
@@ -79,36 +78,3 @@ class TestChaosSeeds:
         # but an empty soak is a configuration error, not a zero result.
         with pytest.raises(ValueError, match="seed"):
             ChaosSoakConfig(seeds=())
-
-
-class TestServingRender:
-    def test_none_speedups_render_as_na(self):
-        # Ratio convention: an object path too fast to time yields
-        # speedup None, which must render as "n/a", not crash or claim 0x.
-        wallclock = {
-            "probe_replay": {
-                "vectorized_probes_per_s": 1000.0,
-                "object_probes_per_s": 0.0,
-                "speedup": None,
-            },
-            "build": {
-                "vectorized_docs_per_s": 10.0,
-                "object_docs_per_s": 0.0,
-                "speedup": None,
-            },
-            "codec": {
-                "batch_encode_entries_per_s": 5.0,
-                "object_encode_entries_per_s": 0.0,
-                "encode_speedup": None,
-                "decode_speedup": 2.0,
-            },
-        }
-        text = serving.render_wallclock(wallclock)
-        assert text.count("n/a") == 3
-        assert "2.0x" in text
-
-    def test_missing_sections_are_skipped(self):
-        text = serving.render_wallclock({})
-        assert text.splitlines() == [
-            "wall-clock (vectorized kernels vs object path):"
-        ]

@@ -152,46 +152,6 @@ class TestNewMetric:
         assert row.regressed and not row.new
 
 
-def serving_wallclock_report(speedup=4.0, probe_speedup=6.0):
-    report = serving_report(speedup)
-    report["wallclock"] = {"probe_replay": {"speedup": probe_speedup}}
-    return report
-
-
-class TestOptionalWallclockMetric:
-    def test_extracted_when_present(self):
-        headlines = extract_headlines(serving_wallclock_report())
-        assert headlines["serving_wallclock_probe_speedup"] == 6.0
-
-    def test_absent_section_skips_instead_of_failing(self):
-        # A default serving report (no --wallclock) must not fail the
-        # optional wall-clock gate the baseline adopted.
-        baseline = build_baseline([serving_wallclock_report()])
-        rows = compare(baseline, [serving_report(4.0)])
-        wallclock = next(
-            r
-            for r in rows
-            if r.metric == "serving_wallclock_probe_speedup"
-        )
-        assert wallclock.skipped and not wallclock.regressed
-        mandatory = next(
-            r for r in rows if r.metric == "serving_speedup_batch256"
-        )
-        assert not mandatory.skipped and not mandatory.regressed
-
-    def test_present_section_still_gated(self):
-        baseline = build_baseline([serving_wallclock_report()])
-        rows = compare(
-            baseline, [serving_wallclock_report(probe_speedup=1.0)]
-        )
-        wallclock = next(
-            r
-            for r in rows
-            if r.metric == "serving_wallclock_probe_speedup"
-        )
-        assert wallclock.regressed
-
-
 def frontend_report(knee_qps=500.0):
     return {
         "bench": "frontend",

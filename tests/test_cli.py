@@ -210,48 +210,6 @@ class TestBenchServing:
         assert code == 2
         assert "batch" in capsys.readouterr().err.lower()
 
-    def test_wallclock_and_profile_flags(self, capsys, tmp_path):
-        import json
-        import pstats
-
-        out_path = tmp_path / "BENCH_serving.json"
-        pstats_path = tmp_path / "probe.pstats"
-        code = main(
-            [
-                "bench-serving", "--quick",
-                "--out", str(out_path),
-                "--wallclock",
-                "--profile", str(pstats_path),
-            ]
-        )
-        assert code == 0
-        report = json.loads(out_path.read_text())
-        wallclock = report["wallclock"]
-        for section, count_key in (
-            ("probe_replay", "probes"),
-            ("build", "docs"),
-            ("codec", "entries"),
-        ):
-            stats = wallclock[section]
-            assert stats[count_key] > 0
-            for key, value in stats.items():
-                if key.endswith("_seconds") or key.endswith("_per_s"):
-                    assert value >= 0, (section, key)
-        # The profile artifact must be a loadable pstats dump that
-        # actually covers the replay.
-        stats = pstats.Stats(str(pstats_path))
-        assert stats.total_calls > 0
-        stdout = capsys.readouterr().out
-        assert "wall-clock" in stdout
-        assert str(pstats_path) in stdout
-
-    def test_default_artifact_has_no_wallclock_section(self, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_serving.json"
-        assert main(["bench-serving", "--quick", "--out", str(out_path)]) == 0
-        assert "wallclock" not in json.loads(out_path.read_text())
-
 
 class TestBenchOverlap:
     def test_quick_run_writes_valid_report(self, capsys, tmp_path):
