@@ -9,8 +9,9 @@ paper's Section-5 analytic model and the running system:
 * :mod:`repro.advisor.planner` — ranks (scheme, n, technique) candidates
   with the analytic total-work measure, hysteresis, and an amortized
   switching charge;
-* :mod:`repro.advisor.engine` — executes accepted switches online
-  through the journaled copy → catch-up → swap pipeline;
+* :mod:`repro.advisor.engine` — the ``retune`` kind of staged change:
+  what an accepted switch builds, swaps and frees
+  (:mod:`repro.core.staged` runs it online);
 * :mod:`repro.advisor.router` — cost-aware routing across divergently
   tuned replicas.
 
@@ -21,18 +22,17 @@ advisor-less build.
 
 from .calibrate import calibrate_parameters
 from .config import AdvisorConfig
-from .engine import AdvisorEngine, RetuneAborted, RetuneReport
+from .engine import Retune, RetuneReport
 from .observer import ShardObservation, WorkloadObserver
 from .planner import CostModelPlanner, Design, RetuneDecision
 from .router import DesignRouter
 
 __all__ = [
     "AdvisorConfig",
-    "AdvisorEngine",
     "CostModelPlanner",
     "Design",
     "DesignRouter",
-    "RetuneAborted",
+    "Retune",
     "RetuneDecision",
     "RetuneReport",
     "ShardObservation",

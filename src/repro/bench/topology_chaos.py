@@ -8,7 +8,8 @@ never a dark shard, never a fabricated answer, never a leaked extent.
 This harness proves it by enumeration rather than by sampling:
 
 * A fault-free **dry run** per reshard kind enumerates the pipeline's
-  step boundaries via :attr:`TopologyChangeEngine.on_step`.
+  step boundaries via the shared runner's
+  :attr:`~repro.core.staged.StagedChangeRunner.on_step` hook.
 * One **cell** per (kind, step ordinal, fault kind) then replays the
   run with exactly one seeded fault armed at that boundary — a
   :class:`~repro.errors.SimulatedCrash`, a device kill, or space

@@ -11,6 +11,7 @@ splits and merges under traffic via :mod:`repro.cluster.elastic`.  See
 the architecture discussion.
 """
 
+from ..core.staged import ChangeAborted
 from .coordinator import (
     ClusterBatchResult,
     ClusterCoordinator,
@@ -20,11 +21,11 @@ from .elastic import (
     Autoscaler,
     AutoscalerDecision,
     ElasticConfig,
-    ReshardAborted,
+    Merge,
     ReshardReport,
-    ReshardStep,
     ScaleAction,
-    TopologyChangeEngine,
+    Split,
+    reshard_change,
 )
 from .partitioner import (
     HashPartitioner,
@@ -44,7 +45,6 @@ from .rebalance import (
 from .selfheal import (
     BreakerConfig,
     BreakerState,
-    RebuildAborted,
     RebuildReport,
     ReplicaHealth,
     ReplicaHealthMonitor,
@@ -68,6 +68,7 @@ __all__ = [
     "AutoscalerDecision",
     "BreakerConfig",
     "BreakerState",
+    "ChangeAborted",
     "ClusterBatchResult",
     "ClusterConfig",
     "ClusterCoordinator",
@@ -77,29 +78,28 @@ __all__ = [
     "ClusterSimulation",
     "ElasticConfig",
     "HashPartitioner",
+    "Merge",
     "Partitioner",
     "RangePartitioner",
     "RebalanceReport",
-    "RebuildAborted",
     "RebuildReport",
     "ReplicaHealth",
     "ReplicaHealthMonitor",
-    "ReshardAborted",
     "ReshardReport",
-    "ReshardStep",
     "ScaleAction",
     "SelfHealConfig",
     "Shard",
     "ShardReplica",
     "SlotHashPartitioner",
     "SparePool",
-    "TopologyChangeEngine",
+    "Split",
     "copy_index_to",
     "make_partitioner",
     "merge_indexes_to",
     "move_replica",
     "partition_store",
     "rebuild_replica",
+    "reshard_change",
     "reshard_id_mapping",
     "run_cluster_simulation",
 ]

@@ -1,4 +1,4 @@
-"""Crash-consistent elastic resharding: online shard split/merge + autoscaling.
+"""Elastic resharding: online shard split/merge kinds + the autoscaler.
 
 A cluster whose topology is frozen at construction cannot survive its own
 workload: a hot partition range stays hot forever and a mis-sized cluster
@@ -6,38 +6,30 @@ never recovers.  This module makes the topology itself *evolve* — the
 cluster-level analogue of the paper's wave transitions — while keeping
 the window serving throughout:
 
-* :class:`TopologyChangeEngine` — a journaled split/merge pipeline built
-  from the proven PR 4/5 primitives.  A **split** of a hot shard plans
-  the new partition boundary
+* :class:`Split` and :class:`Merge` — the two topology-changing *kinds*
+  of staged change.  They say what differs and nothing else; the
+  pipeline that runs them (plan → provision → build → catch-up → swap →
+  cleanup), its :class:`~repro.core.staged.ChangeJournal`, the
+  commit-point rule, the abort / roll-forward handling and the step hook
+  the topology-chaos harness (:mod:`repro.bench.topology_chaos`) drives
+  all live in :mod:`repro.core.staged`.  A **split** of a hot shard
+  plans the new partition boundary
   (:meth:`~repro.cluster.partitioner.RangePartitioner.split` /
-  :meth:`~repro.cluster.partitioner.SlotHashPartitioner.split`),
-  smart-copies the affected constituents onto freshly provisioned
-  devices (:func:`~repro.cluster.rebalance.copy_index_to` with a
-  child-ownership filter), replays the in-flight day plan through a
-  :class:`~repro.core.recovery.JournaledExecutor` catch-up, and finally
-  **atomically swaps** the coordinator's partitioner/routing table
+  :meth:`~repro.cluster.partitioner.SlotHashPartitioner.split`) and
+  smart-copies the affected constituents onto freshly provisioned devices
+  (:func:`~repro.cluster.rebalance.copy_index_to` with a child-ownership
+  filter); a **merge** of two cold neighbours merge-copies them
+  (:func:`~repro.cluster.rebalance.merge_indexes_to`).  Either way the
+  swap installs the new shard list and **atomically swaps** the
+  coordinator's partitioner/routing table
   (:meth:`~repro.cluster.coordinator.ClusterCoordinator.swap_topology`).
-  A **merge** of two cold neighbours runs the same pipeline with a
-  merge-copy (:func:`~repro.cluster.rebalance.merge_indexes_to`).
-
-* Every step is journaled in a :class:`~repro.core.recovery.ReshardJournal`.
-  The swap record is the commit point: a
-  :class:`~repro.errors.SimulatedCrash` (or kill, or space exhaustion) at
-  any boundary **before** the swap aborts cleanly — partial children are
-  dropped, orphan extents swept off the target devices, and the old
-  topology keeps serving untouched (no dark shards from a failed split);
-  a crash **at or after** the swap rolls forward (the new topology is
-  already routing, recovery finishes the parents' cleanup).  The
-  topology-chaos harness (:mod:`repro.bench.topology_chaos`) drives a
-  fault into every step and byte-compares answers against a
-  static-topology fault-free twin.
 
 * :class:`Autoscaler` — watches per-shard routed requests, busy seconds,
-  and under-replication each day and emits split/merge actions through
-  the same engine, sequenced **one at a time** (Kimura et al.'s
-  deploy-order concern applied to topology changes) with its proposals
-  surfaced as an inspectable :class:`AutoscalerDecision` before anything
-  executes (the semi-automatic tuning posture).
+  and under-replication each day and emits split/merge actions,
+  sequenced **one at a time** (Kimura et al.'s deploy-order concern
+  applied to topology changes) with its proposals surfaced as an
+  inspectable :class:`AutoscalerDecision` before anything executes (the
+  semi-automatic tuning posture).
 
 Elasticity is **off by default**: with ``ClusterConfig.elastic = None``
 the simulation behaves bit-identically to PR 5 — the ``k=1, r=1``
@@ -46,41 +38,20 @@ serialized-driver equivalence suite rests on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Any
 
 from ..core.checkpoint import CHECKPOINT_VERSION, restore_scheme
-from ..core.records import Record, RecordStore
-from ..core.recovery import (
-    JournaledExecutor,
-    ReshardJournal,
-    ReshardPhase,
-    sweep_orphan_extents,
-)
-from ..core.wave import WaveIndex
 from ..core.executor import PlanExecutor
-from ..errors import (
-    ClusterError,
-    DeviceFailure,
-    FaultError,
-    OutOfSpaceError,
-    SimulatedCrash,
-    TransientIOError,
-)
+from ..core.records import RecordStore
+from ..core.staged import ChangeAborted, Scratch, StagedOutcome
+from ..core.wave import WaveIndex
+from ..errors import ClusterError
 from ..storage.disk import SimulatedDisk
-from ..storage.faults import RetryPolicy
-from .partitioner import RangePartitioner, reshard_id_mapping
+from .partitioner import RangePartitioner, partition_store, reshard_id_mapping
 from .rebalance import copy_index_to, merge_indexes_to
-from .selfheal import _disarm_crash, _discard_partial
 from .shard import Shard, ShardReplica
-
-#: Everything the reshard pipeline absorbs into an abort/roll-forward.
-#: ``OutOfSpaceError`` is a :class:`~repro.errors.StorageError` sibling
-#: of ``FaultError``, not a subclass — it must be listed explicitly.
-_RESHARD_FAULTS = (FaultError, OutOfSpaceError, SimulatedCrash)
-
-#: Device-level faults swallowed by best-effort cleanup paths.
-_CLEANUP_FAULTS = (FaultError, OutOfSpaceError)
 
 if TYPE_CHECKING:
     from .sim import ClusterSimulation
@@ -153,20 +124,6 @@ class ElasticConfig:
             )
 
 
-class ReshardAborted(ClusterError):
-    """A topology change could not complete; the old topology still serves.
-
-    Carries ``reason`` (``"no-spare"``, ``"under-replicated"``,
-    ``"dark-source"``, ``"no-split-key"``, ``"crash"``, ``"flaky"``,
-    ``"space"``, ``"device-failure"``) so day stats can say why.  The
-    simulation keeps the action queued and retries on the next day.
-    """
-
-    def __init__(self, message: str, *, reason: str) -> None:
-        super().__init__(message)
-        self.reason = reason
-
-
 @dataclass(frozen=True)
 class ScaleAction:
     """One proposed topology change (the autoscaler's unit of work)."""
@@ -204,21 +161,6 @@ class AutoscalerDecision:
             "queued": None if self.queued is None else self.queued.describe(),
             "deferred_reason": self.deferred_reason,
         }
-
-
-@dataclass(frozen=True)
-class ReshardStep:
-    """One boundary of the reshard pipeline, exposed to the step hook.
-
-    The topology-chaos harness counts steps on a fault-free dry run and
-    then arms exactly one fault (crash / device kill / space exhaustion)
-    per enumerated step; ``devices`` lists the devices the step is about
-    to touch, target first.
-    """
-
-    name: str
-    ordinal: int
-    devices: tuple[SimulatedDisk, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -345,290 +287,156 @@ class Autoscaler:
         return AutoscalerDecision(day, (), None, None)
 
 
-class TopologyChangeEngine:
-    """Journaled online split/merge over a running :class:`ClusterSimulation`.
+class _Reshard:
+    """What a split and a merge share as staged changes.
 
-    One engine per simulation.  :meth:`execute` runs one
-    :class:`ScaleAction` at the start of a day — before the day's plans
-    are drawn — and either commits the new topology (children caught up
-    to the day, coordinator swapped, parents cleaned up and their
-    devices drained) or raises :class:`ReshardAborted` with the old
-    topology fully intact.
-
-    ``on_step`` is the chaos hook: called with a :class:`ReshardStep` at
-    every pipeline boundary, it may raise
-    :class:`~repro.errors.SimulatedCrash` or arm device faults; the
-    engine classifies whatever escapes and resolves it per the journal's
-    commit point.  ``journal_sink`` mirrors the executor's journal sink
-    (a stand-in for durable journal storage); every journal is also kept
-    on :attr:`journals`.
+    Both replace adjacent ``parents`` by the shards ``child_ids`` under
+    ``new_partitioner``: the parents' records are re-routed to the
+    children, every child replica gets a fresh device, one build unit per
+    (child, replica, constituent) copies the constituent off the parents'
+    primaries, each child replica replays the day's plan, the swap
+    installs the new shard list and routing table atomically, and cleanup
+    drops the parents' indexes and drains their devices.  The subclasses
+    say which parents, which children, and how one constituent is copied.
     """
 
-    def __init__(self, sim: "ClusterSimulation") -> None:
+    kind: str
+    counters = "cluster.elastic"
+
+    def __init__(
+        self, sim: "ClusterSimulation", shard_id: int, split_key: Any = None
+    ) -> None:
         self.sim = sim
-        self.on_step: Callable[[ReshardStep], None] | None = None
-        self.journal_sink: Callable[[ReshardJournal], None] | None = None
-        self.journals: list[ReshardJournal] = []
-        self._ordinal = 0
+        self.shard_id = shard_id
+        self.split_key = split_key
 
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
+    def __str__(self) -> str:
+        return f"{self.kind} of shard(s) {[p.shard_id for p in self.parents]}"
 
-    def _journal(self, journal: ReshardJournal) -> None:
-        if self.journal_sink is not None:
-            self.journal_sink(journal)
-
-    def _step(self, name: str, devices: tuple[SimulatedDisk, ...] = ()) -> None:
-        """Fire the step hook at one pipeline boundary."""
-        step = ReshardStep(name=name, ordinal=self._ordinal, devices=devices)
-        self._ordinal += 1
-        if self.on_step is not None:
-            self.on_step(step)
-
-    @property
-    def retry(self) -> RetryPolicy:
-        monitor = self.sim._monitor
-        return monitor.retry if monitor is not None else RetryPolicy()
-
-    # ------------------------------------------------------------------
-    # Public entry
-    # ------------------------------------------------------------------
-
-    def execute(self, action: ScaleAction, *, day: int) -> ReshardReport:
-        """Run one topology change for ``day``; commit or abort cleanly."""
-        self._ordinal = 0
-        if action.kind == "split":
-            return self._split(action.shard_id, day=day, split_key=action.split_key)
-        if action.kind == "merge":
-            return self._merge(action.shard_id, day=day)
-        raise ClusterError(f"unknown scale action kind {action.kind!r}")
-
-    # ------------------------------------------------------------------
-    # Shared pipeline pieces
-    # ------------------------------------------------------------------
-
-    def _elastic_partitioner(self):
+    def _resolve(self, parents: list[Shard]) -> Any:
+        """Record the parents and their donors; return the partitioner."""
         part = self.sim.partitioner
         if not hasattr(part, "split") or not hasattr(part, "merge_with_next"):
             raise ClusterError(
                 f"partitioner {part!r} does not support topology changes; "
                 f"use kind 'slot-hash' or 'range'"
             )
+        donors = [parent.primary for parent in parents]
+        if None in donors:
+            raise ChangeAborted(
+                f"{self.kind} of shard {self.shard_id}: a source shard is "
+                f"dark — nothing to copy from",
+                kind=self.kind,
+                reason="dark-source",
+            )
+        self.parents = parents
+        self.donors: list[ShardReplica] = donors
         return part
 
-    def _choose_split_key(self, parent: Shard, part, shard_id: int) -> Any:
-        """Pick the median owned key strictly inside the shard's range."""
-        if not isinstance(part, RangePartitioner):
-            return None  # slot-hash splits deterministically, no key
-        splits = part.split_points
-        lo = splits[shard_id - 1] if shard_id > 0 else None
-        hi = splits[shard_id] if shard_id < len(splits) else None
-        values: set[Any] = set()
-        for day in parent.store.days:
-            for record in parent.store.batch(day).records:
-                values.update(record.values)
-        candidates = sorted(
-            v
-            for v in values
-            if (lo is None or v > lo) and (hi is None or v < hi)
-        )
-        if not candidates:
-            raise ReshardAborted(
-                f"shard {shard_id} has no key strictly inside its range "
-                f"(single-value or empty range) — cannot split",
-                reason="no-split-key",
-            )
-        return candidates[len(candidates) // 2]
+    @property
+    def source_devices(self) -> tuple[SimulatedDisk, ...]:
+        return tuple(d.device for d in self.donors)
 
-    def _route_store(
-        self, stores: list[RecordStore], partitioner, child_ids: tuple[int, ...]
-    ) -> dict[int, RecordStore]:
-        """Re-partition the parents' records among the child shard ids.
+    @property
+    def n_targets(self) -> int:
+        return len(self.child_ids) * self.sim.config.replication
 
-        Same value-subset / proportional-``nbytes`` rule as
-        :func:`~repro.cluster.partitioner.partition_store`; the child
-        partitioner only ever routes a parent's keys to the child ids
-        (the split/merge locality property), so nothing is lost.
+    def subject(self) -> dict[str, Any]:
+        return {
+            "source_shards": [p.shard_id for p in self.parents],
+            "partitioner_before": self.sim.partitioner.describe(),
+            "partitioner_after": self.new_partitioner.describe(),
+        }
+
+    def _route_stores(self) -> list[RecordStore]:
+        """Re-partition the parents' records under the new routing table.
+
+        The child partitioner only ever routes a parent's keys to the
+        child ids (the split/merge locality property), so partitioning
+        the parents' records alone loses nothing; the other shards' slots
+        of the returned list are empty and unused.
         """
-        out = {gid: RecordStore() for gid in child_ids}
-        days = sorted({day for store in stores for day in store.days})
-        for day in days:
-            per: dict[int, list[Record]] = {gid: [] for gid in child_ids}
-            for store in stores:
-                if not store.has_day(day):
-                    continue
-                for record in store.batch(day).records:
-                    owned: dict[int, list[Any]] = {}
-                    for value in record.values:
-                        gid = partitioner.shard_for(value)
-                        if gid in per:
-                            owned.setdefault(gid, []).append(value)
-                    for gid, values in owned.items():
-                        per[gid].append(
-                            Record(
-                                record_id=record.record_id,
-                                day=record.day,
-                                values=tuple(values),
-                                nbytes=record.nbytes
-                                * len(values)
-                                // len(record.values),
-                                info=record.info,
-                            )
-                        )
-            for gid in child_ids:
-                out[gid].add_records(day, per[gid])
-        return out
-
-    def _acquire_targets(
-        self, journal: ReshardJournal, n: int
-    ) -> list[tuple[int, SimulatedDisk]]:
-        """Provision ``n`` fresh devices through the shared spare pool."""
-        sim = self.sim
-        spares = sim.spares.acquire(n)
-        if spares is None:
-            journal.advance(ReshardPhase.ABORTED)
-            self._journal(journal)
-            sim.obs.counter("cluster.elastic.no_spare").inc()
-            raise ReshardAborted(
-                f"spare budget exhausted: needed {n} device(s)",
-                reason="no-spare",
-            )
-        targets = [(sim.array.add_device(s), s) for s in spares]
-        journal.target_devices = [i for i, _ in targets]
-        return targets
-
-    def _copy_with_retry(
-        self,
-        source_indexes,
-        target: SimulatedDisk,
-        name: str,
-        *,
-        keep: Callable[[Any], bool] | None,
-        scratch_wave: WaveIndex,
-    ):
-        """One constituent copy (split filter or merge union) with the
-        cluster retry policy for escaped transients."""
-        retry = self.retry
-        attempts = 0
-        while True:
-            try:
-                if len(source_indexes) == 1:
-                    return copy_index_to(
-                        source_indexes[0], target, name=name, keep=keep
-                    )
-                return merge_indexes_to(source_indexes, target, name=name)
-            except TransientIOError:
-                attempts += 1
-                if attempts >= retry.max_attempts:
-                    raise
-                target.advance(retry.delay_before_retry(attempts))
-                monitor = self.sim._monitor
-                if monitor is not None:
-                    monitor.note_retry(attempts)
-                sweep_orphan_extents(scratch_wave)
-
-    def _abort(
-        self,
-        journal: ReshardJournal,
-        *,
-        reason: str,
-        message: str,
-        child_waves: list[WaveIndex],
-        donors: list[ShardReplica],
-        targets: list[tuple[int, SimulatedDisk]],
-        cause: BaseException | None = None,
-    ) -> ReshardAborted:
-        """Discard all partial child state; leave the old topology intact.
-
-        The reverse of commit: disarm any surviving crash points (the
-        reshard 'process' is dead), drop every binding the children
-        accumulated, and mark-and-sweep the target devices so no orphan
-        extents outlive the attempt.  The parents were never mutated —
-        copies only *read* them — so the old topology serves on,
-        unchanged.  The provisioned devices stay in the array as retired
-        members (same convention as aborted rebuilds); a retry
-        provisions fresh ones.
-        """
-        devices = [d for _, d in targets] + [r.device for r in donors]
-        _disarm_crash(*devices)
-        for wave in child_waves:
-            _discard_partial(wave)
-        if donors:
-            try:
-                sweep_orphan_extents(
-                    donors[0].wave, extra_disks=tuple(d for _, d in targets)
+        stores = [parent.store for parent in self.parents]
+        source = stores[0]
+        if len(stores) > 1:
+            source = RecordStore()
+            for day in sorted({day for store in stores for day in store.days}):
+                source.add_records(
+                    day,
+                    [
+                        record
+                        for store in stores
+                        if store.has_day(day)
+                        for record in store.batch(day).records
+                    ],
                 )
-            except _CLEANUP_FAULTS:
-                pass
-        if not journal.terminal:
-            journal.advance(ReshardPhase.ABORTED)
-            self._journal(journal)
-        self.sim.obs.counter("cluster.elastic.aborted").inc()
-        error = ReshardAborted(
-            f"{journal.kind} of shard(s) {journal.source_shards} aborted: "
-            f"{message}",
-            reason=reason,
-        )
-        if cause is not None:
-            error.__cause__ = cause
-        return error
+        return partition_store(source, self.new_partitioner)
 
-    @staticmethod
-    def _classify(exc: BaseException) -> tuple[str, str]:
-        """Map an escaped fault to an abort reason."""
-        if isinstance(exc, SimulatedCrash):
-            return "crash", str(exc)
-        if isinstance(exc, OutOfSpaceError):
-            return "space", str(exc)
-        if isinstance(exc, DeviceFailure):
-            return "device-failure", str(exc)
-        if isinstance(exc, TransientIOError):
-            return "flaky", str(exc)
-        raise exc  # not a fault: bookkeeping bug, propagate loudly
-
-    def _clone_scheme(self, parent: Shard):
-        """Clone the parent's planner pre-planning (planning mutates it)."""
-        return restore_scheme(
-            {"version": CHECKPOINT_VERSION, "scheme": parent.scheme.get_state()}
-        )
-
-    def _cleanup_parents(
-        self, parents: list[Shard], journal: ReshardJournal
-    ) -> None:
-        """Drop the parents' indexes and drain their devices (idempotent)."""
+    def stage(
+        self, targets: list[tuple[int, SimulatedDisk]], day: int
+    ) -> list[Scratch]:
+        """Route the records and lay out the children, ``replication``
+        consecutive targets each, on empty waves."""
         sim = self.sim
-        for parent in parents:
-            for replica in parent.replicas:
-                for name in list(replica.wave.bindings):
-                    index = replica.wave.unbind(name)
-                    try:
-                        index.drop()
-                    except _CLEANUP_FAULTS:
-                        pass
-                try:
-                    sweep_orphan_extents(replica.wave)
-                except _CLEANUP_FAULTS:
-                    pass
-                if not sim.array.is_drained(replica.device_index):
-                    sim.array.drain_device(replica.device_index)
-                    sim.obs.counter("cluster.elastic.devices_drained").inc()
+        stores = self._route_stores()
+        repl = sim.config.replication
+        donor_wave = self.donors[0].wave
+        self.children: list[Shard] = []
+        scratch = []
+        for i, gid in enumerate(self.child_ids):
+            # Clone the parent's planner pre-planning (planning mutates it).
+            scheme = restore_scheme(
+                {
+                    "version": CHECKPOINT_VERSION,
+                    "scheme": self.parents[0].scheme.get_state(),
+                }
+            )
+            replicas = []
+            for ri, (device_index, device) in enumerate(
+                targets[i * repl: (i + 1) * repl]
+            ):
+                wave = WaveIndex(
+                    device, donor_wave.config, len(donor_wave.constituents)
+                )
+                replicas.append(
+                    ShardReplica(
+                        shard_id=gid,
+                        replica_id=ri,
+                        device_index=device_index,
+                        device=device,
+                        wave=wave,
+                        executor=PlanExecutor(wave, stores[gid], sim.technique),
+                        caught_up_day=day,
+                    )
+                )
+                scratch.append(
+                    Scratch(gid, ri, wave, stores[gid], sim.technique, scheme)
+                )
+            self.children.append(Shard(gid, scheme, stores[gid], replicas))
+        return scratch
 
-    def _commit_swap(
-        self,
-        *,
-        kind: str,
-        shard_id: int,
-        new_partitioner,
-        children: list[Shard],
-        journal: ReshardJournal,
-    ) -> tuple[int, dict[int, int]]:
+    def builds(self, scratch: Scratch):
+        """One copy per constituent of the parents' primaries."""
+        for name in list(self.donors[0].wave.bindings):
+            yield name, partial(
+                self._copy, name, scratch.wave.disk, scratch.shard_id
+            )
+
+    def _copy(self, name: str, target: SimulatedDisk, gid: int):
+        """Copy constituent ``name`` for child ``gid`` onto ``target``."""
+        raise NotImplementedError
+
+    def swap(self, day: int) -> list[tuple[WaveIndex, int]]:
         """Install the new shard list + routing table atomically."""
         sim = self.sim
+        for child in self.children:
+            sim._preplanned[id(child.scheme)] = []  # day's plan already applied
         old = sim.shards
-        mapping = reshard_id_mapping(kind, shard_id, len(old))
-        removed = 2 if kind == "merge" else 1
-        new_shards = old[:shard_id] + children + old[shard_id + removed:]
+        shard_id = self.shard_id
+        mapping = reshard_id_mapping(self.kind, shard_id, len(old))
+        new_shards = (
+            old[:shard_id] + self.children + old[shard_id + len(self.parents):]
+        )
         for new_id, shard in enumerate(new_shards):
             shard.shard_id = new_id
             for replica in shard.replicas:
@@ -636,355 +444,151 @@ class TopologyChangeEngine:
         if sim._monitor is not None:
             sim._monitor.remap_shards(mapping)
         sim.shards = new_shards
-        sim.partitioner = new_partitioner
-        version = sim.coordinator.swap_topology(new_shards, new_partitioner)
+        sim.partitioner = self.new_partitioner
+        self.topology_version = sim.coordinator.swap_topology(
+            new_shards, self.new_partitioner
+        )
         sim._on_topology_changed(mapping)
-        return version, mapping
+        return [
+            (replica.wave, replica.device_index)
+            for parent in self.parents
+            for replica in parent.replicas
+        ]
 
-    # ------------------------------------------------------------------
-    # Split
-    # ------------------------------------------------------------------
-
-    def _split(
-        self, shard_id: int, *, day: int, split_key: Any = None
-    ) -> ReshardReport:
+    def report(self, outcome: StagedOutcome) -> ReshardReport:
         sim = self.sim
-        if not 0 <= shard_id < len(sim.shards):
-            raise ClusterError(f"no shard {shard_id}")
-        part = self._elastic_partitioner()
-        parent = sim.shards[shard_id]
-        donor = parent.primary
-        if donor is None:
-            raise ReshardAborted(
-                f"shard {shard_id} is dark — nothing to copy from",
-                reason="dark-source",
-            )
-        if split_key is None:
-            split_key = self._choose_split_key(parent, part, shard_id)
-        new_part = part.split(shard_id, key=split_key)
-        journal = ReshardJournal(
-            kind="split",
-            day=day,
-            source_shards=[shard_id],
-            partitioner_before=part.describe(),
-            partitioner_after=new_part.describe(),
-            split_key=None if split_key is None else str(split_key),
-        )
-        self.journals.append(journal)
-        self._journal(journal)
-        try:
-            self._step("plan", devices=(donor.device,))
-        except _RESHARD_FAULTS as exc:
-            reason, message = self._classify(exc)
-            raise self._abort(
-                journal, reason=reason, message=message,
-                child_waves=[], donors=[donor], targets=[], cause=exc,
-            ) from None
-
-        child_ids = (shard_id, shard_id + 1)
-        child_stores = self._route_store([parent.store], new_part, child_ids)
-        repl = sim.config.replication
-        targets = self._acquire_targets(journal, 2 * repl)
-
-        return self._build_children(
-            journal=journal,
-            day=day,
-            parents=[parent],
-            donors=[donor],
-            child_specs=[
-                {
-                    "gid": gid,
-                    "store": child_stores[gid],
-                    "sources": lambda name, g=gid: [donor.wave.bindings[name]],
-                    "keep": (lambda v, g=gid: new_part.shard_for(v) == g),
-                    "targets": targets[i * repl: (i + 1) * repl],
-                }
-                for i, gid in enumerate(child_ids)
-            ],
-            new_partitioner=new_part,
-            kind="split",
-            shard_id=shard_id,
-            split_key=split_key,
-        )
-
-    # ------------------------------------------------------------------
-    # Merge
-    # ------------------------------------------------------------------
-
-    def _merge(self, shard_id: int, *, day: int) -> ReshardReport:
-        sim = self.sim
-        if not 0 <= shard_id < len(sim.shards) - 1:
-            raise ClusterError(
-                f"shard {shard_id} has no next neighbour to merge with"
-            )
-        part = self._elastic_partitioner()
-        left, right = sim.shards[shard_id], sim.shards[shard_id + 1]
-        donor_left, donor_right = left.primary, right.primary
-        if donor_left is None or donor_right is None:
-            raise ReshardAborted(
-                f"merge of shards {shard_id}+{shard_id + 1}: a source "
-                f"shard is dark",
-                reason="dark-source",
-            )
-        new_part = part.merge_with_next(shard_id)
-        journal = ReshardJournal(
-            kind="merge",
-            day=day,
-            source_shards=[shard_id, shard_id + 1],
-            partitioner_before=part.describe(),
-            partitioner_after=new_part.describe(),
-        )
-        self.journals.append(journal)
-        self._journal(journal)
-        try:
-            self._step(
-                "plan", devices=(donor_left.device, donor_right.device)
-            )
-        except _RESHARD_FAULTS as exc:
-            reason, message = self._classify(exc)
-            raise self._abort(
-                journal, reason=reason, message=message,
-                child_waves=[], donors=[donor_left, donor_right],
-                targets=[], cause=exc,
-            ) from None
-
-        child_stores = self._route_store(
-            [left.store, right.store], new_part, (shard_id,)
-        )
-        repl = sim.config.replication
-        targets = self._acquire_targets(journal, repl)
-
-        def sources(name: str):
-            out = [donor_left.wave.bindings[name]]
-            other = donor_right.wave.bindings.get(name)
-            if other is not None:
-                out.append(other)
-            return out
-
-        return self._build_children(
-            journal=journal,
-            day=day,
-            parents=[left, right],
-            donors=[donor_left, donor_right],
-            child_specs=[
-                {
-                    "gid": shard_id,
-                    "store": child_stores[shard_id],
-                    "sources": sources,
-                    "keep": None,
-                    "targets": targets,
-                }
-            ],
-            new_partitioner=new_part,
-            kind="merge",
-            shard_id=shard_id,
-            split_key=None,
-        )
-
-    # ------------------------------------------------------------------
-    # The shared copy → catch-up → swap → cleanup pipeline
-    # ------------------------------------------------------------------
-
-    def _build_children(
-        self,
-        *,
-        journal: ReshardJournal,
-        day: int,
-        parents: list[Shard],
-        donors: list[ShardReplica],
-        child_specs: list[dict],
-        new_partitioner,
-        kind: str,
-        shard_id: int,
-        split_key: Any,
-    ) -> ReshardReport:
-        sim = self.sim
-        all_targets = [t for spec in child_specs for t in spec["targets"]]
-        donor_before = sum(d.device.clock for d in donors)
-        target_before = {i: dev.clock for i, dev in all_targets}
-        child_waves: list[WaveIndex] = []
-        children: list[Shard] = []
-        bytes_copied = 0
-        indexes_copied = 0
-        catchup_seconds = 0.0
-        crash_recoveries = 0
-
-        def abort(exc: BaseException) -> ReshardAborted:
-            reason, message = self._classify(exc)
-            return self._abort(
-                journal,
-                reason=reason,
-                message=message,
-                child_waves=child_waves,
-                donors=donors,
-                targets=all_targets,
-                cause=exc,
-            )
-
-        # -- copy phase -------------------------------------------------
-        journal.advance(ReshardPhase.COPYING)
-        self._journal(journal)
-        try:
-            binding_names = list(donors[0].wave.bindings)
-            child_replicas: list[list[ShardReplica]] = []
-            child_schemes = []
-            for spec in child_specs:
-                gid = spec["gid"]
-                scheme = self._clone_scheme(parents[0])
-                child_schemes.append(scheme)
-                replicas: list[ShardReplica] = []
-                for ri, (device_index, device) in enumerate(spec["targets"]):
-                    wave = WaveIndex(
-                        device,
-                        donors[0].wave.config,
-                        len(donors[0].wave.constituents),
-                    )
-                    child_waves.append(wave)
-                    for name in binding_names:
-                        self._step(
-                            f"copy:s{gid}/r{ri}:{name}",
-                            devices=(device, *[d.device for d in donors]),
-                        )
-                        clone = self._copy_with_retry(
-                            spec["sources"](name),
-                            device,
-                            name,
-                            keep=spec["keep"],
-                            scratch_wave=wave,
-                        )
-                        wave.bind(name, clone)
-                        bytes_copied += clone.allocated_bytes
-                        indexes_copied += 1
-                        journal.copies_done += 1
-                        self._journal(journal)
-                    replicas.append(
-                        ShardReplica(
-                            shard_id=gid,
-                            replica_id=ri,
-                            device_index=device_index,
-                            device=device,
-                            wave=wave,
-                            executor=PlanExecutor(
-                                wave, spec["store"], sim.technique
-                            ),
-                            caught_up_day=day,
-                        )
-                    )
-                child_replicas.append(replicas)
-            journal.advance(ReshardPhase.COPIED)
-            self._journal(journal)
-
-            # -- catch-up phase -----------------------------------------
-            journal.advance(ReshardPhase.CATCHUP)
-            self._journal(journal)
-            catchup_before = {i: dev.clock for i, dev in all_targets}
-            for spec, scheme, replicas in zip(
-                child_specs, child_schemes, child_replicas
-            ):
-                plan = list(scheme.transition_ops(day))
-                state = scheme.get_state()
-                for replica in replicas:
-                    self._step(
-                        f"catchup:s{spec['gid']}/r{replica.replica_id}",
-                        devices=(replica.device,),
-                    )
-                    executor = JournaledExecutor(
-                        replica.wave, spec["store"], sim.technique
-                    )
-                    executor.execute_journaled(
-                        plan, day=day, scheme_state=state
-                    )
-                    journal.catchup.append(executor.journal.to_dict())
-                    self._journal(journal)
-                    replica.executor = PlanExecutor(
-                        replica.wave, spec["store"], sim.technique
-                    )
-            catchup_seconds = sum(
-                dev.clock - catchup_before[i] for i, dev in all_targets
-            )
-
-            # -- swap (the commit point) --------------------------------
-            self._step("swap")
-        except _RESHARD_FAULTS as exc:
-            raise abort(exc) from None
-
-        journal.advance(ReshardPhase.SWAPPED)
-        self._journal(journal)
-        for spec, scheme, replicas in zip(
-            child_specs, child_schemes, child_replicas
-        ):
-            shard = Shard(spec["gid"], scheme, spec["store"], replicas)
-            children.append(shard)
-            sim._preplanned[id(scheme)] = []  # day's plan already applied
-        version, _mapping = self._commit_swap(
-            kind=kind,
-            shard_id=shard_id,
-            new_partitioner=new_partitioner,
-            children=children,
-            journal=journal,
-        )
-
-        # -- cleanup (roll-forward territory) ---------------------------
-        try:
-            self._step(
-                "cleanup",
-                devices=tuple(d.device for d in donors),
-            )
-            self._cleanup_parents(parents, journal)
-        except _RESHARD_FAULTS:
-            # Past the commit point every fault rolls *forward*: disarm
-            # the dead process's crash points and finish the idempotent
-            # cleanup under the already-swapped topology.
-            _disarm_crash(*[d.device for d in donors])
-            crash_recoveries += 1
-            sim.obs.counter("cluster.elastic.crash_recoveries").inc()
-            self._cleanup_parents(parents, journal)
-        journal.advance(ReshardPhase.DONE)
-        self._journal(journal)
-
-        # -- timeline + report ------------------------------------------
-        donor_read = sum(d.device.clock for d in donors) - donor_before
-        copy_seconds = 0.0
+        before = outcome.clock_before
         makespan = 0.0
-        for shard in children:
-            for replica in shard.replicas:
-                delta = replica.device.clock - target_before[replica.device_index]
-                span = donor_read + delta
-                replica.maintenance_start = 0.0
-                replica.maintenance_end = span
-                makespan = max(makespan, span)
+        replicas = [r for child in self.children for r in child.replicas]
+        for replica in replicas:
+            span = outcome.source_seconds + (
+                replica.device.clock - before[replica.device_index]
+            )
+            replica.maintenance_start = 0.0
+            replica.maintenance_end = span
+            makespan = max(makespan, span)
         copy_seconds = (
-            sum(dev.clock - target_before[i] for i, dev in all_targets)
-            - catchup_seconds
-            + donor_read
+            sum(r.device.clock - before[r.device_index] for r in replicas)
+            - outcome.catchup_seconds
+            + outcome.source_seconds
         )
-        counter = "cluster.elastic.splits" if kind == "split" else "cluster.elastic.merges"
-        sim.obs.counter(counter).inc()
-        sim.obs.counter("cluster.elastic.bytes_copied").inc(bytes_copied)
+        sim.obs.counter(f"cluster.elastic.{self.kind}s").inc()
+        sim.obs.counter("cluster.elastic.bytes_copied").inc(outcome.bytes_built)
         return ReshardReport(
-            kind=kind,
-            day=day,
-            source_shards=tuple(journal.source_shards),
-            child_shards=tuple(s.shard_id for s in children),
+            kind=self.kind,
+            day=outcome.journal.day,
+            source_shards=tuple(outcome.journal.subject["source_shards"]),
+            child_shards=tuple(s.shard_id for s in self.children),
             n_shards_after=len(sim.shards),
-            split_key=split_key,
-            indexes_copied=indexes_copied,
-            bytes_copied=bytes_copied,
+            split_key=self.split_key,
+            indexes_copied=outcome.journal.units_done,
+            bytes_copied=outcome.bytes_built,
             copy_seconds=copy_seconds,
-            catchup_seconds=catchup_seconds,
-            crash_recoveries=crash_recoveries,
-            topology_version=version,
+            catchup_seconds=outcome.catchup_seconds,
+            crash_recoveries=outcome.crash_recoveries,
+            topology_version=self.topology_version,
             makespan_seconds=makespan,
         )
+
+
+class Split(_Reshard):
+    """Split one hot shard in two at ``split_key`` (``None``: the median
+    owned key for a range partitioner; slot-hash halves its slot set)."""
+
+    kind = "split"
+
+    def validate(self) -> None:
+        shards = self.sim.shards
+        if not 0 <= self.shard_id < len(shards):
+            raise ClusterError(f"no shard {self.shard_id}")
+        part = self._resolve([shards[self.shard_id]])
+        if self.split_key is None:
+            self.split_key = self._choose_split_key(part)
+        self.new_partitioner = part.split(self.shard_id, key=self.split_key)
+        self.child_ids = (self.shard_id, self.shard_id + 1)
+
+    def _choose_split_key(self, part) -> Any:
+        """Pick the median owned key strictly inside the shard's range."""
+        if not isinstance(part, RangePartitioner):
+            return None  # slot-hash splits deterministically, no key
+        shard_id = self.shard_id
+        store = self.parents[0].store
+        splits = part.split_points
+        lo = splits[shard_id - 1] if shard_id > 0 else None
+        hi = splits[shard_id] if shard_id < len(splits) else None
+        values: set[Any] = set()
+        for day in store.days:
+            for record in store.batch(day).records:
+                values.update(record.values)
+        candidates = sorted(
+            v
+            for v in values
+            if (lo is None or v > lo) and (hi is None or v < hi)
+        )
+        if not candidates:
+            raise ChangeAborted(
+                f"shard {shard_id} has no key strictly inside its range "
+                f"(single-value or empty range) — cannot split",
+                kind="split",
+                reason="no-split-key",
+            )
+        return candidates[len(candidates) // 2]
+
+    def subject(self) -> dict[str, Any]:
+        key = self.split_key
+        return {
+            **super().subject(),
+            "split_key": None if key is None else str(key),
+        }
+
+    def _copy(self, name: str, target: SimulatedDisk, gid: int):
+        part = self.new_partitioner
+        return copy_index_to(
+            self.donors[0].wave.bindings[name],
+            target,
+            name=name,
+            keep=lambda value: part.shard_for(value) == gid,
+        )
+
+
+class Merge(_Reshard):
+    """Merge a cold shard with its next neighbour into one."""
+
+    kind = "merge"
+
+    def validate(self) -> None:
+        shards = self.sim.shards
+        if not 0 <= self.shard_id < len(shards) - 1:
+            raise ClusterError(
+                f"shard {self.shard_id} has no next neighbour to merge with"
+            )
+        part = self._resolve(shards[self.shard_id: self.shard_id + 2])
+        self.new_partitioner = part.merge_with_next(self.shard_id)
+        self.child_ids = (self.shard_id,)
+
+    def _copy(self, name: str, target: SimulatedDisk, gid: int):
+        left, right = (donor.wave.bindings for donor in self.donors)
+        if name not in right:
+            return copy_index_to(left[name], target, name=name, keep=None)
+        return merge_indexes_to([left[name], right[name]], target, name=name)
+
+
+def reshard_change(sim: "ClusterSimulation", action: ScaleAction) -> _Reshard:
+    """Return the staged change that carries out ``action``."""
+    if action.kind == "split":
+        return Split(sim, action.shard_id, action.split_key)
+    if action.kind == "merge":
+        return Merge(sim, action.shard_id)
+    raise ClusterError(f"unknown scale action kind {action.kind!r}")
 
 
 __all__ = [
     "Autoscaler",
     "AutoscalerDecision",
     "ElasticConfig",
-    "ReshardAborted",
+    "Merge",
     "ReshardReport",
-    "ReshardStep",
     "ScaleAction",
-    "TopologyChangeEngine",
+    "Split",
+    "reshard_change",
 ]

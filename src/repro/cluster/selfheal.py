@@ -22,9 +22,14 @@ module closes that gap with three pieces:
   I/O charged to both devices' clocks), then **catches up** the day's
   arrivals by running the day plan through a
   :class:`~repro.core.recovery.JournaledExecutor` — so a simulated crash
-  mid-rebuild rolls forward (orphan sweep + journal recovery) instead of
-  corrupting the copy, and a dead or undersized spare aborts cleanly,
-  leaving the donor untouched for a retry on the next day.
+  mid-rebuild resumes in place (orphan sweep + journal recovery) instead
+  of corrupting the copy, and a dead or undersized spare aborts cleanly,
+  leaving the donor untouched for a retry on the next day.  It is not a
+  journaled staged change (no commit point: nothing routes to the new
+  replica until it is appended) but shares that pipeline's leaves —
+  provisioning, transient retry, fault classification, discard, disarm
+  and :class:`~repro.core.staged.ChangeAborted` — from
+  :mod:`repro.core.staged`.
 
 * The configuration surface (:class:`SelfHealConfig` /
   :class:`BreakerConfig`) hung off
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from ..core.ops import Op
@@ -50,14 +56,19 @@ from ..core.recovery import (
     recover_transition,
     sweep_orphan_extents,
 )
+from ..core.staged import (
+    ChangeAborted,
+    abort_reason,
+    disarm_crash,
+    discard_partial,
+    retry_transients,
+)
 from ..core.wave import WaveIndex
 from ..errors import (
     ClusterError,
-    DeviceFailure,
     FaultError,
     OutOfSpaceError,
     SimulatedCrash,
-    TransientIOError,
 )
 from ..index.updates import UpdateTechnique
 from ..obs import MetricsRegistry
@@ -149,19 +160,6 @@ class SelfHealConfig:
                 f"target_replication must be >= 1, "
                 f"got {self.target_replication}"
             )
-
-
-class RebuildAborted(ClusterError):
-    """A replica rebuild could not complete; the donor is untouched.
-
-    Carries ``reason`` (``"device-failure"``, ``"space"``, ``"flaky"``,
-    ``"flaky-catchup"``) so the simulation's day stats can say why.  The
-    healer retries with a fresh spare on the next day.
-    """
-
-    def __init__(self, message: str, *, reason: str) -> None:
-        super().__init__(message)
-        self.reason = reason
 
 
 @dataclass
@@ -375,28 +373,6 @@ class ReplicaHealthMonitor:
 # ----------------------------------------------------------------------
 
 
-def _disarm_crash(*devices: SimulatedDisk) -> None:
-    """Disarm any crash points on the devices (the process 'restarted')."""
-    for device in devices:
-        injector = getattr(device, "injector", None)
-        if injector is not None:
-            injector.disarm()
-
-
-def _discard_partial(wave: WaveIndex) -> None:
-    """Drop everything a failed rebuild left on the spare."""
-    for name in list(wave.bindings):
-        index = wave.unbind(name)
-        try:
-            index.drop()
-        except FaultError:
-            pass
-    try:
-        sweep_orphan_extents(wave)
-    except FaultError:
-        pass
-
-
 def rebuild_replica(
     shard: Shard,
     donor: ShardReplica,
@@ -423,19 +399,21 @@ def rebuild_replica(
        the same post-transition state every other replica reaches via
        normal maintenance.
 
-    Fault handling: a :class:`~repro.errors.SimulatedCrash` in either
-    phase rolls forward (orphan sweep + re-copy, or journal recovery);
-    escaped transients are retried under the monitor's
-    :class:`~repro.storage.faults.RetryPolicy` with backoff charged to
-    the spare's clock; a dead donor is retired and a dead or undersized
-    spare aborts the rebuild — in every abort case the donor is left
-    intact and partial work on the spare is swept, so the healer can try
-    again with a fresh spare next day.
+    Unlike the journaled staged changes (:mod:`repro.core.staged`) a
+    rebuild has no commit point — nothing routes to the new replica
+    until the caller appends it — so a :class:`~repro.errors.SimulatedCrash`
+    in either phase *resumes in place* (orphan sweep + re-copy, or
+    journal recovery) instead of aborting.  Everything else is the shared
+    leaves: escaped transients are retried by
+    :func:`~repro.core.staged.retry_transients`; any other fault aborts
+    with :func:`~repro.core.staged.abort_reason`'s reason (a donor that
+    died is retired first) — the donor is left intact and partial work
+    on the spare is swept, so the healer can try again with a fresh spare
+    next day; and the spare's crash points die with the rebuild.
 
     Raises:
-        RebuildAborted: The rebuild could not complete.
+        ChangeAborted: The rebuild could not complete (``kind="rebuild"``).
     """
-    retry = monitor.retry
     new_wave = WaveIndex(
         spare, donor.wave.config, len(donor.wave.constituents)
     )
@@ -445,74 +423,59 @@ def rebuild_replica(
     bytes_copied = 0
     copied = 0
 
-    def abort(reason: str, message: str) -> RebuildAborted:
-        _discard_partial(new_wave)
-        return RebuildAborted(
-            f"rebuild of shard {shard.shard_id} aborted: {message}",
-            reason=reason,
-        )
-
-    for name in list(donor.wave.bindings):
-        index = donor.wave.bindings[name]
-        attempts = 0
-        while True:
-            try:
-                clone = copy_index_to(index, spare, name=name)
-                new_wave.bind(name, clone)
-                bytes_copied += clone.allocated_bytes
-                copied += 1
-                break
-            except SimulatedCrash:
-                # Disk state survives a process crash; roll the copy
-                # forward: sweep the half-written clone, re-copy.
-                _disarm_crash(spare, donor.device)
-                sweep_orphan_extents(new_wave)
-                crash_recoveries += 1
-                monitor.obs.counter(
-                    "cluster.heal.rebuild_crash_recoveries"
-                ).inc()
-            except TransientIOError as exc:
-                attempts += 1
-                if attempts >= retry.max_attempts:
-                    raise abort("flaky", str(exc)) from exc
-                spare.advance(retry.delay_before_retry(attempts))
-                monitor.note_retry(attempts)
-                sweep_orphan_extents(new_wave)
-            except OutOfSpaceError as exc:
-                raise abort("space", str(exc)) from exc
-            except DeviceFailure as exc:
-                donor_injector = getattr(donor.device, "injector", None)
-                if donor_injector is not None and donor_injector.device_failed:
-                    monitor.retire(donor, reason="died-during-rebuild")
-                raise abort("device-failure", str(exc)) from exc
-
-    copy_read = donor.device.clock - donor_before
-    copy_write = spare.clock - spare_before
-
-    executor = JournaledExecutor(new_wave, shard.store, technique)
-    try:
-        executor.execute_journaled(plan, day=day)
-    except SimulatedCrash:
-        _disarm_crash(spare)
+    def crashed() -> None:
+        nonlocal crash_recoveries
         crash_recoveries += 1
         monitor.obs.counter("cluster.heal.rebuild_crash_recoveries").inc()
+
+    try:
+        for name, index in list(donor.wave.bindings.items()):
+            while True:
+                try:
+                    clone = retry_transients(
+                        partial(copy_index_to, index, spare, name=name),
+                        new_wave,
+                        monitor,
+                    )
+                    break
+                except SimulatedCrash:
+                    # Disk state survives a process crash; roll the copy
+                    # forward: sweep the half-written clone, re-copy.
+                    disarm_crash(spare, donor.device)
+                    sweep_orphan_extents(new_wave)
+                    crashed()
+            new_wave.bind(name, clone)
+            bytes_copied += clone.allocated_bytes
+            copied += 1
+
+        copy_read = donor.device.clock - donor_before
+        copy_write = spare.clock - spare_before
+
+        executor = JournaledExecutor(new_wave, shard.store, technique)
         try:
+            executor.execute_journaled(plan, day=day)
+        except SimulatedCrash:
+            disarm_crash(spare)
+            crashed()
             recover_transition(
                 executor.journal, new_wave, shard.store, technique
             )
-        except FaultError as exc:
-            raise abort("device-failure", str(exc)) from exc
-    except TransientIOError as exc:
-        raise abort("flaky-catchup", str(exc)) from exc
-    except OutOfSpaceError as exc:
-        raise abort("space", str(exc)) from exc
-    except DeviceFailure as exc:
-        raise abort("device-failure", str(exc)) from exc
+    except (FaultError, OutOfSpaceError) as exc:
+        donor_injector = getattr(donor.device, "injector", None)
+        if donor_injector is not None and donor_injector.device_failed:
+            monitor.retire(donor, reason="died-during-rebuild")
+        discard_partial(new_wave)
+        raise ChangeAborted(
+            f"rebuild of shard {shard.shard_id} aborted: {exc}",
+            kind="rebuild",
+            reason=abort_reason(exc),
+        ) from exc
+    finally:
+        # The rebuild process exits here: any crash point armed against
+        # it that never fired dies with it instead of ambushing the
+        # replica's first normal maintenance pass.
+        disarm_crash(spare)
 
-    # The rebuild process exits here: any crash point armed against it
-    # that never fired dies with it instead of ambushing the replica's
-    # first normal maintenance pass.
-    _disarm_crash(spare)
     catchup = spare.clock - spare_before - copy_write
     end = start + copy_read + (spare.clock - spare_before)
     replica_id = max(r.replica_id for r in shard.replicas) + 1
@@ -549,7 +512,6 @@ def rebuild_replica(
 __all__ = [
     "BreakerConfig",
     "BreakerState",
-    "RebuildAborted",
     "RebuildReport",
     "ReplicaHealth",
     "ReplicaHealthMonitor",

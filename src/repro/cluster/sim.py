@@ -48,12 +48,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from ..core.executor import ExecutionReport, PlanExecutor
 from ..core.ops import Op
 from ..core.records import RecordStore
 from ..core.schemes.base import WaveScheme
+from ..core.staged import ChangeAborted, StagedChangeRunner, provision_spares
 from ..core.wave import WaveIndex
 from ..errors import (
     ClusterError,
@@ -73,11 +75,10 @@ from ..storage.disk import SimulatedDisk
 from ..storage.pagecache import PageCache
 from ..advisor import (
     AdvisorConfig,
-    AdvisorEngine,
     CostModelPlanner,
     Design,
     DesignRouter,
-    RetuneAborted,
+    Retune,
     RetuneDecision,
     RetuneReport,
     WorkloadObserver,
@@ -89,15 +90,13 @@ from .elastic import (
     Autoscaler,
     AutoscalerDecision,
     ElasticConfig,
-    ReshardAborted,
     ReshardReport,
     ScaleAction,
-    TopologyChangeEngine,
+    reshard_change,
 )
 from .partitioner import SlotHashPartitioner, make_partitioner, partition_store
 from .rebalance import RebalanceReport, move_replica
 from .selfheal import (
-    RebuildAborted,
     RebuildReport,
     ReplicaHealthMonitor,
     SelfHealConfig,
@@ -460,9 +459,6 @@ class ClusterSimulation:
                 else None
             ),
         )
-        self.elastic: TopologyChangeEngine | None = (
-            TopologyChangeEngine(self) if cfg.elastic is not None else None
-        )
         self._autoscaler: Autoscaler | None = (
             Autoscaler(cfg.elastic)
             if cfg.elastic is not None and cfg.elastic.autoscale
@@ -470,7 +466,7 @@ class ClusterSimulation:
         )
         self._pending_action: ScaleAction | None = None
         self._last_action_day: int | None = None
-        #: Day plans pre-applied by the elastic engine's catch-up, keyed
+        #: Day plans pre-applied by a staged change's catch-up, keyed
         #: by ``id(scheme)`` — popped (instead of re-planning) when the
         #: day loop reaches that shard.
         self._preplanned: dict[int, list[Op]] = {}
@@ -484,6 +480,22 @@ class ClusterSimulation:
             page_cache_bytes=cfg.page_cache_bytes,
             page_size=cfg.page_size,
             device_factory=device_factory,
+        )
+        #: Runners of the journaled staged changes — topology changes on
+        #: ``elastic``, retunes on ``advisor`` — each ``None`` while its
+        #: feature is off.
+        runner = partial(
+            StagedChangeRunner,
+            spares=self.spares,
+            array=self.array,
+            obs=self.obs,
+            monitor=self._monitor,
+        )
+        self.elastic: StagedChangeRunner | None = (
+            runner() if cfg.elastic is not None else None
+        )
+        self.advisor: StagedChangeRunner | None = (
+            runner() if cfg.advisor is not None else None
         )
         index_config = index_config or IndexConfig()
         self.shards: list[Shard] = []
@@ -513,7 +525,6 @@ class ClusterSimulation:
         self.scheme = self.shards[0].scheme
         #: Online-tuning machinery (all ``None`` when the advisor is off,
         #: keeping every hot path on its legacy branch).
-        self.advisor: AdvisorEngine | None = None
         self._observer: WorkloadObserver | None = None
         self._planner: CostModelPlanner | None = None
         self.router: DesignRouter | None = None
@@ -527,7 +538,6 @@ class ClusterSimulation:
             self._observer = WorkloadObserver(
                 self.obs, cfg.advisor.observe_days
             )
-            self.advisor = AdvisorEngine(self)
             if cfg.advisor.divergent:
                 self.router = DesignRouter()
         self.coordinator = ClusterCoordinator(
@@ -719,8 +729,8 @@ class ClusterSimulation:
             return reports, aborted, "under-replicated"
         action = self._pending_action
         try:
-            report = self.elastic.execute(action, day=day)
-        except ReshardAborted as exc:
+            report = self.elastic.run(reshard_change(self, action), day=day)
+        except ChangeAborted as exc:
             return reports, 1, exc.reason
         self._pending_action = None
         self._last_action_day = day
@@ -812,8 +822,10 @@ class ClusterSimulation:
         while self._retune_queue and len(reports) + aborted < budget:
             decision = self._retune_queue.pop(0)
             try:
-                reports.append(self.advisor.execute(decision, day=day))
-            except RetuneAborted as exc:
+                reports.append(
+                    self.advisor.run(Retune(self, decision), day=day)
+                )
+            except ChangeAborted as exc:
                 aborted += 1
                 if exc.reason == "no-spare":
                     requeue.append(decision)
@@ -895,15 +907,14 @@ class ClusterSimulation:
             donor = shard.primary
             if donor is None or len(shard.alive_replicas()) >= target:
                 continue
-            acquired = self.spares.acquire(1)
-            if acquired is None:
+            provisioned = provision_spares(self.spares, self.array, 1)
+            if provisioned is None:
                 # Spare budget spent (e.g. by a same-day topology change
                 # that outran a kill landing later in the day): the
                 # shard stays under-replicated and retries tomorrow.
                 self.obs.counter("cluster.heal.rebuilds_deferred").inc()
                 continue
-            spare = acquired[0]
-            device_index = self.array.add_device(spare)
+            ((device_index, spare),) = provisioned
             # A retuned donor clones under its *own* design: the rebuilt
             # twin copies the donor's constituents, catches up with the
             # donor's plan, and inherits its scheme and technique.
@@ -922,7 +933,7 @@ class ClusterSimulation:
                     technique=donor_technique,
                     monitor=monitor,
                 )
-            except RebuildAborted:
+            except ChangeAborted:
                 # The donor is intact and partial work was swept; the
                 # dead/undersized spare stays in the array as a retired
                 # member and a fresh one is provisioned next day.

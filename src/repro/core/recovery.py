@@ -23,6 +23,11 @@ The recovery model matches the simulation's durability story: the simulated
 disk (extents + index payloads) survives a :class:`~repro.errors.SimulatedCrash`;
 executor and scheme objects do not.  The journal carries enough scheme state
 (:func:`resume_scheme`) to continue the run after recovery.
+
+This journal is per-op and lives inside one wave index.  The journal of a
+whole staged change (split, merge, retune — :class:`~repro.core.staged.ChangeJournal`)
+is a different record, kept in :mod:`repro.core.staged` beside the pipeline
+that writes it; it embeds one of these per catch-up.
 """
 
 from __future__ import annotations
@@ -388,277 +393,6 @@ def recover_transition(
     journal.completed = len(journal.plan)
     journal.in_flight = None
     return report
-
-
-# ----------------------------------------------------------------------
-# Reshard journal (cluster topology changes)
-# ----------------------------------------------------------------------
-
-#: Reshard journal format marker, independent of the transition journal.
-RESHARD_JOURNAL_VERSION = 1
-
-
-class ReshardPhase:
-    """Lifecycle phases of a journaled topology change (split or merge).
-
-    ``PLANNED → COPYING → COPIED → CATCHUP → SWAPPED → DONE`` on success;
-    any phase may instead terminate in ``ABORTED``.  The swap record is
-    the commit point: a crash strictly before ``SWAPPED`` aborts (the old
-    topology is still routing, so dropping the partial children restores
-    the exact pre-reshard state); a crash at or after ``SWAPPED`` rolls
-    forward (the new topology is already routing, so recovery finishes
-    the parents' cleanup).
-    """
-
-    PLANNED = "planned"
-    COPYING = "copying"
-    COPIED = "copied"
-    CATCHUP = "catchup"
-    SWAPPED = "swapped"
-    DONE = "done"
-    ABORTED = "aborted"
-
-    ORDER = (PLANNED, COPYING, COPIED, CATCHUP, SWAPPED, DONE)
-
-
-@dataclass
-class ReshardJournal:
-    """Durable record of one topology change's progress.
-
-    Attributes:
-        kind: ``"split"`` or ``"merge"``.
-        day: The day the change executes (children catch up to this day).
-        source_shards: Shard ids being replaced (one for a split, two for
-            a merge).
-        partitioner_before: ``describe()`` of the routing table in force.
-        partitioner_after: ``describe()`` of the table to swap in.
-        split_key: The range split key, if any (``None`` for slot-hash).
-        phase: Current :class:`ReshardPhase` value.
-        target_devices: Array device indexes provisioned for the children.
-        copies_done: Completed constituent copies (progress within
-            ``COPYING``).
-        catchup: Per-child :class:`TransitionJournal` dicts once catch-up
-            starts, in child order.
-    """
-
-    kind: str
-    day: int
-    source_shards: list[int]
-    partitioner_before: dict
-    partitioner_after: dict
-    split_key: str | None = None
-    phase: str = ReshardPhase.PLANNED
-    target_devices: list[int] = field(default_factory=list)
-    copies_done: int = 0
-    catchup: list[dict] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("split", "merge"):
-            raise RecoveryError(f"unknown reshard kind {self.kind!r}")
-
-    def advance(self, phase: str) -> None:
-        """Move to ``phase``, enforcing forward-only progress.
-
-        ``ABORTED`` is reachable from any non-terminal phase; the ordered
-        phases must advance monotonically (a journal that moves backwards
-        indicates a bookkeeping bug, not a crash).
-        """
-        if self.phase in (ReshardPhase.DONE, ReshardPhase.ABORTED):
-            raise RecoveryError(
-                f"reshard journal already terminal ({self.phase})"
-            )
-        if phase == ReshardPhase.ABORTED:
-            self.phase = phase
-            return
-        order = ReshardPhase.ORDER
-        if phase not in order or order.index(phase) <= order.index(self.phase):
-            raise RecoveryError(
-                f"cannot advance reshard journal from {self.phase!r} "
-                f"to {phase!r}"
-            )
-        self.phase = phase
-
-    @property
-    def committed(self) -> bool:
-        """Return whether the routing swap has been journaled.
-
-        ``True`` means recovery must roll the change *forward* (finish
-        cleanup under the new topology); ``False`` means recovery must
-        abort (discard partial children, keep the old topology serving).
-        """
-        return self.phase in (
-            ReshardPhase.SWAPPED,
-            ReshardPhase.DONE,
-        )
-
-    @property
-    def terminal(self) -> bool:
-        """Return whether the change has fully finished or aborted."""
-        return self.phase in (ReshardPhase.DONE, ReshardPhase.ABORTED)
-
-    def to_dict(self) -> dict:
-        """Serialise to a JSON-safe dict."""
-        return {
-            "version": RESHARD_JOURNAL_VERSION,
-            "kind": self.kind,
-            "day": self.day,
-            "source_shards": list(self.source_shards),
-            "partitioner_before": self.partitioner_before,
-            "partitioner_after": self.partitioner_after,
-            "split_key": self.split_key,
-            "phase": self.phase,
-            "target_devices": list(self.target_devices),
-            "copies_done": self.copies_done,
-            "catchup": [dict(j) for j in self.catchup],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ReshardJournal":
-        """Reconstruct a journal serialized by :meth:`to_dict`."""
-        if payload.get("version") != RESHARD_JOURNAL_VERSION:
-            raise RecoveryError(
-                f"unsupported reshard journal version {payload.get('version')!r}"
-            )
-        return cls(
-            kind=payload["kind"],
-            day=payload["day"],
-            source_shards=list(payload["source_shards"]),
-            partitioner_before=payload["partitioner_before"],
-            partitioner_after=payload["partitioner_after"],
-            split_key=payload.get("split_key"),
-            phase=payload["phase"],
-            target_devices=list(payload.get("target_devices", [])),
-            copies_done=payload.get("copies_done", 0),
-            catchup=[dict(j) for j in payload.get("catchup", [])],
-        )
-
-    def to_json(self) -> str:
-        """Serialise to a JSON string."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReshardJournal":
-        """Parse a journal produced by :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
-
-
-# ----------------------------------------------------------------------
-# Retune journal (online scheme changes on one replica)
-# ----------------------------------------------------------------------
-
-#: Retune journal format marker, independent of the other journals.
-RETUNE_JOURNAL_VERSION = 1
-
-
-@dataclass
-class RetuneJournal:
-    """Durable record of one replica's online scheme change.
-
-    A retune rebuilds one replica's wave index under a new
-    (scheme, n, technique) design on a spare device, catches it up to the
-    decision day, and swaps it in — the advisor-side analogue of a
-    reshard, with the same commit-point semantics.  Phases reuse
-    :class:`ReshardPhase`: a crash strictly before ``SWAPPED`` aborts
-    (the old design is still serving, so the partial build is dropped);
-    a crash at or after ``SWAPPED`` rolls forward (the new design is
-    serving, so recovery finishes draining the old device).
-
-    Attributes:
-        shard_id: The shard whose replica is being retuned.
-        replica_id: The replica receiving the new design.
-        day: The day the retune executes (new design catches up to it).
-        scheme_before: ``describe()``-style label of the outgoing design.
-        scheme_after: Label of the incoming design, e.g. ``"reindex+/3"``.
-        technique_after: Update technique name for the incoming design.
-        target_device: Array device index provisioned for the rebuild.
-        builds_done: Completed constituent builds (progress within
-            ``COPYING``).
-        catchup: :class:`TransitionJournal` dicts once catch-up starts.
-        phase: Current :class:`ReshardPhase` value.
-    """
-
-    shard_id: int
-    replica_id: int
-    day: int
-    scheme_before: str
-    scheme_after: str
-    technique_after: str
-    target_device: int | None = None
-    builds_done: int = 0
-    catchup: list[dict] = field(default_factory=list)
-    phase: str = ReshardPhase.PLANNED
-
-    def advance(self, phase: str) -> None:
-        """Move to ``phase``, enforcing forward-only progress."""
-        if self.phase in (ReshardPhase.DONE, ReshardPhase.ABORTED):
-            raise RecoveryError(
-                f"retune journal already terminal ({self.phase})"
-            )
-        if phase == ReshardPhase.ABORTED:
-            self.phase = phase
-            return
-        order = ReshardPhase.ORDER
-        if phase not in order or order.index(phase) <= order.index(self.phase):
-            raise RecoveryError(
-                f"cannot advance retune journal from {self.phase!r} "
-                f"to {phase!r}"
-            )
-        self.phase = phase
-
-    @property
-    def committed(self) -> bool:
-        """Return whether the design swap has been journaled."""
-        return self.phase in (ReshardPhase.SWAPPED, ReshardPhase.DONE)
-
-    @property
-    def terminal(self) -> bool:
-        """Return whether the retune has fully finished or aborted."""
-        return self.phase in (ReshardPhase.DONE, ReshardPhase.ABORTED)
-
-    def to_dict(self) -> dict:
-        """Serialise to a JSON-safe dict."""
-        return {
-            "version": RETUNE_JOURNAL_VERSION,
-            "shard_id": self.shard_id,
-            "replica_id": self.replica_id,
-            "day": self.day,
-            "scheme_before": self.scheme_before,
-            "scheme_after": self.scheme_after,
-            "technique_after": self.technique_after,
-            "target_device": self.target_device,
-            "builds_done": self.builds_done,
-            "catchup": [dict(j) for j in self.catchup],
-            "phase": self.phase,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RetuneJournal":
-        """Reconstruct a journal serialized by :meth:`to_dict`."""
-        if payload.get("version") != RETUNE_JOURNAL_VERSION:
-            raise RecoveryError(
-                f"unsupported retune journal version {payload.get('version')!r}"
-            )
-        return cls(
-            shard_id=payload["shard_id"],
-            replica_id=payload["replica_id"],
-            day=payload["day"],
-            scheme_before=payload["scheme_before"],
-            scheme_after=payload["scheme_after"],
-            technique_after=payload["technique_after"],
-            target_device=payload.get("target_device"),
-            builds_done=payload.get("builds_done", 0),
-            catchup=[dict(j) for j in payload.get("catchup", [])],
-            phase=payload["phase"],
-        )
-
-    def to_json(self) -> str:
-        """Serialise to a JSON string."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RetuneJournal":
-        """Parse a journal produced by :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
 
 
 def resume_scheme(journal: TransitionJournal) -> WaveScheme:

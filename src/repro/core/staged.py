@@ -1,0 +1,577 @@
+"""Staged changes: one copy → catch-up → swap pipeline and its journal.
+
+Section 3 of the paper has one idea for changing an index that is being
+queried: build the replacement beside the live one, catch it up, swap,
+then free the old.  The cluster applies it at two journaled scales — a
+shard (split / merge, :mod:`repro.cluster.elastic`) and a design
+(retune, :mod:`repro.advisor.engine`) — and this module is the one place
+that knows how:
+
+* :class:`StagedChangeRunner` executes every journaled change through the
+  same phases, ``plan → provision → build → catch-up → swap → cleanup``,
+  firing :attr:`~StagedChangeRunner.on_step` with a :class:`Step` at every
+  boundary.  A *kind* says only what differs: what to validate, how many
+  devices it needs, which constituents to build, what the swap installs
+  and what cleanup frees.
+* The **policy**: the swap record is the commit point.  A fault strictly
+  before it *aborts* — partial work is dropped, the target devices swept,
+  and the old thing keeps serving untouched; a fault at or after it rolls
+  *forward* once through the idempotent cleanup.  Either way the change's
+  crash points die with it: every device it touched is disarmed on exit.
+* The **format**: :class:`ChangeJournal` records ``kind``, ``day``, a
+  kind-specific ``subject`` and the progress through :class:`ChangePhase`.
+  The per-op :class:`~repro.core.recovery.TransitionJournal` of each
+  catch-up is embedded in it, not merged with it: that one journals ops
+  inside a single wave index and is what ``recover_transition`` replays.
+
+Replica rebuild (:func:`repro.cluster.selfheal.rebuild_replica`) has no
+commit point and resumes a crash in place instead of aborting, so it is
+not a journaled kind; it shares the leaves below (:func:`provision_spares`,
+:func:`retry_transients`, :func:`abort_reason`, :func:`discard_partial`,
+:func:`disarm_crash`, :class:`ChangeAborted`).
+"""
+
+from __future__ import annotations
+
+import json
+from contextlib import suppress
+from dataclasses import dataclass, field
+from typing import Any, Callable
+
+from ..errors import (
+    ClusterError,
+    DeviceFailure,
+    FaultError,
+    OutOfSpaceError,
+    RecoveryError,
+    SimulatedCrash,
+    TransientIOError,
+)
+from ..index.updates import UpdateTechnique
+from ..storage.disk import SimulatedDisk
+from ..storage.faults import RetryPolicy
+from .records import RecordStore
+from .recovery import JournaledExecutor, sweep_orphan_extents
+from .schemes.base import WaveScheme
+from .wave import WaveIndex
+
+#: Everything a staged change absorbs into an abort / roll-forward.
+#: ``OutOfSpaceError`` is a :class:`~repro.errors.StorageError` sibling of
+#: ``FaultError``, not a subclass — it must be listed explicitly.
+_STAGED_FAULTS = (FaultError, OutOfSpaceError, SimulatedCrash)
+
+#: Device-level faults swallowed by best-effort cleanup.
+_CLEANUP_FAULTS = (FaultError, OutOfSpaceError)
+
+#: The single fault → abort-reason table.
+_REASONS: tuple[tuple[type[BaseException], str], ...] = (
+    (SimulatedCrash, "crash"),
+    (OutOfSpaceError, "space"),
+    (DeviceFailure, "device-failure"),
+    (TransientIOError, "flaky"),
+)
+
+#: Change journal format marker, independent of the transition journal.
+CHANGE_JOURNAL_VERSION = 1
+
+#: ``subject`` keys every journal of a kind must carry.
+_SUBJECT_KEYS: dict[str, tuple[str, ...]] = {
+    "split": (
+        "source_shards", "partitioner_before", "partitioner_after", "split_key",
+    ),
+    "merge": ("source_shards", "partitioner_before", "partitioner_after"),
+    "retune": (
+        "shard_id", "replica_id", "scheme_before", "scheme_after",
+        "technique_after",
+    ),
+}
+
+
+class ChangeAborted(ClusterError):
+    """A staged change could not complete; what it replaces still serves.
+
+    ``kind`` names the pipeline (``"split"``, ``"merge"``, ``"retune"``,
+    ``"rebuild"``) and ``reason`` why it stopped — ``"crash"``,
+    ``"space"``, ``"device-failure"``, ``"flaky"`` from
+    :func:`abort_reason`, ``"no-spare"`` from provisioning, or a kind's
+    own refusal (``"dark-source"``, ``"no-split-key"``,
+    ``"replica-gone"``) — so day stats can say why.  The fault, if any,
+    is the exception's ``__cause__``.
+    """
+
+    def __init__(self, message: str, *, kind: str, reason: str) -> None:
+        super().__init__(message)
+        self.kind = kind
+        self.reason = reason
+
+
+class ChangePhase:
+    """Lifecycle phases of a journaled staged change.
+
+    ``PLANNED → COPYING → COPIED → CATCHUP → SWAPPED → DONE`` on success;
+    any phase may instead terminate in ``ABORTED``.  The swap record is
+    the commit point: a crash strictly before ``SWAPPED`` aborts (the old
+    topology / design is still serving, so dropping the partial build
+    restores the exact pre-change state); a crash at or after ``SWAPPED``
+    rolls forward (the replacement is already serving, so recovery
+    finishes freeing what it replaced).
+    """
+
+    PLANNED = "planned"
+    COPYING = "copying"
+    COPIED = "copied"
+    CATCHUP = "catchup"
+    SWAPPED = "swapped"
+    DONE = "done"
+    ABORTED = "aborted"
+
+    ORDER = (PLANNED, COPYING, COPIED, CATCHUP, SWAPPED, DONE)
+
+
+@dataclass
+class ChangeJournal:
+    """Durable record of one staged change's progress.
+
+    The journal is input from outside the process: construction *and*
+    :meth:`from_dict` reject an unknown ``kind``, an unknown ``phase``
+    and a ``subject`` missing one of its kind's required keys.
+
+    Attributes:
+        kind: ``"split"``, ``"merge"`` or ``"retune"``.
+        day: The day the change executes (the replacement catches up to
+            this day).
+        subject: What is being changed, by kind.  *split* / *merge*:
+            ``source_shards``, ``partitioner_before`` /
+            ``partitioner_after`` (``describe()`` of the routing tables)
+            and, for a split, ``split_key`` (``None`` for slot-hash).
+            *retune*: ``shard_id``, ``replica_id``, ``scheme_before`` /
+            ``scheme_after`` (design labels) and ``technique_after``.
+        phase: Current :class:`ChangePhase` value.
+        target_devices: Array device indexes provisioned for the build.
+        units_done: Completed build units (progress within ``COPYING``).
+        catchup: One :class:`~repro.core.recovery.TransitionJournal` dict
+            per finished catch-up, in unit order.
+    """
+
+    kind: str
+    day: int
+    subject: dict[str, Any]
+    phase: str = ChangePhase.PLANNED
+    target_devices: list[int] = field(default_factory=list)
+    units_done: int = 0
+    catchup: list[dict] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        required = _SUBJECT_KEYS.get(self.kind)
+        if required is None:
+            raise RecoveryError(f"unknown staged change kind {self.kind!r}")
+        missing = [key for key in required if key not in self.subject]
+        if missing:
+            raise RecoveryError(
+                f"{self.kind} journal subject lacks {', '.join(missing)}"
+            )
+        if self.phase not in (*ChangePhase.ORDER, ChangePhase.ABORTED):
+            raise RecoveryError(f"unknown change journal phase {self.phase!r}")
+
+    def advance(self, phase: str) -> None:
+        """Move to ``phase``, enforcing forward-only progress.
+
+        ``ABORTED`` is reachable from any non-terminal phase; the ordered
+        phases must advance monotonically (a journal that moves backwards
+        indicates a bookkeeping bug, not a crash).
+        """
+        if self.terminal:
+            raise RecoveryError(
+                f"{self.kind} journal already terminal ({self.phase})"
+            )
+        if phase == ChangePhase.ABORTED:
+            self.phase = phase
+            return
+        order = ChangePhase.ORDER
+        if phase not in order or order.index(phase) <= order.index(self.phase):
+            raise RecoveryError(
+                f"cannot advance {self.kind} journal from {self.phase!r} "
+                f"to {phase!r}"
+            )
+        self.phase = phase
+
+    @property
+    def committed(self) -> bool:
+        """Return whether the swap has been journaled.
+
+        ``True`` means recovery must roll the change *forward* (finish
+        cleanup under what was swapped in); ``False`` means recovery must
+        abort (discard the partial build, keep the old thing serving).
+        """
+        return self.phase in (ChangePhase.SWAPPED, ChangePhase.DONE)
+
+    @property
+    def terminal(self) -> bool:
+        """Return whether the change has fully finished or aborted."""
+        return self.phase in (ChangePhase.DONE, ChangePhase.ABORTED)
+
+    def to_dict(self) -> dict:
+        """Serialise to a JSON-safe dict."""
+        return {
+            "version": CHANGE_JOURNAL_VERSION,
+            "kind": self.kind,
+            "day": self.day,
+            "subject": dict(self.subject),
+            "phase": self.phase,
+            "target_devices": list(self.target_devices),
+            "units_done": self.units_done,
+            "catchup": [dict(j) for j in self.catchup],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ChangeJournal":
+        """Reconstruct (and validate) a journal serialized by :meth:`to_dict`."""
+        if payload.get("version") != CHANGE_JOURNAL_VERSION:
+            raise RecoveryError(
+                f"unsupported change journal version {payload.get('version')!r}"
+            )
+        try:
+            return cls(
+                kind=payload["kind"],
+                day=payload["day"],
+                subject=dict(payload["subject"]),
+                phase=payload["phase"],
+                target_devices=list(payload.get("target_devices", [])),
+                units_done=payload.get("units_done", 0),
+                catchup=[dict(j) for j in payload.get("catchup", [])],
+            )
+        except KeyError as exc:
+            raise RecoveryError(f"change journal lacks {exc}") from None
+
+    def to_json(self) -> str:
+        """Serialise to a JSON string."""
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "ChangeJournal":
+        """Parse a journal produced by :meth:`to_json`."""
+        return cls.from_dict(json.loads(text))
+
+
+# ----------------------------------------------------------------------
+# Leaves (shared with replica rebuild)
+# ----------------------------------------------------------------------
+
+
+def disarm_crash(*devices: SimulatedDisk) -> None:
+    """Disarm any crash points on the devices (the process 'restarted')."""
+    for device in devices:
+        injector = getattr(device, "injector", None)
+        if injector is not None:
+            injector.disarm()
+
+
+def discard_partial(wave: WaveIndex) -> None:
+    """Drop every binding of ``wave`` and sweep its device (idempotent)."""
+    for name in list(wave.bindings):
+        with suppress(*_CLEANUP_FAULTS):
+            wave.unbind(name).drop()
+    with suppress(*_CLEANUP_FAULTS):
+        sweep_orphan_extents(wave)
+
+
+def provision_spares(
+    spares, array, n: int
+) -> list[tuple[int, SimulatedDisk]] | None:
+    """Acquire ``n`` fresh devices and add them to ``array``.
+
+    All or nothing: ``None`` (and nothing provisioned) when the spare
+    pool's budget cannot cover ``n``; otherwise ``(device_index, device)``
+    pairs in acquisition order.
+    """
+    devices = spares.acquire(n)
+    if devices is None:
+        return None
+    return [(array.add_device(device), device) for device in devices]
+
+
+def abort_reason(exc: BaseException) -> str:
+    """Map an escaped fault to its abort reason; re-raise a non-fault."""
+    for fault, reason in _REASONS:
+        if isinstance(exc, fault):
+            return reason
+    raise exc  # not a fault: bookkeeping bug, propagate loudly
+
+
+def retry_transients(attempt: Callable[[], Any], scratch: WaveIndex, monitor):
+    """Run ``attempt()`` under the cluster retry policy; return its result.
+
+    A :class:`~repro.errors.TransientIOError` that escaped the device's
+    own retry loop is retried up to ``RetryPolicy.max_attempts`` tries,
+    with the backoff charged to the target's clock (``scratch.disk``),
+    the retry noted on ``monitor`` (``None`` = no self-healing: default
+    policy, nothing noted) and the failed attempt's partial extents swept
+    off the scratch wave.  The last transient propagates.
+    """
+    retry = monitor.retry if monitor is not None else RetryPolicy()
+    attempts = 0
+    while True:
+        try:
+            return attempt()
+        except TransientIOError:
+            attempts += 1
+            if attempts >= retry.max_attempts:
+                raise
+            scratch.disk.advance(retry.delay_before_retry(attempts))
+            if monitor is not None:
+                monitor.note_retry(attempts)
+            sweep_orphan_extents(scratch)
+
+
+# ----------------------------------------------------------------------
+# The runner
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Step:
+    """One boundary of the pipeline, exposed to the step hook.
+
+    Fault harnesses count steps on a fault-free dry run and then arm
+    exactly one fault (crash / device kill / space exhaustion) per
+    enumerated step; ``devices`` lists the devices the step is about to
+    touch, target first.
+    """
+
+    name: str
+    ordinal: int
+    devices: tuple[SimulatedDisk, ...] = ()
+
+
+@dataclass(frozen=True)
+class Scratch:
+    """One replica being built beside the live one.
+
+    ``wave`` starts empty on a freshly provisioned target (``wave.disk``);
+    the kind's builds fill it, then the runner catches it up by replaying
+    the day's plan of ``scheme`` — the planner the replica will run
+    under, shared by the replicas of one shard — against ``store``.
+    ``shard_id`` / ``replica_id`` name its steps (``s{shard}/r{replica}``).
+    """
+
+    shard_id: int
+    replica_id: int
+    wave: WaveIndex
+    store: RecordStore
+    technique: UpdateTechnique
+    scheme: WaveScheme
+
+
+@dataclass(frozen=True)
+class StagedOutcome:
+    """What the runner measured, handed to the kind's ``report``."""
+
+    #: The finished journal (``units_done`` = constituents built).
+    journal: ChangeJournal
+    #: Target device index → its clock when it was provisioned.
+    clock_before: dict[int, float]
+    #: Seconds the build charged to the source devices.
+    source_seconds: float
+    bytes_built: int
+    #: Seconds the catch-ups charged to the targets.
+    catchup_seconds: float
+    crash_recoveries: int
+
+
+class StagedChangeRunner:
+    """Runs journaled staged changes against one cluster's devices.
+
+    :meth:`run` executes one staged change at the start of a day —
+    before the day's plans are drawn — and either commits it (the
+    replacement caught up to the day and swapped in, what it replaced
+    freed and its devices drained) or raises :class:`ChangeAborted` with
+    the old state fully intact.
+
+    A change (a *kind*) says only what differs between kinds:
+
+    * ``kind`` (a :class:`ChangeJournal` kind), ``counters`` (its counter
+      prefix — ``.aborted``, ``.no_spare``, ``.crash_recoveries`` and
+      ``.devices_drained`` under it are the runner's) and ``str(change)``
+      for abort messages;
+    * ``validate()`` — resolve what is being changed or refuse with
+      :class:`ChangeAborted` (nothing was staged, so nothing is
+      journaled); afterwards ``subject()`` is the journal's subject,
+      ``source_devices`` what the build reads, ``n_targets`` how many
+      fresh devices it needs;
+    * ``stage(targets, day)`` — one :class:`Scratch` per provisioned
+      ``(device_index, device)``, in build order;
+    * ``builds(scratch)`` — ``(name, build)`` pairs: ``build()`` returns
+      the index the runner binds as ``name`` on the scratch wave;
+    * ``swap(day)`` — install the replacement (the commit); return the
+      replaced ``(wave, device_index)`` pairs for cleanup to free;
+    * ``report(outcome)`` — bump the kind's completion counters and
+      return its report from a :class:`StagedOutcome`.
+
+    ``on_step`` is the chaos hook: called with a :class:`Step` at every
+    pipeline boundary, it may raise :class:`~repro.errors.SimulatedCrash`
+    or arm device faults; the runner classifies whatever escapes and
+    resolves it per the journal's commit point.  ``journal_sink`` mirrors
+    the executor's journal sink (a stand-in for durable journal storage);
+    every journal is also kept on :attr:`journals`.
+
+    Args:
+        spares: The cluster's spare pool (``acquire(n)``).
+        array: The cluster's :class:`~repro.storage.array.DiskArray`.
+        obs: Metrics registry for the ``{kind.counters}.*`` counters.
+        monitor: The self-healing monitor (retry policy + retry notes),
+            or ``None`` when self-healing is off.
+    """
+
+    def __init__(self, *, spares, array, obs, monitor=None) -> None:
+        self.spares = spares
+        self.array = array
+        self.obs = obs
+        self.monitor = monitor
+        self.on_step: Callable[[Step], None] | None = None
+        self.journal_sink: Callable[[ChangeJournal], None] | None = None
+        self.journals: list[ChangeJournal] = []
+        self._ordinal = 0
+
+    def _record(self, journal: ChangeJournal) -> None:
+        if self.journal_sink is not None:
+            self.journal_sink(journal)
+
+    def _advance(self, journal: ChangeJournal, phase: str) -> None:
+        journal.advance(phase)
+        self._record(journal)
+
+    def _step(self, name: str, devices: tuple[SimulatedDisk, ...] = ()) -> None:
+        """Fire the step hook at one pipeline boundary."""
+        step = Step(name=name, ordinal=self._ordinal, devices=devices)
+        self._ordinal += 1
+        if self.on_step is not None:
+            self.on_step(step)
+
+    def _free(self, retired: list[tuple[WaveIndex, int]], counters: str) -> None:
+        """Drop the replaced waves and drain their devices (idempotent)."""
+        for wave, device_index in retired:
+            discard_partial(wave)
+            if not self.array.is_drained(device_index):
+                self.array.drain_device(device_index)
+                self.obs.counter(f"{counters}.devices_drained").inc()
+
+    def run(self, change, *, day: int) -> Any:
+        """Run ``change`` for ``day``; return its report or raise
+        :class:`ChangeAborted`."""
+        self._ordinal = 0
+        change.validate()
+        journal = ChangeJournal(change.kind, day, change.subject())
+        self.journals.append(journal)
+        self._record(journal)
+        counters = change.counters
+        sources = tuple(change.source_devices)
+        targets: list[tuple[int, SimulatedDisk]] = []
+        scratch: list[Scratch] = []
+        bytes_built = 0
+        try:
+            try:
+                self._step("plan", sources)
+                provisioned = provision_spares(
+                    self.spares, self.array, change.n_targets
+                )
+                if provisioned is None:
+                    self._advance(journal, ChangePhase.ABORTED)
+                    self.obs.counter(f"{counters}.no_spare").inc()
+                    raise ChangeAborted(
+                        f"spare budget exhausted: {change.kind} needs "
+                        f"{change.n_targets} device(s)",
+                        kind=change.kind,
+                        reason="no-spare",
+                    )
+                targets = provisioned
+                journal.target_devices = [i for i, _ in targets]
+                source_before = sum(d.clock for d in sources)
+                clock_before = {i: d.clock for i, d in targets}
+                scratch = change.stage(targets, day)
+
+                self._advance(journal, ChangePhase.COPYING)
+                for replica in scratch:
+                    label = f"s{replica.shard_id}/r{replica.replica_id}"
+                    for name, build in change.builds(replica):
+                        self._step(
+                            f"copy:{label}:{name}", (replica.wave.disk, *sources)
+                        )
+                        index = retry_transients(build, replica.wave, self.monitor)
+                        replica.wave.bind(name, index)
+                        bytes_built += index.allocated_bytes
+                        journal.units_done += 1
+                        self._record(journal)
+                self._advance(journal, ChangePhase.COPIED)
+
+                self._advance(journal, ChangePhase.CATCHUP)
+                catchup_before = {i: d.clock for i, d in targets}
+                scheme = None
+                for replica in scratch:
+                    if replica.scheme is not scheme:
+                        # Planning mutates the planner, and the replicas
+                        # of one shard share it: plan the day once each.
+                        scheme = replica.scheme
+                        plan = list(scheme.transition_ops(day))
+                        state = scheme.get_state()
+                    self._step(
+                        f"catchup:s{replica.shard_id}/r{replica.replica_id}",
+                        (replica.wave.disk,),
+                    )
+                    executor = JournaledExecutor(
+                        replica.wave, replica.store, replica.technique
+                    )
+                    executor.execute_journaled(plan, day=day, scheme_state=state)
+                    journal.catchup.append(executor.journal.to_dict())
+                    self._record(journal)
+                catchup_seconds = sum(
+                    d.clock - catchup_before[i] for i, d in targets
+                )
+                self._step("swap")
+            except _STAGED_FAULTS as exc:
+                # Strictly before the swap record: abort.  The sources
+                # were only ever *read*, so discarding the scratch waves
+                # restores the exact pre-change state.  Disarm first —
+                # the discard itself does I/O on the targets.
+                reason = abort_reason(exc)
+                disarm_crash(*sources, *(d for _, d in targets))
+                for replica in scratch:
+                    discard_partial(replica.wave)
+                self._advance(journal, ChangePhase.ABORTED)
+                self.obs.counter(f"{counters}.aborted").inc()
+                raise ChangeAborted(
+                    f"{change} aborted: {exc}",
+                    kind=change.kind,
+                    reason=reason,
+                ) from exc
+
+            self._advance(journal, ChangePhase.SWAPPED)
+            retired = change.swap(day)
+            crash_recoveries = 0
+            try:
+                self._step("cleanup", sources)
+                self._free(retired, counters)
+            except _STAGED_FAULTS:
+                # At or after the swap record every fault rolls
+                # *forward*: the dead process's crash points are gone and
+                # the idempotent cleanup runs again, once.
+                disarm_crash(*sources)
+                crash_recoveries = 1
+                self.obs.counter(f"{counters}.crash_recoveries").inc()
+                self._free(retired, counters)
+            self._advance(journal, ChangePhase.DONE)
+            return change.report(
+                StagedOutcome(
+                    journal=journal,
+                    clock_before=clock_before,
+                    source_seconds=sum(d.clock for d in sources) - source_before,
+                    bytes_built=bytes_built,
+                    catchup_seconds=catchup_seconds,
+                    crash_recoveries=crash_recoveries,
+                )
+            )
+        finally:
+            # The change's process exits here, whichever way: a crash
+            # point armed against it that never fired dies with it
+            # instead of ambushing a later, ordinary maintenance pass.
+            disarm_crash(*sources, *(d for _, d in targets))
+

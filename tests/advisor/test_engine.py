@@ -136,11 +136,9 @@ class TestBudget:
 
 class TestJournal:
     def test_committed_retunes_leave_done_journals(self):
-        journals = []
-        from repro.advisor.engine import AdvisorEngine
-
+        snapshots = []
         scheme_cls = scheme_by_name("DEL")
-        sim2 = ClusterSimulation(
+        sim = ClusterSimulation(
             lambda: scheme_cls(WINDOW, WINDOW),
             make_int_store(LAST, domain=16, seed=3),
             queries=_probe_heavy(),
@@ -151,14 +149,15 @@ class TestJournal:
                 advisor=_advisor(),
             ),
         )
-        sim2.advisor = AdvisorEngine(
-            sim2, journal_sink=lambda j: journals.append(j.to_dict())
-        )
-        sim2.run(LAST)
-        assert sum(d.retunes for d in sim2.result.days) == 1
-        assert journals
-        assert journals[-1]["phase"] == "done"
-        phases = [j["phase"] for j in journals]
+        sim.advisor.journal_sink = lambda j: snapshots.append(j.to_dict())
+        sim.run(LAST)
+        assert sum(d.retunes for d in sim.result.days) == 1
+        (journal,) = sim.advisor.journals
+        assert journal.kind == "retune"
+        assert journal.phase == "done"
+        assert journal.subject["scheme_before"].startswith("DEL/6")
+        assert snapshots[-1] == journal.to_dict()
+        phases = [j["phase"] for j in snapshots]
         for required in ("planned", "copying", "copied", "catchup",
                          "swapped", "done"):
             assert required in phases

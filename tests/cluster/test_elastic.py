@@ -1,9 +1,10 @@
-"""Elastic resharding: engine, autoscaler, and crash semantics.
+"""Elastic resharding: the split/merge kinds, the autoscaler, refusals.
 
-The split/merge pipeline's contract — atomic swap, clean abort with the
-old topology intact, roll-forward after the commit point — is pinned
-here at unit scale; the exhaustive per-step fault matrix lives in
-:mod:`repro.bench.topology_chaos`.
+What a split and a merge install is pinned here.  The pipeline's fault
+contract — clean abort with the old topology intact before the swap,
+roll-forward after it — is the shared runner's and is pinned for every
+kind in ``tests/cluster/test_staged_matrix.py``; the exhaustive seeded
+matrix lives in :mod:`repro.bench.topology_chaos`.
 """
 
 import random
@@ -15,12 +16,13 @@ from repro.cluster import (
     ClusterConfig,
     ClusterSimulation,
     ElasticConfig,
-    ReshardAborted,
     ScaleAction,
+    reshard_change,
 )
 from repro.core.records import Record, RecordStore
 from repro.core.schemes import scheme_by_name
-from repro.errors import ClusterError, SimulatedCrash
+from repro.core.staged import ChangeAborted
+from repro.errors import ClusterError
 from repro.sim.querygen import QueryWorkload, uniform_key_picker
 from repro.storage.faults import FaultInjector, FaultyDisk
 
@@ -137,7 +139,9 @@ class TestSplitUnderTraffic:
         assert journal.phase == "done"
         # The journal records the chosen key (stringified for the JSON
         # mirror); it separates the two children exactly.
-        key = int(journal.split_key)
+        assert journal.kind == "split"
+        assert journal.subject["source_shards"] == [1]
+        key = int(journal.subject["split_key"])
         assert part.shard_for(key - 1) == 1
         assert part.shard_for(key) == 2
 
@@ -168,62 +172,6 @@ class TestMergeUnderTraffic:
         assert sim.obs.counters()["cluster.elastic.merges"] == 1
 
 
-class TestCrashSemantics:
-    def _crash_at(self, match, last_day: int):
-        store = int_store(last_day)
-        sim = make_sim(
-            store, elastic=ElasticConfig(autoscale=False), faulty=True
-        )
-        run_to(sim, WINDOW + 1)
-        sim.request_split(1)
-
-        def hook(step):
-            if match(step):
-                raise SimulatedCrash(f"test crash at {step.name}")
-
-        sim.elastic.on_step = hook
-        sim.run_transition(WINDOW + 2)
-        sim.elastic.on_step = None
-        return sim
-
-    def test_crash_before_swap_aborts_with_old_topology_serving(self):
-        # The first copy step is strictly before the commit point.
-        sim = self._crash_at(
-            lambda s: s.name.startswith("copy:"), WINDOW + 3
-        )
-        stats = sim.result.days[-1]
-        assert stats.reshards == 0
-        assert stats.reshards_aborted == 1
-        assert stats.n_shards == 3
-        assert stats.topology_version == 0
-        assert stats.queries_degraded == 0
-        assert not stats.shards_unavailable
-        journal = sim.elastic.journals[-1]
-        assert journal.phase == "aborted"
-        # No orphan extents leak onto the provisioned target devices.
-        for index in journal.target_devices:
-            assert sim.array.devices[index].live_bytes == 0
-        # The action stays queued and lands on the retry.
-        assert sim.pending_action is not None
-        sim.run_transition(WINDOW + 3)
-        assert sim.result.days[-1].reshards == 1
-        assert sim.result.days[-1].n_shards == 4
-        assert sim.pending_action is None
-
-    def test_crash_at_cleanup_rolls_forward_same_day(self):
-        # The cleanup step runs after the SWAPPED commit point: the new
-        # topology is already routing, so the crash must not undo it.
-        sim = self._crash_at(lambda s: s.name == "cleanup", WINDOW + 2)
-        stats = sim.result.days[-1]
-        assert stats.reshards == 1
-        assert stats.n_shards == 4
-        assert stats.queries_degraded == 0
-        journal = sim.elastic.journals[-1]
-        assert journal.phase == "done"
-        counters = sim.obs.counters()
-        assert counters["cluster.elastic.crash_recoveries"] == 1
-
-
 class TestAbortReasons:
     def test_no_spare_budget_aborts_and_retries(self):
         store = int_store(WINDOW + 2)
@@ -249,11 +197,13 @@ class TestAbortReasons:
         run_to(sim, WINDOW + 1)
         for replica in sim.shards[1].replicas:
             replica.failed = True
-        with pytest.raises(ReshardAborted) as excinfo:
-            sim.elastic.execute(
-                ScaleAction(kind="split", shard_id=1), day=WINDOW + 2
-            )
+        action = ScaleAction(kind="split", shard_id=1)
+        with pytest.raises(ChangeAborted) as excinfo:
+            sim.elastic.run(reshard_change(sim, action), day=WINDOW + 2)
+        assert excinfo.value.kind == "split"
         assert excinfo.value.reason == "dark-source"
+        # A refused change staged nothing, so it journals nothing.
+        assert not sim.elastic.journals
 
     def test_abort_reason_surfaces_in_day_stats(self):
         # The day-stats `reshard_deferred` field carries the abort

@@ -223,63 +223,3 @@ class TestRecoveryEdges:
         final = TransitionJournal.from_json(snapshots[-1])
         assert final.finished
         assert final.in_flight is None
-
-
-class TestRetuneJournal:
-    def _journal(self):
-        from repro.core.recovery import ReshardPhase, RetuneJournal
-
-        return RetuneJournal(
-            shard_id=0,
-            replica_id=1,
-            day=9,
-            scheme_before="DEL/6/simple_shadow",
-            scheme_after="REINDEX+/3/simple_shadow",
-            technique_after="simple_shadow",
-        ), ReshardPhase
-
-    def test_roundtrips_through_json(self):
-        journal, phase = self._journal()
-        journal.advance(phase.COPYING)
-        journal.builds_done = 2
-        journal.target_device = 4
-        from repro.core.recovery import RetuneJournal
-
-        restored = RetuneJournal.from_json(journal.to_json())
-        assert restored.to_dict() == journal.to_dict()
-
-    def test_swap_is_the_commit_point(self):
-        journal, phase = self._journal()
-        for step in (phase.COPYING, phase.COPIED, phase.CATCHUP):
-            journal.advance(step)
-            assert not journal.committed
-        journal.advance(phase.SWAPPED)
-        assert journal.committed
-        assert not journal.terminal
-        journal.advance(phase.DONE)
-        assert journal.committed
-        assert journal.terminal
-
-    def test_phases_are_forward_only(self):
-        journal, phase = self._journal()
-        journal.advance(phase.CATCHUP)
-        with pytest.raises(RecoveryError):
-            journal.advance(phase.COPYING)
-
-    def test_abort_is_reachable_from_anywhere_but_terminal(self):
-        journal, phase = self._journal()
-        journal.advance(phase.CATCHUP)
-        journal.advance(phase.ABORTED)
-        assert journal.terminal
-        assert not journal.committed
-        with pytest.raises(RecoveryError):
-            journal.advance(phase.DONE)
-
-    def test_unknown_version_is_rejected(self):
-        journal, _ = self._journal()
-        payload = journal.to_dict()
-        payload["version"] = 999
-        from repro.core.recovery import RetuneJournal
-
-        with pytest.raises(RecoveryError):
-            RetuneJournal.from_dict(payload)
