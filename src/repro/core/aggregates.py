@@ -108,8 +108,7 @@ def group_totals(
     for index in wave.live_constituents():
         if not any(t1 <= d <= t2 for d in index.time_set):
             continue
-        _, cost = index.scan()
-        seconds += cost
+        seconds += index.charge_scan()
         for bucket in index.buckets():
             for entry in bucket.entries:
                 if t1 <= entry.day <= t2:

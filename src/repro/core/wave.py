@@ -476,15 +476,20 @@ class WaveIndex:
         """Batched ``TimedSegmentScan``: serve many range scans in one pass.
 
         Each request is a ``(t1, t2)`` pair.  Every constituent relevant to
-        at least one request is transferred exactly *once*; each request
-        filters the shared sweep down to its own range.  The scan's seconds
-        are split evenly across the requests it served.
+        at least one request is charged one full transfer
+        (:meth:`ConstituentIndex.charge_scan`), exactly *once* per batch
+        and before anything is read; each request then filters the
+        constituent's :meth:`~ConstituentIndex.sweep` — its entries in
+        scan order with their day column, which the constituent keeps
+        until its next mutation — down to its own range.  The scan's
+        seconds are split evenly across the requests it served.
 
         Duplicate ``(t1, t2)`` requests receive the same immutable
         :class:`ScanResult`, charged ``cost / N`` per copy over the ``N``
-        requests a constituent served; its sweep is filtered once per
-        unique range through a
-        :class:`~repro.index.kernels.RangeFilterCache`.
+        requests a constituent served; the sweep is filtered once per
+        unique range through a per-batch
+        :class:`~repro.index.kernels.RangeFilterCache`.  Nothing filtered
+        outlives the call.
         """
         specs = list(requests)
         for t1, t2 in specs:
@@ -530,7 +535,7 @@ class WaveIndex:
                     missing[j].update(days)
                 continue
             try:
-                found, cost = index.scan()
+                cost = index.charge_scan()
             except FaultError:
                 self.offline.add(name)
                 if not degraded:
@@ -541,13 +546,13 @@ class WaveIndex:
             constituents_touched += 1
             duplicate_hits += total_requests - 1
             share = cost / total_requests
-            sweep = kernels.RangeFilterCache(found)
+            cache = kernels.RangeFilterCache.for_sweep(index.sweep())
             for j, days in relevant:
                 scanned[j] += 1
                 covered[j].update(days)
                 seconds[j] += share
                 t1, t2 = uspecs[j]
-                entries[j].extend(sweep.filter(t1, t2))
+                entries[j].extend(cache.filter(t1, t2))
         unique_results = [
             ScanResult(
                 tuple(entries[j]),

@@ -62,11 +62,15 @@ class ConstituentIndex:
         self._shared_extent: Extent | None = None
         self._shared_live_buckets = 0
         self._dropped = False
-        # Posting runs this index was built from (see build_index_from_store):
-        # held only while the index is exactly their merge, i.e. until its
-        # first mutation or its drop, so runs never outlive the packed
-        # indexes that could hand them to the next build.
+        # Derived state, valid only for the contents it was made from; both
+        # are dropped by _invalidate_derived on entry to every mutating op.
+        # _runs: the posting runs this index was built from (see
+        # build_index_from_store), held only while the index is exactly
+        # their merge, so runs never outlive the packed indexes that could
+        # hand them to the next build.  _sweep: the scan sweep (see sweep()),
+        # built by the first scan after a mutation.
         self._runs: tuple = ()
+        self._sweep: kernels.Sweep | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -87,6 +91,7 @@ class ConstituentIndex:
         runs: tuple = (),
     ) -> None:
         """Internal: install a packed layout (used by the builder)."""
+        self._invalidate_derived()
         self._runs = runs
         self._shared_extent = extent
         self.packed = True
@@ -104,6 +109,17 @@ class ConstituentIndex:
     def _check_not_dropped(self) -> None:
         if self._dropped:
             raise ConstituentIndexError(f"index {self.name} was dropped")
+
+    def _invalidate_derived(self) -> None:
+        """Drop everything derived from the current contents.
+
+        Called on *entry* to each op that changes buckets, entries or
+        extents (``_adopt_packed``, ``insert_postings``, ``delete_days``,
+        ``drop``), so an op that dies half-way on a fault leaves nothing
+        stale behind.  Derived state is dropped whole, never patched.
+        """
+        self._runs = ()
+        self._sweep = None
 
     @property
     def dropped(self) -> bool:
@@ -188,7 +204,7 @@ class ConstituentIndex:
         longer packed.
         """
         self._check_not_dropped()
-        self._runs = ()
+        self._invalidate_derived()
         start = self.disk.clock
         # Bucket updates hop randomly across the index; with a buffer-pool
         # model only the missing fraction of those hops pays a seek.  The
@@ -289,7 +305,7 @@ class ConstituentIndex:
         buckets shrink per the CONTIGUOUS policy.
         """
         self._check_not_dropped()
-        self._runs = ()
+        self._invalidate_derived()
         day_set = set(days)
         if not day_set:
             return 0.0
@@ -446,16 +462,50 @@ class ConstituentIndex:
         seconds = self._read_bucket(bucket, seeks=1.0)
         return kernels.filter_bucket(bucket, t1, t2), seconds
 
-    def scan(self) -> tuple[list[Entry], float]:
-        """Full segment scan: return ``(entries, seconds)``.
+    def sweep(self) -> kernels.Sweep:
+        """Return this index's scan sweep, building it if none is cached.
+
+        The sweep (live entries in scan order, their day column, the
+        bytes a scan transfers) is derived state: the first call after a
+        mutation builds it from the buckets' entry lists — touching no
+        bucket's own day column — and publishes it with one assignment;
+        later calls return the same immutable object until the next
+        mutating op drops it.  Reading it charges nothing: a query pays
+        through :meth:`charge_scan` first.
+        """
+        self._check_not_dropped()
+        sweep = self._sweep
+        if sweep is None:
+            flat: list[Entry] = []
+            for bucket in self.directory.values():
+                flat.extend(bucket.entries)
+            sweep = kernels.Sweep.of(flat, self.allocated_bytes)
+            self._sweep = sweep
+        return sweep
+
+    def charge_scan(self) -> float:
+        """Charge one full transfer of the index; return the seconds.
 
         One seek plus the index's *allocated* bytes — a packed index
         transfers exactly its live bytes; an unpacked one also drags its
-        CONTIGUOUS slack and dead slices (``S'`` vs ``S``).
+        CONTIGUOUS slack and dead slices (``S'`` vs ``S``).  Every scan
+        form pays this on every call, before it looks at an entry, so a
+        failed device raises here whatever is cached in memory.
         """
         self._check_not_dropped()
-        seconds = self.disk.stream_read(self.allocated_bytes)
-        return list(self.all_entries()), seconds
+        sweep = self._sweep
+        return self.disk.stream_read(
+            self.allocated_bytes if sweep is None else sweep.nbytes
+        )
+
+    def scan(self) -> tuple[list[Entry], float]:
+        """Full segment scan: return ``(entries, seconds)``.
+
+        Costs :meth:`charge_scan`; the entries are a fresh list copied
+        from the :meth:`sweep`, in directory/bucket order.
+        """
+        seconds = self.charge_scan()
+        return list(self.sweep().entries), seconds
 
     def timed_scan(self, t1: int, t2: int) -> tuple[list[Entry], float]:
         """Segment scan restricted to insert days in ``[t1, t2]``.
@@ -463,10 +513,10 @@ class ConstituentIndex:
         The cost is the full scan; the in-memory filter runs per bucket
         on the cached day columns (bucket order times entry order equals
         scan order, so the result is element-identical to filtering the
-        flat scan).
+        flat scan).  This single-request form never reads the sweep: it
+        is the statement of what a batched answer must equal.
         """
-        self._check_not_dropped()
-        seconds = self.disk.stream_read(self.allocated_bytes)
+        seconds = self.charge_scan()
         found: list[Entry] = []
         for bucket in self.buckets():
             found.extend(kernels.filter_bucket(bucket, t1, t2))
@@ -483,6 +533,7 @@ class ConstituentIndex:
         DBMS drops an index in milliseconds regardless of size.
         """
         self._check_not_dropped()
+        self._invalidate_derived()
         for bucket in self.directory.values():
             if not bucket.shared and bucket.extent is not None:
                 self.disk.free(bucket.extent)
@@ -493,7 +544,6 @@ class ConstituentIndex:
         self.directory = self.config.directory_factory()
         self.time_set = set()
         self._shared_live_buckets = 0
-        self._runs = ()
         self._dropped = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -11,11 +11,17 @@ buffers:
 * each bucket's insert days are mirrored into a compact ``array('q')``
   **day column**, built lazily and maintained incrementally on append
   (:func:`bucket_day_column`);
+* a whole constituent's scan-order entries and their day column are
+  one immutable :class:`Sweep`, built once per mutation by
+  :meth:`~repro.index.constituent.ConstituentIndex.sweep` (which owns
+  its lifetime) from the flat entry list — never from the bucket
+  columns, so a scan leaves no state on the buckets;
 * day-range filters run on the column instead of the entry objects —
   two ``bisect`` calls and a slice when the column is non-decreasing
   (the common case: entries arrive in day order); when it is not,
   bounds checks (whole bucket in / out of range), then a NumPy mask,
-  and only as a last resort the object-level comprehension;
+  and only as a last resort the object-level comprehension (a sweep
+  brings its min / max day along, so its bounds checks scan nothing);
 * the filtered result is a *list slice* or an indexed gather of the
   original ``Entry`` objects, so answers equal the plain comprehension
   element for element.
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 try:  # pragma: no cover - exercised implicitly by both CI matrices
@@ -96,13 +103,15 @@ def filter_entries(
     t2: int,
     column: array | None = None,
     sorted_column: bool = False,
+    bounds: tuple[int, int] | None = None,
 ) -> list["Entry"]:
     """Return entries with insert day in ``[t1, t2]``, in input order.
 
     Identical output to :func:`filter_entries_object`; the work happens
     on the day column: a sorted column reduces the filter to two bisects
     and one list slice; for an unsorted one a bounds check retires the
-    all-in/all-out cases and a NumPy mask gathers the rest.
+    all-in/all-out cases and a NumPy mask gathers the rest.  ``bounds``
+    is the column's ``(min, max)`` when the caller already knows it.
     """
     if not entries:
         return []
@@ -117,8 +126,7 @@ def filter_entries(
         if lo == 0 and hi == len(entries):
             return list(entries)
         return list(entries[lo:hi])
-    lo_day = min(column)
-    hi_day = max(column)
+    lo_day, hi_day = bounds or (min(column), max(column))
     if lo_day >= t1 and hi_day <= t2:
         return list(entries)
     if hi_day < t1 or lo_day > t2:
@@ -161,35 +169,85 @@ def bucket_touches_days(bucket: "Bucket", days: frozenset | set) -> bool:
 
 
 # ----------------------------------------------------------------------
+# Constituent sweeps (what a scan filters)
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Sweep:
+    """One constituent's live entries in scan order, ready to filter.
+
+    Everything a ``TimedSegmentScan`` needs that only a mutation can
+    change: the flat entry list (constituent x directory x append
+    order), its day column with the facts :func:`filter_entries` wants
+    about it, and the bytes a scan of the constituent transfers.  A
+    sweep is never modified after it is built; the constituent that
+    owns it drops it whole on its next mutation.
+
+    Attributes:
+        entries: Every live entry, in scan order.
+        days: ``entries``' insert days, position for position.
+        sorted: ``True`` if ``days`` is non-decreasing.
+        lo: Smallest insert day (``0`` for an empty sweep, which no
+            filter consults).
+        hi: Largest insert day (likewise).
+        nbytes: The constituent's ``allocated_bytes`` when built.
+    """
+
+    entries: tuple["Entry", ...]
+    days: array
+    sorted: bool
+    lo: int
+    hi: int
+    nbytes: int
+
+    @classmethod
+    def of(cls, entries: Sequence["Entry"], nbytes: int) -> "Sweep":
+        """Build the sweep of ``entries`` (one pass for the column)."""
+        days = day_column(entries)
+        if not days:
+            return cls((), days, True, 0, 0, nbytes)
+        if _np is not None:
+            view = _np.frombuffer(days, dtype=_np.int64)
+            is_sorted = bool((view[:-1] <= view[1:]).all())
+            lo, hi = int(view.min()), int(view.max())
+        else:
+            is_sorted = is_nondecreasing(days)
+            lo, hi = min(days), max(days)
+        return cls(tuple(entries), days, is_sorted, lo, hi, nbytes)
+
+
+# ----------------------------------------------------------------------
 # Batch request grouping (probe/scan result assembly)
 # ----------------------------------------------------------------------
 
 
 class RangeFilterCache:
-    """Memoizes day-range filters over one immutable entry list.
+    """Memoizes day-range filters over one immutable entry sequence.
 
     ``probe_many``/``scan_many`` serve batches where many requests share
     the same ``(t1, t2)`` range (a serving replay uses one sliding
     window for the whole stream): the cache filters once per *unique*
     range and hands every requester the same filtered list.
     Sharing is safe because the result is only ever consumed by
-    ``list.extend`` into per-request accumulators.
+    ``list.extend`` into per-request accumulators.  The memo lives for
+    one batch; what outlives the batch is the bucket's column or the
+    constituent's :class:`Sweep` it was made from.
     """
 
-    __slots__ = ("entries", "column", "sorted", "_cache")
+    __slots__ = ("entries", "column", "sorted", "bounds", "_cache")
 
     def __init__(
         self,
         entries: Sequence["Entry"],
-        column: array | None = None,
-        sorted_column: bool = False,
+        column: array,
+        sorted_column: bool,
+        bounds: tuple[int, int] | None = None,
     ) -> None:
         self.entries = entries
-        if column is None and len(entries) > 1:
-            column = day_column(entries)
-            sorted_column = is_nondecreasing(column)
         self.column = column
         self.sorted = sorted_column
+        self.bounds = bounds
         self._cache: dict[tuple[int, int], list["Entry"]] = {}
 
     @classmethod
@@ -198,13 +256,18 @@ class RangeFilterCache:
         column, is_sorted = bucket_day_column(bucket)
         return cls(bucket.entries, column, is_sorted)
 
+    @classmethod
+    def for_sweep(cls, sweep: Sweep) -> "RangeFilterCache":
+        """Return a cache over a constituent's sweep."""
+        return cls(sweep.entries, sweep.days, sweep.sorted, (sweep.lo, sweep.hi))
+
     def filter(self, t1: int, t2: int) -> list["Entry"]:
         """Return the memoized filtered entries for ``[t1, t2]``."""
         key = (t1, t2)
         got = self._cache.get(key)
         if got is None:
             got = filter_entries(
-                self.entries, t1, t2, self.column, self.sorted
+                self.entries, t1, t2, self.column, self.sorted, self.bounds
             )
             self._cache[key] = got
         return got

@@ -213,15 +213,21 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """Return (creating if needed) the counter called ``name``."""
-        if name in self._histograms:
-            raise ValueError(f"{name!r} is already a histogram")
-        return self._counters.setdefault(name, Counter(name))
+        found = self._counters.get(name)
+        if found is None:
+            if name in self._histograms:
+                raise ValueError(f"{name!r} is already a histogram")
+            found = self._counters[name] = Counter(name)
+        return found
 
     def histogram(self, name: str) -> Histogram:
         """Return (creating if needed) the histogram called ``name``."""
-        if name in self._counters:
-            raise ValueError(f"{name!r} is already a counter")
-        return self._histograms.setdefault(name, Histogram(name))
+        found = self._histograms.get(name)
+        if found is None:
+            if name in self._counters:
+                raise ValueError(f"{name!r} is already a counter")
+            found = self._histograms[name] = Histogram(name)
+        return found
 
     def counters(self) -> dict[str, float]:
         """Return counter values by name."""

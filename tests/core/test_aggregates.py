@@ -87,6 +87,16 @@ class TestGroupTotals:
         assert totals["sue"] == pytest.approx(sum(10.0 * d for d in range(3, 9)))
         assert seconds > 0
 
+    def test_charges_a_scan_and_materialises_none(self, sales_wave):
+        """Same seconds as scanning the relevant constituents; the report
+        walks the buckets itself, so no sweep is built for it to pin."""
+        wave, _ = sales_wave
+        clock = wave.disk.clock
+        _, seconds = aggregates.group_totals(wave, 3, 8)
+        assert seconds == pytest.approx(wave.disk.clock - clock)
+        assert seconds == wave.timed_segment_scan(3, 8).seconds
+        assert all(index._sweep is None for index in wave.live_constituents())
+
     def test_invalid_range(self, sales_wave):
         wave, _ = sales_wave
         with pytest.raises(WaveIndexError):

@@ -7,7 +7,10 @@ clocks and I/O statistics charge the same costs, page-cache counters
 agree, and the wave serialises to the same snapshot.  These tests build
 twin waves on twin disks, serve one with the code under test and the
 other with `tests.reference.batch` — per-request accumulators, per-entry
-filters, a per-page cache — and compare everything.
+filters, a per-page cache — and compare everything.  Each twin is served,
+turned one more day and served again: what a constituent caches between
+calls (bucket day columns, its scan sweep) must not survive the
+transition that outdates it.
 """
 
 import pytest
@@ -39,15 +42,25 @@ SCHEMES = (*ALL_SCHEMES, WataTable4Scheme)
 CACHE_BYTES, PAGE = 1024, 64
 
 
-def build_wave(disk, scheme_cls=DelScheme):
-    store = make_store(LAST, seed=13)
+def build(disk, scheme_cls=DelScheme):
+    """Return a wave at day ``LAST`` and what turns it to ``LAST + 1``.
+
+    The extra turn runs in place: a shadow update would hand the served
+    constituents' successors over without caches, and hide a stale one.
+    """
+    store = make_store(LAST + 1, seed=13)
     wave = WaveIndex(disk, IndexConfig(), N)
     executor = PlanExecutor(wave, store, UpdateTechnique.SIMPLE_SHADOW)
     scheme = scheme_cls(WINDOW, N)
     executor.execute(scheme.start_ops())
     for day in range(WINDOW + 1, LAST + 1):
         executor.execute(scheme.transition_ops(day))
-    return wave
+    in_place = PlanExecutor(wave, store, UpdateTechnique.IN_PLACE)
+    return wave, lambda: in_place.execute(scheme.transition_ops(LAST + 1))
+
+
+def build_wave(disk, scheme_cls=DelScheme):
+    return build(disk, scheme_cls)[0]
 
 
 PROBE_REQUESTS = [
@@ -63,9 +76,10 @@ PROBE_REQUESTS = [
 SCAN_REQUESTS = [(LO, HI), (HI, HI), (LO, HI), (LO, LO + 1), (HI, HI)]
 
 # Ranges reach below the window (WATA's soft windows still hold those
-# days) and past its end; "z" is in no record.
+# days) and past its end, before and after the extra turn; "z" is in no
+# record.
 ranges = st.tuples(
-    st.integers(1, LAST + 1), st.integers(1, LAST + 1)
+    st.integers(1, LAST + 2), st.integers(1, LAST + 2)
 ).map(lambda pair: (min(pair), max(pair)))
 probe_specs = st.tuples(st.sampled_from("abcdefghz"), ranges).map(
     lambda spec: (spec[0], *spec[1])
@@ -95,13 +109,16 @@ def serve(probe_many, scan_many, cache_cls, scheme_cls, offline, probes, scans):
     disk = SimulatedDisk(
         page_cache=cache_cls(CACHE_BYTES, PAGE) if cache_cls else None
     )
-    wave = build_wave(disk, scheme_cls)
+    wave, turn = build(disk, scheme_cls)
     if offline:
         wave.mark_offline(offline)
     degraded = bool(offline)
     probe = probe_many(wave, probes, degraded=degraded)
     scan = scan_many(wave, scans, degraded=degraded)
     warm = probe_many(wave, probes, degraded=degraded)
+    turn()
+    turned_probe = probe_many(wave, probes, degraded=degraded)
+    turned_scan = scan_many(wave, scans, degraded=degraded)
     cache = disk.page_cache
     return {
         "probe_results": probe.results,
@@ -110,6 +127,10 @@ def serve(probe_many, scan_many, cache_cls, scheme_cls, offline, probes, scans):
         "scan_summary": scan.summary,
         "warm_results": warm.results,
         "warm_summary": warm.summary,
+        "turned_probe_results": turned_probe.results,
+        "turned_probe_summary": turned_probe.summary,
+        "turned_scan_results": turned_scan.results,
+        "turned_scan_summary": turned_scan.summary,
         "clock": disk.clock,
         "io": disk.stats.snapshot(),
         "cache": cache and (cache.snapshot(), lru_order(cache)),

@@ -13,6 +13,7 @@ from repro.index.bucket import Bucket
 from repro.index.entry import Entry
 from repro.index.kernels import (
     RangeFilterCache,
+    Sweep,
     bucket_day_column,
     bucket_touches_days,
     day_column,
@@ -64,6 +65,24 @@ def test_filter_bucket_and_cache_match_reference(days, bounds):
     cache = RangeFilterCache.for_bucket(bucket)
     assert cache.filter(t1, t2) == expected
     assert cache.filter(t1, t2) == expected  # memoized second hit
+
+
+@given(day_lists, ranges)
+@settings(max_examples=300)
+def test_sweep_and_its_cache_match_reference(days, bounds):
+    t1, t2 = bounds
+    entries = entries_for(days)
+    sweep = Sweep.of(entries, nbytes=7)
+    assert sweep.entries == tuple(entries)
+    assert list(sweep.days) == days
+    assert sweep.sorted == (days == sorted(days))
+    assert (sweep.lo, sweep.hi) == ((min(days), max(days)) if days else (0, 0))
+    assert sweep.nbytes == 7
+    entries.clear()  # the sweep is its own copy
+    expected = filter_entries_object(sweep.entries, t1, t2)
+    cache = RangeFilterCache.for_sweep(sweep)
+    assert cache.filter(t1, t2) == expected
+    assert cache.filter(t1, t2) is cache.filter(t1, t2)
 
 
 @given(day_lists, st.sets(st.integers(min_value=-60, max_value=60)))

@@ -74,6 +74,23 @@ class TestRegistry:
         assert reg.counter("io.seeks") is reg.counter("io.seeks")
         assert reg.histogram("lat") is reg.histogram("lat")
 
+    def test_a_hit_constructs_nothing(self, monkeypatch):
+        """Hot paths look metrics up per request: a hit is a dict read."""
+        from repro.obs import registry
+
+        reg = MetricsRegistry()
+        counter, histogram = reg.counter("x"), reg.histogram("y")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("constructed a metric on a registry hit")
+
+        monkeypatch.setattr(registry, "Counter", refuse)
+        monkeypatch.setattr(registry, "Histogram", refuse)
+        assert reg.counter("x") is counter
+        assert reg.histogram("y") is histogram
+        with pytest.raises(AssertionError):
+            reg.counter("new")  # a miss does construct
+
     def test_cross_kind_name_collision_rejected(self):
         reg = MetricsRegistry()
         reg.counter("x")

@@ -10,6 +10,11 @@ public surface only, so a twin wave on a twin disk served by an oracle
 must end with the same answers, cost summary, clock, I/O counters and
 page-cache state as the wave under test.  They are stated for healthy
 devices: a constituent is offline only if marked so beforehand.
+
+``scan_many_object`` is also the one flatten-per-scan implementation
+left: it walks the buckets and sizes the transfer afresh on every call,
+and reads nothing a constituent caches between calls (no ``scan()``, no
+``sweep()``), so it can tell a stale sweep from a fresh one.
 """
 
 from repro.core import queries
@@ -133,7 +138,8 @@ def scan_many_object(wave, specs, degraded=False):
     missing = [set() for _ in range(n)]
     constituents_touched = duplicate_hits = 0
     for index, relevant in _needed(wave, specs, degraded, missing):
-        found, cost = index.scan()
+        cost = index.disk.stream_read(index.allocated_bytes)
+        found = [e for bucket in index.buckets() for e in bucket.entries]
         constituents_touched += 1
         duplicate_hits += len(relevant) - 1
         for i, days in relevant:
