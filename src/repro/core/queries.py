@@ -12,29 +12,51 @@ constituents (``missing_days``).  In a fault-free wave index every result is
 :attr:`complete`; under degraded-mode queries (``degraded=True`` with a
 constituent knocked out by a :class:`~repro.errors.DeviceFailure`) the
 caller uses these fields to tell a partial answer from a full one.
+
+``entries`` is a ``Sequence[Entry]`` that equals the tuple of the answer
+whatever carries it: the in-process read path hands out tuples, a wire
+client a :class:`~repro.index.codec.EntryBlock` that builds its tuple
+when an entry is first asked for and serves ``record_ids`` — what the
+paper's probe returns — from the block's id column without building it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
+from ..index.codec import EntryBlock
 from ..index.entry import Entry
+from ..index.kernels import Part
+
+
+def _record_ids(entries: Sequence[Entry]) -> tuple[int, ...]:
+    if isinstance(entries, EntryBlock):
+        return tuple(entries.record_ids)
+    return tuple(e.record_id for e in entries)
 
 
 @dataclass(frozen=True)
 class ProbeResult:
     """Outcome of a (timed) index probe."""
 
-    entries: tuple[Entry, ...]
+    entries: Sequence[Entry]
     seconds: float
     indexes_probed: int
     covered_days: frozenset[int] = frozenset()
     missing_days: frozenset[int] = frozenset()
+    #: The run slices ``entries`` was cut from, in answer order, when
+    #: the read path knows them: what lets the wire layer join the runs'
+    #: encoded bytes instead of encoding ``entries`` again.  Not part of
+    #: the result's value — equality, hashing and ``repr`` never see it.
+    parts: tuple[Part, ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def record_ids(self) -> tuple[int, ...]:
         """Return the matching record ids in retrieval order."""
-        return tuple(e.record_id for e in self.entries)
+        return _record_ids(self.entries)
 
     @property
     def complete(self) -> bool:
@@ -46,7 +68,7 @@ class ProbeResult:
 class ScanResult:
     """Outcome of a (timed) segment scan."""
 
-    entries: tuple[Entry, ...]
+    entries: Sequence[Entry]
     seconds: float
     indexes_scanned: int
     covered_days: frozenset[int] = frozenset()
@@ -55,7 +77,7 @@ class ScanResult:
     @property
     def record_ids(self) -> tuple[int, ...]:
         """Return the matching record ids in retrieval order."""
-        return tuple(e.record_id for e in self.entries)
+        return _record_ids(self.entries)
 
     @property
     def complete(self) -> bool:

@@ -362,8 +362,11 @@ class WaveIndex:
         duplicate gets the same immutable :class:`ProbeResult`.  Cost
         shares are weighted by duplicate count: with ``N`` total
         requesters of a value, every copy is charged ``cost / N``.
-        Per-bucket filtering runs on cached day columns via
-        :class:`~repro.index.kernels.RangeFilterCache`.
+        Per-bucket filtering runs on the bucket's
+        :class:`~repro.index.kernels.Run` via
+        :class:`~repro.index.kernels.RangeFilterCache`: an answer is
+        assembled from slices of the runs' own tuples (the slice itself
+        when one constituent answers) and its ``parts`` say which.
 
         ``degraded`` behaves as for :meth:`timed_index_probe`, applied
         per constituent: offline or failing constituents are reported in
@@ -386,7 +389,7 @@ class WaveIndex:
         uspecs = list(unique_ids)
         m = len(uspecs)
         begin = self._begin_batch()
-        entries: list[list[Entry]] = [[] for _ in range(m)]
+        hits: list[list] = [[] for _ in range(m)]
         seconds = [0.0] * m
         probed = [0] * m
         covered: list[set[int]] = [set() for _ in range(m)]
@@ -442,21 +445,26 @@ class WaveIndex:
                 total_requests = sum(weights[j] for j in requesters)
                 duplicate_hits += total_requests - 1
                 share = cost / total_requests
-                cache = kernels.RangeFilterCache.for_bucket(bucket)
+                cache = kernels.RangeFilterCache(bucket.run())
                 for j in requesters:
                     _, t1, t2 = uspecs[j]
-                    entries[j].extend(cache.filter(t1, t2))
+                    hit = cache.filter(t1, t2)
+                    if hit[0]:
+                        hits[j].append(hit)
                     seconds[j] += share
-        unique_results = [
-            ProbeResult(
-                tuple(entries[j]),
-                seconds[j],
-                probed[j],
-                frozenset(covered[j]),
-                frozenset(missing[j] - covered[j]),
+        unique_results = []
+        for j in range(m):
+            entries, parts = kernels.assemble(hits[j])
+            unique_results.append(
+                ProbeResult(
+                    entries,
+                    seconds[j],
+                    probed[j],
+                    frozenset(covered[j]),
+                    frozenset(missing[j] - covered[j]),
+                    parts,
+                )
             )
-            for j in range(m)
-        ]
         results = tuple(unique_results[j] for j in fanout)
         summary = self._finish_batch(
             begin,
@@ -546,13 +554,13 @@ class WaveIndex:
             constituents_touched += 1
             duplicate_hits += total_requests - 1
             share = cost / total_requests
-            cache = kernels.RangeFilterCache.for_sweep(index.sweep())
+            cache = kernels.RangeFilterCache(index.sweep())
             for j, days in relevant:
                 scanned[j] += 1
                 covered[j].update(days)
                 seconds[j] += share
                 t1, t2 = uspecs[j]
-                entries[j].extend(cache.filter(t1, t2))
+                entries[j].extend(cache.filter(t1, t2)[0])
         unique_results = [
             ScanResult(
                 tuple(entries[j]),

@@ -18,7 +18,6 @@ unpacked.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -50,16 +49,10 @@ class Bucket:
     shared: bool = False
     capacity_entries: int = 0
     offset_in_extent: int = 0
-    #: Lazily built day-column mirror of ``entries`` (see
-    #: :func:`repro.index.kernels.bucket_day_column`).  Maintained
-    #: incrementally by :meth:`append_entries`; any other mutation must
-    #: go through :meth:`replace_entries` (or reset it to ``None``).
-    _day_column: array | None = field(
-        default=None, repr=False, compare=False
-    )
-    _day_column_sorted: bool = field(
-        default=False, repr=False, compare=False
-    )
+    #: Derived read state: the :class:`~repro.index.kernels.Run` of
+    #: ``entries``, built by :meth:`run` and dropped by the two writers
+    #: of ``entries``, :meth:`append_entries` and :meth:`replace_entries`.
+    _run: kernels.Run | None = field(default=None, repr=False, compare=False)
 
     @property
     def live_count(self) -> int:
@@ -82,31 +75,29 @@ class Bucket:
         """Return ``True`` if ``n_more`` entries fit in the current placement."""
         return not self.shared and n_more <= self.free_entries()
 
-    def append_entries(self, entries: Iterable[Entry]) -> None:
-        """Append ``entries``, keeping the cached day column in sync.
+    def run(self) -> kernels.Run:
+        """Return the bucket's run, building it if none is current.
 
-        The incremental extension preserves the sorted flag when the
-        appended days continue the non-decreasing run — the common case,
-        since maintenance feeds entries in insert-day order.
+        The first read after a mutation builds it (one pass for the day
+        column, one ``tuple(entries)``) and publishes it with one
+        assignment; later reads get the same immutable object until a
+        writer drops it.  Entries changed behind the writers' backs are
+        caught by length: a stale run is rebuilt, never served.
         """
-        column = self._day_column
-        if column is None or len(column) != len(self.entries):
-            self.entries.extend(entries)
-            self._day_column = None
-            return
-        start = len(column)
+        run = self._run
+        if run is None or len(run.days) != len(self.entries):
+            run = self._run = kernels.Run.of(self.entries)
+        return run
+
+    def append_entries(self, entries: Iterable[Entry]) -> None:
+        """Append ``entries``, dropping the run."""
+        self._run = None
         self.entries.extend(entries)
-        column.extend(e.day for e in self.entries[start:])
-        if self._day_column_sorted:
-            self._day_column_sorted = all(
-                column[i] <= column[i + 1]
-                for i in range(max(0, start - 1), len(column) - 1)
-            )
 
     def replace_entries(self, entries: list[Entry]) -> None:
-        """Swap in a new entry list, invalidating the cached day column."""
+        """Swap in a new entry list, dropping the run."""
+        self._run = None
         self.entries = entries
-        self._day_column = None
 
     def touches_days(self, days: set[int]) -> bool:
         """Return ``True`` if any live entry's insert day is in ``days``."""

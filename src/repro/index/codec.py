@@ -38,9 +38,22 @@ Two implementations produce **byte-identical** output:
   per-entry cost at eight thousand.  Pool-backed infos (strings, big
   ints) and floats take the reference path.
 
+The batch path's two kernels are also usable on their own, which is how
+an answer crosses the wire without being rebuilt entry by entry:
+
+* :func:`encode_records` is the column kernel without the header — a
+  bucket's :class:`~repro.index.kernels.Run` keeps its output for as
+  long as the bucket is unmutated — and :func:`join_records` puts a
+  header in front of record runs cut from it;
+* :func:`read_block` makes every check a block gets and returns an
+  :class:`EntryBlock`: a ``Sequence[Entry]`` over the record words that
+  equals the decoded tuple, builds it on first access, and serves
+  ``len`` and the id / day columns without building it.
+
 The hypothesis suite (``tests/index/test_codec.py``) proves the two
 paths equal on random entry lists, including the ``info=None`` and
-non-int ``info`` edge cases.
+non-int ``info`` edge cases, and an :class:`EntryBlock` equal to its
+tuple under every sequence operation.
 """
 
 from __future__ import annotations
@@ -48,8 +61,8 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from collections.abc import Iterator, Sequence
 from itertools import repeat
-from typing import Sequence
 
 from .entry import Entry
 
@@ -138,22 +151,22 @@ _BIG_ENDIAN = sys.byteorder == "big"
 _ZERO_WORD = array("q", (0,))
 
 
-def encode_entries(entries: Sequence[Entry]) -> bytes:
-    """Batch encoder; byte-identical to :func:`encode_entries_object`.
+def encode_records(entries: Sequence[Entry]) -> bytes | None:
+    """Column kernel: ``entries``' header-less record run, or ``None``.
 
     ``zip(*entries)`` transposes the batch into id / day / info columns,
     each column lands in every fourth word of one ``array('q')``, and
-    the words are the record run.  Anything the columns cannot hold
-    (pool-backed or float infos, a field outside int64) goes to the
-    reference path, which encodes it or raises the codec's own error.
+    the words are the record run.  ``None`` means the columns cannot
+    hold the batch (pool-backed or float infos, a field outside int64):
+    the reference path encodes it or raises the codec's own error.
     """
     n = len(entries)
     if not n:
-        return encode_entries_object(entries)
+        return b""
     ids, days, infos = zip(*entries)
     all_none = infos.count(None) == n  # the usual batch: tag and payload stay 0
     if not all_none and not set(map(type, infos)) <= _SIMPLE_INFO_TYPES:
-        return encode_entries_object(entries)
+        return None
     words = _ZERO_WORD * (4 * n)
     try:
         words[0::4] = array("q", ids)
@@ -164,10 +177,29 @@ def encode_entries(entries: Sequence[Entry]) -> bytes:
             )
             words[3::4] = array("q", [info or 0 for info in infos])
     except (OverflowError, TypeError):
-        return encode_entries_object(entries)
+        return None
     if _BIG_ENDIAN:
         words.byteswap()
-    return _HEADER.pack(MAGIC, n, 0) + words.tobytes()
+    return words.tobytes()
+
+
+def join_records(chunks: Sequence[bytes]) -> bytes:
+    """Return the pool-less block whose record run is ``chunks`` joined.
+
+    Each chunk is a whole number of records cut from
+    :func:`encode_records` output, so the block equals
+    :func:`encode_entries` over the entries the chunks were cut for.
+    """
+    count = sum(map(len, chunks)) // RECORD_SIZE
+    return b"".join((_HEADER.pack(MAGIC, count, 0), *chunks))
+
+
+def encode_entries(entries: Sequence[Entry]) -> bytes:
+    """Batch encoder; byte-identical to :func:`encode_entries_object`."""
+    records = encode_records(entries)
+    if records is None:
+        return encode_entries_object(entries)
+    return join_records((records,))
 
 
 def _parse_header(data: bytes) -> tuple[int, int]:
@@ -216,38 +248,135 @@ def decode_entries_object(data: bytes) -> list[Entry]:
     return entries
 
 
-def decode_entries(data: bytes) -> list[Entry]:
-    """Batch decoder; value-identical to :func:`decode_entries_object`.
+def _column_words(data: bytes) -> array | None:
+    """Check ``data`` as a block; return its record words if columnar.
 
-    The record run is read as int64 words and split into columns by
-    strided slices; iterating an ``array('q')`` yields plain Python
-    ints, so decoded entries are indistinguishable (``==`` and
-    ``type``-wise) from the reference path's.  Blocks with a pool, or
-    with any tag word other than 0 / 1 (floats, unknown tags, dirty
-    padding), defer to the reference path.
+    Every check a block gets is made here — magic, count and pool length
+    against the block length, then the tag column — so a caller holding
+    the words can read any column, or build every entry, without a
+    further one.  ``None`` is a well-framed block the columns cannot
+    describe: empty, with a pool, or with any tag word other than 0 / 1
+    (floats, unknown tags, dirty padding); the reference path decodes it
+    or raises.
     """
     count, pool_len = _parse_header(data)
     if not count or pool_len:
-        return decode_entries_object(data)
+        return None
     words = array("q")
     words.frombytes(memoryview(data)[_HEADER.size :])
     if _BIG_ENDIAN:
         words.byteswap()
     tags = words[2::4]
-    n_none = tags.count(TAG_NONE)
-    if n_none == count:
+    if tags.count(TAG_NONE) + tags.count(TAG_INT) != count:
+        return None
+    return words
+
+
+def _entries_of_words(words: array) -> Iterator[Entry]:
+    """Batch decode kernel over checked record words.
+
+    Iterating an ``array('q')`` yields plain Python ints, so decoded
+    entries are indistinguishable (``==`` and ``type``-wise) from the
+    reference path's.
+    """
+    tags = words[2::4]
+    if tags.count(TAG_NONE) == len(tags):
         infos = repeat(None)
-    elif n_none + tags.count(TAG_INT) != count:
-        return decode_entries_object(data)
     else:
         infos = [
             payload if tag else None
             for tag, payload in zip(tags, words[3::4])
         ]
     # ``Entry._make`` without its Python frame: zip only yields 3-tuples.
-    return list(
-        map(tuple.__new__, repeat(Entry), zip(words[0::4], words[1::4], infos))
-    )
+    return map(tuple.__new__, repeat(Entry), zip(words[0::4], words[1::4], infos))
+
+
+def decode_entries(data: bytes) -> list[Entry]:
+    """Batch decoder; value-identical to :func:`decode_entries_object`.
+
+    The record run is read as int64 words and split into columns by
+    strided slices; blocks the columns cannot describe defer to the
+    reference path.
+    """
+    words = _column_words(data)
+    if words is None:
+        return decode_entries_object(data)
+    return list(_entries_of_words(words))
+
+
+class EntryBlock(Sequence):
+    """One checked columnar block, read as the entries it encodes.
+
+    A ``Sequence[Entry]`` that compares, hashes and prints as the tuple
+    :func:`decode_entries` would have built, and builds that tuple — by
+    the same kernel, once — only when an entry is first asked for.
+    ``len`` and the two columns a timed probe's caller usually wants,
+    :attr:`record_ids` and :attr:`days`, are read straight from the
+    record words.  Nothing here can raise on account of the block:
+    :func:`read_block` checked all of it before making the view.
+    """
+
+    __slots__ = ("_words", "_entries")
+
+    def __init__(self, words: array) -> None:
+        self._words = words
+        self._entries: tuple[Entry, ...] | None = None
+
+    @property
+    def record_ids(self) -> array:
+        """Return the record-id column as an ``array('q')``."""
+        return self._words[0::4]
+
+    @property
+    def days(self) -> array:
+        """Return the insert-day column as an ``array('q')``."""
+        return self._words[1::4]
+
+    @property
+    def materialised(self) -> bool:
+        """Return ``True`` once the entry tuple has been built."""
+        return self._entries is not None
+
+    def _tuple(self) -> tuple[Entry, ...]:
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = tuple(_entries_of_words(self._words))
+        return entries
+
+    def __len__(self) -> int:
+        return len(self._words) // 4
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self) -> Iterator[Entry]:
+        return iter(self._tuple())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EntryBlock):
+            other = other._tuple()
+        return self._tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+
+def read_block(data: bytes) -> Sequence[Entry]:
+    """Check ``data`` completely; return its entries, decoded on access.
+
+    A columnar block (the batch encoder's output) comes back as an
+    :class:`EntryBlock` over its words; any other well-formed block is
+    decoded here and now by the reference path into a plain tuple.
+    Either way everything that can be wrong with ``data`` raises from
+    this call, never from reading what it returned.
+    """
+    words = _column_words(data)
+    if words is None:
+        return tuple(decode_entries_object(data))
+    return EntryBlock(words)
 
 
 def encoded_size(n_entries: int, pool_bytes: int = 0) -> int:

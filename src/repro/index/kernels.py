@@ -8,23 +8,27 @@ probes and scans, and :meth:`~repro.core.wave.WaveIndex.probe_many` /
 ``scan_many`` result assembly all come here — and it runs on contiguous
 buffers:
 
-* each bucket's insert days are mirrored into a compact ``array('q')``
-  **day column**, built lazily and maintained incrementally on append
-  (:func:`bucket_day_column`);
-* a whole constituent's scan-order entries and their day column are
-  one immutable :class:`Sweep`, built once per mutation by
+* a bucket's derived read state is one immutable :class:`Run` — its
+  entries as a tuple, their insert days as a compact ``array('q')``
+  **day column**, the column's sortedness and bounds and, from the
+  first time an answer cut from it goes over the wire, its encoded
+  record run.  :meth:`~repro.index.bucket.Bucket.run` builds it on the
+  first read after a mutation; the bucket's two writers drop it whole;
+* a whole constituent's scan-order entries are a :class:`Sweep` — a run
+  plus the bytes a scan transfers — built once per mutation by
   :meth:`~repro.index.constituent.ConstituentIndex.sweep` (which owns
-  its lifetime) from the flat entry list — never from the bucket
-  columns, so a scan leaves no state on the buckets;
+  its lifetime) from the flat entry list — never from the buckets'
+  runs, so a scan leaves no state on the buckets;
 * day-range filters run on the column instead of the entry objects —
   two ``bisect`` calls and a slice when the column is non-decreasing
   (the common case: entries arrive in day order); when it is not,
-  bounds checks (whole bucket in / out of range), then a NumPy mask,
-  and only as a last resort the object-level comprehension (a sweep
-  brings its min / max day along, so its bounds checks scan nothing);
-* the filtered result is a *list slice* or an indexed gather of the
-  original ``Entry`` objects, so answers equal the plain comprehension
-  element for element.
+  bounds checks (whole run in / out of range), then a NumPy mask, and
+  only as a last resort the object-level comprehension;
+* the filtered result is a *slice* or an indexed gather of the original
+  ``Entry`` objects, so answers equal the plain comprehension element
+  for element — and a slice of a run remembers where it was cut
+  (:data:`Part`), which is what lets the wire layer send the run's own
+  bytes instead of encoding the answer again.
 
 There is no switch and no second implementation in ``src/``: the
 object-level batch paths these kernels replaced live on as test oracles
@@ -40,8 +44,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Sequence
+
+from . import codec
 
 try:  # pragma: no cover - exercised implicitly by both CI matrices
     import numpy as _np
@@ -67,23 +73,109 @@ def is_nondecreasing(column: array) -> bool:
     return all(column[i] <= column[i + 1] for i in range(len(column) - 1))
 
 
-def bucket_day_column(bucket: "Bucket") -> tuple[array, bool]:
-    """Return ``bucket``'s cached ``(day_column, is_sorted)`` pair.
+def _order(days: array, wide: bool) -> tuple[bool, int, int]:
+    """Return ``(is_sorted, min, max)`` of a day column.
 
-    The column is built on first use and extended incrementally by
-    :meth:`~repro.index.bucket.Bucket.append_entries`; wholesale entry
-    replacement (``remove_days``) invalidates it.  Entries arrive in
-    insert-day order in every maintenance path, so the sorted flag is
-    almost always ``True`` — it is *checked*, never assumed.
+    Entries arrive in insert-day order in every maintenance path, so the
+    sorted flag is almost always ``True`` — it is *checked*, never
+    assumed.  ``wide`` marks a constituent-sized column, whose checks go
+    through a NumPy view when it imports.  An empty column is sorted and
+    its bounds, which no filter consults, are ``0``.
     """
-    entries = bucket.entries
-    column = bucket._day_column
-    if column is None or len(column) != len(entries):
-        column = day_column(entries)
-        bucket._day_column = column
-        bucket._day_column_sorted = is_nondecreasing(column)
-    return column, bucket._day_column_sorted
+    if not days:
+        return True, 0, 0
+    if wide and _np is not None:
+        view = _np.frombuffer(days, dtype=_np.int64)
+        return (
+            bool((view[:-1] <= view[1:]).all()),
+            int(view.min()),
+            int(view.max()),
+        )
+    if is_nondecreasing(days):
+        return True, days[0], days[-1]
+    return False, min(days), max(days)
 
+
+# ----------------------------------------------------------------------
+# Runs (what a probe filters) and sweeps (what a scan filters)
+# ----------------------------------------------------------------------
+
+_UNENCODED: Any = object()
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Run:
+    """Entries in read order with everything a filter or a frame wants.
+
+    A bucket's run is its whole derived read state: what only a mutation
+    can change, built by the first read after one
+    (:meth:`~repro.index.bucket.Bucket.run`) and dropped — never patched
+    — by the next.  A run is never modified after it is published, so a
+    reader that holds one (a result in flight holds the runs it was cut
+    from) needs no lock and can never see a later state of the bucket.
+
+    Attributes:
+        entries: The live entries, in append order.
+        days: ``entries``' insert days, position for position.
+        sorted: ``True`` if ``days`` is non-decreasing.
+        lo: Smallest insert day (``0`` for an empty run, which no
+            filter consults).
+        hi: Largest insert day (likewise).
+    """
+
+    entries: tuple["Entry", ...]
+    days: array
+    sorted: bool
+    lo: int
+    hi: int
+    _records: bytes | None = field(default=_UNENCODED, init=False, repr=False)
+
+    @classmethod
+    def of(cls, entries: Sequence["Entry"]) -> "Run":
+        """Build the run of ``entries`` (one pass for the column)."""
+        days = day_column(entries)
+        return cls(tuple(entries), days, *_order(days, wide=False))
+
+    def records(self) -> bytes | None:
+        """Return ``entries``' encoded record run, encoding on first call.
+
+        :func:`repro.index.codec.encode_records` output: 32 bytes an
+        entry, no header, so ``records()[32 * lo : 32 * hi]`` is the
+        record run of ``entries[lo:hi]``; ``None`` when the entries need
+        a pool.  The one lazily filled slot of a run: derived from the
+        immutable tuple alone, so filling it from any thread, or twice,
+        is harmless.
+        """
+        records = self._records
+        if records is _UNENCODED:
+            records = codec.encode_records(self.entries)
+            object.__setattr__(self, "_records", records)
+        return records
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Sweep(Run):
+    """One constituent's live entries in scan order, ready to filter.
+
+    A :class:`Run` over the flat entry list (constituent x directory x
+    append order) plus the bytes a scan of the constituent transfers.
+    The constituent that owns it drops it whole on its next mutation.
+
+    Attributes:
+        nbytes: The constituent's ``allocated_bytes`` when built.
+    """
+
+    nbytes: int
+
+    @classmethod
+    def of(cls, entries: Sequence["Entry"], nbytes: int) -> "Sweep":
+        """Build the sweep of ``entries`` (one pass for the column)."""
+        days = day_column(entries)
+        return cls(tuple(entries), days, *_order(days, wide=True), nbytes)
+
+
+#: Where a filtered slice was cut: ``run.entries[lo:hi]``.
+Part = tuple[Run, int, int]
 
 # ----------------------------------------------------------------------
 # Day-range filtering
@@ -97,124 +189,66 @@ def filter_entries_object(
     return [e for e in entries if t1 <= e.day <= t2]
 
 
-def filter_entries(
-    entries: Sequence["Entry"],
-    t1: int,
-    t2: int,
-    column: array | None = None,
-    sorted_column: bool = False,
-    bounds: tuple[int, int] | None = None,
-) -> list["Entry"]:
-    """Return entries with insert day in ``[t1, t2]``, in input order.
+def select(
+    run: Run, t1: int, t2: int
+) -> tuple[Sequence["Entry"], Part | None]:
+    """Return ``run``'s entries with insert day in ``[t1, t2]``, in order.
 
-    Identical output to :func:`filter_entries_object`; the work happens
-    on the day column: a sorted column reduces the filter to two bisects
-    and one list slice; for an unsorted one a bounds check retires the
-    all-in/all-out cases and a NumPy mask gathers the rest.  ``bounds``
-    is the column's ``(min, max)`` when the caller already knows it.
+    The same elements as :func:`filter_entries_object`; the work happens
+    on the day column.  A sorted column reduces the filter to two
+    bisects, and for an unsorted one the run's bounds retire the all-in
+    and all-out cases: the answer is then a slice of the run's own tuple
+    (the tuple itself when everything matches) and comes with the
+    :data:`Part` that says where it was cut.  Matches scattered over an
+    unsorted column are gathered into a list — by a NumPy mask when it
+    imports — and have no part.
     """
-    if not entries:
-        return []
-    if column is None:
-        column = day_column(entries)
-        sorted_column = is_nondecreasing(column)
-    if sorted_column:
-        lo = bisect_left(column, t1)
-        hi = bisect_right(column, t2)
-        if lo >= hi:
-            return []
-        if lo == 0 and hi == len(entries):
-            return list(entries)
-        return list(entries[lo:hi])
-    lo_day, hi_day = bounds or (min(column), max(column))
-    if lo_day >= t1 and hi_day <= t2:
-        return list(entries)
-    if hi_day < t1 or lo_day > t2:
-        return []
-    if _np is not None:
-        days = _np.frombuffer(column, dtype=_np.int64)
-        matches = _np.flatnonzero((days >= t1) & (days <= t2))
-        return [entries[i] for i in matches.tolist()]
-    return filter_entries_object(entries, t1, t2)
+    days = run.days
+    if run.sorted:
+        lo = bisect_left(days, t1)
+        hi = max(lo, bisect_right(days, t2))
+    elif run.lo >= t1 and run.hi <= t2:
+        lo, hi = 0, len(days)
+    elif run.hi < t1 or run.lo > t2:
+        lo = hi = 0
+    elif _np is not None:
+        view = _np.frombuffer(days, dtype=_np.int64)
+        matches = _np.flatnonzero((view >= t1) & (view <= t2))
+        entries = run.entries
+        return [entries[i] for i in matches.tolist()], None
+    else:
+        return filter_entries_object(run.entries, t1, t2), None
+    return run.entries[lo:hi], (run, lo, hi)
 
 
 def filter_bucket(bucket: "Bucket", t1: int, t2: int) -> list["Entry"]:
-    """Filter a bucket's live entries by day range via its cached column."""
-    column, is_sorted = bucket_day_column(bucket)
-    return filter_entries(bucket.entries, t1, t2, column, is_sorted)
+    """Filter a bucket's live entries by day range via its run.
+
+    :func:`select` for callers that own their answer: a fresh list.
+    """
+    found, part = select(bucket.run(), t1, t2)
+    return found if part is None else list(found)
 
 
 def bucket_touches_days(bucket: "Bucket", days: frozenset | set) -> bool:
     """Return ``True`` if any live entry's insert day is in ``days``.
 
     Equivalent to ``any(e.day in days for e in bucket.entries)``; the
-    kernel consults the cached column (with a min/max prune) instead of
-    the entry objects.
+    kernel consults the run's column (with a min/max prune) instead of
+    the entry objects when the bucket has a current run.
     """
     entries = bucket.entries
     if not days or not entries:
         return False
-    column = bucket._day_column
-    if column is None or len(column) != len(entries):
-        # Maintenance sweeps (delete_days) hit buckets whose column was
-        # never built; materializing one just to throw it away on the
-        # following remove_days would cost more than the probe saves.
+    run = bucket._run
+    if run is None or len(run.days) != len(entries):
+        # Maintenance sweeps (delete_days) hit buckets that were never
+        # read; building a run just to throw it away on the following
+        # remove_days would cost more than the probe saves.
         return any(e.day in days for e in entries)
-    is_sorted = bucket._day_column_sorted
-    lo = column[0] if is_sorted else min(column)
-    hi = column[-1] if is_sorted else max(column)
-    if max(days) < lo or min(days) > hi:
+    if max(days) < run.lo or min(days) > run.hi:
         return False
-    return any(day in days for day in column)
-
-
-# ----------------------------------------------------------------------
-# Constituent sweeps (what a scan filters)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Sweep:
-    """One constituent's live entries in scan order, ready to filter.
-
-    Everything a ``TimedSegmentScan`` needs that only a mutation can
-    change: the flat entry list (constituent x directory x append
-    order), its day column with the facts :func:`filter_entries` wants
-    about it, and the bytes a scan of the constituent transfers.  A
-    sweep is never modified after it is built; the constituent that
-    owns it drops it whole on its next mutation.
-
-    Attributes:
-        entries: Every live entry, in scan order.
-        days: ``entries``' insert days, position for position.
-        sorted: ``True`` if ``days`` is non-decreasing.
-        lo: Smallest insert day (``0`` for an empty sweep, which no
-            filter consults).
-        hi: Largest insert day (likewise).
-        nbytes: The constituent's ``allocated_bytes`` when built.
-    """
-
-    entries: tuple["Entry", ...]
-    days: array
-    sorted: bool
-    lo: int
-    hi: int
-    nbytes: int
-
-    @classmethod
-    def of(cls, entries: Sequence["Entry"], nbytes: int) -> "Sweep":
-        """Build the sweep of ``entries`` (one pass for the column)."""
-        days = day_column(entries)
-        if not days:
-            return cls((), days, True, 0, 0, nbytes)
-        if _np is not None:
-            view = _np.frombuffer(days, dtype=_np.int64)
-            is_sorted = bool((view[:-1] <= view[1:]).all())
-            lo, hi = int(view.min()), int(view.max())
-        else:
-            is_sorted = is_nondecreasing(days)
-            lo, hi = min(days), max(days)
-        return cls(tuple(entries), days, is_sorted, lo, hi, nbytes)
+    return any(day in days for day in run.days)
 
 
 # ----------------------------------------------------------------------
@@ -223,51 +257,46 @@ class Sweep:
 
 
 class RangeFilterCache:
-    """Memoizes day-range filters over one immutable entry sequence.
+    """Memoizes day-range filters over one run.
 
     ``probe_many``/``scan_many`` serve batches where many requests share
     the same ``(t1, t2)`` range (a serving replay uses one sliding
     window for the whole stream): the cache filters once per *unique*
-    range and hands every requester the same filtered list.
-    Sharing is safe because the result is only ever consumed by
-    ``list.extend`` into per-request accumulators.  The memo lives for
-    one batch; what outlives the batch is the bucket's column or the
-    constituent's :class:`Sweep` it was made from.
+    range and hands every requester the same :func:`select` pair.
+    Sharing is safe because the pair is only read — a slice of the
+    run's tuple, or a gathered list that requesters copy from.  The memo
+    lives for one batch; what outlives the batch is the bucket's
+    :class:`Run` or the constituent's :class:`Sweep` it was made over.
     """
 
-    __slots__ = ("entries", "column", "sorted", "bounds", "_cache")
+    __slots__ = ("run", "_cache")
 
-    def __init__(
-        self,
-        entries: Sequence["Entry"],
-        column: array,
-        sorted_column: bool,
-        bounds: tuple[int, int] | None = None,
-    ) -> None:
-        self.entries = entries
-        self.column = column
-        self.sorted = sorted_column
-        self.bounds = bounds
-        self._cache: dict[tuple[int, int], list["Entry"]] = {}
+    def __init__(self, run: Run) -> None:
+        self.run = run
+        self._cache: dict[
+            tuple[int, int], tuple[Sequence["Entry"], Part | None]
+        ] = {}
 
-    @classmethod
-    def for_bucket(cls, bucket: "Bucket") -> "RangeFilterCache":
-        """Return a cache over a bucket's entries and its cached column."""
-        column, is_sorted = bucket_day_column(bucket)
-        return cls(bucket.entries, column, is_sorted)
-
-    @classmethod
-    def for_sweep(cls, sweep: Sweep) -> "RangeFilterCache":
-        """Return a cache over a constituent's sweep."""
-        return cls(sweep.entries, sweep.days, sweep.sorted, (sweep.lo, sweep.hi))
-
-    def filter(self, t1: int, t2: int) -> list["Entry"]:
-        """Return the memoized filtered entries for ``[t1, t2]``."""
+    def filter(self, t1: int, t2: int) -> tuple[Sequence["Entry"], Part | None]:
+        """Return the memoized :func:`select` of the run for ``[t1, t2]``."""
         key = (t1, t2)
         got = self._cache.get(key)
         if got is None:
-            got = filter_entries(
-                self.entries, t1, t2, self.column, self.sorted, self.bounds
-            )
-            self._cache[key] = got
+            got = self._cache[key] = select(self.run, t1, t2)
         return got
+
+
+def assemble(
+    hits: Sequence[tuple[Sequence["Entry"], Part | None]],
+) -> tuple[tuple["Entry", ...], tuple[Part, ...] | None]:
+    """Join one answer's non-empty :func:`select` pairs, in order.
+
+    Returns the entries as one tuple — the slice itself when there is
+    one part, so a whole-bucket answer from one constituent is the run's
+    own tuple; one concatenation otherwise — and the parts they were cut
+    from, or ``None`` if any piece was gathered rather than sliced.
+    """
+    pieces = [tuple(found) for found, _ in hits]
+    parts = tuple(part for _, part in hits)
+    entries = pieces[0] if len(pieces) == 1 else sum(pieces, ())
+    return entries, None if None in parts else parts

@@ -136,7 +136,13 @@ class FrontendClient:
         tenant: str = "default",
         deadline_ms: float | None = None,
     ) -> ProbeResult:
-        """Timed index probe for ``value`` over days ``[t1, t2]``."""
+        """Timed index probe for ``value`` over days ``[t1, t2]``.
+
+        The result's ``entries`` is a checked
+        :class:`~repro.index.codec.EntryBlock`: equal to the tuple an
+        in-process caller gets and decoded to it when first read;
+        ``record_ids`` comes from the block's id column without that.
+        """
         response = await self._request(
             {
                 "op": "probe", "value": value, "t1": t1, "t2": t2,
@@ -224,7 +230,10 @@ class FrontendClient:
                     return
                 self._settle(response)
         except FrontendError as exc:
-            # protocol.read_frame: EOF mid-prefix or mid-frame.
+            # protocol.read_frame: EOF mid-prefix or mid-frame, or a
+            # payload that is not a message; _settle: a message that is
+            # not a response.  Either way the peer is not speaking the
+            # protocol, so nothing later on this stream can be trusted.
             self._disconnected(reader, TransportError(f"torn stream: {exc}"))
         except asyncio.CancelledError:
             raise
@@ -248,13 +257,27 @@ class FrontendClient:
         self._fail_pending(exc)
 
     def _settle(self, response: dict[str, Any]) -> None:
-        future = self._pending.get(response.get("id"))
+        """Settle the caller ``response`` answers.
+
+        A response to a request no longer pending is ignored; one that
+        cannot be routed or read at all — an ``id`` that is no
+        correlation number, an ``error`` that is no object — raises
+        :class:`~repro.errors.FrontendError`, which costs the connection.
+        """
+        try:
+            future = self._pending.get(response.get("id"))
+        except TypeError:  # unhashable: a list or an object
+            raise FrontendError(
+                f"response id {response.get('id')!r} is no correlation number"
+            ) from None
         if future is None or future.done():
             return
         if response.get("ok"):
             future.set_result(response)
             return
         error = response.get("error") or {}
+        if not isinstance(error, dict):
+            raise FrontendError(f"response error {error!r} is no object")
         code = error.get("code", "internal")
         message = error.get("message", "")
         if code == "backend-error":

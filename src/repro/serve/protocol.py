@@ -40,13 +40,22 @@ A probe or scan answer is a ``result`` frame, and there is no other way
 to send one.  Its header holds ``id``, ``ok``, ``kind``, ``seconds``,
 ``indexes_probed`` / ``indexes_scanned``, ``covered_days`` and
 ``missing_days`` (day sets as sorted lists); its block is the answer's
-entries exactly as :func:`repro.index.codec.encode_entries` wrote them,
-32 bytes an entry, so reporting an answer costs one buffer operation a
-side rather than one JSON triple an entry.  In Python a result message
-is the header dict with the block under ``"entries"``, and
-:func:`result_from_wire` turns it back into the
-:class:`~repro.core.queries.ProbeResult` /
-:class:`~repro.core.queries.ScanResult` an in-process caller gets.
+entries exactly as :func:`repro.index.codec.encode_entries` would write
+them, 32 bytes an entry.  In Python a result message is the header dict
+with the block under ``"entries"``.
+
+The block is the answer on both sides.  :func:`result_to_wire` joins the
+encoded record runs of the buckets a probe was answered from (a result
+remembers which slices of which :class:`~repro.index.kernels.Run` it is,
+and a run encodes itself once per mutation of its bucket); a result
+without that provenance — empty, merged, degraded, pool-carrying, any
+scan — is encoded from its entries, and the bytes are the same either
+way.  :func:`result_from_wire` checks the block completely and returns
+the :class:`~repro.core.queries.ProbeResult` /
+:class:`~repro.core.queries.ScanResult` an in-process caller gets, with
+``entries`` an :class:`~repro.index.codec.EntryBlock` over the block:
+equal to the tuple, which it builds only if an entry is asked for, so
+after the call nothing about the frame can raise any more.
 """
 
 from __future__ import annotations
@@ -218,6 +227,28 @@ def write_frame(writer: asyncio.StreamWriter, message: dict[str, Any]) -> None:
 # ----------------------------------------------------------------------
 
 
+def _block(result: ProbeResult | ScanResult) -> bytes:
+    """Return ``result.entries`` as one block.
+
+    Joined from the cached record runs the entries were cut from when
+    the result says which and every run has one, encoded from the
+    entries otherwise — byte for byte the same block.
+    """
+    parts = getattr(result, "parts", None)  # only probes carry them
+    if parts:
+        chunks = []
+        for run, lo, hi in parts:
+            records = run.records()
+            if records is None:
+                break
+            chunks.append(
+                records[codec.RECORD_SIZE * lo : codec.RECORD_SIZE * hi]
+            )
+        else:
+            return codec.join_records(chunks)
+    return codec.encode_entries(result.entries)
+
+
 def result_to_wire(result: ProbeResult | ScanResult) -> dict[str, Any]:
     """Marshal either result kind: header fields plus the entry block."""
     try:
@@ -232,18 +263,23 @@ def result_to_wire(result: ProbeResult | ScanResult) -> dict[str, Any]:
         indexes_field: getattr(result, indexes_field),
         "covered_days": sorted(result.covered_days),
         "missing_days": sorted(result.missing_days),
-        "entries": codec.encode_entries(result.entries),
+        "entries": _block(result),
     }
 
 
 def result_from_wire(wire: dict[str, Any]) -> ProbeResult | ScanResult:
-    """Rebuild the result object a result message describes."""
+    """Rebuild the result object a result message describes.
+
+    Every check the block gets is made here
+    (:func:`repro.index.codec.read_block`); reading the result's
+    ``entries`` afterwards decodes, and cannot fail.
+    """
     try:
         shape = _RESULT_KINDS.get(wire["kind"])
         if shape is not None:
             cls, indexes_field = shape
             return cls(
-                tuple(codec.decode_entries(wire["entries"])),
+                codec.read_block(wire["entries"]),
                 wire["seconds"],
                 wire[indexes_field],
                 frozenset(wire["covered_days"]),

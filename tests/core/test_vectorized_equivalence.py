@@ -9,8 +9,11 @@ twin waves on twin disks, serve one with the code under test and the
 other with `tests.reference.batch` — per-request accumulators, per-entry
 filters, a per-page cache — and compare everything.  Each twin is served,
 turned one more day and served again: what a constituent caches between
-calls (bucket day columns, its scan sweep) must not survive the
-transition that outdates it.
+calls (bucket runs, its scan sweep) must not survive the transition that
+outdates it.  Every answer is also marshalled for the wire — the first
+batch only after the turn, as a response still in flight would be — and
+the block must be the reference encoding of that answer's entries,
+whether it was joined from the runs' cached bytes or encoded afresh.
 """
 
 import pytest
@@ -21,8 +24,10 @@ from repro.core.executor import PlanExecutor
 from repro.core.persistence import wave_to_json
 from repro.core.schemes import ALL_SCHEMES, DelScheme, WataTable4Scheme
 from repro.core.wave import WaveIndex
+from repro.index import codec
 from repro.index.config import IndexConfig
 from repro.index.updates import UpdateTechnique
+from repro.serve.protocol import result_to_wire
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagecache import PageCache
 from tests.conftest import make_store
@@ -116,11 +121,20 @@ def serve(probe_many, scan_many, cache_cls, scheme_cls, offline, probes, scans):
     probe = probe_many(wave, probes, degraded=degraded)
     scan = scan_many(wave, scans, degraded=degraded)
     warm = probe_many(wave, probes, degraded=degraded)
+    blocks = [result_to_wire(r)["entries"] for r in warm.results]
     turn()
     turned_probe = probe_many(wave, probes, degraded=degraded)
     turned_scan = scan_many(wave, scans, degraded=degraded)
+    answers = (
+        *warm.results, *probe.results, *scan.results,
+        *turned_probe.results, *turned_scan.results,
+    )
+    blocks += [result_to_wire(r)["entries"] for r in answers[len(blocks):]]
+    for result, block in zip(answers, blocks):
+        assert block == codec.encode_entries_object(result.entries)
     cache = disk.page_cache
     return {
+        "wire_blocks": blocks,
         "probe_results": probe.results,
         "probe_summary": probe.summary,
         "scan_results": scan.results,

@@ -7,6 +7,9 @@ malformed blocks or unencodable entries fail loudly.
 """
 
 import struct
+from collections.abc import Sequence
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -219,3 +222,146 @@ def test_pool_reference_outside_pool_is_rejected():
     struct.pack_into("<II", block, offset, 0, 9999)
     with pytest.raises(codec.EntryCodecError):
         codec.decode_entries_object(bytes(block))
+
+
+# ----------------------------------------------------------------------
+# EntryBlock: the block read as the tuple it encodes
+# ----------------------------------------------------------------------
+
+
+def block_of(entries):
+    block = codec.read_block(codec.encode_entries(entries))
+    assert isinstance(block, codec.EntryBlock) or not entries
+    return block
+
+
+@contextmanager
+def counted_decodes():
+    """Count runs of the batch decode kernel."""
+    calls = []
+    real = codec._entries_of_words
+
+    def counted(words):
+        calls.append(len(words) // 4)
+        return real(words)
+
+    with mock.patch.object(codec, "_entries_of_words", counted):
+        yield calls
+
+
+nonempty_batches = st.lists(
+    st.builds(
+        Entry, record_ids, days,
+        st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1)),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+@given(nonempty_batches, st.data())
+@settings(max_examples=150)
+def test_entry_block_is_the_tuple_it_encodes(entries, data):
+    want = tuple(entries)
+    block = block_of(entries)
+    assert isinstance(block, Sequence) and not isinstance(block, tuple)
+    assert len(block) == len(want)
+    assert list(block) == entries and tuple(block) == want
+    assert list(reversed(block)) == entries[::-1]
+    i = data.draw(st.integers(-len(want), len(want) - 1))
+    a, b = sorted(data.draw(st.tuples(st.integers(-70, 70), st.integers(-70, 70))))
+    assert block[i] == want[i]
+    assert block[a:b] == want[a:b] and type(block[a:b]) is tuple
+    assert block[::-2] == want[::-2]
+    with pytest.raises(IndexError):
+        block[len(want)]
+    probe = data.draw(st.sampled_from(entries))
+    absent = Entry(probe.record_id, probe.day, "not an info of this domain")
+    assert probe in block and absent not in block
+    assert block.count(probe) == want.count(probe) and block.count(absent) == 0
+    assert block.index(probe) == want.index(probe)
+    with pytest.raises(ValueError):
+        block.index(absent)
+    # Equality and hashing agree with the tuple, whichever side asks.
+    assert block == want and want == block
+    assert not block != want and not want != block
+    assert block == block_of(entries) and hash(block) == hash(want)
+    assert block != want + (probe,) and want[:-1] != block
+    assert block != entries and block != None  # noqa: E711 - a tuple is no list
+    assert {block: 1}[want] == 1 and {want: 1}[block] == 1
+    assert sorted(block, key=repr) == sorted(want, key=repr)
+    assert set(block) == set(want)
+    assert repr(block) == repr(want)
+    # Columns, and the exact types a decoded entry has.
+    assert tuple(block.record_ids) == tuple(e.record_id for e in want)
+    assert tuple(block.days) == tuple(e.day for e in want)
+    assert block.record_ids.typecode == block.days.typecode == "q"
+    assert all(type(e) is Entry for e in block)
+    assert [type(e.info) for e in block] == [type(e.info) for e in want]
+    assert all(type(e.record_id) is int and type(e.day) is int for e in block)
+
+
+@given(nonempty_batches)
+@settings(max_examples=50)
+def test_entry_block_decodes_once_and_only_for_entries(entries):
+    with counted_decodes() as decodes:
+        block = block_of(entries)
+        assert not block.materialised
+        assert len(block) == len(entries)
+        assert list(block.record_ids) == [e.record_id for e in entries]
+        assert list(block.days) == [e.day for e in entries]
+        assert decodes == [] and not block.materialised  # columns, len: no decode
+        assert list(block) == entries
+        assert decodes == [len(entries)] and block.materialised
+        assert list(block) == entries and block[0] == entries[0]
+        assert block == tuple(entries) and hash(block) == hash(tuple(entries))
+        assert set(block) == set(entries)
+        assert decodes == [len(entries)]  # a second reading decodes nothing
+
+
+def test_blocks_the_columns_cannot_describe_are_read_as_plain_tuples():
+    for entries in (
+        [],
+        [Entry(1, 2, 1.5), Entry(4, 5, 6)],
+        [Entry(1, 2, "x")],
+        [Entry(1, 2, 2**70)],
+    ):
+        got = codec.read_block(codec.encode_entries(entries))
+        assert type(got) is tuple and got == tuple(entries)
+        assert [type(e.info) for e in got] == [type(e.info) for e in entries]
+    dirty = bytearray(codec.encode_entries([Entry(1, 2, 3), Entry(4, 5, None)]))
+    dirty[codec._HEADER.size + 17] = 0xAB  # padding the reference ignores
+    assert codec.read_block(bytes(dirty)) == (Entry(1, 2, 3), Entry(4, 5, None))
+    assert type(codec.read_block(bytes(dirty))) is tuple
+
+
+def test_read_block_makes_every_check_before_it_returns():
+    block = codec.encode_entries([Entry(1, 1, 2), Entry(3, 4, 5)])
+    for bad in (
+        block[:-1],
+        block[: codec._HEADER.size - 1],
+        b"XXXX" + block[4:],
+        block + b"\x00",
+    ):
+        with pytest.raises(codec.EntryCodecError):
+            codec.read_block(bad)
+    unknown_tag = bytearray(block)
+    unknown_tag[codec._HEADER.size + 16] = 99
+    with pytest.raises(codec.EntryCodecError):
+        codec.read_block(bytes(unknown_tag))
+
+
+def test_record_run_kernel_and_join_agree_with_the_block_encoder():
+    entries = [Entry(i, i // 3, None if i % 2 else i) for i in range(12)]
+    records = codec.encode_records(entries)
+    assert len(records) == codec.RECORD_SIZE * len(entries)
+    assert codec.join_records((records,)) == codec.encode_entries_object(entries)
+    cuts = [records[32 * 2 : 32 * 5], records[32 * 7 : 32 * 12]]
+    assert codec.join_records(cuts) == codec.encode_entries_object(
+        entries[2:5] + entries[7:12]
+    )
+    assert codec.join_records(()) == codec.encode_entries_object([])
+    assert codec.encode_records([]) == b""
+    assert codec.encode_records([Entry(1, 1, "pool")]) is None
+    assert codec.encode_records([Entry(1, 1, 1.5)]) is None
+    assert codec.encode_records([Entry(2**63, 1, None)]) is None
+    assert codec.encode_records([Entry(1, 1, True)]) is None

@@ -13,14 +13,15 @@ from repro.index.bucket import Bucket
 from repro.index.entry import Entry
 from repro.index.kernels import (
     RangeFilterCache,
+    Run,
     Sweep,
-    bucket_day_column,
+    assemble,
     bucket_touches_days,
     day_column,
     filter_bucket,
-    filter_entries,
     filter_entries_object,
     is_nondecreasing,
+    select,
 )
 
 day_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=40)
@@ -32,6 +33,11 @@ ranges = st.tuples(
 
 def entries_for(days):
     return [Entry(i, day, i) for i, day in enumerate(days)]
+
+
+def filter_entries(entries, t1, t2):
+    """The kernel over any entry sequence: a throwaway run, as a list."""
+    return list(select(Run.of(entries), t1, t2)[0])
 
 
 @given(day_lists, ranges)
@@ -50,9 +56,10 @@ def test_filter_on_sorted_column_matches_reference(days, bounds):
     days = sorted(days)
     entries = entries_for(days)
     expected = filter_entries_object(entries, t1, t2)
-    column = day_column(entries)
-    assert is_nondecreasing(column)
-    assert filter_entries(entries, t1, t2, column, True) == expected
+    run = Run.of(entries)
+    assert run.sorted and is_nondecreasing(run.days)
+    found, (of, lo, hi) = select(run, t1, t2)  # a sorted run only slices
+    assert of is run and found == run.entries[lo:hi] == tuple(expected)
 
 
 @given(day_lists, ranges)
@@ -62,9 +69,17 @@ def test_filter_bucket_and_cache_match_reference(days, bounds):
     bucket = Bucket(value="v", entries=entries_for(days))
     expected = filter_entries_object(bucket.entries, t1, t2)
     assert filter_bucket(bucket, t1, t2) == expected
-    cache = RangeFilterCache.for_bucket(bucket)
-    assert cache.filter(t1, t2) == expected
-    assert cache.filter(t1, t2) == expected  # memoized second hit
+    cache = RangeFilterCache(bucket.run())
+    found, part = cache.filter(t1, t2)
+    assert list(found) == expected
+    assert cache.filter(t1, t2) is cache.filter(t1, t2)  # memoized
+    if part is None:  # gathered: the range cuts into an unsorted column
+        assert not bucket.run().sorted and len(expected) < len(days)
+    else:
+        run, lo, hi = part
+        assert run is bucket.run() and found == run.entries[lo:hi]
+    if len(expected) == len(days):
+        assert found is bucket.run().entries  # the whole run, not a copy
 
 
 @given(day_lists, ranges)
@@ -80,8 +95,8 @@ def test_sweep_and_its_cache_match_reference(days, bounds):
     assert sweep.nbytes == 7
     entries.clear()  # the sweep is its own copy
     expected = filter_entries_object(sweep.entries, t1, t2)
-    cache = RangeFilterCache.for_sweep(sweep)
-    assert cache.filter(t1, t2) == expected
+    cache = RangeFilterCache(sweep)
+    assert list(cache.filter(t1, t2)[0]) == expected
     assert cache.filter(t1, t2) is cache.filter(t1, t2)
 
 
@@ -90,47 +105,71 @@ def test_sweep_and_its_cache_match_reference(days, bounds):
 def test_bucket_touches_days_matches_reference(days, probe_days):
     bucket = Bucket(value="v", entries=entries_for(days))
     expected = any(e.day in probe_days for e in bucket.entries)
-    # Twice: once column-less (reference fallback), once cached.
+    # Twice: once run-less (reference fallback), once on the run's column.
     assert bucket_touches_days(bucket, probe_days) == expected
-    bucket_day_column(bucket)
+    bucket.run()
     assert bucket_touches_days(bucket, probe_days) == expected
 
 
-def test_column_cache_tracks_appends_incrementally():
+def column(bucket):
+    run = bucket.run()
+    assert run.entries == tuple(bucket.entries)
+    return list(run.days), run.sorted
+
+
+def test_appends_drop_the_run():
     bucket = Bucket(value="v", entries=entries_for([1, 2, 3]))
-    column, is_sorted = bucket_day_column(bucket)
-    assert list(column) == [1, 2, 3] and is_sorted
+    first = bucket.run()
+    assert column(bucket) == ([1, 2, 3], True) and bucket.run() is first
     bucket.append_entries([Entry(10, 3, None), Entry(11, 5, None)])
-    column, is_sorted = bucket_day_column(bucket)
-    assert list(column) == [1, 2, 3, 3, 5] and is_sorted
+    assert bucket._run is None
+    assert column(bucket) == ([1, 2, 3, 3, 5], True)
     bucket.append_entries([Entry(12, 4, None)])  # breaks sortedness
-    column, is_sorted = bucket_day_column(bucket)
-    assert list(column) == [1, 2, 3, 3, 5, 4] and not is_sorted
+    assert column(bucket) == ([1, 2, 3, 3, 5, 4], False)
+    assert list(first.days) == [1, 2, 3]  # a reader's run is still whole
 
 
 def test_column_cache_rebuilds_after_external_mutation():
     bucket = Bucket(value="v", entries=entries_for([5, 1, 9]))
-    bucket_day_column(bucket)
-    # Direct list mutation bypasses the cache; length mismatch triggers
+    bucket.run()
+    # Direct list mutation bypasses the writers; length mismatch triggers
     # a rebuild instead of serving stale days.
     bucket.entries.append(Entry(99, -3, None))
-    column, is_sorted = bucket_day_column(bucket)
-    assert list(column) == [5, 1, 9, -3] and not is_sorted
+    assert column(bucket) == ([5, 1, 9, -3], False)
 
 
 def test_replace_entries_invalidates_column():
     bucket = Bucket(value="v", entries=entries_for([1, 2]))
-    bucket_day_column(bucket)
+    bucket.run()
     bucket.replace_entries(entries_for([7]))
-    column, is_sorted = bucket_day_column(bucket)
-    assert list(column) == [7] and is_sorted
+    assert bucket._run is None
+    assert column(bucket) == ([7], True)
 
 
 def test_remove_days_keeps_select_consistent():
     bucket = Bucket(value="v", entries=entries_for([1, 2, 3, 2, 1]))
-    bucket_day_column(bucket)
+    bucket.run()
     assert bucket.remove_days({2}) == 2
     assert [e.day for e in bucket.select(0, 9)] == [1, 3, 1]
+
+
+@given(st.lists(st.tuples(day_lists, ranges), max_size=4))
+@settings(max_examples=200)
+def test_assemble_joins_slices_and_keeps_their_parts(pieces):
+    runs = [Run.of(entries_for(days)) for days, _ in pieces]
+    hits = [select(run, *bounds) for run, (_, bounds) in zip(runs, pieces)]
+    hits = [hit for hit in hits if hit[0]]
+    entries, parts = assemble(hits)
+    assert entries == tuple(e for found, _ in hits for e in found)
+    if any(part is None for _, part in hits):
+        assert parts is None
+    else:
+        assert parts == tuple(part for _, part in hits)
+        assert entries == tuple(
+            e for run, lo, hi in parts for e in run.entries[lo:hi]
+        )
+    if len(hits) == 1 and parts:
+        assert entries is hits[0][0]  # one slice is the answer, uncopied
 
 
 def test_day_column_is_int64_array():

@@ -250,9 +250,9 @@ def test_second_scan_rederives_nothing_for_any_range(monkeypatch):
     other_ranges = batch_for(day) + [(day - 2, day - 1), (1, day + 9)]
     later = wave.scan_many(other_ranges)
     assert calls == {"day_column": 0, "all_entries": 0}
-    # No bucket was given a column on the way.
+    # No bucket was given a run on the way.
     assert all(
-        bucket._day_column is None
+        bucket._run is None
         for index in wave.bindings.values()
         for bucket in index.buckets()
     )

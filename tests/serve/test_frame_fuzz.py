@@ -3,13 +3,17 @@
 Imports only pytest, hypothesis, the standard library and the package,
 so the numpy-less CI leg runs it with the rest of tier-1.
 
-Two contracts.  Any :class:`ProbeResult` / :class:`ScanResult` survives
+Three contracts.  Any :class:`ProbeResult` / :class:`ScanResult` survives
 ``encode_frame`` → ``read_frame`` → ``result_from_wire`` unchanged,
-whatever its infos and size.  And no damaged frame — truncated, a bit
+whatever its infos and size.  No damaged frame — truncated, a bit
 flipped, a length field lying — gets out of ``read_frame`` /
 ``result_from_wire`` as anything but a clean EOF, a (possibly wrong)
 result, or :class:`FrontendError`: a client must never see a
-``struct.error`` or a ``UnicodeDecodeError`` from a bad peer.
+``struct.error`` or a ``UnicodeDecodeError`` from a bad peer; and once
+``result_from_wire`` has returned, reading the result — its entries are
+decoded on access — cannot fail either.  In the other direction, no
+well-framed JSON response, whatever the types of its fields, kills the
+client's reader task or leaves a caller waiting.
 """
 
 import asyncio
@@ -20,12 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.queries import ProbeResult, ScanResult
-from repro.errors import FrontendError
+from repro.errors import FrontendError, TransportError
 from repro.index import codec
 from repro.index.entry import Entry
 from repro.serve import protocol
+from repro.serve.client import FrontendClient
 
-from .conftest import read_from
+from .conftest import feed_reader, read_from
 
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 batch_infos = st.one_of(st.none(), int64s)
@@ -75,9 +80,13 @@ def receive(data: bytes):
 
 def receive_damaged(data: bytes) -> None:
     try:
-        receive(data)
+        got = receive(data)
     except FrontendError:
-        pass
+        return
+    if got is not None:
+        # Whatever got through was checked whole: reading it cannot raise.
+        assert len(list(got.entries)) == len(got.entries) == len(got.record_ids)
+        assert all(type(e) is Entry for e in got.entries)
 
 
 SAMPLE = ProbeResult(
@@ -96,6 +105,9 @@ def test_results_round_trip_exactly(result):
         type(e.info) for e in result.entries
     ]
     assert all(type(e) is Entry for e in got.entries)
+    assert got.record_ids == result.record_ids
+    assert hash(got) == hash(result)
+    assert repr(got.entries) == repr(result.entries)
 
 
 def test_the_block_on_the_wire_is_the_codecs_unmodified():
@@ -215,3 +227,62 @@ class TestLyingLengths:
         (length,) = struct.unpack_from(">I", frame)
         with pytest.raises(FrontendError):
             receive(struct.pack(">I", length - 1) + frame[4:])
+
+
+# ----------------------------------------------------------------------
+# The response direction: what a client makes of ill-typed responses
+# ----------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+        st.text(max_size=6),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(("code", "message", "id", "x")), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+responses = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.one_of(st.just(1), json_values),
+        "ok": json_values,
+        "error": json_values,
+        "result": json_values,
+    },
+)
+
+
+@given(st.lists(st.one_of(responses, json_values), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_no_json_response_kills_the_reader_or_strands_a_caller(messages):
+    frames = b"".join(
+        struct.pack(">I", len(payload)) + payload
+        for payload in (
+            protocol._encode_json(message).encode("utf-8") for message in messages
+        )
+    )
+
+    async def scenario():
+        client = FrontendClient()
+        caller = asyncio.get_running_loop().create_future()
+        client._pending[1] = caller
+        client._reader = reader = feed_reader(frames)
+        # Returns — never raises — at EOF or at the first violation.
+        await client._read_responses(reader)
+        assert caller.done() and not client._pending and client._reader is None
+        error = caller.exception()
+        assert error is None or isinstance(error, FrontendError)
+        routable = [
+            m for m in messages
+            if isinstance(m, dict) and m.get("id") in (1, 1.0, True)
+            and type(m.get("id")) in (int, float, bool)
+        ]
+        if error is None:
+            assert caller.result() is not None and caller.result().get("ok")
+        elif not routable:
+            assert isinstance(error, TransportError)
+
+    asyncio.run(scenario())
