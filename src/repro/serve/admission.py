@@ -15,7 +15,9 @@ The pipeline every query passes through, in order:
    absorbs the overload instead).
 4. **Deadline while queued** — a dispatcher that dequeues an
    already-expired request rejects it (``deadline-expired``) without
-   spending backend time on an answer nobody is waiting for.
+   spending backend time on an answer nobody is waiting for; one whose
+   waiter is already gone (its connection closed, its caller was
+   cancelled) is dropped the same way and counted ``serve.abandoned``.
 5. **Concurrency-limited dispatch** — ``max_concurrency`` dispatcher
    tasks pull from the queue.  Consecutive probe requests are coalesced
    (up to ``batch_max``) into one backend ``probe_many`` call, carrying
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from ..errors import BackendError, FrontendError, RequestRejected
-from ..obs import MetricsRegistry
+from ..obs import Counter, MetricsRegistry
 from .adaptive import AdaptiveConfig, AimdController
 from .queueing import QUEUE_DISCIPLINES, build_request_queue
 
@@ -255,6 +257,18 @@ class AdmissionController:
         self.config = config or AdmissionConfig()
         self.obs = metrics or MetricsRegistry()
         self.clock = clock
+        # The metrics every request bumps, looked up once; the rare ones
+        # (rejections, sheds, deadline and backend errors) are still
+        # created by name when they first happen.
+        self._requests = self.obs.counter("serve.requests")
+        self._admitted = self.obs.counter("serve.admitted")
+        self._completed = self.obs.counter("serve.completed")
+        self._queue_depth = self.obs.histogram("serve.queue.depth")
+        self._batch_size = self.obs.histogram("serve.batch.size")
+        self._queue_latency = self.obs.histogram("serve.latency.queue")
+        self._wall_latency = self.obs.histogram("serve.latency.wall")
+        #: tenant -> its (``requests``, ``admitted``) counters.
+        self._tenants: dict[str, tuple[Counter, Counter]] = {}
         self._queue = build_request_queue(
             self.config.queue_discipline,
             self.config.max_queue_depth,
@@ -345,11 +359,12 @@ class AdmissionController:
             clean = False
         for task in self._dispatchers:
             task.cancel()
-        for task in self._dispatchers:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        if self._dispatchers:
+            # wait(), not ``await task``: a CancelledError thrown into
+            # this coroutine stays referenced by the loop's wake-up call
+            # until the caller next yields, and its traceback holds a
+            # dispatcher frame — so the controller and the backend.
+            await asyncio.wait(self._dispatchers)
         self._dispatchers.clear()
         while not self._queue.empty():
             pending = self._queue.get_nowait()
@@ -389,8 +404,15 @@ class AdmissionController:
         if op not in ("probe", "scan"):
             raise FrontendError(f"unknown op {op!r}")
         now = self.clock()
-        self.obs.counter("serve.requests").inc()
-        self.obs.counter(f"serve.tenant.{tenant}.requests").inc()
+        self._requests.inc()
+        counters = self._tenants.get(tenant)
+        if counters is None:
+            counters = self._tenants[tenant] = (
+                self.obs.counter(f"serve.tenant.{tenant}.requests"),
+                self.obs.counter(f"serve.tenant.{tenant}.admitted"),
+            )
+        tenant_requests, tenant_admitted = counters
+        tenant_requests.inc()
         if self._draining:
             raise self._rejected(tenant, CODE_DRAINING, "server is draining")
         if not self._bucket_admits(tenant, now):
@@ -408,7 +430,7 @@ class AdmissionController:
             deadline=None if deadline_s is None else now + deadline_s,
             future=asyncio.get_running_loop().create_future(),
         )
-        self.obs.histogram("serve.queue.depth").observe(self._queue.qsize())
+        self._queue_depth.observe(self._queue.qsize())
         if self.config.overload_policy == "shed":
             try:
                 self._queue.put_nowait(pending)
@@ -424,8 +446,8 @@ class AdmissionController:
             # slot; time spent here is queueing latency by another name
             # and lands in the same wall-clock histogram.
             await self._queue.put(pending)
-        self.obs.counter("serve.admitted").inc()
-        self.obs.counter(f"serve.tenant.{tenant}.admitted").inc()
+        self._admitted.inc()
+        tenant_admitted.inc()
         return await pending.future
 
     def _bucket_admits(self, tenant: str, now: float) -> bool:
@@ -522,9 +544,13 @@ class AdmissionController:
         now = self.clock()
         alive: list[_Pending] = []
         for pending in batch:
-            if pending.expired(now):
-                # Stage 4: the deadline passed while the request sat in
-                # the queue; spend nothing on it.
+            if pending.future.done():
+                # Stage 4: the waiter left while the request sat in the
+                # queue (its connection closed, its task was cancelled);
+                # spend nothing on it.
+                self.obs.counter("serve.abandoned").inc()
+            elif pending.expired(now):
+                # Likewise when the deadline passed in the queue.
                 self.obs.counter("serve.deadline.queued").inc()
                 self._reject(
                     pending, CODE_DEADLINE,
@@ -534,11 +560,9 @@ class AdmissionController:
                 alive.append(pending)
         if not alive:
             return
-        self.obs.histogram("serve.batch.size").observe(len(alive))
+        self._batch_size.observe(len(alive))
         for pending in alive:
-            self.obs.histogram("serve.latency.queue").observe(
-                now - pending.enqueued_at
-            )
+            self._queue_latency.observe(now - pending.enqueued_at)
         op = alive[0].op
         specs = [p.spec for p in alive]
         call = (
@@ -598,8 +622,8 @@ class AdmissionController:
                     "deadline expired in flight",
                 )
                 continue
-            self.obs.counter("serve.completed").inc()
-            self.obs.histogram("serve.latency.wall").observe(latency)
+            self._completed.inc()
+            self._wall_latency.observe(latency)
             if not pending.future.done():
                 pending.future.set_result(result)
 

@@ -2,10 +2,17 @@
 
 :class:`FrontendClient` speaks the wire protocol over one TCP
 connection with request multiplexing — any number of requests may be in
-flight at once; a background reader task settles each response future
-by its correlation id.  That multiplexing is what lets the open-loop
-load generator drive a single connection at rates far past the
-backend's capacity, which is the whole point of an overload bench.
+flight at once; the connection is a
+:class:`~repro.serve.protocol.FramedConnection` that cuts every response
+out of each segment the socket delivers and settles its caller's future
+by correlation id, and whose requests leave once per loop turn, so the
+callers one segment of answers woke send their next requests in one
+``send()`` (a request with nothing else pending on the connection is
+written at once).  That multiplexing is what lets the open-loop load generator
+drive a single connection at rates far past the backend's capacity,
+which is the whole point of an overload bench.  A caller waits for the
+socket only between the transport's ``pause_writing`` and
+``resume_writing``.
 
 :class:`InProcessClient` presents the same ``probe``/``scan`` surface
 directly on an :class:`~repro.serve.admission.AdmissionController`,
@@ -41,16 +48,56 @@ from . import protocol
 from .admission import AdmissionController
 
 
+class _Connection(protocol.FramedConnection):
+    """The client's end of one connection; a reconnect makes another."""
+
+    def __init__(self, client: FrontendClient) -> None:
+        super().__init__()
+        self.client = client
+        #: Pending between ``pause_writing`` and ``resume_writing``
+        #: (or the loss of the connection); senders wait on it.
+        self.paused: asyncio.Future | None = None
+
+    def payload_received(self, payload: bytes) -> None:
+        self.client._settle(protocol.decode_frame(payload))
+
+    def stream_torn(self, exc: FrontendError) -> None:
+        # EOF mid-prefix or mid-frame, an oversized frame, a payload
+        # that is not a message, a message that is not a response: the
+        # peer is not speaking the protocol, so nothing later on this
+        # stream can be trusted.
+        self.client._disconnected(self, TransportError(f"torn stream: {exc}"))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # EOF between frames lands here with ``None``.  With responses
+        # still owed that is a torn stream too (the server died
+        # mid-conversation); either way the connection is gone.
+        self.client._disconnected(
+            self,
+            TransportError(
+                "server closed the connection" if exc is None
+                else f"connection lost: {exc}"
+            ),
+        )
+        self.resume_writing()
+        super().connection_lost(exc)
+
+    def pause_writing(self) -> None:
+        self.paused = self._loop.create_future()
+
+    def resume_writing(self) -> None:
+        if self.paused is not None:
+            self.paused.set_result(None)
+            self.paused = None
+
+
 class FrontendClient:
     """Async TCP client with response multiplexing and lazy reconnect."""
 
     def __init__(self) -> None:
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._connection: _Connection | None = None
         self._pending: dict[int, asyncio.Future] = {}
         self._ids = itertools.count(1)
-        self._reader_task: asyncio.Task | None = None
-        self._write_lock = asyncio.Lock()
         self._host: str | None = None
         self._port: int | None = None
         self._closed = False
@@ -58,63 +105,43 @@ class FrontendClient:
         self.reconnects = 0
 
     async def connect(self, host: str, port: int) -> "FrontendClient":
-        """Open the connection and start the response reader."""
+        """Open the connection."""
         self._host = host
         self._port = port
         self._closed = False
         await self._open()
         return self
 
-    async def _open(self) -> None:
+    async def _open(self) -> _Connection:
         assert self._host is not None and self._port is not None
         try:
-            self._reader, self._writer = await asyncio.open_connection(
-                self._host, self._port
+            _, connection = await asyncio.get_running_loop().create_connection(
+                lambda: _Connection(self), self._host, self._port
             )
         except (ConnectionError, OSError) as exc:
             raise TransportError(
                 f"connect to {self._host}:{self._port} failed: {exc}"
             ) from exc
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_responses(self._reader), name="repro-client-reader"
-        )
+        self._connection = connection
+        return connection
 
-    async def _ensure_connected(self) -> None:
-        if self._writer is not None:
-            return
+    async def _reconnect(self) -> _Connection:
         if self._closed or self._host is None:
             raise FrontendError("client is not connected")
         # Lazy reconnect: the previous connection tore (its in-flight
         # requests already failed with TransportError); this call gets
         # a fresh one against the same address.
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-            self._reader_task = None
-        await self._open()
+        connection = await self._open()
         self.reconnects += 1
+        return connection
 
     async def close(self) -> None:
         """Close the connection; outstanding requests fail."""
         self._closed = True
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-            self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._writer = None
-        self._reader = None
+        connection, self._connection = self._connection, None
+        if connection is not None:
+            connection.close()
+            await connection.closed
         self._fail_pending(FrontendError("connection closed"))
 
     async def __aenter__(self) -> "FrontendClient":
@@ -193,67 +220,33 @@ class FrontendClient:
 
     async def _request(self, message: dict[str, Any]) -> dict[str, Any]:
         """Send ``message``; return the ``ok`` response message."""
-        await self._ensure_connected()
+        connection = self._connection
+        if connection is None:
+            connection = await self._reconnect()
+        while connection.paused is not None:
+            await connection.paused
+        if connection is not self._connection:
+            raise TransportError("connection lost before send")
         request_id = next(self._ids)
         message["id"] = request_id
+        frame = protocol.encode_frame(message)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
+        connection.send(frame, alone=len(self._pending) == 1)
         try:
-            async with self._write_lock:
-                if self._writer is None:
-                    raise TransportError("connection lost before send")
-                try:
-                    protocol.write_frame(self._writer, message)
-                    await self._writer.drain()
-                except (ConnectionError, OSError) as exc:
-                    self._drop_connection(
-                        TransportError(f"send failed: {exc}")
-                    )
             # Settled with the result, the server's rejection, or the
             # TransportError a torn connection failed it with.
             return await future
         finally:
             self._pending.pop(request_id, None)
 
-    async def _read_responses(self, reader: asyncio.StreamReader) -> None:
-        try:
-            while True:
-                response = await protocol.read_frame(reader)
-                if response is None:
-                    # Clean EOF.  With responses still owed this is a
-                    # torn stream (the server died mid-conversation);
-                    # either way the connection is gone.
-                    self._disconnected(
-                        reader,
-                        TransportError("server closed the connection"),
-                    )
-                    return
-                self._settle(response)
-        except FrontendError as exc:
-            # protocol.read_frame: EOF mid-prefix or mid-frame, or a
-            # payload that is not a message; _settle: a message that is
-            # not a response.  Either way the peer is not speaking the
-            # protocol, so nothing later on this stream can be trusted.
-            self._disconnected(reader, TransportError(f"torn stream: {exc}"))
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionError, OSError) as exc:
-            self._disconnected(
-                reader, TransportError(f"connection lost: {exc}")
-            )
-
-    def _disconnected(self, reader: asyncio.StreamReader, exc: Exception) -> None:
-        # Guard by identity: a reader task from a torn connection must
-        # not take down the replacement it was already superseded by.
-        if self._reader is not reader:
+    def _disconnected(self, connection: _Connection, exc: Exception) -> None:
+        # Guard by identity: a connection that tore must not take down
+        # the replacement it was already superseded by.
+        if self._connection is not connection:
             return
-        self._drop_connection(exc)
-
-    def _drop_connection(self, exc: Exception) -> None:
-        self._reader = None
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+        self._connection = None
+        connection.transport.close()
         self._fail_pending(exc)
 
     def _settle(self, response: dict[str, Any]) -> None:

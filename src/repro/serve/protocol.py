@@ -5,9 +5,9 @@ big-endian unsigned length followed by that many payload bytes.
 Framing first, payload second: a reader never has to scan for
 delimiters, partial reads resume cleanly, and a malformed payload
 poisons only its own frame, not the stream position
-(:func:`read_payload` raises for a torn or oversized frame,
-:func:`decode_frame` for a bad payload; the server drops the peer on
-the first and answers ``bad-request`` on the second).
+(:class:`FrameSplitter` raises for an oversized frame and reports a torn
+one, :func:`decode_frame` raises for a bad payload; the server drops the
+peer on the first and answers ``bad-request`` on the second).
 
 Frame grammar::
 
@@ -56,6 +56,20 @@ the :class:`~repro.core.queries.ProbeResult` /
 ``entries`` an :class:`~repro.index.codec.EntryBlock` over the block:
 equal to the tuple, which it builds only if an entry is asked for, so
 after the call nothing about the frame can raise any more.
+
+Frames travel in trains.  A connection on either side is a
+:class:`FramedConnection`: whatever the transport hands
+``data_received`` — half a frame, one, or the sixteen requests of
+sixteen callers — goes through one :class:`FrameSplitter`, which cuts
+out every complete payload and keeps only an unfinished tail; frames
+going out are queued on the connection and handed to the transport once
+per loop turn, so the answers of one dispatched batch leave in one
+``send()`` (:meth:`FramedConnection.send` says which frames do not wait
+for the turn).  The bytes on the wire are the same frames in the same
+order either way.  :func:`read_payload` / :func:`read_frame` /
+:func:`write_frame` are the same framing over an
+:class:`asyncio.StreamReader` / ``StreamWriter`` pair, one frame a
+call: nothing in the package uses them, tests and stub peers do.
 """
 
 from __future__ import annotations
@@ -63,7 +77,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any
+from typing import Any, Iterator
 
 from ..core.queries import ProbeResult, ScanResult
 from ..errors import FrontendError
@@ -172,6 +186,179 @@ def decode_frame(payload: bytes) -> dict[str, Any]:
     return message
 
 
+# ----------------------------------------------------------------------
+# Framing: the splitter, the connection, the stream adapters
+# ----------------------------------------------------------------------
+
+
+def _payload_length(buffer: Any, at: int, max_frame_bytes: int) -> int:
+    """Return the payload length the prefix at ``buffer[at:]`` announces.
+
+    The one place an incoming prefix is read and held against the limit.
+    """
+    (length,) = _LEN.unpack_from(buffer, at)
+    if length > max_frame_bytes:
+        raise FrontendError(
+            f"peer announced a {length}-byte frame "
+            f"(limit {max_frame_bytes})"
+        )
+    return length
+
+
+def _torn(what: str, held: int, of: int) -> FrontendError:
+    return FrontendError(f"stream closed mid-{what} ({held}/{of} bytes)")
+
+
+class FrameSplitter:
+    """Cuts the frames out of a byte stream, however it was chunked.
+
+    :meth:`split` takes the next chunk and yields the payload of every
+    frame it completes; the bytes of an unfinished frame wait for the
+    next chunk.  A payload is copied once, out of the chunk itself when
+    nothing was waiting, so a large frame costs what ``readexactly``
+    charged for it and a chunk of small ones costs no buffer at all.
+    """
+
+    __slots__ = ("max_frame_bytes", "_tail")
+
+    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+        self.max_frame_bytes = max_frame_bytes
+        self._tail = bytearray()
+
+    def split(self, data: bytes) -> Iterator[bytes]:
+        """Yield the payload of each frame ``data`` completes, in order.
+
+        A prefix over ``max_frame_bytes`` raises
+        :class:`~repro.errors.FrontendError` once the frames before it
+        have been yielded; the stream position is then lost.
+        """
+        tail = self._tail
+        if tail:
+            tail += data
+            data = tail
+        at, end = 0, len(data)
+        try:
+            with memoryview(data) as view:
+                while end - at >= _LEN.size:
+                    start = at + _LEN.size
+                    stop = start + _payload_length(
+                        data, at, self.max_frame_bytes
+                    )
+                    if stop > end:
+                        break
+                    at = stop
+                    yield bytes(view[start:stop])
+        finally:
+            # Also reached when the consumer stops early: what was
+            # yielded is never yielded again.
+            if data is tail:
+                del tail[:at]
+            elif at < end:
+                with memoryview(data) as view:
+                    tail += view[at:]
+
+    def torn(self) -> FrontendError | None:
+        """Return what an end of stream here tears; ``None`` between frames."""
+        held = len(self._tail)
+        if held == 0:
+            return None
+        if held < _LEN.size:
+            return _torn("prefix", held, _LEN.size)
+        (length,) = _LEN.unpack_from(self._tail)
+        return _torn("frame", held - _LEN.size, length)
+
+
+#: A frame up to this size joins the train, one ``write`` for all of
+#: them; a larger one is handed to the transport as it is, because the
+#: join would copy it, and a copy of a 256 KB scan answer costs more
+#: than the ``send()`` it saves.
+TRAIN_FRAME_BYTES = 4096
+
+
+class FramedConnection(asyncio.Protocol):
+    """One TCP connection, either side: frames split in, trains out.
+
+    A subclass says what a payload means (:meth:`payload_received`) and
+    what a stream that stopped being frames costs (:meth:`stream_torn`).
+    Nothing is awaited per frame in either direction: the payloads of
+    one ``data_received`` are handled in arrival order, and
+    :meth:`send` queues — the queue goes to the transport in one piece
+    at the end of the loop turn (:meth:`send` says which frames do not
+    wait for that).
+    """
+
+    def __init__(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self.transport: asyncio.Transport  # from connection_made on
+        #: Done once the transport has let go of the socket.
+        self.closed: asyncio.Future = self._loop.create_future()
+        self._splitter = FrameSplitter()
+        self._outbox: list[bytes] = []
+
+    def payload_received(self, payload: bytes) -> None:
+        raise NotImplementedError
+
+    def stream_torn(self, exc: FrontendError) -> None:
+        raise NotImplementedError
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._outbox.clear()
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for payload in self._splitter.split(data):
+                self.payload_received(payload)
+        except FrontendError as exc:
+            self.stream_torn(exc)
+
+    def eof_received(self) -> None:
+        torn = self._splitter.torn()
+        if torn is not None:
+            self.stream_torn(torn)
+        # Returning None closes the transport: this protocol has no
+        # half-closed conversations.
+
+    def send(self, frame: bytes, *, alone: bool = False) -> None:
+        """Queue ``frame``; it leaves with the rest of this loop turn's.
+
+        Two kinds of frame do not wait, because no train can help them.
+        One over ``TRAIN_FRAME_BYTES`` is never joined, so holding it
+        would only keep a large buffer alive for a loop turn longer: it
+        goes to the transport now, after what was queued before it.
+        And when the caller knows that nothing else is in flight on the
+        connection (``alone``), there is nothing to share a write with.
+        """
+        if len(frame) > TRAIN_FRAME_BYTES:
+            self.flush()
+            if not self.transport.is_closing():
+                self.transport.write(frame)
+            return
+        self._outbox.append(frame)
+        if alone:
+            self.flush()
+        elif len(self._outbox) == 1:
+            self._loop.call_soon(self.flush)
+
+    def flush(self) -> None:
+        """Hand the queued frames to the transport as one write.
+
+        A transport that is closing takes nothing more (it would drop
+        the bytes and log the attempt), so the queue is dropped here.
+        """
+        frames, self._outbox = self._outbox, []
+        if frames and not self.transport.is_closing():
+            self.transport.write(b"".join(frames))
+
+    def close(self) -> None:
+        """Flush, then close: what was queued still reaches the peer."""
+        self.flush()
+        self.transport.close()
+
+
 async def read_payload(
     reader: asyncio.StreamReader,
     *,
@@ -190,21 +377,12 @@ async def read_payload(
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
-        raise FrontendError(
-            f"stream closed mid-prefix ({len(exc.partial)}/4 bytes)"
-        ) from exc
-    (length,) = _LEN.unpack(prefix)
-    if length > max_frame_bytes:
-        raise FrontendError(
-            f"peer announced a {length}-byte frame "
-            f"(limit {max_frame_bytes})"
-        )
+        raise _torn("prefix", len(exc.partial), _LEN.size) from exc
+    length = _payload_length(prefix, 0, max_frame_bytes)
     try:
         return await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
-        raise FrontendError(
-            f"stream closed mid-frame ({len(exc.partial)}/{length} bytes)"
-        ) from exc
+        raise _torn("frame", len(exc.partial), length) from exc
 
 
 async def read_frame(
@@ -314,9 +492,12 @@ def result_response(request_id: Any, wire: dict[str, Any]) -> dict[str, Any]:
 
 
 __all__ = [
+    "FrameSplitter",
+    "FramedConnection",
     "MAX_FRAME_BYTES",
     "OPS",
     "RESULT_MARKER",
+    "TRAIN_FRAME_BYTES",
     "decode_frame",
     "encode_frame",
     "error_response",

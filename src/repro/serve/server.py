@@ -2,20 +2,34 @@
 
 ``FrontendServer`` owns one :class:`~repro.serve.admission.AdmissionController`
 and speaks the length-prefixed protocol of
-:mod:`repro.serve.protocol` on a TCP listener.  Each connection is read
-frame by frame; every request is decoded and handled in its own task,
-so a client may pipeline any number of requests on one connection and
-receive the responses as each completes (correlation is by the request
-``id`` the client chose, not by order).  A frame whose payload does not
-decode is answered ``bad-request`` with ``id: null`` and the connection
-stays; only a torn or oversized frame, after which the stream position
-is unknown, drops the peer.  ``ping`` and ``stats`` bypass admission —
-health checks and metric scrapes must keep working while the query path
-is saturated or draining.
+:mod:`repro.serve.protocol` on a TCP listener.  Each connection is a
+:class:`~repro.serve.protocol.FramedConnection`: every frame a segment
+holds is cut out and handled in arrival order, nothing awaited per
+frame.  ``ping``, ``stats`` and every request that cannot be served as
+asked are answered on the spot; an admitted probe or scan gets one task
+that awaits the admission pipeline and marshals the answer.  Answers are
+queued on the connection and leave once per loop turn, so the answers of
+one dispatched batch are one ``send()`` (the answer of a connection's
+only request in flight, and any frame too large to join a train, is
+written at once); a client may pipeline any
+number of requests and receives the responses as each completes
+(correlation is by the request ``id`` the client chose, not by order).
+A frame whose payload does not decode is answered ``bad-request`` with
+``id: null`` and the connection stays; only a torn or oversized frame,
+after which the stream position is unknown, drops the peer.  ``ping``
+and ``stats`` bypass admission — health checks and metric scrapes must
+keep working while the query path is saturated or draining.
+
+Flow control: a peer that pipelines without taking its answers stops
+being read.  When the transport's write buffer passes its high-water
+mark the connection pauses reading, and resumes when the buffer drains,
+so what one peer can have in flight is what it sent before its answers
+backed up.
 
 Shutdown is graceful by default: :meth:`FrontendServer.drain_and_close`
 stops the listener, lets queued and in-flight requests finish (bounded
-by the configured drain timeout), then closes the connections.
+by the configured drain timeout), waits for their answers to be
+marshalled, flushes every connection and only then closes it.
 """
 
 from __future__ import annotations
@@ -62,7 +76,7 @@ class FrontendServer:
             metrics=self.obs,
         )
         self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -77,8 +91,8 @@ class FrontendServer:
         if self._server is not None:
             raise FrontendError("server already started")
         self.controller.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host, port
         )
 
     @property
@@ -89,24 +103,25 @@ class FrontendServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def drain_and_close(self, timeout_s: float | None = None) -> bool:
-        """Graceful shutdown: stop listening, drain, close connections.
+        """Graceful shutdown: stop listening, drain, flush, close.
 
         Returns ``True`` when every admitted request completed before
         the drain timeout.
         """
+        if timeout_s is None:
+            timeout_s = self.config.drain_timeout_s
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         clean = await self.controller.drain(timeout_s)
-        for task in list(self._connections):
-            task.cancel()
-        for task in list(self._connections):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._connections.clear()
-        self._server = None
+        # drain() returns with the last batch settled: those answers are
+        # one loop turn from their outbox, and a transport drops what is
+        # written after close().  So the request tasks finish first.
+        requests = [r for c in self._connections for r in c.requests]
+        if requests:
+            await asyncio.wait(requests, timeout=timeout_s)
+        for connection in list(self._connections):
+            connection.close()
+        await self._connections_closed(timeout_s)
         return clean
 
     async def abort(self) -> None:
@@ -114,22 +129,33 @@ class FrontendServer:
 
         The chaos harness uses this to model a frontend crash: clients
         with requests in flight see torn streams, not ``draining``
-        rejections, and nothing queued gets a goodbye.  The drain path
-        is *not* taken on purpose.
+        rejections, and nothing queued or buffered gets a goodbye.  The
+        drain path is *not* taken on purpose.
         """
         if self._server is not None:
             self._server.close()
+        for connection in list(self._connections):
+            connection.transport.abort()
+        await self._connections_closed(None)
+        await self.controller.drain(0.0)
+
+    async def _connections_closed(self, patience_s: float | None) -> None:
+        """Return once every connection has let go of its socket.
+
+        One still pushing buffered answers at a peer that stopped
+        reading is aborted after ``patience_s``.
+        """
+        closed = [connection.closed for connection in self._connections]
+        if closed:
+            _, stuck = await asyncio.wait(closed, timeout=patience_s)
+            if stuck:
+                for connection in list(self._connections):
+                    connection.transport.abort()
+                await asyncio.wait(stuck)
+        if self._server is not None:
+            # After the connections: since 3.12 this waits for them.
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        for task in list(self._connections):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._connections.clear()
-        await self.controller.drain(0.0)
 
     def stats(self) -> dict[str, Any]:
         """Return the metrics snapshot the ``stats`` op serves."""
@@ -143,132 +169,136 @@ class FrontendServer:
             snapshot["adaptive"] = adaptive
         return snapshot
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._connections.add(task)
-        self.obs.counter("serve.connections").inc()
-        write_lock = asyncio.Lock()
-        requests: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    payload = await protocol.read_payload(reader)
-                except FrontendError:
-                    break  # torn stream or oversized frame: drop the peer
-                if payload is None:
-                    break
-                request = asyncio.get_running_loop().create_task(
-                    self._handle_request(payload, writer, write_lock)
-                )
-                requests.add(request)
-                request.add_done_callback(requests.discard)
-        except asyncio.CancelledError:
-            # Server shutdown (drain/abort) cancelled this connection;
-            # finish through the cleanup below instead of letting the
-            # streams layer log the cancellation as an error.
-            pass
-        finally:
-            for request in list(requests):
-                request.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._connections.discard(task)
+def _probe_spec(message: dict[str, Any]) -> tuple[Any, int, int]:
+    try:
+        return (message["value"], int(message["t1"]), int(message["t2"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FrontendError(f"malformed probe request: {exc}") from exc
 
-    async def _handle_request(
-        self,
-        payload: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
+
+def _scan_spec(message: dict[str, Any]) -> tuple[int, int]:
+    try:
+        return (int(message["t1"]), int(message["t2"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FrontendError(f"malformed scan request: {exc}") from exc
+
+
+def _error_response(request_id: Any, exc: Exception) -> dict[str, Any]:
+    """Return the error frame body that reports ``exc`` to the client."""
+    if isinstance(exc, RequestRejected):
+        return protocol.error_response(request_id, exc.code, str(exc))
+    if isinstance(exc, BackendError):
+        # Admitted but failed in the cluster: clients may retry it on
+        # another frontend, unlike a bad request.
+        return protocol.error_response(request_id, "backend-error", str(exc))
+    if isinstance(exc, FrontendError):
+        return protocol.error_response(request_id, "bad-request", str(exc))
+    # Never let one request kill the stream.
+    return protocol.error_response(request_id, "internal", repr(exc))
+
+
+class _Connection(protocol.FramedConnection):
+    """The server's end of one client connection."""
+
+    def __init__(self, server: FrontendServer) -> None:
+        super().__init__()
+        self.server = server
+        #: One task per admitted probe or scan not yet answered.
+        self.requests: set[asyncio.Task] = set()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self.server._connections.add(self)
+        self.server.obs.counter("serve.connections").inc()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # Nobody is left to answer; admission skips a cancelled waiter.
+        for request in self.requests:
+            request.cancel()
+        self.server._connections.discard(self)
+        super().connection_lost(exc)
+
+    def stream_torn(self, exc: FrontendError) -> None:
+        # Torn stream or oversized frame: the stream position is lost,
+        # so the peer is dropped.
+        self.transport.close()
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def payload_received(self, payload: bytes) -> None:
         request_id = None
         try:
             message = protocol.decode_frame(payload)
             if "entries" in message:
                 raise FrontendError("a request must be a JSON frame")
             request_id = message.get("id")
-            response = await self._dispatch(message)
-        except RequestRejected as exc:
-            response = protocol.error_response(request_id, exc.code, str(exc))
-        except BackendError as exc:
-            # Admitted but failed in the cluster: clients may retry it
-            # on another frontend, unlike a bad request.
-            response = protocol.error_response(
-                request_id, "backend-error", str(exc)
-            )
-        except FrontendError as exc:
-            response = protocol.error_response(
-                request_id, "bad-request", str(exc)
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # never let one request kill the stream
-            response = protocol.error_response(
-                request_id, "internal", repr(exc)
-            )
-        async with write_lock:
-            try:
-                try:
-                    protocol.write_frame(writer, response)
-                except FrontendError as exc:
-                    # Over the frame limit; nothing was written.
-                    protocol.write_frame(
-                        writer,
-                        protocol.error_response(
-                            request_id, "response-too-large", str(exc)
-                        ),
+            op = message.get("op")
+            if op == "ping":
+                response = protocol.ok_response(request_id, "pong")
+            elif op == "stats":
+                response = protocol.ok_response(request_id, self.server.stats())
+            else:
+                tenant = str(message.get("tenant", "default"))
+                deadline_ms = message.get("deadline_ms")
+                deadline_s = (
+                    None if deadline_ms is None else float(deadline_ms) / 1e3
+                )
+                if op == "probe":
+                    spec = _probe_spec(message)
+                elif op == "scan":
+                    spec = _scan_spec(message)
+                else:
+                    raise FrontendError(
+                        f"unknown op {op!r}; known: {', '.join(protocol.OPS)}"
                     )
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # peer went away; nothing to tell it
+                request = self._loop.create_task(
+                    self._answer(request_id, op, spec, tenant, deadline_s)
+                )
+                self.requests.add(request)
+                request.add_done_callback(self.requests.discard)
+                return
+        except Exception as exc:
+            response = _error_response(request_id, exc)
+        self._respond(request_id, response)
 
-    async def _dispatch(self, message: dict[str, Any]) -> dict[str, Any]:
-        request_id = message.get("id")
-        op = message.get("op")
-        if op == "ping":
-            return protocol.ok_response(request_id, "pong")
-        if op == "stats":
-            return protocol.ok_response(request_id, self.stats())
-        tenant = str(message.get("tenant", "default"))
-        deadline_ms = message.get("deadline_ms")
-        deadline_s = None if deadline_ms is None else float(deadline_ms) / 1e3
-        if op == "probe":
-            spec = self._probe_spec(message)
-        elif op == "scan":
-            spec = self._scan_spec(message)
-        else:
-            raise FrontendError(
-                f"unknown op {op!r}; known: {', '.join(protocol.OPS)}"
+    async def _answer(
+        self,
+        request_id: Any,
+        op: str,
+        spec: tuple[Any, ...],
+        tenant: str,
+        deadline_s: float | None,
+    ) -> None:
+        try:
+            result = await self.server.controller.submit(
+                op, spec, tenant=tenant, deadline_s=deadline_s
             )
-        result = await self.controller.submit(
-            op, spec, tenant=tenant, deadline_s=deadline_s
-        )
-        return protocol.result_response(
-            request_id, protocol.result_to_wire(result)
-        )
+            response = protocol.result_response(
+                request_id, protocol.result_to_wire(result)
+            )
+        except Exception as exc:
+            response = _error_response(request_id, exc)
+        # This task is still in ``requests``: alone means the only one.
+        self._respond(request_id, response, alone=len(self.requests) == 1)
 
-    @staticmethod
-    def _probe_spec(message: dict[str, Any]) -> tuple[Any, int, int]:
+    def _respond(
+        self, request_id: Any, response: dict[str, Any], *, alone: bool = False
+    ) -> None:
         try:
-            return (message["value"], int(message["t1"]), int(message["t2"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FrontendError(f"malformed probe request: {exc}") from exc
-
-    @staticmethod
-    def _scan_spec(message: dict[str, Any]) -> tuple[int, int]:
-        try:
-            return (int(message["t1"]), int(message["t2"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FrontendError(f"malformed scan request: {exc}") from exc
+            frame = protocol.encode_frame(response)
+        except FrontendError as exc:
+            # Over the frame limit: the caller still gets an answer.
+            frame = protocol.encode_frame(
+                protocol.error_response(
+                    request_id, "response-too-large", str(exc)
+                )
+            )
+        self.send(frame, alone=alone)
 
 
 __all__ = ["FrontendServer"]

@@ -27,6 +27,34 @@ async def read_from(data: bytes, eof: bool = True):
     return await protocol.read_frame(feed_reader(data, eof))
 
 
+class RecordingTransport(asyncio.Transport):
+    """A transport that keeps what it is handed, one entry per ``write``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[bytes] = []
+        self.closing = False
+
+    def write(self, data) -> None:
+        self.writes.append(bytes(data))
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def close(self) -> None:
+        self.closing = True
+
+    abort = close
+
+
+def split_frames(data: bytes) -> list[dict]:
+    """Decode the back-to-back frames in ``data`` (which must end on one)."""
+    splitter = protocol.FrameSplitter()
+    messages = [protocol.decode_frame(p) for p in splitter.split(data)]
+    assert splitter.torn() is None
+    return messages
+
+
 class FakeClock:
     """Manually-advanced monotonic clock."""
 

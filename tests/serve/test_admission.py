@@ -5,6 +5,8 @@ fake clock from ``conftest`` — no real sleeping, exact timing.
 """
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -404,6 +406,50 @@ class TestDrain:
             assert await controller.drain() is True
 
         run(scenario())
+
+
+    def test_requests_nobody_waits_for_never_reach_the_backend(self, clock):
+        # What connection_lost does to a departed peer's requests:
+        # admitted, then cancelled before a dispatcher got to them.
+        async def scenario():
+            backend = EchoBackend()
+            controller = AdmissionController(backend, clock=clock)
+            loop = asyncio.get_running_loop()
+            waiters = [
+                loop.create_task(controller.submit("probe", (i, 1, 2)))
+                for i in range(50)
+            ]
+            await spin()
+            assert controller.queue_depth == 50
+            for waiter in waiters:
+                waiter.cancel()
+            await asyncio.gather(*waiters, return_exceptions=True)
+            controller.start()
+            kept = await controller.submit("probe", ("kept", 1, 2))
+            assert kept == ("probe", ("kept", 1, 2))
+            assert await controller.drain(timeout_s=5.0) is True
+            assert backend.probe_calls == [[("kept", 1, 2)]]
+            counters = controller.obs.snapshot()["counters"]
+            assert counters["serve.abandoned"] == 50
+            assert counters["serve.completed"] == 1
+
+        run(scenario())
+
+    @pytest.mark.parametrize("timeout_s", [None, 0.0])
+    def test_drain_lets_go_of_the_backend_before_it_returns(self, timeout_s):
+        async def scenario():
+            backend = EchoBackend()
+            alive = weakref.ref(backend)
+            controller = AdmissionController(backend)
+            controller.start()
+            await controller.submit("probe", (1, 1, 2))
+            await controller.drain(timeout_s)
+            # No loop turn between drain() and the check.
+            del controller, backend
+            gc.collect()
+            return alive() is not None
+
+        assert run(scenario()) is False
 
 
 class TestAdmissionEdgeRaces:

@@ -13,7 +13,7 @@ result, or :class:`FrontendError`: a client must never see a
 ``result_from_wire`` has returned, reading the result — its entries are
 decoded on access — cannot fail either.  In the other direction, no
 well-framed JSON response, whatever the types of its fields, kills the
-client's reader task or leaves a caller waiting.
+client's connection without settling the caller it left waiting.
 """
 
 import asyncio
@@ -28,9 +28,10 @@ from repro.errors import FrontendError, TransportError
 from repro.index import codec
 from repro.index.entry import Entry
 from repro.serve import protocol
+from repro.serve import client as client_module
 from repro.serve.client import FrontendClient
 
-from .conftest import feed_reader, read_from
+from .conftest import RecordingTransport, read_from
 
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 batch_infos = st.one_of(st.none(), int64s)
@@ -269,10 +270,13 @@ def test_no_json_response_kills_the_reader_or_strands_a_caller(messages):
         client = FrontendClient()
         caller = asyncio.get_running_loop().create_future()
         client._pending[1] = caller
-        client._reader = reader = feed_reader(frames)
+        connection = client._connection = client_module._Connection(client)
+        connection.connection_made(RecordingTransport())
         # Returns — never raises — at EOF or at the first violation.
-        await client._read_responses(reader)
-        assert caller.done() and not client._pending and client._reader is None
+        connection.data_received(frames)
+        assert connection.eof_received() is None  # so the transport closes
+        connection.connection_lost(None)
+        assert caller.done() and not client._pending and client._connection is None
         error = caller.exception()
         assert error is None or isinstance(error, FrontendError)
         routable = [
