@@ -52,6 +52,7 @@ from typing import Any, Callable, Mapping
 from ..errors import BackendError, FrontendError, RequestRejected
 from ..obs import Counter, MetricsRegistry
 from .adaptive import AdaptiveConfig, AimdController
+from .protocol import check_deadline
 from .queueing import QUEUE_DISCIPLINES, build_request_queue
 
 #: Overload policies :class:`AdmissionConfig` accepts.
@@ -399,10 +400,15 @@ class AdmissionController:
         """Run one request through the pipeline; return its result.
 
         Raises :class:`~repro.errors.RequestRejected` with the
-        stage-specific code when the pipeline refuses it.
+        stage-specific code when the pipeline refuses it, and
+        :class:`~repro.errors.FrontendError` before any stage for an op
+        it does not know or a deadline that is no number (NaN would
+        never expire).
         """
         if op not in ("probe", "scan"):
             raise FrontendError(f"unknown op {op!r}")
+        if deadline_s is not None:
+            check_deadline(deadline_s)
         now = self.clock()
         self._requests.inc()
         counters = self._tenants.get(tenant)

@@ -22,7 +22,11 @@ wire codec's; the CI smoke job uses the TCP client so the wire path
 stays exercised end to end.
 
 Both raise :class:`~repro.errors.RequestRejected` with the server's
-rejection code, so callers handle shed/rate-limit/deadline uniformly.
+rejection code, so callers handle shed/rate-limit/deadline uniformly,
+and :class:`~repro.errors.FrontendError` for a request that is wrong in
+itself — what no request frame can hold (``bad-request``, raised before
+anything is sent), an empty range, a deadline that is no number — and
+for an answer that is not the kind that was asked for.
 Transport failures — connection reset, EOF mid-frame, EOF with
 responses still owed — surface as the *retryable*
 :class:`~repro.errors.TransportError`, and the TCP client reconnects
@@ -46,6 +50,16 @@ from ..errors import (
 )
 from . import protocol
 from .admission import AdmissionController
+
+
+def _result(kind: str, response: dict[str, Any]) -> Any:
+    """Return the result ``response`` carries, held to the op asked."""
+    if response.get("kind") != kind:
+        raise FrontendError(
+            f"malformed answer: a {kind} was answered with "
+            f"kind {response.get('kind')!r}"
+        )
+    return protocol.result_from_wire(response)
 
 
 class _Connection(protocol.FramedConnection):
@@ -170,19 +184,10 @@ class FrontendClient:
         in-process caller gets and decoded to it when first read;
         ``record_ids`` comes from the block's id column without that.
         """
-        response = await self._request(
-            {
-                "op": "probe", "value": value, "t1": t1, "t2": t2,
-                "tenant": tenant,
-                **(
-                    {} if deadline_ms is None
-                    else {"deadline_ms": deadline_ms}
-                ),
-            }
-        )
-        result = protocol.result_from_wire(response)
-        assert isinstance(result, ProbeResult)
-        return result
+        return _result("probe", await self._request({
+            "op": "probe", "value": value, "t1": t1, "t2": t2,
+            "tenant": tenant, "deadline_ms": deadline_ms,
+        }))
 
     async def scan(
         self,
@@ -193,18 +198,10 @@ class FrontendClient:
         deadline_ms: float | None = None,
     ) -> ScanResult:
         """Timed segment scan over days ``[t1, t2]``."""
-        response = await self._request(
-            {
-                "op": "scan", "t1": t1, "t2": t2, "tenant": tenant,
-                **(
-                    {} if deadline_ms is None
-                    else {"deadline_ms": deadline_ms}
-                ),
-            }
-        )
-        result = protocol.result_from_wire(response)
-        assert isinstance(result, ScanResult)
-        return result
+        return _result("scan", await self._request({
+            "op": "scan", "t1": t1, "t2": t2,
+            "tenant": tenant, "deadline_ms": deadline_ms,
+        }))
 
     async def ping(self) -> bool:
         """Health check; bypasses admission on the server."""
@@ -287,8 +284,21 @@ class FrontendClient:
         self._pending.clear()
 
 
+def _seconds(deadline_ms: Any) -> float | None:
+    """Return ``deadline_ms`` in seconds, checked as a request frame's is."""
+    if deadline_ms is None:
+        return None
+    protocol.check_deadline(deadline_ms)
+    return deadline_ms / 1e3
+
+
 class InProcessClient:
-    """The client surface directly on an admission controller."""
+    """The client surface directly on an admission controller.
+
+    A request that is wrong in itself — an empty range, a deadline that
+    is no number — is refused here as the server refuses it: before
+    admission, with :class:`~repro.errors.FrontendError`.
+    """
 
     def __init__(self, controller: AdmissionController) -> None:
         self.controller = controller
@@ -302,9 +312,10 @@ class InProcessClient:
         tenant: str = "default",
         deadline_ms: float | None = None,
     ) -> ProbeResult:
+        protocol.check_range(t1, t2)
         return await self.controller.submit(
             "probe", (value, t1, t2), tenant=tenant,
-            deadline_s=None if deadline_ms is None else deadline_ms / 1e3,
+            deadline_s=_seconds(deadline_ms),
         )
 
     async def scan(
@@ -315,9 +326,10 @@ class InProcessClient:
         tenant: str = "default",
         deadline_ms: float | None = None,
     ) -> ScanResult:
+        protocol.check_range(t1, t2)
         return await self.controller.submit(
             "scan", (t1, t2), tenant=tenant,
-            deadline_s=None if deadline_ms is None else deadline_ms / 1e3,
+            deadline_s=_seconds(deadline_ms),
         )
 
     async def ping(self) -> bool:

@@ -9,40 +9,95 @@ poisons only its own frame, not the stream position
 one, :func:`decode_frame` raises for a bad payload; the server drops the
 peer on the first and answers ``bad-request`` on the second).
 
-Frame grammar::
+Frame grammar (every integer and float big-endian, like the length)::
 
     frame   = length payload
-    length  = uint32, big-endian          ; len(payload) <= MAX_FRAME_BYTES
-    payload = json | result
+    length  = u32                         ; len(payload) <= MAX_FRAME_BYTES
+    payload = json | request | result     ; told apart by the first byte
     json    = "{" ... "}"                 ; one UTF-8 JSON object
-    result  = 0xB1 hlen header block
-    hlen    = uint32, big-endian          ; len(header)
-    header  = "{" ... "}"                 ; one UTF-8 JSON object
+    request = 0xC0 op:u8 flags:u8 id:u64 t1:i64 t2:i64 deadline_ms:f64
+              tenant_len:u16 value_tag:u8 value_len:u32 tenant value
+    result  = 0xC1 kind:u8 id:u64 seconds:f64 indexes:u32
+              n_covered:u16 n_missing:u16 days block
+    days    = i64 * (n_covered + n_missing)
     block   = "WIX1" ...                  ; the rest of the payload
 
-     0        4    5        9          9+hlen              4+length
-     +--------+----+--------+----------+-------------------+
-     | length |0xB1|  hlen  |  header  |   WIX1 block      |
-     +--------+----+--------+----------+-------------------+
+A request payload is 42 bytes and the two texts they announce::
 
-Requests, error responses and the ``ping`` / ``stats`` replies are
-``json`` frames.  Requests carry ``id`` (client-chosen correlation
-number), ``op`` (``probe`` / ``scan`` / ``ping`` / ``stats``), an
-optional ``tenant`` (admission control's rate-limit key, default
-``"default"``) and optional ``deadline_ms`` (propagated through the
-admission pipeline), plus the op's arguments (``value``/``t1``/``t2``).
-A ``json`` response echoes the ``id`` with either ``ok: true`` and a
-``result`` or ``ok: false`` and an ``error`` object carrying the
-machine-readable rejection ``code``
+    offset  bytes  field
+         0      1  marker       0xC0
+         1      1  op           1 probe, 2 scan
+         2      1  flags        bit 0: deadline_ms is meant; the rest 0
+         3      8  id           u64, the client's correlation number
+        11      8  t1           i64, first day
+        19      8  t2           i64, last day
+        27      8  deadline_ms  f64; 0.0 and unread without flags bit 0
+        35      2  tenant_len   u16
+        37      1  value_tag    how value is written, below
+        38      4  value_len    u32
+        42      .  tenant       UTF-8, tenant_len bytes
+         .      .  value        value_len bytes, to the end of the payload
+
+    value_tag  value
+            0  none: a scan, value_len 0
+            1  a str, as UTF-8
+            2  an int that fits int64, as 8 bytes
+            3  anything else JSON carries (float, bool, None, a bigger
+               int), as UTF-8 JSON text
+
+"No deadline" is a flag, never a magic float, and a deadline is a number
+that is not NaN (:func:`check_deadline`).  The tags keep ``1``, ``True``,
+``1.0`` and ``"1"`` the types they left as: the directory is keyed by
+them.  The two lengths add up to the payload exactly.
+
+A result payload is 26 bytes, the days they count, and the block::
+
+    offset  bytes  field
+         0      1  marker       0xC1
+         1      1  kind         1 a probe's answer, 2 a scan's
+         2      8  id           u64, the request's
+        10      8  seconds      f64
+        18      4  indexes      u32, indexes_probed / indexes_scanned
+        22      2  n_covered    u16
+        24      2  n_missing    u16
+        26      .  days         i64 each: the covered days, sorted, then
+                                the missing days, sorted
+         .      .  block        to the end of the payload
+
+The block is the answer's entries exactly as
+:func:`repro.index.codec.encode_entries` would write them (its own
+layout, little-endian, 32 bytes an entry).  Neither marker is a byte
+UTF-8 text can hold, so no JSON payload is mistaken for either shape,
+and neither is ``0xB1``, the marker of the JSON-headed result frame this
+layout replaced: such a frame is a malformed payload, not a different
+answer.
+
+A probe or scan is a ``request`` frame and its answer a ``result``
+frame, and there is no other way to send either.  ``ping``, ``stats``,
+their replies and every error response are ``json`` frames: they are
+rare, ``stats`` has no schema to lay out, and an error's message is
+text.  A ``json`` request carries ``id`` (client-chosen correlation
+number) and ``op``; a ``json`` response echoes the ``id`` with either
+``ok: true`` and a ``result`` or ``ok: false`` and an ``error`` object
+carrying the machine-readable rejection ``code``
 (:class:`~repro.errors.RequestRejected`).
 
-A probe or scan answer is a ``result`` frame, and there is no other way
-to send one.  Its header holds ``id``, ``ok``, ``kind``, ``seconds``,
-``indexes_probed`` / ``indexes_scanned``, ``covered_days`` and
-``missing_days`` (day sets as sorted lists); its block is the answer's
-entries exactly as :func:`repro.index.codec.encode_entries` would write
-them, 32 bytes an entry.  In Python a result message is the header dict
-with the block under ``"entries"``.
+In Python every payload is a dict, whatever its shape on the wire.
+:func:`decode_frame` returns a request as ``id``, ``op`` (``"probe"`` /
+``"scan"``), ``t1``, ``t2``, ``tenant`` (admission control's rate-limit
+key; ``"default"`` when the sender named none), ``deadline_ms``
+(``None`` without one; propagated through the admission pipeline) and,
+for a probe, ``value``; a result as ``id``, ``ok``, ``kind``,
+``seconds``, ``indexes_probed`` / ``indexes_scanned``, ``covered_days``,
+``missing_days`` (tuples of days) and the undecoded block under
+``"entries"``.  :func:`encode_frame` takes the same dicts.  Both check
+before they slice or pack: every announced length is held against the
+payload, every code against the table, every text against UTF-8, and
+whatever is wrong is a :class:`~repro.errors.FrontendError` — from
+:func:`encode_frame` a ``bad-request`` the caller gets before anything
+is sent, from :func:`decode_frame` a malformed payload the server
+answers ``bad-request``, under the request's ``id`` whenever the 42
+bytes that hold it arrived (:func:`request_id_of`).
 
 The block is the answer on both sides.  :func:`result_to_wire` joins the
 encoded record runs of the buckets a probe was answered from (a result
@@ -86,15 +141,30 @@ from ..index import codec
 #: Frame length prefix: 4-byte big-endian unsigned.
 _LEN = struct.Struct(">I")
 
-#: First payload byte of a result frame.  Not a byte UTF-8 text can
-#: start with, so no JSON payload is ever mistaken for one.
-RESULT_MARKER = b"\xb1"
+#: First payload byte of a request frame and of a result frame.  Bytes
+#: no UTF-8 text holds anywhere, so no JSON payload starts with one.
+REQUEST_MARKER = b"\xc0"
+RESULT_MARKER = b"\xc1"
 
-#: Length prefix, marker and header length of a result frame.
-_RESULT_HEAD = struct.Struct(">IcI")
+#: What a request payload starts with: marker, op, flags, id, t1, t2,
+#: deadline_ms, tenant_len, value_tag, value_len — and the same behind
+#: the frame's length, which is how it is written.
+_REQUEST_FORMAT = "cBBQqqdHBI"
+_REQUEST_HEAD = struct.Struct(">" + _REQUEST_FORMAT)
+_REQUEST_FRAME_HEAD = struct.Struct(">I" + _REQUEST_FORMAT)
 
-#: Payload bytes before a result frame's header: marker and ``hlen``.
-_RESULT_HEADER_AT = _RESULT_HEAD.size - _LEN.size
+#: What a result payload starts with: marker, kind, id, seconds,
+#: indexes, n_covered, n_missing — and the same behind the length.
+_RESULT_FORMAT = "cBQdIHH"
+_RESULT_HEAD = struct.Struct(">" + _RESULT_FORMAT)
+_RESULT_FRAME_HEAD = struct.Struct(">I" + _RESULT_FORMAT)
+
+#: The one request flag: ``deadline_ms`` is meant.
+_HAS_DEADLINE = 0x01
+
+#: Value tags of a request, and an int64 value.
+_NO_VALUE, _STR_VALUE, _INT_VALUE, _JSON_VALUE = range(4)
+_INT64 = struct.Struct(">q")
 
 #: Default ceiling on one frame's payload; a peer announcing more is
 #: treated as a protocol violation, not an allocation request.
@@ -103,16 +173,18 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: Operations the server accepts.
 OPS = ("probe", "scan", "ping", "stats")
 
-#: Result class -> (kind, name of its index-count field), and back.
-_RESULT_FIELDS = {
-    ProbeResult: ("probe", "indexes_probed"),
-    ScanResult: ("scan", "indexes_scanned"),
+#: Op of a request and kind of the result that answers it -> their wire
+#: code, the result class, the name of its index-count field.
+_KINDS = {
+    "probe": (1, ProbeResult, "indexes_probed"),
+    "scan": (2, ScanResult, "indexes_scanned"),
 }
-_RESULT_KINDS = {
-    kind: (cls, field) for cls, (kind, field) in _RESULT_FIELDS.items()
+_KIND_OF_CODE = {code: kind for kind, (code, _, _) in _KINDS.items()}
+_RESULT_FIELDS = {
+    cls: (kind, field) for kind, (_, cls, field) in _KINDS.items()
 }
 
-# One encoder and one decoder for every frame: ``json.dumps`` with
+# One encoder and one decoder for every JSON frame: ``json.dumps`` with
 # non-default separators builds a fresh ``JSONEncoder`` per call, which
 # on a small frame costs as much as the encoding.
 _encode_json = json.JSONEncoder(
@@ -121,45 +193,134 @@ _encode_json = json.JSONEncoder(
 _decode_json = json.JSONDecoder().decode
 
 
-def _too_large(size: int) -> FrontendError:
-    return FrontendError(
-        f"frame of {size} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
-    )
+# ----------------------------------------------------------------------
+# What a request must be, on any path
+# ----------------------------------------------------------------------
+
+
+def check_deadline(deadline: Any) -> None:
+    """Raise unless ``deadline`` is a number and not NaN.
+
+    NaN compares false with every clock, so it would never expire; a
+    negative deadline has expired, ``inf`` never will — both are numbers.
+    """
+    if not isinstance(deadline, (int, float)) or deadline != deadline:
+        raise FrontendError(f"deadline {deadline!r} is not a number")
+
+
+def check_range(t1: int, t2: int) -> None:
+    """Raise for an empty range of days.
+
+    A property of one request: checked before admission, so that it
+    cannot fail the batch the request would have been coalesced into.
+    """
+    if t1 > t2:
+        raise FrontendError(f"empty time range [{t1}, {t2}]")
+
+
+# ----------------------------------------------------------------------
+# Payloads: dict in, bytes out, and back
+# ----------------------------------------------------------------------
+
+
+def _checked_size(size: int) -> int:
+    """Return ``size``, the payload length of a frame about to be built."""
+    if size > MAX_FRAME_BYTES:
+        raise FrontendError(
+            f"frame of {size} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
+        )
+    return size
+
+
+def _malformed(what: Any) -> FrontendError:
+    return FrontendError(f"malformed frame payload: {what}")
 
 
 def encode_frame(message: dict[str, Any]) -> bytes:
     """Return ``message`` as one frame.
 
-    A message with an ``"entries"`` block goes out as a result frame,
-    any other as a JSON frame.
+    A message with an ``"entries"`` block goes out as a result frame, a
+    probe or scan as a request frame, any other as a JSON frame.
     """
     block = message.get("entries")
-    if block is None:
-        payload = _encode_json(message).encode("utf-8")
-        if len(payload) > MAX_FRAME_BYTES:
-            raise _too_large(len(payload))
-        return _LEN.pack(len(payload)) + payload
-    fields = {**message}
-    del fields["entries"]
-    header = _encode_json(fields).encode("utf-8")
-    size = _RESULT_HEADER_AT + len(header) + len(block)
-    if size > MAX_FRAME_BYTES:
-        raise _too_large(size)
-    return b"".join(
-        (_RESULT_HEAD.pack(size, RESULT_MARKER, len(header)), header, block)
-    )
+    if block is not None:
+        return _result_frame(message, block)
+    op = message.get("op")
+    if op == "probe" or op == "scan":
+        return _request_frame(message, op)
+    payload = _encode_json(message).encode("utf-8")
+    return _LEN.pack(_checked_size(len(payload))) + payload
 
 
-def _load(text: bytes) -> dict[str, Any]:
+def _value_bytes(value: Any) -> tuple[int, bytes]:
+    """Return the tag ``value`` travels under, and its bytes."""
+    cls = type(value)
+    if cls is str:
+        return _STR_VALUE, value.encode("utf-8")
+    if cls is int and -(2**63) <= value < 2**63:
+        return _INT_VALUE, _INT64.pack(value)
+    return _JSON_VALUE, _encode_json(value).encode("utf-8")
+
+
+def _request_frame(message: dict[str, Any], op: str) -> bytes:
+    request_id, t1, t2 = message.get("id"), message.get("t1"), message.get("t2")
+    tenant = message.get("tenant", "default")
+    deadline_ms = message.get("deadline_ms")
     try:
-        message = _decode_json(text.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrontendError(f"malformed frame payload: {exc}") from exc
-    if not isinstance(message, dict):
-        raise FrontendError(
-            f"frame must decode to an object, got {type(message).__name__}"
+        if op == "probe":
+            tag, value = _value_bytes(message["value"])
+        else:
+            tag, value = _NO_VALUE, b""
+        if deadline_ms is None:
+            flags, deadline_ms = 0, 0.0
+        else:
+            check_deadline(deadline_ms)
+            flags = _HAS_DEADLINE
+        if not isinstance(tenant, str):
+            raise TypeError("the tenant is not a str")
+        tenant_bytes = tenant.encode("utf-8")
+        head = _REQUEST_FRAME_HEAD.pack(
+            _checked_size(_REQUEST_HEAD.size + len(tenant_bytes) + len(value)),
+            REQUEST_MARKER, _KINDS[op][0], flags, request_id, t1, t2,
+            deadline_ms, len(tenant_bytes), tag, len(value),
         )
-    return message
+    except (
+        FrontendError, KeyError, TypeError, ValueError, OverflowError,
+        struct.error,
+    ) as exc:
+        # ValueError: a str that is not Unicode text, a value that
+        # refers to itself.  KeyError: a probe without a value.
+        raise FrontendError(
+            f"bad-request: no request frame holds {op} id={request_id!r} "
+            f"t1={t1!r} t2={t2!r} tenant={tenant!r}: {exc!r}"
+        ) from exc
+    return b"".join((head, tenant_bytes, value))
+
+
+def _result_frame(message: dict[str, Any], block: bytes) -> bytes:
+    try:
+        code, _, indexes_field = _KINDS[message["kind"]]
+        covered, missing = message["covered_days"], message["missing_days"]
+        days = struct.pack(
+            ">%dq" % (len(covered) + len(missing)), *covered, *missing
+        )
+        size = _checked_size(_RESULT_HEAD.size + len(days) + len(block))
+        head = _RESULT_FRAME_HEAD.pack(
+            size, RESULT_MARKER, code, message["id"], message["seconds"],
+            message[indexes_field], len(covered), len(missing),
+        )
+    except (KeyError, TypeError, OverflowError, struct.error) as exc:
+        raise FrontendError(
+            f"no result frame holds this answer: {exc!r}"
+        ) from exc
+    return b"".join((head, days, block))
+
+
+def _parse_json(text: bytes) -> Any:
+    try:
+        return _decode_json(text.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise _malformed(exc) from exc
 
 
 def decode_frame(payload: bytes) -> dict[str, Any]:
@@ -168,22 +329,111 @@ def decode_frame(payload: bytes) -> dict[str, Any]:
     A result frame's block is returned undecoded under ``"entries"``;
     :func:`result_from_wire` checks and decodes it.
     """
-    if payload[:1] != RESULT_MARKER:
-        return _load(payload)
-    if len(payload) < _RESULT_HEADER_AT:
+    marker = payload[:1]
+    if marker == REQUEST_MARKER:
+        return _decode_request(payload)
+    if marker == RESULT_MARKER:
+        return _decode_result(payload)
+    message = _parse_json(payload)
+    if not isinstance(message, dict):
         raise FrontendError(
-            f"malformed frame payload: {len(payload)}-byte result frame"
+            f"frame must decode to an object, got {type(message).__name__}"
         )
-    (header_len,) = _LEN.unpack_from(payload, 1)
-    block_at = _RESULT_HEADER_AT + header_len
-    if block_at > len(payload):
-        raise FrontendError(
-            f"malformed frame payload: {header_len}-byte header overruns "
-            f"the {len(payload)}-byte frame"
-        )
-    message = _load(payload[_RESULT_HEADER_AT:block_at])
-    message["entries"] = payload[block_at:]
     return message
+
+
+def _decode_value(tag: int, raw: bytes) -> Any:
+    if tag == _STR_VALUE:
+        return raw.decode("utf-8")
+    if tag == _INT_VALUE:
+        if len(raw) != _INT64.size:
+            raise _malformed(f"a {len(raw)}-byte int64 value")
+        return _INT64.unpack(raw)[0]
+    if tag == _JSON_VALUE:
+        value = _parse_json(raw)
+        if isinstance(value, (list, dict)):
+            # Unhashable: the directory would raise for the whole batch.
+            raise _malformed(f"a {type(value).__name__} is no probe value")
+        return value
+    raise _malformed(f"unknown value tag {tag}")
+
+
+def _decode_request(payload: bytes) -> dict[str, Any]:
+    size = len(payload)
+    if size < _REQUEST_HEAD.size:
+        raise _malformed(f"{size}-byte request frame")
+    (
+        _, code, flags, request_id, t1, t2, deadline_ms,
+        tenant_len, tag, value_len,
+    ) = _REQUEST_HEAD.unpack_from(payload)
+    value_at = _REQUEST_HEAD.size + tenant_len
+    if value_at + value_len != size:
+        raise _malformed(
+            f"a {tenant_len}-byte tenant and a {value_len}-byte value do "
+            f"not make a {size}-byte request frame"
+        )
+    op = _KIND_OF_CODE.get(code)
+    if op is None:
+        raise _malformed(f"unknown op code {code}")
+    if flags == 0:
+        deadline_ms = None
+    elif flags == _HAS_DEADLINE:
+        check_deadline(deadline_ms)
+    else:
+        raise _malformed(f"unknown request flags {flags:#04x}")
+    try:
+        message = {
+            "id": request_id, "op": op, "t1": t1, "t2": t2,
+            "tenant": payload[_REQUEST_HEAD.size : value_at].decode("utf-8"),
+            "deadline_ms": deadline_ms,
+        }
+        if op == "probe":
+            message["value"] = _decode_value(tag, payload[value_at:])
+        elif tag != _NO_VALUE or value_len:
+            raise _malformed("a scan request with a value")
+    except UnicodeDecodeError as exc:
+        raise _malformed(exc) from exc
+    return message
+
+
+def _decode_result(payload: bytes) -> dict[str, Any]:
+    size = len(payload)
+    if size < _RESULT_HEAD.size:
+        raise _malformed(f"{size}-byte result frame")
+    (
+        _, code, request_id, seconds, indexes, n_covered, n_missing
+    ) = _RESULT_HEAD.unpack_from(payload)
+    n_days = n_covered + n_missing
+    block_at = _RESULT_HEAD.size + _INT64.size * n_days
+    if block_at > size:
+        raise _malformed(
+            f"{n_days} days overrun the {size}-byte result frame"
+        )
+    kind = _KIND_OF_CODE.get(code)
+    if kind is None:
+        raise _malformed(f"unknown result kind code {code}")
+    days = struct.unpack_from(">%dq" % n_days, payload, _RESULT_HEAD.size)
+    return {
+        "id": request_id,
+        "ok": True,
+        "kind": kind,
+        "seconds": seconds,
+        _KINDS[kind][2]: indexes,
+        "covered_days": days[:n_covered],
+        "missing_days": days[n_covered:],
+        "entries": payload[block_at:],
+    }
+
+
+def request_id_of(payload: bytes) -> int | None:
+    """Return the ``id`` of a request payload whose head arrived whole.
+
+    For answering a request :func:`decode_frame` refused: whatever is
+    wrong after the head, the caller that sent it is still waiting.
+    """
+    if payload[:1] == REQUEST_MARKER and len(payload) >= _REQUEST_HEAD.size:
+        return _REQUEST_HEAD.unpack_from(payload)[3]
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -453,9 +703,9 @@ def result_from_wire(wire: dict[str, Any]) -> ProbeResult | ScanResult:
     ``entries`` afterwards decodes, and cannot fail.
     """
     try:
-        shape = _RESULT_KINDS.get(wire["kind"])
+        shape = _KINDS.get(wire["kind"])
         if shape is not None:
-            cls, indexes_field = shape
+            _, cls, indexes_field = shape
             return cls(
                 codec.read_block(wire["entries"]),
                 wire["seconds"],
@@ -496,14 +746,18 @@ __all__ = [
     "FramedConnection",
     "MAX_FRAME_BYTES",
     "OPS",
+    "REQUEST_MARKER",
     "RESULT_MARKER",
     "TRAIN_FRAME_BYTES",
+    "check_deadline",
+    "check_range",
     "decode_frame",
     "encode_frame",
     "error_response",
     "ok_response",
     "read_frame",
     "read_payload",
+    "request_id_of",
     "result_from_wire",
     "result_response",
     "result_to_wire",

@@ -14,11 +14,17 @@ only request in flight, and any frame too large to join a train, is
 written at once); a client may pipeline any
 number of requests and receives the responses as each completes
 (correlation is by the request ``id`` the client chose, not by order).
-A frame whose payload does not decode is answered ``bad-request`` with
-``id: null`` and the connection stays; only a torn or oversized frame,
-after which the stream position is unknown, drops the peer.  ``ping``
-and ``stats`` bypass admission — health checks and metric scrapes must
-keep working while the query path is saturated or draining.
+A probe or scan is a binary request frame, ``ping`` and ``stats`` are
+JSON frames; a frame that is neither — a payload that does not decode, a
+probe sent as JSON, a result frame — and a request that is wrong in
+itself (an empty range, a deadline that is no number) is answered
+``bad-request`` before admission and the connection stays, under the
+request's ``id`` whenever that could be read (the head of a request
+frame holds it whatever is wrong after it) and ``id: null`` otherwise;
+only a torn or oversized frame, after which the stream position is
+unknown, drops the peer.  ``ping`` and ``stats`` bypass admission —
+health checks and metric scrapes must keep working while the query path
+is saturated or draining.
 
 Flow control: a peer that pipelines without taking its answers stops
 being read.  When the transport's write buffer passes its high-water
@@ -170,20 +176,6 @@ class FrontendServer:
         return snapshot
 
 
-def _probe_spec(message: dict[str, Any]) -> tuple[Any, int, int]:
-    try:
-        return (message["value"], int(message["t1"]), int(message["t2"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FrontendError(f"malformed probe request: {exc}") from exc
-
-
-def _scan_spec(message: dict[str, Any]) -> tuple[int, int]:
-    try:
-        return (int(message["t1"]), int(message["t2"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FrontendError(f"malformed scan request: {exc}") from exc
-
-
 def _error_response(request_id: Any, exc: Exception) -> dict[str, Any]:
     """Return the error frame body that reports ``exc`` to the client."""
     if isinstance(exc, RequestRejected):
@@ -234,35 +226,45 @@ class _Connection(protocol.FramedConnection):
         request_id = None
         try:
             message = protocol.decode_frame(payload)
+            if payload[:1] == protocol.REQUEST_MARKER:
+                # decode_frame vouches for the op, the types of the
+                # fields and the deadline; the range is this request's.
+                request_id, op = message["id"], message["op"]
+                t1, t2 = message["t1"], message["t2"]
+                protocol.check_range(t1, t2)
+                deadline_ms = message["deadline_ms"]
+                request = self._loop.create_task(
+                    self._answer(
+                        request_id,
+                        op,
+                        (message["value"], t1, t2) if op == "probe" else (t1, t2),
+                        message["tenant"],
+                        None if deadline_ms is None else deadline_ms / 1e3,
+                    )
+                )
+                self.requests.add(request)
+                request.add_done_callback(self.requests.discard)
+                return
             if "entries" in message:
-                raise FrontendError("a request must be a JSON frame")
+                raise FrontendError("a result frame is no request")
             request_id = message.get("id")
             op = message.get("op")
             if op == "ping":
                 response = protocol.ok_response(request_id, "pong")
             elif op == "stats":
                 response = protocol.ok_response(request_id, self.server.stats())
+            elif op in ("probe", "scan"):
+                raise FrontendError(
+                    f"a {op} is sent as a binary request frame, not as JSON"
+                )
             else:
-                tenant = str(message.get("tenant", "default"))
-                deadline_ms = message.get("deadline_ms")
-                deadline_s = (
-                    None if deadline_ms is None else float(deadline_ms) / 1e3
+                raise FrontendError(
+                    f"unknown op {op!r}; known: {', '.join(protocol.OPS)}"
                 )
-                if op == "probe":
-                    spec = _probe_spec(message)
-                elif op == "scan":
-                    spec = _scan_spec(message)
-                else:
-                    raise FrontendError(
-                        f"unknown op {op!r}; known: {', '.join(protocol.OPS)}"
-                    )
-                request = self._loop.create_task(
-                    self._answer(request_id, op, spec, tenant, deadline_s)
-                )
-                self.requests.add(request)
-                request.add_done_callback(self.requests.discard)
-                return
         except Exception as exc:
+            if request_id is None:
+                # Refused by decode_frame: the id is still in the head.
+                request_id = protocol.request_id_of(payload)
             response = _error_response(request_id, exc)
         self._respond(request_id, response)
 
@@ -292,7 +294,8 @@ class _Connection(protocol.FramedConnection):
         try:
             frame = protocol.encode_frame(response)
         except FrontendError as exc:
-            # Over the frame limit: the caller still gets an answer.
+            # Over the frame limit, or more days than the header counts:
+            # the caller still gets an answer.
             frame = protocol.encode_frame(
                 protocol.error_response(
                     request_id, "response-too-large", str(exc)

@@ -6,6 +6,8 @@ with no real sleeping.
 """
 
 import asyncio
+import json
+import struct
 import threading
 
 import pytest
@@ -25,6 +27,36 @@ def feed_reader(data: bytes, eof: bool = True) -> asyncio.StreamReader:
 async def read_from(data: bytes, eof: bool = True):
     """``protocol.read_frame`` on a stream holding exactly ``data``."""
     return await protocol.read_frame(feed_reader(data, eof))
+
+
+def request_frame(
+    request_id,
+    op: str,
+    *,
+    value=None,
+    t1=1,
+    t2=7,
+    tenant: str = "default",
+    deadline_ms=None,
+) -> bytes:
+    """One probe or scan request frame, as ``FrontendClient`` sends it."""
+    message = {
+        "id": request_id, "op": op, "t1": t1, "t2": t2,
+        "tenant": tenant, "deadline_ms": deadline_ms,
+    }
+    if op == "probe":
+        message["value"] = value
+    return protocol.encode_frame(message)
+
+
+def raw_frame(payload: bytes) -> bytes:
+    """One frame holding ``payload``, whatever it is."""
+    return struct.pack(">I", len(payload)) + payload
+
+
+def json_frame(message) -> bytes:
+    """One JSON frame holding any JSON value, message or not."""
+    return raw_frame(json.dumps(message).encode("utf-8"))
 
 
 class RecordingTransport(asyncio.Transport):

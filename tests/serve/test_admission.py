@@ -212,6 +212,34 @@ class TestDeadlines:
         run(scenario())
 
 
+    @pytest.mark.parametrize("deadline_s", [float("nan"), "soon", [1]])
+    def test_a_deadline_that_is_no_number_is_refused_before_any_stage(
+        self, clock, deadline_s
+    ):
+        # NaN compares false with every clock: admitted, it would never
+        # expire, and it would reach the loop's timer heap as ``when``.
+        async def scenario():
+            backend = EchoBackend()
+            controller = AdmissionController(backend, clock=clock)
+            controller.start()
+            try:
+                with pytest.raises(FrontendError, match="not a number"):
+                    await controller.submit(
+                        "probe", (1, 1, 2), deadline_s=deadline_s
+                    )
+                assert backend.probe_calls == []
+                counters = controller.obs.snapshot()["counters"]
+                assert counters["serve.requests"] == 0
+                # inf is a number: it means none.
+                assert await controller.submit(
+                    "probe", (1, 1, 2), deadline_s=float("inf")
+                ) == ("probe", (1, 1, 2))
+            finally:
+                await controller.drain()
+
+        run(scenario())
+
+
 class TestOverloadPolicies:
     def test_shed_rejects_when_queue_full(self, clock):
         async def scenario():

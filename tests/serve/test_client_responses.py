@@ -12,22 +12,20 @@ forever.
 """
 
 import asyncio
-import json
 import struct
 
 import pytest
 
+from repro.core.queries import ProbeResult, ScanResult
 from repro.errors import FrontendError, TransportError
+from repro.index import codec
+from repro.index.entry import Entry
 from repro.serve import is_retryable, protocol
 from repro.serve.client import FrontendClient
 
+from .conftest import json_frame, raw_frame
+
 TIMEOUT_S = 5.0
-
-
-def json_frame(message) -> bytes:
-    """One JSON frame holding any JSON value, message or not."""
-    payload = json.dumps(message).encode("utf-8")
-    return struct.pack(">I", len(payload)) + payload
 
 
 async def with_stub(answer, scenario):
@@ -137,5 +135,71 @@ def test_error_object_without_fields_is_still_a_clean_error():
             await client.ping()
         assert not isinstance(caught.value, TransportError)
         assert client.reconnects == 0
+
+    asyncio.run(with_stub(answer, scenario))
+
+
+# ----------------------------------------------------------------------
+# Answers that are well-formed frames and still not what was asked
+# ----------------------------------------------------------------------
+
+ENTRIES = (Entry(4, 2, None), Entry(9, 3, 17))
+ANSWERS = {
+    "probe": ProbeResult(ENTRIES, 0.25, 3, frozenset({2, 3}), frozenset({4})),
+    "scan": ScanResult(ENTRIES, 0.5, 2, frozenset({2, 3}), frozenset()),
+}
+
+
+def result_frame(request, kind: str) -> bytes:
+    return protocol.encode_frame(
+        protocol.result_response(
+            request["id"], protocol.result_to_wire(ANSWERS[kind])
+        )
+    )
+
+
+def test_an_answer_of_the_wrong_kind_is_a_frontend_error_not_an_assertion():
+    def answer(request, n):
+        # A scan's answer to a probe and a probe's to a scan, then a
+        # pong to each, then the right kinds.
+        if n < 2:
+            return [result_frame(request, "scan" if request["op"] == "probe" else "probe")]
+        if n < 4:
+            return [pong(request)]
+        return [result_frame(request, request["op"])]
+
+    async def scenario(client):
+        for _ in range(2):
+            with pytest.raises(FrontendError, match="a probe was answered") as caught:
+                await client.probe(1, 1, 7)
+            assert not isinstance(caught.value, (TransportError, AssertionError))
+            with pytest.raises(FrontendError, match="a scan was answered"):
+                await client.scan(1, 7)
+        # The frames were well formed: the connection is the same one.
+        assert await client.probe(1, 1, 7) == ANSWERS["probe"]
+        assert await client.scan(1, 7) == ANSWERS["scan"]
+        assert client.reconnects == 0
+
+    asyncio.run(with_stub(answer, scenario))
+
+
+def test_a_result_frame_in_the_json_headed_layout_is_a_torn_stream():
+    header = (
+        b'{"id":1,"ok":true,"kind":"probe","seconds":0.25,"indexes_probed":3,'
+        b'"covered_days":[2,3],"missing_days":[4]}'
+    )
+    old_layout = raw_frame(
+        b"\xb1" + struct.pack(">I", len(header)) + header
+        + codec.encode_entries(ENTRIES)
+    )
+
+    def answer(request, n):
+        return [old_layout] if n == 0 else [result_frame(request, "probe")]
+
+    async def scenario(client):
+        with pytest.raises(TransportError, match="malformed frame payload"):
+            await client.probe(1, 1, 7)
+        assert await client.probe(1, 1, 7) == ANSWERS["probe"]
+        assert client.reconnects == 1
 
     asyncio.run(with_stub(answer, scenario))

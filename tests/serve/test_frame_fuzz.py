@@ -1,17 +1,21 @@
-"""Result frames under fuzz: exact round trips, and damage that fails loudly.
+"""Binary frames under fuzz: exact round trips, and damage that fails loudly.
 
 Imports only pytest, hypothesis, the standard library and the package,
 so the numpy-less CI leg runs it with the rest of tier-1.
 
-Three contracts.  Any :class:`ProbeResult` / :class:`ScanResult` survives
+Four contracts.  Any :class:`ProbeResult` / :class:`ScanResult` survives
 ``encode_frame`` → ``read_frame`` → ``result_from_wire`` unchanged,
-whatever its infos and size.  No damaged frame — truncated, a bit
-flipped, a length field lying — gets out of ``read_frame`` /
-``result_from_wire`` as anything but a clean EOF, a (possibly wrong)
-result, or :class:`FrontendError`: a client must never see a
-``struct.error`` or a ``UnicodeDecodeError`` from a bad peer; and once
-``result_from_wire`` has returned, reading the result — its entries are
-decoded on access — cannot fail either.  In the other direction, no
+whatever its infos and size, and any request survives ``encode_frame`` →
+``decode_frame`` with equal fields of equal types.  No damaged result
+frame — truncated, a bit flipped, a length field lying — gets out of
+``read_frame`` / ``result_from_wire`` as anything but a clean EOF, a
+(possibly wrong) result, or :class:`FrontendError`: a client must never
+see a ``struct.error`` or a ``UnicodeDecodeError`` from a bad peer; and
+once ``result_from_wire`` has returned, reading the result — its entries
+are decoded on access — cannot fail either.  No damaged request frame
+gets the server to raise, to drop the peer or to start a task for
+something that is no request: it is answered ``bad-request``, under the
+request's ``id`` whenever the head that holds it arrived.  And no
 well-framed JSON response, whatever the types of its fields, kills the
 client's connection without settling the caller it left waiting.
 """
@@ -29,9 +33,17 @@ from repro.index import codec
 from repro.index.entry import Entry
 from repro.serve import protocol
 from repro.serve import client as client_module
+from repro.serve import server as server_module
 from repro.serve.client import FrontendClient
+from repro.serve.server import FrontendServer
 
-from .conftest import RecordingTransport, read_from
+from .conftest import (
+    RecordingTransport,
+    raw_frame,
+    read_from,
+    request_frame,
+    split_frames,
+)
 
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 batch_infos = st.one_of(st.none(), int64s)
@@ -147,47 +159,79 @@ def test_every_single_bit_flip_of_a_small_frame():
 WIX1_HEADER = struct.Struct("<4sQQ")  # magic, count, pool length
 
 
+def relaid(head: struct.Struct, names: tuple, payload: bytes, **lies) -> bytes:
+    """``payload`` with the named fields of its head overwritten."""
+    fields = dict(zip(names, head.unpack_from(payload)))
+    fields.update(lies)
+    return head.pack(*fields.values()) + payload[head.size :]
+
+
+RESULT_HEAD = struct.Struct(">cBQdIHH")
+RESULT_FIELDS = (
+    "marker", "kind", "id", "seconds", "indexes", "n_covered", "n_missing",
+)
+
+
 def split(frame: bytes) -> tuple[bytes, bytes]:
-    """Return ``(header, block)`` of a result frame."""
-    (header_len,) = struct.unpack_from(">I", frame, 5)
-    return frame[9 : 9 + header_len], frame[9 + header_len :]
+    """Return ``(header, block)`` of a result frame: head and days, block."""
+    *_, n_covered, n_missing = RESULT_HEAD.unpack_from(frame, 4)
+    block_at = 4 + RESULT_HEAD.size + 8 * (n_covered + n_missing)
+    return frame[4:block_at], frame[block_at:]
 
 
-def build(header: bytes, block: bytes, header_len: int | None = None) -> bytes:
-    payload = (
-        protocol.RESULT_MARKER
-        + struct.pack(">I", len(header) if header_len is None else header_len)
-        + header
-        + block
-    )
-    return struct.pack(">I", len(payload)) + payload
+def build(header: bytes, block: bytes, **lies: int) -> bytes:
+    """The frame of ``header`` and ``block``, head fields overwritten."""
+    return raw_frame(relaid(RESULT_HEAD, RESULT_FIELDS, header, **lies) + block)
 
 
 class TestLyingLengths:
+    """The header of a result frame is as long as its day counts say."""
+
     def test_rebuilt_frame_is_the_original(self):
         frame = frame_of(SAMPLE)
         assert build(*split(frame)) == frame
+        assert len(split(frame)[0]) == 26 + 8 * 4
 
     def test_header_length_overrunning_the_frame(self):
         header, block = split(frame_of(SAMPLE))
-        for lie in (len(header) + len(block) + 1, 2**32 - 1):
-            with pytest.raises(FrontendError, match="overruns"):
-                receive(build(header, block, header_len=lie))
+        room = len(block) // 8  # days the block's bytes could pass for
+        for lie in ({"n_covered": 3 + room + 1}, {"n_missing": 1 + room + 1},
+                    {"n_covered": 2**16 - 1, "n_missing": 2**16 - 1}):
+            with pytest.raises(FrontendError, match="overrun"):
+                receive(build(header, block, **lie))
 
     def test_header_length_cutting_the_header_short(self):
+        # A day is read as the start of the block.
         header, block = split(frame_of(SAMPLE))
-        with pytest.raises(FrontendError, match="malformed"):
-            receive(build(header, block, header_len=len(header) - 3))
+        for lie in ({"n_missing": 0}, {"n_covered": 1}, {"n_covered": 0, "n_missing": 0}):
+            with pytest.raises(FrontendError, match="malformed"):
+                receive(build(header, block, **lie))
 
     def test_header_length_swallowing_the_block(self):
+        # The block's first bytes are read as days.
         header, block = split(frame_of(SAMPLE))
-        with pytest.raises(FrontendError, match="malformed"):
-            receive(build(header, block, header_len=len(header) + 8))
+        for lie in ({"n_missing": 2}, {"n_covered": 4}, {"n_covered": 3 + len(block) // 8}):
+            with pytest.raises(FrontendError, match="malformed"):
+                receive(build(header, block, **lie))
+
+    def test_day_counts_that_only_disagree_on_whose_days_they_are(self):
+        # Same sum: every byte is where it was, one day changes sets.
+        header, block = split(frame_of(SAMPLE))
+        got = receive(build(header, block, n_covered=2, n_missing=2))
+        assert got.entries == SAMPLE.entries
+        assert (got.covered_days, got.missing_days) == ({2, 3}, {4, 5})
 
     def test_result_frame_too_short_for_its_own_header_length(self):
-        for payload in (b"\xb1", b"\xb1\x00\x00"):
+        header, _ = split(frame_of(SAMPLE))
+        for payload in (b"\xc1", b"\xc1\x01\x00", header[:25], header[:26], header[:-1]):
             with pytest.raises(FrontendError, match="malformed"):
-                receive(struct.pack(">I", len(payload)) + payload)
+                receive(raw_frame(payload))
+
+    def test_unknown_kind_code(self):
+        header, block = split(frame_of(SAMPLE))
+        for kind in (0, 3, 255):
+            with pytest.raises(FrontendError, match="unknown result kind"):
+                receive(build(header, block, kind=kind))
 
     @pytest.mark.parametrize("delta", (-1, 1, 2**40))
     def test_wix1_count_disagreeing_with_the_block_length(self, delta):
@@ -228,6 +272,298 @@ class TestLyingLengths:
         (length,) = struct.unpack_from(">I", frame)
         with pytest.raises(FrontendError):
             receive(struct.pack(">I", length - 1) + frame[4:])
+
+
+# ----------------------------------------------------------------------
+# The request direction: exact round trips, and what the server makes of
+# damage
+# ----------------------------------------------------------------------
+
+probe_values = st.one_of(
+    st.text(max_size=12),  # non-ASCII too
+    st.sampled_from((-(2**63), -1, 0, 1, 2**63 - 1)),
+    int64s,
+    st.integers(min_value=2**63, max_value=2**80),
+    st.integers(min_value=-(2**80), max_value=-(2**63) - 1),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+)
+requests = st.fixed_dictionaries(
+    {
+        "id": st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1)),
+        "t1": int64s,
+        "t2": int64s,
+        "tenant": st.text(max_size=12),
+        "deadline_ms": st.one_of(st.none(), st.floats(allow_nan=False)),
+    }
+).flatmap(
+    lambda fields: st.one_of(
+        st.just({**fields, "op": "scan"}),
+        probe_values.map(lambda v: {**fields, "op": "probe", "value": v}),
+    )
+)
+
+
+@given(requests)
+@settings(max_examples=300, deadline=None)
+def test_requests_round_trip_with_equal_fields_of_equal_types(message):
+    frame = protocol.encode_frame(message)
+    assert frame[4:5] == protocol.REQUEST_MARKER
+    assert struct.unpack(">I", frame[:4]) == (len(frame) - 4,)
+    got = protocol.decode_frame(frame[4:])
+    assert got == message
+    assert {k: type(v) for k, v in got.items()} == {
+        k: type(v) for k, v in message.items()
+    }
+    assert protocol.request_id_of(frame[4:]) == message["id"]
+
+
+def test_one_and_its_lookalikes_arrive_as_what_they_left_as():
+    for value in (1, True, 1.0, "1", 0, False, 0.0, "", None):
+        frame = request_frame(1, "probe", value=value)
+        got = protocol.decode_frame(frame[4:])["value"]
+        assert got == value and type(got) is type(value)
+
+
+REQUEST_HEAD = struct.Struct(">cBBQqqdHBI")
+REQUEST_FIELDS = (
+    "marker", "op", "flags", "id", "t1", "t2", "deadline_ms",
+    "tenant_len", "tag", "value_len",
+)
+REQUEST_ID = 0x0102030405060708
+PROBE = request_frame(
+    REQUEST_ID, "probe", value="wörd", t1=1, t2=7, tenant="tenañt",
+    deadline_ms=60_000.0,
+)[4:]
+SCAN = request_frame(REQUEST_ID, "scan", t1=1, t2=7)[4:]
+
+
+def rebuilt(payload: bytes, tail: bytes | None = None, **lies) -> bytes:
+    """``payload`` with head fields overwritten and, if given, a new tail."""
+    if tail is not None:
+        payload = payload[: REQUEST_HEAD.size] + tail
+    return relaid(REQUEST_HEAD, REQUEST_FIELDS, payload, **lies)
+
+
+class StubBackend:
+    """Answers every spec with an empty result; keeps what it was asked."""
+
+    def __init__(self) -> None:
+        self.specs: list[tuple] = []
+
+    def probe_many(self, specs):
+        self.specs.extend(specs)
+        return [ProbeResult((), 0.0, 0, frozenset(), frozenset()) for _ in specs]
+
+    def scan_many(self, specs):
+        self.specs.extend(specs)
+        return [ScanResult((), 0.0, 0, frozenset(), frozenset()) for _ in specs]
+
+
+def offer(payloads: list[bytes]) -> list[tuple[dict, int]]:
+    """Hand each payload, well framed, to a server connection.
+
+    Returns, per payload, the one answer it got and how many tasks it
+    started; asserts that nothing raised and the peer was kept.
+    """
+
+    async def scenario():
+        backend = StubBackend()
+        server = FrontendServer(None, backend=backend)
+        server.controller.start()
+        connection = server_module._Connection(server)
+        transport = RecordingTransport()
+        connection.connection_made(transport)
+        outcomes = []
+        try:
+            for payload in payloads:
+                tasks = len(asyncio.all_tasks())
+                connection.data_received(raw_frame(payload))  # never raises
+                started = len(asyncio.all_tasks()) - tasks
+                assert started == len(connection.requests)
+                while connection.requests:
+                    await asyncio.wait(connection.requests)
+                await asyncio.sleep(0)  # the outbox leaves with the turn
+                assert not transport.closing
+                (answer,) = split_frames(b"".join(transport.writes))
+                transport.writes.clear()
+                outcomes.append((answer, started))
+            return outcomes, backend.specs
+        finally:
+            connection.connection_lost(None)
+            await server.controller.drain(1.0)
+
+    return asyncio.run(asyncio.wait_for(scenario(), 60.0))
+
+
+def refused(outcomes, request_id=REQUEST_ID) -> list[str]:
+    """Assert every outcome a task-less ``bad-request``; return the messages."""
+    for answer, started in outcomes:
+        assert started == 0
+        assert not answer["ok"] and answer["error"]["code"] == "bad-request"
+        assert answer["id"] == request_id
+    return [answer["error"]["message"] for answer, _ in outcomes]
+
+
+class TestDamagedRequests:
+    def test_the_undamaged_requests_are_served(self):
+        outcomes, specs = offer([PROBE, SCAN])
+        assert [(a["id"], a["ok"], a["kind"], n) for a, n in outcomes] == [
+            (REQUEST_ID, True, "probe", 1), (REQUEST_ID, True, "scan", 1),
+        ]
+        assert specs == [("wörd", 1, 7), (1, 7)]
+        assert rebuilt(PROBE) == PROBE and rebuilt(SCAN) == SCAN
+
+    @pytest.mark.parametrize("payload", [PROBE, SCAN], ids=["probe", "scan"])
+    def test_every_truncation_is_refused_under_its_id_once_the_head_is_in(
+        self, payload
+    ):
+        cuts = range(1, len(payload))
+        outcomes, specs = offer([payload[:cut] for cut in cuts])
+        assert specs == []
+        for cut, outcome in zip(cuts, outcomes):
+            (message,) = refused(
+                [outcome], REQUEST_ID if cut >= REQUEST_HEAD.size else None
+            )
+            assert "malformed frame payload" in message
+
+    @pytest.mark.parametrize("payload", [PROBE, SCAN], ids=["probe", "scan"])
+    def test_every_single_bit_flip_is_refused_or_is_another_request(self, payload):
+        flips = [
+            (position, bit) for position in range(len(payload)) for bit in range(8)
+        ]
+        damaged = []
+        for position, bit in flips:
+            flipped = bytearray(payload)
+            flipped[position] ^= 1 << bit
+            damaged.append(bytes(flipped))
+        outcomes, _ = offer(damaged)
+        served = 0
+        for (position, bit), flipped, (answer, started) in zip(flips, damaged, outcomes):
+            head = dict(zip(REQUEST_FIELDS, REQUEST_HEAD.unpack_from(flipped)))
+            if position == 0:
+                # No request frame any more: nothing says whose it was.
+                refused([(answer, started)], None)
+            elif started:
+                # Still a request, for something else or from someone else.
+                served += 1
+                assert answer["id"] == head["id"]
+                assert answer["ok"] or answer["error"]["code"] == "deadline-expired"
+            else:
+                refused([(answer, started)], head["id"])
+        # Most flips of an id, a day, a deadline or a letter are requests.
+        assert len(flips) // 3 < served < len(flips)
+
+    def test_lying_lengths(self):
+        tenant, value = "tenañt".encode(), "wörd".encode()
+        lies = [
+            {"tenant_len": len(tenant) + 1}, {"tenant_len": len(tenant) - 1},
+            {"tenant_len": 2**16 - 1}, {"tenant_len": 0},
+            {"value_len": len(value) + 1}, {"value_len": len(value) - 1},
+            {"value_len": 2**32 - 1}, {"value_len": 0},
+            {"tenant_len": 0, "value_len": 0},
+        ]
+        outcomes, specs = offer([rebuilt(PROBE, **lie) for lie in lies])
+        assert specs == []
+        assert all("do not make" in message for message in refused(outcomes))
+
+    def test_lengths_that_add_up_and_still_lie(self):
+        # The boundary between tenant and value moved into a letter.
+        tenant, value = "tenañt".encode(), "wörd".encode()
+        moved = [
+            {"tenant_len": len(tenant) - 2, "value_len": len(value) + 2},
+            {"tenant_len": len(tenant) + 2, "value_len": len(value) - 2},
+        ]
+        outcomes, specs = offer([rebuilt(PROBE, **lie) for lie in moved])
+        assert specs == []
+        assert all("utf-8" in message for message in refused(outcomes))
+
+    def test_trailing_bytes(self):
+        outcomes, specs = offer([PROBE + b"\x00", SCAN + b"x", PROBE + PROBE])
+        assert specs == []
+        assert all("do not make" in message for message in refused(outcomes))
+
+    def test_unknown_codes(self):
+        damaged = [
+            ("unknown op code 0", rebuilt(PROBE, op=0)),
+            ("unknown op code 3", rebuilt(PROBE, op=3)),
+            ("unknown op code 255", rebuilt(SCAN, op=255)),
+            ("unknown value tag 4", rebuilt(PROBE, tag=4)),
+            ("unknown value tag 255", rebuilt(PROBE, tag=255)),
+            ("unknown value tag 0", rebuilt(PROBE, tag=0)),
+            ("unknown request flags 0x02", rebuilt(PROBE, flags=2)),
+            ("unknown request flags 0x81", rebuilt(SCAN, flags=0x81)),
+            ("a scan request with a value", rebuilt(SCAN, tag=1)),
+        ]
+        outcomes, specs = offer([payload for _, payload in damaged])
+        assert specs == []
+        for (expected, _), message in zip(damaged, refused(outcomes)):
+            assert expected in message
+
+    def test_a_probe_sent_as_a_scan_and_a_scan_sent_as_a_probe(self):
+        outcomes, specs = offer([rebuilt(PROBE, op=2), rebuilt(SCAN, op=1)])
+        assert specs == []
+        first, second = refused(outcomes)
+        assert "a scan request with a value" in first
+        assert "unknown value tag 0" in second
+
+    def test_values_that_are_not_what_their_tag_says(self):
+        def probe(tag: int, value: bytes) -> bytes:
+            return rebuilt(
+                PROBE, "tenañt".encode() + value, tag=tag, value_len=len(value)
+            )
+
+        damaged = [
+            ("utf-8", probe(1, b"\xff\xfe")),
+            ("utf-8", probe(1, "wörd".encode()[:2])),
+            ("7-byte int64", probe(2, b"\x00" * 7)),
+            ("9-byte int64", probe(2, b"\x00" * 9)),
+            ("0-byte int64", probe(2, b"")),
+            ("Expecting value", probe(3, b"")),
+            ("Expecting value", probe(3, b"nope")),
+            ("Extra data", probe(3, b"1 2")),
+            ("utf-8", probe(3, b'"\xff"')),
+            ("no probe value", probe(3, b"[1,2]")),
+            ("no probe value", probe(3, b'{"a":1}')),
+            ("recursion", probe(3, b"[" * 100_000)),
+        ]
+        outcomes, specs = offer([payload for _, payload in damaged])
+        assert specs == []
+        for (expected, _), message in zip(damaged, refused(outcomes)):
+            assert expected in message
+        # ... and the same bytes under the right tag are values.
+        outcomes, specs = offer(
+            [probe(1, b""), probe(2, b"\xff" * 8), probe(3, b"1.5"), probe(3, b'"x"')]
+        )
+        assert [value for value, _, _ in specs] == ["", -1, 1.5, "x"]
+
+    def test_a_tenant_that_is_not_utf8(self):
+        tail = b"\xff\xfe" + "wörd".encode()
+        outcomes, specs = offer([rebuilt(PROBE, tail, tenant_len=2)])
+        assert specs == []
+        assert "utf-8" in refused(outcomes)[0]
+
+    def test_deadlines_that_are_no_deadline_and_ranges_that_are_empty(self):
+        outcomes, specs = offer([
+            rebuilt(PROBE, deadline_ms=float("nan")),
+            rebuilt(SCAN, flags=1, deadline_ms=float("nan")),
+            rebuilt(PROBE, t1=7, t2=1),
+            rebuilt(SCAN, t1=2, t2=1),
+        ])
+        assert specs == []
+        nan_probe, nan_scan, empty_probe, empty_scan = refused(outcomes)
+        assert "not a number" in nan_probe and "not a number" in nan_scan
+        assert "empty time range [7, 1]" in empty_probe
+        assert "empty time range [2, 1]" in empty_scan
+        # Without the flag the field is not read; inf is a deadline.
+        outcomes, specs = offer([
+            rebuilt(PROBE, flags=0, deadline_ms=float("nan")),
+            rebuilt(PROBE, deadline_ms=float("inf")),
+            rebuilt(SCAN, t1=3, t2=3),
+        ])
+        assert [(a["ok"], n) for a, n in outcomes] == [(True, 1)] * 3
+        assert len(specs) == 3
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,14 @@ from repro.serve.client import FrontendClient
 from repro.serve.demo import DemoClusterConfig, build_demo_cluster
 from repro.serve.server import FrontendServer
 
-from .conftest import RecordingTransport, feed_reader, split_frames
+from .conftest import (
+    RecordingTransport,
+    feed_reader,
+    json_frame,
+    raw_frame,
+    request_frame,
+    split_frames,
+)
 
 TIMEOUT_S = 10.0
 
@@ -56,13 +63,7 @@ def run(coro):
 
 
 def probe_frame(request_id: int, value: int) -> bytes:
-    return protocol.encode_frame(
-        {"id": request_id, "op": "probe", "value": value, "t1": T1, "t2": T2}
-    )
-
-
-def raw_frame(payload: bytes) -> bytes:
-    return struct.pack(">I", len(payload)) + payload
+    return request_frame(request_id, "probe", value=value, t1=T1, t2=T2)
 
 
 # ----------------------------------------------------------------------
@@ -203,20 +204,29 @@ def test_ping_stats_and_malformed_frames_are_answered_without_a_task():
             protocol.encode_frame({"id": 1, "op": "ping"})
             + raw_frame(b"{nope")
             + protocol.encode_frame({"id": 2, "op": ["explode"]})
-            + protocol.encode_frame({"id": 3, "op": "probe", "value": 1, "t1": "x", "t2": 2})
+            + request_frame(3, "probe", value=1, t1=T2, t2=T1)  # an empty range
             + protocol.encode_frame({"id": 4, "op": "stats"})
+            + json_frame({"id": 5, "op": "probe", "value": 1, "t1": T1, "t2": T2})
+            + raw_frame(probe_frame(6, 1)[4:-1])  # a value byte short
         )
         assert not connection.requests and len(asyncio.all_tasks()) == before
         assert transport.writes == []  # queued: they leave with the loop turn
         await asyncio.sleep(0)
         assert len(transport.writes) == 1  # ... in one piece
-        pong, bad, unknown, malformed, stats = split_frames(transport.writes[0])
+        pong, bad, unknown, empty, stats, as_json, short = split_frames(
+            transport.writes[0]
+        )
         assert pong == {"id": 1, "ok": True, "result": "pong"}
         assert (bad["id"], bad["error"]["code"]) == (None, "bad-request")
         assert (unknown["id"], unknown["error"]["code"]) == (2, "bad-request")
         assert "unknown op" in unknown["error"]["message"]
-        assert (malformed["id"], malformed["error"]["code"]) == (3, "bad-request")
+        assert (empty["id"], empty["error"]["code"]) == (3, "bad-request")
+        assert "empty time range" in empty["error"]["message"]
         assert stats["ok"] and stats["result"]["draining"] is False
+        assert (as_json["id"], as_json["error"]["code"]) == (5, "bad-request")
+        assert "binary request frame" in as_json["error"]["message"]
+        # Refused by decode_frame, answered under the id in its head.
+        assert (short["id"], short["error"]["code"]) == (6, "bad-request")
 
     run(with_connection(scenario))
 
@@ -234,7 +244,7 @@ def test_interleaved_frames_get_the_answers_they_always_got(monkeypatch):
         connection.data_received(
             probe_frame(1, 5)
             + protocol.encode_frame({"id": 2, "op": "ping"})
-            + protocol.encode_frame({"id": 3, "op": "scan", "t1": T1, "t2": T2})
+            + request_frame(3, "scan", t1=T1, t2=T2)
             + raw_frame(b"[1,2,3]")
             + probe  # a result frame is no request
             + probe_frame(6, 7)
@@ -251,7 +261,7 @@ def test_interleaved_frames_get_the_answers_they_always_got(monkeypatch):
             )
         nameless = [a for a in answers if a["id"] is None]
         assert [a["error"]["code"] for a in nameless] == ["bad-request"] * 2
-        assert "JSON frame" in nameless[1]["error"]["message"]
+        assert "result frame" in nameless[1]["error"]["message"]
 
     # Room for every probe answer and error frame, not for the scan's.
     monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", len(probe) + 64)

@@ -13,10 +13,12 @@ import pytest
 
 from repro.errors import FrontendError, RequestRejected
 from repro.serve import is_retryable, protocol
-from repro.serve.admission import AdmissionConfig
-from repro.serve.client import FrontendClient
+from repro.serve.admission import AdmissionConfig, CoordinatorBackend
+from repro.serve.client import FrontendClient, InProcessClient
 from repro.serve.demo import DemoClusterConfig, build_demo_cluster
 from repro.serve.server import FrontendServer
+
+from .conftest import json_frame, request_frame
 
 SMALL = DemoClusterConfig(
     window=3, n_indexes=2, n_shards=2, domain=40,
@@ -164,6 +166,171 @@ class TestEndToEnd:
         run(with_server(scenario))
 
 
+class CountingBackend(CoordinatorBackend):
+    """The demo coordinator, keeping every spec it was asked for."""
+
+    def __init__(self) -> None:
+        super().__init__(sim().coordinator)
+        self.specs: list[tuple] = []
+
+    def probe_many(self, specs):
+        self.specs.extend(specs)
+        return super().probe_many(specs)
+
+    def scan_many(self, specs):
+        self.specs.extend(specs)
+        return super().scan_many(specs)
+
+
+class TestOneRequestsFaultIsItsOwn:
+    """A request wrong in itself is refused before admission, alone."""
+
+    @pytest.mark.parametrize("path", ["tcp", "in-process"])
+    def test_an_empty_range_does_not_fail_the_batch_it_would_have_joined(
+        self, path
+    ):
+        t1, t2 = SMALL.oldest_day, SMALL.last_day
+
+        async def scenario():
+            backend = CountingBackend()
+            server = FrontendServer(None, backend=backend)
+            await server.start()
+            if path == "tcp":
+                client = await FrontendClient().connect("127.0.0.1", server.port)
+            else:
+                client = InProcessClient(server.controller)
+            try:
+                # One gather on one connection: coalesced into one batch.
+                *good, bad, bad_scan = await asyncio.gather(
+                    *(client.probe(v, t1, t2, tenant="good") for v in range(1, 9)),
+                    client.probe(3, t2, t1, tenant="bad"),
+                    client.scan(t2, t1, tenant="bad"),
+                    return_exceptions=True,
+                )
+                stats = server.stats()["counters"]
+            finally:
+                await client.close()
+                await server.drain_and_close(timeout_s=5.0)
+            assert [r.entries for r in good] == [
+                sim().coordinator.probe(v, t1, t2).entries for v in range(1, 9)
+            ]
+            for refused in (bad, bad_scan):
+                assert isinstance(refused, FrontendError)
+                assert not is_retryable(refused)
+                assert "empty time range" in str(refused)
+            assert ("bad-request" in str(bad)) == (path == "tcp")
+            # Asked for eight specs, gave eight answers; admission never
+            # saw the ninth and tenth.
+            assert sorted(backend.specs) == [(v, t1, t2) for v in range(1, 9)]
+            assert stats["serve.requests"] == stats["serve.completed"] == 8
+            assert "serve.tenant.bad.requests" not in stats
+            assert "serve.backend.errors" not in stats
+
+        run(scenario())
+
+    @pytest.mark.parametrize("path", ["tcp", "in-process"])
+    @pytest.mark.parametrize(
+        "deadline_ms", ["soon", [1], float("nan")], ids=["str", "list", "nan"]
+    )
+    def test_a_deadline_that_is_no_number_is_the_callers_mistake(
+        self, path, deadline_ms
+    ):
+        t1, t2 = SMALL.oldest_day, SMALL.last_day
+
+        async def scenario(server, client):
+            if path == "in-process":
+                client = InProcessClient(server.controller)
+            for call in (
+                lambda: client.probe(1, t1, t2, deadline_ms=deadline_ms),
+                lambda: client.scan(t1, t2, deadline_ms=deadline_ms),
+            ):
+                with pytest.raises(FrontendError, match="not a number") as exc:
+                    await asyncio.wait_for(call(), timeout=5.0)
+                assert "internal" not in str(exc.value)
+                assert ("bad-request" in str(exc.value)) == (path == "tcp")
+            assert server.stats()["counters"]["serve.requests"] == 0
+            # A negative deadline has expired, an infinite one never will.
+            with pytest.raises(RequestRejected, match="deadline"):
+                await client.probe(1, t1, t2, deadline_ms=-1)
+            await client.probe(1, t1, t2, deadline_ms=float("inf"))
+
+        run(with_server(scenario))
+
+
+class TestOneWireForm:
+    """A probe or scan is a request frame; JSON is for the rest."""
+
+    def test_probes_and_scans_never_reach_the_json_codec(self, monkeypatch):
+        calls = {"encode": 0, "decode": 0}
+        encode, decode = protocol._encode_json, protocol._decode_json
+
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(protocol, "_encode_json", counting("encode", encode))
+        monkeypatch.setattr(protocol, "_decode_json", counting("decode", decode))
+
+        async def scenario(server, client):
+            t1, t2 = SMALL.oldest_day, SMALL.last_day
+            await asyncio.gather(
+                *(client.probe(v, t1, t2) for v in range(1, 26)),
+                *(client.probe(str(v), t1, t2, deadline_ms=5e3) for v in range(25)),
+            )
+            for _ in range(5):
+                await client.scan(t1, t2, tenant="scanner")
+            assert calls == {"encode": 0, "decode": 0}
+            # Both sides, both directions: request and response.
+            assert await client.ping() is True
+            assert calls == {"encode": 2, "decode": 2}
+            await client.stats()
+            assert calls == {"encode": 4, "decode": 4}
+            with pytest.raises(FrontendError, match="empty time range"):
+                await client.probe(1, t2, t1)  # the rejection is text
+            assert calls == {"encode": 5, "decode": 5}
+            # A value of no fixed layout travels as JSON text, and only it.
+            await client.probe(1.5, t1, t2)
+            assert calls == {"encode": 6, "decode": 6}
+
+        run(with_server(scenario))
+
+    def test_a_json_framed_probe_or_scan_is_refused_and_the_peer_kept(self):
+        async def scenario(server, client):
+            t1, t2 = SMALL.oldest_day, SMALL.last_day
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                writer.write(
+                    json_frame({"id": 1, "op": "probe", "value": 1, "t1": t1, "t2": t2})
+                    + json_frame({"id": 2, "op": "scan", "t1": t1, "t2": t2})
+                    + request_frame(3, "probe", value=1, t1=t1, t2=t2)
+                )
+                await writer.drain()
+                replies = [
+                    await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                    for _ in range(3)
+                ]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            by_id = {r["id"]: r for r in replies}
+            for request_id, op in ((1, "probe"), (2, "scan")):
+                error = by_id[request_id]["error"]
+                assert error["code"] == "bad-request"
+                assert f"a {op} is sent as a binary request frame" in error["message"]
+            assert (
+                protocol.result_from_wire(by_id[3]).entries
+                == sim().coordinator.probe(1, t1, t2).entries
+            )
+            assert server.stats()["counters"]["serve.requests"] == 1
+
+        run(with_server(scenario))
+
+
 class TestFrameErrors:
     """What the server does with frames it cannot answer as asked."""
 
@@ -210,7 +377,7 @@ class TestFrameErrors:
             rejected = [r for r in replies if not r["ok"]]
             assert [r["id"] for r in rejected] == [None, None, None]
             assert {r["error"]["code"] for r in rejected} == {"bad-request"}
-            assert "JSON frame" in rejected[-1]["error"]["message"]
+            assert "result frame" in rejected[-1]["error"]["message"]
             assert [r for r in replies if r["ok"]] == [
                 {"id": 4, "ok": True, "result": "pong"}
             ]
