@@ -21,6 +21,7 @@ one), and lists the shard in the summary's ``shards_unavailable``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..core.queries import BatchCostSummary, ProbeResult, ScanResult
@@ -352,7 +353,7 @@ class ClusterCoordinator:
         self.obs.counter("cluster.scans").inc(len(specs))
         self._failovers = 0
         merge = _SummaryMerge()
-        parts: list[list[ScanResult]] = [[] for _ in specs]
+        answers: list[list[ScanResult]] = [[] for _ in specs]
         dark_missing: list[set[int]] = [set() for _ in specs]
         for shard in self.shards:
             batch, _replica, aborted = self._serve(
@@ -375,10 +376,10 @@ class ClusterCoordinator:
                 continue
             merge.add(shard.shard_id, batch.summary)
             for i, result in zip(range(len(specs)), batch.results):
-                parts[i].append(result)
+                answers[i].append(result)
         results = []
         for i in range(len(specs)):
-            merged = _merge_scans(parts[i], dark_missing[i])
+            merged = _merge_scans(answers[i], dark_missing[i])
             merge.missing |= merged.missing_days
             results.append(merged)
         if merge.missing:
@@ -451,31 +452,35 @@ class _SummaryMerge:
         )
 
 
-def _merge_scans(parts: list[ScanResult], dark_days: set[int]) -> ScanResult:
+def _merge_scans(answers: list[ScanResult], dark_days: set[int]) -> ScanResult:
     """Merge per-shard scan answers for one request.
 
     Shards partition the *value* space, so every shard contributes to
     every day: a day any shard lost (degraded or dark) stays missing in
     the merged answer even when other shards covered it — their postings
-    for that day are present, but the day's answer is incomplete.
+    for that day are present, but the day's answer is incomplete.  The
+    merged answer is cut from the runs its shards' answers were, when
+    every one of them says which.
     """
     entries: list = []
     covered: set[int] = set()
     missing: set[int] = set(dark_days)
     seconds = 0.0
     scanned = 0
-    for part in parts:
-        entries.extend(part.entries)
-        covered |= part.covered_days
-        missing |= part.missing_days
-        seconds += part.seconds
-        scanned += part.indexes_scanned
+    for answer in answers:
+        entries.extend(answer.entries)
+        covered |= answer.covered_days
+        missing |= answer.missing_days
+        seconds += answer.seconds
+        scanned += answer.indexes_scanned
+    cut_from = [answer.parts for answer in answers]
     return ScanResult(
         tuple(entries),
         seconds,
         scanned,
         frozenset(covered - missing),
         frozenset(missing),
+        None if None in cut_from else tuple(chain.from_iterable(cut_from)),
     )
 
 

@@ -22,9 +22,8 @@ from typing import Any, Callable, Sequence
 
 from ..core.recovery import sweep_orphan_extents
 from ..errors import ClusterError, FaultError
-from ..index.bucket import Bucket
+from ..index.bucket import PackedLayout
 from ..index.constituent import ConstituentIndex
-from ..index.updates import _ordered
 from ..storage.disk import SimulatedDisk
 from .shard import ShardReplica
 
@@ -51,7 +50,7 @@ class RebalanceReport:
 def _lay_out_packed(
     clone: ConstituentIndex,
     target: SimulatedDisk,
-    grouped: dict[Any, list],
+    grouped: dict[Any, Sequence],
     time_set: set[int],
 ) -> ConstituentIndex:
     """Write ``grouped`` onto ``target`` as one packed extent of ``clone``."""
@@ -65,23 +64,8 @@ def _lay_out_packed(
         return clone
     total_bytes = total_entries * entry_size
     extent = target.allocate(total_bytes)
-    buckets = []
-    offset = 0
-    for value in _ordered(grouped):
-        entries = grouped[value]
-        buckets.append(
-            Bucket(
-                value=value,
-                entries=entries,
-                extent=extent,
-                shared=True,
-                capacity_entries=len(entries),
-                offset_in_extent=offset,
-            )
-        )
-        offset += len(entries) * entry_size
     target.write(extent, total_bytes)
-    clone._adopt_packed(extent, buckets, time_set)
+    clone._adopt_packed(extent, PackedLayout.of(grouped), time_set)
     return clone
 
 
@@ -114,7 +98,7 @@ def copy_index_to(
     source.stream_read(index.allocated_bytes)
     clone = ConstituentIndex(target, index.config, name=name or index.name)
     grouped = {
-        b.value: list(b.entries)
+        b.value: b.entries
         for b in index.buckets()
         if keep is None or keep(b.value)
     }

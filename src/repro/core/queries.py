@@ -73,6 +73,11 @@ class ScanResult:
     indexes_scanned: int
     covered_days: frozenset[int] = frozenset()
     missing_days: frozenset[int] = frozenset()
+    #: As :attr:`ProbeResult.parts`: a one-day scan is cut from its
+    #: day's run, a whole-constituent scan from the sweep.
+    parts: tuple[Part, ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def record_ids(self) -> tuple[int, ...]:

@@ -496,8 +496,12 @@ class WaveIndex:
         :class:`ScanResult`, charged ``cost / N`` per copy over the ``N``
         requests a constituent served; the sweep is filtered once per
         unique range through a per-batch
-        :class:`~repro.index.kernels.RangeFilterCache`.  Nothing filtered
-        outlives the call.
+        :class:`~repro.index.kernels.RangeFilterCache`.  A range holding
+        one day of a constituent is answered by that day's run and one
+        holding all of them by the sweep itself — both kept by the
+        constituent, so the answer is their own tuple and its ``parts``
+        say so; any other range is filtered on every call and nothing
+        filtered outlives it.
         """
         specs = list(requests)
         for t1, t2 in specs:
@@ -516,7 +520,7 @@ class WaveIndex:
         uspecs = list(unique_ids)
         m = len(uspecs)
         begin = self._begin_batch()
-        entries: list[list[Entry]] = [[] for _ in range(m)]
+        hits: list[list] = [[] for _ in range(m)]
         seconds = [0.0] * m
         scanned = [0] * m
         covered: list[set[int]] = [set() for _ in range(m)]
@@ -560,17 +564,22 @@ class WaveIndex:
                 covered[j].update(days)
                 seconds[j] += share
                 t1, t2 = uspecs[j]
-                entries[j].extend(cache.filter(t1, t2)[0])
-        unique_results = [
-            ScanResult(
-                tuple(entries[j]),
-                seconds[j],
-                scanned[j],
-                frozenset(covered[j]),
-                frozenset(missing[j] - covered[j]),
+                hit = cache.filter(t1, t2)
+                if hit[0]:
+                    hits[j].append(hit)
+        unique_results = []
+        for j in range(m):
+            entries, parts = kernels.assemble(hits[j])
+            unique_results.append(
+                ScanResult(
+                    entries,
+                    seconds[j],
+                    scanned[j],
+                    frozenset(covered[j]),
+                    frozenset(missing[j] - covered[j]),
+                    parts,
+                )
             )
-            for j in range(m)
-        ]
         results = tuple(unique_results[j] for j in fanout)
         summary = self._finish_batch(
             begin,

@@ -14,12 +14,20 @@ A packed bucket that receives an append is *evicted* into a private extent
 first (the old slice is dead space until the shared extent is rewritten) —
 precisely why the paper says in-place/simple-shadow updates leave an index
 unpacked.
+
+``BuildIndex`` lays a packed index down once and, under the paper's
+recommended configurations, nothing touches it until it is dropped.  Such
+an index is stored as one :class:`PackedLayout` — every entry in scan
+order in one tuple, a bucket an offset range of it — and read through
+:class:`PackedBucket` views; :class:`Bucket` objects are laid out only
+when the index is first mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from itertools import accumulate, chain
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..storage.extent import Extent
 from . import kernels
@@ -112,3 +120,77 @@ class Bucket:
     def select(self, t1: int, t2: int) -> list[Entry]:
         """Return entries with insert day in the closed range ``[t1, t2]``."""
         return kernels.filter_bucket(self, t1, t2)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class PackedLayout:
+    """The stored form of a packed index: one flat run plus bucket offsets.
+
+    Immutable, so a byte-for-byte copy of a packed index shares it.
+
+    Attributes:
+        values: The search values in directory order (sorted when
+            orderable), one slot each.
+        starts: ``len(values) + 1`` entry offsets: slot ``i`` holds
+            ``flat[starts[i]:starts[i + 1]]``.
+        flat: Every entry, bucket after bucket — the index in scan order.
+        slots: Search value -> slot.
+    """
+
+    values: tuple[Any, ...]
+    starts: tuple[int, ...]
+    flat: tuple[Entry, ...]
+    slots: dict[Any, int]
+
+    @classmethod
+    def of(cls, grouped: Mapping[Any, Sequence[Entry]]) -> "PackedLayout":
+        """Lay ``grouped`` (search value -> entries) out; its lists are copied."""
+        values = list(grouped)
+        try:
+            values.sort()
+        except TypeError:
+            pass  # unorderable search values keep their arrival order
+        lists = [grouped[value] for value in values]
+        return cls(
+            tuple(values),
+            (0, *accumulate(map(len, lists))),
+            tuple(chain.from_iterable(lists)),
+            {value: slot for slot, value in enumerate(values)},
+        )
+
+
+class PackedBucket:
+    """Read view of one value's slice of a :class:`PackedLayout`.
+
+    Answers what a shared :class:`Bucket` answers to a reader — and has
+    no writers, so its run, once built, is never dropped.
+    """
+
+    __slots__ = ("value", "entries", "offset_in_extent", "_run")
+
+    shared = True
+
+    def __init__(
+        self, value: Any, entries: tuple[Entry, ...], offset_in_extent: int
+    ) -> None:
+        self.value = value
+        self.entries = entries
+        self.offset_in_extent = offset_in_extent
+        self._run: kernels.Run | None = None
+
+    @property
+    def live_count(self) -> int:
+        """Return the number of entries."""
+        return len(self.entries)
+
+    @property
+    def capacity_entries(self) -> int:
+        """Return how many entries the slice holds: exactly its own."""
+        return len(self.entries)
+
+    def run(self) -> kernels.Run:
+        """Return the slice's run, building it on the first call."""
+        run = self._run
+        if run is None:
+            run = self._run = kernels.Run.of(self.entries)
+        return run

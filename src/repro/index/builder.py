@@ -8,29 +8,28 @@ Cost model: one sequential read of the source data plus one sequential write
 of the finished index (both single-seek streams).  Space: exactly
 ``entry_count * entry_size`` — this is the paper's ``S`` per day, versus the
 CONTIGUOUS ``S'`` an incremental build would leave behind.
+
+What is laid down is one :class:`~repro.index.bucket.PackedLayout` — the
+entries in scan order in one tuple, a bucket an offset range — and the
+index keeps exactly that until something mutates it.
+:meth:`PackedLayout.of <repro.index.bucket.PackedLayout.of>` is the one
+packed-layout computation in the package: :func:`_pack` (every build and
+every smart copy on one device) and the cross-device copies call it, and a
+byte-for-byte copy shares the layout of the index it copies.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ..storage.disk import SimulatedDisk
-from .bucket import Bucket
+from .bucket import PackedLayout
 from .config import IndexConfig
 from .constituent import ConstituentIndex
 from .entry import Entry
 
 if TYPE_CHECKING:
     from ..core.records import RecordStore
-
-
-def _ordered_values(grouped: Mapping[Any, list[Entry]]) -> list[Any]:
-    """Return search values in directory order (sorted when orderable)."""
-    values = list(grouped)
-    try:
-        return sorted(values)
-    except TypeError:
-        return values
 
 
 def build_packed_index(
@@ -54,8 +53,8 @@ def build_packed_index(
     Returns:
         A packed :class:`ConstituentIndex` occupying one contiguous extent.
     """
-    owned = {value: list(entries) for value, entries in grouped.items() if entries}
-    return _pack(disk, config, owned, days, name=name, source_bytes=source_bytes)
+    kept = {value: entries for value, entries in grouped.items() if entries}
+    return _pack(disk, config, kept, days, name=name, source_bytes=source_bytes)
 
 
 def build_index_from_store(
@@ -91,41 +90,26 @@ def build_index_from_store(
 def _pack(
     disk: SimulatedDisk,
     config: IndexConfig,
-    grouped: dict[Any, list[Entry]],
+    grouped: Mapping[Any, Sequence[Entry]],
     days: Iterable[int],
     *,
     name: str,
     source_bytes: int | None,
     runs: tuple = (),
 ) -> ConstituentIndex:
-    """Lay ``grouped`` out as one packed index; its lists become the buckets'."""
+    """Lay ``grouped`` out as one packed index (its lists are copied)."""
     index = ConstituentIndex(disk, config, name=name)
-    entry_size = config.entry_size_bytes
-    total_entries = sum(map(len, grouped.values()))
-    total_bytes = total_entries * entry_size
+    layout = PackedLayout.of(grouped)
+    total_bytes = len(layout.flat) * config.entry_size_bytes
 
     # Pass 1: scan the source records to count bucket sizes.
     disk.stream_read(source_bytes if source_bytes is not None else total_bytes)
 
     # Pass 2: allocate one contiguous extent and write all buckets into it.
     extent = disk.allocate(total_bytes)
-    buckets: list[Bucket] = []
-    offset = 0
-    for value in _ordered_values(grouped):
-        entries = grouped[value]
-        bucket = Bucket(
-            value=value,
-            entries=entries,
-            extent=extent,
-            shared=True,
-            capacity_entries=len(entries),
-            offset_in_extent=offset,
-        )
-        offset += len(entries) * entry_size
-        buckets.append(bucket)
     disk.write(extent, total_bytes)
 
-    index._adopt_packed(extent, buckets, days, runs)
+    index._adopt_packed(extent, layout, days, runs)
     return index
 
 

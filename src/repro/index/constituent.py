@@ -18,17 +18,25 @@ Cost charging follows Section 5's model exactly:
 * incremental updates pay for the appended bytes plus any CONTIGUOUS bucket
   reallocation copies,
 * directory operations are free (the directory is assumed memory-resident).
+
+A packed index is held in the form ``BuildIndex`` laid it down in — one
+flat :class:`~repro.index.bucket.PackedLayout` on one shared extent —
+until it is first mutated: reads slice it, and ``insert_postings`` /
+``delete_days`` lay the :class:`~repro.index.bucket.Bucket` objects out
+on entry and carry on from there.  Which form an index is in follows from
+its history alone, and no simulated charge depends on it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from itertools import chain
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import ConstituentIndexError
 from ..storage.disk import SimulatedDisk
 from ..storage.extent import Extent
 from . import kernels
-from .bucket import Bucket
+from .bucket import Bucket, PackedBucket, PackedLayout
 from .config import IndexConfig
 from .entry import Entry
 
@@ -62,6 +70,11 @@ class ConstituentIndex:
         self._shared_extent: Extent | None = None
         self._shared_live_buckets = 0
         self._dropped = False
+        # The flat packed form: while _layout is set it holds every entry,
+        # the directory is empty, and _views memoises one read view per
+        # slot.  _unpack (on entry to the first mutation) ends it.
+        self._layout: PackedLayout | None = None
+        self._views: list[PackedBucket | None] = []
         # Derived state, valid only for the contents it was made from; both
         # are dropped by _invalidate_derived on entry to every mutating op.
         # _runs: the posting runs this index was built from (see
@@ -86,7 +99,7 @@ class ConstituentIndex:
     def _adopt_packed(
         self,
         extent: Extent,
-        buckets: Iterable[Bucket],
+        layout: PackedLayout,
         days: Iterable[int],
         runs: tuple = (),
     ) -> None:
@@ -95,12 +108,55 @@ class ConstituentIndex:
         self._runs = runs
         self._shared_extent = extent
         self.packed = True
-        count = 0
-        for bucket in buckets:
-            self.directory.put(bucket.value, bucket)
-            count += 1
-        self._shared_live_buckets = count
+        self._layout = layout
+        self._views = [None] * len(layout.values)
         self.time_set = set(days)
+
+    def _view(self, slot: int) -> PackedBucket:
+        """Return the read view of ``slot`` of the flat form, made once."""
+        view = self._views[slot]
+        if view is None:
+            layout = self._layout
+            lo = layout.starts[slot]
+            view = self._views[slot] = PackedBucket(
+                layout.values[slot],
+                layout.flat[lo : layout.starts[slot + 1]],
+                lo * self.config.entry_size_bytes,
+            )
+        return view
+
+    def _unpack(self) -> None:
+        """Leave the flat form: lay every slot out as a shared bucket.
+
+        Called beside :meth:`_invalidate_derived` on entry to the two ops
+        that write buckets, which then find exactly what an eager
+        per-bucket build would have left them — directory order, offsets,
+        and the runs readers already built.  No read path comes here.
+        """
+        layout = self._layout
+        if layout is None:
+            return
+        self._layout = None
+        views, self._views = self._views, []
+        extent = self._shared_extent
+        entry_size = self.config.entry_size_bytes
+        flat, starts = layout.flat, layout.starts
+        for slot, value in enumerate(layout.values):
+            lo, hi = starts[slot], starts[slot + 1]
+            view = views[slot]
+            self.directory.put(
+                value,
+                Bucket(
+                    value=value,
+                    entries=list(flat[lo:hi]),
+                    extent=extent,
+                    shared=True,
+                    capacity_entries=hi - lo,
+                    offset_in_extent=lo * entry_size,
+                    _run=None if view is None else view._run,
+                ),
+            )
+        self._shared_live_buckets = len(layout.values)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -116,7 +172,8 @@ class ConstituentIndex:
         Called on *entry* to each op that changes buckets, entries or
         extents (``_adopt_packed``, ``insert_postings``, ``delete_days``,
         ``drop``), so an op that dies half-way on a fault leaves nothing
-        stale behind.  Derived state is dropped whole, never patched.
+        stale behind.  Derived state is dropped whole, never patched —
+        the sweep takes its day runs with it.
         """
         self._runs = ()
         self._sweep = None
@@ -139,14 +196,15 @@ class ConstituentIndex:
     def entry_count(self) -> int:
         """Return the number of live entries across all buckets."""
         self._check_not_dropped()
+        if self._layout is not None:
+            return len(self._layout.flat)
         return sum(b.live_count for b in self.directory.values())
 
     @property
     def used_bytes(self) -> int:
         """Return bytes occupied by live entries."""
-        self._check_not_dropped()
         entry_size = self.config.entry_size_bytes
-        return sum(b.used_bytes(entry_size) for b in self.directory.values())
+        return self.entry_count * entry_size
 
     @property
     def allocated_bytes(self) -> int:
@@ -158,14 +216,24 @@ class ConstituentIndex:
         """
         self._check_not_dropped()
         total = self._shared_extent.size if self._shared_extent else 0
-        for bucket in self.directory.values():
+        for bucket in self.directory.values():  # empty in the flat form
             if not bucket.shared and bucket.extent is not None:
                 total += bucket.extent.size
         return total
 
-    def buckets(self) -> Iterator[Bucket]:
-        """Iterate buckets in directory order."""
+    def bucket(self, value: Any) -> Bucket | PackedBucket | None:
+        """Return the bucket serving ``value`` (a read view of a flat index)."""
+        layout = self._layout
+        if layout is None:
+            return self.directory.get(value)
+        slot = layout.slots.get(value)
+        return None if slot is None else self._view(slot)
+
+    def buckets(self) -> Iterator[Bucket | PackedBucket]:
+        """Iterate buckets in directory order (read views of a flat index)."""
         self._check_not_dropped()
+        if self._layout is not None:
+            return map(self._view, range(len(self._views)))
         return iter(self.directory.values())
 
     def referenced_extents(self) -> Iterator[Extent]:
@@ -177,14 +245,16 @@ class ConstituentIndex:
         self._check_not_dropped()
         if self._shared_extent is not None:
             yield self._shared_extent
-        for bucket in self.directory.values():
+        for bucket in self.directory.values():  # empty in the flat form
             if not bucket.shared and bucket.extent is not None:
                 yield bucket.extent
 
     def all_entries(self) -> Iterator[Entry]:
         """Iterate every live entry in directory/bucket order."""
-        for bucket in self.buckets():
-            yield from bucket.entries
+        self._check_not_dropped()
+        if self._layout is not None:
+            return iter(self._layout.flat)
+        return chain.from_iterable(b.entries for b in self.directory.values())
 
     # ------------------------------------------------------------------
     # Incremental insert (CONTIGUOUS)
@@ -205,6 +275,7 @@ class ConstituentIndex:
         """
         self._check_not_dropped()
         self._invalidate_derived()
+        self._unpack()
         start = self.disk.clock
         # Bucket updates hop randomly across the index; with a buffer-pool
         # model only the missing fraction of those hops pays a seek.  The
@@ -306,6 +377,7 @@ class ConstituentIndex:
         """
         self._check_not_dropped()
         self._invalidate_derived()
+        self._unpack()
         day_set = set(days)
         if not day_set:
             return 0.0
@@ -386,19 +458,23 @@ class ConstituentIndex:
         the directory is memory-resident.
         """
         self._check_not_dropped()
-        bucket = self.directory.get(value)
+        bucket = self.bucket(value)
         if bucket is None:
             return [], 0.0
         seconds = self._read_bucket(bucket, seeks=1.0)
         return list(bucket.entries), seconds
 
-    def _bucket_position(self, bucket: Bucket) -> tuple[Extent, int]:
+    def _bucket_position(
+        self, bucket: Bucket | PackedBucket
+    ) -> tuple[Extent, int]:
         """Return the extent holding ``bucket`` and its byte offset in it."""
         if bucket.shared:
             return self._shared_extent, bucket.offset_in_extent
         return bucket.extent, 0
 
-    def _read_bucket(self, bucket: Bucket, *, seeks: float) -> float:
+    def _read_bucket(
+        self, bucket: Bucket | PackedBucket, *, seeks: float
+    ) -> float:
         extent, offset = self._bucket_position(bucket)
         return self.disk.read(
             extent,
@@ -409,7 +485,7 @@ class ConstituentIndex:
 
     def probe_batch_buckets(
         self, values: Iterable[Any]
-    ) -> tuple[dict[Any, tuple[Bucket, float]], int]:
+    ) -> tuple[dict[Any, tuple[Bucket | PackedBucket, float]], int]:
         """Probe several values in one offset-ordered sweep.
 
         Duplicate values are read once.  Bucket touches are sorted by
@@ -422,23 +498,33 @@ class ConstituentIndex:
             ``(found, buckets_read)`` where ``found`` maps each requested
             value with a bucket to ``(bucket, seconds)`` for its read.
             Values with no bucket are absent (a directory miss is free).
-            The buckets are the live :class:`Bucket` objects, uncopied,
-            so batch filtering (:mod:`repro.index.kernels`) can slice
-            their cached day columns; callers must not mutate them.
+            The buckets are the live :class:`Bucket` objects (or the
+            flat form's read views), uncopied, so batch filtering
+            (:mod:`repro.index.kernels`) can slice their cached day
+            columns; callers must not mutate them.
         """
         self._check_not_dropped()
-        touches: list[Bucket] = []
-        for value in dict.fromkeys(values):
-            bucket = self.directory.get(value)
-            if bucket is not None:
-                touches.append(bucket)
+        touches: list[Bucket | PackedBucket] = []
+        layout = self._layout
+        if layout is None:
+            for value in dict.fromkeys(values):
+                bucket = self.directory.get(value)
+                if bucket is not None:
+                    touches.append(bucket)
+        else:
+            # self.bucket(value), inlined: a call per value costs qps.
+            slots, views = layout.slots, self._views
+            for value in dict.fromkeys(values):
+                slot = slots.get(value)
+                if slot is not None:
+                    touches.append(views[slot] or self._view(slot))
         touches.sort(
             key=lambda b: (
                 self._bucket_position(b)[0].offset,
                 self._bucket_position(b)[1],
             )
         )
-        found: dict[Any, tuple[Bucket, float]] = {}
+        found: dict[Any, tuple[Bucket | PackedBucket, float]] = {}
         previous_extent_id: int | None = None
         for bucket in touches:
             extent, _ = self._bucket_position(bucket)
@@ -456,7 +542,7 @@ class ConstituentIndex:
         bucket's day column.
         """
         self._check_not_dropped()
-        bucket = self.directory.get(value)
+        bucket = self.bucket(value)
         if bucket is None:
             return [], 0.0
         seconds = self._read_bucket(bucket, seeks=1.0)
@@ -468,19 +554,22 @@ class ConstituentIndex:
         The sweep (live entries in scan order, their day column, the
         bytes a scan transfers) is derived state: the first call after a
         mutation builds it from the buckets' entry lists — touching no
-        bucket's own day column — and publishes it with one assignment;
-        later calls return the same immutable object until the next
-        mutating op drops it.  Reading it charges nothing: a query pays
-        through :meth:`charge_scan` first.
+        bucket's own day column; a flat index's tuple is wrapped as it
+        is — and publishes it with one assignment; later calls return
+        the same immutable object until the next mutating op drops it.
+        Reading it charges nothing: a query pays through
+        :meth:`charge_scan` first.
         """
         self._check_not_dropped()
         sweep = self._sweep
         if sweep is None:
-            flat: list[Entry] = []
-            for bucket in self.directory.values():
-                flat.extend(bucket.entries)
-            sweep = kernels.Sweep.of(flat, self.allocated_bytes)
-            self._sweep = sweep
+            if self._layout is not None:
+                flat: Sequence[Entry] = self._layout.flat
+            else:
+                flat = []
+                for bucket in self.directory.values():
+                    flat.extend(bucket.entries)
+            sweep = self._sweep = kernels.Sweep.of(flat, self.allocated_bytes)
         return sweep
 
     def charge_scan(self) -> float:
@@ -542,6 +631,8 @@ class ConstituentIndex:
             self.disk.free(self._shared_extent)
             self._shared_extent = None
         self.directory = self.config.directory_factory()
+        self._layout = None
+        self._views = []
         self.time_set = set()
         self._shared_live_buckets = 0
         self._dropped = True

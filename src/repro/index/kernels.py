@@ -18,7 +18,10 @@ buffers:
   plus the bytes a scan transfers — built once per mutation by
   :meth:`~repro.index.constituent.ConstituentIndex.sweep` (which owns
   its lifetime) from the flat entry list — never from the buckets'
-  runs, so a scan leaves no state on the buckets;
+  runs, so a scan leaves no state on the buckets.  Scan order is
+  bucket-major, so the sweep also keeps one run per distinct day, made
+  by the first scan of that one day (the paper's newest-day scan): such
+  a scan is that run, a scan of every day is the sweep;
 * day-range filters run on the column instead of the entry objects —
   two ``bisect`` calls and a slice when the column is non-decreasing
   (the common case: entries arrive in day order); when it is not,
@@ -45,6 +48,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import le
 from typing import TYPE_CHECKING, Any, Sequence
 
 from . import codec
@@ -65,12 +70,12 @@ if TYPE_CHECKING:
 
 def day_column(entries: Sequence["Entry"]) -> array:
     """Return the insert days of ``entries`` as a compact ``array('q')``."""
-    return array("q", (e.day for e in entries))
+    return array("q", [e.day for e in entries])
 
 
 def is_nondecreasing(column: array) -> bool:
     """Return ``True`` if ``column`` is sorted in non-decreasing order."""
-    return all(column[i] <= column[i + 1] for i in range(len(column) - 1))
+    return all(map(le, column, islice(column, 1, None)))
 
 
 def _order(days: array, wide: bool) -> tuple[bool, int, int]:
@@ -152,26 +157,68 @@ class Run:
             object.__setattr__(self, "_records", records)
         return records
 
+    def _scattered(self, t1: int, t2: int) -> tuple[Sequence["Entry"], Part | None]:
+        """:func:`select` when the matches are not one slice of the run."""
+        return _gather(self, t1, t2), None
+
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Sweep(Run):
     """One constituent's live entries in scan order, ready to filter.
 
     A :class:`Run` over the flat entry list (constituent x directory x
-    append order) plus the bytes a scan of the constituent transfers.
-    The constituent that owns it drops it whole on its next mutation.
+    append order) plus the bytes a scan of the constituent transfers and
+    the days it holds.  Scan order is bucket-major, so a day's entries
+    are scattered over it: the sweep also keeps one immutable *day run*
+    per distinct day (:meth:`day_run`), made by the first scan that asks
+    for that one day.  The constituent that owns the sweep drops it —
+    day runs and all — whole on its next mutation.
 
     Attributes:
         nbytes: The constituent's ``allocated_bytes`` when built.
+        distinct: The distinct insert days of ``entries``, ascending.
     """
 
     nbytes: int
+    distinct: tuple[int, ...]
+    _day_runs: dict[int, Run] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, entries: Sequence["Entry"], nbytes: int) -> "Sweep":
         """Build the sweep of ``entries`` (one pass for the column)."""
         days = day_column(entries)
-        return cls(tuple(entries), days, *_order(days, wide=True), nbytes)
+        # Not numpy.unique: its first call alone costs ~1 MB resident.
+        distinct = tuple(sorted(set(days)))
+        return cls(
+            tuple(entries), days, *_order(days, wide=True), nbytes, distinct
+        )
+
+    def day_run(self, day: int) -> Run:
+        """Return the entries of ``day``, one of :attr:`distinct`, as a run.
+
+        Exactly what filtering the sweep to ``[day, day]`` gathers, in
+        sweep order, over a constant day column — gathered once and kept
+        beside the sweep, so every later one-day scan is this run (and,
+        over the wire, its cached record bytes).  A partition of stored
+        data, at most one run per distinct day; not a result cache: a
+        range holding two of the sweep's days is filtered on every call.
+        Filled like :meth:`Run.records`: from immutable state alone, so a
+        lost race gathers twice and harms nothing.
+        """
+        run = self._day_runs.get(day)
+        if run is None:
+            entries = tuple(_gather(self, day, day))
+            column = array("q", [day]) * len(entries)
+            run = self._day_runs[day] = Run(entries, column, True, day, day)
+        return run
+
+    def _scattered(self, t1: int, t2: int) -> tuple[Sequence["Entry"], Part | None]:
+        distinct = self.distinct
+        first = bisect_left(distinct, t1)
+        if bisect_right(distinct, t2) - first == 1:
+            run = self.day_run(distinct[first])
+            return run.entries, (run, 0, len(run.entries))
+        return _gather(self, t1, t2), None
 
 
 #: Where a filtered slice was cut: ``run.entries[lo:hi]``.
@@ -201,7 +248,9 @@ def select(
     (the tuple itself when everything matches) and comes with the
     :data:`Part` that says where it was cut.  Matches scattered over an
     unsorted column are gathered into a list — by a NumPy mask when it
-    imports — and have no part.
+    imports — and have no part; except that a :class:`Sweep` holding
+    exactly one of its distinct days in range answers with that day's
+    run, whole (:meth:`Sweep.day_run`).
     """
     days = run.days
     if run.sorted:
@@ -211,14 +260,23 @@ def select(
         lo, hi = 0, len(days)
     elif run.hi < t1 or run.lo > t2:
         lo = hi = 0
-    elif _np is not None:
-        view = _np.frombuffer(days, dtype=_np.int64)
-        matches = _np.flatnonzero((view >= t1) & (view <= t2))
-        entries = run.entries
-        return [entries[i] for i in matches.tolist()], None
     else:
-        return filter_entries_object(run.entries, t1, t2), None
+        return run._scattered(t1, t2)
     return run.entries[lo:hi], (run, lo, hi)
+
+
+def _gather(run: Run, t1: int, t2: int) -> list["Entry"]:
+    """Gather ``run``'s entries with insert day in ``[t1, t2]``, in order.
+
+    The one platform-selected branch on the read path: a NumPy mask over
+    the day column when it imports, the plain comprehension otherwise.
+    """
+    if _np is None:
+        return filter_entries_object(run.entries, t1, t2)
+    view = _np.frombuffer(run.days, dtype=_np.int64)
+    matches = _np.flatnonzero((view >= t1) & (view <= t2))
+    entries = run.entries
+    return [entries[i] for i in matches.tolist()]
 
 
 def filter_bucket(bucket: "Bucket", t1: int, t2: int) -> list["Entry"]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Iterable, Mapping
 
-from .bucket import Bucket
+from .bucket import Bucket, PackedLayout
 from .constituent import ConstituentIndex
 from .entry import Entry
 
@@ -44,7 +44,8 @@ def clone_index(
     Charges one sequential read of the source's allocated bytes and one
     sequential write of the copy.  The copy preserves packedness and, for
     unpacked sources, every bucket's capacity (slack is copied too — simple
-    shadowing does not repack).
+    shadowing does not repack).  A packed source's layout is immutable, so
+    the copy shares it instead of laying the same entries out again.
     """
     disk = index.disk
     config = index.config
@@ -53,22 +54,13 @@ def clone_index(
 
     disk.stream_read(index.allocated_bytes)
     if index.packed:
-        total = index.used_bytes
-        extent = disk.allocate(total)
-        buckets = []
-        offset = 0
-        for bucket in index.buckets():
-            copied = Bucket(
-                value=bucket.value,
-                entries=list(bucket.entries),
-                extent=extent,
-                shared=True,
-                capacity_entries=bucket.live_count,
-                offset_in_extent=offset,
-            )
-            offset += bucket.live_count * entry_size
-            buckets.append(copied)
-        clone._adopt_packed(extent, buckets, index.time_set)
+        # Packed but already laid out as buckets: only an op that wrote
+        # nothing (an empty insert or delete) leaves an index so.
+        layout = index._layout or PackedLayout.of(
+            {bucket.value: bucket.entries for bucket in index.buckets()}
+        )
+        extent = disk.allocate(index.used_bytes)
+        clone._adopt_packed(extent, layout, index.time_set)
     else:
         for bucket in index.buckets():
             capacity = max(bucket.capacity_entries, bucket.live_count)
@@ -105,15 +97,14 @@ def packed_rewrite(
     freed before returning; the *old* index is left alive for the caller to
     swap out.
     """
-    from .builder import build_packed_index  # local import: avoid cycle
+    from . import builder  # local import: avoid cycle
 
     disk = index.disk
     config = index.config
-    entry_size = config.entry_size_bytes
     delete_set = set(delete_days)
 
     # Step 1: temporary packed index for the inserted records.
-    temp = build_packed_index(
+    temp = builder.build_packed_index(
         disk,
         config,
         inserts,
@@ -132,40 +123,19 @@ def packed_rewrite(
         merged.setdefault(bucket.value, []).extend(bucket.entries)
 
     new_days = (set(index.time_set) - delete_set) | set(insert_days)
-    total_entries = sum(len(v) for v in merged.values())
-    total_bytes = total_entries * entry_size
 
-    # Charge the smart copy: read old + temp, write the packed result.
-    disk.stream_read(index.allocated_bytes + temp.allocated_bytes)
-    new_extent = disk.allocate(total_bytes)
-    result = ConstituentIndex(disk, config, name=name or index.name)
-    buckets = []
-    offset = 0
-    for value in _ordered(merged):
-        entries = merged[value]
-        bucket = Bucket(
-            value=value,
-            entries=entries,
-            extent=new_extent,
-            shared=True,
-            capacity_entries=len(entries),
-            offset_in_extent=offset,
-        )
-        offset += len(entries) * entry_size
-        buckets.append(bucket)
-    disk.write(new_extent, total_bytes)
-    result._adopt_packed(new_extent, buckets, new_days)
+    # The smart copy: read old + temp, write the packed result.
+    result = builder._pack(
+        disk,
+        config,
+        merged,
+        new_days,
+        name=name or index.name,
+        source_bytes=index.allocated_bytes + temp.allocated_bytes,
+    )
 
     temp.drop()
     return result
-
-
-def _ordered(grouped: Mapping[Any, list[Entry]]) -> list[Any]:
-    values = list(grouped)
-    try:
-        return sorted(values)
-    except TypeError:
-        return values
 
 
 def add_to_index(

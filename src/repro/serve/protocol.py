@@ -662,7 +662,7 @@ def _block(result: ProbeResult | ScanResult) -> bytes:
     the result says which and every run has one, encoded from the
     entries otherwise — byte for byte the same block.
     """
-    parts = getattr(result, "parts", None)  # only probes carry them
+    parts = result.parts
     if parts:
         chunks = []
         for run, lo, hi in parts:

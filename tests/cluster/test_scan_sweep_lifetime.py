@@ -4,7 +4,9 @@ Every way the cluster tier makes a replica — the healer's rebuild, a
 cross-device move, a split's children — copies buckets into new
 ``ConstituentIndex`` objects, so the copies start without a sweep even
 when the source had one cached, build their own on their first scan, and
-answer exactly as a twin cluster nothing happened to.
+answer exactly as a twin cluster nothing happened to.  A sweep's day runs
+share its lifetime: a merged answer cut from them outlives the turn that
+drops them, and nothing but the sweep's owner ever drops them.
 """
 
 from repro.cluster import (
@@ -14,7 +16,10 @@ from repro.cluster import (
     SelfHealConfig,
 )
 from repro.core.schemes import scheme_by_name
+from repro.index import codec
+from repro.index.bucket import PackedLayout
 from repro.index.updates import UpdateTechnique
+from repro.serve.protocol import result_to_wire
 from repro.storage.faults import FaultInjector, FaultyDisk
 from tests.cluster.test_elastic import int_store
 
@@ -22,7 +27,7 @@ W, N, LAST = 6, 2, 10
 BATCH = [(LAST - W + 1, LAST), (LAST, LAST), (LAST - 3, LAST - 1), (LAST, LAST)]
 
 
-def build(*, replication=1, selfheal=None, elastic=None, injectors=None):
+def build(*, replication=1, selfheal=None, elastic=None, injectors=None, per_day=10):
     def factory(i):
         disk = FaultyDisk(injector=FaultInjector())
         if injectors is not None:
@@ -31,7 +36,7 @@ def build(*, replication=1, selfheal=None, elastic=None, injectors=None):
 
     return ClusterSimulation(
         lambda: scheme_by_name("DEL")(W, N),
-        int_store(LAST),
+        int_store(LAST, per_day=per_day),
         technique=UpdateTechnique.IN_PLACE,
         cluster=ClusterConfig(
             n_shards=2,
@@ -133,3 +138,97 @@ def test_split_children_start_without_a_sweep():
     for child in children:
         assert cached(child) == [False, False]
     assert answers(sim) == answers(twin)
+
+
+# ----------------------------------------------------------------------
+# Day runs: kept beside the sweep, dropped with it
+# ----------------------------------------------------------------------
+
+
+#: Values repeat within a constituent, so its buckets interleave days.
+DENSE = 120
+
+
+def day_runs(replica):
+    return [
+        sorted(ix._sweep._day_runs) if ix._sweep is not None else None
+        for ix in replica.wave.bindings.values()
+    ]
+
+
+def test_a_scan_result_held_across_a_turn_still_reads_its_day():
+    sim, twin = build(per_day=DENSE), build(per_day=DENSE)
+    for s in (sim, twin):
+        s.run(LAST - 1)
+    day = LAST - W + 2  # shares a constituent with the day about to expire
+    held = sim.coordinator.scan(day, day)
+    again = sim.coordinator.scan(day, day)
+    # Cut from the day's runs, one per shard, and cut from the same ones twice.
+    assert held.parts and len(held.parts) == len(sim.shards)
+    assert all(run.lo == run.hi == day for run, _, _ in held.parts)
+    assert [id(run) for run, _, _ in again.parts] == [id(run) for run, _, _ in held.parts]
+    copy = (tuple(held.entries), result_to_wire(held)["entries"])
+    sim.run_transition(LAST)  # in place: that constituent is written to
+    assert (tuple(held.entries), result_to_wire(held)["entries"]) == copy
+    assert copy[1] == codec.encode_entries_object(held.entries)
+    assert all(e.day == day for e in held.entries)
+    fresh = sim.coordinator.scan(day, day)
+    assert fresh.entries == held.entries and fresh.parts
+    assert not {id(run) for run, _, _ in fresh.parts} & {
+        id(run) for run, _, _ in held.parts
+    }
+    twin.run_transition(LAST)
+    assert answers(sim) == answers(twin)
+
+
+def test_every_mutating_op_drops_every_day_run():
+    sim = build(per_day=DENSE)
+    sim.run(LAST)
+    replica = sim.shards[0].primary
+    wave = replica.wave
+
+    def fill():
+        days = sorted(wave.covered_days())
+        wave.scan_many([(d, d) for d in days])
+        kept = day_runs(replica)
+        assert all(kept) and sorted(d for ds in kept for d in ds) == days
+        return list(wave.bindings.values())
+
+    (first, second) = fill()
+    first.delete_days([min(first.time_set)])
+    assert first._sweep is None and second._sweep is not None
+    fill()
+    second.insert_postings({}, [])
+    assert second._sweep is None
+    first, second = fill()
+    layout = PackedLayout.of({b.value: b.entries for b in first.buckets()})
+    first._adopt_packed(first.disk.allocate(first.used_bytes), layout, first.time_set)
+    assert first._sweep is None
+    held = second._sweep
+    runs = dict(held._day_runs)
+    second.drop()
+    assert second._sweep is None
+    # What a reader still holds is whole.
+    assert held._day_runs == runs and all(
+        run.entries == tuple(e for e in held.entries if e.day == d)
+        for d, run in runs.items()
+    )
+
+
+def test_a_sweep_never_holds_more_day_runs_than_distinct_days():
+    sim = build(per_day=DENSE)
+    sim.run(LAST)
+    specs = [
+        (t1, t2)
+        for t1 in range(LAST - W, LAST + 2)
+        for t2 in range(t1, LAST + 2)
+    ]
+    for _ in range(2):
+        sim.coordinator.scan_many(specs)
+    seen = 0
+    for shard in sim.shards:
+        for ix in shard.primary.wave.bindings.values():
+            sweep = ix._sweep
+            assert set(sweep._day_runs) <= set(sweep.distinct) <= ix.time_set
+            seen += len(sweep._day_runs)
+    assert seen

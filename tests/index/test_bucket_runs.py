@@ -141,7 +141,7 @@ def test_a_whole_bucket_answer_is_the_runs_own_tuple():
     value = next(index.buckets()).value
     lo, hi = min(index.time_set), max(index.time_set)
     (result,) = wave.probe_many([(value, lo, hi)]).results
-    run = index.directory.get(value).run()
+    run = index.bucket(value).run()
     assert result.entries is run.entries
     assert result.parts == ((run, 0, len(run.entries)),)
 
@@ -203,17 +203,17 @@ def test_run_is_identical_across_probes_of_an_unmutated_wave():
     wave.probe_many(batch_for(WINDOW) + [("a", 2, 3)])
     wave.timed_index_probe("a", 1, WINDOW)
     for (name, value), run in held.items():
-        assert wave.get(name).directory.get(value)._run is run
+        assert wave.get(name).bucket(value)._run is run
 
     # One in-place turn: what it wrote to lost its run, the rest kept it.
     before = {
-        key: tuple(wave.get(key[0]).directory.get(key[1]).entries) for key in held
+        key: tuple(wave.get(key[0]).bucket(key[1]).entries) for key in held
     }
     executor.execute(scheme.transition_ops(WINDOW + 1))
     changed = kept = 0
     for (name, value), run in held.items():
         index = wave.get_optional(name)
-        bucket = index and index.directory.get(value)
+        bucket = index and index.bucket(value)
         if bucket is None:
             continue
         if tuple(bucket.entries) == before[name, value]:

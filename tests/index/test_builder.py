@@ -75,7 +75,7 @@ class TestBuildPacked:
         idx = build_packed_index(
             disk, config, {"a": [Entry(1, 1)], "b": []}, [1]
         )
-        assert len(idx.directory) == 1
+        assert [b.value for b in idx.buckets()] == ["a"]
 
     def test_probe_on_packed(self, disk, config):
         idx = build_packed_index(

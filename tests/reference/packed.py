@@ -1,0 +1,113 @@
+"""The eager packed build: one ``Bucket`` object per search value.
+
+How ``src/`` laid every packed index out before a packed constituent
+became one flat :class:`~repro.index.bucket.PackedLayout`: ``_pack`` and
+the packed branch of ``clone_index``, kept word for word, each looping
+over the values with its own running offset.  They install the buckets
+straight into the index's directory — the state ``_unpack`` must
+reproduce and every read of the flat form must be indistinguishable
+from.  :func:`eager_world` swaps both into the package, so a whole
+scheme can be run "the old way" beside an unpatched twin.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+from repro.core import executor
+from repro.index import builder, updates
+from repro.index.bucket import Bucket
+from repro.index.constituent import ConstituentIndex
+
+
+_clone_index = updates.clone_index
+
+
+def _ordered_values(grouped):
+    values = list(grouped)
+    try:
+        return sorted(values)
+    except TypeError:
+        return values
+
+
+def _adopt_eager(index, extent, buckets, days, runs=()):
+    index._invalidate_derived()
+    index._runs = runs
+    index._shared_extent = extent
+    index.packed = True
+    count = 0
+    for bucket in buckets:
+        index.directory.put(bucket.value, bucket)
+        count += 1
+    index._shared_live_buckets = count
+    index.time_set = set(days)
+
+
+def pack_eager(disk, config, grouped, days, *, name, source_bytes, runs=()):
+    """``builder._pack`` as it was: a ``Bucket`` and a list per value."""
+    index = ConstituentIndex(disk, config, name=name)
+    entry_size = config.entry_size_bytes
+    total_entries = sum(map(len, grouped.values()))
+    total_bytes = total_entries * entry_size
+
+    disk.stream_read(source_bytes if source_bytes is not None else total_bytes)
+
+    extent = disk.allocate(total_bytes)
+    buckets = []
+    offset = 0
+    for value in _ordered_values(grouped):
+        entries = list(grouped[value])
+        bucket = Bucket(
+            value=value,
+            entries=entries,
+            extent=extent,
+            shared=True,
+            capacity_entries=len(entries),
+            offset_in_extent=offset,
+        )
+        offset += len(entries) * entry_size
+        buckets.append(bucket)
+    disk.write(extent, total_bytes)
+
+    _adopt_eager(index, extent, buckets, days, runs)
+    return index
+
+
+def clone_index_eager(index, *, name=None):
+    """``updates.clone_index`` as it was: packed sources copied bucket by bucket."""
+    if not index.packed:
+        return _clone_index(index, name=name)
+    disk = index.disk
+    config = index.config
+    clone = ConstituentIndex(disk, config, name=name or index.name)
+    entry_size = config.entry_size_bytes
+
+    disk.stream_read(index.allocated_bytes)
+    extent = disk.allocate(index.used_bytes)
+    buckets = []
+    offset = 0
+    for bucket in index.buckets():
+        copied = Bucket(
+            value=bucket.value,
+            entries=list(bucket.entries),
+            extent=extent,
+            shared=True,
+            capacity_entries=bucket.live_count,
+            offset_in_extent=offset,
+        )
+        offset += bucket.live_count * entry_size
+        buckets.append(copied)
+    _adopt_eager(clone, extent, buckets, index.time_set)
+    disk.stream_write(clone.allocated_bytes)
+    return clone
+
+
+@contextmanager
+def eager_world():
+    """Run the package with every packed index built bucket by bucket."""
+    with (
+        mock.patch.object(builder, "_pack", pack_eager),
+        mock.patch.object(updates, "clone_index", clone_index_eager),
+        mock.patch.object(executor, "clone_index", clone_index_eager),
+    ):
+        yield

@@ -12,6 +12,7 @@ import struct
 import pytest
 
 from repro.errors import FrontendError, RequestRejected
+from repro.index import codec
 from repro.serve import is_retryable, protocol
 from repro.serve.admission import AdmissionConfig, CoordinatorBackend
 from repro.serve.client import FrontendClient, InProcessClient
@@ -77,6 +78,33 @@ class TestEndToEnd:
             assert over_wire.entries == direct.entries
             assert over_wire.covered_days == direct.covered_days
 
+        run(with_server(scenario))
+
+    def test_second_identical_one_day_scan_encodes_nothing(self, monkeypatch):
+        """The bytes a day's run caches are the bytes an encode would send."""
+        calls = []
+        real = codec.encode_records
+
+        def counted(entries):
+            calls.append(len(entries))
+            return real(entries)
+
+        async def scenario(server, client):
+            day = SMALL.last_day
+            first = await client.scan(day, day)
+            assert calls  # the runs' records, once
+            del calls[:]
+            second = await client.scan(day, day)
+            assert calls == []
+            direct = sim().coordinator.scan(day, day)
+            assert len(direct.entries) > 8 and direct.parts
+            assert first.entries == second.entries == direct.entries
+            assert protocol.result_to_wire(direct)["entries"] == (
+                codec.encode_entries_object(direct.entries)
+            )
+            assert calls == []
+
+        monkeypatch.setattr(codec, "encode_records", counted)
         run(with_server(scenario))
 
     def test_pipelined_requests_multiplex_one_connection(self):
