@@ -6,6 +6,9 @@ fault history produced it:
 
 * **No extent leaks** — every live extent on every device is referenced by
   some binding, and per-device live bytes equal the bytes the bindings pin.
+* **Byte counters** — each binding's ``allocated_bytes`` (a counter the
+  index moves as it takes and gives back extents) equals a recount of the
+  extents it references.
 * **Allocator consistency** — the free list and live set are internally
   coherent (delegates to the allocator's own checks).
 * **Binding consistency** — each binding's directory-level entries agree
@@ -45,9 +48,17 @@ def check_wave_invariants(
     for name, index in wave.bindings.items():
         disks.add(index.disk)
         key = id(index.disk)
-        pinned_by_disk[key] = pinned_by_disk.get(key, 0) + index.allocated_bytes
+        pinned = index.allocated_bytes
+        pinned_by_disk[key] = pinned_by_disk.get(key, 0) + pinned
+        recount = 0
         for extent in index.referenced_extents():
             referenced.add(extent.extent_id)
+            recount += extent.size
+        if recount != pinned:
+            _fail(
+                f"byte-counter drift: binding {name} says it pins "
+                f"{pinned} bytes but its extents hold {recount}"
+            )
         for entry in index.all_entries():
             if entry.day not in index.time_set:
                 _fail(

@@ -107,16 +107,6 @@ class Bucket:
         self._run = None
         self.entries = entries
 
-    def touches_days(self, days: set[int]) -> bool:
-        """Return ``True`` if any live entry's insert day is in ``days``."""
-        return kernels.bucket_touches_days(self, days)
-
-    def remove_days(self, days: set[int]) -> int:
-        """Drop entries whose insert day is in ``days``; return how many."""
-        before = len(self.entries)
-        self.replace_entries([e for e in self.entries if e.day not in days])
-        return before - len(self.entries)
-
     def select(self, t1: int, t2: int) -> list[Entry]:
         """Return entries with insert day in the closed range ``[t1, t2]``."""
         return kernels.filter_bucket(self, t1, t2)

@@ -69,6 +69,11 @@ class ConstituentIndex:
         self.packed = False
         self._shared_extent: Extent | None = None
         self._shared_live_buckets = 0
+        # Bytes pinned by private bucket extents, moved beside each
+        # statement that takes or gives one back and after the last call
+        # that can raise (DESIGN.md, "Charge path"); check_wave_invariants
+        # recounts it from referenced_extents().
+        self._private_bytes = 0
         self._dropped = False
         # The flat packed form: while _layout is set it holds every entry,
         # the directory is empty, and _views memoises one read view per
@@ -215,11 +220,10 @@ class ConstituentIndex:
         the fragmentation the paper's ``S'`` captures).
         """
         self._check_not_dropped()
-        total = self._shared_extent.size if self._shared_extent else 0
-        for bucket in self.directory.values():  # empty in the flat form
-            if not bucket.shared and bucket.extent is not None:
-                total += bucket.extent.size
-        return total
+        shared = self._shared_extent
+        if shared is None:
+            return self._private_bytes
+        return self._private_bytes + shared.size
 
     def bucket(self, value: Any) -> Bucket | PackedBucket | None:
         """Return the bucket serving ``value`` (a read view of a flat index)."""
@@ -306,7 +310,7 @@ class ConstituentIndex:
                 shared=False,
                 capacity_entries=capacity,
             )
-            self.directory.put(value, bucket)
+            self._put_private(bucket)
             bucket.append_entries(entries)
             self.disk.write(extent, len(entries) * entry_size, seeks=seek)
             return
@@ -336,6 +340,12 @@ class ConstituentIndex:
         self.disk.free(old_extent)
         bucket.extent = new_extent
         bucket.capacity_entries = new_capacity
+        self._private_bytes += new_extent.size - old_extent.size
+
+    def _put_private(self, bucket: Bucket) -> None:
+        """Enter a bucket that owns its extent and count the extent's bytes."""
+        self.directory.put(bucket.value, bucket)
+        self._private_bytes += bucket.extent.size
 
     def _evict_shared_bucket(
         self, bucket: Bucket, *, extra: int = 0, seek: float = 1.0
@@ -357,6 +367,7 @@ class ConstituentIndex:
         bucket.shared = False
         bucket.capacity_entries = capacity
         bucket.offset_in_extent = 0
+        self._private_bytes += new_extent.size
         self._shared_live_buckets -= 1
         if self._shared_live_buckets == 0 and self._shared_extent is not None:
             # Every bucket left the shared extent; reclaim it.
@@ -388,35 +399,24 @@ class ConstituentIndex:
         # real working set, not a streaming marker).
         seek = self.disk.effective_seeks(1.0, float(self.allocated_bytes))
         removed_any = False
+        read, write = self.disk.read, self.disk.write
         for value, bucket in list(self.directory.items()):
-            if not bucket.touches_days(day_set):
+            entries = bucket.entries
+            kept = [e for e in entries if e.day not in day_set]
+            if len(kept) == len(entries):
                 continue
             removed_any = True
-            before = bucket.live_count
-            if bucket.shared:
-                self.disk.read(
-                    self._shared_extent,
-                    before * entry_size,
-                    seeks=seek,
-                    offset=bucket.offset_in_extent,
-                )
-                bucket.remove_days(day_set)
-                self.disk.write(
-                    self._shared_extent,
-                    bucket.live_count * entry_size,
-                    seeks=seek,
-                    offset=bucket.offset_in_extent,
-                )
-            else:
-                self.disk.read(bucket.extent, before * entry_size, seeks=seek)
-                bucket.remove_days(day_set)
-                self.disk.write(
-                    bucket.extent, bucket.live_count * entry_size, seeks=seek
-                )
-            if bucket.live_count == 0:
+            # Read the bucket as it was, compact it, write it back in
+            # place: a fault on the read leaves the entries untouched, one
+            # on the write leaves them compacted.
+            extent, offset = self._bucket_position(bucket)
+            read(extent, len(entries) * entry_size, seeks=seek, offset=offset)
+            bucket.replace_entries(kept)
+            write(extent, len(kept) * entry_size, seeks=seek, offset=offset)
+            if not kept:
                 self._retire_bucket(value, bucket)
             elif not bucket.shared and policy.should_shrink(
-                bucket.capacity_entries, bucket.live_count
+                bucket.capacity_entries, len(kept)
             ):
                 self._shrink_bucket(bucket)
         self.time_set.difference_update(day_set)
@@ -434,6 +434,7 @@ class ConstituentIndex:
                 self._shared_extent = None
         elif bucket.extent is not None:
             self.disk.free(bucket.extent)
+            self._private_bytes -= bucket.extent.size
             bucket.extent = None
 
     def _shrink_bucket(self, bucket: Bucket) -> None:
@@ -444,6 +445,7 @@ class ConstituentIndex:
         new_extent = self.disk.allocate(new_capacity * entry_size)
         self.disk.write(new_extent, bucket.live_count * entry_size)
         self.disk.free(bucket.extent)
+        self._private_bytes += new_extent.size - bucket.extent.size
         bucket.extent = new_extent
         bucket.capacity_entries = new_capacity
 
@@ -504,33 +506,52 @@ class ConstituentIndex:
             columns; callers must not mutate them.
         """
         self._check_not_dropped()
-        touches: list[Bucket | PackedBucket] = []
+        # One tuple per bucket located: where it is (the sort key — extent
+        # offset, then offset inside the extent, then arrival so a tie
+        # keeps request order and nothing unorderable is compared) and
+        # what to read there.
+        touches: list[tuple[int, int, int, Extent, Bucket | PackedBucket]] = []
+        shared = self._shared_extent
         layout = self._layout
         if layout is None:
+            get = self.directory.get
             for value in dict.fromkeys(values):
-                bucket = self.directory.get(value)
-                if bucket is not None:
-                    touches.append(bucket)
+                bucket = get(value)
+                if bucket is None:
+                    continue
+                if bucket.shared:
+                    extent, offset = shared, bucket.offset_in_extent
+                else:
+                    extent, offset = bucket.extent, 0
+                touches.append(
+                    (extent.offset, offset, len(touches), extent, bucket)
+                )
         else:
             # self.bucket(value), inlined: a call per value costs qps.
             slots, views = layout.slots, self._views
+            shared_offset = shared.offset
             for value in dict.fromkeys(values):
                 slot = slots.get(value)
                 if slot is not None:
-                    touches.append(views[slot] or self._view(slot))
-        touches.sort(
-            key=lambda b: (
-                self._bucket_position(b)[0].offset,
-                self._bucket_position(b)[1],
-            )
-        )
+                    bucket = views[slot] or self._view(slot)
+                    touches.append(
+                        (shared_offset, bucket.offset_in_extent,
+                         len(touches), shared, bucket)
+                    )
+        touches.sort()
         found: dict[Any, tuple[Bucket | PackedBucket, float]] = {}
+        read = self.disk.read
+        entry_size = self.config.entry_size_bytes
         previous_extent_id: int | None = None
-        for bucket in touches:
-            extent, _ = self._bucket_position(bucket)
-            seeks = 0.0 if extent.extent_id == previous_extent_id else 1.0
-            seconds = self._read_bucket(bucket, seeks=seeks)
-            previous_extent_id = extent.extent_id
+        for _, offset, _, extent, bucket in touches:
+            extent_id = extent.extent_id
+            seconds = read(
+                extent,
+                len(bucket.entries) * entry_size,
+                seeks=0.0 if extent_id == previous_extent_id else 1.0,
+                offset=offset,
+            )
+            previous_extent_id = extent_id
             found[bucket.value] = (bucket, seconds)
         return found, len(touches)
 
@@ -631,6 +652,7 @@ class ConstituentIndex:
             self.disk.free(self._shared_extent)
             self._shared_extent = None
         self.directory = self.config.directory_factory()
+        self._private_bytes = 0
         self._layout = None
         self._views = []
         self.time_set = set()

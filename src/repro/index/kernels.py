@@ -288,27 +288,6 @@ def filter_bucket(bucket: "Bucket", t1: int, t2: int) -> list["Entry"]:
     return found if part is None else list(found)
 
 
-def bucket_touches_days(bucket: "Bucket", days: frozenset | set) -> bool:
-    """Return ``True`` if any live entry's insert day is in ``days``.
-
-    Equivalent to ``any(e.day in days for e in bucket.entries)``; the
-    kernel consults the run's column (with a min/max prune) instead of
-    the entry objects when the bucket has a current run.
-    """
-    entries = bucket.entries
-    if not days or not entries:
-        return False
-    run = bucket._run
-    if run is None or len(run.days) != len(entries):
-        # Maintenance sweeps (delete_days) hit buckets that were never
-        # read; building a run just to throw it away on the following
-        # remove_days would cost more than the probe saves.
-        return any(e.day in days for e in entries)
-    if max(days) < run.lo or min(days) > run.hi:
-        return False
-    return any(day in days for day in run.days)
-
-
 # ----------------------------------------------------------------------
 # Batch request grouping (probe/scan result assembly)
 # ----------------------------------------------------------------------

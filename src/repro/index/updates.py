@@ -72,7 +72,7 @@ def clone_index(
                 shared=False,
                 capacity_entries=capacity,
             )
-            clone.directory.put(bucket.value, copied)
+            clone._put_private(copied)
         clone.time_set = set(index.time_set)
         clone.packed = False
     disk.stream_write(clone.allocated_bytes)

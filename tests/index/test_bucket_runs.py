@@ -43,6 +43,7 @@ from tests.index.test_scan_sweep import (
     start,
 )
 from tests.reference.batch import probe_many_object
+from tests.reference.delete import remove_days
 
 def batch_for(day):
     """Whole window, newest day, a partial range, a range outside the
@@ -181,7 +182,7 @@ def test_run_lives_from_first_read_to_next_writer():
     assert bucket._run is None
     third = bucket.run()
 
-    assert bucket.remove_days({9}) == 1
+    assert remove_days(bucket, {9}) == 1
     assert bucket._run is None and bucket.run().entries == ()
     # Every reader's copy is still whole.
     assert [e.record_id for e in first.entries] == [1, 2]

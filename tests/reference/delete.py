@@ -1,0 +1,91 @@
+"""The two-pass in-place delete: ask each bucket, then compact it.
+
+How ``ConstituentIndex.delete_days`` walked a directory before it made the
+kept list once and compared lengths: ``Bucket.touches_days`` (through
+``kernels.bucket_touches_days``) to ask *whether* a day is there, then
+``Bucket.remove_days`` to drop it, with ``allocated_bytes`` recounted from
+the directory.  Kept word for word as functions of a bucket or an index;
+:func:`delete_days_two_pass` must leave the same entries, extents, clock
+and I/O counters as the method on a twin
+(``tests/index/test_private_bytes.py``).
+"""
+
+
+def bucket_touches_days(bucket, days):
+    """Return ``True`` if any live entry's insert day is in ``days``.
+
+    Equivalent to ``any(e.day in days for e in bucket.entries)``; consults
+    the run's column (with a min/max prune) instead of the entry objects
+    when the bucket has a current run.
+    """
+    entries = bucket.entries
+    if not days or not entries:
+        return False
+    run = bucket._run
+    if run is None or len(run.days) != len(entries):
+        return any(e.day in days for e in entries)
+    if max(days) < run.lo or min(days) > run.hi:
+        return False
+    return any(day in days for day in run.days)
+
+
+def remove_days(bucket, days):
+    """Drop entries whose insert day is in ``days``; return how many."""
+    before = len(bucket.entries)
+    bucket.replace_entries([e for e in bucket.entries if e.day not in days])
+    return before - len(bucket.entries)
+
+
+def recounted_bytes(index):
+    """Return ``allocated_bytes`` as a walk over the index's extents."""
+    return sum(extent.size for extent in index.referenced_extents())
+
+
+def delete_days_two_pass(index, days):
+    """``ConstituentIndex.delete_days`` as it was."""
+    index._check_not_dropped()
+    index._invalidate_derived()
+    index._unpack()
+    day_set = set(days)
+    if not day_set:
+        return 0.0
+    start = index.disk.clock
+    entry_size = index.config.entry_size_bytes
+    policy = index.config.contiguous
+    seek = index.disk.effective_seeks(1.0, float(recounted_bytes(index)))
+    removed_any = False
+    for value, bucket in list(index.directory.items()):
+        if not bucket_touches_days(bucket, day_set):
+            continue
+        removed_any = True
+        before = bucket.live_count
+        if bucket.shared:
+            index.disk.read(
+                index._shared_extent,
+                before * entry_size,
+                seeks=seek,
+                offset=bucket.offset_in_extent,
+            )
+            remove_days(bucket, day_set)
+            index.disk.write(
+                index._shared_extent,
+                bucket.live_count * entry_size,
+                seeks=seek,
+                offset=bucket.offset_in_extent,
+            )
+        else:
+            index.disk.read(bucket.extent, before * entry_size, seeks=seek)
+            remove_days(bucket, day_set)
+            index.disk.write(
+                bucket.extent, bucket.live_count * entry_size, seeks=seek
+            )
+        if bucket.live_count == 0:
+            index._retire_bucket(value, bucket)
+        elif not bucket.shared and policy.should_shrink(
+            bucket.capacity_entries, bucket.live_count
+        ):
+            index._shrink_bucket(bucket)
+    index.time_set.difference_update(day_set)
+    if removed_any:
+        index.packed = False
+    return index.disk.clock - start

@@ -61,7 +61,7 @@ def run_trace(trace, capacity_pages, cache_cls):
 
 
 @given(touches, st.integers(min_value=1, max_value=50))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings().max_examples), deadline=None)
 def test_bulk_touch_matches_per_page_reference(trace, capacity_pages):
     assert run_trace(trace, capacity_pages, PageCache) == run_trace(
         trace, capacity_pages, PerPagePageCache
