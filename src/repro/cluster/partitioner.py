@@ -30,6 +30,8 @@ uniform id renumbering described by :func:`reshard_id_mapping`.
 from __future__ import annotations
 
 from bisect import bisect_right
+from fractions import Fraction
+from numbers import Number
 from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 from zlib import crc32
 
@@ -69,6 +71,41 @@ class Partitioner(Protocol):
         ...
 
 
+def _spelling(value: Any) -> str:
+    """Return the text CRC32 routing hashes: one spelling per distinct key.
+
+    ``1 == 1.0 == True`` and ``0.5 == Fraction(1, 2) == Decimal("0.5")``
+    are each one key to every directory and memo, so each is one key to the
+    router, at any depth of a tuple: an integer value is spelled as the
+    ``int``, any other real as the ``float`` equal to it, or as a
+    ``Fraction`` when no ``float`` is; ``str``, ``int`` and ``float`` keys
+    as ``str()`` does.
+    """
+    if type(value) is str:
+        return value
+    return str(_canonical(value))
+
+
+def _canonical(value: Any) -> Any:
+    if type(value) is tuple:
+        return tuple(map(_canonical, value))
+    if type(value) is int or not isinstance(value, Number):
+        return value
+    if isinstance(value, complex) and not value.imag:
+        value = value.real
+    try:
+        exact = Fraction(value)
+    except OverflowError:  # an infinity, float's or Decimal's
+        return float(value)
+    except (TypeError, ValueError):  # complex off the real line, a nan
+        return value
+    if exact.denominator == 1:
+        return exact.numerator
+    if abs(exact) < 2**53 and float(exact) == exact:  # past it every float is whole
+        return float(exact)
+    return exact
+
+
 class HashPartitioner:
     """Shard by stable CRC32 of the value's string form.
 
@@ -90,7 +127,7 @@ class HashPartitioner:
         return self._n_shards
 
     def shard_for(self, value: Any) -> int:
-        return crc32(str(value).encode("utf-8")) % self._n_shards
+        return crc32(_spelling(value).encode("utf-8")) % self._n_shards
 
     def shards_for_many(self, values: Sequence[Any]) -> list[int]:
         return _shards_for_many_memo(self, values, self._memo)
@@ -276,7 +313,7 @@ class SlotHashPartitioner:
         return len(self.slot_to_shard)
 
     def shard_for(self, value: Any) -> int:
-        slot = crc32(str(value).encode("utf-8")) % len(self.slot_to_shard)
+        slot = crc32(_spelling(value).encode("utf-8")) % len(self.slot_to_shard)
         return self.slot_to_shard[slot]
 
     def shards_for_many(self, values: Sequence[Any]) -> list[int]:
@@ -361,10 +398,12 @@ def _shards_for_many_memo(
 ) -> list[int]:
     """Batched routing through a per-partitioner value-to-shard memo.
 
-    CRC32 routing re-hashes ``str(value)`` on every call; a scatter of a
-    few thousand probes touches the same hot values over and over, so
-    memoizing the (pure) mapping removes the hash from the hot path.
-    Unhashable values fall back to the direct computation.
+    CRC32 routing re-hashes the value's spelling on every call; a scatter
+    of a few thousand probes touches the same hot values over and over, so
+    memoizing the (pure) mapping removes the hash from the hot path.  Equal
+    keys share a slot and, by :func:`_spelling`, a shard, so which of them
+    filled the slot cannot be seen.  Unhashable values fall back to the
+    direct computation.
     """
     shard_for = partitioner.shard_for
     out = []
@@ -460,23 +499,20 @@ def partition_store(
     if partitioner.n_shards == 1:
         return [store]
     shards = [RecordStore() for _ in range(partitioner.n_shards)]
+    shards_for_many = partitioner.shards_for_many
     for day in store.days:
         per_shard: list[list[Record]] = [[] for _ in shards]
         for record in store.batch(day).records:
-            owned: dict[int, list[Any]] = {}
-            shard_ids = partitioner.shards_for_many(record.values)
-            for value, shard_id in zip(record.values, shard_ids):
-                owned.setdefault(shard_id, []).append(value)
-            for shard_id, values in owned.items():
-                per_shard[shard_id].append(
-                    Record(
-                        record_id=record.record_id,
-                        day=record.day,
-                        values=tuple(values),
-                        nbytes=record.nbytes * len(values) // len(record.values),
-                        info=record.info,
+            values = record.values
+            owned: list[list[Any]] = [[] for _ in shards]
+            for value, shard_id in zip(values, shards_for_many(values)):
+                owned[shard_id].append(value)
+            for shard_records, mine in zip(per_shard, owned):
+                if mine:
+                    share = record.nbytes * len(mine) // len(values)
+                    shard_records.append(
+                        Record(record.record_id, day, tuple(mine), share, record.info)
                     )
-                )
-        for shard_store, records in zip(shards, per_shard):
-            shard_store.add_records(day, records)
+        for shard_store, shard_records in zip(shards, per_shard):
+            shard_store.add_records(day, shard_records)
     return shards

@@ -20,7 +20,7 @@ from ..errors import WorkloadError
 from ..index.entry import Entry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Record:
     """One indexed record.
 

@@ -11,6 +11,7 @@ document, vocabulary size, and Zipf skew.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Sequence
 
 from ..core.records import DayBatch, Record, RecordStore
@@ -47,6 +48,23 @@ class TextWorkloadConfig:
             raise WorkloadError("words_per_doc must be >= 1")
         if self.bytes_per_doc < 0:
             raise WorkloadError("bytes_per_doc must be >= 0")
+        if self.vocabulary < 1:
+            raise WorkloadError("vocabulary must be >= 1")
+        if self.zipf_s < 0:
+            raise WorkloadError("zipf_s must be >= 0")
+
+
+class _Lexicon(dict):
+    """``rank -> word``: the one ``str`` a word is, made on first use.
+
+    Every document holding a word refers to that object, so half a million
+    tokens keep a few thousand strings and every directory downstream
+    finds its keys by identity.  The generator's, not the process's.
+    """
+
+    def __missing__(self, rank: int) -> str:
+        word = self[rank] = f"w{rank}"
+        return word
 
 
 class NetnewsGenerator:
@@ -67,6 +85,7 @@ class NetnewsGenerator:
         self.config = config or TextWorkloadConfig()
         self._volume = volume
         self._next_record_id = 1
+        self._lexicon = _Lexicon()
 
     def docs_for_day(self, day: int) -> int:
         """Return how many documents ``day`` produces."""
@@ -81,6 +100,10 @@ class NetnewsGenerator:
                     f"got day {day}"
                 )
             count = self._volume[day - 1]
+        try:
+            count = index(count)
+        except TypeError:
+            raise WorkloadError(f"non-integer volume {count!r} for day {day}") from None
         if count < 0:
             raise WorkloadError(f"negative volume {count} for day {day}")
         return count
@@ -91,10 +114,11 @@ class NetnewsGenerator:
         sampler = ZipfSampler(
             cfg.vocabulary, cfg.zipf_s, seed=hash((cfg.seed, day)) & 0x7FFFFFFF
         )
+        word_of = self._lexicon.__getitem__
         records = []
         for _ in range(self.docs_for_day(day)):
-            ranks = sampler.sample_many(cfg.words_per_doc)
-            words = tuple(sorted({f"w{r}" for r in ranks}))
+            ranks = set(sampler.sample_many(cfg.words_per_doc))
+            words = tuple(sorted(map(word_of, ranks)))
             records.append(
                 Record(
                     record_id=self._next_record_id,
@@ -112,8 +136,16 @@ class NetnewsGenerator:
             raise WorkloadError(
                 f"empty day range {first_day}..{last_day}"
             )
-        for day in range(first_day, last_day + 1):
-            store.add_batch(self.generate_day(day))
+        # All generated before any is added: a volume rule failing on day 3
+        # leaves neither days 1-2 in the store nor their record ids spent.
+        first_id = self._next_record_id
+        try:
+            batches = [self.generate_day(day) for day in range(first_day, last_day + 1)]
+        except BaseException:
+            self._next_record_id = first_id
+            raise
+        for batch in batches:
+            store.add_batch(batch)
 
 
 def build_store(

@@ -7,6 +7,10 @@ partitioner's mapping is monotone non-decreasing in the key with split
 points landing exactly on shard boundaries.
 """
 
+from decimal import Decimal
+from fractions import Fraction
+from zlib import crc32
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -435,3 +439,113 @@ class TestShardsForMany:
         assert child.shards_for_many(keys) == [
             child.shard_for(k) for k in keys
         ]
+
+
+class TestEqualKeysRouteTogether:
+    """``1 == 1.0 == True`` is one directory key, so it is one route.
+
+    So are ``0.5 == Fraction(1, 2) == Decimal("0.5")``.  Through
+    ``shard_for`` and ``shards_for_many``, in any order, with a fresh or a
+    warm memo — the memo used to answer with whichever spelling it had
+    seen first while ``shard_for`` hashed ``str(value)``.
+    """
+
+    eighths = st.integers(min_value=-160, max_value=160).map(lambda n: Fraction(n, 8))
+    reals = st.one_of(
+        st.integers(min_value=-20, max_value=20),
+        st.integers(min_value=-20, max_value=20).map(float),
+        st.booleans(),
+        st.floats(min_value=-20, max_value=20, allow_nan=False),
+        eighths,  # every one of them is a float, a Decimal and a complex too
+        eighths.map(float),
+        eighths.map(lambda q: Decimal(q.numerator) / Decimal(q.denominator)),
+        st.fractions(min_value=-20, max_value=20, max_denominator=10),
+        st.decimals(min_value=-20, max_value=20, places=1),
+    )
+    numbers = st.one_of(reals, eighths.map(complex))  # a range cannot order complex
+    mixed = st.lists(st.one_of(numbers, st.text(max_size=3)), max_size=30)
+
+    @staticmethod
+    def check(make, values, shuffled):
+        route = {}
+        for value in values:
+            route.setdefault(value, make().shard_for(value))
+        for order in (values, shuffled):
+            want = [route[value] for value in order]
+            assert [make().shard_for(value) for value in order] == want
+            assert make().shards_for_many(order) == want
+            warm = make()
+            warm.shards_for_many(shuffled)
+            assert warm.shards_for_many(order) == want
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (1, 1.0),
+            (0, False),
+            (2, 2.0),
+            (7, 7.0),
+            (0.5, Fraction(1, 2)),
+            (Decimal("0.5"), 0.5),
+            (Fraction(1, 10), Decimal("0.1")),
+            (3, Decimal("3.0")),
+            (2.5, 2.5 + 0j),
+            (float("inf"), Decimal("Infinity")),
+            (10**400, Decimal("1e400")),
+        ],
+    )
+    def test_the_first_spelling_seen_does_not_pick_the_shard(self, a, b):
+        for make in (
+            lambda: HashPartitioner(4),
+            lambda: SlotHashPartitioner.balanced(4, 16),
+        ):
+            assert make().shards_for_many([a, b]) == make().shards_for_many([b, a])
+            assert make().shard_for(a) == make().shard_for(b)
+            self.check(make, [a, b], [b, a])
+
+    def test_equal_tuples_route_together(self):
+        p = HashPartitioner(11)
+        assert p.shard_for((1, ("a", 2.0))) == p.shard_for((True, ("a", 2)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=mixed, k=st.integers(min_value=1, max_value=6), data=st.data())
+    def test_hash(self, values, k, data):
+        shuffled = data.draw(st.permutations(values))
+        self.check(lambda: HashPartitioner(k), values, shuffled)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=mixed, k=st.integers(min_value=1, max_value=6), data=st.data())
+    def test_slot_hash(self, values, k, data):
+        shuffled = data.draw(st.permutations(values))
+        self.check(lambda: SlotHashPartitioner.balanced(k, 16), values, shuffled)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(reals, max_size=30),
+        splits=st.lists(
+            st.integers(min_value=-15, max_value=15),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ).map(sorted),
+        data=st.data(),
+    )
+    def test_range(self, values, splits, data):
+        shuffled = data.draw(st.permutations(values))
+        self.check(lambda: RangePartitioner(splits), values, shuffled)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        value=st.one_of(
+            st.text(max_size=8),
+            st.integers(),
+            st.floats(allow_nan=False).filter(lambda f: not f.is_integer()),
+        ),
+        k=st.integers(min_value=1, max_value=6),
+    )
+    def test_str_int_and_float_routes_are_the_crc_of_their_text(self, value, k):
+        # The six byte-compared artifacts route words and integer keys.
+        want = crc32(str(value).encode("utf-8"))
+        assert HashPartitioner(k).shard_for(value) == want % k
+        slots = SlotHashPartitioner.balanced(k, 16)
+        assert slots.shard_for(value) == slots.slot_to_shard[want % 16]

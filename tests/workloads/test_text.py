@@ -25,6 +25,13 @@ class TestConfig:
         with pytest.raises(WorkloadError):
             TextWorkloadConfig(bytes_per_doc=-1)
 
+    def test_a_lexicon_no_sampler_would_take_is_refused_at_once(self):
+        # Both used to construct fine and fail inside generate_day.
+        with pytest.raises(WorkloadError):
+            TextWorkloadConfig(vocabulary=0)
+        with pytest.raises(WorkloadError):
+            TextWorkloadConfig(zipf_s=-1.0)
+
 
 class TestGeneration:
     def test_deterministic_per_day(self):
@@ -86,6 +93,33 @@ class TestVolume:
         gen = NetnewsGenerator(volume=lambda day: -1)
         with pytest.raises(WorkloadError):
             gen.docs_for_day(1)
+
+    def test_non_integer_volume_rejected(self):
+        # Used to reach range() and raise a bare TypeError.
+        gen = NetnewsGenerator(volume=lambda day: 2.5)
+        with pytest.raises(WorkloadError):
+            gen.docs_for_day(1)
+        with pytest.raises(WorkloadError):
+            NetnewsGenerator(volume=[3, "4"]).docs_for_day(2)
+
+    def test_a_volume_failing_on_day_three_leaves_the_store_empty(self):
+        volumes = {3: 2.5}
+        gen = NetnewsGenerator(
+            TextWorkloadConfig(docs_per_day=2),
+            volume=lambda day: volumes.get(day, 2),
+        )
+        store = RecordStore()
+        with pytest.raises(WorkloadError):
+            gen.populate(store, 1, 4)
+        assert store.days == []
+        # ... and the generator unspent: the retry is the clean run.
+        volumes[3] = 2
+        gen.populate(store, 1, 4)
+        clean = RecordStore()
+        NetnewsGenerator(TextWorkloadConfig(docs_per_day=2)).populate(clean, 1, 4)
+        assert [store.batch(d) for d in store.days] == [
+            clean.batch(d) for d in clean.days
+        ]
 
 
 class TestPopulate:
