@@ -1,4 +1,4 @@
-"""Say what a perf-shaped cluster's resident memory is made of, then check one law.
+"""Say what a perf-shaped cluster's resident memory is made of, then check two laws.
 
 ``perf/run.py`` reports ``rss_peak_mb`` as one number.  This builds the
 cluster one of its workloads builds (``perf.workloads.build_cluster``, same
@@ -6,11 +6,14 @@ corpus, same shards, same set-up turns) and prints the number's
 composition: ``ru_maxrss`` after the imports and after the set-up, then —
 from a second, ``tracemalloc``-traced build, so tracing cannot inflate the
 first reading — the live bytes by allocating module, with the modules that
-lay down the corpus, the shard copies, the posting runs and the layouts
-named.  A memory PR starts from this table instead of a guess.
+lay down the corpus, the posting runs and the layouts named.  A memory PR
+starts from this table instead of a guess.
 
-The law: a word is one ``str``.  Exit status 1 if the corpus, the shard
-stores or the posting runs hold more ``str`` objects than distinct words.
+The laws: a word is one ``str`` and a record is one object.  Exit status 1
+if the corpus, the shard stores or the posting runs hold more ``str``
+objects than distinct words, or if more ``Record`` instances are alive
+after the set-up than the source store holds (a shard's store is a view;
+a later change that lays the per-shard copies down again fails here).
 
     python .github/scripts/footprint.py [--workload day-turn] [--seed 7] [--days 33]
 """
@@ -29,7 +32,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 #: What the modules that dominate a set-up lay down.
 ROLES = {
     "workloads/text.py": "corpus: lexicon, source records, values tuples",
-    "cluster/partitioner.py": "per-shard record copies",
     "core/records.py": "day batches, posting runs",
     "index/bucket.py": "packed layouts, buckets, runs",
     "index/constituent.py": "constituents, unpacked directories",
@@ -62,6 +64,13 @@ def word_objects(sim) -> list[tuple[str, int, int]]:
     return [(name, len(set(map(id, values))), len(set(values))) for name, values in held]
 
 
+def live_records() -> int:
+    from repro.core.records import Record
+
+    gc.collect()
+    return sum(type(o) is Record for o in gc.get_objects())
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="day-turn")
@@ -77,13 +86,9 @@ def main() -> int:
     imported = rss_mb()
     store, sim = build_cluster(workload, args.seed, args.days)
     built = rss_mb()
-    laws = word_objects(sim)
     records = sum(len(store.batch(day).records) for day in store.days)
-    copies = sum(
-        len(shard.store.batch(day).records)
-        for shard in sim.shards
-        for day in shard.store.days
-    )
+    live = live_records()
+    laws = word_objects(sim)
     del store, sim
     gc.collect()
 
@@ -94,7 +99,7 @@ def main() -> int:
     tracemalloc.stop()
 
     print(f"{args.workload}, seed {args.seed}, {args.days} days: "
-          f"{records} records, {copies} shard records")
+          f"{records} source records, {live} live Record objects")
     print("ru_maxrss, MB")
     print(f"  {'bare interpreter':<32}{bare:>10.1f}")
     print(f"  {'+ imports (repro, perf)':<32}{imported:>10.1f}")
@@ -120,7 +125,11 @@ def main() -> int:
         broken += objects > distinct
     if broken:
         print(f"FAIL: {broken} holder(s) keep more str objects than distinct words")
-    return 1 if broken else 0
+    print(f"{'a record is one object':<34}{'objects':>10}{'records':>10}")
+    print(f"  {'live after set-up':<32}{live:>10}{records:>10}")
+    if live != records:
+        print(f"FAIL: {live} Record objects are alive for {records} source records")
+    return 1 if broken or live != records else 0
 
 
 if __name__ == "__main__":

@@ -354,22 +354,23 @@ class _Reshard:
         The child partitioner only ever routes a parent's keys to the
         child ids (the split/merge locality property), so partitioning
         the parents' records alone loses nothing; the other shards' slots
-        of the returned list are empty and unused.
+        of the returned list are empty and unused.  The children are
+        views over the parents' records *as narrowed* — materialised
+        here, kept by the views — so a child's share of a record's bytes
+        is floored from its parent's share, not from the source record.
         """
         stores = [parent.store for parent in self.parents]
-        source = stores[0]
-        if len(stores) > 1:
-            source = RecordStore()
-            for day in sorted({day for store in stores for day in store.days}):
-                source.add_records(
-                    day,
-                    [
-                        record
-                        for store in stores
-                        if store.has_day(day)
-                        for record in store.batch(day).records
-                    ],
-                )
+        source = RecordStore()
+        for day in sorted({day for store in stores for day in store.days}):
+            source.add_records(
+                day,
+                [
+                    record
+                    for store in stores
+                    if store.has_day(day)
+                    for record in store.batch(day).records
+                ],
+            )
         return partition_store(source, self.new_partitioner)
 
     def stage(

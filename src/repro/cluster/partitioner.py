@@ -5,9 +5,12 @@ A wave index keeps one sliding window fast by spreading maintenance over
 *key space*: each of ``k`` shards owns a slice of the search-field domain
 and runs its own wave index over the full window.  The partitioner is the
 contract between the two layers — a pure, stateless mapping from search
-values to shard ids that both the store splitter (at build time) and the
-coordinator (at query time) consult, so a probe for ``value`` always
-lands on the shard holding ``value``'s postings.
+values to shard ids that both the shards' views of the record store (when
+a day is posted) and the coordinator (at query time) consult, so a probe
+for ``value`` always lands on the shard holding ``value``'s postings.
+The split is of the key space, not of the data: :func:`partition_store`
+returns one :class:`ShardView` a shard over one source store, which
+keeps the only copy of every record and posts every day once.
 
 Three implementations mirror the classic physical designs:
 
@@ -29,14 +32,15 @@ uniform id renumbering described by :func:`reshard_id_mapping`.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
 from fractions import Fraction
 from numbers import Number
 from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 from zlib import crc32
 
-from ..core.records import Record, RecordStore
-from ..errors import ClusterError
+from ..core.records import DayBatch, PostingRun, Record, RecordStore
+from ..errors import ClusterError, WorkloadError
 
 
 @runtime_checkable
@@ -480,17 +484,131 @@ def make_partitioner(
     raise ClusterError(f"unknown partitioner kind {kind!r}")
 
 
+class _Split:
+    """What the ``k`` views of one source store share.
+
+    Per day, the raw bytes ``BuildIndex`` is charged for on each shard;
+    per live source run, its ``k`` cuts.  The cuts are held through the
+    source run (weakly keyed) and never refer back to it, so a source run
+    is kept by whoever holds *it* — nothing here — and its cuts die with
+    it unless an index holds them.
+    """
+
+    def __init__(self, source: RecordStore, partitioner: Partitioner) -> None:
+        self.source = source
+        self.partitioner = partitioner
+        self._data_bytes: dict[int, list[int]] = {}
+        self._cuts: weakref.WeakKeyDictionary[
+            PostingRun, tuple[PostingRun, ...]
+        ] = weakref.WeakKeyDictionary()
+        # The days already there are routed now, so no turn over them
+        # pays for the pass; a day added later is routed on first ask.
+        for day in source.days:
+            self.data_bytes(day)
+
+    def data_bytes(self, day: int) -> list[int]:
+        """Return each shard's share of ``day``'s raw bytes.
+
+        A record's bytes are split proportionally to the values a shard
+        owns, floored per record — what the narrowed copy of it would
+        carry (:meth:`ShardView.batch`).
+        """
+        shares = self._data_bytes.get(day)
+        if shares is None:
+            shards_for_many = self.partitioner.shards_for_many
+            shares = [0] * self.partitioner.n_shards
+            for record in self.source.batch(day).records:
+                values = record.values
+                owners = shards_for_many(values)
+                for shard_id in set(owners):
+                    shares[shard_id] += (
+                        record.nbytes * owners.count(shard_id) // len(values)
+                    )
+            self._data_bytes[day] = shares
+        return shares
+
+    def cuts(self, day: int) -> tuple[PostingRun, ...]:
+        """Return the ``k`` cuts of ``day``'s source run, cutting it once."""
+        (run,) = self.source.runs_for((day,))
+        cuts = self._cuts.get(run)
+        if cuts is None:
+            partitioner = self.partitioner
+            cuts = self._cuts[run] = run.cut(
+                partitioner.shards_for_many(list(run.grouped)),
+                partitioner.n_shards,
+            )
+        return cuts
+
+
+class ShardView(RecordStore):
+    """One shard's slice of a source store, stored nowhere.
+
+    Answers what the index path asks — ``runs_for``, ``grouped_for``,
+    ``data_bytes_for`` — from the source store's own records and posting
+    runs: a run of this store is the shard's cut of the source's run.
+    The days are the source's, live; :meth:`batch` narrows the records
+    on demand for the cold callers that read them.
+    """
+
+    def __init__(self, split: _Split, shard_id: int) -> None:
+        super().__init__()
+        self._split = split
+        self.shard_id = shard_id
+
+    def add_batch(self, batch: DayBatch) -> None:
+        raise WorkloadError("a shard view is read-only; add to its source store")
+
+    def batch(self, day: int) -> DayBatch:
+        """Return the records of ``day`` that own a value here, narrowed.
+
+        Each carries only its owned values and the matching share of its
+        raw ``nbytes``.  Built on every call, kept by no one.
+        """
+        shard_id = self.shard_id
+        shards_for_many = self._split.partitioner.shards_for_many
+        records = []
+        for record in self._split.source.batch(day).records:
+            values = record.values
+            mine = tuple(
+                value
+                for value, owner in zip(values, shards_for_many(values))
+                if owner == shard_id
+            )
+            if mine:
+                share = record.nbytes * len(mine) // len(values)
+                records.append(
+                    Record(record.record_id, day, mine, share, record.info)
+                )
+        return DayBatch(day, records)
+
+    def has_day(self, day: int) -> bool:
+        return self._split.source.has_day(day)
+
+    @property
+    def days(self) -> list[int]:
+        return self._split.source.days
+
+    def _post(self, day: int) -> PostingRun:
+        return self._split.cuts(day)[self.shard_id]
+
+    def data_bytes_for(self, days: Iterable[int]) -> int:
+        data_bytes = self._split.data_bytes
+        return sum(data_bytes(day)[self.shard_id] for day in set(days))
+
+
 def partition_store(
     store: RecordStore, partitioner: Partitioner
 ) -> list[RecordStore]:
-    """Split ``store`` into one :class:`RecordStore` per shard.
+    """Split ``store`` into one :class:`ShardView` per shard.
 
-    Every shard receives a batch for *every* day of the source store
-    (possibly empty) so schemes can rebuild any day range on any shard.
-    A record with several search values is placed on every shard owning
-    at least one of them, carrying only the owned value subset; its raw
-    ``nbytes`` are split proportionally to the values kept, so the
-    cluster-wide build cost stays comparable to the single-index build.
+    Every shard sees *every* day of the source store (possibly empty
+    there), including days added later, so schemes can rebuild any day
+    range on any shard.  A record with several search values belongs to
+    every shard owning at least one of them, with only the owned value
+    subset; its raw ``nbytes`` are split proportionally to the values
+    kept, so the cluster-wide build cost stays comparable to the
+    single-index build.  No record is copied and a day is posted once,
+    by the source store, for all the views.
 
     With one shard the original store is returned as-is — the identity
     that makes the ``k=1`` cluster bit-identical to the single-index
@@ -498,21 +616,5 @@ def partition_store(
     """
     if partitioner.n_shards == 1:
         return [store]
-    shards = [RecordStore() for _ in range(partitioner.n_shards)]
-    shards_for_many = partitioner.shards_for_many
-    for day in store.days:
-        per_shard: list[list[Record]] = [[] for _ in shards]
-        for record in store.batch(day).records:
-            values = record.values
-            owned: list[list[Any]] = [[] for _ in shards]
-            for value, shard_id in zip(values, shards_for_many(values)):
-                owned[shard_id].append(value)
-            for shard_records, mine in zip(per_shard, owned):
-                if mine:
-                    share = record.nbytes * len(mine) // len(values)
-                    shard_records.append(
-                        Record(record.record_id, day, tuple(mine), share, record.info)
-                    )
-        for shard_store, shard_records in zip(shards, per_shard):
-            shard_store.add_records(day, shard_records)
-    return shards
+    split = _Split(store, partitioner)
+    return [ShardView(split, shard_id) for shard_id in range(partitioner.n_shards)]

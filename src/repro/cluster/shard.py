@@ -1,7 +1,8 @@
 """Shards and shard replicas: one wave index per key-space slice.
 
-A :class:`Shard` owns one slice of the partitioned key space: its own
-record store (the slice's daily batches), its own scheme instance, and
+A :class:`Shard` owns one slice of the partitioned key space: its view
+of the cluster's record store (the slice's postings of every daily batch;
+:class:`~repro.cluster.partitioner.ShardView`), its own scheme instance, and
 ``r`` :class:`ShardReplica`\\ s — identical wave indexes on distinct
 devices of the cluster's :class:`~repro.storage.array.DiskArray`.  Every
 replica executes the same maintenance plan against its own device, so

@@ -1289,12 +1289,16 @@ class ClusterSimulation:
                     if preplanned is not None
                     else list(plan_for(scheme))
                 )
-        delays, rebuild_reports, rebuilds_failed = self._run_healing(
-            day, plans, replica_plans
-        )
-        reports, windows, cluster_end = self._run_maintenance(
-            day, plans, delays, replica_plans
-        )
+        # The day is posted once for the cluster: the source store keeps
+        # its run — and with it every shard's cut — until the last replica
+        # has turned, though an in-place update keeps none.
+        with self.store.holding_runs():
+            delays, rebuild_reports, rebuilds_failed = self._run_healing(
+                day, plans, replica_plans
+            )
+            reports, windows, cluster_end = self._run_maintenance(
+                day, plans, delays, replica_plans
+            )
 
         if self.on_serving_start is not None:
             self.on_serving_start(self, day)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import weakref
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import WorkloadError
 from ..index.entry import Entry
@@ -93,7 +94,9 @@ class PostingRun:
     (keys in first-occurrence order) and is never mutated, so every index
     build over the day merges this run instead of re-posting the records.
     The store reaches a run only weakly; it lives as long as a packed
-    index built from it holds it (see :meth:`RecordStore.runs_for`).
+    index built from it holds it (see :meth:`RecordStore.runs_for`).  A
+    cluster's shards do not post their own: each takes its :meth:`cut`
+    of the one run the source store posts.
 
     The brute-force oracles never touch a run: they re-post through
     :meth:`DayBatch.postings`, a path the indexes do not share.
@@ -113,6 +116,24 @@ class PostingRun:
             value: tuple(entries) for value, entries in lists.items()
         }
 
+    def cut(self, owners: Sequence[int], n_parts: int) -> tuple["PostingRun", ...]:
+        """Split the run into ``n_parts`` runs; ``owners[i]`` takes the
+        ``i``-th key.
+
+        Nothing is posted: a part's keys keep this run's order and refer
+        to its entry tuples, and no part refers to the run itself.
+        """
+        parts: list[dict[Any, tuple[Entry, ...]]] = [{} for _ in range(n_parts)]
+        for (value, entries), owner in zip(self.grouped.items(), owners):
+            parts[owner][value] = entries
+        cuts = []
+        for part in parts:
+            run = PostingRun.__new__(PostingRun)
+            run.day = self.day
+            run.grouped = part
+            cuts.append(run)
+        return tuple(cuts)
+
 
 class RecordStore:
     """Holds the daily batches a wave index is maintained over.
@@ -128,6 +149,8 @@ class RecordStore:
         self._runs: weakref.WeakValueDictionary[int, PostingRun] = (
             weakref.WeakValueDictionary()
         )
+        #: The runs posted inside :meth:`holding_runs`, else ``None``.
+        self._held: list[PostingRun] | None = None
 
     def add_batch(self, batch: DayBatch) -> None:
         """Register a day's batch; replacing a day is a usage error."""
@@ -173,9 +196,30 @@ class RecordStore:
         for day in sorted(set(days)):
             run = self._runs.get(day)
             if run is None:
-                run = self._runs[day] = PostingRun(self.batch(day))
+                run = self._runs[day] = self._post(day)
+                if self._held is not None:
+                    self._held.append(run)
             runs.append(run)
         return tuple(runs)
+
+    def _post(self, day: int) -> PostingRun:
+        """Make ``day``'s run; called only when none is alive."""
+        return PostingRun(self.batch(day))
+
+    @contextmanager
+    def holding_runs(self) -> Iterator[None]:
+        """Keep every run posted inside the block alive until it ends.
+
+        For a caller about to run several builds that nothing ties
+        together — a cluster turning a day on ``k`` shards, each updating
+        in place and so keeping no run — so that the day is posted once.
+        """
+        outer = self._held
+        self._held = [] if outer is None else outer
+        try:
+            yield
+        finally:
+            self._held = outer
 
     def grouped_for(self, days: Iterable[int]) -> dict[Any, list[Entry]]:
         """Return postings for ``days`` grouped by search value.

@@ -115,6 +115,9 @@ class FrontendClient:
         self._host: str | None = None
         self._port: int | None = None
         self._closed = False
+        #: The reconnect in flight, shared by every caller that found
+        #: the connection gone while it was being opened.
+        self._opening: asyncio.Future | None = None
         #: Successful reconnects after a torn connection (observability).
         self.reconnects = 0
 
@@ -144,14 +147,35 @@ class FrontendClient:
             raise FrontendError("client is not connected")
         # Lazy reconnect: the previous connection tore (its in-flight
         # requests already failed with TransportError); this call gets
-        # a fresh one against the same address.
+        # a fresh one against the same address.  Callers that arrive
+        # while it is being opened wait for the same one — each opening
+        # its own would leave all but the last unowned and never closed.
+        if self._opening is None:
+            self._opening = asyncio.ensure_future(self._reopen())
+            self._opening.add_done_callback(self._reopened)
+        # Shielded: a cancelled caller must not cancel the others' open.
+        return await asyncio.shield(self._opening)
+
+    async def _reopen(self) -> _Connection:
         connection = await self._open()
+        if self._closed:  # closed while it was being opened
+            self._connection = None
+            connection.close()
+            await connection.closed
+            raise FrontendError("client is not connected")
         self.reconnects += 1
         return connection
+
+    def _reopened(self, opening: asyncio.Future) -> None:
+        self._opening = None
+        if not opening.cancelled():
+            opening.exception()  # retrieved: every waiter may be gone
 
     async def close(self) -> None:
         """Close the connection; outstanding requests fail."""
         self._closed = True
+        if self._opening is not None:
+            await asyncio.wait([self._opening])  # it closes what it opened
         connection, self._connection = self._connection, None
         if connection is not None:
             connection.close()

@@ -1,17 +1,23 @@
-"""Posting runs in a cluster: one store per shard, one set of runs.
+"""Posting runs in a cluster: one source store, one post a day, ``k`` cuts.
 
-The ``r`` executors of a shard share the shard's record store, so a day
-is posted once per shard however many replicas rebuild from it — and a
-replica re-created by the healer finds the donor's runs alive.  After
-every turn the live runs are exactly those held by the replicas'
-indexes: nothing a dropped or mutated index held survives it.
+A shard's store is a view of the cluster's source store: the day is
+posted once, by the source, and each shard's run is its cut of that run.
+The source holds its runs only while a turn is in progress
+(``RecordStore.holding_runs``); the ``r`` executors of a shard share the
+shard's view, so a replica re-created by the healer finds the donor's
+cuts alive.  After every turn the live runs are exactly the cuts held by
+the replicas' indexes: no source run, and nothing a dropped or mutated
+index held, survives it — by reference count alone, there is no cycle
+for a collector to find.
 """
 
 import gc
+import weakref
 
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulation, SelfHealConfig
+from repro.core.records import PostingRun, Record
 from repro.core.schemes import scheme_by_name
 from repro.index.updates import UpdateTechnique
 from repro.storage.faults import FaultInjector, FaultyDisk
@@ -19,6 +25,18 @@ from tests.conftest import make_store
 
 W, N, SHARDS = 8, 2, 2
 LAST = 4 * W
+
+
+def live_runs():
+    gc.collect()
+    return [o for o in gc.get_objects() if isinstance(o, PostingRun)]
+
+
+@pytest.fixture
+def new_runs():
+    """Return the live runs (source or cut) that were not alive before the test."""
+    before = weakref.WeakSet(live_runs())
+    return lambda: [run for run in live_runs() if run not in before]
 
 
 def build(scheme, technique, replication, *, selfheal=None, injectors=None):
@@ -42,11 +60,14 @@ def build(scheme, technique, replication, *, selfheal=None, injectors=None):
     )
 
 
-def assert_live_runs_are_held(sim):
-    """Per shard: live runs == runs held by its replicas' bound indexes
-    (a retired replica's indexes are never dropped and count too).
-    Return the days alive replicas hold, per shard."""
-    gc.collect()
+def assert_live_runs_are_held(sim, *, collect=True):
+    """Per shard: live cuts == runs held by its replicas' bound indexes
+    (a retired replica's indexes are never dropped and count too), and
+    the source store holds none.  Return the days alive replicas hold,
+    per shard."""
+    if collect:
+        gc.collect()
+    assert not sim.store._runs
     alive_days = []
     for shard in sim.shards:
         held, alive = set(), set()
@@ -64,26 +85,29 @@ def assert_live_runs_are_held(sim):
 
 
 @pytest.mark.parametrize("replication", [1, 2])
-def test_reindex_turn_posts_one_run_per_shard(posted, replication):
+def test_reindex_turn_posts_the_day_once_for_the_cluster(posted, new_runs, replication):
     sim = build("REINDEX", UpdateTechnique.SIMPLE_SHADOW, replication)
     sim.run_start()
-    assert len(posted) == len({id(b) for b in posted}) == SHARDS * W
+    assert posted == [sim.store.batch(day) for day in range(1, W + 1)]
     for day in range(W + 1, LAST + 1):  # 3·W transitions
         del posted[:]
         sim.run_transition(day)
-        assert [b.day for b in posted] == [day] * SHARDS
-        assert len({id(b) for b in posted}) == SHARDS
+        assert posted == [sim.store.batch(day)]
         window = list(range(day - W + 1, day + 1))
         assert assert_live_runs_are_held(sim) == [window] * SHARDS
+    assert len(new_runs()) == SHARDS * W  # the cuts, nothing else
 
 
-def test_del_in_place_cluster_holds_nothing_after_one_cycle():
+def test_del_in_place_cluster_holds_nothing_after_one_cycle(posted, new_runs):
     sim = build("DEL", UpdateTechnique.IN_PLACE, 2)
     sim.run_start()
     for day in range(W + 1, 2 * W + 1):
+        del posted[:]
         sim.run_transition(day)
+        assert posted == [sim.store.batch(day)]
         assert_live_runs_are_held(sim)
     assert assert_live_runs_are_held(sim) == [[]] * SHARDS
+    assert new_runs() == []  # no shard run, no source run, no cut
 
 
 def test_rebuilt_replica_shares_the_shards_runs(posted):
@@ -101,12 +125,11 @@ def test_rebuilt_replica_shares_the_shards_runs(posted):
     for day in range(W + 1, 2 * W + 1):
         del posted[:]
         sim.run_transition(day)
-        # Retirement, copy + catch-up on the spare: still one run per
-        # shard per day, and the survivors hold exactly the window.  On
-        # the kill day the victim posts the day, its device refuses the
-        # build, the run dies with the attempt and the survivor re-posts.
-        extra = 1 if day == W + 1 else 0
-        assert [b.day for b in posted] == [day] * (SHARDS + extra)
+        # Retirement, copy + catch-up on the spare: still one post a day,
+        # and the survivors hold exactly the window.  On the kill day the
+        # victim's device refuses the build; the turn holds the day's run,
+        # so the survivor finds the cut the victim asked for.
+        assert posted == [sim.store.batch(day)]
         window = list(range(day - W + 1, day + 1))
         assert assert_live_runs_are_held(sim) == [window] * SHARDS
     assert sim.result.total_rebuilds() == 1
@@ -119,3 +142,63 @@ def test_rebuilt_replica_shares_the_shards_runs(posted):
         for run in index._runs
     }
     assert retired_days <= set(range(1, W + 2))
+
+
+def test_runs_die_by_reference_count_alone():
+    """No cut refers to its source run and no source run outlives its
+    turn, so nothing waits for a collector that perf/ and a frozen
+    serving process never run."""
+    gc.collect()
+    gc.disable()
+    try:
+        sim = build("REINDEX", UpdateTechnique.SIMPLE_SHADOW, 1)
+        sim.run_start()
+        for day in range(W + 1, 2 * W + 1):
+            sim.run_transition(day)
+            window = list(range(day - W + 1, day + 1))
+            assert assert_live_runs_are_held(sim, collect=False) == [window] * SHARDS
+        # Dropping the indexes that hold the cuts drops the cuts.
+        cuts = [
+            weakref.ref(run)
+            for shard in sim.shards
+            for run in shard.store.runs_for(window)
+        ]
+        assert len(cuts) == SHARDS * W
+        for shard in sim.shards:
+            for replica in shard.replicas:
+                for name in list(replica.wave.bindings):
+                    replica.wave.unbind(name).drop()
+        assert [ref() for ref in cuts] == [None] * len(cuts)
+        assert assert_live_runs_are_held(sim, collect=False) == [[]] * SHARDS
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "scheme, technique",
+    [("REINDEX", UpdateTechnique.SIMPLE_SHADOW), ("DEL", UpdateTechnique.IN_PLACE)],
+)
+def test_a_cluster_constructs_no_record(monkeypatch, scheme, technique):
+    """A record is stored once: building and turning a ``k > 1`` cluster
+    makes no ``Record``; only a cold reader of a view's ``batch`` does."""
+    store = make_store(LAST)
+    made = []
+    validate = Record.__post_init__
+
+    def counted(record):
+        made.append(record)
+        validate(record)
+
+    monkeypatch.setattr(Record, "__post_init__", counted)
+    sim = ClusterSimulation(
+        lambda: scheme_by_name(scheme)(W, N),
+        store,
+        technique=technique,
+        cluster=ClusterConfig(n_shards=3, replication=2, partitioner="hash"),
+    )
+    sim.run_start()
+    for day in range(W + 1, 2 * W + 1):
+        sim.run_transition(day)
+    assert made == []
+    narrowed = sim.shards[0].store.batch(W).records
+    assert made == list(narrowed) != []

@@ -66,7 +66,11 @@ def store30() -> RecordStore:
 
 @pytest.fixture
 def posted(monkeypatch) -> list:
-    """The batches posted (one per ``PostingRun`` constructed), in order."""
+    """The batches posted (one per ``PostingRun`` constructed), in order.
+
+    A shard view's cut of a run (``PostingRun.cut``) posts nothing and is
+    not counted.
+    """
     batches = []
 
     class CountedRun(PostingRun):

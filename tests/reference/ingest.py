@@ -1,4 +1,5 @@
-"""The ingest path as it was: a fresh ``str`` a token, a CDF a sampler.
+"""The ingest path as it was: a fresh ``str`` a token, a CDF a sampler,
+a narrowed ``Record`` a shard.
 
 How a corpus reached the shards before a word became one object: the
 generator formatted ``f"w{r}"`` for every token it drew, every
@@ -7,6 +8,12 @@ one ``sample()`` call a rank, and ``partition_store`` gathered a record's
 values into one ``setdefault`` list a shard, a token at a time.  Kept
 word for word; the live path must produce ``==`` batches, rank streams
 and shard stores (``tests/workloads/test_ingest_equivalence.py``).
+
+Then a shard's store became a view of the source store
+(``repro.cluster.partitioner.ShardView``), and the ``partition_store``
+that laid down a second ``Record`` for every record a shard owns a value
+of is :func:`partition_store_copies` here: what a view materialises,
+posts and is charged for must equal what the copies hold.
 
 :func:`corpus_digest` is the one number a corpus is pinned by: sha-256
 over every ``(record_id, day, values, nbytes, info)`` in day, then
@@ -111,6 +118,31 @@ def partition_store_per_token(store, partitioner):
                 )
         for shard_store, records in zip(shards, per_shard):
             shard_store.add_records(day, records)
+    return shards
+
+
+def partition_store_copies(store, partitioner):
+    """``partition_store`` laying down one ``RecordStore`` of narrowed
+    records per shard (the memo asked once a record)."""
+    if partitioner.n_shards == 1:
+        return [store]
+    shards = [RecordStore() for _ in range(partitioner.n_shards)]
+    shards_for_many = partitioner.shards_for_many
+    for day in store.days:
+        per_shard = [[] for _ in shards]
+        for record in store.batch(day).records:
+            values = record.values
+            owned = [[] for _ in shards]
+            for value, shard_id in zip(values, shards_for_many(values)):
+                owned[shard_id].append(value)
+            for shard_records, mine in zip(per_shard, owned):
+                if mine:
+                    share = record.nbytes * len(mine) // len(values)
+                    shard_records.append(
+                        Record(record.record_id, day, tuple(mine), share, record.info)
+                    )
+        for shard_store, shard_records in zip(shards, per_shard):
+            shard_store.add_records(day, shard_records)
     return shards
 
 
