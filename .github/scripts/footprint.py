@@ -1,19 +1,23 @@
-"""Say what a perf-shaped cluster's resident memory is made of, then check two laws.
+"""Say what a perf-shaped cluster's resident memory is made of, then check three laws.
 
 ``perf/run.py`` reports ``rss_peak_mb`` as one number.  This builds the
 cluster one of its workloads builds (``perf.workloads.build_cluster``, same
 corpus, same shards, same set-up turns) and prints the number's
-composition: ``ru_maxrss`` after the imports and after the set-up, then —
+composition: ``ru_maxrss`` after the imports — standard library,
+third-party and ``repro`` / ``perf`` in turn — and after the set-up, then —
 from a second, ``tracemalloc``-traced build, so tracing cannot inflate the
 first reading — the live bytes by allocating module, with the modules that
 lay down the corpus, the posting runs and the layouts named.  A memory PR
 starts from this table instead of a guess.
 
-The laws: a word is one ``str`` and a record is one object.  Exit status 1
-if the corpus, the shard stores or the posting runs hold more ``str``
-objects than distinct words, or if more ``Record`` instances are alive
-after the set-up than the source store holds (a shard's store is a view;
-a later change that lays the per-shard copies down again fails here).
+The laws: a word is one ``str``, a record is one object, and the imports
+are the standard library's and our own.  Exit status 1 if the corpus, the
+shard stores or the posting runs hold more ``str`` objects than distinct
+words, if more ``Record`` instances are alive after the set-up than the
+source store holds (a shard's store is a view; a later change that lays
+the per-shard copies down again fails here), or if importing
+``perf.workloads`` loads any third-party module (a later change that
+brings a dependency onto the served path fails here).
 
     python .github/scripts/footprint.py [--workload day-turn] [--seed 7] [--days 33]
 """
@@ -22,12 +26,16 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import os
 import resource
+import subprocess
 import sys
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+PATH = [ROOT, os.path.join(ROOT, "src")]
+OWN = {"repro", "perf"}
 
 #: What the modules that dominate a set-up lay down.
 ROLES = {
@@ -41,6 +49,18 @@ ROLES = {
 
 def rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def imports_of(module: str) -> list[str]:
+    """Return the top-level modules a fresh interpreter loads to import ``module``."""
+    probe = (
+        f"import sys; before = set(sys.modules); sys.path[:0] = {PATH!r}; "
+        f"import {module}; "
+        "print(*sorted({n.partition('.')[0] for n in set(sys.modules) - before}))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout.split()
 
 
 def word_objects(sim) -> list[tuple[str, int, int]]:
@@ -79,7 +99,15 @@ def main() -> int:
     args = parser.parse_args()
 
     bare = rss_mb()
-    sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
+    loaded = imports_of("perf.workloads")
+    stdlib = [m for m in loaded if m in sys.stdlib_module_names]
+    third_party = [m for m in loaded if m not in sys.stdlib_module_names and m not in OWN]
+    steps = []
+    for kind, modules in (("standard library", stdlib), ("third-party", third_party)):
+        for module in modules:
+            importlib.import_module(module)
+        steps.append((f"+ {kind} ({len(modules)})", rss_mb()))
+    sys.path[:0] = PATH
     from perf.workloads import WORKLOADS, build_cluster
 
     workload = WORKLOADS[args.workload]
@@ -102,7 +130,9 @@ def main() -> int:
           f"{records} source records, {live} live Record objects")
     print("ru_maxrss, MB")
     print(f"  {'bare interpreter':<32}{bare:>10.1f}")
-    print(f"  {'+ imports (repro, perf)':<32}{imported:>10.1f}")
+    for step, rss in steps:
+        print(f"  {step:<32}{rss:>10.1f}")
+    print(f"  {'+ repro, perf':<32}{imported:>10.1f}")
     print(f"  {'+ set-up (corpus, cluster)':<32}{built:>10.1f}")
     print(f"{'live after set-up, by module':<34}{'MB':>10}{'blocks':>10}")
     total = other = 0
@@ -129,7 +159,12 @@ def main() -> int:
     print(f"  {'live after set-up':<32}{live:>10}{records:>10}")
     if live != records:
         print(f"FAIL: {live} Record objects are alive for {records} source records")
-    return 1 if broken or live != records else 0
+    print(f"{'no third-party import':<34}{'modules':>10}")
+    print(f"  {'loaded by perf.workloads':<32}{len(third_party):>10}  "
+          f"{' '.join(third_party)}".rstrip())
+    if third_party:
+        print(f"FAIL: importing perf.workloads loads {', '.join(third_party)}")
+    return 1 if broken or live != records or third_party else 0
 
 
 if __name__ == "__main__":

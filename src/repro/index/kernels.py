@@ -25,22 +25,21 @@ buffers:
 * day-range filters run on the column instead of the entry objects —
   two ``bisect`` calls and a slice when the column is non-decreasing
   (the common case: entries arrive in day order); when it is not,
-  bounds checks (whole run in / out of range), then a NumPy mask, and
-  only as a last resort the object-level comprehension;
-* the filtered result is a *slice* or an indexed gather of the original
+  bounds checks (whole run in / out of range), and only then one pass
+  over entries and column together;
+* the filtered result is a *slice* or a gather of the original
   ``Entry`` objects, so answers equal the plain comprehension element
   for element — and a slice of a run remembers where it was cut
   (:data:`Part`), which is what lets the wire layer send the run's own
   bytes instead of encoding the answer again.
 
-There is no switch and no second implementation in ``src/``: the
-object-level batch paths these kernels replaced live on as test oracles
+There is no switch and no second implementation in ``src/``, and the
+module imports only the standard library: the object-level batch paths
+these kernels replaced live on as test oracles
 (``tests/reference/batch.py``), and
 ``tests/core/test_vectorized_equivalence.py`` holds ``probe_many`` /
 ``scan_many`` to them — answers, cost summaries, clock, I/O and cache
-counters.  NumPy is optional: without it the sorted-column and bounds
-fast paths still apply, and an unsorted column falls back to
-:func:`filter_entries_object`.
+counters.
 """
 
 from __future__ import annotations
@@ -53,11 +52,6 @@ from operator import le
 from typing import TYPE_CHECKING, Any, Sequence
 
 from . import codec
-
-try:  # pragma: no cover - exercised implicitly by both CI matrices
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
 
 if TYPE_CHECKING:
     from .bucket import Bucket
@@ -78,24 +72,16 @@ def is_nondecreasing(column: array) -> bool:
     return all(map(le, column, islice(column, 1, None)))
 
 
-def _order(days: array, wide: bool) -> tuple[bool, int, int]:
-    """Return ``(is_sorted, min, max)`` of a day column.
+def _order(days: array) -> tuple[bool, int, int]:
+    """Return ``(is_sorted, min, max)`` of a bucket's day column.
 
     Entries arrive in insert-day order in every maintenance path, so the
     sorted flag is almost always ``True`` — it is *checked*, never
-    assumed.  ``wide`` marks a constituent-sized column, whose checks go
-    through a NumPy view when it imports.  An empty column is sorted and
-    its bounds, which no filter consults, are ``0``.
+    assumed.  An empty column is sorted and its bounds, which no filter
+    consults, are ``0``.
     """
     if not days:
         return True, 0, 0
-    if wide and _np is not None:
-        view = _np.frombuffer(days, dtype=_np.int64)
-        return (
-            bool((view[:-1] <= view[1:]).all()),
-            int(view.min()),
-            int(view.max()),
-        )
     if is_nondecreasing(days):
         return True, days[0], days[-1]
     return False, min(days), max(days)
@@ -139,7 +125,7 @@ class Run:
     def of(cls, entries: Sequence["Entry"]) -> "Run":
         """Build the run of ``entries`` (one pass for the column)."""
         days = day_column(entries)
-        return cls(tuple(entries), days, *_order(days, wide=False))
+        return cls(tuple(entries), days, *_order(days))
 
     def records(self) -> bytes | None:
         """Return ``entries``' encoded record run, encoding on first call.
@@ -185,13 +171,17 @@ class Sweep(Run):
 
     @classmethod
     def of(cls, entries: Sequence["Entry"], nbytes: int) -> "Sweep":
-        """Build the sweep of ``entries`` (one pass for the column)."""
+        """Build the sweep of ``entries`` (one pass for the column).
+
+        The bounds are the ends of :attr:`distinct`.  A bucket-major
+        sweep of two or more days descends almost at once, which is where
+        the sortedness check stops.
+        """
         days = day_column(entries)
-        # Not numpy.unique: its first call alone costs ~1 MB resident.
         distinct = tuple(sorted(set(days)))
-        return cls(
-            tuple(entries), days, *_order(days, wide=True), nbytes, distinct
-        )
+        lo, hi = (distinct[0], distinct[-1]) if distinct else (0, 0)
+        ordered = len(distinct) < 2 or is_nondecreasing(days)
+        return cls(tuple(entries), days, ordered, lo, hi, nbytes, distinct)
 
     def day_run(self, day: int) -> Run:
         """Return the entries of ``day``, one of :attr:`distinct`, as a run.
@@ -204,9 +194,14 @@ class Sweep(Run):
         range holding two of the sweep's days is filtered on every call.
         Filled like :meth:`Run.records`: from immutable state alone, so a
         lost race gathers twice and harms nothing.
+
+        Raises:
+            ValueError: ``day`` is not one of :attr:`distinct`.
         """
         run = self._day_runs.get(day)
         if run is None:
+            if day not in self.distinct:
+                raise ValueError(f"day {day!r} holds no entry of this sweep")
             entries = tuple(_gather(self, day, day))
             column = array("q", [day]) * len(entries)
             run = self._day_runs[day] = Run(entries, column, True, day, day)
@@ -232,7 +227,7 @@ Part = tuple[Run, int, int]
 def filter_entries_object(
     entries: Sequence["Entry"], t1: int, t2: int
 ) -> list["Entry"]:
-    """The plain comprehension: the kernels' definition and last resort."""
+    """The plain comprehension: what every kernel here must equal."""
     return [e for e in entries if t1 <= e.day <= t2]
 
 
@@ -247,10 +242,9 @@ def select(
     and all-out cases: the answer is then a slice of the run's own tuple
     (the tuple itself when everything matches) and comes with the
     :data:`Part` that says where it was cut.  Matches scattered over an
-    unsorted column are gathered into a list — by a NumPy mask when it
-    imports — and have no part; except that a :class:`Sweep` holding
-    exactly one of its distinct days in range answers with that day's
-    run, whole (:meth:`Sweep.day_run`).
+    unsorted column are gathered into a list and have no part; except
+    that a :class:`Sweep` holding exactly one of its distinct days in
+    range answers with that day's run, whole (:meth:`Sweep.day_run`).
     """
     days = run.days
     if run.sorted:
@@ -268,15 +262,11 @@ def select(
 def _gather(run: Run, t1: int, t2: int) -> list["Entry"]:
     """Gather ``run``'s entries with insert day in ``[t1, t2]``, in order.
 
-    The one platform-selected branch on the read path: a NumPy mask over
-    the day column when it imports, the plain comprehension otherwise.
+    :func:`filter_entries_object` reading the day column instead of
+    ``e.day``: one pass, the fastest standard-library form measured, and
+    it takes whatever bounds the comprehension takes, float ones too.
     """
-    if _np is None:
-        return filter_entries_object(run.entries, t1, t2)
-    view = _np.frombuffer(run.days, dtype=_np.int64)
-    matches = _np.flatnonzero((view >= t1) & (view <= t2))
-    entries = run.entries
-    return [entries[i] for i in matches.tolist()]
+    return [e for e, d in zip(run.entries, run.days) if t1 <= d <= t2]
 
 
 def filter_bucket(bucket: "Bucket", t1: int, t2: int) -> list["Entry"]:

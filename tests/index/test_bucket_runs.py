@@ -14,7 +14,7 @@ it lives from the first read after a mutation to the next writer and not
 one step longer, and a reader that still holds one keeps a whole one.
 
 Imports only pytest, the standard library and the package, so the
-numpy-less CI leg runs it with the rest of tier-1.
+minimal-deps CI leg runs it with the rest of tier-1.
 """
 
 import sys

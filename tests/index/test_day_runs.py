@@ -10,12 +10,8 @@ every ``(t1, t2)`` over the window and a day either side answers, charges
 and counts as the flatten-per-scan oracle does.  *Block identity*: when
 an answer says what it was cut from, joining those runs' cached record
 bytes gives the block encoding the answer would.  *Bounds*: a sweep holds
-at most one run per distinct day, and a range holding two of its days
-holds none.
-
-Imports only pytest, the standard library and the package; every test
-that reaches the gather runs with NumPy and with ``kernels._np`` taken
-away, so the numpy-less CI leg and the full one check both branches.
+at most one run per distinct day — it refuses to make one for any other
+day — and a range holding two of its days holds none.
 """
 
 import pytest
@@ -34,16 +30,6 @@ from tests.index.test_scan_sweep import N, SEVEN_SCHEMES, WINDOW, start
 from tests.reference.batch import scan_many_object
 
 LAST_DAY = WINDOW + N + 1
-
-
-@pytest.fixture(params=["numpy", "stdlib"])
-def gather(request, monkeypatch):
-    """Run the test on each side of the one platform-selected branch."""
-    if request.param == "stdlib":
-        monkeypatch.setattr(kernels, "_np", None)
-    elif kernels._np is None:
-        pytest.skip("NumPy is not installed")
-    return request.param
 
 
 def every_range(day):
@@ -128,7 +114,7 @@ def serve_days(scan_many, scheme_cls, technique, *, check):
 
 @pytest.mark.parametrize("technique", list(UpdateTechnique), ids=lambda t: t.value)
 @pytest.mark.parametrize("scheme_cls", SEVEN_SCHEMES, ids=lambda c: c.name)
-def test_every_range_identical_to_flattening_twin(scheme_cls, technique, gather):
+def test_every_range_identical_to_flattening_twin(scheme_cls, technique):
     got, shapes, widest = serve_days(
         WaveIndex.scan_many, scheme_cls, technique, check=True
     )
@@ -167,7 +153,7 @@ def one_index_wave():
     return wave
 
 
-def test_day_run_is_what_the_mask_would_gather(gather):
+def test_day_run_is_what_the_comprehension_would_gather():
     sweep = spread_index(SimulatedDisk()).sweep()
     assert not sweep.sorted and sweep.distinct == (1, 3, 5)
     for day in sweep.distinct:
@@ -192,12 +178,14 @@ def test_day_run_is_what_the_mask_would_gather(gather):
         ((0, 9), [1, 2, 3, 4, 5, 6, 7, 8], "sweep"),
         ((1, 3), [1, 2, 4, 6, 7], None),  # two days of one constituent
         ((3, 5), [2, 3, 5, 6, 7, 8], None),
+        ((0.5, 3.5), [1, 2, 4, 6, 7], None),  # float bounds, gathered
+        ((2.5, 3.5), [2, 6, 7], "day run"),
         ((2, 2), [], None),  # in the time-set, no entries
         ((4, 4), [], None),
     ],
     ids=str,
 )
-def test_select_picks_the_stored_form_that_is_the_answer(spec, ids, cut_from, gather):
+def test_select_picks_the_stored_form_that_is_the_answer(spec, ids, cut_from):
     wave, twin = one_index_wave(), one_index_wave()
     for _ in ("cold", "warm"):
         (result,) = wave.scan_many([spec]).results
@@ -227,13 +215,23 @@ def test_select_picks_the_stored_form_that_is_the_answer(spec, ids, cut_from, ga
     assert wave.disk.clock == before
 
 
-def test_a_sweep_never_holds_more_day_runs_than_distinct_days(gather):
+def test_a_sweep_never_holds_more_day_runs_than_distinct_days():
     wave = one_index_wave()
     specs = [(t1, t2) for t1 in range(0, 8) for t2 in range(t1, 8)]
     for _ in range(3):
         wave.scan_many(specs)
     sweep = wave.get("I1")._sweep
     assert sorted(sweep._day_runs) == list(sweep.distinct) == [1, 3, 5]
+
+
+@pytest.mark.parametrize("day", [0, 2, 4, 6, 3.5])
+def test_a_day_the_sweep_does_not_hold_has_no_day_run(day):
+    sweep = spread_index(SimulatedDisk()).sweep()
+    with pytest.raises(ValueError, match="holds no entry"):
+        sweep.day_run(day)
+    assert not sweep._day_runs
+    sweep.day_run(3)
+    assert list(sweep._day_runs) == [3]
 
 
 def test_two_days_of_one_constituent_are_filtered_on_every_call(monkeypatch):

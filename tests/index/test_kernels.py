@@ -2,11 +2,11 @@
 
 Every kernel in `repro.index.kernels` must return exactly what the plain
 comprehension returns — element-identical lists, same order — for sorted
-columns (bisect path) and unsorted columns (mask path, or the
-comprehension itself without NumPy).
+columns (bisect path) and unsorted columns (bounds checks, then one pass
+over entries and column together).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.index.bucket import Bucket
@@ -83,6 +83,12 @@ def test_filter_bucket_and_cache_match_reference(days, bounds):
 
 
 @given(day_lists, ranges)
+@example([], (0, 0))
+@example([4], (4, 4))
+@example([4, 4, 4], (3, 4))
+@example([1, 2, 2, 5, 9], (2, 5))
+@example([3, 1, 5, 1, 3], (1, 3))
+@example([-3, -7, 0, -7], (-7, -3))
 @settings(max_examples=300)
 def test_sweep_and_its_cache_match_reference(days, bounds):
     t1, t2 = bounds
@@ -92,6 +98,7 @@ def test_sweep_and_its_cache_match_reference(days, bounds):
     assert list(sweep.days) == days
     assert sweep.sorted == (days == sorted(days))
     assert (sweep.lo, sweep.hi) == ((min(days), max(days)) if days else (0, 0))
+    assert sweep.distinct == tuple(sorted(set(days)))
     assert sweep.nbytes == 7
     entries.clear()  # the sweep is its own copy
     expected = filter_entries_object(sweep.entries, t1, t2)

@@ -1,7 +1,7 @@
 """Binary frames under fuzz: exact round trips, and damage that fails loudly.
 
 Imports only pytest, hypothesis, the standard library and the package,
-so the numpy-less CI leg runs it with the rest of tier-1.
+so the minimal-deps CI leg runs it with the rest of tier-1.
 
 Four contracts.  Any :class:`ProbeResult` / :class:`ScanResult` survives
 ``encode_frame`` → ``read_frame`` → ``result_from_wire`` unchanged,
