@@ -1195,6 +1195,10 @@ class ClusterSimulation:
             delta = replica.device.clock - clock_before
             device = replica.device_index
             ready = arrival + wait + carried
+            if delta <= 0:
+                # A unit that charges the device no time does not queue
+                # behind it: it completes as soon as it is ready.
+                return outcome, ready, delta, wait + carried, degraded_call
             if arrival < replica.maintenance_start:
                 # The shard's transition has not begun: serve from the
                 # pre-transition window immediately (the staggering win).
