@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from zlib import crc32
 
 from ..core.records import DayBatch, Record, RecordStore
 from ..errors import WorkloadError
@@ -91,7 +92,8 @@ class TpcdGenerator:
         self._next_orderkey = 1
 
     def _rng_for(self, day: int) -> random.Random:
-        return random.Random(hash((self.config.seed, "tpcd", day)) & 0x7FFFFFFF)
+        # crc32, not hash(): builtin string hashing is salted per process.
+        return random.Random(crc32(f"{self.config.seed}:tpcd:{day}".encode()))
 
     def generate_day(self, day: int) -> tuple[list[Order], list[LineItem]]:
         """Return the orders and line items arriving on ``day``."""

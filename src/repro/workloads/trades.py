@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from zlib import crc32
 
 from ..core.records import DayBatch, Record, RecordStore
 from ..errors import WorkloadError
@@ -66,7 +67,8 @@ class TradeGenerator:
     def generate_day(self, day: int) -> DayBatch:
         """Generate ``day``'s trades (deterministic given prior days)."""
         cfg = self.config
-        rng = random.Random(hash((cfg.seed, "trades", day)) & 0x7FFFFFFF)
+        # crc32, not hash(): builtin string hashing is salted per process.
+        rng = random.Random(crc32(f"{cfg.seed}:trades:{day}".encode()))
         sampler = ZipfSampler(
             len(cfg.symbols), s=1.1, seed=hash((cfg.seed, day)) & 0x7FFFFFFF
         )
