@@ -37,8 +37,8 @@ def compute_rows():
     return rows
 
 
-def test_ablation_availability(benchmark, report):
-    rows = benchmark(compute_rows)
+def test_ablation_availability(report):
+    rows = compute_rows()
     report(
         "ablation_availability",
         render_rows(

@@ -54,8 +54,8 @@ def compute_rows():
     return rows
 
 
-def test_ablation_batched_deletes(benchmark, report):
-    rows = benchmark(compute_rows)
+def test_ablation_batched_deletes(report):
+    rows = compute_rows()
     report(
         "ablation_batched_deletes",
         render_rows(

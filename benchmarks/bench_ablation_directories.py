@@ -1,9 +1,9 @@
-"""Ablation: B+Tree versus hash directory — real wall-clock numbers.
+"""Ablation: B+Tree versus hash directory.
 
 The paper treats the directory as a memory-resident black box (B+Tree or
-hash table, Section 2).  This bench measures the Python implementations
-directly with pytest-benchmark: bulk load, point lookups, and (B+Tree only)
-ordered range iteration — the one operation hashing cannot provide.
+hash table, Section 2).  This bench exercises both implementations on the
+same keys: bulk load, point lookups, and (B+Tree only) ordered range
+iteration — the one operation hashing cannot provide.
 """
 
 import random
@@ -30,8 +30,8 @@ def _loaded(directory):
     [lambda: BPlusTreeDirectory(order=64), HashDirectory],
     ids=["btree", "hash"],
 )
-def test_directory_bulk_load(benchmark, factory):
-    result = benchmark(lambda: _loaded(factory()))
+def test_directory_bulk_load(factory):
+    result = _loaded(factory())
     assert len(result) == N_KEYS
 
 
@@ -40,7 +40,7 @@ def test_directory_bulk_load(benchmark, factory):
     [lambda: BPlusTreeDirectory(order=64), HashDirectory],
     ids=["btree", "hash"],
 )
-def test_directory_point_lookups(benchmark, factory):
+def test_directory_point_lookups(factory):
     directory = _loaded(factory())
 
     def lookups():
@@ -50,10 +50,10 @@ def test_directory_point_lookups(benchmark, factory):
                 hits += 1
         return hits
 
-    assert benchmark(lookups) == len(LOOKUPS)
+    assert lookups() == len(LOOKUPS)
 
 
-def test_btree_range_scan(benchmark):
+def test_btree_range_scan():
     tree = _loaded(BPlusTreeDirectory(order=64))
     lo = sorted(KEYS)[N_KEYS // 4]
     hi = sorted(KEYS)[3 * N_KEYS // 4]
@@ -61,5 +61,5 @@ def test_btree_range_scan(benchmark):
     def scan():
         return sum(1 for _ in tree.range_items(lo, hi))
 
-    count = benchmark(scan)
+    count = scan()
     assert count == sum(1 for k in KEYS if lo <= k < hi)

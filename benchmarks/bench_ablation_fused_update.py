@@ -59,8 +59,8 @@ def compute_rows():
     ]
 
 
-def test_ablation_fused_update(benchmark, report):
-    rows = benchmark(compute_rows)
+def test_ablation_fused_update(report):
+    rows = compute_rows()
     report(
         "ablation_fused_update",
         render_rows(

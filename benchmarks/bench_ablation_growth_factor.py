@@ -73,8 +73,8 @@ def compute_rows():
     )
 
 
-def test_ablation_growth_factor(benchmark, report):
-    rows = benchmark(compute_rows)
+def test_ablation_growth_factor(report):
+    rows = compute_rows()
     report(
         "ablation_growth_factor",
         render_rows(

@@ -45,8 +45,8 @@ def compute_rows():
     return rows
 
 
-def test_ablation_multidisk_measured(benchmark, report):
-    rows = benchmark(compute_rows)
+def test_ablation_multidisk_measured(report):
+    rows = compute_rows()
     report(
         "ablation_multidisk_measured",
         render_rows(

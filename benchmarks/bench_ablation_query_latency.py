@@ -54,8 +54,8 @@ def compute_rows():
     return rows
 
 
-def test_ablation_query_latency(benchmark, report):
-    rows = benchmark(compute_rows)
+def test_ablation_query_latency(report):
+    rows = compute_rows()
     report(
         "ablation_query_latency",
         render_rows(

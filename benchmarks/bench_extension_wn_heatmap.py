@@ -44,8 +44,8 @@ def compute_rows():
     return rows
 
 
-def test_extension_wn_heatmap(benchmark, report):
-    rows = benchmark(compute_rows)
+def test_extension_wn_heatmap(report):
+    rows = compute_rows()
     report(
         "extension_wn_heatmap",
         render_rows(

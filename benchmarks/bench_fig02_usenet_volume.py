@@ -26,6 +26,6 @@ def render_figure2() -> str:
     return "\n".join(lines)
 
 
-def test_figure2_usenet_volume(benchmark, report):
-    text = benchmark(render_figure2)
+def test_figure2_usenet_volume(report):
+    text = render_figure2()
     report("fig02_usenet_volume", text)

@@ -8,8 +8,8 @@ from repro.bench.tables import render_curves
 from repro.casestudies import scam
 
 
-def test_figure4_scam_transition(benchmark, report):
-    curves = benchmark(scam.figure4_transition)
+def test_figure4_scam_transition(report):
+    curves = scam.figure4_transition()
     report(
         "fig04_scam_transition",
         render_curves(

@@ -9,8 +9,8 @@ from repro.bench.tables import render_curves
 from repro.casestudies import wse
 
 
-def test_figure6_wse_work(benchmark, report):
-    curves = benchmark(wse.figure6_work)
+def test_figure6_wse_work(report):
+    curves = wse.figure6_work()
     report(
         "fig06_wse_work",
         render_curves(

@@ -10,8 +10,8 @@ from repro.bench.tables import render_curves
 from repro.casestudies import tpcd
 
 
-def test_figure8_tpcd_simple(benchmark, report):
-    curves = benchmark(tpcd.figure8_simple)
+def test_figure8_tpcd_simple(report):
+    curves = tpcd.figure8_simple()
     report(
         "fig08_tpcd_simple",
         render_curves(

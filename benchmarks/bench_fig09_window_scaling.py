@@ -11,8 +11,8 @@ from repro.casestudies import scam
 WINDOWS = (4, 7, 14, 21, 28, 35, 42)
 
 
-def test_figure9_window_scaling(benchmark, report):
-    curves = benchmark(lambda: scam.figure9_window_scaling(windows=WINDOWS))
+def test_figure9_window_scaling(report):
+    curves = scam.figure9_window_scaling(windows=WINDOWS)
     report(
         "fig09_window_scaling",
         render_curves(

@@ -15,10 +15,8 @@ from repro.casestudies import scam
 SCALE_FACTORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
 
 
-def test_figure10_analytic(benchmark, report):
-    curves = benchmark(
-        lambda: scam.figure10_scale_factor(scale_factors=SCALE_FACTORS)
-    )
+def test_figure10_analytic(report):
+    curves = scam.figure10_scale_factor(scale_factors=SCALE_FACTORS)
     report(
         "fig10_scale_factor_analytic",
         render_curves(
@@ -31,10 +29,8 @@ def test_figure10_analytic(benchmark, report):
     )
 
 
-def test_figure10_measured(benchmark, report):
-    curves = benchmark(
-        lambda: scam.figure10_measured(scale_factors=SCALE_FACTORS)
-    )
+def test_figure10_measured(report):
+    curves = scam.figure10_measured(scale_factors=SCALE_FACTORS)
     report(
         "fig10_scale_factor_measured",
         render_curves(
@@ -47,14 +43,12 @@ def test_figure10_measured(benchmark, report):
     )
 
 
-def test_figure10_memory_pressured(benchmark, report):
+def test_figure10_memory_pressured(report):
     """Third variant: constants re-measured under a buffer pool sized to
     the SF = 1 working set — the regime that reproduces the paper's
     REINDEX-overtakes crossover (here between SF = 2 and SF = 3)."""
-    curves = benchmark(
-        lambda: scam.figure10_memory_pressured(
-            scale_factors=SCALE_FACTORS, memory_ratio=1.0
-        )
+    curves = scam.figure10_memory_pressured(
+        scale_factors=SCALE_FACTORS, memory_ratio=1.0
     )
     report(
         "fig10_scale_factor_memory",

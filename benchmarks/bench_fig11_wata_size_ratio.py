@@ -44,8 +44,8 @@ def compute_rows():
     return rows
 
 
-def test_figure11_size_ratio(benchmark, report):
-    rows = benchmark(compute_rows)
+def test_figure11_size_ratio(report):
+    rows = compute_rows()
     report(
         "fig11_wata_size_ratio",
         render_rows(

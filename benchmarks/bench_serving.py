@@ -15,8 +15,8 @@ from repro.bench.serving import (
 )
 
 
-def test_bench_serving(benchmark, report):
-    result = benchmark(lambda: run_serving_bench(quick_config()))
+def test_bench_serving(report):
+    result = run_serving_bench(quick_config())
     validate_report(result)
     base = result["configs"][0]
     fast = result["configs"][-1]

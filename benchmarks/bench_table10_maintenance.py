@@ -40,8 +40,8 @@ def compute_rows():
     return rows
 
 
-def test_table10_maintenance(benchmark, report):
-    rows = benchmark(compute_rows)
+def test_table10_maintenance(report):
+    rows = compute_rows()
     report(
         "table10_maintenance",
         render_rows(

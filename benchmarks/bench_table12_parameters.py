@@ -46,8 +46,8 @@ def calibration_rows():
     ]
 
 
-def test_table12_published(benchmark, report):
-    rows = benchmark(published_rows)
+def test_table12_published(report):
+    rows = published_rows()
     report(
         "table12_published",
         render_rows(
@@ -70,8 +70,8 @@ def test_table12_published(benchmark, report):
     )
 
 
-def test_table12_calibration(benchmark, report):
-    rows = benchmark(calibration_rows)
+def test_table12_calibration(report):
+    rows = calibration_rows()
     report(
         "table12_calibration",
         render_rows(

@@ -12,9 +12,6 @@ wire is ``codec.encode_entries_object(result.entries)`` byte for byte.
 *Lifetime*: a run is the bucket's contents at the moment it was built, so
 it lives from the first read after a mutation to the next writer and not
 one step longer, and a reader that still holds one keeps a whole one.
-
-Imports only pytest, the standard library and the package, so the
-minimal-deps CI leg runs it with the rest of tier-1.
 """
 
 import sys

@@ -1,8 +1,5 @@
 """Binary frames under fuzz: exact round trips, and damage that fails loudly.
 
-Imports only pytest, hypothesis, the standard library and the package,
-so the minimal-deps CI leg runs it with the rest of tier-1.
-
 Four contracts.  Any :class:`ProbeResult` / :class:`ScanResult` survives
 ``encode_frame`` → ``read_frame`` → ``result_from_wire`` unchanged,
 whatever its infos and size, and any request survives ``encode_frame`` →

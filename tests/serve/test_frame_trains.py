@@ -1,8 +1,5 @@
 """Frames in trains: the splitter, the outbox, flow control, drain order.
 
-Imports only pytest, hypothesis, the standard library and the package,
-so the minimal-deps CI leg runs it with the rest of tier-1.
-
 The splitter is held to :func:`protocol.read_payload` on a
 :class:`asyncio.StreamReader` fed the same bytes — the reader every
 connection used before, kept as the oracle.  The connection tests drive
