@@ -73,7 +73,7 @@ from .index import (
     IndexConfig,
     UpdateTechnique,
 )
-from .sim import QueryWorkload, Simulation, SimulationResult, run_simulation
+from .sim import QueryWorkload, SimulationResult, run_simulation
 from .storage import BufferPoolModel, DiskParameters, SimulatedDisk
 
 __version__ = "1.0.0"
@@ -109,7 +109,6 @@ __all__ = [
     "SCAM_PARAMETERS",
     "ScanResult",
     "SimulatedDisk",
-    "Simulation",
     "SimulationResult",
     "TABLE12",
     "TPCD_PARAMETERS",

@@ -236,8 +236,8 @@ def run_cluster_bench(
     """Run the shard-count sweep plus the stagger comparison.
 
     Every run replays the same store and the same per-day query stream;
-    the ``k = 1`` lockstep run is bit-identical to the single-index
-    serialized driver (the cluster equivalence suite proves it), so the
+    the ``k = 1`` lockstep run is the single-index serialized driver
+    (the cluster equivalence suite holds it to the old one), so the
     scaling headline is measured against the paper's own baseline, not a
     degraded strawman.
     """

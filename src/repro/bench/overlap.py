@@ -2,16 +2,17 @@
 
 The paper argues (Section 3) that a wave index keeps serving while it
 reorganizes, because maintenance touches one constituent at a time.  The
-overlapped scheduler (:mod:`repro.sim.scheduler`) makes that claim
-measurable; this benchmark quantifies it.  For each scheme it runs the
-same store and the same query stream twice:
+cluster's day loop (:class:`~repro.cluster.ClusterSimulation`) makes that
+claim measurable; this benchmark quantifies it.  For each scheme it runs
+the same store and the same query stream twice, each time as one shard
+with one replica under the wait policy:
 
-* **serialized** — one device, wait policy: every query lands behind the
-  whole day's maintenance and behind every earlier query, which is the
-  classic driver's world laid on a timeline;
-* **overlapped** — a ``k``-device :class:`~repro.storage.array.DiskArray`
-  with rotating creation placement, so REINDEX-family rebuilds stream to
-  a spindle the serving constituents don't live on.
+* **serialized** — the replica on one device: every query lands behind
+  the whole day's maintenance and behind every earlier query, which is
+  the classic driver's world laid on a timeline;
+* **overlapped** — the replica spanning ``k`` devices and rotating its
+  index creations over them, so REINDEX-family rebuilds stream to a
+  spindle the serving constituents don't live on.
 
 The compared quantities are the day-timeline **makespan** (maintenance
 and serving overlapped vs back-to-back) and the query-latency tail
@@ -28,10 +29,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
+from ..cluster.sim import ClusterConfig, ClusterSimulation
 from ..core.records import RecordStore
 from ..core.schemes import scheme_by_name
 from ..sim.querygen import QueryWorkload, zipf_value_picker
-from ..sim.scheduler import OverlapConfig, OverlappedSimulation, OverlapPolicy
 from ..workloads.text import NetnewsGenerator, TextWorkloadConfig
 from ..workloads.zipf import heaps_vocabulary
 
@@ -172,31 +173,28 @@ def _run_mode(
     scheme_name: str,
     store: RecordStore,
     vocabulary: int,
-    overlap: OverlapConfig,
+    cluster: ClusterConfig,
 ) -> dict[str, Any]:
-    """Run one scheme under one scheduler configuration; return measures."""
-    scheme = scheme_by_name(scheme_name)(config.window, config.n_indexes)
-    sim = OverlappedSimulation(
-        scheme,
+    """Run one scheme on one configuration of the cluster; return measures."""
+    scheme_cls = scheme_by_name(scheme_name)
+    sim = ClusterSimulation(
+        lambda: scheme_cls(config.window, config.n_indexes),
         store,
         queries=_workload(config, vocabulary),
-        overlap=overlap,
+        cluster=cluster,
     )
     result = sim.run(config.last_day)
-    maintenance = sum(d.seconds.total for d in result.days)
-    query_seconds = sum(d.query_seconds for d in result.days)
-    queries = sum(
-        d.overlap.queries for d in result.days if d.overlap is not None
-    )
+    days = result.shard_results[0].days
     return {
-        "n_devices": overlap.n_devices,
-        "policy": overlap.policy.value,
-        "placement": overlap.placement,
+        "n_devices": cluster.devices_per_replica,
+        "policy": cluster.policy.value,
+        # One device holds every index; several take creations in turn.
+        "placement": "rotate" if cluster.devices_per_replica > 1 else "sticky",
         "makespan_seconds": result.total_makespan_seconds(),
-        "maintenance_seconds": maintenance,
-        "query_seconds": query_seconds,
-        "queries": queries,
-        "queries_waited": result.total_queries_waited(),
+        "maintenance_seconds": sum(d.seconds.total for d in days),
+        "query_seconds": sum(d.query_seconds for d in days),
+        "queries": result.total_requests(),
+        "queries_waited": sum(d.queries_waited for d in result.days),
         "queries_degraded": result.total_queries_degraded(),
         "latency_during_transition": sim.latency_during.summary(),
         "latency_steady_state": sim.latency_steady.summary(),
@@ -212,20 +210,17 @@ def run_overlap_bench(config: OverlapBenchConfig | None = None) -> dict[str, Any
     """Run every scheme serialized and overlapped; return the JSON report.
 
     Both modes replay the same store and the same per-day query stream
-    through the same scheduler code — the serialized mode is simply one
-    device under the wait policy (proven equivalent to the classic driver
-    by the scheduler's test suite), so every difference in the report is
-    attributable to the array and the overlap, not to measurement skew.
+    through the same day loop — the serialized mode is simply the replica
+    on one device (held equal to the classic driver by the cluster
+    equivalence suite), so every difference in the report is attributable
+    to the array and the overlap, not to measurement skew.
     """
     config = config or OverlapBenchConfig()
     store, vocabulary = _build_store(config)
-    serialized_cfg = OverlapConfig(
-        n_devices=1, policy=OverlapPolicy.WAIT, placement="sticky"
-    )
-    overlapped_cfg = OverlapConfig(
-        n_devices=config.n_devices,
-        policy=OverlapPolicy.WAIT,
-        placement="rotate",
+    serialized_cfg = ClusterConfig(n_shards=1, maintenance="lockstep")
+    overlapped_cfg = replace(
+        serialized_cfg,
+        devices_per_replica=config.n_devices,
         arrival_stretch=config.arrival_stretch,
     )
 
@@ -295,7 +290,7 @@ def run_overlap_bench(config: OverlapBenchConfig | None = None) -> dict[str, Any
         "scheduler": {
             "n_devices": config.n_devices,
             "policy": overlapped_cfg.policy.value,
-            "placement": overlapped_cfg.placement,
+            "placement": "rotate",
             "arrival_stretch": config.arrival_stretch,
         },
         "schemes": schemes,

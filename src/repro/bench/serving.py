@@ -27,12 +27,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
+from ..cluster.sim import ClusterConfig, ClusterSimulation
 from ..core.records import RecordStore
 from ..core.schemes import scheme_by_name
 from ..index.config import IndexConfig
 from ..obs import MetricsRegistry, Tracer
-from ..sim.driver import Simulation
-from ..storage.pagecache import DEFAULT_PAGE_SIZE, PageCache
+from ..storage.pagecache import DEFAULT_PAGE_SIZE
 from ..workloads.text import NetnewsGenerator, TextWorkloadConfig
 from ..workloads.zipf import ZipfSampler, heaps_vocabulary
 
@@ -120,9 +120,10 @@ def quick_config(base: ServingBenchConfig | None = None) -> ServingBenchConfig:
 
 
 def _build_window(
-    config: ServingBenchConfig, page_cache: PageCache | None
-) -> Simulation:
-    """Build the SCAM-sized window the replay serves from.
+    config: ServingBenchConfig, cache_bytes: int | None
+) -> ClusterSimulation:
+    """Build the SCAM-sized window the replay serves from: one shard on
+    one device, with a page cache of ``cache_bytes`` if given.
 
     The scheme's start day builds the packed window; ``extra_days`` of
     transitions mix in incrementally maintained (CONTIGUOUS) constituents,
@@ -139,12 +140,17 @@ def _build_window(
     last_day = config.window + config.extra_days
     store = RecordStore()
     NetnewsGenerator(text).populate(store, 1, last_day)
-    scheme = scheme_by_name(config.scheme)(config.window, config.n_indexes)
-    sim = Simulation(
-        scheme,
+    scheme_cls = scheme_by_name(config.scheme)
+    sim = ClusterSimulation(
+        lambda: scheme_cls(config.window, config.n_indexes),
         store,
         index_config=IndexConfig(),
-        page_cache=page_cache,
+        cluster=ClusterConfig(
+            n_shards=1,
+            maintenance="lockstep",
+            page_cache_bytes=cache_bytes,
+            page_size=config.page_size,
+        ),
     )
     sim.run(last_day)
     return sim
@@ -157,13 +163,14 @@ def _zipf_values(config: ServingBenchConfig, vocabulary: int) -> list[str]:
 
 
 def _replay(
-    sim: Simulation,
+    sim: ClusterSimulation,
     config: ServingBenchConfig,
     values: list[str],
     batch_size: int,
 ) -> dict[str, Any]:
     """Serve the probe+scan stream at ``batch_size``; return measurements."""
-    wave, disk = sim.wave, sim.disk
+    replica = sim.shards[0].primary
+    wave, disk = replica.wave, replica.device
     day = sim.result.days[-1].day
     lo, hi = day - config.window + 1, day
     obs = MetricsRegistry()
@@ -241,7 +248,7 @@ def run_serving_bench(config: ServingBenchConfig | None = None) -> dict[str, Any
     config = config or ServingBenchConfig()
     # Size the cache from an uncached build's index footprint.
     probe_sim = _build_window(config, None)
-    index_bytes = probe_sim.wave.constituent_bytes
+    index_bytes = probe_sim.shards[0].primary.wave.constituent_bytes
     cache_bytes = max(
         config.page_size, int(index_bytes * config.cache_ratio)
     )
@@ -252,18 +259,16 @@ def run_serving_bench(config: ServingBenchConfig | None = None) -> dict[str, Any
     day_cache_counters: dict[str, int] = {}
     for cached in (False, True):
         for batch_size in config.batch_sizes:
-            page_cache = (
-                PageCache(cache_bytes, config.page_size) if cached else None
-            )
-            sim = _build_window(config, page_cache)
+            sim = _build_window(config, cache_bytes if cached else None)
             cell = _replay(sim, config, values, batch_size)
             configs.append(cell)
             if cached and not day_cache_counters:
                 # The maintenance run itself reports per-day cache deltas
                 # through DayMetrics — surface the run totals once.
+                shard = sim.result.shard_results[0]
                 day_cache_counters = {
-                    "maintenance_cache_hits": sim.result.total_cache_hits(),
-                    "maintenance_cache_misses": sim.result.total_cache_misses(),
+                    "maintenance_cache_hits": shard.total_cache_hits(),
+                    "maintenance_cache_misses": shard.total_cache_misses(),
                 }
 
     def cell(batch_size: int, cached: bool) -> dict[str, Any]:

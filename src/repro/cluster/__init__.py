@@ -59,6 +59,7 @@ from .sim import (
     ClusterResult,
     ClusterSimulation,
     SparePool,
+    Turn,
     run_cluster_simulation,
 )
 
@@ -93,6 +94,7 @@ __all__ = [
     "SlotHashPartitioner",
     "SparePool",
     "Split",
+    "Turn",
     "copy_index_to",
     "make_partitioner",
     "merge_indexes_to",

@@ -25,7 +25,8 @@ from ..core.schemes.base import WaveScheme
 from ..core.wave import WaveIndex
 from ..errors import DeviceFailure, FaultError, TransientIOError
 from ..index.updates import UpdateTechnique
-from ..sim.scheduler import OpInterval
+from ..sim.scheduler import ArrayPlanExecutor, OpInterval
+from ..storage.array import DiskArray
 from ..storage.disk import SimulatedDisk
 
 if TYPE_CHECKING:
@@ -34,7 +35,12 @@ if TYPE_CHECKING:
 
 @dataclass
 class ShardReplica:
-    """One copy of a shard's wave index on one device of the array.
+    """One copy of a shard's wave index on devices of the array.
+
+    A replica lives on :attr:`device` (array index :attr:`device_index`),
+    or — with an :class:`~repro.sim.scheduler.ArrayPlanExecutor` — spans
+    the devices from there on and rotates its index creations over them
+    (:attr:`span`).
 
     ``intervals`` / ``maintenance_start`` / ``maintenance_end`` describe
     the replica's most recent maintenance run on the cluster's shared
@@ -68,9 +74,36 @@ class ShardReplica:
         """Return a display name (``s0/r1``)."""
         return f"s{self.shard_id}/r{self.replica_id}"
 
+    @property
+    def span(self) -> DiskArray:
+        """Return the devices holding this replica's indexes, in array
+        order from :attr:`device_index` on."""
+        if isinstance(self.executor, ArrayPlanExecutor):
+            return self.executor.array
+        return DiskArray([self.device])
+
+    def busy_until(self) -> list[float]:
+        """Return when each device of the span finishes today's maintenance.
+
+        One device is busy until the replica's maintenance ends (a rebuild
+        or a retune sets that end without laying intervals); a spanning
+        replica's devices come free op by op.
+        """
+        n_devices = len(self.span)
+        if n_devices == 1:
+            return [self.maintenance_end]
+        until = [self.maintenance_start] * n_devices
+        for interval in self.intervals:
+            for device in interval.devices:
+                until[device - self.device_index] = interval.end
+        return until
+
     def _op_blocks_queries(self, op: Op) -> bool:
-        """Mirror the scheduler's rule: only in-place mutation of a live
-        constituent makes its target unreadable mid-op."""
+        """Return ``True`` if executing ``op`` makes its target unreadable.
+
+        Only in-place mutation of a live constituent blocks; shadowing
+        swaps atomically and rebuilds leave the old version serving.
+        """
         if self.executor.technique is not UpdateTechnique.IN_PLACE:
             return False
         return isinstance(
@@ -84,14 +117,15 @@ class ShardReplica:
         *,
         monitor: "ReplicaHealthMonitor | None" = None,
     ) -> ExecutionReport:
-        """Execute ``plan`` on this replica's device, starting at ``start``.
+        """Execute ``plan`` on this replica's span, starting at ``start``.
 
         Op for op this performs exactly what
         :meth:`~repro.core.executor.PlanExecutor.execute` performs (reset
         high-water, run ops in order, read the peak afterwards) — that
         identity is what makes the ``k=1`` cluster bit-identical to the
-        serialized driver — while additionally laying each op on the
-        cluster timeline as an :class:`~repro.sim.scheduler.OpInterval`.
+        old serialized driver — while additionally laying each op on the
+        cluster timeline as an :class:`~repro.sim.scheduler.OpInterval`
+        as long as the time it charged across the span.
 
         Without a ``monitor``, any :class:`~repro.errors.FaultError` (the
         device died mid-plan) marks the replica failed and stops its
@@ -107,9 +141,10 @@ class ShardReplica:
         self.intervals = []
         self.maintenance_start = start
         cursor = start
-        self.device.reset_high_water()
+        span = self.span
+        span.reset_high_water()
         for op in plan:
-            before = self.device.clock
+            before = span.clocks()
             blocking = self._op_blocks_queries(op)
             if monitor is None:
                 try:
@@ -122,19 +157,24 @@ class ShardReplica:
                     op, report, monitor, now=monitor.now + cursor
                 ):
                     break
-            duration = self.device.clock - before
+            deltas = [now - then for now, then in zip(span.clocks(), before)]
+            duration = sum(deltas)
             self.intervals.append(
                 OpInterval(
                     op=op,
                     target=getattr(op, "target", ""),
-                    devices=(self.device_index,),
+                    devices=tuple(
+                        self.device_index + offset
+                        for offset, delta in enumerate(deltas)
+                        if delta > 0
+                    ),
                     start=cursor,
                     end=cursor + duration,
                     blocking=blocking,
                 )
             )
             cursor += duration
-        report.peak_bytes = self.device.high_water_bytes
+        report.peak_bytes = span.high_water_bytes
         self.maintenance_end = cursor
         return report
 

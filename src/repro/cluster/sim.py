@@ -3,14 +3,16 @@
 Runs one maintenance scheme per shard over a partitioned record store,
 each shard on its own device(s) of a :class:`~repro.storage.array.DiskArray`,
 and serves the day's query stream against the whole cluster on a shared
-timeline — the cluster-level analogue of
-:class:`~repro.sim.scheduler.OverlappedSimulation`.
+timeline.  This is the repository's one day loop: a day is
+:meth:`ClusterSimulation.turn` (the maintenance step, which returns a
+:class:`Turn`), then the simulated serving pass, then the day's
+bookkeeping.
 
 Model
 -----
 
 **Maintenance.**  Each day, every shard's scheme emits its plan and every
-alive replica executes it on its own device.  The *staggered* policy
+alive replica executes it on its device(s).  The *staggered* policy
 (Kimura et al.'s deploy-order concern applied to shard transitions) runs
 shards in batches of at most ``ceil(k * max_concurrent_frac)``: batch
 ``j+1`` starts when batch ``j``'s slowest shard finishes, so the cluster
@@ -25,10 +27,13 @@ that arrive *before* a shard's maintenance window opens are served
 immediately from that shard's pre-transition index (the cost and
 coverage are measured against the post-transition substrate, one day's
 transition apart — a close proxy that keeps the single timeline
-tractable); queries arriving after the window opens queue behind it,
-exactly as in the single-index scheduler.  That asymmetry is the whole
-point of staggering: a shard whose transition has not started yet keeps
-answering at steady-state latency.
+tractable); queries arriving after the window opens queue behind it.
+That asymmetry is the whole point of staggering: a shard whose
+transition has not started yet keeps answering at steady-state latency.
+A query needing a constituent an in-place op is mutating waits for the
+op or degrades (:attr:`ClusterConfig.policy`), then occupies the devices
+its reads charged, first come first served per device; a unit that
+charges a device no time does not queue behind it.
 
 **Faults.**  A device failure mid-maintenance or mid-query marks the
 replica failed; serving fails over to the next replica.  When every
@@ -36,12 +41,17 @@ replica of a shard is dead, its answers degrade to correct partial
 results — empty, with the shard's window days enumerated as missing —
 never a wrong answer.
 
-With ``k=1, r=1`` and lockstep maintenance the whole machinery
-degenerates to the serialized driver: one store (the partition is the
-identity), one device, maintenance from time zero, every query served
-post-maintenance in order.  ``tests/cluster/test_cluster_equivalence.py``
-asserts bit-identical per-day costs and query results for all seven
-schemes.
+With ``k=1, r=1`` and lockstep maintenance the whole machinery is the
+serialized driver (:func:`repro.sim.run_simulation`): one store (the
+partition is the identity), one device, maintenance from time zero,
+every query served post-maintenance in order.
+``tests/cluster/test_cluster_equivalence.py`` asserts bit-identical
+per-day costs and query results against the old driver, kept as
+``tests/reference/serialized.py``, for all seven schemes and three
+techniques.  With ``devices_per_replica = d`` the one replica spans ``d``
+devices and rotates its index creations over them, so queries overlap
+the transition — the overlap benchmark (:mod:`repro.bench.overlap`)
+compares the two.
 """
 
 from __future__ import annotations
@@ -65,14 +75,15 @@ from ..errors import (
 )
 from ..index.config import IndexConfig
 from ..index.updates import UpdateTechnique
-from ..obs import Histogram, MetricsRegistry
+from ..obs import CounterWindow, Histogram, MetricsRegistry
 from ..sim.metrics import DayMetrics, SimulationResult
 from ..sim.querygen import ProbeUnit, QueryUnit, QueryWorkload, ScanUnit, UnitOutcome
-from ..sim.scheduler import OpInterval, OverlapPolicy
+from ..sim.scheduler import ArrayPlanExecutor, OpInterval, OverlapPolicy
 from ..storage.array import DiskArray
 from ..storage.cost import DiskParameters
 from ..storage.disk import SimulatedDisk
-from ..storage.pagecache import PageCache
+from ..storage.pagecache import PageCache, PageCacheSnapshot
+from ..storage.stats import IOSnapshot
 from ..advisor import (
     AdvisorConfig,
     CostModelPlanner,
@@ -145,6 +156,13 @@ class ClusterConfig:
             retunes, divergent designs — see :mod:`repro.advisor`).
             ``None`` (the default) keeps every design frozen and the
             run bit-identical to an advisor-less build.
+        devices_per_replica: Devices each replica spans.  With more than
+            one, the replica rotates its index creations over them, so a
+            rebuild streams to a device its serving constituents do not
+            occupy and queries overlap the transition (the paper's
+            "build new constituent indices on separate disks").
+            Replicas a rebuild, split, merge or retune creates live on
+            one spare device.
     """
 
     n_shards: int = 2
@@ -160,6 +178,7 @@ class ClusterConfig:
     selfheal: SelfHealConfig | None = None
     elastic: ElasticConfig | None = None
     advisor: "AdvisorConfig | None" = None
+    devices_per_replica: int = 1
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -167,6 +186,11 @@ class ClusterConfig:
         if self.replication < 1:
             raise ClusterError(
                 f"replication must be >= 1, got {self.replication}"
+            )
+        if self.devices_per_replica < 1:
+            raise ClusterError(
+                "devices_per_replica must be >= 1, "
+                f"got {self.devices_per_replica}"
             )
         if self.maintenance not in MAINTENANCE_POLICIES:
             raise ClusterError(
@@ -205,8 +229,8 @@ class ClusterConfig:
 
     @property
     def n_devices(self) -> int:
-        """Return the array size: one device per shard replica."""
-        return self.n_shards * self.replication
+        """Return the array size: the devices every shard replica spans."""
+        return self.n_shards * self.replication * self.devices_per_replica
 
 
 @dataclass(frozen=True)
@@ -338,10 +362,57 @@ class ClusterResult:
         return self.n_shards
 
 
+@dataclass(frozen=True)
+class Turn:
+    """What one maintenance step did (:meth:`ClusterSimulation.turn`).
+
+    ``reports`` and ``windows`` are per shard: the plan report of the
+    shard's metrics replica and its ``(start, end)`` maintenance window on
+    the day's timeline.  ``baselines`` hold that replica with its I/O and
+    page-cache counters from before the day's plans ran; the day's
+    bookkeeping measures its deltas from them.
+    """
+
+    day: int
+    reports: tuple[ExecutionReport, ...]
+    windows: tuple[tuple[float, float], ...]
+    maintenance_makespan_seconds: float
+    baselines: tuple[
+        tuple[ShardReplica, IOSnapshot, PageCacheSnapshot | None], ...
+    ]
+    rebuilds: tuple[RebuildReport, ...] = ()
+    rebuilds_failed: int = 0
+    reshards: tuple[ReshardReport, ...] = ()
+    reshards_aborted: int = 0
+    reshard_deferred: str | None = None
+    retunes: tuple[RetuneReport, ...] = ()
+    retunes_aborted: int = 0
+
+
+@dataclass
+class _Served:
+    """The day's simulated serving pass, tallied for its bookkeeping."""
+
+    query_seconds: list[float]
+    requests: list[int]
+    during: Histogram
+    steady: Histogram
+    queries: int = 0
+    waited: int = 0
+    degraded: int = 0
+    last_completion: float = 0.0
+    missing_days: set[int] = field(default_factory=set)
+
+
 def _blocked_until(
     needed: set[str], arrival: float, blocking: list[OpInterval]
 ) -> tuple[set[str], float]:
-    """Fixed-point release time over blocking intervals (scheduler rule)."""
+    """Return the constituents blocked at ``arrival`` and the release.
+
+    Under the wait policy a query re-checks after each release (a
+    constituent can be mutated by several ops in one plan), so the
+    returned release time is a fixed point.
+    """
     release = arrival
     blocked: set[str] = set()
     changed = True
@@ -406,10 +477,10 @@ class SparePool:
 class ClusterSimulation:
     """Day-by-day run of one scheme per shard over a partitioned store.
 
-    Public surface mirrors :class:`~repro.sim.driver.Simulation`:
-    ``run_start()`` / ``run_transition(day)`` / ``run(last_day)`` /
-    ``result``.  Additionally exposes :attr:`coordinator` for direct
-    scatter-gather queries against the cluster's current state and
+    ``run_start()`` / ``run_transition(day)`` / ``run(last_day)`` run and
+    serve whole days into :attr:`result`; :meth:`turn` is a day's
+    maintenance step alone.  Additionally exposes :attr:`coordinator` for
+    direct scatter-gather queries against the cluster's current state and
     :meth:`rebalance_shard` for moving a shard between devices.
     """
 
@@ -498,17 +569,29 @@ class ClusterSimulation:
             runner() if cfg.advisor is not None else None
         )
         index_config = index_config or IndexConfig()
+        width = cfg.devices_per_replica
         self.shards: list[Shard] = []
         for shard_id in range(cfg.n_shards):
             scheme = scheme_factory()
             replicas = []
             for replica_id in range(cfg.replication):
-                device_index = replica_id * cfg.n_shards + shard_id
+                device_index = (replica_id * cfg.n_shards + shard_id) * width
                 device = self.array.devices[device_index]
                 wave = WaveIndex(device, index_config, scheme.n_indexes)
-                executor = PlanExecutor(
-                    wave, shard_stores[shard_id], technique
-                )
+                if width == 1:
+                    executor = PlanExecutor(
+                        wave, shard_stores[shard_id], technique
+                    )
+                else:
+                    executor = ArrayPlanExecutor(
+                        wave,
+                        shard_stores[shard_id],
+                        technique,
+                        array=DiskArray(
+                            self.array.devices[device_index : device_index + width]
+                        ),
+                        rotate_creations=True,
+                    )
                 replicas.append(
                     ShardReplica(
                         shard_id=shard_id,
@@ -576,7 +659,7 @@ class ClusterSimulation:
         self._day_failovers = 0
 
     # ------------------------------------------------------------------
-    # Public day loop (mirrors the serialized driver)
+    # Public day loop
     # ------------------------------------------------------------------
 
     @property
@@ -585,17 +668,16 @@ class ClusterSimulation:
         return self.scheme.window
 
     def run_start(self) -> ClusterDayStats:
-        """Execute every shard's initial build (day ``W``)."""
+        """Execute every shard's initial build (day ``W``) and serve it."""
         if self._started:
             raise ClusterError("cluster simulation already started")
-        self._started = True
-        return self._run_day(self.window, lambda scheme: scheme.start_ops())
+        return self._run_day(self.window)
 
     def run_transition(self, day: int) -> ClusterDayStats:
-        """Execute one daily transition on every shard."""
+        """Execute one daily transition on every shard and serve it."""
         if not self._started:
             raise ClusterError("call run_start() first")
-        return self._run_day(day, lambda scheme: scheme.transition_ops(day))
+        return self._run_day(day)
 
     def run(self, last_day: int) -> ClusterResult:
         """Run start plus transitions through ``last_day``."""
@@ -633,6 +715,8 @@ class ClusterSimulation:
         if not 0 <= replica_id < len(shard.replicas):
             raise ClusterError(f"shard {shard_id} has no replica {replica_id}")
         replica = shard.replicas[replica_id]
+        if len(replica.span) > 1:
+            raise ClusterError(f"{replica.name} spans devices; it cannot move")
         if self.array.devices[to_device] is replica.device:
             raise ClusterError(
                 f"{replica.name} already lives on device {to_device}"
@@ -1130,11 +1214,13 @@ class ClusterSimulation:
                 bool(degraded_names)
                 or replica.replica_id in force_degraded
             )
-            clock_before = replica.device.clock
+            span = replica.span
+            clocks_before = span.clocks()
+            clock_before = sum(clocks_before)
             try:
                 outcome = unit.execute(wave, degraded=degraded_call)
             except TransientIOError:
-                carried += replica.device.clock - clock_before
+                carried += span.total_clock - clock_before
                 # A strict call marks the faulted constituent offline
                 # before re-raising; the transient left the data intact,
                 # so clear the mark before the retry.
@@ -1154,11 +1240,11 @@ class ClusterSimulation:
                 # A strict call tripped on a constituent an earlier
                 # swallowed fault left offline: re-serve degraded for an
                 # honest labeled partial answer.
-                carried += replica.device.clock - clock_before
+                carried += span.total_clock - clock_before
                 force_degraded.add(replica.replica_id)
                 continue
             except FaultError:
-                carried += replica.device.clock - clock_before
+                carried += span.total_clock - clock_before
                 self._fail_replica(replica, "serving-fault")
                 continue
             finally:
@@ -1174,7 +1260,7 @@ class ClusterSimulation:
                     # intact — bring the constituents back online and
                     # retry under the retry policy.
                     wave.offline -= newly_offline
-                    carried += replica.device.clock - clock_before
+                    carried += span.total_clock - clock_before
                     if self._retry_transient(
                         replica, attempts, exhausted,
                         now=self._clock_base + arrival + carried,
@@ -1187,28 +1273,34 @@ class ClusterSimulation:
                     # With another live replica, failover beats
                     # degradation — discard the partial answer and
                     # re-serve there.
-                    carried += replica.device.clock - clock_before
+                    carried += span.total_clock - clock_before
                     self._fail_replica(replica, "serving-fault")
                     continue
             if monitor is not None:
                 monitor.record_success(replica)
-            delta = replica.device.clock - clock_before
-            device = replica.device_index
             ready = arrival + wait + carried
-            if delta <= 0:
-                # A unit that charges the device no time does not queue
-                # behind it: it completes as soon as it is ready.
-                return outcome, ready, delta, wait + carried, degraded_call
-            if arrival < replica.maintenance_start:
-                # The shard's transition has not begun: serve from the
-                # pre-transition window immediately (the staggering win).
-                start = max(ready, avail_pre[device])
-                avail_pre[device] = start + delta
-            else:
-                start = max(ready, avail_post[device])
-                avail_post[device] = start + delta
-            end = start + delta
-            return outcome, end, delta, wait + carried, degraded_call
+            # Before the shard's transition begins, serve from the
+            # pre-transition window immediately (the staggering win).
+            avail = (
+                avail_pre if arrival < replica.maintenance_start else avail_post
+            )
+            # First come, first served per device: reads of different
+            # devices proceed in parallel, and a unit that charges a
+            # device no time does not queue behind it.
+            end = ready
+            service = 0.0
+            for offset, (now, then) in enumerate(
+                zip(span.clocks(), clocks_before)
+            ):
+                delta = now - then
+                if delta <= 0:
+                    continue
+                device = replica.device_index + offset
+                start = max(ready, avail[device])
+                avail[device] = start + delta
+                end = max(end, start + delta)
+                service = max(service, delta)
+            return outcome, end, service, wait + carried, degraded_call
 
     def _retry_transient(
         self,
@@ -1234,47 +1326,54 @@ class ClusterSimulation:
         return True
 
     # ------------------------------------------------------------------
-    # Day loop
+    # Day loop: the maintenance step, the serving pass, the bookkeeping
     # ------------------------------------------------------------------
 
-    def _run_day(
-        self, day: int, plan_for: Callable[[WaveScheme], Any]
-    ) -> ClusterDayStats:
-        self._day_failovers = 0
-        monitor = self._monitor
-        if monitor is not None:
-            monitor.now = self._clock_base
-        heal_window = self.obs.window(
-            "cluster.heal.retries", "cluster.heal.breaker_opens"
-        )
+    def turn(self, day: int) -> Turn:
+        """Run the cluster's maintenance step for ``day``; return what it did.
+
+        In order: the day's spare budget resets, the queued topology
+        change runs, then the queued retunes (healing outranks both for
+        spares), then every shard draws its plan — the start build on the
+        first turn, the day's transition after — and healing and
+        maintenance run with the day posted once for the cluster.  The
+        step reads no query workload and no serving state, so
+        ``run_transition(day)`` with ``queries=None`` is exactly this
+        plus the day's bookkeeping.
+        """
+        first = not self._started
+        if first and day != self.window:
+            raise ClusterError("call run_start() first")
+        self._started = True
+
+        def plan_for(scheme: WaveScheme) -> list[Op]:
+            return list(
+                scheme.start_ops() if first else scheme.transition_ops(day)
+            )
+
+        if self._monitor is not None:
+            self._monitor.now = self._clock_base
         self.spares.new_day()
         # Topology changes run first: snapshots, plans, and serving all
         # see the post-swap shard list (children arrive caught up).
         reshard_reports, reshards_aborted, reshard_deferred = (
             self._run_elastic(day)
         )
-        # Then queued retunes (decided at yesterday's boundary); healing
-        # still outranks both for spares.
+        # Then queued retunes (decided at yesterday's boundary).
         retune_reports, retunes_aborted = self._run_advisor(day)
-        snapshots = []
+        baselines = []
         for shard in self.shards:
             replica = shard.primary or shard.replicas[0]
-            cache = replica.device.page_cache
-            snapshots.append(
-                (
-                    replica,
-                    replica.device.stats.snapshot(),
-                    cache.snapshot() if cache is not None else None,
-                )
+            span = replica.span
+            baselines.append(
+                (replica, span.io_snapshot(), span.cache_snapshot())
             )
 
         plans = []
         for shard in self.shards:
             preplanned = self._preplanned.pop(id(shard.scheme), None)
             plans.append(
-                preplanned
-                if preplanned is not None
-                else list(plan_for(shard.scheme))
+                preplanned if preplanned is not None else plan_for(shard.scheme)
             )
         # Replicas the advisor retuned run their own scheme's plan (one
         # plan per scheme instance, shared by every replica bound to it —
@@ -1289,9 +1388,7 @@ class ClusterSimulation:
                     continue
                 preplanned = self._preplanned.pop(id(scheme), None)
                 replica_plans[id(scheme)] = (
-                    preplanned
-                    if preplanned is not None
-                    else list(plan_for(scheme))
+                    preplanned if preplanned is not None else plan_for(scheme)
                 )
         # The day is posted once for the cluster: the source store keeps
         # its run — and with it every shard's cut — until the last replica
@@ -1303,103 +1400,128 @@ class ClusterSimulation:
             reports, windows, cluster_end = self._run_maintenance(
                 day, plans, delays, replica_plans
             )
+        return Turn(
+            day=day,
+            reports=tuple(reports),
+            windows=tuple(windows),
+            maintenance_makespan_seconds=cluster_end,
+            baselines=tuple(baselines),
+            rebuilds=tuple(rebuild_reports),
+            rebuilds_failed=rebuilds_failed,
+            reshards=tuple(reshard_reports),
+            reshards_aborted=reshards_aborted,
+            reshard_deferred=reshard_deferred,
+            retunes=tuple(retune_reports),
+            retunes_aborted=retunes_aborted,
+        )
 
+    def _run_day(self, day: int) -> ClusterDayStats:
+        """Turn the day, serve its queries, and book it."""
+        self._day_failovers = 0
+        heal_window = self.obs.window(
+            "cluster.heal.retries", "cluster.heal.breaker_opens"
+        )
+        turn = self.turn(day)
         if self.on_serving_start is not None:
             self.on_serving_start(self, day)
+        served = self._serve(day, turn.maintenance_makespan_seconds)
+        return self._book(turn, served, heal_window)
 
-        day_during = Histogram("cluster.latency.during")
-        day_steady = Histogram("cluster.latency.steady")
-        query_seconds = [0.0] * len(self.shards)
-        shard_requests = [0] * len(self.shards)
-        queries = waited = degraded_count = 0
-        last_completion = 0.0
-        missing_all: set[int] = set()
-        if self.queries is not None:
-            units = self.queries.day_requests(day, self.window)
-            if units:
-                horizon = cluster_end * self.config.arrival_stretch
-                avail_pre = [0.0] * len(self.array)
-                avail_post = [0.0] * len(self.array)
-                for shard in self.shards:
-                    for replica in shard.replicas:
-                        avail_post[replica.device_index] = (
-                            replica.maintenance_end
-                        )
-                for i, unit in enumerate(units):
-                    arrival = horizon * i / len(units)
-                    ends: list[float] = []
-                    services: list[float] = []
-                    unit_missing: set[int] = set()
-                    unit_degraded = False
-                    for shard_id, subunit in self._split_unit(unit):
-                        if self._observer is not None:
-                            self._observe_unit(shard_id, subunit)
-                        (
-                            outcome,
-                            end,
-                            service,
-                            _wait,
-                            was_degraded,
-                        ) = self._serve_on_shard(
-                            self.shards[shard_id],
-                            subunit,
-                            arrival,
-                            avail_pre,
-                            avail_post,
-                        )
-                        query_seconds[shard_id] += outcome.seconds
-                        shard_requests[shard_id] += subunit.requests
-                        ends.append(end)
-                        services.append(service)
-                        unit_missing |= outcome.missing_days
-                        unit_degraded = unit_degraded or was_degraded
-                    completion = max(ends) if ends else arrival
-                    latency = completion - arrival
-                    service_parallel = max(services, default=0.0)
-                    queries += unit.requests
-                    last_completion = max(last_completion, completion)
-                    if latency > service_parallel + 1e-12:
-                        waited += unit.requests
-                    if unit_missing:
-                        degraded_count += unit.requests
-                        missing_all |= unit_missing
-                    elif unit_degraded:
-                        degraded_count += unit.requests
-                    day_hist = (
-                        day_during if arrival < cluster_end else day_steady
-                    )
-                    run_hist = (
-                        self.latency_during
-                        if arrival < cluster_end
-                        else self.latency_steady
-                    )
-                    for _ in range(unit.requests):
-                        day_hist.observe(latency)
-                        run_hist.observe(latency)
+    def _serve(self, day: int, maintenance_end: float) -> _Served:
+        """Serve the day's query stream on the timeline the turn laid.
 
-        for shard_id, shard in enumerate(self.shards):
-            replica, io_before, cache_before = snapshots[shard_id]
-            io_delta = replica.device.stats.snapshot() - io_before
-            cache = replica.device.page_cache
-            cache_delta = (
-                cache.snapshot() - cache_before
-                if cache is not None and cache_before is not None
-                else None
-            )
-            report = reports[shard_id]
+        Units arrive evenly over ``arrival_stretch x`` the maintenance
+        makespan; a unit's latency is its completion (the slowest shard
+        it fanned out to) minus its arrival.
+        """
+        served = _Served(
+            query_seconds=[0.0] * len(self.shards),
+            requests=[0] * len(self.shards),
+            during=Histogram("cluster.latency.during"),
+            steady=Histogram("cluster.latency.steady"),
+        )
+        if self.queries is None:
+            return served
+        units = self.queries.day_requests(day, self.window)
+        if not units:
+            return served
+        horizon = maintenance_end * self.config.arrival_stretch
+        avail_pre = [0.0] * len(self.array)
+        avail_post = [0.0] * len(self.array)
+        for shard in self.shards:
+            for replica in shard.replicas:
+                for offset, until in enumerate(replica.busy_until()):
+                    avail_post[replica.device_index + offset] = until
+        for i, unit in enumerate(units):
+            arrival = horizon * i / len(units)
+            ends: list[float] = []
+            services: list[float] = []
+            unit_missing: set[int] = set()
+            unit_degraded = False
+            for shard_id, subunit in self._split_unit(unit):
+                if self._observer is not None:
+                    self._observe_unit(shard_id, subunit)
+                outcome, end, service, _wait, was_degraded = (
+                    self._serve_on_shard(
+                        self.shards[shard_id],
+                        subunit,
+                        arrival,
+                        avail_pre,
+                        avail_post,
+                    )
+                )
+                served.query_seconds[shard_id] += outcome.seconds
+                served.requests[shard_id] += subunit.requests
+                ends.append(end)
+                services.append(service)
+                unit_missing |= outcome.missing_days
+                unit_degraded = unit_degraded or was_degraded
+            completion = max(ends) if ends else arrival
+            latency = completion - arrival
+            served.queries += unit.requests
+            served.last_completion = max(served.last_completion, completion)
+            if latency > max(services, default=0.0) + 1e-12:
+                served.waited += unit.requests
+            if unit_missing or unit_degraded:
+                served.degraded += unit.requests
+                served.missing_days |= unit_missing
+            during = arrival < maintenance_end
+            day_hist = served.during if during else served.steady
+            run_hist = self.latency_during if during else self.latency_steady
+            for _ in range(unit.requests):
+                day_hist.observe(latency)
+                run_hist.observe(latency)
+        return served
+
+    def _book(
+        self, turn: Turn, served: _Served, heal_window: CounterWindow
+    ) -> ClusterDayStats:
+        """Record the day: per-shard metrics, the autoscaler's and the
+        advisor's day-boundary decisions, and the day's stats."""
+        day = turn.day
+        for shard_id, (replica, io_before, cache_before) in enumerate(
+            turn.baselines
+        ):
+            span = replica.span
+            cache_after = span.cache_snapshot()
+            report = turn.reports[shard_id]
             wave = replica.wave
             self.result.shard_results[shard_id].days.append(
                 DayMetrics(
                     day=day,
                     seconds=report.seconds,
-                    query_seconds=query_seconds[shard_id],
-                    steady_bytes=replica.device.live_bytes,
+                    query_seconds=served.query_seconds[shard_id],
+                    steady_bytes=span.live_bytes,
                     constituent_bytes=wave.constituent_bytes,
                     peak_bytes=report.peak_bytes,
                     length_days=wave.total_length_days,
                     covered_days=frozenset(wave.covered_days()),
-                    io=io_delta,
-                    cache=cache_delta,
+                    io=span.io_snapshot() - io_before,
+                    cache=(
+                        cache_after - cache_before
+                        if cache_after is not None and cache_before is not None
+                        else None
+                    ),
                 )
             )
 
@@ -1407,8 +1529,8 @@ class ClusterSimulation:
         if self._autoscaler is not None:
             decision = self._autoscaler.propose(
                 day=day,
-                busy_seconds=list(query_seconds),
-                requests=list(shard_requests),
+                busy_seconds=list(served.query_seconds),
+                requests=list(served.requests),
                 under_replicated=self._under_replicated(),
                 last_action_day=self._last_action_day,
             )
@@ -1432,61 +1554,56 @@ class ClusterSimulation:
                 if replica.scheme is not None
             } or None
 
-        makespan = max(cluster_end, last_completion)
+        cluster_end = turn.maintenance_makespan_seconds
+        makespan = max(cluster_end, served.last_completion)
         stats = ClusterDayStats(
             day=day,
             maintenance_makespan_seconds=cluster_end,
             makespan_seconds=makespan,
-            shard_windows=tuple(windows),
-            queries=queries,
-            queries_waited=waited,
-            queries_degraded=degraded_count,
+            shard_windows=turn.windows,
+            queries=served.queries,
+            queries_waited=served.waited,
+            queries_degraded=served.degraded,
             failovers=self._day_failovers,
             shards_unavailable=tuple(
                 shard.shard_id
                 for shard in self.shards
                 if not shard.available
             ),
-            missing_days=frozenset(missing_all),
+            missing_days=frozenset(served.missing_days),
             latency_during_transition=(
-                day_during.summary() if day_during.count else None
+                served.during.summary() if served.during.count else None
             ),
             latency_steady_state=(
-                day_steady.summary() if day_steady.count else None
+                served.steady.summary() if served.steady.count else None
             ),
-            rebuilds=len(rebuild_reports),
-            rebuilds_failed=rebuilds_failed,
-            rebuild_seconds=sum(
-                r.makespan_seconds for r in rebuild_reports
-            ),
-            rebuild_spans=tuple(
-                r.makespan_seconds for r in rebuild_reports
-            ),
+            rebuilds=len(turn.rebuilds),
+            rebuilds_failed=turn.rebuilds_failed,
+            rebuild_seconds=sum(r.makespan_seconds for r in turn.rebuilds),
+            rebuild_spans=tuple(r.makespan_seconds for r in turn.rebuilds),
             retries=int(heal_window.delta("cluster.heal.retries")),
             breaker_opens=int(
                 heal_window.delta("cluster.heal.breaker_opens")
             ),
-            reshards=len(reshard_reports),
-            reshards_aborted=reshards_aborted,
-            reshard_deferred=reshard_deferred,
-            reshard_kinds=tuple(r.kind for r in reshard_reports),
-            reshard_seconds=sum(
-                r.makespan_seconds for r in reshard_reports
-            ),
-            retunes=len(retune_reports),
-            retunes_aborted=retunes_aborted,
-            retune_seconds=sum(r.seconds for r in retune_reports),
+            reshards=len(turn.reshards),
+            reshards_aborted=turn.reshards_aborted,
+            reshard_deferred=turn.reshard_deferred,
+            reshard_kinds=tuple(r.kind for r in turn.reshards),
+            reshard_seconds=sum(r.makespan_seconds for r in turn.reshards),
+            retunes=len(turn.retunes),
+            retunes_aborted=turn.retunes_aborted,
+            retune_seconds=sum(r.seconds for r in turn.retunes),
             designs=designs,
             topology_version=self.coordinator.topology_version,
             n_shards=len(self.shards),
             autoscaler=decision.describe() if decision is not None else None,
-            query_seconds=tuple(query_seconds),
+            query_seconds=tuple(served.query_seconds),
         )
         self.result.days.append(stats)
         self._clock_base += makespan
         self.obs.counter("cluster.days").inc()
-        self.obs.counter("cluster.queries").inc(queries)
-        self.obs.counter("cluster.queries_degraded").inc(degraded_count)
+        self.obs.counter("cluster.queries").inc(served.queries)
+        self.obs.counter("cluster.queries_degraded").inc(served.degraded)
         self.obs.histogram("cluster.day.makespan_seconds").observe(makespan)
         return stats
 
@@ -1505,8 +1622,7 @@ def run_cluster_simulation(
 ) -> ClusterResult:
     """One-call convenience wrapper around :class:`ClusterSimulation`.
 
-    The cluster analogue of :func:`repro.sim.driver.run_simulation`: the
-    store is partitioned per the config, each shard runs its own scheme
+    The store is partitioned per the config, each shard runs its own scheme
     instance on its own device(s), and the day's query stream is served
     by the whole cluster on a shared timeline.
     """

@@ -7,10 +7,11 @@ Two small, dependency-free pieces:
 * :mod:`repro.obs.tracing` — nested span tracing on the *simulated* clock
   (:class:`Tracer`), so traces attribute simulated seconds to phases.
 
-The measured simulation driver (:mod:`repro.sim.driver`) and the serving
-benchmark (:mod:`repro.bench.serving`) both publish through these, feeding
-per-phase I/O, cache, and latency metrics into
-:class:`~repro.sim.metrics.DayMetrics` and ``BENCH_serving.json``.
+The cluster's day loop (:class:`~repro.cluster.ClusterSimulation`, whose
+``sim.obs`` registry counts days, queries, heals, reshards and retunes and
+holds the run's latency histograms) and the serving benchmark
+(:mod:`repro.bench.serving`, which traces its replay phases) both publish
+through these.
 """
 
 from .registry import (

@@ -1,4 +1,10 @@
-"""Measured simulation: run schemes on the real substrate, day by day."""
+"""Measured simulation: run schemes on the real substrate, day by day.
+
+The day loop itself is :class:`repro.cluster.ClusterSimulation`'s
+(``turn(day)`` plus a simulated serving pass); :func:`run_simulation` is
+its one-shard, one-device configuration, and :mod:`.scheduler` holds the
+timeline pieces it lays maintenance and queries on.
+"""
 
 from .crashmatrix import (
     CrashCell,
@@ -6,7 +12,7 @@ from .crashmatrix import (
     SchemeMatrixResult,
     run_crash_matrix,
 )
-from .driver import Simulation, run_simulation
+from .driver import run_simulation
 from .latency import (
     DAY_SECONDS,
     BusyInterval,
@@ -14,7 +20,7 @@ from .latency import (
     maintenance_timeline,
     simulate_query_latency,
 )
-from .metrics import DayMetrics, OverlapDayStats, SimulationResult
+from .metrics import DayMetrics, SimulationResult
 from .multidisk_sim import MultiDiskExecutor, MultiDiskReport
 from .querygen import (
     DriftingWorkload,
@@ -26,12 +32,7 @@ from .querygen import (
     uniform_key_picker,
     zipf_value_picker,
 )
-from .scheduler import (
-    ArrayPlanExecutor,
-    OverlapConfig,
-    OverlappedSimulation,
-    OverlapPolicy,
-)
+from .scheduler import ArrayPlanExecutor, OverlapPolicy
 
 
 def run_cluster_simulation(*args, **kwargs):
@@ -61,14 +62,10 @@ __all__ = [
     "MultiDiskExecutor",
     "MultiDiskReport",
     "ArrayPlanExecutor",
-    "OverlapConfig",
-    "OverlapDayStats",
     "OverlapPolicy",
-    "OverlappedSimulation",
     "ProbeUnit",
     "QueryWorkload",
     "ScanUnit",
-    "Simulation",
     "SimulationResult",
     "UnitOutcome",
     "run_cluster_simulation",

@@ -1,164 +1,32 @@
-"""Measured simulation driver.
+"""Measured simulation of one scheme on one device.
 
 Runs a maintenance scheme day by day against the *real* substrate — actual
 constituent indexes on the simulated disk — measuring what the analytic
 model only predicts: per-day maintenance seconds by phase, space peaks, and
 (optionally) a query stream's cost.  The two paths execute the same plans,
-so the driver doubles as the cross-validation harness for the cost model
+so the run doubles as the cross-validation harness for the cost model
 and as the engine behind the substrate-measured experiments (Figure 10's
 measured variant, Figure 11).
+
+The run is the cluster's day loop at ``k = 1, r = 1``, lockstep: one
+store, one device, maintenance from time zero, every query served after
+it (:class:`~repro.cluster.sim.ClusterSimulation`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-from ..core.executor import PlanExecutor
 from ..core.records import RecordStore
 from ..core.schemes.base import WaveScheme
-from ..core.wave import WaveIndex
-from ..errors import SchemeError
 from ..index.config import IndexConfig
 from ..index.updates import UpdateTechnique
-from ..obs import MetricsRegistry, Tracer
 from ..storage.bufferpool import BufferPoolModel
 from ..storage.cost import DiskParameters
 from ..storage.disk import SimulatedDisk
 from ..storage.pagecache import PageCache
-from .metrics import DayMetrics, SimulationResult
+from .metrics import SimulationResult
 from .querygen import QueryWorkload
-
-if TYPE_CHECKING:
-    from .scheduler import OverlapConfig
-
-
-class Simulation:
-    """Day-by-day measured run of one scheme on one record store.
-
-    Args:
-        scheme: Fresh scheme instance (defines ``W`` and ``n``).
-        store: Record batches for every day the run will touch — including
-            days before the window start if the scheme rebuilds old days.
-        technique: Update technique for constituent indexes.
-        index_config: Index layer settings (entry size, ``g``, directory).
-        disk_params: Hardware cost parameters.
-        queries: Optional daily query workload.
-        buffer_pool: Optional analytic residency model for the disk.
-        page_cache: Optional trace-driven page cache for the disk; its
-            per-day hit/miss deltas land in each :class:`DayMetrics`.
-    """
-
-    def __init__(
-        self,
-        scheme: WaveScheme,
-        store: RecordStore,
-        technique: UpdateTechnique = UpdateTechnique.SIMPLE_SHADOW,
-        index_config: IndexConfig | None = None,
-        disk_params: DiskParameters | None = None,
-        queries: QueryWorkload | None = None,
-        buffer_pool: BufferPoolModel | None = None,
-        page_cache: PageCache | None = None,
-    ) -> None:
-        self.scheme = scheme
-        self.store = store
-        self._init_substrate(
-            index_config, disk_params, buffer_pool, page_cache
-        )
-        self.executor = self._make_executor(technique)
-        self.queries = queries
-        self.obs = MetricsRegistry()
-        self.tracer = Tracer(lambda: self.disk.clock)
-        self.result = SimulationResult(
-            window=scheme.window,
-            n_indexes=scheme.n_indexes,
-            scheme_name=scheme.name,
-            technique=technique.value,
-        )
-        self._started = False
-
-    def _init_substrate(
-        self,
-        index_config: IndexConfig | None,
-        disk_params: DiskParameters | None,
-        buffer_pool: BufferPoolModel | None,
-        page_cache: PageCache | None,
-    ) -> None:
-        """Create ``self.disk`` and ``self.wave`` (overridden by the
-        overlapped scheduler, which serves from a disk array instead)."""
-        self.disk = SimulatedDisk(disk_params, buffer_pool, page_cache)
-        self.wave = WaveIndex(
-            self.disk, index_config or IndexConfig(), self.scheme.n_indexes
-        )
-
-    def _make_executor(self, technique: UpdateTechnique) -> PlanExecutor:
-        """Build the plan executor (overridden for array placement)."""
-        return PlanExecutor(self.wave, self.store, technique)
-
-    def run_start(self) -> DayMetrics:
-        """Execute the scheme's initial build (day ``W``)."""
-        if self._started:
-            raise SchemeError("simulation already started")
-        self._started = True
-        return self._run_day(self.scheme.window, self.scheme.start_ops())
-
-    def run_transition(self, day: int) -> DayMetrics:
-        """Execute one daily transition."""
-        if not self._started:
-            raise SchemeError("call run_start() first")
-        return self._run_day(day, self.scheme.transition_ops(day))
-
-    def run(self, last_day: int) -> SimulationResult:
-        """Run start plus transitions through ``last_day``."""
-        self.run_start()
-        for day in range(self.scheme.window + 1, last_day + 1):
-            self.run_transition(day)
-        return self.result
-
-    def _run_day(self, day: int, plan) -> DayMetrics:
-        io_before = self.disk.stats.snapshot()
-        cache = self.disk.page_cache
-        cache_before = cache.snapshot() if cache is not None else None
-        with self.tracer.span("day", day=day):
-            with self.tracer.span("maintenance", day=day):
-                report = self.executor.execute(plan)
-            query_seconds = 0.0
-            if self.queries is not None:
-                with self.tracer.span("queries", day=day):
-                    query_seconds = self.queries.run_day(
-                        self.wave, day, self.scheme.window
-                    )
-        io_delta = self.disk.stats.snapshot() - io_before
-        cache_delta = (
-            cache.snapshot() - cache_before if cache is not None else None
-        )
-        self._publish_day(io_delta, cache_delta, report.seconds, query_seconds)
-        metrics = DayMetrics(
-            day=day,
-            seconds=report.seconds,
-            query_seconds=query_seconds,
-            steady_bytes=self.disk.live_bytes,
-            constituent_bytes=self.wave.constituent_bytes,
-            peak_bytes=report.peak_bytes,
-            length_days=self.wave.total_length_days,
-            covered_days=frozenset(self.wave.covered_days()),
-            io=io_delta,
-            cache=cache_delta,
-        )
-        self.result.days.append(metrics)
-        return metrics
-
-    def _publish_day(self, io_delta, cache_delta, seconds, query_seconds) -> None:
-        """Feed the day's deltas into the metrics registry."""
-        self.obs.counter("days").inc()
-        self.obs.counter("io.seeks").inc(io_delta.seeks)
-        self.obs.counter("io.bytes_read").inc(io_delta.bytes_read)
-        self.obs.counter("io.bytes_written").inc(io_delta.bytes_written)
-        self.obs.histogram("day.maintenance_seconds").observe(seconds.total)
-        self.obs.histogram("day.query_seconds").observe(query_seconds)
-        if cache_delta is not None:
-            self.obs.counter("cache.hits").inc(cache_delta.hits)
-            self.obs.counter("cache.misses").inc(cache_delta.misses)
-            self.obs.counter("cache.evictions").inc(cache_delta.evictions)
 
 
 def run_simulation(
@@ -172,46 +40,24 @@ def run_simulation(
     queries: QueryWorkload | None = None,
     buffer_pool: BufferPoolModel | None = None,
     page_cache: PageCache | None = None,
-    overlap: "OverlapConfig | None" = None,
 ) -> SimulationResult:
-    """One-call convenience wrapper around :class:`Simulation`.
+    """Run start plus transitions through ``last_day``; return the metrics.
 
-    With ``overlap=None`` (the default) the run is the classic serialized
-    single-disk simulation, bit-identical to what this function has always
-    produced.  Passing an :class:`~repro.sim.scheduler.OverlapConfig`
-    serves the same scheme and query stream from a
-    :class:`~repro.storage.array.DiskArray` with maintenance and query
-    batches interleaved on a shared timeline (see
-    :mod:`repro.sim.scheduler`); per-day :class:`DayMetrics` then carry
-    an :class:`~repro.sim.metrics.OverlapDayStats`.
+    ``buffer_pool`` and ``page_cache`` attach to the one device.
     """
-    if overlap is not None:
-        from .scheduler import OverlappedSimulation
+    # Imported here: repro.cluster builds on this package.
+    from ..cluster.sim import ClusterConfig, ClusterSimulation
 
-        if buffer_pool is not None or page_cache is not None:
-            raise SchemeError(
-                "overlap= manages per-device caches itself; use "
-                "OverlapConfig.page_cache_bytes instead of "
-                "buffer_pool/page_cache"
-            )
-        overlapped = OverlappedSimulation(
-            scheme_factory(),
-            store,
-            technique=technique,
-            index_config=index_config,
-            disk_params=disk_params,
-            queries=queries,
-            overlap=overlap,
-        )
-        return overlapped.run(last_day)
-    sim = Simulation(
-        scheme_factory(),
+    sim = ClusterSimulation(
+        scheme_factory,
         store,
         technique=technique,
         index_config=index_config,
         disk_params=disk_params,
         queries=queries,
-        buffer_pool=buffer_pool,
-        page_cache=page_cache,
+        cluster=ClusterConfig(n_shards=1, maintenance="lockstep"),
+        device_factory=lambda _: SimulatedDisk(
+            disk_params, buffer_pool, page_cache
+        ),
     )
-    return sim.run(last_day)
+    return sim.run(last_day).shard_results[0]

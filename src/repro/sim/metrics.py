@@ -1,4 +1,4 @@
-"""Metrics collected by the measured simulation driver."""
+"""Per-shard metrics the day loop records: one :class:`DayMetrics` a day."""
 
 from __future__ import annotations
 
@@ -7,52 +7,6 @@ from dataclasses import dataclass, field
 from ..core.executor import PhaseSeconds
 from ..storage.pagecache import PageCacheSnapshot
 from ..storage.stats import IOSnapshot
-
-
-@dataclass(frozen=True)
-class OverlapDayStats:
-    """Timeline outcome of one overlapped day on a disk array.
-
-    Produced only by the overlapped scheduler
-    (:class:`~repro.sim.scheduler.OverlappedSimulation`); the serialized
-    driver leaves :attr:`DayMetrics.overlap` as ``None``.
-
-    ``makespan_seconds`` is the day's elapsed wall time on the shared
-    timeline (maintenance plus query serving, overlapped);
-    ``device_busy_seconds`` is each device's charged I/O time during the
-    day, so ``makespan - busy`` is that device's idle time.  The latency
-    summaries are :meth:`repro.obs.Histogram.summary` dicts over the
-    day's per-request latencies, split by whether the request arrived
-    while the transition was still in flight.
-    """
-
-    makespan_seconds: float
-    maintenance_makespan_seconds: float
-    device_busy_seconds: tuple[float, ...]
-    queries: int = 0
-    queries_waited: int = 0
-    queries_degraded: int = 0
-    wait_seconds_total: float = 0.0
-    degraded_missing_days: frozenset[int] = frozenset()
-    latency_during_transition: dict[str, float] | None = None
-    latency_steady_state: dict[str, float] | None = None
-
-    @property
-    def device_idle_seconds(self) -> tuple[float, ...]:
-        """Return per-device idle time within the day's makespan."""
-        return tuple(
-            max(0.0, self.makespan_seconds - busy)
-            for busy in self.device_busy_seconds
-        )
-
-    @property
-    def utilization(self) -> tuple[float, ...]:
-        """Return per-device busy fraction of the makespan (0 when idle)."""
-        if self.makespan_seconds <= 0.0:
-            return tuple(0.0 for _ in self.device_busy_seconds)
-        return tuple(
-            busy / self.makespan_seconds for busy in self.device_busy_seconds
-        )
 
 
 @dataclass(frozen=True)
@@ -75,7 +29,6 @@ class DayMetrics:
     covered_days: frozenset[int]
     io: IOSnapshot | None = None
     cache: PageCacheSnapshot | None = None
-    overlap: OverlapDayStats | None = None
 
     @property
     def total_work_seconds(self) -> float:
@@ -167,38 +120,3 @@ class SimulationResult:
     def total_cache_misses(self) -> int:
         """Return page-cache misses summed over the whole run."""
         return sum(d.cache_misses for d in self.days)
-
-    # ------------------------------------------------------------------
-    # Overlap aggregates (populated only by the overlapped scheduler)
-    # ------------------------------------------------------------------
-
-    def total_makespan_seconds(self) -> float:
-        """Return the summed per-day timeline lengths.
-
-        For serialized days (``overlap is None``) the day's makespan is
-        maintenance plus query time back-to-back, so the two run modes
-        are directly comparable.
-        """
-        total = 0.0
-        for d in self.days:
-            if d.overlap is not None:
-                total += d.overlap.makespan_seconds
-            else:
-                total += d.total_work_seconds
-        return total
-
-    def total_queries_waited(self) -> int:
-        """Return queries that waited on maintenance or a busy device."""
-        return sum(
-            d.overlap.queries_waited
-            for d in self.days
-            if d.overlap is not None
-        )
-
-    def total_queries_degraded(self) -> int:
-        """Return queries answered partially under the degrade policy."""
-        return sum(
-            d.overlap.queries_degraded
-            for d in self.days
-            if d.overlap is not None
-        )

@@ -9,12 +9,12 @@ devices overlap, contention on the same device serialises, exactly the
 behaviour the paper anticipates from "building new constituent indices on
 separate disks".
 
-Since the overlapped scheduler landed, the array mechanics live in
-:class:`~repro.storage.array.DiskArray` +
-:class:`~repro.sim.scheduler.ArrayPlanExecutor`; this module is a thin
-compatibility wrapper over that one multi-device code path, kept for its
-simpler day-at-a-time API.  New code should use the scheduler (or the
-cluster layer, :mod:`repro.cluster`) directly.
+The array mechanics live in :class:`~repro.storage.array.DiskArray` +
+:class:`~repro.sim.scheduler.ArrayPlanExecutor`, the one multi-device code
+path; this module places indexes by name and keeps a day-at-a-time API.
+The cluster's day loop runs the same executor for a replica that spans
+devices (``ClusterConfig(devices_per_replica=d)``), rotating its index
+creations over them and serving queries beside the maintenance.
 """
 
 from __future__ import annotations

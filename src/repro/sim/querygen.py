@@ -159,10 +159,9 @@ class QueryWorkload:
 
         Each unit is exactly one wave-index call (a probe, a scan, or one
         batched chunk of either); executing them in order performs the
-        same call sequence as :meth:`run_day`.  The overlapped scheduler
-        (:mod:`repro.sim.scheduler`) assigns each unit an arrival time on
-        the day's shared timeline; the serialized driver just sums their
-        costs.
+        same call sequence as :meth:`run_day`.  The cluster's serving pass
+        (:class:`~repro.cluster.ClusterSimulation`) assigns each unit an
+        arrival time on the day's shared timeline.
         """
         # crc32, not hash(): builtin string hashing is salted per process
         # (PYTHONHASHSEED), which would make the stream — and every bench

@@ -1,70 +1,36 @@
-"""Event-driven overlapped maintenance/serving on a disk array.
+"""Timeline pieces of the cluster's day loop.
 
 The paper's Section-3 argument for wave indexes is *availability*:
 maintenance touches one constituent at a time, so the other ``n - 1``
-stay queryable while reorganization runs "offline".  The serialized
-driver (:mod:`repro.sim.driver`) cannot measure that claim — it runs each
-day as transition-then-queries on a single device.  This module can: it
-spreads constituents over a :class:`~repro.storage.array.DiskArray` and
-interleaves the day's transition ops with its query batches at op
-granularity on a shared timeline.
+stay queryable while reorganization runs "offline".  The day loop
+(:meth:`repro.cluster.sim.ClusterSimulation.turn` plus its simulated
+serving pass) measures that claim on a shared timeline.  This module
+holds what it lays on that timeline:
 
-Model
------
-
-Each day is scheduled in two passes over the *measured* substrate:
-
-1. **Maintenance.**  The scheme's ops execute in plan order (op ``i+1``
-   logically depends on op ``i``), each charged to the devices its
-   target's I/O actually lands on.  Every op becomes an interval
-   ``[start, end)`` on the timeline; the devices it touched are busy for
-   that interval.  Under in-place updating, an op that mutates a live
-   constituent also *blocks* that constituent (the paper's concurrency
-   argument); shadowing techniques never block — queries read the old
-   version throughout.
-
-2. **Serving.**  The day's query units (:meth:`QueryWorkload.day_requests`)
-   arrive evenly spread over ``arrival_stretch x`` the maintenance
-   makespan, so part of the stream lands mid-transition and part in
-   steady state.  A query needing a blocked constituent either **waits**
-   for the blocking op to finish (:attr:`OverlapPolicy.WAIT`) or
-   **degrades** — skips the constituent and reports the lost days via
-   PR 1's degraded-window machinery (:attr:`OverlapPolicy.DEGRADE`).
-   Either way the query then occupies the devices its constituents live
-   on (first-come-first-served per device; reads of different devices
-   proceed in parallel), and its latency is completion minus arrival.
-
-Physical execution order within a day is identical to the serialized
-driver's — maintenance first, then the query stream in order — so with
-one device and the wait policy the scheduler reproduces the serialized
-:class:`~repro.sim.metrics.SimulationResult` *exactly* (asserted for
-every scheme by ``tests/sim/test_scheduler_equivalence.py``).  What the
-overlap adds is the timeline overlay: per-device busy/idle time, the
-day's makespan, and per-request latency histograms split into
-during-transition vs steady-state.
+* :class:`OverlapPolicy` — whether a query that needs a constituent an
+  in-place op is mutating **waits** for the op or **degrades**, skipping
+  the constituent and reporting the lost days;
+* :class:`OpInterval` — one executed op, ``[start, end)`` on the
+  timeline, with the devices it charged and whether it blocks readers;
+* :class:`ArrayPlanExecutor` — a plan executor whose indexes live on
+  several devices of a :class:`~repro.storage.array.DiskArray`: a replica
+  that spans devices rotates its index creations over them, so a
+  REINDEX-family rebuild streams to a device the serving constituents do
+  not occupy (the paper's "build new constituent indices on separate
+  disks"), and :mod:`repro.sim.multidisk_sim` places them by name.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.executor import ExecutionReport, PlanExecutor
-from ..core.ops import AddOp, DeleteOp, Op, UpdateOp
+from ..core.ops import Op, UpdateOp
 from ..core.records import RecordStore
-from ..core.schemes.base import WaveScheme
 from ..core.wave import WaveIndex
-from ..errors import SchemeError
-from ..index.config import IndexConfig
 from ..index.updates import UpdateTechnique
-from ..obs import Histogram
 from ..storage.array import DiskArray
-from ..storage.bufferpool import BufferPoolModel
-from ..storage.cost import DiskParameters
-from ..storage.pagecache import PageCache
-from .driver import Simulation
-from .metrics import DayMetrics, OverlapDayStats
-from .querygen import QueryUnit, QueryWorkload
 
 
 class OverlapPolicy(enum.Enum):
@@ -77,61 +43,12 @@ class OverlapPolicy(enum.Enum):
     DEGRADE = "degrade"
 
 
-#: Placement strategies accepted by :attr:`OverlapConfig.placement`.
-#: ``sticky`` pins each binding name to a device (round-robin on first
-#: sight) — rebuilds of ``I1`` land on ``I1``'s device and contend with
-#: its readers.  ``rotate`` sends each index *creation* to the next
-#: device in turn, so a REINDEX-family rebuild streams to an idle spindle
-#: while the old version keeps serving — the paper's "build new
-#: constituent indices on separate disks".  ``hash`` places by stable
-#: name hash (arrival-order independent).
-PLACEMENT_STRATEGIES = ("sticky", "rotate", "hash")
-
-
-@dataclass(frozen=True)
-class OverlapConfig:
-    """Parameters of the overlapped scheduler.
-
-    Args:
-        n_devices: Devices in the array.  ``1`` reproduces the serialized
-            driver exactly (under :attr:`OverlapPolicy.WAIT`).
-        policy: Wait-or-degrade behaviour for blocked constituents.
-        placement: One of :data:`PLACEMENT_STRATEGIES`.
-        arrival_stretch: Queries arrive evenly over
-            ``arrival_stretch x maintenance_makespan`` — 2.0 puts half
-            the stream mid-transition and half in steady state.
-        page_cache_bytes: Optional per-device LRU page-cache capacity.
-        page_size: Page size for the per-device caches.
-    """
-
-    n_devices: int = 2
-    policy: OverlapPolicy = OverlapPolicy.WAIT
-    placement: str = "rotate"
-    arrival_stretch: float = 2.0
-    page_cache_bytes: int | None = None
-    page_size: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_devices < 1:
-            raise ValueError(f"need at least one device, got {self.n_devices}")
-        if self.placement not in PLACEMENT_STRATEGIES:
-            raise ValueError(
-                f"unknown placement {self.placement!r}; "
-                f"known: {', '.join(PLACEMENT_STRATEGIES)}"
-            )
-        if self.arrival_stretch < 1.0:
-            raise ValueError(
-                f"arrival_stretch must be >= 1.0, got {self.arrival_stretch}"
-            )
-        if self.page_cache_bytes is not None and self.page_cache_bytes < 1:
-            raise ValueError(
-                f"page_cache_bytes must be >= 1, got {self.page_cache_bytes}"
-            )
-
-
 @dataclass(frozen=True)
 class OpInterval:
-    """One executed maintenance op laid on the day's shared timeline."""
+    """One executed maintenance op laid on the day's shared timeline.
+
+    ``devices`` are the array indexes the op charged time to.
+    """
 
     op: Op
     target: str
@@ -140,35 +57,17 @@ class OpInterval:
     end: float
     blocking: bool
 
-    @property
-    def duration(self) -> float:
-        """Return the op's charged seconds."""
-        return self.end - self.start
-
-
-@dataclass
-class _QueryTally:
-    """Mutable per-day accumulators for the serving pass."""
-
-    seconds: float = 0.0
-    queries: int = 0
-    waited: int = 0
-    degraded: int = 0
-    wait_seconds: float = 0.0
-    last_completion: float = 0.0
-    missing_days: set[int] = field(default_factory=set)
-
 
 class ArrayPlanExecutor(PlanExecutor):
     """A plan executor placing index creations across a disk array.
 
-    ``sticky``/``hash`` placement delegates to the array's
-    :class:`~repro.storage.array.Placement`; ``rotate`` sends each
-    creation (Build/CreateEmpty/Copy target) to the next device in turn
-    regardless of name, which is what isolates REINDEX-family rebuilds
-    from the serving constituents.  All other ops read/write wherever
-    their index physically lives (``index.disk``), so per-device
-    accounting follows the bytes.
+    By default a creation (Build/CreateEmpty/Copy target) lands where the
+    array's :class:`~repro.storage.array.Placement` puts its name;
+    ``rotate_creations`` sends each to the next device in turn regardless
+    of name, which is what isolates REINDEX-family rebuilds from the
+    serving constituents.  All other ops read/write wherever their index
+    physically lives (``index.disk``), so per-device accounting follows
+    the bytes.
     """
 
     def __init__(
@@ -228,324 +127,3 @@ class ArrayPlanExecutor(PlanExecutor):
         report.ops_executed += 1
         if injector is not None:
             injector.note_op_completed()
-
-
-class OverlappedSimulation(Simulation):
-    """Day-by-day overlapped run of one scheme on a disk array.
-
-    Public surface matches :class:`~repro.sim.driver.Simulation`
-    (``run_start`` / ``run_transition`` / ``run`` / ``result``); each
-    produced :class:`~repro.sim.metrics.DayMetrics` additionally carries
-    an :class:`~repro.sim.metrics.OverlapDayStats`, and the run-level
-    latency histograms are available as :attr:`latency_during` /
-    :attr:`latency_steady`.
-    """
-
-    def __init__(
-        self,
-        scheme: WaveScheme,
-        store: RecordStore,
-        technique: UpdateTechnique = UpdateTechnique.SIMPLE_SHADOW,
-        index_config: IndexConfig | None = None,
-        disk_params: DiskParameters | None = None,
-        queries: QueryWorkload | None = None,
-        *,
-        overlap: OverlapConfig | None = None,
-        array: DiskArray | None = None,
-    ) -> None:
-        self.overlap = overlap or OverlapConfig()
-        if array is not None:
-            if len(array) != self.overlap.n_devices:
-                raise SchemeError(
-                    f"array has {len(array)} devices, config says "
-                    f"{self.overlap.n_devices}"
-                )
-            self.array = array
-        else:
-            strategy = (
-                "hash" if self.overlap.placement == "hash" else "round_robin"
-            )
-            self.array = DiskArray.create(
-                self.overlap.n_devices,
-                params=disk_params,
-                page_cache_bytes=self.overlap.page_cache_bytes,
-                page_size=self.overlap.page_size,
-                strategy=strategy,
-            )
-        super().__init__(
-            scheme,
-            store,
-            technique=technique,
-            index_config=index_config,
-            disk_params=disk_params,
-            queries=queries,
-        )
-        #: Run-level per-request latency distributions (simulated seconds).
-        self.latency_during: Histogram = self.obs.histogram(
-            "query.latency.during_transition"
-        )
-        self.latency_steady: Histogram = self.obs.histogram(
-            "query.latency.steady_state"
-        )
-
-    # -- substrate hooks ------------------------------------------------
-
-    def _init_substrate(
-        self,
-        index_config: IndexConfig | None,
-        disk_params: DiskParameters | None,
-        buffer_pool: BufferPoolModel | None,
-        page_cache: PageCache | None,
-    ) -> None:
-        if buffer_pool is not None or page_cache is not None:
-            raise SchemeError(
-                "OverlappedSimulation manages per-device caches; set "
-                "OverlapConfig.page_cache_bytes"
-            )
-        self.disk = self.array.devices[0]
-        self.wave = WaveIndex(
-            self.disk, index_config or IndexConfig(), self.scheme.n_indexes
-        )
-
-    def _make_executor(self, technique: UpdateTechnique) -> PlanExecutor:
-        return ArrayPlanExecutor(
-            self.wave,
-            self.store,
-            technique,
-            array=self.array,
-            rotate_creations=self.overlap.placement == "rotate",
-        )
-
-    # -- scheduling -----------------------------------------------------
-
-    def _op_blocks_queries(self, op: Op) -> bool:
-        """Return ``True`` if executing ``op`` makes its target unreadable.
-
-        Mirrors :func:`repro.sim.latency.maintenance_timeline`: only
-        in-place mutation of a live constituent blocks; shadowing swaps
-        atomically and rebuilds leave the old version serving.
-        """
-        if self.executor.technique is not UpdateTechnique.IN_PLACE:
-            return False
-        return isinstance(
-            op, (AddOp, DeleteOp, UpdateOp)
-        ) and self.wave.is_constituent(op.target)
-
-    def _run_maintenance(
-        self, plan: list[Op], report: ExecutionReport
-    ) -> list[OpInterval]:
-        """Execute the plan op by op; return its timeline intervals."""
-        intervals: list[OpInterval] = []
-        cursor = 0.0
-        for op in plan:
-            clocks_before = self.array.clocks()
-            blocking = self._op_blocks_queries(op)
-            self.executor.execute_op(op, report)
-            deltas = [
-                after - before
-                for before, after in zip(clocks_before, self.array.clocks())
-            ]
-            duration = sum(deltas)
-            intervals.append(
-                OpInterval(
-                    op=op,
-                    target=getattr(op, "target", ""),
-                    devices=tuple(
-                        i for i, delta in enumerate(deltas) if delta > 0
-                    ),
-                    start=cursor,
-                    end=cursor + duration,
-                    blocking=blocking,
-                )
-            )
-            cursor += duration
-        return intervals
-
-    def _blocked_until(
-        self, needed: set[str], arrival: float, blocking: list[OpInterval]
-    ) -> tuple[set[str], float]:
-        """Return the constituents blocked at ``arrival`` and the release.
-
-        Under the wait policy a query re-checks after each release (a
-        constituent can be mutated by several ops in one plan), so the
-        returned release time is a fixed point.
-        """
-        release = arrival
-        blocked: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for interval in blocking:
-                if interval.target not in needed:
-                    continue
-                if interval.start <= release < interval.end:
-                    blocked.add(interval.target)
-                    release = interval.end
-                    changed = True
-        return blocked, release
-
-    def _run_queries(
-        self,
-        day: int,
-        intervals: list[OpInterval],
-        maintenance_end: float,
-        device_avail: list[float],
-        day_during: Histogram,
-        day_steady: Histogram,
-    ) -> _QueryTally:
-        """Schedule and execute the day's query units on the timeline."""
-        tally = _QueryTally()
-        assert self.queries is not None
-        units: list[QueryUnit] = self.queries.day_requests(
-            day, self.scheme.window
-        )
-        if not units:
-            return tally
-        horizon = maintenance_end * self.overlap.arrival_stretch
-        blocking = [iv for iv in intervals if iv.blocking]
-        wait_policy = self.overlap.policy is OverlapPolicy.WAIT
-        for i, unit in enumerate(units):
-            arrival = horizon * i / len(units)
-            needed = unit.needed_constituents(self.wave)
-            blocked, release = self._blocked_until(needed, arrival, blocking)
-            if wait_policy:
-                wait = release - arrival
-                degraded_names: set[str] = set()
-            else:
-                wait = 0.0
-                degraded_names = blocked
-            ready = arrival + wait
-
-            # Physical execution against the measured substrate.  Degraded
-            # units see the blocked constituents as offline for the call.
-            added_offline = degraded_names - self.wave.offline
-            self.wave.offline |= added_offline
-            clocks_before = self.array.clocks()
-            try:
-                outcome = unit.execute(self.wave, degraded=bool(degraded_names))
-            finally:
-                self.wave.offline -= added_offline
-            deltas = [
-                after - before
-                for before, after in zip(clocks_before, self.array.clocks())
-            ]
-
-            # Greedy FCFS per device: the unit's reads of different
-            # devices proceed in parallel; same-device work queues.
-            ends: list[float] = []
-            for device, delta in enumerate(deltas):
-                if delta <= 0:
-                    continue
-                start_d = max(ready, device_avail[device])
-                device_avail[device] = start_d + delta
-                ends.append(start_d + delta)
-            completion = max(ends) if ends else ready
-            latency = completion - arrival
-            service_parallel = max(
-                (delta for delta in deltas if delta > 0), default=0.0
-            )
-
-            tally.seconds += outcome.seconds
-            tally.queries += unit.requests
-            tally.last_completion = max(tally.last_completion, completion)
-            tally.wait_seconds += wait * unit.requests
-            if latency > service_parallel + 1e-12:
-                tally.waited += unit.requests
-            if degraded_names and outcome.missing_days:
-                tally.degraded += unit.requests
-                tally.missing_days.update(outcome.missing_days)
-            histogram = (
-                day_during if arrival < maintenance_end else day_steady
-            )
-            run_histogram = (
-                self.latency_during
-                if arrival < maintenance_end
-                else self.latency_steady
-            )
-            for _ in range(unit.requests):
-                histogram.observe(latency)
-                run_histogram.observe(latency)
-        return tally
-
-    # -- day loop -------------------------------------------------------
-
-    def _run_day(self, day: int, plan: list[Op]) -> DayMetrics:
-        array = self.array
-        io_before = array.io_snapshot()
-        cache_before = array.cache_snapshot()
-        clocks_start = array.clocks()
-        array.reset_high_water()
-        report = ExecutionReport()
-        day_during = Histogram("latency.during")
-        day_steady = Histogram("latency.steady")
-
-        with self.tracer.span("day", day=day):
-            with self.tracer.span("maintenance", day=day):
-                intervals = self._run_maintenance(plan, report)
-            report.peak_bytes = array.high_water_bytes
-            maintenance_end = intervals[-1].end if intervals else 0.0
-            device_avail = [0.0] * len(array)
-            for interval in intervals:
-                for device in interval.devices:
-                    device_avail[device] = max(
-                        device_avail[device], interval.end
-                    )
-            tally = _QueryTally()
-            if self.queries is not None:
-                with self.tracer.span("queries", day=day):
-                    tally = self._run_queries(
-                        day,
-                        intervals,
-                        maintenance_end,
-                        device_avail,
-                        day_during,
-                        day_steady,
-                    )
-
-        makespan = max(maintenance_end, tally.last_completion)
-        busy = tuple(
-            after - before
-            for before, after in zip(clocks_start, array.clocks())
-        )
-        overlap_stats = OverlapDayStats(
-            makespan_seconds=makespan,
-            maintenance_makespan_seconds=maintenance_end,
-            device_busy_seconds=busy,
-            queries=tally.queries,
-            queries_waited=tally.waited,
-            queries_degraded=tally.degraded,
-            wait_seconds_total=tally.wait_seconds,
-            degraded_missing_days=frozenset(tally.missing_days),
-            latency_during_transition=(
-                day_during.summary() if day_during.count else None
-            ),
-            latency_steady_state=(
-                day_steady.summary() if day_steady.count else None
-            ),
-        )
-        io_delta = array.io_snapshot() - io_before
-        cache_after = array.cache_snapshot()
-        cache_delta = (
-            cache_after - cache_before
-            if cache_after is not None and cache_before is not None
-            else None
-        )
-        self._publish_day(
-            io_delta, cache_delta, report.seconds, tally.seconds
-        )
-        self.obs.histogram("day.makespan_seconds").observe(makespan)
-        metrics = DayMetrics(
-            day=day,
-            seconds=report.seconds,
-            query_seconds=tally.seconds,
-            steady_bytes=array.live_bytes,
-            constituent_bytes=self.wave.constituent_bytes,
-            peak_bytes=report.peak_bytes,
-            length_days=self.wave.total_length_days,
-            covered_days=frozenset(self.wave.covered_days()),
-            io=io_delta,
-            cache=cache_delta,
-            overlap=overlap_stats,
-        )
-        self.result.days.append(metrics)
-        return metrics

@@ -18,7 +18,7 @@ from repro.analysis.parameters import (
 from repro.core.schemes import ALL_SCHEMES, DelScheme, ReindexScheme
 from repro.index.config import IndexConfig
 from repro.index.updates import UpdateTechnique
-from repro.sim.driver import Simulation
+from repro.sim.driver import run_simulation
 from repro.workloads.text import TextWorkloadConfig, build_store
 
 WINDOW, N, LAST = 6, 2, 24
@@ -70,8 +70,9 @@ def calibrated_params(store) -> CostParameters:
 
 
 def measured_average(store, scheme_cls, technique):
-    sim = Simulation(scheme_cls(WINDOW, N), store, technique=technique)
-    result = sim.run(LAST)
+    result = run_simulation(
+        lambda: scheme_cls(WINDOW, N), store, last_day=LAST, technique=technique
+    )
     days = result.steady_days(warmup=WINDOW)
     n = len(days)
     return (

@@ -13,7 +13,7 @@ from repro.core.records import RecordStore
 from repro.core.schemes.wata import WataStarScheme
 from repro.index.config import IndexConfig
 from repro.index.updates import UpdateTechnique
-from repro.sim.driver import Simulation
+from repro.sim.driver import run_simulation
 from repro.workloads.text import NetnewsGenerator, TextWorkloadConfig
 from repro.workloads.usenet import weekly_volume_trace
 
@@ -49,13 +49,13 @@ class TestMeasuredSizeRatio:
 
         # Measured: peak constituent bytes over the run, against the peak
         # a packed hard window would need (entry bytes).
-        sim = Simulation(
-            WataStarScheme(WINDOW, n),
+        result = run_simulation(
+            lambda: WataStarScheme(WINDOW, n),
             store,
+            last_day=LAST,
             technique=UpdateTechnique.PACKED_SHADOW,
             index_config=IndexConfig(),
         )
-        result = sim.run(LAST)
         entry_size = 16
         measured_peak = max(d.constituent_bytes for d in result.days)
         eager_peak = eager * entry_size

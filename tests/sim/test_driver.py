@@ -1,13 +1,16 @@
-"""Tests for the measured simulation driver."""
+"""Tests for the measured simulation: the one-shard, one-device day loop."""
 
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterSimulation
 from repro.core.schemes import DelScheme, ReindexScheme, WataStarScheme
-from repro.errors import SchemeError
+from repro.errors import ClusterError
 from repro.index.updates import UpdateTechnique
-from repro.sim.driver import Simulation, run_simulation
+from repro.sim.driver import run_simulation
 from repro.sim.querygen import QueryWorkload
 from tests.conftest import make_store
+
+SINGLE = ClusterConfig(n_shards=1, maintenance="lockstep")
 
 
 class TestSimulation:
@@ -23,11 +26,15 @@ class TestSimulation:
         assert result.days[-1].covered_days == frozenset(range(7, 17))
 
     def test_start_must_come_first(self):
-        sim = Simulation(DelScheme(5, 1), make_store(10))
-        with pytest.raises(SchemeError):
+        sim = ClusterSimulation(
+            lambda: DelScheme(5, 1), make_store(10), cluster=SINGLE
+        )
+        with pytest.raises(ClusterError):
             sim.run_transition(6)
+        with pytest.raises(ClusterError):
+            sim.turn(6)
         sim.run_start()
-        with pytest.raises(SchemeError):
+        with pytest.raises(ClusterError):
             sim.run_start()
 
     def test_metrics_track_space_and_time(self):
@@ -104,27 +111,25 @@ class TestObservability:
         assert result.total_cache_hits() == 0
         assert all(d.io is not None for d in result.days)
 
-    def test_registry_and_tracer_populated(self):
-        from repro.storage.pagecache import PageCache
-
+    def test_registry_populated(self):
         store = make_store(12)
-        sim = Simulation(
-            DelScheme(6, 2),
+        sim = ClusterSimulation(
+            lambda: DelScheme(6, 2),
             store,
             queries=QueryWorkload(
                 probes_per_day=3,
                 value_picker=lambda rng: rng.choice("abcdefgh"),
                 seed=1,
             ),
-            page_cache=PageCache(1 << 20),
+            cluster=ClusterConfig(
+                n_shards=1, maintenance="lockstep", page_cache_bytes=1 << 20
+            ),
         )
-        sim.run(9)
+        result = sim.run(9)
         counters = sim.obs.counters()
-        assert counters["days"] == 4.0
-        assert counters["io.seeks"] > 0
-        assert counters["cache.hits"] + counters["cache.misses"] > 0
-        phases = sim.tracer.phase_seconds()
-        assert phases["maintenance"] > 0
-        assert "queries" in phases
-        hist = sim.obs.histogram("day.maintenance_seconds")
-        assert hist.count == 4
+        assert counters["cluster.days"] == 4.0
+        assert counters["cluster.queries"] == 12.0
+        assert sim.obs.histogram("cluster.day.makespan_seconds").count == 4
+        assert sim.latency_during.count + sim.latency_steady.count == 12
+        shard = result.shard_results[0]
+        assert shard.total_cache_hits() + shard.total_cache_misses() > 0

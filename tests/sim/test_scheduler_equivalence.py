@@ -1,23 +1,25 @@
-"""Serialized-equivalence guarantee of the overlapped scheduler.
+"""Serialized equivalence of the day loop's one-device configuration.
 
-With one device and the wait policy, the overlapped scheduler must
-reproduce the classic serialized driver's :class:`SimulationResult`
-*exactly* — same phase seconds, same query seconds, same space, same I/O
-counters — for every scheme and technique.  This is the invariant that
-makes the overlap benchmark's serialized/overlapped comparison a
-controlled experiment rather than two different simulators.
+:func:`run_simulation` is the cluster's day loop with one shard, one
+replica on one device, lockstep maintenance: the overlap benchmark's
+serialized mode.  It must reproduce the serialized driver it replaced
+(kept as ``tests/reference/serialized.py``) *exactly* — same phase
+seconds, same query seconds, same space, same I/O counters — for every
+scheme and technique.  This is the invariant that makes the overlap
+benchmark's serialized/overlapped comparison a controlled experiment
+rather than two different simulators.
 """
-
-import dataclasses
 
 import pytest
 
+from repro.cluster import ClusterConfig, run_cluster_simulation
 from repro.core.schemes import scheme_by_name
 from repro.index.updates import UpdateTechnique
 from repro.sim.driver import run_simulation
 from repro.sim.querygen import QueryWorkload
-from repro.sim.scheduler import OverlapConfig, OverlapPolicy
+from repro.sim.scheduler import OverlapPolicy
 from tests.conftest import make_store
+from tests.reference.serialized import Simulation
 
 ALL_CLI_SCHEMES = (
     "DEL",
@@ -27,11 +29,6 @@ ALL_CLI_SCHEMES = (
     "WATA*",
     "RATA*",
     "WATA(table4)",
-)
-
-#: k=1 + wait + name-sticky placement: the serialized driver's world.
-SERIALIZED_EQUIVALENT = OverlapConfig(
-    n_devices=1, policy=OverlapPolicy.WAIT, placement="sticky"
 )
 
 
@@ -44,12 +41,8 @@ def _workload() -> QueryWorkload:
     )
 
 
-def _strip_overlap(result):
-    """Return ``result`` with the overlay-only fields removed."""
-    return dataclasses.replace(
-        result,
-        days=[dataclasses.replace(d, overlap=None) for d in result.days],
-    )
+def _reference(scheme, last, **kwargs):
+    return Simulation(scheme, make_store(last), **kwargs).run(last)
 
 
 class TestSerializedEquivalence:
@@ -57,22 +50,14 @@ class TestSerializedEquivalence:
     def test_every_scheme_reproduces_serialized_result(self, name):
         W, n, last = 10, 4, 16
         scheme_cls = scheme_by_name(name)
-        serialized = run_simulation(
+        serialized = _reference(scheme_cls(W, n), last, queries=_workload())
+        result = run_simulation(
             lambda: scheme_cls(W, n),
             make_store(last),
             last_day=last,
             queries=_workload(),
         )
-        overlapped = run_simulation(
-            lambda: scheme_cls(W, n),
-            make_store(last),
-            last_day=last,
-            queries=_workload(),
-            overlap=SERIALIZED_EQUIVALENT,
-        )
-        assert _strip_overlap(overlapped) == serialized
-        # The overlay itself must still be present on every day.
-        assert all(d.overlap is not None for d in overlapped.days)
+        assert result == serialized
 
     @pytest.mark.parametrize(
         "technique",
@@ -85,61 +70,48 @@ class TestSerializedEquivalence:
     def test_equivalence_holds_per_technique(self, technique):
         W, n, last = 8, 2, 13
         scheme_cls = scheme_by_name("DEL")
-        serialized = run_simulation(
+        serialized = _reference(
+            scheme_cls(W, n), last, technique=technique, queries=_workload()
+        )
+        result = run_simulation(
             lambda: scheme_cls(W, n),
             make_store(last),
             last_day=last,
             technique=technique,
             queries=_workload(),
         )
-        overlapped = run_simulation(
-            lambda: scheme_cls(W, n),
-            make_store(last),
-            last_day=last,
-            technique=technique,
-            queries=_workload(),
-            overlap=SERIALIZED_EQUIVALENT,
-        )
-        assert _strip_overlap(overlapped) == serialized
+        assert result == serialized
 
     def test_equivalence_without_queries(self):
         W, n, last = 8, 3, 12
         scheme_cls = scheme_by_name("REINDEX+")
-        serialized = run_simulation(
+        serialized = _reference(scheme_cls(W, n), last)
+        result = run_simulation(
             lambda: scheme_cls(W, n), make_store(last), last_day=last
         )
-        overlapped = run_simulation(
-            lambda: scheme_cls(W, n),
-            make_store(last),
-            last_day=last,
-            overlap=SERIALIZED_EQUIVALENT,
-        )
-        assert _strip_overlap(overlapped) == serialized
+        assert result == serialized
 
     def test_degrade_policy_on_one_device_also_matches(self):
         # With a single device nothing is ever offline under shadowing,
         # so even the degrade policy cannot diverge from serialized.
         W, n, last = 8, 2, 12
         scheme_cls = scheme_by_name("REINDEX")
-        serialized = run_simulation(
+        serialized = _reference(scheme_cls(W, n), last, queries=_workload())
+        result = run_cluster_simulation(
             lambda: scheme_cls(W, n),
             make_store(last),
             last_day=last,
             queries=_workload(),
-        )
-        overlapped = run_simulation(
-            lambda: scheme_cls(W, n),
-            make_store(last),
-            last_day=last,
-            queries=_workload(),
-            overlap=OverlapConfig(
-                n_devices=1, policy=OverlapPolicy.DEGRADE, placement="sticky"
+            cluster=ClusterConfig(
+                n_shards=1,
+                maintenance="lockstep",
+                policy=OverlapPolicy.DEGRADE,
             ),
         )
-        assert _strip_overlap(overlapped) == serialized
+        assert result.shard_results[0] == serialized
 
     def test_serialized_default_is_untouched_by_scheduler_import(self):
-        # run_simulation without overlap= must still use the plain driver.
+        # run_simulation is exactly the one-shard, one-device cluster.
         W, n, last = 6, 2, 9
         result = run_simulation(
             lambda: scheme_by_name("DEL")(W, n),
@@ -147,17 +119,11 @@ class TestSerializedEquivalence:
             last_day=last,
             queries=_workload(),
         )
-        assert all(d.overlap is None for d in result.days)
-
-    def test_overlap_rejects_external_caches(self):
-        from repro.errors import SchemeError
-        from repro.storage.pagecache import PageCache
-
-        with pytest.raises(SchemeError):
-            run_simulation(
-                lambda: scheme_by_name("DEL")(5, 1),
-                make_store(8),
-                last_day=8,
-                page_cache=PageCache(1 << 16),
-                overlap=SERIALIZED_EQUIVALENT,
-            )
+        cluster = run_cluster_simulation(
+            lambda: scheme_by_name("DEL")(W, n),
+            make_store(last),
+            last_day=last,
+            queries=_workload(),
+            cluster=ClusterConfig(n_shards=1, maintenance="lockstep"),
+        )
+        assert result == cluster.shard_results[0]
