@@ -8,16 +8,16 @@ quick configuration so the harness stays fast.
 """
 
 from repro.bench.serving import (
+    BENCH,
     quick_config,
     render_summary,
     run_serving_bench,
-    validate_report,
 )
 
 
 def test_bench_serving(report):
     result = run_serving_bench(quick_config())
-    validate_report(result)
+    BENCH.validate(result)
     base = result["configs"][0]
     fast = result["configs"][-1]
     assert fast["seconds"] < base["seconds"]

@@ -28,15 +28,12 @@ answer, never the answer.
 
 from __future__ import annotations
 
-import json
-import random
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any
 
 from ..advisor import AdvisorConfig
 from ..cluster import ClusterConfig, ClusterSimulation
-from ..core.records import Record, RecordStore
+from ..core.records import RecordStore
 from ..core.schemes import scheme_by_name
 from ..sim.querygen import (
     DriftingWorkload,
@@ -44,47 +41,8 @@ from ..sim.querygen import (
     WorkloadPhase,
     uniform_key_picker,
 )
-
-#: Schema version stamped into BENCH_advisor.json.
-SCHEMA_VERSION = 1
-
-#: Top-level keys every BENCH_advisor.json must carry (CI smoke-checks).
-REQUIRED_KEYS = (
-    "bench",
-    "schema_version",
-    "workload",
-    "advisor",
-    "timeline",
-    "statics",
-    "divergent",
-    "headline",
-)
-
-#: Keys every per-day timeline entry must carry.
-REQUIRED_DAY_KEYS = (
-    "day",
-    "queries",
-    "makespan_seconds",
-    "cost_seconds",
-    "retunes",
-    "retunes_aborted",
-)
-
-#: Headline keys the CI smoke job asserts on.
-REQUIRED_HEADLINE_KEYS = (
-    "advisor_drift_advantage",
-    "advisor_cost",
-    "best_static",
-    "best_static_cost",
-    "beats_every_static",
-    "retunes",
-    "uniform_qps",
-    "divergent_qps",
-    "divergent_gain",
-    "divergent_beats_uniform",
-    "bit_identical",
-    "claim",
-)
+from ..workloads.keys import build_int_store
+from .harness import SCHEMA_VERSION, Bench, Schema, claim_passes
 
 
 @dataclass(frozen=True)
@@ -181,29 +139,6 @@ def quick_config(base: AdvisorBenchConfig | None = None) -> AdvisorBenchConfig:
     """
     base = base or AdvisorBenchConfig()
     return replace(base, quick=True)
-
-
-def _build_store(
-    config: AdvisorBenchConfig, *, per_day: int, last_day: int
-) -> RecordStore:
-    """Build a seeded integer-keyed store."""
-    rng = random.Random(config.seed)
-    store = RecordStore()
-    record_id = 0
-    for day in range(1, last_day + 1):
-        records = []
-        for _ in range(per_day):
-            records.append(
-                Record(
-                    record_id=record_id,
-                    day=day,
-                    values=(rng.randint(1, config.domain),),
-                    nbytes=config.record_bytes,
-                )
-            )
-            record_id += 1
-        store.add_records(day, records)
-    return store
 
 
 def _drift_workload(config: AdvisorBenchConfig) -> DriftingWorkload:
@@ -364,8 +299,12 @@ def _run_divergent_pair(
 ) -> tuple[dict[str, Any], bool]:
     """Race divergent vs uniform replica designs on one mixed stream."""
     last_day = config.window + config.divergent_transitions
-    store = _build_store(
-        config, per_day=config.divergent_records_per_day, last_day=last_day
+    store = build_int_store(
+        config.seed,
+        last_day,
+        config.divergent_records_per_day,
+        config.domain,
+        config.record_bytes,
     )
     workload = QueryWorkload(
         probes_per_day=config.divergent_probes,
@@ -451,8 +390,12 @@ def run_advisor_bench(
 ) -> dict[str, Any]:
     """Run the drift race and the divergent pair; return the report."""
     config = config or AdvisorBenchConfig()
-    store = _build_store(
-        config, per_day=config.records_per_day, last_day=config.last_day
+    store = build_int_store(
+        config.seed,
+        config.last_day,
+        config.records_per_day,
+        config.domain,
+        config.record_bytes,
     )
     queries = _drift_workload(config)
 
@@ -582,43 +525,14 @@ def run_advisor_bench(
         "divergent": divergent,
         "headline": headline,
     }
-    validate_report(report)
-    return report
+    return BENCH.validate(report)
 
 
-def validate_report(report: dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` matches the committed schema.
-
-    This is the assertion the CI smoke job runs against the artifact.
-    """
-    for key in REQUIRED_KEYS:
-        if key not in report:
-            raise ValueError(f"BENCH_advisor report missing key {key!r}")
-    if report["bench"] != "advisor":
-        raise ValueError(f"unexpected bench {report['bench']!r}")
-    if not report["timeline"]:
-        raise ValueError("BENCH_advisor report has no timeline entries")
-    for entry in report["timeline"]:
-        for key in REQUIRED_DAY_KEYS:
-            if key not in entry:
-                raise ValueError(
-                    f"timeline day={entry.get('day')} missing key {key!r}"
-                )
+def _check(report: dict[str, Any]) -> None:
     if not report["statics"]:
-        raise ValueError("BENCH_advisor report raced no static designs")
-    headline = report["headline"]
-    for key in REQUIRED_HEADLINE_KEYS:
-        if key not in headline:
-            raise ValueError(f"headline missing {key!r}")
-    if headline["advisor_drift_advantage"] < 0:
+        raise ValueError("advisor report raced no static designs")
+    if report["headline"]["advisor_drift_advantage"] < 0:
         raise ValueError("negative advisor_drift_advantage")
-
-
-def write_report(report: dict[str, Any], path: str | Path) -> Path:
-    """Write ``report`` as pretty JSON; return the path."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def render_summary(report: dict[str, Any]) -> str:
@@ -669,3 +583,47 @@ def render_summary(report: dict[str, Any]) -> str:
     )
     lines.append(f"  claim: {'PASS' if h['claim']['pass'] else 'FAIL'}")
     return "\n".join(lines)
+
+
+BENCH = Bench(
+    name="advisor",
+    config=AdvisorBenchConfig,
+    quick_config=quick_config,
+    run=run_advisor_bench,
+    render_summary=render_summary,
+    schema=Schema(
+        keys=(
+            "workload",
+            "advisor",
+            "timeline",
+            "statics",
+            "divergent",
+            "headline",
+        ),
+        rows="timeline",
+        row_keys=(
+            "day",
+            "queries",
+            "makespan_seconds",
+            "cost_seconds",
+            "retunes",
+            "retunes_aborted",
+        ),
+        headline=(
+            "advisor_drift_advantage",
+            "advisor_cost",
+            "best_static",
+            "best_static_cost",
+            "beats_every_static",
+            "retunes",
+            "uniform_qps",
+            "divergent_qps",
+            "divergent_gain",
+            "divergent_beats_uniform",
+            "bit_identical",
+            "claim",
+        ),
+    ),
+    claim=claim_passes,
+    check=_check,
+)

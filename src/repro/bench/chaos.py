@@ -36,10 +36,8 @@ Results go to ``BENCH_chaos.json`` (``repro chaos-soak``); the headline
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any
 
 from ..cluster import (
@@ -50,52 +48,14 @@ from ..cluster import (
 )
 from ..core.records import RecordStore
 from ..core.schemes import scheme_by_name
-from ..sim.querygen import QueryWorkload, zipf_value_picker
+from ..sim.querygen import zipf_value_picker
 from ..storage.faults import (
     CrashPoint,
     FaultInjector,
     FaultyDisk,
     RetryPolicy,
 )
-from ..workloads.text import NetnewsGenerator, TextWorkloadConfig
-from ..workloads.zipf import heaps_vocabulary
-
-#: Schema version stamped into BENCH_chaos.json.
-SCHEMA_VERSION = 1
-
-#: Top-level keys every BENCH_chaos.json must carry (CI smoke-checks).
-REQUIRED_KEYS = (
-    "bench",
-    "schema_version",
-    "workload",
-    "chaos",
-    "runs",
-    "headline",
-)
-
-#: Keys every per-seed run entry must carry.
-REQUIRED_RUN_KEYS = (
-    "seed",
-    "kills",
-    "bursts",
-    "rebuilds",
-    "rebuilds_failed",
-    "rebuild_crash_recoveries",
-    "breaker_opens",
-    "retries",
-    "max_op_retries",
-    "recovery_makespan_seconds",
-    "invariants",
-    "violations",
-)
-
-#: Headline keys the CI smoke job asserts on.
-REQUIRED_HEADLINE_KEYS = (
-    "all_invariants_pass",
-    "recovery_makespan_seconds",
-    "total_rebuilds",
-    "zero_dark_shards",
-)
+from .harness import SCHEMA_VERSION, Bench, Schema, text_corpus, zipf_queries
 
 #: Fault injection points a kill can target.
 KILL_POINTS = ("transition", "serving", "rebuild")
@@ -252,32 +212,6 @@ class _Invariants:
             "breaker_visible": self.breaker_visible,
             "retries_bounded": self.retries_bounded,
         }
-
-
-def _build_store(config: ChaosSoakConfig) -> tuple[RecordStore, int]:
-    """Return the day-batched store and its vocabulary size."""
-    tokens = config.docs_per_day * config.words_per_doc
-    vocabulary = heaps_vocabulary(tokens)
-    text = TextWorkloadConfig(
-        docs_per_day=config.docs_per_day,
-        words_per_doc=config.words_per_doc,
-        vocabulary=vocabulary,
-        zipf_s=config.zipf_s,
-        seed=config.seeds[0],
-    )
-    store = RecordStore()
-    NetnewsGenerator(text).populate(store, 1, config.last_day)
-    return store, vocabulary
-
-
-def _workload(config: ChaosSoakConfig, vocabulary: int) -> QueryWorkload:
-    """Return one instance of the daily query stream (per simulation)."""
-    return QueryWorkload(
-        probes_per_day=config.probes_per_day,
-        scans_per_day=config.scans_per_day,
-        value_picker=zipf_value_picker(vocabulary, config.zipf_s),
-        seed=config.seeds[0] + 1,
-    )
 
 
 class _ChaosRun:
@@ -544,14 +478,18 @@ class _ChaosRun:
         sim = ClusterSimulation(
             lambda: scheme_cls(config.window, config.n_indexes),
             self.store,
-            queries=_workload(config, self.vocabulary),
+            queries=zipf_queries(
+                config, self.vocabulary, config.seeds[0] + 1
+            ),
             cluster=ClusterConfig(selfheal=selfheal, **cluster_kwargs),
             device_factory=self._base_device,
         )
         twin = ClusterSimulation(
             lambda: scheme_cls(config.window, config.n_indexes),
             self.store,
-            queries=_workload(config, self.vocabulary),
+            queries=zipf_queries(
+                config, self.vocabulary, config.seeds[0] + 1
+            ),
             cluster=ClusterConfig(**cluster_kwargs),
         )
         sim.on_serving_start = self._on_serving_start
@@ -642,7 +580,7 @@ def run_chaos_soak(config: ChaosSoakConfig | None = None) -> dict[str, Any]:
     fault schedule differs.
     """
     config = config or ChaosSoakConfig()
-    store, vocabulary = _build_store(config)
+    store, vocabulary = text_corpus(config, config.last_day, config.seeds[0])
     runs = [
         _ChaosRun(config, seed, store, vocabulary).run()
         for seed in config.seeds
@@ -700,40 +638,13 @@ def run_chaos_soak(config: ChaosSoakConfig | None = None) -> dict[str, Any]:
         "runs": runs,
         "headline": headline,
     }
-    validate_report(report)
-    return report
+    return BENCH.validate(report)
 
 
-def validate_report(report: dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` matches the committed schema.
-
-    This is the assertion the CI smoke job runs against the artifact.
-    """
-    for key in REQUIRED_KEYS:
-        if key not in report:
-            raise ValueError(f"BENCH_chaos report missing key {key!r}")
-    if report["bench"] != "chaos":
-        raise ValueError(f"unexpected bench {report['bench']!r}")
-    if not report["runs"]:
-        raise ValueError("BENCH_chaos report has no run entries")
+def _check(report: dict[str, Any]) -> None:
     for entry in report["runs"]:
-        for key in REQUIRED_RUN_KEYS:
-            if key not in entry:
-                raise ValueError(
-                    f"run seed={entry.get('seed')} missing key {key!r}"
-                )
         if entry["recovery_makespan_seconds"] < 0:
             raise ValueError(f"negative recovery makespan in {entry}")
-    for key in REQUIRED_HEADLINE_KEYS:
-        if key not in report["headline"]:
-            raise ValueError(f"headline missing {key!r}")
-
-
-def write_report(report: dict[str, Any], path: str | Path) -> Path:
-    """Write ``report`` as pretty JSON; return the path."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def render_summary(report: dict[str, Any]) -> str:
@@ -777,3 +688,38 @@ def render_summary(report: dict[str, Any]) -> str:
         f"{h['total_rebuilds_failed']} aborted"
     )
     return "\n".join(lines)
+
+
+BENCH = Bench(
+    name="chaos",
+    config=ChaosSoakConfig,
+    quick_config=quick_config,
+    run=run_chaos_soak,
+    render_summary=render_summary,
+    schema=Schema(
+        keys=("workload", "chaos", "runs", "headline"),
+        rows="runs",
+        row_keys=(
+            "seed",
+            "kills",
+            "bursts",
+            "rebuilds",
+            "rebuilds_failed",
+            "rebuild_crash_recoveries",
+            "breaker_opens",
+            "retries",
+            "max_op_retries",
+            "recovery_makespan_seconds",
+            "invariants",
+            "violations",
+        ),
+        headline=(
+            "all_invariants_pass",
+            "recovery_makespan_seconds",
+            "total_rebuilds",
+            "zero_dark_shards",
+        ),
+    ),
+    claim=lambda report: report["headline"]["all_invariants_pass"],
+    check=_check,
+)

@@ -15,58 +15,19 @@ The cluster layer (:mod:`repro.cluster`) makes two claims measurable:
 For each shard count the benchmark replays the same store and the same
 daily query stream; at the largest shard count it additionally compares
 lockstep vs staggered day-boundary scheduling.  Results go to
-``BENCH_cluster.json``; both headline claims are asserted by the CI
-smoke job and gated by ``repro bench-check``.
+``BENCH_cluster.json``; both claims set ``repro bench-cluster``'s exit
+code, and ``repro bench-check`` gates their headlines.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any
 
 from ..cluster import ClusterConfig, ClusterResult, run_cluster_simulation
 from ..core.records import RecordStore
 from ..core.schemes import scheme_by_name
-from ..sim.querygen import QueryWorkload, zipf_value_picker
-from ..workloads.text import NetnewsGenerator, TextWorkloadConfig
-from ..workloads.zipf import heaps_vocabulary
-
-#: Schema version stamped into BENCH_cluster.json.
-SCHEMA_VERSION = 1
-
-#: Top-level keys every BENCH_cluster.json must carry (CI smoke-checks).
-REQUIRED_KEYS = (
-    "bench",
-    "schema_version",
-    "workload",
-    "cluster",
-    "runs",
-    "headline",
-)
-
-#: Keys every per-run entry must carry.
-REQUIRED_RUN_KEYS = (
-    "n_shards",
-    "maintenance",
-    "makespan_seconds",
-    "maintenance_seconds",
-    "query_seconds",
-    "queries",
-    "queries_degraded",
-    "failovers",
-    "queries_per_second",
-    "latency_during_transition",
-    "latency_steady_state",
-)
-
-#: Headline keys the CI smoke job asserts on.
-REQUIRED_HEADLINE_KEYS = (
-    "throughput_scaling",
-    "staggered_p95_ratio",
-    "staggered_p95_improved",
-)
+from .harness import SCHEMA_VERSION, Bench, Schema, text_corpus, zipf_queries
 
 
 @dataclass(frozen=True)
@@ -151,32 +112,6 @@ def quick_config(base: ClusterBenchConfig | None = None) -> ClusterBenchConfig:
     )
 
 
-def _build_store(config: ClusterBenchConfig) -> tuple[RecordStore, int]:
-    """Return the day-batched store and its vocabulary size."""
-    tokens = config.docs_per_day * config.words_per_doc
-    vocabulary = heaps_vocabulary(tokens)
-    text = TextWorkloadConfig(
-        docs_per_day=config.docs_per_day,
-        words_per_doc=config.words_per_doc,
-        vocabulary=vocabulary,
-        zipf_s=config.zipf_s,
-        seed=config.seed,
-    )
-    store = RecordStore()
-    NetnewsGenerator(text).populate(store, 1, config.last_day)
-    return store, vocabulary
-
-
-def _workload(config: ClusterBenchConfig, vocabulary: int) -> QueryWorkload:
-    """Return the daily query stream (identical across every run)."""
-    return QueryWorkload(
-        probes_per_day=config.probes_per_day,
-        scans_per_day=config.scans_per_day,
-        value_picker=zipf_value_picker(vocabulary, config.zipf_s),
-        seed=config.seed + 1,
-    )
-
-
 def _run_one(
     config: ClusterBenchConfig,
     store: RecordStore,
@@ -190,7 +125,7 @@ def _run_one(
         lambda: scheme_cls(config.window, config.n_indexes),
         store,
         last_day=config.last_day,
-        queries=_workload(config, vocabulary),
+        queries=zipf_queries(config, vocabulary, config.seed + 1),
         cluster=ClusterConfig(
             n_shards=n_shards,
             replication=config.replication,
@@ -242,7 +177,7 @@ def run_cluster_bench(
     degraded strawman.
     """
     config = config or ClusterBenchConfig()
-    store, vocabulary = _build_store(config)
+    store, vocabulary = text_corpus(config, config.last_day, config.seed)
     k_max = max(config.shard_counts)
 
     runs: list[dict[str, Any]] = []
@@ -313,41 +248,25 @@ def run_cluster_bench(
         "runs": runs,
         "headline": headline,
     }
-    validate_report(report)
-    return report
+    return BENCH.validate(report)
 
 
-def validate_report(report: dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` matches the committed schema.
-
-    This is the assertion the CI smoke job runs against the artifact.
-    """
-    for key in REQUIRED_KEYS:
-        if key not in report:
-            raise ValueError(f"BENCH_cluster report missing key {key!r}")
-    if report["bench"] != "cluster":
-        raise ValueError(f"unexpected bench {report['bench']!r}")
-    if not report["runs"]:
-        raise ValueError("BENCH_cluster report has no run entries")
+def _check(report: dict[str, Any]) -> None:
     for entry in report["runs"]:
-        for key in REQUIRED_RUN_KEYS:
-            if key not in entry:
-                raise ValueError(
-                    f"run k={entry.get('n_shards')} "
-                    f"{entry.get('maintenance')} missing key {key!r}"
-                )
         if entry["makespan_seconds"] < 0:
             raise ValueError(f"negative makespan in {entry}")
-    for key in REQUIRED_HEADLINE_KEYS:
-        if key not in report["headline"]:
-            raise ValueError(f"headline missing {key!r}")
 
 
-def write_report(report: dict[str, Any], path: str | Path) -> Path:
-    """Write ``report`` as pretty JSON; return the path."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
+def _claim(report: dict[str, Any]) -> bool:
+    """k shards out-serve the single index, and staggering the
+    transitions cuts the during-transition p95 against lockstep."""
+    headline = report["headline"]
+    scaling = headline["throughput_scaling"]
+    return (
+        scaling is not None
+        and scaling > 1.0
+        and headline["staggered_p95_improved"]
+    )
 
 
 def render_summary(report: dict[str, Any]) -> str:
@@ -399,3 +318,36 @@ def render_summary(report: dict[str, Any]) -> str:
         )
     )
     return "\n".join(lines)
+
+
+BENCH = Bench(
+    name="cluster",
+    config=ClusterBenchConfig,
+    quick_config=quick_config,
+    run=run_cluster_bench,
+    render_summary=render_summary,
+    schema=Schema(
+        keys=("workload", "cluster", "runs", "headline"),
+        rows="runs",
+        row_keys=(
+            "n_shards",
+            "maintenance",
+            "makespan_seconds",
+            "maintenance_seconds",
+            "query_seconds",
+            "queries",
+            "queries_degraded",
+            "failovers",
+            "queries_per_second",
+            "latency_during_transition",
+            "latency_steady_state",
+        ),
+        headline=(
+            "throughput_scaling",
+            "staggered_p95_ratio",
+            "staggered_p95_improved",
+        ),
+    ),
+    claim=_claim,
+    check=_check,
+)

@@ -25,54 +25,16 @@ of the chaos soak's recovery makespan.  ``repro bench-elastic`` writes
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any
 
 from ..cluster import ClusterConfig, ClusterSimulation, ElasticConfig
-from ..core.records import Record, RecordStore
+from ..core.records import RecordStore
 from ..core.schemes import scheme_by_name
 from ..sim.querygen import QueryWorkload, SpikedWorkload, uniform_key_picker
-
-#: Schema version stamped into BENCH_elastic.json.
-SCHEMA_VERSION = 1
-
-#: Top-level keys every BENCH_elastic.json must carry (CI smoke-checks).
-REQUIRED_KEYS = (
-    "bench",
-    "schema_version",
-    "workload",
-    "cluster",
-    "timeline",
-    "static",
-    "headline",
-)
-
-#: Keys every per-day timeline entry must carry.
-REQUIRED_DAY_KEYS = (
-    "day",
-    "queries",
-    "makespan_seconds",
-    "qps",
-    "n_shards",
-    "reshards",
-    "reshards_aborted",
-)
-
-#: Headline keys the CI smoke job asserts on.
-REQUIRED_HEADLINE_KEYS = (
-    "throughput_recovery_makespan",
-    "recovered",
-    "recovery_days",
-    "spike_day",
-    "baseline_qps",
-    "post_recovery_qps",
-    "splits_applied",
-    "static_spiked_qps",
-    "claim",
-)
+from ..workloads.keys import build_int_store
+from .harness import SCHEMA_VERSION, Bench, Schema, claim_passes
 
 
 @dataclass(frozen=True)
@@ -163,27 +125,6 @@ def quick_config(base: ElasticBenchConfig | None = None) -> ElasticBenchConfig:
     """
     base = base or ElasticBenchConfig()
     return replace(base, transitions=base.spike_after + 4, quick=True)
-
-
-def _build_store(config: ElasticBenchConfig) -> RecordStore:
-    """Build the seeded integer-keyed store every run shares."""
-    rng = random.Random(config.seed)
-    store = RecordStore()
-    record_id = 0
-    for day in range(1, config.last_day + 1):
-        records = []
-        for _ in range(config.records_per_day):
-            records.append(
-                Record(
-                    record_id=record_id,
-                    day=day,
-                    values=(rng.randint(1, config.domain),),
-                    nbytes=config.record_bytes,
-                )
-            )
-            record_id += 1
-        store.add_records(day, records)
-    return store
 
 
 def _workload(config: ElasticBenchConfig) -> SpikedWorkload:
@@ -293,7 +234,13 @@ def run_elastic_bench(
 ) -> dict[str, Any]:
     """Run the spiked cluster and its static control; return the report."""
     config = config or ElasticBenchConfig()
-    store = _build_store(config)
+    store = build_int_store(
+        config.seed,
+        config.last_day,
+        config.records_per_day,
+        config.domain,
+        config.record_bytes,
+    )
     sim = _make_sim(config, store, elastic=True)
     sim.run(config.last_day)
     static = _make_sim(config, store, elastic=False)
@@ -394,41 +341,12 @@ def run_elastic_bench(
         "static": static_timeline,
         "headline": headline,
     }
-    validate_report(report)
-    return report
+    return BENCH.validate(report)
 
 
-def validate_report(report: dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` matches the committed schema.
-
-    This is the assertion the CI smoke job runs against the artifact.
-    """
-    for key in REQUIRED_KEYS:
-        if key not in report:
-            raise ValueError(f"BENCH_elastic report missing key {key!r}")
-    if report["bench"] != "elastic":
-        raise ValueError(f"unexpected bench {report['bench']!r}")
-    if not report["timeline"]:
-        raise ValueError("BENCH_elastic report has no timeline entries")
-    for entry in report["timeline"]:
-        for key in REQUIRED_DAY_KEYS:
-            if key not in entry:
-                raise ValueError(
-                    f"timeline day={entry.get('day')} missing key {key!r}"
-                )
-    headline = report["headline"]
-    for key in REQUIRED_HEADLINE_KEYS:
-        if key not in headline:
-            raise ValueError(f"headline missing {key!r}")
-    if headline["throughput_recovery_makespan"] < 0:
+def _check(report: dict[str, Any]) -> None:
+    if report["headline"]["throughput_recovery_makespan"] < 0:
         raise ValueError("negative throughput_recovery_makespan")
-
-
-def write_report(report: dict[str, Any], path: str | Path) -> Path:
-    """Write ``report`` as pretty JSON; return the path."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def render_summary(report: dict[str, Any]) -> str:
@@ -479,3 +397,38 @@ def render_summary(report: dict[str, Any]) -> str:
         f"  claim: {'PASS' if h['claim']['pass'] else 'FAIL'}"
     )
     return "\n".join(lines)
+
+
+BENCH = Bench(
+    name="elastic",
+    config=ElasticBenchConfig,
+    quick_config=quick_config,
+    run=run_elastic_bench,
+    render_summary=render_summary,
+    schema=Schema(
+        keys=("workload", "cluster", "timeline", "static", "headline"),
+        rows="timeline",
+        row_keys=(
+            "day",
+            "queries",
+            "makespan_seconds",
+            "qps",
+            "n_shards",
+            "reshards",
+            "reshards_aborted",
+        ),
+        headline=(
+            "throughput_recovery_makespan",
+            "recovered",
+            "recovery_days",
+            "spike_day",
+            "baseline_qps",
+            "post_recovery_qps",
+            "splits_applied",
+            "static_spiked_qps",
+            "claim",
+        ),
+    ),
+    claim=claim_passes,
+    check=_check,
+)

@@ -40,10 +40,8 @@ generator can comfortably over-offer on any CI machine.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any
 
 from ..errors import FrontendError
@@ -56,19 +54,7 @@ from ..serve.admission import (
 )
 from ..serve.client import InProcessClient
 from ..serve.demo import DemoClusterConfig, build_demo_cluster
-
-#: Schema version stamped into BENCH_frontend.json.
-SCHEMA_VERSION = 1
-
-#: Top-level keys every BENCH_frontend.json must carry (CI smoke-checks).
-REQUIRED_KEYS = (
-    "bench",
-    "schema_version",
-    "machine_dependent",
-    "workload",
-    "measured",
-    "headline",
-)
+from .harness import SCHEMA_VERSION, Bench, Schema, claim_passes
 
 #: Keys every sweep step must carry.
 REQUIRED_STEP_KEYS = (
@@ -79,18 +65,6 @@ REQUIRED_STEP_KEYS = (
     "admitted_qps",
     "shed_ratio",
     "p95_s",
-)
-
-#: Headline keys the CI smoke job asserts on.
-REQUIRED_HEADLINE_KEYS = (
-    "frontend_knee_qps",
-    "knee_multiplier",
-    "pre_knee_p95_s",
-    "shed_overload_p95_s",
-    "queue_overload_p95_s",
-    "shed_p95_over_pre_knee",
-    "queue_p95_over_shed_p95",
-    "claim",
 )
 
 #: A step sheds "nothing" when its reject ratio stays under this.
@@ -502,8 +476,7 @@ def run_frontend_bench(
         "measured": measured,
         "headline": headline,
     }
-    validate_report(report)
-    return report
+    return BENCH.validate(report)
 
 
 def _subsaturation_equivalent(
@@ -530,21 +503,7 @@ def _subsaturation_equivalent(
     return True
 
 
-def validate_report(report: dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` matches the committed schema.
-
-    This is the assertion the CI smoke job runs against the artifact.
-    """
-    for key in REQUIRED_KEYS:
-        if key not in report:
-            raise ValueError(f"BENCH_frontend report missing key {key!r}")
-    if report["bench"] != "frontend":
-        raise ValueError(f"unexpected bench {report['bench']!r}")
-    if report["machine_dependent"] is not True:
-        raise ValueError(
-            "BENCH_frontend must be marked machine_dependent — its "
-            "numbers are wall-clock"
-        )
+def _check(report: dict[str, Any]) -> None:
     if "reference" not in report["measured"]:
         raise ValueError("measured section missing the 0.9x reference step")
     sweeps = report["measured"].get("sweeps", {})
@@ -559,19 +518,8 @@ def validate_report(report: dict[str, Any]) -> None:
                         f"{policy} step multiplier="
                         f"{step.get('multiplier')} missing key {key!r}"
                     )
-    headline = report["headline"]
-    for key in REQUIRED_HEADLINE_KEYS:
-        if key not in headline:
-            raise ValueError(f"headline missing {key!r}")
-    if headline["frontend_knee_qps"] < 0:
+    if report["headline"]["frontend_knee_qps"] < 0:
         raise ValueError("negative frontend_knee_qps")
-
-
-def write_report(report: dict[str, Any], path: str | Path) -> Path:
-    """Write ``report`` as pretty JSON; return the path."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def render_summary(report: dict[str, Any]) -> str:
@@ -633,7 +581,33 @@ def render_summary(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+BENCH = Bench(
+    name="frontend",
+    config=FrontendBenchConfig,
+    quick_config=quick_config,
+    run=run_frontend_bench,
+    render_summary=render_summary,
+    schema=Schema(
+        keys=("workload", "measured", "headline"),
+        headline=(
+            "frontend_knee_qps",
+            "knee_multiplier",
+            "pre_knee_p95_s",
+            "shed_overload_p95_s",
+            "queue_overload_p95_s",
+            "shed_p95_over_pre_knee",
+            "queue_p95_over_shed_p95",
+            "claim",
+        ),
+        machine_dependent=True,
+    ),
+    claim=claim_passes,
+    check=_check,
+)
+
+
 __all__ = [
+    "BENCH",
     "FrontendBenchConfig",
     "GRACEFUL_FACTOR",
     "KNEE_REJECT_EPS",
@@ -642,6 +616,4 @@ __all__ = [
     "quick_config",
     "render_summary",
     "run_frontend_bench",
-    "validate_report",
-    "write_report",
 ]

@@ -34,6 +34,8 @@ class HeadlineMetric:
 
     name: str
     bench: str
+    #: Keys leading from the report's top level to the value.
+    path: tuple[str, ...]
     higher_is_better: bool
     description: str
     #: An optional metric may be absent from a fresh report of its
@@ -48,37 +50,10 @@ class HeadlineMetric:
 
     def extract(self, report: dict[str, Any]) -> float | None:
         """Pull this metric's value out of its benchmark report."""
-        if self.name == "serving_speedup_batch256":
-            return report.get("speedups", {}).get(
-                "batch256_cached_vs_unbatched_uncached"
-            )
-        if self.name == "overlap_makespan_ratio_mean":
-            return report.get("headline", {}).get("makespan_ratio_mean")
-        if self.name == "overlap_reindex_p95_ratio_best":
-            return report.get("headline", {}).get("reindex_p95_ratio_best")
-        if self.name == "cluster_throughput_scaling":
-            return report.get("headline", {}).get("throughput_scaling")
-        if self.name == "cluster_staggered_p95_ratio":
-            return report.get("headline", {}).get("staggered_p95_ratio")
-        if self.name == "chaos_recovery_makespan":
-            return report.get("headline", {}).get(
-                "recovery_makespan_seconds"
-            )
-        if self.name == "throughput_recovery_makespan":
-            return report.get("headline", {}).get(
-                "throughput_recovery_makespan"
-            )
-        if self.name == "frontend_knee_qps":
-            return report.get("headline", {}).get("frontend_knee_qps")
-        if self.name == "advisor_drift_advantage":
-            return report.get("headline", {}).get("advisor_drift_advantage")
-        if self.name == "rolling_restart_lost_requests":
-            return report.get("headline", {}).get(
-                "rolling_restart_lost_requests"
-            )
-        if self.name == "hedge_tail_ratio":
-            return report.get("headline", {}).get("hedge_tail_ratio")
-        raise KeyError(self.name)
+        value: Any = report
+        for key in self.path:
+            value = value.get(key) if isinstance(value, dict) else None
+        return value
 
 
 #: The committed perf trajectory, one headline per benchmark dimension.
@@ -86,48 +61,56 @@ HEADLINE_METRICS: tuple[HeadlineMetric, ...] = (
     HeadlineMetric(
         "serving_speedup_batch256",
         "serving",
+        ("speedups", "batch256_cached_vs_unbatched_uncached"),
         higher_is_better=True,
         description="batched+cached serving speedup over the paper's model",
     ),
     HeadlineMetric(
         "overlap_makespan_ratio_mean",
         "overlap",
+        ("headline", "makespan_ratio_mean"),
         higher_is_better=False,
         description="mean overlapped/serialized day-timeline makespan",
     ),
     HeadlineMetric(
         "overlap_reindex_p95_ratio_best",
         "overlap",
+        ("headline", "reindex_p95_ratio_best"),
         higher_is_better=False,
         description="best REINDEX-family during-transition p95 ratio",
     ),
     HeadlineMetric(
         "cluster_throughput_scaling",
         "cluster",
+        ("headline", "throughput_scaling"),
         higher_is_better=True,
         description="k-shard staggered cluster qps over the single index",
     ),
     HeadlineMetric(
         "cluster_staggered_p95_ratio",
         "cluster",
+        ("headline", "staggered_p95_ratio"),
         higher_is_better=False,
         description="staggered/lockstep during-transition p95 at k_max",
     ),
     HeadlineMetric(
         "chaos_recovery_makespan",
         "chaos",
+        ("headline", "recovery_makespan_seconds"),
         higher_is_better=False,
         description="worst per-day replica-rebuild span in the chaos soak",
     ),
     HeadlineMetric(
         "throughput_recovery_makespan",
         "elastic",
+        ("headline", "throughput_recovery_makespan"),
         higher_is_better=False,
         description="spike-to-recovery makespan of the elastic reshard bench",
     ),
     HeadlineMetric(
         "frontend_knee_qps",
         "frontend",
+        ("headline", "frontend_knee_qps"),
         higher_is_better=True,
         description="sustained admitted qps at the frontend saturation knee",
         # Wall-clock, machine-dependent: gate it only on a baseline
@@ -138,12 +121,14 @@ HEADLINE_METRICS: tuple[HeadlineMetric, ...] = (
     HeadlineMetric(
         "advisor_drift_advantage",
         "advisor",
+        ("headline", "advisor_drift_advantage"),
         higher_is_better=True,
         description="best-static/advisor cumulative cost over the drift",
     ),
     HeadlineMetric(
         "rolling_restart_lost_requests",
         "resilience",
+        ("headline", "rolling_restart_lost_requests"),
         higher_is_better=False,
         description="requests lost while rolling-restarting the fleet",
         # Zero-loss is a correctness claim, not a perf trajectory: the
@@ -153,6 +138,7 @@ HEADLINE_METRICS: tuple[HeadlineMetric, ...] = (
     HeadlineMetric(
         "hedge_tail_ratio",
         "resilience",
+        ("headline", "hedge_tail_ratio"),
         higher_is_better=False,
         description="hedged/unhedged p99 under an injected slow frontend",
         # A ratio of two wall-clock latencies from the same run — far
@@ -382,10 +368,3 @@ def render_diff_table(rows: list[RegressionRow], threshold: float) -> str:
 def load_report(path: str | Path) -> dict[str, Any]:
     """Read one JSON artifact (a bench report or the baseline)."""
     return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def write_baseline(baseline: dict[str, Any], path: str | Path) -> Path:
-    """Write the baseline as pretty JSON; return the path."""
-    path = Path(path)
-    path.write_text(json.dumps(baseline, indent=2) + "\n", encoding="utf-8")
-    return path

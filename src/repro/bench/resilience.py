@@ -26,8 +26,8 @@ A seeded **chaos matrix** rides along: slow frontend, stalled frontend
 (accepts, never answers), mid-response kill + revive, torn frames (a
 server that closes mid-frame), and a deadline storm (everything expires;
 the taxonomy must *not* retry it).  Each cell asserts its own pass
-condition; ``--strict`` fails the run unless every claim and every cell
-holds.
+condition; ``repro bench-resilience`` exits 1 unless every claim and
+every cell holds.
 
 All latencies are wall-clock: the artifact is ``machine_dependent`` and
 never byte-compared — CI asserts schema and claims, and ``bench-check``
@@ -59,34 +59,8 @@ from ..serve.resilience import (
     ResilientClientConfig,
     RetryBudgetConfig,
 )
-from .frontend import ServiceDelayBackend, write_report
-
-#: Schema version stamped into BENCH_resilience.json.
-SCHEMA_VERSION = 1
-
-#: Top-level keys every BENCH_resilience.json must carry.
-REQUIRED_KEYS = (
-    "bench",
-    "schema_version",
-    "machine_dependent",
-    "workload",
-    "scenarios",
-    "chaos",
-    "headline",
-)
-
-#: Headline keys the CI smoke job asserts on.
-REQUIRED_HEADLINE_KEYS = (
-    "rolling_restart_lost_requests",
-    "hedge_tail_ratio",
-    "retry_amplification",
-    "retry_amplification_bound",
-    "drr_light_shed_ratio",
-    "fifo_light_shed_ratio",
-    "chaos_cells_passed",
-    "chaos_cells_total",
-    "claim",
-)
+from .frontend import ServiceDelayBackend
+from .harness import SCHEMA_VERSION, Bench, Schema, claim_passes
 
 #: Hedging must cut the injected-straggler p99 at least this much.
 HEDGE_TAIL_BOUND = 0.7
@@ -952,38 +926,16 @@ def run_resilience_bench(
         "chaos": chaos,
         "headline": headline,
     }
-    validate_report(report)
-    return report
+    return BENCH.validate(report)
 
 
-def validate_report(report: dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` matches the schema."""
-    for key in REQUIRED_KEYS:
-        if key not in report:
-            raise ValueError(f"BENCH_resilience report missing key {key!r}")
-    if report["bench"] != "resilience":
-        raise ValueError(f"unexpected bench {report['bench']!r}")
-    if report["machine_dependent"] is not True:
-        raise ValueError(
-            "BENCH_resilience must be marked machine_dependent — its "
-            "numbers are wall-clock"
-        )
+def _check(report: dict[str, Any]) -> None:
     for name in ("hedge_tail", "retry_budget", "fair_queue", "rolling_restart"):
         if name not in report["scenarios"]:
             raise ValueError(f"scenarios missing {name!r}")
         if "pass" not in report["scenarios"][name]:
             raise ValueError(f"scenario {name!r} missing its pass verdict")
-    if not report["chaos"]:
-        raise ValueError("chaos matrix is empty")
-    for cell in report["chaos"]:
-        for key in ("cell", "seed", "pass"):
-            if key not in cell:
-                raise ValueError(f"chaos cell missing key {key!r}")
-    headline = report["headline"]
-    for key in REQUIRED_HEADLINE_KEYS:
-        if key not in headline:
-            raise ValueError(f"headline missing {key!r}")
-    if headline["rolling_restart_lost_requests"] < 0:
+    if report["headline"]["rolling_restart_lost_requests"] < 0:
         raise ValueError("negative rolling_restart_lost_requests")
 
 
@@ -1025,7 +977,36 @@ def render_summary(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+BENCH = Bench(
+    name="resilience",
+    config=ResilienceBenchConfig,
+    quick_config=quick_config,
+    run=run_resilience_bench,
+    render_summary=render_summary,
+    schema=Schema(
+        keys=("workload", "scenarios", "chaos", "headline"),
+        rows="chaos",
+        row_keys=("cell", "seed", "pass"),
+        headline=(
+            "rolling_restart_lost_requests",
+            "hedge_tail_ratio",
+            "retry_amplification",
+            "retry_amplification_bound",
+            "drr_light_shed_ratio",
+            "fifo_light_shed_ratio",
+            "chaos_cells_passed",
+            "chaos_cells_total",
+            "claim",
+        ),
+        machine_dependent=True,
+    ),
+    claim=claim_passes,
+    check=_check,
+)
+
+
 __all__ = [
+    "BENCH",
     "DRR_LIGHT_SHED_BOUND",
     "HEDGE_TAIL_BOUND",
     "ExtraDelayBackend",
@@ -1037,6 +1018,4 @@ __all__ = [
     "quick_config",
     "render_summary",
     "run_resilience_bench",
-    "validate_report",
-    "write_report",
 ]

@@ -22,49 +22,16 @@ must beat the baseline by at least 2x in simulated seconds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any
 
 from ..cluster.sim import ClusterConfig, ClusterSimulation
-from ..core.records import RecordStore
 from ..core.schemes import scheme_by_name
 from ..index.config import IndexConfig
 from ..obs import MetricsRegistry, Tracer
 from ..storage.pagecache import DEFAULT_PAGE_SIZE
-from ..workloads.text import NetnewsGenerator, TextWorkloadConfig
 from ..workloads.zipf import ZipfSampler, heaps_vocabulary
-
-#: Schema version stamped into BENCH_serving.json.
-SCHEMA_VERSION = 1
-
-#: Top-level keys every BENCH_serving.json must carry (CI smoke-checks).
-REQUIRED_KEYS = (
-    "bench",
-    "schema_version",
-    "workload",
-    "cache",
-    "configs",
-    "speedups",
-)
-
-#: Per-config keys every grid cell must carry.
-REQUIRED_CONFIG_KEYS = (
-    "batch_size",
-    "cache",
-    "seconds",
-    "probe_seconds",
-    "scan_seconds",
-    "seconds_per_probe",
-    "probes_per_simulated_second",
-    "seeks",
-    "bytes_read",
-    "cache_hits",
-    "cache_misses",
-    "cache_evictions",
-    "latency",
-)
+from .harness import SCHEMA_VERSION, Bench, Schema, text_corpus
 
 
 @dataclass(frozen=True)
@@ -129,17 +96,8 @@ def _build_window(
     transitions mix in incrementally maintained (CONTIGUOUS) constituents,
     so the replay sees the layout a live deployment would.
     """
-    tokens = config.docs_per_day * config.words_per_doc
-    text = TextWorkloadConfig(
-        docs_per_day=config.docs_per_day,
-        words_per_doc=config.words_per_doc,
-        vocabulary=heaps_vocabulary(tokens),
-        zipf_s=config.zipf_s,
-        seed=config.seed,
-    )
     last_day = config.window + config.extra_days
-    store = RecordStore()
-    NetnewsGenerator(text).populate(store, 1, last_day)
+    store, _ = text_corpus(config, last_day, config.seed)
     scheme_cls = scheme_by_name(config.scheme)
     sim = ClusterSimulation(
         lambda: scheme_cls(config.window, config.n_indexes),
@@ -311,37 +269,15 @@ def run_serving_bench(config: ServingBenchConfig | None = None) -> dict[str, Any
         "configs": configs,
         "speedups": speedups,
     }
-    validate_report(report)
-    return report
+    return BENCH.validate(report)
 
 
-def validate_report(report: dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` matches the committed schema.
-
-    This is the assertion the CI smoke job runs against the artifact.
-    """
-    for key in REQUIRED_KEYS:
-        if key not in report:
-            raise ValueError(f"BENCH_serving report missing key {key!r}")
-    if report["bench"] != "serving":
-        raise ValueError(f"unexpected bench {report['bench']!r}")
-    if not report["configs"]:
-        raise ValueError("BENCH_serving report has no grid cells")
+def _check(report: dict[str, Any]) -> None:
     for cell in report["configs"]:
-        for key in REQUIRED_CONFIG_KEYS:
-            if key not in cell:
-                raise ValueError(f"grid cell missing key {key!r}: {cell}")
         if cell["seconds"] < 0:
             raise ValueError(f"negative seconds in cell {cell}")
     if not report["speedups"]:
-        raise ValueError("BENCH_serving report has no speedups")
-
-
-def write_report(report: dict[str, Any], path: str | Path) -> Path:
-    """Write ``report`` as pretty JSON; return the path."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
+        raise ValueError("serving report has no speedups")
 
 
 def render_summary(report: dict[str, Any]) -> str:
@@ -372,3 +308,32 @@ def render_summary(report: dict[str, Any]) -> str:
         rendered = f"{value:.2f}x" if value is not None else "n/a"
         lines.append(f"  {name}: {rendered}")
     return "\n".join(lines)
+
+
+BENCH = Bench(
+    name="serving",
+    config=ServingBenchConfig,
+    quick_config=quick_config,
+    run=run_serving_bench,
+    render_summary=render_summary,
+    schema=Schema(
+        keys=("workload", "cache", "configs", "speedups"),
+        rows="configs",
+        row_keys=(
+            "batch_size",
+            "cache",
+            "seconds",
+            "probe_seconds",
+            "scan_seconds",
+            "seconds_per_probe",
+            "probes_per_simulated_second",
+            "seeks",
+            "bytes_read",
+            "cache_hits",
+            "cache_misses",
+            "cache_evictions",
+            "latency",
+        ),
+    ),
+    check=_check,
+)

@@ -29,54 +29,18 @@ matrix per PR and the full multi-seed matrix nightly.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any
 from zlib import crc32
 
 from ..cluster import ClusterConfig, ClusterSimulation, ElasticConfig
-from ..core.records import Record, RecordStore
 from ..core.schemes import scheme_by_name
 from ..errors import SimulatedCrash
 from ..sim.querygen import QueryWorkload, uniform_key_picker
 from ..storage.faults import FaultInjector, FaultyDisk, RetryPolicy
-
-#: Schema version stamped into BENCH_topology_chaos.json.
-SCHEMA_VERSION = 1
-
-#: Top-level report keys (CI smoke-checks).
-REQUIRED_KEYS = (
-    "bench",
-    "schema_version",
-    "config",
-    "steps",
-    "cells",
-    "headline",
-)
-
-#: Keys every cell entry must carry.
-REQUIRED_CELL_KEYS = (
-    "seed",
-    "kind",
-    "ordinal",
-    "step",
-    "fault",
-    "outcome",
-    "violations",
-)
-
-#: Headline keys the CI smoke job asserts on.
-REQUIRED_HEADLINE_KEYS = (
-    "cells",
-    "applied",
-    "aborted",
-    "rolled_forward",
-    "skipped",
-    "violations",
-    "pass",
-)
+from ..workloads.keys import build_int_store
+from .harness import SCHEMA_VERSION, Bench, Schema
 
 #: Fault kinds a cell can arm at its step boundary.
 FAULT_KINDS = ("crash", "kill", "space")
@@ -161,24 +125,6 @@ def quick_config(
     return replace(base, faults=("crash",), seeds=base.seeds[:1], quick=True)
 
 
-def _build_store(config: TopologyChaosConfig, seed: int) -> RecordStore:
-    rng = random.Random(seed * 131071 + 17)
-    store = RecordStore()
-    record_id = 0
-    for day in range(1, config.last_day + 1):
-        records = [
-            Record(
-                record_id=(record_id := record_id + 1),
-                day=day,
-                values=(rng.randint(1, config.domain),),
-                nbytes=config.record_bytes,
-            )
-            for _ in range(config.records_per_day)
-        ]
-        store.add_records(day, records)
-    return store
-
-
 @dataclass
 class _Violations:
     """Accumulates labeled invariant violations."""
@@ -195,7 +141,14 @@ class _SeedMatrix:
     def __init__(self, config: TopologyChaosConfig, seed: int) -> None:
         self.config = config
         self.seed = seed
-        self.store = _build_store(config, seed)
+        self.store = build_int_store(
+            seed * 131071 + 17,
+            config.last_day,
+            config.records_per_day,
+            config.domain,
+            config.record_bytes,
+            first_id=1,
+        )
         self.retry = RetryPolicy()
         self._device_serial = 0
         #: day -> (probe specs, probe answers, scan answer) of the twin.
@@ -572,29 +525,11 @@ def run_topology_chaos(
         "cells": cells,
         "headline": headline,
     }
-    validate_report(report)
-    return report
+    return BENCH.validate(report)
 
 
-def validate_report(report: dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``report`` matches the schema."""
-    for key in REQUIRED_KEYS:
-        if key not in report:
-            raise ValueError(
-                f"BENCH_topology_chaos report missing key {key!r}"
-            )
-    if report["bench"] != "topology_chaos":
-        raise ValueError(f"unexpected bench {report['bench']!r}")
-    if not report["cells"]:
-        raise ValueError("topology-chaos report has no cells")
-    for cell in report["cells"]:
-        for key in REQUIRED_CELL_KEYS:
-            if key not in cell:
-                raise ValueError(f"cell missing key {key!r}: {cell}")
+def _check(report: dict[str, Any]) -> None:
     headline = report["headline"]
-    for key in REQUIRED_HEADLINE_KEYS:
-        if key not in headline:
-            raise ValueError(f"headline missing {key!r}")
     counted = (
         headline["applied"]
         + headline["aborted"]
@@ -605,13 +540,6 @@ def validate_report(report: dict[str, Any]) -> None:
         raise ValueError(
             f"outcome counts {counted} != cells {headline['cells']}"
         )
-
-
-def write_report(report: dict[str, Any], path: str | Path) -> Path:
-    """Write ``report`` as pretty JSON; return the path."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def render_summary(report: dict[str, Any]) -> str:
@@ -635,3 +563,36 @@ def render_summary(report: dict[str, Any]) -> str:
             lines.append(f"  VIOLATION: {violation}")
     lines.append(f"  invariants: {'PASS' if h['pass'] else 'FAIL'}")
     return "\n".join(lines)
+
+
+BENCH = Bench(
+    name="topology_chaos",
+    config=TopologyChaosConfig,
+    quick_config=quick_config,
+    run=run_topology_chaos,
+    render_summary=render_summary,
+    schema=Schema(
+        keys=("config", "steps", "cells", "headline"),
+        rows="cells",
+        row_keys=(
+            "seed",
+            "kind",
+            "ordinal",
+            "step",
+            "fault",
+            "outcome",
+            "violations",
+        ),
+        headline=(
+            "cells",
+            "applied",
+            "aborted",
+            "rolled_forward",
+            "skipped",
+            "violations",
+            "pass",
+        ),
+    ),
+    claim=lambda report: report["headline"]["pass"],
+    check=_check,
+)

@@ -30,27 +30,33 @@ Commands:
 * ``bench-check`` — gate fresh bench artifacts against the committed
   ``BENCH_baseline.json`` headline metrics.
 
+Every bench command (the :data:`_BENCHES` table) runs one
+:class:`~repro.bench.harness.Bench`: it writes the report, prints its
+summary and exits 0, or 1 when the bench's claim fails (the report is
+still written), or 2 on an invalid configuration.
+
 Seeded commands share one default (:data:`DEFAULT_SEED`): pass ``--seed``
 globally (``repro --seed 3 crash-test``) or per command; per-command wins.
+A global seed reaches a bench's ``seed`` field, or its ``seeds`` as
+``(N,)``; with neither given, the bench keeps its config's default.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from .analysis.parameters import TABLE12
 from .core.schemes import ALL_SCHEMES, scheme_by_name
-from .errors import SchemeError
+from .errors import ClusterError, FrontendError, SchemeError, WorkloadError
 from .core.trace import format_trace, trace_scheme
 from .index.updates import UpdateTechnique
 
 _TECHNIQUES = tuple(UpdateTechnique)
 
-#: The one RNG seed every seeded command defaults to.  Matches the
-#: serving benchmark's committed artifact so ``repro bench-serving`` with
-#: no flags reproduces ``BENCH_serving.json`` exactly.
+#: The RNG seed ``crash-test`` and ``latency`` default to, and the
+#: default ``seed`` of every bench config that has one.
 DEFAULT_SEED = 7
 
 
@@ -62,6 +68,268 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     if args.seed_global is not None:
         return args.seed_global
     return DEFAULT_SEED
+
+
+def _opt(*names: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    """Return one ``add_argument`` call's arguments."""
+    return names, kwargs
+
+
+_WINDOW = _opt("--window", "-w", type=int)
+_INDEXES = _opt("--indexes", "-n", type=int, dest="n_indexes")
+_TRANSITIONS = _opt("--transitions", type=int)
+_SEED = _opt("--seed", type=int)
+_SCHEME = _opt(
+    "--scheme", help="maintenance scheme every shard runs (default REINDEX)"
+)
+_PROBES_PER_DAY = _opt("--probes", type=int, dest="probes_per_day")
+_SCANS_PER_DAY = _opt("--scans", type=int, dest="scans_per_day")
+_ARRIVAL_STRETCH = _opt(
+    "--arrival-stretch", type=float,
+    help="query arrivals spread over this multiple of the maintenance "
+    "makespan (default 2.0)",
+)
+
+#: The bench subcommands: command -> (bench name, help, the bench's own
+#: flags).  Each flag's dest is a field of the bench's config class; a
+#: flag left unset keeps the config's value.
+_BENCHES = {
+    "bench-serving": (
+        "serving",
+        "replay a Zipf query workload (cache x batch grid) and emit "
+        "BENCH_serving.json",
+        (
+            _opt("--probes", type=int),
+            _opt("--scans", type=int),
+            _opt(
+                "--batch-sizes", type=int, nargs="+",
+                help="batch sizes to grid over (default: 1 16 256)",
+            ),
+            _opt(
+                "--cache-ratio", type=float,
+                help="page-cache capacity as a fraction of the index "
+                "(default 0.5)",
+            ),
+            _WINDOW,
+            _INDEXES,
+            _SEED,
+        ),
+    ),
+    "bench-overlap": (
+        "overlap",
+        "serialized vs overlapped maintenance/serving on a disk array and "
+        "emit BENCH_overlap.json",
+        (
+            _opt(
+                "--devices", "-k", type=int, dest="n_devices",
+                help="devices in the overlapped-mode array (default 3)",
+            ),
+            _WINDOW,
+            _INDEXES,
+            _TRANSITIONS,
+            _PROBES_PER_DAY,
+            _SCANS_PER_DAY,
+            _ARRIVAL_STRETCH,
+            _opt(
+                "--schemes", nargs="+",
+                help="scheme names to compare (default: all seven)",
+            ),
+            _SEED,
+        ),
+    ),
+    "bench-cluster": (
+        "cluster",
+        "sharded-cluster scaling and staggered vs lockstep maintenance, "
+        "emitting BENCH_cluster.json",
+        (
+            _opt(
+                "--shards", "-k", type=int, nargs="+", dest="shard_counts",
+                help="shard counts to sweep; must include 1 and a k >= 2 "
+                "(default: 1 2 4)",
+            ),
+            _opt(
+                "--replication", "-r", type=int,
+                help="replicas per shard (default 1)",
+            ),
+            _SCHEME,
+            _opt(
+                "--partitioner", choices=("hash", "range"),
+                help="key-space partitioner (default hash)",
+            ),
+            _opt(
+                "--max-concurrent-frac", type=float,
+                help="staggering bound: fraction of shards in transition "
+                "at once (default 0.25)",
+            ),
+            _WINDOW,
+            _INDEXES,
+            _TRANSITIONS,
+            _PROBES_PER_DAY,
+            _SCANS_PER_DAY,
+            _ARRIVAL_STRETCH,
+            _SEED,
+        ),
+    ),
+    "chaos-soak": (
+        "chaos",
+        "soak the self-healing cluster under randomized fault schedules, "
+        "emitting BENCH_chaos.json",
+        (
+            _opt(
+                "--seeds", type=int, nargs="+",
+                help="fault-schedule seeds to soak (default: 7 8 9)",
+            ),
+            _opt(
+                "--shards", "-k", type=int, dest="n_shards",
+                help="number of shards (default 4)",
+            ),
+            _opt(
+                "--replication", "-r", type=int,
+                help="replicas per shard; >= 2 when kills are scheduled "
+                "(default 2)",
+            ),
+            _SCHEME,
+            _opt(
+                "--kills-per-shard", type=int,
+                help="permanent device losses per shard (default 1)",
+            ),
+            _opt(
+                "--kill-points", nargs="+",
+                choices=("transition", "serving", "rebuild"),
+                help="injection points kills are drawn from (default: all "
+                "three)",
+            ),
+            _opt(
+                "--burst-days", type=int, dest="transient_burst_days",
+                help="days that get a transient read-error burst (default 2)",
+            ),
+            _opt(
+                "--transient-rate", type=float,
+                help="read-error probability during a burst (default 0.9)",
+            ),
+            _WINDOW,
+            _INDEXES,
+            _TRANSITIONS,
+        ),
+    ),
+    "bench-elastic": (
+        "elastic",
+        "spike one partition range 4x, let the autoscaler split the hot "
+        "shard online, and emit BENCH_elastic.json",
+        (
+            _WINDOW,
+            _INDEXES,
+            _TRANSITIONS,
+            _SCHEME,
+            _opt(
+                "--spike-factor", type=float,
+                help="hot-range load multiplier from the spike day on "
+                "(default 4)",
+            ),
+            _opt(
+                "--probes", type=int, dest="probes_per_day",
+                help="base probes per day before the spike (default 60)",
+            ),
+            _SEED,
+        ),
+    ),
+    "bench-advisor": (
+        "advisor",
+        "race the online tuning advisor against every static design over "
+        "a drifting workload and emit BENCH_advisor.json",
+        (
+            _WINDOW,
+            _opt(
+                "--phase-days", type=int,
+                help="days per drift phase (default 14)",
+            ),
+            _opt(
+                "--volume-ramp", type=float,
+                help="fractional request growth per day (default 0.02)",
+            ),
+            _SEED,
+        ),
+    ),
+    "topology-chaos": (
+        "topology_chaos",
+        "fault every step of the split/merge pipelines and verify "
+        "abort/roll-forward against a static fault-free twin",
+        (
+            _opt(
+                "--seeds", type=int, nargs="+",
+                help="store/workload seeds to run the matrix under "
+                "(default: 1)",
+            ),
+            _opt(
+                "--kinds", nargs="+", choices=("split", "merge"),
+                help="reshard pipelines to walk (default: both)",
+            ),
+            _opt(
+                "--faults", nargs="+", choices=("crash", "kill", "space"),
+                help="fault kinds armed per step (default: all three)",
+            ),
+            _SCHEME,
+        ),
+    ),
+    "bench-frontend": (
+        "frontend",
+        "sweep offered load past the saturation knee under the shed and "
+        "queue overload policies; emit BENCH_frontend.json (wall-clock: "
+        "never byte-compared)",
+        (
+            _opt(
+                "--multipliers", type=float, nargs="+",
+                dest="load_multipliers",
+                help="offered-load multipliers of calibrated capacity "
+                "(must straddle 1.0)",
+            ),
+            _opt(
+                "--step-duration", type=float, dest="step_duration_s",
+                help="seconds per sweep step",
+            ),
+            _opt(
+                "--service-us", type=float,
+                help="stand-in backend service time per request in "
+                "microseconds (default 2500)",
+            ),
+            _opt(
+                "--users", type=int, dest="n_users",
+                help="simulated user population (default 1,000,000)",
+            ),
+            _opt(
+                "--queue-policy", choices=("fifo", "drr"), default="fifo",
+                dest="queue_discipline",
+                help="request-queue discipline (default fifo, the "
+                "baseline; drr re-asserts the claims over the fair queue)",
+            ),
+            _opt(
+                "--adaptive", action="store_true",
+                help="enable AIMD adaptive concurrency on the dispatcher pool",
+            ),
+            _SEED,
+        ),
+    ),
+    "bench-resilience": (
+        "resilience",
+        "tail-tolerance scenarios over a multi-frontend fleet (hedging, "
+        "retry budget, DRR fairness, zero-loss rolling restart) plus a "
+        "seeded frontend-chaos matrix; emit BENCH_resilience.json "
+        "(wall-clock: never byte-compared)",
+        (
+            _opt(
+                "--frontends", type=int, dest="n_frontends",
+                help="fleet size for the hedging/restart scenarios "
+                "(default 3)",
+            ),
+            _opt(
+                "--seeds", type=int, nargs="+", dest="chaos_seeds",
+                help="chaos-matrix seeds (default: one seed; nightly CI "
+                "sweeps several)",
+            ),
+            _SEED,
+        ),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,9 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("schemes", help="list maintenance schemes")
+    schemes = sub.add_parser("schemes", help="list maintenance schemes")
+    schemes.set_defaults(func=_cmd_schemes)
 
     trace = sub.add_parser("trace", help="print a scheme's transition table")
+    trace.set_defaults(func=_cmd_trace)
     trace.add_argument("scheme", help="scheme name, e.g. DEL or REINDEX+")
     trace.add_argument("--window", "-w", type=int, default=10)
     trace.add_argument("--indexes", "-n", type=int, default=2)
@@ -90,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
+    figure.set_defaults(func=_cmd_figure)
     figure.add_argument(
         "name",
         choices=sorted(_FIGURES),
@@ -97,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     advise = sub.add_parser("advise", help="rank configurations for a scenario")
+    advise.set_defaults(func=_cmd_advise)
     advise.add_argument(
         "--scenario",
         choices=sorted(TABLE12),
@@ -111,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate = sub.add_parser(
         "calibrate", help="measure Build/Add/S' on the simulated substrate"
     )
+    calibrate.set_defaults(func=_cmd_calibrate)
     calibrate.add_argument("--scale-factor", type=float, default=1.0)
     calibrate.add_argument("--cluster-days", type=int, default=1)
     calibrate.add_argument(
@@ -122,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         "latency",
         help="simulate a day of query latency under maintenance",
     )
+    latency.set_defaults(func=_cmd_latency)
     latency.add_argument("scheme", help="scheme name, e.g. DEL")
     latency.add_argument(
         "--scenario", choices=sorted(TABLE12), default="SCAM"
@@ -139,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sensitivity",
         help="elasticity of total work per cost parameter",
     )
+    sensitivity.set_defaults(func=_cmd_sensitivity)
     sensitivity.add_argument("scheme", help="scheme name, e.g. REINDEX")
     sensitivity.add_argument(
         "--scenario", choices=sorted(TABLE12), default="SCAM"
@@ -154,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         "crash-test",
         help="crash transitions at every op boundary and verify recovery",
     )
+    crash.set_defaults(func=_cmd_crash_test)
     crash.add_argument(
         "schemes", nargs="*",
         help="scheme names to test (default: all six)",
@@ -180,270 +456,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="omit the replica-move (copy/rebalance) crash cells",
     )
 
-    serving = sub.add_parser(
-        "bench-serving",
-        help="replay a Zipf query workload (cache x batch grid) and emit "
-        "BENCH_serving.json",
-    )
-    serving.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized replay (same grid, smaller stream)",
-    )
-    serving.add_argument(
-        "--out", default="BENCH_serving.json",
-        help="output JSON path (default: ./BENCH_serving.json)",
-    )
-    serving.add_argument("--probes", type=int, default=None)
-    serving.add_argument("--scans", type=int, default=None)
-    serving.add_argument(
-        "--batch-sizes", type=int, nargs="+", default=None,
-        help="batch sizes to grid over (default: 1 16 256)",
-    )
-    serving.add_argument(
-        "--cache-ratio", type=float, default=None,
-        help="page-cache capacity as a fraction of the index (default 0.5)",
-    )
-    serving.add_argument("--window", "-w", type=int, default=None)
-    serving.add_argument("--indexes", "-n", type=int, default=None)
-    serving.add_argument("--seed", type=int, default=None)
-
-    overlap = sub.add_parser(
-        "bench-overlap",
-        help="serialized vs overlapped maintenance/serving on a disk "
-        "array and emit BENCH_overlap.json",
-    )
-    overlap.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized run (same modes, smaller window and stream)",
-    )
-    overlap.add_argument(
-        "--out", default="BENCH_overlap.json",
-        help="output JSON path (default: ./BENCH_overlap.json)",
-    )
-    overlap.add_argument(
-        "--devices", "-k", type=int, default=None,
-        help="devices in the overlapped-mode array (default 3)",
-    )
-    overlap.add_argument("--window", "-w", type=int, default=None)
-    overlap.add_argument("--indexes", "-n", type=int, default=None)
-    overlap.add_argument("--transitions", type=int, default=None)
-    overlap.add_argument("--probes", type=int, default=None)
-    overlap.add_argument("--scans", type=int, default=None)
-    overlap.add_argument(
-        "--arrival-stretch", type=float, default=None,
-        help="query arrivals spread over this multiple of the "
-        "maintenance makespan (default 2.0)",
-    )
-    overlap.add_argument(
-        "--schemes", nargs="+", default=None,
-        help="scheme names to compare (default: all seven)",
-    )
-    overlap.add_argument("--seed", type=int, default=None)
-
-    cluster = sub.add_parser(
-        "bench-cluster",
-        help="sharded-cluster scaling and staggered vs lockstep "
-        "maintenance, emitting BENCH_cluster.json",
-    )
-    cluster.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized run (same shape, smaller window and stream)",
-    )
-    cluster.add_argument(
-        "--out", default="BENCH_cluster.json",
-        help="output JSON path (default: ./BENCH_cluster.json)",
-    )
-    cluster.add_argument(
-        "--shards", "-k", type=int, nargs="+", default=None,
-        help="shard counts to sweep; must include 1 and a k >= 2 "
-        "(default: 1 2 4)",
-    )
-    cluster.add_argument(
-        "--replication", "-r", type=int, default=None,
-        help="replicas per shard (default 1)",
-    )
-    cluster.add_argument(
-        "--scheme", default=None,
-        help="maintenance scheme every shard runs (default REINDEX)",
-    )
-    cluster.add_argument(
-        "--partitioner", choices=("hash", "range"), default=None,
-        help="key-space partitioner (default hash)",
-    )
-    cluster.add_argument(
-        "--max-concurrent-frac", type=float, default=None,
-        help="staggering bound: fraction of shards in transition at "
-        "once (default 0.25)",
-    )
-    cluster.add_argument("--window", "-w", type=int, default=None)
-    cluster.add_argument("--indexes", "-n", type=int, default=None)
-    cluster.add_argument("--transitions", type=int, default=None)
-    cluster.add_argument("--probes", type=int, default=None)
-    cluster.add_argument("--scans", type=int, default=None)
-    cluster.add_argument(
-        "--arrival-stretch", type=float, default=None,
-        help="query arrivals spread over this multiple of the "
-        "maintenance makespan (default 2.0)",
-    )
-    cluster.add_argument("--seed", type=int, default=None)
-
-    chaos = sub.add_parser(
-        "chaos-soak",
-        help="soak the self-healing cluster under randomized fault "
-        "schedules, emitting BENCH_chaos.json",
-    )
-    chaos.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized run (same fault mix, one seed, shorter soak)",
-    )
-    chaos.add_argument(
-        "--out", default="BENCH_chaos.json",
-        help="output JSON path (default: ./BENCH_chaos.json)",
-    )
-    chaos.add_argument(
-        "--seeds", type=int, nargs="+", default=None,
-        help="fault-schedule seeds to soak (default: 7 8 9)",
-    )
-    chaos.add_argument(
-        "--shards", "-k", type=int, default=None,
-        help="number of shards (default 4)",
-    )
-    chaos.add_argument(
-        "--replication", "-r", type=int, default=None,
-        help="replicas per shard; >= 2 when kills are scheduled "
-        "(default 2)",
-    )
-    chaos.add_argument(
-        "--scheme", default=None,
-        help="maintenance scheme every shard runs (default REINDEX)",
-    )
-    chaos.add_argument(
-        "--kills-per-shard", type=int, default=None,
-        help="permanent device losses per shard (default 1)",
-    )
-    chaos.add_argument(
-        "--kill-points", nargs="+", default=None,
-        choices=("transition", "serving", "rebuild"),
-        help="injection points kills are drawn from (default: all three)",
-    )
-    chaos.add_argument(
-        "--burst-days", type=int, default=None,
-        help="days that get a transient read-error burst (default 2)",
-    )
-    chaos.add_argument(
-        "--transient-rate", type=float, default=None,
-        help="read-error probability during a burst (default 0.9)",
-    )
-    chaos.add_argument("--window", "-w", type=int, default=None)
-    chaos.add_argument("--indexes", "-n", type=int, default=None)
-    chaos.add_argument("--transitions", type=int, default=None)
-    chaos.add_argument(
-        "--strict", action="store_true",
-        help="exit nonzero when any invariant fails (the CI soak mode)",
-    )
-
-    elastic = sub.add_parser(
-        "bench-elastic",
-        help="spike one partition range 4x, let the autoscaler split the "
-        "hot shard online, and emit BENCH_elastic.json",
-    )
-    elastic.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized run (same spike and store, shorter tail)",
-    )
-    elastic.add_argument(
-        "--out", default="BENCH_elastic.json",
-        help="output JSON path (default: ./BENCH_elastic.json)",
-    )
-    elastic.add_argument("--window", "-w", type=int, default=None)
-    elastic.add_argument("--indexes", "-n", type=int, default=None)
-    elastic.add_argument("--transitions", type=int, default=None)
-    elastic.add_argument(
-        "--scheme", default=None,
-        help="maintenance scheme every shard runs (default REINDEX)",
-    )
-    elastic.add_argument(
-        "--spike-factor", type=float, default=None,
-        help="hot-range load multiplier from the spike day on (default 4)",
-    )
-    elastic.add_argument(
-        "--probes", type=int, default=None,
-        help="base probes per day before the spike (default 60)",
-    )
-    elastic.add_argument("--seed", type=int, default=None)
-    elastic.add_argument(
-        "--strict", action="store_true",
-        help="exit nonzero unless the recovery claim holds (CI mode)",
-    )
-
-    badv = sub.add_parser(
-        "bench-advisor",
-        help="race the online tuning advisor against every static design "
-        "over a drifting workload and emit BENCH_advisor.json",
-    )
-    badv.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized run (identical races; marks the artifact quick)",
-    )
-    badv.add_argument(
-        "--out", default="BENCH_advisor.json",
-        help="output JSON path (default: ./BENCH_advisor.json)",
-    )
-    badv.add_argument("--window", "-w", type=int, default=None)
-    badv.add_argument(
-        "--phase-days", type=int, default=None,
-        help="days per drift phase (default 14)",
-    )
-    badv.add_argument(
-        "--volume-ramp", type=float, default=None,
-        help="fractional request growth per day (default 0.02)",
-    )
-    badv.add_argument("--seed", type=int, default=None)
-    badv.add_argument(
-        "--strict", action="store_true",
-        help="exit nonzero unless the advisor claim holds (CI mode)",
-    )
-
-    topo = sub.add_parser(
-        "topology-chaos",
-        help="fault every step of the split/merge pipelines and verify "
-        "abort/roll-forward against a static fault-free twin",
-    )
-    topo.add_argument(
-        "--quick", action="store_true",
-        help="PR-sized matrix: crash faults only, one seed",
-    )
-    topo.add_argument(
-        "--out", default="BENCH_topology_chaos.json",
-        help="output JSON path (default: ./BENCH_topology_chaos.json)",
-    )
-    topo.add_argument(
-        "--seeds", type=int, nargs="+", default=None,
-        help="store/workload seeds to run the matrix under (default: 1)",
-    )
-    topo.add_argument(
-        "--kinds", nargs="+", default=None, choices=("split", "merge"),
-        help="reshard pipelines to walk (default: both)",
-    )
-    topo.add_argument(
-        "--faults", nargs="+", default=None,
-        choices=("crash", "kill", "space"),
-        help="fault kinds armed per step (default: all three)",
-    )
-    topo.add_argument(
-        "--scheme", default=None,
-        help="maintenance scheme every shard runs (default REINDEX)",
-    )
-    topo.add_argument(
-        "--strict", action="store_true",
-        help="exit nonzero when any invariant fails (the CI mode)",
-    )
+    for command, (name, help_text, flags) in _BENCHES.items():
+        bench = sub.add_parser(command, help=help_text)
+        bench.add_argument(
+            "--quick", action="store_true",
+            help="CI-sized run (the bench's quick_config)",
+        )
+        bench.add_argument(
+            "--out", default=f"BENCH_{name}.json",
+            help=f"output JSON path (default: ./BENCH_{name}.json)",
+        )
+        for names, kwargs in flags:
+            bench.add_argument(*names, **kwargs)
+        bench.set_defaults(func=_cmd_bench, bench=name)
 
     serve = sub.add_parser(
         "serve",
         help="boot the asyncio query frontend over a demo cluster and "
         "serve probe/scan over TCP until interrupted",
     )
+    serve.set_defaults(func=_cmd_serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=0,
@@ -479,6 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay an open-loop request schedule (poisson or usenet "
         "diurnal arrivals) against a frontend and report the outcome",
     )
+    loadgen.set_defaults(func=_cmd_loadgen)
     loadgen.add_argument(
         "--connect", default=None, metavar="HOST:PORT",
         help="frontend to drive (default: boot one in-process)",
@@ -521,89 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full report as JSON instead of a summary",
     )
 
-    frontend = sub.add_parser(
-        "bench-frontend",
-        help="sweep offered load past the saturation knee under the "
-        "shed and queue overload policies; emit BENCH_frontend.json "
-        "(wall-clock: never byte-compared)",
-    )
-    frontend.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized sweep (fewer, shorter steps)",
-    )
-    frontend.add_argument(
-        "--out", default="BENCH_frontend.json",
-        help="output JSON path (default: ./BENCH_frontend.json)",
-    )
-    frontend.add_argument(
-        "--multipliers", type=float, nargs="+", default=None,
-        help="offered-load multipliers of calibrated capacity "
-        "(must straddle 1.0)",
-    )
-    frontend.add_argument(
-        "--step-duration", type=float, default=None,
-        help="seconds per sweep step",
-    )
-    frontend.add_argument(
-        "--service-us", type=float, default=None,
-        help="stand-in backend service time per request in "
-        "microseconds (default 2500)",
-    )
-    frontend.add_argument(
-        "--users", type=int, default=None,
-        help="simulated user population (default 1,000,000)",
-    )
-    frontend.add_argument(
-        "--queue-policy", choices=("fifo", "drr"), default="fifo",
-        help="request-queue discipline (default fifo, the PR 8 "
-        "baseline; drr re-asserts the claims over the fair queue)",
-    )
-    frontend.add_argument(
-        "--adaptive", action="store_true",
-        help="enable AIMD adaptive concurrency on the dispatcher pool",
-    )
-    frontend.add_argument("--seed", type=int, default=None)
-    frontend.add_argument(
-        "--strict", action="store_true",
-        help="exit nonzero unless the graceful-degradation claims "
-        "hold (the CI mode)",
-    )
-
-    resilience = sub.add_parser(
-        "bench-resilience",
-        help="tail-tolerance scenarios over a multi-frontend fleet "
-        "(hedging, retry budget, DRR fairness, zero-loss rolling "
-        "restart) plus a seeded frontend-chaos matrix; emit "
-        "BENCH_resilience.json (wall-clock: never byte-compared)",
-    )
-    resilience.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized run (same scenarios, shorter bursts)",
-    )
-    resilience.add_argument(
-        "--out", default="BENCH_resilience.json",
-        help="output JSON path (default: ./BENCH_resilience.json)",
-    )
-    resilience.add_argument(
-        "--frontends", type=int, default=None,
-        help="fleet size for the hedging/restart scenarios (default 3)",
-    )
-    resilience.add_argument(
-        "--seeds", type=int, nargs="+", default=None,
-        help="chaos-matrix seeds (default: one seed; nightly CI sweeps "
-        "several)",
-    )
-    resilience.add_argument("--seed", type=int, default=None)
-    resilience.add_argument(
-        "--strict", action="store_true",
-        help="exit nonzero unless every resilience claim and every "
-        "chaos cell holds (the CI mode)",
-    )
-
     check = sub.add_parser(
         "bench-check",
         help="gate fresh bench artifacts against BENCH_baseline.json",
     )
+    check.set_defaults(func=_cmd_bench_check)
     check.add_argument(
         "reports", nargs="+",
         help="bench JSON artifacts to check (e.g. BENCH_overlap.json)",
@@ -624,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_schemes() -> int:
+def _cmd_schemes(args: argparse.Namespace) -> int:
     print(f"{'name':<14}{'window':<8}{'min n':<7}{'temporaries':<12}period")
     for scheme_cls in ALL_SCHEMES:
         window = "hard" if scheme_cls.hard_window else "soft"
@@ -879,287 +834,44 @@ def _cmd_crash_test(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_bench_serving(args: argparse.Namespace) -> int:
-    from dataclasses import replace
+#: What a bench's configuration check raises: exit 2, not a traceback.
+_INVALID = (
+    KeyError, ValueError, ClusterError, FrontendError, SchemeError,
+    WorkloadError,
+)
 
-    from .bench.serving import (
-        ServingBenchConfig,
-        quick_config,
-        render_summary,
-        run_serving_bench,
-        write_report,
-    )
 
-    config = ServingBenchConfig()
-    if args.quick:
-        config = quick_config(config)
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """Run the bench ``args.bench`` names; the one runner of every bench."""
+    from dataclasses import fields, replace
+
+    from .bench.harness import bench, write_report
+
+    spec = bench(args.bench)
+    names = {field.name for field in fields(spec.config)}
     overrides = {
-        "probes": args.probes,
-        "scans": args.scans,
-        "window": args.window,
-        "n_indexes": args.indexes,
-        "seed": _resolve_seed(args),
-        "cache_ratio": args.cache_ratio,
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in vars(args).items()
+        if name in names and value is not None
     }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if args.batch_sizes is not None:
-        overrides["batch_sizes"] = tuple(args.batch_sizes)
+    if args.seed_global is not None:
+        if "seed" in names:
+            overrides.setdefault("seed", args.seed_global)
+        else:
+            overrides.setdefault("seeds", (args.seed_global,))
     try:
-        config = replace(config, **overrides)
-        report = run_serving_bench(config)
-    except ValueError as exc:
+        config = spec.config()
+        if args.quick:
+            config = spec.quick_config(config)
+        report = spec.run(replace(config, **overrides))
+    except _INVALID as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     path = write_report(report, args.out)
-    print(render_summary(report))
+    print(spec.render_summary(report))
     print(f"\nwrote {path}")
-    return 0
-
-
-def _cmd_bench_overlap(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .bench.overlap import (
-        OverlapBenchConfig,
-        quick_config,
-        render_summary,
-        run_overlap_bench,
-        write_report,
-    )
-
-    config = OverlapBenchConfig()
-    if args.quick:
-        config = quick_config(config)
-    overrides = {
-        "window": args.window,
-        "n_indexes": args.indexes,
-        "transitions": args.transitions,
-        "probes_per_day": args.probes,
-        "scans_per_day": args.scans,
-        "n_devices": args.devices,
-        "arrival_stretch": args.arrival_stretch,
-        "seed": _resolve_seed(args),
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if args.schemes is not None:
-        overrides["schemes"] = tuple(args.schemes)
-    try:
-        config = replace(config, **overrides)
-        report = run_overlap_bench(config)
-    except (KeyError, ValueError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    path = write_report(report, args.out)
-    print(render_summary(report))
-    print(f"\nwrote {path}")
-    return 0
-
-
-def _cmd_bench_cluster(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .bench.cluster import (
-        ClusterBenchConfig,
-        quick_config,
-        render_summary,
-        run_cluster_bench,
-        write_report,
-    )
-    from .errors import ClusterError
-
-    config = ClusterBenchConfig()
-    if args.quick:
-        config = quick_config(config)
-    overrides = {
-        "window": args.window,
-        "n_indexes": args.indexes,
-        "transitions": args.transitions,
-        "scheme": args.scheme,
-        "replication": args.replication,
-        "partitioner": args.partitioner,
-        "max_concurrent_frac": args.max_concurrent_frac,
-        "probes_per_day": args.probes,
-        "scans_per_day": args.scans,
-        "arrival_stretch": args.arrival_stretch,
-        "seed": _resolve_seed(args),
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if args.shards is not None:
-        overrides["shard_counts"] = tuple(args.shards)
-    try:
-        config = replace(config, **overrides)
-        report = run_cluster_bench(config)
-    except (KeyError, ValueError, ClusterError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    path = write_report(report, args.out)
-    print(render_summary(report))
-    print(f"\nwrote {path}")
-    return 0
-
-
-def _cmd_chaos_soak(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .bench.chaos import (
-        ChaosSoakConfig,
-        quick_config,
-        render_summary,
-        run_chaos_soak,
-        write_report,
-    )
-    from .errors import ClusterError
-
-    config = ChaosSoakConfig()
-    if args.quick:
-        config = quick_config(config)
-    overrides = {
-        "window": args.window,
-        "n_indexes": args.indexes,
-        "transitions": args.transitions,
-        "scheme": args.scheme,
-        "n_shards": args.shards,
-        "replication": args.replication,
-        "kills_per_shard": args.kills_per_shard,
-        "transient_burst_days": args.burst_days,
-        "transient_rate": args.transient_rate,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if args.seeds is not None:
-        overrides["seeds"] = tuple(args.seeds)
-    elif args.seed_global is not None:
-        overrides["seeds"] = (args.seed_global,)
-    if args.kill_points is not None:
-        overrides["kill_points"] = tuple(args.kill_points)
-    try:
-        config = replace(config, **overrides)
-        report = run_chaos_soak(config)
-    except (KeyError, ValueError, ClusterError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    path = write_report(report, args.out)
-    print(render_summary(report))
-    print(f"\nwrote {path}")
-    if args.strict and not report["headline"]["all_invariants_pass"]:
-        print("chaos soak FAILED: invariant violations", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_elastic(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .bench.elastic import (
-        ElasticBenchConfig,
-        quick_config,
-        render_summary,
-        run_elastic_bench,
-        write_report,
-    )
-    from .errors import ClusterError
-
-    config = ElasticBenchConfig()
-    if args.quick:
-        config = quick_config(config)
-    overrides = {
-        "window": args.window,
-        "n_indexes": args.indexes,
-        "transitions": args.transitions,
-        "scheme": args.scheme,
-        "spike_factor": args.spike_factor,
-        "probes_per_day": args.probes,
-        "seed": args.seed,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    try:
-        config = replace(config, **overrides)
-        report = run_elastic_bench(config)
-    except (KeyError, ValueError, ClusterError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    path = write_report(report, args.out)
-    print(render_summary(report))
-    print(f"\nwrote {path}")
-    if args.strict and not report["headline"]["claim"]["pass"]:
-        print("elastic bench FAILED: recovery claim violated", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_advisor(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .bench.advisor import (
-        AdvisorBenchConfig,
-        quick_config,
-        render_summary,
-        run_advisor_bench,
-        write_report,
-    )
-    from .errors import ClusterError
-
-    config = AdvisorBenchConfig()
-    if args.quick:
-        config = quick_config(config)
-    overrides = {
-        "window": args.window,
-        "phase_days": args.phase_days,
-        "volume_ramp": args.volume_ramp,
-        "seed": args.seed,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    try:
-        config = replace(config, **overrides)
-        report = run_advisor_bench(config)
-    except (KeyError, ValueError, ClusterError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    path = write_report(report, args.out)
-    print(render_summary(report))
-    print(f"\nwrote {path}")
-    if args.strict and not report["headline"]["claim"]["pass"]:
-        print("advisor bench FAILED: claim violated", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_topology_chaos(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .bench.topology_chaos import (
-        TopologyChaosConfig,
-        quick_config,
-        render_summary,
-        run_topology_chaos,
-        write_report,
-    )
-    from .errors import ClusterError
-
-    config = TopologyChaosConfig()
-    if args.quick:
-        config = quick_config(config)
-    overrides: dict = {}
-    if args.seeds is not None:
-        overrides["seeds"] = tuple(args.seeds)
-    if args.kinds is not None:
-        overrides["kinds"] = tuple(args.kinds)
-    if args.faults is not None:
-        overrides["faults"] = tuple(args.faults)
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
-    try:
-        config = replace(config, **overrides)
-        report = run_topology_chaos(config)
-    except (KeyError, ValueError, ClusterError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    path = write_report(report, args.out)
-    print(render_summary(report))
-    print(f"\nwrote {path}")
-    if args.strict and not report["headline"]["pass"]:
-        print(
-            "topology chaos FAILED: invariant violations", file=sys.stderr
-        )
+    if spec.claim is not None and not spec.claim(report):
+        print(f"{args.command} FAILED: its claim does not hold", file=sys.stderr)
         return 1
     return 0
 
@@ -1340,102 +1052,15 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         return 2
 
 
-def _cmd_bench_frontend(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .bench.frontend import (
-        FrontendBenchConfig,
-        quick_config,
-        render_summary,
-        run_frontend_bench,
-        write_report,
-    )
-    from .errors import FrontendError, WorkloadError
-
-    config = FrontendBenchConfig()
-    if args.quick:
-        config = quick_config(config)
-    overrides: dict = {}
-    if args.multipliers is not None:
-        overrides["load_multipliers"] = tuple(args.multipliers)
-    if args.step_duration is not None:
-        overrides["step_duration_s"] = args.step_duration
-    if args.service_us is not None:
-        overrides["service_us"] = args.service_us
-    if args.users is not None:
-        overrides["n_users"] = args.users
-    if args.queue_policy != "fifo":
-        overrides["queue_discipline"] = args.queue_policy
-    if args.adaptive:
-        overrides["adaptive"] = True
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    try:
-        config = replace(config, **overrides)
-        report = run_frontend_bench(config)
-    except (KeyError, ValueError, FrontendError, WorkloadError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    path = write_report(report, args.out)
-    print(render_summary(report))
-    print(f"\nwrote {path}")
-    if args.strict and not report["headline"]["claim"]["pass"]:
-        print(
-            "frontend bench FAILED: graceful-degradation claims violated",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_resilience(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .bench.resilience import (
-        ResilienceBenchConfig,
-        quick_config,
-        render_summary,
-        run_resilience_bench,
-        write_report,
-    )
-    from .errors import FrontendError, WorkloadError
-
-    config = ResilienceBenchConfig()
-    if args.quick:
-        config = quick_config(config)
-    overrides: dict = {}
-    if args.frontends is not None:
-        overrides["n_frontends"] = args.frontends
-    if args.seeds is not None:
-        overrides["chaos_seeds"] = tuple(args.seeds)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    try:
-        config = replace(config, **overrides)
-        report = run_resilience_bench(config)
-    except (KeyError, ValueError, FrontendError, WorkloadError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    path = write_report(report, args.out)
-    print(render_summary(report))
-    print(f"\nwrote {path}")
-    if args.strict and not report["headline"]["claim"]["pass"]:
-        print(
-            "resilience bench FAILED: tail-tolerance claims violated",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
 
 def _cmd_bench_check(args: argparse.Namespace) -> int:
+    from .bench.harness import write_report
     from .bench.regression import (
         DEFAULT_THRESHOLD,
         build_baseline,
         compare,
         load_report,
         render_diff_table,
-        write_baseline,
     )
 
     try:
@@ -1450,7 +1075,7 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
         except (OSError, ValueError):
             pass
         baseline = build_baseline(reports, previous)
-        path = write_baseline(baseline, args.baseline)
+        path = write_report(baseline, args.baseline)
         for name, value in sorted(baseline["metrics"].items()):
             print(f"  {name}: {value:.4f}")
         print(f"wrote {path}")
@@ -1474,44 +1099,4 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "schemes":
-        return _cmd_schemes()
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "advise":
-        return _cmd_advise(args)
-    if args.command == "calibrate":
-        return _cmd_calibrate(args)
-    if args.command == "latency":
-        return _cmd_latency(args)
-    if args.command == "sensitivity":
-        return _cmd_sensitivity(args)
-    if args.command == "crash-test":
-        return _cmd_crash_test(args)
-    if args.command == "bench-serving":
-        return _cmd_bench_serving(args)
-    if args.command == "bench-overlap":
-        return _cmd_bench_overlap(args)
-    if args.command == "bench-cluster":
-        return _cmd_bench_cluster(args)
-    if args.command == "chaos-soak":
-        return _cmd_chaos_soak(args)
-    if args.command == "bench-elastic":
-        return _cmd_bench_elastic(args)
-    if args.command == "bench-advisor":
-        return _cmd_bench_advisor(args)
-    if args.command == "topology-chaos":
-        return _cmd_topology_chaos(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
-    if args.command == "bench-frontend":
-        return _cmd_bench_frontend(args)
-    if args.command == "bench-resilience":
-        return _cmd_bench_resilience(args)
-    if args.command == "bench-check":
-        return _cmd_bench_check(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.func(args)

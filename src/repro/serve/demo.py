@@ -15,13 +15,12 @@ equivalence tests lean on.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from ..cluster import ClusterConfig, ClusterSimulation
-from ..core.records import Record, RecordStore
 from ..core.schemes import scheme_by_name
 from ..errors import FrontendError
+from ..workloads.keys import build_int_store
 
 
 @dataclass(frozen=True)
@@ -70,27 +69,6 @@ class DemoClusterConfig:
         return self.last_day - self.window + 1
 
 
-def build_store(config: DemoClusterConfig) -> RecordStore:
-    """Return the seeded integer-keyed record store."""
-    rng = random.Random(config.seed)
-    store = RecordStore()
-    record_id = 0
-    for day in range(1, config.last_day + 1):
-        records = []
-        for _ in range(config.records_per_day):
-            records.append(
-                Record(
-                    record_id=record_id,
-                    day=day,
-                    values=(rng.randint(1, config.domain),),
-                    nbytes=config.record_bytes,
-                )
-            )
-            record_id += 1
-        store.add_records(day, records)
-    return store
-
-
 def build_demo_cluster(
     config: DemoClusterConfig | None = None,
 ) -> ClusterSimulation:
@@ -103,7 +81,13 @@ def build_demo_cluster(
     scheme_cls = scheme_by_name(config.scheme)
     sim = ClusterSimulation(
         lambda: scheme_cls(config.window, config.n_indexes),
-        build_store(config),
+        build_int_store(
+            config.seed,
+            config.last_day,
+            config.records_per_day,
+            config.domain,
+            config.record_bytes,
+        ),
         cluster=ClusterConfig(
             n_shards=config.n_shards,
             replication=config.replication,
@@ -113,4 +97,4 @@ def build_demo_cluster(
     return sim
 
 
-__all__ = ["DemoClusterConfig", "build_demo_cluster", "build_store"]
+__all__ = ["DemoClusterConfig", "build_demo_cluster"]

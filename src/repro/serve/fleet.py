@@ -17,7 +17,7 @@ saved address), and settle before touching the next one.  A
 retries ``draining`` rejections and torn streams on the surviving
 frontends, which is what turns "a third of the fleet is restarting"
 into "nobody lost a request" — the claim
-``repro bench-resilience --strict`` gates on.
+``repro bench-resilience`` gates its exit code on.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Workload generators: Zipfian text, Usenet volume traces, TPC-D tables."""
 
+from .keys import build_int_store
 from .text import NetnewsGenerator, TextWorkloadConfig, build_store
 from .tpcd import (
     DEFAULT_SUPPLIERS,
@@ -41,6 +42,7 @@ __all__ = [
     "TpcdGenerator",
     "WEEKDAY_MEANS",
     "ZipfSampler",
+    "build_int_store",
     "build_lineitem_store",
     "build_store",
     "day_weights",

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import random
-
-from repro.core.records import Record, RecordStore
+from repro.core.records import RecordStore
+from repro.workloads.keys import build_int_store
 
 
 def make_int_store(
@@ -20,15 +19,4 @@ def make_int_store(
     Matches the key type :func:`repro.sim.querygen.uniform_key_picker`
     draws, so probe workloads actually hit.
     """
-    rng = random.Random(seed)
-    store = RecordStore()
-    rid = 0
-    for day in range(1, num_days + 1):
-        records = []
-        for _ in range(per_day):
-            records.append(
-                Record(rid, day, (rng.randint(1, domain),), nbytes=record_bytes)
-            )
-            rid += 1
-        store.add_records(day, records)
-    return store
+    return build_int_store(seed, num_days, per_day, domain, record_bytes)

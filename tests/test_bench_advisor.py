@@ -5,14 +5,13 @@ import json
 import pytest
 
 from repro.bench.advisor import (
-    REQUIRED_HEADLINE_KEYS,
+    BENCH,
     AdvisorBenchConfig,
     quick_config,
     render_summary,
     run_advisor_bench,
-    validate_report,
-    write_report,
 )
+from repro.bench.harness import write_report
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +51,9 @@ class TestAdvisorConfig:
 
 class TestAdvisorReport:
     def test_schema_validates(self, report):
-        validate_report(report)
+        BENCH.validate(report)
         assert report["bench"] == "advisor"
-        for key in REQUIRED_HEADLINE_KEYS:
+        for key in BENCH.schema.headline:
             assert key in report["headline"]
 
     def test_advisor_beats_every_static(self, report):
@@ -116,4 +115,4 @@ class TestAdvisorReport:
             if k != "advisor_drift_advantage"
         }
         with pytest.raises(ValueError):
-            validate_report(broken)
+            BENCH.validate(broken)

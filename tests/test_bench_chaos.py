@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.bench.harness import write_report
 from repro.bench.chaos import (
+    BENCH,
     ChaosSoakConfig,
     quick_config,
     render_summary,
     run_chaos_soak,
-    validate_report,
-    write_report,
 )
 
 
@@ -52,7 +52,7 @@ class TestConfig:
 
 class TestReport:
     def test_schema_validates(self, quick_report):
-        validate_report(quick_report)
+        BENCH.validate(quick_report)
         assert quick_report["bench"] == "chaos"
         assert len(quick_report["runs"]) == len(
             quick_report["chaos"]["seeds"]
@@ -96,13 +96,13 @@ class TestReport:
         broken = dict(quick_report)
         del broken["headline"]
         with pytest.raises(ValueError):
-            validate_report(broken)
+            BENCH.validate(broken)
 
     def test_validate_rejects_empty_runs(self, quick_report):
         broken = dict(quick_report)
         broken["runs"] = []
         with pytest.raises(ValueError):
-            validate_report(broken)
+            BENCH.validate(broken)
 
     def test_write_and_summary(self, quick_report, tmp_path):
         path = write_report(quick_report, tmp_path / "BENCH_chaos.json")

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.bench.harness import write_report
 from repro.bench.cluster import (
+    BENCH,
     ClusterBenchConfig,
     quick_config,
     render_summary,
     run_cluster_bench,
-    validate_report,
-    write_report,
 )
 
 
@@ -40,7 +40,7 @@ class TestConfig:
 
 class TestReport:
     def test_schema_validates(self, quick_report):
-        validate_report(quick_report)
+        BENCH.validate(quick_report)
         assert quick_report["bench"] == "cluster"
         # One lockstep run per shard count plus staggered at k_max.
         assert len(quick_report["runs"]) == len(
@@ -69,13 +69,13 @@ class TestReport:
         broken = dict(quick_report)
         del broken["headline"]
         with pytest.raises(ValueError):
-            validate_report(broken)
+            BENCH.validate(broken)
 
     def test_validate_rejects_empty_runs(self, quick_report):
         broken = dict(quick_report)
         broken["runs"] = []
         with pytest.raises(ValueError):
-            validate_report(broken)
+            BENCH.validate(broken)
 
     def test_write_and_summary(self, quick_report, tmp_path):
         path = write_report(quick_report, tmp_path / "BENCH_cluster.json")

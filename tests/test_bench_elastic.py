@@ -6,18 +6,18 @@ import dataclasses
 import pytest
 
 from repro.bench.elastic import (
+    BENCH,
     ElasticBenchConfig,
     quick_config,
     render_summary,
     run_elastic_bench,
-    validate_report,
 )
 from repro.bench.topology_chaos import (
+    BENCH as CHAOS_BENCH,
     TopologyChaosConfig,
     quick_config as chaos_quick_config,
     render_summary as chaos_render_summary,
     run_topology_chaos,
-    validate_report as chaos_validate_report,
 )
 
 
@@ -61,7 +61,7 @@ class TestElasticConfig:
 
 class TestElasticReport:
     def test_schema_validates(self, quick_report):
-        validate_report(quick_report)
+        BENCH.validate(quick_report)
         assert quick_report["bench"] == "elastic"
 
     def test_spike_recovers_via_split(self, quick_report):
@@ -93,7 +93,7 @@ class TestElasticReport:
 
 class TestTopologyChaosReport:
     def test_schema_validates(self, chaos_report):
-        chaos_validate_report(chaos_report)
+        CHAOS_BENCH.validate(chaos_report)
         assert chaos_report["bench"] == "topology_chaos"
 
     def test_every_cell_passes(self, chaos_report):

@@ -11,8 +11,8 @@ from dataclasses import replace
 import pytest
 
 from repro.bench.frontend import (
+    BENCH,
     KNEE_REJECT_EPS,
-    REQUIRED_HEADLINE_KEYS,
     REQUIRED_STEP_KEYS,
     FrontendBenchConfig,
     _knee,
@@ -20,9 +20,8 @@ from repro.bench.frontend import (
     quick_config,
     render_summary,
     run_frontend_bench,
-    validate_report,
-    write_report,
 )
+from repro.bench.harness import write_report
 from repro.errors import FrontendError
 from repro.serve.demo import DemoClusterConfig
 
@@ -80,7 +79,7 @@ def synthetic_report():
             "pass": True,
         },
     }
-    assert all(k in headline for k in REQUIRED_HEADLINE_KEYS)
+    assert all(k in headline for k in BENCH.schema.headline)
     return {
         "bench": "frontend",
         "schema_version": 1,
@@ -170,7 +169,7 @@ class TestSubsaturationEquivalence:
 
 class TestValidateReport:
     def test_synthetic_report_passes(self):
-        validate_report(synthetic_report())
+        BENCH.validate(synthetic_report())
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -204,7 +203,7 @@ class TestValidateReport:
         report = synthetic_report()
         mutate(report)
         with pytest.raises(ValueError, match=message):
-            validate_report(report)
+            BENCH.validate(report)
 
 
 class TestMiniatureSweep:
@@ -229,7 +228,7 @@ class TestMiniatureSweep:
         return run_frontend_bench(config)
 
     def test_report_validates(self, report):
-        validate_report(report)
+        BENCH.validate(report)
 
     def test_saturated_step_sheds(self, report):
         top = report["measured"]["sweeps"]["shed"][-1]
@@ -238,7 +237,7 @@ class TestMiniatureSweep:
 
     def test_artifact_round_trips(self, report, tmp_path):
         path = write_report(report, tmp_path / "BENCH_frontend.json")
-        validate_report(json.loads(path.read_text()))
+        BENCH.validate(json.loads(path.read_text()))
 
     def test_summary_renders(self, report):
         text = render_summary(report)

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.bench.harness import write_report
 from repro.bench.overlap import (
+    BENCH,
     OverlapBenchConfig,
     quick_config,
     render_summary,
     run_overlap_bench,
-    validate_report,
-    write_report,
 )
 
 
@@ -36,7 +36,7 @@ class TestConfig:
 
 class TestReport:
     def test_schema_validates(self, quick_report):
-        validate_report(quick_report)
+        BENCH.validate(quick_report)
         assert quick_report["bench"] == "overlap"
         assert len(quick_report["schemes"]) == 7
 
@@ -64,13 +64,13 @@ class TestReport:
         broken = dict(quick_report)
         del broken["headline"]
         with pytest.raises(ValueError):
-            validate_report(broken)
+            BENCH.validate(broken)
 
     def test_validate_rejects_empty_schemes(self, quick_report):
         broken = dict(quick_report)
         broken["schemes"] = []
         with pytest.raises(ValueError):
-            validate_report(broken)
+            BENCH.validate(broken)
 
     def test_write_and_summary(self, quick_report, tmp_path):
         path = write_report(quick_report, tmp_path / "BENCH_overlap.json")

@@ -1,7 +1,7 @@
 """Tests for the resilience bench: schema, config, fault injectors.
 
 The scenarios themselves run real TCP fleets and are exercised by the
-CI ``bench-resilience --quick --strict`` job; here the cheap invariants
+CI ``bench-resilience --quick`` job; here the cheap invariants
 are pinned — report validation catches every malformed shape, the quick
 config genuinely shortens the bursts, and the fault-injecting fakes
 behave as advertised.
@@ -15,6 +15,7 @@ import pytest
 from repro.errors import FrontendError, TransportError
 from repro.serve.client import FrontendClient
 from repro.bench.resilience import (
+    BENCH,
     DRR_LIGHT_SHED_BOUND,
     HEDGE_TAIL_BOUND,
     ExtraDelayBackend,
@@ -25,7 +26,6 @@ from repro.bench.resilience import (
     TornFrameServer,
     quick_config,
     render_summary,
-    validate_report,
 )
 
 
@@ -87,7 +87,7 @@ def stub_report() -> dict:
 
 class TestValidateReport:
     def test_stub_is_valid(self):
-        validate_report(stub_report())
+        BENCH.validate(stub_report())
 
     @pytest.mark.parametrize(
         "key", ["bench", "workload", "scenarios", "chaos", "headline"]
@@ -96,13 +96,13 @@ class TestValidateReport:
         report = stub_report()
         del report[key]
         with pytest.raises(ValueError, match=key):
-            validate_report(report)
+            BENCH.validate(report)
 
     def test_wrong_bench_name(self):
         report = stub_report()
         report["bench"] = "frontend"
         with pytest.raises(ValueError, match="bench"):
-            validate_report(report)
+            BENCH.validate(report)
 
     def test_machine_dependence_must_be_declared(self):
         # Wall-clock artifacts byte-compared across machines are how
@@ -110,7 +110,7 @@ class TestValidateReport:
         report = stub_report()
         report["machine_dependent"] = False
         with pytest.raises(ValueError, match="machine_dependent"):
-            validate_report(report)
+            BENCH.validate(report)
 
     @pytest.mark.parametrize(
         "scenario",
@@ -120,42 +120,42 @@ class TestValidateReport:
         report = stub_report()
         del report["scenarios"][scenario]
         with pytest.raises(ValueError, match=scenario):
-            validate_report(report)
+            BENCH.validate(report)
 
     def test_scenario_without_verdict(self):
         report = stub_report()
         del report["scenarios"]["fair_queue"]["pass"]
         with pytest.raises(ValueError, match="pass"):
-            validate_report(report)
+            BENCH.validate(report)
 
     def test_empty_chaos_matrix(self):
         report = stub_report()
         report["chaos"] = []
         with pytest.raises(ValueError, match="chaos"):
-            validate_report(report)
+            BENCH.validate(report)
 
     def test_chaos_cell_missing_key(self):
         report = stub_report()
         del report["chaos"][0]["seed"]
         with pytest.raises(ValueError, match="seed"):
-            validate_report(report)
+            BENCH.validate(report)
 
     def test_missing_headline_key(self):
         report = stub_report()
         del report["headline"]["retry_amplification"]
         with pytest.raises(ValueError, match="retry_amplification"):
-            validate_report(report)
+            BENCH.validate(report)
 
     def test_negative_lost_requests(self):
         report = stub_report()
         report["headline"]["rolling_restart_lost_requests"] = -1.0
         with pytest.raises(ValueError, match="negative"):
-            validate_report(report)
+            BENCH.validate(report)
 
     def test_validation_does_not_mutate(self):
         report = stub_report()
         snapshot = copy.deepcopy(report)
-        validate_report(report)
+        BENCH.validate(report)
         assert report == snapshot
 
 

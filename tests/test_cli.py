@@ -188,12 +188,12 @@ class TestBenchServing:
     def test_quick_run_writes_valid_report(self, capsys, tmp_path):
         import json
 
-        from repro.bench.serving import validate_report
+        from repro.bench.serving import BENCH
 
         out_path = tmp_path / "BENCH_serving.json"
         assert main(["bench-serving", "--quick", "--out", str(out_path)]) == 0
         report = json.loads(out_path.read_text())
-        validate_report(report)
+        BENCH.validate(report)
         assert report["bench"] == "serving"
         stdout = capsys.readouterr().out
         assert "batch" in stdout
@@ -215,12 +215,12 @@ class TestBenchOverlap:
     def test_quick_run_writes_valid_report(self, capsys, tmp_path):
         import json
 
-        from repro.bench.overlap import validate_report
+        from repro.bench.overlap import BENCH
 
         out_path = tmp_path / "BENCH_overlap.json"
         assert main(["bench-overlap", "--quick", "--out", str(out_path)]) == 0
         report = json.loads(out_path.read_text())
-        validate_report(report)
+        BENCH.validate(report)
         assert report["bench"] == "overlap"
         stdout = capsys.readouterr().out
         assert "makespan" in stdout
@@ -253,12 +253,12 @@ class TestBenchCluster:
     def test_quick_run_writes_valid_report(self, capsys, tmp_path):
         import json
 
-        from repro.bench.cluster import validate_report
+        from repro.bench.cluster import BENCH
 
         out_path = tmp_path / "BENCH_cluster.json"
         assert main(["bench-cluster", "--quick", "--out", str(out_path)]) == 0
         report = json.loads(out_path.read_text())
-        validate_report(report)
+        BENCH.validate(report)
         assert report["bench"] == "cluster"
         stdout = capsys.readouterr().out
         assert "throughput scaling" in stdout
@@ -291,15 +291,15 @@ class TestChaosSoak:
     def test_quick_strict_run_writes_valid_report(self, capsys, tmp_path):
         import json
 
-        from repro.bench.chaos import validate_report
+        from repro.bench.chaos import BENCH
 
         out_path = tmp_path / "BENCH_chaos.json"
         assert (
-            main(["chaos-soak", "--quick", "--strict", "--out", str(out_path)])
+            main(["chaos-soak", "--quick", "--out", str(out_path)])
             == 0
         )
         report = json.loads(out_path.read_text())
-        validate_report(report)
+        BENCH.validate(report)
         assert report["bench"] == "chaos"
         assert report["headline"]["all_invariants_pass"] is True
         stdout = capsys.readouterr().out
@@ -317,6 +317,24 @@ class TestChaosSoak:
         )
         assert code == 2
         assert "replication" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["bench-serving", "bench-overlap", "bench-cluster", "bench-elastic",
+     "chaos-soak"],
+)
+def test_impossible_window_is_an_invalid_configuration(
+    command, capsys, tmp_path
+):
+    # Five indexes cannot share a two-day window: exit 2 with a message,
+    # not a traceback (exit 1 means a bench's claim failed).
+    assert main([
+        command, "--quick", "-w", "2", "-n", "5",
+        "--out", str(tmp_path / "x.json"),
+    ]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 class TestBenchCheck:
@@ -409,25 +427,30 @@ class TestBenchElastic:
     def test_quick_run_writes_valid_report(self, capsys, tmp_path):
         import json
 
-        from repro.bench.elastic import validate_report
+        from repro.bench.elastic import BENCH
 
         out_path = tmp_path / "BENCH_elastic.json"
         assert main([
             "bench-elastic", "--quick", "--out", str(out_path),
         ]) == 0
         report = json.loads(out_path.read_text())
-        validate_report(report)
+        BENCH.validate(report)
         assert report["bench"] == "elastic"
         stdout = capsys.readouterr().out
         assert "recovery" in stdout
         assert str(out_path) in stdout
 
-    def test_strict_quick_run_passes(self, tmp_path):
+    def test_failed_claim_exits_1_and_still_writes_the_report(
+        self, capsys, tmp_path
+    ):
+        # No spike, so the autoscaler never splits: the claim fails.
         out_path = tmp_path / "BENCH_elastic.json"
         assert main([
-            "bench-elastic", "--quick", "--strict",
+            "bench-elastic", "--quick", "--spike-factor", "1",
             "--out", str(out_path),
-        ]) == 0
+        ]) == 1
+        assert out_path.exists()
+        assert "FAILED" in capsys.readouterr().err
 
     def test_unknown_scheme_fails_cleanly(self, capsys, tmp_path):
         assert main([
@@ -441,15 +464,14 @@ class TestTopologyChaos:
     def test_quick_run_writes_valid_report(self, capsys, tmp_path):
         import json
 
-        from repro.bench.topology_chaos import validate_report
+        from repro.bench.topology_chaos import BENCH
 
         out_path = tmp_path / "BENCH_topology_chaos.json"
         assert main([
-            "topology-chaos", "--quick", "--strict",
-            "--out", str(out_path),
+            "topology-chaos", "--quick", "--out", str(out_path),
         ]) == 0
         report = json.loads(out_path.read_text())
-        validate_report(report)
+        BENCH.validate(report)
         assert report["bench"] == "topology_chaos"
         assert report["headline"]["pass"] is True
         stdout = capsys.readouterr().out

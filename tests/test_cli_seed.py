@@ -1,13 +1,15 @@
 """Seed-plumbing regression tests: same seed, byte-identical artifact.
 
-Every artifact-writing subcommand resolves its RNG seed through the one
-``_resolve_seed`` path (per-command ``--seed``, then the global flag,
-then :data:`repro.cli.DEFAULT_SEED`).  These tests pin the contract that
+Every bench subcommand resolves its RNG seed in the one bench runner
+(per-command ``--seed``, then the global flag, then the config's
+default).  These tests pin the contract that
 matters downstream: two runs with the same seed produce *byte-identical*
 JSON artifacts, and the global and per-command spellings of the same
 seed are interchangeable.  A subcommand that grows an unseeded RNG (or
 stamps wall-clock time into its report) breaks here, not in CI archaeology.
 """
+
+import json
 
 import pytest
 
@@ -18,6 +20,8 @@ BENCH_COMMANDS = (
     ("bench-serving", ()),
     ("bench-overlap", ("--transitions", "3", "--schemes", "REINDEX")),
     ("bench-cluster", ()),
+    ("bench-elastic", ()),
+    ("bench-advisor", ()),
 )
 
 
@@ -58,3 +62,14 @@ class TestSeedDeterminism:
         other = _run(command, extra, tmp_path / "b.json", ("--seed", "12"))
         capsys.readouterr()
         assert base != other
+
+
+def test_global_seed_reaches_a_seeds_field(tmp_path, capsys):
+    # A bench seeded by a list of seeds takes the global seed as (N,).
+    out_path = tmp_path / "t.json"
+    assert main([
+        "--seed", "3", "topology-chaos", "--quick", "--kinds", "merge",
+        "--out", str(out_path),
+    ]) == 0
+    capsys.readouterr()
+    assert json.loads(out_path.read_text())["config"]["seeds"] == [3]
