@@ -55,6 +55,13 @@ from .index.updates import UpdateTechnique
 
 _TECHNIQUES = tuple(UpdateTechnique)
 
+#: What a configuration check raises (an impossible ``(W, n)`` among
+#: them): exit 2 with ``invalid configuration: ...``, not a traceback.
+_INVALID = (
+    KeyError, ValueError, ClusterError, FrontendError, SchemeError,
+    WorkloadError,
+)
+
 #: The RNG seed ``crash-test`` and ``latency`` default to, and the
 #: default ``seed`` of every bench config that has one.
 DEFAULT_SEED = 7
@@ -606,6 +613,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    except _INVALID as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
     rows = trace_scheme(scheme, last_day)
     title = f"{scheme_cls.name} (W={args.window}, n={args.indexes})"
     print(format_trace(rows, title=title))
@@ -754,7 +764,11 @@ def _cmd_latency(args: argparse.Namespace) -> int:
         return 2
     params = TABLE12[args.scenario]
     technique = UpdateTechnique(args.technique)
-    scheme = scheme_cls(params.window, args.indexes)
+    try:
+        scheme = scheme_cls(params.window, args.indexes)
+    except _INVALID as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
     reports = run_reports(scheme, params, technique, transitions=params.window)
     stats = simulate_query_latency(
         reports[-1],
@@ -832,13 +846,6 @@ def _cmd_crash_test(args: argparse.Namespace) -> int:
                 print(f"  {cell.describe()}")
     print(result.summary())
     return 0 if result.ok else 1
-
-
-#: What a bench's configuration check raises: exit 2, not a traceback.
-_INVALID = (
-    KeyError, ValueError, ClusterError, FrontendError, SchemeError,
-    WorkloadError,
-)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -630,10 +630,10 @@ class ClusterSimulation:
             monitor=self._monitor,
             router=self.router,
         )
-        self.latency_during: Histogram = self.obs.histogram(
+        self.latency_during = self.obs.histogram(
             "cluster.latency.during_transition"
         )
-        self.latency_steady: Histogram = self.obs.histogram(
+        self.latency_steady = self.obs.histogram(
             "cluster.latency.steady_state"
         )
         self.result = ClusterResult(

@@ -2,8 +2,9 @@
 
 Two small, dependency-free pieces:
 
-* :mod:`repro.obs.registry` — named counters and exact-quantile histograms
-  with JSON-friendly snapshots (:class:`MetricsRegistry`);
+* :mod:`repro.obs.registry` — named counters, exact-quantile histograms
+  for simulated quantities and fixed-memory log-bucketed histograms for
+  wall-clock ones, with JSON-friendly snapshots (:class:`MetricsRegistry`);
 * :mod:`repro.obs.tracing` — nested span tracing on the *simulated* clock
   (:class:`Tracer`), so traces attribute simulated seconds to phases.
 
@@ -18,6 +19,7 @@ from .registry import (
     Counter,
     CounterWindow,
     Histogram,
+    LogHistogram,
     MetricsRegistry,
     SlidingWindow,
 )
@@ -27,6 +29,7 @@ __all__ = [
     "Counter",
     "CounterWindow",
     "Histogram",
+    "LogHistogram",
     "MetricsRegistry",
     "SlidingWindow",
     "Span",

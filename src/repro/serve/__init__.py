@@ -26,10 +26,11 @@ in front of :class:`~repro.cluster.coordinator.ClusterCoordinator`:
 * :mod:`repro.serve.demo` — a seeded ready-to-serve cluster for the
   CLI, the load generator, and the saturation bench.
 
-A thread-pool executor bridges the asyncio world to the synchronous
-coordinator; the simulated substrate stays single-threaded behind a
-lock, while the event loop overlaps queueing, admission, deadline
-handling, and I/O with the backend's compute.  Wall-clock latency and
+The synchronous coordinator only computes, so it is called on the
+event loop, between the loop's turns of queueing, admission, deadline
+handling and I/O; a backend that waits (a sleep, a blocking call) is
+bridged by a thread-pool executor instead, and the simulated substrate
+stays single-threaded behind a lock either way.  Wall-clock latency and
 throughput are measured by :mod:`repro.loadgen`,
 ``repro bench-frontend``, and ``repro bench-resilience``.
 """

@@ -160,7 +160,7 @@ class AimdController:
         # completions that ran under the new limit.
         self._window.clear()
         if self.metrics is not None:
-            self.metrics.histogram("serve.adaptive.limit").observe(
+            self.metrics.log_histogram("serve.adaptive.limit").observe(
                 float(self.limit)
             )
         return self.limit

@@ -21,15 +21,26 @@ The pipeline every query passes through, in order:
 5. **Concurrency-limited dispatch** — ``max_concurrency`` dispatcher
    tasks pull from the queue.  Consecutive probe requests are coalesced
    (up to ``batch_max``) into one backend ``probe_many`` call, carrying
-   PR 2's batch amortization through the frontend.  The synchronous
-   backend runs on a thread-pool executor so the event loop keeps
-   accepting and timing out other work.
-6. **Deadline in flight** — the dispatch is awaited under the batch's
-   largest remaining deadline; on expiry the waiting requests are
-   rejected and the answer, when the worker thread eventually produces
-   it, is discarded (the thread itself cannot be interrupted — the
-   cancellation boundary is the event loop, which is where the client
-   is waiting).
+   the batched read path's amortization through the frontend.  Where
+   the call is made is a fact about the backend's class, read once: a
+   backend that only computes (``computes_only = True``, as
+   :class:`CoordinatorBackend` declares) is called on the event loop,
+   because under the interpreter lock a worker thread would never run
+   beside the loop and would only add a hand-off each way.  Any other
+   backend — one that sleeps, blocks or waits on I/O, and every backend
+   that does not say — runs on a thread-pool executor so the event loop
+   keeps accepting and timing out other work.  A dispatcher that
+   computed a batch on the loop yields once before taking the next, so
+   the answers of one batch leave before the next is computed.
+6. **Deadline in flight** — on the executor, the dispatch is awaited
+   under the batch's largest remaining deadline; on expiry the waiting
+   requests are rejected and the answer, when the worker thread
+   eventually produces it, is discarded (the thread itself cannot be
+   interrupted — the cancellation boundary is the event loop, which is
+   where the client is waiting).  On the loop, no timer can fire while
+   the backend computes, so in-flight expiry is decided when the answer
+   returns.  Either way each request is then settled against its own
+   deadline: one that passed in flight is rejected, not answered late.
 
 Everything is observable through a :class:`~repro.obs.MetricsRegistry`:
 ``serve.admitted`` / ``serve.shed`` / ``serve.rejected.*`` counters,
@@ -38,7 +49,9 @@ histograms, and **wall-clock** latency histograms (``serve.latency.*``,
 in seconds).  Unlike every other metric in this repo these are real
 time, not simulated-disk time — the frontend exists precisely to
 measure the system under real concurrency — so they are never
-byte-compared across machines.
+byte-compared across machines.  The four histograms are fixed-memory
+:class:`~repro.obs.LogHistogram`\\ s: their memory and a ``stats``
+scrape cost the same after a million requests as after ten.
 """
 
 from __future__ import annotations
@@ -207,15 +220,27 @@ class _Pending:
 
 
 class CoordinatorBackend:
-    """Thread-safe bridge from the async frontend to the sync cluster.
+    """Bridge from the async frontend to the sync cluster.
+
+    A call only computes — it never sleeps and never waits on I/O — so
+    it declares ``computes_only`` and the admission controller makes it
+    on the event loop, on the thread the request is already on.
+    Concurrency above this point comes from batching and from the event
+    loop interleaving queueing, admission and timeouts between batches.
 
     The :class:`~repro.cluster.coordinator.ClusterCoordinator` and the
     simulated substrate under it are single-threaded state (device
-    clocks, page caches, failover bookkeeping), so a lock serializes
-    the actual coordinator calls; concurrency above this point comes
-    from batching and from the event loop overlapping queueing,
-    admission, and timeout handling with the backend's compute.
+    clocks, page caches, failover bookkeeping), so a lock still
+    serializes the coordinator calls.  Served directly, the loop is its
+    only taker and it is never contended.  A backend that wraps this one
+    and waits (the benches' service-delay and fault wrappers, a fleet's
+    per-frontend fault injection) runs it on an executor thread; the
+    loop then waits for at most one such batch.  A subclass that blocks
+    must set ``computes_only = False``.
     """
+
+    #: Read once by :class:`AdmissionController`: call on the loop.
+    computes_only = True
 
     def __init__(self, coordinator: Any) -> None:
         import threading
@@ -238,7 +263,9 @@ class AdmissionController:
     Args:
         backend: Object with synchronous ``probe_many(specs)`` /
             ``scan_many(specs)`` returning one result per spec (usually
-            a :class:`CoordinatorBackend`).
+            a :class:`CoordinatorBackend`).  Called on the event loop
+            when its class sets ``computes_only = True``, on an executor
+            thread otherwise.
         config: Pipeline tuning.
         metrics: Registry the pipeline publishes into (created when
             omitted; exposed as :attr:`obs`).
@@ -255,6 +282,9 @@ class AdmissionController:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.backend = backend
+        # Stage 5's choice, a fact about the backend's class: a backend
+        # that does not say it only computes is run on the executor.
+        self._on_loop = getattr(type(backend), "computes_only", False) is True
         self.config = config or AdmissionConfig()
         self.obs = metrics or MetricsRegistry()
         self.clock = clock
@@ -264,10 +294,10 @@ class AdmissionController:
         self._requests = self.obs.counter("serve.requests")
         self._admitted = self.obs.counter("serve.admitted")
         self._completed = self.obs.counter("serve.completed")
-        self._queue_depth = self.obs.histogram("serve.queue.depth")
-        self._batch_size = self.obs.histogram("serve.batch.size")
-        self._queue_latency = self.obs.histogram("serve.latency.queue")
-        self._wall_latency = self.obs.histogram("serve.latency.wall")
+        self._queue_depth = self.obs.log_histogram("serve.queue.depth")
+        self._batch_size = self.obs.log_histogram("serve.batch.size")
+        self._queue_latency = self.obs.log_histogram("serve.latency.queue")
+        self._wall_latency = self.obs.log_histogram("serve.latency.wall")
         #: tenant -> its (``requests``, ``admitted``) counters.
         self._tenants: dict[str, tuple[Counter, Counter]] = {}
         self._queue = build_request_queue(
@@ -286,6 +316,7 @@ class AdmissionController:
             self._limit_cond = asyncio.Condition()
         self._buckets: dict[str, TokenBucket] = {}
         self._dispatchers: list[asyncio.Task] = []
+        # Starts no thread before a waiting backend's first batch.
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.executor_workers,
             thread_name_prefix="repro-serve",
@@ -521,6 +552,11 @@ class AdmissionController:
                     self._queue.task_done()
                 if self._in_flight == 0:
                     self._idle.set()
+            if self._on_loop and not self._queue.empty():
+                # A batch computed on the loop never yielded, and get()
+                # does not when the queue holds more: let this batch's
+                # answers go out before the next is computed.
+                await asyncio.sleep(0)
             if self._adaptive is not None:
                 await self._adapt()
 
@@ -576,16 +612,26 @@ class AdmissionController:
             if op == "probe"
             else self.backend.scan_many
         )
-        loop = asyncio.get_running_loop()
-        work = loop.run_in_executor(self._executor, call, specs)
-        remaining = [
-            r for p in alive if (r := p.remaining(now)) is not None
-        ]
-        # Stage 6: wait under the batch's most patient deadline; each
-        # request is then settled against its own.
-        timeout = max(remaining) if len(remaining) == len(alive) else None
         try:
-            results = await asyncio.wait_for(work, timeout)
+            if self._on_loop:
+                # Stage 6 on the loop: no timer fires while the backend
+                # computes, so in-flight expiry is decided below, when
+                # the answer is back.
+                results = call(specs)
+            else:
+                # Stage 6 on the executor: wait under the batch's most
+                # patient deadline; each request is then settled below
+                # against its own.
+                remaining = [
+                    r for p in alive if (r := p.remaining(now)) is not None
+                ]
+                timeout = (
+                    max(remaining) if len(remaining) == len(alive) else None
+                )
+                work = asyncio.get_running_loop().run_in_executor(
+                    self._executor, call, specs
+                )
+                results = await asyncio.wait_for(work, timeout)
         except asyncio.CancelledError:
             # An unclean drain cancelled this dispatcher mid-flight;
             # settle the waiters so no client hangs on a dead future.

@@ -4,9 +4,10 @@ One cluster, several :class:`~repro.serve.server.FrontendServer`\\ s: the
 deployment shape every resilience claim is made against.  The fleet
 shares a single :class:`~repro.serve.admission.CoordinatorBackend`
 across frontends — the simulated substrate under the coordinator is
-single-threaded state, so all frontends' executor threads must
-serialize through the same lock — while each frontend keeps its own
-admission pipeline, metrics registry, and TCP listener.
+single-threaded state: the frontends call it on their shared event
+loop, and the one lock serializes the calls that fault-injecting
+wrappers make from executor threads — while each frontend keeps its
+own admission pipeline, metrics registry, and TCP listener.
 
 :class:`RollingRestartOrchestrator` is the deploy story: take frontends
 down **one at a time**, each through the PR 8 drain gate (stop

@@ -60,10 +60,11 @@ class FrontendServer:
             by the ``stats`` op.
         backend: Pre-built backend to dispatch into instead of wrapping
             ``coordinator``.  A multi-frontend fleet passes one shared
-            :class:`CoordinatorBackend` so every frontend serializes
-            through the same lock — the single-threaded simulated
-            substrate must never see two frontends' executor threads at
-            once.
+            :class:`CoordinatorBackend`: every frontend calls it on the
+            one event loop they share, and its lock still serializes
+            any call a waiting wrapper makes from an executor thread —
+            the single-threaded simulated substrate must never see two
+            calls at once.
     """
 
     def __init__(

@@ -1,8 +1,14 @@
 """Tests for the observability counter/histogram registry."""
 
-import pytest
+import random
+import time
+import tracemalloc
 
-from repro.obs import Counter, Histogram, MetricsRegistry
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs import Counter, Histogram, LogHistogram, MetricsRegistry
 
 
 class TestCounter:
@@ -68,6 +74,109 @@ class TestHistogram:
         assert h.values[:3] == [0.3, -0.0, 0.0]  # observations left unsorted
 
 
+#: Observations in LogHistogram's accurate range, zero among them.
+_IN_RANGE = st.lists(
+    st.one_of(
+        st.floats(min_value=LogHistogram.LOWEST, max_value=LogHistogram.HIGHEST),
+        st.just(0.0),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+def _twins(values):
+    exact, bounded = Histogram("x"), LogHistogram("x")
+    for value in values:
+        exact.observe(value)
+        bounded.observe(value)
+    return exact, bounded
+
+
+class TestLogHistogram:
+    def test_empty_is_all_zero_with_the_same_keys(self):
+        summary = LogHistogram("lat").summary()
+        assert list(summary) == list(Histogram("lat").summary())
+        assert set(summary.values()) == {0}
+
+    @settings(deadline=None)
+    @given(values=_IN_RANGE, q=st.floats(min_value=0.0, max_value=1.0))
+    def test_quantiles_are_within_the_stated_error(self, values, q):
+        exact, bounded = _twins(values)
+        error = LogHistogram.RELATIVE_ERROR * (1 + 1e-9)
+        for wanted, got in (
+            (exact.quantile(q), bounded.quantile(q)),
+            *(
+                (exact.summary()[key], bounded.summary()[key])
+                for key in ("p50", "p95", "p99")
+            ),
+        ):
+            assert abs(got - wanted) <= error * wanted, (wanted, got)
+
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=32),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    def test_count_total_min_and_max_are_exact(self, values):
+        exact, bounded = _twins(values)
+        total = 0.0
+        for value in values:
+            total += value
+        assert bounded.count == exact.count
+        assert bounded.total == total  # summed in arrival order
+        assert (bounded.min, bounded.max) == (exact.min, exact.max)
+        summary = bounded.summary()
+        assert (summary["count"], summary["min"], summary["max"]) == (
+            exact.count, exact.min, exact.max,
+        )
+
+    def test_zero_and_negative_values_share_their_own_bucket(self):
+        h = LogHistogram("depth")
+        for value in (0, 0, 0, 5):
+            h.observe(value)
+        assert (h.quantile(0.5), h.quantile(0.75), h.max) == (0.0, 0.0, 5)
+        h.observe(-3.0)
+        # Below zero the bucket knows only the extremes it is clamped to.
+        assert h.quantile(0.0) == 0.0 and h.min == -3.0
+        assert LogHistogram("neg").summary()["min"] == 0.0
+
+    def test_memory_is_bounded_by_its_slots(self):
+        rng = random.Random(5)
+        tracemalloc.start()
+        try:
+            h = LogHistogram("wall")
+            built = tracemalloc.get_traced_memory()[0]
+            for _ in range(150_000):
+                h.observe(rng.expovariate(1e4))
+            grown = tracemalloc.get_traced_memory()[0] - built
+        finally:
+            tracemalloc.stop()
+        # Only a slot's count can grow, from a shared small int to a
+        # 28-byte one, whatever the number of observations.  An exact
+        # histogram keeps 8 bytes a value: 1.2 MB here.
+        assert len(h._counts) == LogHistogram.SLOTS
+        assert grown < 32 * LogHistogram.SLOTS
+
+    def test_summary_cost_does_not_grow_with_observations(self):
+        def cost(n):
+            h = LogHistogram("wall")
+            rng = random.Random(n)
+            for _ in range(n):
+                h.observe(rng.expovariate(1e4))
+            best = float("inf")
+            for _ in range(20):
+                start = time.perf_counter()
+                h.summary()
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        # An exact histogram sorts every observation: 10 000x the work.
+        assert cost(100_000) < 5 * cost(10)
+
+
 class TestRegistry:
     def test_create_on_first_use_returns_same_instance(self):
         reg = MetricsRegistry()
@@ -99,6 +208,18 @@ class TestRegistry:
         reg.histogram("y")
         with pytest.raises(ValueError):
             reg.counter("y")
+        with pytest.raises(ValueError):
+            reg.log_histogram("y")
+        with pytest.raises(ValueError):
+            reg.log_histogram("x")
+
+    def test_a_bounded_histogram_reads_through_histogram(self):
+        reg = MetricsRegistry()
+        bounded = reg.log_histogram("serve.latency.wall")
+        assert reg.log_histogram("serve.latency.wall") is bounded
+        assert reg.histogram("serve.latency.wall") is bounded
+        bounded.observe(0.25)
+        assert reg.snapshot()["histograms"]["serve.latency.wall"]["p50"] == 0.25
 
     def test_snapshot_is_plain_data(self):
         import json

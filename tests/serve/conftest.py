@@ -101,19 +101,34 @@ class FakeClock:
 
 
 class EchoBackend:
-    """Instant backend: answers derived from the specs, call log kept."""
+    """Instant backend: answers derived from the specs, call log kept.
+
+    It does not say it only computes, so the controller runs it on an
+    executor thread; :func:`computing` makes the twin it calls on the
+    loop.  ``threads`` holds the thread of every call.
+    """
 
     def __init__(self) -> None:
         self.probe_calls: list[list] = []
         self.scan_calls: list[list] = []
+        self.threads: list[int] = []
 
     def probe_many(self, specs):
+        self.threads.append(threading.get_ident())
         self.probe_calls.append(list(specs))
         return [("probe", spec) for spec in specs]
 
     def scan_many(self, specs):
+        self.threads.append(threading.get_ident())
         self.scan_calls.append(list(specs))
         return [("scan", spec) for spec in specs]
+
+
+def computing(backend_cls):
+    """``backend_cls`` declared a backend that only computes."""
+    return type(f"Computing{backend_cls.__name__}", (backend_cls,), {
+        "computes_only": True,
+    })
 
 
 class GateBackend(EchoBackend):

@@ -6,6 +6,7 @@ fake clock from ``conftest`` — no real sleeping, exact timing.
 
 import asyncio
 import gc
+import threading
 import weakref
 
 import pytest
@@ -21,7 +22,7 @@ from repro.serve.admission import (
     TokenBucket,
 )
 
-from .conftest import EchoBackend, GateBackend
+from .conftest import EchoBackend, FakeClock, GateBackend, computing
 
 
 def run(coro):
@@ -572,3 +573,294 @@ class TestAdmissionEdgeRaces:
                 await controller.drain()
 
         run(scenario())
+
+
+# ----------------------------------------------------------------------
+# The two dispatch kinds: one pipeline, on the loop or off it
+# ----------------------------------------------------------------------
+
+
+class ClockedEchoBackend(EchoBackend):
+    """Echo that spends ``cost_s`` seconds of the fake clock a call."""
+
+    def __init__(self, clock: FakeClock, cost_s: float) -> None:
+        super().__init__()
+        self.clock = clock
+        self.cost_s = cost_s
+
+    def probe_many(self, specs):
+        self.clock.advance(self.cost_s)
+        return super().probe_many(specs)
+
+    def scan_many(self, specs):
+        self.clock.advance(self.cost_s)
+        return super().scan_many(specs)
+
+
+async def settle(awaitable):
+    """An answer, or the code of the rejection that took its place."""
+    try:
+        return await awaitable
+    except RequestRejected as exc:
+        return exc.code
+
+
+def queued(controller, *requests):
+    """Submit each ``(op, spec, options)`` as its own task, in order."""
+    loop = asyncio.get_running_loop()
+    return [
+        loop.create_task(settle(controller.submit(op, spec, **options)))
+        for op, spec, options in requests
+    ]
+
+
+def both_kinds(scenario, config: AdmissionConfig, *, cost_s: float = 0.0):
+    """Run ``scenario(controller, clock)`` over the echo backend as a
+    waiting backend and as a computing one; return the one outcome.
+
+    Answers and rejection codes, the backend's call log (so batches and
+    their order) and every metric must be equal; each kind's calls must
+    have run on its own side of the loop.
+    """
+    outcomes = []
+    for cls in (ClockedEchoBackend, computing(ClockedEchoBackend)):
+        clock = FakeClock()
+        backend = cls(clock, cost_s)
+
+        async def go():
+            controller = AdmissionController(backend, config, clock=clock)
+            answers = await scenario(controller, clock)
+            if not controller.draining:
+                assert await controller.drain(timeout_s=5.0) is True
+            return answers, controller.obs.snapshot(), threading.get_ident()
+
+        answers, snapshot, loop_thread = run(go())
+        on_loop = {thread == loop_thread for thread in backend.threads}
+        assert on_loop <= {cls is not ClockedEchoBackend}
+        outcomes.append(
+            (answers, backend.probe_calls, backend.scan_calls, snapshot)
+        )
+    waits, computes = outcomes
+    assert computes == waits
+    return computes
+
+
+class TestBothDispatchKinds:
+    """The admission suite's scenarios, on the executor and on the loop.
+
+    A computing backend never yields while it runs, so work is queued
+    before the dispatchers start where the executor suite holds a batch
+    in a gated thread instead.
+    """
+
+    def test_token_bucket_boundary_ticks(self):
+        async def scenario(controller, clock):
+            controller.start()
+            out = [await settle(controller.submit("probe", (1, 1, 2)))]
+            clock.advance(0.25)
+            out.append(await settle(controller.submit("probe", (2, 1, 2))))
+            clock.advance(0.25)  # exactly the refill boundary
+            out.append(await settle(controller.submit("probe", (3, 1, 2))))
+            out.append(await settle(controller.submit("probe", (4, 1, 2))))
+            return out
+
+        answers, calls, _, snapshot = both_kinds(
+            scenario,
+            AdmissionConfig(tenant_rate=2.0, tenant_burst=1.0, max_concurrency=1),
+        )
+        assert answers == [
+            ("probe", (1, 1, 2)), CODE_RATE_LIMIT,
+            ("probe", (3, 1, 2)), CODE_RATE_LIMIT,
+        ]
+        assert calls == [[(1, 1, 2)], [(3, 1, 2)]]
+        assert snapshot["counters"][f"serve.rejected.{CODE_RATE_LIMIT}"] == 2
+
+    @pytest.mark.parametrize("policy", ["shed", "queue"])
+    def test_shed_or_queue_at_a_full_queue(self, policy):
+        async def scenario(controller, clock):
+            tasks = queued(
+                controller, *(("probe", (i, 1, 2), {}) for i in range(4))
+            )
+            await spin()
+            controller.start()
+            return await asyncio.gather(*tasks)
+
+        answers, calls, _, snapshot = both_kinds(
+            scenario,
+            AdmissionConfig(
+                max_queue_depth=2, max_concurrency=1, batch_max=1,
+                overload_policy=policy,
+            ),
+        )
+        served = [("probe", (i, 1, 2)) for i in range(4)]
+        if policy == "shed":
+            assert answers == served[:2] + [CODE_SHED, CODE_SHED]
+            assert snapshot["counters"]["serve.shed"] == 2
+        else:
+            assert answers == served and len(calls) == 4
+
+    def test_drr_serves_fairly_and_evicts_the_largest_backlog(self):
+        async def scenario(controller, clock):
+            tasks = queued(
+                controller,
+                *(("probe", (i, 1, 2), {"tenant": "hog"}) for i in range(4)),
+                *(("probe", (i, 1, 2), {"tenant": "light"}) for i in (8, 9)),
+            )
+            await spin()
+            controller.start()
+            return await asyncio.gather(*tasks)
+
+        answers, calls, _, snapshot = both_kinds(
+            scenario,
+            AdmissionConfig(
+                max_queue_depth=4, max_concurrency=1, batch_max=1,
+                queue_discipline="drr",
+            ),
+        )
+        # The light arrivals evicted the hog's two newest, and the two
+        # tenants then took turns.
+        assert answers[2:4] == [CODE_SHED, CODE_SHED]
+        assert [call[0][0] for call in calls] == [0, 8, 1, 9]
+        assert snapshot["counters"]["serve.shed.evicted"] == 2
+
+    def test_queued_deadline_expiry(self):
+        async def scenario(controller, clock):
+            tasks = queued(
+                controller,
+                ("probe", ("late", 1, 2), {"deadline_s": 5.0}),
+                ("probe", ("patient", 1, 2), {"deadline_s": 60.0}),
+                ("scan", (1, 2), {}),
+            )
+            await spin()
+            clock.advance(10.0)
+            controller.start()
+            return await asyncio.gather(*tasks)
+
+        answers, calls, scans, snapshot = both_kinds(
+            scenario, AdmissionConfig(max_concurrency=1)
+        )
+        assert answers == [
+            CODE_DEADLINE, ("probe", ("patient", 1, 2)), ("scan", (1, 2)),
+        ]
+        assert calls == [[("patient", 1, 2)]] and scans == [[(1, 2)]]
+        assert snapshot["counters"]["serve.deadline.queued"] == 1
+
+    def test_in_flight_deadline_is_settled_when_the_answer_returns(self):
+        async def scenario(controller, clock):
+            controller.start()
+            tasks = queued(
+                controller,
+                ("probe", ("short", 1, 2), {"deadline_s": 5.0}),
+                ("probe", ("long", 1, 2), {"deadline_s": 60.0}),
+                ("probe", ("none", 1, 2), {}),
+            )
+            return await asyncio.gather(*tasks)
+
+        answers, calls, _, snapshot = both_kinds(
+            scenario, AdmissionConfig(max_concurrency=1), cost_s=10.0
+        )
+        # One batch spent 10 s: the 5-second request is refused, not
+        # answered late; the others are answered.
+        assert calls == [[("short", 1, 2), ("long", 1, 2), ("none", 1, 2)]]
+        assert answers == [
+            CODE_DEADLINE, ("probe", ("long", 1, 2)), ("probe", ("none", 1, 2)),
+        ]
+        assert snapshot["counters"]["serve.deadline.inflight"] == 1
+        assert snapshot["histograms"]["serve.latency.wall"]["max"] == 10.0
+
+    def test_abandoned_waiters_never_reach_the_backend(self):
+        async def scenario(controller, clock):
+            loop = asyncio.get_running_loop()
+            waiters = [
+                loop.create_task(controller.submit("probe", (i, 1, 2)))
+                for i in range(50)
+            ]
+            await spin()
+            for waiter in waiters:
+                waiter.cancel()
+            await asyncio.gather(*waiters, return_exceptions=True)
+            controller.start()
+            return await controller.submit("probe", ("kept", 1, 2))
+
+        answer, calls, _, snapshot = both_kinds(scenario, AdmissionConfig())
+        assert answer == ("probe", ("kept", 1, 2))
+        assert calls == [[("kept", 1, 2)]]
+        assert snapshot["counters"]["serve.abandoned"] == 50
+
+    def test_batch_coalescing_stops_at_an_op_change(self):
+        async def scenario(controller, clock):
+            tasks = queued(
+                controller,
+                *(("probe", (i, 1, 2), {}) for i in range(5)),
+                ("scan", (1, 2), {}),
+                ("scan", (2, 2), {}),
+                ("probe", (9, 1, 2), {}),
+            )
+            await spin()
+            controller.start()
+            return await asyncio.gather(*tasks)
+
+        answers, calls, scans, snapshot = both_kinds(
+            scenario, AdmissionConfig(max_concurrency=2, batch_max=8)
+        )
+        assert [len(call) for call in calls] == [5, 1]
+        assert scans == [[(1, 2), (2, 2)]]
+        assert answers[5:7] == [("scan", (1, 2)), ("scan", (2, 2))]
+        assert snapshot["histograms"]["serve.batch.size"]["max"] == 5
+
+    @pytest.mark.parametrize("clean", [True, False])
+    def test_drain(self, clean):
+        async def scenario(controller, clock):
+            tasks = queued(
+                controller, *(("probe", (i, 1, 2), {}) for i in range(3))
+            )
+            await spin()
+            if clean:
+                controller.start()
+            # Unclean: nothing dispatches, the drain times out at once
+            # and settles every queued waiter.
+            drained = await controller.drain(timeout_s=5.0 if clean else 0.0)
+            late = await settle(controller.submit("probe", ("late", 1, 2)))
+            return drained, await asyncio.gather(*tasks), late
+
+        (drained, answers, late), calls, _, snapshot = both_kinds(
+            scenario, AdmissionConfig(max_concurrency=1, batch_max=2)
+        )
+        assert drained is clean and late == CODE_DRAINING
+        if clean:
+            assert answers == [("probe", (i, 1, 2)) for i in range(3)]
+            assert calls == [[(0, 1, 2), (1, 1, 2)], [(2, 1, 2)]]
+        else:
+            assert answers == [CODE_DRAINING] * 3 and calls == []
+        assert snapshot["counters"]["serve.drains"] == 1
+
+
+def test_a_batch_computed_on_the_loop_is_answered_before_the_next():
+    events = []
+
+    class Recording(computing(EchoBackend)):
+        def probe_many(self, specs):
+            events.append(("computed", specs[0][0]))
+            return super().probe_many(specs)
+
+    async def scenario():
+        controller = AdmissionController(
+            Recording(), AdmissionConfig(max_concurrency=1, batch_max=2)
+        )
+
+        async def one(value):
+            await controller.submit("probe", (value, 1, 2))
+            events.append(("answered", value))
+
+        loop = asyncio.get_running_loop()
+        tasks = [loop.create_task(one(value)) for value in range(4)]
+        await spin()
+        controller.start()  # two batches queued
+        await asyncio.gather(*tasks)
+        await controller.drain()
+
+    run(scenario())
+    assert events == [
+        ("computed", 0), ("answered", 0), ("answered", 1),
+        ("computed", 2), ("answered", 2), ("answered", 3),
+    ]

@@ -401,6 +401,8 @@ def test_a_peer_that_does_not_read_its_answers_stops_being_read():
 class GatedBackend(CoordinatorBackend):
     """Holds every call in the worker thread until released."""
 
+    computes_only = False  # it waits: on the loop it would hang the test
+
     def __init__(self, coordinator) -> None:
         super().__init__(coordinator)
         self.entered = threading.Event()

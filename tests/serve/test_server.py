@@ -8,6 +8,7 @@ answers, so the wire path is checked for fidelity, not just liveness.
 
 import asyncio
 import struct
+import threading
 
 import pytest
 
@@ -208,6 +209,74 @@ class CountingBackend(CoordinatorBackend):
     def scan_many(self, specs):
         self.specs.extend(specs)
         return super().scan_many(specs)
+
+
+class ThreadRecordingBackend(CoordinatorBackend):
+    """The demo coordinator, keeping the thread of every call."""
+
+    def __init__(self) -> None:
+        super().__init__(sim().coordinator)
+        self.threads: set[int] = set()
+
+    def probe_many(self, specs):
+        self.threads.add(threading.get_ident())
+        return super().probe_many(specs)
+
+    def scan_many(self, specs):
+        self.threads.add(threading.get_ident())
+        return super().scan_many(specs)
+
+
+class WaitingBackend(ThreadRecordingBackend):
+    computes_only = False
+
+
+class TestWhereTheBackendRuns:
+    """A backend that only computes is called on the loop's thread."""
+
+    @pytest.mark.parametrize(
+        "backend_cls", [ThreadRecordingBackend, WaitingBackend],
+        ids=["computes", "waits"],
+    )
+    def test_probe_and_scan_run_on_the_loop_only_if_the_backend_computes(
+        self, backend_cls
+    ):
+        t1, t2 = SMALL.oldest_day, SMALL.last_day
+
+        async def scenario():
+            backend = backend_cls()
+            server = FrontendServer(None, backend=backend)
+            await server.start()
+            client = await FrontendClient().connect("127.0.0.1", server.port)
+            try:
+                probe = await client.probe(1, t1, t2)
+                scan = await client.scan(t1, t2)
+            finally:
+                await client.close()
+                await server.drain_and_close(timeout_s=5.0)
+            assert probe.entries == sim().coordinator.probe(1, t1, t2).entries
+            assert scan.entries == sim().coordinator.scan(t1, t2).entries
+            return backend.threads, threading.get_ident()
+
+        threads, loop_thread = run(scenario())
+        if backend_cls is WaitingBackend:
+            assert threads and loop_thread not in threads
+        else:
+            assert threads == {loop_thread}
+
+    def test_four_hundred_tcp_probes_start_no_thread(self):
+        t1, t2 = SMALL.oldest_day, SMALL.last_day
+
+        async def scenario(server, client):
+            before = threading.active_count()
+            for value in range(200):
+                await client.probe(value, t1, t2)
+            await asyncio.gather(
+                *(client.probe(value, t1, t2) for value in range(200))
+            )
+            assert threading.active_count() <= before
+
+        run(with_server(scenario, AdmissionConfig(max_queue_depth=512)))
 
 
 class TestOneRequestsFaultIsItsOwn:

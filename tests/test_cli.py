@@ -319,22 +319,33 @@ class TestChaosSoak:
         assert "replication" in capsys.readouterr().err
 
 
+#: Commands that take a scheme: their impossible ``(W, n)``.  ``latency``
+#: takes W from its scenario (7 for SCAM).
+_IMPOSSIBLE_SCHEME = {
+    "trace": ["DEL", "-w", "2", "-n", "5"],
+    "latency": ["DEL", "-n", "500"],
+}
+
+
 @pytest.mark.parametrize(
     "command",
     ["bench-serving", "bench-overlap", "bench-cluster", "bench-elastic",
-     "chaos-soak"],
+     "chaos-soak", "trace", "latency"],
 )
 def test_impossible_window_is_an_invalid_configuration(
     command, capsys, tmp_path
 ):
     # Five indexes cannot share a two-day window: exit 2 with a message,
     # not a traceback (exit 1 means a bench's claim failed).
+    out = tmp_path / "x.json"
     assert main([
-        command, "--quick", "-w", "2", "-n", "5",
-        "--out", str(tmp_path / "x.json"),
+        command,
+        *_IMPOSSIBLE_SCHEME.get(
+            command, ["--quick", "-w", "2", "-n", "5", "--out", str(out)]
+        ),
     ]) == 2
     assert "invalid configuration" in capsys.readouterr().err
-    assert not (tmp_path / "x.json").exists()
+    assert not out.exists()
 
 
 class TestBenchCheck:
