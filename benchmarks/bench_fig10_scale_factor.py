@@ -1,18 +1,31 @@
 """Figure 10: SCAM total daily work as data volume scales (W = 14, n = 4).
 
-Two variants (see DESIGN.md / EXPERIMENTS.md):
+Paper shape: REINDEX scales best; WATA* is cheapest until SF ≈ 3, then
+REINDEX overtakes it.  Three variants (see DESIGN.md / EXPERIMENTS.md):
 
 * analytic — Table-12 constants scaled linearly with SF.  Add/Build stays
-  fixed, so WATA keeps its lead; the paper's crossover cannot appear here.
+  fixed, so WATA keeps its lead; the paper's crossover cannot appear here
+  (deviation 10a: every curve is linear and the schemes' order is the
+  same at every SF).
 * measured — Build/Add/S' re-measured on the simulated substrate at each
   SF with a Heaps-law vocabulary, replicating the authors' procedure of
-  re-running their calibration as volume grows.
+  re-running their calibration as volume grows (deviation 10b: REINDEX
+  crosses DEL between SF = 0.5 and 1, never crosses WATA* or RATA*, and
+  loses ground to WATA* from SF = 1 on).
+* memory-pressured — the same, under a buffer pool sized to the SF = 1
+  working set: WATA* is the cheapest scheme up to SF = 2 and REINDEX from
+  SF = 3 on, the paper's crossover at the paper's place.
 """
 
 from repro.bench.tables import render_curves
 from repro.casestudies import scam
 
 SCALE_FACTORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
+
+
+def order(curves, i):
+    """The schemes from cheapest to dearest at the ``i``-th SF."""
+    return sorted(curves, key=lambda name: curves[name][i])
 
 
 def test_figure10_analytic(report):
@@ -27,6 +40,19 @@ def test_figure10_analytic(report):
             unit="seconds",
         ),
     )
+    # 10a: linear curves, one order throughout, WATA* first.
+    for name, work in curves.items():
+        slopes = [
+            (b - a) / (v - u)
+            for u, v, a, b in zip(
+                SCALE_FACTORS, SCALE_FACTORS[1:], work, work[1:]
+            )
+        ]
+        assert max(slopes) - min(slopes) < 1e-6 * max(slopes), name
+    orders = {tuple(order(curves, i)) for i in range(len(SCALE_FACTORS))}
+    assert orders == {
+        ("WATA*", "RATA*", "REINDEX", "DEL", "REINDEX+", "REINDEX++")
+    }
 
 
 def test_figure10_measured(report):
@@ -41,6 +67,14 @@ def test_figure10_measured(report):
             unit="seconds",
         ),
     )
+    reindex = curves["REINDEX"]
+    # 10b: below DEL from SF = 1 on, above WATA* and RATA* throughout,
+    # and further above WATA* with every step from SF = 1.
+    assert [r < d for r, d in zip(reindex, curves["DEL"])] == [False] + [True] * 5
+    for name in ("WATA*", "RATA*"):
+        assert all(r > w for r, w in zip(reindex, curves[name])), name
+    ratio = [r / w for r, w in zip(reindex, curves["WATA*"])]
+    assert all(a < b for a, b in zip(ratio[1:], ratio[2:]))
 
 
 def test_figure10_memory_pressured(report):
@@ -60,3 +94,5 @@ def test_figure10_memory_pressured(report):
             unit="seconds",
         ),
     )
+    cheapest = [order(curves, i)[0] for i in range(len(SCALE_FACTORS))]
+    assert cheapest == ["WATA*"] * 3 + ["REINDEX"] * 3

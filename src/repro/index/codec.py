@@ -150,6 +150,9 @@ _SIMPLE_INFO_TYPES = frozenset({int, type(None)})
 _BIG_ENDIAN = sys.byteorder == "big"
 _ZERO_WORD = array("q", (0,))
 
+#: ``bytes.translate`` table keeping bytes 0 and 1 and zeroing the rest.
+_ZERO_OR_ONE = bytes((0, 1)) + bytes(254)
+
 
 def encode_records(entries: Sequence[Entry]) -> bytes | None:
     """Column kernel: ``entries``' header-less record run, or ``None``.
@@ -248,7 +251,7 @@ def decode_entries_object(data: bytes) -> list[Entry]:
     return entries
 
 
-def _column_words(data: bytes) -> array | None:
+def _column_words(data: bytes | memoryview) -> array | None:
     """Check ``data`` as a block; return its record words if columnar.
 
     Every check a block gets is made here — magic, count and pool length
@@ -258,17 +261,29 @@ def _column_words(data: bytes) -> array | None:
     describe: empty, with a pool, or with any tag word other than 0 / 1
     (floats, unknown tags, dirty padding); the reference path decodes it
     or raises.
+
+    ``data`` is any bytes-like object, read in place: the one copy is
+    into the words.  The tag words are checked on their wire bytes,
+    before any byteswap, by C-level byte comparisons: a word is 0 or 1
+    when its low byte — the first of its eight on the little-endian wire
+    — is, and its seven others are 0.
     """
     count, pool_len = _parse_header(data)
     if not count or pool_len:
         return None
     words = array("q")
     words.frombytes(memoryview(data)[_HEADER.size :])
+    tags = words[2::4]
+    # The tag bytes if every info is None (a bytearray compares with any
+    # buffer, byte for byte); failing that, what they are if every word
+    # is 0 or 1: each low byte kept where it is 0 or 1, every other 0.
+    valid = bytearray(8 * count)
+    if valid != tags:
+        valid[::8] = tags.tobytes()[::8].translate(_ZERO_OR_ONE)
+        if valid != tags:
+            return None
     if _BIG_ENDIAN:
         words.byteswap()
-    tags = words[2::4]
-    if tags.count(TAG_NONE) + tags.count(TAG_INT) != count:
-        return None
     return words
 
 
@@ -280,7 +295,7 @@ def _entries_of_words(words: array) -> Iterator[Entry]:
     reference path's.
     """
     tags = words[2::4]
-    if tags.count(TAG_NONE) == len(tags):
+    if bytearray(8 * len(tags)) == tags:  # every tag word 0, as bytes
         infos = repeat(None)
     else:
         infos = [
@@ -364,18 +379,21 @@ class EntryBlock(Sequence):
         return repr(self._tuple())
 
 
-def read_block(data: bytes) -> Sequence[Entry]:
+def read_block(data: bytes | memoryview) -> Sequence[Entry]:
     """Check ``data`` completely; return its entries, decoded on access.
 
-    A columnar block (the batch encoder's output) comes back as an
-    :class:`EntryBlock` over its words; any other well-formed block is
-    decoded here and now by the reference path into a plain tuple.
-    Either way everything that can be wrong with ``data`` raises from
-    this call, never from reading what it returned.
+    ``data`` is any bytes-like object; a result frame hands over a
+    ``memoryview`` of its payload.  A columnar block (the batch
+    encoder's output) is checked in place and comes back as an
+    :class:`EntryBlock` over one copy of its words; any other
+    well-formed block is decoded here and now by the reference path
+    (from ``bytes``: its pool is text) into a plain tuple.  Either way
+    everything that can be wrong with ``data`` raises from this call,
+    never from reading what it returned.
     """
     words = _column_words(data)
     if words is None:
-        return tuple(decode_entries_object(data))
+        return tuple(decode_entries_object(bytes(data)))
     return EntryBlock(words)
 
 

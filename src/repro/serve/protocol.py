@@ -100,17 +100,21 @@ answers ``bad-request``, under the request's ``id`` whenever the 42
 bytes that hold it arrived (:func:`request_id_of`).
 
 The block is the answer on both sides.  :func:`result_to_wire` joins the
-encoded record runs of the buckets a probe was answered from (a result
-remembers which slices of which :class:`~repro.index.kernels.Run` it is,
-and a run encodes itself once per mutation of its bucket); a result
-without that provenance — empty, merged, degraded, pool-carrying, any
-scan — is encoded from its entries, and the bytes are the same either
-way.  :func:`result_from_wire` checks the block completely and returns
-the :class:`~repro.core.queries.ProbeResult` /
+encoded record runs the answer was cut from (a result remembers which
+slices of which :class:`~repro.index.kernels.Run` it is: the buckets a
+probe read, or the day run of a one-day scan; a run encodes itself once
+per mutation of its bucket or sweep); a result without that provenance
+— empty, merged, degraded, pool-carrying, a scan over several days of
+one constituent — is encoded from its entries, and the bytes are the
+same either way.  :func:`decode_frame` hands the block on as a
+``memoryview`` of the payload, and :func:`result_from_wire` checks it
+there, completely, and returns the
+:class:`~repro.core.queries.ProbeResult` /
 :class:`~repro.core.queries.ScanResult` an in-process caller gets, with
-``entries`` an :class:`~repro.index.codec.EntryBlock` over the block:
-equal to the tuple, which it builds only if an entry is asked for, so
-after the call nothing about the frame can raise any more.
+``entries`` an :class:`~repro.index.codec.EntryBlock` over one copy of
+the record words: equal to the tuple, which it builds only if an entry
+is asked for, so after the call nothing about the frame can raise any
+more.
 
 Frames travel in trains.  A connection on either side is a
 :class:`FramedConnection`: whatever the transport hands
@@ -121,10 +125,7 @@ going out are queued on the connection and handed to the transport once
 per loop turn, so the answers of one dispatched batch leave in one
 ``send()`` (:meth:`FramedConnection.send` says which frames do not wait
 for the turn).  The bytes on the wire are the same frames in the same
-order either way.  :func:`read_payload` / :func:`read_frame` /
-:func:`write_frame` are the same framing over an
-:class:`asyncio.StreamReader` / ``StreamWriter`` pair, one frame a
-call: nothing in the package uses them, tests and stub peers do.
+order either way.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from functools import lru_cache
 from typing import Any, Iterator
 
 from ..core.queries import ProbeResult, ScanResult
@@ -396,6 +398,16 @@ def _decode_request(payload: bytes) -> dict[str, Any]:
     return message
 
 
+@lru_cache(maxsize=256)
+def _days(n_days: int) -> struct.Struct:
+    """Return the layout of a result frame's ``n_days`` days.
+
+    Compiled once per count: building the format on every frame cost a
+    small answer more than handing its block on as a view does.
+    """
+    return struct.Struct(">%dq" % n_days)
+
+
 def _decode_result(payload: bytes) -> dict[str, Any]:
     size = len(payload)
     if size < _RESULT_HEAD.size:
@@ -412,7 +424,7 @@ def _decode_result(payload: bytes) -> dict[str, Any]:
     kind = _KIND_OF_CODE.get(code)
     if kind is None:
         raise _malformed(f"unknown result kind code {code}")
-    days = struct.unpack_from(">%dq" % n_days, payload, _RESULT_HEAD.size)
+    days = _days(n_days).unpack_from(payload, _RESULT_HEAD.size)
     return {
         "id": request_id,
         "ok": True,
@@ -421,7 +433,8 @@ def _decode_result(payload: bytes) -> dict[str, Any]:
         _KINDS[kind][2]: indexes,
         "covered_days": days[:n_covered],
         "missing_days": days[n_covered:],
-        "entries": payload[block_at:],
+        # A view: the block is checked where it lies, not copied first.
+        "entries": memoryview(payload)[block_at:],
     }
 
 
@@ -437,7 +450,7 @@ def request_id_of(payload: bytes) -> int | None:
 
 
 # ----------------------------------------------------------------------
-# Framing: the splitter, the connection, the stream adapters
+# Framing: the splitter and the connection
 # ----------------------------------------------------------------------
 
 
@@ -463,17 +476,24 @@ class FrameSplitter:
     """Cuts the frames out of a byte stream, however it was chunked.
 
     :meth:`split` takes the next chunk and yields the payload of every
-    frame it completes; the bytes of an unfinished frame wait for the
-    next chunk.  A payload is copied once, out of the chunk itself when
-    nothing was waiting, so a large frame costs what ``readexactly``
-    charged for it and a chunk of small ones costs no buffer at all.
+    frame it completes, as ``bytes``; the bytes of an unfinished frame
+    wait for the next chunk.  A payload is copied once: out of the chunk
+    itself when the frame came in one, else by one join of the pieces
+    of the chunks that carried it.  Until then a piece is held as a view
+    of its chunk, not copied, so a 256 KB scan answer that arrives in
+    two segments costs about what one in one segment does.  A chunk is
+    read in place, so it must not change after the call (a transport
+    hands ``data_received`` a fresh ``bytes`` each time).
     """
 
-    __slots__ = ("max_frame_bytes", "_tail")
+    __slots__ = ("max_frame_bytes", "_held", "_size")
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         self.max_frame_bytes = max_frame_bytes
-        self._tail = bytearray()
+        #: The stream from the first frame not yet yielded on, as views
+        #: of the chunks that carried it, and its length in bytes.
+        self._held: list[memoryview] = []
+        self._size = 0
 
     def split(self, data: bytes) -> Iterator[bytes]:
         """Yield the payload of each frame ``data`` completes, in order.
@@ -482,39 +502,82 @@ class FrameSplitter:
         :class:`~repro.errors.FrontendError` once the frames before it
         have been yielded; the stream position is then lost.
         """
-        tail = self._tail
-        if tail:
-            tail += data
-            data = tail
-        at, end = 0, len(data)
+        held, at, first = self._held, 0, None
+        if held:
+            # Held first, so that nothing is lost if the prefix raises.
+            before = self._size
+            held.append(memoryview(data))
+            self._size += len(data)
+            if self._size < _LEN.size:
+                return
+            stop = _LEN.size + _payload_length(
+                self._prefix(), 0, self.max_frame_bytes
+            )
+            if stop > self._size:
+                return
+            if stop > before:
+                # ``data`` completes the held frame: its payload is the
+                # held pieces after the prefix and the head of ``data``;
+                # the rest of ``data`` goes through the loop below.
+                at = stop - before
+                held[-1] = held[-1][:at]
+                first = self._payload()
+            else:
+                # Whole frames were held: a consumer stopped early.
+                data = b"".join(held)
+            held.clear()
+            self._size = 0
+        end = len(data)
+        view = memoryview(data)
         try:
-            with memoryview(data) as view:
-                while end - at >= _LEN.size:
-                    start = at + _LEN.size
-                    stop = start + _payload_length(
-                        data, at, self.max_frame_bytes
-                    )
-                    if stop > end:
-                        break
-                    at = stop
-                    yield bytes(view[start:stop])
+            if first is not None:
+                yield first
+            while end - at >= _LEN.size:
+                start = at + _LEN.size
+                stop = start + _payload_length(
+                    data, at, self.max_frame_bytes
+                )
+                if stop > end:
+                    break
+                at = stop
+                yield bytes(view[start:stop])
         finally:
             # Also reached when the consumer stops early: what was
             # yielded is never yielded again.
-            if data is tail:
-                del tail[:at]
-            elif at < end:
-                with memoryview(data) as view:
-                    tail += view[at:]
+            if at < end:
+                held.append(view[at:])
+                self._size = end - at
+
+    def _prefix(self) -> bytes | memoryview:
+        """Return the first four held bytes, wherever the chunks cut them."""
+        prefix = self._held[0]
+        if len(prefix) < _LEN.size:
+            prefix = b""
+            for piece in self._held:
+                prefix += piece[: _LEN.size - len(prefix)]
+                if len(prefix) == _LEN.size:
+                    break
+        return prefix
+
+    def _payload(self) -> bytes:
+        """Return the held frame's payload: one join of its pieces."""
+        skip, pieces = _LEN.size, []
+        for piece in self._held:
+            if skip >= len(piece):
+                skip -= len(piece)
+            else:
+                pieces.append(piece[skip:])
+                skip = 0
+        return b"".join(pieces)
 
     def torn(self) -> FrontendError | None:
         """Return what an end of stream here tears; ``None`` between frames."""
-        held = len(self._tail)
+        held = self._size
         if held == 0:
             return None
         if held < _LEN.size:
             return _torn("prefix", held, _LEN.size)
-        (length,) = _LEN.unpack_from(self._tail)
+        (length,) = _LEN.unpack_from(self._prefix())
         return _torn("frame", held - _LEN.size, length)
 
 
@@ -607,47 +670,6 @@ class FramedConnection(asyncio.Protocol):
         """Flush, then close: what was queued still reaches the peer."""
         self.flush()
         self.transport.close()
-
-
-async def read_payload(
-    reader: asyncio.StreamReader,
-    *,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-) -> bytes | None:
-    """Read one frame's payload from ``reader``; ``None`` on clean EOF.
-
-    EOF in the middle of a frame (after the prefix, or mid-payload) is a
-    torn stream and raises :class:`~repro.errors.FrontendError` — the
-    peer vanished mid-message, which callers should not confuse with an
-    orderly close between frames.  So does a length over
-    ``max_frame_bytes``.  After either the stream position is lost.
-    """
-    try:
-        prefix = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise _torn("prefix", len(exc.partial), _LEN.size) from exc
-    length = _payload_length(prefix, 0, max_frame_bytes)
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise _torn("frame", len(exc.partial), length) from exc
-
-
-async def read_frame(
-    reader: asyncio.StreamReader,
-    *,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-) -> dict[str, Any] | None:
-    """Read and decode one frame; ``None`` on clean EOF."""
-    payload = await read_payload(reader, max_frame_bytes=max_frame_bytes)
-    return None if payload is None else decode_frame(payload)
-
-
-def write_frame(writer: asyncio.StreamWriter, message: dict[str, Any]) -> None:
-    """Queue one frame on ``writer`` (callers await ``writer.drain()``)."""
-    writer.write(encode_frame(message))
 
 
 # ----------------------------------------------------------------------
@@ -755,11 +777,8 @@ __all__ = [
     "encode_frame",
     "error_response",
     "ok_response",
-    "read_frame",
-    "read_payload",
     "request_id_of",
     "result_from_wire",
     "result_response",
     "result_to_wire",
-    "write_frame",
 ]

@@ -7,6 +7,7 @@ malformed blocks or unencodable entries fail loudly.
 """
 
 import struct
+from array import array
 from collections.abc import Sequence
 from contextlib import contextmanager
 from unittest import mock
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.index import codec
 from repro.index.entry import Entry
+from tests.reference import codec as reference_codec
 
 I64 = 2**63
 
@@ -365,3 +367,68 @@ def test_record_run_kernel_and_join_agree_with_the_block_encoder():
     assert codec.encode_records([Entry(1, 1, 1.5)]) is None
     assert codec.encode_records([Entry(2**63, 1, None)]) is None
     assert codec.encode_records([Entry(1, 1, True)]) is None
+
+
+# ----------------------------------------------------------------------
+# The tag check on bytes, against the count it replaced
+# ----------------------------------------------------------------------
+
+int64s = st.integers(-(2**63), 2**63 - 1)
+#: Tag words that are no tag 0 or 1: a float's, an unknown tag, dirty
+#: padding over tag 0 and over tag 1 (a pad byte of 1, of 2, of 0xFF, the
+#: sign bit alone), every byte set, every bit but the sign.
+DIRTY_TAG_WORDS = (
+    2, 255, 256, 257, 0x200, 0xFF01, -(2**63), -(2**63) + 1, -1, 2**63 - 1,
+)
+
+
+@st.composite
+def tag_columns(draw) -> list[int]:
+    """Tag words of 0 and 1 (sometimes all 0), a few then overwritten."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    tags = draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        tags = [codec.TAG_NONE] * n
+    dirt = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.one_of(st.sampled_from(DIRTY_TAG_WORDS), int64s),
+    )
+    for at, word in draw(st.lists(dirt, max_size=3)):
+        tags[at] = word
+    return tags
+
+
+def block_of_words(rows) -> bytes:
+    """A pool-less block whose records are the int64 words ``rows``."""
+    words = array("q", [word for row in rows for word in row])
+    if codec._BIG_ENDIAN:
+        words.byteswap()
+    return codec._HEADER.pack(codec.MAGIC, len(rows), 0) + words.tobytes()
+
+
+@given(tag_columns(), st.data())
+@settings(max_examples=max(200, settings().max_examples))
+def test_the_tag_check_accepts_exactly_what_the_count_accepted(tags, data):
+    n = len(tags)
+    fields = data.draw(st.lists(int64s, min_size=3 * n, max_size=3 * n))
+    rows = zip(fields[0::3], fields[1::3], tags, fields[2::3])
+    block = block_of_words(list(rows))
+    oracle = reference_codec.column_words(block)
+    words = codec._column_words(block)
+    assert (words is None) == (oracle is None)
+    assert words == oracle
+    try:
+        want = tuple(codec.decode_entries_object(block))
+    except ValueError:  # an unknown tag, a pool reference past the pool
+        want = None
+    # As a decoder gets it, and as a result frame hands it over: a view
+    # into a larger payload.
+    for given_as in (block, memoryview(b"\xc1" * 7 + block)[7:]):
+        if want is None:
+            with pytest.raises(ValueError):
+                codec.read_block(given_as)
+            continue
+        got = codec.read_block(given_as)
+        assert isinstance(got, codec.EntryBlock) == (oracle is not None)
+        assert repr(got) == repr(want)  # a float tag's payload may be NaN
+        assert [type(e.info) for e in got] == [type(e.info) for e in want]

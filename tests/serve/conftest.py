@@ -14,6 +14,8 @@ import pytest
 
 from repro.serve import protocol
 
+from . import streams
+
 
 def feed_reader(data: bytes, eof: bool = True) -> asyncio.StreamReader:
     """Build a pre-fed reader (must run inside the event loop)."""
@@ -25,8 +27,8 @@ def feed_reader(data: bytes, eof: bool = True) -> asyncio.StreamReader:
 
 
 async def read_from(data: bytes, eof: bool = True):
-    """``protocol.read_frame`` on a stream holding exactly ``data``."""
-    return await protocol.read_frame(feed_reader(data, eof))
+    """``streams.read_frame`` on a stream holding exactly ``data``."""
+    return await streams.read_frame(feed_reader(data, eof))
 
 
 def request_frame(

@@ -16,6 +16,7 @@ from repro.errors import FrontendError
 from repro.serve import protocol
 from repro.serve.client import FrontendClient
 
+from . import streams
 from .conftest import json_frame
 
 TIMEOUT_S = 5.0
@@ -34,7 +35,7 @@ class CountingServer:
         self.open += 1
         self.all_closed.clear()
         try:
-            while (request := await protocol.read_frame(reader)) is not None:
+            while (request := await streams.read_frame(reader)) is not None:
                 writer.write(json_frame(protocol.ok_response(request["id"], "pong")))
                 await writer.drain()
         except (ConnectionError, FrontendError):

@@ -23,6 +23,7 @@ from repro.index.entry import Entry
 from repro.serve import is_retryable, protocol
 from repro.serve.client import FrontendClient
 
+from . import streams
 from .conftest import json_frame, raw_frame
 
 TIMEOUT_S = 5.0
@@ -37,7 +38,7 @@ async def with_stub(answer, scenario):
     async def handle(reader, writer):
         nonlocal seen
         try:
-            while (request := await protocol.read_frame(reader)) is not None:
+            while (request := await streams.read_frame(reader)) is not None:
                 frames = answer(request, seen)
                 seen += 1
                 writer.write(b"".join(frames))

@@ -106,7 +106,7 @@ SAMPLE = ProbeResult(
 
 
 @given(results)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max(60, settings().max_examples), deadline=None)
 def test_results_round_trip_exactly(result):
     got = receive(frame_of(result))
     assert type(got) is type(result)
@@ -134,7 +134,7 @@ def test_every_truncation_is_a_torn_stream():
 
 
 @given(st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings().max_examples), deadline=None)
 def test_a_flipped_bit_raises_frontend_error_or_nothing(data):
     frame = bytearray(frame_of(SAMPLE))
     position = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
@@ -303,7 +303,7 @@ requests = st.fixed_dictionaries(
 
 
 @given(requests)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
 def test_requests_round_trip_with_equal_fields_of_equal_types(message):
     frame = protocol.encode_frame(message)
     assert frame[4:5] == protocol.REQUEST_MARKER
@@ -590,7 +590,7 @@ responses = st.fixed_dictionaries(
 
 
 @given(st.lists(st.one_of(responses, json_values), max_size=4))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
 def test_no_json_response_kills_the_reader_or_strands_a_caller(messages):
     frames = b"".join(
         struct.pack(">I", len(payload)) + payload

@@ -1,15 +1,18 @@
 """Frames in trains: the splitter, the outbox, flow control, drain order.
 
-The splitter is held to :func:`protocol.read_payload` on a
-:class:`asyncio.StreamReader` fed the same bytes — the reader every
-connection used before, kept as the oracle.  The connection tests drive
-the server's protocol object over a transport that records each
-``write`` (so "one write for the batch" is a count, not a timing) and
-over real sockets where the kernel's buffers are the point.
+The splitter has two oracles: the splitter it replaced, which buffered
+every unfinished frame (``tests/reference/framing.py``), and
+``read_payload`` on an :class:`asyncio.StreamReader` fed the same bytes
+(``streams.py``) — the reader every connection used before that.  The
+connection tests drive the server's protocol object over a transport
+that records each ``write`` (so "one write for the batch" is a count,
+not a timing) and over real sockets where the kernel's buffers are the
+point.
 """
 
 import asyncio
 import gc
+import itertools
 import socket
 import struct
 import threading
@@ -21,12 +24,14 @@ from hypothesis import strategies as st
 
 from repro.core.queries import ProbeResult
 from repro.errors import FrontendError
+from repro.serve import client as client_module
 from repro.serve import protocol
 from repro.serve import server as server_module
 from repro.serve.admission import AdmissionConfig, CoordinatorBackend
 from repro.serve.client import FrontendClient
 from repro.serve.demo import DemoClusterConfig, build_demo_cluster
 from repro.serve.server import FrontendServer
+from tests.reference.framing import BufferingFrameSplitter
 
 from .conftest import (
     RecordingTransport,
@@ -36,6 +41,7 @@ from .conftest import (
     request_frame,
     split_frames,
 )
+from .streams import read_payload
 
 TIMEOUT_S = 10.0
 
@@ -64,7 +70,7 @@ def probe_frame(request_id: int, value: int) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# (i) The splitter against the stream reader
+# (i) The splitter against its two oracles
 # ----------------------------------------------------------------------
 
 LIMIT = 32
@@ -76,7 +82,7 @@ async def read_all(data: bytes) -> tuple[list[bytes], str | None]:
     payloads: list[bytes] = []
     try:
         while True:
-            payload = await protocol.read_payload(reader, max_frame_bytes=LIMIT)
+            payload = await read_payload(reader, max_frame_bytes=LIMIT)
             if payload is None:
                 return payloads, None
             payloads.append(payload)
@@ -103,7 +109,7 @@ def split_all(chunks: list[bytes]) -> tuple[list[bytes], str | None]:
     st.lists(st.integers(min_value=0, max_value=400), max_size=12),
     st.integers(min_value=0, max_value=400),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
 def test_splitter_yields_what_read_payload_reads(payloads, cuts, keep):
     stream = b"".join(raw_frame(p) for p in payloads)
     stream = stream[: max(keep, 0) or len(stream)]  # often a torn tail
@@ -111,6 +117,65 @@ def test_splitter_yields_what_read_payload_reads(payloads, cuts, keep):
     chunks = [stream[a:b] for a, b in zip(edges, edges[1:])]
     assert b"".join(chunks) == stream
     assert split_all(chunks) == asyncio.run(read_all(stream))
+
+
+#: Large enough for the largest payload below, small enough to refuse a
+#: prefix that announces more.
+BIG_LIMIT = 320_000
+PATTERN = bytes(range(256)) * 1300  # no two offsets read alike
+
+stream_items = st.one_of(
+    st.binary(max_size=12).map(raw_frame),
+    st.builds(
+        lambda n, k: raw_frame(PATTERN[k : k + n]),
+        st.integers(min_value=300_000, max_value=310_000),
+        st.integers(min_value=0, max_value=255),
+    ),
+    # A prefix announcing more than the limit, and whatever follows it.
+    st.just(struct.pack(">I", BIG_LIMIT + 1)),
+)
+
+
+def cuts_of(data, stream: bytes, boundaries: list[int]) -> list[int]:
+    """Cut points: anywhere, around frame boundaries, byte by byte."""
+    anywhere = st.integers(min_value=0, max_value=len(stream))
+    near = st.tuples(
+        st.sampled_from(boundaries), st.integers(min_value=-3, max_value=5)
+    ).map(sum)
+    cuts = data.draw(st.lists(st.one_of(anywhere, near), max_size=10))
+    start = data.draw(st.one_of(anywhere, near))
+    cuts += range(start, start + data.draw(st.integers(0, 40)))  # bytewise
+    return sorted({c for c in cuts if 0 < c < len(stream)})
+
+
+def feed(splitter, chunk: bytes, take: int | None):
+    """Hand ``chunk`` over; take ``take`` payloads (all if ``None``)."""
+    payloads = splitter.split(chunk)
+    try:
+        got = list(itertools.islice(payloads, take))
+    except FrontendError as exc:
+        return None, str(exc)
+    finally:
+        payloads.close()  # a consumer that stops early
+    return got, None
+
+
+@given(st.lists(stream_items, max_size=6), st.data())
+@settings(max_examples=max(100, settings().max_examples), deadline=None)
+def test_splitter_agrees_with_the_buffering_splitter(items, data):
+    stream = b"".join(items)
+    boundaries = list(itertools.accumulate(map(len, items), initial=0))
+    edges = [0, *cuts_of(data, stream, boundaries), len(stream)]
+    new = protocol.FrameSplitter(BIG_LIMIT)
+    old = BufferingFrameSplitter(BIG_LIMIT)
+    for a, b in zip(edges, edges[1:]):
+        take = data.draw(st.one_of(st.none(), st.integers(0, 2)))
+        chunk = stream[a:b]
+        assert feed(new, chunk, take) == feed(old, chunk, take)
+        assert str(new.torn()) == str(old.torn())
+    # What an early stop left behind comes out on the next call.
+    assert feed(new, b"", None) == feed(old, b"", None)
+    assert str(new.torn()) == str(old.torn())
 
 
 def test_splitter_keeps_a_partial_tail_and_returns_nothing_twice():
@@ -138,11 +203,24 @@ def test_splitter_keeps_a_partial_tail_and_returns_nothing_twice():
 
 
 def test_splitter_copies_a_large_payload_out_of_the_chunk_itself():
-    big = bytes(range(256)) * 1024  # 256 KB, one chunk, nothing buffered
+    # Every payload is ``bytes``, however it arrived: decode_frame and a
+    # request's fields slice it, and a result frame's block is a view of
+    # it that must not see the buffer it came from change.
+    big = bytes(range(256)) * 1024  # 256 KB
+    frame = raw_frame(big)
     splitter = protocol.FrameSplitter()
-    (payload,) = splitter.split(raw_frame(big))
+    (payload,) = splitter.split(frame)  # one chunk, nothing held
     assert payload == big and type(payload) is bytes
-    assert len(splitter._tail) == 0
+    assert splitter.torn() is None
+    # In three chunks: the first two are held as views of themselves,
+    # not copied, and the third completes the payload in one join.
+    first, second, third = frame[:1000], frame[1000:200_000], frame[200_000:]
+    assert list(splitter.split(first)) == list(splitter.split(second)) == []
+    held = [piece.obj for piece in splitter._held]
+    assert held[0] is first and held[1] is second
+    (payload,) = splitter.split(third + frame[:2])
+    assert payload == big and type(payload) is bytes
+    assert "mid-prefix (2/4 bytes)" in str(splitter.torn())
 
 
 # ----------------------------------------------------------------------
@@ -391,6 +469,49 @@ def test_a_peer_that_does_not_read_its_answers_stops_being_read():
             await server.drain_and_close(timeout_s=5.0)
 
     asyncio.run(asyncio.wait_for(scenario(), 60.0))
+
+
+LARGE = DemoClusterConfig(
+    window=3, n_indexes=1, n_shards=1, domain=50,
+    records_per_day=3000, extra_days=0, seed=3,
+)
+
+
+def test_a_scan_answer_larger_than_a_recv_arrives_whole(monkeypatch):
+    large = build_demo_cluster(LARGE)
+    t1, t2 = LARGE.oldest_day, LARGE.last_day
+    direct = large.coordinator.scan(t1, t2)
+    frame = protocol.encode_frame(
+        protocol.result_response(1, protocol.result_to_wire(direct))
+    )
+    assert len(frame) > 256 * 1024  # the event loop's largest recv
+    chunks = []
+    received = client_module._Connection.data_received
+
+    def counted(self, data):
+        chunks.append(len(data))
+        received(self, data)
+
+    monkeypatch.setattr(client_module._Connection, "data_received", counted)
+
+    async def scenario():
+        server = FrontendServer(large.coordinator)
+        await server.start()
+        client = await FrontendClient().connect("127.0.0.1", server.port)
+        try:
+            return await client.scan(t1, t2)
+        finally:
+            await client.close()
+            await server.drain_and_close(timeout_s=5.0)
+
+    got = run(scenario())
+    assert len(chunks) > 1 and sum(chunks) == len(frame)
+    assert got == direct and type(got) is type(direct)
+    # Column for column, then entry for entry.
+    assert list(got.entries.record_ids) == [e.record_id for e in direct.entries]
+    assert list(got.entries.days) == [e.day for e in direct.entries]
+    assert [e.info for e in got.entries] == [e.info for e in direct.entries]
+    assert list(got.entries) == list(direct.entries)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.index import codec
 from repro.index.entry import Entry
 from repro.serve import protocol
 
+from . import streams
 from .conftest import feed_reader, read_from
 
 
@@ -48,9 +49,9 @@ class TestFraming:
                 protocol.encode_frame(a) + protocol.encode_frame(b)
             )
             return (
-                await protocol.read_frame(reader),
-                await protocol.read_frame(reader),
-                await protocol.read_frame(reader),
+                await streams.read_frame(reader),
+                await streams.read_frame(reader),
+                await streams.read_frame(reader),
             )
 
         first, second, third = run(read_two())

@@ -20,6 +20,7 @@ from repro.serve.client import FrontendClient, InProcessClient
 from repro.serve.demo import DemoClusterConfig, build_demo_cluster
 from repro.serve.server import FrontendServer
 
+from . import streams
 from .conftest import json_frame, request_frame
 
 SMALL = DemoClusterConfig(
@@ -408,7 +409,7 @@ class TestOneWireForm:
                 )
                 await writer.drain()
                 replies = [
-                    await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                    await asyncio.wait_for(streams.read_frame(reader), 5.0)
                     for _ in range(3)
                 ]
             finally:
@@ -462,10 +463,10 @@ class TestFrameErrors:
                 for payload in (bad_json, not_an_object):
                     writer.write(struct.pack(">I", len(payload)) + payload)
                 writer.write(binary)
-                protocol.write_frame(writer, {"id": 4, "op": "ping"})
+                streams.write_frame(writer, {"id": 4, "op": "ping"})
                 await writer.drain()
                 replies = [
-                    await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                    await asyncio.wait_for(streams.read_frame(reader), 5.0)
                     for _ in range(4)
                 ]
             finally:
