@@ -2,7 +2,14 @@
 
 Per scheme and n: pre-computation and transition seconds per day, closed
 form beside the exact day-count run (SCAM parameters, W = 7).
+
+Asserted: every cell with a closed form equals the executor to float
+rounding.  Deviation (EXPERIMENTS.md, "Analytic tables"): 10a, REINDEX++
+and RATA* precomputation (ladder upkeep) has no closed form; the
+executor's value stands alone, positive below n = W and zero at n = W.
 """
+
+import pytest
 
 from repro.analysis.daycount import steady_state
 from repro.analysis.formulas import table10_maintenance
@@ -12,6 +19,10 @@ from repro.core.schemes import ALL_SCHEMES
 from repro.index.updates import UpdateTechnique
 
 N_VALUES = (1, 2, 4, 7)
+W = SCAM_PARAMETERS.window
+
+#: Where a closed form exists, it agrees with the executor this well.
+EXACT = 1e-9
 
 
 def compute_rows():
@@ -57,3 +68,14 @@ def test_table10_maintenance(report):
             rows,
         ),
     )
+    cells = {(row[0], row[1]): row[2:] for row in rows}
+    for (scheme, n), (pre, exact_pre, trans, exact_trans) in cells.items():
+        for formula, exact in ((pre, exact_pre), (trans, exact_trans)):
+            if formula is not None:
+                assert exact == pytest.approx(formula, rel=EXACT), (scheme, n)
+    # The deviation, pinned so a change to it is seen (10a).
+    for (scheme, n), (pre, exact_pre, trans, _) in cells.items():
+        ladder = scheme in ("REINDEX++", "RATA*")
+        assert (pre is None) == ladder and trans is not None, (scheme, n)
+        if ladder:
+            assert (exact_pre > 0) == (n < W), (scheme, n)

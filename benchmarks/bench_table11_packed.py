@@ -2,7 +2,14 @@
 
 Same layout as the Table 10 bench, with the packed-shadow technique: smart
 copies (SMCP) fold deletions in, and incremental inserts cost Build.
+
+Asserted: every cell with a closed form equals the executor to float
+rounding.  Deviation (EXPERIMENTS.md, "Analytic tables"): 11a, REINDEX+
+and REINDEX++ have no packed closed form, and RATA* no precomputation
+one; the executor's values stand alone.
 """
+
+import pytest
 
 from repro.analysis.daycount import steady_state
 from repro.analysis.formulas import table11_maintenance
@@ -12,6 +19,9 @@ from repro.core.schemes import ALL_SCHEMES
 from repro.index.updates import UpdateTechnique
 
 N_VALUES = (1, 2, 4, 7)
+
+#: Where a closed form exists, it agrees with the executor this well.
+EXACT = 1e-9
 
 
 def compute_rows():
@@ -57,3 +67,12 @@ def test_table11_packed(report):
             rows,
         ),
     )
+    cells = {(row[0], row[1]): row[2:] for row in rows}
+    for (scheme, n), (pre, exact_pre, trans, exact_trans) in cells.items():
+        for formula, exact in ((pre, exact_pre), (trans, exact_trans)):
+            if formula is not None:
+                assert exact == pytest.approx(formula, rel=EXACT), (scheme, n)
+    # The deviation, pinned so a change to it is seen (11a).
+    for (scheme, n), (pre, _, trans, _) in cells.items():
+        assert (pre is None) == (scheme in ("REINDEX+", "REINDEX++", "RATA*"))
+        assert (trans is None) == (scheme in ("REINDEX+", "REINDEX++"))

@@ -24,23 +24,22 @@ The measured numbers (capacity, knee qps, latencies) are **wall-clock
 and machine-dependent** — the whole report is marked
 ``machine_dependent`` and is never byte-compared across runs; only its
 schema and claims are asserted in CI.  The knee's sustained admitted
-qps is exported as the optional ``frontend_knee_qps`` headline for
-``repro bench-check`` (gated only when the baseline has adopted it,
-exactly like PR 7's wall-clock speedup).
+qps is reported (``frontend_knee_qps``) but gates nothing: it measures
+the stand-in service time below, not the system — ``perf/`` owns the
+wall-clock numbers.
 
 Service time: the simulated substrate answers in *simulated* seconds —
 microseconds of real compute — so the backend optionally sleeps
-``service_us`` of real time per request (in the worker thread, GIL
-released, outside the coordinator lock so sleeps overlap across
-dispatchers).  That stands in for the device time the simulator only
-accounts, and pins the saturation knee at a rate the open-loop
-generator can comfortably over-offer on any CI machine.
+``service_us`` of real time per request, awaiting a loop timer before
+it calls the coordinator, so sleeps overlap across dispatchers.  That
+stands in for the device time the simulator only accounts, and pins the
+saturation knee at a rate the open-loop generator can comfortably
+over-offer on any CI machine.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -178,27 +177,27 @@ def quick_config(
 class ServiceDelayBackend:
     """Backend wrapper adding real service time per request.
 
-    The sleep runs in the dispatcher's worker thread *before* taking
-    the coordinator lock, so delays overlap across dispatchers like
-    I/O on independent devices would, while the simulated substrate
-    itself stays serialized.
+    The sleep is awaited on the event loop *before* the coordinator is
+    called, so delays overlap across dispatchers like I/O on independent
+    devices would, while the simulated substrate itself is called by one
+    batch at a time.
     """
 
     def __init__(self, inner: CoordinatorBackend, service_us: float) -> None:
         self.inner = inner
         self.service_s = service_us / 1e6
 
-    def _delay(self, n: int) -> None:
+    async def _delay(self, n: int) -> None:
         if self.service_s > 0:
-            time.sleep(self.service_s * n)
+            await asyncio.sleep(self.service_s * n)
 
-    def probe_many(self, specs: list) -> list:
-        self._delay(len(specs))
-        return self.inner.probe_many(specs)
+    async def probe_many(self, specs: list) -> list:
+        await self._delay(len(specs))
+        return await self.inner.probe_many(specs)
 
-    def scan_many(self, specs: list) -> list:
-        self._delay(len(specs))
-        return self.inner.scan_many(specs)
+    async def scan_many(self, specs: list) -> list:
+        await self._delay(len(specs))
+        return await self.inner.scan_many(specs)
 
 
 def _admission_config(
@@ -216,7 +215,6 @@ def _admission_config(
         overload_policy=policy,
         max_concurrency=config.max_concurrency,
         batch_max=config.batch_max,
-        executor_workers=config.max_concurrency,
         queue_discipline=config.queue_discipline,
         adaptive=adaptive,
     )

@@ -108,17 +108,6 @@ HEADLINE_METRICS: tuple[HeadlineMetric, ...] = (
         description="spike-to-recovery makespan of the elastic reshard bench",
     ),
     HeadlineMetric(
-        "frontend_knee_qps",
-        "frontend",
-        ("headline", "frontend_knee_qps"),
-        higher_is_better=True,
-        description="sustained admitted qps at the frontend saturation knee",
-        # Wall-clock, machine-dependent: gate it only on a baseline
-        # adopted on the same machine class (like the wall-clock probe
-        # speedup, it is not in the committed repo baseline).
-        optional=True,
-    ),
-    HeadlineMetric(
         "advisor_drift_advantage",
         "advisor",
         ("headline", "advisor_drift_advantage"),

@@ -40,7 +40,6 @@ from __future__ import annotations
 import asyncio
 import random
 import struct
-import time
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -148,21 +147,21 @@ def quick_config(
 class ExtraDelayBackend:
     """Add fixed wall delay per batch — the injected straggler.
 
-    The sleep runs in the worker thread before the shared coordinator
-    lock, mirroring :class:`~repro.bench.frontend.ServiceDelayBackend`.
+    The sleep is awaited on the event loop before the shared coordinator
+    is called, mirroring :class:`~repro.bench.frontend.ServiceDelayBackend`.
     """
 
     def __init__(self, inner: Any, extra_ms: float) -> None:
         self.inner = inner
         self.extra_s = extra_ms / 1e3
 
-    def probe_many(self, specs: list) -> list:
-        time.sleep(self.extra_s)
-        return self.inner.probe_many(specs)
+    async def probe_many(self, specs: list) -> list:
+        await asyncio.sleep(self.extra_s)
+        return await self.inner.probe_many(specs)
 
-    def scan_many(self, specs: list) -> list:
-        time.sleep(self.extra_s)
-        return self.inner.scan_many(specs)
+    async def scan_many(self, specs: list) -> list:
+        await asyncio.sleep(self.extra_s)
+        return await self.inner.scan_many(specs)
 
 
 class FailingBackend:
@@ -172,11 +171,11 @@ class FailingBackend:
         self.inner = inner
         self.calls = 0
 
-    def probe_many(self, specs: list) -> list:
+    async def probe_many(self, specs: list) -> list:
         self.calls += 1
         raise RuntimeError("injected backend failure")
 
-    def scan_many(self, specs: list) -> list:
+    async def scan_many(self, specs: list) -> list:
         self.calls += 1
         raise RuntimeError("injected backend failure")
 
@@ -496,7 +495,6 @@ async def _fair_queue_scenario(
                 overload_policy="shed",
                 max_concurrency=2,
                 batch_max=4,
-                executor_workers=2,
                 queue_discipline=discipline,
             ),
         )

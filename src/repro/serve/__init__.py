@@ -26,11 +26,11 @@ in front of :class:`~repro.cluster.coordinator.ClusterCoordinator`:
 * :mod:`repro.serve.demo` — a seeded ready-to-serve cluster for the
   CLI, the load generator, and the saturation bench.
 
-The synchronous coordinator only computes, so it is called on the
-event loop, between the loop's turns of queueing, admission, deadline
-handling and I/O; a backend that waits (a sleep, a blocking call) is
-bridged by a thread-pool executor instead, and the simulated substrate
-stays single-threaded behind a lock either way.  Wall-clock latency and
+The frontend is one thread.  The synchronous coordinator only
+computes, so it is called on the event loop, between the loop's turns
+of queueing, admission, deadline handling and I/O; a backend that
+waits (a sleep, I/O) awaits on the same loop, so the simulated
+substrate is single-threaded with no lock.  Wall-clock latency and
 throughput are measured by :mod:`repro.loadgen`,
 ``repro bench-frontend``, and ``repro bench-resilience``.
 """

@@ -12,7 +12,8 @@ The pipeline every query passes through, in order:
    decides: ``shed`` rejects immediately with ``shed-overload`` (keeps
    admitted-latency bounded; the open-loop generator sees the rejects),
    ``queue`` makes the submitter wait for space (backpressure: latency
-   absorbs the overload instead).
+   absorbs the overload instead); one still waiting when a drain begins
+   is refused ``draining``, never admitted.
 4. **Deadline while queued** — a dispatcher that dequeues an
    already-expired request rejects it (``deadline-expired``) without
    spending backend time on an answer nobody is waiting for; one whose
@@ -21,24 +22,19 @@ The pipeline every query passes through, in order:
 5. **Concurrency-limited dispatch** — ``max_concurrency`` dispatcher
    tasks pull from the queue.  Consecutive probe requests are coalesced
    (up to ``batch_max``) into one backend ``probe_many`` call, carrying
-   the batched read path's amortization through the frontend.  Where
-   the call is made is a fact about the backend's class, read once: a
-   backend that only computes (``computes_only = True``, as
-   :class:`CoordinatorBackend` declares) is called on the event loop,
-   because under the interpreter lock a worker thread would never run
-   beside the loop and would only add a hand-off each way.  Any other
-   backend — one that sleeps, blocks or waits on I/O, and every backend
-   that does not say — runs on a thread-pool executor so the event loop
-   keeps accepting and timing out other work.  A dispatcher that
-   computed a batch on the loop yields once before taking the next, so
+   the batched read path's amortization through the frontend.  The
+   backend's calls are coroutines, awaited on the event loop the
+   request is already on: one that only computes (as
+   :class:`CoordinatorBackend` does) returns without yielding; one that
+   waits — a sleep, I/O — yields to the loop while it waits, so its
+   waits overlap those of other dispatchers and other frontends.  A
+   dispatcher yields once after a batch when the queue holds more, so
    the answers of one batch leave before the next is computed.
-6. **Deadline in flight** — on the executor, the dispatch is awaited
-   under the batch's largest remaining deadline; on expiry the waiting
-   requests are rejected and the answer, when the worker thread
-   eventually produces it, is discarded (the thread itself cannot be
-   interrupted — the cancellation boundary is the event loop, which is
-   where the client is waiting).  On the loop, no timer can fire while
-   the backend computes, so in-flight expiry is decided when the answer
+6. **Deadline in flight** — when every request of a batch carries a
+   deadline, the call is awaited under the most patient one.  A
+   backend still waiting at expiry is cancelled, so the coordinator is
+   never called for that batch; one that computes cannot be interrupted
+   (no timer fires while it runs), so its batch is settled when it
    returns.  Either way each request is then settled against its own
    deadline: one that passed in flight is rejected, not answered late.
 
@@ -58,7 +54,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -66,7 +61,7 @@ from ..errors import BackendError, FrontendError, RequestRejected
 from ..obs import Counter, MetricsRegistry
 from .adaptive import AdaptiveConfig, AimdController
 from .protocol import check_deadline
-from .queueing import QUEUE_DISCIPLINES, build_request_queue
+from .queueing import QUEUE_DISCIPLINES, QueueClosed, build_request_queue
 
 #: Overload policies :class:`AdmissionConfig` accepts.
 OVERLOAD_POLICIES = ("shed", "queue")
@@ -100,7 +95,6 @@ class AdmissionConfig:
     #: How long :meth:`AdmissionController.drain` waits for queued and
     #: in-flight work before abandoning it.
     drain_timeout_s: float = 10.0
-    executor_workers: int = 4
     #: Request-queue discipline: ``fifo`` (the PR 8 global queue,
     #: default) or ``drr`` (per-tenant deficit-weighted round-robin —
     #: see :mod:`repro.serve.queueing`).
@@ -213,59 +207,40 @@ class _Pending:
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now >= self.deadline
 
-    def remaining(self, now: float) -> float | None:
-        if self.deadline is None:
-            return None
-        return self.deadline - now
-
 
 class CoordinatorBackend:
     """Bridge from the async frontend to the sync cluster.
 
     A call only computes — it never sleeps and never waits on I/O — so
-    it declares ``computes_only`` and the admission controller makes it
-    on the event loop, on the thread the request is already on.
-    Concurrency above this point comes from batching and from the event
-    loop interleaving queueing, admission and timeouts between batches.
-
-    The :class:`~repro.cluster.coordinator.ClusterCoordinator` and the
-    simulated substrate under it are single-threaded state (device
-    clocks, page caches, failover bookkeeping), so a lock still
-    serializes the coordinator calls.  Served directly, the loop is its
-    only taker and it is never contended.  A backend that wraps this one
-    and waits (the benches' service-delay and fault wrappers, a fleet's
-    per-frontend fault injection) runs it on an executor thread; the
-    loop then waits for at most one such batch.  A subclass that blocks
-    must set ``computes_only = False``.
+    it returns without yielding, and no other task touches the
+    coordinator while it runs.  That is what keeps the single-threaded
+    simulated substrate under the
+    :class:`~repro.cluster.coordinator.ClusterCoordinator` (device
+    clocks, page caches, failover bookkeeping) single-threaded: every
+    frontend of a fleet, and every wrapper around this backend, runs on
+    the one event loop, and nothing else may call the coordinator while
+    the loop serves.  Concurrency above this point comes from batching
+    and from the loop interleaving queueing, admission and timeouts
+    between batches.
     """
 
-    #: Read once by :class:`AdmissionController`: call on the loop.
-    computes_only = True
-
     def __init__(self, coordinator: Any) -> None:
-        import threading
-
         self.coordinator = coordinator
-        self._lock = threading.Lock()
 
-    def probe_many(self, specs: list[tuple[Any, int, int]]) -> list[Any]:
-        with self._lock:
-            return list(self.coordinator.probe_many(specs).results)
+    async def probe_many(self, specs: list[tuple[Any, int, int]]) -> list[Any]:
+        return list(self.coordinator.probe_many(specs).results)
 
-    def scan_many(self, specs: list[tuple[int, int]]) -> list[Any]:
-        with self._lock:
-            return list(self.coordinator.scan_many(specs).results)
+    async def scan_many(self, specs: list[tuple[int, int]]) -> list[Any]:
+        return list(self.coordinator.scan_many(specs).results)
 
 
 class AdmissionController:
     """The admission pipeline: buckets -> bounded queue -> dispatchers.
 
     Args:
-        backend: Object with synchronous ``probe_many(specs)`` /
+        backend: Object with coroutine methods ``probe_many(specs)`` /
             ``scan_many(specs)`` returning one result per spec (usually
-            a :class:`CoordinatorBackend`).  Called on the event loop
-            when its class sets ``computes_only = True``, on an executor
-            thread otherwise.
+            a :class:`CoordinatorBackend`), awaited on the event loop.
         config: Pipeline tuning.
         metrics: Registry the pipeline publishes into (created when
             omitted; exposed as :attr:`obs`).
@@ -282,9 +257,6 @@ class AdmissionController:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.backend = backend
-        # Stage 5's choice, a fact about the backend's class: a backend
-        # that does not say it only computes is run on the executor.
-        self._on_loop = getattr(type(backend), "computes_only", False) is True
         self.config = config or AdmissionConfig()
         self.obs = metrics or MetricsRegistry()
         self.clock = clock
@@ -316,11 +288,6 @@ class AdmissionController:
             self._limit_cond = asyncio.Condition()
         self._buckets: dict[str, TokenBucket] = {}
         self._dispatchers: list[asyncio.Task] = []
-        # Starts no thread before a waiting backend's first batch.
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.executor_workers,
-            thread_name_prefix="repro-serve",
-        )
         self._draining = False
         self._in_flight = 0
         self._idle = asyncio.Event()
@@ -378,9 +345,12 @@ class AdmissionController:
         Returns ``True`` when everything completed inside the timeout;
         ``False`` when the timeout expired and the stragglers were
         abandoned (their futures are rejected with ``draining``).
-        Either way the dispatchers and the executor are shut down.
+        Either way the dispatchers are shut down.  A submitter still
+        waiting for a queue slot is refused ``draining`` at once: it was
+        never admitted.
         """
         self._draining = True
+        self._queue.refuse_waiting_puts()
         timeout = (
             self.config.drain_timeout_s if timeout_s is None else timeout_s
         )
@@ -402,7 +372,6 @@ class AdmissionController:
             pending = self._queue.get_nowait()
             self._reject(pending, CODE_DRAINING, "abandoned by drain")
             clean = False
-        self._executor.shutdown(wait=False, cancel_futures=True)
         self.obs.counter("serve.drains").inc()
         return clean
 
@@ -482,7 +451,12 @@ class AdmissionController:
             # Queue policy: backpressure.  The submitter waits for a
             # slot; time spent here is queueing latency by another name
             # and lands in the same wall-clock histogram.
-            await self._queue.put(pending)
+            try:
+                await self._queue.put(pending)
+            except QueueClosed:
+                raise self._rejected(
+                    tenant, CODE_DRAINING, "server is draining"
+                ) from None
         self._admitted.inc()
         tenant_admitted.inc()
         return await pending.future
@@ -552,9 +526,9 @@ class AdmissionController:
                     self._queue.task_done()
                 if self._in_flight == 0:
                     self._idle.set()
-            if self._on_loop and not self._queue.empty():
-                # A batch computed on the loop never yielded, and get()
-                # does not when the queue holds more: let this batch's
+            if not self._queue.empty():
+                # A backend that computed gave the loop no turn, and get()
+                # takes none when the queue holds more: let this batch's
                 # answers go out before the next is computed.
                 await asyncio.sleep(0)
             if self._adaptive is not None:
@@ -612,26 +586,12 @@ class AdmissionController:
             if op == "probe"
             else self.backend.scan_many
         )
+        # Stage 6: under the most patient deadline when every request
+        # has one; each request is then settled below against its own.
+        deadlines = [p.deadline for p in alive]
+        timeout = None if None in deadlines else max(deadlines) - now
         try:
-            if self._on_loop:
-                # Stage 6 on the loop: no timer fires while the backend
-                # computes, so in-flight expiry is decided below, when
-                # the answer is back.
-                results = call(specs)
-            else:
-                # Stage 6 on the executor: wait under the batch's most
-                # patient deadline; each request is then settled below
-                # against its own.
-                remaining = [
-                    r for p in alive if (r := p.remaining(now)) is not None
-                ]
-                timeout = (
-                    max(remaining) if len(remaining) == len(alive) else None
-                )
-                work = asyncio.get_running_loop().run_in_executor(
-                    self._executor, call, specs
-                )
-                results = await asyncio.wait_for(work, timeout)
+            results = await asyncio.wait_for(call(specs), timeout)
         except asyncio.CancelledError:
             # An unclean drain cancelled this dispatcher mid-flight;
             # settle the waiters so no client hangs on a dead future.
@@ -639,8 +599,8 @@ class AdmissionController:
                 self._reject(pending, CODE_DRAINING, "abandoned by drain")
             raise
         except asyncio.TimeoutError:
-            # The worker thread finishes on its own; the answer is
-            # discarded — every waiter's deadline has passed.
+            # The backend was cancelled while it waited: every waiter's
+            # deadline has passed.
             self.obs.counter("serve.deadline.inflight").inc(len(alive))
             expired_at = self.clock()
             for pending in alive:

@@ -4,10 +4,10 @@ One cluster, several :class:`~repro.serve.server.FrontendServer`\\ s: the
 deployment shape every resilience claim is made against.  The fleet
 shares a single :class:`~repro.serve.admission.CoordinatorBackend`
 across frontends — the simulated substrate under the coordinator is
-single-threaded state: the frontends call it on their shared event
-loop, and the one lock serializes the calls that fault-injecting
-wrappers make from executor threads — while each frontend keeps its
-own admission pipeline, metrics registry, and TCP listener.
+single-threaded state, and every frontend, fault-injecting wrappers
+included, calls it on the one event loop they share — while each
+frontend keeps its own admission pipeline, metrics registry, and TCP
+listener.
 
 :class:`RollingRestartOrchestrator` is the deploy story: take frontends
 down **one at a time**, each through the PR 8 drain gate (stop
@@ -47,8 +47,9 @@ class FrontendFleet:
         wrap_backend: Optional per-frontend backend decorator
             ``(idx, shared_backend) -> backend``.  The chaos harness
             injects per-frontend faults (extra service delay, raised
-            errors) this way while the shared lock underneath keeps the
-            substrate single-threaded.
+            errors) this way; a wrapper's coroutines await their delay
+            on the shared loop, so its waits overlap the other
+            frontends' work and the substrate stays single-threaded.
     """
 
     def __init__(

@@ -27,9 +27,10 @@ admitted.  Overload cost lands on whoever caused it.
 
 Both disciplines enforce the same global ``maxsize`` bound and the same
 two overload behaviours (shed via ``put_nowait`` raising
-:class:`asyncio.QueueFull`, backpressure via ``await put()``), so the
-admission controller's shed/queue policy semantics and drain loop are
-discipline-agnostic.
+:class:`asyncio.QueueFull`, backpressure via ``await put()``), and both
+let a drain refuse the ``put`` calls still waiting for a slot
+(:class:`QueueClosed`), so the admission controller's shed/queue policy
+semantics and drain loop are discipline-agnostic.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ from ..errors import FrontendError
 QUEUE_DISCIPLINES = ("fifo", "drr")
 
 
+class QueueClosed(Exception):
+    """Raised by a ``put`` refused while it waited for a slot."""
+
+
+def _refuse(putters: deque[asyncio.Future]) -> None:
+    for putter in putters:
+        if not putter.done():
+            putter.set_exception(QueueClosed())
+
+
 class FifoRequestQueue:
     """The PR 8 queue: one global FIFO over :class:`asyncio.Queue`."""
 
@@ -58,6 +69,12 @@ class FifoRequestQueue:
     async def put(self, pending: Any) -> None:
         """Enqueue, waiting for space (the backpressure policy)."""
         await self._queue.put(pending)
+
+    def refuse_waiting_puts(self) -> None:
+        """Fail every :meth:`put` now waiting for space: ``QueueClosed``."""
+        # asyncio.Queue has no public way to do this before 3.13's
+        # shutdown(); its put() cleans up after a failed waiter.
+        _refuse(self._queue._putters)  # type: ignore[attr-defined]
 
     async def get(self) -> Any:
         """Dequeue the oldest request, waiting for one to arrive."""
@@ -176,7 +193,7 @@ class DrrRequestQueue:
             self._putters.append(waiter)
             try:
                 await waiter
-            except asyncio.CancelledError:
+            except (asyncio.CancelledError, QueueClosed):
                 waiter.cancel()
                 try:
                     self._putters.remove(waiter)
@@ -187,6 +204,10 @@ class DrrRequestQueue:
                     self._wake(self._putters)
                 raise
         self._enqueue(pending)
+
+    def refuse_waiting_puts(self) -> None:
+        """Fail every :meth:`put` now waiting for space: ``QueueClosed``."""
+        _refuse(self._putters)
 
     def _enqueue(self, pending: Any) -> None:
         tenant = getattr(pending, "tenant", "default")
@@ -335,5 +356,6 @@ __all__ = [
     "DrrRequestQueue",
     "FifoRequestQueue",
     "QUEUE_DISCIPLINES",
+    "QueueClosed",
     "build_request_queue",
 ]

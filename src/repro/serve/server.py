@@ -59,12 +59,12 @@ class FrontendServer:
         metrics: Registry shared with the admission controller; scraped
             by the ``stats`` op.
         backend: Pre-built backend to dispatch into instead of wrapping
-            ``coordinator``.  A multi-frontend fleet passes one shared
-            :class:`CoordinatorBackend`: every frontend calls it on the
-            one event loop they share, and its lock still serializes
-            any call a waiting wrapper makes from an executor thread —
-            the single-threaded simulated substrate must never see two
-            calls at once.
+            ``coordinator`` (coroutine ``probe_many`` / ``scan_many``).
+            A multi-frontend fleet passes one shared
+            :class:`CoordinatorBackend`, or a wrapper around it that
+            awaits before calling it: every frontend runs on the one
+            event loop they share, so the single-threaded simulated
+            substrate never sees two calls at once.
     """
 
     def __init__(

@@ -8,7 +8,6 @@ with no real sleeping.
 import asyncio
 import json
 import struct
-import threading
 
 import pytest
 
@@ -105,51 +104,44 @@ class FakeClock:
 class EchoBackend:
     """Instant backend: answers derived from the specs, call log kept.
 
-    It does not say it only computes, so the controller runs it on an
-    executor thread; :func:`computing` makes the twin it calls on the
-    loop.  ``threads`` holds the thread of every call.
+    Its coroutines compute without yielding, as a
+    :class:`~repro.serve.admission.CoordinatorBackend` does.
     """
 
     def __init__(self) -> None:
         self.probe_calls: list[list] = []
         self.scan_calls: list[list] = []
-        self.threads: list[int] = []
 
-    def probe_many(self, specs):
-        self.threads.append(threading.get_ident())
+    async def probe_many(self, specs):
         self.probe_calls.append(list(specs))
         return [("probe", spec) for spec in specs]
 
-    def scan_many(self, specs):
-        self.threads.append(threading.get_ident())
+    async def scan_many(self, specs):
         self.scan_calls.append(list(specs))
         return [("scan", spec) for spec in specs]
 
 
-def computing(backend_cls):
-    """``backend_cls`` declared a backend that only computes."""
-    return type(f"Computing{backend_cls.__name__}", (backend_cls,), {
-        "computes_only": True,
-    })
-
-
 class GateBackend(EchoBackend):
-    """Backend that blocks in the worker thread until released."""
+    """Backend that waits on the loop until released.
+
+    ``entered`` is set when a call arrives; the call is logged, and
+    answered, only once ``release`` is set.
+    """
 
     def __init__(self) -> None:
         super().__init__()
-        self.release = threading.Event()
-        self.entered = threading.Event()
+        self.release = asyncio.Event()
+        self.entered = asyncio.Event()
 
-    def probe_many(self, specs):
+    async def probe_many(self, specs):
         self.entered.set()
-        assert self.release.wait(10), "test forgot to release the gate"
-        return super().probe_many(specs)
+        await self.release.wait()
+        return await super().probe_many(specs)
 
-    def scan_many(self, specs):
+    async def scan_many(self, specs):
         self.entered.set()
-        assert self.release.wait(10), "test forgot to release the gate"
-        return super().scan_many(specs)
+        await self.release.wait()
+        return await super().scan_many(specs)
 
 
 @pytest.fixture

@@ -202,7 +202,7 @@ class TestAdaptiveThroughAdmission:
         )
         for _ in range(10):
             await asyncio.sleep(0)
-        assert backend.entered.wait(5)
+        assert backend.entered.is_set()
         clock.advance(2.0)  # in flight: latency lands at 2.0 s
         backend.release.set()
         assert await task == ("probe", spec)

@@ -6,7 +6,6 @@ fake clock from ``conftest`` — no real sleeping, exact timing.
 
 import asyncio
 import gc
-import threading
 import weakref
 
 import pytest
@@ -22,7 +21,7 @@ from repro.serve.admission import (
     TokenBucket,
 )
 
-from .conftest import EchoBackend, FakeClock, GateBackend, computing
+from .conftest import EchoBackend, FakeClock, GateBackend
 
 
 def run(coro):
@@ -167,7 +166,7 @@ class TestDeadlines:
                 controller.submit("probe", ("blocker", 1, 2))
             )
             await spin()
-            assert backend.entered.wait(5)
+            assert backend.entered.is_set()
             # Second request is admitted and waits in the queue with a
             # 5-second deadline...
             waiter = loop.create_task(
@@ -212,6 +211,32 @@ class TestDeadlines:
 
         run(scenario())
 
+    def test_a_waiting_backend_is_cancelled_at_the_batch_deadline(self, clock):
+        # Every request of the batch carries a deadline, so the gated
+        # call is awaited under the most patient one (0.05 s of real
+        # time) and cancelled then: the gate never opens, and the
+        # backend answers nothing.
+        async def scenario():
+            backend = GateBackend()
+            controller = AdmissionController(
+                backend, AdmissionConfig(max_concurrency=1), clock=clock
+            )
+            controller.start()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            answers = await asyncio.gather(*(
+                settle(controller.submit("probe", (v, 1, 2), deadline_s=d))
+                for v, d in ((1, 0.02), (2, 0.05))
+            ))
+            assert loop.time() - started < 1.0
+            assert answers == [CODE_DEADLINE, CODE_DEADLINE]
+            assert backend.entered.is_set() and backend.probe_calls == []
+            snapshot = controller.obs.snapshot()
+            assert snapshot["counters"]["serve.deadline.inflight"] == 2
+            assert snapshot["histograms"]["serve.batch.size"]["max"] == 2
+            assert await controller.drain(timeout_s=5.0) is True
+
+        run(scenario())
 
     @pytest.mark.parametrize("deadline_s", [float("nan"), "soon", [1]])
     def test_a_deadline_that_is_no_number_is_refused_before_any_stage(
@@ -259,7 +284,7 @@ class TestOverloadPolicies:
                 loop.create_task(controller.submit("probe", (0, 1, 2)))
             ]
             await spin()
-            assert backend.entered.wait(5)  # first is in flight
+            assert backend.entered.is_set()  # first is in flight
             tasks += [
                 loop.create_task(controller.submit("probe", (i, 1, 2)))
                 for i in (1, 2)  # fills the depth-2 queue exactly
@@ -355,7 +380,7 @@ class TestOverloadPolicies:
                 controller.submit("probe", ("blocker", 1, 2))
             )
             await spin()
-            assert backend.entered.wait(5)
+            assert backend.entered.is_set()
             tasks = [
                 loop.create_task(controller.submit("probe", (i, 1, 2)))
                 for i in range(5)
@@ -385,7 +410,7 @@ class TestDrain:
                 controller.submit("probe", ("work", 1, 2))
             )
             await spin()
-            assert backend.entered.wait(5)
+            assert backend.entered.is_set()
             drain = loop.create_task(controller.drain(timeout_s=5.0))
             await spin()
             # New work is refused the moment draining begins.
@@ -414,7 +439,7 @@ class TestDrain:
                 controller.submit("probe", ("stuck", 1, 2))
             )
             await spin()
-            assert backend.entered.wait(5)
+            assert backend.entered.is_set()
             # The backend never comes back in time: drain times out,
             # reports unclean, and the stuck waiter is settled (not
             # hung forever on a dead future).
@@ -422,7 +447,47 @@ class TestDrain:
             with pytest.raises(RequestRejected) as exc:
                 await stuck
             assert exc.value.code == CODE_DRAINING
-            backend.release.set()  # let the worker thread exit
+
+        run(scenario())
+
+    @pytest.mark.parametrize("discipline", ["fifo", "drr"])
+    def test_a_submitter_waiting_for_a_slot_is_refused_by_an_unclean_drain(
+        self, clock, discipline
+    ):
+        # a is in flight and never returns, b fills the one slot, c
+        # waits for it.  The drain's emptying of the queue must not hand
+        # c the slot: c would be admitted into a queue no dispatcher is
+        # left to serve, and its caller would hang.
+        async def scenario():
+            backend = GateBackend()
+            controller = AdmissionController(
+                backend,
+                AdmissionConfig(
+                    max_queue_depth=1, max_concurrency=1, batch_max=1,
+                    overload_policy="queue", queue_discipline=discipline,
+                ),
+                clock=clock,
+            )
+            controller.start()
+            loop = asyncio.get_running_loop()
+            tasks = [
+                loop.create_task(controller.submit("probe", (name, 1, 2)))
+                for name in "abc"
+            ]
+            await spin()
+            assert backend.entered.is_set() and controller.queue_depth == 1
+            assert await controller.drain(timeout_s=0.05) is False
+            done, pending = await asyncio.wait(tasks, timeout=1.0)
+            assert not pending, "a submitter hangs after the drain"
+            for task in tasks:
+                with pytest.raises(RequestRejected) as exc:
+                    task.result()
+                assert exc.value.code == CODE_DRAINING
+            assert controller.queue_depth == 0
+            counters = controller.obs.snapshot()["counters"]
+            assert counters["serve.admitted"] == 2
+            assert counters[f"serve.rejected.{CODE_DRAINING}"] == 3
+            assert backend.probe_calls == []
 
         run(scenario())
 
@@ -526,7 +591,7 @@ class TestAdmissionEdgeRaces:
                 controller.submit("probe", ("flying", 1, 2))
             )
             await spin()
-            assert backend.entered.wait(5)
+            assert backend.entered.is_set()
             queued = [
                 loop.create_task(controller.submit("probe", (i, 1, 2)))
                 for i in range(2)
@@ -576,7 +641,7 @@ class TestAdmissionEdgeRaces:
 
 
 # ----------------------------------------------------------------------
-# The two dispatch kinds: one pipeline, on the loop or off it
+# The dispatch path: one await, on the loop
 # ----------------------------------------------------------------------
 
 
@@ -588,13 +653,13 @@ class ClockedEchoBackend(EchoBackend):
         self.clock = clock
         self.cost_s = cost_s
 
-    def probe_many(self, specs):
+    async def probe_many(self, specs):
         self.clock.advance(self.cost_s)
-        return super().probe_many(specs)
+        return await super().probe_many(specs)
 
-    def scan_many(self, specs):
+    async def scan_many(self, specs):
         self.clock.advance(self.cost_s)
-        return super().scan_many(specs)
+        return await super().scan_many(specs)
 
 
 async def settle(awaitable):
@@ -614,43 +679,30 @@ def queued(controller, *requests):
     ]
 
 
-def both_kinds(scenario, config: AdmissionConfig, *, cost_s: float = 0.0):
-    """Run ``scenario(controller, clock)`` over the echo backend as a
-    waiting backend and as a computing one; return the one outcome.
+def one_path(scenario, config: AdmissionConfig, *, cost_s: float = 0.0):
+    """Run ``scenario(controller, clock)`` over a computing echo backend;
+    return its answers, the backend's call logs and every metric."""
+    clock = FakeClock()
+    backend = ClockedEchoBackend(clock, cost_s)
 
-    Answers and rejection codes, the backend's call log (so batches and
-    their order) and every metric must be equal; each kind's calls must
-    have run on its own side of the loop.
-    """
-    outcomes = []
-    for cls in (ClockedEchoBackend, computing(ClockedEchoBackend)):
-        clock = FakeClock()
-        backend = cls(clock, cost_s)
+    async def go():
+        controller = AdmissionController(backend, config, clock=clock)
+        answers = await scenario(controller, clock)
+        if not controller.draining:
+            assert await controller.drain(timeout_s=5.0) is True
+        return answers, controller.obs.snapshot()
 
-        async def go():
-            controller = AdmissionController(backend, config, clock=clock)
-            answers = await scenario(controller, clock)
-            if not controller.draining:
-                assert await controller.drain(timeout_s=5.0) is True
-            return answers, controller.obs.snapshot(), threading.get_ident()
-
-        answers, snapshot, loop_thread = run(go())
-        on_loop = {thread == loop_thread for thread in backend.threads}
-        assert on_loop <= {cls is not ClockedEchoBackend}
-        outcomes.append(
-            (answers, backend.probe_calls, backend.scan_calls, snapshot)
-        )
-    waits, computes = outcomes
-    assert computes == waits
-    return computes
+    answers, snapshot = run(go())
+    return answers, backend.probe_calls, backend.scan_calls, snapshot
 
 
 class TestBothDispatchKinds:
-    """The admission suite's scenarios, on the executor and on the loop.
+    """The pipeline's scenarios on the one dispatch path, each pinned to
+    its answers, call log and metrics (the name is from when the loop
+    and a thread pool were held to each other on them).
 
     A computing backend never yields while it runs, so work is queued
-    before the dispatchers start where the executor suite holds a batch
-    in a gated thread instead.
+    before the dispatchers start instead of behind a gated batch.
     """
 
     def test_token_bucket_boundary_ticks(self):
@@ -664,7 +716,7 @@ class TestBothDispatchKinds:
             out.append(await settle(controller.submit("probe", (4, 1, 2))))
             return out
 
-        answers, calls, _, snapshot = both_kinds(
+        answers, calls, _, snapshot = one_path(
             scenario,
             AdmissionConfig(tenant_rate=2.0, tenant_burst=1.0, max_concurrency=1),
         )
@@ -685,7 +737,7 @@ class TestBothDispatchKinds:
             controller.start()
             return await asyncio.gather(*tasks)
 
-        answers, calls, _, snapshot = both_kinds(
+        answers, calls, _, snapshot = one_path(
             scenario,
             AdmissionConfig(
                 max_queue_depth=2, max_concurrency=1, batch_max=1,
@@ -710,7 +762,7 @@ class TestBothDispatchKinds:
             controller.start()
             return await asyncio.gather(*tasks)
 
-        answers, calls, _, snapshot = both_kinds(
+        answers, calls, _, snapshot = one_path(
             scenario,
             AdmissionConfig(
                 max_queue_depth=4, max_concurrency=1, batch_max=1,
@@ -736,7 +788,7 @@ class TestBothDispatchKinds:
             controller.start()
             return await asyncio.gather(*tasks)
 
-        answers, calls, scans, snapshot = both_kinds(
+        answers, calls, scans, snapshot = one_path(
             scenario, AdmissionConfig(max_concurrency=1)
         )
         assert answers == [
@@ -756,7 +808,7 @@ class TestBothDispatchKinds:
             )
             return await asyncio.gather(*tasks)
 
-        answers, calls, _, snapshot = both_kinds(
+        answers, calls, _, snapshot = one_path(
             scenario, AdmissionConfig(max_concurrency=1), cost_s=10.0
         )
         # One batch spent 10 s: the 5-second request is refused, not
@@ -782,7 +834,7 @@ class TestBothDispatchKinds:
             controller.start()
             return await controller.submit("probe", ("kept", 1, 2))
 
-        answer, calls, _, snapshot = both_kinds(scenario, AdmissionConfig())
+        answer, calls, _, snapshot = one_path(scenario, AdmissionConfig())
         assert answer == ("probe", ("kept", 1, 2))
         assert calls == [[("kept", 1, 2)]]
         assert snapshot["counters"]["serve.abandoned"] == 50
@@ -800,7 +852,7 @@ class TestBothDispatchKinds:
             controller.start()
             return await asyncio.gather(*tasks)
 
-        answers, calls, scans, snapshot = both_kinds(
+        answers, calls, scans, snapshot = one_path(
             scenario, AdmissionConfig(max_concurrency=2, batch_max=8)
         )
         assert [len(call) for call in calls] == [5, 1]
@@ -823,7 +875,7 @@ class TestBothDispatchKinds:
             late = await settle(controller.submit("probe", ("late", 1, 2)))
             return drained, await asyncio.gather(*tasks), late
 
-        (drained, answers, late), calls, _, snapshot = both_kinds(
+        (drained, answers, late), calls, _, snapshot = one_path(
             scenario, AdmissionConfig(max_concurrency=1, batch_max=2)
         )
         assert drained is clean and late == CODE_DRAINING
@@ -838,10 +890,10 @@ class TestBothDispatchKinds:
 def test_a_batch_computed_on_the_loop_is_answered_before_the_next():
     events = []
 
-    class Recording(computing(EchoBackend)):
-        def probe_many(self, specs):
+    class Recording(EchoBackend):
+        async def probe_many(self, specs):
             events.append(("computed", specs[0][0]))
-            return super().probe_many(specs)
+            return await super().probe_many(specs)
 
     async def scenario():
         controller = AdmissionController(

@@ -349,11 +349,11 @@ class StubBackend:
     def __init__(self) -> None:
         self.specs: list[tuple] = []
 
-    def probe_many(self, specs):
+    async def probe_many(self, specs):
         self.specs.extend(specs)
         return [ProbeResult((), 0.0, 0, frozenset(), frozenset()) for _ in specs]
 
-    def scan_many(self, specs):
+    async def scan_many(self, specs):
         self.specs.extend(specs)
         return [ScanResult((), 0.0, 0, frozenset(), frozenset()) for _ in specs]
 

@@ -15,7 +15,6 @@ import gc
 import itertools
 import socket
 import struct
-import threading
 import weakref
 
 import pytest
@@ -520,19 +519,17 @@ def test_a_scan_answer_larger_than_a_recv_arrives_whole(monkeypatch):
 
 
 class GatedBackend(CoordinatorBackend):
-    """Holds every call in the worker thread until released."""
-
-    computes_only = False  # it waits: on the loop it would hang the test
+    """Holds every call on the loop until released."""
 
     def __init__(self, coordinator) -> None:
         super().__init__(coordinator)
-        self.entered = threading.Event()
-        self.release = threading.Event()
+        self.entered = asyncio.Event()
+        self.release = asyncio.Event()
 
-    def probe_many(self, specs):
+    async def probe_many(self, specs):
         self.entered.set()
-        assert self.release.wait(TIMEOUT_S), "test forgot to release the gate"
-        return super().probe_many(specs)
+        await self.release.wait()
+        return await super().probe_many(specs)
 
 
 def test_a_batch_settled_as_drain_finishes_still_reaches_the_client():
@@ -546,9 +543,9 @@ def test_a_batch_settled_as_drain_finishes_still_reaches_the_client():
             probes = [
                 loop.create_task(client.probe(v, T1, T2)) for v in range(1, 9)
             ]
-            await loop.run_in_executor(None, backend.entered.wait, TIMEOUT_S)
+            await asyncio.wait_for(backend.entered.wait(), TIMEOUT_S)
             closing = loop.create_task(server.drain_and_close(timeout_s=5.0))
-            await asyncio.sleep(0.05)  # draining, the batch still in the thread
+            await asyncio.sleep(0.05)  # draining, the batch still held
             assert not closing.done()
             backend.release.set()
             assert await closing is True
@@ -570,10 +567,10 @@ def test_a_batch_settled_as_drain_finishes_still_reaches_the_client():
 
 
 class StubBackend:
-    def probe_many(self, specs):
+    async def probe_many(self, specs):
         return [ProbeResult((), 0.0, 0, frozenset(), frozenset()) for _ in specs]
 
-    def scan_many(self, specs):
+    async def scan_many(self, specs):
         raise AssertionError("no scans here")
 
 

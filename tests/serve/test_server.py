@@ -203,13 +203,13 @@ class CountingBackend(CoordinatorBackend):
         super().__init__(sim().coordinator)
         self.specs: list[tuple] = []
 
-    def probe_many(self, specs):
+    async def probe_many(self, specs):
         self.specs.extend(specs)
-        return super().probe_many(specs)
+        return await super().probe_many(specs)
 
-    def scan_many(self, specs):
+    async def scan_many(self, specs):
         self.specs.extend(specs)
-        return super().scan_many(specs)
+        return await super().scan_many(specs)
 
 
 class ThreadRecordingBackend(CoordinatorBackend):
@@ -219,27 +219,35 @@ class ThreadRecordingBackend(CoordinatorBackend):
         super().__init__(sim().coordinator)
         self.threads: set[int] = set()
 
-    def probe_many(self, specs):
+    async def probe_many(self, specs):
         self.threads.add(threading.get_ident())
-        return super().probe_many(specs)
+        return await super().probe_many(specs)
 
-    def scan_many(self, specs):
+    async def scan_many(self, specs):
         self.threads.add(threading.get_ident())
-        return super().scan_many(specs)
+        return await super().scan_many(specs)
 
 
 class WaitingBackend(ThreadRecordingBackend):
-    computes_only = False
+    """Waits a millisecond on the loop before it computes."""
+
+    async def probe_many(self, specs):
+        await asyncio.sleep(0.001)
+        return await super().probe_many(specs)
+
+    async def scan_many(self, specs):
+        await asyncio.sleep(0.001)
+        return await super().scan_many(specs)
 
 
 class TestWhereTheBackendRuns:
-    """A backend that only computes is called on the loop's thread."""
+    """Every backend is called on the loop's thread."""
 
     @pytest.mark.parametrize(
         "backend_cls", [ThreadRecordingBackend, WaitingBackend],
         ids=["computes", "waits"],
     )
-    def test_probe_and_scan_run_on_the_loop_only_if_the_backend_computes(
+    def test_probe_and_scan_run_on_the_loop_whether_the_backend_computes_or_waits(
         self, backend_cls
     ):
         t1, t2 = SMALL.oldest_day, SMALL.last_day
@@ -260,10 +268,7 @@ class TestWhereTheBackendRuns:
             return backend.threads, threading.get_ident()
 
         threads, loop_thread = run(scenario())
-        if backend_cls is WaitingBackend:
-            assert threads and loop_thread not in threads
-        else:
-            assert threads == {loop_thread}
+        assert threads == {loop_thread}
 
     def test_four_hundred_tcp_probes_start_no_thread(self):
         t1, t2 = SMALL.oldest_day, SMALL.last_day

@@ -1,5 +1,8 @@
 """Tests for the bench-regression gate."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench.regression import (
@@ -41,6 +44,16 @@ class TestExtraction:
             "overlap_makespan_ratio_mean": 0.88,
             "overlap_reindex_p95_ratio_best": 0.52,
         }
+
+    def test_a_frontend_report_feeds_no_gate(self):
+        # The saturation knee measures the bench's stand-in service
+        # sleep, not the system; its report gates through its claims.
+        report = {"bench": "frontend", "headline": {"frontend_knee_qps": 512.0}}
+        assert extract_headlines(report) == {}
+        rows = compare(build_baseline([serving_report(4.0)]), [report])
+        assert [(r.metric, r.skipped) for r in rows] == [
+            ("serving_speedup_batch256", True)
+        ]
 
     def test_baseline_merges_and_carries_over(self):
         baseline = build_baseline([serving_report(4.0)])
@@ -152,13 +165,6 @@ class TestNewMetric:
         assert row.regressed and not row.new
 
 
-def frontend_report(knee_qps=500.0):
-    return {
-        "bench": "frontend",
-        "headline": {"frontend_knee_qps": knee_qps},
-    }
-
-
 class TestDroppedMetric:
     """A baseline gate no benchmark measures anymore must fail loudly."""
 
@@ -205,30 +211,6 @@ class TestDroppedMetric:
             r for r in rows if r.metric == "overlap_makespan_ratio_mean"
         )
         assert overlap.skipped and not overlap.regressed
-
-
-class TestFrontendKneeMetric:
-    def test_extracted_from_frontend_report(self):
-        headlines = extract_headlines(frontend_report(512.0))
-        assert headlines["frontend_knee_qps"] == 512.0
-
-    def test_not_in_default_baseline_shows_as_new(self):
-        baseline = build_baseline([serving_report(4.0)])
-        rows = compare(baseline, [frontend_report(512.0)])
-        knee = next(r for r in rows if r.metric == "frontend_knee_qps")
-        assert knee.new and not knee.regressed
-
-    def test_adopted_knee_gates_like_any_headline(self):
-        baseline = build_baseline([frontend_report(500.0)])
-        rows = compare(baseline, [frontend_report(200.0)])  # 60% drop
-        knee = next(r for r in rows if r.metric == "frontend_knee_qps")
-        assert knee.regressed
-
-    def test_absent_headline_skips_because_optional(self):
-        baseline = build_baseline([frontend_report(500.0)])
-        rows = compare(baseline, [{"bench": "frontend", "headline": {}}])
-        knee = next(r for r in rows if r.metric == "frontend_knee_qps")
-        assert knee.skipped and not knee.regressed
 
 
 def resilience_report(lost=0.0, hedge_ratio=0.4):
@@ -294,6 +276,8 @@ class TestExactMetric:
 
 
 class TestHedgeTailMetric:
+    """The optional metric: NEW until adopted, skipped when absent."""
+
     def test_optional_absence_skips(self):
         # The committed baseline adopts only the exact zero-loss gate;
         # a machine-local baseline may also adopt the hedge ratio, and
@@ -314,3 +298,64 @@ class TestHedgeTailMetric:
         rows = compare(baseline, [resilience_report(0.0, hedge_ratio=0.8)])
         hedge = next(r for r in rows if r.metric == "hedge_tail_ratio")
         assert hedge.regressed  # doubled tail ratio, lower is better
+
+
+def frontend_report(knee_qps=500.0):
+    return {
+        "bench": "frontend",
+        "headline": {"frontend_knee_qps": knee_qps},
+    }
+
+
+class TestFrontendKneeMetric:
+    """The retired saturation knee, and the optional rules it once showed.
+
+    The knee measured the bench's stand-in service sleep, so a frontend
+    report gates through its claims only. The optional-metric rules the
+    knee was the example of are asserted on ``hedge_tail_ratio``, the
+    optional headline that remains, served alongside a frontend report.
+    """
+
+    def test_not_in_default_baseline_shows_as_new(self):
+        committed = Path(__file__).resolve().parents[1] / "BENCH_baseline.json"
+        baseline = json.loads(committed.read_text())
+        assert "frontend_knee_qps" not in baseline["metrics"]
+        assert "hedge_tail_ratio" not in baseline["metrics"]
+        rows = compare(
+            baseline, [frontend_report(512.0), resilience_report(0.0, 0.4)]
+        )
+        assert "frontend_knee_qps" not in {r.metric for r in rows}
+        hedge = next(r for r in rows if r.metric == "hedge_tail_ratio")
+        assert hedge.new and not hedge.regressed
+
+    def test_adopted_knee_gates_like_any_headline(self):
+        # A machine-local baseline that adopted the knee before it was
+        # retired fails the gate as DROPPED, even on an unchanged knee,
+        # until ``--update`` prunes it; an adopted optional ratio
+        # regresses like any other headline.
+        baseline = build_baseline([resilience_report(0.0, hedge_ratio=0.4)])
+        baseline["metrics"]["frontend_knee_qps"] = 500.0
+        rows = compare(
+            baseline, [frontend_report(500.0), resilience_report(0.0, 1.0)]
+        )
+        knee = next(r for r in rows if r.metric == "frontend_knee_qps")
+        assert knee.dropped and knee.regressed
+        hedge = next(r for r in rows if r.metric == "hedge_tail_ratio")
+        assert hedge.regressed and not hedge.new
+        refreshed = build_baseline([frontend_report(500.0)], previous=baseline)
+        assert "frontend_knee_qps" not in refreshed["metrics"]
+        assert refreshed["metrics"]["hedge_tail_ratio"] == 0.4
+
+    def test_absent_headline_skips_because_optional(self):
+        baseline = build_baseline([resilience_report(0.0, hedge_ratio=0.4)])
+        rows = compare(
+            baseline,
+            [
+                {"bench": "frontend", "headline": {}},
+                resilience_report(0.0, hedge_ratio=None),
+            ],
+        )
+        assert "frontend_knee_qps" not in {r.metric for r in rows}
+        hedge = next(r for r in rows if r.metric == "hedge_tail_ratio")
+        assert hedge.skipped and not hedge.regressed
+        assert not any(r.regressed for r in rows)

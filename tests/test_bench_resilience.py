@@ -215,11 +215,11 @@ class Inner:
         self.probe_specs = []
         self.scan_specs = []
 
-    def probe_many(self, specs):
+    async def probe_many(self, specs):
         self.probe_specs.append(list(specs))
         return ["p"] * len(specs)
 
-    def scan_many(self, specs):
+    async def scan_many(self, specs):
         self.scan_specs.append(list(specs))
         return ["s"] * len(specs)
 
@@ -228,16 +228,16 @@ class TestFaultInjectors:
     def test_extra_delay_backend_passes_through(self):
         inner = Inner()
         delayed = ExtraDelayBackend(inner, extra_ms=1.0)
-        assert delayed.probe_many([(1, 1, 2)]) == ["p"]
-        assert delayed.scan_many([(1, 2)]) == ["s"]
+        assert asyncio.run(delayed.probe_many([(1, 1, 2)])) == ["p"]
+        assert asyncio.run(delayed.scan_many([(1, 2)])) == ["s"]
         assert inner.probe_specs == [[(1, 1, 2)]]
 
     def test_failing_backend_fails_and_counts(self):
         failing = FailingBackend(Inner())
         with pytest.raises(RuntimeError):
-            failing.probe_many([(1, 1, 2)])
+            asyncio.run(failing.probe_many([(1, 1, 2)]))
         with pytest.raises(RuntimeError):
-            failing.scan_many([(1, 2)])
+            asyncio.run(failing.scan_many([(1, 2)]))
         assert failing.calls == 2
 
     def test_stall_server_never_answers(self):
