@@ -17,10 +17,11 @@ The tuning advisor (:mod:`repro.advisor`) makes two measurable claims:
   tuned for it.  Measured as steady-state qps against the serving
   bottleneck, divergent vs uniform on the same mixed stream.
 
-Both sub-experiments also assert **bit-identical answers**: a
-canonicalized probe/scan battery against the advisor-on cluster must
-match the advisor-off twin exactly — retuning changes the price of an
-answer, never the answer.
+Both sub-experiments also assert **bit-identical answers**: the twin
+oracle (:func:`~repro.core.oracle.check_against_twin`) must pass every
+answer of a probe/scan battery against the advisor-on cluster as the
+advisor-off twin's, complete and equal — retuning changes the price of
+an answer, never the answer.
 
 ``repro bench-advisor`` writes ``BENCH_advisor.json``;
 ``repro bench-check`` gates ``advisor_drift_advantage``.
@@ -33,6 +34,7 @@ from typing import Any
 
 from ..advisor import AdvisorConfig
 from ..cluster import ClusterConfig, ClusterSimulation
+from ..core.oracle import check_against_twin
 from ..core.records import RecordStore
 from ..core.schemes import scheme_by_name
 from ..sim.querygen import (
@@ -264,34 +266,34 @@ def _timeline(sim: ClusterSimulation) -> list[dict[str, Any]]:
     return out
 
 
-def _canonical_answers(
-    sim: ClusterSimulation, config: AdvisorBenchConfig
-) -> list[Any]:
-    """Return order-canonicalized answers to a fixed probe/scan battery.
+def _answers_match(
+    sim: ClusterSimulation,
+    twin: ClusterSimulation,
+    config: AdvisorBenchConfig,
+    last_day: int,
+) -> bool:
+    """Return whether ``sim`` answers a fixed probe/scan battery over
+    ``[last - W + 1, last]`` exactly as ``twin`` does, by the twin oracle.
 
-    Designs lay the same entries out differently, so raw result order is
-    layout-dependent; sorting entries (and freezing day-sets) leaves
-    exactly the information an answer carries.
+    Designs lay the same entries out differently; the oracle compares
+    what an answer carries — its entries and its days — not their order.
     """
-    last, window = config.last_day, config.window
-    lo = last - window + 1
-    probes = [(value, lo, last) for value in range(1, config.domain + 1, 7)]
-    probes += [(1, last, last), (config.domain, lo, lo + window // 2)]
-    scans = [(lo, last), (last, last), (lo + 1, last - 1)]
-    out: list[Any] = []
-    for result in sim.coordinator.probe_many(probes).results:
-        out.append(
-            (tuple(sorted(result.entries)), tuple(sorted(result.missing_days)))
-        )
-    for result in sim.coordinator.scan_many(scans).results:
-        out.append(
-            (
-                tuple(sorted(result.entries)),
-                tuple(sorted(result.covered_days)),
-                tuple(sorted(result.missing_days)),
-            )
-        )
-    return out
+    lo = last_day - config.window + 1
+    probes = [(value, lo, last_day) for value in range(1, config.domain + 1, 7)]
+    probes += [(1, last_day, last_day), (config.domain, lo, lo + config.window // 2)]
+    scans = [(lo, last_day), (last_day, last_day), (lo + 1, last_day - 1)]
+
+    def battery(cluster: ClusterSimulation) -> list[Any]:
+        coordinator = cluster.coordinator
+        return [
+            *coordinator.probe_many(probes).results,
+            *coordinator.scan_many(scans).results,
+        ]
+
+    return all(
+        check_against_twin(got, want).status == "ok"
+        for got, want in zip(battery(sim), battery(twin))
+    )
 
 
 def _run_divergent_pair(
@@ -334,7 +336,7 @@ def _run_divergent_pair(
     divergent = run(True)
     # Divergent replicas must stay interchangeable: same battery, same
     # canonical answers whichever twin the router favours.
-    identical = _battery_match(uniform, divergent, config, last_day)
+    identical = _answers_match(divergent, uniform, config, last_day)
 
     report = {
         "last_day": last_day,
@@ -349,40 +351,6 @@ def _run_divergent_pair(
         "divergent_retunes": sum(d.retunes for d in divergent.result.days),
     }
     return report, identical
-
-
-def _battery_match(
-    a: ClusterSimulation,
-    b: ClusterSimulation,
-    config: AdvisorBenchConfig,
-    last_day: int,
-) -> bool:
-    """Compare canonical answers of two runs over ``[last-W+1, last]``."""
-    lo = last_day - config.window + 1
-    probes = [(value, lo, last_day) for value in range(1, config.domain + 1, 7)]
-    probes += [(1, last_day, last_day)]
-    scans = [(lo, last_day), (last_day, last_day)]
-
-    def canon(sim: ClusterSimulation) -> list[Any]:
-        out: list[Any] = []
-        for result in sim.coordinator.probe_many(probes).results:
-            out.append(
-                (
-                    tuple(sorted(result.entries)),
-                    tuple(sorted(result.missing_days)),
-                )
-            )
-        for result in sim.coordinator.scan_many(scans).results:
-            out.append(
-                (
-                    tuple(sorted(result.entries)),
-                    tuple(sorted(result.covered_days)),
-                    tuple(sorted(result.missing_days)),
-                )
-            )
-        return out
-
-    return canon(a) == canon(b)
 
 
 def run_advisor_bench(
@@ -430,9 +398,7 @@ def run_advisor_bench(
             advisor=None,
         )
 
-    bit_identical = _canonical_answers(
-        advisor_sim, config
-    ) == _canonical_answers(twin, config)
+    bit_identical = _answers_match(advisor_sim, twin, config, config.last_day)
 
     best_static = min(statics, key=lambda k: statics[k]["cumulative_cost"])
     best_static_cost = statics[best_static]["cumulative_cost"]

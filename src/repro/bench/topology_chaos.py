@@ -8,15 +8,18 @@ never a dark shard, never a fabricated answer, never a leaked extent.
 This harness proves it by enumeration rather than by sampling:
 
 * A fault-free **dry run** per reshard kind enumerates the pipeline's
-  step boundaries via the shared runner's
-  :attr:`~repro.core.staged.StagedChangeRunner.on_step` hook.
+  step boundaries: the day's boundary stream
+  (:meth:`~repro.cluster.sim.ClusterSimulation.day_steps`) yields one of
+  the change's kind before every step of the shared runner.
 * One **cell** per (kind, step ordinal, fault kind) then replays the
-  run with exactly one seeded fault armed at that boundary — a
-  :class:`~repro.errors.SimulatedCrash`, a device kill, or space
-  exhaustion on the device the step touches.
-* Every cell's daily answers are compared against a **static-topology
-  fault-free twin** (recorded once per seed): complete answers must be
-  bit-identical, degraded answers a labeled subset.
+  run with exactly one seeded fault at that boundary — a
+  :class:`~repro.errors.SimulatedCrash` thrown into the stream there, a
+  device kill, or space exhaustion on the device the step touches.
+* Every cell's daily answers are judged by the twin oracle
+  (:func:`~repro.core.oracle.check_against_twin`) against a
+  **static-topology fault-free twin** (recorded once per seed): complete
+  answers must hold the twin's entries, degraded answers a labelled
+  subset.
 * Aborted reshards must leave the shard count, routing version, and
   serving intact, with zero orphan bytes on every reachable target
   device — and the retained action must converge (the retry lands)
@@ -35,6 +38,8 @@ from typing import Any
 from zlib import crc32
 
 from ..cluster import ClusterConfig, ClusterSimulation, ElasticConfig
+from ..core.boundary import Boundary, drive
+from ..core.oracle import check_against_twin
 from ..core.schemes import scheme_by_name
 from ..errors import SimulatedCrash
 from ..sim.querygen import QueryWorkload, uniform_key_picker
@@ -214,19 +219,8 @@ class _SeedMatrix:
     def _record_day(self, twin: ClusterSimulation, day: int) -> None:
         specs = self._probe_specs(day)
         answers = twin.coordinator.probe_many(specs).results
-        for spec, answer in zip(specs, answers):
-            if answer.missing_days:
-                raise RuntimeError(
-                    f"fault-free twin degraded on day {day} probe "
-                    f"{spec[0]!r}: missing {sorted(answer.missing_days)}"
-                )
         lo, hi = day - self.config.window + 1, day
-        scan = twin.coordinator.scan(lo, hi)
-        if scan.missing_days:
-            raise RuntimeError(
-                f"fault-free twin scan degraded on day {day}"
-            )
-        self.expected[day] = (specs, answers, scan)
+        self.expected[day] = (specs, answers, twin.coordinator.scan(lo, hi))
 
     # ------------------------------------------------------------------
     # Per-day checks against the recorded twin
@@ -240,58 +234,22 @@ class _SeedMatrix:
         label: str,
     ) -> None:
         specs, want_probes, want_scan = self.expected[day]
-        window_days = set(range(day - self.config.window + 1, day + 1))
         got_probes = sim.coordinator.probe_many(specs).results
-        for spec, got, want in zip(specs, got_probes, want_probes):
-            self._compare(
-                f"{label} day {day} probe {spec[0]!r}",
-                got,
-                want,
-                window_days,
-                violations,
-            )
         lo, hi = day - self.config.window + 1, day
-        got_scan = sim.coordinator.scan(lo, hi)
-        self._compare(
-            f"{label} day {day} scan", got_scan, want_scan, window_days,
-            violations,
-        )
+        labelled = [
+            (f"probe {spec[0]!r}", got, want)
+            for spec, got, want in zip(specs, got_probes, want_probes)
+        ]
+        labelled.append(("scan", sim.coordinator.scan(lo, hi), want_scan))
+        for what, got, want in labelled:
+            verdict = check_against_twin(got, want)
+            if verdict.wrong:
+                violations.fail(f"{label} day {day} {what}: {verdict.detail}")
         stats = sim.result.days[-1]
         if stats.shards_unavailable:
             violations.fail(
                 f"{label} day {day}: dark shards "
                 f"{list(stats.shards_unavailable)}"
-            )
-
-    @staticmethod
-    def _compare(
-        label: str,
-        got: Any,
-        want: Any,
-        window_days: set[int],
-        violations: _Violations,
-    ) -> None:
-        if got.complete:
-            # A scatter-gather scan concatenates per-shard hits in shard
-            # order, so a different (but equivalent) topology may return
-            # the same ids in a different order — compare as multisets.
-            if sorted(got.record_ids) != sorted(want.record_ids):
-                violations.fail(
-                    f"{label}: complete answer differs from twin "
-                    f"({len(got.record_ids)} vs {len(want.record_ids)} ids)"
-                )
-            return
-        if not set(got.record_ids) <= set(want.record_ids):
-            fabricated = sorted(
-                set(got.record_ids) - set(want.record_ids)
-            )[:5]
-            violations.fail(
-                f"{label}: degraded answer fabricated ids {fabricated}"
-            )
-        if not set(got.missing_days) <= window_days:
-            violations.fail(
-                f"{label}: missing days {sorted(got.missing_days)} "
-                f"outside the queried window"
             )
 
     # ------------------------------------------------------------------
@@ -309,13 +267,16 @@ class _SeedMatrix:
         config = self.config
         sim = self._make_sim(elastic=True)
         names: list[str] = []
-        assert sim.elastic is not None
-        sim.elastic.on_step = lambda step: names.append(step.name)
+
+        def record(boundary: Boundary) -> None:
+            if boundary.kind == kind:
+                names.append(boundary.name)
+
         sim.run_start()
         for day in range(config.window + 1, config.last_day + 1):
             if day == config.reshard_day:
                 self._request(sim, kind)
-            sim.run_transition(day)
+            drive(sim.day_steps(day), record)
         if sim.result.total_reshards() != 1:
             raise RuntimeError(
                 f"dry-run {kind} did not apply "
@@ -330,13 +291,11 @@ class _SeedMatrix:
         violations = _Violations()
         label = f"{kind}@{ordinal}:{step_name}/{fault}"
         sim = self._make_sim(elastic=True)
-        engine = sim.elastic
-        assert engine is not None
         armed: list[FaultInjector] = []
         fired: list[str] = []
 
-        def hook(step) -> None:
-            if step.ordinal != ordinal:
+        def act(step: Boundary) -> None:
+            if step.kind != kind or step.ordinal != ordinal:
                 return
             if fault == "crash":
                 fired.append(step.name)
@@ -367,9 +326,9 @@ class _SeedMatrix:
         for day in range(config.window + 1, config.last_day + 1):
             if day == config.reshard_day:
                 self._request(sim, kind)
-                engine.on_step = hook
-            sim.run_transition(day)
-            engine.on_step = None
+                drive(sim.day_steps(day), act)
+            else:
+                sim.run_transition(day)
             for injector in armed:
                 injector.space_limit_bytes = None
             armed.clear()

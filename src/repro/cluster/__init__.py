@@ -49,7 +49,7 @@ from .selfheal import (
     ReplicaHealth,
     ReplicaHealthMonitor,
     SelfHealConfig,
-    rebuild_replica,
+    rebuild_steps,
 )
 from .shard import Shard, ShardReplica
 from .sim import (
@@ -100,7 +100,7 @@ __all__ = [
     "merge_indexes_to",
     "move_replica",
     "partition_store",
-    "rebuild_replica",
+    "rebuild_steps",
     "reshard_change",
     "reshard_id_mapping",
     "run_cluster_simulation",

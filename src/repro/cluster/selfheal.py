@@ -15,7 +15,8 @@ module closes that gap with three pieces:
   stops the router from hammering a flaky device; and
   :class:`~repro.errors.DeviceFailure` retires the replica outright.
 
-* :func:`rebuild_replica` — the re-replication pipeline.  When a shard
+* :func:`rebuild_steps` — the re-replication pipeline, a boundary
+  stream (:mod:`repro.core.boundary`).  When a shard
   drops below its replication target the simulation provisions a fresh
   spare device, smart-copies the donor's bindings onto it with
   :func:`~repro.cluster.rebalance.copy_index_to` (packed extents, all
@@ -50,6 +51,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
+from ..core.boundary import Boundary, Steps
 from ..core.ops import Op
 from ..core.recovery import (
     JournaledExecutor,
@@ -373,7 +375,7 @@ class ReplicaHealthMonitor:
 # ----------------------------------------------------------------------
 
 
-def rebuild_replica(
+def rebuild_steps(
     shard: Shard,
     donor: ShardReplica,
     spare: SimulatedDisk,
@@ -384,10 +386,14 @@ def rebuild_replica(
     technique: UpdateTechnique,
     monitor: ReplicaHealthMonitor,
     start: float = 0.0,
-) -> tuple[ShardReplica, RebuildReport]:
-    """Rebuild one replica of ``shard`` from ``donor`` onto ``spare``.
+) -> Steps:
+    """Rebuild one replica of ``shard`` from ``donor`` onto ``spare``;
+    return the new ``(replica, report)``.
 
-    Two phases, both on the simulated cost clocks:
+    Yields a ``"rebuild"`` :class:`~repro.core.boundary.Boundary` named
+    ``copy:s{g}/r{i}:{name}`` before each binding's copy (again after a
+    crash there resumed it) and the catch-up's op boundaries.  Two
+    phases, both on the simulated cost clocks:
 
     1. **Copy** — every binding of the donor's wave index is smart-copied
        onto the spare (:func:`~repro.cluster.rebalance.copy_index_to`:
@@ -417,6 +423,9 @@ def rebuild_replica(
     new_wave = WaveIndex(
         spare, donor.wave.config, len(donor.wave.constituents)
     )
+    replica_id = max(r.replica_id for r in shard.replicas) + 1
+    label = f"s{shard.shard_id}/r{replica_id}"
+    devices = (spare, donor.device)
     donor_before = donor.device.clock
     spare_before = spare.clock
     crash_recoveries = 0
@@ -432,6 +441,11 @@ def rebuild_replica(
         for name, index in list(donor.wave.bindings.items()):
             while True:
                 try:
+                    yield Boundary(
+                        day, "rebuild", f"copy:{label}:{name}",
+                        crash_recoveries + copied, shard.shard_id,
+                        replica_id, devices,
+                    )
                     clone = retry_transients(
                         partial(copy_index_to, index, spare, name=name),
                         new_wave,
@@ -453,7 +467,9 @@ def rebuild_replica(
 
         executor = JournaledExecutor(new_wave, shard.store, technique)
         try:
-            executor.execute_journaled(plan, day=day)
+            yield from executor.journaled_steps(
+                plan, day=day, shard=shard.shard_id, replica=replica_id
+            )
         except SimulatedCrash:
             disarm_crash(spare)
             crashed()
@@ -478,7 +494,6 @@ def rebuild_replica(
 
     catchup = spare.clock - spare_before - copy_write
     end = start + copy_read + (spare.clock - spare_before)
-    replica_id = max(r.replica_id for r in shard.replicas) + 1
     replica = ShardReplica(
         shard_id=shard.shard_id,
         replica_id=replica_id,
@@ -516,5 +531,5 @@ __all__ = [
     "ReplicaHealth",
     "ReplicaHealthMonitor",
     "SelfHealConfig",
-    "rebuild_replica",
+    "rebuild_steps",
 ]

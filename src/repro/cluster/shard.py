@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
 
+from ..core.boundary import Boundary, Steps
 from ..core.executor import ExecutionReport, PlanExecutor
 from ..core.ops import AddOp, DeleteOp, Op, UpdateOp
 from ..core.records import RecordStore
@@ -110,17 +111,20 @@ class ShardReplica:
             op, (AddOp, DeleteOp, UpdateOp)
         ) and self.wave.is_constituent(op.target)
 
-    def run_maintenance(
+    def maintenance_steps(
         self,
         plan: list[Op],
         start: float,
         *,
+        day: int,
         monitor: "ReplicaHealthMonitor | None" = None,
-    ) -> ExecutionReport:
-        """Execute ``plan`` on this replica's span, starting at ``start``.
+    ) -> Steps:
+        """Execute ``plan`` on this replica's span, starting at ``start``;
+        return its :class:`~repro.core.executor.ExecutionReport`.
 
-        Op for op this performs exactly what
-        :meth:`~repro.core.executor.PlanExecutor.execute` performs (reset
+        Yields an ``"op"`` :class:`~repro.core.boundary.Boundary` before
+        each op (``ordinal`` = ops done).  Op for op this performs exactly
+        what :meth:`~repro.core.executor.PlanExecutor.execute` performs (reset
         high-water, run ops in order, read the peak afterwards) — that
         identity is what makes the ``k=1`` cluster bit-identical to the
         old serialized driver — while additionally laying each op on the
@@ -143,7 +147,12 @@ class ShardReplica:
         cursor = start
         span = self.span
         span.reset_high_water()
-        for op in plan:
+        devices = tuple(span.devices)
+        for i, op in enumerate(plan):
+            yield Boundary(
+                day, "op", type(op).__name__, i, self.shard_id,
+                self.replica_id, devices,
+            )
             before = span.clocks()
             blocking = self._op_blocks_queries(op)
             if monitor is None:

@@ -6,7 +6,11 @@ and serves the day's query stream against the whole cluster on a shared
 timeline.  This is the repository's one day loop: a day is
 :meth:`ClusterSimulation.turn` (the maintenance step, which returns a
 :class:`Turn`), then the simulated serving pass, then the day's
-bookkeeping.
+bookkeeping.  The day is a generator: :meth:`ClusterSimulation.day_steps`
+yields a :class:`~repro.core.boundary.Boundary` before every plan op,
+staged-change step and rebuild step, in the order the day runs them, and
+one ``"serve"`` boundary before the serving pass; ``turn`` and
+``run_transition`` run it to its end.
 
 Model
 -----
@@ -61,6 +65,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
+from ..core.boundary import Boundary, Steps, drive
 from ..core.executor import ExecutionReport, PlanExecutor
 from ..core.ops import Op
 from ..core.records import RecordStore
@@ -111,7 +116,7 @@ from .selfheal import (
     RebuildReport,
     ReplicaHealthMonitor,
     SelfHealConfig,
-    rebuild_replica,
+    rebuild_steps,
 )
 from .shard import Shard, ShardReplica
 
@@ -431,7 +436,7 @@ def _blocked_until(
 class SparePool:
     """Per-day budgeted provisioning of spare devices.
 
-    Replica rebuilds (:meth:`ClusterSimulation._run_healing`) and the
+    Replica rebuilds (:meth:`ClusterSimulation._healing_steps`) and the
     elastic engine draw spares from one pool, so a
     ``spare_budget_per_day`` makes their competition explicit and
     deterministic: the engine runs at the start of the day but *defers*
@@ -541,10 +546,6 @@ class ClusterSimulation:
         #: by ``id(scheme)`` — popped (instead of re-planning) when the
         #: day loop reaches that shard.
         self._preplanned: dict[int, list[Op]] = {}
-        #: Optional hook called after maintenance/healing and before the
-        #: day's serving pass — the chaos harness's injection point for
-        #: mid-serve faults.  Signature: ``hook(sim, day)``.
-        self.on_serving_start: Callable[["ClusterSimulation", int], None] | None = None
         self.array = DiskArray.create(
             cfg.n_devices,
             params=disk_params,
@@ -671,13 +672,13 @@ class ClusterSimulation:
         """Execute every shard's initial build (day ``W``) and serve it."""
         if self._started:
             raise ClusterError("cluster simulation already started")
-        return self._run_day(self.window)
+        return drive(self.day_steps(self.window))
 
     def run_transition(self, day: int) -> ClusterDayStats:
         """Execute one daily transition on every shard and serve it."""
         if not self._started:
             raise ClusterError("call run_start() first")
-        return self._run_day(day)
+        return drive(self.day_steps(day))
 
     def run(self, last_day: int) -> ClusterResult:
         """Run start plus transitions through ``last_day``."""
@@ -788,16 +789,15 @@ class ClusterSimulation:
             for shard in self.shards
         )
 
-    def _run_elastic(
-        self, day: int
-    ) -> tuple[list[ReshardReport], int, str | None]:
+    def _elastic_steps(self, day: int) -> Steps:
         """Execute the queued topology change, if it may run today.
 
         Runs *before* the day's plans are drawn, so a committed change
         hands the day loop an already-caught-up topology.  An
         under-replicated shard defers the change (healing outranks
         rebalancing — the deterministic spare-contention rule); an abort
-        keeps the action queued for a retry tomorrow.
+        keeps the action queued for a retry tomorrow.  Returns the
+        reports, the aborts and the deferral reason.
         """
         reports: list[ReshardReport] = []
         aborted = 0
@@ -813,7 +813,9 @@ class ClusterSimulation:
             return reports, aborted, "under-replicated"
         action = self._pending_action
         try:
-            report = self.elastic.run(reshard_change(self, action), day=day)
+            report = yield from self.elastic.steps(
+                reshard_change(self, action), day=day
+            )
         except ChangeAborted as exc:
             return reports, 1, exc.reason
         self._pending_action = None
@@ -881,8 +883,9 @@ class ClusterSimulation:
                     self._retune_queue.append(decision)
                     self.obs.counter("cluster.advisor.decisions").inc()
 
-    def _run_advisor(self, day: int) -> tuple[list[RetuneReport], int]:
-        """Execute queued retunes at the start of the day.
+    def _advisor_steps(self, day: int) -> Steps:
+        """Execute queued retunes at the start of the day; return the
+        reports and the aborts.
 
         Healing outranks retuning for spares (same deterministic rule as
         the elastic engine): an under-replicated cluster defers the whole
@@ -906,13 +909,15 @@ class ClusterSimulation:
         while self._retune_queue and len(reports) + aborted < budget:
             decision = self._retune_queue.pop(0)
             try:
-                reports.append(
-                    self.advisor.run(Retune(self, decision), day=day)
+                report = yield from self.advisor.steps(
+                    Retune(self, decision), day=day
                 )
             except ChangeAborted as exc:
                 aborted += 1
                 if exc.reason == "no-spare":
                     requeue.append(decision)
+                continue
+            reports.append(report)
         self._retune_queue = requeue + self._retune_queue
         return reports, aborted
 
@@ -966,12 +971,12 @@ class ClusterSimulation:
             )
         return SimulatedDisk(self._disk_params, page_cache=cache)
 
-    def _run_healing(
+    def _healing_steps(
         self,
         day: int,
         plans: list[list[Op]],
         replica_plans: dict[int, list[Op]] | None = None,
-    ) -> tuple[list[float], list[RebuildReport], int]:
+    ) -> Steps:
         """Re-replicate under-replicated shards (one rebuild each per day).
 
         Returns per-shard maintenance start delays (the donor's device is
@@ -1007,7 +1012,7 @@ class ClusterSimulation:
             if donor.scheme is not None and replica_plans is not None:
                 donor_plan = replica_plans[id(donor.scheme)]
             try:
-                replica, report = rebuild_replica(
+                replica, report = yield from rebuild_steps(
                     shard,
                     donor,
                     spare,
@@ -1040,13 +1045,13 @@ class ClusterSimulation:
     # Maintenance scheduling
     # ------------------------------------------------------------------
 
-    def _run_maintenance(
+    def _maintenance_steps(
         self,
         day: int,
         plans: list[list[Op]],
         delays: list[float],
         replica_plans: dict[int, list[Op]] | None = None,
-    ) -> tuple[list[ExecutionReport], list[tuple[float, float]], float]:
+    ) -> Steps:
         """Run every shard's plan under the staggering policy.
 
         ``delays`` pushes a shard's start past its batch start (a rebuild
@@ -1088,12 +1093,9 @@ class ClusterSimulation:
                         and replica_plans is not None
                     ):
                         rplan = replica_plans[id(replica.scheme)]
-                    if self._monitor is None:
-                        report = replica.run_maintenance(rplan, start)
-                    else:
-                        report = replica.run_maintenance(
-                            rplan, start, monitor=self._monitor
-                        )
+                    report = yield from replica.maintenance_steps(
+                        rplan, start, day=day, monitor=self._monitor
+                    )
                     if replica is metrics_replica:
                         reports[shard.shard_id] = report
                     shard_end = max(shard_end, replica.maintenance_end)
@@ -1330,7 +1332,13 @@ class ClusterSimulation:
     # ------------------------------------------------------------------
 
     def turn(self, day: int) -> Turn:
-        """Run the cluster's maintenance step for ``day``; return what it did.
+        """Run the cluster's maintenance step for ``day``; return what it
+        did: :meth:`turn_steps` run to its end."""
+        return drive(self.turn_steps(day))
+
+    def turn_steps(self, day: int) -> Steps:
+        """Run the cluster's maintenance step for ``day``, yielding its
+        boundaries; return the :class:`Turn`.
 
         In order: the day's spare budget resets, the queued topology
         change runs, then the queued retunes (healing outranks both for
@@ -1339,7 +1347,10 @@ class ClusterSimulation:
         maintenance run with the day posted once for the cluster.  The
         step reads no query workload and no serving state, so
         ``run_transition(day)`` with ``queries=None`` is exactly this
-        plus the day's bookkeeping.
+        plus the day's bookkeeping.  The boundaries come in that order:
+        the staged changes' steps (with their catch-ups' ops), then each
+        rebuild's copies and catch-up ops, then every replica's plan ops,
+        shard by shard.
         """
         first = not self._started
         if first and day != self.window:
@@ -1357,10 +1368,10 @@ class ClusterSimulation:
         # Topology changes run first: snapshots, plans, and serving all
         # see the post-swap shard list (children arrive caught up).
         reshard_reports, reshards_aborted, reshard_deferred = (
-            self._run_elastic(day)
+            yield from self._elastic_steps(day)
         )
         # Then queued retunes (decided at yesterday's boundary).
-        retune_reports, retunes_aborted = self._run_advisor(day)
+        retune_reports, retunes_aborted = yield from self._advisor_steps(day)
         baselines = []
         for shard in self.shards:
             replica = shard.primary or shard.replicas[0]
@@ -1394,10 +1405,10 @@ class ClusterSimulation:
         # its run — and with it every shard's cut — until the last replica
         # has turned, though an in-place update keeps none.
         with self.store.holding_runs():
-            delays, rebuild_reports, rebuilds_failed = self._run_healing(
-                day, plans, replica_plans
+            delays, rebuild_reports, rebuilds_failed = (
+                yield from self._healing_steps(day, plans, replica_plans)
             )
-            reports, windows, cluster_end = self._run_maintenance(
+            reports, windows, cluster_end = yield from self._maintenance_steps(
                 day, plans, delays, replica_plans
             )
         return Turn(
@@ -1415,15 +1426,22 @@ class ClusterSimulation:
             retunes_aborted=retunes_aborted,
         )
 
-    def _run_day(self, day: int) -> ClusterDayStats:
-        """Turn the day, serve its queries, and book it."""
+    def day_steps(self, day: int) -> Steps:
+        """Run one whole day — :meth:`turn_steps`, then a ``"serve"``
+        boundary, the serving pass and the bookkeeping — yielding its
+        boundaries; return the day's :class:`ClusterDayStats`.
+
+        ``run_start()`` and ``run_transition(day)`` are this run to its
+        end (after checking the day is the next one); a fault harness
+        drives it itself with :func:`~repro.core.boundary.drive` and acts
+        at the boundaries it selects.
+        """
         self._day_failovers = 0
         heal_window = self.obs.window(
             "cluster.heal.retries", "cluster.heal.breaker_opens"
         )
-        turn = self.turn(day)
-        if self.on_serving_start is not None:
-            self.on_serving_start(self, day)
+        turn = yield from self.turn_steps(day)
+        yield Boundary(day, "serve", "serve", 0)
         served = self._serve(day, turn.maintenance_makespan_seconds)
         return self._book(turn, served, heal_window)
 

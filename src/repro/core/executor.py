@@ -143,15 +143,7 @@ class PlanExecutor:
         return report
 
     def execute_op(self, op: Op, report: ExecutionReport) -> None:
-        """Run one op, charging its time to ``report``.
-
-        When the disk carries a fault injector (:class:`~repro.storage.faults.FaultyDisk`),
-        the op is gated through it, so op-count crash points fire at op
-        boundaries even without journaling.
-        """
-        injector = getattr(self.disk, "injector", None)
-        if injector is not None:
-            injector.before_op()
+        """Run one op, charging its time to ``report``."""
         before = self.disk.clock
         if isinstance(op, UpdateOp):
             self._apply_update(op, report)
@@ -159,8 +151,6 @@ class PlanExecutor:
             self._apply(op)
             report.seconds.add(op.phase, self.disk.clock - before)
         report.ops_executed += 1
-        if injector is not None:
-            injector.note_op_completed()
 
     def _apply(self, op: Op) -> None:
         if isinstance(op, BuildOp):

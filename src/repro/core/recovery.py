@@ -41,6 +41,7 @@ from ..errors import RecoveryError
 from ..index.builder import build_index_from_store
 from ..storage.disk import SimulatedDisk
 from ..index.updates import UpdateTechnique
+from .boundary import Boundary, Steps
 from .checkpoint import CHECKPOINT_VERSION, restore_scheme
 from .executor import ExecutionReport, PlanExecutor
 from .ops import (
@@ -218,18 +219,24 @@ class JournaledExecutor(PlanExecutor):
         if self.journal_sink is not None and self.journal is not None:
             self.journal_sink(self.journal)
 
-    def execute_journaled(
+    def journaled_steps(
         self,
         plan: list[Op],
         *,
         day: int,
         scheme_state: dict | None = None,
-    ) -> ExecutionReport:
-        """Run ``plan`` with write-ahead journaling.
+        shard: int | None = None,
+        replica: int | None = None,
+    ) -> Steps:
+        """Run ``plan`` with write-ahead journaling, one boundary per op.
 
+        Yields an ``"op"`` :class:`~repro.core.boundary.Boundary` before
+        each op (``ordinal`` = ops completed), while the journal says
+        "between ops": a crash thrown in there leaves a journal that
+        recovery replays from ``completed`` without repairing anything.
         On a :class:`~repro.errors.SimulatedCrash` (or any other failure)
         the journal stays on :attr:`journal`, ready for
-        :func:`recover_transition`.
+        :func:`recover_transition`.  Returns the plan's report.
         """
         journal = TransitionJournal.begin(
             day=day,
@@ -239,15 +246,13 @@ class JournaledExecutor(PlanExecutor):
         )
         self.journal = journal
         self._persist_journal()
-        injector = getattr(self.disk, "injector", None)
         report = ExecutionReport()
         self.disk.reset_high_water()
+        devices = (self.disk,)
         for i, op in enumerate(plan):
-            # Gate *before* journaling the op as in flight: an op-boundary
-            # crash must leave a journal that says "between ops", so that
-            # recovery replays from `completed` without repairing anything.
-            if injector is not None:
-                injector.before_op()
+            yield Boundary(
+                day, "op", type(op).__name__, i, shard, replica, devices
+            )
             journal.in_flight = i
             self._persist_journal()
             self.execute_op(op, report)
@@ -404,7 +409,7 @@ def resume_scheme(journal: TransitionJournal) -> WaveScheme:
     if journal.scheme_state is None:
         raise RecoveryError(
             "journal carries no scheme state; pass scheme_state= to "
-            "execute_journaled() to enable scheme resurrection"
+            "journaled_steps() to enable scheme resurrection"
         )
     return restore_scheme(
         {"version": CHECKPOINT_VERSION, "scheme": journal.scheme_state}

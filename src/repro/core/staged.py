@@ -9,8 +9,10 @@ that knows how:
 
 * :class:`StagedChangeRunner` executes every journaled change through the
   same phases, ``plan → provision → build → catch-up → swap → cleanup``,
-  firing :attr:`~StagedChangeRunner.on_step` with a :class:`Step` at every
-  boundary.  A *kind* says only what differs: what to validate, how many
+  as a boundary stream (:mod:`repro.core.boundary`): it yields a
+  :class:`~repro.core.boundary.Boundary` of the change's kind before every
+  step, and the catch-ups' op boundaries between them.  A *kind* says
+  only what differs: what to validate, how many
   devices it needs, which constituents to build, what the swap installs
   and what cleanup frees.
 * The **policy**: the swap record is the commit point.  A fault strictly
@@ -24,7 +26,7 @@ that knows how:
   catch-up is embedded in it, not merged with it: that one journals ops
   inside a single wave index and is what ``recover_transition`` replays.
 
-Replica rebuild (:func:`repro.cluster.selfheal.rebuild_replica`) has no
+Replica rebuild (:func:`repro.cluster.selfheal.rebuild_steps`) has no
 commit point and resumes a crash in place instead of aborting, so it is
 not a journaled kind; it shares the leaves below (:func:`provision_spares`,
 :func:`retry_transients`, :func:`abort_reason`, :func:`discard_partial`,
@@ -50,6 +52,7 @@ from ..errors import (
 from ..index.updates import UpdateTechnique
 from ..storage.disk import SimulatedDisk
 from ..storage.faults import RetryPolicy
+from .boundary import Boundary, Steps
 from .records import RecordStore
 from .recovery import JournaledExecutor, sweep_orphan_extents
 from .schemes.base import WaveScheme
@@ -329,21 +332,6 @@ def retry_transients(attempt: Callable[[], Any], scratch: WaveIndex, monitor):
 
 
 @dataclass(frozen=True)
-class Step:
-    """One boundary of the pipeline, exposed to the step hook.
-
-    Fault harnesses count steps on a fault-free dry run and then arm
-    exactly one fault (crash / device kill / space exhaustion) per
-    enumerated step; ``devices`` lists the devices the step is about to
-    touch, target first.
-    """
-
-    name: str
-    ordinal: int
-    devices: tuple[SimulatedDisk, ...] = ()
-
-
-@dataclass(frozen=True)
 class Scratch:
     """One replica being built beside the live one.
 
@@ -381,7 +369,7 @@ class StagedOutcome:
 class StagedChangeRunner:
     """Runs journaled staged changes against one cluster's devices.
 
-    :meth:`run` executes one staged change at the start of a day —
+    :meth:`steps` executes one staged change at the start of a day —
     before the day's plans are drawn — and either commits it (the
     replacement caught up to the day and swapped in, what it replaced
     freed and its devices drained) or raises :class:`ChangeAborted` with
@@ -407,10 +395,12 @@ class StagedChangeRunner:
     * ``report(outcome)`` — bump the kind's completion counters and
       return its report from a :class:`StagedOutcome`.
 
-    ``on_step`` is the chaos hook: called with a :class:`Step` at every
-    pipeline boundary, it may raise :class:`~repro.errors.SimulatedCrash`
-    or arm device faults; the runner classifies whatever escapes and
-    resolves it per the journal's commit point.  ``journal_sink`` mirrors
+    :meth:`steps` yields a :class:`~repro.core.boundary.Boundary` before
+    every pipeline step (``plan``, ``copy:s{g}/r{i}:{name}``,
+    ``catchup:s{g}/r{i}``, ``swap``, ``cleanup``; ``devices`` are the ones
+    the step is about to touch, target first).  A fault thrown in at a
+    boundary, or armed there on a device, is classified like any other
+    and resolved per the journal's commit point.  ``journal_sink`` mirrors
     the executor's journal sink (a stand-in for durable journal storage);
     every journal is also kept on :attr:`journals`.
 
@@ -427,10 +417,8 @@ class StagedChangeRunner:
         self.array = array
         self.obs = obs
         self.monitor = monitor
-        self.on_step: Callable[[Step], None] | None = None
         self.journal_sink: Callable[[ChangeJournal], None] | None = None
         self.journals: list[ChangeJournal] = []
-        self._ordinal = 0
 
     def _record(self, journal: ChangeJournal) -> None:
         if self.journal_sink is not None:
@@ -440,13 +428,6 @@ class StagedChangeRunner:
         journal.advance(phase)
         self._record(journal)
 
-    def _step(self, name: str, devices: tuple[SimulatedDisk, ...] = ()) -> None:
-        """Fire the step hook at one pipeline boundary."""
-        step = Step(name=name, ordinal=self._ordinal, devices=devices)
-        self._ordinal += 1
-        if self.on_step is not None:
-            self.on_step(step)
-
     def _free(self, retired: list[tuple[WaveIndex, int]], counters: str) -> None:
         """Drop the replaced waves and drain their devices (idempotent)."""
         for wave, device_index in retired:
@@ -455,11 +436,19 @@ class StagedChangeRunner:
                 self.array.drain_device(device_index)
                 self.obs.counter(f"{counters}.devices_drained").inc()
 
-    def run(self, change, *, day: int) -> Any:
-        """Run ``change`` for ``day``; return its report or raise
-        :class:`ChangeAborted`."""
-        self._ordinal = 0
+    def steps(self, change, *, day: int) -> Steps:
+        """Run ``change`` for ``day``, yielding its boundaries; return its
+        report or raise :class:`ChangeAborted`."""
         change.validate()
+        ordinal = 0
+
+        def step(name, devices=(), shard=None, replica=None) -> Boundary:
+            nonlocal ordinal
+            ordinal += 1
+            return Boundary(
+                day, change.kind, name, ordinal - 1, shard, replica, devices
+            )
+
         journal = ChangeJournal(change.kind, day, change.subject())
         self.journals.append(journal)
         self._record(journal)
@@ -470,7 +459,7 @@ class StagedChangeRunner:
         bytes_built = 0
         try:
             try:
-                self._step("plan", sources)
+                yield step("plan", sources)
                 provisioned = provision_spares(
                     self.spares, self.array, change.n_targets
                 )
@@ -493,8 +482,11 @@ class StagedChangeRunner:
                 for replica in scratch:
                     label = f"s{replica.shard_id}/r{replica.replica_id}"
                     for name, build in change.builds(replica):
-                        self._step(
-                            f"copy:{label}:{name}", (replica.wave.disk, *sources)
+                        yield step(
+                            f"copy:{label}:{name}",
+                            (replica.wave.disk, *sources),
+                            replica.shard_id,
+                            replica.replica_id,
                         )
                         index = retry_transients(build, replica.wave, self.monitor)
                         replica.wave.bind(name, index)
@@ -513,20 +505,28 @@ class StagedChangeRunner:
                         scheme = replica.scheme
                         plan = list(scheme.transition_ops(day))
                         state = scheme.get_state()
-                    self._step(
+                    yield step(
                         f"catchup:s{replica.shard_id}/r{replica.replica_id}",
                         (replica.wave.disk,),
+                        replica.shard_id,
+                        replica.replica_id,
                     )
                     executor = JournaledExecutor(
                         replica.wave, replica.store, replica.technique
                     )
-                    executor.execute_journaled(plan, day=day, scheme_state=state)
+                    yield from executor.journaled_steps(
+                        plan,
+                        day=day,
+                        scheme_state=state,
+                        shard=replica.shard_id,
+                        replica=replica.replica_id,
+                    )
                     journal.catchup.append(executor.journal.to_dict())
                     self._record(journal)
                 catchup_seconds = sum(
                     d.clock - catchup_before[i] for i, d in targets
                 )
-                self._step("swap")
+                yield step("swap")
             except _STAGED_FAULTS as exc:
                 # Strictly before the swap record: abort.  The sources
                 # were only ever *read*, so discarding the scratch waves
@@ -548,7 +548,7 @@ class StagedChangeRunner:
             retired = change.swap(day)
             crash_recoveries = 0
             try:
-                self._step("cleanup", sources)
+                yield step("cleanup", sources)
                 self._free(retired, counters)
             except _STAGED_FAULTS:
                 # At or after the swap record every fault rolls

@@ -1,14 +1,17 @@
 """Crash-matrix harness: prove recovery at every op boundary of every scheme.
 
 For each scheme, the harness runs a seeded multi-cycle maintenance history
-twice: once fault-free (the *twin*), and once per crash point — a
-:class:`~repro.storage.faults.CrashPoint` armed for one transition, either
-at an op boundary (``after_ops``) or inside an op (``after_ios``).  After
-each crash it recovers via :mod:`repro.core.recovery` (journal roll-forward,
-scheme resurrected from the journal alone), finishes the run, and
-differentially compares every day's query results against the twin while
-asserting the post-transition invariants (zero leaked extents, consistent
-bookkeeping).
+twice: once fault-free (the *twin*), and once per cell.  A cell is a
+history, a point in one transition and a crash there: either at an op
+boundary of the transition's boundary stream (:mod:`repro.core.boundary`;
+:func:`~repro.core.boundary.crash_at` throws the crash in between ops) or
+inside an op (a :class:`~repro.storage.faults.CrashPoint` armed to fire
+after the transition's ``m``-th I/O).  After each crash it recovers via
+:mod:`repro.core.recovery` (journal roll-forward, scheme resurrected from
+the journal alone), finishes the run, and judges every day's query
+results with the twin oracle (:func:`~repro.core.oracle.check_against_twin`)
+while asserting the post-transition invariants (zero leaked extents,
+consistent bookkeeping).
 
 This is the executable form of the substrate's robustness claim: *any*
 transition of *any* scheme can die at *any* op boundary and recover to a
@@ -20,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from ..core.boundary import Boundary, crash_at, drive
 from ..core.invariants import InvariantViolation, check_wave_invariants
+from ..core.oracle import check_against_twin
 from ..core.recovery import (
     JournaledExecutor,
     recover_transition,
@@ -42,21 +47,23 @@ DEFAULT_SCHEMES: tuple[str, ...] = tuple(s.name for s in ALL_SCHEMES)
 
 @dataclass(frozen=True)
 class CrashCell:
-    """Outcome of one (scheme, transition day, crash point) experiment."""
+    """Outcome of one (scheme, transition day, crash point) experiment.
+
+    ``kind`` is ``"op"`` (a crash at op boundary ``at``: ``at`` ops done)
+    or ``"io"`` (a crash after the ``at``-th I/O of the crashed run).
+    """
 
     scheme: str
     day: int
-    crash: CrashPoint
+    kind: str
+    at: int
     crashed: bool
     ok: bool
     detail: str = ""
 
     def describe(self) -> str:
         """Return a one-line rendering for reports."""
-        if self.crash.after_ops is not None:
-            where = f"after op {self.crash.after_ops}"
-        else:
-            where = f"after I/O {self.crash.after_ios}"
+        where = f"after {'op' if self.kind == 'op' else 'I/O'} {self.at}"
         status = "ok" if self.ok else f"FAIL: {self.detail}"
         fired = "" if self.crashed else " (crash did not fire)"
         return f"day {self.day} {where}{fired}: {status}"
@@ -126,8 +133,8 @@ class CrashMatrixResult:
 # Internals
 # ----------------------------------------------------------------------
 
-#: Day snapshot: (sorted scan record ids, {probe value: sorted record ids}).
-_Snapshot = tuple[tuple[int, ...], dict[Any, tuple[int, ...]]]
+#: Day snapshot: the window scan's answer, then each probe's.
+_Snapshot = list[Any]
 
 
 def _make_store(last_day: int, seed: int) -> RecordStore:
@@ -152,26 +159,20 @@ def _probe_values(store: RecordStore, window: int) -> list[Any]:
 def _snapshot(
     wave: WaveIndex, day: int, window: int, probes: list[Any]
 ) -> _Snapshot:
-    """Capture the window's query-visible contents after ``day``."""
+    """Capture the window's query-visible answers after ``day``."""
     lo, hi = day - window + 1, day
-    scan = wave.timed_segment_scan(lo, hi)
-    probe_ids = {
-        value: tuple(sorted(wave.timed_index_probe(value, lo, hi).record_ids))
-        for value in probes
-    }
-    return tuple(sorted(scan.record_ids)), probe_ids
+    return [wave.timed_segment_scan(lo, hi)] + [
+        wave.timed_index_probe(value, lo, hi) for value in probes
+    ]
 
 
-def _plan_lengths(
-    scheme_factory: Callable[[], WaveScheme], last_day: int
-) -> dict[int, int]:
-    """Return each transition day's plan length (planning is pure)."""
-    scheme = scheme_factory()
-    scheme.start_ops()
-    return {
-        day: len(scheme.transition_ops(day))
-        for day in range(scheme.window + 1, last_day + 1)
-    }
+def _diverges(got: _Snapshot, want: _Snapshot) -> str | None:
+    """Return why ``got`` is not ``want`` by the twin oracle, or ``None``."""
+    for answer, twin in zip(got, want):
+        verdict = check_against_twin(answer, twin)
+        if verdict.status != "ok":
+            return verdict.detail
+    return None
 
 
 def _twin_run(
@@ -182,21 +183,27 @@ def _twin_run(
     last_day: int,
     technique: UpdateTechnique,
     probes: list[Any],
-) -> tuple[dict[int, _Snapshot], dict[int, int]]:
-    """Fault-free reference run: day snapshots + per-day I/O counts."""
+) -> tuple[dict[int, _Snapshot], dict[int, int], dict[int, int]]:
+    """Fault-free reference run: day snapshots, and per day the op
+    boundaries its transition's stream yielded and the I/Os it made —
+    the points a crash cell can name."""
     disk = FaultyDisk(injector=FaultInjector())
     wave = WaveIndex(disk, IndexConfig(), n_indexes)
     executor = JournaledExecutor(wave, store, technique)
     scheme = scheme_factory()
     executor.execute(scheme.start_ops())
     snapshots: dict[int, _Snapshot] = {}
+    day_ops: dict[int, int] = {}
     day_ios: dict[int, int] = {}
     for day in range(window + 1, last_day + 1):
         before = disk.injector.stats.ios
-        executor.execute(scheme.transition_ops(day))
+        boundaries: list[Boundary] = []
+        steps = executor.journaled_steps(scheme.transition_ops(day), day=day)
+        drive(steps, boundaries.append)
+        day_ops[day] = len(boundaries)
         day_ios[day] = disk.injector.stats.ios - before
         snapshots[day] = _snapshot(wave, day, window, probes)
-    return snapshots, day_ios
+    return snapshots, day_ops, day_ios
 
 
 def _crash_run(
@@ -208,10 +215,11 @@ def _crash_run(
     technique: UpdateTechnique,
     probes: list[Any],
     crash_day: int,
-    crash: CrashPoint,
+    kind: str,
+    at: int,
     twin: dict[int, _Snapshot],
 ) -> CrashCell:
-    """Run one crash experiment and compare it against the twin."""
+    """Run one crash experiment and judge it against the twin."""
     scheme_name = scheme_factory().name
     injector = FaultInjector()
     disk = FaultyDisk(injector=injector)
@@ -224,11 +232,15 @@ def _crash_run(
         for day in range(window + 1, last_day + 1):
             plan = scheme.transition_ops(day)
             if day == crash_day:
-                injector.arm_crash(crash)
+                steps = executor.journaled_steps(
+                    plan, day=day, scheme_state=scheme.get_state()
+                )
                 try:
-                    executor.execute_journaled(
-                        plan, day=day, scheme_state=scheme.get_state()
-                    )
+                    if kind == "op":
+                        drive(steps, crash_at("op", at))
+                    else:
+                        injector.arm_crash(CrashPoint(after_ios=at))
+                        drive(steps)
                 except SimulatedCrash:
                     crashed = True
                     injector.disarm()
@@ -246,18 +258,18 @@ def _crash_run(
                 executor.execute(plan)
             if day >= crash_day:
                 check_wave_invariants(wave, scheme)
-                got = _snapshot(wave, day, window, probes)
-                if got != twin[day]:
+                why = _diverges(_snapshot(wave, day, window, probes), twin[day])
+                if why is not None:
                     return CrashCell(
-                        scheme_name, crash_day, crash, crashed, False,
+                        scheme_name, crash_day, kind, at, crashed, False,
                         f"day-{day} query results diverge from the "
-                        f"fault-free twin",
+                        f"fault-free twin: {why}",
                     )
     except InvariantViolation as exc:
         return CrashCell(
-            scheme_name, crash_day, crash, crashed, False, str(exc)
+            scheme_name, crash_day, kind, at, crashed, False, str(exc)
         )
-    return CrashCell(scheme_name, crash_day, crash, crashed, True)
+    return CrashCell(scheme_name, crash_day, kind, at, crashed, True)
 
 
 def _scheme_factory(
@@ -325,20 +337,20 @@ def _rebalance_cells(
     before = injector.stats.ios
     move_replica(replica, target, 1)
     move_ios = injector.stats.ios - before
-    if _snapshot(wave, last_day, window, probes) != pre:
+    why = _diverges(_snapshot(wave, last_day, window, probes), pre)
+    if why is not None:
         result.cells.append(
             CrashCell(
-                "REBALANCE", last_day, CrashPoint(after_ops=0), False,
-                False, "fault-free move changed query results",
+                "REBALANCE", last_day, "io", 0, False, False,
+                f"fault-free move changed query results: {why}",
             )
         )
         return result
 
     for m in range(move_ios):
-        crash = CrashPoint(after_ios=m)
         injector, target, wave, scheme, replica = build()
         pre = _snapshot(wave, last_day, window, probes)
-        injector.arm_crash(crash)
+        injector.arm_crash(CrashPoint(after_ios=m))
         crashed = False
         ok, detail = True, ""
         try:
@@ -348,10 +360,11 @@ def _rebalance_cells(
         injector.disarm()
         try:
             check_wave_invariants(wave, scheme)
-            if _snapshot(wave, last_day, window, probes) != pre:
+            why = _diverges(_snapshot(wave, last_day, window, probes), pre)
+            if why is not None:
                 ok, detail = False, (
-                    "post-crash query results diverge from the pre-move "
-                    "snapshot"
+                    f"post-crash query results diverge from the pre-move "
+                    f"snapshot: {why}"
                 )
             elif crashed and target.live_bytes != 0:
                 ok, detail = False, (
@@ -362,15 +375,18 @@ def _rebalance_cells(
                 # The retry: a fresh move of the intact source must now
                 # complete and serve bit-identically.
                 move_replica(replica, target, 1)
-                if _snapshot(wave, last_day, window, probes) != pre:
+                why = _diverges(
+                    _snapshot(wave, last_day, window, probes), pre
+                )
+                if why is not None:
                     ok, detail = False, (
-                        "post-retry query results diverge from the "
-                        "pre-move snapshot"
+                        f"post-retry query results diverge from the "
+                        f"pre-move snapshot: {why}"
                     )
         except InvariantViolation as exc:
             ok, detail = False, str(exc)
         result.cells.append(
-            CrashCell("REBALANCE", last_day, crash, crashed, ok, detail)
+            CrashCell("REBALANCE", last_day, "io", m, crashed, ok, detail)
         )
     return result
 
@@ -421,15 +437,12 @@ def run_crash_matrix(
         factory = _scheme_factory(name, window, n_indexes)
         period = factory().maintenance_period
         last_day = min(window + cycles * period, max_last_day)
-        twin, day_ios = _twin_run(
+        twin, day_ops, day_ios = _twin_run(
             factory, store, window, n_indexes, last_day, technique, probes
         )
-        lengths = _plan_lengths(factory, last_day)
         scheme_result = SchemeMatrixResult(scheme=name)
         for day in range(window + 1, last_day + 1):
-            crashes = [
-                CrashPoint(after_ops=k) for k in range(lengths[day])
-            ]
+            points = [("op", k) for k in range(day_ops[day])]
             if io_crash_samples > 0 and day_ios[day] > 0:
                 step = max(1, day_ios[day] // (io_crash_samples + 1))
                 seen: set[int] = set()
@@ -437,12 +450,12 @@ def run_crash_matrix(
                     m = min(j * step, day_ios[day] - 1)
                     if m not in seen:
                         seen.add(m)
-                        crashes.append(CrashPoint(after_ios=m))
-            for crash in crashes:
+                        points.append(("io", m))
+            for kind, at in points:
                 scheme_result.cells.append(
                     _crash_run(
                         factory, store, window, n_indexes, last_day,
-                        technique, probes, day, crash, twin,
+                        technique, probes, day, kind, at, twin,
                     )
                 )
         result.schemes.append(scheme_result)

@@ -103,21 +103,13 @@ class ArrayPlanExecutor(PlanExecutor):
     def execute_op(self, op: Op, report: ExecutionReport) -> None:
         """Run one op, charging its time across the array's clocks.
 
-        Fault gating happens on the device hosting the op's target, so a
-        :class:`~repro.storage.faults.FaultyDisk` member injects its
-        faults only into ops (and queries) that actually touch it.
+        An unbound target is placed when an op first names it, creating
+        or not: the round-robin rule counts names in the order the plan
+        mentions them.
         """
         target = getattr(op, "target", None)
-        bound = self.wave.bindings.get(target) if target is not None else None
-        if bound is not None:
-            device = bound.disk
-        elif target is not None:
-            device = self.array.disk_for(target)
-        else:
-            device = self.disk
-        injector = getattr(device, "injector", None)
-        if injector is not None:
-            injector.before_op()
+        if target is not None and target not in self.wave.bindings:
+            self.array.device_index(target)
         before = self.array.total_clock
         if isinstance(op, UpdateOp):
             self._apply_update(op, report)
@@ -125,5 +117,3 @@ class ArrayPlanExecutor(PlanExecutor):
             self._apply(op)
             report.seconds.add(op.phase, self.array.total_clock - before)
         report.ops_executed += 1
-        if injector is not None:
-            injector.note_op_completed()

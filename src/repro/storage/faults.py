@@ -6,15 +6,17 @@ deployment sees transient I/O errors, dying devices, space pressure, and
 process crashes mid-transition.  This module adds all four to the substrate
 without touching the cost model:
 
-* :class:`FaultInjector` — a seed-driven policy consulted before every I/O
-  (and, via the journaled executor, at every op boundary).  Deterministic:
+* :class:`FaultInjector` — a seed-driven policy consulted before every I/O.
+  Deterministic:
   the same seed and schedule produce the same fault sequence, which is what
   makes the crash-matrix harness (:mod:`repro.sim.crashmatrix`) reproducible.
 * :class:`FaultyDisk` — a :class:`~repro.storage.disk.SimulatedDisk` that
   routes every read/write through its injector and retries transients under
   a :class:`RetryPolicy`, charging backoff delays to the simulated clock.
-* :class:`CrashPoint` — "die after the Nth I/O" or "die after the Nth
-  executed op", raised as :class:`~repro.errors.SimulatedCrash`.
+* :class:`CrashPoint` — "die after the Nth I/O", raised as
+  :class:`~repro.errors.SimulatedCrash`.  A crash *between* ops is not a
+  device fault: a harness throws it into the day's boundary stream
+  (:mod:`repro.core.boundary`) at the op boundary it names.
 
 Faults are exceptions from :mod:`repro.errors`: :class:`TransientIOError`
 (retryable), :class:`DeviceFailure` (permanent — the query path treats the
@@ -71,27 +73,18 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class CrashPoint:
-    """Where a simulated process crash fires.
+    """Where a simulated process crash fires, mid-op.
 
-    Exactly one of the fields is set:
-
-    * ``after_ios``: the first ``after_ios`` I/Os since :meth:`FaultInjector.arm_crash`
-      succeed; the next one raises :class:`SimulatedCrash` *before* any time
-      or bytes are charged (it never happened).
-    * ``after_ops``: the first ``after_ops`` executor ops complete; the crash
-      fires at the following op boundary.  ``after_ops=0`` crashes before the
-      plan's first op.
+    The first ``after_ios`` I/Os since :meth:`FaultInjector.arm_crash`
+    succeed; the next one raises :class:`SimulatedCrash` *before* any time
+    or bytes are charged (it never happened).
     """
 
-    after_ios: int | None = None
-    after_ops: int | None = None
+    after_ios: int
 
     def __post_init__(self) -> None:
-        if (self.after_ios is None) == (self.after_ops is None):
-            raise ValueError("set exactly one of after_ios / after_ops")
-        value = self.after_ios if self.after_ios is not None else self.after_ops
-        if value < 0:
-            raise ValueError(f"crash point must be >= 0, got {value}")
+        if self.after_ios < 0:
+            raise ValueError(f"crash point must be >= 0, got {self.after_ios}")
 
 
 @dataclass
@@ -99,7 +92,6 @@ class FaultStats:
     """Counters of what the injector actually did."""
 
     ios: int = 0
-    ops: int = 0
     transients_injected: int = 0
     crashes_fired: int = 0
 
@@ -146,7 +138,6 @@ class FaultInjector:
         self._device_failed = False
         self._crash: CrashPoint | None = None
         self._crash_io_base = 0
-        self._crash_op_base = 0
         if crash is not None:
             self.arm_crash(crash)
 
@@ -155,10 +146,9 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def arm_crash(self, crash: CrashPoint) -> None:
-        """Install ``crash``, counting I/Os and ops from this moment on."""
+        """Install ``crash``, counting I/Os from this moment on."""
         self._crash = crash
         self._crash_io_base = self.stats.ios
-        self._crash_op_base = self.stats.ops
 
     def disarm(self) -> None:
         """Remove any armed crash point (the process "survived")."""
@@ -174,7 +164,7 @@ class FaultInjector:
         self._device_failed = True
 
     # ------------------------------------------------------------------
-    # Hooks (called by FaultyDisk and the journaled executor)
+    # Gates (called by FaultyDisk)
     # ------------------------------------------------------------------
 
     def before_io(self, kind: str, nbytes: int) -> None:
@@ -188,7 +178,6 @@ class FaultInjector:
         crash = self._crash
         if (
             crash is not None
-            and crash.after_ios is not None
             and self.stats.ios - self._crash_io_base >= crash.after_ios
         ):
             self.stats.crashes_fired += 1
@@ -214,23 +203,6 @@ class FaultInjector:
                 f"injected transient {kind} error ({nbytes} bytes)"
             )
         self.stats.ios += 1
-
-    def before_op(self) -> None:
-        """Gate one executor op; fires op-count crash points."""
-        crash = self._crash
-        if (
-            crash is not None
-            and crash.after_ops is not None
-            and self.stats.ops - self._crash_op_base >= crash.after_ops
-        ):
-            self.stats.crashes_fired += 1
-            raise SimulatedCrash(
-                f"crash point reached after {crash.after_ops} op(s)"
-            )
-
-    def note_op_completed(self) -> None:
-        """Record one fully executed op."""
-        self.stats.ops += 1
 
     def check_allocation(self, live_bytes: int, nbytes: int) -> None:
         """Apply space pressure to an allocation request."""

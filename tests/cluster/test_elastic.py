@@ -19,6 +19,7 @@ from repro.cluster import (
     ScaleAction,
     reshard_change,
 )
+from repro.core.boundary import drive
 from repro.core.records import Record, RecordStore
 from repro.core.schemes import scheme_by_name
 from repro.core.staged import ChangeAborted
@@ -199,7 +200,7 @@ class TestAbortReasons:
             replica.failed = True
         action = ScaleAction(kind="split", shard_id=1)
         with pytest.raises(ChangeAborted) as excinfo:
-            sim.elastic.run(reshard_change(sim, action), day=WINDOW + 2)
+            drive(sim.elastic.steps(reshard_change(sim, action), day=WINDOW + 2))
         assert excinfo.value.kind == "split"
         assert excinfo.value.reason == "dark-source"
         # A refused change staged nothing, so it journals nothing.

@@ -11,6 +11,7 @@ The matrix covers placement (hash/range partitioner) x serving policy
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulation
+from repro.core.boundary import drive
 from repro.core.schemes import scheme_by_name
 from repro.sim.querygen import QueryWorkload
 from repro.sim.scheduler import OverlapPolicy
@@ -177,27 +178,19 @@ class TestMidTransitionFailureTimeline:
         assert stats.makespan_seconds > 0.0
         assert sim.shards[0].available
 
-    def test_serving_time_failure_counts_a_failover(self, monkeypatch):
-        from repro.cluster import ShardReplica
-
+    def test_serving_time_failure_counts_a_failover(self):
         injectors = {}
         sim = _build("hash", OverlapPolicy.WAIT, 2, injectors=injectors)
         sim.run_start()
         victim = sim.shards[0].primary
-        # Die the instant the victim's maintenance completes, so the
-        # failure surfaces on a query's read during serving.
-        orig = ShardReplica.run_maintenance
+        # Die at the day's serving boundary, after every maintenance op,
+        # so the failure surfaces on a query's read during serving.
 
-        def die_after_maintenance(replica, plan, start):
-            report = orig(replica, plan, start)
-            if replica is victim:
-                injectors[replica.device_index].fail_device()
-            return report
+        def die_at_serving(boundary):
+            if boundary.kind == "serve":
+                injectors[victim.device_index].fail_device()
 
-        monkeypatch.setattr(
-            ShardReplica, "run_maintenance", die_after_maintenance
-        )
-        stats = sim.run_transition(W + 1)
+        stats = drive(sim.day_steps(W + 1), die_at_serving)
         assert victim.failed
         assert stats.failovers >= 1
         # Failover kept every answer complete.

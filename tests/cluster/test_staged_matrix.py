@@ -3,8 +3,8 @@
 ``split``, ``merge`` and ``retune`` run through one
 :class:`~repro.core.staged.StagedChangeRunner`, so its contract is
 checked with the kind as one more input: for every step boundary a
-fault-free dry run enumerates × {crash raised in the hook, device kill,
-space limit} — a fault strictly before the swap aborts with the old
+fault-free dry run enumerates × {crash thrown into the day's boundary
+stream there, device kill, space limit} — a fault strictly before the swap aborts with the old
 topology / design serving and the change retried to completion exactly
 once; a fault at ``cleanup`` commits (a crash rolls forward once) — plus
 the transient-retry loop's two exits and the rule that a change's crash
@@ -28,6 +28,7 @@ from repro.cluster import (
     ElasticConfig,
     SelfHealConfig,
 )
+from repro.core.boundary import drive
 from repro.core.records import Record, RecordStore
 from repro.core.schemes import scheme_by_name
 from repro.core.staged import ChangeAborted, StagedChangeRunner
@@ -145,12 +146,13 @@ class World:
     aborts: list[ChangeAborted]
 
     def turn(self, day: int, hook: Callable | None = None) -> None:
-        """Run one day; ``hook`` is armed for that day only."""
-        self.runner.on_step = hook
-        try:
-            self.sim.run_transition(day)
-        finally:
-            self.runner.on_step = None
+        """Run one day; ``hook`` sees that day's boundaries of the kind."""
+
+        def act(boundary):
+            if hook is not None and boundary.kind == self.kind:
+                hook(boundary)
+
+        drive(self.sim.day_steps(day), act)
 
     def finish(self) -> None:
         for day in range(self.sim.result.days[-1].day + 1, self.last_day + 1):
@@ -203,16 +205,16 @@ def make_world(kind: str, *, heal: bool = False, spare_factory=None) -> World:
     )
     runner = sim.advisor if kind == "retune" else sim.elastic
     aborts: list[ChangeAborted] = []
-    run = runner.run
+    steps = runner.steps
 
-    def recording_run(change, *, day):
+    def recording_steps(change, *, day):
         try:
-            return run(change, day=day)
+            return (yield from steps(change, day=day))
         except ChangeAborted as exc:
             aborts.append(exc)
             raise
 
-    runner.run = recording_run
+    runner.steps = recording_steps
     world = World(kind, sim, runner, change_day, last_day, aborts)
     sim.run_start()
     for day in range(world.window + 1, change_day):
@@ -434,9 +436,8 @@ class TestCrashPointsDieWithTheChange:
     ambush an ordinary maintenance pass days later."""
 
     def test_committed_change_leaves_no_armed_crash_behind(self, kind):
-        # Armed on the build target: by the hook for the reshards, by the
-        # spare factory for the retune (whose runner had no hook before
-        # the pipelines were folded together).
+        # Armed on the build target: at the catch-up boundary for the
+        # reshards, by the spare factory for the retune.
         after_ios = {"split": 5, "merge": 5, "retune": 40}[kind]
 
         def spare(ordinal: int) -> FaultyDisk:

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.core.boundary import crash_at, drive
 from repro.core.executor import ExecutionReport, PlanExecutor
 from repro.core.recovery import (
     JournaledExecutor,
@@ -252,8 +253,8 @@ def test_live_runs_are_exactly_the_held_runs(scheme_cls, technique):
 
 @pytest.mark.parametrize(
     "crash",
-    [CrashPoint(after_ops=0), CrashPoint(after_ios=0), CrashPoint(after_ios=1)],
-    ids=repr,
+    [crash_at("op", 0), CrashPoint(after_ios=0), CrashPoint(after_ios=1)],
+    ids=["op-boundary-0", "CrashPoint(after_ios=0)", "CrashPoint(after_ios=1)"],
 )
 @pytest.mark.parametrize("scheme_cls", [ReindexScheme, DelScheme], ids=lambda c: c.name)
 def test_no_run_outlives_its_indexes_across_a_crash(scheme_cls, crash):
@@ -270,11 +271,15 @@ def test_no_run_outlives_its_indexes_across_a_crash(scheme_cls, crash):
     for day in range(WINDOW + 1, 2 * WINDOW + 1):
         plan = scheme.transition_ops(day)
         if day == crash_day:
-            injector.arm_crash(crash)
+            steps = executor.journaled_steps(
+                plan, day=day, scheme_state=scheme.get_state()
+            )
             with pytest.raises(SimulatedCrash):
-                executor.execute_journaled(
-                    plan, day=day, scheme_state=scheme.get_state()
-                )
+                if isinstance(crash, CrashPoint):
+                    injector.arm_crash(crash)
+                    drive(steps)
+                else:
+                    drive(steps, crash)
             injector.disarm()
             assert live_days(store) == held_days(wave)
             scheme = resume_scheme(executor.journal)

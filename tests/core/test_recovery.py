@@ -8,6 +8,7 @@ crashed, with zero leaked extents.
 
 import pytest
 
+from repro.core.boundary import crash_at, drive
 from repro.core.executor import PlanExecutor
 from repro.core.invariants import check_wave_invariants
 from repro.core.recovery import (
@@ -107,12 +108,13 @@ class TestCrashRecovery:
         for day in range(WINDOW + 1, crash_day):
             executor.execute(scheme.transition_ops(day))
         plan = scheme.transition_ops(crash_day)
-        disk.injector.arm_crash(CrashPoint(after_ops=max(len(plan) - 1, 0)))
         with pytest.raises(SimulatedCrash):
-            executor.execute_journaled(
-                plan, day=crash_day, scheme_state=scheme.get_state()
+            drive(
+                executor.journaled_steps(
+                    plan, day=crash_day, scheme_state=scheme.get_state()
+                ),
+                crash_at("op", max(len(plan) - 1, 0)),
             )
-        disk.injector.disarm()
         journal = executor.journal
         assert journal.in_flight is None  # boundary crash: between ops
         recover_transition(journal, wave, store)
@@ -129,8 +131,10 @@ class TestCrashRecovery:
         plan = scheme.transition_ops(crash_day)
         disk.injector.arm_crash(CrashPoint(after_ios=1))
         with pytest.raises(SimulatedCrash):
-            executor.execute_journaled(
-                plan, day=crash_day, scheme_state=scheme.get_state()
+            drive(
+                executor.journaled_steps(
+                    plan, day=crash_day, scheme_state=scheme.get_state()
+                )
             )
         disk.injector.disarm()
         recover_transition(executor.journal, wave, store)
@@ -147,12 +151,13 @@ class TestCrashRecovery:
         for day in range(WINDOW + 1, crash_day):
             executor.execute(scheme.transition_ops(day))
         plan = scheme.transition_ops(crash_day)
-        disk.injector.arm_crash(CrashPoint(after_ops=0))
         with pytest.raises(SimulatedCrash):
-            executor.execute_journaled(
-                plan, day=crash_day, scheme_state=scheme.get_state()
+            drive(
+                executor.journaled_steps(
+                    plan, day=crash_day, scheme_state=scheme.get_state()
+                ),
+                crash_at("op", 0),
             )
-        disk.injector.disarm()
         journal = executor.journal
         # The executor and scheme objects "died"; only journal + disk live.
         resumed = resume_scheme(journal)
@@ -172,7 +177,7 @@ class TestRecoveryEdges:
         store = make_store(WINDOW + 2, seed=1)
         disk, wave, executor, scheme = _fresh(store, lambda: DelScheme(WINDOW, N))
         plan = scheme.transition_ops(WINDOW + 1)
-        executor.execute_journaled(plan, day=WINDOW + 1)
+        drive(executor.journaled_steps(plan, day=WINDOW + 1))
         before = wave.days_by_name()
         report = recover_transition(executor.journal, wave, store)
         assert report.ops_executed == 0
@@ -217,7 +222,7 @@ class TestRecoveryEdges:
         scheme = DelScheme(WINDOW, N)
         executor.execute(scheme.start_ops())
         plan = scheme.transition_ops(WINDOW + 1)
-        executor.execute_journaled(plan, day=WINDOW + 1)
+        drive(executor.journaled_steps(plan, day=WINDOW + 1))
         # begin + (in-flight + completed) per op.
         assert len(snapshots) == 1 + 2 * len(plan)
         final = TransitionJournal.from_json(snapshots[-1])

@@ -11,7 +11,6 @@ from repro.sim.crashmatrix import (
     DEFAULT_SCHEMES,
     run_crash_matrix,
 )
-from repro.storage.faults import CrashPoint
 
 WINDOW, N = 5, 2
 
@@ -44,9 +43,7 @@ class TestMatrixMechanics:
         baseline_cells = [
             c for c in boundary_only.cells if c.scheme == "DEL"
         ]
-        mid_op = [
-            c for c in scheme_cells if c.crash.after_ios is not None
-        ]
+        mid_op = [c for c in scheme_cells if c.kind == "io"]
         assert mid_op
         assert len(scheme_cells) == len(baseline_cells) + len(mid_op)
 
@@ -76,15 +73,13 @@ class TestMatrixMechanics:
 
 class TestCellReporting:
     def test_describe_renders_op_and_io_forms(self):
-        ok = CrashCell("DEL", 8, CrashPoint(after_ops=2), True, True)
+        ok = CrashCell("DEL", 8, "op", 2, True, True)
         assert "after op 2" in ok.describe()
         assert "ok" in ok.describe()
-        bad = CrashCell(
-            "DEL", 8, CrashPoint(after_ios=5), True, False, detail="diverged"
-        )
+        bad = CrashCell("DEL", 8, "io", 5, True, False, detail="diverged")
         assert "after I/O 5" in bad.describe()
         assert "FAIL: diverged" in bad.describe()
-        unfired = CrashCell("DEL", 8, CrashPoint(after_ops=99), False, True)
+        unfired = CrashCell("DEL", 8, "op", 99, False, True)
         assert "did not fire" in unfired.describe()
 
 class TestRebalanceMatrix:
@@ -102,7 +97,8 @@ class TestRebalanceMatrix:
         # move's contract holds (source serves, no orphans, retry ok).
         assert all(c.crashed for c in rebalance)
         assert all(c.ok for c in rebalance)
-        points = {c.crash.after_ios for c in rebalance}
+        assert all(c.kind == "io" for c in rebalance)
+        points = {c.at for c in rebalance}
         assert len(points) == len(rebalance)
 
     def test_rebalance_opt_out(self):

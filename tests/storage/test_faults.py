@@ -38,13 +38,10 @@ class TestRetryPolicy:
 
 
 class TestCrashPoint:
-    def test_exactly_one_field_required(self):
-        with pytest.raises(ValueError):
-            CrashPoint()
-        with pytest.raises(ValueError):
-            CrashPoint(after_ios=1, after_ops=1)
+    def test_negative_point_rejected(self):
         with pytest.raises(ValueError):
             CrashPoint(after_ios=-1)
+        assert CrashPoint(after_ios=0).after_ios == 0
 
 
 class TestTransients:
@@ -164,15 +161,6 @@ class TestCrashPoints:
         ext = disk.allocate(100)
         disk.injector.disarm()
         disk.read(ext)
-
-    def test_op_crash_fires_at_op_boundary(self):
-        injector = FaultInjector(crash=CrashPoint(after_ops=2))
-        injector.before_op()
-        injector.note_op_completed()
-        injector.before_op()
-        injector.note_op_completed()
-        with pytest.raises(SimulatedCrash):
-            injector.before_op()
 
 
 class TestFaultFreeEquivalence:
