@@ -297,41 +297,40 @@ class WaveIndex:
     # Batched serving (amortized probes and scans)
     # ------------------------------------------------------------------
 
-    def _begin_batch(self):
-        """Snapshot the device counters a batch summary is computed from."""
-        io = self.disk.stats.snapshot()
-        cache = (
-            self.disk.page_cache.snapshot()
-            if self.disk.page_cache is not None
-            else None
-        )
-        return self.disk.clock, io, cache
+    def _begin_batch(self) -> tuple[float, float, int, int, int]:
+        """Read the live counters :meth:`_finish_batch` subtracts from.
+
+        ``(clock, seeks, bytes_read, cache hits, cache misses)``: no
+        snapshot record is built on the read path.
+        """
+        disk = self.disk
+        stats = disk.stats
+        cache = disk.page_cache
+        if cache is None:
+            return disk.clock, stats.seeks, stats.bytes_read, 0, 0
+        return disk.clock, stats.seeks, stats.bytes_read, cache.hits, cache.misses
 
     def _finish_batch(
         self,
-        begin,
+        begin: tuple[float, float, int, int, int],
         *,
         requests: int,
         constituents_touched: int,
         buckets_read: int,
         duplicate_hits: int,
     ) -> BatchCostSummary:
-        clock0, io0, cache0 = begin
-        io = self.disk.stats.snapshot() - io0
-        cache_hits = cache_misses = 0
-        if cache0 is not None:
-            delta = self.disk.page_cache.snapshot() - cache0
-            cache_hits, cache_misses = delta.hits, delta.misses
+        clock, seeks, bytes_read, hits, misses = self._begin_batch()
+        clock0, seeks0, bytes_read0, hits0, misses0 = begin
         return BatchCostSummary(
             requests=requests,
-            seconds=self.disk.clock - clock0,
-            seeks=io.seeks,
-            bytes_read=io.bytes_read,
+            seconds=clock - clock0,
+            seeks=seeks - seeks0,
+            bytes_read=bytes_read - bytes_read0,
             constituents_touched=constituents_touched,
             buckets_read=buckets_read,
             duplicate_hits=duplicate_hits,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
+            cache_hits=hits - hits0,
+            cache_misses=misses - misses0,
         )
 
     def probe_many(

@@ -26,6 +26,9 @@ scales seeks by the miss rate):
 Pages are keyed by ``(extent_id, page_index)``.  Extent ids are unique for
 the life of the process, and :meth:`SimulatedDisk.free` invalidates an
 extent's pages, so a recycled disk offset can never produce a stale hit.
+The LRU itself is the cache's only state: invalidation finds an extent's
+pages from its size, or by one pass over the resident keys when that is
+shorter — O(min(extent pages, cache pages)).
 
 Under uniform-random touches over a fixed working set the cache's steady
 miss rate converges to the analytic ``max(0, 1 − memory/working_set)`` —
@@ -35,8 +38,9 @@ under skewed or sequential traces it captures what the formula cannot.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from .extent import Extent
 
@@ -99,6 +103,9 @@ class PageCache:
 
     The cache never stores payload — like the rest of the storage layer it
     tracks *which* pages are resident, which is all the cost model needs.
+    One ``OrderedDict`` of ``(extent_id, page_index)`` keys, oldest first,
+    is all it keeps, so freeing an extent costs O(min(its pages, resident
+    pages)); the counters are plain integers.
     """
 
     def __init__(
@@ -116,9 +123,6 @@ class PageCache:
         self.capacity_pages = max(1, int(capacity_bytes // page_size))
         #: LRU order: oldest first.  Values are unused (set-like).
         self._pages: OrderedDict[tuple[int, int], None] = OrderedDict()
-        #: Secondary index: extent_id -> resident page indexes, so freeing
-        #: an extent invalidates in O(its pages), not O(cache size).
-        self._by_extent: dict[int, set[int]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -156,25 +160,91 @@ class PageCache:
         )
 
     # ------------------------------------------------------------------
-    # Page accounting
+    # Hooks (called by SimulatedDisk)
     # ------------------------------------------------------------------
 
-    def _touch(
-        self, extent: Extent, nbytes: int, offset: int, *, is_read: bool
-    ) -> tuple[int, int]:
-        """Record a touch; return ``(missed_pages, total_pages)``.
+    def read_charges(
+        self, extent: Extent, nbytes: int, seeks: float, offset: int = 0
+    ) -> tuple[float, int]:
+        """Account a read; return the ``(seeks, bytes)`` still owed to disk.
+
+        A fully resident read owes nothing; otherwise the caller's seeks
+        are owed in full plus a page-granular transfer of the missing pages
+        (clipped to the extent's end).
 
         The touch covers the pages of ``[offset, offset + nbytes)``,
-        clipped to the extent; first and last pages may be partial.
+        clipped to the extent.  A one-page touch (a bucket: nineteen in
+        twenty) is served in this frame — a hit is one ``move_to_end``, a
+        miss evicts the LRU page if full and inserts; longer spans go to
+        :meth:`_touch_span`.
+        """
+        end = min(offset + nbytes, extent.size)
+        if end <= offset:
+            return 0.0, 0
+        page_size = self.page_size
+        first = offset // page_size
+        last = (end - 1) // page_size
+        if first != last:
+            missed = self._touch_span(extent.extent_id, first, last, True)
+            if missed == 0:
+                return 0.0, 0
+            return seeks, min(missed * page_size, extent.size)
+        key = (extent.extent_id, first)
+        pages = self._pages
+        if key in pages:
+            pages.move_to_end(key)
+            self.hits += 1
+            self.read_hits += 1
+            return 0.0, 0
+        self.misses += 1
+        if len(pages) >= self.capacity_pages:
+            pages.popitem(last=False)
+            self.evictions += 1
+        pages[key] = None
+        return seeks, min(page_size, extent.size)
+
+    def write_charges(
+        self, extent: Extent, nbytes: int, seeks: float, offset: int = 0
+    ) -> tuple[float, int]:
+        """Account a write; return the ``(seeks, bytes)`` owed to disk.
+
+        Write-through: the transfer is always owed, but the seek is
+        absorbed when every touched page was already resident.  Pages
+        are touched as by :meth:`read_charges`.
+        """
+        end = min(offset + nbytes, extent.size)
+        if end <= offset:
+            return seeks, nbytes
+        page_size = self.page_size
+        first = offset // page_size
+        last = (end - 1) // page_size
+        if first != last:
+            if self._touch_span(extent.extent_id, first, last, False) == 0:
+                return 0.0, nbytes
+            return seeks, nbytes
+        key = (extent.extent_id, first)
+        pages = self._pages
+        if key in pages:
+            pages.move_to_end(key)
+            self.hits += 1
+            self.write_hits += 1
+            return 0.0, nbytes
+        self.misses += 1
+        if len(pages) >= self.capacity_pages:
+            pages.popitem(last=False)
+            self.evictions += 1
+        pages[key] = None
+        return seeks, nbytes
+
+    def _touch_span(
+        self, ext_id: int, first: int, last: int, is_read: bool
+    ) -> int:
+        """Touch pages ``first..last`` (two or more); return how many missed.
+
         Every touched page ends up resident and most-recently-used;
-        admission evicts LRU pages as needed.
+        admission evicts LRU pages as needed.  Two span shapes skip the
+        per-page loop:
 
-        The overwhelmingly common span shapes skip the per-page Python
-        loop and every nested call:
-
-        * **one page** (a bucket, nineteen touches in twenty) — a hit is
-          one ``move_to_end``; a miss evicts while full, inserts and
-          indexes the page, right here;
         * **all resident** (a warm sweep) — bulk counter updates, with
           only the mandatory per-page ``move_to_end`` to keep LRU order
           exact;
@@ -189,144 +259,65 @@ class PageCache:
         (property-tested against that definition in
         ``tests/storage/test_pagecache_kernel.py``).
         """
-        end = min(offset + nbytes, extent.size)
-        if end <= offset:
-            return 0, 0
-        page_size = self.page_size
-        first = offset // page_size
-        last = (end - 1) // page_size
-        ext_id = extent.extent_id
         pages = self._pages
-        if first == last:
-            key = (ext_id, first)
-            if key in pages:
-                pages.move_to_end(key)
-                self.hits += 1
-                if is_read:
-                    self.read_hits += 1
-                else:
-                    self.write_hits += 1
-                return 0, 1
-            # _admit and _forget, in this frame.
-            self.misses += 1
-            by_extent = self._by_extent
-            capacity = self.capacity_pages
-            while len(pages) >= capacity:
-                victim_id, victim_page = pages.popitem(last=False)[0]
-                owner = by_extent.get(victim_id)
-                if owner is not None:
-                    owner.discard(victim_page)
-                    if not owner:
-                        del by_extent[victim_id]
-                self.evictions += 1
-            pages[key] = None
-            by_extent.setdefault(ext_id, set()).add(first)
-            return 1, 1
-        span = range(first, last + 1)
-        k = last + 1 - first
-        resident = self._by_extent.get(ext_id)
-        n_hits = len(resident.intersection(span)) if resident else 0
-        if n_hits == k:
-            for page_index in span:
-                pages.move_to_end((ext_id, page_index))
-            self.hits += k
-            if is_read:
-                self.read_hits += k
-            else:
-                self.write_hits += k
-            return 0, k
-        if n_hits == 0 and k <= self.capacity_pages:
-            n_evict = len(pages) + k - self.capacity_pages
+        capacity = self.capacity_pages
+        keys = list(zip(repeat(ext_id), range(first, last + 1)))
+        k = len(keys)
+        n_hits = sum(map(pages.__contains__, keys))
+        if n_hits == 0 and k <= capacity:
+            n_evict = len(pages) + k - capacity
             if n_evict > 0:
                 for _ in range(n_evict):
-                    victim, _unused = pages.popitem(last=False)
-                    self._forget(victim)
+                    pages.popitem(last=False)
                 self.evictions += n_evict
-            for page_index in span:
-                pages[(ext_id, page_index)] = None
-            self._by_extent.setdefault(ext_id, set()).update(span)
+            pages.update(zip(keys, repeat(None)))
             self.misses += k
-            return k, k
-        missed = 0
-        for page_index in span:
-            key = (ext_id, page_index)
-            if key in pages:
-                pages.move_to_end(key)
-                self.hits += 1
-                if is_read:
-                    self.read_hits += 1
+            return k
+        if n_hits == k:
+            deque(map(pages.move_to_end, keys), 0)
+        else:
+            n_hits = 0
+            for key in keys:
+                if key in pages:
+                    pages.move_to_end(key)
+                    n_hits += 1
                 else:
-                    self.write_hits += 1
-            else:
-                missed += 1
-                self.misses += 1
-                self._admit(key)
-        return missed, k
-
-    def _admit(self, key: tuple[int, int]) -> None:
-        while len(self._pages) >= self.capacity_pages:
-            victim, _ = self._pages.popitem(last=False)
-            self._forget(victim)
-            self.evictions += 1
-        self._pages[key] = None
-        self._by_extent.setdefault(key[0], set()).add(key[1])
-
-    def _forget(self, key: tuple[int, int]) -> None:
-        pages = self._by_extent.get(key[0])
-        if pages is not None:
-            pages.discard(key[1])
-            if not pages:
-                del self._by_extent[key[0]]
-
-    # ------------------------------------------------------------------
-    # Hooks (called by SimulatedDisk)
-    # ------------------------------------------------------------------
-
-    def read_charges(
-        self, extent: Extent, nbytes: int, seeks: float, offset: int = 0
-    ) -> tuple[float, int]:
-        """Account a read; return the ``(seeks, bytes)`` still owed to disk.
-
-        A fully resident read owes nothing; otherwise the caller's seeks
-        are owed in full plus a page-granular transfer of the missing pages
-        (clipped to the extent's end).
-        """
-        missed, total = self._touch(extent, nbytes, offset, is_read=True)
-        if missed == 0:
-            return 0.0, 0
-        missed_bytes = min(missed * self.page_size, extent.size)
-        return seeks, missed_bytes
-
-    def write_charges(
-        self, extent: Extent, nbytes: int, seeks: float, offset: int = 0
-    ) -> tuple[float, int]:
-        """Account a write; return the ``(seeks, bytes)`` owed to disk.
-
-        Write-through: the transfer is always owed, but the seek is
-        absorbed when every touched page was already resident.
-        """
-        missed, total = self._touch(extent, nbytes, offset, is_read=False)
-        if total and missed == 0:
-            return 0.0, nbytes
-        return seeks, nbytes
+                    if len(pages) >= capacity:
+                        pages.popitem(last=False)
+                        self.evictions += 1
+                    pages[key] = None
+        self.hits += n_hits
+        if is_read:
+            self.read_hits += n_hits
+        else:
+            self.write_hits += n_hits
+        self.misses += k - n_hits
+        return k - n_hits
 
     def invalidate_extent(self, extent: Extent) -> int:
         """Drop every page of ``extent``; return how many were resident.
 
         Called when the extent is freed — dropped pages are not counted as
-        evictions (nothing displaced them).
+        evictions (nothing displaced them).  The extent's pages are looked
+        up by index when there are no more of them than resident pages,
+        else found by one pass over the resident keys: either way
+        O(min(extent pages, cache pages)).
         """
-        pages = self._by_extent.pop(extent.extent_id, None)
-        if not pages:
-            return 0
-        for page_index in pages:
-            del self._pages[(extent.extent_id, page_index)]
-        return len(pages)
+        pages = self._pages
+        ext_id = extent.extent_id
+        n_pages = -(-extent.size // self.page_size)
+        if n_pages <= len(pages):
+            doomed = zip(repeat(ext_id), range(n_pages))
+        else:
+            doomed = [key for key in pages if key[0] == ext_id]
+        resident = len(pages)
+        for key in doomed:
+            pages.pop(key, None)
+        return resident - len(pages)
 
     def clear(self) -> None:
         """Empty the cache (counters are kept)."""
         self._pages.clear()
-        self._by_extent.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -1,12 +1,17 @@
 """I/O statistics collected by the simulated disk.
 
 The counters mirror the quantities the paper reasons about: seeks, bytes
-read/written, and elapsed device time.  :class:`IOStats` instances support
-subtraction so callers can cheaply measure a window of activity::
+read/written, and elapsed device time.  :class:`IOSnapshot` records
+support subtraction, so a cold caller (turn bookkeeping, a bench harness)
+can measure a window of activity::
 
     before = disk.stats.snapshot()
     ...do work...
     delta = disk.stats.snapshot() - before
+
+A hot path reads the counters it needs off :class:`IOStats` instead and
+subtracts those: a batch's bill (``WaveIndex._begin_batch``) builds no
+record.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Object-level oracles for the batched read path.
 
 ``WaveIndex.probe_many`` / ``scan_many`` solve a batch once per unique
-request, weight cost shares by duplicate count and filter on day columns;
-``PageCache._touch`` accounts whole-hit and whole-miss spans in bulk.
+request, weight cost shares by duplicate count and filter on day columns,
+and bill the batch from five live device counters;
+``PageCache._touch_span`` accounts whole-hit and whole-miss spans in bulk.
 These are the straightforward forms they replaced in ``src/``: one
 accumulator per request, every entry's day compared one by one, every
 page touched one by one.  The batch oracles drive a wave through its
@@ -15,42 +16,74 @@ devices: a constituent is offline only if marked so beforehand.
 left: it walks the buckets and sizes the transfer afresh on every call,
 and reads nothing a constituent caches between calls (no ``scan()``, no
 ``sweep()``), so it can tell a stale sweep from a fresh one.
+
+``begin_batch`` / ``finish_batch`` are the bill as it was, two
+``IOSnapshot`` and two ``PageCacheSnapshot`` records subtracted;
+:func:`snapshot_bill` serves a twin wave with them
+(``tests/core/test_batch_bill.py``).
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 from repro.core import queries
+from repro.core.wave import WaveIndex
 from repro.errors import DegradedWindowError
-from repro.storage.pagecache import PageCache
-
-from .disk import page_span
+from .disk import ComposedPageCache, page_span
 
 
-def _begin(wave):
-    cache = wave.disk.page_cache
-    return (
-        wave.disk.clock,
-        wave.disk.stats.snapshot(),
-        cache.snapshot() if cache is not None else None,
+def begin_batch(wave):
+    """``WaveIndex._begin_batch`` as it was: snapshot the device counters."""
+    io = wave.disk.stats.snapshot()
+    cache = (
+        wave.disk.page_cache.snapshot()
+        if wave.disk.page_cache is not None
+        else None
     )
+    return wave.disk.clock, io, cache
 
 
-def _summary(wave, begin, requests, touched, buckets_read, duplicate_hits):
+def finish_batch(
+    wave,
+    begin,
+    *,
+    requests,
+    constituents_touched,
+    buckets_read,
+    duplicate_hits,
+):
+    """``WaveIndex._finish_batch`` as it was: subtract two snapshots."""
     clock0, io0, cache0 = begin
     io = wave.disk.stats.snapshot() - io0
-    hits = misses = 0
+    cache_hits = cache_misses = 0
     if cache0 is not None:
         delta = wave.disk.page_cache.snapshot() - cache0
-        hits, misses = delta.hits, delta.misses
+        cache_hits, cache_misses = delta.hits, delta.misses
     return queries.BatchCostSummary(
         requests=requests,
         seconds=wave.disk.clock - clock0,
         seeks=io.seeks,
         bytes_read=io.bytes_read,
-        constituents_touched=touched,
+        constituents_touched=constituents_touched,
         buckets_read=buckets_read,
         duplicate_hits=duplicate_hits,
-        cache_hits=hits,
-        cache_misses=misses,
+        cache_hits=cache_hits,
+        cache_misses=cache_misses,
     )
+
+
+@contextmanager
+def snapshot_bill():
+    """Bill every ``probe_many`` / ``scan_many`` batch the snapshot way.
+
+    Swaps :func:`begin_batch` / :func:`finish_batch` in for
+    ``WaveIndex._begin_batch`` / ``_finish_batch``, so a twin wave served
+    inside the block is billed by snapshot records and the one served
+    outside it by the live counters.
+    """
+    with mock.patch.object(WaveIndex, "_begin_batch", begin_batch), \
+            mock.patch.object(WaveIndex, "_finish_batch", finish_batch):
+        yield
 
 
 def _needed(wave, ranges, degraded, missing):
@@ -96,7 +129,7 @@ def _results(cls, entries, seconds, touched, covered, missing):
 def probe_many_object(wave, specs, degraded=False):
     """``probe_many`` with one accumulator pass per ``(value, t1, t2)``."""
     n = len(specs)
-    begin = _begin(wave)
+    begin = begin_batch(wave)
     entries = [[] for _ in range(n)]
     seconds = [0.0] * n
     probed = [0] * n
@@ -125,14 +158,21 @@ def probe_many_object(wave, specs, degraded=False):
                 seconds[i] += cost / len(requesters)
     return queries.BatchProbeResult(
         _results(queries.ProbeResult, entries, seconds, probed, covered, missing),
-        _summary(wave, begin, n, constituents_touched, buckets_read, duplicate_hits),
+        finish_batch(
+            wave,
+            begin,
+            requests=n,
+            constituents_touched=constituents_touched,
+            buckets_read=buckets_read,
+            duplicate_hits=duplicate_hits,
+        ),
     )
 
 
 def scan_many_object(wave, specs, degraded=False):
     """``scan_many`` with one filter pass over the sweep per ``(t1, t2)``."""
     n = len(specs)
-    begin = _begin(wave)
+    begin = begin_batch(wave)
     entries = [[] for _ in range(n)]
     seconds = [0.0] * n
     scanned = [0] * n
@@ -152,11 +192,18 @@ def scan_many_object(wave, specs, degraded=False):
             entries[i].extend(e for e in found if t1 <= e.day <= t2)
     return queries.BatchScanResult(
         _results(queries.ScanResult, entries, seconds, scanned, covered, missing),
-        _summary(wave, begin, n, constituents_touched, 0, duplicate_hits),
+        finish_batch(
+            wave,
+            begin,
+            requests=n,
+            constituents_touched=constituents_touched,
+            buckets_read=0,
+            duplicate_hits=duplicate_hits,
+        ),
     )
 
 
-class PerPagePageCache(PageCache):
+class PerPagePageCache(ComposedPageCache):
     """A page cache that touches every span one page at a time."""
 
     def _touch(self, extent, nbytes, offset, *, is_read):

@@ -1,14 +1,15 @@
 """The one-frame charge path vs the composed path it replaced.
 
 ``SimulatedDisk.read`` / ``.write`` validate, ask the cache, price, count
-and advance the clock in one frame, and ``PageCache._touch`` serves a
-single-page touch without a nested call.  ``tests.reference.disk`` keeps
-the chain of calls they replaced.  Twin devices — one of each — are driven
-through the same random trace and must agree with ``==`` after every
-step: the seconds returned, the clock, every ``IOStats`` field, every
-``PageCacheSnapshot`` field, the full LRU order and the per-extent index.
-Float addition is not associative, so ``==`` here is what keeps every
-committed artifact byte-identical.
+and advance the clock in one frame, and ``PageCache.read_charges`` /
+``.write_charges`` serve a single-page touch in theirs.
+``tests.reference.disk`` keeps the chain of calls they replaced.  Twin
+devices — one of each — are driven through the same random trace and
+must agree with ``==`` after every step: the seconds returned, the clock,
+every ``IOStats`` field, every ``PageCacheSnapshot`` field, the full LRU
+order and the per-extent map read off it.  Float addition is not
+associative, so ``==`` here is what keeps every committed artifact
+byte-identical.
 
 The frame floor pins the point of the change the way PR 20's "0 JSON codec
 calls" did: Python calls per touch, counted by ``sys.setprofile``.
@@ -26,7 +27,12 @@ from repro.storage.cost import DiskParameters
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import FaultInjector, FaultyDisk, RetryPolicy
 from repro.storage.pagecache import PageCache
-from tests.reference.disk import ComposedDisk, ComposedFaultyDisk, ComposedPageCache
+from tests.reference.disk import (
+    ComposedDisk,
+    ComposedFaultyDisk,
+    ComposedPageCache,
+    resident_by_extent,
+)
 
 PAGE = 64
 CAPACITY_PAGES = 4
@@ -166,7 +172,10 @@ class Driver:
             seen += [
                 cache.snapshot(),
                 [(ordinal[ext_id], page) for ext_id, page in cache._pages],
-                {ordinal[k]: sorted(v) for k, v in cache._by_extent.items()},
+                {
+                    ordinal[k]: sorted(v)
+                    for k, v in resident_by_extent(cache).items()
+                },
             ]
         if isinstance(disk, FaultyDisk):
             seen.append(vars(disk.injector.stats).copy())
@@ -259,8 +268,8 @@ def test_a_cacheless_touch_is_one_python_frame():
     assert python_calls(run) == n  # the composed path: 6
 
 
-def test_a_cached_single_page_touch_is_three_python_frames():
+def test_a_cached_single_page_touch_is_two_python_frames():
     disk = DEVICES["page-cache"][0]()
     run, n = touches_on(disk)
-    assert python_calls(run) == 3 * n  # read -> read_charges -> _touch
+    assert python_calls(run) == 2 * n  # read -> read_charges; the composed path: 9-11
     assert disk.page_cache.evictions > 0 and disk.page_cache.hits > 0

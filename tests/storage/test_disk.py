@@ -7,6 +7,7 @@ from repro.storage.cost import MEGABYTE, DiskParameters
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagecache import PageCache, PageCacheSnapshot
 from repro.storage.stats import IOSnapshot
+from tests.reference.disk import resident_by_extent
 
 
 @pytest.fixture
@@ -109,7 +110,7 @@ class TestRefusedTouch:
             disk.snapshot(),
             cache.snapshot(),
             list(cache._pages),
-            {k: set(v) for k, v in cache._by_extent.items()},
+            resident_by_extent(cache),
         )
 
     @pytest.mark.parametrize("kind", ["read", "write"])
