@@ -1,7 +1,8 @@
 """Name what drifted in the regenerated ``BENCH_*.json`` reports, then fail.
 
-CI's ``artifacts-stable`` job regenerates the six simulated-clock reports
-and requires them byte-identical to the committed ones.  ``git diff
+CI's ``artifacts-stable`` job regenerates the eight deterministic reports
+(six on simulated clocks, two on a virtual-time event loop) and requires
+them byte-identical to the committed ones.  ``git diff
 --exit-code`` can only say *that* a byte moved; this says *where*: for each
 report that differs from ``HEAD``, the path of its first differing key and
 both values — a reordered float addition shows up as one busy-seconds

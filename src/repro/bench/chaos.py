@@ -40,6 +40,7 @@ Results go to ``BENCH_chaos.json`` (``repro chaos-soak``); the headline
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -175,9 +176,10 @@ class _Kill:
     shard_id: int
     day: int
     point: str
-    #: Spare behaviours queued when the kill fires: a "rebuild"-point
-    #: kill prepends an aborting spare ("die"/"space") before the one
-    #: that completes ("ok"/"crash" — a crash rolls forward).
+    #: Spare behaviours queued on the kill's shard when it fires: a
+    #: "rebuild"-point kill prepends an aborting spare ("die"/"space")
+    #: before the one that completes ("ok"/"crash" — a crash rolls
+    #: forward).
     spare_modes: tuple[str, ...]
     #: I/Os into the day the "transition"-point failure fires after.
     io_offset: int
@@ -235,7 +237,10 @@ class _ChaosRun:
         self.vocabulary = vocabulary
         self.retry = RetryPolicy(max_attempts=config.retry_max_attempts)
         self.invariants = _Invariants()
-        self._spare_queue: list[str] = []
+        #: shard_id -> spare behaviours its kills queued, oldest first.
+        self._spare_queues: defaultdict[int, list[str]] = defaultdict(list)
+        #: id(spare) -> provisioning ordinal, until its rebuild arms it.
+        self._unarmed: dict[int, int] = {}
         self._spare_modes_used: list[str] = []
         self._active_bursts: list[FaultInjector] = []
         #: shard_id -> day its under-replication window opened.
@@ -292,21 +297,36 @@ class _ChaosRun:
         )
 
     def _spare_device(self, ordinal: int) -> FaultyDisk:
-        """Provision one rebuild target, armed per the schedule."""
-        mode = self._spare_queue.pop(0) if self._spare_queue else "ok"
-        self._spare_modes_used.append(mode)
-        rng = random.Random(self.seed * 31 + ordinal)
-        kwargs: dict[str, Any] = {}
-        if mode == "die":
-            kwargs["fail_device_after_ios"] = rng.randint(4, 16)
-        elif mode == "space":
-            kwargs["space_limit_bytes"] = 4096
-        elif mode == "crash":
-            kwargs["crash"] = CrashPoint(after_ios=rng.randint(3, 12))
-        return FaultyDisk(
-            injector=FaultInjector(self.seed * 99991 + ordinal, **kwargs),
+        """Provision one rebuild target, unarmed until its rebuild's
+        first boundary says which shard it is for (:meth:`_arm_spare`)."""
+        spare = FaultyDisk(
+            injector=FaultInjector(self.seed * 99991 + ordinal),
             retry_policy=self.retry,
         )
+        self._unarmed[id(spare)] = ordinal
+        return spare
+
+    def _arm_spare(self, spare: FaultyDisk, shard_id: int, ordinal: int) -> None:
+        """Arm ``spare`` with the next behaviour its shard's kills queued
+        (two shards healing on one day each get their own kill's).
+
+        A "die" spare fails within the copy, which writes the spare once
+        a binding at least, so it aborts the rebuild it was scheduled to
+        abort instead of dying later as a replica.
+        """
+        queue = self._spare_queues[shard_id]
+        mode = queue.pop(0) if queue else "ok"
+        self._spare_modes_used.append(mode)
+        rng = random.Random(self.seed * 31 + ordinal)
+        injector = spare.injector
+        if mode == "die":
+            injector.fail_device_after_ios = rng.randint(
+                1, self.config.n_indexes
+            )
+        elif mode == "space":
+            injector.space_limit_bytes = 4096
+        elif mode == "crash":
+            injector.arm_crash(CrashPoint(after_ios=rng.randint(3, 12)))
 
     # ------------------------------------------------------------------
     # Fault firing
@@ -333,11 +353,18 @@ class _ChaosRun:
                 )
             else:  # "rebuild": the loss is immediate; the rebuild is hit
                 injector.fail_device()
-            self._spare_queue.extend(kill.spare_modes)
+            self._spare_queues[kill.shard_id].extend(kill.spare_modes)
 
     def _at_boundary(self, sim: ClusterSimulation, boundary: Boundary) -> None:
-        """At the day's serving boundary: fire mid-serve kills and arm
-        the day's transient bursts."""
+        """At a rebuild's first boundary, arm its spare; at the day's
+        serving boundary, fire mid-serve kills and arm the day's
+        transient bursts."""
+        if boundary.kind == "rebuild":
+            spare = boundary.devices[0]
+            ordinal = self._unarmed.pop(id(spare), None)
+            if ordinal is not None:
+                self._arm_spare(spare, boundary.shard, ordinal)
+            return
         if boundary.kind != "serve":
             return
         day = boundary.day
@@ -348,7 +375,7 @@ class _ChaosRun:
             if injector is None:
                 continue
             injector.fail_device()
-            self._spare_queue.extend(kill.spare_modes)
+            self._spare_queues[kill.shard_id].extend(kill.spare_modes)
         for burst in self.bursts:
             if burst.day != day:
                 continue

@@ -50,15 +50,13 @@ class Schema:
     Every report carries ``bench`` and ``schema_version`` plus ``keys``.
     ``rows`` names its list of per-run entries, which must be non-empty,
     each entry carrying ``row_keys``; ``headline`` lists the keys of its
-    headline block.  A ``machine_dependent`` report holds wall-clock
-    numbers and must say so, so that nothing byte-compares it.
+    headline block.
     """
 
     keys: tuple[str, ...]
     rows: str | None = None
     row_keys: tuple[str, ...] = ()
     headline: tuple[str, ...] = ()
-    machine_dependent: bool = False
 
 
 @dataclass(frozen=True)
@@ -84,11 +82,6 @@ class Bench:
                 raise ValueError(f"{self.name} report missing key {key!r}")
         if report["bench"] != self.name:
             raise ValueError(f"unexpected bench {report['bench']!r}")
-        if schema.machine_dependent and report.get("machine_dependent") is not True:
-            raise ValueError(
-                f"{self.name} report must be marked machine_dependent: "
-                "its numbers are wall-clock"
-            )
         if schema.rows is not None:
             if not report[schema.rows]:
                 raise ValueError(f"{self.name} report has no {schema.rows} entries")

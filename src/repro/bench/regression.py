@@ -38,10 +38,6 @@ class HeadlineMetric:
     path: tuple[str, ...]
     higher_is_better: bool
     description: str
-    #: An optional metric may be absent from a fresh report of its
-    #: benchmark (e.g. a machine-dependent headline a smoke run does not
-    #: produce); absence skips the gate instead of failing it.
-    optional: bool = False
     #: An exact metric is a correctness invariant wearing a number (a
     #: lost-request count, a checksum): the gate is equality with the
     #: baseline, never a percentage allowance, and zero baselines are
@@ -130,10 +126,6 @@ HEADLINE_METRICS: tuple[HeadlineMetric, ...] = (
         ("headline", "hedge_tail_ratio"),
         higher_is_better=False,
         description="hedged/unhedged p99 under an injected slow frontend",
-        # A ratio of two wall-clock latencies from the same run — far
-        # more portable than a raw latency, but still machine-shaped;
-        # gate it only on a baseline adopted on the same machine class.
-        optional=True,
     ),
 )
 
@@ -219,9 +211,7 @@ def compare(
     Baseline metrics whose benchmark has no report in ``reports`` are
     marked *skipped* (each CI smoke job checks only its own artifact);
     a metric whose benchmark IS present but which cannot be extracted
-    counts as regressed — a gate that silently vanishes is not passing —
-    unless the metric is *optional* (flag-gated sections like the
-    wall-clock timings), in which case absence skips it.
+    counts as regressed — a gate that silently vanishes is not passing.
     A measured metric the baseline has not adopted yet becomes a
     non-failing *NEW* row pointing at ``repro bench-check --update``
     (first run of a fresh benchmark against an older baseline).
@@ -253,13 +243,6 @@ def compare(
             )
             continue
         value = current.get(name)
-        if value is None and metric.optional:
-            # Optional headline not produced by this run: skip rather
-            # than fail the gate.
-            rows.append(
-                RegressionRow(name, base_value, None, None, False, skipped=True)
-            )
-            continue
         if metric.exact:
             # Equality gate: no percentage allowance, and a 0.0
             # baseline (zero lost requests) is the expected case the

@@ -281,13 +281,12 @@ _BENCHES = {
     "bench-frontend": (
         "frontend",
         "sweep offered load past the saturation knee under the shed and "
-        "queue overload policies; emit BENCH_frontend.json (wall-clock: "
-        "never byte-compared)",
+        "queue overload policies; emit BENCH_frontend.json",
         (
             _opt(
                 "--multipliers", type=float, nargs="+",
                 dest="load_multipliers",
-                help="offered-load multipliers of calibrated capacity "
+                help="offered-load multipliers of configured capacity "
                 "(must straddle 1.0)",
             ),
             _opt(
@@ -320,8 +319,7 @@ _BENCHES = {
         "resilience",
         "tail-tolerance scenarios over a multi-frontend fleet (hedging, "
         "retry budget, DRR fairness, zero-loss rolling restart) plus a "
-        "seeded frontend-chaos matrix; emit BENCH_resilience.json "
-        "(wall-clock: never byte-compared)",
+        "seeded frontend-chaos matrix; emit BENCH_resilience.json",
         (
             _opt(
                 "--frontends", type=int, dest="n_frontends",

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import asyncio
 import random
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import (
     FrontendError,
@@ -227,10 +226,11 @@ async def run_load(
     client: Any,
     config: LoadConfig,
     *,
-    clock: Callable[[], float] = time.monotonic,
     schedule: list[ScheduledRequest] | None = None,
 ) -> LoadReport:
     """Replay a schedule against ``client`` in open loop.
+
+    Arrivals and latencies are timed on the running loop's clock.
 
     ``schedule`` defaults to ``build_schedule(config)``; pass one
     explicitly to offer byte-identical traffic to several clients or
@@ -238,6 +238,8 @@ async def run_load(
     """
     if schedule is None:
         schedule = build_schedule(config)
+    loop = asyncio.get_running_loop()
+    clock = loop.time
     latencies = Histogram("loadgen.latency")
     rejected: dict[str, int] = {}
     per_tenant: dict[str, dict[str, int]] = {}
@@ -292,7 +294,6 @@ async def run_load(
         latencies.observe(clock() - started)
 
     tasks: list[asyncio.Task] = []
-    loop = asyncio.get_running_loop()
     start = clock()
     for request in schedule:
         tenant_bin(request.tenant)["offered"] += 1

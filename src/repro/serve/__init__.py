@@ -24,15 +24,18 @@ in front of :class:`~repro.cluster.coordinator.ClusterCoordinator`:
 * :mod:`repro.serve.fleet` — multi-frontend fleets and zero-loss
   rolling-restart orchestration;
 * :mod:`repro.serve.demo` — a seeded ready-to-serve cluster for the
-  CLI, the load generator, and the saturation bench.
+  CLI, the load generator, and the saturation bench;
+* :mod:`repro.serve.vtime` — an event loop on a virtual clock, which
+  the serving benches run on.
 
 The frontend is one thread.  The synchronous coordinator only
 computes, so it is called on the event loop, between the loop's turns
 of queueing, admission, deadline handling and I/O; a backend that
 waits (a sleep, I/O) awaits on the same loop, so the simulated
-substrate is single-threaded with no lock.  Wall-clock latency and
-throughput are measured by :mod:`repro.loadgen`,
-``repro bench-frontend``, and ``repro bench-resilience``.
+substrate is single-threaded with no lock.  Latency and throughput
+are measured by :mod:`repro.loadgen` on the loop's clock: the wall
+clock under ``repro loadgen``, virtual time under
+``repro bench-frontend`` and ``repro bench-resilience``.
 """
 
 from .adaptive import AdaptiveConfig, AimdController

@@ -41,11 +41,10 @@ The pipeline every query passes through, in order:
 Everything is observable through a :class:`~repro.obs.MetricsRegistry`:
 ``serve.admitted`` / ``serve.shed`` / ``serve.rejected.*`` counters,
 per-tenant admit/reject counters, queue-depth and batch-size
-histograms, and **wall-clock** latency histograms (``serve.latency.*``,
-in seconds).  Unlike every other metric in this repo these are real
-time, not simulated-disk time — the frontend exists precisely to
-measure the system under real concurrency — so they are never
-byte-compared across machines.  The four histograms are fixed-memory
+histograms, and latency histograms (``serve.latency.*``, in
+seconds).  They read the loop's clock, not simulated-disk time:
+real time under ``repro serve``, virtual time under the serving
+benches.  The four histograms are fixed-memory
 :class:`~repro.obs.LogHistogram`\\ s: their memory and a ``stats``
 scrape cost the same after a million requests as after ten.
 """
@@ -53,9 +52,8 @@ scrape cost the same after a million requests as after ten.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from ..errors import BackendError, FrontendError, RequestRejected
 from ..obs import Counter, MetricsRegistry
@@ -244,8 +242,10 @@ class AdmissionController:
         config: Pipeline tuning.
         metrics: Registry the pipeline publishes into (created when
             omitted; exposed as :attr:`obs`).
-        clock: Wall-clock source (seconds, monotonic).  Injected so
-            token-bucket and deadline tests can run on a fake clock.
+
+    Every time it reads (token refill, deadlines, latencies) is the
+    running loop's ``time()``: ``time.monotonic()`` on a real loop, the
+    counter on a :class:`~repro.serve.vtime.VirtualTimeLoop`.
     """
 
     def __init__(
@@ -254,12 +254,10 @@ class AdmissionController:
         config: AdmissionConfig | None = None,
         *,
         metrics: MetricsRegistry | None = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.backend = backend
         self.config = config or AdmissionConfig()
         self.obs = metrics or MetricsRegistry()
-        self.clock = clock
         # The metrics every request bumps, looked up once; the rare ones
         # (rejections, sheds, deadline and backend errors) are still
         # created by name when they first happen.
@@ -409,7 +407,8 @@ class AdmissionController:
             raise FrontendError(f"unknown op {op!r}")
         if deadline_s is not None:
             check_deadline(deadline_s)
-        now = self.clock()
+        loop = asyncio.get_running_loop()
+        now = loop.time()
         self._requests.inc()
         counters = self._tenants.get(tenant)
         if counters is None:
@@ -434,7 +433,7 @@ class AdmissionController:
             tenant=tenant,
             enqueued_at=now,
             deadline=None if deadline_s is None else now + deadline_s,
-            future=asyncio.get_running_loop().create_future(),
+            future=loop.create_future(),
         )
         self._queue_depth.observe(self._queue.qsize())
         if self.config.overload_policy == "shed":
@@ -547,17 +546,19 @@ class AdmissionController:
 
     async def _adapt(self) -> None:
         # One evaluation per interval (the controller rate-limits
-        # itself on the injected clock); on any limit change, wake the
+        # itself on the loop's clock); on any limit change, wake the
         # parked dispatchers so the new limit takes effect immediately.
         assert self._adaptive is not None and self._limit_cond is not None
         before = self._adaptive.limit
-        after = self._adaptive.maybe_evaluate(self.clock())
+        now = asyncio.get_running_loop().time()
+        after = self._adaptive.maybe_evaluate(now)
         if after > before:
             async with self._limit_cond:
                 self._limit_cond.notify_all()
 
     async def _dispatch_batch(self, batch: list[_Pending]) -> None:
-        now = self.clock()
+        loop = asyncio.get_running_loop()
+        now = loop.time()
         alive: list[_Pending] = []
         for pending in batch:
             if pending.future.done():
@@ -602,7 +603,7 @@ class AdmissionController:
             # The backend was cancelled while it waited: every waiter's
             # deadline has passed.
             self.obs.counter("serve.deadline.inflight").inc(len(alive))
-            expired_at = self.clock()
+            expired_at = loop.time()
             for pending in alive:
                 if self._adaptive is not None:
                     # Timeouts are the strongest congestion signal the
@@ -622,7 +623,7 @@ class AdmissionController:
                         BackendError(f"backend error: {exc!r}")
                     )
             return
-        done = self.clock()
+        done = loop.time()
         for pending, result in zip(alive, results):
             latency = done - pending.enqueued_at
             if self._adaptive is not None:

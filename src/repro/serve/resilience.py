@@ -24,7 +24,8 @@ toolkit (Dean & Barroso, *The Tail at Scale*; Finagle's retry budgets):
   has passed, the tenant is over quota, or the cluster is shedding load
   by policy — retrying would defeat the very mechanism rejecting us.
 * **Capped exponential backoff + jitter** between sequential retries,
-  on an injectable clock/sleep so tests run on a fake clock.
+  timed on the running loop's clock (virtual under
+  :mod:`repro.serve.vtime`, so tests wait no real time).
 * **Outlier ejection** — a replica whose transport just tore is
   penalized for a short cooldown so the next primary lands elsewhere;
   during a rolling restart new work naturally flows around the
@@ -39,9 +40,8 @@ from __future__ import annotations
 
 import asyncio
 import random
-import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Sequence
+from typing import Any, Sequence
 
 from ..errors import (
     BackendError,
@@ -54,6 +54,10 @@ from .admission import CODE_DEADLINE, CODE_DRAINING
 
 #: Rejection codes worth re-issuing on another frontend.
 RETRYABLE_CODES = frozenset({CODE_DRAINING, "backend-error"})
+
+
+def _now() -> float:
+    return asyncio.get_running_loop().time()
 
 
 def is_retryable(exc: BaseException) -> bool:
@@ -218,25 +222,20 @@ class ResilientClient:
         clients: Per-frontend clients exposing ``probe``/``scan``
             (``FrontendClient`` or anything with the same surface).
         config: Resilience tuning.
-        clock: Monotonic seconds source (injectable for fake-clock
-            tests).
-        sleep: Async sleep (injectable alongside the clock).
+
+    Deadlines, penalties, latencies and backoff run on the running
+    loop's clock.
     """
 
     def __init__(
         self,
         clients: Sequence[Any],
         config: ResilientClientConfig | None = None,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
     ) -> None:
         if not clients:
             raise FrontendError("ResilientClient needs at least one client")
         self.clients = list(clients)
         self.config = config or ResilientClientConfig()
-        self.clock = clock
-        self.sleep = sleep
         self.budget = RetryBudget(self.config.budget)
         self.stats = ResilienceStats()
         self._latency = SlidingWindow(256)
@@ -301,7 +300,7 @@ class ResilientClient:
 
     def _pick(self, avoid: set[int]) -> int:
         """Round-robin over healthy replicas; penalized ones last."""
-        now = self.clock()
+        now = _now()
         n = len(self.clients)
         fallback: int | None = None
         for step in range(n):
@@ -320,7 +319,7 @@ class ResilientClient:
         return fallback
 
     def _penalize(self, idx: int) -> None:
-        self._penalty_until[idx] = self.clock() + self.config.penalty_s
+        self._penalty_until[idx] = _now() + self.config.penalty_s
 
     async def _issue(
         self,
@@ -334,9 +333,9 @@ class ResilientClient:
         client = self.clients[idx]
         remaining_ms: float | None = None
         if deadline is not None:
-            remaining_ms = max(0.0, (deadline - self.clock()) * 1e3)
+            remaining_ms = max(0.0, (deadline - _now()) * 1e3)
         kwargs = {"tenant": tenant, "deadline_ms": remaining_ms}
-        started = self.clock()
+        started = _now()
         try:
             if op == "probe":
                 result = await client.probe(*spec, **kwargs)
@@ -345,7 +344,7 @@ class ResilientClient:
         except TransportError:
             self._penalize(idx)
             raise
-        self._latency.observe(self.clock() - started)
+        self._latency.observe(_now() - started)
         return result
 
     async def _call(
@@ -359,7 +358,7 @@ class ResilientClient:
         self.stats.requests += 1
         self.budget.deposit()
         deadline = (
-            None if deadline_ms is None else self.clock() + deadline_ms / 1e3
+            None if deadline_ms is None else _now() + deadline_ms / 1e3
         )
         last_exc: BaseException | None = None
         for attempt in range(self.config.max_attempts):
@@ -376,10 +375,10 @@ class ResilientClient:
                 )
                 backoff *= 0.5 + self._rng.random() / 2.0
                 if deadline is not None:
-                    backoff = min(backoff, max(0.0, deadline - self.clock()))
+                    backoff = min(backoff, max(0.0, deadline - _now()))
                 if backoff > 0:
-                    await self.sleep(backoff)
-            if deadline is not None and self.clock() >= deadline:
+                    await asyncio.sleep(backoff)
+            if deadline is not None and _now() >= deadline:
                 raise RequestRejected(
                     CODE_DEADLINE, "deadline expired before retry"
                 )
@@ -416,7 +415,7 @@ class ResilientClient:
                 if hedge_armed:
                     timeout = self.hedge_delay_s()
                 if deadline is not None:
-                    remaining = deadline - self.clock()
+                    remaining = deadline - _now()
                     if remaining <= 0:
                         raise RequestRejected(
                             CODE_DEADLINE, "deadline expired in client"
@@ -432,7 +431,7 @@ class ResilientClient:
                 if not done:
                     if (
                         deadline is not None
-                        and self.clock() >= deadline
+                        and _now() >= deadline
                     ):
                         raise RequestRejected(
                             CODE_DEADLINE, "deadline expired in client"

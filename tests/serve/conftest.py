@@ -1,17 +1,15 @@
 """Shared fakes for the serving-frontend tests.
 
-The admission tests run on fake backends and a fake clock so every
-time-dependent path (bucket refill, queued-deadline expiry) is exact,
-with no real sleeping.
+The admission tests run on fake backends and a virtual-time loop
+(:func:`run`) so every time-dependent path (bucket refill,
+queued-deadline expiry) is exact, with no real sleeping.
 """
 
 import asyncio
 import json
 import struct
 
-import pytest
-
-from repro.serve import protocol
+from repro.serve import protocol, vtime
 
 from . import streams
 
@@ -88,17 +86,14 @@ def split_frames(data: bytes) -> list[dict]:
     return messages
 
 
-class FakeClock:
-    """Manually-advanced monotonic clock."""
+def run(coro):
+    """Run ``coro`` to its end on a fresh virtual-time loop."""
+    return vtime.run(coro)
 
-    def __init__(self, start: float = 1000.0) -> None:
-        self.now = start
 
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+def advance(seconds: float) -> None:
+    """Move the running virtual-time loop's clock without yielding."""
+    asyncio.get_running_loop().advance(seconds)
 
 
 class EchoBackend:
@@ -142,8 +137,3 @@ class GateBackend(EchoBackend):
         self.entered.set()
         await self.release.wait()
         return await super().scan_many(specs)
-
-
-@pytest.fixture
-def clock():
-    return FakeClock()

@@ -2,7 +2,7 @@
 
 The controller is pure arithmetic on explicit ``now`` values, so every
 grow/shrink decision is asserted exactly; the end-to-end test drives it
-through the admission controller on the fake clock.
+through the admission controller on the virtual-time loop.
 """
 
 import asyncio
@@ -14,11 +14,7 @@ from repro.obs import MetricsRegistry
 from repro.serve.adaptive import AdaptiveConfig, AimdController
 from repro.serve.admission import AdmissionConfig, AdmissionController
 
-from .conftest import EchoBackend, GateBackend
-
-
-def run(coro):
-    return asyncio.run(coro)
+from .conftest import EchoBackend, GateBackend, advance, run
 
 
 def feed(controller, latency_s, n=10):
@@ -163,11 +159,10 @@ class TestAdaptiveThroughAdmission:
                 adaptive=AdaptiveConfig(max_concurrency=4),
             )
 
-    def test_fixed_pool_exposes_no_adaptive_state(self, clock):
+    def test_fixed_pool_exposes_no_adaptive_state(self):
         async def scenario():
             controller = AdmissionController(
-                EchoBackend(), AdmissionConfig(), clock=clock
-            )
+                EchoBackend(), AdmissionConfig())
             controller.start()
             try:
                 assert controller.adaptive_snapshot is None
@@ -180,7 +175,7 @@ class TestAdaptiveThroughAdmission:
 
         run(scenario())
 
-    def adaptive_controller(self, backend, clock):
+    def adaptive_controller(self, backend):
         return AdmissionController(
             backend,
             AdmissionConfig(
@@ -190,11 +185,10 @@ class TestAdaptiveThroughAdmission:
                     target_p95_s=0.5, interval_s=0.5, min_samples=1,
                 ),
             ),
-            clock=clock,
         )
 
-    async def slow_cycle(self, controller, backend, clock, spec):
-        """One request whose fake-clock latency blows the 0.5 s target."""
+    async def slow_cycle(self, controller, backend, spec):
+        """One request whose virtual latency blows the 0.5 s target."""
         backend.entered.clear()
         backend.release.clear()
         task = asyncio.get_running_loop().create_task(
@@ -203,29 +197,29 @@ class TestAdaptiveThroughAdmission:
         for _ in range(10):
             await asyncio.sleep(0)
         assert backend.entered.is_set()
-        clock.advance(2.0)  # in flight: latency lands at 2.0 s
+        advance(2.0)  # in flight: latency lands at 2.0 s
         backend.release.set()
         assert await task == ("probe", spec)
 
-    def test_limit_shrinks_under_latency_then_regrows(self, clock):
+    def test_limit_shrinks_under_latency_then_regrows(self):
         async def scenario():
             backend = GateBackend()
-            controller = self.adaptive_controller(backend, clock)
+            controller = self.adaptive_controller(backend)
             controller.start()
             try:
                 assert controller.concurrency_limit == 4
                 # First slow completion arms the evaluation clock;
                 # the second delivers the over-target verdict.
-                await self.slow_cycle(controller, backend, clock, (0, 1, 2))
-                await self.slow_cycle(controller, backend, clock, (1, 1, 2))
+                await self.slow_cycle(controller, backend, (0, 1, 2))
+                await self.slow_cycle(controller, backend, (1, 1, 2))
                 assert controller.concurrency_limit == 2
                 counters = controller.obs.snapshot()["counters"]
                 assert counters["serve.adaptive.decrease"] == 1
-                # Recovery: instant completions (zero fake-clock
+                # Recovery: instant completions (zero virtual
                 # latency) regrow the limit one step per interval.
                 backend.release.set()
                 for i in range(4):
-                    clock.advance(1.0)
+                    advance(1.0)
                     await controller.submit("probe", (10 + i, 1, 2))
                 assert controller.concurrency_limit == 4
                 counters = controller.obs.snapshot()["counters"]
@@ -237,15 +231,15 @@ class TestAdaptiveThroughAdmission:
 
         run(scenario())
 
-    def test_drain_with_parked_dispatchers_is_clean(self, clock):
+    def test_drain_with_parked_dispatchers_is_clean(self):
         # After a decrease, dispatchers above the limit park on the
         # condition variable; drain must cancel them without wedging.
         async def scenario():
             backend = GateBackend()
-            controller = self.adaptive_controller(backend, clock)
+            controller = self.adaptive_controller(backend)
             controller.start()
-            await self.slow_cycle(controller, backend, clock, (0, 1, 2))
-            await self.slow_cycle(controller, backend, clock, (1, 1, 2))
+            await self.slow_cycle(controller, backend, (0, 1, 2))
+            await self.slow_cycle(controller, backend, (1, 1, 2))
             assert controller.concurrency_limit == 2
             backend.release.set()
             assert await controller.drain(timeout_s=5.0) is True

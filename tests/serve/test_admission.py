@@ -1,7 +1,7 @@
 """Admission-pipeline tests: the overload edge cases.
 
 Time-dependent paths (bucket refill, queued-deadline expiry) run on the
-fake clock from ``conftest`` — no real sleeping, exact timing.
+virtual-time loop from ``conftest`` — no real sleeping, exact timing.
 """
 
 import asyncio
@@ -21,11 +21,7 @@ from repro.serve.admission import (
     TokenBucket,
 )
 
-from .conftest import EchoBackend, FakeClock, GateBackend
-
-
-def run(coro):
-    return asyncio.run(coro)
+from .conftest import EchoBackend, GateBackend, advance, run
 
 
 async def spin(n: int = 10) -> None:
@@ -83,18 +79,17 @@ class TestTokenBucket:
 
 
 class TestTenantRateLimit:
-    def controller(self, clock, **overrides):
+    def controller(self, **overrides):
         config = AdmissionConfig(
             tenant_rate=1.0, tenant_burst=2.0, max_concurrency=1,
             **overrides,
         )
         return AdmissionController(
-            EchoBackend(), config, clock=clock
-        )
+            EchoBackend(), config)
 
-    def test_exhaustion_then_refill(self, clock):
+    def test_exhaustion_then_refill(self):
         async def scenario():
-            controller = self.controller(clock)
+            controller = self.controller()
             controller.start()
             try:
                 # Burst of 2 admitted, third rejected before queueing.
@@ -104,7 +99,7 @@ class TestTenantRateLimit:
                     await controller.submit("probe", (1, 1, 2))
                 assert exc.value.code == CODE_RATE_LIMIT
                 # Exactly one token after one second at rate=1.
-                clock.advance(1.0)
+                advance(1.0)
                 await controller.submit("probe", (1, 1, 2))
                 with pytest.raises(RequestRejected):
                     await controller.submit("probe", (1, 1, 2))
@@ -113,9 +108,9 @@ class TestTenantRateLimit:
 
         run(scenario())
 
-    def test_buckets_are_per_tenant(self, clock):
+    def test_buckets_are_per_tenant(self):
         async def scenario():
-            controller = self.controller(clock)
+            controller = self.controller()
             controller.start()
             try:
                 for _ in range(2):
@@ -129,9 +124,9 @@ class TestTenantRateLimit:
 
         run(scenario())
 
-    def test_rejections_observable_per_tenant(self, clock):
+    def test_rejections_observable_per_tenant(self):
         async def scenario():
-            controller = self.controller(clock)
+            controller = self.controller()
             controller.start()
             try:
                 for _ in range(2):
@@ -150,13 +145,12 @@ class TestTenantRateLimit:
 
 
 class TestDeadlines:
-    def test_deadline_expired_while_queued(self, clock):
+    def test_deadline_expired_while_queued(self):
         async def scenario():
             backend = GateBackend()
             controller = AdmissionController(
                 backend,
                 AdmissionConfig(max_concurrency=1, batch_max=1),
-                clock=clock,
             )
             controller.start()
             loop = asyncio.get_running_loop()
@@ -177,7 +171,7 @@ class TestDeadlines:
             await spin()
             assert controller.queue_depth == 1
             # ...which expires before the dispatcher frees up.
-            clock.advance(10.0)
+            advance(10.0)
             backend.release.set()
             with pytest.raises(RequestRejected) as exc:
                 await waiter
@@ -193,12 +187,11 @@ class TestDeadlines:
 
         run(scenario())
 
-    def test_unexpired_deadline_completes(self, clock):
+    def test_unexpired_deadline_completes(self):
         async def scenario():
             controller = AdmissionController(
                 EchoBackend(),
                 AdmissionConfig(max_concurrency=1),
-                clock=clock,
             )
             controller.start()
             try:
@@ -211,7 +204,7 @@ class TestDeadlines:
 
         run(scenario())
 
-    def test_a_waiting_backend_is_cancelled_at_the_batch_deadline(self, clock):
+    def test_a_waiting_backend_is_cancelled_at_the_batch_deadline(self):
         # Every request of the batch carries a deadline, so the gated
         # call is awaited under the most patient one (0.05 s of real
         # time) and cancelled then: the gate never opens, and the
@@ -219,8 +212,7 @@ class TestDeadlines:
         async def scenario():
             backend = GateBackend()
             controller = AdmissionController(
-                backend, AdmissionConfig(max_concurrency=1), clock=clock
-            )
+                backend, AdmissionConfig(max_concurrency=1))
             controller.start()
             loop = asyncio.get_running_loop()
             started = loop.time()
@@ -240,13 +232,13 @@ class TestDeadlines:
 
     @pytest.mark.parametrize("deadline_s", [float("nan"), "soon", [1]])
     def test_a_deadline_that_is_no_number_is_refused_before_any_stage(
-        self, clock, deadline_s
+        self, deadline_s
     ):
         # NaN compares false with every clock: admitted, it would never
         # expire, and it would reach the loop's timer heap as ``when``.
         async def scenario():
             backend = EchoBackend()
-            controller = AdmissionController(backend, clock=clock)
+            controller = AdmissionController(backend)
             controller.start()
             try:
                 with pytest.raises(FrontendError, match="not a number"):
@@ -267,7 +259,7 @@ class TestDeadlines:
 
 
 class TestOverloadPolicies:
-    def test_shed_rejects_when_queue_full(self, clock):
+    def test_shed_rejects_when_queue_full(self):
         async def scenario():
             backend = GateBackend()
             controller = AdmissionController(
@@ -276,7 +268,6 @@ class TestOverloadPolicies:
                     max_queue_depth=2, max_concurrency=1, batch_max=1,
                     overload_policy="shed",
                 ),
-                clock=clock,
             )
             controller.start()
             loop = asyncio.get_running_loop()
@@ -301,7 +292,7 @@ class TestOverloadPolicies:
 
         run(scenario())
 
-    def test_queue_policy_waits_instead_of_shedding(self, clock):
+    def test_queue_policy_waits_instead_of_shedding(self):
         async def scenario():
             backend = GateBackend()
             controller = AdmissionController(
@@ -310,7 +301,6 @@ class TestOverloadPolicies:
                     max_queue_depth=2, max_concurrency=1, batch_max=1,
                     overload_policy="queue",
                 ),
-                clock=clock,
             )
             controller.start()
             loop = asyncio.get_running_loop()
@@ -331,7 +321,7 @@ class TestOverloadPolicies:
 
         run(scenario())
 
-    def test_policies_equivalent_below_saturation(self, clock):
+    def test_policies_equivalent_below_saturation(self):
         # At sub-saturation load the policy must be unobservable: both
         # complete every request with nothing shed.
         async def one_policy(policy):
@@ -342,7 +332,6 @@ class TestOverloadPolicies:
                     max_queue_depth=4, max_concurrency=2,
                     overload_policy=policy,
                 ),
-                clock=clock,
             )
             controller.start()
             try:
@@ -364,7 +353,7 @@ class TestOverloadPolicies:
         queued = run(one_policy("queue"))
         assert shed == queued
 
-    def test_batching_coalesces_consecutive_probes(self, clock):
+    def test_batching_coalesces_consecutive_probes(self):
         async def scenario():
             backend = GateBackend()
             controller = AdmissionController(
@@ -372,7 +361,6 @@ class TestOverloadPolicies:
                 AdmissionConfig(
                     max_queue_depth=16, max_concurrency=1, batch_max=8,
                 ),
-                clock=clock,
             )
             controller.start()
             loop = asyncio.get_running_loop()
@@ -396,13 +384,12 @@ class TestOverloadPolicies:
 
 
 class TestDrain:
-    def test_drain_completes_in_flight_work(self, clock):
+    def test_drain_completes_in_flight_work(self):
         async def scenario():
             backend = GateBackend()
             controller = AdmissionController(
                 backend,
                 AdmissionConfig(max_concurrency=1, batch_max=1),
-                clock=clock,
             )
             controller.start()
             loop = asyncio.get_running_loop()
@@ -425,13 +412,12 @@ class TestDrain:
 
         run(scenario())
 
-    def test_unclean_drain_rejects_stragglers(self, clock):
+    def test_unclean_drain_rejects_stragglers(self):
         async def scenario():
             backend = GateBackend()
             controller = AdmissionController(
                 backend,
                 AdmissionConfig(max_concurrency=1, batch_max=1),
-                clock=clock,
             )
             controller.start()
             loop = asyncio.get_running_loop()
@@ -452,7 +438,7 @@ class TestDrain:
 
     @pytest.mark.parametrize("discipline", ["fifo", "drr"])
     def test_a_submitter_waiting_for_a_slot_is_refused_by_an_unclean_drain(
-        self, clock, discipline
+        self, discipline
     ):
         # a is in flight and never returns, b fills the one slot, c
         # waits for it.  The drain's emptying of the queue must not hand
@@ -466,7 +452,6 @@ class TestDrain:
                     max_queue_depth=1, max_concurrency=1, batch_max=1,
                     overload_policy="queue", queue_discipline=discipline,
                 ),
-                clock=clock,
             )
             controller.start()
             loop = asyncio.get_running_loop()
@@ -491,23 +476,22 @@ class TestDrain:
 
         run(scenario())
 
-    def test_drain_idempotent_on_idle_controller(self, clock):
+    def test_drain_idempotent_on_idle_controller(self):
         async def scenario():
             controller = AdmissionController(
-                EchoBackend(), AdmissionConfig(), clock=clock
-            )
+                EchoBackend(), AdmissionConfig())
             controller.start()
             assert await controller.drain() is True
 
         run(scenario())
 
 
-    def test_requests_nobody_waits_for_never_reach_the_backend(self, clock):
+    def test_requests_nobody_waits_for_never_reach_the_backend(self):
         # What connection_lost does to a departed peer's requests:
         # admitted, then cancelled before a dispatcher got to them.
         async def scenario():
             backend = EchoBackend()
-            controller = AdmissionController(backend, clock=clock)
+            controller = AdmissionController(backend)
             loop = asyncio.get_running_loop()
             waiters = [
                 loop.create_task(controller.submit("probe", (i, 1, 2)))
@@ -549,15 +533,14 @@ class TestDrain:
 class TestAdmissionEdgeRaces:
     """The timing races at the pipeline's stage boundaries."""
 
-    def test_deadline_already_expired_at_submit(self, clock):
+    def test_deadline_already_expired_at_submit(self):
         # A zero-budget request is admitted (the bucket and queue know
         # nothing of deadlines) but must die at dispatch without
         # costing the backend anything.
         async def scenario():
             backend = EchoBackend()
             controller = AdmissionController(
-                backend, AdmissionConfig(max_concurrency=1), clock=clock
-            )
+                backend, AdmissionConfig(max_concurrency=1))
             controller.start()
             try:
                 with pytest.raises(RequestRejected) as exc:
@@ -573,7 +556,7 @@ class TestAdmissionEdgeRaces:
 
         run(scenario())
 
-    def test_drain_racing_a_dispatcher_mid_batch(self, clock):
+    def test_drain_racing_a_dispatcher_mid_batch(self):
         # Drain begins while a batch is held inside the backend and
         # more work sits queued behind it: nothing admitted may be
         # abandoned — the dispatcher finishes the in-flight batch,
@@ -583,7 +566,6 @@ class TestAdmissionEdgeRaces:
             controller = AdmissionController(
                 backend,
                 AdmissionConfig(max_concurrency=1, batch_max=2),
-                clock=clock,
             )
             controller.start()
             loop = asyncio.get_running_loop()
@@ -611,7 +593,7 @@ class TestAdmissionEdgeRaces:
 
         run(scenario())
 
-    def test_token_refill_exactly_at_boundary_tick(self, clock):
+    def test_token_refill_exactly_at_boundary_tick(self):
         # 2 tokens/s from empty: the token exists at exactly +0.5 s
         # (powers of two, so the arithmetic is exact in binary), and
         # the tick before it still rejects.
@@ -621,16 +603,15 @@ class TestAdmissionEdgeRaces:
                 AdmissionConfig(
                     tenant_rate=2.0, tenant_burst=1.0, max_concurrency=1
                 ),
-                clock=clock,
             )
             controller.start()
             try:
                 await controller.submit("probe", (1, 1, 2))
-                clock.advance(0.25)
+                advance(0.25)
                 with pytest.raises(RequestRejected) as exc:
                     await controller.submit("probe", (2, 1, 2))
                 assert exc.value.code == CODE_RATE_LIMIT
-                clock.advance(0.25)  # exactly the refill boundary
+                advance(0.25)  # exactly the refill boundary
                 await controller.submit("probe", (3, 1, 2))
                 with pytest.raises(RequestRejected):
                     await controller.submit("probe", (4, 1, 2))
@@ -646,19 +627,18 @@ class TestAdmissionEdgeRaces:
 
 
 class ClockedEchoBackend(EchoBackend):
-    """Echo that spends ``cost_s`` seconds of the fake clock a call."""
+    """Echo that computes for ``cost_s`` seconds of the loop's clock a call."""
 
-    def __init__(self, clock: FakeClock, cost_s: float) -> None:
+    def __init__(self, cost_s: float) -> None:
         super().__init__()
-        self.clock = clock
         self.cost_s = cost_s
 
     async def probe_many(self, specs):
-        self.clock.advance(self.cost_s)
+        advance(self.cost_s)
         return await super().probe_many(specs)
 
     async def scan_many(self, specs):
-        self.clock.advance(self.cost_s)
+        advance(self.cost_s)
         return await super().scan_many(specs)
 
 
@@ -680,14 +660,13 @@ def queued(controller, *requests):
 
 
 def one_path(scenario, config: AdmissionConfig, *, cost_s: float = 0.0):
-    """Run ``scenario(controller, clock)`` over a computing echo backend;
+    """Run ``scenario(controller)`` over a computing echo backend;
     return its answers, the backend's call logs and every metric."""
-    clock = FakeClock()
-    backend = ClockedEchoBackend(clock, cost_s)
+    backend = ClockedEchoBackend(cost_s)
 
     async def go():
-        controller = AdmissionController(backend, config, clock=clock)
-        answers = await scenario(controller, clock)
+        controller = AdmissionController(backend, config)
+        answers = await scenario(controller)
         if not controller.draining:
             assert await controller.drain(timeout_s=5.0) is True
         return answers, controller.obs.snapshot()
@@ -706,12 +685,12 @@ class TestBothDispatchKinds:
     """
 
     def test_token_bucket_boundary_ticks(self):
-        async def scenario(controller, clock):
+        async def scenario(controller):
             controller.start()
             out = [await settle(controller.submit("probe", (1, 1, 2)))]
-            clock.advance(0.25)
+            advance(0.25)
             out.append(await settle(controller.submit("probe", (2, 1, 2))))
-            clock.advance(0.25)  # exactly the refill boundary
+            advance(0.25)  # exactly the refill boundary
             out.append(await settle(controller.submit("probe", (3, 1, 2))))
             out.append(await settle(controller.submit("probe", (4, 1, 2))))
             return out
@@ -729,7 +708,7 @@ class TestBothDispatchKinds:
 
     @pytest.mark.parametrize("policy", ["shed", "queue"])
     def test_shed_or_queue_at_a_full_queue(self, policy):
-        async def scenario(controller, clock):
+        async def scenario(controller):
             tasks = queued(
                 controller, *(("probe", (i, 1, 2), {}) for i in range(4))
             )
@@ -752,7 +731,7 @@ class TestBothDispatchKinds:
             assert answers == served and len(calls) == 4
 
     def test_drr_serves_fairly_and_evicts_the_largest_backlog(self):
-        async def scenario(controller, clock):
+        async def scenario(controller):
             tasks = queued(
                 controller,
                 *(("probe", (i, 1, 2), {"tenant": "hog"}) for i in range(4)),
@@ -776,7 +755,7 @@ class TestBothDispatchKinds:
         assert snapshot["counters"]["serve.shed.evicted"] == 2
 
     def test_queued_deadline_expiry(self):
-        async def scenario(controller, clock):
+        async def scenario(controller):
             tasks = queued(
                 controller,
                 ("probe", ("late", 1, 2), {"deadline_s": 5.0}),
@@ -784,7 +763,7 @@ class TestBothDispatchKinds:
                 ("scan", (1, 2), {}),
             )
             await spin()
-            clock.advance(10.0)
+            advance(10.0)
             controller.start()
             return await asyncio.gather(*tasks)
 
@@ -798,7 +777,7 @@ class TestBothDispatchKinds:
         assert snapshot["counters"]["serve.deadline.queued"] == 1
 
     def test_in_flight_deadline_is_settled_when_the_answer_returns(self):
-        async def scenario(controller, clock):
+        async def scenario(controller):
             controller.start()
             tasks = queued(
                 controller,
@@ -821,7 +800,7 @@ class TestBothDispatchKinds:
         assert snapshot["histograms"]["serve.latency.wall"]["max"] == 10.0
 
     def test_abandoned_waiters_never_reach_the_backend(self):
-        async def scenario(controller, clock):
+        async def scenario(controller):
             loop = asyncio.get_running_loop()
             waiters = [
                 loop.create_task(controller.submit("probe", (i, 1, 2)))
@@ -840,7 +819,7 @@ class TestBothDispatchKinds:
         assert snapshot["counters"]["serve.abandoned"] == 50
 
     def test_batch_coalescing_stops_at_an_op_change(self):
-        async def scenario(controller, clock):
+        async def scenario(controller):
             tasks = queued(
                 controller,
                 *(("probe", (i, 1, 2), {}) for i in range(5)),
@@ -862,7 +841,7 @@ class TestBothDispatchKinds:
 
     @pytest.mark.parametrize("clean", [True, False])
     def test_drain(self, clean):
-        async def scenario(controller, clock):
+        async def scenario(controller):
             tasks = queued(
                 controller, *(("probe", (i, 1, 2), {}) for i in range(3))
             )

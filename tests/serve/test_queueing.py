@@ -23,11 +23,7 @@ from repro.serve.queueing import (
     build_request_queue,
 )
 
-from .conftest import GateBackend
-
-
-def run(coro):
-    return asyncio.run(coro)
+from .conftest import GateBackend, run
 
 
 async def spin(n: int = 10) -> None:
@@ -295,7 +291,7 @@ class TestBuildRequestQueue:
 class TestDrrThroughController:
     """Fair shedding end to end: the evicted waiter is settled."""
 
-    def test_eviction_settles_waiter_with_shed(self, clock):
+    def test_eviction_settles_waiter_with_shed(self):
         async def scenario():
             backend = GateBackend()
             controller = AdmissionController(
@@ -304,7 +300,6 @@ class TestDrrThroughController:
                     max_queue_depth=2, max_concurrency=1, batch_max=1,
                     overload_policy="shed", queue_discipline="drr",
                 ),
-                clock=clock,
             )
             controller.start()
             loop = asyncio.get_running_loop()

@@ -1,9 +1,8 @@
 """Resilient-client tests: taxonomy, budgets, retries, hedging.
 
-Replicas are in-process fakes; retry/backoff/deadline paths run on the
-fake clock with a clock-advancing fake sleep (no real waiting), while
-the hedge-race tests use short real delays — the hedge timer lives in
-``asyncio.wait`` and races real tasks by design.
+Replicas are in-process fakes, and every test runs on the virtual-time
+loop: retry/backoff/deadline paths and the hedge races (the hedge timer
+lives in ``asyncio.wait``) wait no real time.
 """
 
 import asyncio
@@ -26,11 +25,7 @@ from repro.serve.resilience import (
     is_retryable,
 )
 
-from .conftest import FakeClock
-
-
-def run(coro):
-    return asyncio.run(coro)
+from .conftest import advance, run
 
 
 class FakeReplica:
@@ -71,17 +66,9 @@ class FakeReplica:
         self.closed = True
 
 
-def client(replicas, clock=None, **overrides):
+def client(replicas, **overrides):
     overrides.setdefault("hedge", False)
-    kwargs = {}
-    if clock is not None:
-        async def fake_sleep(seconds):
-            clock.advance(seconds)
-
-        kwargs = {"clock": clock, "sleep": fake_sleep}
-    return ResilientClient(
-        replicas, ResilientClientConfig(**overrides), **kwargs
-    )
+    return ResilientClient(replicas, ResilientClientConfig(**overrides))
 
 
 class TestTaxonomy:
@@ -163,12 +150,10 @@ class TestRetries:
         run(scenario())
 
     def test_transport_error_fails_over_and_penalizes(self):
-        clock = FakeClock()
-
         async def scenario():
             torn = FakeReplica("torn", fail=lambda: TransportError("rst"))
             healthy = FakeReplica("ok")
-            resilient = client([torn, healthy], clock=clock)
+            resilient = client([torn, healthy])
             assert await resilient.probe(1, 1, 2) == ("probe", "ok", 1)
             assert resilient.stats.retries == 1
             assert resilient.stats.failovers == 0  # the retry succeeded
@@ -177,7 +162,7 @@ class TestRetries:
             assert await resilient.probe(2, 1, 2) == ("probe", "ok", 2)
             assert torn.calls == 1
             # Penalty expires: the replica is eligible again.
-            clock.advance(10.0)
+            advance(10.0)
             torn.fail = None
             assert await resilient.probe(3, 1, 2) == ("probe", "torn", 3)
 
@@ -190,7 +175,7 @@ class TestRetries:
                 fail=lambda: RequestRejected(CODE_DRAINING, "rolling"),
             )
             healthy = FakeReplica("ok")
-            resilient = client([draining, healthy], clock=FakeClock())
+            resilient = client([draining, healthy])
             assert await resilient.scan(1, 2) == ("scan", "ok", 1, 2)
             assert resilient.stats.retries == 1
 
@@ -202,7 +187,7 @@ class TestRetries:
                 "shed", fail=lambda: RequestRejected(CODE_SHED, "full")
             )
             healthy = FakeReplica("ok")
-            resilient = client([shedding, healthy], clock=FakeClock())
+            resilient = client([shedding, healthy])
             with pytest.raises(RequestRejected) as exc:
                 await resilient.probe(1, 1, 2)
             assert exc.value.code == CODE_SHED
@@ -219,7 +204,7 @@ class TestRetries:
                 for n in ("a", "b")
             ]
             resilient = client(
-                bad, clock=FakeClock(), max_attempts=5,
+                bad, max_attempts=5,
                 budget=RetryBudgetConfig(ratio=0.0, reserve=1.0, cap=1.0),
             )
             with pytest.raises(BackendError):
@@ -237,7 +222,7 @@ class TestRetries:
         async def scenario():
             bad = FakeReplica("a", fail=lambda: BackendError("down"))
             resilient = client(
-                [bad], clock=FakeClock(), max_attempts=3,
+                [bad], max_attempts=3,
                 budget=RetryBudgetConfig(ratio=1.0, reserve=10.0),
             )
             with pytest.raises(BackendError):
@@ -247,28 +232,24 @@ class TestRetries:
         run(scenario())
 
     def test_deadline_expires_during_backoff(self):
-        clock = FakeClock()
-
         async def scenario():
             bad = FakeReplica("a", fail=lambda: TransportError("rst"))
             resilient = client(
                 [bad, FakeReplica("b", fail=lambda: TransportError("rst"))],
-                clock=clock, max_attempts=5, backoff_base_s=0.05,
+                max_attempts=5, backoff_base_s=0.05,
             )
             with pytest.raises(RequestRejected) as exc:
                 await resilient.probe(1, 1, 2, deadline_ms=1.0)
             # The backoff was clipped to the remaining deadline; the
-            # fake sleep advanced the clock exactly onto it.
+            # loop's clock reached it exactly.
             assert exc.value.code == CODE_DEADLINE
 
         run(scenario())
 
     def test_expired_deadline_rejects_before_issuing(self):
-        clock = FakeClock()
-
         async def scenario():
             replica = FakeReplica("a")
-            resilient = client([replica], clock=clock)
+            resilient = client([replica])
             with pytest.raises(RequestRejected) as exc:
                 await resilient.probe(1, 1, 2, deadline_ms=0.0)
             assert exc.value.code == CODE_DEADLINE

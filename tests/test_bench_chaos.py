@@ -114,3 +114,23 @@ class TestReport:
     def test_deterministic_given_seeds(self, quick_report):
         # Same config, same seeds, same report — no wall-clock noise.
         assert run_chaos_soak(quick_config()) == quick_report
+
+
+class TestAbortingSpares:
+    """An aborting spare aborts the rebuild it was queued for.
+
+    A "die" spare must fail within its rebuild (which writes the spare
+    six times) rather than as a replica a day later, and two shards
+    healing on one day must each get their own kill's spares.  These
+    seeds break either rule if it slips: a shard ends the run
+    under-replicated, or a window stays open two days with no abort.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 6, 22, 32, 35])
+    def test_every_invariant_holds(self, seed):
+        (run,) = run_chaos_soak(ChaosSoakConfig(seeds=(seed,)))["runs"]
+        assert run["violations"] == []
+        aborting = sum(
+            mode in ("die", "space") for mode in run["spare_modes_used"]
+        )
+        assert run["rebuilds_failed"] == aborting > 0

@@ -1,8 +1,8 @@
 """Frontend-bench tests: config, schema validation, and claim logic.
 
-The sweep itself is wall-clock; these tests exercise its *logic* on
-synthetic step data, plus one miniature end-to-end run to keep the
-whole pipeline honest without burning bench-length time in tier 1.
+These tests exercise the sweep's *logic* on synthetic step data, plus
+one miniature end-to-end run; ``tests/test_bench_virtual_time.py`` runs
+the quick sweep itself.
 """
 
 import json
@@ -83,12 +83,9 @@ def synthetic_report():
     return {
         "bench": "frontend",
         "schema_version": 1,
-        "machine_dependent": True,
         "workload": {"seed": 7},
         "measured": {
             "capacity_qps": 420.0,
-            "calibration": step(1.0, 420.0, 0.02, shed=0.5),
-            "reference": step(0.9, 378.0, 0.010),
             "sweeps": {"shed": shed_steps, "queue": queue_steps},
         },
         "headline": headline,
@@ -115,6 +112,9 @@ class TestConfig:
             FrontendBenchConfig(step_duration_s=0.0)
         with pytest.raises(FrontendError):
             FrontendBenchConfig(service_us=-1.0)
+        with pytest.raises(FrontendError):
+            # Capacity is max_concurrency / service time.
+            FrontendBenchConfig(service_us=0.0)
 
     def test_quick_config_is_shorter_but_still_valid(self):
         quick = quick_config()
@@ -177,11 +177,6 @@ class TestValidateReport:
             (lambda r: r.pop("headline"), "missing key"),
             (lambda r: r.update(bench="other"), "unexpected bench"),
             (
-                lambda r: r.update(machine_dependent=False),
-                "machine_dependent",
-            ),
-            (lambda r: r["measured"].pop("reference"), "reference"),
-            (
                 lambda r: r["measured"]["sweeps"].pop("queue"),
                 "no sweep steps",
             ),
@@ -219,8 +214,6 @@ class TestMiniatureSweep:
             ),
             load_multipliers=(0.4, 2.5),
             step_duration_s=0.15,
-            calibrate_duration_s=0.1,
-            calibrate_qps=2_000.0,
             service_us=1_500.0,
             n_users=10_000,
             n_tenants=4,

@@ -276,16 +276,15 @@ class TestExactMetric:
 
 
 class TestHedgeTailMetric:
-    """The optional metric: NEW until adopted, skipped when absent."""
+    """A plain gate: NEW until adopted, failing when absent."""
 
-    def test_optional_absence_skips(self):
-        # The committed baseline adopts only the exact zero-loss gate;
-        # a machine-local baseline may also adopt the hedge ratio, and
-        # a report missing the section must then skip, not fail.
+    def test_absence_fails_like_any_gated_headline(self):
+        # The ratio is deterministic on virtual time and the committed
+        # baseline gates it; a resilience report without it fails.
         baseline = build_baseline([resilience_report(0.0, hedge_ratio=0.4)])
         rows = compare(baseline, [resilience_report(0.0, hedge_ratio=None)])
         hedge = next(r for r in rows if r.metric == "hedge_tail_ratio")
-        assert hedge.skipped and not hedge.regressed
+        assert hedge.regressed and not hedge.skipped
 
     def test_not_in_baseline_shows_as_new(self):
         baseline = build_baseline([resilience_report(0.0, hedge_ratio=None)])
@@ -308,30 +307,30 @@ def frontend_report(knee_qps=500.0):
 
 
 class TestFrontendKneeMetric:
-    """The retired saturation knee, and the optional rules it once showed.
+    """The retired saturation knee.
 
-    The knee measured the bench's stand-in service sleep, so a frontend
-    report gates through its claims only. The optional-metric rules the
-    knee was the example of are asserted on ``hedge_tail_ratio``, the
-    optional headline that remains, served alongside a frontend report.
+    The knee measures the bench's stand-in service sleep, so a frontend
+    report gates through its claims only.
     """
 
-    def test_not_in_default_baseline_shows_as_new(self):
+    def test_knee_is_not_in_default_baseline(self):
+        # The knee is no metric at all; the committed baseline gates the
+        # hedge ratio beside it.
         committed = Path(__file__).resolve().parents[1] / "BENCH_baseline.json"
         baseline = json.loads(committed.read_text())
         assert "frontend_knee_qps" not in baseline["metrics"]
-        assert "hedge_tail_ratio" not in baseline["metrics"]
+        assert "hedge_tail_ratio" in baseline["metrics"]
         rows = compare(
             baseline, [frontend_report(512.0), resilience_report(0.0, 0.4)]
         )
         assert "frontend_knee_qps" not in {r.metric for r in rows}
         hedge = next(r for r in rows if r.metric == "hedge_tail_ratio")
-        assert hedge.new and not hedge.regressed
+        assert not hedge.new and hedge.regressed
 
     def test_adopted_knee_gates_like_any_headline(self):
         # A machine-local baseline that adopted the knee before it was
         # retired fails the gate as DROPPED, even on an unchanged knee,
-        # until ``--update`` prunes it; an adopted optional ratio
+        # until ``--update`` prunes it; the adopted hedge ratio
         # regresses like any other headline.
         baseline = build_baseline([resilience_report(0.0, hedge_ratio=0.4)])
         baseline["metrics"]["frontend_knee_qps"] = 500.0
@@ -345,17 +344,3 @@ class TestFrontendKneeMetric:
         refreshed = build_baseline([frontend_report(500.0)], previous=baseline)
         assert "frontend_knee_qps" not in refreshed["metrics"]
         assert refreshed["metrics"]["hedge_tail_ratio"] == 0.4
-
-    def test_absent_headline_skips_because_optional(self):
-        baseline = build_baseline([resilience_report(0.0, hedge_ratio=0.4)])
-        rows = compare(
-            baseline,
-            [
-                {"bench": "frontend", "headline": {}},
-                resilience_report(0.0, hedge_ratio=None),
-            ],
-        )
-        assert "frontend_knee_qps" not in {r.metric for r in rows}
-        hedge = next(r for r in rows if r.metric == "hedge_tail_ratio")
-        assert hedge.skipped and not hedge.regressed
-        assert not any(r.regressed for r in rows)

@@ -1,10 +1,10 @@
 """Tests for the resilience bench: schema, config, fault injectors.
 
-The scenarios themselves run real TCP fleets and are exercised by the
-CI ``bench-resilience --quick`` job; here the cheap invariants
-are pinned — report validation catches every malformed shape, the quick
-config genuinely shortens the bursts, and the fault-injecting fakes
-behave as advertised.
+The scenarios themselves run real TCP fleets on virtual time and are
+run end to end by ``tests/test_bench_virtual_time.py``; here the cheap
+invariants are pinned — report validation catches every malformed
+shape, the quick config genuinely shortens the bursts, and the
+fault-injecting fakes behave as advertised.
 """
 
 import asyncio
@@ -41,7 +41,6 @@ def stub_report() -> dict:
     return {
         "bench": "resilience",
         "schema_version": SCHEMA_VERSION,
-        "machine_dependent": True,
         "workload": {
             "window": 8, "n_indexes": 4, "scheme": "wave", "n_shards": 4,
             "n_frontends": 3, "chaos_seeds": [7],
@@ -102,14 +101,6 @@ class TestValidateReport:
         report = stub_report()
         report["bench"] = "frontend"
         with pytest.raises(ValueError, match="bench"):
-            BENCH.validate(report)
-
-    def test_machine_dependence_must_be_declared(self):
-        # Wall-clock artifacts byte-compared across machines are how
-        # flaky CI gates are born; the schema refuses the footgun.
-        report = stub_report()
-        report["machine_dependent"] = False
-        with pytest.raises(ValueError, match="machine_dependent"):
             BENCH.validate(report)
 
     @pytest.mark.parametrize(
