@@ -384,7 +384,10 @@ class ConstituentIndex:
         Implements ``DeleteFromIndex``: each affected bucket is read,
         compacted, and written back in place.  Buckets that become empty are
         removed from the directory and their private extents freed; sparse
-        buckets shrink per the CONTIGUOUS policy.
+        buckets shrink per the CONTIGUOUS policy.  What a bucket keeps is
+        cut on the day column of the run its readers left, when that run
+        is current and sorted (:func:`~repro.index.kernels.cut_days`), and
+        filtered entry by entry otherwise.
         """
         self._check_not_dropped()
         self._invalidate_derived()
@@ -400,16 +403,31 @@ class ConstituentIndex:
         seek = self.disk.effective_seeks(1.0, float(self.allocated_bytes))
         removed_any = False
         read, write = self.disk.read, self.disk.write
+        ordered = sorted(day_set)
+        first, last = ordered[0], ordered[-1]
+        cut_days = kernels.cut_days
         for value, bucket in list(self.directory.items()):
             entries = bucket.entries
-            kept = [e for e in entries if e.day not in day_set]
+            # The run a reader left, if it is current (Bucket.run()'s
+            # rule); the delete never builds one.
+            run = bucket._run
+            if run is None or len(run.days) != len(entries) or not run.sorted:
+                kept = [e for e in entries if e.day not in day_set]
+            elif last < run.lo or first > run.hi:
+                continue
+            else:
+                kept = cut_days(entries, run.days, ordered)
             if len(kept) == len(entries):
                 continue
             removed_any = True
             # Read the bucket as it was, compact it, write it back in
             # place: a fault on the read leaves the entries untouched, one
-            # on the write leaves them compacted.
-            extent, offset = self._bucket_position(bucket)
+            # on the write leaves them compacted.  (Where it lives is
+            # _bucket_position's answer, inline.)
+            if bucket.shared:
+                extent, offset = self._shared_extent, bucket.offset_in_extent
+            else:
+                extent, offset = bucket.extent, 0
             read(extent, len(entries) * entry_size, seeks=seek, offset=offset)
             bucket.replace_entries(kept)
             write(extent, len(kept) * entry_size, seeks=seek, offset=offset)

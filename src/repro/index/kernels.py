@@ -31,7 +31,15 @@ buffers:
   ``Entry`` objects, so answers equal the plain comprehension element
   for element — and a slice of a run remembers where it was cut
   (:data:`Part`), which is what lets the wire layer send the run's own
-  bytes instead of encoding the answer again.
+  bytes instead of encoding the answer again;
+* the in-place delete cuts on the same column (:func:`cut_days`): a
+  bucket whose readers left it a current run with a sorted column is
+  skipped outright when the deleted days miss the run's bounds, and
+  otherwise loses each deleted day as the span between two bisects and
+  keeps slices of its entry list; a bucket without one (no read since
+  it was last written, or an unsorted column) is filtered entry by
+  entry.  Either way the kept list is the comprehension's, element for
+  element.
 
 There is no switch and no second implementation in ``src/``, and the
 module imports only the standard library: the object-level batch paths
@@ -267,6 +275,35 @@ def _gather(run: Run, t1: int, t2: int) -> list["Entry"]:
     it takes whatever bounds the comprehension takes, float ones too.
     """
     return [e for e, d in zip(run.entries, run.days) if t1 <= d <= t2]
+
+
+def cut_days(
+    entries: list["Entry"], column: array, ordered: Sequence[int]
+) -> list["Entry"]:
+    """Return ``entries`` less those whose insert day is in ``ordered``.
+
+    ``column`` is ``entries``' day column, non-decreasing; ``ordered`` is
+    the deleted days, ascending.  Each deleted day is the span
+    ``[bisect_left, bisect_right)`` of the column, and the kept list is
+    the slices between spans: the comprehension's elements, in order.
+    Returns ``entries`` itself when nothing is cut, else a new list.
+    """
+    kept = None
+    start = 0
+    for day in ordered:
+        lo = bisect_left(column, day, start)
+        hi = bisect_right(column, day, lo)
+        if lo == hi:
+            continue
+        if kept is None:
+            kept = entries[:lo]
+        else:
+            kept += entries[start:lo]
+        start = hi
+    if kept is None:
+        return entries
+    kept += entries[start:]
+    return kept
 
 
 def filter_bucket(bucket: "Bucket", t1: int, t2: int) -> list["Entry"]:

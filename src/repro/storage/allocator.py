@@ -14,11 +14,24 @@ It exists for two reasons:
 
 Freed ranges are coalesced with their neighbours so long-running simulations
 (e.g. the 200-day Figure 11 run) do not fragment the free list.
+
+**First fit without slivers.**  Coalescing cannot merge what a live
+neighbour keeps apart, so the offset-ordered free list fills up with
+remnants narrower than any request the device sees (a 64-byte bucket
+placed in an 80-byte hole leaves 16 bytes free until a neighbour goes).
+Beside the free list the allocator keeps a second list: the same ranges,
+in the same order, filtered to those at least as wide as the smallest
+request seen so far (the *floor*).  First fit searches that list.  A
+range below the floor cannot fit any request up to now, and a smaller
+request re-filters the list before it searches, so the first fitting
+range — and with it every offset, the free list and the frontier — is
+exactly what a walk over the whole free list finds.
+The linear walk is the test-side oracle (``tests/reference/allocator.py``).
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 
 from ..errors import ExtentError, OutOfSpaceError
 from .extent import Extent
@@ -40,6 +53,11 @@ class ExtentAllocator:
         self._capacity = capacity_bytes
         # Free list as sorted, non-overlapping, non-adjacent (offset, size).
         self._free: list[tuple[int, int]] = []
+        # The free ranges at least ``_floor`` bytes wide, in the same order:
+        # what first fit searches.  ``_floor`` is the smallest non-zero
+        # request seen so far (none yet: no range qualifies).
+        self._fit: list[tuple[int, int]] = []
+        self._floor: float = float("inf")
         # First never-allocated byte; space beyond it is implicitly free.
         self._frontier = 0
         self._live: dict[int, Extent] = {}
@@ -117,12 +135,24 @@ class ExtentAllocator:
     def _find_offset(self, nbytes: int) -> int:
         if nbytes == 0:
             return self._frontier
-        for i, (off, size) in enumerate(self._free):
+        if nbytes < self._floor:
+            self._floor = nbytes
+            self._fit = [r for r in self._free if r[1] >= nbytes]
+        fit = self._fit
+        for j, (off, size) in enumerate(fit):
             if size >= nbytes:
+                free = self._free
+                i = bisect_left(free, (off,))
                 if size == nbytes:
-                    del self._free[i]
+                    del free[i]
+                    del fit[j]
                 else:
-                    self._free[i] = (off + nbytes, size - nbytes)
+                    rest = (off + nbytes, size - nbytes)
+                    free[i] = rest
+                    if rest[1] >= self._floor:
+                        fit[j] = rest
+                    else:
+                        del fit[j]
                 return off
         # Grow at the frontier.
         end = self._frontier + nbytes
@@ -155,25 +185,36 @@ class ExtentAllocator:
 
     def _insert_free(self, offset: int, size: int) -> None:
         """Insert a range into the free list, coalescing with neighbours."""
-        i = bisect.bisect_left(self._free, (offset, 0))
+        free = self._free
+        i = bisect_left(free, (offset, 0))
         # Coalesce with predecessor.
         if i > 0:
-            prev_off, prev_size = self._free[i - 1]
+            prev_off, prev_size = free[i - 1]
             if prev_off + prev_size == offset:
                 offset, size = prev_off, prev_size + size
-                del self._free[i - 1]
+                del free[i - 1]
                 i -= 1
         # Coalesce with successor.
-        if i < len(self._free):
-            next_off, next_size = self._free[i]
+        if i < len(free):
+            next_off, next_size = free[i]
             if offset + size == next_off:
                 size += next_size
-                del self._free[i]
+                del free[i]
+        # The merged range replaces whatever of it the filtered list held
+        # (the neighbours it swallowed, at most two).  It always qualifies:
+        # it is at least the freed extent, which some request at or above
+        # the floor made.
+        fit = self._fit
+        end = offset + size
+        j = bisect_left(fit, (offset,))
+        k = bisect_left(fit, (end,), j)
         # Coalesce with the frontier: return trailing space entirely.
-        if offset + size == self._frontier:
+        if end == self._frontier:
             self._frontier = offset
+            del fit[j:k]
         else:
-            self._free.insert(i, (offset, size))
+            free.insert(i, (offset, size))
+            fit[j:k] = [(offset, size)]
 
     # ------------------------------------------------------------------
     # Validation helpers (used heavily by property tests)
@@ -183,8 +224,9 @@ class ExtentAllocator:
         """Assert internal consistency; raises ``AssertionError`` on breakage.
 
         Checks that live extents never overlap each other or the free list,
-        that the free list is sorted/coalesced, and that byte accounting
-        matches the extent population.
+        that the free list is sorted/coalesced, that the list first fit
+        searches is the free list filtered at the floor, and that byte
+        accounting matches the extent population.
         """
         extents = sorted(self._live.values(), key=lambda e: e.offset)
         for a, b in zip(extents, extents[1:]):
@@ -200,6 +242,10 @@ class ExtentAllocator:
             if last_end is not None:
                 assert off > last_end, "free list not sorted/coalesced"
             last_end = off + size
+        floor = self._floor
+        assert self._fit == [r for r in self._free if r[1] >= floor], (
+            f"first-fit list drifted from the free list filtered at {floor}"
+        )
         for ext in extents:
             if ext.size == 0:
                 # Zero-size extents are positionless handles; the frontier

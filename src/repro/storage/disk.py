@@ -172,9 +172,11 @@ class SimulatedDisk:
         the right pages; it does not change the charge on a cacheless disk.
 
         The whole charge happens in this frame (DESIGN.md, "Charge
-        path"): validate, ask the cache, price, count, advance the clock.
-        A refused touch changes nothing — not the clock, not a counter,
-        not the cache.
+        path"): validate, touch the cache's pages, price, count, advance
+        the clock — a one-page touch with its LRU step, spans of two
+        pages and up through :meth:`PageCache.touch_span`.  A refused
+        touch changes nothing — not the clock, not a counter, not the
+        cache.
         """
         if nbytes is None:
             nbytes = extent.size
@@ -188,10 +190,38 @@ class SimulatedDisk:
             self._refuse(extent, nbytes, seeks, offset, "read")
         cache = self.page_cache
         if cache is not None:
-            # Resident pages are memory-speed: only the owed remainder
-            # (seek if any page missed, transfer of missed pages) reaches
-            # the device and the counters.
-            seeks, nbytes = cache.read_charges(extent, nbytes, seeks, offset)
+            if nbytes == 0:
+                seeks, nbytes = 0.0, 0  # an empty touch reads nothing, no seek
+            else:
+                # Resident pages are memory-speed: only the owed remainder
+                # (seek if any page missed, transfer of missed pages, clipped
+                # to the extent) reaches the device and the counters.
+                page_size = cache.page_size
+                first = offset // page_size
+                last = (offset + nbytes - 1) // page_size
+                if first != last:
+                    missed = cache.touch_span(extent.extent_id, first, last, True)
+                    if missed == 0:
+                        seeks, nbytes = 0.0, 0
+                    else:
+                        nbytes = min(missed * page_size, extent.size)
+                else:
+                    # One page: a hit moves it to the LRU's end; a miss evicts
+                    # the oldest page if the cache is full, then enters it.
+                    key = (extent.extent_id, first)
+                    pages = cache._pages
+                    if key in pages:
+                        pages.move_to_end(key)
+                        cache.hits += 1
+                        cache.read_hits += 1
+                        seeks, nbytes = 0.0, 0
+                    else:
+                        cache.misses += 1
+                        if len(pages) >= cache.capacity_pages:
+                            pages.popitem(last=False)
+                            cache.evictions += 1
+                        pages[key] = None
+                        nbytes = min(page_size, extent.size)
         params = self.params
         seconds = seeks * params.seek_s + nbytes / params.bandwidth_bps
         stats = self.stats
@@ -225,10 +255,31 @@ class SimulatedDisk:
         ):
             self._refuse(extent, nbytes, seeks, offset, "write")
         cache = self.page_cache
-        if cache is not None:
+        if cache is not None and nbytes:
             # Write-through: the transfer always reaches the device, but a
-            # fully resident touch has its seek absorbed by the warm pool.
-            seeks, nbytes = cache.write_charges(extent, nbytes, seeks, offset)
+            # fully resident touch has its seek absorbed by the warm pool
+            # (an empty touch owes its seek).  Pages are touched as by
+            # :meth:`read`.
+            page_size = cache.page_size
+            first = offset // page_size
+            last = (offset + nbytes - 1) // page_size
+            if first != last:
+                if cache.touch_span(extent.extent_id, first, last, False) == 0:
+                    seeks = 0.0
+            else:
+                key = (extent.extent_id, first)
+                pages = cache._pages
+                if key in pages:
+                    pages.move_to_end(key)
+                    cache.hits += 1
+                    cache.write_hits += 1
+                    seeks = 0.0
+                else:
+                    cache.misses += 1
+                    if len(pages) >= cache.capacity_pages:
+                        pages.popitem(last=False)
+                        cache.evictions += 1
+                    pages[key] = None
         params = self.params
         seconds = seeks * params.seek_s + nbytes / params.bandwidth_bps
         stats = self.stats

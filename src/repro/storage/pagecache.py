@@ -23,6 +23,13 @@ scales seeks by the miss rate):
   warm pool absorbs the positioning cost, matching how
   :meth:`BufferPoolModel.effective_seeks` discounts a warm working set.
 
+:class:`~repro.storage.disk.SimulatedDisk` charges a touch in one frame:
+a one-page touch (a bucket: nineteen in twenty) takes its LRU step there —
+a hit is one ``move_to_end``, a miss evicts the oldest page if the cache
+is full and inserts — and a span of two pages and up comes here, to
+:meth:`PageCache.touch_span`.  The cache keeps the LRU, spans,
+invalidation and the counters.
+
 Pages are keyed by ``(extent_id, page_index)``.  Extent ids are unique for
 the life of the process, and :meth:`SimulatedDisk.free` invalidates an
 extent's pages, so a recycled disk offset can never produce a stale hit.
@@ -160,83 +167,10 @@ class PageCache:
         )
 
     # ------------------------------------------------------------------
-    # Hooks (called by SimulatedDisk)
+    # Spans and invalidation (called by SimulatedDisk)
     # ------------------------------------------------------------------
 
-    def read_charges(
-        self, extent: Extent, nbytes: int, seeks: float, offset: int = 0
-    ) -> tuple[float, int]:
-        """Account a read; return the ``(seeks, bytes)`` still owed to disk.
-
-        A fully resident read owes nothing; otherwise the caller's seeks
-        are owed in full plus a page-granular transfer of the missing pages
-        (clipped to the extent's end).
-
-        The touch covers the pages of ``[offset, offset + nbytes)``,
-        clipped to the extent.  A one-page touch (a bucket: nineteen in
-        twenty) is served in this frame — a hit is one ``move_to_end``, a
-        miss evicts the LRU page if full and inserts; longer spans go to
-        :meth:`_touch_span`.
-        """
-        end = min(offset + nbytes, extent.size)
-        if end <= offset:
-            return 0.0, 0
-        page_size = self.page_size
-        first = offset // page_size
-        last = (end - 1) // page_size
-        if first != last:
-            missed = self._touch_span(extent.extent_id, first, last, True)
-            if missed == 0:
-                return 0.0, 0
-            return seeks, min(missed * page_size, extent.size)
-        key = (extent.extent_id, first)
-        pages = self._pages
-        if key in pages:
-            pages.move_to_end(key)
-            self.hits += 1
-            self.read_hits += 1
-            return 0.0, 0
-        self.misses += 1
-        if len(pages) >= self.capacity_pages:
-            pages.popitem(last=False)
-            self.evictions += 1
-        pages[key] = None
-        return seeks, min(page_size, extent.size)
-
-    def write_charges(
-        self, extent: Extent, nbytes: int, seeks: float, offset: int = 0
-    ) -> tuple[float, int]:
-        """Account a write; return the ``(seeks, bytes)`` owed to disk.
-
-        Write-through: the transfer is always owed, but the seek is
-        absorbed when every touched page was already resident.  Pages
-        are touched as by :meth:`read_charges`.
-        """
-        end = min(offset + nbytes, extent.size)
-        if end <= offset:
-            return seeks, nbytes
-        page_size = self.page_size
-        first = offset // page_size
-        last = (end - 1) // page_size
-        if first != last:
-            if self._touch_span(extent.extent_id, first, last, False) == 0:
-                return 0.0, nbytes
-            return seeks, nbytes
-        key = (extent.extent_id, first)
-        pages = self._pages
-        if key in pages:
-            pages.move_to_end(key)
-            self.hits += 1
-            self.write_hits += 1
-            return 0.0, nbytes
-        self.misses += 1
-        if len(pages) >= self.capacity_pages:
-            pages.popitem(last=False)
-            self.evictions += 1
-        pages[key] = None
-        return seeks, nbytes
-
-    def _touch_span(
+    def touch_span(
         self, ext_id: int, first: int, last: int, is_read: bool
     ) -> int:
         """Touch pages ``first..last`` (two or more); return how many missed.

@@ -32,6 +32,7 @@ from repro.serve.protocol import result_to_wire
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagecache import PageCache
 from tests.conftest import make_store
+from tests.reference.disk import ComposedDisk
 from tests.reference.batch import (
     PerPagePageCache,
     probe_many_object,
@@ -117,8 +118,13 @@ def lru_order(cache):
 
 
 def serve(probe_many, scan_many, cache_cls, scheme_cls, offline, probes, scans):
-    """Build a wave and serve one workload; return all that is observable."""
-    disk = SimulatedDisk(
+    """Build a wave and serve one workload; return all that is observable.
+
+    The per-page cache charges through its own hooks, which only the
+    composed disk calls.
+    """
+    disk_cls = ComposedDisk if cache_cls is PerPagePageCache else SimulatedDisk
+    disk = disk_cls(
         page_cache=cache_cls(CACHE_BYTES, PAGE) if cache_cls else None
     )
     wave, turn = build(disk, scheme_cls)

@@ -3,7 +3,7 @@
 ``WaveIndex.probe_many`` / ``scan_many`` solve a batch once per unique
 request, weight cost shares by duplicate count and filter on day columns,
 and bill the batch from five live device counters;
-``PageCache._touch_span`` accounts whole-hit and whole-miss spans in bulk.
+``PageCache.touch_span`` accounts whole-hit and whole-miss spans in bulk.
 These are the straightforward forms they replaced in ``src/``: one
 accumulator per request, every entry's day compared one by one, every
 page touched one by one.  The batch oracles drive a wave through its

@@ -1,13 +1,20 @@
-"""The two-pass in-place delete: ask each bucket, then compact it.
+"""The in-place delete as it was, in two forms.
 
-How ``ConstituentIndex.delete_days`` walked a directory before it made the
-kept list once and compared lengths: ``Bucket.touches_days`` (through
-``kernels.bucket_touches_days``) to ask *whether* a day is there, then
-``Bucket.remove_days`` to drop it, with ``allocated_bytes`` recounted from
-the directory.  Kept word for word as functions of a bucket or an index;
-:func:`delete_days_two_pass` must leave the same entries, extents, clock
-and I/O counters as the method on a twin
+:func:`delete_days_two_pass` is how ``ConstituentIndex.delete_days`` walked
+a directory before it made the kept list once and compared lengths:
+``Bucket.touches_days`` (through ``kernels.bucket_touches_days``) to ask
+*whether* a day is there, then ``Bucket.remove_days`` to drop it, with
+``allocated_bytes`` recounted from the directory.  It must leave the same
+entries, extents, clock and I/O counters as the method on a twin
 (``tests/index/test_private_bytes.py``).
+
+:func:`delete_days_comprehension` is the one-pass method before it cut
+on the readers' day column: every bucket's kept list is the comprehension
+over its entries, run or no run.  The cut must keep the same lists and
+leave the same clock, counters, cache and LRU order
+(``tests/index/test_delete_cut.py``).
+
+Both are kept word for word as functions of a bucket or an index.
 """
 
 
@@ -87,5 +94,47 @@ def delete_days_two_pass(index, days):
             index._shrink_bucket(bucket)
     index.time_set.difference_update(day_set)
     if removed_any:
+        index.packed = False
+    return index.disk.clock - start
+
+
+def delete_days_comprehension(index, days):
+    """``ConstituentIndex.delete_days`` before the day-column cut."""
+    index._check_not_dropped()
+    index._invalidate_derived()
+    index._unpack()
+    day_set = set(days)
+    if not day_set:
+        return 0.0
+    start = index.disk.clock
+    entry_size = index.config.entry_size_bytes
+    policy = index.config.contiguous
+    # As in insert_postings: the working set is explicit (0 bytes is a
+    # real working set, not a streaming marker).
+    seek = index.disk.effective_seeks(1.0, float(index.allocated_bytes))
+    removed_any = False
+    read, write = index.disk.read, index.disk.write
+    for value, bucket in list(index.directory.items()):
+        entries = bucket.entries
+        kept = [e for e in entries if e.day not in day_set]
+        if len(kept) == len(entries):
+            continue
+        removed_any = True
+        # Read the bucket as it was, compact it, write it back in
+        # place: a fault on the read leaves the entries untouched, one
+        # on the write leaves them compacted.
+        extent, offset = index._bucket_position(bucket)
+        read(extent, len(entries) * entry_size, seeks=seek, offset=offset)
+        bucket.replace_entries(kept)
+        write(extent, len(kept) * entry_size, seeks=seek, offset=offset)
+        if not kept:
+            index._retire_bucket(value, bucket)
+        elif not bucket.shared and policy.should_shrink(
+            bucket.capacity_entries, len(kept)
+        ):
+            index._shrink_bucket(bucket)
+    index.time_set.difference_update(day_set)
+    if removed_any:
+        # Holes (packed) or slack (contiguous) remain: no longer packed.
         index.packed = False
     return index.disk.clock - start

@@ -14,7 +14,14 @@ oracle for is a touch refused for negative ``seeks``: the composed path
 let the cache see the touch before ``io_time`` refused it.
 ``ComposedPageCache.invalidate_extent`` is the definition — drop every
 resident key of the extent — that the indexed lookup in ``src/`` must
-equal.
+equal.  The composed caches charge through their own ``read_charges`` /
+``write_charges``, which only the composed disks call: pair them with
+``ComposedDisk`` / ``ComposedFaultyDisk``.
+
+``HookPageCache`` is the step between: the device asked the cache for
+the charge of every touch, and the cache served a one-page touch in its
+own frame (two frames a cached touch).  ``SimulatedDisk`` now takes that
+LRU step itself; the hooks are kept word for word as a second twin.
 """
 
 from repro.storage.disk import SimulatedDisk
@@ -116,6 +123,61 @@ class ComposedPageCache(PageCache):
                 self.misses += 1
                 self._admit(key)
         return missed, len(span)
+
+
+class HookPageCache(PageCache):
+    """``PageCache`` with the hooks the device called for every touch."""
+
+    def read_charges(self, extent, nbytes, seeks, offset=0):
+        end = min(offset + nbytes, extent.size)
+        if end <= offset:
+            return 0.0, 0
+        page_size = self.page_size
+        first = offset // page_size
+        last = (end - 1) // page_size
+        if first != last:
+            missed = self.touch_span(extent.extent_id, first, last, True)
+            if missed == 0:
+                return 0.0, 0
+            return seeks, min(missed * page_size, extent.size)
+        key = (extent.extent_id, first)
+        pages = self._pages
+        if key in pages:
+            pages.move_to_end(key)
+            self.hits += 1
+            self.read_hits += 1
+            return 0.0, 0
+        self.misses += 1
+        if len(pages) >= self.capacity_pages:
+            pages.popitem(last=False)
+            self.evictions += 1
+        pages[key] = None
+        return seeks, min(page_size, extent.size)
+
+    def write_charges(self, extent, nbytes, seeks, offset=0):
+        end = min(offset + nbytes, extent.size)
+        if end <= offset:
+            return seeks, nbytes
+        page_size = self.page_size
+        first = offset // page_size
+        last = (end - 1) // page_size
+        if first != last:
+            if self.touch_span(extent.extent_id, first, last, False) == 0:
+                return 0.0, nbytes
+            return seeks, nbytes
+        key = (extent.extent_id, first)
+        pages = self._pages
+        if key in pages:
+            pages.move_to_end(key)
+            self.hits += 1
+            self.write_hits += 1
+            return 0.0, nbytes
+        self.misses += 1
+        if len(pages) >= self.capacity_pages:
+            pages.popitem(last=False)
+            self.evictions += 1
+        pages[key] = None
+        return seeks, nbytes
 
 
 class _ComposedCharges:

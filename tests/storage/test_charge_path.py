@@ -1,18 +1,21 @@
 """The one-frame charge path vs the composed path it replaced.
 
-``SimulatedDisk.read`` / ``.write`` validate, ask the cache, price, count
-and advance the clock in one frame, and ``PageCache.read_charges`` /
-``.write_charges`` serve a single-page touch in theirs.
-``tests.reference.disk`` keeps the chain of calls they replaced.  Twin
-devices — one of each — are driven through the same random trace and
-must agree with ``==`` after every step: the seconds returned, the clock,
-every ``IOStats`` field, every ``PageCacheSnapshot`` field, the full LRU
-order and the per-extent map read off it.  Float addition is not
+``SimulatedDisk.read`` / ``.write`` validate, touch the cache, price,
+count and advance the clock in one frame — a one-page touch takes its LRU
+step there, and only a span of two pages and up calls into the cache
+(``PageCache.touch_span``).  ``tests.reference.disk`` keeps the chain of
+calls this replaced (``ComposedDisk`` over ``ComposedPageCache``) and the
+cache hooks the device used to ask for every charge (``HookPageCache``).
+Twin devices — one of each — are driven through the same random trace
+and must agree with ``==`` after every step: the seconds returned, the
+clock, every ``IOStats`` field, every ``PageCacheSnapshot`` field, the
+full LRU order and the per-extent map read off it.  Float addition is not
 associative, so ``==`` here is what keeps every committed artifact
 byte-identical.
 
-The frame floor pins the point of the change the way PR 20's "0 JSON codec
-calls" did: Python calls per touch, counted by ``sys.setprofile``.
+The frame floor pins the point of the change the way the "0 JSON codec
+calls" test of the wire format did: Python calls per touch, counted by
+``sys.setprofile``.
 """
 
 import sys
@@ -31,6 +34,7 @@ from tests.reference.disk import (
     ComposedDisk,
     ComposedFaultyDisk,
     ComposedPageCache,
+    HookPageCache,
     resident_by_extent,
 )
 
@@ -63,6 +67,14 @@ DEVICES = {
             PARAMS, page_cache=ComposedPageCache(CAPACITY_PAGES * PAGE, PAGE)
         ),
     ),
+    "page-cache-hooks": (
+        lambda: SimulatedDisk(
+            PARAMS, page_cache=PageCache(CAPACITY_PAGES * PAGE, PAGE)
+        ),
+        lambda: ComposedDisk(
+            PARAMS, page_cache=HookPageCache(CAPACITY_PAGES * PAGE, PAGE)
+        ),
+    ),
     "faulty": (
         lambda: FaultyDisk(
             PARAMS,
@@ -88,12 +100,11 @@ picks = st.integers(min_value=0, max_value=10**6)
 # touch names its extent (a), offset (b) and length (c) as draws the
 # driver folds into the extent's size, so most touches are valid and land
 # anywhere inside it — the last partial page included — while ``stretch``
-# pushes some past the end (refused by the disk, clipped by the cache
-# hooks).  Most are a bucket's: well under a page, on one of the first
-# few extents, so pages are revisited, hit out of LRU order and evicted.
+# pushes some past the end (refused by the disk).  Most are a bucket's:
+# well under a page, on one of the first few extents, so pages are
+# revisited, hit out of LRU order and evicted.
 KINDS = (
-    ["read", "write"] * 8
-    + ["cache_read", "cache_write"] * 2
+    ["read", "write"] * 10
     + ["allocate", "free", "reallocate", "stream_read", "stream_write", "advance"]
 )
 step = st.tuples(
@@ -150,13 +161,7 @@ class Driver:
             nbytes = nbytes % (extent.size - offset + 1) + stretch
         if disk.buffer_pool is not None:
             seeks = disk.effective_seeks(seeks, float(3 * offset))
-        if kind in ("read", "write"):
-            return getattr(disk, kind)(extent, nbytes, seeks=seeks, offset=offset)
-        cache = disk.page_cache
-        if cache is None:
-            return None
-        hook = cache.read_charges if kind == "cache_read" else cache.write_charges
-        return hook(extent, extent.size if nbytes is None else nbytes, seeks, offset)
+        return getattr(disk, kind)(extent, nbytes, seeks=seeks, offset=offset)
 
     def step(self, op):
         """Apply ``op``; return everything observable afterwards."""
@@ -268,8 +273,9 @@ def test_a_cacheless_touch_is_one_python_frame():
     assert python_calls(run) == n  # the composed path: 6
 
 
-def test_a_cached_single_page_touch_is_two_python_frames():
+def test_a_cached_single_page_touch_is_one_python_frame():
     disk = DEVICES["page-cache"][0]()
     run, n = touches_on(disk)
-    assert python_calls(run) == 2 * n  # read -> read_charges; the composed path: 9-11
+    # The cache hooks: 2 (read -> read_charges); the composed path: 9-11.
+    assert python_calls(run) == n
     assert disk.page_cache.evictions > 0 and disk.page_cache.hits > 0

@@ -1,14 +1,16 @@
 """Span-arithmetic page-cache accounting vs the per-page reference.
 
-`PageCache.read_charges` / `.write_charges` serve a one-page touch in
-their own frame and `_touch_span` takes bulk fast paths (whole-span hit,
+`SimulatedDisk.read` / `.write` take a one-page touch's LRU step in
+their own frame and hand spans of two pages and up to
+`PageCache.touch_span`, which takes bulk fast paths (whole-span hit,
 whole-span miss); `invalidate_extent` looks an extent's pages up by index
 or finds them in one pass over the resident keys, whichever is shorter.
-These tests drive two caches through identical random traces — the real
-one and `tests.reference.batch.PerPagePageCache`, which touches every page
-of every span one by one and invalidates by filtering every resident key
-— and require identical charges, counters, LRU order, eviction victims,
-invalidation counts and per-extent residency at every step.
+These tests drive two devices through identical random traces — a
+`SimulatedDisk` over the real cache, and a `tests.reference.disk.ComposedDisk`
+over `tests.reference.batch.PerPagePageCache`, which touches every page
+of every touch one by one and invalidates by filtering every resident
+key — and require identical charges, counters, LRU order, eviction
+victims, invalidation counts and per-extent residency at every step.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.extent import Extent
 from repro.storage.pagecache import PageCache
 from tests.reference.batch import PerPagePageCache
-from tests.reference.disk import resident_by_extent
+from tests.reference.disk import ComposedDisk, resident_by_extent
 
 PAGE = 64
 
@@ -47,18 +49,32 @@ touches = st.lists(
 )
 
 
+def device(cache_cls, capacity_pages):
+    """A disk charging through ``cache_cls``: the real one, or the per-page twin."""
+    disk_cls = ComposedDisk if cache_cls is PerPagePageCache else SimulatedDisk
+    return disk_cls(page_cache=cache_cls(capacity_pages * PAGE, PAGE))
+
+
+def touch(disk, extent, nbytes, is_read, offset=0):
+    """Charge one touch; return the seconds and the device's counters after it."""
+    charge = disk.read if is_read else disk.write
+    return charge(extent, nbytes, seeks=1.0, offset=offset), disk.snapshot()
+
+
 def run_trace(trace, capacity_pages, cache_cls):
     extents = make_extents()
-    cache = cache_cls(capacity_pages * PAGE, PAGE)
+    disk = device(cache_cls, capacity_pages)
+    cache = disk.page_cache
     states = []
     for ext_i, offset, nbytes, is_read in trace:
         extent = extents[ext_i]
         if is_read is None:
             owed = cache.invalidate_extent(extent)
-        elif is_read:
-            owed = cache.read_charges(extent, nbytes, 1.0, offset)
         else:
-            owed = cache.write_charges(extent, nbytes, 1.0, offset)
+            # Folded into the extent, the last partial page included.
+            offset %= extent.size + 1
+            nbytes %= extent.size - offset + 1
+            owed = touch(disk, extent, nbytes, is_read, offset)
         states.append(state(cache, owed))
     return states
 
@@ -90,18 +106,45 @@ def test_cold_sweep_larger_than_cache_matches_reference():
 
 def test_warm_sweep_skips_disk_charges():
     extent = Extent(offset=0, size=16 * PAGE, extent_id=2_000)
-    cache = PageCache(32 * PAGE, PAGE)
-    assert cache.read_charges(extent, 16 * PAGE, 1.0) == (1.0, 16 * PAGE)
-    assert cache.read_charges(extent, 16 * PAGE, 1.0) == (0.0, 0)
-    assert cache.hits == 16 and cache.misses == 16
+    disk = device(PageCache, 32)
+    cold, after_cold = touch(disk, extent, 16 * PAGE, True)
+    assert (after_cold.seeks, after_cold.bytes_read) == (1.0, 16 * PAGE)
+    warm, after_warm = touch(disk, extent, 16 * PAGE, True)
+    assert warm == 0.0 and after_warm.bytes_read == after_cold.bytes_read
+    assert disk.page_cache.hits == 16 and disk.page_cache.misses == 16
+
+
+def test_single_page_touches_match_reference():
+    # Hits, cold misses and misses that evict, read and write, one page
+    # each: the LRU step the device takes in its own frame.
+    extent = Extent(offset=0, size=12 * PAGE + 5, extent_id=2_500)
+    trace = [
+        (page * PAGE + 3, 40, is_read)
+        for pages in (range(4), range(4), range(4, 12), range(12))
+        for page in pages
+        for is_read in (True, False)
+    ] + [(12 * PAGE, 5, True), (7, 0, True), (7, 0, False)]
+
+    def run(cache_cls):
+        disk = device(cache_cls, 4)
+        return [
+            state(disk.page_cache, touch(disk, extent, nbytes, is_read, offset))
+            for offset, nbytes, is_read in trace
+        ]
+
+    states = run(PageCache)
+    assert states == run(PerPagePageCache)
+    final = states[-1][1]
+    assert final.evictions > 0 and final.read_hits > 0 and final.write_hits > 0
 
 
 def test_bulk_admit_counts_evictions_exactly():
     a = Extent(offset=0, size=8 * PAGE, extent_id=3_000)
     b = Extent(offset=8 * PAGE, size=8 * PAGE, extent_id=3_001)
-    cache = PageCache(10 * PAGE, PAGE)
-    cache.read_charges(a, 8 * PAGE, 1.0)
-    cache.read_charges(b, 8 * PAGE, 1.0)
+    disk = device(PageCache, 10)
+    cache = disk.page_cache
+    touch(disk, a, 8 * PAGE, True)
+    touch(disk, b, 8 * PAGE, True)
     # 16 admits into 10 slots: 6 LRU victims, all from extent a.
     assert cache.evictions == 6
     assert cache.resident_pages == 10
@@ -111,8 +154,9 @@ def test_bulk_admit_counts_evictions_exactly():
 
 def test_invalidate_after_bulk_admit():
     extent = Extent(offset=0, size=8 * PAGE, extent_id=4_000)
-    cache = PageCache(32 * PAGE, PAGE)
-    cache.read_charges(extent, 8 * PAGE, 1.0)
+    disk = device(PageCache, 32)
+    cache = disk.page_cache
+    touch(disk, extent, 8 * PAGE, True)
     assert cache.invalidate_extent(extent) == 8
     assert cache.resident_pages == 0
     assert extent.extent_id not in resident_by_extent(cache)
@@ -130,7 +174,8 @@ def test_invalidating_an_extent_larger_than_the_cache_matches_reference():
     small = Extent(offset=40 * PAGE, size=3 * PAGE, extent_id=5_001)
 
     def run(cache_cls):
-        cache = cache_cls(8 * PAGE, PAGE)
+        disk = device(cache_cls, 8)
+        cache = disk.page_cache
         states = []
         for extent, offset, nbytes in [
             (big, 0, 40 * PAGE),
@@ -138,7 +183,7 @@ def test_invalidating_an_extent_larger_than_the_cache_matches_reference():
             (big, 33 * PAGE + 5, 10),
             (big, 2 * PAGE, 3 * PAGE),
         ]:
-            states.append(state(cache, cache.read_charges(extent, nbytes, 1.0, offset)))
+            states.append(state(cache, touch(disk, extent, nbytes, True, offset)))
         states.append(state(cache, cache.invalidate_extent(big)))
         states.append(state(cache, cache.invalidate_extent(big)))
         return states
@@ -155,10 +200,11 @@ def test_invalidating_a_zero_size_extent_matches_reference():
     other = Extent(offset=0, size=2 * PAGE, extent_id=6_001)
 
     def run(cache_cls):
-        cache = cache_cls(4 * PAGE, PAGE)
+        disk = device(cache_cls, 4)
+        cache = disk.page_cache
         states = [state(cache, cache.invalidate_extent(empty))]
-        states.append(state(cache, cache.read_charges(other, 2 * PAGE, 1.0)))
-        states.append(state(cache, cache.read_charges(empty, 10, 1.0)))
+        states.append(state(cache, touch(disk, other, 2 * PAGE, True)))
+        states.append(state(cache, touch(disk, empty, 0, True)))
         states.append(state(cache, cache.invalidate_extent(empty)))
         return states
 
@@ -171,7 +217,7 @@ class Recorder:
     """A disk over ``cache_cls`` that records what invalidation returned."""
 
     def __init__(self, cache_cls, capacity_pages):
-        self.disk = SimulatedDisk(page_cache=cache_cls(capacity_pages * PAGE, PAGE))
+        self.disk = device(cache_cls, capacity_pages)
         self.cache = self.disk.page_cache
         self.returned = []
         invalidate = self.cache.invalidate_extent
