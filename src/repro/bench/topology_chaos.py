@@ -404,8 +404,7 @@ class _SeedMatrix:
             if index >= len(sim.array.devices):
                 continue
             device = sim.array.devices[index]
-            injector = getattr(device, "injector", None)
-            if injector is not None and injector.device_failed:
+            if device.failed:
                 continue  # a killed target is unreachable, not leaked
             if device.live_bytes:
                 violations.fail(

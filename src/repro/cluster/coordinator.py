@@ -9,13 +9,31 @@ per-shard answers are reassembled in request order (gather) with the
 per-shard :class:`~repro.core.queries.BatchCostSummary`\\ s merged into a
 cluster-level :class:`ClusterCostSummary`.
 
-Failover semantics: a shard is served by its primary replica; if the
-primary's device raises a :class:`~repro.errors.FaultError` mid-query the
-replica is marked failed and the request is retried on the next replica.
-When every replica of a shard is dead the coordinator does not guess —
-it returns an *empty* answer for that shard with the shard's window days
-enumerated in ``missing_days`` (a correct partial result, never a wrong
-one), and lists the shard in the summary's ``shards_unavailable``.
+The one serving rule.  Every answer the cluster gives — a coordinator
+batch, or a unit of the simulated day loop
+(:meth:`~repro.cluster.sim.ClusterSimulation.day_steps`) — runs through
+:meth:`ClusterCoordinator._serve`, shard by shard:
+
+=============  ==========================================================
+strict call    while another live replica not excluded for the request
+               remains: failover beats degradation
+degraded call  on the last one, with the caller's ``degraded`` flag
+stale mark     (:class:`~repro.errors.DegradedWindowError`) the replica is
+               excluded for the request, never retired
+transient      raised, or swallowed by a degraded call on a live device:
+               its offline marks are cleared; retried under the monitor
+               (backoff charged to the device) until the request's budget
+               is spent, then excluded; retired without a monitor
+dead device    raised, or swallowed (``device.failed``): retired (reason
+               ``serving-fault``), one failover counted
+no replica     the shard is dark: an empty answer, its window days in
+               ``missing_days`` (partial, never wrong), the shard in
+               ``shards_unavailable``
+breaker clock  the caller's ``now`` (default ``monitor.now``) plus the
+               attempt time already charged
+aborted time   a dying attempt's charge over the replica's whole span,
+               plus backoff and breaker waits
+=============  ==========================================================
 """
 
 from __future__ import annotations
@@ -106,17 +124,11 @@ class ClusterCoordinator:
         metrics: Optional registry; the coordinator publishes
             ``cluster.probes`` / ``cluster.scans`` / ``cluster.failovers``
             / ``cluster.partial_answers`` counters into it.
-        monitor: Optional :class:`~repro.cluster.selfheal.ReplicaHealthMonitor`.
-            With one, replica selection honours the circuit breakers and
-            escaped transients are retried under the monitor's retry
-            policy instead of immediately retiring the replica.
-        router: Optional :class:`~repro.advisor.router.DesignRouter`.
-            With divergently tuned replicas it picks the replica whose
-            design fits each batch (probes to the probe twin, scans to
-            the scan twin); without one the primary serves, and with a
-            ``monitor`` the breaker policy wins (health beats cost).
-            Failover is unchanged either way: faults retire the chosen
-            replica and the batch re-serves on any healthy one.
+        monitor: Optional :class:`~repro.cluster.selfheal.ReplicaHealthMonitor`;
+            with one, the breakers pick the replica and transients retry.
+        router: Optional :class:`~repro.advisor.router.DesignRouter`; with
+            no ``monitor`` it picks the divergently tuned replica whose
+            design fits each batch.  Failover is the same either way.
     """
 
     def __init__(
@@ -139,6 +151,8 @@ class ClusterCoordinator:
         self.monitor = monitor
         self.router = router
         self.topology_version = 0
+        #: Failovers since construction; a batch reports its own delta.
+        self.failovers = 0
 
     # ------------------------------------------------------------------
     # Topology
@@ -185,92 +199,91 @@ class ClusterCoordinator:
         *,
         degraded: bool = True,
         route: tuple[int, int, str] | None = None,
+        now: float | None = None,
     ):
-        """Run ``call(replica, degraded)`` on the shard, failing over on
-        faults.
+        """Run ``call(replica, degraded)`` on the shard under the one
+        serving rule (module docstring).
 
-        ``route`` — ``(t1, t2, kind)`` for the batch — lets an attached
+        ``now`` is the caller's clock (default ``monitor.now``).  ``route``
+        — ``(t1, t2, kind)`` — lets an attached
         :class:`~repro.advisor.router.DesignRouter` pick among divergently
-        tuned replicas; it only applies without a health monitor (an open
-        breaker outranks a cost preference).
-
-        Failover beats degradation: while the shard has *another* live
-        replica, the call runs strict (``degraded=False``) so a device
-        fault — which the wave index would otherwise swallow into a
-        partial answer — propagates, retires the replica, and the next
-        one serves the full window.  Only the last live replica serves
-        with the caller's ``degraded`` flag; a partial answer is the
-        end of the line, not a substitute for a healthy copy.
-
-        Returns ``(outcome, replica, aborted_seconds)`` — the third item
-        is the device time spent on attempts that died mid-answer (plus
-        retry backoff and breaker waits), which the summary merge charges
-        to both the serial and elapsed cost clocks — or
-        ``(None, None, aborted_seconds)`` when every replica is dead.
+        tuned replicas when no health monitor owns the choice.  Returns
+        ``(outcome, replica, aborted_seconds)``, or ``(None, None,
+        aborted_seconds)`` when no replica can serve.
         """
         monitor = self.monitor
+        if now is None:
+            now = monitor.now if monitor is not None else 0.0
         aborted = 0.0
         attempts: dict[int, int] = {}
-        exhausted: set[int] = set()
+        exclude: set[int] = set()
         while True:
-            if monitor is None:
-                if self.router is not None and route is not None:
-                    replica = self.router.choose(shard, *route)
-                else:
-                    replica = shard.primary
-            else:
+            candidates = [
+                r for r in shard.alive_replicas() if r.replica_id not in exclude
+            ]
+            if monitor is not None:
                 replica, breaker_wait = monitor.serving_replica(
-                    shard, now=monitor.now, exclude=exhausted
+                    shard, now=now + aborted, exclude=exclude
                 )
                 aborted += breaker_wait
+            elif self.router is not None and route is not None:
+                replica = self.router.choose(
+                    shard, *route, candidates=candidates
+                )
+            else:
+                replica = candidates[0] if candidates else None
             if replica is None:
                 return None, None, aborted
-            candidates = [
-                r
-                for r in shard.alive_replicas()
-                if r.replica_id not in exhausted
-            ]
-            last = len(candidates) == 1
-            before = replica.device.clock
-            before_offline = frozenset(replica.wave.offline)
+            wave = replica.wave
+            before = replica.clock
+            before_offline = frozenset(wave.offline)
             try:
-                outcome = call(replica, degraded and last)
+                outcome = call(replica, degraded and len(candidates) == 1)
+            except DegradedWindowError:
+                fault: type[Exception] = DegradedWindowError
             except TransientIOError:
-                aborted += replica.device.clock - before
-                # A strict call marks the faulted constituent offline
-                # before re-raising; the transient left the data intact,
-                # so clear the mark before the retry.
-                replica.wave.offline &= before_offline
-                if monitor is None:
-                    self._fail_over(replica)
-                    continue
-                monitor.on_transient(replica, now=monitor.now)
-                n = attempts.get(replica.replica_id, 0) + 1
-                attempts[replica.replica_id] = n
-                if n >= monitor.retry.max_attempts:
-                    exhausted.add(replica.replica_id)
-                else:
-                    delay = monitor.retry.delay_before_retry(n)
-                    replica.device.advance(delay)
-                    aborted += delay
-                    monitor.note_retry(n)
+                fault = TransientIOError
+            except FaultError:
+                fault = FaultError
+            else:
+                if wave.offline == before_offline:
+                    if monitor is not None:
+                        monitor.record_success(replica)
+                    return outcome, replica, aborted
+                # The degraded call swallowed a fault into a partial
+                # answer: it is the fault it would have raised.
+                fault = FaultError if replica.device_failed else TransientIOError
+            aborted += replica.clock - before
+            if fault is DegradedWindowError:
+                # A stale offline mark: another replica may hold the
+                # constituent; this one stays in service.
+                exclude.add(replica.replica_id)
                 continue
-            except (DegradedWindowError, FaultError):
-                aborted += replica.device.clock - before
+            if fault is TransientIOError:
+                # The data is intact: clear the marks the fault left.
+                wave.offline &= before_offline
+            if fault is FaultError or monitor is None:
                 self._fail_over(replica)
                 continue
-            if monitor is not None:
-                monitor.record_success(replica)
-            return outcome, replica, aborted
+            monitor.on_transient(replica, now=now + aborted)
+            n = attempts.get(replica.replica_id, 0) + 1
+            attempts[replica.replica_id] = n
+            if n >= monitor.retry.max_attempts:
+                exclude.add(replica.replica_id)
+                continue
+            delay = monitor.retry.delay_before_retry(n)
+            replica.device.advance(delay)
+            aborted += delay
+            monitor.note_retry(n)
 
     def _fail_over(self, replica: ShardReplica) -> None:
         """Retire a replica whose answer died; count the failover."""
         if self.monitor is None:
             replica.failed = True
         else:
-            self.monitor.retire(replica, reason="query-fault")
+            self.monitor.retire(replica, reason="serving-fault")
         self.obs.counter("cluster.failovers").inc()
-        self._failovers += 1
+        self.failovers += 1
 
     # ------------------------------------------------------------------
     # Batched scatter-gather
@@ -301,7 +314,7 @@ class ClusterCoordinator:
         for i, shard_id in enumerate(shard_ids):
             by_shard.setdefault(shard_id, []).append(i)
 
-        self._failovers = 0
+        failovers = self.failovers
         results: list[ProbeResult | None] = [None] * len(specs)
         merge = _SummaryMerge()
         for shard_id in sorted(by_shard):
@@ -334,7 +347,7 @@ class ClusterCoordinator:
         if merge.missing:
             self.obs.counter("cluster.partial_answers").inc()
         return ClusterBatchResult(
-            tuple(results), merge.finish(len(specs), self._failovers)
+            tuple(results), merge.finish(len(specs), self.failovers - failovers)
         )
 
     def scan_many(
@@ -351,7 +364,7 @@ class ClusterCoordinator:
         """
         specs = list(requests)
         self.obs.counter("cluster.scans").inc(len(specs))
-        self._failovers = 0
+        failovers = self.failovers
         merge = _SummaryMerge()
         answers: list[list[ScanResult]] = [[] for _ in specs]
         dark_missing: list[set[int]] = [set() for _ in specs]
@@ -385,7 +398,7 @@ class ClusterCoordinator:
         if merge.missing:
             self.obs.counter("cluster.partial_answers").inc()
         return ClusterBatchResult(
-            tuple(results), merge.finish(len(specs), self._failovers)
+            tuple(results), merge.finish(len(specs), self.failovers - failovers)
         )
 
     # ------------------------------------------------------------------

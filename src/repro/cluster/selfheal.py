@@ -317,8 +317,8 @@ class ReplicaHealthMonitor:
         request *waits out* the soonest cooldown (the wait is returned so
         the caller charges it to request latency, not to any device) and
         probes that replica.  ``None`` when no replica can serve —
-        everything failed or is in ``exclude`` (retry-exhausted for this
-        request).
+        everything failed or is in ``exclude`` (excluded for this request:
+        retry-exhausted, or holding a stale offline mark).
         """
         best: ShardReplica | None = None
         best_ready = float("inf")
@@ -477,8 +477,7 @@ def rebuild_steps(
                 executor.journal, new_wave, shard.store, technique
             )
     except (FaultError, OutOfSpaceError) as exc:
-        donor_injector = getattr(donor.device, "injector", None)
-        if donor_injector is not None and donor_injector.device_failed:
+        if donor.device.failed:
             monitor.retire(donor, reason="died-during-rebuild")
         discard_partial(new_wave)
         raise ChangeAborted(

@@ -83,6 +83,19 @@ class ShardReplica:
             return self.executor.array
         return DiskArray([self.device])
 
+    @property
+    def clock(self) -> float:
+        """Return the span's summed device clocks (what an attempt is
+        billed on), without building a :class:`DiskArray`."""
+        if isinstance(self.executor, ArrayPlanExecutor):
+            return self.executor.array.total_clock
+        return self.device.clock
+
+    @property
+    def device_failed(self) -> bool:
+        """Return ``True`` once a device of the span has failed for good."""
+        return any(device.failed for device in self.span.devices)
+
     def busy_until(self) -> list[float]:
         """Return when each device of the span finishes today's maintenance.
 

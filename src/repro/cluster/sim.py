@@ -26,24 +26,28 @@ the benchmark compares against).
 
 **Serving.**  The day's query units arrive evenly over
 ``arrival_stretch x`` the cluster maintenance makespan.  A probe routes
-to the shard owning its value; a scan fans out to every shard.  Queries
-that arrive *before* a shard's maintenance window opens are served
-immediately from that shard's pre-transition index (the cost and
-coverage are measured against the post-transition substrate, one day's
-transition apart — a close proxy that keeps the single timeline
-tractable); queries arriving after the window opens queue behind it.
-That asymmetry is the whole point of staggering: a shard whose
-transition has not started yet keeps answering at steady-state latency.
-A query needing a constituent an in-place op is mutating waits for the
-op or degrades (:attr:`ClusterConfig.policy`), then occupies the devices
-its reads charged, first come first served per device; a unit that
-charges a device no time does not queue behind it.
+to the shard owning its value; a scan fans out to every shard.  Each
+routed unit is answered by the cluster's one serving rule
+(:mod:`repro.cluster.coordinator`) and placed on the day's timeline:
 
-**Faults.**  A device failure mid-maintenance or mid-query marks the
-replica failed; serving fails over to the next replica.  When every
-replica of a shard is dead, its answers degrade to correct partial
-results — empty, with the shard's window days enumerated as missing —
-never a wrong answer.
+=================  ======================================================
+before the window  a unit arriving before its shard's maintenance window
+                   opens is served from the pre-transition state on its
+                   own device queue (the staggering win; its cost and
+                   coverage are measured on the post-transition
+                   substrate, one day's transition apart)
+blocked            a constituent an in-place op is mutating is waited for
+                   (``WAIT``) or skipped, its days missing (``DEGRADE``)
+strict, degraded   the coordinator's rule: failover beats degradation, a
+                   stale offline mark excludes its replica for the unit
+retry, retire      a transient retries under the monitor (or retires its
+                   replica without one); a dead device retires it
+breaker clock      the day's clock base plus the unit's arrival
+devices            held first come first served for the time the unit
+                   charged each; a device charged nothing does not delay it
+no replica         the shard answers dark: its window days missing,
+                   never a wrong answer
+=================  ======================================================
 
 With ``k=1, r=1`` and lockstep maintenance the whole machinery is the
 serialized driver (:func:`repro.sim.run_simulation`): one store (the
@@ -72,17 +76,12 @@ from ..core.records import RecordStore
 from ..core.schemes.base import WaveScheme
 from ..core.staged import ChangeAborted, StagedChangeRunner, provision_spares
 from ..core.wave import WaveIndex
-from ..errors import (
-    ClusterError,
-    DegradedWindowError,
-    FaultError,
-    TransientIOError,
-)
+from ..errors import ClusterError, DegradedWindowError
 from ..index.config import IndexConfig
 from ..index.updates import UpdateTechnique
 from ..obs import CounterWindow, Histogram, MetricsRegistry
 from ..sim.metrics import DayMetrics, SimulationResult
-from ..sim.querygen import ProbeUnit, QueryUnit, QueryWorkload, ScanUnit, UnitOutcome
+from ..sim.querygen import ProbeUnit, QueryUnit, QueryWorkload, ScanUnit
 from ..sim.scheduler import ArrayPlanExecutor, OpInterval, OverlapPolicy
 from ..storage.array import DiskArray
 from ..storage.cost import DiskParameters
@@ -405,14 +404,26 @@ class _Served:
     queries: int = 0
     waited: int = 0
     degraded: int = 0
+    failovers: int = 0
     last_completion: float = 0.0
     missing_days: set[int] = field(default_factory=set)
 
 
+def _reads(wave: WaveIndex, name: str, t1: int, t2: int) -> bool:
+    """Return whether a query over ``[t1, t2]`` reads constituent ``name``."""
+    index = wave.bindings.get(name)
+    return index is not None and any(t1 <= d <= t2 for d in index.time_set)
+
+
 def _blocked_until(
-    needed: set[str], arrival: float, blocking: list[OpInterval]
+    wave: WaveIndex,
+    t1: int,
+    t2: int,
+    arrival: float,
+    intervals: list[OpInterval],
 ) -> tuple[set[str], float]:
-    """Return the constituents blocked at ``arrival`` and the release.
+    """Return the constituents a query over ``[t1, t2]`` finds blocked at
+    ``arrival`` and when they are released.
 
     Under the wait policy a query re-checks after each release (a
     constituent can be mutated by several ops in one plan), so the
@@ -423,10 +434,12 @@ def _blocked_until(
     changed = True
     while changed:
         changed = False
-        for interval in blocking:
-            if interval.target not in needed:
-                continue
-            if interval.start <= release < interval.end:
+        for interval in intervals:
+            if (
+                interval.blocking
+                and interval.start <= release < interval.end
+                and _reads(wave, interval.target, t1, t2)
+            ):
                 blocked.add(interval.target)
                 release = interval.end
                 changed = True
@@ -657,7 +670,6 @@ class ClusterSimulation:
             ],
         )
         self._started = False
-        self._day_failovers = 0
 
     # ------------------------------------------------------------------
     # Public day loop
@@ -1136,15 +1148,6 @@ class ClusterSimulation:
                 )
         return routed
 
-    def _fail_replica(self, replica: ShardReplica, reason: str) -> None:
-        """Retire a replica a serving-time fault killed (failover)."""
-        if self._monitor is None:
-            replica.failed = True
-        else:
-            self._monitor.retire(replica, reason=reason)
-        self._day_failovers += 1
-        self.obs.counter("cluster.failovers").inc()
-
     def _serve_on_shard(
         self,
         shard: Shard,
@@ -1152,180 +1155,78 @@ class ClusterSimulation:
         arrival: float,
         avail_pre: list[float],
         avail_post: list[float],
-    ) -> tuple[UnitOutcome, float, float, float, bool]:
-        """Execute ``unit`` on ``shard`` with failover.
+    ) -> tuple[float, frozenset[int], float, float, bool]:
+        """Serve ``unit`` on ``shard`` by the cluster's one serving rule
+        (:meth:`ClusterCoordinator._serve`) and place it on the devices.
 
-        Returns ``(outcome, end, service_seconds, wait, degraded)``; a
-        dark shard yields a synthesized empty outcome whose missing days
-        enumerate what the shard would have covered.
-
-        With self-healing enabled, replica selection honours the circuit
-        breakers (an open breaker is skipped, or its cooldown waited out
-        and charged to latency when nothing else can serve) and escaped
-        transients are retried on the same replica under the retry
-        policy — backoff charged to its device clock — before the
-        request fails over.  Aborted-attempt device time and breaker
-        waits are carried into the request's latency.
+        The rule's call applies the overlap policy on the replica it is
+        handed: a constituent an in-place op is mutating at ``arrival`` is
+        waited for (``WAIT``) or skipped (``DEGRADE``).  Returns
+        ``(seconds, missing_days, end, service_seconds, degraded)``; a
+        dark shard answers nothing, its window days missing.
         """
         wait_policy = self.config.policy is OverlapPolicy.WAIT
-        monitor = self._monitor
-        carried = 0.0
-        attempts: dict[int, int] = {}
-        exhausted: set[int] = set()
-        force_degraded: set[int] = set()
-        while True:
-            if monitor is None:
-                if self.router is not None:
-                    replica = self.router.choose(
-                        shard,
-                        unit.t1,
-                        unit.t2,
-                        "scan" if isinstance(unit, ScanUnit) else "probe",
-                    )
-                else:
-                    replica = shard.primary
-            else:
-                replica, breaker_wait = monitor.serving_replica(
-                    shard,
-                    now=self._clock_base + arrival + carried,
-                    exclude=exhausted,
-                )
-                carried += breaker_wait
-            if replica is None:
-                # Dark shard — or every candidate retry-exhausted for
-                # this request: an honest empty answer, days enumerated.
-                missing = shard.window_days(unit.t1, unit.t2)
-                outcome = UnitOutcome(
-                    0.0, unit.requests, frozenset(missing)
-                )
-                return outcome, arrival + carried, 0.0, carried, True
-            wave = replica.wave
-            needed = unit.needed_constituents(wave)
-            blocking = [iv for iv in replica.intervals if iv.blocking]
-            blocked, release = _blocked_until(needed, arrival, blocking)
-            if wait_policy:
-                wait = release - arrival
-                degraded_names: set[str] = set()
-            else:
-                wait = 0.0
-                degraded_names = blocked
-            pre_offline = frozenset(wave.offline)
-            added_offline = degraded_names - wave.offline
-            wave.offline |= added_offline
-            degraded_call = (
-                bool(degraded_names)
-                or replica.replica_id in force_degraded
-            )
-            span = replica.span
-            clocks_before = span.clocks()
-            clock_before = sum(clocks_before)
-            try:
-                outcome = unit.execute(wave, degraded=degraded_call)
-            except TransientIOError:
-                carried += span.total_clock - clock_before
-                # A strict call marks the faulted constituent offline
-                # before re-raising; the transient left the data intact,
-                # so clear the mark before the retry.
-                wave.offline &= pre_offline | added_offline
-                if monitor is None:
-                    self._fail_replica(replica, "serving-fault")
-                    continue
-                if self._retry_transient(
-                    replica, attempts, exhausted,
-                    now=self._clock_base + arrival + carried,
-                ):
-                    carried += monitor.retry.delay_before_retry(
-                        attempts[replica.replica_id]
-                    )
-                continue
-            except DegradedWindowError:
-                # A strict call tripped on a constituent an earlier
-                # swallowed fault left offline: re-serve degraded for an
-                # honest labeled partial answer.
-                carried += span.total_clock - clock_before
-                force_degraded.add(replica.replica_id)
-                continue
-            except FaultError:
-                carried += span.total_clock - clock_before
-                self._fail_replica(replica, "serving-fault")
-                continue
-            finally:
-                wave.offline -= added_offline
-            newly_offline = wave.offline - pre_offline
-            if newly_offline:
-                # A degraded call swallows device faults into a partial
-                # answer, but the wave retires the constituent it lost.
-                injector = getattr(replica.device, "injector", None)
-                device_dead = injector is not None and injector.device_failed
-                if monitor is not None and not device_dead:
-                    # Transient swallowed mid-degraded-call: the data is
-                    # intact — bring the constituents back online and
-                    # retry under the retry policy.
-                    wave.offline -= newly_offline
-                    carried += span.total_clock - clock_before
-                    if self._retry_transient(
-                        replica, attempts, exhausted,
-                        now=self._clock_base + arrival + carried,
-                    ):
-                        carried += monitor.retry.delay_before_retry(
-                            attempts[replica.replica_id]
-                        )
-                    continue
-                if len(shard.alive_replicas()) > 1:
-                    # With another live replica, failover beats
-                    # degradation — discard the partial answer and
-                    # re-serve there.
-                    carried += span.total_clock - clock_before
-                    self._fail_replica(replica, "serving-fault")
-                    continue
-            if monitor is not None:
-                monitor.record_success(replica)
-            ready = arrival + wait + carried
-            # Before the shard's transition begins, serve from the
-            # pre-transition window immediately (the staggering win).
-            avail = (
-                avail_pre if arrival < replica.maintenance_start else avail_post
-            )
-            # First come, first served per device: reads of different
-            # devices proceed in parallel, and a unit that charges a
-            # device no time does not queue behind it.
-            end = ready
-            service = 0.0
-            for offset, (now, then) in enumerate(
-                zip(span.clocks(), clocks_before)
-            ):
-                delta = now - then
-                if delta <= 0:
-                    continue
-                device = replica.device_index + offset
-                start = max(ready, avail[device])
-                avail[device] = start + delta
-                end = max(end, start + delta)
-                service = max(service, delta)
-            return outcome, end, service, wait + carried, degraded_call
+        t1, t2 = unit.t1, unit.t2
 
-    def _retry_transient(
-        self,
-        replica: ShardReplica,
-        attempts: dict[int, int],
-        exhausted: set[int],
-        *,
-        now: float,
-    ) -> bool:
-        """Account one serving-time transient; return ``True`` to retry
-        the same replica (backoff charged to its device), ``False`` once
-        its per-request retry budget is spent (it joins ``exhausted``)."""
-        monitor = self._monitor
-        assert monitor is not None
-        monitor.on_transient(replica, now=now)
-        n = attempts.get(replica.replica_id, 0) + 1
-        attempts[replica.replica_id] = n
-        if n >= monitor.retry.max_attempts:
-            exhausted.add(replica.replica_id)
-            return False
-        replica.device.advance(monitor.retry.delay_before_retry(n))
-        monitor.note_retry(n)
-        return True
+        def call(replica: ShardReplica, degraded: bool):
+            wave = replica.wave
+            blocked, release = _blocked_until(
+                wave, t1, t2, arrival, replica.intervals
+            )
+            skipped: set[str] = set() if wait_policy else blocked
+            if (
+                skipped
+                and not degraded
+                and any(_reads(wave, n, t1, t2) for n in wave.offline - skipped)
+            ):
+                # The policy's skips do not license a stale mark's.
+                raise DegradedWindowError(
+                    f"{replica.name} has an offline constituent in [{t1}, {t2}]"
+                )
+            added = skipped - wave.offline
+            wave.offline |= added
+            span = replica.span
+            clocks = span.clocks()
+            batch: Callable[..., Any] = (
+                wave.probe_many if unit.kind == "probe" else wave.scan_many
+            )
+            try:
+                result = batch(unit.specs, degraded=degraded or bool(skipped))
+            finally:
+                wave.offline -= added
+            wait = release - arrival if wait_policy else 0.0
+            return result, wait, span, clocks, bool(skipped)
+
+        served, replica, aborted = self.coordinator._serve(
+            shard,
+            call,
+            route=(t1, t2, unit.kind),
+            now=self._clock_base + arrival,
+        )
+        if served is None:
+            missing = frozenset(shard.window_days(t1, t2))
+            return 0.0, missing, arrival + aborted, 0.0, True
+        result, wait, span, clocks_before, degraded = served
+        ready = arrival + wait + aborted
+        # Before the shard's transition begins, serve from the
+        # pre-transition window immediately (the staggering win).
+        avail = avail_pre if arrival < replica.maintenance_start else avail_post
+        # First come, first served per device: reads of different
+        # devices proceed in parallel, and a unit that charges a
+        # device no time does not queue behind it.
+        end = ready
+        service = 0.0
+        for offset, (now, then) in enumerate(zip(span.clocks(), clocks_before)):
+            delta = now - then
+            if delta <= 0:
+                continue
+            device = replica.device_index + offset
+            start = max(ready, avail[device])
+            avail[device] = start + delta
+            end = max(end, start + delta)
+            service = max(service, delta)
+        missing = frozenset().union(*(r.missing_days for r in result.results))
+        return unit.seconds(result), missing, end, service, degraded
 
     # ------------------------------------------------------------------
     # Day loop: the maintenance step, the serving pass, the bookkeeping
@@ -1436,7 +1337,6 @@ class ClusterSimulation:
         drives it itself with :func:`~repro.core.boundary.drive` and acts
         at the boundaries it selects.
         """
-        self._day_failovers = 0
         heal_window = self.obs.window(
             "cluster.heal.retries", "cluster.heal.breaker_opens"
         )
@@ -1470,6 +1370,7 @@ class ClusterSimulation:
             for replica in shard.replicas:
                 for offset, until in enumerate(replica.busy_until()):
                     avail_post[replica.device_index + offset] = until
+        failovers = self.coordinator.failovers
         for i, unit in enumerate(units):
             arrival = horizon * i / len(units)
             ends: list[float] = []
@@ -1479,7 +1380,7 @@ class ClusterSimulation:
             for shard_id, subunit in self._split_unit(unit):
                 if self._observer is not None:
                     self._observe_unit(shard_id, subunit)
-                outcome, end, service, _wait, was_degraded = (
+                seconds, missing, end, service, was_degraded = (
                     self._serve_on_shard(
                         self.shards[shard_id],
                         subunit,
@@ -1488,11 +1389,11 @@ class ClusterSimulation:
                         avail_post,
                     )
                 )
-                served.query_seconds[shard_id] += outcome.seconds
+                served.query_seconds[shard_id] += seconds
                 served.requests[shard_id] += subunit.requests
                 ends.append(end)
                 services.append(service)
-                unit_missing |= outcome.missing_days
+                unit_missing |= missing
                 unit_degraded = unit_degraded or was_degraded
             completion = max(ends) if ends else arrival
             latency = completion - arrival
@@ -1509,6 +1410,7 @@ class ClusterSimulation:
             for _ in range(unit.requests):
                 day_hist.observe(latency)
                 run_hist.observe(latency)
+        served.failovers = self.coordinator.failovers - failovers
         return served
 
     def _book(
@@ -1582,7 +1484,7 @@ class ClusterSimulation:
             queries=served.queries,
             queries_waited=served.waited,
             queries_degraded=served.degraded,
-            failovers=self._day_failovers,
+            failovers=served.failovers,
             shards_unavailable=tuple(
                 shard.shard_id
                 for shard in self.shards

@@ -27,7 +27,6 @@ from .querygen import (
     ProbeUnit,
     QueryWorkload,
     ScanUnit,
-    UnitOutcome,
     WorkloadPhase,
     uniform_key_picker,
     zipf_value_picker,
@@ -67,7 +66,6 @@ __all__ = [
     "QueryWorkload",
     "ScanUnit",
     "SimulationResult",
-    "UnitOutcome",
     "run_cluster_simulation",
     "run_simulation",
     "uniform_key_picker",

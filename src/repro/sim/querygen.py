@@ -10,108 +10,82 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 from zlib import crc32
 
 from ..core.wave import WaveIndex
 from ..errors import WorkloadError
 
 
+class _Unit:
+    """How a batch bills a unit: a chunk of a batched stream is billed the
+    batch's device time, a lone request its own answer's seconds (bit for
+    bit what :meth:`~repro.core.wave.WaveIndex.timed_index_probe` /
+    :meth:`~repro.core.wave.WaveIndex.timed_segment_scan` charge)."""
+
+    batched: bool
+
+    def seconds(self, result: Any) -> float:
+        """Return the seconds the unit is billed from its batch ``result``."""
+        return result.seconds if self.batched else result.results[0].seconds
+
+
 @dataclass(frozen=True)
-class UnitOutcome:
-    """What one executed query unit cost and lost.
-
-    ``seconds`` is exactly the quantity :meth:`QueryWorkload.run_day`
-    accumulates for the unit; ``missing_days`` is non-empty only for
-    degraded executions that skipped offline constituents.
-    """
-
-    seconds: float
-    requests: int
-    missing_days: frozenset[int] = frozenset()
-
-
-@dataclass(frozen=True)
-class ProbeUnit:
-    """One schedulable probe call: a single probe or one batched chunk.
-
-    Executing all of a day's units in order is, by construction, the same
-    sequence of wave-index calls :meth:`QueryWorkload.run_day` makes —
-    that identity is what the overlapped scheduler's serialized-equivalence
-    guarantee rests on.
-    """
+class ProbeUnit(_Unit):
+    """One schedulable probe call: a single probe or one batched chunk,
+    served as one :meth:`~repro.core.wave.WaveIndex.probe_many` batch of
+    :attr:`specs`."""
 
     values: tuple[Any, ...]
     t1: int
     t2: int
     batched: bool
 
+    #: The route kind (and the batch call) that serves the unit.
+    kind: ClassVar[str] = "probe"
+
     @property
     def requests(self) -> int:
         """Return how many logical query requests the unit serves."""
         return len(self.values)
 
-    def needed_constituents(self, wave: WaveIndex) -> set[str]:
-        """Return the constituent names whose days intersect the range."""
-        return {
-            name
-            for name in wave.constituents
-            if (index := wave.bindings.get(name)) is not None
-            and any(self.t1 <= d <= self.t2 for d in index.time_set)
-        }
-
-    def execute(self, wave: WaveIndex, *, degraded: bool = False) -> UnitOutcome:
-        """Run the unit against ``wave``; return its measured outcome."""
-        if not self.batched:
-            result = wave.timed_index_probe(
-                self.values[0], self.t1, self.t2, degraded=degraded
-            )
-            return UnitOutcome(result.seconds, 1, result.missing_days)
-        batch = wave.probe_many(
-            [(value, self.t1, self.t2) for value in self.values],
-            degraded=degraded,
-        )
-        missing: set[int] = set()
-        for result in batch:
-            missing.update(result.missing_days)
-        return UnitOutcome(batch.seconds, len(self.values), frozenset(missing))
+    @property
+    def specs(self) -> list[tuple[Any, int, int]]:
+        """Return the unit's ``(value, t1, t2)`` probe requests."""
+        return [(value, self.t1, self.t2) for value in self.values]
 
 
 @dataclass(frozen=True)
-class ScanUnit:
-    """One schedulable scan call: a single scan or one batched chunk."""
+class ScanUnit(_Unit):
+    """One schedulable scan call: a single scan or one batched chunk,
+    served as one :meth:`~repro.core.wave.WaveIndex.scan_many` batch."""
 
     count: int
     t1: int
     t2: int
     batched: bool
 
+    kind: ClassVar[str] = "scan"
+
     @property
     def requests(self) -> int:
         """Return how many logical query requests the unit serves."""
         return self.count
 
-    def needed_constituents(self, wave: WaveIndex) -> set[str]:
-        """Return the constituent names whose days intersect the range."""
-        return {
-            name
-            for name in wave.constituents
-            if (index := wave.bindings.get(name)) is not None
-            and any(self.t1 <= d <= self.t2 for d in index.time_set)
-        }
+    @property
+    def specs(self) -> list[tuple[int, int]]:
+        """Return the unit's ``(t1, t2)`` scan requests."""
+        return [(self.t1, self.t2)] * self.count
 
-    def execute(self, wave: WaveIndex, *, degraded: bool = False) -> UnitOutcome:
-        """Run the unit against ``wave``; return its measured outcome."""
-        if not self.batched:
-            result = wave.timed_segment_scan(self.t1, self.t2, degraded=degraded)
-            return UnitOutcome(result.seconds, 1, result.missing_days)
-        batch = wave.scan_many(
-            [(self.t1, self.t2)] * self.count, degraded=degraded
-        )
-        missing: set[int] = set()
-        for result in batch:
-            missing.update(result.missing_days)
-        return UnitOutcome(batch.seconds, self.count, frozenset(missing))
+
+def _probe_units(
+    values: list[Any], t1: int, t2: int, batch_size: int
+) -> list[QueryUnit]:
+    """Chunk a day's probe values into units of ``batch_size``."""
+    return [
+        ProbeUnit(tuple(values[i : i + batch_size]), t1, t2, batch_size > 1)
+        for i in range(0, len(values), batch_size)
+    ]
 
 
 #: A schedulable day unit: one physical wave-index call.
@@ -130,11 +104,12 @@ class QueryWorkload:
             (SCAM's registration check); otherwise the whole window.
         seed: Master seed; each day derives its own stream.
         batch_size: Requests served per batched call.  1 (the default)
-            issues each query individually, the paper's serving model;
-            larger values group requests through
+            serves each query on its own, the paper's serving model;
+            larger values group requests into one
             :meth:`~repro.core.wave.WaveIndex.probe_many` /
-            :meth:`~repro.core.wave.WaveIndex.scan_many`, amortizing seeks
-            across the batch.  The query *stream* is identical either way.
+            :meth:`~repro.core.wave.WaveIndex.scan_many` call, amortizing
+            seeks across the batch.  The query *stream* is identical
+            either way.
     """
 
     probes_per_day: int = 0
@@ -157,9 +132,9 @@ class QueryWorkload:
     def day_requests(self, day: int, window: int) -> list[QueryUnit]:
         """Return the day's query stream as ordered, schedulable units.
 
-        Each unit is exactly one wave-index call (a probe, a scan, or one
-        batched chunk of either); executing them in order performs the
-        same call sequence as :meth:`run_day`.  The cluster's serving pass
+        Each unit is exactly one batched wave-index call (of one request
+        or of a chunk); serving them in order performs the same call
+        sequence as :meth:`run_day`.  The cluster's serving pass
         (:class:`~repro.cluster.ClusterSimulation`) assigns each unit an
         arrival time on the day's shared timeline.
         """
@@ -173,30 +148,23 @@ class QueryWorkload:
             for _ in range(self.probes_per_day)
         ]
         scan_lo = hi if self.scan_newest_only else lo
-        units: list[QueryUnit] = []
-        if self.batch_size == 1:
-            units.extend(
-                ProbeUnit((value,), lo, hi, batched=False) for value in values
-            )
-            units.extend(
-                ScanUnit(1, scan_lo, hi, batched=False)
-                for _ in range(self.scans_per_day)
-            )
-            return units
-        for start in range(0, len(values), self.batch_size):
-            chunk = tuple(values[start : start + self.batch_size])
-            units.append(ProbeUnit(chunk, lo, hi, batched=True))
+        units = _probe_units(values, lo, hi, self.batch_size)
+        batched = self.batch_size > 1
         for start in range(0, self.scans_per_day, self.batch_size):
             count = min(self.batch_size, self.scans_per_day - start)
-            units.append(ScanUnit(count, scan_lo, hi, batched=True))
+            units.append(ScanUnit(count, scan_lo, hi, batched))
         return units
 
     def run_day(self, wave: WaveIndex, day: int, window: int) -> float:
-        """Execute the day's queries; return their simulated seconds."""
-        return sum(
-            (unit.execute(wave).seconds for unit in self.day_requests(day, window)),
-            0.0,
-        )
+        """Serve the day's units on ``wave``, one batch call each; return
+        their simulated seconds."""
+        seconds = 0.0
+        for unit in self.day_requests(day, window):
+            batch: Callable[..., Any] = (
+                wave.probe_many if unit.kind == "probe" else wave.scan_many
+            )
+            seconds += unit.seconds(batch(unit.specs))
+        return seconds
 
 
 @dataclass(frozen=True)
@@ -253,18 +221,8 @@ class SpikedWorkload:
             return units
         rng = random.Random(crc32(f"{self.base.seed}:spike:{day}".encode()))
         lo, hi = day - window + 1, day
-        batch = self.base.batch_size
         values = [self.hot_picker(rng) for _ in range(extra)]
-        if batch == 1:
-            units.extend(
-                ProbeUnit((value,), lo, hi, batched=False)
-                for value in values
-            )
-            return units
-        for start in range(0, len(values), batch):
-            chunk = tuple(values[start : start + batch])
-            units.append(ProbeUnit(chunk, lo, hi, batched=True))
-        return units
+        return units + _probe_units(values, lo, hi, self.base.batch_size)
 
 
 @dataclass(frozen=True)

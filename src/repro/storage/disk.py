@@ -89,6 +89,12 @@ class SimulatedDisk:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
         self._clock += seconds
 
+    @property
+    def failed(self) -> bool:
+        """Return ``True`` once the device has failed for good (a plain
+        disk never does; :class:`~repro.storage.faults.FaultyDisk` can)."""
+        return False
+
     # ------------------------------------------------------------------
     # Space management
     # ------------------------------------------------------------------

@@ -246,6 +246,11 @@ class FaultyDisk(SimulatedDisk):
         self.injector = injector or FaultInjector()
         self.retry_policy = retry_policy or RetryPolicy()
 
+    @property
+    def failed(self) -> bool:
+        """Return ``True`` once the injector's permanent failure fired."""
+        return self.injector.device_failed
+
     def _admit(self, kind: str, nbytes: int) -> None:
         """Run the injector gate, retrying transients with backoff."""
         retries = 0
