@@ -65,7 +65,7 @@ def _lay_out_packed(
     total_bytes = total_entries * entry_size
     extent = target.allocate(total_bytes)
     target.write(extent, total_bytes)
-    clone._adopt_packed(extent, PackedLayout.of(grouped), time_set)
+    clone._adopt_packed(extent, PackedLayout.of([grouped], entry_size), time_set)
     return clone
 
 

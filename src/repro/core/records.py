@@ -227,6 +227,10 @@ class RecordStore:
         Entries are emitted in ascending day order within each value, which
         is the order a day-at-a-time build would produce.  The lists are
         the caller's own; the entries are shared with the days' runs.
+        For the callers that write what they get — incremental adds,
+        smart copies, the advisor's calibration: a build from the store
+        (:func:`~repro.index.builder.build_index_from_store`) merges the
+        runs themselves and never comes here.
         """
         grouped: dict[Any, list[Entry]] = {}
         for run in self.runs_for(days):

@@ -13,9 +13,14 @@ What is laid down is one :class:`~repro.index.bucket.PackedLayout` — the
 entries in scan order in one tuple, a bucket an offset range — and the
 index keeps exactly that until something mutates it.
 :meth:`PackedLayout.of <repro.index.bucket.PackedLayout.of>` is the one
-packed-layout computation in the package: :func:`_pack` (every build and
-every smart copy on one device) and the cross-device copies call it, and a
-byte-for-byte copy shares the layout of the index it copies.
+packed-layout computation in the package: it merges the groupings it is
+given column-wise.  :func:`build_index_from_store` hands it one grouping
+per posting run — the days' runs, never a merged copy — with the runs'
+days, so the layout keeps the runs' days and groupings and a bucket's
+first read cuts its day column from how many entries it has each day.  :func:`_pack` for every other
+build and smart copy on one device, and the cross-device copies, hand it
+one grouping; a byte-for-byte copy shares the layout of the index it
+copies.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ def build_packed_index(
         A packed :class:`ConstituentIndex` occupying one contiguous extent.
     """
     kept = {value: entries for value, entries in grouped.items() if entries}
-    return _pack(disk, config, kept, days, name=name, source_bytes=source_bytes)
+    return _pack(disk, config, [kept], days, name=name, source_bytes=source_bytes)
 
 
 def build_index_from_store(
@@ -68,18 +73,21 @@ def build_index_from_store(
     """``BuildIndex`` over the records ``store`` holds for ``days``.
 
     The one way to build from a record store: the days' posting runs are
-    merged into the buckets and handed to the new index, which holds them
+    merged straight into the layout, one grouping each — no merged copy
+    of them is made — and handed to the new index, which holds them
     until it is first mutated or dropped — so the next build over any of
     these days (REINDEX's daily rebuild, a repair, a retune) finds them
-    alive instead of re-posting the records.  The device is charged for
-    reading the source records all the same.
+    alive instead of re-posting the records.  The layout keeps the runs'
+    days and groupings, so a bucket's first read knows its day column
+    without reading an entry.  The device is charged for reading
+    the source records all the same.
     """
     days = sorted(set(days))
     runs = store.runs_for(days)
     return _pack(
         disk,
         config,
-        store.grouped_for(days),
+        [run.grouped for run in runs],
         days,
         name=name,
         source_bytes=store.data_bytes_for(days),
@@ -90,16 +98,24 @@ def build_index_from_store(
 def _pack(
     disk: SimulatedDisk,
     config: IndexConfig,
-    grouped: Mapping[Any, Sequence[Entry]],
+    groupings: Sequence[Mapping[Any, Sequence[Entry]]],
     days: Iterable[int],
     *,
     name: str,
     source_bytes: int | None,
     runs: tuple = (),
 ) -> ConstituentIndex:
-    """Lay ``grouped`` out as one packed index (its lists are copied)."""
+    """Lay ``groupings`` out as one packed index.
+
+    ``runs``, when given, are the posting runs whose groupings
+    ``groupings`` are, in order: the new index holds them, and its
+    layout keeps their days and groupings.  Otherwise nothing of the
+    groupings is kept.
+    """
     index = ConstituentIndex(disk, config, name=name)
-    layout = PackedLayout.of(grouped)
+    layout = PackedLayout.of(
+        groupings, config.entry_size_bytes, [run.day for run in runs]
+    )
     total_bytes = len(layout.flat) * config.entry_size_bytes
 
     # Pass 1: scan the source records to count bucket sizes.

@@ -121,13 +121,7 @@ class ConstituentIndex:
         """Return the read view of ``slot`` of the flat form, made once."""
         view = self._views[slot]
         if view is None:
-            layout = self._layout
-            lo = layout.starts[slot]
-            view = self._views[slot] = PackedBucket(
-                layout.values[slot],
-                layout.flat[lo : layout.starts[slot + 1]],
-                lo * self.config.entry_size_bytes,
-            )
+            view = self._views[slot] = PackedBucket(self._layout, slot)
         return view
 
     def _unpack(self) -> None:
@@ -531,6 +525,7 @@ class ConstituentIndex:
         touches: list[tuple[int, int, int, Extent, Bucket | PackedBucket]] = []
         shared = self._shared_extent
         layout = self._layout
+        entry_size = self.config.entry_size_bytes
         if layout is None:
             get = self.directory.get
             for value in dict.fromkeys(values):
@@ -546,20 +541,19 @@ class ConstituentIndex:
                 )
         else:
             # self.bucket(value), inlined: a call per value costs qps.
-            slots, views = layout.slots, self._views
+            slots, views, starts = layout.slots, self._views, layout.starts
             shared_offset = shared.offset
             for value in dict.fromkeys(values):
                 slot = slots.get(value)
                 if slot is not None:
                     bucket = views[slot] or self._view(slot)
                     touches.append(
-                        (shared_offset, bucket.offset_in_extent,
+                        (shared_offset, starts[slot] * entry_size,
                          len(touches), shared, bucket)
                     )
         touches.sort()
         found: dict[Any, tuple[Bucket | PackedBucket, float]] = {}
         read = self.disk.read
-        entry_size = self.config.entry_size_bytes
         previous_extent_id: int | None = None
         for _, offset, _, extent, bucket in touches:
             extent_id = extent.extent_id

@@ -57,7 +57,8 @@ def clone_index(
         # Packed but already laid out as buckets: only an op that wrote
         # nothing (an empty insert or delete) leaves an index so.
         layout = index._layout or PackedLayout.of(
-            {bucket.value: bucket.entries for bucket in index.buckets()}
+            [{bucket.value: bucket.entries for bucket in index.buckets()}],
+            entry_size,
         )
         extent = disk.allocate(index.used_bytes)
         clone._adopt_packed(extent, layout, index.time_set)
@@ -128,7 +129,7 @@ def packed_rewrite(
     result = builder._pack(
         disk,
         config,
-        merged,
+        [merged],
         new_days,
         name=name or index.name,
         source_bytes=index.allocated_bytes + temp.allocated_bytes,

@@ -201,7 +201,9 @@ def test_every_mutating_op_drops_every_day_run():
     second.insert_postings({}, [])
     assert second._sweep is None
     first, second = fill()
-    layout = PackedLayout.of({b.value: b.entries for b in first.buckets()})
+    layout = PackedLayout.of(
+        [{b.value: b.entries for b in first.buckets()}], first.config.entry_size_bytes
+    )
     first._adopt_packed(first.disk.allocate(first.used_bytes), layout, first.time_set)
     assert first._sweep is None
     held = second._sweep

@@ -22,7 +22,7 @@ from repro.core.recovery import (
     recover_transition,
     resume_scheme,
 )
-from repro.core.records import Record, RecordStore
+from repro.core.records import PostingRun, Record, RecordStore
 from repro.core.schemes import ALL_SCHEMES, DelScheme, ReindexScheme, WataTable4Scheme
 from repro.core.wave import WaveIndex
 from repro.errors import SimulatedCrash
@@ -44,10 +44,20 @@ SEVEN_SCHEMES = (*ALL_SCHEMES, WataTable4Scheme)
 
 
 class RepostingStore(RecordStore):
-    """A store with no runs: ``grouped_for`` re-posts the records."""
+    """A store that keeps no runs: every ``runs_for`` and ``grouped_for``
+    call re-posts the records, so no two builds share a run."""
 
     def runs_for(self, days):
-        return ()
+        runs = []
+        for day in sorted(set(days)):
+            grouped = {}
+            for value, entry in self.batch(day).postings():
+                grouped.setdefault(value, []).append(entry)
+            run = PostingRun.__new__(PostingRun)
+            run.day = day
+            run.grouped = {value: tuple(entries) for value, entries in grouped.items()}
+            runs.append(run)
+        return tuple(runs)
 
     def grouped_for(self, days):
         grouped = {}

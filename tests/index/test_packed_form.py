@@ -133,7 +133,7 @@ SMALL = grouped(
 
 
 def eager_small_index(disk, config=IndexConfig()):
-    return pack_eager(disk, config, SMALL, [1, 2], name="I", source_bytes=None)
+    return pack_eager(disk, config, [SMALL], [1, 2], name="I", source_bytes=None)
 
 
 READS = {
@@ -310,10 +310,17 @@ def test_unorderable_values_keep_their_arrival_order():
     postings = {"b": [Entry(1, 1)], 3: [Entry(2, 1), Entry(3, 1)], "a": [Entry(4, 1)]}
     index = build_packed_index(SimulatedDisk(), IndexConfig(), postings, [1])
     eager = pack_eager(
-        SimulatedDisk(), IndexConfig(), postings, [1], name="I", source_bytes=None
+        SimulatedDisk(), IndexConfig(), [postings], [1], name="I", source_bytes=None
     )
     assert [(b.value, b.offset_in_extent) for b in index.buckets()] == [
         (b.value, b.offset_in_extent) for b in eager.buckets()
     ] == [("b", 0), (3, 16), ("a", 48)]
     index.delete_days([9])
     assert laid_out(index) == laid_out(eager)
+
+
+def test_values_whose_sort_fails_half_way_keep_their_arrival_order():
+    # ``list.sort`` raising on 1 < 'b' has already moved 'c' past 'a', 'b'.
+    postings = {v: [Entry(i, 1)] for i, v in enumerate(["c", "a", "b", 1, "d"])}
+    index = build_packed_index(SimulatedDisk(), IndexConfig(), postings, [1])
+    assert [b.value for b in index.buckets()] == ["c", "a", "b", 1, "d"]

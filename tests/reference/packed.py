@@ -7,10 +7,18 @@ over the values with its own running offset.  They install the buckets
 straight into the index's directory — the state ``_unpack`` must
 reproduce and every read of the flat form must be indistinguishable
 from.  :func:`eager_world` swaps both into the package, so a whole
-scheme can be run "the old way" beside an unpatched twin.
+scheme can be run "the old way" beside an unpatched twin.  ``_pack``
+now takes the groupings it merges (one per posting run on a build from
+a store); :func:`pack_eager` first merges them the way
+``RecordStore.grouped_for`` did when the build called it.
+
+:func:`layout_of_grouped` over :func:`merge_groupings` is the layout
+computation as it was before the build merged the runs column-wise —
+the oracle a layout built from runs is held to, field for field.
 """
 
 from contextlib import contextmanager
+from itertools import accumulate, chain
 from unittest import mock
 
 from repro.core import executor
@@ -43,8 +51,39 @@ def _adopt_eager(index, extent, buckets, days, runs=()):
     index.time_set = set(days)
 
 
-def pack_eager(disk, config, grouped, days, *, name, source_bytes, runs=()):
-    """``builder._pack`` as it was: a ``Bucket`` and a list per value."""
+def merge_groupings(groupings):
+    """``RecordStore.grouped_for`` as it was: the groupings merged into one
+    dict of lists, value by value, grouping after grouping."""
+    grouped = {}
+    for grouping in groupings:
+        for value, entries in grouping.items():
+            merged = grouped.get(value)
+            if merged is None:
+                grouped[value] = list(entries)
+            else:
+                merged.extend(entries)
+    return grouped
+
+
+def layout_of_grouped(grouped):
+    """``PackedLayout.of`` as it was, on one merged dict — with its
+    directory order taken from :func:`_ordered_values`, which sorts a
+    copy, where it sorted in place.  Returns the four fields it made:
+    ``(values, starts, flat, slots)``."""
+    values = _ordered_values(grouped)
+    lists = [grouped[value] for value in values]
+    return (
+        tuple(values),
+        (0, *accumulate(map(len, lists))),
+        tuple(chain.from_iterable(lists)),
+        {value: slot for slot, value in enumerate(values)},
+    )
+
+
+def pack_eager(disk, config, groupings, days, *, name, source_bytes, runs=()):
+    """``builder._pack`` as it was: a ``Bucket`` and a list per value, over
+    the groupings merged as ``grouped_for`` merged them."""
+    grouped = merge_groupings(groupings)
     index = ConstituentIndex(disk, config, name=name)
     entry_size = config.entry_size_bytes
     total_entries = sum(map(len, grouped.values()))
