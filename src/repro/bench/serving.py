@@ -139,34 +139,20 @@ def _replay(
     cache0 = disk.page_cache.snapshot() if disk.page_cache else None
 
     with tracer.span("probes", batch_size=batch_size):
-        if batch_size == 1:
-            for value in values:
-                result = wave.timed_index_probe(value, lo, hi)
+        for start in range(0, len(values), batch_size):
+            chunk = values[start : start + batch_size]
+            batch = wave.probe_many([(v, lo, hi) for v in chunk])
+            for result in batch:
                 latency.observe(result.seconds)
                 obs.counter("probe.entries").inc(len(result.entries))
-        else:
-            for start in range(0, len(values), batch_size):
-                chunk = values[start : start + batch_size]
-                batch = wave.probe_many([(v, lo, hi) for v in chunk])
-                for result in batch:
-                    latency.observe(result.seconds)
-                    obs.counter("probe.entries").inc(len(result.entries))
-                obs.counter("batch.duplicate_hits").inc(
-                    batch.summary.duplicate_hits
-                )
-                obs.counter("batch.buckets_read").inc(
-                    batch.summary.buckets_read
-                )
+            obs.counter("batch.duplicate_hits").inc(batch.summary.duplicate_hits)
+            obs.counter("batch.buckets_read").inc(batch.summary.buckets_read)
     probe_seconds = disk.clock - clock0
 
     with tracer.span("scans", batch_size=batch_size):
-        if batch_size == 1:
-            for _ in range(config.scans):
-                wave.timed_segment_scan(hi, hi)
-        elif config.scans:
-            for start in range(0, config.scans, batch_size):
-                count = min(batch_size, config.scans - start)
-                wave.scan_many([(hi, hi)] * count)
+        for start in range(0, config.scans, batch_size):
+            count = min(batch_size, config.scans - start)
+            wave.scan_many([(hi, hi)] * count)
     scan_seconds = disk.clock - clock0 - probe_seconds
 
     io = disk.stats.snapshot() - io0

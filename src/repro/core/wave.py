@@ -8,7 +8,8 @@ staging indexes of REINDEX+/REINDEX++/RATA*, invisible to queries).
 Queries implement Section 2.2: a ``TimedIndexProbe``/``TimedSegmentScan``
 touches only the constituents whose time-sets intersect the requested range
 and filters retrieved entries by their insert-day timestamps (WATA's soft
-windows can hold expired days, which timestamp filtering hides).
+windows can hold expired days, which timestamp filtering hides).  The
+single-request operations are one-request ``probe_many`` / ``scan_many`` batches.
 """
 
 from __future__ import annotations
@@ -191,10 +192,7 @@ class WaveIndex:
     def timed_index_probe(
         self, value: Any, t1: int, t2: int, *, degraded: bool = False
     ) -> ProbeResult:
-        """``TimedIndexProbe(Θ, t1, t2, value)``.
-
-        Probes each constituent whose time-set intersects ``[t1, t2]`` and
-        keeps entries whose insert day falls in the range.
+        """``TimedIndexProbe(Θ, t1, t2, value)``: a one-request :meth:`probe_many`.
 
         With ``degraded=True``, constituents that are marked offline — or
         whose device fails during the probe — are skipped instead of
@@ -202,40 +200,7 @@ class WaveIndex:
         the lost ones in ``missing_days`` (the paper's availability
         argument, made operational under faults).
         """
-        if t1 > t2:
-            raise WaveIndexError(f"empty time range [{t1}, {t2}]")
-        entries: list[Entry] = []
-        seconds = 0.0
-        probed = 0
-        covered: set[int] = set()
-        missing: set[int] = set()
-        for name in self.constituents:
-            index = self.bindings.get(name)
-            if index is None:
-                continue
-            relevant = self._relevant_days(index, t1, t2)
-            if not relevant:
-                continue
-            if name in self.offline:
-                self._skip_offline(name, relevant, degraded, "probe")
-                missing.update(relevant)
-                continue
-            try:
-                found, cost = index.timed_probe(value, t1, t2)
-            except FaultError:
-                self.offline.add(name)
-                if not degraded:
-                    raise
-                missing.update(relevant)
-                continue
-            probed += 1
-            entries.extend(found)
-            seconds += cost
-            covered.update(relevant)
-        missing -= covered
-        return ProbeResult(
-            tuple(entries), seconds, probed, frozenset(covered), frozenset(missing)
-        )
+        return self.probe_many([(value, t1, t2)], degraded=degraded).results[0]
 
     def index_probe(self, value: Any) -> ProbeResult:
         """``IndexProbe``: probe all constituents, no time restriction."""
@@ -244,50 +209,13 @@ class WaveIndex:
     def timed_segment_scan(
         self, t1: int, t2: int, *, degraded: bool = False
     ) -> ScanResult:
-        """``TimedSegmentScan(Θ, t1, t2)``.
-
-        Scans each constituent whose time-set intersects ``[t1, t2]``; the
-        whole index is transferred (packed or not) and entries outside the
-        range are filtered in memory.
+        """``TimedSegmentScan(Θ, t1, t2)``: a one-request :meth:`scan_many`.
 
         ``degraded=True`` behaves as for :meth:`timed_index_probe`: offline
         or failing constituents are dropped from the answer and reported
         via ``missing_days`` instead of failing the scan.
         """
-        if t1 > t2:
-            raise WaveIndexError(f"empty time range [{t1}, {t2}]")
-        entries: list[Entry] = []
-        seconds = 0.0
-        scanned = 0
-        covered: set[int] = set()
-        missing: set[int] = set()
-        for name in self.constituents:
-            index = self.bindings.get(name)
-            if index is None:
-                continue
-            relevant = self._relevant_days(index, t1, t2)
-            if not relevant:
-                continue
-            if name in self.offline:
-                self._skip_offline(name, relevant, degraded, "scan")
-                missing.update(relevant)
-                continue
-            try:
-                found, cost = index.timed_scan(t1, t2)
-            except FaultError:
-                self.offline.add(name)
-                if not degraded:
-                    raise
-                missing.update(relevant)
-                continue
-            scanned += 1
-            entries.extend(found)
-            seconds += cost
-            covered.update(relevant)
-        missing -= covered
-        return ScanResult(
-            tuple(entries), seconds, scanned, frozenset(covered), frozenset(missing)
-        )
+        return self.scan_many([(t1, t2)], degraded=degraded).results[0]
 
     def segment_scan(self) -> ScanResult:
         """``SegmentScan``: scan every constituent, no time restriction."""
@@ -349,9 +277,10 @@ class WaveIndex:
         (:meth:`ConstituentIndex.probe_batch_buckets`).
 
         Returns per-request :class:`ProbeResult`\\ s in request order —
-        each request's answer is identical to what its individual
-        :meth:`timed_index_probe` would return — plus a
-        :class:`BatchCostSummary` of what the whole batch cost the device.
+        each request's entries and coverage are what a batch of its own
+        (:meth:`timed_index_probe`) returns, whatever else the batch holds
+        — plus a :class:`BatchCostSummary` of what the whole batch cost
+        the device.
         A shared bucket read's seconds are split evenly across the requests
         it served, so per-request latencies sum to the batch total.
 

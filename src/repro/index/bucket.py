@@ -111,10 +111,6 @@ class Bucket:
         self._run = None
         self.entries = entries
 
-    def select(self, t1: int, t2: int) -> list[Entry]:
-        """Return entries with insert day in the closed range ``[t1, t2]``."""
-        return kernels.filter_bucket(self, t1, t2)
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class PackedLayout:

@@ -466,16 +466,15 @@ class ConstituentIndex:
     # ------------------------------------------------------------------
 
     def probe(self, value: Any) -> tuple[list[Entry], float]:
-        """Point lookup: return ``(entries, seconds)``.
+        """Point lookup: a one-value :meth:`probe_batch_buckets`.
 
-        One seek plus the bucket's live bytes; a miss costs nothing because
-        the directory is memory-resident.
+        Returns ``(entries, seconds)``: one seek plus the bucket's live
+        bytes; a miss costs nothing (the directory is memory-resident).
         """
-        self._check_not_dropped()
-        bucket = self.bucket(value)
-        if bucket is None:
+        found, _ = self.probe_batch_buckets((value,))
+        if not found:
             return [], 0.0
-        seconds = self._read_bucket(bucket, seeks=1.0)
+        ((bucket, seconds),) = found.values()
         return list(bucket.entries), seconds
 
     def _bucket_position(
@@ -485,17 +484,6 @@ class ConstituentIndex:
         if bucket.shared:
             return self._shared_extent, bucket.offset_in_extent
         return bucket.extent, 0
-
-    def _read_bucket(
-        self, bucket: Bucket | PackedBucket, *, seeks: float
-    ) -> float:
-        extent, offset = self._bucket_position(bucket)
-        return self.disk.read(
-            extent,
-            bucket.live_count * self.config.entry_size_bytes,
-            seeks=seeks,
-            offset=offset,
-        )
 
     def probe_batch_buckets(
         self, values: Iterable[Any]
@@ -567,20 +555,6 @@ class ConstituentIndex:
             found[bucket.value] = (bucket, seconds)
         return found, len(touches)
 
-    def timed_probe(self, value: Any, t1: int, t2: int) -> tuple[list[Entry], float]:
-        """Point lookup restricted to insert days in ``[t1, t2]``.
-
-        The whole bucket is still read (entries for one value are stored
-        together); filtering happens in memory, as in the paper — on the
-        bucket's day column.
-        """
-        self._check_not_dropped()
-        bucket = self.bucket(value)
-        if bucket is None:
-            return [], 0.0
-        seconds = self._read_bucket(bucket, seeks=1.0)
-        return kernels.filter_bucket(bucket, t1, t2), seconds
-
     def sweep(self) -> kernels.Sweep:
         """Return this index's scan sweep, building it if none is cached.
 
@@ -628,21 +602,6 @@ class ConstituentIndex:
         """
         seconds = self.charge_scan()
         return list(self.sweep().entries), seconds
-
-    def timed_scan(self, t1: int, t2: int) -> tuple[list[Entry], float]:
-        """Segment scan restricted to insert days in ``[t1, t2]``.
-
-        The cost is the full scan; the in-memory filter runs per bucket
-        on the cached day columns (bucket order times entry order equals
-        scan order, so the result is element-identical to filtering the
-        flat scan).  This single-request form never reads the sweep: it
-        is the statement of what a batched answer must equal.
-        """
-        seconds = self.charge_scan()
-        found: list[Entry] = []
-        for bucket in self.buckets():
-            found.extend(kernels.filter_bucket(bucket, t1, t2))
-        return found, seconds
 
     # ------------------------------------------------------------------
     # Drop

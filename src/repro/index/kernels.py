@@ -3,9 +3,9 @@
 Once the simulated I/O model is warm, real wall-clock time of a read is
 dominated by the per-entry timestamp filter (millions of ``e.day``
 attribute reads per batch when done object by object).  This module is
-where that filter lives — ``Bucket.select``, the constituents' timed
-probes and scans, and :meth:`~repro.core.wave.WaveIndex.probe_many` /
-``scan_many`` result assembly all come here — and it runs on contiguous
+where that filter lives — :meth:`~repro.core.wave.WaveIndex.probe_many` /
+``scan_many``, which answer every query, single requests included, filter
+through :func:`select` and assemble here — and it runs on contiguous
 buffers:
 
 * a bucket's derived read state is one immutable :class:`Run` — its
@@ -62,7 +62,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 from . import codec
 
 if TYPE_CHECKING:
-    from .bucket import Bucket
     from .entry import Entry
 
 # ----------------------------------------------------------------------
@@ -304,15 +303,6 @@ def cut_days(
         return entries
     kept += entries[start:]
     return kept
-
-
-def filter_bucket(bucket: "Bucket", t1: int, t2: int) -> list["Entry"]:
-    """Filter a bucket's live entries by day range via its run.
-
-    :func:`select` for callers that own their answer: a fresh list.
-    """
-    found, part = select(bucket.run(), t1, t2)
-    return found if part is None else list(found)
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,9 @@ from ..errors import WorkloadError
 
 class _Unit:
     """How a batch bills a unit: a chunk of a batched stream is billed the
-    batch's device time, a lone request its own answer's seconds (bit for
-    bit what :meth:`~repro.core.wave.WaveIndex.timed_index_probe` /
-    :meth:`~repro.core.wave.WaveIndex.timed_segment_scan` charge)."""
+    batch's device time, a lone request its own answer's seconds (what
+    :meth:`~repro.core.wave.WaveIndex.timed_index_probe` / ``timed_segment_scan``,
+    themselves one-request batches, report)."""
 
     batched: bool
 

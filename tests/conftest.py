@@ -18,6 +18,17 @@ from repro.storage.disk import SimulatedDisk
 settings.register_profile("nightly", max_examples=2000, deadline=None)
 
 
+def depth(tier1: int) -> int:
+    """Examples for a property that pins a small tier-1 depth.
+
+    ``tier1`` under hypothesis' default profile; the loaded profile's
+    depth when that is deeper (``nightly``).  ``max(tier1,
+    settings().max_examples)`` would run the default's 100 in tier-1.
+    """
+    loaded = settings().max_examples
+    return loaded if loaded > settings.get_profile("default").max_examples else tier1
+
+
 @pytest.fixture
 def disk() -> SimulatedDisk:
     """A fresh unbounded simulated disk with Table-12 hardware."""

@@ -94,8 +94,9 @@ class TestGroupTotals:
         clock = wave.disk.clock
         _, seconds = aggregates.group_totals(wave, 3, 8)
         assert seconds == pytest.approx(wave.disk.clock - clock)
-        assert seconds == wave.timed_segment_scan(3, 8).seconds
         assert all(index._sweep is None for index in wave.live_constituents())
+        # Checked last: the comparison scan builds the sweeps it reads.
+        assert seconds == wave.timed_segment_scan(3, 8).seconds
 
     def test_invalid_range(self, sales_wave):
         wave, _ = sales_wave

@@ -11,6 +11,7 @@ from repro.index.updates import UpdateTechnique
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagecache import PageCache
 from tests.conftest import make_store
+from tests.reference.batch import probe_many_object, scan_many_object
 
 WINDOW, N, LAST = 6, 3, 12
 
@@ -32,11 +33,17 @@ def wave():
     return build_wave(SimulatedDisk())
 
 
+@pytest.fixture
+def twin():
+    """A second wave, built alike, for the object-level oracles to serve."""
+    return build_wave(SimulatedDisk())
+
+
 LO, HI = LAST - WINDOW + 1, LAST
 
 
 class TestProbeMany:
-    def test_results_match_individual_probes(self, wave):
+    def test_results_match_individual_probes(self, wave, twin):
         requests = [
             ("a", LO, HI),
             ("b", LO, HI - 2),
@@ -45,9 +52,9 @@ class TestProbeMany:
         ]
         batch = wave.probe_many(requests)
         assert len(batch) == len(requests)
-        for (value, t1, t2), result in zip(requests, batch):
-            solo = wave.timed_index_probe(value, t1, t2)
-            assert sorted(result.record_ids) == sorted(solo.record_ids)
+        for spec, result in zip(requests, batch):
+            (solo,) = probe_many_object(twin, [spec]).results
+            assert result.entries == solo.entries
             assert result.covered_days == solo.covered_days
             assert result.missing_days == solo.missing_days
 
@@ -57,15 +64,15 @@ class TestProbeMany:
         assert sum(r.seconds for r in batch) == pytest.approx(batch.seconds)
         assert batch.summary.seconds == batch.seconds
 
-    def test_duplicates_are_served_once(self, wave):
+    def test_duplicates_are_served_once(self, wave, twin):
         k = 5
         batch = wave.probe_many([("a", LO, HI)] * k)
-        solo = wave.timed_index_probe("a", LO, HI)
+        (solo,) = probe_many_object(twin, [("a", LO, HI)]).results
         assert batch.summary.duplicate_hits > 0
         # The whole batch costs what one probe costs: k-1 requests ride along.
         assert batch.seconds == pytest.approx(solo.seconds)
         for result in batch:
-            assert sorted(result.record_ids) == sorted(solo.record_ids)
+            assert result.entries == solo.entries
 
     def test_batch_cheaper_than_individual_serving(self, wave):
         requests = [(v, LO, HI) for v in "ababcdcd"]
@@ -104,12 +111,12 @@ class TestProbeMany:
 
 
 class TestScanMany:
-    def test_results_match_individual_scans(self, wave):
+    def test_results_match_individual_scans(self, wave, twin):
         requests = [(LO, HI), (LO, LO + 1), (HI, HI)]
         batch = wave.scan_many(requests)
-        for (t1, t2), result in zip(requests, batch):
-            solo = wave.timed_segment_scan(t1, t2)
-            assert sorted(result.record_ids) == sorted(solo.record_ids)
+        for spec, result in zip(requests, batch):
+            (solo,) = scan_many_object(twin, [spec]).results
+            assert result.entries == solo.entries
             assert result.covered_days == solo.covered_days
 
     def test_shared_sweep_cheaper_than_individual(self, wave):
@@ -136,13 +143,14 @@ class TestDegradedBatches:
         with pytest.raises(DegradedWindowError):
             wave.scan_many([(LO, HI)])
 
-    def test_degraded_probe_reports_missing_days(self, wave):
+    def test_degraded_probe_reports_missing_days(self, wave, twin):
         offline_days = set(wave.get("I1").time_set)
         wave.mark_offline("I1")
         batch = wave.probe_many([("a", LO, HI)], degraded=True)
         assert set(batch.results[0].missing_days) == offline_days
-        solo = wave.timed_index_probe("a", LO, HI, degraded=True)
-        assert sorted(batch.results[0].record_ids) == sorted(solo.record_ids)
+        twin.mark_offline("I1")
+        (solo,) = probe_many_object(twin, [("a", LO, HI)], degraded=True).results
+        assert batch.results[0] == solo
 
     def test_degraded_scan_reports_missing_days(self, wave):
         offline_days = set(wave.get("I2").time_set)

@@ -31,7 +31,7 @@ from repro.index.updates import UpdateTechnique
 from repro.serve.protocol import result_to_wire
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagecache import PageCache
-from tests.conftest import make_store
+from tests.conftest import depth, make_store
 from tests.reference.disk import ComposedDisk
 from tests.reference.batch import (
     PerPagePageCache,
@@ -187,17 +187,18 @@ def serve_both(cached, *workload):
 @pytest.mark.parametrize("scheme_cls", SCHEMES, ids=lambda cls: cls.name)
 @given(probes=batches(probe_specs), scans=batches(ranges))
 @example(probes=PROBE_REQUESTS, scans=SCAN_REQUESTS)
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=depth(6), deadline=None)
 def test_serving_matches_oracle(scheme_cls, cached, offline, probes, scans):
     got, want = serve_both(cached, scheme_cls, offline, probes, scans)
     for key in want:
         assert got[key] == want[key], key
-    # The batch contract, against the independent single-request form.
+    # The batch contract: each answer is the oracle's batch of one,
+    # served on a twin wave.
     wave = build_wave(SimulatedDisk(), scheme_cls)
     if offline:
         wave.mark_offline(offline)
-    for (value, t1, t2), result in zip(probes, got["probe_results"]):
-        solo = wave.timed_index_probe(value, t1, t2, degraded=bool(offline))
+    for spec, result in zip(probes, got["probe_results"]):
+        (solo,) = probe_many_object(wave, [spec], degraded=bool(offline)).results
         assert result.entries == solo.entries
         assert result.covered_days == solo.covered_days
         assert result.missing_days == solo.missing_days
@@ -226,10 +227,12 @@ class TestBatchedServingEquivalence:
         wave = build_wave(SimulatedDisk())
         batch = wave.probe_many(PROBE_REQUESTS)
         # Requests 0 and 1 are the same spec: both get the same immutable
-        # result, and the answer still matches a solo probe.
+        # result, and the answer still matches the oracle's batch of one.
         assert batch.results[0] is batch.results[1]
-        solo = wave.timed_index_probe("a", LO, HI)
-        assert sorted(batch.results[0].record_ids) == sorted(solo.record_ids)
+        (solo,) = probe_many_object(
+            build_wave(SimulatedDisk()), [("a", LO, HI)]
+        ).results
+        assert batch.results[0].entries == solo.entries
 
     def test_scan_parts_are_invisible_to_equality_hash_and_repr(self):
         wave = build_wave(SimulatedDisk())
@@ -267,7 +270,7 @@ class TestBatchedServingEquivalence:
 
 
 class TestSingleQueryEquivalence:
-    """The single-request forms filter on day columns too."""
+    """The single-request forms are one-request batches of the same path."""
 
     @pytest.mark.parametrize("value", ["a", "b", "z"])
     def test_timed_probe(self, value):

@@ -1,5 +1,6 @@
 """Tests for bucket bookkeeping."""
 
+from repro.index import kernels
 from repro.index.bucket import Bucket
 from repro.index.entry import Entry
 from repro.storage.extent import Extent
@@ -46,5 +47,5 @@ class TestBucket:
 
     def test_select_range(self):
         bucket = make_bucket([Entry(i, i) for i in range(1, 6)])
-        selected = bucket.select(2, 4)
+        selected, _ = kernels.select(bucket.run(), 2, 4)
         assert [e.record_id for e in selected] == [2, 3, 4]

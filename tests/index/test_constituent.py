@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConstituentIndexError
+from repro.index import kernels
 from repro.index.builder import build_packed_index
 from repro.index.config import IndexConfig
 from repro.index.constituent import ConstituentIndex
@@ -159,7 +160,9 @@ class TestQueries:
             grouped(("a", Entry(1, 1)), ("a", Entry(2, 2)), ("a", Entry(3, 3))),
             [1, 2, 3],
         )
-        entries, _ = idx.timed_probe("a", 2, 3)
+        # As a wave's batch filters: the bucket's run, cut to the range.
+        ((bucket, _),) = idx.probe_batch_buckets(["a"])[0].values()
+        entries, _ = kernels.select(bucket.run(), 2, 3)
         assert [e.record_id for e in entries] == [2, 3]
 
     def test_scan_returns_everything(self, disk, config):
@@ -186,7 +189,9 @@ class TestQueries:
         idx.insert_postings(
             grouped(("a", Entry(1, 1)), ("b", Entry(2, 2))), [1, 2]
         )
-        entries, _ = idx.timed_scan(2, 2)
+        # As a wave's batch filters: the charged sweep, cut to the range.
+        assert idx.charge_scan() > 0
+        entries, _ = kernels.select(idx.sweep(), 2, 2)
         assert [e.record_id for e in entries] == [2]
 
 

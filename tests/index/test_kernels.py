@@ -17,7 +17,6 @@ from repro.index.kernels import (
     Sweep,
     assemble,
     day_column,
-    filter_bucket,
     filter_entries_object,
     is_nondecreasing,
     select,
@@ -64,11 +63,10 @@ def test_filter_on_sorted_column_matches_reference(days, bounds):
 
 @given(day_lists, ranges)
 @settings(max_examples=200)
-def test_filter_bucket_and_cache_match_reference(days, bounds):
+def test_bucket_run_cache_matches_reference(days, bounds):
     t1, t2 = bounds
     bucket = Bucket(value="v", entries=entries_for(days))
     expected = filter_entries_object(bucket.entries, t1, t2)
-    assert filter_bucket(bucket, t1, t2) == expected
     cache = RangeFilterCache(bucket.run())
     found, part = cache.filter(t1, t2)
     assert list(found) == expected
@@ -157,7 +155,7 @@ def test_remove_days_keeps_select_consistent():
     bucket = Bucket(value="v", entries=entries_for([1, 2, 3, 2, 1]))
     bucket.run()
     assert remove_days(bucket, {2}) == 2
-    assert [e.day for e in bucket.select(0, 9)] == [1, 3, 1]
+    assert [e.day for e in select(bucket.run(), 0, 9)[0]] == [1, 3, 1]
 
 
 @given(st.lists(st.tuples(day_lists, ranges), max_size=4))

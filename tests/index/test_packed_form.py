@@ -17,6 +17,7 @@ import pytest
 from repro.core.executor import ExecutionReport
 from repro.core.persistence import wave_to_json
 from repro.core.wave import WaveIndex
+from repro.index import kernels
 from repro.index.bucket import PackedBucket
 from repro.index.btree import BPlusTreeDirectory
 from repro.index.builder import build_packed_index
@@ -139,10 +140,12 @@ def eager_small_index(disk, config=IndexConfig()):
 READS = {
     "probe": lambda ix: ix.probe("a"),
     "probe miss": lambda ix: ix.probe("z"),
-    "timed_probe": lambda ix: ix.timed_probe("a", 1, 1),
+    "timed_probe": lambda ix: kernels.select(
+        ix.probe_batch_buckets(["a"])[0]["a"][0].run(), 1, 1
+    ),
     "probe_batch_buckets": lambda ix: ix.probe_batch_buckets(["c", "a", "z", "a"]),
     "scan": lambda ix: ix.scan(),
-    "timed_scan": lambda ix: ix.timed_scan(2, 2),
+    "timed_scan": lambda ix: (ix.charge_scan(), kernels.select(ix.sweep(), 2, 2)),
     "sweep": lambda ix: ix.sweep().day_run(1),
     "buckets": lambda ix: [b.run() for b in ix.buckets()],
     "bucket": lambda ix: ix.bucket("b").entries,

@@ -252,9 +252,14 @@ def probe_batch_by_position(index, values):
     found = {}
     previous_extent_id = None
     for bucket in touches:
-        extent, _ = index._bucket_position(bucket)
+        extent, offset = index._bucket_position(bucket)
         seeks = 0.0 if extent.extent_id == previous_extent_id else 1.0
-        seconds = index._read_bucket(bucket, seeks=seeks)
+        seconds = index.disk.read(
+            extent,
+            bucket.live_count * index.config.entry_size_bytes,
+            seeks=seeks,
+            offset=offset,
+        )
         previous_extent_id = extent.extent_id
         found[bucket.value] = (bucket, seconds)
     return found, len(touches)
