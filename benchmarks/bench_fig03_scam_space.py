@@ -8,23 +8,13 @@ n = W, where every constituent is one day, WATA* and RATA* hold 392 MB
 against REINDEX's 448 MB.
 """
 
-from repro.bench.tables import render_curves
+from repro.bench.tables import figure
 from repro.casestudies import scam
 
 
 def test_figure3_scam_space(report):
-    curves = scam.figure3_space()
-    report(
-        "fig03_scam_space",
-        render_curves(
-            "Figure 3: SCAM average space during day vs n (W=7, simple shadowing)",
-            "n",
-            scam.DEFAULT_N_VALUES,
-            curves,
-            unit="MB",
-            scale=1_000_000,
-        ),
-    )
+    text, curves = figure("fig3")
+    report("fig03_scam_space", text)
     n_values = scam.DEFAULT_N_VALUES
     for name, curve in curves.items():
         defined = [space for space in curve if space is not None]

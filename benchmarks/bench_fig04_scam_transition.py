@@ -9,22 +9,13 @@ are not flat; their transition falls with n, from 3,104 s at n = 2 to
 Build at n = W, below DEL's Add throughout.
 """
 
-from repro.bench.tables import render_curves
+from repro.bench.tables import figure
 from repro.casestudies import scam
 
 
 def test_figure4_scam_transition(report):
-    curves = scam.figure4_transition()
-    report(
-        "fig04_scam_transition",
-        render_curves(
-            "Figure 4: SCAM transition time vs n (W=7, simple shadowing)",
-            "n",
-            scam.DEFAULT_N_VALUES,
-            curves,
-            unit="seconds",
-        ),
-    )
+    text, curves = figure("fig4")
+    report("fig04_scam_transition", text)
     n_values = scam.DEFAULT_N_VALUES
     window = n_values[-1]
     add = curves["DEL"][0]

@@ -13,23 +13,14 @@ n = 2; and the soft-window WATA* is never dearer than REINDEX, so REINDEX
 never wins outright.
 """
 
-from repro.bench.tables import render_curves
+from repro.bench.tables import figure
 from repro.casestudies import scam
 from repro.core.schemes import scheme_by_name
 
 
 def test_figure5_scam_work(report):
-    curves = scam.figure5_work()
-    report(
-        "fig05_scam_work",
-        render_curves(
-            "Figure 5: SCAM average total work per day vs n (W=7, simple shadowing)",
-            "n",
-            scam.DEFAULT_N_VALUES,
-            curves,
-            unit="seconds",
-        ),
-    )
+    text, curves = figure("fig5")
+    report("fig05_scam_work", text)
     n_values = scam.DEFAULT_N_VALUES
     reindex, dele = curves["REINDEX"], curves["DEL"]
     assert reindex[0] == max(reindex) and reindex[0] > dele[0]

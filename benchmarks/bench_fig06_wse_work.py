@@ -10,22 +10,13 @@ too.  Deviation (EXPERIMENTS.md, Figure 6): at n = 20 RATA* (98,607 s) is
 above REINDEX+ (98,601 s).
 """
 
-from repro.bench.tables import render_curves
+from repro.bench.tables import figure
 from repro.casestudies import wse
 
 
 def test_figure6_wse_work(report):
-    curves = wse.figure6_work()
-    report(
-        "fig06_wse_work",
-        render_curves(
-            "Figure 6: WSE average total work per day vs n (W=35, packed shadowing)",
-            "n",
-            wse.DEFAULT_N_VALUES,
-            curves,
-            unit="seconds",
-        ),
-    )
+    text, curves = figure("fig6")
+    report("fig06_wse_work", text)
     n_values = wse.DEFAULT_N_VALUES
     cells = [work for curve in curves.values() for work in curve if work is not None]
     assert curves["DEL"][0] == min(cells)

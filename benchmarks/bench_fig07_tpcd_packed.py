@@ -13,7 +13,7 @@ curves; 7b, at n = 2 WATA* trails RATA* as well as DEL; 7c, at n = 20
 REINDEX++ is above REINDEX.
 """
 
-from repro.bench.tables import render_curves
+from repro.bench.tables import figure
 from repro.casestudies import tpcd
 
 INCREMENTAL = ("DEL", "WATA*", "RATA*")
@@ -26,17 +26,8 @@ def cells(curves, i):
 
 
 def test_figure7_tpcd_packed(report):
-    curves = tpcd.figure7_packed()
-    report(
-        "fig07_tpcd_packed",
-        render_curves(
-            "Figure 7: TPC-D average total work per day vs n (W=100, packed shadowing)",
-            "n",
-            tpcd.DEFAULT_N_VALUES,
-            curves,
-            unit="seconds",
-        ),
-    )
+    text, curves = figure("fig7")
+    report("fig07_tpcd_packed", text)
     n_values = tpcd.DEFAULT_N_VALUES
     dele, reindex = curves["DEL"], curves["REINDEX"]
     for i in range(len(n_values)):

@@ -16,23 +16,14 @@ fresh Build; 8b, the WATA*-DEL gap keeps widening past n = 10, to
 11,048 s at n = 20.
 """
 
-from repro.bench.tables import render_curves
+from repro.bench.tables import figure
 from repro.casestudies import tpcd
 from repro.core.schemes import scheme_by_name
 
 
 def test_figure8_tpcd_simple(report):
-    curves = tpcd.figure8_simple()
-    report(
-        "fig08_tpcd_simple",
-        render_curves(
-            "Figure 8: TPC-D average total work per day vs n (W=100, simple shadowing)",
-            "n",
-            tpcd.DEFAULT_N_VALUES,
-            curves,
-            unit="seconds",
-        ),
-    )
+    text, curves = figure("fig8")
+    report("fig08_tpcd_simple", text)
     n_values = tpcd.DEFAULT_N_VALUES
     packed = tpcd.figure7_packed()
     for name, work in curves.items():

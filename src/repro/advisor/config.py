@@ -32,8 +32,6 @@ class AdvisorConfig:
             Small values make the advisor eager; large values conservative.
         cooldown_days: Minimum days between retunes of the same replica
             (decisions during cooldown are suppressed, not queued).
-        candidate_schemes: Scheme names (as accepted by
-            :func:`repro.core.schemes.scheme_by_name`) the planner ranks.
         candidate_n: Constituent counts to consider; empty derives a small
             spread from the window (1, 2, W/2, W clamped to legal range).
         techniques: Update-technique values (:class:`UpdateTechnique`)
@@ -50,15 +48,12 @@ class AdvisorConfig:
     hysteresis: float = 0.1
     amortization_days: int = 7
     cooldown_days: int = 2
-    candidate_schemes: tuple[str, ...] = ("DEL", "REINDEX+", "WATA*")
     candidate_n: tuple[int, ...] = ()
     techniques: tuple[str, ...] = (UpdateTechnique.SIMPLE_SHADOW.value,)
     divergent: bool = False
     max_retunes_per_day: int = 1
 
     def __post_init__(self) -> None:
-        from ..core.schemes import scheme_by_name
-
         if self.observe_days < 1:
             raise ClusterError(
                 f"observe_days must be >= 1, got {self.observe_days}"
@@ -75,13 +70,6 @@ class AdvisorConfig:
             raise ClusterError(
                 f"cooldown_days must be >= 0, got {self.cooldown_days}"
             )
-        if not self.candidate_schemes:
-            raise ClusterError("candidate_schemes must not be empty")
-        for name in self.candidate_schemes:
-            try:
-                scheme_by_name(name)
-            except KeyError as exc:
-                raise ClusterError(f"unknown candidate scheme: {exc}") from None
         for n in self.candidate_n:
             if n < 1:
                 raise ClusterError(f"candidate_n entries must be >= 1, got {n}")

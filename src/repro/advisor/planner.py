@@ -28,6 +28,9 @@ from ..index.updates import UpdateTechnique
 from .config import AdvisorConfig
 from .observer import ShardObservation
 
+#: The schemes the planner ranks, each at every candidate ``n``.
+CANDIDATE_SCHEMES = ("DEL", "REINDEX+", "WATA*")
+
 
 @dataclass(frozen=True)
 class Design:
@@ -87,7 +90,7 @@ class CostModelPlanner:
             sorted({1, 2, max(2, window // 2), window})
         )
         out: list[Design] = []
-        for name in self.config.candidate_schemes:
+        for name in CANDIDATE_SCHEMES:
             scheme_cls = scheme_by_name(name)
             for n in ns:
                 if not scheme_cls.min_indexes <= n <= window:

@@ -34,7 +34,7 @@ from typing import Any
 
 from ..advisor import AdvisorConfig
 from ..cluster import ClusterConfig, ClusterSimulation
-from ..core.oracle import check_against_twin
+from ..core.oracle import battery, check_against_twin
 from ..core.records import RecordStore
 from ..core.schemes import scheme_by_name
 from ..sim.querygen import (
@@ -282,17 +282,12 @@ def _answers_match(
     probes = [(value, lo, last_day) for value in range(1, config.domain + 1, 7)]
     probes += [(1, last_day, last_day), (config.domain, lo, lo + config.window // 2)]
     scans = [(lo, last_day), (last_day, last_day), (lo + 1, last_day - 1)]
-
-    def battery(cluster: ClusterSimulation) -> list[Any]:
-        coordinator = cluster.coordinator
-        return [
-            *coordinator.probe_many(probes).results,
-            *coordinator.scan_many(scans).results,
-        ]
-
     return all(
         check_against_twin(got, want).status == "ok"
-        for got, want in zip(battery(sim), battery(twin))
+        for got, want in zip(
+            battery(sim.coordinator, probes, scans),
+            battery(twin.coordinator, probes, scans),
+        )
     )
 
 

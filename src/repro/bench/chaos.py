@@ -9,10 +9,15 @@ schedule — one device kill per shard at a random injection point
 (mid-transition, mid-serving, or aimed at the rebuild itself), plus
 transient read-error bursts and faulted spare devices — runs the
 cluster through it, and after **every** day judges the cluster's
-answers with the twin oracle (:func:`~repro.core.oracle.check_against_twin`)
-against a fault-free twin fed the same store and query stream.  A
+answer battery (:func:`~repro.core.oracle.battery`) with the twin oracle
+(:func:`~repro.core.oracle.check_against_twin`) against a fault-free
+twin fed the same store and query stream.  Every seed shares that store,
+that stream and the cluster's shape, so the twin runs once per soak and
+records its answers to every seed's checks, keyed ``(seed, day)``.  A
 mid-serve kill acts at the day's ``"serve"`` boundary
-(:meth:`~repro.cluster.sim.ClusterSimulation.day_steps`).
+(:meth:`~repro.cluster.sim.ClusterSimulation.day_steps`); kills follow
+the schedule to a shard's primary device, not the device a boundary
+names, so they are the soak's own action.
 
 Three invariants are asserted daily:
 
@@ -51,7 +56,7 @@ from ..cluster import (
     SelfHealConfig,
 )
 from ..core.boundary import Boundary, drive
-from ..core.oracle import check_against_twin
+from ..core.oracle import battery, check_against_twin
 from ..core.records import RecordStore
 from ..core.schemes import scheme_by_name
 from ..sim.querygen import zipf_value_picker
@@ -221,8 +226,72 @@ class _Invariants:
         }
 
 
+def _simulation(
+    config: ChaosSoakConfig,
+    store: RecordStore,
+    vocabulary: int,
+    selfheal: SelfHealConfig | None = None,
+    device_factory=None,
+) -> ClusterSimulation:
+    """The soak's cluster over ``store``; with no self-healing and plain
+    devices, its fault-free twin."""
+    scheme_cls = scheme_by_name(config.scheme)
+    return ClusterSimulation(
+        lambda: scheme_cls(config.window, config.n_indexes),
+        store,
+        queries=zipf_queries(config, vocabulary, config.seeds[0] + 1),
+        cluster=ClusterConfig(
+            n_shards=config.n_shards,
+            replication=config.replication,
+            partitioner=config.partitioner,
+            maintenance=config.maintenance,
+            max_concurrent_frac=config.max_concurrent_frac,
+            arrival_stretch=config.arrival_stretch,
+            selfheal=selfheal,
+        ),
+        device_factory=device_factory,
+    )
+
+
+def _check_specs(
+    config: ChaosSoakConfig, vocabulary: int, seed: int, day: int
+) -> list[tuple[Any, int, int]]:
+    """The probes ``seed`` checks after ``day``, over the day's window."""
+    rng = random.Random((seed << 20) ^ (day * 2654435761 % (1 << 31)))
+    picker = zipf_value_picker(vocabulary, config.zipf_s)
+    lo = day - config.window + 1
+    return [(picker(rng), lo, day) for _ in range(config.check_probes)]
+
+
+def _record_twin(
+    config: ChaosSoakConfig, store: RecordStore, vocabulary: int
+) -> dict[tuple[int, int], list[Any]]:
+    """Run the fault-free twin once; return its answers to every seed's
+    daily checks — the seed's probes, then the window scan — keyed
+    ``(seed, day)``."""
+    twin = _simulation(config, store, vocabulary)
+    twin.run_start()
+    answers: dict[tuple[int, int], list[Any]] = {}
+    k = config.check_probes
+    for day in range(config.window, config.last_day + 1):
+        if day > config.window:
+            twin.run_transition(day)
+        specs = [
+            spec
+            for seed in config.seeds
+            for spec in _check_specs(config, vocabulary, seed, day)
+        ]
+        *probes, scan = battery(
+            twin.coordinator, specs, [(day - config.window + 1, day)]
+        )
+        for i, seed in enumerate(config.seeds):
+            answers[seed, day] = [*probes[i * k : (i + 1) * k], scan]
+    return answers
+
+
 class _ChaosRun:
-    """One seed's soak: schedule, paired simulations, daily checks."""
+    """One seed's soak: schedule, simulation, daily checks against the
+    recorded twin."""
 
     def __init__(
         self,
@@ -230,11 +299,13 @@ class _ChaosRun:
         seed: int,
         store: RecordStore,
         vocabulary: int,
+        twin: dict[tuple[int, int], list[Any]],
     ) -> None:
         self.config = config
         self.seed = seed
         self.store = store
         self.vocabulary = vocabulary
+        self.twin = twin
         self.retry = RetryPolicy(max_attempts=config.retry_max_attempts)
         self.invariants = _Invariants()
         #: shard_id -> spare behaviours its kills queued, oldest first.
@@ -394,31 +465,16 @@ class _ChaosRun:
     # Daily invariant checks
     # ------------------------------------------------------------------
 
-    def _check_answers(
-        self, sim: ClusterSimulation, twin: ClusterSimulation, day: int
-    ) -> None:
+    def _check_answers(self, sim: ClusterSimulation, day: int) -> None:
         """Judge a probe sample and a window scan by the twin oracle."""
-        config = self.config
-        lo, hi = day - config.window + 1, day
-        rng = random.Random((self.seed << 20) ^ (day * 2654435761 % (1 << 31)))
-        picker = zipf_value_picker(self.vocabulary, config.zipf_s)
-        specs = [
-            (picker(rng), lo, hi) for _ in range(config.check_probes)
-        ]
-        mine = sim.coordinator.probe_many(specs).results
-        theirs = twin.coordinator.probe_many(specs).results
-        labelled = [
-            (f"day {day} probe {spec[0]!r}", got, want)
-            for spec, got, want in zip(specs, mine, theirs)
-        ]
-        labelled.append(
-            (
-                f"day {day} scan",
-                sim.coordinator.scan(lo, hi),
-                twin.coordinator.scan(lo, hi),
-            )
-        )
-        for label, got, want in labelled:
+        specs = _check_specs(self.config, self.vocabulary, self.seed, day)
+        lo = day - self.config.window + 1
+        labels = [f"day {day} probe {spec[0]!r}" for spec in specs]
+        for label, got, want in zip(
+            [*labels, f"day {day} scan"],
+            battery(sim.coordinator, specs, [(lo, day)]),
+            self.twin[self.seed, day],
+        ):
             verdict = check_against_twin(got, want)
             if verdict.wrong:
                 # A broken complete answer (or twin) breaks the match; a
@@ -476,15 +532,6 @@ class _ChaosRun:
 
     def run(self) -> dict[str, Any]:
         config = self.config
-        scheme_cls = scheme_by_name(config.scheme)
-        cluster_kwargs: dict[str, Any] = dict(
-            n_shards=config.n_shards,
-            replication=config.replication,
-            partitioner=config.partitioner,
-            maintenance=config.maintenance,
-            max_concurrent_frac=config.max_concurrent_frac,
-            arrival_stretch=config.arrival_stretch,
-        )
         selfheal = SelfHealConfig(
             breaker=BreakerConfig(
                 failure_threshold=config.breaker_threshold,
@@ -493,26 +540,11 @@ class _ChaosRun:
             retry=self.retry,
             spare_factory=self._spare_device,
         )
-        sim = ClusterSimulation(
-            lambda: scheme_cls(config.window, config.n_indexes),
-            self.store,
-            queries=zipf_queries(
-                config, self.vocabulary, config.seeds[0] + 1
-            ),
-            cluster=ClusterConfig(selfheal=selfheal, **cluster_kwargs),
-            device_factory=self._base_device,
-        )
-        twin = ClusterSimulation(
-            lambda: scheme_cls(config.window, config.n_indexes),
-            self.store,
-            queries=zipf_queries(
-                config, self.vocabulary, config.seeds[0] + 1
-            ),
-            cluster=ClusterConfig(**cluster_kwargs),
+        sim = _simulation(
+            config, self.store, self.vocabulary, selfheal, self._base_device
         )
         sim.run_start()
-        twin.run_start()
-        self._check_answers(sim, twin, config.window)
+        self._check_answers(sim, config.window)
         self._track_replication(sim, config.window)
         for day in range(config.window + 1, config.last_day + 1):
             self._arm_day_start(sim, day)
@@ -521,8 +553,7 @@ class _ChaosRun:
                 lambda boundary: self._at_boundary(sim, boundary),
             )
             self._clear_bursts()
-            twin.run_transition(day)
-            self._check_answers(sim, twin, day)
+            self._check_answers(sim, day)
             self._track_replication(sim, day)
 
         if self._under_since:
@@ -594,14 +625,16 @@ class _ChaosRun:
 def run_chaos_soak(config: ChaosSoakConfig | None = None) -> dict[str, Any]:
     """Soak every seed's fault schedule; return the BENCH_chaos report.
 
-    Each seed gets an independent cluster/twin pair over the *same*
-    store and query stream, so run entries are comparable: only the
-    fault schedule differs.
+    Each seed gets an independent cluster over the *same* store and
+    query stream, so run entries are comparable — only the fault
+    schedule differs — and one fault-free twin, run first, answers for
+    all of them.
     """
     config = config or ChaosSoakConfig()
     store, vocabulary = text_corpus(config, config.last_day, config.seeds[0])
+    twin = _record_twin(config, store, vocabulary)
     runs = [
-        _ChaosRun(config, seed, store, vocabulary).run()
+        _ChaosRun(config, seed, store, vocabulary, twin).run()
         for seed in config.seeds
     ]
     makespans = [run["recovery_makespan_seconds"] for run in runs]

@@ -12,10 +12,12 @@ This harness proves it by enumeration rather than by sampling:
   (:meth:`~repro.cluster.sim.ClusterSimulation.day_steps`) yields one of
   the change's kind before every step of the shared runner.
 * One **cell** per (kind, step ordinal, fault kind) then replays the
-  run with exactly one seeded fault at that boundary — a
+  run with exactly one fault of :data:`~repro.core.boundary.FAULTS` at
+  that boundary (:func:`~repro.core.boundary.fault_at`) — a
   :class:`~repro.errors.SimulatedCrash` thrown into the stream there, a
   device kill, or space exhaustion on the device the step touches.
-* Every cell's daily answers are judged by the twin oracle
+* Every cell's daily answer battery (:func:`~repro.core.oracle.battery`)
+  is judged by the twin oracle
   (:func:`~repro.core.oracle.check_against_twin`) against a
   **static-topology fault-free twin** (recorded once per seed): complete
   answers must hold the twin's entries, degraded answers a labelled
@@ -33,22 +35,18 @@ matrix per PR and the full multi-seed matrix nightly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 from zlib import crc32
 
 from ..cluster import ClusterConfig, ClusterSimulation, ElasticConfig
-from ..core.boundary import Boundary, drive
-from ..core.oracle import check_against_twin
+from ..core.boundary import FAULTS, Boundary, drive, fault_at
+from ..core.oracle import battery, check_against_twin
 from ..core.schemes import scheme_by_name
-from ..errors import SimulatedCrash
 from ..sim.querygen import QueryWorkload, uniform_key_picker
 from ..storage.faults import FaultInjector, FaultyDisk, RetryPolicy
 from ..workloads.keys import build_int_store
 from .harness import SCHEMA_VERSION, Bench, Schema
-
-#: Fault kinds a cell can arm at its step boundary.
-FAULT_KINDS = ("crash", "kill", "space")
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,8 @@ class TopologyChaosConfig:
     check_probes: int = 8
     #: Reshard kinds whose pipelines the matrix walks.
     kinds: tuple[str, ...] = ("split", "merge")
-    #: Fault kinds armed per step (subset of :data:`FAULT_KINDS`).
-    faults: tuple[str, ...] = FAULT_KINDS
+    #: Fault kinds armed per step (subset of the boundary ``FAULTS``).
+    faults: tuple[str, ...] = FAULTS
     #: The shard the split/merge targets (the hot middle shard).
     target_shard: int = 1
     #: Transition days after the reshard day (retry + steady checks).
@@ -84,7 +82,7 @@ class TopologyChaosConfig:
         ):
             raise ValueError(f"bad reshard kinds {self.kinds!r}")
         if not self.faults or any(
-            f not in FAULT_KINDS for f in self.faults
+            f not in FAULTS for f in self.faults
         ):
             raise ValueError(f"bad fault kinds {self.faults!r}")
         if not self.seeds:
@@ -130,16 +128,6 @@ def quick_config(
     return replace(base, faults=("crash",), seeds=base.seeds[:1], quick=True)
 
 
-@dataclass
-class _Violations:
-    """Accumulates labeled invariant violations."""
-
-    items: list[str] = field(default_factory=list)
-
-    def fail(self, message: str) -> None:
-        self.items.append(message)
-
-
 class _SeedMatrix:
     """One seed's full fault matrix against its recorded twin."""
 
@@ -156,8 +144,9 @@ class _SeedMatrix:
         )
         self.retry = RetryPolicy()
         self._device_serial = 0
-        #: day -> (probe specs, probe answers, scan answer) of the twin.
-        self.expected: dict[int, tuple[list, list, Any]] = {}
+        #: day -> the twin's answer battery: each check probe's, then the
+        #: window scan's.
+        self.expected: dict[int, list[Any]] = {}
         self._record_twin()
 
     # ------------------------------------------------------------------
@@ -216,11 +205,12 @@ class _SeedMatrix:
             twin.run_transition(day)
             self._record_day(twin, day)
 
+    def _battery(self, sim: ClusterSimulation, day: int) -> list[Any]:
+        lo = day - self.config.window + 1
+        return battery(sim.coordinator, self._probe_specs(day), [(lo, day)])
+
     def _record_day(self, twin: ClusterSimulation, day: int) -> None:
-        specs = self._probe_specs(day)
-        answers = twin.coordinator.probe_many(specs).results
-        lo, hi = day - self.config.window + 1, day
-        self.expected[day] = (specs, answers, twin.coordinator.scan(lo, hi))
+        self.expected[day] = self._battery(twin, day)
 
     # ------------------------------------------------------------------
     # Per-day checks against the recorded twin
@@ -230,24 +220,19 @@ class _SeedMatrix:
         self,
         sim: ClusterSimulation,
         day: int,
-        violations: _Violations,
+        violations: list[str],
         label: str,
     ) -> None:
-        specs, want_probes, want_scan = self.expected[day]
-        got_probes = sim.coordinator.probe_many(specs).results
-        lo, hi = day - self.config.window + 1, day
-        labelled = [
-            (f"probe {spec[0]!r}", got, want)
-            for spec, got, want in zip(specs, got_probes, want_probes)
-        ]
-        labelled.append(("scan", sim.coordinator.scan(lo, hi), want_scan))
-        for what, got, want in labelled:
+        whats = [f"probe {spec[0]!r}" for spec in self._probe_specs(day)]
+        for what, got, want in zip(
+            [*whats, "scan"], self._battery(sim, day), self.expected[day]
+        ):
             verdict = check_against_twin(got, want)
             if verdict.wrong:
-                violations.fail(f"{label} day {day} {what}: {verdict.detail}")
+                violations.append(f"{label} day {day} {what}: {verdict.detail}")
         stats = sim.result.days[-1]
         if stats.shards_unavailable:
-            violations.fail(
+            violations.append(
                 f"{label} day {day}: dark shards "
                 f"{list(stats.shards_unavailable)}"
             )
@@ -288,50 +273,22 @@ class _SeedMatrix:
                  ) -> dict[str, Any]:
         """Run one (kind, step, fault) cell; return its report entry."""
         config = self.config
-        violations = _Violations()
+        violations: list[str] = []
         label = f"{kind}@{ordinal}:{step_name}/{fault}"
         sim = self._make_sim(elastic=True)
-        armed: list[FaultInjector] = []
         fired: list[str] = []
-
-        def act(step: Boundary) -> None:
-            if step.kind != kind or step.ordinal != ordinal:
-                return
-            if fault == "crash":
-                fired.append(step.name)
-                raise SimulatedCrash(f"topology-chaos {label}")
-            if not step.devices:
-                return  # no device to fault at this boundary
-            if step.name == "plan":
-                # The plan step's devices are the *donors*.  Killing the
-                # only copy of the source data (r=1, no self-heal) is
-                # unsurvivable by construction — that loss is the chaos
-                # soak's territory, not a reshard-pipeline property.
-                return
-            injector = getattr(step.devices[0], "injector", None)
-            if injector is None:
-                return
-            fired.append(step.name)
-            if fault == "kill":
-                injector.fail_device()
-            else:  # space: the very next write to the device overflows
-                injector.space_limit_bytes = (
-                    step.devices[0].live_bytes + 1
-                )
-                armed.append(injector)
-
         sim.run_start()
         self._check_day(sim, config.window, violations, label)
         outcome = "skipped"
         for day in range(config.window + 1, config.last_day + 1):
             if day == config.reshard_day:
                 self._request(sim, kind)
-                drive(sim.day_steps(day), act)
+                drive(sim.day_steps(day), fault_at(kind, ordinal, fault, fired))
+                for device in sim.array.devices:
+                    if isinstance(device, FaultyDisk):
+                        device.injector.space_limit_bytes = None
             else:
                 sim.run_transition(day)
-            for injector in armed:
-                injector.space_limit_bytes = None
-            armed.clear()
             if day == config.reshard_day:
                 outcome = self._fault_day_outcome(
                     sim, kind, fault, bool(fired), violations, label
@@ -348,7 +305,7 @@ class _SeedMatrix:
             "fault": fault,
             "fired": bool(fired),
             "outcome": outcome,
-            "violations": list(violations.items),
+            "violations": violations,
         }
 
     def _fault_day_outcome(
@@ -361,7 +318,7 @@ class _SeedMatrix:
             # The step touches no device the fault kind can bite; the
             # reshard must simply have applied.
             if stats.reshards != 1:
-                violations.fail(
+                violations.append(
                     f"{label}: fault never fired yet reshard did not "
                     f"apply (aborted={stats.reshards_aborted})"
                 )
@@ -371,24 +328,24 @@ class _SeedMatrix:
             # the pipeline retried past) and was rolled forward.
             return "rolled_forward" if fault == "crash" else "applied"
         if stats.reshards_aborted != 1:
-            violations.fail(
+            violations.append(
                 f"{label}: fault fired but day shows neither an "
                 f"applied nor an aborted reshard"
             )
             return "lost"
         if stats.n_shards != config.n_shards:
-            violations.fail(
+            violations.append(
                 f"{label}: aborted reshard changed the shard count "
                 f"to {stats.n_shards}"
             )
         if stats.topology_version != 0:
-            violations.fail(
+            violations.append(
                 f"{label}: aborted reshard bumped the routing table "
                 f"to v{stats.topology_version}"
             )
         journal = sim.elastic.journals[-1] if sim.elastic.journals else None
         if journal is None or journal.phase != "aborted":
-            violations.fail(
+            violations.append(
                 f"{label}: aborted reshard left journal phase "
                 f"{journal.phase if journal else 'missing'!r}"
             )
@@ -407,7 +364,7 @@ class _SeedMatrix:
             if device.failed:
                 continue  # a killed target is unreachable, not leaked
             if device.live_bytes:
-                violations.fail(
+                violations.append(
                     f"{label}: aborted reshard leaked "
                     f"{device.live_bytes} bytes on target device "
                     f"{index}"
@@ -421,13 +378,13 @@ class _SeedMatrix:
             else self.config.n_shards - 1
         )
         if sim.result.total_reshards() != 1:
-            violations.fail(
+            violations.append(
                 f"{label}: reshard never converged "
                 f"(applied={sim.result.total_reshards()}, "
                 f"aborted={sim.result.total_reshards_aborted()})"
             )
         elif sim.result.final_n_shards() != expected:
-            violations.fail(
+            violations.append(
                 f"{label}: converged to {sim.result.final_n_shards()} "
                 f"shards, expected {expected}"
             )

@@ -48,6 +48,8 @@ import sys
 from typing import Any, Sequence
 
 from .analysis.parameters import TABLE12
+from .bench.tables import FIGURES
+from .core.boundary import FAULTS
 from .core.schemes import ALL_SCHEMES, scheme_by_name
 from .errors import ClusterError, FrontendError, SchemeError, WorkloadError
 from .core.trace import format_trace, trace_scheme
@@ -272,7 +274,7 @@ _BENCHES = {
                 help="reshard pipelines to walk (default: both)",
             ),
             _opt(
-                "--faults", nargs="+", choices=("crash", "kill", "space"),
+                "--faults", nargs="+", choices=FAULTS,
                 help="fault kinds armed per step (default: all three)",
             ),
             _SCHEME,
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.set_defaults(func=_cmd_figure)
     figure.add_argument(
         "name",
-        choices=sorted(_FIGURES),
+        choices=sorted(FIGURES),
         help="figure to compute",
     )
 
@@ -620,92 +622,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _figure_fig3():
-    from .bench.tables import render_curves
-    from .casestudies import scam
-
-    return render_curves(
-        "Figure 3: SCAM average space vs n (W=7)",
-        "n", scam.DEFAULT_N_VALUES, scam.figure3_space(),
-        unit="MB", scale=1_000_000,
-    )
-
-
-def _figure_fig4():
-    from .bench.tables import render_curves
-    from .casestudies import scam
-
-    return render_curves(
-        "Figure 4: SCAM transition time vs n (W=7)",
-        "n", scam.DEFAULT_N_VALUES, scam.figure4_transition(), unit="s",
-    )
-
-
-def _figure_fig5():
-    from .bench.tables import render_curves
-    from .casestudies import scam
-
-    return render_curves(
-        "Figure 5: SCAM total work vs n (W=7)",
-        "n", scam.DEFAULT_N_VALUES, scam.figure5_work(), unit="s",
-    )
-
-
-def _figure_fig6():
-    from .bench.tables import render_curves
-    from .casestudies import wse
-
-    return render_curves(
-        "Figure 6: WSE total work vs n (W=35, packed shadowing)",
-        "n", wse.DEFAULT_N_VALUES, wse.figure6_work(), unit="s",
-    )
-
-
-def _figure_fig7():
-    from .bench.tables import render_curves
-    from .casestudies import tpcd
-
-    return render_curves(
-        "Figure 7: TPC-D total work vs n (packed shadowing)",
-        "n", tpcd.DEFAULT_N_VALUES, tpcd.figure7_packed(), unit="s",
-    )
-
-
-def _figure_fig8():
-    from .bench.tables import render_curves
-    from .casestudies import tpcd
-
-    return render_curves(
-        "Figure 8: TPC-D total work vs n (simple shadowing)",
-        "n", tpcd.DEFAULT_N_VALUES, tpcd.figure8_simple(), unit="s",
-    )
-
-
-def _figure_fig11():
-    from .casestudies.sizing import figure11_ratios
-    from .workloads.usenet import day_weights, june_december_1997_volume
-
-    weights = day_weights(june_december_1997_volume())
-    ratios = figure11_ratios(weights, window=7)
-    lines = ["Figure 11: WATA* index-size ratio vs n (W=7, 200-day trace)"]
-    for n, ratio in sorted(ratios.items()):
-        lines.append(f"  n={n}: {ratio:.3f}")
-    return "\n".join(lines)
-
-
-_FIGURES = {
-    "fig3": _figure_fig3,
-    "fig4": _figure_fig4,
-    "fig5": _figure_fig5,
-    "fig6": _figure_fig6,
-    "fig7": _figure_fig7,
-    "fig8": _figure_fig8,
-    "fig11": _figure_fig11,
-}
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
-    print(_FIGURES[args.name]())
+    from .bench.tables import figure
+
+    print(figure(args.name)[0])
     return 0
 
 
@@ -838,9 +758,9 @@ def _cmd_crash_test(args: argparse.Namespace) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     if args.verbose:
-        for scheme in result.schemes:
-            print(f"{scheme.scheme}:")
-            for cell in scheme.cells:
+        for scheme, cells in result.by_scheme().items():
+            print(f"{scheme}:")
+            for cell in cells:
                 print(f"  {cell.describe()}")
     print(result.summary())
     return 0 if result.ok else 1

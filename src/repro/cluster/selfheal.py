@@ -140,8 +140,6 @@ class SelfHealConfig:
             the replica's device clock, same as device-level retries.
         rebuild: Re-replicate under-replicated shards automatically
             (one rebuild per shard per day).
-        target_replication: Replicas per shard the healer restores to;
-            defaults to the cluster's configured ``replication``.
         spare_factory: Optional ``ordinal -> device`` factory for rebuild
             targets (the chaos harness's hook for arming faults on
             spares).  Defaults to the simulation's device factory.
@@ -150,18 +148,7 @@ class SelfHealConfig:
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     rebuild: bool = True
-    target_replication: int | None = None
     spare_factory: Callable[[int], SimulatedDisk] | None = None
-
-    def __post_init__(self) -> None:
-        if (
-            self.target_replication is not None
-            and self.target_replication < 1
-        ):
-            raise ClusterError(
-                f"target_replication must be >= 1, "
-                f"got {self.target_replication}"
-            )
 
 
 @dataclass

@@ -794,10 +794,9 @@ class ClusterSimulation:
         selfheal = self.config.selfheal
         if self._monitor is None or selfheal is None or not selfheal.rebuild:
             return False
-        target = selfheal.target_replication or self.config.replication
         return any(
             shard.primary is not None
-            and len(shard.alive_replicas()) < target
+            and len(shard.alive_replicas()) < self.config.replication
             for shard in self.shards
         )
 
@@ -1003,10 +1002,9 @@ class ClusterSimulation:
         selfheal = self.config.selfheal
         if monitor is None or selfheal is None or not selfheal.rebuild:
             return delays, reports, failed
-        target = selfheal.target_replication or self.config.replication
         for shard in self.shards:
             donor = shard.primary
-            if donor is None or len(shard.alive_replicas()) >= target:
+            if donor is None or len(shard.alive_replicas()) >= self.config.replication:
                 continue
             provisioned = provision_spares(self.spares, self.array, 1)
             if provisioned is None:

@@ -10,10 +10,13 @@ boundary of the day in the order the day runs them, and
 
 :func:`drive` runs a stream.  Its optional action sees each boundary; an
 exception the action raises is raised *inside* the stream at that
-boundary, exactly where a fault there would surface.  That is how every
-fault harness works: the crash matrix throws a
-:class:`~repro.errors.SimulatedCrash` at op boundary ``k``, the topology
-matrix at a staged step, the chaos soak kills a device at the serving
+boundary, exactly where a fault there would surface.  :func:`fault_at`
+is the one fault vocabulary (:data:`FAULTS`): a
+:class:`~repro.errors.SimulatedCrash` thrown in between two steps, or a
+kill or space exhaustion on the device the step is about to touch.  The
+crash matrix crashes at op boundary ``k``, the topology matrix places
+each fault at each staged step, and the chaos soak, whose kills follow a
+schedule rather than a boundary's device, kills at the serving
 boundary.  There are no hooks to install and none to forget to remove.
 """
 
@@ -24,6 +27,7 @@ from typing import Any, Callable, Generator
 
 from ..errors import SimulatedCrash
 from ..storage.disk import SimulatedDisk
+from ..storage.faults import FaultyDisk
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,15 +80,41 @@ def drive(
         return stop.value
 
 
-def crash_at(kind: str, ordinal: int) -> Callable[[Boundary], None]:
-    """Return an action that kills the process at the ``ordinal``-th
-    boundary of ``kind`` — a crash between two steps, which no device
-    fault can place."""
+#: The faults an action can place at a boundary.
+FAULTS = ("crash", "kill", "space")
+
+
+def fault_at(
+    kind: str,
+    ordinal: int,
+    fault: str = "crash",
+    fired: list[str] | None = None,
+) -> Callable[[Boundary], None]:
+    """Return an action placing ``fault`` at the ``ordinal``-th boundary
+    of ``kind``: ``crash`` kills the process between two steps; ``kill``
+    fails the step's first device; ``space`` caps that device at its live
+    bytes plus one (the caller lifts the cap after the day).  A device
+    fault where no device is named does nothing.  ``fired`` collects the
+    names of the boundaries where the fault acted."""
+    if fault not in FAULTS:
+        raise ValueError(f"unknown fault {fault!r}; known: {', '.join(FAULTS)}")
 
     def act(boundary: Boundary) -> None:
-        if boundary.kind == kind and boundary.ordinal == ordinal:
+        if boundary.kind != kind or boundary.ordinal != ordinal:
+            return
+        if fault != "crash" and not boundary.devices:
+            return
+        if fired is not None:
+            fired.append(boundary.name)
+        if fault == "crash":
             raise SimulatedCrash(
                 f"crash at {kind} boundary {ordinal} ({boundary.name})"
             )
+        device = boundary.devices[0]
+        assert isinstance(device, FaultyDisk), "a device fault needs a faulty disk"
+        if fault == "kill":
+            device.injector.fail_device()
+        else:
+            device.injector.space_limit_bytes = device.live_bytes + 1
 
     return act

@@ -15,14 +15,16 @@ part of it, so two topologies or two designs holding the same data
 agree.  :func:`check_against_twin` judges an answer against the days the
 answer *says* it covers and lost, and works on any result carrying
 ``entries``, ``covered_days`` and ``missing_days`` — a wave's, a
-cluster coordinator's, or one read off the wire.
+cluster coordinator's, or one read off the wire.  :func:`battery` asks a
+reader the questions: every harness puts the same battery to the run
+under test and to its twin, and judges the answers pairwise.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,20 @@ class Verdict:
 
 OK = Verdict("ok")
 DEGRADED = Verdict("degraded")
+
+
+def battery(
+    reader: Any,
+    probes: Sequence[tuple[Any, int, int]],
+    scans: Sequence[tuple[int, int]] = (),
+) -> list[Any]:
+    """Return ``reader``'s answers to ``probes``, then to ``scans``, each
+    list one batch; ``reader`` is a wave or a cluster coordinator, read
+    with its own ``degraded`` default."""
+    return [
+        *reader.probe_many(probes).results,
+        *reader.scan_many(scans).results,
+    ]
 
 
 def check_against_twin(answer: Any, twin: Any) -> Verdict:

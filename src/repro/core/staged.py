@@ -459,7 +459,7 @@ class StagedChangeRunner:
         bytes_built = 0
         try:
             try:
-                yield step("plan", sources)
+                yield step("plan")
                 provisioned = provision_spares(
                     self.spares, self.array, change.n_targets
                 )

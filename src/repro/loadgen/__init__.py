@@ -50,8 +50,9 @@ ARRIVAL_KINDS = ("poisson", "diurnal")
 class LoadConfig:
     """One open-loop burst's shape.
 
-    ``offered_qps`` is the schedule's mean rate; the diurnal profile
-    redistributes it across the run without changing the mean.
+    ``offered_qps`` is the schedule's mean rate; the diurnal profile, a
+    week of the usenet trace compressed onto the run, redistributes it
+    without changing the mean.
     ``t_lo``/``t_hi`` bound the day axis queries ask about (take them
     from the served cluster's window).
     """
@@ -59,9 +60,6 @@ class LoadConfig:
     duration_s: float = 2.0
     offered_qps: float = 400.0
     arrivals: str = "poisson"
-    #: Days of the usenet weekly profile compressed onto the run
-    #: (only used by ``arrivals="diurnal"``).
-    diurnal_days: int = 7
     population: TenantPopulation = field(default_factory=TenantPopulation)
     probe_fraction: float = 0.9
     domain: int = 400
@@ -117,7 +115,7 @@ def build_schedule(config: LoadConfig) -> list[ScheduledRequest]:
         times = modulated_arrivals(
             config.offered_qps,
             config.duration_s,
-            usenet_diurnal_profile(config.diurnal_days),
+            usenet_diurnal_profile(),
             rng,
         )
     else:

@@ -88,8 +88,6 @@ class AdmissionConfig:
     #: token buckets entirely (every tenant is unlimited).
     tenant_rate: float | None = None
     tenant_burst: float = 50.0
-    #: Deadline applied to requests that do not carry their own.
-    default_deadline_s: float | None = None
     #: How long :meth:`AdmissionController.drain` waits for queued and
     #: in-flight work before abandoning it.
     drain_timeout_s: float = 10.0
@@ -425,8 +423,6 @@ class AdmissionController:
                 tenant, CODE_RATE_LIMIT,
                 f"tenant {tenant!r} exceeded its request rate",
             )
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
         pending = _Pending(
             op=op,
             spec=spec,

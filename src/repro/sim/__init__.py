@@ -6,12 +6,7 @@ its one-shard, one-device configuration, and :mod:`.scheduler` holds the
 timeline pieces it lays maintenance and queries on.
 """
 
-from .crashmatrix import (
-    CrashCell,
-    CrashMatrixResult,
-    SchemeMatrixResult,
-    run_crash_matrix,
-)
+from .crashmatrix import CrashCell, CrashMatrixResult, run_crash_matrix
 from .driver import run_simulation
 from .latency import (
     DAY_SECONDS,
@@ -49,7 +44,6 @@ __all__ = [
     "BusyInterval",
     "CrashCell",
     "CrashMatrixResult",
-    "SchemeMatrixResult",
     "run_crash_matrix",
     "DAY_SECONDS",
     "DriftingWorkload",

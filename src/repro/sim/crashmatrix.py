@@ -1,15 +1,17 @@
 """Crash-matrix harness: prove recovery at every op boundary of every scheme.
 
 For each scheme, the harness runs a seeded multi-cycle maintenance history
-twice: once fault-free (the *twin*), and once per cell.  A cell is a
-history, a point in one transition and a crash there: either at an op
-boundary of the transition's boundary stream (:mod:`repro.core.boundary`;
-:func:`~repro.core.boundary.crash_at` throws the crash in between ops) or
-inside an op (a :class:`~repro.storage.faults.CrashPoint` armed to fire
-after the transition's ``m``-th I/O).  After each crash it recovers via
+fault-free once — the *twin*, whose daily answers it records — and then
+once per cell.  A cell is a history, a point in one transition and a
+crash there: either at an op boundary of the transition's boundary stream
+(:mod:`repro.core.boundary`; :func:`~repro.core.boundary.fault_at` throws
+the crash in between ops) or inside an op (a
+:class:`~repro.storage.faults.CrashPoint` armed to fire after the
+transition's ``m``-th I/O).  After each crash it recovers via
 :mod:`repro.core.recovery` (journal roll-forward, scheme resurrected from
-the journal alone), finishes the run, and judges every day's query
-results with the twin oracle (:func:`~repro.core.oracle.check_against_twin`)
+the journal alone), finishes the run, and judges every day's answer
+battery (:func:`~repro.core.oracle.battery`) against the twin's recorded
+one with the twin oracle (:func:`~repro.core.oracle.check_against_twin`)
 while asserting the post-transition invariants (zero leaked extents,
 consistent bookkeeping).
 
@@ -23,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..core.boundary import Boundary, crash_at, drive
+from ..core.boundary import Boundary, drive, fault_at
 from ..core.invariants import InvariantViolation, check_wave_invariants
-from ..core.oracle import check_against_twin
+from ..core.oracle import battery, check_against_twin
 from ..core.recovery import (
     JournaledExecutor,
     recover_transition,
@@ -70,36 +72,20 @@ class CrashCell:
 
 
 @dataclass
-class SchemeMatrixResult:
-    """All crash cells for one scheme."""
-
-    scheme: str
-    cells: list[CrashCell] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[CrashCell]:
-        """Return the failing cells."""
-        return [c for c in self.cells if not c.ok]
-
-    @property
-    def ok(self) -> bool:
-        """Return ``True`` when every cell passed."""
-        return not self.failures
-
-
-@dataclass
 class CrashMatrixResult:
-    """The full matrix across schemes."""
+    """The full matrix across schemes, every cell in the order it ran."""
 
     window: int
     n_indexes: int
     seed: int
-    schemes: list[SchemeMatrixResult] = field(default_factory=list)
+    cells: list[CrashCell] = field(default_factory=list)
 
-    @property
-    def cells(self) -> list[CrashCell]:
-        """Return every cell across all schemes."""
-        return [c for s in self.schemes for c in s.cells]
+    def by_scheme(self) -> dict[str, list[CrashCell]]:
+        """Return the cells grouped by scheme, schemes in run order."""
+        groups: dict[str, list[CrashCell]] = {}
+        for cell in self.cells:
+            groups.setdefault(cell.scheme, []).append(cell)
+        return groups
 
     @property
     def failures(self) -> list[CrashCell]:
@@ -117,11 +103,11 @@ class CrashMatrixResult:
             f"crash matrix: W={self.window}, n={self.n_indexes}, "
             f"seed={self.seed}"
         ]
-        for scheme in self.schemes:
-            total = len(scheme.cells)
-            passed = total - len(scheme.failures)
-            lines.append(f"  {scheme.scheme:<12} {passed}/{total} crash points ok")
-            for cell in scheme.failures:
+        for scheme, cells in self.by_scheme().items():
+            failures = [c for c in cells if not c.ok]
+            passed = len(cells) - len(failures)
+            lines.append(f"  {scheme:<12} {passed}/{len(cells)} crash points ok")
+            for cell in failures:
                 lines.append(f"    {cell.describe()}")
         verdict = "PASS" if self.ok else "FAIL"
         lines.append(f"{verdict}: {len(self.cells) - len(self.failures)}/"
@@ -133,7 +119,7 @@ class CrashMatrixResult:
 # Internals
 # ----------------------------------------------------------------------
 
-#: Day snapshot: the window scan's answer, then each probe's.
+#: Day snapshot: each probe's answer, then the window scan's.
 _Snapshot = list[Any]
 
 
@@ -160,10 +146,8 @@ def _snapshot(
     wave: WaveIndex, day: int, window: int, probes: list[Any]
 ) -> _Snapshot:
     """Capture the window's query-visible answers after ``day``."""
-    lo, hi = day - window + 1, day
-    return [wave.timed_segment_scan(lo, hi)] + [
-        wave.timed_index_probe(value, lo, hi) for value in probes
-    ]
+    lo = day - window + 1
+    return battery(wave, [(value, lo, day) for value in probes], [(lo, day)])
 
 
 def _diverges(got: _Snapshot, want: _Snapshot) -> str | None:
@@ -173,6 +157,23 @@ def _diverges(got: _Snapshot, want: _Snapshot) -> str | None:
         if verdict.status != "ok":
             return verdict.detail
     return None
+
+
+def _history(
+    scheme_factory: Callable[[], WaveScheme],
+    store: RecordStore,
+    n_indexes: int,
+    technique: UpdateTechnique,
+) -> tuple[FaultInjector, WaveIndex, JournaledExecutor, WaveScheme]:
+    """Start one run of a scheme's history: a wave on a fresh faulty disk
+    (and that disk's injector), its journaled executor and its scheme,
+    the start plan built."""
+    injector = FaultInjector()
+    wave = WaveIndex(FaultyDisk(injector=injector), IndexConfig(), n_indexes)
+    executor = JournaledExecutor(wave, store, technique)
+    scheme = scheme_factory()
+    executor.execute(scheme.start_ops())
+    return injector, wave, executor, scheme
 
 
 def _twin_run(
@@ -187,21 +188,17 @@ def _twin_run(
     """Fault-free reference run: day snapshots, and per day the op
     boundaries its transition's stream yielded and the I/Os it made —
     the points a crash cell can name."""
-    disk = FaultyDisk(injector=FaultInjector())
-    wave = WaveIndex(disk, IndexConfig(), n_indexes)
-    executor = JournaledExecutor(wave, store, technique)
-    scheme = scheme_factory()
-    executor.execute(scheme.start_ops())
+    injector, wave, executor, scheme = _history(scheme_factory, store, n_indexes, technique)
     snapshots: dict[int, _Snapshot] = {}
     day_ops: dict[int, int] = {}
     day_ios: dict[int, int] = {}
     for day in range(window + 1, last_day + 1):
-        before = disk.injector.stats.ios
+        before = injector.stats.ios
         boundaries: list[Boundary] = []
         steps = executor.journaled_steps(scheme.transition_ops(day), day=day)
         drive(steps, boundaries.append)
         day_ops[day] = len(boundaries)
-        day_ios[day] = disk.injector.stats.ios - before
+        day_ios[day] = injector.stats.ios - before
         snapshots[day] = _snapshot(wave, day, window, probes)
     return snapshots, day_ops, day_ios
 
@@ -220,13 +217,8 @@ def _crash_run(
     twin: dict[int, _Snapshot],
 ) -> CrashCell:
     """Run one crash experiment and judge it against the twin."""
-    scheme_name = scheme_factory().name
-    injector = FaultInjector()
-    disk = FaultyDisk(injector=injector)
-    wave = WaveIndex(disk, IndexConfig(), n_indexes)
-    executor = JournaledExecutor(wave, store, technique)
-    scheme = scheme_factory()
-    executor.execute(scheme.start_ops())
+    injector, wave, executor, scheme = _history(scheme_factory, store, n_indexes, technique)
+    scheme_name = scheme.name
     crashed = False
     try:
         for day in range(window + 1, last_day + 1):
@@ -237,7 +229,7 @@ def _crash_run(
                 )
                 try:
                     if kind == "op":
-                        drive(steps, crash_at("op", at))
+                        drive(steps, fault_at("op", at))
                     else:
                         injector.arm_crash(CrashPoint(after_ios=at))
                         drive(steps)
@@ -287,7 +279,7 @@ def _rebalance_cells(
     technique: UpdateTechnique,
     store: RecordStore,
     probes: list[Any],
-) -> SchemeMatrixResult:
+) -> list[CrashCell]:
     """Crash cells for the cross-device move path (``copy_index_to``).
 
     The scheme matrix only enumerates scheme-transition op boundaries;
@@ -309,23 +301,18 @@ def _rebalance_cells(
     factory = _scheme_factory("WATA*", window, n_indexes)
     period = factory().maintenance_period
     last_day = window + period
-    result = SchemeMatrixResult(scheme="REBALANCE")
+    cells: list[CrashCell] = []
 
     def build():
-        injector = FaultInjector()
-        source = FaultyDisk(injector=injector)
+        injector, wave, executor, scheme = _history(factory, store, n_indexes, technique)
         target = FaultyDisk(injector=injector)
-        wave = WaveIndex(source, IndexConfig(), n_indexes)
-        executor = JournaledExecutor(wave, store, technique)
-        scheme = factory()
-        executor.execute(scheme.start_ops())
         for day in range(window + 1, last_day + 1):
             executor.execute(scheme.transition_ops(day))
         replica = ShardReplica(
             shard_id=0,
             replica_id=0,
             device_index=0,
-            device=source,
+            device=wave.disk,
             wave=wave,
             executor=PlanExecutor(wave, store, technique),
         )
@@ -339,13 +326,12 @@ def _rebalance_cells(
     move_ios = injector.stats.ios - before
     why = _diverges(_snapshot(wave, last_day, window, probes), pre)
     if why is not None:
-        result.cells.append(
+        return [
             CrashCell(
                 "REBALANCE", last_day, "io", 0, False, False,
                 f"fault-free move changed query results: {why}",
             )
-        )
-        return result
+        ]
 
     for m in range(move_ios):
         injector, target, wave, scheme, replica = build()
@@ -385,10 +371,10 @@ def _rebalance_cells(
                     )
         except InvariantViolation as exc:
             ok, detail = False, str(exc)
-        result.cells.append(
+        cells.append(
             CrashCell("REBALANCE", last_day, "io", m, crashed, ok, detail)
         )
-    return result
+    return cells
 
 
 def run_crash_matrix(
@@ -440,27 +426,24 @@ def run_crash_matrix(
         twin, day_ops, day_ios = _twin_run(
             factory, store, window, n_indexes, last_day, technique, probes
         )
-        scheme_result = SchemeMatrixResult(scheme=name)
         for day in range(window + 1, last_day + 1):
-            points = [("op", k) for k in range(day_ops[day])]
-            if io_crash_samples > 0 and day_ios[day] > 0:
-                step = max(1, day_ios[day] // (io_crash_samples + 1))
-                seen: set[int] = set()
-                for j in range(1, io_crash_samples + 1):
-                    m = min(j * step, day_ios[day] - 1)
-                    if m not in seen:
-                        seen.add(m)
-                        points.append(("io", m))
+            # Evenly spaced I/O points strictly inside the day, at most
+            # one per I/O: every point 1 … ios-1 once samples reach it.
+            ios = day_ios[day]
+            step = max(1, ios // (io_crash_samples + 1))
+            points = [("op", k) for k in range(day_ops[day])] + [
+                ("io", m)
+                for m in range(step, step * min(io_crash_samples, ios - 1) + 1, step)
+            ]
             for kind, at in points:
-                scheme_result.cells.append(
+                result.cells.append(
                     _crash_run(
                         factory, store, window, n_indexes, last_day,
                         technique, probes, day, kind, at, twin,
                     )
                 )
-        result.schemes.append(scheme_result)
     if include_rebalance:
-        result.schemes.append(
+        result.cells.extend(
             _rebalance_cells(
                 window=window,
                 n_indexes=n_indexes,

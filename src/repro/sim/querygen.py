@@ -171,7 +171,7 @@ class QueryWorkload:
 class SpikedWorkload:
     """A base workload with a sudden localized hot spot layered on top.
 
-    From ``spike_day`` on (inclusive, until ``spike_until`` if set), each
+    From ``spike_day`` on (inclusive), each
     day's stream gains ``(spike_factor - 1) x probes_per_day`` extra
     probes drawn from ``hot_picker`` — a 4x spike on one partition range
     is ``spike_factor=4`` with a picker confined to that range.  The
@@ -187,17 +187,11 @@ class SpikedWorkload:
     spike_day: int
     hot_picker: Callable[[random.Random], Any]
     spike_factor: float = 4.0
-    spike_until: int | None = None
 
     def __post_init__(self) -> None:
         if self.spike_factor < 1.0:
             raise WorkloadError(
                 f"spike_factor must be >= 1, got {self.spike_factor}"
-            )
-        if self.spike_until is not None and self.spike_until < self.spike_day:
-            raise WorkloadError(
-                f"spike_until ({self.spike_until}) precedes "
-                f"spike_day ({self.spike_day})"
             )
 
     @property
@@ -208,8 +202,6 @@ class SpikedWorkload:
     def extra_probes(self, day: int) -> int:
         """Return how many hot-spot probes the spike adds on ``day``."""
         if day < self.spike_day:
-            return 0
-        if self.spike_until is not None and day > self.spike_until:
             return 0
         return round((self.spike_factor - 1.0) * self.base.probes_per_day)
 

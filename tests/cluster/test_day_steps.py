@@ -15,7 +15,7 @@ from repro.cluster import (
     ElasticConfig,
     SelfHealConfig,
 )
-from repro.core.boundary import crash_at, drive
+from repro.core.boundary import drive, fault_at
 from repro.core.oracle import check_against_twin
 from repro.core.persistence import wave_to_json
 from repro.core.schemes import scheme_by_name
@@ -143,7 +143,7 @@ def test_a_crash_at_a_rebuild_boundary_resumes_in_place():
 
     def act(boundary):
         seen.append(boundary)
-        crash_at("rebuild", 1)(boundary)
+        fault_at("rebuild", 1)(boundary)
 
     stats = drive(sim.day_steps(W + 2), act)
     twin.run_transition(W + 2)
@@ -174,7 +174,7 @@ def test_a_crash_at_a_rebuild_catchup_op_is_recovered_from_its_journal():
 
     def act(boundary):
         if boundary.kind == "op" and boundary.replica == rebuilt:
-            crash_at("op", 0)(boundary)
+            fault_at("op", 0)(boundary)
 
     stats = drive(sim.day_steps(W + 2), act)
     twin.run_transition(W + 2)

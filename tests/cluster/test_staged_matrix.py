@@ -3,8 +3,10 @@
 ``split``, ``merge`` and ``retune`` run through one
 :class:`~repro.core.staged.StagedChangeRunner`, so its contract is
 checked with the kind as one more input: for every step boundary a
-fault-free dry run enumerates × {crash thrown into the day's boundary
-stream there, device kill, space limit} — a fault strictly before the swap aborts with the old
+fault-free dry run enumerates × the boundary stream's ``FAULTS``, placed
+by ``fault_at`` (a crash thrown into the day's stream there, a kill or a
+space limit on the step's first device; the ``plan`` step names none) —
+a fault strictly before the swap aborts with the old
 topology / design serving and the change retried to completion exactly
 once; a fault at ``cleanup`` commits (a crash rolls forward once) — plus
 the transient-retry loop's two exits and the rule that a change's crash
@@ -28,16 +30,14 @@ from repro.cluster import (
     ElasticConfig,
     SelfHealConfig,
 )
-from repro.core.boundary import drive
+from repro.core.boundary import FAULTS, drive, fault_at
 from repro.core.records import Record, RecordStore
 from repro.core.schemes import scheme_by_name
 from repro.core.staged import ChangeAborted, StagedChangeRunner
-from repro.errors import SimulatedCrash
 from repro.sim.querygen import QueryWorkload, uniform_key_picker
 from repro.storage.faults import CrashPoint, FaultInjector, FaultyDisk
 
 KINDS = ("split", "merge", "retune")
-FAULTS = ("crash", "kill", "space")
 
 #: The reshard world (``tests/cluster/test_elastic.py``'s): REINDEX over
 #: three range shards.  The retune world: a probe-heavy workload against
@@ -291,30 +291,11 @@ class TestFaultMatrix:
         world = make_world(kind)
         sim, runner = world.sim, world.runner
         before = world.serving()
-        fired: list[FaultInjector | None] = []
-
-        def hook(step):
-            if step.ordinal != ordinal:
-                return
-            assert step.name == name
-            if fault == "crash":
-                fired.append(None)
-                raise SimulatedCrash(f"matrix {kind}@{name}")
-            # The plan step's devices are the sources: killing the only
-            # copy of the data is unsurvivable by construction (r=1).
-            if not step.devices or name == "plan":
-                return
-            injector = step.devices[0].injector
-            fired.append(injector)
-            if fault == "kill":
-                injector.fail_device()
-            else:  # the very next allocation on the device overflows
-                injector.space_limit_bytes = step.devices[0].live_bytes + 1
-
-        world.turn(world.change_day, hook)
-        for injector in fired:
-            if injector is not None:
-                injector.space_limit_bytes = None
+        fired: list[str] = []
+        world.turn(world.change_day, fault_at(kind, ordinal, fault, fired))
+        for device in sim.array.devices:
+            device.injector.space_limit_bytes = None
+        assert fired in ([], [name])
         journal = runner.journals[-1]
         assert journal.kind == kind
 

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.core.boundary import crash_at, drive
+from repro.core.boundary import drive, fault_at
 from repro.core.executor import ExecutionReport, PlanExecutor
 from repro.core.recovery import (
     JournaledExecutor,
@@ -263,7 +263,7 @@ def test_live_runs_are_exactly_the_held_runs(scheme_cls, technique):
 
 @pytest.mark.parametrize(
     "crash",
-    [crash_at("op", 0), CrashPoint(after_ios=0), CrashPoint(after_ios=1)],
+    [fault_at("op", 0), CrashPoint(after_ios=0), CrashPoint(after_ios=1)],
     ids=["op-boundary-0", "CrashPoint(after_ios=0)", "CrashPoint(after_ios=1)"],
 )
 @pytest.mark.parametrize("scheme_cls", [ReindexScheme, DelScheme], ids=lambda c: c.name)

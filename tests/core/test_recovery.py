@@ -8,7 +8,7 @@ crashed, with zero leaked extents.
 
 import pytest
 
-from repro.core.boundary import crash_at, drive
+from repro.core.boundary import drive, fault_at
 from repro.core.executor import PlanExecutor
 from repro.core.invariants import check_wave_invariants
 from repro.core.recovery import (
@@ -113,7 +113,7 @@ class TestCrashRecovery:
                 executor.journaled_steps(
                     plan, day=crash_day, scheme_state=scheme.get_state()
                 ),
-                crash_at("op", max(len(plan) - 1, 0)),
+                fault_at("op", max(len(plan) - 1, 0)),
             )
         journal = executor.journal
         assert journal.in_flight is None  # boundary crash: between ops
@@ -156,7 +156,7 @@ class TestCrashRecovery:
                 executor.journaled_steps(
                     plan, day=crash_day, scheme_state=scheme.get_state()
                 ),
-                crash_at("op", 0),
+                fault_at("op", 0),
             )
         journal = executor.journal
         # The executor and scheme objects "died"; only journal + disk live.

@@ -6,9 +6,14 @@ smoke job; here a small configuration exercises the harness mechanics.
 
 import pytest
 
+from repro.index.updates import UpdateTechnique
 from repro.sim.crashmatrix import (
     CrashCell,
     DEFAULT_SCHEMES,
+    _make_store,
+    _probe_values,
+    _scheme_factory,
+    _twin_run,
     run_crash_matrix,
 )
 
@@ -46,6 +51,25 @@ class TestMatrixMechanics:
         mid_op = [c for c in scheme_cells if c.kind == "io"]
         assert mid_op
         assert len(scheme_cells) == len(baseline_cells) + len(mid_op)
+
+    def test_enough_io_samples_crash_every_io_point_once(self):
+        # With at least as many samples as a day makes I/Os, the day's
+        # mid-op cells are exactly the I/O points 1 … ios-1.
+        result = run_crash_matrix(
+            ("DEL",), window=WINDOW, n_indexes=N, cycles=1, seed=3,
+            io_crash_samples=10_000, include_rebalance=False,
+        )
+        assert result.ok
+        last_day = 2 * WINDOW
+        store = _make_store(last_day, 3)
+        _, _, day_ios = _twin_run(
+            _scheme_factory("DEL", WINDOW, N), store, WINDOW, N, last_day,
+            UpdateTechnique.SIMPLE_SHADOW, _probe_values(store, WINDOW),
+        )
+        assert max(day_ios.values()) > 2
+        for day, ios in day_ios.items():
+            points = [c.at for c in result.cells if c.kind == "io" and c.day == day]
+            assert points == list(range(1, ios)), day
 
     def test_temporary_scheme_passes(self):
         result = run_crash_matrix(

@@ -1,7 +1,10 @@
 """Tests for the chaos soak harness and its report schema."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench import chaos
 from repro.bench.harness import write_report
 from repro.bench.chaos import (
     BENCH,
@@ -134,3 +137,21 @@ class TestAbortingSpares:
             mode in ("die", "space") for mode in run["spare_modes_used"]
         )
         assert run["rebuilds_failed"] == aborting > 0
+
+
+def test_one_fault_free_twin_answers_every_seed(monkeypatch):
+    # A soak over k seeds builds k faulted clusters and one twin, not a
+    # twin per seed.
+    twins = []
+
+    class Counting(chaos.ClusterSimulation):
+        def __init__(self, *args, **kwargs):
+            twins.append(kwargs["cluster"].selfheal is None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(chaos, "ClusterSimulation", Counting)
+    config = replace(quick_config(), seeds=(7, 8))
+    report = run_chaos_soak(config)
+    assert report["headline"]["all_invariants_pass"]
+    assert len(twins) == len(config.seeds) + 1
+    assert twins.count(True) == 1

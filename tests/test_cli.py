@@ -1,8 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.bench.tables import FIGURES
 from repro.cli import main
+
+OUT = Path(__file__).resolve().parent.parent / "benchmarks" / "out"
 
 
 class TestSchemes:
@@ -35,7 +40,15 @@ class TestFigure:
         assert main(["figure", "fig11"]) == 0
         out = capsys.readouterr().out
         assert "index-size ratio" in out
-        assert "n=4" in out
+        rows = [line.split() for line in out.splitlines()[3:]]
+        assert [row[0] for row in rows] == ["2", "3", "4", "5", "6", "7", "OPT(n=2)"]
+
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_prints_the_committed_figure(self, name, capsys):
+        # The CLI prints the render its bench writes to benchmarks/out.
+        (committed,) = OUT.glob(f"fig{int(name[3:]):02d}_*.txt")
+        assert main(["figure", name]) == 0
+        assert capsys.readouterr().out == committed.read_text(encoding="utf-8")
 
     def test_fig4(self, capsys):
         assert main(["figure", "fig4"]) == 0
