@@ -30,21 +30,24 @@ an answer, never the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, ClassVar
 
 from ..advisor import AdvisorConfig
 from ..cluster import ClusterConfig, ClusterSimulation
 from ..core.oracle import battery, check_against_twin
 from ..core.records import RecordStore
 from ..core.schemes import scheme_by_name
-from ..sim.querygen import (
-    DriftingWorkload,
-    QueryWorkload,
-    WorkloadPhase,
-    uniform_key_picker,
+from ..sim.querygen import DriftingWorkload, QueryWorkload, WorkloadPhase
+from .harness import (
+    SCHEMA_VERSION,
+    Bench,
+    IntCorpus,
+    Schema,
+    Wave,
+    build_world,
+    check_fixed,
+    claim_passes,
 )
-from ..workloads.keys import build_int_store
-from .harness import SCHEMA_VERSION, Bench, Schema, claim_passes
 
 
 @dataclass(frozen=True)
@@ -57,15 +60,15 @@ class AdvisorBenchConfig:
     newest one), so no single static design is good everywhere.
     """
 
-    window: int = 6
-    n_indexes: int = 3
     #: The initial design every run (advisor and static twin) starts in.
-    scheme: str = "DEL"
+    wave: Wave = Wave(window=6, n_indexes=3, scheme="DEL")
+    corpus: IntCorpus = IntCorpus(domain=64, records_per_day=24, record_bytes=64)
+    #: The advisor every advisor-on run tunes with.
+    advisor: AdvisorConfig = AdvisorConfig(
+        observe_days=2, cooldown_days=2, amortization_days=5
+    )
     #: Days per drift phase; three phases follow the initial build.
     phase_days: int = 14
-    domain: int = 64
-    records_per_day: int = 24
-    record_bytes: int = 64
     #: Phase 1 (probe-heavy): seek-bound point lookups.
     probe_phase_probes: int = 120
     #: Phase 2 (scan-heavy): newest-day scans, a trickle of probes.
@@ -91,9 +94,6 @@ class AdvisorBenchConfig:
         ("WATA*", 3),
         ("WATA*", 6),
     )
-    observe_days: int = 2
-    cooldown_days: int = 2
-    amortization_days: int = 5
     #: Divergent sub-experiment: a byte-heavy store (newest-day scan cost
     #: must dominate its seek for layout to matter) and a steady mixed
     #: stream served by two replicas.
@@ -104,10 +104,15 @@ class AdvisorBenchConfig:
     #: Steady-state qps is averaged over this many final days.
     tail_days: int = 5
     seed: int = 7
-    quick: bool = False
+    #: The divergent pair sets ``advisor.divergent``.
+    settable: ClassVar[dict[str, tuple[str, ...]]] = {
+        "advisor": ("observe_days", "cooldown_days", "amortization_days"),
+    }
 
     def __post_init__(self) -> None:
-        if self.phase_days < self.observe_days + self.cooldown_days + 1:
+        check_fixed(self)
+        advisor = self.advisor
+        if self.phase_days < advisor.observe_days + advisor.cooldown_days + 1:
             raise ValueError(
                 f"phase_days={self.phase_days} leaves no room to observe "
                 f"and retune within a phase"
@@ -116,19 +121,18 @@ class AdvisorBenchConfig:
             raise ValueError(f"tail_days must be >= 1, got {self.tail_days}")
         for name, n in self.static_designs:
             cls = scheme_by_name(name)  # raises KeyError on unknowns
-            if not cls.min_indexes <= n <= self.window:
+            if not cls.min_indexes <= n <= self.wave.window:
                 raise ValueError(f"static design {name}/{n} is illegal")
-        scheme_by_name(self.scheme)
 
     @property
     def last_day(self) -> int:
         """Return the drift run's final simulated day."""
-        return self.window + 3 * self.phase_days
+        return self.wave.window + 3 * self.phase_days
 
     @property
     def phase_starts(self) -> tuple[int, int, int]:
         """Return the first day of each drift phase."""
-        first = self.window + 1
+        first = self.wave.window + 1
         return (first, first + self.phase_days, first + 2 * self.phase_days)
 
 
@@ -137,15 +141,14 @@ def quick_config(base: AdvisorBenchConfig | None = None) -> AdvisorBenchConfig:
 
     The full run already finishes in seconds, and the gated headline is
     a ratio over the whole drift — shrinking any phase would move it —
-    so quick mode keeps the exact same runs and only marks the artifact.
+    so quick mode keeps the exact same runs.
     """
-    base = base or AdvisorBenchConfig()
-    return replace(base, quick=True)
+    return base or AdvisorBenchConfig()
 
 
 def _drift_workload(config: AdvisorBenchConfig) -> DriftingWorkload:
     """Return the three-phase drifting stream every drift run shares."""
-    picker = uniform_key_picker(config.domain)
+    picker = config.corpus.picker()
     seed = config.seed + 1
     p1, p2, p3 = config.phase_starts
     return DriftingWorkload(
@@ -182,38 +185,22 @@ def _drift_workload(config: AdvisorBenchConfig) -> DriftingWorkload:
     )
 
 
-def _advisor_config(
-    config: AdvisorBenchConfig, *, divergent: bool = False
-) -> AdvisorConfig:
-    return AdvisorConfig(
-        observe_days=config.observe_days,
-        cooldown_days=config.cooldown_days,
-        amortization_days=config.amortization_days,
-        divergent=divergent,
-    )
-
-
 def _run_drift(
     config: AdvisorBenchConfig,
     store: RecordStore,
     queries: DriftingWorkload,
     *,
-    scheme: str,
-    n_indexes: int,
+    wave: Wave,
     advisor: AdvisorConfig | None,
 ) -> ClusterSimulation:
     """One single-shard drift run (advisor-on or a frozen static)."""
-    scheme_cls = scheme_by_name(scheme)
-    sim = ClusterSimulation(
-        lambda: scheme_cls(config.window, n_indexes),
+    sim = build_world(
+        wave,
         store,
-        queries=queries,
-        cluster=ClusterConfig(
-            n_shards=1,
-            replication=1,
-            maintenance="lockstep",
-            advisor=advisor,
+        ClusterConfig(
+            n_shards=1, replication=1, maintenance="lockstep", advisor=advisor
         ),
+        queries=queries,
     )
     sim.run(config.last_day)
     return sim
@@ -278,9 +265,10 @@ def _answers_match(
     Designs lay the same entries out differently; the oracle compares
     what an answer carries — its entries and its days — not their order.
     """
-    lo = last_day - config.window + 1
-    probes = [(value, lo, last_day) for value in range(1, config.domain + 1, 7)]
-    probes += [(1, last_day, last_day), (config.domain, lo, lo + config.window // 2)]
+    window, domain = config.wave.window, config.corpus.domain
+    lo = last_day - window + 1
+    probes = [(value, lo, last_day) for value in range(1, domain + 1, 7)]
+    probes += [(1, last_day, last_day), (domain, lo, lo + window // 2)]
     scans = [(lo, last_day), (last_day, last_day), (lo + 1, last_day - 1)]
     return all(
         check_against_twin(got, want).status == "ok"
@@ -295,34 +283,28 @@ def _run_divergent_pair(
     config: AdvisorBenchConfig,
 ) -> tuple[dict[str, Any], bool]:
     """Race divergent vs uniform replica designs on one mixed stream."""
-    last_day = config.window + config.divergent_transitions
-    store = build_int_store(
-        config.seed,
-        last_day,
-        config.divergent_records_per_day,
-        config.domain,
-        config.record_bytes,
-    )
+    last_day = config.wave.window + config.divergent_transitions
+    corpus = replace(config.corpus, records_per_day=config.divergent_records_per_day)
+    store = corpus.store(last_day, config.seed)
     workload = QueryWorkload(
         probes_per_day=config.divergent_probes,
         scans_per_day=config.divergent_scans,
         scan_newest_only=True,
-        value_picker=uniform_key_picker(config.domain),
+        value_picker=corpus.picker(),
         seed=config.seed + 2,
     )
-    scheme_cls = scheme_by_name(config.scheme)
 
     def run(divergent: bool) -> ClusterSimulation:
-        sim = ClusterSimulation(
-            lambda: scheme_cls(config.window, config.n_indexes),
+        sim = build_world(
+            config.wave,
             store,
-            queries=workload,
-            cluster=ClusterConfig(
+            ClusterConfig(
                 n_shards=1,
                 replication=2,
                 maintenance="lockstep",
-                advisor=_advisor_config(config, divergent=divergent),
+                advisor=replace(config.advisor, divergent=divergent),
             ),
+            queries=workload,
         )
         sim.run(last_day)
         return sim
@@ -353,45 +335,26 @@ def run_advisor_bench(
 ) -> dict[str, Any]:
     """Run the drift race and the divergent pair; return the report."""
     config = config or AdvisorBenchConfig()
-    store = build_int_store(
-        config.seed,
-        config.last_day,
-        config.records_per_day,
-        config.domain,
-        config.record_bytes,
-    )
+    store = config.corpus.store(config.last_day, config.seed)
     queries = _drift_workload(config)
 
     advisor_sim = _run_drift(
-        config,
-        store,
-        queries,
-        scheme=config.scheme,
-        n_indexes=config.n_indexes,
-        advisor=_advisor_config(config),
+        config, store, queries, wave=config.wave, advisor=config.advisor
     )
     advisor_cost = _cumulative_cost(advisor_sim)
 
     statics: dict[str, dict[str, Any]] = {}
     twin: ClusterSimulation | None = None
     for scheme, n in config.static_designs:
-        sim = _run_drift(
-            config, store, queries, scheme=scheme, n_indexes=n, advisor=None
-        )
+        wave = replace(config.wave, scheme=scheme, n_indexes=n)
+        sim = _run_drift(config, store, queries, wave=wave, advisor=None)
         statics[f"{scheme}/{n}"] = {"cumulative_cost": _cumulative_cost(sim)}
-        if scheme == config.scheme and n == config.n_indexes:
+        if wave == config.wave:
             twin = sim
     if twin is None:
         # The initial design was not in the grid: run the advisor-off
         # twin separately so bit-identity is still checked against it.
-        twin = _run_drift(
-            config,
-            store,
-            queries,
-            scheme=config.scheme,
-            n_indexes=config.n_indexes,
-            advisor=None,
-        )
+        twin = _run_drift(config, store, queries, wave=config.wave, advisor=None)
 
     bit_identical = _answers_match(advisor_sim, twin, config, config.last_day)
 
@@ -443,11 +406,11 @@ def run_advisor_bench(
         "bench": "advisor",
         "schema_version": SCHEMA_VERSION,
         "workload": {
-            "window": config.window,
-            "n_indexes": config.n_indexes,
-            "scheme": config.scheme,
-            "domain": config.domain,
-            "records_per_day": config.records_per_day,
+            "window": config.wave.window,
+            "n_indexes": config.wave.n_indexes,
+            "scheme": config.wave.scheme,
+            "domain": config.corpus.domain,
+            "records_per_day": config.corpus.records_per_day,
             "phase_days": config.phase_days,
             "phases": [
                 {
@@ -471,12 +434,11 @@ def run_advisor_bench(
             ],
             "volume_ramp": config.volume_ramp,
             "seed": config.seed,
-            "quick": config.quick,
         },
         "advisor": {
-            "observe_days": config.observe_days,
-            "cooldown_days": config.cooldown_days,
-            "amortization_days": config.amortization_days,
+            "observe_days": config.advisor.observe_days,
+            "cooldown_days": config.advisor.cooldown_days,
+            "amortization_days": config.advisor.amortization_days,
             "static_designs": [
                 f"{scheme}/{n}" for scheme, n in config.static_designs
             ],

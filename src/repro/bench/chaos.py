@@ -47,7 +47,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, ClassVar
 
 from ..cluster import (
     BreakerConfig,
@@ -58,15 +58,23 @@ from ..cluster import (
 from ..core.boundary import Boundary, drive
 from ..core.oracle import battery, check_against_twin
 from ..core.records import RecordStore
-from ..core.schemes import scheme_by_name
-from ..sim.querygen import zipf_value_picker
 from ..storage.faults import (
     CrashPoint,
     FaultInjector,
     FaultyDisk,
     RetryPolicy,
 )
-from .harness import SCHEMA_VERSION, Bench, Schema, text_corpus, zipf_queries
+from .harness import (
+    SCHEMA_VERSION,
+    Bench,
+    QueryStream,
+    Schema,
+    TextCorpus,
+    Wave,
+    build_world,
+    check_fixed,
+    override,
+)
 
 #: Fault injection points a kill can target.
 KILL_POINTS = ("transition", "serving", "rebuild")
@@ -85,44 +93,49 @@ class ChaosSoakConfig:
     spares — soaked across several seeds.
     """
 
-    window: int = 8
-    n_indexes: int = 4
+    wave: Wave = Wave(window=8, n_indexes=4, scheme="REINDEX")
+    corpus: TextCorpus = TextCorpus(docs_per_day=18, words_per_doc=10, zipf_s=1.0)
+    queries: QueryStream = QueryStream(probes_per_day=30, scans_per_day=2)
+    cluster: ClusterConfig = ClusterConfig(
+        n_shards=4,
+        replication=2,
+        partitioner="hash",
+        maintenance="staggered",
+        max_concurrent_frac=0.5,
+        arrival_stretch=2.0,
+    )
+    breaker: BreakerConfig = BreakerConfig(failure_threshold=3, cooldown_s=0.5)
+    retry: RetryPolicy = RetryPolicy(max_attempts=3)
     transitions: int = 10
-    scheme: str = "REINDEX"
-    n_shards: int = 4
-    replication: int = 2
-    partitioner: str = "hash"
-    maintenance: str = "staggered"
-    max_concurrent_frac: float = 0.5
-    arrival_stretch: float = 2.0
-    docs_per_day: int = 18
-    words_per_doc: int = 10
-    probes_per_day: int = 30
-    scans_per_day: int = 2
-    zipf_s: float = 1.0
     #: Probe values compared against the twin after every day.
     check_probes: int = 6
     kills_per_shard: int = 1
     kill_points: tuple[str, ...] = KILL_POINTS
     transient_burst_days: int = 2
     transient_rate: float = 0.9
-    breaker_threshold: int = 3
-    breaker_cooldown_s: float = 0.5
-    retry_max_attempts: int = 3
     seeds: tuple[int, ...] = (7, 8, 9)
-    quick: bool = False
+    #: The soak builds the self-healing from ``breaker`` and ``retry``.
+    settable: ClassVar[dict[str, tuple[str, ...]]] = {
+        "cluster": (
+            "n_shards",
+            "replication",
+            "partitioner",
+            "maintenance",
+            "max_concurrent_frac",
+            "arrival_stretch",
+        ),
+        "breaker": ("failure_threshold", "cooldown_s"),
+        "retry": ("max_attempts",),
+    }
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        check_fixed(self)
         if self.transitions < 4:
             raise ValueError(
                 "transitions must be >= 4 (kills need healing slack), "
                 f"got {self.transitions}"
             )
-        if self.n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.kills_per_shard > 0 and self.replication < 2:
+        if self.kills_per_shard > 0 and self.cluster.replication < 2:
             raise ValueError(
                 "kills with replication < 2 would darken shards; "
                 "use replication >= 2"
@@ -145,12 +158,11 @@ class ChaosSoakConfig:
             )
         if not self.seeds:
             raise ValueError("need at least one seed")
-        scheme_by_name(self.scheme)  # raises KeyError on unknowns
 
     @property
     def last_day(self) -> int:
         """Return the final simulated day."""
-        return self.window + self.transitions
+        return self.wave.window + self.transitions
 
 
 def quick_config(base: ChaosSoakConfig | None = None) -> ChaosSoakConfig:
@@ -164,13 +176,12 @@ def quick_config(base: ChaosSoakConfig | None = None) -> ChaosSoakConfig:
     query stream, and the seed count shrink.
     """
     base = base or ChaosSoakConfig()
-    return replace(
+    return override(
         base,
         transitions=6,
         probes_per_day=20,
         transient_burst_days=1,
         seeds=(base.seeds[0],),
-        quick=True,
     )
 
 
@@ -213,9 +224,6 @@ class _Invariants:
         setattr(self, invariant, False)
         self.violations.append(f"{invariant}: {message}")
 
-    def all_pass(self) -> bool:
-        return not self.violations
-
     def as_dict(self) -> dict[str, bool]:
         return {
             "answers_match": self.answers_match,
@@ -229,61 +237,52 @@ class _Invariants:
 def _simulation(
     config: ChaosSoakConfig,
     store: RecordStore,
-    vocabulary: int,
     selfheal: SelfHealConfig | None = None,
     device_factory=None,
 ) -> ClusterSimulation:
     """The soak's cluster over ``store``; with no self-healing and plain
     devices, its fault-free twin."""
-    scheme_cls = scheme_by_name(config.scheme)
-    return ClusterSimulation(
-        lambda: scheme_cls(config.window, config.n_indexes),
+    return build_world(
+        config.wave,
         store,
-        queries=zipf_queries(config, vocabulary, config.seeds[0] + 1),
-        cluster=ClusterConfig(
-            n_shards=config.n_shards,
-            replication=config.replication,
-            partitioner=config.partitioner,
-            maintenance=config.maintenance,
-            max_concurrent_frac=config.max_concurrent_frac,
-            arrival_stretch=config.arrival_stretch,
-            selfheal=selfheal,
+        replace(config.cluster, selfheal=selfheal),
+        queries=config.queries.workload(
+            config.corpus.picker(), config.seeds[0] + 1
         ),
         device_factory=device_factory,
     )
 
 
 def _check_specs(
-    config: ChaosSoakConfig, vocabulary: int, seed: int, day: int
+    config: ChaosSoakConfig, seed: int, day: int
 ) -> list[tuple[Any, int, int]]:
     """The probes ``seed`` checks after ``day``, over the day's window."""
     rng = random.Random((seed << 20) ^ (day * 2654435761 % (1 << 31)))
-    picker = zipf_value_picker(vocabulary, config.zipf_s)
-    lo = day - config.window + 1
+    picker = config.corpus.picker()
+    lo = day - config.wave.window + 1
     return [(picker(rng), lo, day) for _ in range(config.check_probes)]
 
 
 def _record_twin(
-    config: ChaosSoakConfig, store: RecordStore, vocabulary: int
+    config: ChaosSoakConfig, store: RecordStore
 ) -> dict[tuple[int, int], list[Any]]:
     """Run the fault-free twin once; return its answers to every seed's
     daily checks — the seed's probes, then the window scan — keyed
     ``(seed, day)``."""
-    twin = _simulation(config, store, vocabulary)
+    twin = _simulation(config, store)
     twin.run_start()
     answers: dict[tuple[int, int], list[Any]] = {}
     k = config.check_probes
-    for day in range(config.window, config.last_day + 1):
-        if day > config.window:
+    window = config.wave.window
+    for day in range(window, config.last_day + 1):
+        if day > window:
             twin.run_transition(day)
         specs = [
             spec
             for seed in config.seeds
-            for spec in _check_specs(config, vocabulary, seed, day)
+            for spec in _check_specs(config, seed, day)
         ]
-        *probes, scan = battery(
-            twin.coordinator, specs, [(day - config.window + 1, day)]
-        )
+        *probes, scan = battery(twin.coordinator, specs, [(day - window + 1, day)])
         for i, seed in enumerate(config.seeds):
             answers[seed, day] = [*probes[i * k : (i + 1) * k], scan]
     return answers
@@ -298,15 +297,13 @@ class _ChaosRun:
         config: ChaosSoakConfig,
         seed: int,
         store: RecordStore,
-        vocabulary: int,
         twin: dict[tuple[int, int], list[Any]],
     ) -> None:
         self.config = config
         self.seed = seed
         self.store = store
-        self.vocabulary = vocabulary
         self.twin = twin
-        self.retry = RetryPolicy(max_attempts=config.retry_max_attempts)
+        self.retry = config.retry
         self.invariants = _Invariants()
         #: shard_id -> spare behaviours its kills queued, oldest first.
         self._spare_queues: defaultdict[int, list[str]] = defaultdict(list)
@@ -326,12 +323,12 @@ class _ChaosRun:
 
     def _schedule(self, rng: random.Random) -> None:
         config = self.config
-        first = config.window + 1
+        first = config.wave.window + 1
         # Leave two days of slack so even a kill whose first rebuild
         # attempt aborts heals before the run ends.
         last_kill = config.last_day - 2
         kills: list[_Kill] = []
-        for shard_id in range(config.n_shards):
+        for shard_id in range(config.cluster.n_shards):
             for _ in range(config.kills_per_shard):
                 point = rng.choice(list(config.kill_points))
                 modes: list[str] = []
@@ -353,7 +350,7 @@ class _ChaosRun:
             min(config.transient_burst_days, config.transitions),
         )
         self.bursts = [
-            _Burst(shard_id=rng.randrange(config.n_shards), day=day)
+            _Burst(shard_id=rng.randrange(config.cluster.n_shards), day=day)
             for day in sorted(burst_days)
         ]
 
@@ -392,7 +389,7 @@ class _ChaosRun:
         injector = spare.injector
         if mode == "die":
             injector.fail_device_after_ios = rng.randint(
-                1, self.config.n_indexes
+                1, self.config.wave.n_indexes
             )
         elif mode == "space":
             injector.space_limit_bytes = 4096
@@ -467,8 +464,8 @@ class _ChaosRun:
 
     def _check_answers(self, sim: ClusterSimulation, day: int) -> None:
         """Judge a probe sample and a window scan by the twin oracle."""
-        specs = _check_specs(self.config, self.vocabulary, self.seed, day)
-        lo = day - self.config.window + 1
+        specs = _check_specs(self.config, self.seed, day)
+        lo = day - self.config.wave.window + 1
         labels = [f"day {day} probe {spec[0]!r}" for spec in specs]
         for label, got, want in zip(
             [*labels, f"day {day} scan"],
@@ -497,7 +494,7 @@ class _ChaosRun:
             )
         if stats.missing_days and not (
             stats.missing_days
-            <= set(range(day - config.window + 1, day + 1))
+            <= set(range(day - config.wave.window + 1, day + 1))
         ):
             self.invariants.fail(
                 "degraded_subsets",
@@ -511,7 +508,7 @@ class _ChaosRun:
         for shard in sim.shards:
             alive = len(shard.alive_replicas())
             shard_id = shard.shard_id
-            if alive < config.replication:
+            if alive < config.cluster.replication:
                 self._under_since.setdefault(shard_id, day)
                 self._aborts_in_window.setdefault(shard_id, 0)
             elif shard_id in self._under_since:
@@ -533,20 +530,16 @@ class _ChaosRun:
     def run(self) -> dict[str, Any]:
         config = self.config
         selfheal = SelfHealConfig(
-            breaker=BreakerConfig(
-                failure_threshold=config.breaker_threshold,
-                cooldown_s=config.breaker_cooldown_s,
-            ),
+            breaker=config.breaker,
             retry=self.retry,
             spare_factory=self._spare_device,
         )
-        sim = _simulation(
-            config, self.store, self.vocabulary, selfheal, self._base_device
-        )
+        sim = _simulation(config, self.store, selfheal, self._base_device)
+        window = config.wave.window
         sim.run_start()
-        self._check_answers(sim, config.window)
-        self._track_replication(sim, config.window)
-        for day in range(config.window + 1, config.last_day + 1):
+        self._check_answers(sim, window)
+        self._track_replication(sim, window)
+        for day in range(window + 1, config.last_day + 1):
             self._arm_day_start(sim, day)
             drive(
                 sim.day_steps(day),
@@ -631,12 +624,9 @@ def run_chaos_soak(config: ChaosSoakConfig | None = None) -> dict[str, Any]:
     all of them.
     """
     config = config or ChaosSoakConfig()
-    store, vocabulary = text_corpus(config, config.last_day, config.seeds[0])
-    twin = _record_twin(config, store, vocabulary)
-    runs = [
-        _ChaosRun(config, seed, store, vocabulary, twin).run()
-        for seed in config.seeds
-    ]
+    store = config.corpus.store(config.last_day, config.seeds[0])
+    twin = _record_twin(config, store)
+    runs = [_ChaosRun(config, seed, store, twin).run() for seed in config.seeds]
     makespans = [run["recovery_makespan_seconds"] for run in runs]
     headline = {
         "seeds": len(runs),
@@ -660,31 +650,30 @@ def run_chaos_soak(config: ChaosSoakConfig | None = None) -> dict[str, Any]:
         "bench": "chaos",
         "schema_version": SCHEMA_VERSION,
         "workload": {
-            "window": config.window,
-            "n_indexes": config.n_indexes,
+            "window": config.wave.window,
+            "n_indexes": config.wave.n_indexes,
             "transitions": config.transitions,
-            "scheme": config.scheme,
-            "docs_per_day": config.docs_per_day,
-            "words_per_doc": config.words_per_doc,
-            "vocabulary": vocabulary,
-            "probes_per_day": config.probes_per_day,
-            "scans_per_day": config.scans_per_day,
-            "zipf_s": config.zipf_s,
+            "scheme": config.wave.scheme,
+            "docs_per_day": config.corpus.docs_per_day,
+            "words_per_doc": config.corpus.words_per_doc,
+            "vocabulary": config.corpus.vocabulary,
+            "probes_per_day": config.queries.probes_per_day,
+            "scans_per_day": config.queries.scans_per_day,
+            "zipf_s": config.corpus.zipf_s,
             "check_probes": config.check_probes,
-            "quick": config.quick,
         },
         "chaos": {
-            "n_shards": config.n_shards,
-            "replication": config.replication,
-            "partitioner": config.partitioner,
-            "maintenance": config.maintenance,
+            "n_shards": config.cluster.n_shards,
+            "replication": config.cluster.replication,
+            "partitioner": config.cluster.partitioner,
+            "maintenance": config.cluster.maintenance,
             "kills_per_shard": config.kills_per_shard,
             "kill_points": list(config.kill_points),
             "transient_burst_days": config.transient_burst_days,
             "transient_rate": config.transient_rate,
-            "breaker_threshold": config.breaker_threshold,
-            "breaker_cooldown_s": config.breaker_cooldown_s,
-            "retry_max_attempts": config.retry_max_attempts,
+            "breaker_threshold": config.breaker.failure_threshold,
+            "breaker_cooldown_s": config.breaker.cooldown_s,
+            "retry_max_attempts": config.retry.max_attempts,
             "seeds": list(config.seeds),
         },
         "runs": runs,

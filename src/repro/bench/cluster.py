@@ -22,12 +22,22 @@ code, and ``repro bench-check`` gates their headlines.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, ClassVar
 
-from ..cluster import ClusterConfig, ClusterResult, run_cluster_simulation
+from ..cluster import ClusterConfig
 from ..core.records import RecordStore
-from ..core.schemes import scheme_by_name
-from .harness import SCHEMA_VERSION, Bench, Schema, text_corpus, zipf_queries
+from .harness import (
+    SCHEMA_VERSION,
+    Bench,
+    QueryStream,
+    Schema,
+    TextCorpus,
+    Wave,
+    build_world,
+    check_fixed,
+    override,
+    ratio,
+)
 
 
 @dataclass(frozen=True)
@@ -37,29 +47,31 @@ class ClusterBenchConfig:
     The defaults model a small text window served by a four-shard
     cluster: a Netnews-style store partitioned by hash, a Zipf-skewed
     probe stream plus a few scans per day, and a conservative stagger
-    (one shard in transition at a time at ``k = 4``).
+    (one shard in transition at a time at ``k = 4``).  Each run sets
+    ``cluster``'s shard count and maintenance schedule.
     """
 
-    window: int = 10
-    n_indexes: int = 4
+    wave: Wave = Wave(window=10, n_indexes=4, scheme="REINDEX")
+    corpus: TextCorpus = TextCorpus(docs_per_day=24, words_per_doc=12, zipf_s=1.0)
+    queries: QueryStream = QueryStream(probes_per_day=40, scans_per_day=3)
+    cluster: ClusterConfig = ClusterConfig(
+        replication=1,
+        partitioner="hash",
+        max_concurrent_frac=0.25,
+        arrival_stretch=2.0,
+    )
     transitions: int = 8
-    scheme: str = "REINDEX"
     shard_counts: tuple[int, ...] = (1, 2, 4)
-    replication: int = 1
-    partitioner: str = "hash"
-    max_concurrent_frac: float = 0.25
-    arrival_stretch: float = 2.0
-    docs_per_day: int = 24
-    words_per_doc: int = 12
-    probes_per_day: int = 40
-    scans_per_day: int = 3
-    zipf_s: float = 1.0
     seed: int = 7
-    quick: bool = False
+    #: Each run sets the shard count and the maintenance schedule.
+    settable: ClassVar[dict[str, tuple[str, ...]]] = {
+        "cluster": (
+            "replication", "partitioner", "max_concurrent_frac", "arrival_stretch"
+        ),
+    }
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        check_fixed(self)
         if self.transitions < 1:
             raise ValueError(
                 f"transitions must be >= 1, got {self.transitions}"
@@ -78,72 +90,52 @@ class ClusterBenchConfig:
             raise ValueError(
                 "shard_counts must include a multi-shard point (k >= 2)"
             )
-        if self.replication < 1:
-            raise ValueError(
-                f"replication must be >= 1, got {self.replication}"
-            )
-        if self.probes_per_day < 1:
-            raise ValueError(
-                f"probes_per_day must be >= 1, got {self.probes_per_day}"
-            )
-        scheme_by_name(self.scheme)  # raises KeyError on unknowns
 
     @property
     def last_day(self) -> int:
         """Return the final simulated day."""
-        return self.window + self.transitions
+        return self.wave.window + self.transitions
 
 
 def quick_config(base: ClusterBenchConfig | None = None) -> ClusterBenchConfig:
     """Return a CI-sized variant of ``base`` (same shape, smaller run)."""
-    base = base or ClusterBenchConfig()
     # The workload *mix* (probes vs scans per day) is kept at the full
     # run's proportions: scans fan out to every shard and probes split,
     # so the mix sets the throughput-scaling headline — shrinking it
     # would push the quick value outside the bench-check gate's band
     # around the committed full-run baseline.
-    return replace(
-        base,
+    return override(
+        base or ClusterBenchConfig(),
         window=8,
         transitions=6,
         shard_counts=(1, 4),
         docs_per_day=14,
-        quick=True,
     )
 
 
 def _run_one(
     config: ClusterBenchConfig,
     store: RecordStore,
-    vocabulary: int,
     n_shards: int,
     maintenance: str,
-) -> tuple[dict[str, Any], ClusterResult]:
+) -> dict[str, Any]:
     """Run one cluster configuration; return its report entry."""
-    scheme_cls = scheme_by_name(config.scheme)
-    result = run_cluster_simulation(
-        lambda: scheme_cls(config.window, config.n_indexes),
+    cluster = replace(config.cluster, n_shards=n_shards, maintenance=maintenance)
+    result = build_world(
+        config.wave,
         store,
-        last_day=config.last_day,
-        queries=zipf_queries(config, vocabulary, config.seed + 1),
-        cluster=ClusterConfig(
-            n_shards=n_shards,
-            replication=config.replication,
-            partitioner=config.partitioner,
-            maintenance=maintenance,
-            max_concurrent_frac=config.max_concurrent_frac,
-            arrival_stretch=config.arrival_stretch,
-        ),
-    )
+        cluster,
+        queries=config.queries.workload(config.corpus.picker(), config.seed + 1),
+    ).run(config.last_day)
     maintenance_seconds = sum(
         d.seconds.total for shard in result.shard_results for d in shard.days
     )
     query_seconds = sum(
         d.query_seconds for shard in result.shard_results for d in shard.days
     )
-    entry = {
+    return {
         "n_shards": n_shards,
-        "replication": config.replication,
+        "replication": cluster.replication,
         "maintenance": maintenance,
         "makespan_seconds": result.total_makespan_seconds(),
         "maintenance_seconds": maintenance_seconds,
@@ -155,14 +147,6 @@ def _run_one(
         "latency_during_transition": result.latency_during,
         "latency_steady_state": result.latency_steady,
     }
-    return entry, result
-
-
-def _ratio(a: float | None, b: float | None) -> float | None:
-    """Return ``a / b`` (``None`` when undefined)."""
-    if a is None or b is None or b <= 0:
-        return None
-    return a / b
 
 
 def run_cluster_bench(
@@ -177,7 +161,7 @@ def run_cluster_bench(
     degraded strawman.
     """
     config = config or ClusterBenchConfig()
-    store, vocabulary = text_corpus(config, config.last_day, config.seed)
+    store = config.corpus.store(config.last_day, config.seed)
     k_max = max(config.shard_counts)
 
     runs: list[dict[str, Any]] = []
@@ -187,9 +171,7 @@ def run_cluster_bench(
         if n_shards == k_max:
             modes.append("staggered")
         for maintenance in modes:
-            entry, _ = _run_one(
-                config, store, vocabulary, n_shards, maintenance
-            )
+            entry = _run_one(config, store, n_shards, maintenance)
             runs.append(entry)
             by_key[(n_shards, maintenance)] = entry
 
@@ -205,19 +187,19 @@ def run_cluster_bench(
     lock_p95 = p95_during(lockstep)
     headline = {
         "k_max": k_max,
-        "throughput_scaling": _ratio(
+        "throughput_scaling": ratio(
             staggered["queries_per_second"], single["queries_per_second"]
         ),
-        "throughput_scaling_lockstep": _ratio(
+        "throughput_scaling_lockstep": ratio(
             lockstep["queries_per_second"], single["queries_per_second"]
         ),
-        "staggered_p95_ratio": _ratio(stag_p95, lock_p95),
+        "staggered_p95_ratio": ratio(stag_p95, lock_p95),
         "staggered_p95_improved": (
             stag_p95 is not None
             and lock_p95 is not None
             and stag_p95 < lock_p95
         ),
-        "staggered_makespan_ratio": _ratio(
+        "staggered_makespan_ratio": ratio(
             staggered["makespan_seconds"], lockstep["makespan_seconds"]
         ),
     }
@@ -225,25 +207,24 @@ def run_cluster_bench(
         "bench": "cluster",
         "schema_version": SCHEMA_VERSION,
         "workload": {
-            "window": config.window,
-            "n_indexes": config.n_indexes,
+            "window": config.wave.window,
+            "n_indexes": config.wave.n_indexes,
             "transitions": config.transitions,
-            "scheme": config.scheme,
-            "docs_per_day": config.docs_per_day,
-            "words_per_doc": config.words_per_doc,
-            "vocabulary": vocabulary,
-            "probes_per_day": config.probes_per_day,
-            "scans_per_day": config.scans_per_day,
-            "zipf_s": config.zipf_s,
+            "scheme": config.wave.scheme,
+            "docs_per_day": config.corpus.docs_per_day,
+            "words_per_doc": config.corpus.words_per_doc,
+            "vocabulary": config.corpus.vocabulary,
+            "probes_per_day": config.queries.probes_per_day,
+            "scans_per_day": config.queries.scans_per_day,
+            "zipf_s": config.corpus.zipf_s,
             "seed": config.seed,
-            "quick": config.quick,
         },
         "cluster": {
             "shard_counts": list(sorted(set(config.shard_counts))),
-            "replication": config.replication,
-            "partitioner": config.partitioner,
-            "max_concurrent_frac": config.max_concurrent_frac,
-            "arrival_stretch": config.arrival_stretch,
+            "replication": config.cluster.replication,
+            "partitioner": config.cluster.partitioner,
+            "max_concurrent_frac": config.cluster.max_concurrent_frac,
+            "arrival_stretch": config.cluster.arrival_stretch,
         },
         "runs": runs,
         "headline": headline,

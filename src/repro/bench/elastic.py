@@ -27,14 +27,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, ClassVar
 
 from ..cluster import ClusterConfig, ClusterSimulation, ElasticConfig
 from ..core.records import RecordStore
-from ..core.schemes import scheme_by_name
-from ..sim.querygen import QueryWorkload, SpikedWorkload, uniform_key_picker
-from ..workloads.keys import build_int_store
-from .harness import SCHEMA_VERSION, Bench, Schema, claim_passes
+from ..sim.querygen import SpikedWorkload
+from .harness import (
+    SCHEMA_VERSION,
+    Bench,
+    IntCorpus,
+    QueryStream,
+    Schema,
+    Wave,
+    build_world,
+    check_fixed,
+    claim_passes,
+)
 
 
 @dataclass(frozen=True)
@@ -43,23 +51,28 @@ class ElasticBenchConfig:
 
     The defaults model the acceptance scenario: a three-shard
     range-partitioned cluster, a sustained 4x probe spike confined to
-    the middle partition range, and the autoscaler left to react.
+    the middle partition range, and the autoscaler left to react.  The
+    elastic run is ``cluster`` with ``elastic`` set; the static control
+    is ``cluster`` alone.
     """
 
-    window: int = 7
-    n_indexes: int = 3
-    transitions: int = 10
-    scheme: str = "REINDEX"
-    n_shards: int = 3
-    replication: int = 1
-    domain: int = 600
-    range_splits: tuple[int, ...] = (200, 400)
-    records_per_day: int = 24
-    record_bytes: int = 64
+    wave: Wave = Wave(window=7, n_indexes=3, scheme="REINDEX")
+    corpus: IntCorpus = IntCorpus(domain=600, records_per_day=24, record_bytes=64)
     #: Probe-only stream: segment scans cost the same on every shard
     #: and would flatten the per-shard skew the spike creates.
-    probes_per_day: int = 60
-    scans_per_day: int = 0
+    queries: QueryStream = QueryStream(probes_per_day=60, scans_per_day=0)
+    cluster: ClusterConfig = ClusterConfig(
+        n_shards=3, replication=1, partitioner="range", range_splits=(200, 400)
+    )
+    elastic: ElasticConfig = ElasticConfig(
+        autoscale=True,
+        split_load_factor=2.0,
+        merge_load_factor=0.2,
+        min_shards=2,
+        max_shards=6,
+        cooldown_days=1,
+    )
+    transitions: int = 10
     #: Days after the initial build before the spike lands.
     spike_after: int = 3
     spike_factor: float = 4.0
@@ -69,14 +82,17 @@ class ElasticBenchConfig:
     #: A day counts as recovered when its qps is back above this
     #: fraction of the pre-spike baseline.
     recovery_fraction: float = 0.9
-    split_load_factor: float = 2.0
-    merge_load_factor: float = 0.2
-    max_shards: int = 6
-    cooldown_days: int = 1
     seed: int = 7
-    quick: bool = False
+    #: The elastic run sets ``cluster.elastic``; the control leaves it off.
+    settable: ClassVar[dict[str, tuple[str, ...]]] = {
+        "cluster": ("n_shards", "replication", "range_splits"),
+        "elastic": (
+            "split_load_factor", "merge_load_factor", "max_shards", "cooldown_days"
+        ),
+    }
 
     def __post_init__(self) -> None:
+        check_fixed(self)
         if self.transitions < self.spike_after + 3:
             raise ValueError(
                 "transitions must leave at least two days after the "
@@ -87,32 +103,26 @@ class ElasticBenchConfig:
             raise ValueError(
                 f"spike_after must be >= 1, got {self.spike_after}"
             )
-        if not 1 <= self.hot_lo <= self.hot_hi <= self.domain:
+        if not 1 <= self.hot_lo <= self.hot_hi <= self.corpus.domain:
             raise ValueError(
                 f"hot range [{self.hot_lo}, {self.hot_hi}] outside "
-                f"domain [1, {self.domain}]"
+                f"domain [1, {self.corpus.domain}]"
             )
         if not 0.0 < self.recovery_fraction <= 1.0:
             raise ValueError(
                 f"recovery_fraction must be in (0, 1], "
                 f"got {self.recovery_fraction}"
             )
-        if len(self.range_splits) != self.n_shards - 1:
-            raise ValueError(
-                f"range_splits needs {self.n_shards - 1} points for "
-                f"{self.n_shards} shards, got {len(self.range_splits)}"
-            )
-        scheme_by_name(self.scheme)  # raises KeyError on unknowns
 
     @property
     def last_day(self) -> int:
         """Return the final simulated day."""
-        return self.window + self.transitions
+        return self.wave.window + self.transitions
 
     @property
     def spike_day(self) -> int:
         """Return the day the spike lands."""
-        return self.window + self.spike_after
+        return self.wave.window + self.spike_after
 
 
 def quick_config(base: ElasticBenchConfig | None = None) -> ElasticBenchConfig:
@@ -124,24 +134,18 @@ def quick_config(base: ElasticBenchConfig | None = None) -> ElasticBenchConfig:
     the bench-check gate's band.  Only the post-recovery tail shrinks.
     """
     base = base or ElasticBenchConfig()
-    return replace(base, transitions=base.spike_after + 4, quick=True)
+    return replace(base, transitions=base.spike_after + 4)
 
 
 def _workload(config: ElasticBenchConfig) -> SpikedWorkload:
     """Return one instance of the spiked daily query stream."""
-    base = QueryWorkload(
-        probes_per_day=config.probes_per_day,
-        scans_per_day=config.scans_per_day,
-        value_picker=uniform_key_picker(config.domain),
-        seed=config.seed + 1,
-    )
     hot_lo, hot_hi = config.hot_lo, config.hot_hi
 
     def hot_picker(rng: random.Random) -> int:
         return rng.randint(hot_lo, hot_hi)
 
     return SpikedWorkload(
-        base=base,
+        base=config.queries.workload(config.corpus.picker(), config.seed + 1),
         spike_day=config.spike_day,
         hot_picker=hot_picker,
         spike_factor=config.spike_factor,
@@ -151,30 +155,11 @@ def _workload(config: ElasticBenchConfig) -> SpikedWorkload:
 def _make_sim(
     config: ElasticBenchConfig, store: RecordStore, *, elastic: bool
 ) -> ClusterSimulation:
-    scheme_cls = scheme_by_name(config.scheme)
-    cluster = ClusterConfig(
-        n_shards=config.n_shards,
-        replication=config.replication,
-        partitioner="range",
-        range_splits=config.range_splits,
-        elastic=(
-            ElasticConfig(
-                autoscale=True,
-                split_load_factor=config.split_load_factor,
-                merge_load_factor=config.merge_load_factor,
-                min_shards=2,
-                max_shards=config.max_shards,
-                cooldown_days=config.cooldown_days,
-            )
-            if elastic
-            else None
-        ),
-    )
-    return ClusterSimulation(
-        lambda: scheme_cls(config.window, config.n_indexes),
+    return build_world(
+        config.wave,
         store,
+        replace(config.cluster, elastic=config.elastic if elastic else None),
         queries=_workload(config),
-        cluster=cluster,
     )
 
 
@@ -234,13 +219,7 @@ def run_elastic_bench(
 ) -> dict[str, Any]:
     """Run the spiked cluster and its static control; return the report."""
     config = config or ElasticBenchConfig()
-    store = build_int_store(
-        config.seed,
-        config.last_day,
-        config.records_per_day,
-        config.domain,
-        config.record_bytes,
-    )
+    store = config.corpus.store(config.last_day, config.seed)
     sim = _make_sim(config, store, elastic=True)
     sim.run(config.last_day)
     static = _make_sim(config, store, elastic=False)
@@ -250,7 +229,7 @@ def run_elastic_bench(
     static_timeline = _timeline(static)
     spike_day = config.spike_day
 
-    baseline_qps = _baseline_qps(timeline, config.window, spike_day)
+    baseline_qps = _baseline_qps(timeline, config.wave.window, spike_day)
     threshold = config.recovery_fraction * baseline_qps
 
     recovery_day: int | None = None
@@ -312,30 +291,29 @@ def run_elastic_bench(
         "bench": "elastic",
         "schema_version": SCHEMA_VERSION,
         "workload": {
-            "window": config.window,
-            "n_indexes": config.n_indexes,
+            "window": config.wave.window,
+            "n_indexes": config.wave.n_indexes,
             "transitions": config.transitions,
-            "scheme": config.scheme,
-            "domain": config.domain,
-            "records_per_day": config.records_per_day,
-            "probes_per_day": config.probes_per_day,
-            "scans_per_day": config.scans_per_day,
+            "scheme": config.wave.scheme,
+            "domain": config.corpus.domain,
+            "records_per_day": config.corpus.records_per_day,
+            "probes_per_day": config.queries.probes_per_day,
+            "scans_per_day": config.queries.scans_per_day,
             "spike_day": spike_day,
             "spike_factor": config.spike_factor,
             "hot_range": [config.hot_lo, config.hot_hi],
             "recovery_fraction": config.recovery_fraction,
             "seed": config.seed,
-            "quick": config.quick,
         },
         "cluster": {
-            "n_shards": config.n_shards,
-            "replication": config.replication,
-            "partitioner": "range",
-            "range_splits": list(config.range_splits),
-            "split_load_factor": config.split_load_factor,
-            "merge_load_factor": config.merge_load_factor,
-            "max_shards": config.max_shards,
-            "cooldown_days": config.cooldown_days,
+            "n_shards": config.cluster.n_shards,
+            "replication": config.cluster.replication,
+            "partitioner": config.cluster.partitioner,
+            "range_splits": list(config.cluster.range_splits),
+            "split_load_factor": config.elastic.split_load_factor,
+            "merge_load_factor": config.elastic.merge_load_factor,
+            "max_shards": config.elastic.max_shards,
+            "cooldown_days": config.elastic.cooldown_days,
         },
         "timeline": timeline,
         "static": static_timeline,

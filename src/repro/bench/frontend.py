@@ -122,7 +122,6 @@ class FrontendBenchConfig:
     #: behaviour the claims expect to survive.
     adaptive_target_p95_s: float = 0.25
     seed: int = 7
-    quick: bool = False
 
     def __post_init__(self) -> None:
         if not self.load_multipliers:
@@ -153,7 +152,6 @@ def quick_config(
         base,
         load_multipliers=(0.4, 0.9, 1.6, 3.0),
         step_duration_s=0.45,
-        quick=True,
     )
 
 
@@ -380,7 +378,6 @@ def run_frontend_bench(
             "n_tenants": config.n_tenants,
             "probe_fraction": config.probe_fraction,
             "seed": config.seed,
-            "quick": config.quick,
         },
         "measured": measured,
         "headline": headline,

@@ -25,12 +25,22 @@ the overlapped during-transition p95 is strictly below the serialized one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, ClassVar
 
-from ..cluster.sim import ClusterConfig, ClusterSimulation
+from ..cluster.sim import ClusterConfig
 from ..core.records import RecordStore
-from ..core.schemes import scheme_by_name
-from .harness import SCHEMA_VERSION, Bench, Schema, text_corpus, zipf_queries
+from .harness import (
+    SCHEMA_VERSION,
+    Bench,
+    QueryStream,
+    Schema,
+    TextCorpus,
+    Wave,
+    build_world,
+    check_fixed,
+    override,
+    ratio,
+)
 
 #: Per-mode keys every scheme entry must carry for both run modes.
 REQUIRED_MODE_KEYS = (
@@ -68,26 +78,30 @@ class OverlapBenchConfig:
 
     The defaults model a small text window: a Netnews-style store, a
     Zipf-skewed probe stream plus a few scans per day, and a 3-device
-    array for the overlapped mode.
+    array for the overlapped mode.  Each of ``schemes`` runs in turn as
+    ``wave``'s scheme; ``cluster`` is the serialized mode's one shard on
+    one device.
     """
 
-    window: int = 10
-    n_indexes: int = 4
+    wave: Wave = Wave(window=10, n_indexes=4, scheme=DEFAULT_SCHEMES[0])
+    corpus: TextCorpus = TextCorpus(docs_per_day=24, words_per_doc=12, zipf_s=1.0)
+    queries: QueryStream = QueryStream(probes_per_day=30, scans_per_day=3)
+    cluster: ClusterConfig = ClusterConfig(
+        n_shards=1, maintenance="lockstep", arrival_stretch=2.0
+    )
     transitions: int = 8
     schemes: tuple[str, ...] = DEFAULT_SCHEMES
-    docs_per_day: int = 24
-    words_per_doc: int = 12
-    probes_per_day: int = 30
-    scans_per_day: int = 3
-    zipf_s: float = 1.0
     n_devices: int = 3
-    arrival_stretch: float = 2.0
     seed: int = 7
-    quick: bool = False
+    #: Each of ``schemes`` runs as the wave's scheme, and each mode sets
+    #: its devices per replica.
+    settable: ClassVar[dict[str, tuple[str, ...]]] = {
+        "wave": ("window", "n_indexes"),
+        "cluster": ("arrival_stretch",),
+    }
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        check_fixed(self)
         if self.transitions < 1:
             raise ValueError(
                 f"transitions must be >= 1, got {self.transitions}"
@@ -98,30 +112,24 @@ class OverlapBenchConfig:
             raise ValueError(
                 f"overlapped mode needs >= 2 devices, got {self.n_devices}"
             )
-        if self.probes_per_day < 1:
-            raise ValueError(
-                f"probes_per_day must be >= 1, got {self.probes_per_day}"
-            )
         for name in self.schemes:
-            scheme_by_name(name)  # raises KeyError on unknowns
+            replace(self.wave, scheme=name)  # the wave checks each
 
     @property
     def last_day(self) -> int:
         """Return the final simulated day."""
-        return self.window + self.transitions
+        return self.wave.window + self.transitions
 
 
 def quick_config(base: OverlapBenchConfig | None = None) -> OverlapBenchConfig:
     """Return a CI-sized variant of ``base`` (same modes, smaller run)."""
-    base = base or OverlapBenchConfig()
-    return replace(
-        base,
+    return override(
+        base or OverlapBenchConfig(),
         window=7,
         transitions=5,
         docs_per_day=10,
         probes_per_day=12,
         scans_per_day=2,
-        quick=True,
     )
 
 
@@ -129,16 +137,14 @@ def _run_mode(
     config: OverlapBenchConfig,
     scheme_name: str,
     store: RecordStore,
-    vocabulary: int,
     cluster: ClusterConfig,
 ) -> dict[str, Any]:
     """Run one scheme on one configuration of the cluster; return measures."""
-    scheme_cls = scheme_by_name(scheme_name)
-    sim = ClusterSimulation(
-        lambda: scheme_cls(config.window, config.n_indexes),
+    sim = build_world(
+        replace(config.wave, scheme=scheme_name),
         store,
-        queries=zipf_queries(config, vocabulary, config.seed + 1),
-        cluster=cluster,
+        cluster,
+        queries=config.queries.workload(config.corpus.picker(), config.seed + 1),
     )
     result = sim.run(config.last_day)
     days = result.shard_results[0].days
@@ -158,11 +164,6 @@ def _run_mode(
     }
 
 
-def _ratio(overlapped: float, serialized: float) -> float | None:
-    """Return ``overlapped / serialized`` (``None`` when undefined)."""
-    return overlapped / serialized if serialized > 0 else None
-
-
 def run_overlap_bench(config: OverlapBenchConfig | None = None) -> dict[str, Any]:
     """Run every scheme serialized and overlapped; return the JSON report.
 
@@ -173,18 +174,14 @@ def run_overlap_bench(config: OverlapBenchConfig | None = None) -> dict[str, Any
     to the array and the overlap, not to measurement skew.
     """
     config = config or OverlapBenchConfig()
-    store, vocabulary = text_corpus(config, config.last_day, config.seed)
-    serialized_cfg = ClusterConfig(n_shards=1, maintenance="lockstep")
-    overlapped_cfg = replace(
-        serialized_cfg,
-        devices_per_replica=config.n_devices,
-        arrival_stretch=config.arrival_stretch,
-    )
+    store = config.corpus.store(config.last_day, config.seed)
+    serialized_cfg = config.cluster
+    overlapped_cfg = replace(serialized_cfg, devices_per_replica=config.n_devices)
 
     schemes: list[dict[str, Any]] = []
     for name in config.schemes:
-        serialized = _run_mode(config, name, store, vocabulary, serialized_cfg)
-        overlapped = _run_mode(config, name, store, vocabulary, overlapped_cfg)
+        serialized = _run_mode(config, name, store, serialized_cfg)
+        overlapped = _run_mode(config, name, store, overlapped_cfg)
         p95_ser = serialized["latency_during_transition"]["p95"]
         p95_ovl = overlapped["latency_during_transition"]["p95"]
         schemes.append(
@@ -193,12 +190,12 @@ def run_overlap_bench(config: OverlapBenchConfig | None = None) -> dict[str, Any
                 "serialized": serialized,
                 "overlapped": overlapped,
                 "ratios": {
-                    "makespan": _ratio(
+                    "makespan": ratio(
                         overlapped["makespan_seconds"],
                         serialized["makespan_seconds"],
                     ),
-                    "p95_during_transition": _ratio(p95_ovl, p95_ser),
-                    "p99_during_transition": _ratio(
+                    "p95_during_transition": ratio(p95_ovl, p95_ser),
+                    "p99_during_transition": ratio(
                         overlapped["latency_during_transition"]["p99"],
                         serialized["latency_during_transition"]["p99"],
                     ),
@@ -232,23 +229,22 @@ def run_overlap_bench(config: OverlapBenchConfig | None = None) -> dict[str, Any
         "bench": "overlap",
         "schema_version": SCHEMA_VERSION,
         "workload": {
-            "window": config.window,
-            "n_indexes": config.n_indexes,
+            "window": config.wave.window,
+            "n_indexes": config.wave.n_indexes,
             "transitions": config.transitions,
-            "docs_per_day": config.docs_per_day,
-            "words_per_doc": config.words_per_doc,
-            "vocabulary": vocabulary,
-            "probes_per_day": config.probes_per_day,
-            "scans_per_day": config.scans_per_day,
-            "zipf_s": config.zipf_s,
+            "docs_per_day": config.corpus.docs_per_day,
+            "words_per_doc": config.corpus.words_per_doc,
+            "vocabulary": config.corpus.vocabulary,
+            "probes_per_day": config.queries.probes_per_day,
+            "scans_per_day": config.queries.scans_per_day,
+            "zipf_s": config.corpus.zipf_s,
             "seed": config.seed,
-            "quick": config.quick,
         },
         "scheduler": {
             "n_devices": config.n_devices,
             "policy": overlapped_cfg.policy.value,
             "placement": "rotate",
-            "arrival_stretch": config.arrival_stretch,
+            "arrival_stretch": overlapped_cfg.arrival_stretch,
         },
         "schemes": schemes,
         "headline": headline,

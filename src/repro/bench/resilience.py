@@ -106,7 +106,6 @@ class ResilienceBenchConfig:
     chaos_duration_s: float = 0.9
     chaos_seeds: tuple[int, ...] = (7,)
     seed: int = 7
-    quick: bool = False
 
     def __post_init__(self) -> None:
         if self.n_frontends < 2:
@@ -138,7 +137,6 @@ def quick_config(
         settle_s=0.05,
         chaos_qps=100.0,
         chaos_duration_s=0.6,
-        quick=True,
     )
 
 
@@ -907,7 +905,6 @@ def run_resilience_bench(
             "n_light_tenants": config.n_light_tenants,
             "chaos_seeds": list(config.chaos_seeds),
             "seed": config.seed,
-            "quick": config.quick,
         },
         "scenarios": scenarios,
         "chaos": chaos,

@@ -23,15 +23,22 @@ must beat the baseline by at least 2x in simulated seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, ClassVar
 
 from ..cluster.sim import ClusterConfig, ClusterSimulation
-from ..core.schemes import scheme_by_name
-from ..index.config import IndexConfig
 from ..obs import MetricsRegistry, Tracer
 from ..storage.pagecache import DEFAULT_PAGE_SIZE
-from ..workloads.zipf import ZipfSampler, heaps_vocabulary
-from .harness import SCHEMA_VERSION, Bench, Schema, text_corpus
+from ..workloads.zipf import ZipfSampler
+from .harness import (
+    SCHEMA_VERSION,
+    Bench,
+    Schema,
+    TextCorpus,
+    Wave,
+    build_world,
+    check_fixed,
+    override,
+)
 
 
 @dataclass(frozen=True)
@@ -41,27 +48,26 @@ class ServingBenchConfig:
     The defaults model SCAM in miniature: a 7-day window under the DEL
     scheme, Zipf-skewed probe values drawn from the indexed vocabulary,
     and a page cache sized to half the window's index (the memory-pressure
-    regime where caching is a choice, not a given).
+    regime where caching is a choice, not a given).  The window is one
+    shard on one device.
     """
 
-    window: int = 7
-    n_indexes: int = 2
-    scheme: str = "DEL"
-    docs_per_day: int = 120
-    words_per_doc: int = 40
+    wave: Wave = Wave(window=7, n_indexes=2, scheme="DEL")
+    corpus: TextCorpus = TextCorpus(docs_per_day=120, words_per_doc=40, zipf_s=1.0)
+    cluster: ClusterConfig = ClusterConfig(
+        n_shards=1, maintenance="lockstep", page_size=DEFAULT_PAGE_SIZE
+    )
     probes: int = 2_000
     scans: int = 20
-    zipf_s: float = 1.0
     batch_sizes: tuple[int, ...] = (1, 16, 256)
     cache_ratio: float = 0.5
-    page_size: int = DEFAULT_PAGE_SIZE
     extra_days: int = 3
     seed: int = 7
-    quick: bool = False
+    #: The replay sets the page cache per cell; only the page size is free.
+    settable: ClassVar[dict[str, tuple[str, ...]]] = {"cluster": ("page_size",)}
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        check_fixed(self)
         if self.probes < 1:
             raise ValueError(f"probes must be >= 1, got {self.probes}")
         if self.scans < 0:
@@ -76,39 +82,26 @@ class ServingBenchConfig:
 
 def quick_config(base: ServingBenchConfig | None = None) -> ServingBenchConfig:
     """Return a CI-sized variant of ``base`` (same grid, smaller replay)."""
-    base = base or ServingBenchConfig()
-    return replace(
-        base,
-        docs_per_day=40,
-        probes=300,
-        scans=5,
-        quick=True,
+    return override(
+        base or ServingBenchConfig(), docs_per_day=40, probes=300, scans=5
     )
 
 
 def _build_window(
     config: ServingBenchConfig, cache_bytes: int | None
 ) -> ClusterSimulation:
-    """Build the SCAM-sized window the replay serves from: one shard on
-    one device, with a page cache of ``cache_bytes`` if given.
+    """Build the SCAM-sized window the replay serves from, with a page
+    cache of ``cache_bytes`` if given.
 
     The scheme's start day builds the packed window; ``extra_days`` of
     transitions mix in incrementally maintained (CONTIGUOUS) constituents,
     so the replay sees the layout a live deployment would.
     """
-    last_day = config.window + config.extra_days
-    store, _ = text_corpus(config, last_day, config.seed)
-    scheme_cls = scheme_by_name(config.scheme)
-    sim = ClusterSimulation(
-        lambda: scheme_cls(config.window, config.n_indexes),
-        store,
-        index_config=IndexConfig(),
-        cluster=ClusterConfig(
-            n_shards=1,
-            maintenance="lockstep",
-            page_cache_bytes=cache_bytes,
-            page_size=config.page_size,
-        ),
+    last_day = config.wave.window + config.extra_days
+    sim = build_world(
+        config.wave,
+        config.corpus.store(last_day, config.seed),
+        replace(config.cluster, page_cache_bytes=cache_bytes),
     )
     sim.run(last_day)
     return sim
@@ -116,7 +109,7 @@ def _build_window(
 
 def _zipf_values(config: ServingBenchConfig, vocabulary: int) -> list[str]:
     """Return the deterministic probe stream (same for every grid cell)."""
-    sampler = ZipfSampler(vocabulary, config.zipf_s, seed=config.seed + 1)
+    sampler = ZipfSampler(vocabulary, config.corpus.zipf_s, seed=config.seed + 1)
     return [f"w{rank}" for rank in sampler.sample_many(config.probes)]
 
 
@@ -130,7 +123,7 @@ def _replay(
     replica = sim.shards[0].primary
     wave, disk = replica.wave, replica.device
     day = sim.result.days[-1].day
-    lo, hi = day - config.window + 1, day
+    lo, hi = day - config.wave.window + 1, day
     obs = MetricsRegistry()
     tracer = Tracer(lambda: disk.clock)
     latency = obs.histogram("probe.latency_seconds")
@@ -193,10 +186,9 @@ def run_serving_bench(config: ServingBenchConfig | None = None) -> dict[str, Any
     # Size the cache from an uncached build's index footprint.
     probe_sim = _build_window(config, None)
     index_bytes = probe_sim.shards[0].primary.wave.constituent_bytes
-    cache_bytes = max(
-        config.page_size, int(index_bytes * config.cache_ratio)
-    )
-    vocabulary = heaps_vocabulary(config.docs_per_day * config.words_per_doc)
+    page_size = config.cluster.page_size
+    cache_bytes = max(page_size, int(index_bytes * config.cache_ratio))
+    vocabulary = config.corpus.vocabulary
     values = _zipf_values(config, vocabulary)
 
     configs: list[dict[str, Any]] = []
@@ -232,21 +224,20 @@ def run_serving_bench(config: ServingBenchConfig | None = None) -> dict[str, Any
         "bench": "serving",
         "schema_version": SCHEMA_VERSION,
         "workload": {
-            "scheme": config.scheme,
-            "window": config.window,
-            "n_indexes": config.n_indexes,
-            "docs_per_day": config.docs_per_day,
-            "words_per_doc": config.words_per_doc,
+            "scheme": config.wave.scheme,
+            "window": config.wave.window,
+            "n_indexes": config.wave.n_indexes,
+            "docs_per_day": config.corpus.docs_per_day,
+            "words_per_doc": config.corpus.words_per_doc,
             "vocabulary": vocabulary,
             "probes": config.probes,
             "scans": config.scans,
-            "zipf_s": config.zipf_s,
+            "zipf_s": config.corpus.zipf_s,
             "extra_days": config.extra_days,
             "seed": config.seed,
-            "quick": config.quick,
         },
         "cache": {
-            "page_size": config.page_size,
+            "page_size": page_size,
             "capacity_bytes": cache_bytes,
             "cache_ratio": config.cache_ratio,
             "index_bytes": index_bytes,

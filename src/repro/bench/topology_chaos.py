@@ -36,33 +36,35 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, ClassVar
 from zlib import crc32
 
 from ..cluster import ClusterConfig, ClusterSimulation, ElasticConfig
 from ..core.boundary import FAULTS, Boundary, drive, fault_at
 from ..core.oracle import battery, check_against_twin
-from ..core.schemes import scheme_by_name
-from ..sim.querygen import QueryWorkload, uniform_key_picker
 from ..storage.faults import FaultInjector, FaultyDisk, RetryPolicy
-from ..workloads.keys import build_int_store
-from .harness import SCHEMA_VERSION, Bench, Schema
+from .harness import (
+    SCHEMA_VERSION,
+    Bench,
+    IntCorpus,
+    QueryStream,
+    Schema,
+    Wave,
+    build_world,
+    check_fixed,
+)
 
 
 @dataclass(frozen=True)
 class TopologyChaosConfig:
     """Parameters of the step-by-step topology fault matrix."""
 
-    window: int = 7
-    n_indexes: int = 3
-    scheme: str = "REINDEX"
-    n_shards: int = 3
-    replication: int = 1
-    domain: int = 600
-    range_splits: tuple[int, ...] = (200, 400)
-    records_per_day: int = 12
-    record_bytes: int = 64
-    probes_per_day: int = 12
+    wave: Wave = Wave(window=7, n_indexes=3, scheme="REINDEX")
+    corpus: IntCorpus = IntCorpus(domain=600, records_per_day=12, record_bytes=64)
+    queries: QueryStream = QueryStream(probes_per_day=12, scans_per_day=0)
+    cluster: ClusterConfig = ClusterConfig(
+        n_shards=3, replication=1, partitioner="range", range_splits=(200, 400)
+    )
     #: Extra probes compared against the twin after each day.
     check_probes: int = 8
     #: Reshard kinds whose pipelines the matrix walks.
@@ -74,9 +76,14 @@ class TopologyChaosConfig:
     #: Transition days after the reshard day (retry + steady checks).
     settle_days: int = 3
     seeds: tuple[int, ...] = (1,)
-    quick: bool = False
+    #: Every cell sets ``cluster.elastic``; the stream is probe-only.
+    settable: ClassVar[dict[str, tuple[str, ...]]] = {
+        "queries": ("probes_per_day",),
+        "cluster": ("n_shards", "replication", "range_splits"),
+    }
 
     def __post_init__(self) -> None:
+        check_fixed(self)
         if not self.kinds or any(
             k not in ("split", "merge") for k in self.kinds
         ):
@@ -92,22 +99,16 @@ class TopologyChaosConfig:
                 f"settle_days must be >= 2 (retry day plus a steady "
                 f"check), got {self.settle_days}"
             )
-        if not 0 <= self.target_shard < self.n_shards:
+        if not 0 <= self.target_shard < self.cluster.n_shards:
             raise ValueError(
                 f"target_shard {self.target_shard} outside "
-                f"[0, {self.n_shards})"
+                f"[0, {self.cluster.n_shards})"
             )
-        if len(self.range_splits) != self.n_shards - 1:
-            raise ValueError(
-                f"range_splits needs {self.n_shards - 1} points, "
-                f"got {len(self.range_splits)}"
-            )
-        scheme_by_name(self.scheme)
 
     @property
     def reshard_day(self) -> int:
         """Return the day the reshard is requested for."""
-        return self.window + 2
+        return self.wave.window + 2
 
     @property
     def last_day(self) -> int:
@@ -125,7 +126,7 @@ def quick_config(
     nightly full matrix.
     """
     base = base or TopologyChaosConfig()
-    return replace(base, faults=("crash",), seeds=base.seeds[:1], quick=True)
+    return replace(base, faults=("crash",), seeds=base.seeds[:1])
 
 
 class _SeedMatrix:
@@ -134,13 +135,8 @@ class _SeedMatrix:
     def __init__(self, config: TopologyChaosConfig, seed: int) -> None:
         self.config = config
         self.seed = seed
-        self.store = build_int_store(
-            seed * 131071 + 17,
-            config.last_day,
-            config.records_per_day,
-            config.domain,
-            config.record_bytes,
-            first_id=1,
+        self.store = config.corpus.store(
+            config.last_day, seed * 131071 + 17, first_id=1
         )
         self.retry = RetryPolicy()
         self._device_serial = 0
@@ -160,38 +156,26 @@ class _SeedMatrix:
             retry_policy=self.retry,
         )
 
-    def _workload(self) -> QueryWorkload:
-        return QueryWorkload(
-            probes_per_day=self.config.probes_per_day,
-            value_picker=uniform_key_picker(self.config.domain),
-            seed=self.seed + 5,
-        )
-
     def _make_sim(self, *, elastic: bool) -> ClusterSimulation:
         config = self.config
-        scheme_cls = scheme_by_name(config.scheme)
         self._device_serial = 0
-        cluster = ClusterConfig(
-            n_shards=config.n_shards,
-            replication=config.replication,
-            partitioner="range",
-            range_splits=config.range_splits,
-            elastic=ElasticConfig(autoscale=False) if elastic else None,
-        )
-        return ClusterSimulation(
-            lambda: scheme_cls(config.window, config.n_indexes),
+        return build_world(
+            config.wave,
             self.store,
-            queries=self._workload(),
-            cluster=cluster,
+            replace(
+                config.cluster,
+                elastic=ElasticConfig(autoscale=False) if elastic else None,
+            ),
+            queries=config.queries.workload(config.corpus.picker(), self.seed + 5),
             device_factory=self._device if elastic else None,
         )
 
     def _probe_specs(self, day: int) -> list[tuple[int, int, int]]:
         config = self.config
-        lo, hi = day - config.window + 1, day
+        lo, hi = day - config.wave.window + 1, day
         rng = random.Random(crc32(f"{self.seed}:check:{day}".encode()))
         return [
-            (rng.randint(1, config.domain), lo, hi)
+            (rng.randint(1, config.corpus.domain), lo, hi)
             for _ in range(config.check_probes)
         ]
 
@@ -200,13 +184,13 @@ class _SeedMatrix:
         config = self.config
         twin = self._make_sim(elastic=False)
         twin.run_start()
-        self._record_day(twin, config.window)
-        for day in range(config.window + 1, config.last_day + 1):
+        self._record_day(twin, config.wave.window)
+        for day in range(config.wave.window + 1, config.last_day + 1):
             twin.run_transition(day)
             self._record_day(twin, day)
 
     def _battery(self, sim: ClusterSimulation, day: int) -> list[Any]:
-        lo = day - self.config.window + 1
+        lo = day - self.config.wave.window + 1
         return battery(sim.coordinator, self._probe_specs(day), [(lo, day)])
 
     def _record_day(self, twin: ClusterSimulation, day: int) -> None:
@@ -258,7 +242,7 @@ class _SeedMatrix:
                 names.append(boundary.name)
 
         sim.run_start()
-        for day in range(config.window + 1, config.last_day + 1):
+        for day in range(config.wave.window + 1, config.last_day + 1):
             if day == config.reshard_day:
                 self._request(sim, kind)
             drive(sim.day_steps(day), record)
@@ -278,9 +262,9 @@ class _SeedMatrix:
         sim = self._make_sim(elastic=True)
         fired: list[str] = []
         sim.run_start()
-        self._check_day(sim, config.window, violations, label)
+        self._check_day(sim, config.wave.window, violations, label)
         outcome = "skipped"
-        for day in range(config.window + 1, config.last_day + 1):
+        for day in range(config.wave.window + 1, config.last_day + 1):
             if day == config.reshard_day:
                 self._request(sim, kind)
                 drive(sim.day_steps(day), fault_at(kind, ordinal, fault, fired))
@@ -333,7 +317,7 @@ class _SeedMatrix:
                 f"applied nor an aborted reshard"
             )
             return "lost"
-        if stats.n_shards != config.n_shards:
+        if stats.n_shards != config.cluster.n_shards:
             violations.append(
                 f"{label}: aborted reshard changed the shard count "
                 f"to {stats.n_shards}"
@@ -372,11 +356,8 @@ class _SeedMatrix:
 
     def _check_convergence(self, sim, kind, violations, label) -> None:
         """The reshard must have landed by the end of the run."""
-        expected = (
-            self.config.n_shards + 1
-            if kind == "split"
-            else self.config.n_shards - 1
-        )
+        n_shards = self.config.cluster.n_shards
+        expected = n_shards + 1 if kind == "split" else n_shards - 1
         if sim.result.total_reshards() != 1:
             violations.append(
                 f"{label}: reshard never converged "
@@ -423,18 +404,17 @@ def run_topology_chaos(
         "bench": "topology_chaos",
         "schema_version": SCHEMA_VERSION,
         "config": {
-            "window": config.window,
-            "n_indexes": config.n_indexes,
-            "scheme": config.scheme,
-            "n_shards": config.n_shards,
-            "replication": config.replication,
+            "window": config.wave.window,
+            "n_indexes": config.wave.n_indexes,
+            "scheme": config.wave.scheme,
+            "n_shards": config.cluster.n_shards,
+            "replication": config.cluster.replication,
             "kinds": list(config.kinds),
             "faults": list(config.faults),
             "target_shard": config.target_shard,
             "reshard_day": config.reshard_day,
             "last_day": config.last_day,
             "seeds": list(config.seeds),
-            "quick": config.quick,
         },
         "steps": steps,
         "cells": cells,

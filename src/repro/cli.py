@@ -100,8 +100,9 @@ _ARRIVAL_STRETCH = _opt(
 )
 
 #: The bench subcommands: command -> (bench name, help, the bench's own
-#: flags).  Each flag's dest is a field of the bench's config class; a
-#: flag left unset keeps the config's value.
+#: flags).  Each flag's dest names a field of the bench's config or of
+#: one of its groups (``harness.owner``); a flag left unset keeps the
+#: config's value.
 _BENCHES = {
     "bench-serving": (
         "serving",
@@ -305,13 +306,13 @@ _BENCHES = {
                 help="simulated user population (default 1,000,000)",
             ),
             _opt(
-                "--queue-policy", choices=("fifo", "drr"), default="fifo",
+                "--queue-policy", choices=("fifo", "drr"),
                 dest="queue_discipline",
                 help="request-queue discipline (default fifo, the "
                 "baseline; drr re-asserts the claims over the fair queue)",
             ),
             _opt(
-                "--adaptive", action="store_true",
+                "--adaptive", action="store_true", default=None,
                 help="enable AIMD adaptive concurrency on the dispatcher pool",
             ),
             _SEED,
@@ -768,27 +769,22 @@ def _cmd_crash_test(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Run the bench ``args.bench`` names; the one runner of every bench."""
-    from dataclasses import fields, replace
-
-    from .bench.harness import bench, write_report
+    from .bench.harness import bench, owner, write_report
 
     spec = bench(args.bench)
-    names = {field.name for field in fields(spec.config)}
+    defaults = spec.config()
     overrides = {
         name: tuple(value) if isinstance(value, list) else value
         for name, value in vars(args).items()
-        if name in names and value is not None
+        if value is not None and owner(defaults, name) is not None
     }
     if args.seed_global is not None:
-        if "seed" in names:
+        if owner(defaults, "seed") == "":
             overrides.setdefault("seed", args.seed_global)
         else:
             overrides.setdefault("seeds", (args.seed_global,))
     try:
-        config = spec.config()
-        if args.quick:
-            config = spec.quick_config(config)
-        report = spec.run(replace(config, **overrides))
+        report = spec.execute(quick=args.quick, **overrides)
     except _INVALID as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -191,11 +191,5 @@ class WaveScheme(ABC):
             union.update(self.days.get(name, ()))
         return union
 
-    def expected_window(self) -> set[int]:
-        """Return the hard window the scheme should currently cover."""
-        if self._current_day is None:
-            return set()
-        return set(range(self._current_day - self.window + 1, self._current_day + 1))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(W={self.window}, n={self.n_indexes})"

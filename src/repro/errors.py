@@ -59,24 +59,12 @@ class DirectoryError(IndexError_):
     """A directory structure (B+Tree / hash) was used inconsistently."""
 
 
-class BucketOverflowError(IndexError_):
-    """An append would exceed a bucket's allocated capacity.
-
-    Only raised by the *packed* bucket layout, which allocates exactly the
-    space it needs; the CONTIGUOUS layout grows buckets instead.
-    """
-
-
 class WaveIndexError(ReproError):
     """Base class for wave-index level failures."""
 
 
 class SchemeError(WaveIndexError):
     """A maintenance scheme was configured or driven incorrectly."""
-
-
-class WindowError(WaveIndexError):
-    """A query or transition referenced days outside the maintained window."""
 
 
 class DegradedWindowError(WaveIndexError):
@@ -99,43 +87,6 @@ class ClusterError(ReproError):
     """A sharded cluster (:mod:`repro.cluster`) was configured or driven
     incorrectly — bad partitioner arguments, mismatched shard layouts, or
     an operation that needs a replica no shard can provide."""
-
-
-class ReplicaRetiredError(ClusterError):
-    """A shard replica was permanently taken out of service.
-
-    Raised by the self-healing layer (:mod:`repro.cluster.selfheal`) when
-    an operation is routed to a replica that a :class:`DeviceFailure` (or
-    an unrecoverable fault storm) has retired.  Unlike the storage-level
-    :class:`DeviceFailure` it names the *cluster* consequence: the replica
-    is gone for good and the shard must re-replicate onto a fresh device.
-    The carried ``shard_id`` / ``replica_id`` identify the casualty.
-    """
-
-    def __init__(
-        self, message: str, *, shard_id: int | None = None,
-        replica_id: int | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.shard_id = shard_id
-        self.replica_id = replica_id
-
-
-class CircuitOpenError(ClusterError):
-    """An operation was refused because a replica's circuit breaker is open.
-
-    After ``failure_threshold`` consecutive faults the self-healing
-    layer's per-replica breaker opens and stops routing work at the flaky
-    device until a clocked cooldown elapses (then a single half-open
-    probe decides whether it closes again).  Callers normally never see
-    this error — the router fails over or waits out the cooldown — but it
-    is raised when an operation *insists* on a specific open replica.
-    ``retry_at`` is the simulated-clock time the breaker half-opens.
-    """
-
-    def __init__(self, message: str, *, retry_at: float = 0.0) -> None:
-        super().__init__(message)
-        self.retry_at = retry_at
 
 
 class FrontendError(ReproError):

@@ -216,10 +216,6 @@ class DiskArray:
         """Return whether device ``index`` has been drained."""
         return index in self.drained
 
-    def active_indexes(self) -> list[int]:
-        """Return the indexes of devices still in active service."""
-        return [i for i in range(len(self.devices)) if i not in self.drained]
-
     def disk_for(self, name: str) -> SimulatedDisk:
         """Return the device hosting binding ``name``."""
         return self.devices[self.placement.device_index(name)]

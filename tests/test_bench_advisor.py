@@ -4,34 +4,34 @@ import json
 
 import pytest
 
+from repro.advisor import AdvisorConfig
 from repro.bench.advisor import (
     BENCH,
     AdvisorBenchConfig,
     quick_config,
     render_summary,
-    run_advisor_bench,
 )
-from repro.bench.harness import write_report
+from repro.bench.harness import Wave, write_report
 
 
 @pytest.fixture(scope="module")
 def report():
     # The quick config runs the exact same races as the full one (see
     # quick_config's docstring): one module-scoped run covers the suite.
-    return run_advisor_bench(quick_config())
+    return BENCH.execute(quick=True)
 
 
 class TestAdvisorConfig:
     def test_defaults_validate(self):
         config = AdvisorBenchConfig()
-        assert config.last_day == config.window + 3 * config.phase_days
+        assert config.last_day == config.wave.window + 3 * config.phase_days
         p1, p2, p3 = config.phase_starts
-        assert p1 == config.window + 1
+        assert p1 == config.wave.window + 1
         assert p3 - p2 == config.phase_days
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError):
-            AdvisorBenchConfig(scheme="NOPE")
+            AdvisorBenchConfig(wave=Wave(window=6, n_indexes=3, scheme="NOPE"))
 
     def test_illegal_static_design_rejected(self):
         with pytest.raises(ValueError):
@@ -39,12 +39,15 @@ class TestAdvisorConfig:
 
     def test_phases_must_fit_a_retune(self):
         with pytest.raises(ValueError):
-            AdvisorBenchConfig(phase_days=3, observe_days=2, cooldown_days=2)
+            AdvisorBenchConfig(
+                phase_days=3,
+                advisor=AdvisorConfig(observe_days=2, cooldown_days=2),
+            )
 
-    def test_quick_is_the_same_race(self):
+    def test_quick_is_the_same_race(self, report):
         base = AdvisorBenchConfig()
         quick = quick_config()
-        assert quick.quick is True
+        assert report["workload"]["quick"] is True
         assert quick.phase_days == base.phase_days
         assert quick.static_designs == base.static_designs
 

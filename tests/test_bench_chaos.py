@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench import chaos
-from repro.bench.harness import write_report
+from repro.bench import harness
+from repro.bench.harness import Wave, write_report
 from repro.bench.chaos import (
     BENCH,
     ChaosSoakConfig,
@@ -13,21 +13,22 @@ from repro.bench.chaos import (
     render_summary,
     run_chaos_soak,
 )
+from repro.cluster import ClusterConfig
 
 
 @pytest.fixture(scope="module")
 def quick_report():
-    return run_chaos_soak(quick_config())
+    return BENCH.execute(quick=True)
 
 
 class TestConfig:
     def test_defaults_validate(self):
         config = ChaosSoakConfig()
-        assert config.last_day == config.window + config.transitions
+        assert config.last_day == config.wave.window + config.transitions
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError):
-            ChaosSoakConfig(scheme="NOPE")
+            ChaosSoakConfig(wave=Wave(window=8, n_indexes=4, scheme="NOPE"))
 
     def test_unknown_kill_point_rejected(self):
         with pytest.raises(ValueError):
@@ -37,20 +38,20 @@ class TestConfig:
         # A permanent kill with r=1 darkens the shard by construction;
         # the soak's zero-dark-shards invariant could never hold.
         with pytest.raises(ValueError):
-            ChaosSoakConfig(replication=1)
+            ChaosSoakConfig(cluster=ClusterConfig(n_shards=4, replication=1))
 
     def test_too_short_soak_rejected(self):
         with pytest.raises(ValueError):
             ChaosSoakConfig(transitions=2)
 
-    def test_quick_is_marked_and_single_seed(self):
+    def test_quick_is_marked_and_single_seed(self, quick_report):
         config = quick_config()
-        assert config.quick is True
+        assert quick_report["workload"]["quick"] is True
         assert len(config.seeds) == 1
         # The store shape is NOT shrunk: the recovery-makespan headline
         # must stay inside the bench-check band of the full-run baseline.
-        assert config.docs_per_day == ChaosSoakConfig().docs_per_day
-        assert config.window == ChaosSoakConfig().window
+        assert config.corpus == ChaosSoakConfig().corpus
+        assert config.wave == ChaosSoakConfig().wave
 
 
 class TestReport:
@@ -116,7 +117,7 @@ class TestReport:
 
     def test_deterministic_given_seeds(self, quick_report):
         # Same config, same seeds, same report — no wall-clock noise.
-        assert run_chaos_soak(quick_config()) == quick_report
+        assert BENCH.execute(quick=True) == quick_report
 
 
 class TestAbortingSpares:
@@ -144,12 +145,13 @@ def test_one_fault_free_twin_answers_every_seed(monkeypatch):
     # twin per seed.
     twins = []
 
-    class Counting(chaos.ClusterSimulation):
+    class Counting(harness.ClusterSimulation):
         def __init__(self, *args, **kwargs):
             twins.append(kwargs["cluster"].selfheal is None)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(chaos, "ClusterSimulation", Counting)
+    # Every bench builds its simulations through harness.build_world.
+    monkeypatch.setattr(harness, "ClusterSimulation", Counting)
     config = replace(quick_config(), seeds=(7, 8))
     report = run_chaos_soak(config)
     assert report["headline"]["all_invariants_pass"]

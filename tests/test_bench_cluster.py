@@ -2,29 +2,27 @@
 
 import pytest
 
-from repro.bench.harness import write_report
+from repro.bench.harness import Wave, write_report
 from repro.bench.cluster import (
     BENCH,
     ClusterBenchConfig,
-    quick_config,
     render_summary,
-    run_cluster_bench,
 )
 
 
 @pytest.fixture(scope="module")
 def quick_report():
-    return run_cluster_bench(quick_config())
+    return BENCH.execute(quick=True)
 
 
 class TestConfig:
     def test_defaults_validate(self):
         config = ClusterBenchConfig()
-        assert config.last_day == config.window + config.transitions
+        assert config.last_day == config.wave.window + config.transitions
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError):
-            ClusterBenchConfig(scheme="NOPE")
+            ClusterBenchConfig(wave=Wave(window=10, n_indexes=4, scheme="NOPE"))
 
     def test_missing_single_shard_baseline_rejected(self):
         with pytest.raises(ValueError):
@@ -34,8 +32,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             ClusterBenchConfig(shard_counts=(1,))
 
-    def test_quick_is_marked(self):
-        assert quick_config().quick is True
+    def test_quick_is_marked(self, quick_report):
+        assert quick_report["workload"]["quick"] is True
 
 
 class TestReport:

@@ -10,8 +10,8 @@ from repro.bench.elastic import (
     ElasticBenchConfig,
     quick_config,
     render_summary,
-    run_elastic_bench,
 )
+from repro.bench.harness import Wave
 from repro.bench.topology_chaos import (
     BENCH as CHAOS_BENCH,
     TopologyChaosConfig,
@@ -23,7 +23,7 @@ from repro.bench.topology_chaos import (
 
 @pytest.fixture(scope="module")
 def quick_report():
-    return run_elastic_bench(quick_config())
+    return BENCH.execute(quick=True)
 
 
 @pytest.fixture(scope="module")
@@ -39,20 +39,20 @@ def chaos_report():
 class TestElasticConfig:
     def test_defaults_validate(self):
         config = ElasticBenchConfig()
-        assert config.spike_day == config.window + config.spike_after
-        assert config.last_day == config.window + config.transitions
+        assert config.spike_day == config.wave.window + config.spike_after
+        assert config.last_day == config.wave.window + config.transitions
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError):
-            ElasticBenchConfig(scheme="NOPE")
+            ElasticBenchConfig(wave=Wave(window=7, n_indexes=3, scheme="NOPE"))
 
     def test_spike_must_leave_recovery_room(self):
         with pytest.raises(ValueError):
             ElasticBenchConfig(transitions=3, spike_after=3)
 
-    def test_quick_keeps_the_headline_window(self):
+    def test_quick_keeps_the_headline_window(self, quick_report):
         config = quick_config()
-        assert config.quick is True
+        assert quick_report["workload"]["quick"] is True
         # The spike and its recovery window survive the shrink — the
         # quick headline must stay inside the bench-check gate band.
         assert config.spike_after == ElasticBenchConfig().spike_after

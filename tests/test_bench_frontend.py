@@ -6,7 +6,6 @@ the quick sweep itself.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -19,7 +18,6 @@ from repro.bench.frontend import (
     _subsaturation_equivalent,
     quick_config,
     render_summary,
-    run_frontend_bench,
 )
 from repro.bench.harness import write_report
 from repro.errors import FrontendError
@@ -119,7 +117,6 @@ class TestConfig:
     def test_quick_config_is_shorter_but_still_valid(self):
         quick = quick_config()
         full = FrontendBenchConfig()
-        assert quick.quick is True
         assert quick.step_duration_s < full.step_duration_s
         assert quick.load_multipliers[0] < 1.0 < quick.load_multipliers[-1]
 
@@ -206,8 +203,8 @@ class TestMiniatureSweep:
 
     @pytest.fixture(scope="class")
     def report(self):
-        config = replace(
-            quick_config(),
+        return BENCH.execute(
+            quick=True,
             cluster=DemoClusterConfig(
                 window=3, n_indexes=2, n_shards=2, domain=40,
                 records_per_day=8, extra_days=1, seed=3,
@@ -218,10 +215,12 @@ class TestMiniatureSweep:
             n_users=10_000,
             n_tenants=4,
         )
-        return run_frontend_bench(config)
 
     def test_report_validates(self, report):
         BENCH.validate(report)
+
+    def test_report_is_stamped_quick(self, report):
+        assert report["workload"]["quick"] is True
 
     def test_saturated_step_sheds(self, report):
         top = report["measured"]["sweeps"]["shed"][-1]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import write_report
 from repro.bench.overlap import (
     BENCH,
@@ -14,13 +15,13 @@ from repro.bench.overlap import (
 
 @pytest.fixture(scope="module")
 def quick_report():
-    return run_overlap_bench(quick_config())
+    return BENCH.execute(quick=True)
 
 
 class TestConfig:
     def test_defaults_validate(self):
         config = OverlapBenchConfig()
-        assert config.last_day == config.window + config.transitions
+        assert config.last_day == config.wave.window + config.transitions
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError):
@@ -30,8 +31,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             OverlapBenchConfig(n_devices=1)
 
-    def test_quick_is_marked(self):
-        assert quick_config().quick is True
+    def test_quick_is_marked(self, quick_report):
+        assert quick_report["workload"]["quick"] is True
 
 
 class TestReport:
@@ -78,3 +79,22 @@ class TestReport:
         text = render_summary(quick_report)
         assert "REINDEX" in text
         assert "makespan" in text
+
+
+def test_arrival_stretch_spreads_both_modes_the_same(monkeypatch):
+    # Both modes replay the same query stream, so a stretch spreads the
+    # serialized mode's arrivals as well as the overlapped mode's.
+    stretches = []
+
+    class Recording(harness.ClusterSimulation):
+        def __init__(self, *args, **kwargs):
+            stretches.append(kwargs["cluster"].arrival_stretch)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ClusterSimulation", Recording)
+    config = harness.override(
+        quick_config(), arrival_stretch=3.0, schemes=("REINDEX",), transitions=2
+    )
+    report = run_overlap_bench(config)
+    assert stretches == [3.0, 3.0]
+    assert report["scheduler"]["arrival_stretch"] == 3.0

@@ -189,7 +189,6 @@ class TestConfig:
     def test_quick_config_shortens_every_burst(self):
         full = ResilienceBenchConfig()
         quick = quick_config()
-        assert quick.quick is True
         assert quick.tail_duration_s < full.tail_duration_s
         assert quick.budget_requests < full.budget_requests
         assert quick.fair_duration_s < full.fair_duration_s

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench import serving
 from repro.core.wave import WaveIndex
-from repro.workloads.zipf import heaps_vocabulary
 
 
 @pytest.mark.parametrize("cache_bytes", [None, 8192], ids=["uncached", "cached"])
@@ -13,8 +12,7 @@ def test_an_unbatched_cell_counts_the_buckets_its_batches_read(
 ):
     config = serving.quick_config(serving.ServingBenchConfig(probes=60))
     sim = serving._build_window(config, cache_bytes)
-    vocabulary = heaps_vocabulary(config.docs_per_day * config.words_per_doc)
-    values = serving._zipf_values(config, vocabulary)
+    values = serving._zipf_values(config, config.corpus.vocabulary)
     read = []
     real = WaveIndex.probe_many
 

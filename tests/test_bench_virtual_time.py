@@ -16,15 +16,15 @@ from repro.bench.harness import bench, write_report
 @pytest.mark.parametrize("name", ["frontend", "resilience"])
 def test_two_quick_runs_write_identical_reports(name, tmp_path):
     declared = bench(name)
-    config = declared.quick_config(declared.config())
     written = []
     for run in ("first", "second"):
-        report = declared.run(config)
+        report = declared.execute(quick=True)
         written.append(
             write_report(report, tmp_path / f"{run}.json").read_bytes()
         )
         assert threading.active_count() == 1
     assert written[0] == written[1]
+    assert report["workload"]["quick"] is True
     assert declared.claim(report)
     assert all(report["headline"]["claim"].values())
     if name == "resilience":

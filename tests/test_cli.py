@@ -361,6 +361,25 @@ def test_impossible_window_is_an_invalid_configuration(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,flags,field",
+    [
+        # The group refuses the field before the bench runs, by name.
+        ("bench-elastic", ["--probes", "0"], "probes_per_day"),
+        ("bench-advisor", ["--window", "0"], "window"),
+    ],
+)
+def test_a_group_field_out_of_range_is_an_invalid_configuration(
+    command, flags, field, capsys, tmp_path
+):
+    out = tmp_path / "x.json"
+    assert main([command, "--quick", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert field in err
+    assert not out.exists()
+
+
 class TestBenchCheck:
     @staticmethod
     def _reports(tmp_path, speedup=4.0):

@@ -1,14 +1,17 @@
 """Pin the CLI surface: subcommands, option strings, defaults, choices.
 
 Bench flags are declared once, in ``repro.cli``'s bench table, with
-config field names as their dests.  These tests hold every option a user
-can type to its spelling, default and choices, and every registered
-bench to a subcommand.
+field names as their dests: a field of the bench's config or of one of
+its groups.  These tests hold every option a user can type to its
+spelling, default and choices, every registered bench to a subcommand,
+and every bench flag to a field it sets only when given.
 """
 
 import argparse
 
-from repro.bench.harness import NAMES, bench
+from dataclasses import fields, is_dataclass
+
+from repro.bench.harness import NAMES, bench, owner
 from repro.cli import _BENCHES, build_parser
 
 #: subcommand -> {option strings (or a positional's name): (default,
@@ -63,10 +66,10 @@ SURFACE = {
         "--window -w": (None, None),
     },
     "bench-frontend": {
-        "--adaptive": (False, None),
+        "--adaptive": (None, None),
         "--multipliers": (None, None),
         "--out": ("BENCH_frontend.json", None),
-        "--queue-policy": ("fifo", ("fifo", "drr")),
+        "--queue-policy": (None, ("fifo", "drr")),
         "--quick": (False, None),
         "--seed": (None, None),
         "--service-us": (None, None),
@@ -234,3 +237,45 @@ def test_every_bench_has_a_subcommand_and_every_bench_command_a_bench():
     for command, (name, _, _) in _BENCHES.items():
         assert bench(name).name == name
         assert SURFACE[command]["--out"][0] == f"BENCH_{name}.json"
+
+
+def _bench_flags():
+    """Yield ``(command, bench name, argparse action)`` per bench flag."""
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, (name, _, flags) in _BENCHES.items():
+        declared = {names[0] for names, _ in flags}
+        for action in sub.choices[command]._actions:
+            if action.option_strings and action.option_strings[0] in declared:
+                yield command, name, action
+
+
+def test_every_bench_flag_left_unset_leaves_the_config_alone():
+    # A flag's default is None, so an unset flag overrides nothing and
+    # the config's own value stands.
+    defaults = {
+        (command, action.option_strings[0]): action.default
+        for command, _, action in _bench_flags()
+    }
+    assert defaults and all(v is None for v in defaults.values()), {
+        k: v for k, v in defaults.items() if v is not None
+    }
+
+
+def test_every_bench_flag_sets_one_field_of_its_config():
+    # The runner drops a dest that names no field, so this is what
+    # catches a flag that does nothing.  A config's own field wins over
+    # its groups'; otherwise exactly one group may own the dest.
+    for command, name, action in _bench_flags():
+        config = bench(name).config()
+        where = owner(config, action.dest)
+        assert where is not None, (command, action.dest)
+        if where:
+            groups = [
+                f.name for f in fields(config)
+                if is_dataclass(getattr(config, f.name))
+                and action.dest in {g.name for g in fields(getattr(config, f.name))}
+            ]
+            assert groups == [where], (command, action.dest, groups)
