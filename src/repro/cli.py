@@ -815,7 +815,6 @@ def _demo_cluster_config(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .errors import FrontendError
     from .serve.admission import AdmissionConfig
     from .serve.demo import build_demo_cluster
     from .serve.server import FrontendServer
@@ -836,7 +835,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ),
             tenant_rate=args.tenant_rate,
         )
-    except (KeyError, FrontendError) as exc:
+    except _INVALID as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,7 @@ from ..core.recovery import sweep_orphan_extents
 from ..errors import ClusterError, FaultError
 from ..index.bucket import PackedLayout
 from ..index.constituent import ConstituentIndex
+from ..storage.array import DiskArray
 from ..storage.disk import SimulatedDisk
 from .shard import ShardReplica
 
@@ -149,7 +150,7 @@ def move_replica(
     in the copy phase leaves the source replica fully intact — the
     completed clones are dropped, any half-written extent of the
     interrupted copy is swept off the target, and the fault propagates.
-    Afterwards the replica's wave index, executor placement, and device
+    Afterwards the replica's wave index, executor span, and device
     bookkeeping all point at the target, so future maintenance ops land
     there.
     """
@@ -183,6 +184,7 @@ def move_replica(
     wave.disk = target
     replica.device = target
     replica.device_index = target_device_index
+    replica.executor.span = DiskArray([target])
     return RebalanceReport(
         shard_id=replica.shard_id,
         replica_id=replica.replica_id,

@@ -26,7 +26,7 @@ from ..core.schemes.base import WaveScheme
 from ..core.wave import WaveIndex
 from ..errors import DeviceFailure, FaultError, TransientIOError
 from ..index.updates import UpdateTechnique
-from ..sim.scheduler import ArrayPlanExecutor, OpInterval
+from ..sim.scheduler import OpInterval
 from ..storage.array import DiskArray
 from ..storage.disk import SimulatedDisk
 
@@ -38,10 +38,9 @@ if TYPE_CHECKING:
 class ShardReplica:
     """One copy of a shard's wave index on devices of the array.
 
-    A replica lives on :attr:`device` (array index :attr:`device_index`),
-    or — with an :class:`~repro.sim.scheduler.ArrayPlanExecutor` — spans
-    the devices from there on and rotates its index creations over them
-    (:attr:`span`).
+    A replica lives on :attr:`device` (array index :attr:`device_index`)
+    and, when its executor's span is wider, on the devices from there on,
+    rotating its index creations over them (:attr:`span`).
 
     ``intervals`` / ``maintenance_start`` / ``maintenance_end`` describe
     the replica's most recent maintenance run on the cluster's shared
@@ -78,18 +77,14 @@ class ShardReplica:
     @property
     def span(self) -> DiskArray:
         """Return the devices holding this replica's indexes, in array
-        order from :attr:`device_index` on."""
-        if isinstance(self.executor, ArrayPlanExecutor):
-            return self.executor.array
-        return DiskArray([self.device])
+        order from :attr:`device_index` on (the executor's span)."""
+        return self.executor.span
 
     @property
     def clock(self) -> float:
         """Return the span's summed device clocks (what an attempt is
-        billed on), without building a :class:`DiskArray`."""
-        if isinstance(self.executor, ArrayPlanExecutor):
-            return self.executor.array.total_clock
-        return self.device.clock
+        billed on)."""
+        return self.executor.span.total_clock
 
     @property
     def device_failed(self) -> bool:

@@ -82,11 +82,11 @@ from ..index.updates import UpdateTechnique
 from ..obs import CounterWindow, Histogram, MetricsRegistry
 from ..sim.metrics import DayMetrics, SimulationResult
 from ..sim.querygen import ProbeUnit, QueryUnit, QueryWorkload, ScanUnit
-from ..sim.scheduler import ArrayPlanExecutor, OpInterval, OverlapPolicy
-from ..storage.array import DiskArray
+from ..sim.scheduler import OpInterval, OverlapPolicy
+from ..storage.array import DiskArray, make_device
 from ..storage.cost import DiskParameters
 from ..storage.disk import SimulatedDisk
-from ..storage.pagecache import PageCache, PageCacheSnapshot
+from ..storage.pagecache import PageCacheSnapshot
 from ..storage.stats import IOSnapshot
 from ..advisor import (
     AdvisorConfig,
@@ -592,20 +592,14 @@ class ClusterSimulation:
                 device_index = (replica_id * cfg.n_shards + shard_id) * width
                 device = self.array.devices[device_index]
                 wave = WaveIndex(device, index_config, scheme.n_indexes)
-                if width == 1:
-                    executor = PlanExecutor(
-                        wave, shard_stores[shard_id], technique
-                    )
-                else:
-                    executor = ArrayPlanExecutor(
-                        wave,
-                        shard_stores[shard_id],
-                        technique,
-                        array=DiskArray(
-                            self.array.devices[device_index : device_index + width]
-                        ),
-                        rotate_creations=True,
-                    )
+                executor = PlanExecutor(
+                    wave,
+                    shard_stores[shard_id],
+                    technique,
+                    span=DiskArray(
+                        self.array.devices[device_index : device_index + width]
+                    ),
+                )
                 replicas.append(
                     ShardReplica(
                         shard_id=shard_id,
@@ -973,14 +967,9 @@ class ClusterSimulation:
             return selfheal.spare_factory(ordinal)
         if self._device_factory is not None:
             return self._device_factory(len(self.array))
-        cache = None
-        if self.config.page_cache_bytes is not None:
-            cache = (
-                PageCache(self.config.page_cache_bytes, self.config.page_size)
-                if self.config.page_size is not None
-                else PageCache(self.config.page_cache_bytes)
-            )
-        return SimulatedDisk(self._disk_params, page_cache=cache)
+        return make_device(
+            self._disk_params, self.config.page_cache_bytes, self.config.page_size
+        )
 
     def _healing_steps(
         self,

@@ -31,6 +31,7 @@ from ..index.updates import (
     packed_rewrite,
 )
 from ..index.builder import build_index_from_store
+from ..storage.array import DiskArray
 from ..storage.disk import SimulatedDisk
 from .ops import (
     AddOp,
@@ -98,6 +99,11 @@ class PlanExecutor:
         wave: The wave index whose bindings the plans manipulate.
         store: Source of day batches for Build/Add operations.
         technique: Update technique for constituent indexes.
+        span: The devices the wave's indexes live on; defaults to the
+            wave's own disk.  Index creations rotate over the span, so a
+            REINDEX-family rebuild streams to a device the serving
+            constituents do not occupy (the paper's Section-8 "building
+            new constituent indices on separate disks").
     """
 
     def __init__(
@@ -105,24 +111,28 @@ class PlanExecutor:
         wave: WaveIndex,
         store: RecordStore,
         technique: UpdateTechnique = UpdateTechnique.SIMPLE_SHADOW,
+        *,
+        span: DiskArray | None = None,
     ) -> None:
         self.wave = wave
         self.store = store
         self.technique = technique
+        self.span = span if span is not None else DiskArray([wave.disk])
+        self._next_creation_device = 0
 
-    @property
-    def disk(self) -> SimulatedDisk:
-        """Return the underlying simulated disk."""
-        return self.wave.disk
+    def _creation_disk(self) -> SimulatedDisk:
+        """Return the device the next index creation lands on.
 
-    def _disk_for(self, target: str) -> SimulatedDisk:
-        """Return the device new indexes for ``target`` are created on.
-
-        The base executor keeps everything on one disk; the multi-disk
-        executor (:mod:`repro.sim.multidisk_sim`) overrides this to spread
-        constituents across devices (the paper's Section-8 direction).
+        Creations (Build and CreateEmpty targets) take the span's devices
+        in turn, whatever their name; every other op reads and writes
+        wherever its index lives (``index.disk``: a copy or a shadow lands
+        beside its source), so per-device accounting follows the bytes.
+        On a one-device span this is always the wave's disk.
         """
-        return self.wave.disk
+        devices = self.span.devices
+        device = self._next_creation_device
+        self._next_creation_device = (device + 1) % len(devices)
+        return devices[device]
 
     @property
     def config(self) -> IndexConfig:
@@ -134,22 +144,25 @@ class PlanExecutor:
     # ------------------------------------------------------------------
 
     def execute(self, plan: list[Op]) -> ExecutionReport:
-        """Run ``plan`` in order; return phase timings and the space peak."""
+        """Run ``plan`` in order; return phase timings and the space peak
+        (the span's summed per-device high-water marks)."""
         report = ExecutionReport()
-        self.disk.reset_high_water()
+        self.span.reset_high_water()
         for op in plan:
             self.execute_op(op, report)
-        report.peak_bytes = self.disk.high_water_bytes
+        report.peak_bytes = self.span.high_water_bytes
         return report
 
     def execute_op(self, op: Op, report: ExecutionReport) -> None:
-        """Run one op, charging its time to ``report``."""
-        before = self.disk.clock
+        """Run one op, charging the time it took across the span to
+        ``report``."""
+        span = self.span
+        before = span.total_clock
         if isinstance(op, UpdateOp):
             self._apply_update(op, report)
         else:
             self._apply(op)
-            report.seconds.add(op.phase, self.disk.clock - before)
+            report.seconds.add(op.phase, span.total_clock - before)
         report.ops_executed += 1
 
     def _apply(self, op: Op) -> None:
@@ -159,7 +172,7 @@ class PlanExecutor:
             self.wave.bind(
                 op.target,
                 ConstituentIndex.create_empty(
-                    self._disk_for(op.target), self.config, name=op.target
+                    self._creation_disk(), self.config, name=op.target
                 ),
             )
         elif isinstance(op, AddOp):
@@ -183,7 +196,7 @@ class PlanExecutor:
 
     def _do_build(self, op: BuildOp) -> None:
         index = build_index_from_store(
-            self._disk_for(op.target),
+            self._creation_disk(),
             self.config,
             self.store,
             op.days,

@@ -247,8 +247,9 @@ class JournaledExecutor(PlanExecutor):
         self.journal = journal
         self._persist_journal()
         report = ExecutionReport()
-        self.disk.reset_high_water()
-        devices = (self.disk,)
+        span = self.span
+        span.reset_high_water()
+        devices = tuple(span.devices)
         for i, op in enumerate(plan):
             yield Boundary(
                 day, "op", type(op).__name__, i, shard, replica, devices
@@ -259,7 +260,7 @@ class JournaledExecutor(PlanExecutor):
             journal.completed = i + 1
             journal.in_flight = None
             self._persist_journal()
-        report.peak_bytes = self.disk.high_water_bytes
+        report.peak_bytes = span.high_water_bytes
         return report
 
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from ..errors import BackendError, FrontendError, RequestRejected
 from ..obs import Counter, MetricsRegistry
@@ -95,10 +95,6 @@ class AdmissionConfig:
     #: default) or ``drr`` (per-tenant deficit-weighted round-robin —
     #: see :mod:`repro.serve.queueing`).
     queue_discipline: str = "fifo"
-    #: DRR credit added per tenant turn (``drr`` only).
-    drr_quantum: float = 1.0
-    #: Per-tenant DRR service weights; missing tenants get 1.0.
-    tenant_weights: Mapping[str, float] | None = None
     #: AIMD adaptive-concurrency controller; ``None`` (default) keeps
     #: the PR 8 fixed dispatcher pool.
     adaptive: AdaptiveConfig | None = None
@@ -113,10 +109,6 @@ class AdmissionConfig:
             raise FrontendError(
                 f"unknown queue discipline {self.queue_discipline!r}; "
                 f"known: {', '.join(QUEUE_DISCIPLINES)}"
-            )
-        if self.drr_quantum <= 0:
-            raise FrontendError(
-                f"drr_quantum must be > 0, got {self.drr_quantum}"
             )
         if (
             self.adaptive is not None
@@ -271,8 +263,6 @@ class AdmissionController:
         self._queue = build_request_queue(
             self.config.queue_discipline,
             self.config.max_queue_depth,
-            quantum=self.config.drr_quantum,
-            weights=self.config.tenant_weights,
             on_evict=self._evict,
         )
         self._adaptive: AimdController | None = None

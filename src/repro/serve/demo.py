@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from ..cluster import ClusterConfig, ClusterSimulation
 from ..core.schemes import scheme_by_name
+from ..core.timeset import validate_window
 from ..errors import FrontendError
 from ..workloads.keys import build_int_store
 
@@ -46,6 +47,12 @@ class DemoClusterConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
+        scheme_cls = scheme_by_name(self.scheme)  # raises KeyError on unknowns
+        validate_window(
+            self.window, self.n_indexes, minimum_indexes=scheme_cls.min_indexes
+        )
+        if self.n_shards < 1:
+            raise FrontendError(f"n_shards must be >= 1, got {self.n_shards}")
         if self.domain < 1:
             raise FrontendError(f"domain must be >= 1, got {self.domain}")
         if self.records_per_day < 1:
@@ -56,7 +63,6 @@ class DemoClusterConfig:
             raise FrontendError(
                 f"extra_days must be >= 0, got {self.extra_days}"
             )
-        scheme_by_name(self.scheme)  # raises KeyError on unknowns
 
     @property
     def last_day(self) -> int:

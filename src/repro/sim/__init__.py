@@ -16,7 +16,6 @@ from .latency import (
     simulate_query_latency,
 )
 from .metrics import DayMetrics, SimulationResult
-from .multidisk_sim import MultiDiskExecutor, MultiDiskReport
 from .querygen import (
     DriftingWorkload,
     ProbeUnit,
@@ -26,7 +25,7 @@ from .querygen import (
     uniform_key_picker,
     zipf_value_picker,
 )
-from .scheduler import ArrayPlanExecutor, OverlapPolicy
+from .scheduler import OverlapPolicy
 
 
 def run_cluster_simulation(*args, **kwargs):
@@ -52,9 +51,6 @@ __all__ = [
     "LatencyStats",
     "maintenance_timeline",
     "simulate_query_latency",
-    "MultiDiskExecutor",
-    "MultiDiskReport",
-    "ArrayPlanExecutor",
     "OverlapPolicy",
     "ProbeUnit",
     "QueryWorkload",

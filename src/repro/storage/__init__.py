@@ -6,7 +6,7 @@ transfer bandwidth, both of which :class:`DiskParameters` exposes.
 """
 
 from .allocator import ExtentAllocator
-from .array import DiskArray, Placement
+from .array import DiskArray
 from .bufferpool import BufferPoolModel
 from .cost import DEFAULT_BANDWIDTH_BPS, DEFAULT_SEEK_S, MEGABYTE, DiskParameters
 from .disk import SimulatedDisk
@@ -24,7 +24,6 @@ from .stats import IOSnapshot, IOStats
 __all__ = [
     "BufferPoolModel",
     "DiskArray",
-    "Placement",
     "DEFAULT_PAGE_SIZE",
     "PageCache",
     "PageCacheSnapshot",

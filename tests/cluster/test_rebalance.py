@@ -118,6 +118,10 @@ class TestRebalanceShard:
         clock_before = target.clock
         sim.run_transition(W + 1)
         assert target.clock > clock_before
+        # The executor's span moved with the replica: the constituent
+        # REINDEX rebuilt after the move lives on the target device too.
+        wave = sim.shards[0].replicas[0].wave
+        assert all(index.disk is target for index in wave.live_constituents())
         sim.array.check_invariants()
 
     def test_move_to_same_device_rejected(self):

@@ -1,45 +1,10 @@
-"""Tests for the disk array and its placement policies."""
+"""Tests for the disk array."""
 
 import pytest
 
-from repro.storage.array import DiskArray, Placement
+from repro.storage.array import DiskArray, make_device
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import FaultyDisk
-
-
-class TestPlacement:
-    def test_round_robin_assigns_in_arrival_order(self):
-        placement = Placement(3)
-        assert placement.device_index("I1") == 0
-        assert placement.device_index("I2") == 1
-        assert placement.device_index("I3") == 2
-        assert placement.device_index("I4") == 0  # wraps
-        assert placement.device_index("I2") == 1  # stable on re-ask
-
-    def test_hash_is_arrival_order_independent(self):
-        a = Placement(4, strategy="hash")
-        b = Placement(4, strategy="hash")
-        assert a.device_index("I2") == b.device_index("I2")
-        b.device_index("I1")  # different arrival order
-        assert a.device_index("I2") == b.device_index("I2")
-
-    def test_pinned_overrides_with_round_robin_fallback(self):
-        placement = Placement(3, strategy="pinned", pinned={"Temp": 2})
-        assert placement.device_index("Temp") == 2
-        assert placement.device_index("I1") == 0
-
-    def test_pinned_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            Placement(2, strategy="pinned", pinned={"I1": 5})
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            Placement(2, strategy="striped")
-
-    def test_assignments_reports_placed_names(self):
-        placement = Placement(2, pinned={"Temp": 1})
-        placement.device_index("I1")
-        assert placement.assignments() == {"I1": 0, "Temp": 1}
 
 
 class TestDiskArray:
@@ -49,12 +14,6 @@ class TestDiskArray:
         array.devices[0].write(array.devices[0].allocate(1000), 1000)
         assert array.devices[0].clock > 0
         assert array.devices[1].clock == 0
-
-    def test_disk_for_follows_placement(self):
-        array = DiskArray.create(2)
-        assert array.disk_for("I1") is array.devices[0]
-        assert array.disk_for("I2") is array.devices[1]
-        assert array.disk_for("I3") is array.devices[0]
 
     def test_aggregates_sum_over_devices(self):
         array = DiskArray.create(2)
@@ -81,6 +40,15 @@ class TestDiskArray:
         snap = array.cache_snapshot()
         assert snap is not None and snap.hits == 0
 
+    def test_create_and_make_device_build_the_same_device(self):
+        (device,) = DiskArray.create(
+            1, page_cache_bytes=1 << 16, page_size=1024
+        ).devices
+        twin = make_device(page_cache_bytes=1 << 16, page_size=1024)
+        assert device.params == twin.params
+        assert device.page_cache.snapshot() == twin.page_cache.snapshot()
+        assert make_device().page_cache is None
+
     def test_cache_snapshot_none_without_caches(self):
         assert DiskArray.create(2).cache_snapshot() is None
 
@@ -91,10 +59,6 @@ class TestDiskArray:
         )
         assert isinstance(array.devices[0], FaultyDisk)
         assert not isinstance(array.devices[1], FaultyDisk)
-
-    def test_placement_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DiskArray([SimulatedDisk()], Placement(2))
 
     def test_empty_array_rejected(self):
         with pytest.raises(ValueError):

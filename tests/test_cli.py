@@ -380,6 +380,18 @@ def test_a_group_field_out_of_range_is_an_invalid_configuration(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags,field",
+    [(["--window", "0"], "window"), (["--shards", "0"], "n_shards")],
+)
+def test_serve_refuses_an_invalid_demo_cluster_by_name(flags, field, capsys):
+    # Refused before the cluster is built or a port is bound.
+    assert main(["serve", "--port", "0", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert field in err
+
+
 class TestBenchCheck:
     @staticmethod
     def _reports(tmp_path, speedup=4.0):
