@@ -873,7 +873,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json
 
     from .errors import FrontendError, WorkloadError
-    from .loadgen import LoadConfig, TenantPopulation, run_load
+    from .loadgen import TenantPopulation, run_load
     from .serve.admission import (
         AdmissionConfig,
         AdmissionController,
@@ -888,14 +888,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             **({} if args.users is None else {"n_users": args.users}),
             **({} if args.tenants is None else {"n_tenants": args.tenants}),
         )
-        load = LoadConfig(
+        load = cluster.load(
             **({} if args.duration is None else {"duration_s": args.duration}),
             **({} if args.qps is None else {"offered_qps": args.qps}),
             **({} if args.arrivals is None else {"arrivals": args.arrivals}),
             population=population,
-            domain=cluster.domain,
-            t_lo=cluster.oldest_day,
-            t_hi=cluster.last_day,
             deadline_ms=args.deadline_ms,
             **({} if args.seed is None else {"seed": args.seed}),
         )

@@ -74,6 +74,7 @@ from ..errors import (
 )
 from ..index.updates import UpdateTechnique
 from ..obs import MetricsRegistry
+from ..storage.array import DiskArray
 from ..storage.disk import SimulatedDisk
 from ..storage.faults import RetryPolicy
 from .rebalance import copy_index_to
@@ -365,7 +366,7 @@ class ReplicaHealthMonitor:
 def rebuild_steps(
     shard: Shard,
     donor: ShardReplica,
-    spare: SimulatedDisk,
+    span: DiskArray,
     device_index: int,
     *,
     plan: list[Op],
@@ -374,8 +375,11 @@ def rebuild_steps(
     monitor: ReplicaHealthMonitor,
     start: float = 0.0,
 ) -> Steps:
-    """Rebuild one replica of ``shard`` from ``donor`` onto ``spare``;
+    """Rebuild one replica of ``shard`` from ``donor`` onto ``span``;
     return the new ``(replica, report)``.
+
+    ``span`` is fresh spare devices, array indexes from ``device_index``
+    on; the new replica lives on them as the donor lives on its own.
 
     Yields a ``"rebuild"`` :class:`~repro.core.boundary.Boundary` named
     ``copy:s{g}/r{i}:{name}`` before each binding's copy (again after a
@@ -383,14 +387,15 @@ def rebuild_steps(
     phases, both on the simulated cost clocks:
 
     1. **Copy** — every binding of the donor's wave index is smart-copied
-       onto the spare (:func:`~repro.cluster.rebalance.copy_index_to`:
+       onto the span device in the place its source holds in the
+       donor's span (:func:`~repro.cluster.rebalance.copy_index_to`:
        sequential read on the donor's device, one packed extent written
        on the spare).  The donor's pre-transition state is what gets
        copied — the donor has not run today's plan yet.
     2. **Catch-up** — the new replica replays today's plan through a
-       :class:`~repro.core.recovery.JournaledExecutor`, bringing it to
-       the same post-transition state every other replica reaches via
-       normal maintenance.
+       :class:`~repro.core.recovery.JournaledExecutor` on the span,
+       bringing it to the same post-transition state every other replica
+       reaches via normal maintenance.
 
     Unlike the journaled staged changes (:mod:`repro.core.staged`) a
     rebuild has no commit point — nothing routes to the new replica
@@ -407,17 +412,20 @@ def rebuild_steps(
     Raises:
         ChangeAborted: The rebuild could not complete (``kind="rebuild"``).
     """
+    spares = span.devices
     new_wave = WaveIndex(
-        spare, donor.wave.config, len(donor.wave.constituents)
+        spares[0], donor.wave.config, len(donor.wave.constituents)
     )
     replica_id = max(r.replica_id for r in shard.replicas) + 1
     label = f"s{shard.shard_id}/r{replica_id}"
-    devices = (spare, donor.device)
-    donor_before = donor.device.clock
-    spare_before = spare.clock
+    devices = (*spares, donor.device)
+    donor_span = donor.span
+    donor_before = donor_span.total_clock
+    spare_before = span.total_clock
     crash_recoveries = 0
     bytes_copied = 0
     copied = 0
+    sweep = partial(sweep_orphan_extents, new_wave, spares)
 
     def crashed() -> None:
         nonlocal crash_recoveries
@@ -433,32 +441,38 @@ def rebuild_steps(
                         crash_recoveries + copied, shard.shard_id,
                         replica_id, devices,
                     )
+                    target = spares[
+                        donor_span.devices.index(index.disk) % len(spares)
+                    ]
                     clone = retry_transients(
-                        partial(copy_index_to, index, spare, name=name),
+                        partial(copy_index_to, index, target, name=name),
                         new_wave,
                         monitor,
+                        sweep,
                     )
                     break
                 except SimulatedCrash:
                     # Disk state survives a process crash; roll the copy
                     # forward: sweep the half-written clone, re-copy.
-                    disarm_crash(spare, donor.device)
-                    sweep_orphan_extents(new_wave)
+                    disarm_crash(*spares, *donor_span.devices)
+                    sweep()
                     crashed()
             new_wave.bind(name, clone)
             bytes_copied += clone.allocated_bytes
             copied += 1
 
-        copy_read = donor.device.clock - donor_before
-        copy_write = spare.clock - spare_before
+        copy_read = donor_span.total_clock - donor_before
+        copy_write = span.total_clock - spare_before
 
-        executor = JournaledExecutor(new_wave, shard.store, technique)
+        executor = JournaledExecutor(
+            new_wave, shard.store, technique, span=span
+        )
         try:
             yield from executor.journaled_steps(
                 plan, day=day, shard=shard.shard_id, replica=replica_id
             )
         except SimulatedCrash:
-            disarm_crash(spare)
+            disarm_crash(*spares)
             crashed()
             recover_transition(
                 executor.journal, new_wave, shard.store, technique
@@ -476,15 +490,15 @@ def rebuild_steps(
         # The rebuild process exits here: any crash point armed against
         # it that never fired dies with it instead of ambushing the
         # replica's first normal maintenance pass.
-        disarm_crash(spare)
+        disarm_crash(*spares)
 
-    catchup = spare.clock - spare_before - copy_write
-    end = start + copy_read + (spare.clock - spare_before)
+    catchup = span.total_clock - spare_before - copy_write
+    end = start + copy_read + (span.total_clock - spare_before)
     replica = ShardReplica(
         shard_id=shard.shard_id,
         replica_id=replica_id,
         device_index=device_index,
-        device=spare,
+        device=spares[0],
         wave=new_wave,
         executor=executor,
         caught_up_day=day,

@@ -22,6 +22,7 @@ from ..core.executor import ExecutionReport, PlanExecutor
 from ..core.ops import AddOp, DeleteOp, Op, UpdateOp
 from ..core.records import RecordStore
 from ..core.recovery import restore_op_target, sweep_orphan_extents
+from ..core.staged import retry_transients
 from ..core.schemes.base import WaveScheme
 from ..core.wave import WaveIndex
 from ..errors import DeviceFailure, FaultError, TransientIOError
@@ -94,13 +95,14 @@ class ShardReplica:
     def busy_until(self) -> list[float]:
         """Return when each device of the span finishes today's maintenance.
 
-        One device is busy until the replica's maintenance ends (a rebuild
-        or a retune sets that end without laying intervals); a spanning
-        replica's devices come free op by op.
+        One device, or a span with no intervals laid (a rebuild or a
+        retune sets its end without laying any), is busy until the
+        replica's maintenance ends; otherwise a spanning replica's devices
+        come free op by op.
         """
         n_devices = len(self.span)
-        if n_devices == 1:
-            return [self.maintenance_end]
+        if n_devices == 1 or not self.intervals:
+            return [self.maintenance_end] * n_devices
         until = [self.maintenance_start] * n_devices
         for interval in self.intervals:
             for device in interval.devices:
@@ -210,35 +212,42 @@ class ShardReplica:
         mid-op transient would double-apply: each retry first sweeps any
         orphaned partial work and restores the op's target from the
         record store over its pre-op day-set (the same repair rule
-        journal recovery uses), making the re-run safe.
+        journal recovery uses), making the re-run safe.  Every escaped
+        transient counts against the replica's breaker.
         """
-        retry = monitor.retry
         pre_days = self.wave.days_by_name()
-        attempts = 0
-        while True:
+
+        def attempt() -> None:
             try:
                 self.executor.execute_op(op, report)
-                monitor.record_success(self)
-                return True
             except TransientIOError:
-                attempts += 1
                 monitor.on_transient(self, now=now)
-                if attempts >= retry.max_attempts:
-                    monitor.retire(self, reason="flaky-maintenance")
-                    return False
-                self.device.advance(retry.delay_before_retry(attempts))
-                monitor.note_retry(attempts)
-                try:
-                    sweep_orphan_extents(self.wave)
-                    restore_op_target(
-                        self.wave, self.executor.store, op, pre_days
-                    )
-                except FaultError:
-                    monitor.retire(self, reason="repair-failed")
-                    return False
-            except DeviceFailure:
-                monitor.retire(self, reason="device-failure")
-                return False
+                raise
+
+        def repair() -> None:
+            try:
+                sweep_orphan_extents(self.wave)
+                restore_op_target(self.wave, self.executor.store, op, pre_days)
+            except FaultError as exc:
+                raise _RepairFailed from exc
+
+        try:
+            retry_transients(attempt, self.wave, monitor, repair)
+        except TransientIOError:
+            reason = "flaky-maintenance"
+        except DeviceFailure:
+            reason = "device-failure"
+        except _RepairFailed:
+            reason = "repair-failed"
+        else:
+            monitor.record_success(self)
+            return True
+        monitor.retire(self, reason=reason)
+        return False
+
+
+class _RepairFailed(Exception):
+    """The repair before a retry hit a fault: the replica retires."""
 
 
 class Shard:

@@ -164,9 +164,9 @@ class ClusterConfig:
             one, the replica rotates its index creations over them, so a
             rebuild streams to a device its serving constituents do not
             occupy and queries overlap the transition (the paper's
-            "build new constituent indices on separate disks").
-            Replicas a rebuild, split, merge or retune creates live on
-            one spare device.
+            "build new constituent indices on separate disks").  A
+            rebuilt replica spans as many fresh spares; replicas a split,
+            merge or retune creates live on one spare device.
     """
 
     n_shards: int = 2
@@ -995,14 +995,17 @@ class ClusterSimulation:
             donor = shard.primary
             if donor is None or len(shard.alive_replicas()) >= self.config.replication:
                 continue
-            provisioned = provision_spares(self.spares, self.array, 1)
+            provisioned = provision_spares(
+                self.spares, self.array, self.config.devices_per_replica
+            )
             if provisioned is None:
                 # Spare budget spent (e.g. by a same-day topology change
                 # that outran a kill landing later in the day): the
                 # shard stays under-replicated and retries tomorrow.
                 self.obs.counter("cluster.heal.rebuilds_deferred").inc()
                 continue
-            ((device_index, spare),) = provisioned
+            device_index = provisioned[0][0]
+            span = DiskArray([device for _, device in provisioned])
             # A retuned donor clones under its *own* design: the rebuilt
             # twin copies the donor's constituents, catches up with the
             # donor's plan, and inherits its scheme and technique.
@@ -1014,7 +1017,7 @@ class ClusterSimulation:
                 replica, report = yield from rebuild_steps(
                     shard,
                     donor,
-                    spare,
+                    span,
                     device_index,
                     plan=donor_plan,
                     day=day,

@@ -39,8 +39,9 @@ from typing import Callable, Iterable
 
 from ..errors import RecoveryError
 from ..index.builder import build_index_from_store
-from ..storage.disk import SimulatedDisk
 from ..index.updates import UpdateTechnique
+from ..storage.array import DiskArray
+from ..storage.disk import SimulatedDisk
 from .boundary import Boundary, Steps
 from .checkpoint import CHECKPOINT_VERSION, restore_scheme
 from .executor import ExecutionReport, PlanExecutor
@@ -196,7 +197,7 @@ class JournaledExecutor(PlanExecutor):
     """A :class:`PlanExecutor` that write-ahead journals each op.
 
     Args:
-        wave, store, technique: As for :class:`PlanExecutor`.
+        wave, store, technique, span: As for :class:`PlanExecutor`.
         journal_sink: Optional callable invoked with the journal after every
             mutation — the attachment point for durable journal storage.
             The journal object passed is live; sinks that need isolation
@@ -209,9 +210,10 @@ class JournaledExecutor(PlanExecutor):
         store: RecordStore,
         technique: UpdateTechnique = UpdateTechnique.SIMPLE_SHADOW,
         *,
+        span: DiskArray | None = None,
         journal_sink: Callable[[TransitionJournal], None] | None = None,
     ) -> None:
-        super().__init__(wave, store, technique)
+        super().__init__(wave, store, technique, span=span)
         self.journal: TransitionJournal | None = None
         self.journal_sink = journal_sink
 

@@ -301,15 +301,21 @@ def abort_reason(exc: BaseException) -> str:
     raise exc  # not a fault: bookkeeping bug, propagate loudly
 
 
-def retry_transients(attempt: Callable[[], Any], scratch: WaveIndex, monitor):
+def retry_transients(
+    attempt: Callable[[], Any],
+    scratch: WaveIndex,
+    monitor,
+    repair: Callable[[], None] | None = None,
+):
     """Run ``attempt()`` under the cluster retry policy; return its result.
 
     A :class:`~repro.errors.TransientIOError` that escaped the device's
     own retry loop is retried up to ``RetryPolicy.max_attempts`` tries,
     with the backoff charged to the target's clock (``scratch.disk``),
     the retry noted on ``monitor`` (``None`` = no self-healing: default
-    policy, nothing noted) and the failed attempt's partial extents swept
-    off the scratch wave.  The last transient propagates.
+    policy, nothing noted) and ``repair()`` run before the next try —
+    by default, the failed attempt's partial extents are swept off the
+    scratch wave.  The last transient propagates.
     """
     retry = monitor.retry if monitor is not None else RetryPolicy()
     attempts = 0
@@ -323,7 +329,10 @@ def retry_transients(attempt: Callable[[], Any], scratch: WaveIndex, monitor):
             scratch.disk.advance(retry.delay_before_retry(attempts))
             if monitor is not None:
                 monitor.note_retry(attempts)
-            sweep_orphan_extents(scratch)
+            if repair is None:
+                sweep_orphan_extents(scratch)
+            else:
+                repair()
 
 
 # ----------------------------------------------------------------------

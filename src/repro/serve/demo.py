@@ -16,12 +16,16 @@ equivalence tests lean on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from ..cluster import ClusterConfig, ClusterSimulation
 from ..core.schemes import scheme_by_name
 from ..core.timeset import validate_window
 from ..errors import FrontendError
 from ..workloads.keys import build_int_store
+
+if TYPE_CHECKING:
+    from ..loadgen import LoadConfig
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,17 @@ class DemoClusterConfig:
     def oldest_day(self) -> int:
         """Return the oldest day still inside the serving window."""
         return self.last_day - self.window + 1
+
+    def load(self, **fields: Any) -> LoadConfig:
+        """Return a :class:`~repro.loadgen.LoadConfig` aimed at this
+        cluster: its key domain and serving window, plus ``fields``."""
+        # Imported here: repro.loadgen imports this package.
+        from ..loadgen import LoadConfig
+
+        return LoadConfig(
+            domain=self.domain, t_lo=self.oldest_day, t_hi=self.last_day,
+            **fields,
+        )
 
 
 def build_demo_cluster(

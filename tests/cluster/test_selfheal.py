@@ -205,6 +205,7 @@ def _build(
     replication=2,
     selfheal=None,
     injectors=None,
+    devices_per_replica=1,
 ):
     cfg = ClusterConfig(
         n_shards=n_shards,
@@ -213,6 +214,7 @@ def _build(
         maintenance="staggered",
         max_concurrent_frac=0.5,
         selfheal=selfheal,
+        devices_per_replica=devices_per_replica,
     )
 
     def factory(i):
@@ -275,6 +277,35 @@ class TestReReplication:
         # Never a dark day, never a diverging answer.
         assert all(not d.shards_unavailable for d in sim.result.days)
         assert sim.result.all_missing_days() == frozenset()
+        _assert_matches_twin(sim, twin)
+
+    def test_rebuilt_replica_spans_as_many_devices_as_its_donor(self):
+        injectors = {}
+        sim = _build(
+            n_shards=1, devices_per_replica=3, selfheal=SelfHealConfig(),
+            injectors=injectors,
+        )
+        twin = _build(n_shards=1, devices_per_replica=3)
+        sim.run_start()
+        twin.run_start()
+        victim = sim.shards[0].replicas[1]
+        injectors[victim.device_index].fail_device()
+        for day in range(W + 1, LAST + 1):
+            sim.run_transition(day)
+            twin.run_transition(day)
+        replicas = sim.shards[0].replicas
+        assert [len(r.span) for r in replicas] == [3, 3, 3]
+        assert [r.failed for r in replicas] == [False, True, False]
+        rebuilt = replicas[-1]
+        # Three fresh spares, in array order from the replica's device;
+        # its indexes sit on them, spread as the donor's are.
+        devices = sim.array.devices
+        first = rebuilt.device_index
+        assert rebuilt.span.devices == devices[first:first + 3]
+        assert first == len(devices) - 3
+        placed = {id(i.disk) for i in rebuilt.wave.bindings.values()}
+        assert placed <= {id(d) for d in rebuilt.span.devices}
+        assert len(placed) > 1
         _assert_matches_twin(sim, twin)
 
     def test_rebuild_contends_on_the_cluster_timeline(self):

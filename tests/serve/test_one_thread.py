@@ -1,12 +1,13 @@
 """The frontend is one thread.
 
 A three-frontend fleet — one frontend behind an injected straggler, one
-behind a backend that always fails — and an in-process controller over
-the service-delay backend serve a burst, a batch whose deadlines expire
-in flight, and an unclean drain.  Every wait is a timer on the one event
-loop: no thread is started, a waiting batch is cancelled at its deadline
-before it reaches the coordinator, and the serving package names no
-thread machinery at all.
+behind a backend that always fails — an impostor frontend that tears its
+answers, and an in-process controller over the service-delay backend
+serve a burst, a batch whose deadlines expire in flight, and an unclean
+drain.  Every wait is a timer on the one event loop: no thread is
+started, a waiting batch is cancelled at its deadline before it reaches
+the coordinator, and the serving package names no thread machinery at
+all.
 """
 
 import asyncio
@@ -17,13 +18,14 @@ from pathlib import Path
 import pytest
 
 import repro.serve
-from repro.bench.frontend import ServiceDelayBackend
-from repro.bench.resilience import ExtraDelayBackend, FailingBackend
-from repro.errors import BackendError, RequestRejected
+from repro.bench.frontend import DelayBackend
+from repro.bench.resilience import FailingBackend, ImpostorFrontend
+from repro.errors import BackendError, RequestRejected, TransportError
 from repro.serve import (
     AdmissionConfig,
     AdmissionController,
     CoordinatorBackend,
+    FrontendClient,
     FrontendFleet,
     InProcessClient,
 )
@@ -43,7 +45,7 @@ DEADLINE_MS = 50.0
 
 def wrap(idx, backend):
     if idx == 0:
-        return ExtraDelayBackend(backend, STRAGGLER_MS)
+        return DelayBackend(backend, batch_s=STRAGGLER_MS / 1e3)
     if idx == 1:
         return FailingBackend(backend)
     return backend
@@ -64,25 +66,34 @@ def test_a_fleet_and_a_controller_serve_burst_deadline_and_drain_on_one_thread()
             wrap_backend=wrap,
         )
         await fleet.start()
+        impostor = ImpostorFrontend(torn=True)
+        impostor_port = await impostor.start()
         controller = AdmissionController(
-            ServiceDelayBackend(CoordinatorBackend(sim.coordinator), 20_000.0),
+            DelayBackend(
+                CoordinatorBackend(sim.coordinator), request_s=20_000.0 / 1e6
+            ),
             AdmissionConfig(max_concurrency=2, batch_max=4),
         )
         controller.start()
         inproc = InProcessClient(controller)
         clients = [await fleet.client(idx) for idx in range(3)]
+        clients.append(
+            await FrontendClient().connect("127.0.0.1", impostor_port)
+        )
         try:
             # A burst at every frontend at once.
             served = (clients[0], clients[2], inproc)
             burst = await asyncio.gather(
                 *(c.probe(v, T1, T2) for c in served for v in range(1, 13)),
                 *(clients[1].probe(v, T1, T2) for v in range(1, 5)),
+                clients[3].probe(1, T1, T2),
                 return_exceptions=True,
             )
             threads.append(threading.active_count())
-            answers, failed = burst[:36], burst[36:]
+            answers, failed, torn = burst[:36], burst[36:40], burst[40]
             assert [a.entries for a in answers] == expected * 3
             assert all(isinstance(f, BackendError) for f in failed)
+            assert isinstance(torn, TransportError)
 
             # A batch whose every deadline passes while the straggler
             # sleeps: it is refused at the deadline, and the coordinator
@@ -120,6 +131,7 @@ def test_a_fleet_and_a_controller_serve_burst_deadline_and_drain_on_one_thread()
         finally:
             for client in clients:
                 await client.close()
+            await impostor.close()
             await fleet.close()
             await controller.drain(0.0)
         threads.append(threading.active_count())

@@ -3,8 +3,9 @@
 The scenarios themselves run real TCP fleets on virtual time and are
 run end to end by ``tests/test_bench_virtual_time.py``; here the cheap
 invariants are pinned — report validation catches every malformed
-shape, the quick config genuinely shortens the bursts, and the
-fault-injecting fakes behave as advertised.
+shape, the quick config genuinely shortens the bursts, the fleet table
+names every run the report holds, and the fault injectors behave as
+advertised.
 """
 
 import asyncio
@@ -13,17 +14,19 @@ import copy
 import pytest
 
 from repro.errors import FrontendError, TransportError
+from repro.serve import vtime
 from repro.serve.client import FrontendClient
+from repro.bench.frontend import DelayBackend
 from repro.bench.resilience import (
     BENCH,
+    CHAOS_CELLS,
     DRR_LIGHT_SHED_BOUND,
+    FLEET_CELLS,
     HEDGE_TAIL_BOUND,
-    ExtraDelayBackend,
     FailingBackend,
+    ImpostorFrontend,
     ResilienceBenchConfig,
     SCHEMA_VERSION,
-    StallServer,
-    TornFrameServer,
     quick_config,
     render_summary,
 )
@@ -182,10 +185,6 @@ class TestConfig:
         with pytest.raises(FrontendError, match="chaos_seeds"):
             ResilienceBenchConfig(chaos_seeds=())
 
-    def test_needs_positive_straggler_delay(self):
-        with pytest.raises(FrontendError, match="slow_extra_ms"):
-            ResilienceBenchConfig(slow_extra_ms=0.0)
-
     def test_quick_config_shortens_every_burst(self):
         full = ResilienceBenchConfig()
         quick = quick_config()
@@ -198,6 +197,25 @@ class TestConfig:
         # full run, it does not change what is asserted.
         assert quick.n_frontends == full.n_frontends
         assert quick.chaos_seeds == full.chaos_seeds
+
+
+class TestFleetTable:
+    def test_every_fleet_run_is_a_named_row(self):
+        assert list(FLEET_CELLS) == [
+            "unhedged", "hedged", "retry_budget", "rolling_restart",
+            *CHAOS_CELLS,
+        ]
+        assert all(name == cell.name for name, cell in FLEET_CELLS.items())
+
+    def test_impostors_sit_in_the_chaos_cells_that_name_them(self):
+        impostors = {
+            name: (cell.impostor_at, cell.torn)
+            for name, cell in FLEET_CELLS.items()
+            if cell.impostor_at is not None
+        }
+        assert impostors == {
+            "stalled_frontend": (1, False), "torn_frames": (0, True),
+        }
 
 
 class Inner:
@@ -215,12 +233,26 @@ class Inner:
 
 
 class TestFaultInjectors:
-    def test_extra_delay_backend_passes_through(self):
+    def test_delay_backend_waits_then_passes_through(self):
         inner = Inner()
-        delayed = ExtraDelayBackend(inner, extra_ms=1.0)
-        assert asyncio.run(delayed.probe_many([(1, 1, 2)])) == ["p"]
-        assert asyncio.run(delayed.scan_many([(1, 2)])) == ["s"]
-        assert inner.probe_specs == [[(1, 1, 2)]]
+        delayed = DelayBackend(inner, batch_s=0.5, request_s=0.25)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            probed = await delayed.probe_many([(1, 1, 2), (2, 1, 2)])
+            waited = [loop.time() - started]
+            scanned = await delayed.scan_many([(1, 2)])
+            waited.append(loop.time() - started - waited[0])
+            return probed, scanned, waited
+
+        probed, scanned, waited = vtime.run(scenario())
+        assert probed == ["p", "p"]
+        assert scanned == ["s"]
+        # One batch timer each: batch_s plus request_s per request.
+        assert waited == [1.0, 0.75]
+        assert inner.probe_specs == [[(1, 1, 2), (2, 1, 2)]]
+        assert inner.scan_specs == [[(1, 2)]]
 
     def test_failing_backend_fails_and_counts(self):
         failing = FailingBackend(Inner())
@@ -232,7 +264,7 @@ class TestFaultInjectors:
 
     def test_stall_server_never_answers(self):
         async def scenario():
-            stall = StallServer()
+            stall = ImpostorFrontend()
             port = await stall.start()
             client = await FrontendClient().connect("127.0.0.1", port)
             try:
@@ -246,7 +278,7 @@ class TestFaultInjectors:
 
     def test_torn_frame_server_surfaces_transport_error(self):
         async def scenario():
-            torn = TornFrameServer()
+            torn = ImpostorFrontend(torn=True)
             port = await torn.start()
             client = await FrontendClient().connect("127.0.0.1", port)
             try:
