@@ -40,8 +40,6 @@ class AdvisorConfig:
             *differently* — even replica ids see a probe-only projection
             of the observation, odd ids a scan-only projection — and let
             the cost-aware router send each query to the cheaper twin.
-        max_retunes_per_day: Cap on retunes executed cluster-wide per day
-            (each consumes a spare device while in flight).
     """
 
     observe_days: int = 2
@@ -51,7 +49,6 @@ class AdvisorConfig:
     candidate_n: tuple[int, ...] = ()
     techniques: tuple[str, ...] = (UpdateTechnique.SIMPLE_SHADOW.value,)
     divergent: bool = False
-    max_retunes_per_day: int = 1
 
     def __post_init__(self) -> None:
         if self.observe_days < 1:
@@ -83,8 +80,3 @@ class AdvisorConfig:
                 raise ClusterError(
                     f"unknown technique {value!r}; valid: {valid}"
                 ) from None
-        if self.max_retunes_per_day < 1:
-            raise ClusterError(
-                f"max_retunes_per_day must be >= 1, "
-                f"got {self.max_retunes_per_day}"
-            )

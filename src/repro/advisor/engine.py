@@ -17,9 +17,10 @@ says only what a retune is:
   replaced in one step; cleanup drops the old design's indexes and
   drains its device.
 
-Spare contention stays healer-wins: the simulation defers retunes while
-any shard is under-replicated, and a ``no-spare`` abort leaves the
-decision queued for the next day.
+A retune waits in the cluster's one change queue beside the topology
+changes and under the same rule: it waits while any shard is
+under-replicated, and an abort after staging (``no-spare``, a fault)
+leaves it queued for the next day.
 """
 
 from __future__ import annotations
@@ -65,12 +66,16 @@ class RetuneReport:
 class Retune:
     """One :class:`RetuneDecision` as a staged change.
 
-    The decision may execute later than the day it was made (aborts defer
-    it); the new design catches up to the day it actually runs.
+    The decision may execute later than the day it was made (the queue
+    or an abort defers it); the new design catches up to the day it
+    actually runs.
     """
 
     kind = "retune"
     counters = "cluster.advisor"
+    #: The :class:`~repro.cluster.sim.Turn` fields its outcomes land in:
+    #: committed reports, aborts, and why it did not commit today.
+    tally = ("retunes", "retunes_aborted", "retune_deferred")
     n_targets = 1
 
     def __init__(self, sim: "ClusterSimulation", decision: RetuneDecision) -> None:
@@ -91,8 +96,6 @@ class Retune:
                 if replica.replica_id == decision.replica_id and not replica.failed:
                     self.shard, self.replica = shard, replica
                     return
-        # A stale decision has always counted as an aborted retune.
-        self.sim.obs.counter("cluster.advisor.aborted").inc()
         raise ChangeAborted(
             f"retune target shard {decision.shard_id} replica "
             f"{decision.replica_id} no longer exists",

@@ -79,9 +79,6 @@ from .harness import (
 #: Fault injection points a kill can target.
 KILL_POINTS = ("transition", "serving", "rebuild")
 
-#: Behaviours a provisioned spare device can be armed with.
-_SPARE_MODES = ("ok", "crash", "die", "space")
-
 
 @dataclass(frozen=True)
 class ChaosSoakConfig:

@@ -327,7 +327,7 @@ class _SeedMatrix:
                 f"{label}: aborted reshard bumped the routing table "
                 f"to v{stats.topology_version}"
             )
-        journal = sim.elastic.journals[-1] if sim.elastic.journals else None
+        journal = sim.staged.journals[-1] if sim.staged.journals else None
         if journal is None or journal.phase != "aborted":
             violations.append(
                 f"{label}: aborted reshard left journal phase "

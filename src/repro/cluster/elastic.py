@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.checkpoint import CHECKPOINT_VERSION, restore_scheme
 from ..core.executor import PlanExecutor
@@ -200,9 +200,9 @@ class Autoscaler:
        ``k > min_shards``), propose merging the pair.
 
     Proposals are returned as an :class:`AutoscalerDecision`; the
-    simulation queues at most the first one (one in-flight topology
-    change at a time, Kimura-style) and records the whole decision in
-    the day's stats.
+    simulation queues the first one only into an empty change queue (one
+    staged change at a time, Kimura-style) and records the whole
+    decision in the day's stats.
     """
 
     def __init__(self, config: ElasticConfig) -> None:
@@ -301,37 +301,83 @@ class _Reshard:
     """
 
     kind: str
+    #: How many adjacent shards, from ``shard_id`` up, the change replaces.
+    span: int
     counters = "cluster.elastic"
+    #: The :class:`~repro.cluster.sim.Turn` fields its outcomes land in:
+    #: committed reports, aborts, and why it did not commit today.
+    tally = ("reshards", "reshards_aborted", "reshard_deferred")
 
     def __init__(
-        self, sim: "ClusterSimulation", shard_id: int, split_key: Any = None
+        self,
+        sim: "ClusterSimulation",
+        shard_id: int,
+        split_key: Any = None,
+        reason: str = "",
     ) -> None:
         self.sim = sim
         self.shard_id = shard_id
         self.split_key = split_key
+        self.reason = reason
 
     def __str__(self) -> str:
-        return f"{self.kind} of shard(s) {[p.shard_id for p in self.parents]}"
+        return f"{self.kind} of shard {self.shard_id}"
 
-    def _resolve(self, parents: list[Shard]) -> Any:
-        """Record the parents and their donors; return the partitioner."""
+    def fits(self, n_shards: int) -> bool:
+        """Return whether a cluster of ``n_shards`` has the shards this
+        change replaces."""
+        return 0 <= self.shard_id <= n_shards - self.span
+
+    def _refuse(self, reason: str, why: str) -> ChangeAborted:
+        return ChangeAborted(f"{self}: {why}", kind=self.kind, reason=reason)
+
+    def _resolve(self) -> Any:
+        """Record the parents and their donors; return the partitioner.
+
+        Everything the change may meet by the time it runs — a shard
+        gone, a partitioner that cannot change, a dark parent — is a
+        refusal, never an error that escapes the day loop.
+        """
+        shards = self.sim.shards
+        if not self.fits(len(shards)):
+            raise self._refuse(
+                "shard-gone", f"the cluster has {len(shards)} shard(s)"
+            )
         part = self.sim.partitioner
         if not hasattr(part, "split") or not hasattr(part, "merge_with_next"):
-            raise ClusterError(
-                f"partitioner {part!r} does not support topology changes; "
-                f"use kind 'slot-hash' or 'range'"
+            raise self._refuse(
+                "fixed-partitioner",
+                f"partitioner {part!r} does not support topology changes",
             )
+        parents = shards[self.shard_id: self.shard_id + self.span]
         donors = [parent.primary for parent in parents]
         if None in donors:
-            raise ChangeAborted(
-                f"{self.kind} of shard {self.shard_id}: a source shard is "
-                f"dark — nothing to copy from",
-                kind=self.kind,
-                reason="dark-source",
+            raise self._refuse(
+                "dark-source", "a source shard is dark — nothing to copy from"
+            )
+        # The children run the design their donors run: a retuned
+        # donor's own planner and technique, else the shard's.
+        designs = [
+            (donor.scheme or parent.scheme, donor.executor.technique)
+            for donor, parent in zip(donors, parents)
+        ]
+        if len({(s.name, s.n_indexes, t) for s, t in designs}) > 1:
+            raise self._refuse(
+                "designs-differ", "the source shards run different designs"
             )
         self.parents = parents
         self.donors: list[ShardReplica] = donors
+        self.scheme, self.technique = designs[0]
         return part
+
+    def _replan(self, plan: Callable[[], Any]) -> Any:
+        """Return ``plan()``'s new partitioner; a partitioner's refusal
+        (a slot-hash shard owning one slot, a key outside the range, a
+        range merged down to one shard) refuses the change."""
+        try:
+            return plan()
+        except ClusterError as exc:
+            raise self._refuse("partitioner-refused", str(exc)) from exc
 
     @property
     def source_devices(self) -> tuple[SimulatedDisk, ...]:
@@ -385,12 +431,9 @@ class _Reshard:
         self.children: list[Shard] = []
         scratch = []
         for i, gid in enumerate(self.child_ids):
-            # Clone the parent's planner pre-planning (planning mutates it).
+            # Clone the donor's planner pre-planning (planning mutates it).
             scheme = restore_scheme(
-                {
-                    "version": CHECKPOINT_VERSION,
-                    "scheme": self.parents[0].scheme.get_state(),
-                }
+                {"version": CHECKPOINT_VERSION, "scheme": self.scheme.get_state()}
             )
             replicas = []
             for ri, (device_index, device) in enumerate(
@@ -406,12 +449,12 @@ class _Reshard:
                         device_index=device_index,
                         device=device,
                         wave=wave,
-                        executor=PlanExecutor(wave, stores[gid], sim.technique),
+                        executor=PlanExecutor(wave, stores[gid], self.technique),
                         caught_up_day=day,
                     )
                 )
                 scratch.append(
-                    Scratch(gid, ri, wave, stores[gid], sim.technique, scheme)
+                    Scratch(gid, ri, wave, stores[gid], self.technique, scheme)
                 )
             self.children.append(Shard(gid, scheme, stores[gid], replicas))
         return scratch
@@ -446,6 +489,7 @@ class _Reshard:
             sim._monitor.remap_shards(mapping)
         sim.shards = new_shards
         sim.partitioner = self.new_partitioner
+        sim._last_action_day = day
         self.topology_version = sim.coordinator.swap_topology(
             new_shards, self.new_partitioner
         )
@@ -497,15 +541,15 @@ class Split(_Reshard):
     owned key for a range partitioner; slot-hash halves its slot set)."""
 
     kind = "split"
+    span = 1
 
     def validate(self) -> None:
-        shards = self.sim.shards
-        if not 0 <= self.shard_id < len(shards):
-            raise ClusterError(f"no shard {self.shard_id}")
-        part = self._resolve([shards[self.shard_id]])
+        part = self._resolve()
         if self.split_key is None:
             self.split_key = self._choose_split_key(part)
-        self.new_partitioner = part.split(self.shard_id, key=self.split_key)
+        self.new_partitioner = self._replan(
+            partial(part.split, self.shard_id, key=self.split_key)
+        )
         self.child_ids = (self.shard_id, self.shard_id + 1)
 
     def _choose_split_key(self, part) -> Any:
@@ -527,11 +571,10 @@ class Split(_Reshard):
             if (lo is None or v > lo) and (hi is None or v < hi)
         )
         if not candidates:
-            raise ChangeAborted(
-                f"shard {shard_id} has no key strictly inside its range "
-                f"(single-value or empty range) — cannot split",
-                kind="split",
-                reason="no-split-key",
+            raise self._refuse(
+                "no-split-key",
+                "no key strictly inside the shard's range "
+                "(single-value or empty range)",
             )
         return candidates[len(candidates) // 2]
 
@@ -556,15 +599,13 @@ class Merge(_Reshard):
     """Merge a cold shard with its next neighbour into one."""
 
     kind = "merge"
+    span = 2
 
     def validate(self) -> None:
-        shards = self.sim.shards
-        if not 0 <= self.shard_id < len(shards) - 1:
-            raise ClusterError(
-                f"shard {self.shard_id} has no next neighbour to merge with"
-            )
-        part = self._resolve(shards[self.shard_id: self.shard_id + 2])
-        self.new_partitioner = part.merge_with_next(self.shard_id)
+        part = self._resolve()
+        self.new_partitioner = self._replan(
+            partial(part.merge_with_next, self.shard_id)
+        )
         self.child_ids = (self.shard_id,)
 
     def _copy(self, name: str, target: SimulatedDisk, gid: int):
@@ -577,9 +618,9 @@ class Merge(_Reshard):
 def reshard_change(sim: "ClusterSimulation", action: ScaleAction) -> _Reshard:
     """Return the staged change that carries out ``action``."""
     if action.kind == "split":
-        return Split(sim, action.shard_id, action.split_key)
+        return Split(sim, action.shard_id, action.split_key, action.reason)
     if action.kind == "merge":
-        return Merge(sim, action.shard_id)
+        return Merge(sim, action.shard_id, reason=action.reason)
     raise ClusterError(f"unknown scale action kind {action.kind!r}")
 
 

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable
 
 from ..core.boundary import Boundary, Steps, drive
@@ -94,7 +93,6 @@ from ..advisor import (
     Design,
     DesignRouter,
     Retune,
-    RetuneDecision,
     RetuneReport,
     WorkloadObserver,
     calibrate_parameters,
@@ -105,8 +103,9 @@ from .elastic import (
     Autoscaler,
     AutoscalerDecision,
     ElasticConfig,
+    Merge,
     ReshardReport,
-    ScaleAction,
+    Split,
     reshard_change,
 )
 from .partitioner import SlotHashPartitioner, make_partitioner, partition_store
@@ -272,6 +271,7 @@ class ClusterDayStats:
     #: Online-tuning activity (all zero/None when the advisor is off).
     retunes: int = 0
     retunes_aborted: int = 0
+    retune_deferred: str | None = None
     retune_seconds: float = 0.0
     #: Per-replica design labels after this day's retunes, keyed
     #: ``"s{shard}/r{replica}"`` — only replicas with a divergent design.
@@ -391,6 +391,7 @@ class Turn:
     reshard_deferred: str | None = None
     retunes: tuple[RetuneReport, ...] = ()
     retunes_aborted: int = 0
+    retune_deferred: str | None = None
 
 
 @dataclass
@@ -465,7 +466,7 @@ class SparePool:
 
     def __init__(
         self,
-        make: Callable[[], SimulatedDisk],
+        make: Callable[[int], SimulatedDisk],
         *,
         budget_per_day: int | None = None,
     ) -> None:
@@ -489,7 +490,7 @@ class SparePool:
             self.denied += 1
             return None
         self._used_today += n
-        return [self._make() for _ in range(n)]
+        return [self._make(offset) for offset in range(n)]
 
 
 class ClusterSimulation:
@@ -553,7 +554,6 @@ class ClusterSimulation:
             if cfg.elastic is not None and cfg.elastic.autoscale
             else None
         )
-        self._pending_action: ScaleAction | None = None
         self._last_action_day: int | None = None
         #: Day plans pre-applied by a staged change's catch-up, keyed
         #: by ``id(scheme)`` — popped (instead of re-planning) when the
@@ -566,21 +566,15 @@ class ClusterSimulation:
             page_size=cfg.page_size,
             device_factory=device_factory,
         )
-        #: Runners of the journaled staged changes — topology changes on
-        #: ``elastic``, retunes on ``advisor`` — each ``None`` while its
-        #: feature is off.
-        runner = partial(
-            StagedChangeRunner,
+        #: The change queue, head first: staged changes (``Split``,
+        #: ``Merge``, ``Retune``) waiting to run, one a day, on
+        #: :attr:`staged`, the runner of every journaled staged change.
+        self.changes: list[Split | Merge | Retune] = []
+        self.staged = StagedChangeRunner(
             spares=self.spares,
             array=self.array,
             obs=self.obs,
             monitor=self._monitor,
-        )
-        self.elastic: StagedChangeRunner | None = (
-            runner() if cfg.elastic is not None else None
-        )
-        self.advisor: StagedChangeRunner | None = (
-            runner() if cfg.advisor is not None else None
         )
         index_config = index_config or IndexConfig()
         width = cfg.devices_per_replica
@@ -619,7 +613,6 @@ class ClusterSimulation:
         self._observer: WorkloadObserver | None = None
         self._planner: CostModelPlanner | None = None
         self.router: DesignRouter | None = None
-        self._retune_queue: list[RetuneDecision] = []
         self._value_tracks: dict[int, set[Any]] = {}
         if cfg.advisor is not None:
             params = calibrate_parameters(
@@ -745,43 +738,35 @@ class ClusterSimulation:
         *,
         split_key: Any = None,
         reason: str = "manual",
-    ) -> ScaleAction:
-        """Queue a split of ``shard_id`` for the next transition day.
+    ) -> Split:
+        """Queue a split of ``shard_id`` at the tail of the change queue.
 
         With ``split_key=None`` the engine picks the median owned key
-        (range partitioner) or halves the slot set (slot-hash).  At most
-        one topology change is in flight at a time; a new request
-        replaces any queued one.
+        (range partitioner) or halves the slot set (slot-hash) when the
+        split runs.  A ``shard_id`` that names no shard is refused here,
+        with :class:`ClusterError`.
         """
-        if self.elastic is None:
+        return self._request(Split(self, shard_id, split_key, reason))
+
+    def request_merge(self, shard_id: int, *, reason: str = "manual") -> Merge:
+        """Queue a merge of ``shard_id`` with its next neighbour at the
+        tail of the change queue; refuse a shard with no next neighbour."""
+        return self._request(Merge(self, shard_id, reason=reason))
+
+    def _request(self, change: Split | Merge) -> Split | Merge:
+        if self.config.elastic is None:
             raise ClusterError(
                 "elastic resharding is not enabled "
                 "(set ClusterConfig.elastic)"
             )
-        action = ScaleAction(
-            kind="split", shard_id=shard_id, split_key=split_key,
-            reason=reason,
-        )
-        self._pending_action = action
-        return action
-
-    def request_merge(
-        self, shard_id: int, *, reason: str = "manual"
-    ) -> ScaleAction:
-        """Queue a merge of ``shard_id`` with its next neighbour."""
-        if self.elastic is None:
+        if not change.fits(len(self.shards)):
             raise ClusterError(
-                "elastic resharding is not enabled "
-                "(set ClusterConfig.elastic)"
+                f"cannot {change.kind} shard {change.shard_id}: a "
+                f"{change.kind} replaces {change.span} adjacent shard(s) "
+                f"from it, and the shards are 0..{len(self.shards) - 1}"
             )
-        action = ScaleAction(kind="merge", shard_id=shard_id, reason=reason)
-        self._pending_action = action
-        return action
-
-    @property
-    def pending_action(self) -> ScaleAction | None:
-        """Return the queued topology change, if any."""
-        return self._pending_action
+        self.changes.append(change)
+        return change
 
     def _under_replicated(self) -> bool:
         """Return whether any healable shard is below target replication."""
@@ -794,39 +779,35 @@ class ClusterSimulation:
             for shard in self.shards
         )
 
-    def _elastic_steps(self, day: int) -> Steps:
-        """Execute the queued topology change, if it may run today.
+    def _change_steps(self, day: int) -> Steps:
+        """Run the head of the change queue, if it may run today; return
+        what became of it as :class:`Turn` fields (the kind's ``tally``).
 
-        Runs *before* the day's plans are drawn, so a committed change
-        hands the day loop an already-caught-up topology.  An
-        under-replicated shard defers the change (healing outranks
-        rebalancing — the deterministic spare-contention rule); an abort
-        keeps the action queued for a retry tomorrow.  Returns the
-        reports, the aborts and the deferral reason.
+        One rule for every kind.  Changes run before the day's plans are
+        drawn, so a committed one hands the day loop an already-caught-up
+        cluster, and at most one runs a day: the head.  While any shard
+        is under-replicated the head waits — healing outranks staged
+        changes for spares, the deterministic contention rule.  A change
+        its ``validate()`` refuses before its journal opens is dropped;
+        one that aborts after (``no-spare``, a fault at a step) stays at
+        the head and is retried tomorrow.  Either is the day's abort,
+        with its reason.
         """
-        reports: list[ReshardReport] = []
-        aborted = 0
-        deferred: str | None = None
-        if (
-            self.elastic is None
-            or self._pending_action is None
-            or day <= self.window
-        ):
-            return reports, aborted, deferred
+        if not self.changes or day <= self.window:
+            return {}
+        change = self.changes[0]
+        done, aborted, waited = change.tally
         if self._under_replicated():
-            self.obs.counter("cluster.elastic.deferred").inc()
-            return reports, aborted, "under-replicated"
-        action = self._pending_action
+            self.obs.counter(f"{change.counters}.deferred").inc()
+            return {waited: "under-replicated"}
         try:
-            report = yield from self.elastic.steps(
-                reshard_change(self, action), day=day
-            )
+            report = yield from self.staged.steps(change, day=day)
         except ChangeAborted as exc:
-            return reports, 1, exc.reason
-        self._pending_action = None
-        self._last_action_day = day
-        reports.append(report)
-        return reports, aborted, deferred
+            if not exc.journaled:
+                self.changes.pop(0)
+            return {aborted: 1, waited: exc.reason}
+        self.changes.pop(0)
+        return {done: (report,)}
 
     # ------------------------------------------------------------------
     # Online tuning advisor
@@ -865,7 +846,9 @@ class ClusterSimulation:
         observer = self._observer
         assert planner is not None and observer is not None
         queued = {
-            (d.shard_id, d.replica_id) for d in self._retune_queue
+            (c.decision.shard_id, c.decision.replica_id)
+            for c in self.changes
+            if isinstance(c, Retune)
         }
         for shard in self.shards:
             obs = observer.observation(shard.shard_id)
@@ -885,46 +868,8 @@ class ClusterSimulation:
                     view,
                 )
                 if decision is not None:
-                    self._retune_queue.append(decision)
+                    self.changes.append(Retune(self, decision))
                     self.obs.counter("cluster.advisor.decisions").inc()
-
-    def _advisor_steps(self, day: int) -> Steps:
-        """Execute queued retunes at the start of the day; return the
-        reports and the aborts.
-
-        Healing outranks retuning for spares (same deterministic rule as
-        the elastic engine): an under-replicated cluster defers the whole
-        queue.  A ``no-spare`` abort keeps its decision queued for
-        tomorrow; any other abort drops it — the replica's cooldown keeps
-        the planner from immediately re-deciding the same switch.
-        """
-        reports: list[RetuneReport] = []
-        aborted = 0
-        if (
-            self.advisor is None
-            or not self._retune_queue
-            or day <= self.window
-        ):
-            return reports, aborted
-        if self._under_replicated():
-            self.obs.counter("cluster.advisor.deferred").inc()
-            return reports, aborted
-        budget = self.config.advisor.max_retunes_per_day
-        requeue: list[RetuneDecision] = []
-        while self._retune_queue and len(reports) + aborted < budget:
-            decision = self._retune_queue.pop(0)
-            try:
-                report = yield from self.advisor.steps(
-                    Retune(self, decision), day=day
-                )
-            except ChangeAborted as exc:
-                aborted += 1
-                if exc.reason == "no-spare":
-                    requeue.append(decision)
-                continue
-            reports.append(report)
-        self._retune_queue = requeue + self._retune_queue
-        return reports, aborted
 
     def _on_topology_changed(self, mapping: dict[int, int]) -> None:
         """Re-align per-shard bookkeeping after a committed swap.
@@ -958,15 +903,16 @@ class ClusterSimulation:
     # Self-healing (re-replication)
     # ------------------------------------------------------------------
 
-    def _make_spare(self) -> SimulatedDisk:
-        """Provision a fresh device for a replica rebuild."""
+    def _make_spare(self, offset: int) -> SimulatedDisk:
+        """Provision a fresh device, the ``offset``-th of one acquisition;
+        a device factory is given the array index it will occupy."""
         selfheal = self.config.selfheal
         ordinal = self._spares_created
         self._spares_created += 1
         if selfheal is not None and selfheal.spare_factory is not None:
             return selfheal.spare_factory(ordinal)
         if self._device_factory is not None:
-            return self._device_factory(len(self.array))
+            return self._device_factory(len(self.array) + offset)
         return make_device(
             self._disk_params, self.config.page_cache_bytes, self.config.page_size
         )
@@ -1231,9 +1177,9 @@ class ClusterSimulation:
         """Run the cluster's maintenance step for ``day``, yielding its
         boundaries; return the :class:`Turn`.
 
-        In order: the day's spare budget resets, the queued topology
-        change runs, then the queued retunes (healing outranks both for
-        spares), then every shard draws its plan — the start build on the
+        In order: the day's spare budget resets, the head of the change
+        queue runs (unless healing, which outranks it for spares, is
+        due), then every shard draws its plan — the start build on the
         first turn, the day's transition after — and healing and
         maintenance run with the day posted once for the cluster.  The
         step reads no query workload and no serving state, so
@@ -1256,13 +1202,9 @@ class ClusterSimulation:
         if self._monitor is not None:
             self._monitor.now = self._clock_base
         self.spares.new_day()
-        # Topology changes run first: snapshots, plans, and serving all
-        # see the post-swap shard list (children arrive caught up).
-        reshard_reports, reshards_aborted, reshard_deferred = (
-            yield from self._elastic_steps(day)
-        )
-        # Then queued retunes (decided at yesterday's boundary).
-        retune_reports, retunes_aborted = yield from self._advisor_steps(day)
+        # Staged changes run first: snapshots, plans, and serving all
+        # see the post-swap cluster (new replicas arrive caught up).
+        changed = yield from self._change_steps(day)
         baselines = []
         for shard in self.shards:
             replica = shard.primary or shard.replicas[0]
@@ -1310,11 +1252,7 @@ class ClusterSimulation:
             baselines=tuple(baselines),
             rebuilds=tuple(rebuild_reports),
             rebuilds_failed=rebuilds_failed,
-            reshards=tuple(reshard_reports),
-            reshards_aborted=reshards_aborted,
-            reshard_deferred=reshard_deferred,
-            retunes=tuple(retune_reports),
-            retunes_aborted=retunes_aborted,
+            **changed,
         )
 
     def day_steps(self, day: int) -> Steps:
@@ -1444,8 +1382,8 @@ class ClusterSimulation:
                 under_replicated=self._under_replicated(),
                 last_action_day=self._last_action_day,
             )
-            if decision.queued is not None and self._pending_action is None:
-                self._pending_action = decision.queued
+            if decision.queued is not None and not self.changes:
+                self.changes.append(reshard_change(self, decision.queued))
                 self.obs.counter("cluster.elastic.proposed").inc()
 
         # Day boundary: roll the observation window forward and queue
@@ -1502,6 +1440,7 @@ class ClusterSimulation:
             reshard_seconds=sum(r.makespan_seconds for r in turn.reshards),
             retunes=len(turn.retunes),
             retunes_aborted=turn.retunes_aborted,
+            retune_deferred=turn.retune_deferred,
             retune_seconds=sum(r.seconds for r in turn.retunes),
             designs=designs,
             topology_version=self.coordinator.topology_version,

@@ -97,15 +97,20 @@ class ChangeAborted(ClusterError):
     ``"rebuild"``) and ``reason`` why it stopped — ``"crash"``,
     ``"space"``, ``"device-failure"``, ``"flaky"`` from
     :func:`abort_reason`, ``"no-spare"`` from provisioning, or a kind's
-    own refusal (``"dark-source"``, ``"no-split-key"``,
-    ``"replica-gone"``) — so day stats can say why.  The fault, if any,
-    is the exception's ``__cause__``.
+    own refusal (``"shard-gone"``, ``"fixed-partitioner"``,
+    ``"partitioner-refused"``, ``"designs-differ"``, ``"dark-source"``,
+    ``"no-split-key"``, ``"replica-gone"``) — so day stats can say why.  ``journaled`` says
+    whether the change had opened its journal; a kind's refusal comes
+    before it.  The fault, if any, is the exception's ``__cause__``.
     """
 
-    def __init__(self, message: str, *, kind: str, reason: str) -> None:
+    def __init__(
+        self, message: str, *, kind: str, reason: str, journaled: bool = False
+    ) -> None:
         super().__init__(message)
         self.kind = kind
         self.reason = reason
+        self.journaled = journaled
 
 
 class ChangePhase:
@@ -392,9 +397,9 @@ class StagedChangeRunner:
       for abort messages;
     * ``validate()`` — resolve what is being changed or refuse with
       :class:`ChangeAborted` (nothing was staged, so nothing is
-      journaled); afterwards ``subject()`` is the journal's subject,
-      ``source_devices`` what the build reads, ``n_targets`` how many
-      fresh devices it needs;
+      journaled; the runner counts it under ``.aborted``); afterwards
+      ``subject()`` is the journal's subject, ``source_devices`` what the
+      build reads, ``n_targets`` how many fresh devices it needs;
     * ``stage(targets, day)`` — one :class:`Scratch` per provisioned
       ``(device_index, device)``, in build order;
     * ``builds(scratch)`` — ``(name, build)`` pairs: ``build()`` returns
@@ -448,7 +453,11 @@ class StagedChangeRunner:
     def steps(self, change, *, day: int) -> Steps:
         """Run ``change`` for ``day``, yielding its boundaries; return its
         report or raise :class:`ChangeAborted`."""
-        change.validate()
+        try:
+            change.validate()
+        except ChangeAborted:
+            self.obs.counter(f"{change.counters}.aborted").inc()
+            raise
         ordinal = 0
 
         def step(name, devices=(), shard=None, replica=None) -> Boundary:
@@ -480,6 +489,7 @@ class StagedChangeRunner:
                         f"{change.n_targets} device(s)",
                         kind=change.kind,
                         reason="no-spare",
+                        journaled=True,
                     )
                 targets = provisioned
                 journal.target_devices = [i for i, _ in targets]
@@ -551,6 +561,7 @@ class StagedChangeRunner:
                     f"{change} aborted: {exc}",
                     kind=change.kind,
                     reason=reason,
+                    journaled=True,
                 ) from exc
 
             self._advance(journal, ChangePhase.SWAPPED)

@@ -49,6 +49,18 @@ def _run(advisor, *, elastic=None, replication=1, last=LAST):
     return sim
 
 
+def _answers(sim):
+    """The last window's probe and scan answers, canonicalised."""
+    probes = [(v, LAST - WINDOW + 1, LAST) for v in range(1, 17)]
+    scans = [(LAST - WINDOW + 1, LAST), (LAST, LAST)]
+    out = []
+    for r in sim.coordinator.probe_many(probes).results:
+        out.append((sorted(r.entries), sorted(r.missing_days)))
+    for r in sim.coordinator.scan_many(scans).results:
+        out.append((sorted(r.entries), sorted(r.covered_days)))
+    return out
+
+
 class TestRetuneExecution:
     def test_probe_heavy_traffic_triggers_a_committed_retune(self):
         sim = _run(_advisor())
@@ -89,20 +101,7 @@ class TestRetuneExecution:
         )
 
     def test_advisor_answers_match_the_static_twin(self):
-        tuned = _run(_advisor())
-        frozen = _run(None)
-        probes = [(v, LAST - WINDOW + 1, LAST) for v in range(1, 17)]
-        scans = [(LAST - WINDOW + 1, LAST), (LAST, LAST)]
-
-        def canon(sim):
-            out = []
-            for r in sim.coordinator.probe_many(probes).results:
-                out.append((sorted(r.entries), sorted(r.missing_days)))
-            for r in sim.coordinator.scan_many(scans).results:
-                out.append((sorted(r.entries), sorted(r.covered_days)))
-            return out
-
-        assert canon(tuned) == canon(frozen)
+        assert _answers(_run(_advisor())) == _answers(_run(None))
 
 
 class TestSpareContention:
@@ -115,7 +114,7 @@ class TestSpareContention:
         assert sum(d.retunes_aborted for d in sim.result.days) >= 1
         assert sim.obs.counter("cluster.advisor.no_spare").value >= 1
         # The decision stayed queued rather than being dropped.
-        assert sim._retune_queue
+        assert [c.kind for c in sim.changes] == ["retune"]
 
     def test_one_spare_per_day_limits_throughput_not_outcome(self):
         elastic = ElasticConfig(
@@ -126,12 +125,45 @@ class TestSpareContention:
 
 
 class TestBudget:
-    def test_max_retunes_per_day_caps_execution(self):
-        sim = _run(_advisor(max_retunes_per_day=1), replication=2)
+    def test_one_change_a_day_caps_execution(self):
+        sim = _run(_advisor(), replication=2)
         for day in sim.result.days:
             assert day.retunes <= 1
         # Both replicas eventually converge, one day at a time.
         assert sum(d.retunes for d in sim.result.days) == 2
+
+    def test_a_split_and_a_retune_run_one_a_day_in_queue_order(self):
+        scheme_cls = scheme_by_name("DEL")
+        sim = ClusterSimulation(
+            lambda: scheme_cls(WINDOW, WINDOW),
+            make_int_store(LAST, domain=16, seed=3),
+            queries=_probe_heavy(),
+            cluster=ClusterConfig(
+                n_shards=1,
+                maintenance="lockstep",
+                advisor=_advisor(),
+                elastic=ElasticConfig(autoscale=False, min_shards=1),
+            ),
+        )
+        sim.run_start()
+        day = WINDOW
+        while not sim.changes:
+            day += 1
+            sim.run_transition(day)
+        split = sim.request_split(0)
+        assert [c.kind for c in sim.changes] == ["retune", "split"]
+        first = sim.run_transition(day + 1)
+        assert (first.retunes, first.reshards) == (1, 0)
+        assert sim.changes[0] is split
+        second = sim.run_transition(day + 2)
+        assert (second.retunes, second.reshards) == (0, 1)
+        assert second.n_shards == 2
+        # The children run the retuned design, and answer as the
+        # static twin does.
+        assert all(s.scheme.n_indexes < WINDOW for s in sim.shards)
+        for d in range(day + 3, LAST + 1):
+            sim.run_transition(d)
+        assert _answers(sim) == _answers(_run(None))
 
 
 class TestJournal:
@@ -149,10 +181,10 @@ class TestJournal:
                 advisor=_advisor(),
             ),
         )
-        sim.advisor.journal_sink = lambda j: snapshots.append(j.to_dict())
+        sim.staged.journal_sink = lambda j: snapshots.append(j.to_dict())
         sim.run(LAST)
         assert sum(d.retunes for d in sim.result.days) == 1
-        (journal,) = sim.advisor.journals
+        (journal,) = sim.staged.journals
         assert journal.kind == "retune"
         assert journal.phase == "done"
         assert journal.subject["scheme_before"].startswith("DEL/6")

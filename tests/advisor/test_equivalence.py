@@ -85,7 +85,7 @@ class TestAdvisorOffDefaults:
             ),
         )
         sim.run(LAST)
-        assert sim.advisor is None
+        assert sim.changes == [] and sim.staged.journals == []
         assert sim.router is None
         advisor_counters = [
             name

@@ -17,8 +17,10 @@ from repro.cluster import (
     ClusterSimulation,
     ElasticConfig,
     ScaleAction,
+    Split,
     reshard_change,
 )
+from repro.cluster.partitioner import SlotHashPartitioner
 from repro.core.boundary import drive
 from repro.core.records import Record, RecordStore
 from repro.core.schemes import scheme_by_name
@@ -53,6 +55,8 @@ def make_sim(
     faulty: bool = False,
     replication: int = 1,
     selfheal=None,
+    n_shards: int = 3,
+    splits: tuple = SPLITS,
 ) -> ClusterSimulation:
     scheme_cls = scheme_by_name("REINDEX")
     serial = [0]
@@ -70,10 +74,10 @@ def make_sim(
             seed=21,
         ),
         cluster=ClusterConfig(
-            n_shards=3,
+            n_shards=n_shards,
             replication=replication,
             partitioner="range",
-            range_splits=SPLITS,
+            range_splits=splits,
             elastic=elastic,
             selfheal=selfheal,
         ),
@@ -99,10 +103,35 @@ class TestRequestAPI:
         sim = make_sim(
             int_store(WINDOW), elastic=ElasticConfig(autoscale=False)
         )
-        assert sim.pending_action is None
+        assert sim.changes == []
         sim.request_split(1, reason="manual")
-        assert sim.pending_action.kind == "split"
-        assert sim.pending_action.shard_id == 1
+        (change,) = sim.changes
+        assert change.kind == "split"
+        assert change.shard_id == 1
+
+    def test_requests_queue_in_order(self):
+        sim = make_sim(
+            int_store(WINDOW), elastic=ElasticConfig(autoscale=False)
+        )
+        split = sim.request_split(0)
+        merge = sim.request_merge(1)
+        assert sim.changes == [split, merge]
+
+    def test_bad_shard_ids_are_refused_at_request_time(self):
+        sim = make_sim(
+            int_store(WINDOW + 1), elastic=ElasticConfig(autoscale=False)
+        )
+        with pytest.raises(ClusterError, match="cannot split shard 99"):
+            sim.request_split(99)
+        with pytest.raises(ClusterError, match="cannot split shard -1"):
+            sim.request_split(-1)
+        # The last shard has no next neighbour to merge with.
+        with pytest.raises(ClusterError, match="cannot merge shard 2"):
+            sim.request_merge(2)
+        assert sim.changes == []
+        # Nothing was queued, so the day loop runs on.
+        run_to(sim, WINDOW + 1)
+        assert sim.result.days[-1].reshards_aborted == 0
 
 
 class TestSplitUnderTraffic:
@@ -136,7 +165,7 @@ class TestSplitUnderTraffic:
         sim.request_split(1)
         sim.run_transition(WINDOW + 2)
         part = sim.partitioner
-        journal = sim.elastic.journals[-1]
+        journal = sim.staged.journals[-1]
         assert journal.phase == "done"
         # The journal records the chosen key (stringified for the JSON
         # mirror); it separates the two children exactly.
@@ -188,8 +217,9 @@ class TestAbortReasons:
         stats = sim.result.days[-1]
         assert stats.reshards_aborted == 1
         assert stats.n_shards == 3
-        assert sim.pending_action is not None
-        assert sim.elastic.journals[-1].phase == "aborted"
+        # Aborted after its journal opened: still at the head.
+        assert [c.kind for c in sim.changes] == ["split"]
+        assert sim.staged.journals[-1].phase == "aborted"
         assert sim.obs.counters()["cluster.elastic.no_spare"] == 1
 
     def test_dark_source_aborts(self):
@@ -200,11 +230,12 @@ class TestAbortReasons:
             replica.failed = True
         action = ScaleAction(kind="split", shard_id=1)
         with pytest.raises(ChangeAborted) as excinfo:
-            drive(sim.elastic.steps(reshard_change(sim, action), day=WINDOW + 2))
+            drive(sim.staged.steps(reshard_change(sim, action), day=WINDOW + 2))
         assert excinfo.value.kind == "split"
         assert excinfo.value.reason == "dark-source"
         # A refused change staged nothing, so it journals nothing.
-        assert not sim.elastic.journals
+        assert not excinfo.value.journaled
+        assert not sim.staged.journals
 
     def test_abort_reason_surfaces_in_day_stats(self):
         # The day-stats `reshard_deferred` field carries the abort
@@ -220,6 +251,90 @@ class TestAbortReasons:
         sim.request_split(1)
         sim.run_transition(WINDOW + 2)
         assert sim.result.days[-1].reshard_deferred == "no-spare"
+
+
+class TestQueueRule:
+    """One rule for every queued change: a refusal before staging drops
+    it, and nothing a queued change meets at run time escapes the day."""
+
+    def test_refused_split_is_dropped_and_the_autoscaler_proposes_again(self):
+        # Shard 1 owns [200, 201): one value, no key strictly inside it.
+        # The hot shard is 2, owning [201, 600].
+        sim = make_sim(
+            int_store(WINDOW + 3),
+            elastic=ElasticConfig(split_load_factor=1.5, max_shards=4),
+            splits=(200, 201),
+        )
+        sim.request_split(1)
+        sim.run_start()
+        refused = sim.run_transition(WINDOW + 1)
+        assert refused.reshards_aborted == 1
+        assert refused.reshard_deferred == "no-split-key"
+        assert not sim.staged.journals
+        # The queue emptied, so the autoscaler's proposal went in.
+        assert refused.autoscaler["queued"]["shard_id"] == 2
+        assert [(c.kind, c.shard_id) for c in sim.changes] == [("split", 2)]
+        follow = sim.run_transition(WINDOW + 2)
+        assert follow.reshards_aborted == 0
+        assert follow.reshards == 1 and follow.n_shards == 4
+        assert sim.obs.counters()["cluster.elastic.aborted"] == 1
+
+    def test_a_shard_gone_by_run_time_is_refused_not_raised(self):
+        sim = make_sim(
+            int_store(WINDOW + 3), elastic=ElasticConfig(autoscale=False)
+        )
+        run_to(sim, WINDOW + 1)
+        sim.request_merge(1)
+        sim.request_split(2)  # shard 2 exists now, not after the merge
+        merged = sim.run_transition(WINDOW + 2)
+        assert merged.reshard_kinds == ("merge",) and merged.n_shards == 2
+        refused = sim.run_transition(WINDOW + 3)
+        assert refused.reshards_aborted == 1
+        assert refused.reshard_deferred == "shard-gone"
+        assert sim.changes == []
+
+    def test_a_fixed_partitioner_is_refused_not_raised(self):
+        # A one-shard range cluster routes through HashPartitioner(1).
+        sim = make_sim(
+            int_store(WINDOW + 2),
+            elastic=ElasticConfig(autoscale=False, min_shards=1),
+            n_shards=1,
+            splits=(),
+        )
+        run_to(sim, WINDOW + 1)
+        sim.request_split(0)
+        stats = sim.run_transition(WINDOW + 2)
+        assert stats.reshards_aborted == 1
+        assert stats.reshard_deferred == "fixed-partitioner"
+        assert stats.n_shards == 1 and sim.changes == []
+
+    def test_a_partitioner_refusal_is_a_change_refusal(self):
+        store = int_store(WINDOW + 1)
+        sim = make_sim(store, elastic=ElasticConfig(autoscale=False))
+        run_to(sim, WINDOW + 1)
+        # An explicit key outside shard 1's range [200, 400).
+        with pytest.raises(ChangeAborted) as excinfo:
+            drive(sim.staged.steps(Split(sim, 1, 500), day=WINDOW + 2))
+        assert excinfo.value.reason == "partitioner-refused"
+        # A slot-hash shard that owns a single slot cannot split.
+        sim.partitioner = SlotHashPartitioner((0,) + (1,) * 7 + (2,) * 8)
+        with pytest.raises(ChangeAborted) as excinfo:
+            drive(sim.staged.steps(Split(sim, 0), day=WINDOW + 2))
+        assert excinfo.value.reason == "partitioner-refused"
+        assert not sim.staged.journals
+
+    def test_a_merge_of_two_designs_is_refused(self):
+        sim = make_sim(
+            int_store(WINDOW + 2), elastic=ElasticConfig(autoscale=False)
+        )
+        run_to(sim, WINDOW + 1)
+        # Shard 2's replica runs a design of its own, as a retune leaves
+        # it: its constituents cannot be merged with shard 1's by name.
+        sim.shards[2].primary.scheme = scheme_by_name("REINDEX")(WINDOW, 1)
+        sim.request_merge(1)
+        with pytest.raises(ChangeAborted) as excinfo:
+            drive(sim.staged.steps(sim.changes[0], day=WINDOW + 2))
+        assert excinfo.value.reason == "designs-differ"
 
 
 class TestAutoscalerPolicy:
@@ -341,4 +456,4 @@ class TestElasticOffByDefault:
         assert stats.reshards_aborted == 0
         assert stats.reshard_deferred is None
         assert stats.autoscaler is None
-        assert sim.elastic is None
+        assert sim.changes == [] and sim.staged.journals == []

@@ -89,13 +89,13 @@ class TestHealerWins:
         assert stats.reshards == 0
         assert stats.reshard_deferred == "under-replicated"
         assert stats.n_shards == 3
-        assert sim.pending_action is not None
+        assert [c.kind for c in sim.changes] == ["split"]
         assert sim.obs.counters()["cluster.elastic.deferred"] == 1
         # Fully replicated again: the split lands the next day.
         follow = sim.run_transition(WINDOW + 3)
         assert follow.reshards == 1
         assert follow.n_shards == 4
-        assert sim.pending_action is None
+        assert sim.changes == []
         # Nobody went dark while the two subsystems took turns.
         assert all(
             not d.shards_unavailable

@@ -308,6 +308,31 @@ class TestReReplication:
         assert len(placed) > 1
         _assert_matches_twin(sim, twin)
 
+    def test_each_spare_is_made_with_the_array_index_it_occupies(self):
+        calls = []
+        sim = ClusterSimulation(
+            lambda: scheme_by_name("REINDEX")(W, N),
+            make_store(LAST),
+            queries=_workload(),
+            cluster=ClusterConfig(
+                n_shards=1,
+                replication=2,
+                devices_per_replica=3,
+                selfheal=SelfHealConfig(),
+            ),
+            device_factory=lambda i: calls.append(i)
+            or FaultyDisk(injector=FaultInjector()),
+        )
+        sim.run_start()
+        sim.shards[0].replicas[1].device.injector.fail_device()
+        for day in range(W + 1, LAST + 1):
+            sim.run_transition(day)
+        assert sim.result.total_rebuilds() == 1
+        # One acquisition of three spares: each is made for the slot it
+        # is appended to, not all for the first.
+        assert calls == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert len(sim.array.devices) == 9
+
     def test_rebuild_contends_on_the_cluster_timeline(self):
         injectors = {}
         sim = _build(selfheal=SelfHealConfig(), injectors=injectors)

@@ -203,7 +203,7 @@ def make_world(kind: str, *, heal: bool = False, spare_factory=None) -> World:
     sim = _make_sim(
         kind, last_day, staged=True, heal=heal, spare_factory=spare_factory
     )
-    runner = sim.advisor if kind == "retune" else sim.elastic
+    runner = sim.staged
     aborts: list[ChangeAborted] = []
     steps = runner.steps
 
@@ -224,7 +224,7 @@ def make_world(kind: str, *, heal: bool = False, spare_factory=None) -> World:
     elif kind == "merge":
         sim.request_merge(1)
     else:
-        assert sim._retune_queue, "the advisor decided nothing on the eve"
+        assert sim.changes, "the advisor decided nothing on the eve"
     return world
 
 
