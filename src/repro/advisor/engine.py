@@ -41,6 +41,7 @@ from ..storage.disk import SimulatedDisk
 from .planner import RetuneDecision
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..cluster.shard import ShardReplica
     from ..cluster.sim import ClusterSimulation
 
 
@@ -64,11 +65,13 @@ class RetuneReport:
 
 
 class Retune:
-    """One :class:`RetuneDecision` as a staged change.
+    """One :class:`RetuneDecision` as a staged change on its replica.
 
-    The decision may execute later than the day it was made (the queue
-    or an abort defers it); the new design catches up to the day it
-    actually runs.
+    The change holds the replica the decision was made for, so a split
+    or merge that renumbers its shard first does not redirect it; one
+    that left the cluster is refused ``replica-gone``.  The decision may
+    execute later than the day it was made (the queue or an abort defers
+    it); the new design catches up to the day it actually runs.
     """
 
     kind = "retune"
@@ -78,27 +81,30 @@ class Retune:
     tally = ("retunes", "retunes_aborted", "retune_deferred")
     n_targets = 1
 
-    def __init__(self, sim: "ClusterSimulation", decision: RetuneDecision) -> None:
+    def __init__(
+        self,
+        sim: "ClusterSimulation",
+        replica: "ShardReplica",
+        decision: RetuneDecision,
+    ) -> None:
         self.sim = sim
+        self.replica = replica
         self.decision = decision
         self.technique = UpdateTechnique(decision.target.technique)
 
     def __str__(self) -> str:
-        decision = self.decision
-        return f"retune of shard {decision.shard_id} replica {decision.replica_id}"
+        replica = self.replica
+        return f"retune of shard {replica.shard_id} replica {replica.replica_id}"
 
     def validate(self) -> None:
-        decision = self.decision
+        replica = self.replica
         for shard in self.sim.shards:
-            if shard.shard_id != decision.shard_id:
-                continue
-            for replica in shard.replicas:
-                if replica.replica_id == decision.replica_id and not replica.failed:
-                    self.shard, self.replica = shard, replica
-                    return
+            if replica in shard.replicas and not replica.failed:
+                self.shard = shard
+                return
         raise ChangeAborted(
-            f"retune target shard {decision.shard_id} replica "
-            f"{decision.replica_id} no longer exists",
+            f"retune target shard {replica.shard_id} replica "
+            f"{replica.replica_id} no longer exists",
             kind="retune",
             reason="replica-gone",
         )
@@ -108,10 +114,10 @@ class Retune:
         return (self.replica.device,)
 
     def subject(self) -> dict[str, Any]:
-        decision = self.decision
+        decision, replica = self.decision, self.replica
         return {
-            "shard_id": decision.shard_id,
-            "replica_id": decision.replica_id,
+            "shard_id": replica.shard_id,
+            "replica_id": replica.replica_id,
             "scheme_before": decision.current.label,
             "scheme_after": decision.target.label,
             "technique_after": decision.target.technique,

@@ -20,6 +20,8 @@ designs; per-replica cooldowns guard against back-to-back churn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+from weakref import WeakKeyDictionary
 
 from ..analysis.daycount import steady_state
 from ..analysis.parameters import CostParameters
@@ -27,6 +29,9 @@ from ..core.schemes import scheme_by_name
 from ..index.updates import UpdateTechnique
 from .config import AdvisorConfig
 from .observer import ShardObservation
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..cluster.shard import ShardReplica
 
 #: The schemes the planner ranks, each at every candidate ``n``.
 CANDIDATE_SCHEMES = ("DEL", "REINDEX+", "WATA*")
@@ -48,7 +53,8 @@ class Design:
 
 @dataclass(frozen=True)
 class RetuneDecision:
-    """An accepted design switch, ready for the engine to execute."""
+    """An accepted design switch, ready for the engine to execute
+    (``shard_id`` / ``replica_id`` as numbered the day it was made)."""
 
     shard_id: int
     replica_id: int
@@ -77,7 +83,11 @@ class CostModelPlanner:
         self.params = params
         self.config = config
         self._cost_cache: dict[tuple, float] = {}
-        self._last_retune: dict[tuple[int, int], int] = {}
+        #: The day each replica was last retuned, keyed by the replica:
+        #: a replica that leaves the cluster takes its entry with it.
+        self._last_retune: WeakKeyDictionary[ShardReplica, int] = (
+            WeakKeyDictionary()
+        )
 
     # ------------------------------------------------------------------
     # Candidate enumeration and pricing
@@ -179,13 +189,12 @@ class CostModelPlanner:
 
     def decide(
         self,
-        shard_id: int,
-        replica_id: int,
+        replica: "ShardReplica",
         day: int,
         current: Design,
         obs: ShardObservation,
     ) -> RetuneDecision | None:
-        """Return a switch decision for one replica, or ``None`` to hold.
+        """Return a switch decision for ``replica``, or ``None`` to hold.
 
         Abstains during observation warm-up, during the replica's
         cooldown, when no challenger beats the incumbent by the
@@ -195,7 +204,7 @@ class CostModelPlanner:
             return None
         if obs.probes_per_day == 0.0 and obs.scans_per_day == 0.0:
             return None
-        last = self._last_retune.get((shard_id, replica_id))
+        last = self._last_retune.get(replica)
         if last is not None and day - last < self.config.cooldown_days:
             return None
         incumbent_s = self.predict(current, obs)
@@ -212,10 +221,10 @@ class CostModelPlanner:
             return None
         if best_s >= incumbent_s * (1.0 - self.config.hysteresis):
             return None
-        self._last_retune[(shard_id, replica_id)] = day
+        self._last_retune[replica] = day
         return RetuneDecision(
-            shard_id=shard_id,
-            replica_id=replica_id,
+            shard_id=replica.shard_id,
+            replica_id=replica.replica_id,
             day=day,
             current=current,
             target=best,

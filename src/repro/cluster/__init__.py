@@ -34,7 +34,6 @@ from .partitioner import (
     SlotHashPartitioner,
     make_partitioner,
     partition_store,
-    reshard_id_mapping,
 )
 from .rebalance import (
     RebalanceReport,
@@ -102,6 +101,5 @@ __all__ = [
     "partition_store",
     "rebuild_steps",
     "reshard_change",
-    "reshard_id_mapping",
     "run_cluster_simulation",
 ]

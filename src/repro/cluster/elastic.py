@@ -49,7 +49,7 @@ from ..core.staged import ChangeAborted, Scratch, StagedOutcome
 from ..core.wave import WaveIndex
 from ..errors import ClusterError
 from ..storage.disk import SimulatedDisk
-from .partitioner import RangePartitioner, partition_store, reshard_id_mapping
+from .partitioner import RangePartitioner, partition_store
 from .rebalance import copy_index_to, merge_indexes_to
 from .shard import Shard, ShardReplica
 
@@ -201,13 +201,13 @@ class Autoscaler:
 
     Proposals are returned as an :class:`AutoscalerDecision`; the
     simulation queues the first one only into an empty change queue (one
-    staged change at a time, Kimura-style) and records the whole
-    decision in the day's stats.
+    staged change at a time, Kimura-style) and records in the day's
+    stats what became of it: a proposal that met a busy queue is
+    recorded with ``queued`` empty and ``deferred_reason`` ``"queue-busy"``.
     """
 
     def __init__(self, config: ElasticConfig) -> None:
         self.config = config
-        self.decisions: list[AutoscalerDecision] = []
 
     def propose(
         self,
@@ -219,26 +219,6 @@ class Autoscaler:
         last_action_day: int | None,
     ) -> AutoscalerDecision:
         """Evaluate one day's per-shard load; return the decision."""
-        cfg = self.config
-        decision = self._decide(
-            day=day,
-            busy_seconds=busy_seconds,
-            requests=requests,
-            under_replicated=under_replicated,
-            last_action_day=last_action_day,
-        )
-        self.decisions.append(decision)
-        return decision
-
-    def _decide(
-        self,
-        *,
-        day: int,
-        busy_seconds: list[float],
-        requests: list[int],
-        under_replicated: bool,
-        last_action_day: int | None,
-    ) -> AutoscalerDecision:
         cfg = self.config
         k = len(busy_seconds)
         if under_replicated:
@@ -290,6 +270,11 @@ class Autoscaler:
 class _Reshard:
     """What a split and a merge share as staged changes.
 
+    A change holds the shards it replaces, looked up when it is
+    requested: one queued behind another split or merge reads their
+    position when it runs, and is refused ``shard-gone`` if an earlier
+    change replaced one.
+
     Both replace adjacent ``parents`` by the shards ``child_ids`` under
     ``new_partitioner``: the parents' records are re-routed to the
     children, every child replica gets a fresh device, one build unit per
@@ -315,33 +300,40 @@ class _Reshard:
         split_key: Any = None,
         reason: str = "",
     ) -> None:
+        n_shards = len(sim.shards)
+        if not 0 <= shard_id <= n_shards - self.span:
+            raise ClusterError(
+                f"cannot {self.kind} shard {shard_id}: a {self.kind} "
+                f"replaces {self.span} adjacent shard(s) from it, and the "
+                f"shards are 0..{n_shards - 1}"
+            )
         self.sim = sim
-        self.shard_id = shard_id
+        self.parents: list[Shard] = sim.shards[shard_id: shard_id + self.span]
         self.split_key = split_key
         self.reason = reason
 
+    @property
+    def shard_id(self) -> int:
+        """Return the first parent's position (its last, once it left)."""
+        return self.parents[0].shard_id
+
     def __str__(self) -> str:
         return f"{self.kind} of shard {self.shard_id}"
-
-    def fits(self, n_shards: int) -> bool:
-        """Return whether a cluster of ``n_shards`` has the shards this
-        change replaces."""
-        return 0 <= self.shard_id <= n_shards - self.span
 
     def _refuse(self, reason: str, why: str) -> ChangeAborted:
         return ChangeAborted(f"{self}: {why}", kind=self.kind, reason=reason)
 
     def _resolve(self) -> Any:
-        """Record the parents and their donors; return the partitioner.
+        """Record the parents' donors and design; return the partitioner.
 
-        Everything the change may meet by the time it runs — a shard
-        gone, a partitioner that cannot change, a dark parent — is a
-        refusal, never an error that escapes the day loop.
+        Everything the change may meet by the time it runs — a parent an
+        earlier change replaced, a partitioner that cannot change, a dark
+        parent — is a refusal, never an error that escapes the day loop.
         """
-        shards = self.sim.shards
-        if not self.fits(len(shards)):
+        parents = self.parents
+        if any(parent not in self.sim.shards for parent in parents):
             raise self._refuse(
-                "shard-gone", f"the cluster has {len(shards)} shard(s)"
+                "shard-gone", "an earlier split or merge replaced a shard it names"
             )
         part = self.sim.partitioner
         if not hasattr(part, "split") or not hasattr(part, "merge_with_next"):
@@ -349,7 +341,6 @@ class _Reshard:
                 "fixed-partitioner",
                 f"partitioner {part!r} does not support topology changes",
             )
-        parents = shards[self.shard_id: self.shard_id + self.span]
         donors = [parent.primary for parent in parents]
         if None in donors:
             raise self._refuse(
@@ -365,7 +356,6 @@ class _Reshard:
             raise self._refuse(
                 "designs-differ", "the source shards run different designs"
             )
-        self.parents = parents
         self.donors: list[ShardReplica] = donors
         self.scheme, self.technique = designs[0]
         return part
@@ -471,13 +461,14 @@ class _Reshard:
         raise NotImplementedError
 
     def swap(self, day: int) -> list[tuple[WaveIndex, int]]:
-        """Install the new shard list + routing table atomically."""
+        """Install the new shard list + routing table atomically; every
+        shard's ``shard_id`` becomes its new position, and the parents
+        retire with their day series."""
         sim = self.sim
         for child in self.children:
             sim._preplanned[id(child.scheme)] = []  # day's plan already applied
         old = sim.shards
         shard_id = self.shard_id
-        mapping = reshard_id_mapping(self.kind, shard_id, len(old))
         new_shards = (
             old[:shard_id] + self.children + old[shard_id + len(self.parents):]
         )
@@ -485,15 +476,17 @@ class _Reshard:
             shard.shard_id = new_id
             for replica in shard.replicas:
                 replica.shard_id = new_id
-        if sim._monitor is not None:
-            sim._monitor.remap_shards(mapping)
         sim.shards = new_shards
         sim.partitioner = self.new_partitioner
         sim._last_action_day = day
         self.topology_version = sim.coordinator.swap_topology(
             new_shards, self.new_partitioner
         )
-        sim._on_topology_changed(mapping)
+        result = sim.result
+        result.shard_results = [shard.series for shard in new_shards]
+        result.retired_shard_results.extend(p.series for p in self.parents)
+        result.n_shards = len(new_shards)
+        result.partitioner = self.new_partitioner.describe()
         return [
             (replica.wave, replica.device_index)
             for parent in self.parents

@@ -26,8 +26,8 @@ Three implementations mirror the classic physical designs:
 For online resharding (:mod:`repro.cluster.elastic`) the range and
 slot-hash partitioners support :meth:`split` / :meth:`merge_with_next`,
 both returning a *new* partitioner that changes the routing of keys in
-the affected shard(s) only — every other key keeps its shard, modulo the
-uniform id renumbering described by :func:`reshard_id_mapping`.
+the affected shard(s) only — every other key keeps its shard, whose id
+shifts by the shards the change adds or removes below it.
 """
 
 from __future__ import annotations
@@ -422,34 +422,6 @@ def _shards_for_many_memo(
             memo[value] = shard
         out.append(shard)
     return out
-
-
-def reshard_id_mapping(
-    kind: str, shard_id: int, old_n_shards: int
-) -> dict[int, int]:
-    """Return the old-to-new shard-id mapping a split/merge implies.
-
-    Covers the shards that *survive* the change: a split of ``shard_id``
-    shifts every shard above it up by one (the split shard itself is
-    replaced by two children and is absent); a merge of ``shard_id`` with
-    ``shard_id + 1`` shifts every shard above the pair down by one (the
-    merged pair is replaced by one child and both parents are absent).
-    The elastic engine uses this to renumber surviving shards and the
-    health monitor uses it to carry breaker state across the swap.
-    """
-    if kind == "split":
-        return {
-            old: old if old < shard_id else old + 1
-            for old in range(old_n_shards)
-            if old != shard_id
-        }
-    if kind == "merge":
-        return {
-            old: old if old < shard_id else old - 1
-            for old in range(old_n_shards)
-            if old not in (shard_id, shard_id + 1)
-        }
-    raise ClusterError(f"unknown reshard kind {kind!r}")
 
 
 def make_partitioner(

@@ -46,7 +46,6 @@ soak harness (:mod:`repro.bench.chaos`) asserts against.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -78,17 +77,7 @@ from ..storage.array import DiskArray
 from ..storage.disk import SimulatedDisk
 from ..storage.faults import RetryPolicy
 from .rebalance import copy_index_to
-from .shard import Shard, ShardReplica
-
-
-class BreakerState(enum.Enum):
-    """Per-replica circuit-breaker states (see DESIGN.md for the diagram)."""
-
-    LIVE = "live"
-    SUSPECT = "suspect"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-    RETIRED = "retired"
+from .shard import BreakerState, ReplicaHealth, Shard, ShardReplica
 
 
 @dataclass(frozen=True)
@@ -152,22 +141,6 @@ class SelfHealConfig:
     spare_factory: Callable[[int], SimulatedDisk] | None = None
 
 
-@dataclass
-class ReplicaHealth:
-    """One replica's breaker state and failure bookkeeping."""
-
-    state: BreakerState = BreakerState.LIVE
-    consecutive_failures: int = 0
-    opened_at: float = 0.0
-    cooldown_s: float = 0.0
-    opens: int = 0
-    transients: int = 0
-
-    def reopen_at(self) -> float:
-        """Return the simulated time an open breaker half-opens."""
-        return self.opened_at + self.cooldown_s
-
-
 @dataclass(frozen=True)
 class RebuildReport:
     """Outcome of one replica rebuild (copy + catch-up replay)."""
@@ -196,9 +169,10 @@ class RebuildReport:
 class ReplicaHealthMonitor:
     """Classifies per-replica faults and drives the circuit breakers.
 
-    One monitor per :class:`~repro.cluster.sim.ClusterSimulation`, keyed
-    by ``(shard_id, replica_id)`` so rebuilt replicas (which get fresh
-    replica ids) start with clean health.  ``now`` is the cluster clock
+    One monitor per :class:`~repro.cluster.sim.ClusterSimulation`; each
+    replica carries its own breaker
+    (:attr:`~repro.cluster.shard.ShardReplica.health`), so a rebuilt or
+    newly created replica starts clean.  ``now`` is the cluster clock
     base — the simulation advances it by each day's makespan, so breaker
     cooldowns are measured on the same simulated timeline as everything
     else.
@@ -216,16 +190,6 @@ class ReplicaHealthMonitor:
         #: single operation — the chaos harness asserts it never exceeds
         #: ``retry.max_attempts - 1``.
         self.max_op_retries = 0
-        self._health: dict[tuple[int, int], ReplicaHealth] = {}
-
-    def health_of(self, replica: ShardReplica) -> ReplicaHealth:
-        """Return (creating if needed) the replica's health record."""
-        key = (replica.shard_id, replica.replica_id)
-        health = self._health.get(key)
-        if health is None:
-            health = ReplicaHealth(cooldown_s=self.breaker.cooldown_s)
-            self._health[key] = health
-        return health
 
     # ------------------------------------------------------------------
     # Fault classification
@@ -233,7 +197,7 @@ class ReplicaHealthMonitor:
 
     def on_transient(self, replica: ShardReplica, *, now: float) -> None:
         """Record one escaped transient against the replica's breaker."""
-        health = self.health_of(replica)
+        health = replica.health
         health.transients += 1
         self.obs.counter("cluster.heal.transients").inc()
         if health.state is BreakerState.RETIRED:
@@ -254,6 +218,7 @@ class ReplicaHealthMonitor:
 
     def _open(self, health: ReplicaHealth, now: float) -> None:
         health.state = BreakerState.OPEN
+        health.cooldown_s = max(health.cooldown_s, self.breaker.cooldown_s)
         health.opened_at = now
         health.opens += 1
         health.consecutive_failures = 0
@@ -261,7 +226,7 @@ class ReplicaHealthMonitor:
 
     def record_success(self, replica: ShardReplica) -> None:
         """A call on the replica succeeded: close suspect/half-open state."""
-        health = self.health_of(replica)
+        health = replica.health
         if health.state is BreakerState.RETIRED:
             return
         if health.state is BreakerState.HALF_OPEN:
@@ -272,7 +237,7 @@ class ReplicaHealthMonitor:
 
     def retire(self, replica: ShardReplica, *, reason: str) -> None:
         """Permanently remove the replica from service."""
-        health = self.health_of(replica)
+        health = replica.health
         if replica.failed and health.state is BreakerState.RETIRED:
             return
         replica.failed = True
@@ -313,7 +278,7 @@ class ReplicaHealthMonitor:
         for replica in shard.replicas:
             if replica.failed or replica.replica_id in exclude:
                 continue
-            health = self.health_of(replica)
+            health = replica.health
             if health.state in (
                 BreakerState.LIVE,
                 BreakerState.SUSPECT,
@@ -329,33 +294,10 @@ class ReplicaHealthMonitor:
                 if ready < best_ready:
                     best, best_ready = replica, ready
         if best is not None:
-            health = self.health_of(best)
-            health.state = BreakerState.HALF_OPEN
+            best.health.state = BreakerState.HALF_OPEN
             self.obs.counter("cluster.heal.breaker_half_opens").inc()
             return best, best_ready - now
         return None, 0.0
-
-    def breaker_state(self, replica: ShardReplica) -> BreakerState:
-        """Return the replica's current breaker state."""
-        return self.health_of(replica).state
-
-    def remap_shards(self, mapping: dict[int, int]) -> None:
-        """Renumber health records after a topology change.
-
-        ``mapping`` is old-to-new shard ids for the shards that *survive*
-        a split or merge (:func:`~repro.cluster.partitioner.reshard_id_mapping`);
-        their breaker state — open cooldowns, retirement, failure counts —
-        must follow them across the renumbering.  Records for shards
-        absent from the mapping (the replaced parents) are dropped;
-        the reshard's children start with fresh health, same as rebuilt
-        replicas.
-        """
-        remapped: dict[tuple[int, int], ReplicaHealth] = {}
-        for (shard_id, replica_id), health in self._health.items():
-            new_shard = mapping.get(shard_id)
-            if new_shard is not None:
-                remapped[(new_shard, replica_id)] = health
-        self._health = remapped
 
 
 # ----------------------------------------------------------------------

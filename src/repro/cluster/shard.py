@@ -13,6 +13,7 @@ when a device dies.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
@@ -27,6 +28,7 @@ from ..core.schemes.base import WaveScheme
 from ..core.wave import WaveIndex
 from ..errors import DeviceFailure, FaultError, TransientIOError
 from ..index.updates import UpdateTechnique
+from ..sim.metrics import SimulationResult
 from ..sim.scheduler import OpInterval
 from ..storage.array import DiskArray
 from ..storage.disk import SimulatedDisk
@@ -35,7 +37,38 @@ if TYPE_CHECKING:
     from .selfheal import ReplicaHealthMonitor
 
 
+class BreakerState(enum.Enum):
+    """Per-replica circuit-breaker states (see DESIGN.md for the diagram)."""
+
+    LIVE = "live"
+    SUSPECT = "suspect"
+    OPEN = "open"
+    HALF_OPEN = "half_open"
+    RETIRED = "retired"
+
+
 @dataclass
+class ReplicaHealth:
+    """One replica's breaker state and failure bookkeeping.
+
+    ``cooldown_s`` is how long the breaker stays open once it opens: the
+    breaker's base cooldown, escalated by each failed half-open probe;
+    ``0.0`` until the breaker first opens, which raises it to the base.
+    """
+
+    state: BreakerState = BreakerState.LIVE
+    consecutive_failures: int = 0
+    opened_at: float = 0.0
+    cooldown_s: float = 0.0
+    opens: int = 0
+    transients: int = 0
+
+    def reopen_at(self) -> float:
+        """Return the simulated time an open breaker half-opens."""
+        return self.opened_at + self.cooldown_s
+
+
+@dataclass(eq=False)
 class ShardReplica:
     """One copy of a shard's wave index on devices of the array.
 
@@ -48,6 +81,10 @@ class ShardReplica:
     day timeline (absolute seconds); the serving pass consults them to
     decide whether a query waits, degrades, or is served from the
     pre-transition state.
+
+    A replica compares and hashes as the object (``eq=False``): its
+    breaker, its retune cooldown and a retune queued for it follow it
+    across a split or merge that renumbers its shard.
     """
 
     shard_id: int
@@ -69,6 +106,9 @@ class ShardReplica:
     #: that scheme's plans instead of the shard-level plan.  ``None``
     #: (every replica built the normal way) means the shard's scheme.
     scheme: WaveScheme | None = None
+    #: The replica's circuit breaker, driven by the cluster's
+    #: :class:`~repro.cluster.selfheal.ReplicaHealthMonitor`.
+    health: ReplicaHealth = field(default_factory=ReplicaHealth)
 
     @property
     def name(self) -> str:
@@ -251,7 +291,14 @@ class _RepairFailed(Exception):
 
 
 class Shard:
-    """One key-space slice: its store, its scheme, and its replicas."""
+    """One key-space slice: its store, its scheme, and its replicas.
+
+    ``shard_id`` is the shard's routing position, renumbered by the swap
+    of a split or merge; a queued split or merge holds the shard itself.
+    Its day :attr:`series` goes with it, into
+    :attr:`~repro.cluster.sim.ClusterResult.retired_shard_results` once a
+    topology change replaces it.
+    """
 
     def __init__(
         self,
@@ -266,6 +313,12 @@ class Shard:
         self.scheme = scheme
         self.store = store
         self.replicas = replicas
+        self.series = SimulationResult(
+            window=scheme.window,
+            n_indexes=scheme.n_indexes,
+            scheme_name=scheme.name,
+            technique=replicas[0].executor.technique.value,
+        )
 
     def alive_replicas(self) -> list[ShardReplica]:
         """Return the replicas still able to serve, primary first."""

@@ -65,7 +65,7 @@ compares the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from ..core.boundary import Boundary, Steps, drive
@@ -293,6 +293,8 @@ class ClusterResult:
     replication: int
     maintenance: str
     partitioner: dict[str, Any]
+    #: The live shards' day series (:attr:`Shard.series`), in routing
+    #: order.
     shard_results: list[SimulationResult]
     days: list[ClusterDayStats] = field(default_factory=list)
     latency_during: dict[str, float] | None = None
@@ -325,13 +327,6 @@ class ClusterResult:
     def total_queries_degraded(self) -> int:
         """Return queries answered partially (missing days reported)."""
         return sum(d.queries_degraded for d in self.days)
-
-    def all_missing_days(self) -> frozenset[int]:
-        """Return every day any answer lost to faults or degradation."""
-        missing: set[int] = set()
-        for d in self.days:
-            missing |= d.missing_days
-        return frozenset(missing)
 
     def total_rebuilds(self) -> int:
         """Return completed replica rebuilds over the run."""
@@ -646,15 +641,7 @@ class ClusterSimulation:
             replication=cfg.replication,
             maintenance=cfg.maintenance,
             partitioner=self.partitioner.describe(),
-            shard_results=[
-                SimulationResult(
-                    window=self.scheme.window,
-                    n_indexes=self.scheme.n_indexes,
-                    scheme_name=self.scheme.name,
-                    technique=technique.value,
-                )
-                for _ in range(cfg.n_shards)
-            ],
+            shard_results=[shard.series for shard in self.shards],
         )
         self._started = False
 
@@ -743,28 +730,25 @@ class ClusterSimulation:
 
         With ``split_key=None`` the engine picks the median owned key
         (range partitioner) or halves the slot set (slot-hash) when the
-        split runs.  A ``shard_id`` that names no shard is refused here,
-        with :class:`ClusterError`.
+        split runs.  The split names the shard now at ``shard_id`` and
+        follows it: a split or merge that runs first and renumbers it does
+        not redirect this one.  A ``shard_id`` that names no shard is
+        refused here, with :class:`ClusterError`.
         """
-        return self._request(Split(self, shard_id, split_key, reason))
+        return self._request(Split, shard_id, split_key=split_key, reason=reason)
 
     def request_merge(self, shard_id: int, *, reason: str = "manual") -> Merge:
         """Queue a merge of ``shard_id`` with its next neighbour at the
         tail of the change queue; refuse a shard with no next neighbour."""
-        return self._request(Merge(self, shard_id, reason=reason))
+        return self._request(Merge, shard_id, reason=reason)
 
-    def _request(self, change: Split | Merge) -> Split | Merge:
+    def _request(self, kind: type[Split | Merge], shard_id: int, **options):
         if self.config.elastic is None:
             raise ClusterError(
                 "elastic resharding is not enabled "
                 "(set ClusterConfig.elastic)"
             )
-        if not change.fits(len(self.shards)):
-            raise ClusterError(
-                f"cannot {change.kind} shard {change.shard_id}: a "
-                f"{change.kind} replaces {change.span} adjacent shard(s) "
-                f"from it, and the shards are 0..{len(self.shards) - 1}"
-            )
+        change = kind(self, shard_id, **options)
         self.changes.append(change)
         return change
 
@@ -845,59 +829,21 @@ class ClusterSimulation:
         planner = self._planner
         observer = self._observer
         assert planner is not None and observer is not None
-        queued = {
-            (c.decision.shard_id, c.decision.replica_id)
-            for c in self.changes
-            if isinstance(c, Retune)
-        }
+        queued = {c.replica for c in self.changes if isinstance(c, Retune)}
         for shard in self.shards:
             obs = observer.observation(shard.shard_id)
             for replica in shard.replicas:
-                if replica.failed:
-                    continue
-                if (shard.shard_id, replica.replica_id) in queued:
+                if replica.failed or replica in queued:
                     continue
                 view = planner.replica_view(
                     obs, replica.replica_id, len(shard.replicas)
                 )
                 decision = planner.decide(
-                    shard.shard_id,
-                    replica.replica_id,
-                    day,
-                    self._replica_design(shard, replica),
-                    view,
+                    replica, day, self._replica_design(shard, replica), view
                 )
                 if decision is not None:
-                    self.changes.append(Retune(self, decision))
+                    self.changes.append(Retune(self, replica, decision))
                     self.obs.counter("cluster.advisor.decisions").inc()
-
-    def _on_topology_changed(self, mapping: dict[int, int]) -> None:
-        """Re-align per-shard bookkeeping after a committed swap.
-
-        ``mapping`` is old shard id → new shard id for the survivors;
-        parents absent from it retire (their day series moves to
-        :attr:`ClusterResult.retired_shard_results`) and brand-new child
-        shards start fresh series.
-        """
-        old = self.result.shard_results
-        inverse = {new_id: old_id for old_id, new_id in mapping.items()}
-        self.result.shard_results = [
-            old[inverse[new_id]]
-            if new_id in inverse
-            else SimulationResult(
-                window=self.scheme.window,
-                n_indexes=self.scheme.n_indexes,
-                scheme_name=self.scheme.name,
-                technique=self.technique.value,
-            )
-            for new_id in range(len(self.shards))
-        ]
-        self.result.retired_shard_results.extend(
-            old[old_id] for old_id in range(len(old)) if old_id not in mapping
-        )
-        self.result.n_shards = len(self.shards)
-        self.result.partitioner = self.partitioner.describe()
-        self.scheme = self.shards[0].scheme
 
     # ------------------------------------------------------------------
     # Self-healing (re-replication)
@@ -1347,18 +1293,17 @@ class ClusterSimulation:
         """Record the day: per-shard metrics, the autoscaler's and the
         advisor's day-boundary decisions, and the day's stats."""
         day = turn.day
-        for shard_id, (replica, io_before, cache_before) in enumerate(
-            turn.baselines
+        for shard, (replica, io_before, cache_before), report, seconds in zip(
+            self.shards, turn.baselines, turn.reports, served.query_seconds
         ):
             span = replica.span
             cache_after = span.cache_snapshot()
-            report = turn.reports[shard_id]
             wave = replica.wave
-            self.result.shard_results[shard_id].days.append(
+            shard.series.days.append(
                 DayMetrics(
                     day=day,
                     seconds=report.seconds,
-                    query_seconds=served.query_seconds[shard_id],
+                    query_seconds=seconds,
                     steady_bytes=span.live_bytes,
                     constituent_bytes=wave.constituent_bytes,
                     peak_bytes=report.peak_bytes,
@@ -1382,9 +1327,14 @@ class ClusterSimulation:
                 under_replicated=self._under_replicated(),
                 last_action_day=self._last_action_day,
             )
-            if decision.queued is not None and not self.changes:
-                self.changes.append(reshard_change(self, decision.queued))
-                self.obs.counter("cluster.elastic.proposed").inc()
+            if decision.queued is not None:
+                if self.changes:
+                    decision = replace(
+                        decision, queued=None, deferred_reason="queue-busy"
+                    )
+                else:
+                    self.changes.append(reshard_change(self, decision.queued))
+                    self.obs.counter("cluster.elastic.proposed").inc()
 
         # Day boundary: roll the observation window forward and queue
         # any retune decisions for execution at the start of tomorrow.

@@ -1,7 +1,13 @@
 """The advisor engine end to end inside a live cluster simulation."""
 
 from repro.advisor import AdvisorConfig
-from repro.cluster import ClusterConfig, ClusterSimulation, ElasticConfig
+from repro.cluster import (
+    BreakerState,
+    ClusterConfig,
+    ClusterSimulation,
+    ElasticConfig,
+    SelfHealConfig,
+)
 from repro.core.schemes import scheme_by_name
 from repro.sim.querygen import QueryWorkload, uniform_key_picker
 from tests.advisor.helpers import make_int_store
@@ -164,6 +170,80 @@ class TestBudget:
         for d in range(day + 3, LAST + 1):
             sim.run_transition(d)
         assert _answers(sim) == _answers(_run(None))
+
+
+def _two_shards(*, selfheal=None) -> ClusterSimulation:
+    scheme_cls = scheme_by_name("DEL")
+    return ClusterSimulation(
+        lambda: scheme_cls(WINDOW, WINDOW),
+        make_int_store(LAST, domain=16, seed=3),
+        queries=_probe_heavy(),
+        cluster=ClusterConfig(
+            n_shards=2,
+            maintenance="lockstep",
+            advisor=_advisor(),
+            elastic=ElasticConfig(autoscale=False, min_shards=1),
+            selfheal=selfheal,
+        ),
+    )
+
+
+class TestRetuneFollowsItsReplica:
+    """A queued retune, the planner's cooldown and the breaker name the
+    replica object, so a split that renumbers its shard redirects none
+    of them."""
+
+    def test_a_retune_queued_behind_a_split_lands_on_its_own_replica(self):
+        sim = _two_shards()
+        left, upper = (shard.replicas[0] for shard in sim.shards)
+        sim.request_split(0)
+        sim.run_start()
+        # Day W decided a retune for each shard, behind the split.
+        assert [str(c) for c in sim.changes] == [
+            "split of shard 0",
+            "retune of shard 0 replica 0",
+            "retune of shard 1 replica 0",
+        ]
+        split = sim.run_transition(WINDOW + 1)
+        assert split.reshards == 1 and upper.shard_id == 2
+        right_child = sim.shards[1].replicas[0]
+        # Shard 0's replica left with its shard: its retune is refused.
+        gone = sim.run_transition(WINDOW + 2)
+        assert (gone.retunes, gone.retune_deferred) == (0, "replica-gone")
+        assert left.scheme is None
+        # The retune decided for old shard 1 lands on it, now shard 2,
+        # not on the split's right child, which holds its old position.
+        landed = sim.run_transition(WINDOW + 3)
+        assert landed.retunes == 1
+        assert upper.scheme is not None
+        assert right_child.scheme is None
+        assert sim.staged.journals[-1].subject["shard_id"] == 2
+
+    def test_breaker_and_cooldown_follow_a_surviving_replica(self):
+        sim = _two_shards(selfheal=SelfHealConfig())
+        sim.run_start()
+        for day in (WINDOW + 1, WINDOW + 2):
+            assert sim.run_transition(day).retunes == 1
+        survivor = sim.shards[1].replicas[0]
+        assert survivor.scheme is not None
+        monitor = sim._monitor
+        for _ in range(monitor.breaker.failure_threshold):
+            monitor.on_transient(survivor, now=monitor.now)
+        health = survivor.health
+        assert health.state is BreakerState.OPEN
+        sim.request_split(0)
+        split = sim.run_transition(WINDOW + 3)
+        assert split.reshards == 1
+        assert sim.shards[2].replicas[0] is survivor
+        # The breaker is the survivor's own, renumbered with it; the
+        # children, one at the survivor's old position, start clean.
+        assert survivor.health is health and health.opens == 1
+        children = [shard.replicas[0] for shard in sim.shards[:2]]
+        assert all(c.health.opens == 0 for c in children)
+        # The planner's cooldown stays with the replica it retuned.
+        cooldowns = sim._planner._last_retune
+        assert cooldowns.get(survivor) == WINDOW
+        assert all(c not in cooldowns for c in children)
 
 
 class TestJournal:

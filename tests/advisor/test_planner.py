@@ -1,5 +1,7 @@
 """The cost-model planner: candidate grid, hysteresis, cooldown."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.advisor import AdvisorConfig, CostModelPlanner, Design
@@ -12,6 +14,14 @@ WINDOW = 6
 def _planner(**overrides) -> CostModelPlanner:
     config = AdvisorConfig(**overrides)
     return CostModelPlanner(SCAM_PARAMETERS.with_window(WINDOW), config)
+
+
+@dataclass(eq=False)
+class _Replica:
+    """What the planner reads of a replica: its ids and its identity."""
+
+    shard_id: int = 0
+    replica_id: int = 0
 
 
 def _obs(probes=50.0, scans=5.0, *, days=2, newest=0.0) -> ShardObservation:
@@ -95,12 +105,12 @@ class TestDecide:
 
     def test_abstains_during_warmup(self):
         planner = _planner(observe_days=3)
-        assert planner.decide(0, 0, 9, self.CURRENT, _obs(days=2)) is None
+        assert planner.decide(_Replica(), 9, self.CURRENT, _obs(days=2)) is None
 
     def test_abstains_on_zero_traffic(self):
         planner = _planner()
         quiet = _obs(probes=0.0, scans=0.0)
-        assert planner.decide(0, 0, 9, self.CURRENT, quiet) is None
+        assert planner.decide(_Replica(), 9, self.CURRENT, quiet) is None
 
     def test_switches_away_from_a_bad_design_under_probes(self):
         # Heavy probing makes DEL/6 a bad incumbent under the SCAM
@@ -108,7 +118,7 @@ class TestDecide:
         # whose charged cost clears the hysteresis margin.
         planner = _planner(hysteresis=0.05, amortization_days=30)
         decision = planner.decide(
-            0, 0, 9, self.CURRENT, _obs(probes=500.0, scans=0.0)
+            _Replica(), 9, self.CURRENT, _obs(probes=500.0, scans=0.0)
         )
         assert decision is not None
         assert decision.target != self.CURRENT
@@ -121,14 +131,30 @@ class TestDecide:
         planner = _planner(hysteresis=0.05, amortization_days=30,
                            cooldown_days=3)
         heavy = _obs(probes=500.0, scans=0.0)
-        assert planner.decide(0, 0, 9, self.CURRENT, heavy) is not None
-        assert planner.decide(0, 0, 10, self.CURRENT, heavy) is None
-        assert planner.decide(0, 0, 12, self.CURRENT, heavy) is not None
+        replica = _Replica()
+        assert planner.decide(replica, 9, self.CURRENT, heavy) is not None
+        assert planner.decide(replica, 10, self.CURRENT, heavy) is None
+        assert planner.decide(replica, 12, self.CURRENT, heavy) is not None
+
+    def test_cooldown_follows_the_replica_not_its_ids(self):
+        planner = _planner(hysteresis=0.05, amortization_days=30,
+                           cooldown_days=3)
+        heavy = _obs(probes=500.0, scans=0.0)
+        retuned = _Replica(1, 0)
+        assert planner.decide(retuned, 9, self.CURRENT, heavy) is not None
+        # A split below renumbers the retuned replica's shard; another
+        # replica now holds its old ids.
+        retuned.shard_id = 2
+        newcomer = _Replica(1, 0)
+        assert planner.decide(retuned, 10, self.CURRENT, heavy) is None
+        decision = planner.decide(newcomer, 10, self.CURRENT, heavy)
+        assert decision is not None
+        assert (decision.shard_id, decision.replica_id) == (1, 0)
 
     def test_total_hysteresis_never_switches(self):
         planner = _planner(hysteresis=0.99)
         heavy = _obs(probes=500.0, scans=0.0)
-        assert planner.decide(0, 0, 9, self.CURRENT, heavy) is None
+        assert planner.decide(_Replica(), 9, self.CURRENT, heavy) is None
 
     def test_hysteresis_bounds_are_enforced(self):
         from repro.errors import ClusterError
@@ -139,10 +165,10 @@ class TestDecide:
     def test_incumbent_already_best_holds(self):
         planner = _planner(hysteresis=0.05)
         probe_best = _planner(hysteresis=0.05, amortization_days=30).decide(
-            0, 0, 9, self.CURRENT, _obs(probes=500.0, scans=0.0)
+            _Replica(), 9, self.CURRENT, _obs(probes=500.0, scans=0.0)
         )
         assert probe_best is not None
         decision = planner.decide(
-            0, 0, 9, probe_best.target, _obs(probes=500.0, scans=0.0)
+            _Replica(), 9, probe_best.target, _obs(probes=500.0, scans=0.0)
         )
         assert decision is None

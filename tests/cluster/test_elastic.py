@@ -293,6 +293,55 @@ class TestQueueRule:
         assert refused.reshard_deferred == "shard-gone"
         assert sim.changes == []
 
+    def test_a_split_behind_a_split_splits_the_shard_it_was_asked_for(self):
+        sim = make_sim(
+            int_store(WINDOW + 3), elastic=ElasticConfig(autoscale=False)
+        )
+        run_to(sim, WINDOW + 1)
+        sim.request_split(0, split_key=100)
+        upper = sim.request_split(2, split_key=500)  # [400, ...)
+        first = sim.run_transition(WINDOW + 2)
+        assert first.reshards == 1
+        # The first split renumbered the upper shard; the queued split
+        # still names it and reads its position when it runs.
+        assert upper.shard_id == 3
+        second = sim.run_transition(WINDOW + 3)
+        assert (second.reshards, second.reshards_aborted) == (1, 0)
+        assert sim.partitioner.split_points == (100, 200, 400, 500)
+        assert [s.shard_id for s in sim.shards] == [0, 1, 2, 3, 4]
+        assert sim.changes == []
+
+    def test_a_merge_whose_partner_was_split_away_is_refused(self):
+        sim = make_sim(
+            int_store(WINDOW + 3), elastic=ElasticConfig(autoscale=False)
+        )
+        run_to(sim, WINDOW + 1)
+        sim.request_split(1)
+        sim.request_merge(0)  # shards 0 and 1 as they are now
+        split = sim.run_transition(WINDOW + 2)
+        assert split.reshard_kinds == ("split",) and split.n_shards == 4
+        refused = sim.run_transition(WINDOW + 3)
+        assert refused.reshards_aborted == 1
+        assert refused.reshard_deferred == "shard-gone"
+        assert refused.n_shards == 4 and sim.changes == []
+        assert sim.partitioner.split_points[0] == 200
+
+    def test_a_proposal_that_meets_a_busy_queue_is_recorded_unqueued(self):
+        # The same cluster as above: the autoscaler wants shard 2 split
+        # on day W, but the queue already holds the request for shard 1.
+        sim = make_sim(
+            int_store(WINDOW + 1),
+            elastic=ElasticConfig(split_load_factor=1.5, max_shards=4),
+            splits=(200, 201),
+        )
+        requested = sim.request_split(1)
+        start = sim.run_start()
+        assert sim.changes == [requested]
+        assert start.autoscaler["proposed"][0]["shard_id"] == 2
+        assert start.autoscaler["queued"] is None
+        assert start.autoscaler["deferred_reason"] == "queue-busy"
+        assert sim.obs.counters().get("cluster.elastic.proposed", 0) == 0
+
     def test_a_fixed_partitioner_is_refused_not_raised(self):
         # A one-shard range cluster routes through HashPartitioner(1).
         sim = make_sim(

@@ -102,7 +102,7 @@ class TestFaultMatrix:
             e.record_id for e in twin_scan.entries
         )
         assert probes.summary.shards_unavailable == ()
-        assert sim.result.all_missing_days() == frozenset()
+        assert not any(d.missing_days for d in sim.result.days)
 
     def test_unreplicated_shard_degrades_to_correct_partial_results(
         self, partitioner, policy
@@ -120,7 +120,7 @@ class TestFaultMatrix:
         assert not sim.shards[0].available
         assert 0 in sim.result.days[-1].shards_unavailable
         # Day-level accounting: the dark shard's days are enumerated.
-        assert sim.result.all_missing_days()
+        assert any(d.missing_days for d in sim.result.days)
         assert sim.result.total_queries_degraded() > 0
 
         lo, hi = LAST - W + 1, LAST
@@ -194,7 +194,7 @@ class TestMidTransitionFailureTimeline:
         assert victim.failed
         assert stats.failovers >= 1
         # Failover kept every answer complete.
-        assert sim.result.all_missing_days() == frozenset()
+        assert not any(d.missing_days for d in sim.result.days)
 
 
 class TestFailoverCostAccounting:

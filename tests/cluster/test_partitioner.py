@@ -22,7 +22,6 @@ from repro.cluster import (
     SlotHashPartitioner,
     make_partitioner,
     partition_store,
-    reshard_id_mapping,
 )
 from repro.errors import ClusterError
 from tests.conftest import make_store
@@ -287,18 +286,6 @@ class TestSlotHashPartitioner:
         p = make_partitioner("slot-hash", 4)
         assert isinstance(p, SlotHashPartitioner)
         assert p.describe()["kind"] == "slot-hash"
-
-
-class TestReshardIdMapping:
-    def test_split_shifts_up_above(self):
-        assert reshard_id_mapping("split", 1, 4) == {0: 0, 2: 3, 3: 4}
-
-    def test_merge_shifts_down_above(self):
-        assert reshard_id_mapping("merge", 1, 4) == {0: 0, 3: 2}
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ClusterError):
-            reshard_id_mapping("rotate", 0, 3)
 
 
 class TestMakePartitioner:

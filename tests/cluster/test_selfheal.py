@@ -18,6 +18,7 @@ from repro.cluster import (
     BreakerState,
     ClusterConfig,
     ClusterSimulation,
+    ReplicaHealth,
     ReplicaHealthMonitor,
     SelfHealConfig,
 )
@@ -40,11 +41,12 @@ VALUES = "abcdefgh"
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class _FakeReplica:
     shard_id: int
     replica_id: int
     failed: bool = False
+    health: ReplicaHealth = field(default_factory=ReplicaHealth)
 
 
 @dataclass
@@ -68,11 +70,11 @@ class TestBreakerStateMachine:
         monitor = _monitor()
         replica = _FakeReplica(0, 0)
         monitor.on_transient(replica, now=0.0)
-        assert monitor.breaker_state(replica) is BreakerState.SUSPECT
+        assert replica.health.state is BreakerState.SUSPECT
         monitor.on_transient(replica, now=0.0)
-        assert monitor.breaker_state(replica) is BreakerState.SUSPECT
+        assert replica.health.state is BreakerState.SUSPECT
         monitor.on_transient(replica, now=5.0)
-        health = monitor.health_of(replica)
+        health = replica.health
         assert health.state is BreakerState.OPEN
         assert health.opened_at == 5.0
         assert health.opens == 1
@@ -86,12 +88,12 @@ class TestBreakerStateMachine:
         monitor.on_transient(replica, now=0.0)
         monitor.on_transient(replica, now=0.0)
         monitor.record_success(replica)
-        assert monitor.breaker_state(replica) is BreakerState.LIVE
-        assert monitor.health_of(replica).consecutive_failures == 0
+        assert replica.health.state is BreakerState.LIVE
+        assert replica.health.consecutive_failures == 0
         # The streak restarted: two more transients only suspect again.
         monitor.on_transient(replica, now=0.0)
         monitor.on_transient(replica, now=0.0)
-        assert monitor.breaker_state(replica) is BreakerState.SUSPECT
+        assert replica.health.state is BreakerState.SUSPECT
 
     def test_open_breaker_half_opens_after_cooldown(self):
         monitor = _monitor()
@@ -99,11 +101,11 @@ class TestBreakerStateMachine:
         shard = _FakeShard([replica])
         for _ in range(3):
             monitor.on_transient(replica, now=10.0)
-        assert monitor.breaker_state(replica) is BreakerState.OPEN
+        assert replica.health.state is BreakerState.OPEN
         picked, wait = monitor.serving_replica(shard, now=11.5)
         assert picked is replica
         assert wait == 0.0
-        assert monitor.breaker_state(replica) is BreakerState.HALF_OPEN
+        assert replica.health.state is BreakerState.HALF_OPEN
         assert monitor.obs.counters()["cluster.heal.breaker_half_opens"] == 1
 
     def test_all_open_request_waits_out_the_soonest_cooldown(self):
@@ -117,7 +119,7 @@ class TestBreakerStateMachine:
         picked, wait = monitor.serving_replica(shard, now=10.4)
         assert picked is replica
         assert wait == pytest.approx(0.6)
-        assert monitor.breaker_state(replica) is BreakerState.HALF_OPEN
+        assert replica.health.state is BreakerState.HALF_OPEN
 
     def test_failed_probe_reopens_with_escalating_cooldown(self):
         monitor = _monitor()
@@ -128,7 +130,7 @@ class TestBreakerStateMachine:
         for expected in (2.0, 4.0, 4.0):  # doubled, then capped
             monitor.serving_replica(shard, now=100.0)
             monitor.on_transient(replica, now=100.0)
-            health = monitor.health_of(replica)
+            health = replica.health
             assert health.state is BreakerState.OPEN
             assert health.cooldown_s == expected
 
@@ -142,7 +144,7 @@ class TestBreakerStateMachine:
         monitor.on_transient(replica, now=100.0)  # escalate to 2.0
         monitor.serving_replica(shard, now=200.0)
         monitor.record_success(replica)
-        health = monitor.health_of(replica)
+        health = replica.health
         assert health.state is BreakerState.LIVE
         assert health.cooldown_s == 1.0
         assert monitor.obs.counters()["cluster.heal.breaker_closes"] == 1
@@ -157,7 +159,7 @@ class TestBreakerStateMachine:
         picked, wait = monitor.serving_replica(shard, now=0.1)
         assert picked is healthy
         assert wait == 0.0
-        assert monitor.breaker_state(flaky) is BreakerState.OPEN
+        assert flaky.health.state is BreakerState.OPEN
 
     def test_retired_replica_never_serves_again(self):
         monitor = _monitor()
@@ -165,7 +167,7 @@ class TestBreakerStateMachine:
         shard = _FakeShard([replica])
         monitor.retire(replica, reason="device-failure")
         assert replica.failed
-        assert monitor.breaker_state(replica) is BreakerState.RETIRED
+        assert replica.health.state is BreakerState.RETIRED
         counters = monitor.obs.counters()
         assert counters["cluster.heal.retired"] == 1
         assert counters["cluster.heal.retired.device-failure"] == 1
@@ -174,7 +176,7 @@ class TestBreakerStateMachine:
         # Further faults and successes are no-ops on a retired replica.
         monitor.on_transient(replica, now=0.0)
         monitor.record_success(replica)
-        assert monitor.breaker_state(replica) is BreakerState.RETIRED
+        assert replica.health.state is BreakerState.RETIRED
 
     def test_note_retry_tracks_the_per_op_high_water(self):
         monitor = _monitor()
@@ -276,7 +278,7 @@ class TestReReplication:
         assert counters["cluster.heal.retired"] == 1
         # Never a dark day, never a diverging answer.
         assert all(not d.shards_unavailable for d in sim.result.days)
-        assert sim.result.all_missing_days() == frozenset()
+        assert not any(d.missing_days for d in sim.result.days)
         _assert_matches_twin(sim, twin)
 
     def test_rebuilt_replica_spans_as_many_devices_as_its_donor(self):
@@ -431,7 +433,7 @@ class TestReReplication:
         for shard in sim.shards:
             assert len(shard.alive_replicas()) == 2
         assert all(not d.shards_unavailable for d in sim.result.days)
-        assert sim.result.all_missing_days() == frozenset()
+        assert not any(d.missing_days for d in sim.result.days)
         assert sim.result.total_queries_degraded() == 0
         _assert_matches_twin(sim, twin)
 
@@ -468,7 +470,7 @@ class TestServingUnderTransients:
         # The flaky replica is quarantined, not retired — transients are
         # not a death sentence.
         assert not flaky.failed
-        assert monitor.breaker_state(flaky) in (
+        assert flaky.health.state in (
             BreakerState.OPEN,
             BreakerState.HALF_OPEN,
         )
@@ -490,6 +492,6 @@ class TestServingUnderTransients:
         injectors[flaky.device_index].transient_read_rate = 0.0
         monitor.now += 1000.0
         probes, _scan = _final_answers(sim)
-        assert monitor.breaker_state(flaky) is BreakerState.LIVE
+        assert flaky.health.state is BreakerState.LIVE
         assert sim.obs.counters()["cluster.heal.breaker_closes"] >= 1
         assert probes.summary.missing_days == frozenset()

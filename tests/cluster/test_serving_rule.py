@@ -133,7 +133,7 @@ def _state(sim, missing, failovers):
         failovers,
         None
         if monitor is None
-        else tuple(monitor.breaker_state(r).value for r in replicas),
+        else tuple(r.health.state.value for r in replicas),
         tuple(frozenset(r.wave.offline) for r in replicas if not r.failed),
     )
 
@@ -228,7 +228,7 @@ def test_a_swallowed_transient_leaves_no_constituent_offline():
     injector.transient_read_rate = 0.9
     _window_answers(sim)
     assert not replica.wave.offline
-    assert sim._monitor.breaker_state(replica) is BreakerState.OPEN
+    assert replica.health.state is BreakerState.OPEN
     injector.transient_read_rate = 0.0
     probes, scan = _window_answers(sim)
     assert not probes.summary.missing_days
@@ -279,7 +279,7 @@ def test_a_dead_last_replica_retires_and_its_shard_answers_dark():
     replica.device.injector.fail_device()
     probes, scan = _window_answers(sim)
     assert replica.failed
-    assert sim._monitor.breaker_state(replica) is BreakerState.RETIRED
+    assert replica.health.state is BreakerState.RETIRED
     assert probes.summary.failovers == 1
     assert probes.summary.shards_unavailable == (0,)
     assert scan.missing_days == ALL
