@@ -3,8 +3,9 @@
 A control plane over the cluster that closes the loop between the
 paper's Section-5 analytic model and the running system:
 
-* :mod:`repro.advisor.observer` — per-shard workload windows out of the
-  ``repro.obs`` counters (probe/scan mix, arrival volume, value skew);
+* :mod:`repro.advisor.observer` — each shard's own traffic window
+  (probe values, scans, newest-day scans) and its windowed probe/scan
+  mix;
 * :mod:`repro.advisor.calibrate` — substrate-measured model constants;
 * :mod:`repro.advisor.planner` — ranks (scheme, n, technique) candidates
   with the analytic total-work measure, hysteresis, and an amortized
@@ -23,7 +24,7 @@ advisor-less build.
 from .calibrate import calibrate_parameters
 from .config import AdvisorConfig
 from .engine import Retune, RetuneReport
-from .observer import ShardObservation, WorkloadObserver
+from .observer import ShardObservation, TrafficWindow
 from .planner import CostModelPlanner, Design, RetuneDecision
 from .router import DesignRouter
 
@@ -36,6 +37,6 @@ __all__ = [
     "RetuneDecision",
     "RetuneReport",
     "ShardObservation",
-    "WorkloadObserver",
+    "TrafficWindow",
     "calibrate_parameters",
 ]

@@ -1,34 +1,30 @@
-"""Per-shard workload observation out of the metrics registry.
+"""Per-shard workload observation: each shard tallies its own traffic.
 
-The serving loop publishes what it sees — probe values, scans and their
-targets, request arrivals, per-value hit counts — as plain ``advisor.*``
-counters in the cluster's :class:`~repro.obs.MetricsRegistry`.  The
-observer never touches the query stream itself: it windows those
-monotonic counters with a :class:`~repro.obs.CounterWindow`, keeps the
-last ``observe_days`` of per-day deltas, and condenses them into the
-:class:`ShardObservation` the planner feeds to the cost model.
+An advised cluster gives every :class:`~repro.cluster.shard.Shard` a
+:class:`TrafficWindow` (``shard.traffic``).  The serving loop hands it
+each (sub)unit the shard serves; the day loop closes its day at every
+day boundary; the planner reads the last ``observe_days`` closed days
+condensed into a :class:`ShardObservation`.  A day holds:
 
-Counter namespace (all under ``advisor.shard{ID}.``):
+* ``probes`` — a :class:`collections.Counter` of the probe *values*
+  served (its total is the model's ``Probe_num`` unit);
+* ``scans`` — segment scans served (every scan reaches every shard);
+* ``newest`` — the subset of scans whose range is one day (SCAM-style
+  registration checks, the model's ``Scan_idx = 1``).
 
-* ``probes`` — probe *values* served (the model's ``Probe_num`` unit);
-* ``scans`` — segment scans served;
-* ``scans_newest`` — the subset of scans whose range is just the newest
-  day (SCAM-style registration checks, the model's ``Scan_idx = 1``);
-* ``requests`` — arrival units (batched or not), the volume signal;
-* ``value.{v}`` — per-value probe hits for skew, capped at
-  :data:`VALUE_TRACK_LIMIT` distinct values per shard (the remainder is
-  lumped into ``value.~other`` so cardinality stays bounded).
+The window is the shard's own object, so a split or merge that
+renumbers the shards moves no history between them; the shards a
+reshard creates start from :meth:`TrafficWindow.handed_on`, their
+parents' days restricted to the values they now own.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
-from ..obs import CounterWindow, MetricsRegistry
-
-#: Distinct per-shard probe values tracked individually for skew.
-VALUE_TRACK_LIMIT = 64
+from ..sim.querygen import QueryUnit, ScanUnit
 
 
 @dataclass(frozen=True)
@@ -43,10 +39,6 @@ class ShardObservation:
         scans_per_day: Segment scans served per day (``Scan_num``).
         newest_fraction: Fraction of scans that touched only the newest
             day; >= 0.5 infers ``scan_target="newest"``.
-        requests_per_day: Arrival units per day (volume ramp signal).
-        top_value_share: The hottest probe value's share of probe
-            traffic — 1/|domain| under uniform load, ~1.0 under a
-            single-value hotspot.
     """
 
     shard_id: int
@@ -54,8 +46,6 @@ class ShardObservation:
     probes_per_day: float
     scans_per_day: float
     newest_fraction: float
-    requests_per_day: float
-    top_value_share: float
 
     @property
     def scan_target(self) -> str:
@@ -63,49 +53,65 @@ class ShardObservation:
         return "newest" if self.newest_fraction >= 0.5 else "all"
 
 
-class WorkloadObserver:
-    """Windows ``advisor.*`` counters into per-shard observations."""
+@dataclass
+class TrafficDay:
+    """One day of a shard's traffic: probe values, scans, newest scans."""
 
-    PREFIX = "advisor."
+    probes: Counter = field(default_factory=Counter)
+    scans: int = 0
+    newest: int = 0
 
-    def __init__(self, registry: MetricsRegistry, observe_days: int) -> None:
-        if observe_days < 1:
-            raise ValueError(f"observe_days must be >= 1, got {observe_days}")
-        self.observe_days = observe_days
-        self._window: CounterWindow = registry.window()
-        self._days: deque[dict[str, float]] = deque(maxlen=observe_days)
+
+class TrafficWindow:
+    """A shard's last ``observe_days`` closed days plus the open one."""
+
+    def __init__(self, observe_days: int) -> None:
+        self.days: deque[TrafficDay] = deque(maxlen=observe_days)
+        self.today = TrafficDay()
+
+    def observe(self, unit: QueryUnit) -> None:
+        """Tally one (sub)unit this shard served today."""
+        today = self.today
+        if isinstance(unit, ScanUnit):
+            today.scans += unit.requests
+            if unit.t1 == unit.t2:
+                today.newest += unit.requests
+        else:
+            today.probes.update(unit.values)
 
     def end_day(self) -> None:
-        """Close the day: bank its counter deltas, roll the window."""
-        self._days.append(self._window.advance(self.PREFIX))
-
-    def _sum(self, shard_id: int, leaf: str) -> float:
-        key = f"{self.PREFIX}shard{shard_id}.{leaf}"
-        return sum(day.get(key, 0.0) for day in self._days)
+        """Close today: bank it, rolling the oldest day off."""
+        self.days.append(self.today)
+        self.today = TrafficDay()
 
     def observation(self, shard_id: int) -> ShardObservation:
-        """Return the windowed workload summary for ``shard_id``."""
-        days = max(1, len(self._days))
-        probes = self._sum(shard_id, "probes")
-        scans = self._sum(shard_id, "scans")
-        newest = self._sum(shard_id, "scans_newest")
-        requests = self._sum(shard_id, "requests")
-        value_prefix = f"{self.PREFIX}shard{shard_id}.value."
-        value_totals: dict[str, float] = {}
-        for day in self._days:
-            for key, delta in day.items():
-                if key.startswith(value_prefix):
-                    value_totals[key] = value_totals.get(key, 0.0) + delta
-        tracked = sum(value_totals.values())
-        top_share = (
-            max(value_totals.values()) / tracked if tracked > 0 else 0.0
-        )
+        """Return the window's workload summary for shard ``shard_id``."""
+        days = max(1, len(self.days))
+        probes = sum(sum(day.probes.values()) for day in self.days)
+        scans = sum(day.scans for day in self.days)
+        newest = sum(day.newest for day in self.days)
         return ShardObservation(
             shard_id=shard_id,
-            days=len(self._days),
+            days=len(self.days),
             probes_per_day=probes / days,
             scans_per_day=scans / days,
             newest_fraction=newest / scans if scans > 0 else 0.0,
-            requests_per_day=requests / days,
-            top_value_share=top_share,
         )
+
+    @classmethod
+    def handed_on(
+        cls, parents: list[TrafficWindow], owns: Callable[[Any], bool]
+    ) -> TrafficWindow:
+        """Return a reshard child's window, exact, day by day: the
+        parents' probes of the values ``owns`` accepts, summed, and the
+        first parent's scans (every scan reaches every shard).  A reshard
+        swaps before the day's serving, so today starts empty."""
+        observe_days = parents[0].days.maxlen
+        assert observe_days is not None
+        child = cls(observe_days)
+        for days in zip(*(parent.days for parent in parents)):
+            probes: Counter = Counter()
+            for day in days:
+                probes.update({v: n for v, n in day.probes.items() if owns(v)})
+            child.days.append(TrafficDay(probes, days[0].scans, days[0].newest))
+        return child

@@ -19,7 +19,7 @@ designs; per-replica cooldowns guard against back-to-back churn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
@@ -164,24 +164,8 @@ class CostModelPlanner:
         if not self.config.divergent or replication < 2:
             return obs
         if replica_id % 2 == 0:
-            return ShardObservation(
-                shard_id=obs.shard_id,
-                days=obs.days,
-                probes_per_day=obs.probes_per_day,
-                scans_per_day=0.0,
-                newest_fraction=obs.newest_fraction,
-                requests_per_day=obs.requests_per_day,
-                top_value_share=obs.top_value_share,
-            )
-        return ShardObservation(
-            shard_id=obs.shard_id,
-            days=obs.days,
-            probes_per_day=0.0,
-            scans_per_day=obs.scans_per_day,
-            newest_fraction=obs.newest_fraction,
-            requests_per_day=obs.requests_per_day,
-            top_value_share=obs.top_value_share,
-        )
+            return replace(obs, scans_per_day=0.0)
+        return replace(obs, probes_per_day=0.0)
 
     # ------------------------------------------------------------------
     # The re-plan decision

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
+from ..advisor.observer import TrafficWindow
 from ..core.checkpoint import CHECKPOINT_VERSION, restore_scheme
 from ..core.executor import PlanExecutor
 from ..core.records import RecordStore
@@ -462,8 +463,8 @@ class _Reshard:
 
     def swap(self, day: int) -> list[tuple[WaveIndex, int]]:
         """Install the new shard list + routing table atomically; every
-        shard's ``shard_id`` becomes its new position, and the parents
-        retire with their day series."""
+        shard's ``shard_id`` becomes its new position, the parents retire
+        with their day series, and the children inherit their traffic."""
         sim = self.sim
         for child in self.children:
             sim._preplanned[id(child.scheme)] = []  # day's plan already applied
@@ -485,6 +486,15 @@ class _Reshard:
         result = sim.result
         result.shard_results = [shard.series for shard in new_shards]
         result.retired_shard_results.extend(p.series for p in self.parents)
+        # A child's traffic window is its parents', restricted to the
+        # values it now owns; the untouched shards keep their own.
+        windows = [p.traffic for p in self.parents if p.traffic is not None]
+        if windows:
+            route = self.new_partitioner.shard_for
+            for child in self.children:
+                child.traffic = TrafficWindow.handed_on(
+                    windows, lambda v, gid=child.shard_id: route(v) == gid
+                )
         result.n_shards = len(new_shards)
         result.partitioner = self.new_partitioner.describe()
         return [

@@ -34,6 +34,7 @@ from ..storage.array import DiskArray
 from ..storage.disk import SimulatedDisk
 
 if TYPE_CHECKING:
+    from ..advisor.observer import TrafficWindow
     from .selfheal import ReplicaHealthMonitor
 
 
@@ -297,7 +298,9 @@ class Shard:
     of a split or merge; a queued split or merge holds the shard itself.
     Its day :attr:`series` goes with it, into
     :attr:`~repro.cluster.sim.ClusterResult.retired_shard_results` once a
-    topology change replaces it.
+    topology change replaces it.  On an advised cluster :attr:`traffic`
+    is the shard's own observation window (``None`` otherwise); the
+    shards a topology change creates start from their parents' windows.
     """
 
     def __init__(
@@ -319,6 +322,7 @@ class Shard:
             scheme_name=scheme.name,
             technique=replicas[0].executor.technique.value,
         )
+        self.traffic: TrafficWindow | None = None
 
     def alive_replicas(self) -> list[ShardReplica]:
         """Return the replicas still able to serve, primary first."""

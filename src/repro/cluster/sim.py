@@ -94,10 +94,9 @@ from ..advisor import (
     DesignRouter,
     Retune,
     RetuneReport,
-    WorkloadObserver,
+    TrafficWindow,
     calibrate_parameters,
 )
-from ..advisor.observer import VALUE_TRACK_LIMIT
 from .coordinator import ClusterCoordinator
 from .elastic import (
     Autoscaler,
@@ -603,20 +602,17 @@ class ClusterSimulation:
                 Shard(shard_id, scheme, shard_stores[shard_id], replicas)
             )
         self.scheme = self.shards[0].scheme
-        #: Online-tuning machinery (all ``None`` when the advisor is off,
-        #: keeping every hot path on its legacy branch).
-        self._observer: WorkloadObserver | None = None
+        #: Online-tuning machinery (``None``, and no shard's ``traffic``
+        #: window built or fed, when the advisor is off).
         self._planner: CostModelPlanner | None = None
         self.router: DesignRouter | None = None
-        self._value_tracks: dict[int, set[Any]] = {}
         if cfg.advisor is not None:
             params = calibrate_parameters(
                 store, index_config, window=self.scheme.window
             )
             self._planner = CostModelPlanner(params, cfg.advisor)
-            self._observer = WorkloadObserver(
-                self.obs, cfg.advisor.observe_days
-            )
+            for shard in self.shards:
+                shard.traffic = TrafficWindow(cfg.advisor.observe_days)
             if cfg.advisor.divergent:
                 self.router = DesignRouter()
         self.coordinator = ClusterCoordinator(
@@ -765,55 +761,46 @@ class ClusterSimulation:
 
     def _change_steps(self, day: int) -> Steps:
         """Run the head of the change queue, if it may run today; return
-        what became of it as :class:`Turn` fields (the kind's ``tally``).
+        what became of it as :class:`Turn` fields (the kinds' ``tally``).
 
         One rule for every kind.  Changes run before the day's plans are
         drawn, so a committed one hands the day loop an already-caught-up
-        cluster, and at most one runs a day: the head.  While any shard
+        cluster, and at most one stages a day: the head.  While any shard
         is under-replicated the head waits — healing outranks staged
         changes for spares, the deterministic contention rule.  A change
-        its ``validate()`` refuses before its journal opens is dropped;
-        one that aborts after (``no-spare``, a fault at a step) stays at
-        the head and is retried tomorrow.  Either is the day's abort,
-        with its reason.
+        its ``validate()`` refuses before its journal opens costs nothing:
+        it is dropped and the next head tried the same day.  One that
+        aborts after (``no-spare``, a fault at a step) stays at the head
+        and is retried tomorrow.  Each refusal or abort is counted in its
+        kind's aborts, with its reason.
         """
         if not self.changes or day <= self.window:
             return {}
-        change = self.changes[0]
-        done, aborted, waited = change.tally
         if self._under_replicated():
+            change = self.changes[0]
             self.obs.counter(f"{change.counters}.deferred").inc()
-            return {waited: "under-replicated"}
-        try:
-            report = yield from self.staged.steps(change, day=day)
-        except ChangeAborted as exc:
-            if not exc.journaled:
-                self.changes.pop(0)
-            return {aborted: 1, waited: exc.reason}
-        self.changes.pop(0)
-        return {done: (report,)}
+            return {change.tally[2]: "under-replicated"}
+        tallies: dict[str, Any] = {}
+        while self.changes:
+            change = self.changes[0]
+            done, aborted, waited = change.tally
+            try:
+                report = yield from self.staged.steps(change, day=day)
+            except ChangeAborted as exc:
+                tallies[aborted] = tallies.get(aborted, 0) + 1
+                tallies[waited] = exc.reason
+                if exc.journaled:
+                    return tallies  # staged, then aborted: retried tomorrow
+                self.changes.pop(0)  # refused before staging: costs no day
+                continue
+            self.changes.pop(0)
+            tallies[done] = (report,)
+            return tallies
+        return tallies
 
     # ------------------------------------------------------------------
     # Online tuning advisor
     # ------------------------------------------------------------------
-
-    def _observe_unit(self, shard_id: int, unit: QueryUnit) -> None:
-        """Publish one served (sub)unit to the ``advisor.*`` counters."""
-        prefix = f"advisor.shard{shard_id}."
-        self.obs.counter(prefix + "requests").inc(unit.requests)
-        if isinstance(unit, ScanUnit):
-            self.obs.counter(prefix + "scans").inc(unit.requests)
-            if unit.t1 == unit.t2:
-                self.obs.counter(prefix + "scans_newest").inc(unit.requests)
-            return
-        self.obs.counter(prefix + "probes").inc(len(unit.values))
-        tracked = self._value_tracks.setdefault(shard_id, set())
-        for value in unit.values:
-            if value in tracked or len(tracked) < VALUE_TRACK_LIMIT:
-                tracked.add(value)
-                self.obs.counter(f"{prefix}value.{value}").inc()
-            else:
-                self.obs.counter(prefix + "value.~other").inc()
 
     def _replica_design(
         self, shard: Shard, replica: ShardReplica
@@ -825,13 +812,16 @@ class ClusterSimulation:
         )
 
     def _plan_retunes(self, day: int) -> None:
-        """Queue accepted design switches at the day boundary."""
+        """Close every shard's traffic day and queue accepted design
+        switches, at the day boundary."""
         planner = self._planner
-        observer = self._observer
-        assert planner is not None and observer is not None
+        assert planner is not None
         queued = {c.replica for c in self.changes if isinstance(c, Retune)}
         for shard in self.shards:
-            obs = observer.observation(shard.shard_id)
+            traffic = shard.traffic
+            assert traffic is not None
+            traffic.end_day()
+            obs = traffic.observation(shard.shard_id)
             for replica in shard.replicas:
                 if replica.failed or replica in queued:
                     continue
@@ -1252,11 +1242,12 @@ class ClusterSimulation:
             unit_missing: set[int] = set()
             unit_degraded = False
             for shard_id, subunit in self._split_unit(unit):
-                if self._observer is not None:
-                    self._observe_unit(shard_id, subunit)
+                shard = self.shards[shard_id]
+                if shard.traffic is not None:
+                    shard.traffic.observe(subunit)
                 seconds, missing, end, service, was_degraded = (
                     self._serve_on_shard(
-                        self.shards[shard_id],
+                        shard,
                         subunit,
                         arrival,
                         avail_pre,
@@ -1336,10 +1327,9 @@ class ClusterSimulation:
                     self.changes.append(reshard_change(self, decision.queued))
                     self.obs.counter("cluster.elastic.proposed").inc()
 
-        # Day boundary: roll the observation window forward and queue
-        # any retune decisions for execution at the start of tomorrow.
-        if self._observer is not None:
-            self._observer.end_day()
+        # Day boundary: close every shard's traffic day and queue any
+        # retune decisions for execution at the start of tomorrow.
+        if self._planner is not None:
             self._plan_retunes(day)
         designs: dict[str, str] | None = None
         if self.config.advisor is not None:

@@ -251,67 +251,24 @@ class SlidingWindow:
 
 
 class CounterWindow:
-    """A point-in-time counter baseline; deltas measure what happened since.
+    """A point-in-time baseline of named counters; :meth:`delta` measures
+    what happened since.
 
-    Counters are monotonic totals, so every per-interval consumer (the
-    per-day cluster stats, the tuning advisor's workload observer) needs
-    the *difference* across an interval, not the running value.  A window
-    captures the baseline once and answers "how much since?" without each
-    call site hand-rolling before/after snapshots.
-
-    With ``names`` the window tracks only those counters (created on
-    demand so a counter that first fires inside the interval still
-    reports a full delta); without, it baselines every counter currently
-    registered and picks up later arrivals with an implicit baseline of
-    zero.
+    Counters are monotonic totals, so a per-interval consumer (the
+    per-day cluster stats) needs the *difference* across an interval,
+    not the running value.  The named counters are created on demand, so
+    one that first fires inside the interval still reports a full delta.
     """
 
-    def __init__(self, registry: "MetricsRegistry", names: tuple[str, ...] = ()) -> None:
+    def __init__(self, registry: "MetricsRegistry", names: tuple[str, ...]) -> None:
         self._registry = registry
-        self._names = names
-        self._baseline: dict[str, float] = {}
-        self._rebaseline()
-
-    def _rebaseline(self) -> None:
-        if self._names:
-            self._baseline = {
-                name: self._registry.counter(name).value
-                for name in self._names
-            }
-        else:
-            self._baseline = self._registry.counters()
+        self._baseline = {name: registry.counter(name).value for name in names}
 
     def delta(self, name: str) -> float:
         """Return how much ``name`` grew since the window opened."""
         current = self._registry._counters.get(name)
         value = current.value if current is not None else 0.0
-        return value - self._baseline.get(name, 0.0)
-
-    def deltas(self, prefix: str = "") -> dict[str, float]:
-        """Return every non-zero counter delta (optionally name-filtered)."""
-        names = (
-            self._names
-            if self._names
-            else sorted(set(self._baseline) | set(self._registry._counters))
-        )
-        out: dict[str, float] = {}
-        for name in names:
-            if prefix and not name.startswith(prefix):
-                continue
-            change = self.delta(name)
-            if change != 0.0 or (self._names and name in self._names):
-                out[name] = change
-        return out
-
-    def advance(self, prefix: str = "") -> dict[str, float]:
-        """Return :meth:`deltas` and roll the baseline to *now*.
-
-        The per-day consumption pattern: one ``advance()`` per day
-        boundary yields that day's traffic and opens the next window.
-        """
-        out = self.deltas(prefix)
-        self._rebaseline()
-        return out
+        return value - self._baseline[name]
 
 
 class MetricsRegistry:
@@ -362,7 +319,7 @@ class MetricsRegistry:
         return {name: c.value for name, c in sorted(self._counters.items())}
 
     def window(self, *names: str) -> CounterWindow:
-        """Open a :class:`CounterWindow` over ``names`` (or all counters)."""
+        """Open a :class:`CounterWindow` over ``names``."""
         return CounterWindow(self, names)
 
     def snapshot(self) -> dict[str, object]:

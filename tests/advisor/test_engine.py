@@ -207,14 +207,14 @@ class TestRetuneFollowsItsReplica:
         split = sim.run_transition(WINDOW + 1)
         assert split.reshards == 1 and upper.shard_id == 2
         right_child = sim.shards[1].replicas[0]
-        # Shard 0's replica left with its shard: its retune is refused.
-        gone = sim.run_transition(WINDOW + 2)
-        assert (gone.retunes, gone.retune_deferred) == (0, "replica-gone")
+        # Shard 0's replica left with its shard: its retune is refused
+        # at no cost, and the retune decided for old shard 1 lands the
+        # same day on it, now shard 2, not on the split's right child,
+        # which holds its old position.
+        landed = sim.run_transition(WINDOW + 2)
+        assert (landed.retunes, landed.retunes_aborted) == (1, 1)
+        assert landed.retune_deferred == "replica-gone"
         assert left.scheme is None
-        # The retune decided for old shard 1 lands on it, now shard 2,
-        # not on the split's right child, which holds its old position.
-        landed = sim.run_transition(WINDOW + 3)
-        assert landed.retunes == 1
         assert upper.scheme is not None
         assert right_child.scheme is None
         assert sim.staged.journals[-1].subject["shard_id"] == 2

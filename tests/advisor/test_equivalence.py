@@ -87,6 +87,7 @@ class TestAdvisorOffDefaults:
         sim.run(LAST)
         assert sim.changes == [] and sim.staged.journals == []
         assert sim.router is None
+        assert all(shard.traffic is None for shard in sim.shards)
         advisor_counters = [
             name
             for name in sim.obs.counters()

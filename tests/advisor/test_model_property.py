@@ -92,8 +92,6 @@ def test_model_ranked_best_is_near_simulator_best(probes, scans, newest):
         probes_per_day=float(probes),
         scans_per_day=float(scans),
         newest_fraction=1.0 if newest else 0.0,
-        requests_per_day=float(probes + scans),
-        top_value_share=1.0 / DOMAIN,
     )
     ranked = min(
         CANDIDATES,

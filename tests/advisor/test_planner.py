@@ -31,8 +31,6 @@ def _obs(probes=50.0, scans=5.0, *, days=2, newest=0.0) -> ShardObservation:
         probes_per_day=probes,
         scans_per_day=scans,
         newest_fraction=newest,
-        requests_per_day=probes + scans,
-        top_value_share=0.1,
     )
 
 
