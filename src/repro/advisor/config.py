@@ -14,6 +14,12 @@ from dataclasses import dataclass
 from ..errors import ClusterError
 from ..index.updates import UpdateTechnique
 
+#: Required *relative* improvement before a switch: the challenger's
+#: predicted daily cost (switching charge included) must undercut the
+#: incumbent's by this fraction.  Damps design oscillation under noisy
+#: or oscillating workloads.
+HYSTERESIS = 0.1
+
 
 @dataclass(frozen=True)
 class AdvisorConfig:
@@ -23,10 +29,6 @@ class AdvisorConfig:
         observe_days: Length of the workload observation window, in days.
             The planner abstains until the window is full, so the first
             possible retune lands on day ``W + observe_days + 1``.
-        hysteresis: Required *relative* improvement before a switch: the
-            challenger's predicted daily cost (switching charge included)
-            must undercut the incumbent's by this fraction.  Damps design
-            oscillation under noisy or oscillating workloads.
         amortization_days: Days over which the one-time rebuild cost of a
             design switch is amortized into the challenger's daily cost.
             Small values make the advisor eager; large values conservative.
@@ -43,7 +45,6 @@ class AdvisorConfig:
     """
 
     observe_days: int = 2
-    hysteresis: float = 0.1
     amortization_days: int = 7
     cooldown_days: int = 2
     candidate_n: tuple[int, ...] = ()
@@ -54,10 +55,6 @@ class AdvisorConfig:
         if self.observe_days < 1:
             raise ClusterError(
                 f"observe_days must be >= 1, got {self.observe_days}"
-            )
-        if not 0.0 <= self.hysteresis < 1.0:
-            raise ClusterError(
-                f"hysteresis must be in [0, 1), got {self.hysteresis}"
             )
         if self.amortization_days < 1:
             raise ClusterError(

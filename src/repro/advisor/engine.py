@@ -19,7 +19,7 @@ says only what a retune is:
 
 A retune waits in the cluster's one change queue beside the topology
 changes and under the same rule: it waits while any shard is
-under-replicated, and an abort after staging (``no-spare``, a fault)
+under-replicated, and an abort after staging (a fault at a step)
 leaves it queued for the next day.
 """
 

@@ -27,7 +27,7 @@ from ..analysis.daycount import steady_state
 from ..analysis.parameters import CostParameters
 from ..core.schemes import scheme_by_name
 from ..index.updates import UpdateTechnique
-from .config import AdvisorConfig
+from .config import HYSTERESIS, AdvisorConfig
 from .observer import ShardObservation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -203,7 +203,7 @@ class CostModelPlanner:
                 best, best_s = candidate, cost
         if best is None:
             return None
-        if best_s >= incumbent_s * (1.0 - self.config.hysteresis):
+        if best_s >= incumbent_s * (1.0 - HYSTERESIS):
             return None
         self._last_retune[replica] = day
         return RetuneDecision(

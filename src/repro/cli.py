@@ -35,10 +35,10 @@ Every bench command (the :data:`_BENCHES` table) runs one
 summary and exits 0, or 1 when the bench's claim fails (the report is
 still written), or 2 on an invalid configuration.
 
-Seeded commands share one default (:data:`DEFAULT_SEED`): pass ``--seed``
-globally (``repro --seed 3 crash-test``) or per command; per-command wins.
-A global seed reaches a bench's ``seed`` field, or its ``seeds`` as
-``(N,)``; with neither given, the bench keeps its config's default.
+A bench has a flag only for a field that a committed artifact, a paper
+figure or a CI leg sets; every other field of its config is set through
+``bench(name).execute(**overrides)``.  ``crash-test`` and ``latency``
+default their ``--seed`` to :data:`DEFAULT_SEED`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from typing import Any, Sequence
 
 from .analysis.parameters import TABLE12
 from .bench.tables import FIGURES
-from .core.boundary import FAULTS
 from .core.schemes import ALL_SCHEMES, scheme_by_name
 from .errors import ClusterError, FrontendError, SchemeError, WorkloadError
 from .core.trace import format_trace, trace_scheme
@@ -70,13 +69,14 @@ DEFAULT_SEED = 7
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    """Return the effective seed: per-command, then global, then default."""
-    per_command = getattr(args, "seed", None)
-    if per_command is not None:
-        return per_command
-    if args.seed_global is not None:
-        return args.seed_global
-    return DEFAULT_SEED
+    """Return the command's ``--seed``, or :data:`DEFAULT_SEED`."""
+    return DEFAULT_SEED if args.seed is None else args.seed
+
+
+def _invalid(exc: BaseException | str) -> int:
+    """Report a refused configuration; return exit code 2."""
+    print(f"invalid configuration: {exc}", file=sys.stderr)
+    return 2
 
 
 def _opt(*names: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
@@ -84,101 +84,30 @@ def _opt(*names: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
     return names, kwargs
 
 
-_WINDOW = _opt("--window", "-w", type=int)
-_INDEXES = _opt("--indexes", "-n", type=int, dest="n_indexes")
-_TRANSITIONS = _opt("--transitions", type=int)
-_SEED = _opt("--seed", type=int)
-_SCHEME = _opt(
-    "--scheme", help="maintenance scheme every shard runs (default REINDEX)"
-)
-_PROBES_PER_DAY = _opt("--probes", type=int, dest="probes_per_day")
-_SCANS_PER_DAY = _opt("--scans", type=int, dest="scans_per_day")
-_ARRIVAL_STRETCH = _opt(
-    "--arrival-stretch", type=float,
-    help="query arrivals spread over this multiple of the maintenance "
-    "makespan (default 2.0)",
-)
-
 #: The bench subcommands: command -> (bench name, help, the bench's own
 #: flags).  Each flag's dest names a field of the bench's config or of
 #: one of its groups (``harness.owner``); a flag left unset keeps the
-#: config's value.
+#: config's value.  A bench field that no committed artifact, paper
+#: figure or CI leg sets has no flag: set it through
+#: ``bench(name).execute(**overrides)``.
 _BENCHES = {
     "bench-serving": (
         "serving",
         "replay a Zipf query workload (cache x batch grid) and emit "
         "BENCH_serving.json",
-        (
-            _opt("--probes", type=int),
-            _opt("--scans", type=int),
-            _opt(
-                "--batch-sizes", type=int, nargs="+",
-                help="batch sizes to grid over (default: 1 16 256)",
-            ),
-            _opt(
-                "--cache-ratio", type=float,
-                help="page-cache capacity as a fraction of the index "
-                "(default 0.5)",
-            ),
-            _WINDOW,
-            _INDEXES,
-            _SEED,
-        ),
+        (),
     ),
     "bench-overlap": (
         "overlap",
         "serialized vs overlapped maintenance/serving on a disk array and "
         "emit BENCH_overlap.json",
-        (
-            _opt(
-                "--devices", "-k", type=int, dest="n_devices",
-                help="devices in the overlapped-mode array (default 3)",
-            ),
-            _WINDOW,
-            _INDEXES,
-            _TRANSITIONS,
-            _PROBES_PER_DAY,
-            _SCANS_PER_DAY,
-            _ARRIVAL_STRETCH,
-            _opt(
-                "--schemes", nargs="+",
-                help="scheme names to compare (default: all seven)",
-            ),
-            _SEED,
-        ),
+        (),
     ),
     "bench-cluster": (
         "cluster",
         "sharded-cluster scaling and staggered vs lockstep maintenance, "
         "emitting BENCH_cluster.json",
-        (
-            _opt(
-                "--shards", "-k", type=int, nargs="+", dest="shard_counts",
-                help="shard counts to sweep; must include 1 and a k >= 2 "
-                "(default: 1 2 4)",
-            ),
-            _opt(
-                "--replication", "-r", type=int,
-                help="replicas per shard (default 1)",
-            ),
-            _SCHEME,
-            _opt(
-                "--partitioner", choices=("hash", "range"),
-                help="key-space partitioner (default hash)",
-            ),
-            _opt(
-                "--max-concurrent-frac", type=float,
-                help="staggering bound: fraction of shards in transition "
-                "at once (default 0.25)",
-            ),
-            _WINDOW,
-            _INDEXES,
-            _TRANSITIONS,
-            _PROBES_PER_DAY,
-            _SCANS_PER_DAY,
-            _ARRIVAL_STRETCH,
-            _SEED,
-        ),
+        (),
     ),
     "chaos-soak": (
         "chaos",
@@ -189,75 +118,24 @@ _BENCHES = {
                 "--seeds", type=int, nargs="+",
                 help="fault-schedule seeds to soak (default: 7 8 9)",
             ),
-            _opt(
-                "--shards", "-k", type=int, dest="n_shards",
-                help="number of shards (default 4)",
-            ),
-            _opt(
-                "--replication", "-r", type=int,
-                help="replicas per shard; >= 2 when kills are scheduled "
-                "(default 2)",
-            ),
-            _SCHEME,
-            _opt(
-                "--kills-per-shard", type=int,
-                help="permanent device losses per shard (default 1)",
-            ),
-            _opt(
-                "--kill-points", nargs="+",
-                choices=("transition", "serving", "rebuild"),
-                help="injection points kills are drawn from (default: all "
-                "three)",
-            ),
-            _opt(
-                "--burst-days", type=int, dest="transient_burst_days",
-                help="days that get a transient read-error burst (default 2)",
-            ),
-            _opt(
-                "--transient-rate", type=float,
-                help="read-error probability during a burst (default 0.9)",
-            ),
-            _WINDOW,
-            _INDEXES,
-            _TRANSITIONS,
         ),
     ),
     "bench-elastic": (
         "elastic",
         "spike one partition range 4x, let the autoscaler split the hot "
         "shard online, and emit BENCH_elastic.json",
-        (
-            _WINDOW,
-            _INDEXES,
-            _TRANSITIONS,
-            _SCHEME,
-            _opt(
-                "--spike-factor", type=float,
-                help="hot-range load multiplier from the spike day on "
-                "(default 4)",
-            ),
-            _opt(
-                "--probes", type=int, dest="probes_per_day",
-                help="base probes per day before the spike (default 60)",
-            ),
-            _SEED,
-        ),
+        (),
     ),
     "bench-advisor": (
         "advisor",
         "race the online tuning advisor against every static design over "
         "a drifting workload and emit BENCH_advisor.json",
         (
-            _WINDOW,
             _opt(
                 "--phase-days", type=int,
                 help="days per drift phase (default 14)",
             ),
-            _opt(
-                "--volume-ramp", type=float,
-                help="fractional request growth per day (default 0.02)",
-            ),
-            _SEED,
+            _opt("--seed", type=int),
         ),
     ),
     "topology-chaos": (
@@ -270,15 +148,6 @@ _BENCHES = {
                 help="store/workload seeds to run the matrix under "
                 "(default: 1)",
             ),
-            _opt(
-                "--kinds", nargs="+", choices=("split", "merge"),
-                help="reshard pipelines to walk (default: both)",
-            ),
-            _opt(
-                "--faults", nargs="+", choices=FAULTS,
-                help="fault kinds armed per step (default: all three)",
-            ),
-            _SCHEME,
         ),
     ),
     "bench-frontend": (
@@ -286,25 +155,6 @@ _BENCHES = {
         "sweep offered load past the saturation knee under the shed and "
         "queue overload policies; emit BENCH_frontend.json",
         (
-            _opt(
-                "--multipliers", type=float, nargs="+",
-                dest="load_multipliers",
-                help="offered-load multipliers of configured capacity "
-                "(must straddle 1.0)",
-            ),
-            _opt(
-                "--step-duration", type=float, dest="step_duration_s",
-                help="seconds per sweep step",
-            ),
-            _opt(
-                "--service-us", type=float,
-                help="stand-in backend service time per request in "
-                "microseconds (default 2500)",
-            ),
-            _opt(
-                "--users", type=int, dest="n_users",
-                help="simulated user population (default 1,000,000)",
-            ),
             _opt(
                 "--queue-policy", choices=("fifo", "drr"),
                 dest="queue_discipline",
@@ -315,7 +165,6 @@ _BENCHES = {
                 "--adaptive", action="store_true", default=None,
                 help="enable AIMD adaptive concurrency on the dispatcher pool",
             ),
-            _SEED,
         ),
     ),
     "bench-resilience": (
@@ -325,16 +174,10 @@ _BENCHES = {
         "seeded frontend-chaos matrix; emit BENCH_resilience.json",
         (
             _opt(
-                "--frontends", type=int, dest="n_frontends",
-                help="fleet size for the hedging/restart scenarios "
-                "(default 3)",
-            ),
-            _opt(
                 "--seeds", type=int, nargs="+", dest="chaos_seeds",
                 help="chaos-matrix seeds (default: one seed; nightly CI "
                 "sweeps several)",
             ),
-            _SEED,
         ),
     ),
 }
@@ -345,12 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Wave-Indices (SIGMOD 1997) reproduction toolkit",
-    )
-    # Distinct dest: a subcommand's own --seed (dest="seed") would
-    # otherwise overwrite this value with its default during parsing.
-    parser.add_argument(
-        "--seed", type=int, default=None, dest="seed_global",
-        help=f"seed for every seeded subcommand (default {DEFAULT_SEED})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -607,6 +444,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     last_day = args.days if args.days is not None else args.window + 6
     try:
         scheme = scheme_cls(args.window, args.indexes)
+        if last_day < args.window:
+            raise ValueError(
+                f"--days must be >= the window ({args.window}), got {last_day}"
+            )
     except TypeError:
         print(
             f"{scheme_cls.name} needs extra configuration (e.g. day sizes) "
@@ -615,8 +456,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         return 2
     except _INVALID as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+        return _invalid(exc)
     rows = trace_scheme(scheme, last_day)
     title = f"{scheme_cls.name} (W={args.window}, n={args.indexes})"
     print(format_trace(rows, title=title))
@@ -657,6 +497,8 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .casestudies.scam import measure_build_add_constants
 
+    if args.cluster_days < 1:
+        return _invalid(f"--cluster-days must be >= 1, got {args.cluster_days}")
     memory = args.memory_mb * 1_000_000 if args.memory_mb else None
     build, add, s_prime = measure_build_add_constants(
         args.scale_factor,
@@ -685,9 +527,10 @@ def _cmd_latency(args: argparse.Namespace) -> int:
     technique = UpdateTechnique(args.technique)
     try:
         scheme = scheme_cls(params.window, args.indexes)
+        if args.queries < 0:
+            raise ValueError(f"--queries must be >= 0, got {args.queries}")
     except _INVALID as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+        return _invalid(exc)
     reports = run_reports(scheme, params, technique, transitions=params.window)
     stats = simulate_query_latency(
         reports[-1],
@@ -717,6 +560,10 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
         return 2
     params = TABLE12[args.scenario]
     technique = UpdateTechnique(args.technique)
+    try:
+        scheme_cls(params.window, args.indexes)
+    except _INVALID as exc:
+        return _invalid(exc)
     elasticities = work_elasticities(
         lambda p: scheme_cls(p.window, args.indexes), params, technique
     )
@@ -756,8 +603,7 @@ def _cmd_crash_test(args: argparse.Namespace) -> int:
             include_rebalance=not args.no_rebalance,
         )
     except (ValueError, SchemeError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+        return _invalid(exc)
     if args.verbose:
         for scheme, cells in result.by_scheme().items():
             print(f"{scheme}:")
@@ -778,16 +624,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for name, value in vars(args).items()
         if value is not None and owner(defaults, name) is not None
     }
-    if args.seed_global is not None:
-        if owner(defaults, "seed") == "":
-            overrides.setdefault("seed", args.seed_global)
-        else:
-            overrides.setdefault("seeds", (args.seed_global,))
     try:
         report = spec.execute(quick=args.quick, **overrides)
     except _INVALID as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+        return _invalid(exc)
     path = write_report(report, args.out)
     print(spec.render_summary(report))
     print(f"\nwrote {path}")
@@ -836,8 +676,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tenant_rate=args.tenant_rate,
         )
     except _INVALID as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+        return _invalid(exc)
 
     async def _serve() -> int:
         print(
@@ -897,8 +736,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             **({} if args.seed is None else {"seed": args.seed}),
         )
     except (KeyError, FrontendError, WorkloadError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+        return _invalid(exc)
 
     async def _drive() -> int:
         if args.connect is not None:

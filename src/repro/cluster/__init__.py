@@ -57,7 +57,6 @@ from .sim import (
     ClusterDayStats,
     ClusterResult,
     ClusterSimulation,
-    SparePool,
     Turn,
     run_cluster_simulation,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "Shard",
     "ShardReplica",
     "SlotHashPartitioner",
-    "SparePool",
     "Split",
     "Turn",
     "copy_index_to",

@@ -77,11 +77,6 @@ class ElasticConfig:
         cooldown_days: Days to wait after an applied action before
             proposing another (bounds churn; actions already run one at
             a time regardless).
-        spare_budget_per_day: Optional cap on fresh spare devices
-            provisioned per day, shared between replica rebuilds and
-            resharding — the contention the self-heal interplay tests
-            pin down.  ``None`` (default) is unlimited, preserving the
-            PR 5 healing behaviour exactly.
     """
 
     autoscale: bool = True
@@ -90,7 +85,6 @@ class ElasticConfig:
     min_shards: int = 2
     max_shards: int = 8
     cooldown_days: int = 1
-    spare_budget_per_day: int | None = None
 
     def __post_init__(self) -> None:
         if self.split_load_factor <= 1.0:
@@ -114,14 +108,6 @@ class ElasticConfig:
         if self.cooldown_days < 0:
             raise ClusterError(
                 f"cooldown_days must be >= 0, got {self.cooldown_days}"
-            )
-        if (
-            self.spare_budget_per_day is not None
-            and self.spare_budget_per_day < 0
-        ):
-            raise ClusterError(
-                f"spare_budget_per_day must be >= 0, "
-                f"got {self.spare_budget_per_day}"
             )
 
 

@@ -80,6 +80,12 @@ from .rebalance import copy_index_to
 from .shard import BreakerState, ReplicaHealth, Shard, ShardReplica
 
 
+#: Escalation factor applied when a half-open probe fails (the breaker
+#: reopens with a longer cooldown), and the cap on the escalated cooldown.
+COOLDOWN_MULTIPLIER = 2.0
+MAX_COOLDOWN_S = 8.0
+
+
 @dataclass(frozen=True)
 class BreakerConfig:
     """Circuit-breaker tuning.
@@ -87,35 +93,23 @@ class BreakerConfig:
     Args:
         failure_threshold: Consecutive failures before the breaker opens.
         cooldown_s: Simulated seconds an open breaker refuses traffic
-            before allowing one half-open probe.
-        cooldown_multiplier: Escalation factor applied when a half-open
-            probe fails (the breaker reopens with a longer cooldown).
-        max_cooldown_s: Cap on the escalated cooldown.
+            before allowing one half-open probe; at most
+            :data:`MAX_COOLDOWN_S`, which a failed probe escalates it to
+            by :data:`COOLDOWN_MULTIPLIER`.
     """
 
     failure_threshold: int = 3
     cooldown_s: float = 0.5
-    cooldown_multiplier: float = 2.0
-    max_cooldown_s: float = 8.0
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ClusterError(
                 f"failure_threshold must be >= 1, got {self.failure_threshold}"
             )
-        if self.cooldown_s < 0.0:
+        if not 0.0 <= self.cooldown_s <= MAX_COOLDOWN_S:
             raise ClusterError(
-                f"cooldown_s must be >= 0, got {self.cooldown_s}"
-            )
-        if self.cooldown_multiplier < 1.0:
-            raise ClusterError(
-                f"cooldown_multiplier must be >= 1, "
-                f"got {self.cooldown_multiplier}"
-            )
-        if self.max_cooldown_s < self.cooldown_s:
-            raise ClusterError(
-                f"max_cooldown_s ({self.max_cooldown_s}) must be >= "
-                f"cooldown_s ({self.cooldown_s})"
+                f"cooldown_s must be in [0, {MAX_COOLDOWN_S}], "
+                f"got {self.cooldown_s}"
             )
 
 
@@ -205,8 +199,7 @@ class ReplicaHealthMonitor:
         if health.state is BreakerState.HALF_OPEN:
             # The probe failed: reopen with an escalated cooldown.
             health.cooldown_s = min(
-                health.cooldown_s * self.breaker.cooldown_multiplier,
-                self.breaker.max_cooldown_s,
+                health.cooldown_s * COOLDOWN_MULTIPLIER, MAX_COOLDOWN_S
             )
             self._open(health, now)
             return

@@ -441,52 +441,6 @@ def _blocked_until(
     return blocked, release
 
 
-class SparePool:
-    """Per-day budgeted provisioning of spare devices.
-
-    Replica rebuilds (:meth:`ClusterSimulation._healing_steps`) and the
-    elastic engine draw spares from one pool, so a
-    ``spare_budget_per_day`` makes their competition explicit and
-    deterministic: the engine runs at the start of the day but *defers*
-    whenever a shard is under-replicated, so on a contended day the
-    rebuild takes the spare and the topology change retries the next
-    day.  ``acquire`` is all-or-nothing — a split needing ``2r`` devices
-    either gets them all or leaves the budget untouched.
-
-    With no budget (the default) acquisition always succeeds and the
-    pool is a pass-through over the simulation's spare factory,
-    preserving its behaviour (and spare ordinals) exactly.
-    """
-
-    def __init__(
-        self,
-        make: Callable[[int], SimulatedDisk],
-        *,
-        budget_per_day: int | None = None,
-    ) -> None:
-        self._make = make
-        self.budget_per_day = budget_per_day
-        self._used_today = 0
-        self.denied = 0
-
-    def new_day(self) -> None:
-        """Reset the day's budget."""
-        self._used_today = 0
-
-    def acquire(self, n: int = 1) -> list[SimulatedDisk] | None:
-        """Provision ``n`` fresh devices, or ``None`` if over budget."""
-        if n < 1:
-            raise ClusterError(f"must acquire >= 1 spare, got {n}")
-        if (
-            self.budget_per_day is not None
-            and self._used_today + n > self.budget_per_day
-        ):
-            self.denied += 1
-            return None
-        self._used_today += n
-        return [self._make(offset) for offset in range(n)]
-
-
 class ClusterSimulation:
     """Day-by-day run of one scheme per shard over a partitioned store.
 
@@ -535,14 +489,6 @@ class ClusterSimulation:
         )
         self._clock_base = 0.0
         self._spares_created = 0
-        self.spares = SparePool(
-            self._make_spare,
-            budget_per_day=(
-                cfg.elastic.spare_budget_per_day
-                if cfg.elastic is not None
-                else None
-            ),
-        )
         self._autoscaler: Autoscaler | None = (
             Autoscaler(cfg.elastic)
             if cfg.elastic is not None and cfg.elastic.autoscale
@@ -565,7 +511,7 @@ class ClusterSimulation:
         #: :attr:`staged`, the runner of every journaled staged change.
         self.changes: list[Split | Merge | Retune] = []
         self.staged = StagedChangeRunner(
-            spares=self.spares,
+            make_spare=self._make_spare,
             array=self.array,
             obs=self.obs,
             monitor=self._monitor,
@@ -767,11 +713,11 @@ class ClusterSimulation:
         drawn, so a committed one hands the day loop an already-caught-up
         cluster, and at most one stages a day: the head.  While any shard
         is under-replicated the head waits — healing outranks staged
-        changes for spares, the deterministic contention rule.  A change
-        its ``validate()`` refuses before its journal opens costs nothing:
-        it is dropped and the next head tried the same day.  One that
-        aborts after (``no-spare``, a fault at a step) stays at the head
-        and is retried tomorrow.  Each refusal or abort is counted in its
+        changes, the deterministic contention rule.  A change its
+        ``validate()`` refuses before its journal opens costs nothing: it
+        is dropped and the next head tried the same day.  One that aborts
+        after (a fault at a step) stays at the head and is retried
+        tomorrow.  Each refusal or abort is counted in its
         kind's aborts, with its reason.
         """
         if not self.changes or day <= self.window:
@@ -878,14 +824,8 @@ class ClusterSimulation:
             if donor is None or len(shard.alive_replicas()) >= self.config.replication:
                 continue
             provisioned = provision_spares(
-                self.spares, self.array, self.config.devices_per_replica
+                self._make_spare, self.array, self.config.devices_per_replica
             )
-            if provisioned is None:
-                # Spare budget spent (e.g. by a same-day topology change
-                # that outran a kill landing later in the day): the
-                # shard stays under-replicated and retries tomorrow.
-                self.obs.counter("cluster.heal.rebuilds_deferred").inc()
-                continue
             device_index = provisioned[0][0]
             span = DiskArray([device for _, device in provisioned])
             # A retuned donor clones under its *own* design: the rebuilt
@@ -1113,12 +1053,12 @@ class ClusterSimulation:
         """Run the cluster's maintenance step for ``day``, yielding its
         boundaries; return the :class:`Turn`.
 
-        In order: the day's spare budget resets, the head of the change
-        queue runs (unless healing, which outranks it for spares, is
-        due), then every shard draws its plan — the start build on the
-        first turn, the day's transition after — and healing and
-        maintenance run with the day posted once for the cluster.  The
-        step reads no query workload and no serving state, so
+        In order: the head of the change queue runs (unless healing,
+        which outranks it, is due), then every shard draws its plan —
+        the start build on the first turn, the day's transition after —
+        and healing and maintenance run with the day posted once for
+        the cluster.  The step reads no query workload and no serving
+        state, so
         ``run_transition(day)`` with ``queries=None`` is exactly this
         plus the day's bookkeeping.  The boundaries come in that order:
         the staged changes' steps (with their catch-ups' ops), then each
@@ -1137,7 +1077,6 @@ class ClusterSimulation:
 
         if self._monitor is not None:
             self._monitor.now = self._clock_base
-        self.spares.new_day()
         # Staged changes run first: snapshots, plans, and serving all
         # see the post-swap cluster (new replicas arrive caught up).
         changed = yield from self._change_steps(day)

@@ -96,7 +96,7 @@ class ChangeAborted(ClusterError):
     ``kind`` names the pipeline (``"split"``, ``"merge"``, ``"retune"``,
     ``"rebuild"``) and ``reason`` why it stopped — ``"crash"``,
     ``"space"``, ``"device-failure"``, ``"flaky"`` from
-    :func:`abort_reason`, ``"no-spare"`` from provisioning, or a kind's
+    :func:`abort_reason`, or a kind's
     own refusal (``"shard-gone"``, ``"fixed-partitioner"``,
     ``"partitioner-refused"``, ``"designs-differ"``, ``"dark-source"``,
     ``"no-split-key"``, ``"replica-gone"``) — so day stats can say why.  ``journaled`` says
@@ -284,17 +284,12 @@ def discard_partial(wave: WaveIndex) -> None:
 
 
 def provision_spares(
-    spares, array, n: int
-) -> list[tuple[int, SimulatedDisk]] | None:
-    """Acquire ``n`` fresh devices and add them to ``array``.
-
-    All or nothing: ``None`` (and nothing provisioned) when the spare
-    pool's budget cannot cover ``n``; otherwise ``(device_index, device)``
-    pairs in acquisition order.
-    """
-    devices = spares.acquire(n)
-    if devices is None:
-        return None
+    make_spare: Callable[[int], SimulatedDisk], array, n: int
+) -> list[tuple[int, SimulatedDisk]]:
+    """Make ``n`` fresh devices (``make_spare(offset)``, all before the
+    first is added) and add them to ``array``; return ``(device_index,
+    device)`` pairs in that order."""
+    devices = [make_spare(offset) for offset in range(n)]
     return [(array.add_device(device), device) for device in devices]
 
 
@@ -392,7 +387,7 @@ class StagedChangeRunner:
     A change (a *kind*) says only what differs between kinds:
 
     * ``kind`` (a :class:`ChangeJournal` kind), ``counters`` (its counter
-      prefix — ``.aborted``, ``.no_spare``, ``.crash_recoveries`` and
+      prefix — ``.aborted``, ``.crash_recoveries`` and
       ``.devices_drained`` under it are the runner's) and ``str(change)``
       for abort messages;
     * ``validate()`` — resolve what is being changed or refuse with
@@ -419,15 +414,16 @@ class StagedChangeRunner:
     every journal is also kept on :attr:`journals`.
 
     Args:
-        spares: The cluster's spare pool (``acquire(n)``).
+        make_spare: Makes the ``offset``-th fresh device of one
+            acquisition (:func:`provision_spares`).
         array: The cluster's :class:`~repro.storage.array.DiskArray`.
         obs: Metrics registry for the ``{kind.counters}.*`` counters.
         monitor: The self-healing monitor (retry policy + retry notes),
             or ``None`` when self-healing is off.
     """
 
-    def __init__(self, *, spares, array, obs, monitor=None) -> None:
-        self.spares = spares
+    def __init__(self, *, make_spare, array, obs, monitor=None) -> None:
+        self.make_spare = make_spare
         self.array = array
         self.obs = obs
         self.monitor = monitor
@@ -478,20 +474,9 @@ class StagedChangeRunner:
         try:
             try:
                 yield step("plan")
-                provisioned = provision_spares(
-                    self.spares, self.array, change.n_targets
+                targets = provision_spares(
+                    self.make_spare, self.array, change.n_targets
                 )
-                if provisioned is None:
-                    self._advance(journal, ChangePhase.ABORTED)
-                    self.obs.counter(f"{counters}.no_spare").inc()
-                    raise ChangeAborted(
-                        f"spare budget exhausted: {change.kind} needs "
-                        f"{change.n_targets} device(s)",
-                        kind=change.kind,
-                        reason="no-spare",
-                        journaled=True,
-                    )
-                targets = provisioned
                 journal.target_devices = [i for i, _ in targets]
                 source_before = sum(d.clock for d in sources)
                 clock_before = {i: d.clock for i, d in targets}

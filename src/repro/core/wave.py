@@ -111,24 +111,6 @@ class WaveIndex:
             raise WaveIndexError(f"no index bound to {name!r}") from None
 
     # ------------------------------------------------------------------
-    # Fault availability (degraded windows)
-    # ------------------------------------------------------------------
-
-    def mark_offline(self, name: str) -> None:
-        """Declare a constituent unavailable (its device failed)."""
-        if name not in self._constituent_set:
-            raise WaveIndexError(f"{name!r} is not a constituent")
-        self.offline.add(name)
-
-    def mark_online(self, name: str) -> None:
-        """Bring a constituent back into service (after repair/rebuild)."""
-        self.offline.discard(name)
-
-    def is_offline(self, name: str) -> bool:
-        """Return ``True`` if ``name`` is currently marked offline."""
-        return name in self.offline
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 

@@ -112,11 +112,6 @@ class Tracer:
             if len(self.spans) > self._max_spans:
                 del self.spans[: len(self.spans) - self._max_spans]
 
-    @property
-    def active_depth(self) -> int:
-        """Return how many spans are currently open."""
-        return len(self._stack)
-
     def phase_seconds(self) -> dict[str, float]:
         """Return exclusive simulated seconds aggregated by span name."""
         totals: dict[str, float] = {}

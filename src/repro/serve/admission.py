@@ -5,7 +5,7 @@ The pipeline every query passes through, in order:
 1. **Drain gate** — a draining server admits nothing new
    (``draining``); work already admitted still completes.
 2. **Per-tenant token bucket** — each tenant refills at
-   ``tenant_rate`` tokens/s up to ``tenant_burst``; an empty bucket
+   ``tenant_rate`` tokens/s up to :data:`TENANT_BURST`; an empty bucket
    rejects with ``rate-limit`` before the request costs anything.
 3. **Bounded request queue** — at most ``max_queue_depth`` requests
    wait.  When the queue is full the configured overload policy
@@ -70,6 +70,10 @@ CODE_RATE_LIMIT = "rate-limit"
 CODE_DEADLINE = "deadline-expired"
 CODE_DRAINING = "draining"
 
+#: Tokens a tenant's bucket holds when full: the burst it may send at
+#: once before ``tenant_rate`` paces it.
+TENANT_BURST = 50.0
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
@@ -87,7 +91,6 @@ class AdmissionConfig:
     #: Per-tenant refill rate in requests/s; ``None`` disables the
     #: token buckets entirely (every tenant is unlimited).
     tenant_rate: float | None = None
-    tenant_burst: float = 50.0
     #: How long :meth:`AdmissionController.drain` waits for queued and
     #: in-flight work before abandoning it.
     drain_timeout_s: float = 10.0
@@ -135,10 +138,6 @@ class AdmissionConfig:
             raise FrontendError(
                 f"tenant_rate must be > 0, got {self.tenant_rate}"
             )
-        if self.tenant_burst < 1:
-            raise FrontendError(
-                f"tenant_burst must be >= 1, got {self.tenant_burst}"
-            )
 
 
 class TokenBucket:
@@ -172,13 +171,6 @@ class TokenBucket:
             self.tokens -= n
             return True
         return False
-
-    def seconds_until(self, n: float = 1.0, *, now: float) -> float:
-        """Return how long until ``n`` tokens will be available."""
-        self._refill(now)
-        if self.tokens >= n:
-            return 0.0
-        return (n - self.tokens) / self.rate
 
 
 @dataclass
@@ -453,7 +445,7 @@ class AdmissionController:
         bucket = self._buckets.get(tenant)
         if bucket is None:
             bucket = self._buckets[tenant] = TokenBucket(
-                rate, self.config.tenant_burst, now=now
+                rate, TENANT_BURST, now=now
             )
         return bucket.try_take(now)
 

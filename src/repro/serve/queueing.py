@@ -160,10 +160,6 @@ class DrrRequestQueue:
     def qsize(self) -> int:
         return self._size
 
-    def tenant_backlogs(self) -> dict[str, int]:
-        """Return queued requests per tenant (observability hook)."""
-        return {t: len(q) for t, q in self._queues.items() if q}
-
     def _weight(self, tenant: str) -> float:
         return self.weights.get(tenant, 1.0)
 

@@ -55,6 +55,16 @@ from .admission import CODE_DEADLINE, CODE_DRAINING
 #: Rejection codes worth re-issuing on another frontend.
 RETRYABLE_CODES = frozenset({CODE_DRAINING, "backend-error"})
 
+#: The latency quantile the hedge delay tracks, once this many latencies
+#: have been observed, clamped above at ``HEDGE_MAX_S``.
+HEDGE_QUANTILE = 0.95
+HEDGE_MIN_SAMPLES = 20
+HEDGE_MAX_S = 1.0
+
+#: How long a replica whose transport just tore is passed over
+#: (outlier ejection).
+PENALTY_S = 0.5
+
 
 def _now() -> float:
     return asyncio.get_running_loop().time()
@@ -164,29 +174,22 @@ class ResilientClientConfig:
         max_attempts: Total tries per logical request (primary
             included); 1 disables retries.
         hedge: Issue hedged requests (needs >= 2 replicas).
-        hedge_quantile: Latency quantile the hedge delay tracks.
-        hedge_min_s / hedge_max_s: Clamp on the tracked hedge delay.
-        hedge_initial_s: Delay used until ``hedge_min_samples``
+        hedge_min_s: Floor of the tracked hedge delay (its ceiling is
+            :data:`HEDGE_MAX_S`).
+        hedge_initial_s: Delay used until :data:`HEDGE_MIN_SAMPLES`
             latencies have been observed.
-        hedge_min_samples: Observations required before the tracked
-            quantile drives the delay.
         backoff_base_s: First retry backoff; doubles per retry.
         backoff_cap_s: Backoff ceiling.
-        penalty_s: Outlier-ejection cooldown after a transport error.
         budget: Retry-budget knobs (hedges and retries share it).
         seed: Jitter RNG seed (deterministic benches).
     """
 
     max_attempts: int = 3
     hedge: bool = True
-    hedge_quantile: float = 0.95
     hedge_min_s: float = 0.001
-    hedge_max_s: float = 1.0
     hedge_initial_s: float = 0.05
-    hedge_min_samples: int = 20
     backoff_base_s: float = 0.005
     backoff_cap_s: float = 0.25
-    penalty_s: float = 0.5
     budget: RetryBudgetConfig = field(default_factory=RetryBudgetConfig)
     seed: int = 0
 
@@ -195,23 +198,15 @@ class ResilientClientConfig:
             raise FrontendError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if not 0.0 < self.hedge_quantile < 1.0:
+        if not 0.0 <= self.hedge_min_s <= HEDGE_MAX_S:
             raise FrontendError(
-                f"hedge_quantile must be in (0, 1), got {self.hedge_quantile}"
-            )
-        if self.hedge_min_s < 0 or self.hedge_max_s < self.hedge_min_s:
-            raise FrontendError(
-                "hedge delay clamp must satisfy 0 <= min <= max, got "
-                f"[{self.hedge_min_s}, {self.hedge_max_s}]"
+                f"hedge_min_s must be in [0, {HEDGE_MAX_S}], "
+                f"got {self.hedge_min_s}"
             )
         if self.backoff_base_s < 0 or self.backoff_cap_s < self.backoff_base_s:
             raise FrontendError(
                 "backoff must satisfy 0 <= base <= cap, got "
                 f"[{self.backoff_base_s}, {self.backoff_cap_s}]"
-            )
-        if self.penalty_s < 0:
-            raise FrontendError(
-                f"penalty_s must be >= 0, got {self.penalty_s}"
             )
 
 
@@ -287,12 +282,10 @@ class ResilientClient:
 
     def hedge_delay_s(self) -> float:
         """Return the current hedge delay (tracked p-quantile, clamped)."""
-        if self._latency.count < self.config.hedge_min_samples:
+        if self._latency.count < HEDGE_MIN_SAMPLES:
             return self.config.hedge_initial_s
-        tracked = self._latency.quantile(self.config.hedge_quantile)
-        return min(
-            self.config.hedge_max_s, max(self.config.hedge_min_s, tracked)
-        )
+        tracked = self._latency.quantile(HEDGE_QUANTILE)
+        return min(HEDGE_MAX_S, max(self.config.hedge_min_s, tracked))
 
     # ------------------------------------------------------------------
     # Attempt machinery
@@ -319,7 +312,7 @@ class ResilientClient:
         return fallback
 
     def _penalize(self, idx: int) -> None:
-        self._penalty_until[idx] = _now() + self.config.penalty_s
+        self._penalty_until[idx] = _now() + PENALTY_S
 
     async def _issue(
         self,

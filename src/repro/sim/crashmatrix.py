@@ -414,6 +414,8 @@ def run_crash_matrix(
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
+    if io_crash_samples < 0:
+        raise ValueError(f"io_crash_samples must be >= 0, got {io_crash_samples}")
     names = tuple(scheme_names) if scheme_names else DEFAULT_SCHEMES
     result = CrashMatrixResult(window=window, n_indexes=n_indexes, seed=seed)
     max_last_day = window * (cycles + 1)

@@ -80,27 +80,6 @@ class SimulationResult:
             return 0.0
         return sum(d.seconds.transition for d in days) / len(days)
 
-    def avg_precompute_seconds(self, warmup: int = 0) -> float:
-        """Return the mean pre-computation time over steady days (0.0 if none)."""
-        days = self.steady_days(warmup)
-        if not days:
-            return 0.0
-        return sum(d.seconds.precomputation for d in days) / len(days)
-
-    def avg_total_work_seconds(self, warmup: int = 0) -> float:
-        """Return the mean daily total work over steady days (0.0 if none)."""
-        days = self.steady_days(warmup)
-        if not days:
-            return 0.0
-        return sum(d.total_work_seconds for d in days) / len(days)
-
-    def avg_peak_bytes(self, warmup: int = 0) -> float:
-        """Return the mean per-day space peak over steady days (0.0 if none)."""
-        days = self.steady_days(warmup)
-        if not days:
-            return 0.0
-        return sum(d.peak_bytes for d in days) / len(days)
-
     def max_peak_bytes(self) -> int:
         """Return the worst space peak over the whole run (0 if empty)."""
         return max((d.peak_bytes for d in self.days), default=0)

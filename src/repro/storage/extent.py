@@ -59,10 +59,6 @@ class Extent:
             return False
         return self.offset < other.end and other.offset < self.end
 
-    def adjacent_to(self, other: "Extent") -> bool:
-        """Return ``True`` if the two extents touch without overlapping."""
-        return self.end == other.offset or other.end == self.offset
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "live" if self.live else "freed"
         return (

@@ -150,10 +150,6 @@ class PageCache:
         """Return the cache capacity in bytes (whole pages)."""
         return self.capacity_pages * self.page_size
 
-    def is_resident(self, extent: Extent, page_index: int) -> bool:
-        """Return ``True`` if the given page of ``extent`` is cached."""
-        return (extent.extent_id, page_index) in self._pages
-
     def snapshot(self) -> PageCacheSnapshot:
         """Return an immutable copy of the current counters."""
         return PageCacheSnapshot(

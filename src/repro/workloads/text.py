@@ -18,6 +18,9 @@ from ..core.records import DayBatch, Record, RecordStore
 from ..errors import WorkloadError
 from .zipf import ZipfSampler
 
+#: Raw record size of one document, charged when scanning source data.
+BYTES_PER_DOC = 2_000
+
 
 @dataclass(frozen=True)
 class TextWorkloadConfig:
@@ -29,7 +32,6 @@ class TextWorkloadConfig:
             Zipf collisions will be fewer, as in real text).
         vocabulary: Lexicon size.
         zipf_s: Zipf exponent of the lexicon.
-        bytes_per_doc: Raw record size charged when scanning source data.
         seed: Master seed; each day derives its own sub-seed so batches are
             reproducible individually.
     """
@@ -38,7 +40,6 @@ class TextWorkloadConfig:
     words_per_doc: int = 40
     vocabulary: int = 5_000
     zipf_s: float = 1.0
-    bytes_per_doc: int = 2_000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -46,8 +47,6 @@ class TextWorkloadConfig:
             raise WorkloadError("docs_per_day must be >= 0")
         if self.words_per_doc < 1:
             raise WorkloadError("words_per_doc must be >= 1")
-        if self.bytes_per_doc < 0:
-            raise WorkloadError("bytes_per_doc must be >= 0")
         if self.vocabulary < 1:
             raise WorkloadError("vocabulary must be >= 1")
         if self.zipf_s < 0:
@@ -124,7 +123,7 @@ class NetnewsGenerator:
                     record_id=self._next_record_id,
                     day=day,
                     values=words,
-                    nbytes=cfg.bytes_per_doc,
+                    nbytes=BYTES_PER_DOC,
                 )
             )
             self._next_record_id += 1

@@ -23,6 +23,8 @@ from ..errors import WorkloadError
 
 #: TPC-D scale-factor-1 supplier population.
 DEFAULT_SUPPLIERS = 10_000
+#: CUSTKEY domain size for ORDERS.
+CUSTOMERS = 15_000
 
 _RETURN_FLAGS = ("R", "A", "N")
 _LINE_STATUSES = ("O", "F")
@@ -68,20 +70,18 @@ class TpcdConfig:
     Attributes:
         rows_per_day: LINEITEM rows arriving per day.
         suppliers: SUPPKEY domain size (uniform distribution over it).
-        customers: CUSTKEY domain size for ORDERS.
         seed: Master seed.
     """
 
     rows_per_day: int = 1_000
     suppliers: int = DEFAULT_SUPPLIERS
-    customers: int = 15_000
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.rows_per_day < 0:
             raise WorkloadError("rows_per_day must be >= 0")
-        if self.suppliers < 1 or self.customers < 1:
-            raise WorkloadError("domains must be >= 1")
+        if self.suppliers < 1:
+            raise WorkloadError("suppliers must be >= 1")
 
 
 class TpcdGenerator:
@@ -132,7 +132,7 @@ class TpcdGenerator:
             orders.append(
                 Order(
                     orderkey=orderkey,
-                    custkey=rng.randint(1, cfg.customers),
+                    custkey=rng.randint(1, CUSTOMERS),
                     orderdate=day,
                     totalprice=round(total, 2),
                     orderpriority=rng.choice(_PRIORITIES),

@@ -29,13 +29,12 @@ def _advisor(**overrides) -> AdvisorConfig:
         observe_days=1,
         cooldown_days=30,
         amortization_days=30,
-        hysteresis=0.05,
     )
     base.update(overrides)
     return AdvisorConfig(**base)
 
 
-def _run(advisor, *, elastic=None, replication=1, last=LAST):
+def _run(advisor, *, replication=1, last=LAST):
     # Probe-heavy traffic against a DEL/6 start: the model wants fewer
     # constituents, so the advisor must retune.
     scheme_cls = scheme_by_name("DEL")
@@ -48,7 +47,6 @@ def _run(advisor, *, elastic=None, replication=1, last=LAST):
             replication=replication,
             maintenance="lockstep",
             advisor=advisor,
-            elastic=elastic,
         ),
     )
     sim.run(last)
@@ -108,26 +106,6 @@ class TestRetuneExecution:
 
     def test_advisor_answers_match_the_static_twin(self):
         assert _answers(_run(_advisor())) == _answers(_run(None))
-
-
-class TestSpareContention:
-    def test_no_spare_aborts_and_requeues(self):
-        elastic = ElasticConfig(
-            autoscale=False, min_shards=1, spare_budget_per_day=0
-        )
-        sim = _run(_advisor(), elastic=elastic)
-        assert sum(d.retunes for d in sim.result.days) == 0
-        assert sum(d.retunes_aborted for d in sim.result.days) >= 1
-        assert sim.obs.counter("cluster.advisor.no_spare").value >= 1
-        # The decision stayed queued rather than being dropped.
-        assert [c.kind for c in sim.changes] == ["retune"]
-
-    def test_one_spare_per_day_limits_throughput_not_outcome(self):
-        elastic = ElasticConfig(
-            autoscale=False, min_shards=1, spare_budget_per_day=1
-        )
-        sim = _run(_advisor(), elastic=elastic, replication=1)
-        assert sum(d.retunes for d in sim.result.days) == 1
 
 
 class TestBudget:

@@ -127,7 +127,6 @@ class TestDivergentBitIdentity:
                 observe_days=1,
                 cooldown_days=30,
                 amortization_days=30,
-                hysteresis=0.05,
                 divergent=True,
             )
         )
@@ -143,7 +142,6 @@ class TestDivergentBitIdentity:
                 observe_days=1,
                 cooldown_days=30,
                 amortization_days=30,
-                hysteresis=0.05,
                 divergent=True,
             )
         )

@@ -109,7 +109,6 @@ def _advised(n_shards, range_splits, *, observe_days=3, scans=0):
                 observe_days=observe_days,
                 cooldown_days=30,
                 amortization_days=30,
-                hysteresis=0.05,
             ),
             elastic=ElasticConfig(autoscale=False, min_shards=1),
         ),

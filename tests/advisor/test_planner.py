@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.advisor import AdvisorConfig, CostModelPlanner, Design
+from repro.advisor.config import HYSTERESIS
 from repro.advisor.observer import ShardObservation
 from repro.analysis.parameters import SCAM_PARAMETERS
 
@@ -114,7 +115,7 @@ class TestDecide:
         # Heavy probing makes DEL/6 a bad incumbent under the SCAM
         # constants; the planner must move, and only to a challenger
         # whose charged cost clears the hysteresis margin.
-        planner = _planner(hysteresis=0.05, amortization_days=30)
+        planner = _planner(amortization_days=30)
         decision = planner.decide(
             _Replica(), 9, self.CURRENT, _obs(probes=500.0, scans=0.0)
         )
@@ -122,12 +123,11 @@ class TestDecide:
         assert decision.target != self.CURRENT
         assert decision.switch_charge_s > 0.0
         assert decision.predicted_target_s < (
-            decision.predicted_current_s * (1.0 - planner.config.hysteresis)
+            decision.predicted_current_s * (1.0 - HYSTERESIS)
         )
 
     def test_cooldown_blocks_back_to_back_retunes(self):
-        planner = _planner(hysteresis=0.05, amortization_days=30,
-                           cooldown_days=3)
+        planner = _planner(amortization_days=30, cooldown_days=3)
         heavy = _obs(probes=500.0, scans=0.0)
         replica = _Replica()
         assert planner.decide(replica, 9, self.CURRENT, heavy) is not None
@@ -135,8 +135,7 @@ class TestDecide:
         assert planner.decide(replica, 12, self.CURRENT, heavy) is not None
 
     def test_cooldown_follows_the_replica_not_its_ids(self):
-        planner = _planner(hysteresis=0.05, amortization_days=30,
-                           cooldown_days=3)
+        planner = _planner(amortization_days=30, cooldown_days=3)
         heavy = _obs(probes=500.0, scans=0.0)
         retuned = _Replica(1, 0)
         assert planner.decide(retuned, 9, self.CURRENT, heavy) is not None
@@ -149,20 +148,9 @@ class TestDecide:
         assert decision is not None
         assert (decision.shard_id, decision.replica_id) == (1, 0)
 
-    def test_total_hysteresis_never_switches(self):
-        planner = _planner(hysteresis=0.99)
-        heavy = _obs(probes=500.0, scans=0.0)
-        assert planner.decide(_Replica(), 9, self.CURRENT, heavy) is None
-
-    def test_hysteresis_bounds_are_enforced(self):
-        from repro.errors import ClusterError
-
-        with pytest.raises(ClusterError):
-            AdvisorConfig(hysteresis=1.0)
-
     def test_incumbent_already_best_holds(self):
-        planner = _planner(hysteresis=0.05)
-        probe_best = _planner(hysteresis=0.05, amortization_days=30).decide(
+        planner = _planner()
+        probe_best = _planner(amortization_days=30).decide(
             _Replica(), 9, self.CURRENT, _obs(probes=500.0, scans=0.0)
         )
         assert probe_best is not None

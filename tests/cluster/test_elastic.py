@@ -21,7 +21,7 @@ from repro.cluster import (
     reshard_change,
 )
 from repro.cluster.partitioner import SlotHashPartitioner
-from repro.core.boundary import drive
+from repro.core.boundary import drive, fault_at
 from repro.core.records import Record, RecordStore
 from repro.core.schemes import scheme_by_name
 from repro.core.staged import ChangeAborted
@@ -203,25 +203,6 @@ class TestMergeUnderTraffic:
 
 
 class TestAbortReasons:
-    def test_no_spare_budget_aborts_and_retries(self):
-        store = int_store(WINDOW + 2)
-        sim = make_sim(
-            store,
-            elastic=ElasticConfig(
-                autoscale=False, spare_budget_per_day=0
-            ),
-        )
-        run_to(sim, WINDOW + 1)
-        sim.request_split(1)
-        sim.run_transition(WINDOW + 2)
-        stats = sim.result.days[-1]
-        assert stats.reshards_aborted == 1
-        assert stats.n_shards == 3
-        # Aborted after its journal opened: still at the head.
-        assert [c.kind for c in sim.changes] == ["split"]
-        assert sim.staged.journals[-1].phase == "aborted"
-        assert sim.obs.counters()["cluster.elastic.no_spare"] == 1
-
     def test_dark_source_aborts(self):
         store = int_store(WINDOW + 1)
         sim = make_sim(store, elastic=ElasticConfig(autoscale=False))
@@ -241,16 +222,11 @@ class TestAbortReasons:
         # The day-stats `reshard_deferred` field carries the abort
         # reason, so operators can see *why* a queued change is waiting.
         store = int_store(WINDOW + 2)
-        sim = make_sim(
-            store,
-            elastic=ElasticConfig(
-                autoscale=False, spare_budget_per_day=0
-            ),
-        )
+        sim = make_sim(store, elastic=ElasticConfig(autoscale=False))
         run_to(sim, WINDOW + 1)
         sim.request_split(1)
-        sim.run_transition(WINDOW + 2)
-        assert sim.result.days[-1].reshard_deferred == "no-spare"
+        drive(sim.day_steps(WINDOW + 2), fault_at("split", 0))
+        assert sim.result.days[-1].reshard_deferred == "crash"
 
 
 class TestQueueRule:

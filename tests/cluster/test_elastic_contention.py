@@ -1,10 +1,9 @@
-"""Self-healing vs. elastic resharding: who gets the spares.
+"""Self-healing vs. elastic resharding: who goes first.
 
-Replica rebuilds and topology changes provision devices from one
-:class:`~repro.cluster.sim.SparePool`.  The contention rule is
-deterministic: the elastic engine runs first each day but *defers*
-whenever any shard is under-replicated, so on a contended day the
-rebuild takes the spare and the topology change retries the next day —
+Replica rebuilds and topology changes both provision fresh devices.  The
+contention rule is deterministic: the elastic engine runs first each day
+but *defers* whenever any shard is under-replicated, so on a contended
+day the rebuild runs and the topology change retries the next day —
 redundancy outranks rebalancing.
 """
 
@@ -111,52 +110,3 @@ class TestHealerWins:
         stats = sim.run_transition(WINDOW + 2)
         assert stats.reshards == 1
         assert stats.reshard_deferred is None
-
-
-class TestSpareBudget:
-    def test_budget_denial_defers_the_second_rebuild(self):
-        sim = make_sim(
-            int_store(WINDOW + 3),
-            elastic=ElasticConfig(
-                autoscale=False, spare_budget_per_day=1
-            ),
-        )
-        run_to(sim, WINDOW + 1)
-        # Two shards lose a replica on the same day; the budget covers
-        # one spare, so one rebuild runs and the other is deferred.
-        sim.shards[0].replicas[1].failed = True
-        sim.shards[2].replicas[1].failed = True
-        stats = sim.run_transition(WINDOW + 2)
-        assert stats.rebuilds == 1
-        counters = sim.obs.counters()
-        assert counters["cluster.heal.rebuilds_deferred"] == 1
-        # The fresh budget covers the remaining shard the next day.
-        follow = sim.run_transition(WINDOW + 3)
-        assert follow.rebuilds == 1
-        assert all(
-            len(shard.alive_replicas()) == 2 for shard in sim.shards
-        )
-
-    def test_split_budget_is_all_or_nothing(self):
-        # A split needs 2 x replication devices; a budget of one below
-        # that denies the whole acquisition and leaves the day's budget
-        # for the healer instead of stranding a half-provisioned change.
-        sim = make_sim(
-            int_store(WINDOW + 3),
-            elastic=ElasticConfig(
-                autoscale=False, spare_budget_per_day=3
-            ),
-        )
-        run_to(sim, WINDOW + 1)
-        sim.shards[1].replicas[1].failed = True
-        sim.request_split(0)
-        stats = sim.run_transition(WINDOW + 2)
-        # Deferred for under-replication first; once healed the next
-        # day, 4 spares are needed but only 3 remain — clean abort.
-        assert stats.reshard_deferred == "under-replicated"
-        assert stats.rebuilds == 1
-        follow = sim.run_transition(WINDOW + 3)
-        assert follow.reshards_aborted == 1
-        assert follow.reshard_deferred == "no-spare"
-        assert follow.n_shards == 3
-        assert sim.obs.counters()["cluster.elastic.no_spare"] == 1

@@ -58,8 +58,6 @@ def _monitor(**breaker_kwargs):
     breaker = BreakerConfig(
         failure_threshold=3,
         cooldown_s=1.0,
-        cooldown_multiplier=2.0,
-        max_cooldown_s=4.0,
         **breaker_kwargs,
     )
     return ReplicaHealthMonitor(SelfHealConfig(breaker=breaker))
@@ -127,7 +125,7 @@ class TestBreakerStateMachine:
         shard = _FakeShard([replica])
         for _ in range(3):
             monitor.on_transient(replica, now=0.0)
-        for expected in (2.0, 4.0, 4.0):  # doubled, then capped
+        for expected in (2.0, 4.0, 8.0, 8.0):  # doubled, then capped
             monitor.serving_replica(shard, now=100.0)
             monitor.on_transient(replica, now=100.0)
             health = replica.health

@@ -121,7 +121,7 @@ def _arm(sim, fault):
     elif fault == "transient":
         replicas[0].device.injector.transient_read_rate = 0.9
     elif fault == "stale":
-        replicas[0].wave.mark_offline(STALE)
+        replicas[0].wave.offline.add(STALE)
 
 
 def _state(sim, missing, failovers):
@@ -208,7 +208,7 @@ def test_a_stale_offline_mark_never_retires_a_healthy_replica():
     sim = _build(2, False)
     sim.run(LAST)
     primary = sim.shards[0].replicas[0]
-    primary.wave.mark_offline(STALE)
+    primary.wave.offline.add(STALE)
     probes, scan = _window_answers(sim)
     assert not probes.summary.missing_days
     assert not scan.missing_days
@@ -243,7 +243,7 @@ def test_the_day_loop_fails_over_to_a_full_copy_instead_of_degrading():
 
     def stale_at_serving(boundary):
         if boundary.kind == "serve":
-            primary.wave.mark_offline(STALE)
+            primary.wave.offline.add(STALE)
 
     stats = drive(sim.day_steps(LAST), stale_at_serving)
     assert stats.missing_days == frozenset()

@@ -92,7 +92,6 @@ def _make_sim(
                 observe_days=1,
                 cooldown_days=2,
                 amortization_days=30,
-                hysteresis=0.05,
             )
             if staged
             else None,
@@ -321,6 +320,9 @@ class TestFaultMatrix:
             assert world.aborts[0].__cause__ is not None
             assert world.applied() == 0 and world.aborted_today() == 1
             assert journal.phase == "aborted" and not journal.committed
+            # Aborted after staging: it stays at the head of the queue
+            # and is retried the next day (world.finish() below).
+            assert sim.changes[0].kind == kind
             assert world.serving() == before
             for index in journal.target_devices:
                 device = sim.array.devices[index]

@@ -137,7 +137,7 @@ class TestScanMany:
 
 class TestDegradedBatches:
     def test_default_refuses_offline_constituent(self, wave):
-        wave.mark_offline("I1")
+        wave.offline.add("I1")
         with pytest.raises(DegradedWindowError):
             wave.probe_many([("a", LO, HI)])
         with pytest.raises(DegradedWindowError):
@@ -145,22 +145,22 @@ class TestDegradedBatches:
 
     def test_degraded_probe_reports_missing_days(self, wave, twin):
         offline_days = set(wave.get("I1").time_set)
-        wave.mark_offline("I1")
+        wave.offline.add("I1")
         batch = wave.probe_many([("a", LO, HI)], degraded=True)
         assert set(batch.results[0].missing_days) == offline_days
-        twin.mark_offline("I1")
+        twin.offline.add("I1")
         (solo,) = probe_many_object(twin, [("a", LO, HI)], degraded=True).results
         assert batch.results[0] == solo
 
     def test_degraded_scan_reports_missing_days(self, wave):
         offline_days = set(wave.get("I2").time_set)
-        wave.mark_offline("I2")
+        wave.offline.add("I2")
         batch = wave.scan_many([(LO, HI)], degraded=True)
         assert set(batch.results[0].missing_days) == offline_days
 
     def test_unaffected_requests_stay_complete(self, wave):
         offline_days = set(wave.get("I1").time_set)
-        wave.mark_offline("I1")
+        wave.offline.add("I1")
         clear = [d for d in range(LO, HI + 1) if d not in offline_days]
         t1, t2 = max(clear), max(clear)
         batch = wave.probe_many(

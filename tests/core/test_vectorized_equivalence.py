@@ -129,7 +129,7 @@ def serve(probe_many, scan_many, cache_cls, scheme_cls, offline, probes, scans):
     )
     wave, turn = build(disk, scheme_cls)
     if offline:
-        wave.mark_offline(offline)
+        wave.offline.add(offline)
     degraded = bool(offline)
     probe = probe_many(wave, probes, degraded=degraded)
     scan = scan_many(wave, scans, degraded=degraded)
@@ -196,7 +196,7 @@ def test_serving_matches_oracle(scheme_cls, cached, offline, probes, scans):
     # served on a twin wave.
     wave = build_wave(SimulatedDisk(), scheme_cls)
     if offline:
-        wave.mark_offline(offline)
+        wave.offline.add(offline)
     for spec, result in zip(probes, got["probe_results"]):
         (solo,) = probe_many_object(wave, [spec], degraded=bool(offline)).results
         assert result.entries == solo.entries

@@ -173,7 +173,7 @@ class TestClusterAlignedProbe:
     def test_needed_offline_constituent_is_refused(self, wave):
         # A constituent declared dead must not be read into an answer
         # that claims to be exact and complete.
-        wave.mark_offline("I1")
+        wave.offline.add("I1")
         clock = wave.disk.clock
         with pytest.raises(DegradedWindowError):
             wave.timed_index_probe("a", 1, 4)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.executor import PlanExecutor
 from repro.core.schemes import DelScheme
 from repro.core.wave import WaveIndex
-from repro.errors import DegradedWindowError, WaveIndexError
+from repro.errors import DegradedWindowError
 from repro.index.config import IndexConfig
 from repro.index.updates import UpdateTechnique
 from repro.storage.faults import FaultInjector, FaultyDisk
@@ -28,21 +28,10 @@ def setup():
     return store, disk, wave
 
 
-class TestOfflineMarking:
-    def test_only_constituents_can_be_marked(self, setup):
-        _, _, wave = setup
-        with pytest.raises(WaveIndexError):
-            wave.mark_offline("Temp")
-        wave.mark_offline("I2")
-        assert wave.is_offline("I2")
-        wave.mark_online("I2")
-        assert not wave.is_offline("I2")
-
-
 class TestDegradedQueries:
     def test_default_query_refuses_partial_window(self, setup):
         _, _, wave = setup
-        wave.mark_offline("I1")
+        wave.offline.add("I1")
         lo, hi = LAST - WINDOW + 1, LAST
         with pytest.raises(DegradedWindowError):
             wave.timed_index_probe("a", lo, hi)
@@ -52,7 +41,7 @@ class TestDegradedQueries:
     def test_degraded_probe_serves_exactly_surviving_days(self, setup):
         store, _, wave = setup
         offline_days = set(wave.get("I1").time_set)
-        wave.mark_offline("I1")
+        wave.offline.add("I1")
         lo, hi = LAST - WINDOW + 1, LAST
         surviving = set(range(lo, hi + 1)) - offline_days
         for value in "abcdefgh":
@@ -70,7 +59,7 @@ class TestDegradedQueries:
     def test_degraded_scan_reports_coverage(self, setup):
         store, _, wave = setup
         offline_days = set(wave.get("I3").time_set)
-        wave.mark_offline("I3")
+        wave.offline.add("I3")
         lo, hi = LAST - WINDOW + 1, LAST
         result = wave.timed_segment_scan(lo, hi, degraded=True)
         assert result.missing_days == offline_days
@@ -84,7 +73,7 @@ class TestDegradedQueries:
 
     def test_offline_outside_range_does_not_degrade(self, setup):
         _, _, wave = setup
-        wave.mark_offline("I1")  # oldest days
+        wave.offline.add("I1")  # oldest days
         newest = max(wave.get("I3").time_set)
         result = wave.timed_index_probe("a", newest, newest, degraded=True)
         assert result.complete

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.index.builder import build_empty_index, build_packed_index
-from repro.index.config import IndexConfig
 from repro.index.entry import Entry
 
 
@@ -15,14 +14,13 @@ def grouped(*postings):
 
 
 class TestBuildPacked:
-    def test_packed_size_is_exact(self, disk):
-        config = IndexConfig(entry_size_bytes=10)
+    def test_packed_size_is_exact(self, disk, config):
         idx = build_packed_index(
             disk, config, grouped(("a", Entry(1, 1)), ("b", Entry(2, 1))), [1]
         )
         assert idx.packed
-        assert idx.allocated_bytes == 20  # no slack whatsoever
-        assert idx.used_bytes == 20
+        assert idx.allocated_bytes == 32  # no slack whatsoever
+        assert idx.used_bytes == 32
 
     def test_single_extent(self, disk, config):
         before = disk.live_extents
@@ -34,8 +32,7 @@ class TestBuildPacked:
         )
         assert disk.live_extents == before + 1
 
-    def test_build_charges_scan_and_write(self, disk):
-        config = IndexConfig(entry_size_bytes=10)
+    def test_build_charges_scan_and_write(self, disk, config):
         before = disk.snapshot()
         build_packed_index(
             disk,
@@ -46,7 +43,7 @@ class TestBuildPacked:
         )
         delta = disk.snapshot() - before
         assert delta.bytes_read == 5_000  # one pass over the source records
-        assert delta.bytes_written == 10  # the packed index itself
+        assert delta.bytes_written == 16  # the packed index itself
 
     def test_buckets_ordered_with_btree_directory(self, disk, btree_config):
         idx = build_packed_index(

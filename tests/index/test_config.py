@@ -14,14 +14,15 @@ class TestIndexConfig:
         assert isinstance(config.directory_factory(), HashDirectory)
 
     def test_bytes_for(self):
-        config = IndexConfig(entry_size_bytes=8)
+        config = IndexConfig()
         assert config.bytes_for(0) == 0
-        assert config.bytes_for(100) == 800
+        assert config.bytes_for(100) == 1600
         with pytest.raises(ValueError):
             config.bytes_for(-1)
 
     def test_invalid_entry_size(self):
-        with pytest.raises(ValueError):
+        # The entry size is a constant of the format: no config sets one.
+        with pytest.raises(TypeError):
             IndexConfig(entry_size_bytes=0)
 
     def test_custom_directory_factory(self):

@@ -40,18 +40,16 @@ class TestIncrementalInsert:
 
     def test_overflow_grows_by_g(self, disk):
         config = IndexConfig(
-            entry_size_bytes=10,
             contiguous=ContiguousPolicy(initial_entries=2, growth_factor=2.0),
         )
         idx = ConstituentIndex.create_empty(disk, config)
         idx.insert_postings(grouped(("a", Entry(1, 1)), ("a", Entry(2, 1))), [1])
-        assert idx.allocated_bytes == 20
+        assert idx.allocated_bytes == 32
         idx.insert_postings(grouped(("a", Entry(3, 2))), [2])
-        assert idx.allocated_bytes == 40  # doubled
+        assert idx.allocated_bytes == 64  # doubled
 
     def test_overflow_charges_copy_io(self, disk):
         config = IndexConfig(
-            entry_size_bytes=10,
             contiguous=ContiguousPolicy(initial_entries=2, growth_factor=2.0),
         )
         idx = ConstituentIndex.create_empty(disk, config)
@@ -59,8 +57,8 @@ class TestIncrementalInsert:
         before = disk.snapshot()
         idx.insert_postings(grouped(("a", Entry(3, 2))), [2])
         delta = disk.snapshot() - before
-        assert delta.bytes_read == 20  # old bucket copied out
-        assert delta.bytes_written == 30  # full new bucket written
+        assert delta.bytes_read == 32  # old bucket copied out
+        assert delta.bytes_written == 48  # full new bucket written
 
     def test_insert_into_packed_evicts_bucket(self, disk, config):
         idx = build_packed_index(
@@ -116,7 +114,6 @@ class TestDelete:
 
     def test_sparse_bucket_shrinks(self, disk):
         config = IndexConfig(
-            entry_size_bytes=10,
             contiguous=ContiguousPolicy(
                 initial_entries=2, growth_factor=2.0, shrink=True
             ),

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.index.builder import build_packed_index
-from repro.index.config import IndexConfig
 from repro.index.constituent import ConstituentIndex
 from repro.index.entry import Entry
 from repro.index.updates import (
@@ -81,11 +80,10 @@ class TestPackedRewrite:
         # Old index still alive for the caller to swap out.
         assert idx.entry_count == 3
 
-    def test_rewrite_is_exactly_sized(self, disk):
-        config = IndexConfig(entry_size_bytes=10)
+    def test_rewrite_is_exactly_sized(self, disk, config):
         idx = two_day_index(disk, config)
         result = packed_rewrite(idx, {}, (), delete_days=[1])
-        assert result.allocated_bytes == result.used_bytes == 10
+        assert result.allocated_bytes == result.used_bytes == 16
 
     def test_temp_index_freed(self, disk, config):
         idx = two_day_index(disk, config)

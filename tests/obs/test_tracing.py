@@ -78,7 +78,7 @@ class TestSpans:
                 clock.now += 1.0
                 raise RuntimeError("boom")
         assert tracer.spans[0].end_s == 1.0
-        assert tracer.active_depth == 0
+        assert tracer._stack == []  # no span left open
 
 
 class TestAggregation:

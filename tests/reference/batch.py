@@ -104,7 +104,7 @@ def _needed(wave, ranges, degraded, missing):
                 relevant.append((i, days))
         if not relevant:
             continue
-        if wave.is_offline(name):
+        if name in wave.offline:
             if not degraded:
                 raise DegradedWindowError(f"constituent {name} is offline")
             for i, days in relevant:

@@ -26,6 +26,7 @@ import math
 import random
 
 from repro.core.records import DayBatch, Record, RecordStore
+from repro.workloads.text import BYTES_PER_DOC
 
 
 class PerDrawZipfSampler:
@@ -87,7 +88,7 @@ class PerTokenGenerator:
                     record_id=self._next_record_id,
                     day=day,
                     values=words,
-                    nbytes=cfg.bytes_per_doc,
+                    nbytes=BYTES_PER_DOC,
                 )
             )
             self._next_record_id += 1

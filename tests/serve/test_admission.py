@@ -16,12 +16,22 @@ from repro.serve.admission import (
     CODE_DRAINING,
     CODE_RATE_LIMIT,
     CODE_SHED,
+    TENANT_BURST,
     AdmissionConfig,
     AdmissionController,
     TokenBucket,
 )
 
 from .conftest import EchoBackend, GateBackend, advance, run
+
+#: A full token bucket: the requests a tenant may send at once.
+BURST = int(TENANT_BURST)
+
+
+async def drain_bucket_to_one(controller, tenant="default"):
+    """Spend all but the last token of ``tenant``'s bucket."""
+    for _ in range(BURST - 1):
+        await controller.submit("probe", ("warm-up", 1, 2), tenant=tenant)
 
 
 async def spin(n: int = 10) -> None:
@@ -42,7 +52,6 @@ class TestConfigValidation:
             ("max_concurrency", 0),
             ("batch_max", 0),
             ("tenant_rate", 0.0),
-            ("tenant_burst", 0.5),
         ],
     )
     def test_bad_numbers(self, field, value):
@@ -62,7 +71,6 @@ class TestTokenBucket:
         bucket.try_take(0.0)
         # 2 tokens/s: one token exists at exactly t=0.5, not before.
         assert not bucket.try_take(0.49)
-        assert bucket.seconds_until(now=0.49) == pytest.approx(0.01)
         assert bucket.try_take(0.5)
 
     def test_refill_caps_at_burst(self):
@@ -81,7 +89,7 @@ class TestTokenBucket:
 class TestTenantRateLimit:
     def controller(self, **overrides):
         config = AdmissionConfig(
-            tenant_rate=1.0, tenant_burst=2.0, max_concurrency=1,
+            tenant_rate=1.0, max_concurrency=1,
             **overrides,
         )
         return AdmissionController(
@@ -92,8 +100,8 @@ class TestTenantRateLimit:
             controller = self.controller()
             controller.start()
             try:
-                # Burst of 2 admitted, third rejected before queueing.
-                for _ in range(2):
+                # A full bucket admitted, the next rejected before queueing.
+                for _ in range(BURST):
                     await controller.submit("probe", (1, 1, 2))
                 with pytest.raises(RequestRejected) as exc:
                     await controller.submit("probe", (1, 1, 2))
@@ -113,7 +121,7 @@ class TestTenantRateLimit:
             controller = self.controller()
             controller.start()
             try:
-                for _ in range(2):
+                for _ in range(BURST):
                     await controller.submit("probe", (1, 1, 2), tenant="a")
                 with pytest.raises(RequestRejected):
                     await controller.submit("probe", (1, 1, 2), tenant="a")
@@ -129,13 +137,13 @@ class TestTenantRateLimit:
             controller = self.controller()
             controller.start()
             try:
-                for _ in range(2):
+                for _ in range(BURST):
                     await controller.submit("probe", (1, 1, 2), tenant="a")
                 with pytest.raises(RequestRejected):
                     await controller.submit("probe", (1, 1, 2), tenant="a")
                 snapshot = controller.obs.snapshot()
                 counters = snapshot["counters"]
-                assert counters["serve.tenant.a.admitted"] == 2
+                assert counters["serve.tenant.a.admitted"] == BURST
                 assert counters["serve.tenant.a.rejected"] == 1
                 assert counters[f"serve.rejected.{CODE_RATE_LIMIT}"] == 1
             finally:
@@ -600,12 +608,11 @@ class TestAdmissionEdgeRaces:
         async def scenario():
             controller = AdmissionController(
                 EchoBackend(),
-                AdmissionConfig(
-                    tenant_rate=2.0, tenant_burst=1.0, max_concurrency=1
-                ),
+                AdmissionConfig(tenant_rate=2.0, max_concurrency=1),
             )
             controller.start()
             try:
+                await drain_bucket_to_one(controller)
                 await controller.submit("probe", (1, 1, 2))
                 advance(0.25)
                 with pytest.raises(RequestRejected) as exc:
@@ -687,6 +694,7 @@ class TestBothDispatchKinds:
     def test_token_bucket_boundary_ticks(self):
         async def scenario(controller):
             controller.start()
+            await drain_bucket_to_one(controller)
             out = [await settle(controller.submit("probe", (1, 1, 2)))]
             advance(0.25)
             out.append(await settle(controller.submit("probe", (2, 1, 2))))
@@ -697,13 +705,13 @@ class TestBothDispatchKinds:
 
         answers, calls, _, snapshot = one_path(
             scenario,
-            AdmissionConfig(tenant_rate=2.0, tenant_burst=1.0, max_concurrency=1),
+            AdmissionConfig(tenant_rate=2.0, max_concurrency=1),
         )
         assert answers == [
             ("probe", (1, 1, 2)), CODE_RATE_LIMIT,
             ("probe", (3, 1, 2)), CODE_RATE_LIMIT,
         ]
-        assert calls == [[(1, 1, 2)], [(3, 1, 2)]]
+        assert calls[BURST - 1:] == [[(1, 1, 2)], [(3, 1, 2)]]
         assert snapshot["counters"][f"serve.rejected.{CODE_RATE_LIMIT}"] == 2
 
     @pytest.mark.parametrize("policy", ["shed", "queue"])

@@ -77,7 +77,7 @@ class TestTenantPopulation:
 
     def test_zipf_skew_orders_tenants(self):
         sizes = TenantPopulation(
-            n_users=1_000_000, n_tenants=6, skew=1.1
+            n_users=1_000_000, n_tenants=6
         ).tenant_sizes()
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[0] > 2 * sizes[-1]

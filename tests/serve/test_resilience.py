@@ -17,6 +17,8 @@ from repro.errors import (
 )
 from repro.serve.admission import CODE_DEADLINE, CODE_DRAINING, CODE_SHED
 from repro.serve.resilience import (
+    HEDGE_MAX_S,
+    HEDGE_MIN_SAMPLES,
     RETRYABLE_CODES,
     ResilientClient,
     ResilientClientConfig,
@@ -355,12 +357,11 @@ class TestHedging:
             resilient = ResilientClient(
                 [replica],
                 ResilientClientConfig(
-                    hedge=False, hedge_initial_s=0.5,
-                    hedge_min_samples=10, hedge_min_s=0.002,
+                    hedge=False, hedge_initial_s=0.5, hedge_min_s=0.002,
                 ),
             )
             assert resilient.hedge_delay_s() == 0.5  # no samples yet
-            for i in range(10):
+            for i in range(HEDGE_MIN_SAMPLES):
                 await resilient.probe(i, 1, 2)
             # Instant fakes: the tracked p95 collapses to the clamp
             # floor instead of the initial guess.
@@ -378,13 +379,11 @@ class TestClientSurface:
         with pytest.raises(FrontendError):
             ResilientClientConfig(max_attempts=0)
         with pytest.raises(FrontendError):
-            ResilientClientConfig(hedge_quantile=1.0)
+            ResilientClientConfig(hedge_min_s=-0.1)
         with pytest.raises(FrontendError):
-            ResilientClientConfig(hedge_min_s=0.2, hedge_max_s=0.1)
+            ResilientClientConfig(hedge_min_s=HEDGE_MAX_S * 2)
         with pytest.raises(FrontendError):
             ResilientClientConfig(backoff_base_s=0.5, backoff_cap_s=0.1)
-        with pytest.raises(FrontendError):
-            ResilientClientConfig(penalty_s=-1.0)
 
     def test_ping_any_replica(self):
         async def scenario():

@@ -15,7 +15,11 @@ import pytest
 from repro.errors import FrontendError, RequestRejected
 from repro.index import codec
 from repro.serve import is_retryable, protocol
-from repro.serve.admission import AdmissionConfig, CoordinatorBackend
+from repro.serve.admission import (
+    TENANT_BURST,
+    AdmissionConfig,
+    CoordinatorBackend,
+)
 from repro.serve.client import FrontendClient, InProcessClient
 from repro.serve.demo import DemoClusterConfig, build_demo_cluster
 from repro.serve.server import FrontendServer
@@ -155,17 +159,17 @@ class TestEndToEnd:
         async def scenario(server, client):
             t1, t2 = SMALL.oldest_day, SMALL.last_day
             codes = []
-            for _ in range(8):
+            for _ in range(int(TENANT_BURST) + 5):
                 try:
                     await client.probe(1, t1, t2, tenant="busy")
                 except RequestRejected as exc:
                     codes.append(exc.code)
-            assert codes, "bucket of 3 must reject some of 8 requests"
+            assert codes, "a full bucket must reject some of burst + 5 requests"
             assert set(codes) == {"rate-limit"}
 
         run(with_server(
             scenario,
-            AdmissionConfig(tenant_rate=0.001, tenant_burst=3.0),
+            AdmissionConfig(tenant_rate=0.001),
         ))
 
     def test_draining_server_rejects_new_work(self):

@@ -76,8 +76,7 @@ class TestSimulation:
             lambda: WataStarScheme(10, 3), store, last_day=28
         )
         assert result.max_length_days() >= 10
-        assert result.max_peak_bytes() >= result.avg_peak_bytes()
-        assert result.avg_precompute_seconds() >= 0.0
+        assert result.max_peak_bytes() > 0
 
     @pytest.mark.parametrize("technique", list(UpdateTechnique))
     def test_all_techniques_run_clean(self, technique):

@@ -51,13 +51,9 @@ class TestShortRuns:
         res = SimulationResult(window=5, n_indexes=2, scheme_name="X", technique="t")
         res.days = [day(5)] * num_days
         assert res.avg_transition_seconds() == 0.0
-        assert res.avg_precompute_seconds() == 0.0
-        assert res.avg_total_work_seconds() == 0.0
-        assert res.avg_peak_bytes() == 0.0
 
     def test_warmup_longer_than_run(self, result):
         assert result.avg_transition_seconds(warmup=10) == 0.0
-        assert result.avg_total_work_seconds(warmup=3) == 0.0
 
     def test_one_steady_day_still_averages(self, result):
         assert result.avg_transition_seconds(warmup=2) == pytest.approx(3.0)
@@ -67,16 +63,11 @@ class TestAggregates:
     def test_avg_transition(self, result):
         assert result.avg_transition_seconds() == pytest.approx(2.0)
 
-    def test_avg_precompute(self, result):
-        assert result.avg_precompute_seconds() == pytest.approx(0.5)
-
     def test_total_work_includes_queries(self, result):
         metrics = result.days[1]
         assert metrics.total_work_seconds == pytest.approx(1.0 + 0.5 + 0.2)
-        assert result.avg_total_work_seconds() == pytest.approx(2.7)
 
     def test_peaks(self, result):
-        assert result.avg_peak_bytes() == pytest.approx(200.0)
         assert result.max_peak_bytes() == 500  # start day counts here
 
     def test_max_length(self, result):

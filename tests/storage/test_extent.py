@@ -40,11 +40,6 @@ class TestExtent:
         assert ea.overlaps(eb) is expected
         assert eb.overlaps(ea) is expected
 
-    def test_adjacent(self):
-        assert Extent(0, 10).adjacent_to(Extent(10, 5))
-        assert Extent(10, 5).adjacent_to(Extent(0, 10))
-        assert not Extent(0, 10).adjacent_to(Extent(11, 5))
-
     def test_zero_size_extent(self):
         ext = Extent(offset=7, size=0)
         assert ext.end == 7

@@ -120,9 +120,9 @@ class TestEviction:
         disk.read(a)  # refresh a; b is now LRU
         disk.read(c)  # evicts b
         assert cache.evictions == 1
-        assert cache.is_resident(a, 0)
-        assert not cache.is_resident(b, 0)
-        assert cache.is_resident(c, 0)
+        assert (a.extent_id, 0) in cache._pages
+        assert (b.extent_id, 0) not in cache._pages
+        assert (c.extent_id, 0) in cache._pages
 
     def test_resident_pages_never_exceed_capacity(self):
         cache = PageCache(3 * PAGE, page_size=PAGE)

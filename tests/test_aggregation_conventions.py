@@ -44,15 +44,14 @@ class TestSimulationResultEmpty:
 
     def test_averages_default_to_zero_on_empty_run(self):
         result = self.make()
-        assert result.avg_total_work_seconds() == 0.0
-        assert result.avg_peak_bytes() == 0.0
+        assert result.avg_transition_seconds() == 0.0
 
     def test_start_day_alone_still_counts_for_maxima(self):
         # steady_days() drops day 0, but the whole-run maxima must not.
         result = self.make([day_metrics(0, peak_bytes=5, length_days=3)])
         assert result.max_peak_bytes() == 5
         assert result.max_length_days() == 3
-        assert result.avg_peak_bytes() == 0.0  # no steady days yet
+        assert result.avg_transition_seconds() == 0.0  # no steady days yet
 
 
 class TestElasticBaseline:

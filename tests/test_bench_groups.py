@@ -162,7 +162,6 @@ FIXED = [
     (OverlapBenchConfig, "cluster", "devices_per_replica", 2),
     (ClusterBenchConfig, "cluster", "n_shards", 4),
     (ClusterBenchConfig, "cluster", "maintenance", "lockstep"),
-    (ChaosSoakConfig, "breaker", "max_cooldown_s", 16.0),
     (ChaosSoakConfig, "retry", "base_delay_s", 0.5),
     (ElasticBenchConfig, "elastic", "autoscale", False),
     (ElasticBenchConfig, "cluster", "partitioner", "hash"),

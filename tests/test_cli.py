@@ -4,10 +4,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.harness import bench
 from repro.bench.tables import FIGURES
-from repro.cli import main
+from repro.cli import _BENCHES, _INVALID, main
 
 OUT = Path(__file__).resolve().parent.parent / "benchmarks" / "out"
+
+
+def refused(command, **overrides):
+    """Run bench ``command`` at quick size with ``overrides`` (fields a
+    CLI flag no longer sets); return the message of the refusal."""
+    with pytest.raises(_INVALID) as excinfo:
+        bench(_BENCHES[command][0]).execute(quick=True, **overrides)
+    return str(excinfo.value)
 
 
 class TestSchemes:
@@ -212,16 +221,8 @@ class TestBenchServing:
         assert "batch" in stdout
         assert str(out_path) in stdout
 
-    def test_bad_batch_sizes_rejected(self, capsys, tmp_path):
-        code = main(
-            [
-                "bench-serving", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--batch-sizes", "0",
-            ]
-        )
-        assert code == 2
-        assert "batch" in capsys.readouterr().err.lower()
+    def test_bad_batch_sizes_rejected(self):
+        assert "batch" in refused("bench-serving", batch_sizes=(0,)).lower()
 
 
 class TestBenchOverlap:
@@ -239,27 +240,11 @@ class TestBenchOverlap:
         assert "makespan" in stdout
         assert str(out_path) in stdout
 
-    def test_unknown_scheme_rejected(self, capsys, tmp_path):
-        code = main(
-            [
-                "bench-overlap", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--schemes", "NOPE",
-            ]
-        )
-        assert code == 2
-        assert "unknown scheme" in capsys.readouterr().err
+    def test_unknown_scheme_rejected(self):
+        assert "unknown scheme" in refused("bench-overlap", schemes=("NOPE",))
 
-    def test_bad_devices_rejected(self, capsys, tmp_path):
-        code = main(
-            [
-                "bench-overlap", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--devices", "1",
-            ]
-        )
-        assert code == 2
-        assert "devices" in capsys.readouterr().err
+    def test_bad_devices_rejected(self):
+        assert "devices" in refused("bench-overlap", n_devices=1)
 
 
 class TestBenchCluster:
@@ -277,27 +262,11 @@ class TestBenchCluster:
         assert "throughput scaling" in stdout
         assert str(out_path) in stdout
 
-    def test_unknown_scheme_rejected(self, capsys, tmp_path):
-        code = main(
-            [
-                "bench-cluster", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--scheme", "NOPE",
-            ]
-        )
-        assert code == 2
-        assert "NOPE" in capsys.readouterr().err
+    def test_unknown_scheme_rejected(self):
+        assert "NOPE" in refused("bench-cluster", scheme="NOPE")
 
-    def test_missing_baseline_shard_count_rejected(self, capsys, tmp_path):
-        code = main(
-            [
-                "bench-cluster", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--shards", "2", "4",
-            ]
-        )
-        assert code == 2
-        assert "shard" in capsys.readouterr().err.lower()
+    def test_missing_baseline_shard_count_rejected(self):
+        assert "shard" in refused("bench-cluster", shard_counts=(2, 4)).lower()
 
 
 class TestChaosSoak:
@@ -319,17 +288,10 @@ class TestChaosSoak:
         assert "recovery" in stdout
         assert str(out_path) in stdout
 
-    def test_unknown_kill_point_rejected(self, capsys, tmp_path):
-        code = main(
-            [
-                "chaos-soak", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--kill-points", "transition",
-                "--replication", "1",
-            ]
+    def test_unknown_kill_point_rejected(self):
+        assert "replication" in refused(
+            "chaos-soak", kill_points=("transition",), replication=1
         )
-        assert code == 2
-        assert "replication" in capsys.readouterr().err
 
 
 #: Commands that take a scheme: their impossible ``(W, n)``.  ``latency``
@@ -339,45 +301,60 @@ _IMPOSSIBLE_SCHEME = {
     "latency": ["DEL", "-n", "500"],
 }
 
+#: Arguments each command refuses before it runs: exit 2 with
+#: ``invalid configuration``, never a traceback.
+_REFUSED_ARGUMENTS = {
+    "trace-days-before-window": ["trace", "DEL", "-w", "5", "-n", "2",
+                                 "--days", "0"],
+    "sensitivity-no-indexes": ["sensitivity", "DEL", "-n", "0"],
+    "sensitivity-impossible-n": ["sensitivity", "DEL", "-n", "50"],
+    "latency-negative-queries": ["latency", "DEL", "--queries", "-5"],
+    "calibrate-no-cluster-days": ["calibrate", "--cluster-days", "0"],
+    "crash-test-negative-io-samples": ["crash-test", "DEL", "-w", "5", "-n",
+                                       "2", "--io-samples", "-1"],
+    "bench-advisor-one-phase-day": ["bench-advisor", "--quick",
+                                    "--phase-days", "1"],
+}
+
 
 @pytest.mark.parametrize(
     "command",
     ["bench-serving", "bench-overlap", "bench-cluster", "bench-elastic",
      "chaos-soak", "trace", "latency"],
 )
-def test_impossible_window_is_an_invalid_configuration(
-    command, capsys, tmp_path
-):
-    # Five indexes cannot share a two-day window: exit 2 with a message,
-    # not a traceback (exit 1 means a bench's claim failed).
-    out = tmp_path / "x.json"
-    assert main([
-        command,
-        *_IMPOSSIBLE_SCHEME.get(
-            command, ["--quick", "-w", "2", "-n", "5", "--out", str(out)]
-        ),
-    ]) == 2
+def test_impossible_window_is_an_invalid_configuration(command, capsys):
+    # Five indexes cannot share a two-day window: a refusal with a
+    # message, not a traceback (exit 1 means a bench's claim failed).
+    if command in _BENCHES:
+        refused(command, window=2, n_indexes=5)
+        return
+    assert main([command, *_IMPOSSIBLE_SCHEME[command]]) == 2
     assert "invalid configuration" in capsys.readouterr().err
-    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", _REFUSED_ARGUMENTS.values(),
+                         ids=_REFUSED_ARGUMENTS)
+def test_refused_arguments_exit_2_and_write_nothing(
+    argv, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
     "command,flags,field",
     [
         # The group refuses the field before the bench runs, by name.
-        ("bench-elastic", ["--probes", "0"], "probes_per_day"),
-        ("bench-advisor", ["--window", "0"], "window"),
+        ("bench-elastic", {"probes_per_day": 0}, "probes_per_day"),
+        ("bench-advisor", {"window": 0}, "window"),
     ],
 )
 def test_a_group_field_out_of_range_is_an_invalid_configuration(
-    command, flags, field, capsys, tmp_path
+    command, flags, field
 ):
-    out = tmp_path / "x.json"
-    assert main([command, "--quick", *flags, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "invalid configuration" in err
-    assert field in err
-    assert not out.exists()
+    assert field in refused(command, **flags)
 
 
 @pytest.mark.parametrize(
@@ -440,25 +417,6 @@ class TestBenchCheck:
         assert "baseline" in capsys.readouterr().err
 
 
-class TestGlobalSeed:
-    def test_global_seed_reaches_subcommand(self, capsys):
-        assert main([
-            "--seed", "3",
-            "crash-test", "DEL", "-w", "5", "-n", "2", "--cycles", "1",
-        ]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_subcommand_seed_wins_over_global(self, capsys):
-        # Both spellings must run; the per-command flag takes precedence,
-        # so this is the same matrix as --seed 3 in TestCrashTest.
-        assert main([
-            "--seed", "9",
-            "crash-test", "DEL",
-            "-w", "5", "-n", "2", "--cycles", "1", "--seed", "3",
-        ]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-
 class TestCrashTestRebalance:
     def test_rebalance_rows_included_by_default(self, capsys):
         assert main([
@@ -496,23 +454,28 @@ class TestBenchElastic:
         assert str(out_path) in stdout
 
     def test_failed_claim_exits_1_and_still_writes_the_report(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, monkeypatch
     ):
         # No spike, so the autoscaler never splits: the claim fails.
+        import dataclasses
+
+        from repro.bench import elastic
+        from repro.bench.harness import override
+
+        quick = elastic.BENCH.quick_config
+        monkeypatch.setattr(elastic, "BENCH", dataclasses.replace(
+            elastic.BENCH,
+            quick_config=lambda c: override(quick(c), spike_factor=1.0),
+        ))
         out_path = tmp_path / "BENCH_elastic.json"
         assert main([
-            "bench-elastic", "--quick", "--spike-factor", "1",
-            "--out", str(out_path),
+            "bench-elastic", "--quick", "--out", str(out_path),
         ]) == 1
         assert out_path.exists()
         assert "FAILED" in capsys.readouterr().err
 
-    def test_unknown_scheme_fails_cleanly(self, capsys, tmp_path):
-        assert main([
-            "bench-elastic", "--quick", "--scheme", "NOPE",
-            "--out", str(tmp_path / "x.json"),
-        ]) == 2
-        assert capsys.readouterr().err
+    def test_unknown_scheme_fails_cleanly(self):
+        assert "NOPE" in refused("bench-elastic", scheme="NOPE")
 
 
 class TestTopologyChaos:
@@ -533,15 +496,9 @@ class TestTopologyChaos:
         assert "cells" in stdout
         assert str(out_path) in stdout
 
-    def test_fault_and_kind_filters(self, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_topology_chaos.json"
-        assert main([
-            "topology-chaos", "--quick",
-            "--kinds", "merge", "--faults", "crash",
-            "--out", str(out_path),
-        ]) == 0
-        report = json.loads(out_path.read_text())
+    def test_fault_and_kind_filters(self):
+        report = bench("topology_chaos").execute(
+            quick=True, kinds=("merge",), faults=("crash",)
+        )
         assert set(report["steps"]) == {"merge"}
         assert {c["fault"] for c in report["cells"]} == {"crash"}

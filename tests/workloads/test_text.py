@@ -22,8 +22,6 @@ class TestConfig:
             TextWorkloadConfig(docs_per_day=-1)
         with pytest.raises(WorkloadError):
             TextWorkloadConfig(words_per_doc=0)
-        with pytest.raises(WorkloadError):
-            TextWorkloadConfig(bytes_per_doc=-1)
 
     def test_a_lexicon_no_sampler_would_take_is_refused_at_once(self):
         # Both used to construct fine and fail inside generate_day.
