@@ -181,7 +181,6 @@ class Retune:
         )
         replica.scheme = self.scheme
         replica.caught_up_day = day
-        self.sim._preplanned[id(self.scheme)] = []  # day's plan already applied
         return retired
 
     def report(self, outcome: StagedOutcome) -> RetuneReport:

@@ -473,6 +473,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_advise(args: argparse.Namespace) -> int:
     from .core.advisor import recommend
 
+    if args.top < 1:
+        return _invalid(f"--top must be >= 1, got {args.top}")
+    if min(args.candidates) < 1:
+        return _invalid(
+            f"--candidates must all be >= 1, got {min(args.candidates)}"
+        )
     params = TABLE12[args.scenario]
     recs = recommend(
         params,
@@ -499,6 +505,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
     if args.cluster_days < 1:
         return _invalid(f"--cluster-days must be >= 1, got {args.cluster_days}")
+    if not args.scale_factor > 0:
+        return _invalid(f"--scale-factor must be > 0, got {args.scale_factor}")
     memory = args.memory_mb * 1_000_000 if args.memory_mb else None
     build, add, s_prime = measure_build_add_constants(
         args.scale_factor,
@@ -818,6 +826,8 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
         render_diff_table,
     )
 
+    if args.threshold is not None and not args.threshold >= 0:
+        return _invalid(f"--threshold must be >= 0, got {args.threshold}")
     try:
         reports = [load_report(path) for path in args.reports]
     except (OSError, ValueError) as exc:

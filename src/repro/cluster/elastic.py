@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Any, Callable
 from ..advisor.observer import TrafficWindow
 from ..core.checkpoint import CHECKPOINT_VERSION, restore_scheme
 from ..core.executor import PlanExecutor
-from ..core.records import RecordStore
 from ..core.staged import ChangeAborted, Scratch, StagedOutcome
 from ..core.wave import WaveIndex
 from ..errors import ClusterError
@@ -263,8 +262,10 @@ class _Reshard:
     change replaced one.
 
     Both replace adjacent ``parents`` by the shards ``child_ids`` under
-    ``new_partitioner``: the parents' records are re-routed to the
-    children, every child replica gets a fresh device, one build unit per
+    ``new_partitioner``: each child is a view of the cluster's source
+    store under it, as the first day's shards are, every child replica
+    gets a fresh device and runs the child's clone of the donors'
+    planner, one build unit per
     (child, replica, constituent) copies the constituent off the parents'
     primaries, each child replica replays the day's plan, the swap
     installs the new shard list and routing table atomically, and cleanup
@@ -333,11 +334,9 @@ class _Reshard:
             raise self._refuse(
                 "dark-source", "a source shard is dark — nothing to copy from"
             )
-        # The children run the design their donors run: a retuned
-        # donor's own planner and technique, else the shard's.
+        # The children run the design their donors run.
         designs = [
-            (donor.scheme or parent.scheme, donor.executor.technique)
-            for donor, parent in zip(donors, parents)
+            (donor.scheme, donor.executor.technique) for donor in donors
         ]
         if len({(s.name, s.n_indexes, t) for s, t in designs}) > 1:
             raise self._refuse(
@@ -371,38 +370,15 @@ class _Reshard:
             "partitioner_after": self.new_partitioner.describe(),
         }
 
-    def _route_stores(self) -> list[RecordStore]:
-        """Re-partition the parents' records under the new routing table.
-
-        The child partitioner only ever routes a parent's keys to the
-        child ids (the split/merge locality property), so partitioning
-        the parents' records alone loses nothing; the other shards' slots
-        of the returned list are empty and unused.  The children are
-        views over the parents' records *as narrowed* — materialised
-        here, kept by the views — so a child's share of a record's bytes
-        is floored from its parent's share, not from the source record.
-        """
-        stores = [parent.store for parent in self.parents]
-        source = RecordStore()
-        for day in sorted({day for store in stores for day in store.days}):
-            source.add_records(
-                day,
-                [
-                    record
-                    for store in stores
-                    if store.has_day(day)
-                    for record in store.batch(day).records
-                ],
-            )
-        return partition_store(source, self.new_partitioner)
-
     def stage(
         self, targets: list[tuple[int, SimulatedDisk]], day: int
     ) -> list[Scratch]:
-        """Route the records and lay out the children, ``replication``
-        consecutive targets each, on empty waves."""
+        """Lay out the children, ``replication`` consecutive targets
+        each, on empty waves over views of the source store."""
         sim = self.sim
-        stores = self._route_stores()
+        # The untouched shards keep the views they were made with: they
+        # own the same keys under the new partitioner.
+        stores = partition_store(sim.store, self.new_partitioner)
         repl = sim.config.replication
         donor_wave = self.donors[0].wave
         self.children: list[Shard] = []
@@ -427,6 +403,7 @@ class _Reshard:
                         device=device,
                         wave=wave,
                         executor=PlanExecutor(wave, stores[gid], self.technique),
+                        scheme=scheme,
                         caught_up_day=day,
                     )
                 )
@@ -452,8 +429,6 @@ class _Reshard:
         shard's ``shard_id`` becomes its new position, the parents retire
         with their day series, and the children inherit their traffic."""
         sim = self.sim
-        for child in self.children:
-            sim._preplanned[id(child.scheme)] = []  # day's plan already applied
         old = sim.shards
         shard_id = self.shard_id
         new_shards = (

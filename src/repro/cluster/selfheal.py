@@ -25,11 +25,13 @@ module closes that gap with three pieces:
   :class:`~repro.core.recovery.JournaledExecutor` — so a simulated crash
   mid-rebuild resumes in place (orphan sweep + journal recovery) instead
   of corrupting the copy, and a dead or undersized spare aborts cleanly,
-  leaving the donor untouched for a retry on the next day.  It is not a
-  journaled staged change (no commit point: nothing routes to the new
-  replica until it is appended) but shares that pipeline's leaves —
-  provisioning, transient retry, fault classification, discard, disarm
-  and :class:`~repro.core.staged.ChangeAborted` — from
+  leaving the donor untouched for a retry on the next day.  The new
+  replica runs the donor's planner and technique on a plain
+  :class:`~repro.core.executor.PlanExecutor`, as every replica does.
+  It is not a journaled staged change (no commit point: nothing routes
+  to the new replica until it is appended) but shares that pipeline's
+  leaves — provisioning, transient retry, fault classification,
+  discard, disarm and :class:`~repro.core.staged.ChangeAborted` — from
   :mod:`repro.core.staged`.
 
 * The configuration surface (:class:`SelfHealConfig` /
@@ -51,6 +53,7 @@ from functools import partial
 from typing import Callable
 
 from ..core.boundary import Boundary, Steps
+from ..core.executor import PlanExecutor
 from ..core.ops import Op
 from ..core.recovery import (
     JournaledExecutor,
@@ -71,7 +74,6 @@ from ..errors import (
     OutOfSpaceError,
     SimulatedCrash,
 )
-from ..index.updates import UpdateTechnique
 from ..obs import MetricsRegistry
 from ..storage.array import DiskArray
 from ..storage.disk import SimulatedDisk
@@ -306,7 +308,6 @@ def rebuild_steps(
     *,
     plan: list[Op],
     day: int,
-    technique: UpdateTechnique,
     monitor: ReplicaHealthMonitor,
     start: float = 0.0,
 ) -> Steps:
@@ -314,7 +315,9 @@ def rebuild_steps(
     return the new ``(replica, report)``.
 
     ``span`` is fresh spare devices, array indexes from ``device_index``
-    on; the new replica lives on them as the donor lives on its own.
+    on; the new replica lives on them as the donor lives on its own, and
+    runs the donor's planner (``plan`` is its plan for ``day``) and
+    technique.
 
     Yields a ``"rebuild"`` :class:`~repro.core.boundary.Boundary` named
     ``copy:s{g}/r{i}:{name}`` before each binding's copy (again after a
@@ -348,6 +351,7 @@ def rebuild_steps(
         ChangeAborted: The rebuild could not complete (``kind="rebuild"``).
     """
     spares = span.devices
+    technique = donor.executor.technique
     new_wave = WaveIndex(
         spares[0], donor.wave.config, len(donor.wave.constituents)
     )
@@ -399,18 +403,18 @@ def rebuild_steps(
         copy_read = donor_span.total_clock - donor_before
         copy_write = span.total_clock - spare_before
 
-        executor = JournaledExecutor(
+        journaled = JournaledExecutor(
             new_wave, shard.store, technique, span=span
         )
         try:
-            yield from executor.journaled_steps(
+            yield from journaled.journaled_steps(
                 plan, day=day, shard=shard.shard_id, replica=replica_id
             )
         except SimulatedCrash:
             disarm_crash(*spares)
             crashed()
             recover_transition(
-                executor.journal, new_wave, shard.store, technique
+                journaled.journal, new_wave, shard.store, technique
             )
     except (FaultError, OutOfSpaceError) as exc:
         if donor.device.failed:
@@ -435,7 +439,8 @@ def rebuild_steps(
         device_index=device_index,
         device=spares[0],
         wave=new_wave,
-        executor=executor,
+        executor=PlanExecutor(new_wave, shard.store, technique, span=span),
+        scheme=donor.scheme,
         caught_up_day=day,
         maintenance_start=start,
         maintenance_end=end,

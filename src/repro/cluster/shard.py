@@ -3,12 +3,13 @@
 A :class:`Shard` owns one slice of the partitioned key space: its view
 of the cluster's record store (the slice's postings of every daily batch;
 :class:`~repro.cluster.partitioner.ShardView`), its own scheme instance, and
-``r`` :class:`ShardReplica`\\ s — identical wave indexes on distinct
-devices of the cluster's :class:`~repro.storage.array.DiskArray`.  Every
-replica executes the same maintenance plan against its own device, so
-any replica can serve the shard's queries; the first non-failed replica
-is the *primary*, and the coordinator fails over down the replica list
-when a device dies.
+``r`` :class:`ShardReplica`\\ s — wave indexes of the same data on
+distinct devices of the cluster's :class:`~repro.storage.array.DiskArray`.
+Every replica runs its own planner's plan against its own devices — the
+shard's planner, unless a retune gave it one of its own — so any replica
+can serve the shard's queries; the first non-failed replica is the
+*primary*, and the coordinator fails over down the replica list when a
+device dies.
 """
 
 from __future__ import annotations
@@ -73,6 +74,14 @@ class ReplicaHealth:
 class ShardReplica:
     """One copy of a shard's wave index on devices of the array.
 
+    However it is made — the first build, the healer's rebuild, a split
+    or merge, a retune — a replica holds the same three things: its
+    planner, :attr:`scheme`; a
+    :class:`~repro.core.executor.PlanExecutor` over its span; and that
+    executor's store, a view of the cluster's source store.  The
+    replicas of a shard share the shard's planner until a retune gives
+    one of them its own.
+
     A replica lives on :attr:`device` (array index :attr:`device_index`)
     and, when its executor's span is wider, on the devices from there on,
     rotating its index creations over them (:attr:`span`).
@@ -94,19 +103,17 @@ class ShardReplica:
     device: SimulatedDisk
     wave: WaveIndex
     executor: PlanExecutor
+    #: The planner whose plans the replica runs.  The day loop draws one
+    #: plan a day per planner, shared by every replica bound to it.
+    scheme: WaveScheme
     failed: bool = False
     intervals: list[OpInterval] = field(default_factory=list)
     maintenance_start: float = 0.0
     maintenance_end: float = 0.0
-    #: Day a rebuilt replica already incorporated via catch-up replay
-    #: (its rebuild included the day's plan); the maintenance pass skips
-    #: it for that day.  ``None`` for replicas built the normal way.
+    #: Day a rebuilt, resharded or retuned replica already incorporated
+    #: via catch-up replay; the maintenance pass skips it for that day.
+    #: ``None`` for replicas built the normal way.
     caught_up_day: int | None = None
-    #: A replica the advisor retuned carries its *own* scheme instance —
-    #: a divergent (scheme, n) design of the same shard data — and runs
-    #: that scheme's plans instead of the shard-level plan.  ``None``
-    #: (every replica built the normal way) means the shard's scheme.
-    scheme: WaveScheme | None = None
     #: The replica's circuit breaker, driven by the cluster's
     #: :class:`~repro.cluster.selfheal.ReplicaHealthMonitor`.
     health: ReplicaHealth = field(default_factory=ReplicaHealth)
@@ -292,7 +299,12 @@ class _RepairFailed(Exception):
 
 
 class Shard:
-    """One key-space slice: its store, its scheme, and its replicas.
+    """One key-space slice: its store, its planner, and its replicas.
+
+    :attr:`store` is a view of the cluster's source store under the
+    partitioner the shard was made under (the source itself on a
+    one-shard cluster); :attr:`scheme` is the planner its replicas share
+    until a retune gives one of them its own.
 
     ``shard_id`` is the shard's routing position, renumbered by the swap
     of a split or merge; a queued split or merge holds the shard itself.

@@ -478,7 +478,6 @@ class ClusterSimulation:
         shard_stores = partition_store(store, self.partitioner)
         self.store = store
         self.queries = queries
-        self.technique = technique
         self.obs = MetricsRegistry()
         self._disk_params = disk_params
         self._device_factory = device_factory
@@ -495,10 +494,6 @@ class ClusterSimulation:
             else None
         )
         self._last_action_day: int | None = None
-        #: Day plans pre-applied by a staged change's catch-up, keyed
-        #: by ``id(scheme)`` — popped (instead of re-planning) when the
-        #: day loop reaches that shard.
-        self._preplanned: dict[int, list[Op]] = {}
         self.array = DiskArray.create(
             cfg.n_devices,
             params=disk_params,
@@ -542,6 +537,7 @@ class ClusterSimulation:
                         device=device,
                         wave=wave,
                         executor=executor,
+                        scheme=scheme,
                     )
                 )
             self.shards.append(
@@ -748,11 +744,9 @@ class ClusterSimulation:
     # Online tuning advisor
     # ------------------------------------------------------------------
 
-    def _replica_design(
-        self, shard: Shard, replica: ShardReplica
-    ) -> Design:
+    def _replica_design(self, replica: ShardReplica) -> Design:
         """Return the design a replica currently runs."""
-        scheme = replica.scheme or shard.scheme
+        scheme = replica.scheme
         return Design(
             scheme.name, scheme.n_indexes, replica.executor.technique.value
         )
@@ -775,7 +769,7 @@ class ClusterSimulation:
                     obs, replica.replica_id, len(shard.replicas)
                 )
                 decision = planner.decide(
-                    replica, day, self._replica_design(shard, replica), view
+                    replica, day, self._replica_design(replica), view
                 )
                 if decision is not None:
                     self.changes.append(Retune(self, replica, decision))
@@ -800,10 +794,7 @@ class ClusterSimulation:
         )
 
     def _healing_steps(
-        self,
-        day: int,
-        plans: list[list[Op]],
-        replica_plans: dict[int, list[Op]] | None = None,
+        self, day: int, plans: dict[WaveScheme, list[Op]]
     ) -> Steps:
         """Re-replicate under-replicated shards (one rebuild each per day).
 
@@ -828,22 +819,14 @@ class ClusterSimulation:
             )
             device_index = provisioned[0][0]
             span = DiskArray([device for _, device in provisioned])
-            # A retuned donor clones under its *own* design: the rebuilt
-            # twin copies the donor's constituents, catches up with the
-            # donor's plan, and inherits its scheme and technique.
-            donor_plan = plans[shard.shard_id]
-            donor_technique = donor.executor.technique
-            if donor.scheme is not None and replica_plans is not None:
-                donor_plan = replica_plans[id(donor.scheme)]
             try:
                 replica, report = yield from rebuild_steps(
                     shard,
                     donor,
                     span,
                     device_index,
-                    plan=donor_plan,
+                    plan=plans[donor.scheme],
                     day=day,
-                    technique=donor_technique,
                     monitor=monitor,
                 )
             except ChangeAborted:
@@ -853,7 +836,6 @@ class ClusterSimulation:
                 failed += 1
                 self.obs.counter("cluster.heal.rebuilds_failed").inc()
                 continue
-            replica.scheme = donor.scheme
             shard.replicas.append(replica)
             reports.append(report)
             delays[shard.shard_id] = max(
@@ -872,16 +854,15 @@ class ClusterSimulation:
     def _maintenance_steps(
         self,
         day: int,
-        plans: list[list[Op]],
+        plans: dict[WaveScheme, list[Op]],
         delays: list[float],
-        replica_plans: dict[int, list[Op]] | None = None,
     ) -> Steps:
-        """Run every shard's plan under the staggering policy.
+        """Run every replica's planner's plan under the staggering policy.
 
         ``delays`` pushes a shard's start past its batch start (a rebuild
         was reading the donor's device until then).  Replicas already
-        caught up to ``day`` by a rebuild keep their rebuild timeline
-        instead of re-running the plan.
+        caught up to ``day`` by a rebuild or a staged change keep that
+        timeline instead of re-running the plan.
 
         Returns per-shard reports (from the day's metrics replica), the
         per-shard ``(start, end)`` maintenance windows on the cluster
@@ -898,7 +879,6 @@ class ClusterSimulation:
             batch = self.shards[first : first + batch_size]
             batch_end = batch_start
             for shard in batch:
-                plan = plans[shard.shard_id]
                 start = max(batch_start, delays[shard.shard_id])
                 metrics_replica = shard.primary or shard.replicas[0]
                 shard_end = start
@@ -911,14 +891,9 @@ class ClusterSimulation:
                     if replica.caught_up_day == day:
                         shard_end = max(shard_end, replica.maintenance_end)
                         continue
-                    rplan = plan
-                    if (
-                        replica.scheme is not None
-                        and replica_plans is not None
-                    ):
-                        rplan = replica_plans[id(replica.scheme)]
                     report = yield from replica.maintenance_steps(
-                        rplan, start, day=day, monitor=self._monitor
+                        plans[replica.scheme], start, day=day,
+                        monitor=self._monitor,
                     )
                     if replica is metrics_replica:
                         reports[shard.shard_id] = report
@@ -1054,11 +1029,11 @@ class ClusterSimulation:
         boundaries; return the :class:`Turn`.
 
         In order: the head of the change queue runs (unless healing,
-        which outranks it, is due), then every shard draws its plan —
-        the start build on the first turn, the day's transition after —
-        and healing and maintenance run with the day posted once for
-        the cluster.  The step reads no query workload and no serving
-        state, so
+        which outranks it, is due), then every planner a live replica
+        runs draws one plan — the start build on the first turn, the
+        day's transition after — and healing and maintenance run with
+        the day posted once for the cluster.  The step reads no query
+        workload and no serving state, so
         ``run_transition(day)`` with ``queries=None`` is exactly this
         plus the day's bookkeeping.  The boundaries come in that order:
         the staged changes' steps (with their catch-ups' ops), then each
@@ -1069,11 +1044,6 @@ class ClusterSimulation:
         if first and day != self.window:
             raise ClusterError("call run_start() first")
         self._started = True
-
-        def plan_for(scheme: WaveScheme) -> list[Op]:
-            return list(
-                scheme.start_ops() if first else scheme.transition_ops(day)
-            )
 
         if self._monitor is not None:
             self._monitor.now = self._clock_base
@@ -1088,36 +1058,31 @@ class ClusterSimulation:
                 (replica, span.io_snapshot(), span.cache_snapshot())
             )
 
-        plans = []
+        # One plan per planner a live replica runs, shared by every
+        # replica bound to it (planning mutates the planner).  A planner
+        # a staged change's catch-up already took to ``day`` has nothing
+        # left to plan.
+        plans: dict[WaveScheme, list[Op]] = {}
         for shard in self.shards:
-            preplanned = self._preplanned.pop(id(shard.scheme), None)
-            plans.append(
-                preplanned if preplanned is not None else plan_for(shard.scheme)
-            )
-        # Replicas the advisor retuned run their own scheme's plan (one
-        # plan per scheme instance, shared by every replica bound to it —
-        # the same sharing rule as the shard-level plan).
-        replica_plans: dict[int, list[Op]] = {}
-        for shard in self.shards:
-            for replica in shard.replicas:
+            for replica in shard.alive_replicas():
                 scheme = replica.scheme
-                if scheme is None or replica.failed:
+                if scheme in plans:
                     continue
-                if id(scheme) in replica_plans:
-                    continue
-                preplanned = self._preplanned.pop(id(scheme), None)
-                replica_plans[id(scheme)] = (
-                    preplanned if preplanned is not None else plan_for(scheme)
-                )
+                if first:
+                    plans[scheme] = list(scheme.start_ops())
+                elif scheme.current_day == day:
+                    plans[scheme] = []
+                else:
+                    plans[scheme] = list(scheme.transition_ops(day))
         # The day is posted once for the cluster: the source store keeps
         # its run — and with it every shard's cut — until the last replica
         # has turned, though an in-place update keeps none.
         with self.store.holding_runs():
             delays, rebuild_reports, rebuilds_failed = (
-                yield from self._healing_steps(day, plans, replica_plans)
+                yield from self._healing_steps(day, plans)
             )
             reports, windows, cluster_end = yield from self._maintenance_steps(
-                day, plans, delays, replica_plans
+                day, plans, delays
             )
         return Turn(
             day=day,
@@ -1278,7 +1243,7 @@ class ClusterSimulation:
                 )
                 for shard in self.shards
                 for replica in shard.replicas
-                if replica.scheme is not None
+                if replica.scheme is not shard.scheme
             } or None
 
         cluster_end = turn.maintenance_makespan_seconds

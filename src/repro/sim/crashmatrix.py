@@ -315,6 +315,7 @@ def _rebalance_cells(
             device=wave.disk,
             wave=wave,
             executor=PlanExecutor(wave, store, technique),
+            scheme=scheme,
         )
         return injector, target, wave, scheme, replica
 

@@ -71,9 +71,10 @@ class TestRetuneExecution:
         total = sum(d.retunes for d in sim.result.days)
         assert total == 1
         assert sim.obs.counter("cluster.advisor.retunes").value == 1
-        # The replica really is running the new design now.
+        # The replica really is running the new design now, on a
+        # planner of its own.
         replica = sim.shards[0].replicas[0]
-        assert replica.scheme is not None
+        assert replica.scheme is not sim.shards[0].scheme
         assert replica.scheme.n_indexes < WINDOW
 
     def test_decision_lands_the_day_after_it_is_made(self):
@@ -173,6 +174,7 @@ class TestRetuneFollowsItsReplica:
 
     def test_a_retune_queued_behind_a_split_lands_on_its_own_replica(self):
         sim = _two_shards()
+        parent, upper_shard = sim.shards
         left, upper = (shard.replicas[0] for shard in sim.shards)
         sim.request_split(0)
         sim.run_start()
@@ -192,9 +194,9 @@ class TestRetuneFollowsItsReplica:
         landed = sim.run_transition(WINDOW + 2)
         assert (landed.retunes, landed.retunes_aborted) == (1, 1)
         assert landed.retune_deferred == "replica-gone"
-        assert left.scheme is None
-        assert upper.scheme is not None
-        assert right_child.scheme is None
+        assert left.scheme is parent.scheme
+        assert upper.scheme is not upper_shard.scheme
+        assert right_child.scheme is sim.shards[1].scheme
         assert sim.staged.journals[-1].subject["shard_id"] == 2
 
     def test_breaker_and_cooldown_follow_a_surviving_replica(self):
@@ -203,7 +205,7 @@ class TestRetuneFollowsItsReplica:
         for day in (WINDOW + 1, WINDOW + 2):
             assert sim.run_transition(day).retunes == 1
         survivor = sim.shards[1].replicas[0]
-        assert survivor.scheme is not None
+        assert survivor.scheme is not sim.shards[1].scheme
         monitor = sim._monitor
         for _ in range(monitor.breaker.failure_threshold):
             monitor.on_transient(survivor, now=monitor.now)

@@ -478,7 +478,7 @@ class TestEqualKeysRouteTogether:
             (3, Decimal("3.0")),
             (2.5, 2.5 + 0j),
             (float("inf"), Decimal("Infinity")),
-            (10**400, Decimal("1e400")),
+            pytest.param(10**400, Decimal("1e400"), id="10**400-Decimal('1e400')"),
         ],
     )
     def test_the_first_spelling_seen_does_not_pick_the_shard(self, a, b):

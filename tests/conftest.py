@@ -18,6 +18,30 @@ from repro.storage.disk import SimulatedDisk
 settings.register_profile("nightly", max_examples=2000, deadline=None)
 
 
+#: What makes a test id unnameable: a repr's memory address, which
+#: differs run to run, and a length no listing or ``-k`` can carry.
+UNNAMEABLE_MARK = " at 0x"
+MAX_ID_CHARS = 200
+
+
+def pytest_collection_modifyitems(config, items):
+    """Fail collection on a test id that cannot be named twice alike.
+
+    Give such a case a short, stable id (``pytest.param(..., id=...)``).
+    """
+    unnameable = [
+        item.nodeid
+        for item in items
+        if UNNAMEABLE_MARK in item.nodeid or len(item.nodeid) > MAX_ID_CHARS
+    ]
+    if unnameable:
+        raise pytest.UsageError(
+            f"{len(unnameable)} test id(s) hold a memory address or run past "
+            f"{MAX_ID_CHARS} characters; give each a short, stable id: "
+            + "; ".join(nodeid[:120] for nodeid in unnameable)
+        )
+
+
 def depth(tier1: int) -> int:
     """Examples for a property that pins a small tier-1 depth.
 

@@ -109,14 +109,19 @@ class TestRequestFrames:
         "fields",
         [
             {"t1": "not-a-day"}, {"t2": 1.5}, {"t1": None}, {"t1": 2**63},
-            {"tenant": 5}, {"tenant": None}, {"tenant": "x" * 65536},
+            {"tenant": 5}, {"tenant": None},
+            pytest.param({"tenant": "x" * 65536}, id="{'tenant': 'x' * 65536}"),
             {"tenant": "\ud800"},
             {"id": -1}, {"id": 2**64}, {"id": None}, {"id": "7"}, {"id": 1.0},
-            {"value": object()}, {"value": "\ud800"}, {"value": {1, 2}},
+            pytest.param({"value": object()}, id="{'value': object()}"),
+            {"value": "\ud800"}, {"value": {1, 2}},
             {"deadline_ms": "soon"}, {"deadline_ms": [1]},
-            {"deadline_ms": float("nan")}, {"deadline_ms": 10**400},
+            {"deadline_ms": float("nan")},
+            pytest.param({"deadline_ms": 10**400}, id="{'deadline_ms': 10**400}"),
             {"op": "scan", "t2": "x"},
         ],
+        # A case whose repr spells an address or thousands of characters
+        # is named as it is written.
         ids=repr,
     )
     def test_what_no_frame_holds_is_the_callers_bad_request(self, fields):

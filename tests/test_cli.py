@@ -310,6 +310,13 @@ _REFUSED_ARGUMENTS = {
     "sensitivity-impossible-n": ["sensitivity", "DEL", "-n", "50"],
     "latency-negative-queries": ["latency", "DEL", "--queries", "-5"],
     "calibrate-no-cluster-days": ["calibrate", "--cluster-days", "0"],
+    "calibrate-negative-scale-factor": ["calibrate", "--scale-factor", "-1"],
+    "advise-top-zero": ["advise", "--top", "0"],
+    "advise-negative-top": ["advise", "--top", "-2"],
+    "advise-candidate-zero": ["advise", "--candidates", "0"],
+    "advise-negative-candidate": ["advise", "--candidates", "-3"],
+    "bench-check-negative-threshold": ["bench-check", "BENCH_overlap.json",
+                                       "--threshold", "-1"],
     "crash-test-negative-io-samples": ["crash-test", "DEL", "-w", "5", "-n",
                                        "2", "--io-samples", "-1"],
     "bench-advisor-one-phase-day": ["bench-advisor", "--quick",
