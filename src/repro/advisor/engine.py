@@ -10,12 +10,15 @@ says only what a retune is:
   before the retune, yielding the exact day-set every binding would hold
   had the new design run from the start (soft-window retention
   included); each non-empty binding is one build unit, built packed from
-  the record store onto one freshly provisioned spare;
+  the record store onto a replica staged over freshly provisioned spares
+  (as wide as every replica), each build on its executor's next creation
+  device;
 * **catch-up** — the decision day's transition plan runs journaled, so
   the new wave incorporates the current day exactly once;
-* **swap** — the replica's wave, device, executor and scheme are
-  replaced in one step; cleanup drops the old design's indexes and
-  drains its device.
+* **swap** — the staged replica's wave, executor and scheme move onto
+  the live replica in one step, which keeps its breaker, its planner
+  cooldown and any change queued for it; cleanup discards the old
+  design's wave, freeing every device of its span.
 
 A retune waits in the cluster's one change queue beside the topology
 changes and under the same rule: it waits while any shard is
@@ -32,11 +35,11 @@ from typing import TYPE_CHECKING, Any
 from ..core.executor import PlanExecutor
 from ..core.ops import CreateEmptyOp, Op
 from ..core.schemes import scheme_by_name
-from ..core.staged import ChangeAborted, Scratch, StagedOutcome
+from ..core.staged import ChangeAborted, StagedOutcome
 from ..core.symbolic import SymbolicState
-from ..core.wave import WaveIndex
 from ..index.builder import build_index_from_store
 from ..index.updates import UpdateTechnique
+from ..storage.array import DiskArray
 from ..storage.disk import SimulatedDisk
 from .planner import RetuneDecision
 
@@ -79,7 +82,6 @@ class Retune:
     #: The :class:`~repro.cluster.sim.Turn` fields its outcomes land in:
     #: committed reports, aborts, and why it did not commit today.
     tally = ("retunes", "retunes_aborted", "retune_deferred")
-    n_targets = 1
 
     def __init__(
         self,
@@ -111,7 +113,11 @@ class Retune:
 
     @property
     def source_devices(self) -> tuple[SimulatedDisk, ...]:
-        return (self.replica.device,)
+        return tuple(self.replica.span.devices)
+
+    @property
+    def n_targets(self) -> int:
+        return self.sim.config.devices_per_replica
 
     def subject(self) -> dict[str, Any]:
         decision, replica = self.decision, self.replica
@@ -124,36 +130,35 @@ class Retune:
         }
 
     def stage(
-        self, targets: list[tuple[int, SimulatedDisk]], day: int
-    ) -> list[Scratch]:
+        self, targets: list[SimulatedDisk], day: int
+    ) -> list["ShardReplica"]:
         """Fast-forward the target design's bookkeeping as if it had run
-        since day 1, and lay its empty wave on the spare."""
+        since day 1, and stage an empty replica of it on the spares."""
+        from ..cluster.shard import ShardReplica
+
         design = self.decision.target
         window = self.sim.window
-        self.scheme = scheme_by_name(design.scheme)(window, design.n_indexes)
-        self.state = SymbolicState(self.scheme.index_names)
-        self.state.apply_plan(self.scheme.start_ops())
+        scheme = scheme_by_name(design.scheme)(window, design.n_indexes)
+        self.state = SymbolicState(scheme.index_names)
+        self.state.apply_plan(scheme.start_ops())
         for d in range(window + 1, day):
-            self.state.apply_plan(self.scheme.transition_ops(d))
-        ((self.device_index, spare),) = targets
-        self.wave = WaveIndex(
-            spare, self.replica.wave.config, self.scheme.n_indexes
+            self.state.apply_plan(scheme.transition_ops(d))
+        replica = self.replica
+        self.staged = ShardReplica(
+            self.shard.shard_id,
+            replica.replica_id,
+            DiskArray(targets),
+            store=self.shard.store,
+            technique=self.technique,
+            scheme=scheme,
+            config=replica.wave.config,
         )
-        return [
-            Scratch(
-                self.shard.shard_id,
-                self.replica.replica_id,
-                self.wave,
-                self.shard.store,
-                self.technique,
-                self.scheme,
-            )
-        ]
+        return [self.staged]
 
-    def builds(self, scratch: Scratch):
-        """One packed build per binding that holds days; the rest are
-        created empty."""
-        wave, store = scratch.wave, scratch.store
+    def builds(self, staged: "ShardReplica"):
+        """One packed build per binding that holds days, each on the
+        executor's next creation device; the rest are created empty."""
+        executor = staged.executor
         empties: list[Op] = []
         for name in sorted(self.state.bindings):
             days = sorted(self.state.bindings[name])
@@ -162,30 +167,31 @@ class Retune:
                 continue
             yield name, partial(
                 build_index_from_store,
-                wave.disk, wave.config, store, days, name=name,
+                executor.creation_disk(),
+                staged.wave.config,
+                executor.store,
+                days,
+                name=name,
             )
         # This runs when the runner asks for the next build, i.e. still
         # inside its build phase: a fault here aborts like any other.
         if empties:
-            PlanExecutor(wave, store, self.technique).execute(empties)
+            executor.execute(empties)
 
-    def swap(self, day: int) -> list[tuple[WaveIndex, int]]:
-        """Install the new design on the replica in one step."""
-        replica = self.replica
-        retired = [(replica.wave, replica.device_index)]
-        replica.wave = self.wave
-        replica.device = self.wave.disk
-        replica.device_index = self.device_index
-        replica.executor = PlanExecutor(
-            self.wave, self.shard.store, self.technique
-        )
-        replica.scheme = self.scheme
+    def swap(self, day: int) -> list[PlanExecutor]:
+        """Move the staged replica's wave, executor and planner onto the
+        live replica in one step; return the executor it replaced."""
+        replica, staged = self.replica, self.staged
+        retired = replica.executor
+        replica.wave = staged.wave
+        replica.executor = staged.executor
+        replica.scheme = staged.scheme
         replica.caught_up_day = day
-        return retired
+        return [retired]
 
     def report(self, outcome: StagedOutcome) -> RetuneReport:
         sim, replica, decision = self.sim, self.replica, self.decision
-        span = replica.device.clock - outcome.clock_before[self.device_index]
+        span = outcome.seconds_on(replica.span)
         replica.maintenance_start = 0.0
         replica.maintenance_end = span
         sim.obs.counter("cluster.advisor.retunes").inc()

@@ -304,8 +304,8 @@ class _ChaosRun:
         self.invariants = _Invariants()
         #: shard_id -> spare behaviours its kills queued, oldest first.
         self._spare_queues: defaultdict[int, list[str]] = defaultdict(list)
-        #: id(spare) -> provisioning ordinal, until its rebuild arms it.
-        self._unarmed: dict[int, int] = {}
+        #: spare -> provisioning ordinal, until its rebuild arms it.
+        self._unarmed: dict[FaultyDisk, int] = {}
         self._spare_modes_used: list[str] = []
         self._active_bursts: list[FaultInjector] = []
         #: shard_id -> day its under-replication window opened.
@@ -368,7 +368,7 @@ class _ChaosRun:
             injector=FaultInjector(self.seed * 99991 + ordinal),
             retry_policy=self.retry,
         )
-        self._unarmed[id(spare)] = ordinal
+        self._unarmed[spare] = ordinal
         return spare
 
     def _arm_spare(self, spare: FaultyDisk, shard_id: int, ordinal: int) -> None:
@@ -426,7 +426,7 @@ class _ChaosRun:
         transient bursts."""
         if boundary.kind == "rebuild":
             spare = boundary.devices[0]
-            ordinal = self._unarmed.pop(id(spare), None)
+            ordinal = self._unarmed.pop(spare, None)
             if ordinal is not None:
                 self._arm_spare(spare, boundary.shard, ordinal)
             return

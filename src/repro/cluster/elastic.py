@@ -45,9 +45,9 @@ from typing import TYPE_CHECKING, Any, Callable
 from ..advisor.observer import TrafficWindow
 from ..core.checkpoint import CHECKPOINT_VERSION, restore_scheme
 from ..core.executor import PlanExecutor
-from ..core.staged import ChangeAborted, Scratch, StagedOutcome
-from ..core.wave import WaveIndex
+from ..core.staged import ChangeAborted, StagedOutcome
 from ..errors import ClusterError
+from ..storage.array import DiskArray
 from ..storage.disk import SimulatedDisk
 from .partitioner import RangePartitioner, partition_store
 from .rebalance import copy_index_to, merge_indexes_to
@@ -264,13 +264,14 @@ class _Reshard:
     Both replace adjacent ``parents`` by the shards ``child_ids`` under
     ``new_partitioner``: each child is a view of the cluster's source
     store under it, as the first day's shards are, every child replica
-    gets a fresh device and runs the child's clone of the donors'
-    planner, one build unit per
-    (child, replica, constituent) copies the constituent off the parents'
-    primaries, each child replica replays the day's plan, the swap
-    installs the new shard list and routing table atomically, and cleanup
-    drops the parents' indexes and drains their devices.  The subclasses
-    say which parents, which children, and how one constituent is copied.
+    spans ``devices_per_replica`` fresh devices and runs the child's
+    clone of the donors' planner, one build unit per (child, replica,
+    constituent) copies the constituent off the parents' primaries onto
+    the offset it holds in the first donor's span, each child replica
+    replays the day's plan, the swap installs the new shard list and
+    routing table atomically, and cleanup discards the parents' waves.
+    The subclasses say which parents, which children, and how one
+    constituent is copied.
     """
 
     kind: str
@@ -357,11 +358,16 @@ class _Reshard:
 
     @property
     def source_devices(self) -> tuple[SimulatedDisk, ...]:
-        return tuple(d.device for d in self.donors)
+        return tuple(device for d in self.donors for device in d.span.devices)
 
     @property
     def n_targets(self) -> int:
-        return len(self.child_ids) * self.sim.config.replication
+        config = self.sim.config
+        return (
+            len(self.child_ids)
+            * config.replication
+            * config.devices_per_replica
+        )
 
     def subject(self) -> dict[str, Any]:
         return {
@@ -370,64 +376,61 @@ class _Reshard:
             "partitioner_after": self.new_partitioner.describe(),
         }
 
-    def stage(
-        self, targets: list[tuple[int, SimulatedDisk]], day: int
-    ) -> list[Scratch]:
-        """Lay out the children, ``replication`` consecutive targets
-        each, on empty waves over views of the source store."""
+    def stage(self, targets: list[SimulatedDisk], day: int) -> list[ShardReplica]:
+        """Lay out the children, ``replication`` consecutive spans of
+        ``devices_per_replica`` targets each, on empty waves over views of
+        the source store; return their replicas in build order."""
         sim = self.sim
         # The untouched shards keep the views they were made with: they
         # own the same keys under the new partitioner.
         stores = partition_store(sim.store, self.new_partitioner)
         repl = sim.config.replication
-        donor_wave = self.donors[0].wave
+        width = sim.config.devices_per_replica
         self.children: list[Shard] = []
-        scratch = []
         for i, gid in enumerate(self.child_ids):
             # Clone the donor's planner pre-planning (planning mutates it).
             scheme = restore_scheme(
                 {"version": CHECKPOINT_VERSION, "scheme": self.scheme.get_state()}
             )
             replicas = []
-            for ri, (device_index, device) in enumerate(
-                targets[i * repl: (i + 1) * repl]
-            ):
-                wave = WaveIndex(
-                    device, donor_wave.config, len(donor_wave.constituents)
-                )
+            for ri in range(repl):
+                first = (i * repl + ri) * width
                 replicas.append(
                     ShardReplica(
-                        shard_id=gid,
-                        replica_id=ri,
-                        device_index=device_index,
-                        device=device,
-                        wave=wave,
-                        executor=PlanExecutor(wave, stores[gid], self.technique),
+                        gid,
+                        ri,
+                        DiskArray(targets[first : first + width]),
+                        store=stores[gid],
+                        technique=self.technique,
                         scheme=scheme,
+                        config=self.donors[0].wave.config,
                         caught_up_day=day,
                     )
                 )
-                scratch.append(
-                    Scratch(gid, ri, wave, stores[gid], self.technique, scheme)
-                )
             self.children.append(Shard(gid, scheme, stores[gid], replicas))
-        return scratch
+        return [r for child in self.children for r in child.replicas]
 
-    def builds(self, scratch: Scratch):
-        """One copy per constituent of the parents' primaries."""
-        for name in list(self.donors[0].wave.bindings):
+    def builds(self, replica: ShardReplica):
+        """One copy per constituent of the parents' primaries, landing
+        at the offset the first donor's binding holds in its span."""
+        donor = self.donors[0]
+        for name, index in list(donor.wave.bindings.items()):
             yield name, partial(
-                self._copy, name, scratch.wave.disk, scratch.shard_id
+                self._copy,
+                name,
+                replica.device_for(index, donor),
+                replica.shard_id,
             )
 
     def _copy(self, name: str, target: SimulatedDisk, gid: int):
         """Copy constituent ``name`` for child ``gid`` onto ``target``."""
         raise NotImplementedError
 
-    def swap(self, day: int) -> list[tuple[WaveIndex, int]]:
+    def swap(self, day: int) -> list[PlanExecutor]:
         """Install the new shard list + routing table atomically; every
         shard's ``shard_id`` becomes its new position, the parents retire
-        with their day series, and the children inherit their traffic."""
+        with their day series, and the children inherit their traffic.
+        Return the parents' replicas' executors."""
         sim = self.sim
         old = sim.shards
         shard_id = self.shard_id
@@ -459,27 +462,25 @@ class _Reshard:
         result.n_shards = len(new_shards)
         result.partitioner = self.new_partitioner.describe()
         return [
-            (replica.wave, replica.device_index)
+            replica.executor
             for parent in self.parents
             for replica in parent.replicas
         ]
 
     def report(self, outcome: StagedOutcome) -> ReshardReport:
         sim = self.sim
-        before = outcome.clock_before
         makespan = 0.0
-        replicas = [r for child in self.children for r in child.replicas]
-        for replica in replicas:
-            span = outcome.source_seconds + (
-                replica.device.clock - before[replica.device_index]
-            )
-            replica.maintenance_start = 0.0
-            replica.maintenance_end = span
-            makespan = max(makespan, span)
+        target_seconds = 0.0
+        for child in self.children:
+            for replica in child.replicas:
+                seconds = outcome.seconds_on(replica.span)
+                target_seconds += seconds
+                span = outcome.source_seconds + seconds
+                replica.maintenance_start = 0.0
+                replica.maintenance_end = span
+                makespan = max(makespan, span)
         copy_seconds = (
-            sum(r.device.clock - before[r.device_index] for r in replicas)
-            - outcome.catchup_seconds
-            + outcome.source_seconds
+            target_seconds - outcome.catchup_seconds + outcome.source_seconds
         )
         sim.obs.counter(f"cluster.elastic.{self.kind}s").inc()
         sim.obs.counter("cluster.elastic.bytes_copied").inc(outcome.bytes_built)

@@ -136,11 +136,9 @@ def merge_indexes_to(
 
 
 def move_replica(
-    replica: ShardReplica,
-    target: SimulatedDisk,
-    target_device_index: int,
+    replica: ShardReplica, target: SimulatedDisk, array: DiskArray
 ) -> RebalanceReport:
-    """Move every binding of ``replica`` onto ``target``.
+    """Move every binding of one-device ``replica`` onto ``target``.
 
     Two phases, so the move is fault-safe: first every index is
     smart-copied to the target device; only once *all* copies have landed
@@ -150,13 +148,13 @@ def move_replica(
     in the copy phase leaves the source replica fully intact — the
     completed clones are dropped, any half-written extent of the
     interrupted copy is swept off the target, and the fault propagates.
-    Afterwards the replica's wave index, executor span, and device
-    bookkeeping all point at the target, so future maintenance ops land
-    there.
+    Afterwards the replica's wave index and executor span point at the
+    target, so future maintenance ops land there.  The report names the
+    source and the target by their positions in ``array``.
     """
     wave = replica.wave
-    from_device = replica.device_index
-    source_before = replica.device.clock
+    source = replica.device
+    source_before = source.clock
     target_before = target.clock
     clones: dict[str, ConstituentIndex] = {}
     try:
@@ -179,17 +177,15 @@ def move_replica(
         bytes_moved += clone.allocated_bytes
         wave.bind(name, clone)
         moved += 1
-    source_read = replica.device.clock - source_before
+    source_read = source.clock - source_before
     target_write = target.clock - target_before
     wave.disk = target
-    replica.device = target
-    replica.device_index = target_device_index
     replica.executor.span = DiskArray([target])
     return RebalanceReport(
         shard_id=replica.shard_id,
         replica_id=replica.replica_id,
-        from_device=from_device,
-        to_device=target_device_index,
+        from_device=array.devices.index(source),
+        to_device=array.devices.index(target),
         indexes_moved=moved,
         bytes_moved=bytes_moved,
         source_read_seconds=source_read,

@@ -53,7 +53,6 @@ from functools import partial
 from typing import Callable
 
 from ..core.boundary import Boundary, Steps
-from ..core.executor import PlanExecutor
 from ..core.ops import Op
 from ..core.recovery import (
     JournaledExecutor,
@@ -67,7 +66,6 @@ from ..core.staged import (
     discard_partial,
     retry_transients,
 )
-from ..core.wave import WaveIndex
 from ..errors import (
     ClusterError,
     FaultError,
@@ -144,7 +142,6 @@ class RebuildReport:
     shard_id: int
     replica_id: int
     donor_replica_id: int
-    device_index: int
     day: int
     indexes_copied: int
     bytes_copied: int
@@ -304,7 +301,6 @@ def rebuild_steps(
     shard: Shard,
     donor: ShardReplica,
     span: DiskArray,
-    device_index: int,
     *,
     plan: list[Op],
     day: int,
@@ -314,10 +310,9 @@ def rebuild_steps(
     """Rebuild one replica of ``shard`` from ``donor`` onto ``span``;
     return the new ``(replica, report)``.
 
-    ``span`` is fresh spare devices, array indexes from ``device_index``
-    on; the new replica lives on them as the donor lives on its own, and
-    runs the donor's planner (``plan`` is its plan for ``day``) and
-    technique.
+    ``span`` is fresh spare devices; the new replica lives on them as
+    the donor lives on its own, and runs the donor's planner (``plan`` is
+    its plan for ``day``) and technique.
 
     Yields a ``"rebuild"`` :class:`~repro.core.boundary.Boundary` named
     ``copy:s{g}/r{i}:{name}`` before each binding's copy (again after a
@@ -325,7 +320,7 @@ def rebuild_steps(
     phases, both on the simulated cost clocks:
 
     1. **Copy** — every binding of the donor's wave index is smart-copied
-       onto the span device in the place its source holds in the
+       onto the span device at the offset its source holds in the
        donor's span (:func:`~repro.cluster.rebalance.copy_index_to`:
        sequential read on the donor's device, one packed extent written
        on the spare).  The donor's pre-transition state is what gets
@@ -352,10 +347,18 @@ def rebuild_steps(
     """
     spares = span.devices
     technique = donor.executor.technique
-    new_wave = WaveIndex(
-        spares[0], donor.wave.config, len(donor.wave.constituents)
-    )
     replica_id = max(r.replica_id for r in shard.replicas) + 1
+    replica = ShardReplica(
+        shard.shard_id,
+        replica_id,
+        span,
+        store=shard.store,
+        technique=technique,
+        scheme=donor.scheme,
+        config=donor.wave.config,
+        caught_up_day=day,
+    )
+    new_wave = replica.wave
     label = f"s{shard.shard_id}/r{replica_id}"
     devices = (*spares, donor.device)
     donor_span = donor.span
@@ -380,11 +383,13 @@ def rebuild_steps(
                         crash_recoveries + copied, shard.shard_id,
                         replica_id, devices,
                     )
-                    target = spares[
-                        donor_span.devices.index(index.disk) % len(spares)
-                    ]
                     clone = retry_transients(
-                        partial(copy_index_to, index, target, name=name),
+                        partial(
+                            copy_index_to,
+                            index,
+                            replica.device_for(index, donor),
+                            name=name,
+                        ),
                         new_wave,
                         monitor,
                         sweep,
@@ -417,9 +422,9 @@ def rebuild_steps(
                 journaled.journal, new_wave, shard.store, technique
             )
     except (FaultError, OutOfSpaceError) as exc:
-        if donor.device.failed:
+        if donor.device_failed:
             monitor.retire(donor, reason="died-during-rebuild")
-        discard_partial(new_wave)
+        discard_partial(new_wave, spares)
         raise ChangeAborted(
             f"rebuild of shard {shard.shard_id} aborted: {exc}",
             kind="rebuild",
@@ -433,23 +438,12 @@ def rebuild_steps(
 
     catchup = span.total_clock - spare_before - copy_write
     end = start + copy_read + (span.total_clock - spare_before)
-    replica = ShardReplica(
-        shard_id=shard.shard_id,
-        replica_id=replica_id,
-        device_index=device_index,
-        device=spares[0],
-        wave=new_wave,
-        executor=PlanExecutor(new_wave, shard.store, technique, span=span),
-        scheme=donor.scheme,
-        caught_up_day=day,
-        maintenance_start=start,
-        maintenance_end=end,
-    )
+    replica.maintenance_start = start
+    replica.maintenance_end = end
     report = RebuildReport(
         shard_id=shard.shard_id,
         replica_id=replica_id,
         donor_replica_id=donor.replica_id,
-        device_index=device_index,
         day=day,
         indexes_copied=copied,
         bytes_copied=bytes_copied,

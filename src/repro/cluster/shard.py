@@ -15,7 +15,7 @@ device dies.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
 
@@ -28,6 +28,8 @@ from ..core.staged import retry_transients
 from ..core.schemes.base import WaveScheme
 from ..core.wave import WaveIndex
 from ..errors import DeviceFailure, FaultError, TransientIOError
+from ..index.config import IndexConfig
+from ..index.constituent import ConstituentIndex
 from ..index.updates import UpdateTechnique
 from ..sim.metrics import SimulationResult
 from ..sim.scheduler import OpInterval
@@ -70,21 +72,19 @@ class ReplicaHealth:
         return self.opened_at + self.cooldown_s
 
 
-@dataclass(eq=False)
 class ShardReplica:
-    """One copy of a shard's wave index on devices of the array.
+    """One copy of a shard's wave index on a span of the array's devices.
 
     However it is made — the first build, the healer's rebuild, a split
-    or merge, a retune — a replica holds the same three things: its
-    planner, :attr:`scheme`; a
-    :class:`~repro.core.executor.PlanExecutor` over its span; and that
-    executor's store, a view of the cluster's source store.  The
+    or merge, a retune — a replica is made by this one constructor, over
+    a span of ``devices_per_replica`` devices: its wave index on the
+    span's first device, a :class:`~repro.core.executor.PlanExecutor`
+    over the span (index creations rotate over its devices), that
+    executor's store (a view of the cluster's source store) and its
+    planner, :attr:`scheme`.  The replica holds its devices only as the
+    executor's :attr:`span`; :attr:`device` is the span's first.  The
     replicas of a shard share the shard's planner until a retune gives
     one of them its own.
-
-    A replica lives on :attr:`device` (array index :attr:`device_index`)
-    and, when its executor's span is wider, on the devices from there on,
-    rotating its index creations over them (:attr:`span`).
 
     ``intervals`` / ``maintenance_start`` / ``maintenance_end`` describe
     the replica's most recent maintenance run on the cluster's shared
@@ -92,31 +92,41 @@ class ShardReplica:
     decide whether a query waits, degrades, or is served from the
     pre-transition state.
 
-    A replica compares and hashes as the object (``eq=False``): its
-    breaker, its retune cooldown and a retune queued for it follow it
-    across a split or merge that renumbers its shard.
+    A replica compares and hashes as the object: its breaker, its retune
+    cooldown and a retune queued for it follow it across a split or merge
+    that renumbers its shard.
     """
 
-    shard_id: int
-    replica_id: int
-    device_index: int
-    device: SimulatedDisk
-    wave: WaveIndex
-    executor: PlanExecutor
-    #: The planner whose plans the replica runs.  The day loop draws one
-    #: plan a day per planner, shared by every replica bound to it.
-    scheme: WaveScheme
-    failed: bool = False
-    intervals: list[OpInterval] = field(default_factory=list)
-    maintenance_start: float = 0.0
-    maintenance_end: float = 0.0
-    #: Day a rebuilt, resharded or retuned replica already incorporated
-    #: via catch-up replay; the maintenance pass skips it for that day.
-    #: ``None`` for replicas built the normal way.
-    caught_up_day: int | None = None
-    #: The replica's circuit breaker, driven by the cluster's
-    #: :class:`~repro.cluster.selfheal.ReplicaHealthMonitor`.
-    health: ReplicaHealth = field(default_factory=ReplicaHealth)
+    def __init__(
+        self,
+        shard_id: int,
+        replica_id: int,
+        span: DiskArray,
+        *,
+        store: RecordStore,
+        technique: UpdateTechnique,
+        scheme: WaveScheme,
+        config: IndexConfig,
+        caught_up_day: int | None = None,
+    ) -> None:
+        self.shard_id = shard_id
+        self.replica_id = replica_id
+        self.wave = WaveIndex(span.devices[0], config, scheme.n_indexes)
+        self.executor = PlanExecutor(self.wave, store, technique, span=span)
+        #: The planner whose plans the replica runs.  The day loop draws
+        #: one plan a day per planner, shared by every replica bound to it.
+        self.scheme = scheme
+        self.failed = False
+        self.intervals: list[OpInterval] = []
+        self.maintenance_start = 0.0
+        self.maintenance_end = 0.0
+        #: Day a rebuilt, resharded or retuned replica already incorporated
+        #: via catch-up replay; the maintenance pass skips it for that day.
+        #: ``None`` for replicas built the normal way.
+        self.caught_up_day = caught_up_day
+        #: The replica's circuit breaker, driven by the cluster's
+        #: :class:`~repro.cluster.selfheal.ReplicaHealthMonitor`.
+        self.health = ReplicaHealth()
 
     @property
     def name(self) -> str:
@@ -125,9 +135,21 @@ class ShardReplica:
 
     @property
     def span(self) -> DiskArray:
-        """Return the devices holding this replica's indexes, in array
-        order from :attr:`device_index` on (the executor's span)."""
+        """Return the devices holding this replica's indexes (the
+        executor's span)."""
         return self.executor.span
+
+    @property
+    def device(self) -> SimulatedDisk:
+        """Return the span's first device, where the wave index lives."""
+        return self.executor.span.devices[0]
+
+    def device_for(
+        self, index: ConstituentIndex, donor: "ShardReplica"
+    ) -> SimulatedDisk:
+        """Return where a copy of ``donor``'s ``index`` lands on this
+        span: at the offset ``index`` holds in the donor's span."""
+        return self.span.devices[donor.span.devices.index(index.disk)]
 
     @property
     def clock(self) -> float:
@@ -140,21 +162,21 @@ class ShardReplica:
         """Return ``True`` once a device of the span has failed for good."""
         return any(device.failed for device in self.span.devices)
 
-    def busy_until(self) -> list[float]:
+    def busy_until(self) -> dict[SimulatedDisk, float]:
         """Return when each device of the span finishes today's maintenance.
 
         One device, or a span with no intervals laid (a rebuild or a
-        retune sets its end without laying any), is busy until the
+        staged change sets its end without laying any), is busy until the
         replica's maintenance ends; otherwise a spanning replica's devices
         come free op by op.
         """
-        n_devices = len(self.span)
-        if n_devices == 1 or not self.intervals:
-            return [self.maintenance_end] * n_devices
-        until = [self.maintenance_start] * n_devices
+        devices = self.span.devices
+        if len(devices) == 1 or not self.intervals:
+            return dict.fromkeys(devices, self.maintenance_end)
+        until = dict.fromkeys(devices, self.maintenance_start)
         for interval in self.intervals:
             for device in interval.devices:
-                until[device - self.device_index] = interval.end
+                until[device] = interval.end
         return until
 
     def _op_blocks_queries(self, op: Op) -> bool:
@@ -231,8 +253,8 @@ class ShardReplica:
                     op=op,
                     target=getattr(op, "target", ""),
                     devices=tuple(
-                        self.device_index + offset
-                        for offset, delta in enumerate(deltas)
+                        device
+                        for device, delta in zip(devices, deltas)
                         if delta > 0
                     ),
                     start=cursor,

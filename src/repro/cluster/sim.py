@@ -69,7 +69,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from ..core.boundary import Boundary, Steps, drive
-from ..core.executor import ExecutionReport, PlanExecutor
+from ..core.executor import ExecutionReport
 from ..core.ops import Op
 from ..core.records import RecordStore
 from ..core.schemes.base import WaveScheme
@@ -162,9 +162,10 @@ class ClusterConfig:
             one, the replica rotates its index creations over them, so a
             rebuild streams to a device its serving constituents do not
             occupy and queries overlap the transition (the paper's
-            "build new constituent indices on separate disks").  A
-            rebuilt replica spans as many fresh spares; replicas a split,
-            merge or retune creates live on one spare device.
+            "build new constituent indices on separate disks").  Every
+            replica spans this many devices, however it is made: the
+            healer's rebuild, a split's or merge's child and a retune
+            each provision as many fresh spares.
     """
 
     n_shards: int = 2
@@ -518,26 +519,16 @@ class ClusterSimulation:
             scheme = scheme_factory()
             replicas = []
             for replica_id in range(cfg.replication):
-                device_index = (replica_id * cfg.n_shards + shard_id) * width
-                device = self.array.devices[device_index]
-                wave = WaveIndex(device, index_config, scheme.n_indexes)
-                executor = PlanExecutor(
-                    wave,
-                    shard_stores[shard_id],
-                    technique,
-                    span=DiskArray(
-                        self.array.devices[device_index : device_index + width]
-                    ),
-                )
+                first = (replica_id * cfg.n_shards + shard_id) * width
                 replicas.append(
                     ShardReplica(
-                        shard_id=shard_id,
-                        replica_id=replica_id,
-                        device_index=device_index,
-                        device=device,
-                        wave=wave,
-                        executor=executor,
+                        shard_id,
+                        replica_id,
+                        DiskArray(self.array.devices[first : first + width]),
+                        store=shard_stores[shard_id],
+                        technique=technique,
                         scheme=scheme,
+                        config=index_config,
                     )
                 )
             self.shards.append(
@@ -646,9 +637,7 @@ class ClusterSimulation:
             raise ClusterError(
                 f"{replica.name} already lives on device {to_device}"
             )
-        report = move_replica(
-            replica, self.array.devices[to_device], to_device
-        )
+        report = move_replica(replica, self.array.devices[to_device], self.array)
         self.obs.counter("cluster.rebalances").inc()
         self.obs.counter("cluster.rebalance_bytes").inc(report.bytes_moved)
         return report
@@ -814,17 +803,16 @@ class ClusterSimulation:
             donor = shard.primary
             if donor is None or len(shard.alive_replicas()) >= self.config.replication:
                 continue
-            provisioned = provision_spares(
-                self._make_spare, self.array, self.config.devices_per_replica
+            span = DiskArray(
+                provision_spares(
+                    self._make_spare, self.array, self.config.devices_per_replica
+                )
             )
-            device_index = provisioned[0][0]
-            span = DiskArray([device for _, device in provisioned])
             try:
                 replica, report = yield from rebuild_steps(
                     shard,
                     donor,
                     span,
-                    device_index,
                     plan=plans[donor.scheme],
                     day=day,
                     monitor=monitor,
@@ -940,8 +928,8 @@ class ClusterSimulation:
         shard: Shard,
         unit: QueryUnit,
         arrival: float,
-        avail_pre: list[float],
-        avail_post: list[float],
+        avail_pre: dict[SimulatedDisk, float],
+        avail_post: dict[SimulatedDisk, float],
     ) -> tuple[float, frozenset[int], float, float, bool]:
         """Serve ``unit`` on ``shard`` by the cluster's one serving rule
         (:meth:`ClusterCoordinator._serve`) and place it on the devices.
@@ -1003,12 +991,11 @@ class ClusterSimulation:
         # device no time does not queue behind it.
         end = ready
         service = 0.0
-        for offset, (now, then) in enumerate(zip(span.clocks(), clocks_before)):
+        for device, now, then in zip(span.devices, span.clocks(), clocks_before):
             delta = now - then
             if delta <= 0:
                 continue
-            device = replica.device_index + offset
-            start = max(ready, avail[device])
+            start = max(ready, avail.get(device, 0.0))
             avail[device] = start + delta
             end = max(end, start + delta)
             service = max(service, delta)
@@ -1132,12 +1119,14 @@ class ClusterSimulation:
         if not units:
             return served
         horizon = maintenance_end * self.config.arrival_stretch
-        avail_pre = [0.0] * len(self.array)
-        avail_post = [0.0] * len(self.array)
+        # When each device is next free to serve, by device: before a
+        # shard's window from the day's start, after it from when its
+        # maintenance left the device.
+        avail_pre: dict[SimulatedDisk, float] = {}
+        avail_post: dict[SimulatedDisk, float] = {}
         for shard in self.shards:
             for replica in shard.replicas:
-                for offset, until in enumerate(replica.busy_until()):
-                    avail_post[replica.device_index + offset] = until
+                avail_post.update(replica.busy_until())
         failovers = self.coordinator.failovers
         for i, unit in enumerate(units):
             arrival = horizon * i / len(units)

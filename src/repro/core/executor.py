@@ -120,7 +120,7 @@ class PlanExecutor:
         self.span = span if span is not None else DiskArray([wave.disk])
         self._next_creation_device = 0
 
-    def _creation_disk(self) -> SimulatedDisk:
+    def creation_disk(self) -> SimulatedDisk:
         """Return the device the next index creation lands on.
 
         Creations (Build and CreateEmpty targets) take the span's devices
@@ -172,7 +172,7 @@ class PlanExecutor:
             self.wave.bind(
                 op.target,
                 ConstituentIndex.create_empty(
-                    self._creation_disk(), self.config, name=op.target
+                    self.creation_disk(), self.config, name=op.target
                 ),
             )
         elif isinstance(op, AddOp):
@@ -196,7 +196,7 @@ class PlanExecutor:
 
     def _do_build(self, op: BuildOp) -> None:
         index = build_index_from_store(
-            self._creation_disk(),
+            self.creation_disk(),
             self.config,
             self.store,
             op.days,

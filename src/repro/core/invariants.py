@@ -44,12 +44,11 @@ def check_wave_invariants(
     """
     disks: set[SimulatedDisk] = {wave.disk}
     referenced: set[int] = set()
-    pinned_by_disk: dict[int, int] = {}
+    pinned_by_disk: dict[SimulatedDisk, int] = {}
     for name, index in wave.bindings.items():
         disks.add(index.disk)
-        key = id(index.disk)
         pinned = index.allocated_bytes
-        pinned_by_disk[key] = pinned_by_disk.get(key, 0) + pinned
+        pinned_by_disk[index.disk] = pinned_by_disk.get(index.disk, 0) + pinned
         recount = 0
         for extent in index.referenced_extents():
             referenced.add(extent.extent_id)
@@ -78,7 +77,7 @@ def check_wave_invariants(
                 f"extent leak: {len(orphans)} live extent(s) referenced by "
                 f"no binding, e.g. {orphans[0]!r}"
             )
-        pinned = pinned_by_disk.get(id(disk), 0)
+        pinned = pinned_by_disk.get(disk, 0)
         if disk.live_bytes != pinned:
             _fail(
                 f"byte-accounting leak: disk holds {disk.live_bytes} live "

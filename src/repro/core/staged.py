@@ -38,7 +38,8 @@ from __future__ import annotations
 import json
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Iterable
 
 from ..errors import (
     ClusterError,
@@ -49,13 +50,11 @@ from ..errors import (
     SimulatedCrash,
     TransientIOError,
 )
-from ..index.updates import UpdateTechnique
+from ..storage.array import DiskArray
 from ..storage.disk import SimulatedDisk
 from ..storage.faults import RetryPolicy
 from .boundary import Boundary, Steps
-from .records import RecordStore
 from .recovery import JournaledExecutor, sweep_orphan_extents
-from .schemes.base import WaveScheme
 from .wave import WaveIndex
 
 #: Everything a staged change absorbs into an abort / roll-forward.
@@ -274,23 +273,26 @@ def disarm_crash(*devices: SimulatedDisk) -> None:
             injector.disarm()
 
 
-def discard_partial(wave: WaveIndex) -> None:
-    """Drop every binding of ``wave`` and sweep its device (idempotent)."""
+def discard_partial(wave: WaveIndex, devices: Iterable[SimulatedDisk]) -> None:
+    """Drop every binding of ``wave`` and sweep ``devices``, its span
+    (idempotent)."""
     for name in list(wave.bindings):
         with suppress(*_CLEANUP_FAULTS):
             wave.unbind(name).drop()
     with suppress(*_CLEANUP_FAULTS):
-        sweep_orphan_extents(wave)
+        sweep_orphan_extents(wave, devices)
 
 
 def provision_spares(
     make_spare: Callable[[int], SimulatedDisk], array, n: int
-) -> list[tuple[int, SimulatedDisk]]:
+) -> list[SimulatedDisk]:
     """Make ``n`` fresh devices (``make_spare(offset)``, all before the
-    first is added) and add them to ``array``; return ``(device_index,
-    device)`` pairs in that order."""
+    first is added), add them to ``array`` and return them in that
+    order."""
     devices = [make_spare(offset) for offset in range(n)]
-    return [(array.add_device(device), device) for device in devices]
+    for device in devices:
+        array.add_device(device)
+    return devices
 
 
 def abort_reason(exc: BaseException) -> str:
@@ -303,19 +305,19 @@ def abort_reason(exc: BaseException) -> str:
 
 def retry_transients(
     attempt: Callable[[], Any],
-    scratch: WaveIndex,
+    wave: WaveIndex,
     monitor,
-    repair: Callable[[], None] | None = None,
+    repair: Callable[[], None],
 ):
     """Run ``attempt()`` under the cluster retry policy; return its result.
 
     A :class:`~repro.errors.TransientIOError` that escaped the device's
     own retry loop is retried up to ``RetryPolicy.max_attempts`` tries,
-    with the backoff charged to the target's clock (``scratch.disk``),
+    with the backoff charged to the target's clock (``wave.disk``),
     the retry noted on ``monitor`` (``None`` = no self-healing: default
-    policy, nothing noted) and ``repair()`` run before the next try —
-    by default, the failed attempt's partial extents are swept off the
-    scratch wave.  The last transient propagates.
+    policy, nothing noted) and ``repair()`` — which sweeps the failed
+    attempt's partial work — run before the next try.  The last
+    transient propagates.
     """
     retry = monitor.retry if monitor is not None else RetryPolicy()
     attempts = 0
@@ -326,13 +328,10 @@ def retry_transients(
             attempts += 1
             if attempts >= retry.max_attempts:
                 raise
-            scratch.disk.advance(retry.delay_before_retry(attempts))
+            wave.disk.advance(retry.delay_before_retry(attempts))
             if monitor is not None:
                 monitor.note_retry(attempts)
-            if repair is None:
-                sweep_orphan_extents(scratch)
-            else:
-                repair()
+            repair()
 
 
 # ----------------------------------------------------------------------
@@ -341,38 +340,25 @@ def retry_transients(
 
 
 @dataclass(frozen=True)
-class Scratch:
-    """One replica being built beside the live one.
-
-    ``wave`` starts empty on a freshly provisioned target (``wave.disk``);
-    the kind's builds fill it, then the runner catches it up by replaying
-    the day's plan of ``scheme`` — the planner the replica will run
-    under, shared by the replicas of one shard — against ``store``.
-    ``shard_id`` / ``replica_id`` name its steps (``s{shard}/r{replica}``).
-    """
-
-    shard_id: int
-    replica_id: int
-    wave: WaveIndex
-    store: RecordStore
-    technique: UpdateTechnique
-    scheme: WaveScheme
-
-
-@dataclass(frozen=True)
 class StagedOutcome:
     """What the runner measured, handed to the kind's ``report``."""
 
     #: The finished journal (``units_done`` = constituents built).
     journal: ChangeJournal
-    #: Target device index → its clock when it was provisioned.
-    clock_before: dict[int, float]
+    #: Target device → its clock when it was provisioned.
+    clock_before: dict[SimulatedDisk, float]
     #: Seconds the build charged to the source devices.
     source_seconds: float
     bytes_built: int
     #: Seconds the catch-ups charged to the targets.
     catchup_seconds: float
     crash_recoveries: int
+
+    def seconds_on(self, span: DiskArray) -> float:
+        """Return the seconds the change charged to ``span``'s devices
+        (targets of this change) since they were provisioned."""
+        before = self.clock_before
+        return span.total_clock - sum(before[device] for device in span.devices)
 
 
 class StagedChangeRunner:
@@ -381,28 +367,35 @@ class StagedChangeRunner:
     :meth:`steps` executes one staged change at the start of a day —
     before the day's plans are drawn — and either commits it (the
     replacement caught up to the day and swapped in, what it replaced
-    freed and its devices drained) or raises :class:`ChangeAborted` with
-    the old state fully intact.
+    freed) or raises :class:`ChangeAborted` with the old state fully
+    intact.
 
     A change (a *kind*) says only what differs between kinds:
 
     * ``kind`` (a :class:`ChangeJournal` kind), ``counters`` (its counter
-      prefix — ``.aborted``, ``.crash_recoveries`` and
-      ``.devices_drained`` under it are the runner's) and ``str(change)``
-      for abort messages;
+      prefix — ``.aborted`` and ``.crash_recoveries`` under it are the
+      runner's) and ``str(change)`` for abort messages;
     * ``validate()`` — resolve what is being changed or refuse with
       :class:`ChangeAborted` (nothing was staged, so nothing is
       journaled; the runner counts it under ``.aborted``); afterwards
-      ``subject()`` is the journal's subject, ``source_devices`` what the
-      build reads, ``n_targets`` how many fresh devices it needs;
-    * ``stage(targets, day)`` — one :class:`Scratch` per provisioned
-      ``(device_index, device)``, in build order;
-    * ``builds(scratch)`` — ``(name, build)`` pairs: ``build()`` returns
-      the index the runner binds as ``name`` on the scratch wave;
+      ``subject()`` is the journal's subject, ``source_devices`` every
+      device the build reads, ``n_targets`` how many fresh devices it
+      needs;
+    * ``stage(targets, day)`` — the replicas it builds over the
+      provisioned devices, in build order, each an empty wave on a span
+      of them;
+    * ``builds(replica)`` — ``(name, build)`` pairs: ``build()`` returns
+      the index the runner binds as ``name`` on the staged replica's wave;
     * ``swap(day)`` — install the replacement (the commit); return the
-      replaced ``(wave, device_index)`` pairs for cleanup to free;
+      executors it replaced, whose waves cleanup discards;
     * ``report(outcome)`` — bump the kind's completion counters and
       return its report from a :class:`StagedOutcome`.
+
+    The runner reads a staged replica by its names alone: ``shard_id`` /
+    ``replica_id`` (its steps' ``s{shard}/r{replica}``), ``wave``,
+    ``span``, ``scheme`` (the planner whose day plan catches it up,
+    shared by the replicas of one shard) and ``executor``'s ``store`` and
+    ``technique``.
 
     :meth:`steps` yields a :class:`~repro.core.boundary.Boundary` before
     every pipeline step (``plan``, ``copy:s{g}/r{i}:{name}``,
@@ -438,13 +431,12 @@ class StagedChangeRunner:
         journal.advance(phase)
         self._record(journal)
 
-    def _free(self, retired: list[tuple[WaveIndex, int]], counters: str) -> None:
-        """Drop the replaced waves and drain their devices (idempotent)."""
-        for wave, device_index in retired:
-            discard_partial(wave)
-            if not self.array.is_drained(device_index):
-                self.array.drain_device(device_index)
-                self.obs.counter(f"{counters}.devices_drained").inc()
+    @staticmethod
+    def _free(retired) -> None:
+        """Discard the replaced executors' waves, sweeping every device
+        of their spans (idempotent)."""
+        for executor in retired:
+            discard_partial(executor.wave, executor.span.devices)
 
     def steps(self, change, *, day: int) -> Steps:
         """Run ``change`` for ``day``, yielding its boundaries; return its
@@ -468,8 +460,8 @@ class StagedChangeRunner:
         self._record(journal)
         counters = change.counters
         sources = tuple(change.source_devices)
-        targets: list[tuple[int, SimulatedDisk]] = []
-        scratch: list[Scratch] = []
+        targets: list[SimulatedDisk] = []
+        staged: list = []
         bytes_built = 0
         try:
             try:
@@ -477,22 +469,30 @@ class StagedChangeRunner:
                 targets = provision_spares(
                     self.make_spare, self.array, change.n_targets
                 )
-                journal.target_devices = [i for i, _ in targets]
+                journal.target_devices = [
+                    self.array.devices.index(d) for d in targets
+                ]
                 source_before = sum(d.clock for d in sources)
-                clock_before = {i: d.clock for i, d in targets}
-                scratch = change.stage(targets, day)
+                clock_before = {d: d.clock for d in targets}
+                staged = change.stage(targets, day)
 
                 self._advance(journal, ChangePhase.COPYING)
-                for replica in scratch:
+                for replica in staged:
                     label = f"s{replica.shard_id}/r{replica.replica_id}"
+                    span = tuple(replica.span.devices)
                     for name, build in change.builds(replica):
                         yield step(
                             f"copy:{label}:{name}",
-                            (replica.wave.disk, *sources),
+                            (*span, *sources),
                             replica.shard_id,
                             replica.replica_id,
                         )
-                        index = retry_transients(build, replica.wave, self.monitor)
+                        index = retry_transients(
+                            build,
+                            replica.wave,
+                            self.monitor,
+                            partial(sweep_orphan_extents, replica.wave, span),
+                        )
                         replica.wave.bind(name, index)
                         bytes_built += index.allocated_bytes
                         journal.units_done += 1
@@ -500,9 +500,9 @@ class StagedChangeRunner:
                 self._advance(journal, ChangePhase.COPIED)
 
                 self._advance(journal, ChangePhase.CATCHUP)
-                catchup_before = {i: d.clock for i, d in targets}
+                catchup_before = {d: d.clock for d in targets}
                 scheme = None
-                for replica in scratch:
+                for replica in staged:
                     if replica.scheme is not scheme:
                         # Planning mutates the planner, and the replicas
                         # of one shard share it: plan the day once each.
@@ -511,12 +511,15 @@ class StagedChangeRunner:
                         state = scheme.get_state()
                     yield step(
                         f"catchup:s{replica.shard_id}/r{replica.replica_id}",
-                        (replica.wave.disk,),
+                        tuple(replica.span.devices),
                         replica.shard_id,
                         replica.replica_id,
                     )
                     executor = JournaledExecutor(
-                        replica.wave, replica.store, replica.technique
+                        replica.wave,
+                        replica.executor.store,
+                        replica.executor.technique,
+                        span=replica.span,
                     )
                     yield from executor.journaled_steps(
                         plan,
@@ -528,18 +531,18 @@ class StagedChangeRunner:
                     journal.catchup.append(executor.journal.to_dict())
                     self._record(journal)
                 catchup_seconds = sum(
-                    d.clock - catchup_before[i] for i, d in targets
+                    d.clock - catchup_before[d] for d in targets
                 )
                 yield step("swap")
             except _STAGED_FAULTS as exc:
                 # Strictly before the swap record: abort.  The sources
-                # were only ever *read*, so discarding the scratch waves
+                # were only ever *read*, so discarding the staged waves
                 # restores the exact pre-change state.  Disarm first —
                 # the discard itself does I/O on the targets.
                 reason = abort_reason(exc)
-                disarm_crash(*sources, *(d for _, d in targets))
-                for replica in scratch:
-                    discard_partial(replica.wave)
+                disarm_crash(*sources, *targets)
+                for replica in staged:
+                    discard_partial(replica.wave, replica.span.devices)
                 self._advance(journal, ChangePhase.ABORTED)
                 self.obs.counter(f"{counters}.aborted").inc()
                 raise ChangeAborted(
@@ -554,7 +557,7 @@ class StagedChangeRunner:
             crash_recoveries = 0
             try:
                 yield step("cleanup", sources)
-                self._free(retired, counters)
+                self._free(retired)
             except _STAGED_FAULTS:
                 # At or after the swap record every fault rolls
                 # *forward*: the dead process's crash points are gone and
@@ -562,7 +565,7 @@ class StagedChangeRunner:
                 disarm_crash(*sources)
                 crash_recoveries = 1
                 self.obs.counter(f"{counters}.crash_recoveries").inc()
-                self._free(retired, counters)
+                self._free(retired)
             self._advance(journal, ChangePhase.DONE)
             return change.report(
                 StagedOutcome(
@@ -578,5 +581,5 @@ class StagedChangeRunner:
             # The change's process exits here, whichever way: a crash
             # point armed against it that never fired dies with it
             # instead of ambushing a later, ordinary maintenance pass.
-            disarm_crash(*sources, *(d for _, d in targets))
+            disarm_crash(*sources, *targets)
 

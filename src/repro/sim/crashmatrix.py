@@ -40,6 +40,7 @@ from ..core.wave import WaveIndex
 from ..errors import SimulatedCrash
 from ..index.config import IndexConfig
 from ..index.updates import UpdateTechnique
+from ..storage.array import DiskArray
 from ..storage.faults import CrashPoint, FaultInjector, FaultyDisk
 from ..workloads.text import TextWorkloadConfig, build_store
 
@@ -296,7 +297,6 @@ def _rebalance_cells(
     """
     from ..cluster.rebalance import move_replica
     from ..cluster.shard import ShardReplica
-    from ..core.executor import PlanExecutor
 
     factory = _scheme_factory("WATA*", window, n_indexes)
     period = factory().maintenance_period
@@ -304,26 +304,29 @@ def _rebalance_cells(
     cells: list[CrashCell] = []
 
     def build():
-        injector, wave, executor, scheme = _history(factory, store, n_indexes, technique)
-        target = FaultyDisk(injector=injector)
-        for day in range(window + 1, last_day + 1):
-            executor.execute(scheme.transition_ops(day))
+        injector = FaultInjector()
+        scheme = factory()
         replica = ShardReplica(
-            shard_id=0,
-            replica_id=0,
-            device_index=0,
-            device=wave.disk,
-            wave=wave,
-            executor=PlanExecutor(wave, store, technique),
+            0,
+            0,
+            DiskArray([FaultyDisk(injector=injector)]),
+            store=store,
+            technique=technique,
             scheme=scheme,
+            config=IndexConfig(),
         )
-        return injector, target, wave, scheme, replica
+        target = FaultyDisk(injector=injector)
+        replica.executor.execute(scheme.start_ops())
+        for day in range(window + 1, last_day + 1):
+            replica.executor.execute(scheme.transition_ops(day))
+        array = DiskArray([replica.device, target])
+        return injector, target, replica.wave, scheme, replica, array
 
     # Fault-free dry run: count the move's I/Os — those are the cells.
-    injector, target, wave, scheme, replica = build()
+    injector, target, wave, scheme, replica, array = build()
     pre = _snapshot(wave, last_day, window, probes)
     before = injector.stats.ios
-    move_replica(replica, target, 1)
+    move_replica(replica, target, array)
     move_ios = injector.stats.ios - before
     why = _diverges(_snapshot(wave, last_day, window, probes), pre)
     if why is not None:
@@ -335,13 +338,13 @@ def _rebalance_cells(
         ]
 
     for m in range(move_ios):
-        injector, target, wave, scheme, replica = build()
+        injector, target, wave, scheme, replica, array = build()
         pre = _snapshot(wave, last_day, window, probes)
         injector.arm_crash(CrashPoint(after_ios=m))
         crashed = False
         ok, detail = True, ""
         try:
-            move_replica(replica, target, 1)
+            move_replica(replica, target, array)
         except SimulatedCrash:
             crashed = True
         injector.disarm()
@@ -361,7 +364,7 @@ def _rebalance_cells(
             elif crashed:
                 # The retry: a fresh move of the intact source must now
                 # complete and serve bit-identically.
-                move_replica(replica, target, 1)
+                move_replica(replica, target, array)
                 why = _diverges(
                     _snapshot(wave, last_day, window, probes), pre
                 )

@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass
 
 from ..core.ops import Op
+from ..storage.disk import SimulatedDisk
 
 
 class OverlapPolicy(enum.Enum):
@@ -43,12 +44,13 @@ class OverlapPolicy(enum.Enum):
 class OpInterval:
     """One executed maintenance op laid on the day's shared timeline.
 
-    ``devices`` are the array indexes the op charged time to.
+    ``devices`` are the devices of the replica's span the op charged
+    time to.
     """
 
     op: Op
     target: str
-    devices: tuple[int, ...]
+    devices: tuple[SimulatedDisk, ...]
     start: float
     end: float
     blocking: bool

@@ -84,7 +84,6 @@ class DiskArray:
         if not devices:
             raise ValueError("need at least one device")
         self.devices: list[SimulatedDisk] = list(devices)
-        self.drained: set[int] = set()
 
     @classmethod
     def create(
@@ -114,32 +113,13 @@ class DiskArray:
     def add_device(self, device: SimulatedDisk) -> int:
         """Append ``device`` to the array; return its device index.
 
-        Used by the cluster's self-healing layer to provision a fresh
-        spare for a replica rebuild; existing devices keep their
-        indexes.
+        Used to provision fresh spares for a rebuilt or staged replica;
+        existing devices keep their indexes.  Devices are never removed:
+        one whose replica retired keeps its clock and counters for the
+        run's aggregate accounting.
         """
         self.devices.append(device)
         return len(self.devices) - 1
-
-    def drain_device(self, index: int) -> None:
-        """Mark device ``index`` drained — retired from active service.
-
-        Devices are never removed from the array (indexes are stable ids
-        that replicas and metrics reference), so retiring one is a flag:
-        the caller is responsible for having moved or dropped its data
-        first (the elastic engine drops the old shard's indexes before
-        draining its devices).  Drained devices keep their clocks and
-        counters for the run's aggregate accounting.
-        """
-        if not 0 <= index < len(self.devices):
-            raise ValueError(
-                f"device index {index} outside [0, {len(self.devices)})"
-            )
-        self.drained.add(index)
-
-    def is_drained(self, index: int) -> bool:
-        """Return whether device ``index`` has been drained."""
-        return index in self.drained
 
     # ------------------------------------------------------------------
     # Aggregate clocks and counters

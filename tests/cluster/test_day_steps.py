@@ -99,7 +99,7 @@ def test_a_day_yields_staged_then_rebuild_then_plan_boundaries():
     sim = _build(selfheal=True, elastic=True, injectors=injectors)
     sim.run_start()
     victim = sim.shards[0].primary
-    injectors[victim.device_index].fail_device()
+    victim.device.injector.fail_device()
     sim.run_transition(W + 1)  # the kill is observed; the replica retires
     sim.request_split(1)
 
@@ -136,7 +136,7 @@ def test_a_crash_at_a_rebuild_boundary_resumes_in_place():
     sim.run_start()
     twin.run_start()
     victim = sim.shards[0].primary
-    injectors[victim.device_index].fail_device()
+    victim.device.injector.fail_device()
     sim.run_transition(W + 1)
     twin.run_transition(W + 1)
     seen = []
@@ -167,7 +167,7 @@ def test_a_crash_at_a_rebuild_catchup_op_is_recovered_from_its_journal():
     sim.run_start()
     twin.run_start()
     victim = sim.shards[0].primary
-    injectors[victim.device_index].fail_device()
+    victim.device.injector.fail_device()
     sim.run_transition(W + 1)
     twin.run_transition(W + 1)
     rebuilt = max(r.replica_id for r in sim.shards[0].replicas) + 1

@@ -84,7 +84,7 @@ class TestFaultMatrix:
         # Kill shard 0's primary device; the next transition's first I/O
         # on it raises DeviceFailure mid-plan.
         victim = sim.shards[0].primary
-        injectors[victim.device_index].fail_device()
+        victim.device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
             twin.run_transition(day)
@@ -113,7 +113,7 @@ class TestFaultMatrix:
         sim.run_start()
         twin.run_start()
         victim = sim.shards[0].primary
-        injectors[victim.device_index].fail_device()
+        victim.device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
             twin.run_transition(day)
@@ -167,8 +167,8 @@ class TestMidTransitionFailureTimeline:
         victim = sim.shards[0].primary
         # Arm a counted failure so the device dies partway through the
         # next day's plan rather than before it.
-        injectors[victim.device_index].fail_device_after_ios = (
-            injectors[victim.device_index].stats.ios + 3
+        victim.device.injector.fail_device_after_ios = (
+            victim.device.injector.stats.ios + 3
         )
         stats = sim.run_transition(W + 1)
         assert victim.failed
@@ -188,7 +188,7 @@ class TestMidTransitionFailureTimeline:
 
         def die_at_serving(boundary):
             if boundary.kind == "serve":
-                injectors[victim.device_index].fail_device()
+                victim.device.injector.fail_device()
 
         stats = drive(sim.day_steps(W + 1), die_at_serving)
         assert victim.failed
@@ -211,7 +211,7 @@ class TestFailoverCostAccounting:
         sim.run(LAST)
         twin.run(LAST)
         victim = sim.shards[0].primary
-        inj = injectors[victim.device_index]
+        inj = victim.device.injector
         # A counted failure: the dying attempt performs three charged
         # I/Os before the device gives out mid-batch.
         inj.fail_device_after_ios = inj.stats.ios + 3
@@ -262,7 +262,7 @@ class TestServingTimeFailoverBeatsDegradation:
         twin.run(LAST)
 
         victim = sim.shards[0].primary
-        injectors[victim.device_index].fail_device()
+        victim.device.injector.fail_device()
 
         probes, scan = _final_answers(sim)
         want_probes, want_scan = _final_answers(twin)

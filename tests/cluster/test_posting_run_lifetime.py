@@ -121,7 +121,7 @@ def test_rebuilt_replica_shares_the_shards_runs(posted):
     )
     sim.run_start()
     victim = sim.shards[0].primary
-    injectors[victim.device_index].fail_device()
+    victim.device.injector.fail_device()
     for day in range(W + 1, 2 * W + 1):
         del posted[:]
         sim.run_transition(day)

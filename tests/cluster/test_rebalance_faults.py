@@ -71,13 +71,12 @@ class TestMoveUnderFaults:
         target = FaultyDisk(
             injector=FaultInjector(fail_device_after_ios=1)
         )
-        index = sim.array.add_device(target)
+        sim.array.add_device(target)
         with pytest.raises(DeviceFailure):
-            move_replica(replica, target, index)
+            move_replica(replica, target, sim.array)
         # The swap never happened: same device, same bindings, and the
         # half-written clones were swept off the target.
         assert replica.device is sim.array.devices[0]
-        assert replica.device_index == 0
         assert _postings(replica.wave) == before_postings
         assert target.live_bytes == 0
         after = _answers(sim)
@@ -94,9 +93,9 @@ class TestMoveUnderFaults:
         target = FaultyDisk(
             injector=FaultInjector(crash=CrashPoint(after_ios=1))
         )
-        index = sim.array.add_device(target)
+        sim.array.add_device(target)
         with pytest.raises(SimulatedCrash):
-            move_replica(replica, target, index)
+            move_replica(replica, target, sim.array)
         # Disk state survives a process crash; the cleanup swept every
         # orphan extent, so the target is as empty as before the move.
         assert target.live_bytes == 0
@@ -104,10 +103,9 @@ class TestMoveUnderFaults:
         # After a restart (disarm) the same move completes and answers
         # survive bit for bit.
         target.injector.disarm()
-        report = move_replica(replica, target, index)
+        report = move_replica(replica, target, sim.array)
         assert report.indexes_moved > 0
         assert replica.device is target
-        assert replica.device_index == index
         assert _postings(replica.wave) == before_postings
         sim.array.check_invariants()
         after = _answers(sim)
@@ -123,10 +121,10 @@ class TestMoveUnderFaults:
         before_postings = _postings(replica.wave)
         source_live = replica.device.live_bytes
         target = FaultyDisk(injector=FaultInjector())
-        index = sim.array.add_device(target)
+        sim.array.add_device(target)
         injectors[0].arm_crash(CrashPoint(after_ios=1))
         with pytest.raises(SimulatedCrash):
-            move_replica(replica, target, index)
+            move_replica(replica, target, sim.array)
         injectors[0].disarm()
         assert _postings(replica.wave) == before_postings
         assert replica.device.live_bytes == source_live
@@ -141,9 +139,9 @@ class TestMoveUnderFaults:
         target = FaultyDisk(
             injector=FaultInjector(space_limit_bytes=64)
         )
-        index = sim.array.add_device(target)
+        sim.array.add_device(target)
         with pytest.raises(OutOfSpaceError):
-            move_replica(replica, target, index)
+            move_replica(replica, target, sim.array)
         assert _postings(replica.wave) == before_postings
         assert target.live_bytes == 0
         assert replica.device is sim.array.devices[0]

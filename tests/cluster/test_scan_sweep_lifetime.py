@@ -79,7 +79,7 @@ def test_rebuilt_replica_starts_without_a_sweep():
     shard = sim.shards[0]
     victim = shard.primary
     (survivor,) = [r for r in shard.replicas if r is not victim]
-    injectors[victim.device_index].fail_device()
+    victim.device.injector.fail_device()
     for s in (sim, twin):
         s.run_transition(W + 1)  # the victim is retired...
         warm(s, W + 1)

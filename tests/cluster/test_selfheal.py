@@ -259,7 +259,7 @@ class TestReReplication:
         sim.run_start()
         twin.run_start()
         victim = sim.shards[0].primary
-        injectors[victim.device_index].fail_device()
+        victim.device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
             twin.run_transition(day)
@@ -289,7 +289,7 @@ class TestReReplication:
         sim.run_start()
         twin.run_start()
         victim = sim.shards[0].replicas[1]
-        injectors[victim.device_index].fail_device()
+        victim.device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
             twin.run_transition(day)
@@ -297,12 +297,9 @@ class TestReReplication:
         assert [len(r.span) for r in replicas] == [3, 3, 3]
         assert [r.failed for r in replicas] == [False, True, False]
         rebuilt = replicas[-1]
-        # Three fresh spares, in array order from the replica's device;
-        # its indexes sit on them, spread as the donor's are.
-        devices = sim.array.devices
-        first = rebuilt.device_index
-        assert rebuilt.span.devices == devices[first:first + 3]
-        assert first == len(devices) - 3
+        # Three fresh spares, the array's last three in order; its
+        # indexes sit on them, spread as the donor's are.
+        assert rebuilt.span.devices == sim.array.devices[-3:]
         placed = {id(i.disk) for i in rebuilt.wave.bindings.values()}
         assert placed <= {id(d) for d in rebuilt.span.devices}
         assert len(placed) > 1
@@ -338,7 +335,7 @@ class TestReReplication:
         sim = _build(selfheal=SelfHealConfig(), injectors=injectors)
         sim.run_start()
         victim = sim.shards[0].primary
-        injectors[victim.device_index].fail_device()
+        victim.device.injector.fail_device()
         sim.run_transition(W + 1)  # kill observed, replica retired
         stats = sim.run_transition(W + 2)  # rebuild day
         assert stats.rebuilds == 1
@@ -368,7 +365,7 @@ class TestReReplication:
         sim.run_start()
         twin.run_start()
         victim = sim.shards[0].primary
-        injectors[victim.device_index].fail_device()
+        victim.device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
             twin.run_transition(day)
@@ -396,7 +393,7 @@ class TestReReplication:
         sim.run_start()
         twin.run_start()
         victim = sim.shards[0].primary
-        injectors[victim.device_index].fail_device()
+        victim.device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
             twin.run_transition(day)
@@ -422,7 +419,7 @@ class TestReReplication:
             shard_id = kill_days.get(day)
             if shard_id is not None:
                 victim = sim.shards[shard_id].primary
-                injectors[victim.device_index].fail_device()
+                victim.device.injector.fail_device()
             sim.run_transition(day)
             twin.run_transition(day)
         # Every shard lost a replica and got it back; no shard ever went
@@ -447,7 +444,7 @@ class TestServingUnderTransients:
         sim.run(LAST)
         twin.run(LAST)
         flaky = sim.shards[0].primary
-        injectors[flaky.device_index].transient_read_rate = 1.0
+        flaky.device.injector.transient_read_rate = 1.0
         probes, scan = _final_answers(sim)
         # The flaky replica exhausted its retry budget; the healthy one
         # answered in full — no degradation, no divergence.
@@ -481,13 +478,13 @@ class TestServingUnderTransients:
         )
         sim.run(LAST)
         flaky = sim.shards[0].primary
-        injectors[flaky.device_index].transient_read_rate = 1.0
+        flaky.device.injector.transient_read_rate = 1.0
         _final_answers(sim)
         monitor = sim._monitor
         assert sim.obs.counters()["cluster.heal.breaker_opens"] >= 1
         # The device heals; after the cooldown the next request probes
         # the half-open breaker, succeeds, and the replica is live again.
-        injectors[flaky.device_index].transient_read_rate = 0.0
+        flaky.device.injector.transient_read_rate = 0.0
         monitor.now += 1000.0
         probes, _scan = _final_answers(sim)
         assert flaky.health.state is BreakerState.LIVE

@@ -178,7 +178,7 @@ class World:
         sim = self.sim
         if self.kind == "retune":
             replica = sim.shards[0].replicas[0]
-            return (replica.device_index, sim.result.days[-1].designs)
+            return (replica.device, sim.result.days[-1].designs)
         return (len(sim.shards), sim.coordinator.topology_version)
 
 
