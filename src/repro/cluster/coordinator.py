@@ -207,7 +207,8 @@ class ClusterCoordinator:
         ``now`` is the caller's clock (default ``monitor.now``).  ``route``
         — ``(t1, t2, kind)`` — lets an attached
         :class:`~repro.advisor.router.DesignRouter` pick among divergently
-        tuned replicas when no health monitor owns the choice.  Returns
+        tuned replicas when no health monitor owns the choice; the
+        batch methods build it only when a router is attached.  Returns
         ``(outcome, replica, aborted_seconds)``, or ``(None, None,
         aborted_seconds)`` when no replica can serve.
         """
@@ -278,10 +279,7 @@ class ClusterCoordinator:
 
     def _fail_over(self, replica: ShardReplica) -> None:
         """Retire a replica whose answer died; count the failover."""
-        if self.monitor is None:
-            replica.failed = True
-        else:
-            self.monitor.retire(replica, reason="serving-fault")
+        replica.retire(self.monitor, reason="serving-fault")
         self.obs.counter("cluster.failovers").inc()
         self.failovers += 1
 
@@ -329,7 +327,9 @@ class ClusterCoordinator:
                     min(t1 for _v, t1, _t2 in shard_specs),
                     max(t2 for _v, _t1, t2 in shard_specs),
                     "probe",
-                ),
+                )
+                if self.router is not None
+                else None,
             )
             merge.charge_aborted(shard_id, aborted)
             if batch is None:
@@ -378,7 +378,7 @@ class ClusterCoordinator:
                     max(t2 for _t1, t2 in specs),
                     "scan",
                 )
-                if specs
+                if specs and self.router is not None
                 else None,
             )
             merge.charge_aborted(shard.shard_id, aborted)

@@ -423,7 +423,7 @@ def rebuild_steps(
             )
     except (FaultError, OutOfSpaceError) as exc:
         if donor.device_failed:
-            monitor.retire(donor, reason="died-during-rebuild")
+            donor.retire(monitor, reason="died-during-rebuild")
         discard_partial(new_wave, spares)
         raise ChangeAborted(
             f"rebuild of shard {shard.shard_id} aborted: {exc}",

@@ -15,6 +15,7 @@ device dies.
 from __future__ import annotations
 
 import enum
+from contextlib import suppress
 from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
@@ -27,7 +28,7 @@ from ..core.recovery import restore_op_target, sweep_orphan_extents
 from ..core.staged import retry_transients
 from ..core.schemes.base import WaveScheme
 from ..core.wave import WaveIndex
-from ..errors import DeviceFailure, FaultError, TransientIOError
+from ..errors import DeviceFailure, FaultError, OutOfSpaceError, TransientIOError
 from ..index.config import IndexConfig
 from ..index.constituent import ConstituentIndex
 from ..index.updates import UpdateTechnique
@@ -127,6 +128,9 @@ class ShardReplica:
         #: The replica's circuit breaker, driven by the cluster's
         #: :class:`~repro.cluster.selfheal.ReplicaHealthMonitor`.
         self.health = ReplicaHealth()
+        #: Days of the constituents :meth:`retire` dropped, which
+        #: :meth:`Shard.window_days` still reports for a dark shard.
+        self.released_days: frozenset[int] = frozenset()
 
     @property
     def name(self) -> str:
@@ -161,6 +165,33 @@ class ShardReplica:
     def device_failed(self) -> bool:
         """Return ``True`` once a device of the span has failed for good."""
         return any(device.failed for device in self.span.devices)
+
+    def retire(
+        self, monitor: "ReplicaHealthMonitor | None", *, reason: str
+    ) -> None:
+        """Take the replica out of service for good.
+
+        Marks it failed, through ``monitor``'s breaker (which records
+        ``reason``) when the cluster self-heals.  Once a device of its
+        span has failed, every binding on the span's surviving devices is
+        dropped, cleanup faults suppressed: a retired replica never
+        serves or turns again, so those devices hold nothing for it.  The
+        failed device keeps its bindings and their accounting; a replica
+        retired with every device healthy keeps its wave.
+        """
+        if monitor is None:
+            self.failed = True
+        else:
+            monitor.retire(self, reason=reason)
+        if not self.device_failed:
+            return
+        wave = self.wave
+        for name, index in list(wave.bindings.items()):
+            if not index.disk.failed:
+                if wave.is_constituent(name):
+                    self.released_days |= index.time_set
+                with suppress(FaultError, OutOfSpaceError):
+                    wave.unbind(name).drop()
 
     def busy_until(self) -> dict[SimulatedDisk, float]:
         """Return when each device of the span finishes today's maintenance.
@@ -239,7 +270,7 @@ class ShardReplica:
                 try:
                     self.executor.execute_op(op, report)
                 except FaultError:
-                    self.failed = True
+                    self.retire(None, reason="maintenance-fault")
                     break
             else:
                 if not self._execute_op_healed(
@@ -312,7 +343,7 @@ class ShardReplica:
         else:
             monitor.record_success(self)
             return True
-        monitor.retire(self, reason=reason)
+        self.retire(monitor, reason=reason)
         return False
 
 
@@ -385,6 +416,7 @@ class Shard:
         """
         days: set[int] = set()
         for replica in self.replicas:
+            days.update(d for d in replica.released_days if t1 <= d <= t2)
             for index in replica.wave.live_constituents():
                 days.update(d for d in index.time_set if t1 <= d <= t2)
             if days:

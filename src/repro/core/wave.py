@@ -272,11 +272,20 @@ class WaveIndex:
         duplicate gets the same immutable :class:`ProbeResult`.  Cost
         shares are weighted by duplicate count: with ``N`` total
         requesters of a value, every copy is charged ``cost / N``.
-        Per-bucket filtering runs on the bucket's
-        :class:`~repro.index.kernels.Run` via
-        :class:`~repro.index.kernels.RangeFilterCache`: an answer is
-        assembled from slices of the runs' own tuples (the slice itself
-        when one constituent answers) and its ``parts`` say which.
+
+        The work scales with the batch's unique windows and the buckets
+        it finds, not with its specs.  Coverage depends on the window
+        alone: each constituent's time-set is intersected once per unique
+        ``(t1, t2)``, and every spec of a window shares its
+        ``covered_days`` / ``missing_days`` objects.  Filtering walks the
+        buckets :meth:`~ConstituentIndex.probe_batch_buckets` found, in
+        the order it read them, and each of a bucket's requesters — one
+        per window its value is asked over, so no two share a range —
+        filters the bucket's :class:`~repro.index.kernels.Run` once with
+        :func:`~repro.index.kernels.select`.  An answer is a slice of a
+        run's own tuple when one constituent answers, one concatenation
+        of slices otherwise (:func:`~repro.index.kernels.assemble`), and
+        its ``parts`` say which.
 
         ``degraded`` behaves as for :meth:`timed_index_probe`, applied
         per constituent: offline or failing constituents are reported in
@@ -298,80 +307,99 @@ class WaveIndex:
             weights[j] += 1
         uspecs = list(unique_ids)
         m = len(uspecs)
+        # Each unique spec's window, and each value's requesters in spec
+        # order with the requests they stand for: what a constituent
+        # every window needs is asked for.
+        window_ids: dict[tuple[int, int], int] = {}
+        spec_window: list[int] = []
+        everyone: dict[Any, list[int]] = {}
+        everyone_requests: dict[Any, int] = {}
+        for j, (value, t1, t2) in enumerate(uspecs):
+            spec_window.append(window_ids.setdefault((t1, t2), len(window_ids)))
+            everyone.setdefault(value, []).append(j)
+            everyone_requests[value] = everyone_requests.get(value, 0) + weights[j]
+        windows = list(window_ids)
+        k = len(windows)
         begin = self._begin_batch()
         hits: list[list] = [[] for _ in range(m)]
         seconds = [0.0] * m
-        probed = [0] * m
-        covered: list[set[int]] = [set() for _ in range(m)]
-        missing: list[set[int]] = [set() for _ in range(m)]
+        probed = [0] * k
+        covered: list[set[int]] = [set() for _ in range(k)]
+        missing: list[set[int]] = [set() for _ in range(k)]
         constituents_touched = 0
         buckets_read = 0
         duplicate_hits = 0
+        select = kernels.select
         for name in self.constituents:
             index = self.bindings.get(name)
             if index is None:
                 continue
-            days_memo: dict[tuple[int, int], set[int]] = {}
             relevant: list[tuple[int, set[int]]] = []
-            for j, (value, t1, t2) in enumerate(uspecs):
-                # A replay asks many values over one sliding window:
-                # intersect each unique range once.  The sets are only read.
-                days = days_memo.get((t1, t2))
-                if days is None:
-                    days = self._relevant_days(index, t1, t2)
-                    days_memo[(t1, t2)] = days
+            for w, (t1, t2) in enumerate(windows):
+                days = self._relevant_days(index, t1, t2)
                 if days:
-                    relevant.append((j, days))
+                    relevant.append((w, days))
             if not relevant:
                 continue
-            all_days = set().union(*(days for _, days in relevant))
             if name in self.offline:
-                self._skip_offline(name, all_days, degraded, "probe")
-                for j, days in relevant:
-                    missing[j].update(days)
+                self._skip_offline(
+                    name, set().union(*(days for _, days in relevant)),
+                    degraded, "probe",
+                )
+                for w, days in relevant:
+                    missing[w].update(days)
                 continue
-            by_value: dict[Any, list[int]] = {}
-            for j, _ in relevant:
-                by_value.setdefault(uspecs[j][0], []).append(j)
+            if len(relevant) == k:
+                by_value, value_requests = everyone, everyone_requests
+            else:
+                needed = {w for w, _ in relevant}
+                by_value, value_requests = {}, {}
+                for j, (value, _t1, _t2) in enumerate(uspecs):
+                    if spec_window[j] in needed:
+                        by_value.setdefault(value, []).append(j)
+                        value_requests[value] = (
+                            value_requests.get(value, 0) + weights[j]
+                        )
             try:
                 found, nbuckets = index.probe_batch_buckets(by_value)
             except FaultError:
                 self.offline.add(name)
                 if not degraded:
                     raise
-                for j, days in relevant:
-                    missing[j].update(days)
+                for w, days in relevant:
+                    missing[w].update(days)
                 continue
             constituents_touched += 1
             buckets_read += nbuckets
-            for j, days in relevant:
-                probed[j] += 1
-                covered[j].update(days)
-            for value, requesters in by_value.items():
-                got = found.get(value)
-                if got is None:
-                    continue
-                bucket, cost = got
-                total_requests = sum(weights[j] for j in requesters)
+            for w, days in relevant:
+                probed[w] += 1
+                covered[w].update(days)
+            for value, (bucket, cost) in found.items():
+                total_requests = value_requests[value]
                 duplicate_hits += total_requests - 1
                 share = cost / total_requests
-                cache = kernels.RangeFilterCache(bucket.run())
-                for j in requesters:
+                run = bucket.run()
+                for j in by_value[value]:
                     _, t1, t2 = uspecs[j]
-                    hit = cache.filter(t1, t2)
+                    hit = select(run, t1, t2)
                     if hit[0]:
                         hits[j].append(hit)
                     seconds[j] += share
+        coverage = [
+            (frozenset(covered[w]), frozenset(missing[w] - covered[w]))
+            for w in range(k)
+        ]
         unique_results = []
         for j in range(m):
             entries, parts = kernels.assemble(hits[j])
+            covered_days, missing_days = coverage[spec_window[j]]
             unique_results.append(
                 ProbeResult(
                     entries,
                     seconds[j],
-                    probed[j],
-                    frozenset(covered[j]),
-                    frozenset(missing[j] - covered[j]),
+                    probed[spec_window[j]],
+                    covered_days,
+                    missing_days,
                     parts,
                 )
             )

@@ -313,14 +313,14 @@ def cut_days(
 class RangeFilterCache:
     """Memoizes day-range filters over one run.
 
-    ``probe_many``/``scan_many`` serve batches where many requests share
-    the same ``(t1, t2)`` range (a serving replay uses one sliding
-    window for the whole stream): the cache filters once per *unique*
-    range and hands every requester the same :func:`select` pair.
+    ``scan_many`` serves batches where many requests share the same
+    ``(t1, t2)`` range (a serving replay uses one sliding window for the
+    whole stream): the cache filters once per *unique* range and hands
+    every requester the same :func:`select` pair.
     Sharing is safe because the pair is only read — a slice of the
     run's tuple, or a gathered list that requesters copy from.  The memo
-    lives for one batch; what outlives the batch is the bucket's
-    :class:`Run` or the constituent's :class:`Sweep` it was made over.
+    lives for one batch; what outlives the batch is the constituent's
+    :class:`Sweep` it was made over.
     """
 
     __slots__ = ("run", "_cache")
@@ -350,7 +350,12 @@ def assemble(
     own tuple; one concatenation otherwise — and the parts they were cut
     from, or ``None`` if any piece was gathered rather than sliced.
     """
-    pieces = [tuple(found) for found, _ in hits]
-    parts = tuple(part for _, part in hits)
-    entries = pieces[0] if len(pieces) == 1 else sum(pieces, ())
-    return entries, None if None in parts else parts
+    if len(hits) == 1:
+        found, part = hits[0]
+        return tuple(found), None if part is None else (part,)
+    entries: tuple["Entry", ...] = ()
+    parts: list = []
+    for found, part in hits:
+        entries += tuple(found)
+        parts.append(part)
+    return entries, None if None in parts else tuple(parts)

@@ -175,3 +175,38 @@ def test_a_split_bills_every_read_of_its_donors_span(width):
         sum(reads) + written - report.catchup_seconds
     )
     assert [len(r.span) for r in children] == [width, width]
+
+
+def test_a_replica_retired_for_a_dead_device_frees_its_surviving_devices():
+    # One shard, r=2, DEL/6 over three devices a replica, self-healing:
+    # the first device of replica 1 dies on day W.
+    sim = ClusterSimulation(
+        lambda: scheme_by_name("DEL")(W, W),
+        make_int_store(LAST, domain=16, seed=3),
+        queries=_probe_heavy(),
+        cluster=ClusterConfig(
+            n_shards=1,
+            replication=2,
+            devices_per_replica=3,
+            selfheal=SelfHealConfig(),
+        ),
+        device_factory=_faulty,
+    )
+    sim.run_start()
+    victim = sim.shards[0].replicas[1]
+    dead, *surviving = victim.span.devices
+    held = dead.live_bytes
+    dead.injector.fail_device()
+    for day in range(W + 1, W + 5):
+        sim.run_transition(day)
+    assert victim.failed and sum(d.rebuilds for d in sim.result.days) == 1
+    assert surviving == sim.array.devices[4:6]
+    assert [device.live_bytes for device in surviving] == [0, 0]
+    # The dead device's accounting is left as it was.
+    assert dead.live_bytes == held > 0
+    assert {index.disk for index in victim.wave.bindings.values()} == {dead}
+    # It retired holding days 1..W; were the shard dark, those are still
+    # the days its answers would have covered.
+    shard = sim.shards[0]
+    shard.replicas = [victim]
+    assert shard.window_days(1, LAST) == set(range(1, W + 1))
