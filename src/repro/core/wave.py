@@ -424,22 +424,20 @@ class WaveIndex:
         Each request is a ``(t1, t2)`` pair.  Every constituent relevant to
         at least one request is charged one full transfer
         (:meth:`ConstituentIndex.charge_scan`), exactly *once* per batch
-        and before anything is read; each request then filters the
-        constituent's :meth:`~ConstituentIndex.sweep` — its entries in
-        scan order with their day column, which the constituent keeps
-        until its next mutation — down to its own range.  The scan's
-        seconds are split evenly across the requests it served.
+        and before anything is read; each request then asks the
+        constituent for its own range (:meth:`ConstituentIndex.select`),
+        which filters the constituent's entries in scan order, or hands
+        over a run it keeps until its next mutation.  The scan's seconds
+        are split evenly across the requests it served.
 
         Duplicate ``(t1, t2)`` requests receive the same immutable
         :class:`ScanResult`, charged ``cost / N`` per copy over the ``N``
-        requests a constituent served; the sweep is filtered once per
-        unique range through a per-batch
-        :class:`~repro.index.kernels.RangeFilterCache`.  A range holding
-        one day of a constituent is answered by that day's run and one
-        holding all of them by the sweep itself — both kept by the
-        constituent, so the answer is their own tuple and its ``parts``
-        say so; any other range is filtered on every call and nothing
-        filtered outlives it.
+        requests a constituent served, so each constituent is asked once
+        per unique range.  A range holding one day of a constituent is
+        answered by that day's run and one holding all of them by the
+        constituent's sweep itself — both kept by the constituent, so the
+        answer is their own tuple and its ``parts`` say so; any other
+        range is filtered on every call and nothing filtered outlives it.
         """
         specs = list(requests)
         for t1, t2 in specs:
@@ -496,13 +494,12 @@ class WaveIndex:
             constituents_touched += 1
             duplicate_hits += total_requests - 1
             share = cost / total_requests
-            cache = kernels.RangeFilterCache(index.sweep())
             for j, days in relevant:
                 scanned[j] += 1
                 covered[j].update(days)
                 seconds[j] += share
                 t1, t2 = uspecs[j]
-                hit = cache.filter(t1, t2)
+                hit = index.select(t1, t2)
                 if hit[0]:
                     hits[j].append(hit)
         unique_results = []

@@ -17,13 +17,15 @@ unpacked.
 
 ``BuildIndex`` lays a packed index down once and, under the paper's
 recommended configurations, nothing touches it until it is dropped.  Such
-an index is stored as one :class:`PackedLayout` — every entry in scan
-order in one tuple, a bucket an offset range of it — and read through
-:class:`PackedBucket` views; :class:`Bucket` objects are laid out only
-when the index is first mutated.  A layout merged from day runs (every
-build from a record store) also keeps the runs' days and groupings, so
-a view's first read cuts its day column from how many entries its value
-has each day instead of reading the entries again.
+an index is stored as one :class:`PackedLayout` — each bucket's offset
+range in scan order, over the groupings the entries came in — and read
+through :class:`PackedBucket` views; :class:`Bucket` objects are laid
+out only when the index is first mutated.  A layout merged from day
+runs (every build from a record store) keeps the runs themselves, no
+copy of their entries: a view joins its value's entries of each day and
+lays their day column in the same pass, a one-day scan is that day's
+run laid out in slot order, and the whole index in scan order is laid
+out only for a reader that asks for all of it.
 """
 
 from __future__ import annotations
@@ -114,35 +116,48 @@ class Bucket:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class PackedLayout:
-    """The stored form of a packed index: one flat run plus bucket offsets.
+    """The stored form of a packed index: bucket offsets over its groupings.
 
-    Immutable, so a byte-for-byte copy of a packed index shares it.
+    Immutable, so a byte-for-byte copy of a packed index shares it.  It
+    holds no entry of its own: a bucket is its value's entries in every
+    grouping, grouping after grouping, joined when a reader first asks
+    for it (:meth:`entries`, :meth:`run`); the whole index in scan order
+    is laid out only if a reader asks for that (:meth:`flat`).
 
     Attributes:
         values: The search values in directory order (sorted when
             orderable, first occurrence otherwise), one slot each.
-        starts: ``len(values) + 1`` entry offsets: slot ``i`` holds
-            ``flat[starts[i]:starts[i + 1]]``.
-        flat: Every entry, bucket after bucket — the index in scan order.
+        starts: ``len(values) + 1`` entry offsets: slot ``i`` is entries
+            ``starts[i]`` to ``starts[i + 1]`` of the index in scan order,
+            so ``starts[-1]`` is how many entries the index has.
         slots: Search value -> slot.
         entry_size: Bytes an entry takes on disk: slot ``i`` starts
             ``starts[i] * entry_size`` bytes into the index's extent.
-        days: The insert day of each grouping the layout was merged
-            from, ascending, when each was one day's posting run;
-            empty otherwise.
-        groupings: Beside :attr:`days`, those runs' groupings (value ->
-            entries), which the index built from the runs holds anyway:
-            ``len(groupings[d].get(value, ()))`` is how many of
-            ``value``'s entries are of day ``days[d]``.
+        groupings: Search value -> entries, which the buckets are merged
+            from.  Laid from day runs (:attr:`days` set), the runs' own
+            dicts, which the index built from them holds anyway;
+            otherwise one grouping, frozen into tuples when the layout
+            was made, so no caller's list is read after that.
+        days: The insert day of each grouping, ascending, when each is
+            one day's posting run; empty otherwise.  Then
+            ``groupings[d].get(value, ())`` is ``value``'s entries of day
+            ``days[d]``.
     """
 
     values: tuple[Any, ...]
     starts: tuple[int, ...]
-    flat: tuple[Entry, ...]
     slots: dict[Any, int]
     entry_size: int
+    groupings: tuple[Mapping[Any, Sequence[Entry]], ...]
     days: tuple[int, ...] = ()
-    groupings: tuple[Mapping[Any, Sequence[Entry]], ...] = ()
+    _flat: tuple[Entry, ...] | None = field(default=None, init=False, repr=False)
+    #: ``array('q', (day,))`` for each of :attr:`days`: what a day column
+    #: repeats, made once a layout instead of once a piece.
+    _units: tuple[array, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        units = tuple(array("q", (day,)) for day in self.days)
+        object.__setattr__(self, "_units", units)
 
     @classmethod
     def of(
@@ -151,14 +166,15 @@ class PackedLayout:
         entry_size: int,
         days: Sequence[int] = (),
     ) -> "PackedLayout":
-        """Merge ``groupings`` (search value -> entries) column-wise.
+        """Lay out offsets for ``groupings`` (search value -> entries).
 
         A value's bucket is its entries in every grouping, grouping after
-        grouping.  ``days``, when given, is each grouping's insert day —
-        each is one day's posting run, in ascending day order — and the
-        layout keeps them and the groupings, from whose lengths
-        :meth:`run` builds a value's run without reading an entry.
-        Without ``days`` the groupings are read, never kept.
+        grouping; only the bucket sizes are counted here.  ``days``, when
+        given, is each grouping's insert day — each is one day's posting
+        run, immutable, in ascending day order — and the layout keeps the
+        groupings as they are.  Without ``days`` there is at most one
+        grouping, and the layout keeps a copy of it with every list
+        frozen into a tuple, so the caller may go on writing its own.
         ``entry_size`` is what the layout's views turn entry offsets into
         byte offsets with.
         """
@@ -167,50 +183,99 @@ class PackedLayout:
             values = sorted(values)
         except TypeError:
             pass  # unorderable search values keep their arrival order
-        columns = [list(map(g.get, values, repeat(()))) for g in groupings]
-        # Slot after slot, each slot grouping after grouping.
-        sizes = map(sum, zip(*[map(len, column) for column in columns]))
-        pieces = chain.from_iterable(zip(*columns))
+        if not days:
+            (grouping,) = groupings or ({},)
+            groupings = [{value: tuple(got) for value, got in grouping.items()}]
+        lengths = [map(len, map(g.get, values, repeat(()))) for g in groupings]
+        sizes = map(sum, zip(*lengths)) if len(lengths) > 1 else lengths[0]
         return cls(
             tuple(values),
             (0, *accumulate(sizes)),
-            tuple(chain.from_iterable(pieces)),
             {value: slot for slot, value in enumerate(values)},
             entry_size,
+            tuple(groupings),
             tuple(days),
-            tuple(groupings) if days else (),
         )
 
-    def run(self, value: Any, entries: tuple[Entry, ...]) -> kernels.Run:
-        """Return the run of ``entries``, which are ``value``'s bucket.
+    def entries(self, value: Any) -> tuple[Entry, ...]:
+        """Return ``value``'s bucket: its entries in every grouping."""
+        return _joined([g[value] for g in self.groupings if value in g])
 
-        From :attr:`days` and :attr:`groupings` when the layout has them:
-        the column is each day repeated as many times as the value has
-        entries that day, laid into one exactly sized array, ascending,
-        so sorted by construction.  Otherwise one pass over the entries.
+    def run(self, value: Any) -> kernels.Run:
+        """Return the run of ``value``'s bucket on a layout with days.
+
+        One pass over the groupings joins the value's entries and lays
+        its day column — each day repeated as many times as the value
+        has entries that day, ascending, so sorted by construction — and
+        reads no entry.
         """
-        days = self.days
-        if not days:
-            return kernels.Run.of(entries)
-        column = array("q", (0,)) * len(entries)
-        lo = 0
-        for day, grouping in zip(days, self.groupings):
-            n = len(grouping.get(value, ()))
-            if n:
-                column[lo : lo + n] = array("q", (day,)) * n
-                lo += n
-        return kernels.Run(entries, column, True, column[0], column[-1])
+        pieces = []
+        column = array("q")
+        for unit, grouping in zip(self._units, self.groupings):
+            piece = grouping.get(value)
+            if piece:
+                pieces.append(piece)
+                column += unit * len(piece)
+        return kernels.Run(_joined(pieces), column, True, column[0], column[-1])
+
+    def day_run(self, day: int) -> kernels.Run:
+        """Return the entries of ``day``, one of :attr:`days`, as a run.
+
+        The day's grouping laid out in slot order — exactly what
+        filtering the index in scan order to ``[day, day]`` gathers, in
+        that order — over a constant day column.
+        """
+        d = self.days.index(day)
+        grouping = self.groupings[d]
+        entries = tuple(
+            chain.from_iterable(map(grouping.get, self.values, repeat(())))
+        )
+        return kernels.Run(entries, self._units[d] * len(entries), True, day, day)
+
+    def flat(self) -> tuple[Entry, ...]:
+        """Return every entry, bucket after bucket: the index in scan order.
+
+        Laid out on the first call and kept, the one lazily filled slot
+        of a layout: derived from the immutable groupings alone, so
+        filling it twice is harmless.  Only a reader of the whole index
+        asks for it (``ConstituentIndex.all_entries`` and a scan that
+        spans two or more of the index's days).
+        """
+        flat = self._flat
+        if flat is None:
+            values = self.values
+            columns = [map(g.get, values, repeat(())) for g in self.groupings]
+            flat = tuple(chain.from_iterable(chain.from_iterable(zip(*columns))))
+            object.__setattr__(self, "_flat", flat)
+        return flat
+
+
+def _joined(pieces: list[Sequence[Entry]]) -> tuple[Entry, ...]:
+    """Return ``pieces`` as one tuple; a lone tuple piece is itself.
+
+    Copied into one list and that into the tuple: two copies, each a
+    C loop, where a tuple made from a ``chain`` pays an iterator step
+    an entry (measured 1.5 to 3 times slower at 50 to 2 000 entries).
+    """
+    if len(pieces) == 1:
+        return tuple(pieces[0])
+    joined: list[Entry] = []
+    for piece in pieces:
+        joined += piece
+    return tuple(joined)
 
 
 class PackedBucket:
     """Read view of one value's slice of a :class:`PackedLayout`.
 
     Answers what a shared :class:`Bucket` answers to a reader — and has
-    no writers, so its run, once built, is never dropped.  It holds its
-    layout, which :meth:`PackedLayout.run` builds the run from by value
-    and which its byte offset is read off, so it keeps four slots: 64
-    bytes a view, where holding the slot and the byte offset as well
-    would take 80 (DESIGN.md, "Packed form").
+    no writers, so its run, once built, is never dropped.  On a layout
+    laid from day runs the view is made with its run, in the one pass
+    over the groupings that joins its entries; otherwise the run is
+    built by the first :meth:`run`.  It holds its layout, which its byte
+    offset is read off, so it keeps four slots: 64 bytes a view, where
+    holding the slot and the byte offset as well would take 80
+    (DESIGN.md, "Packed form").
     """
 
     __slots__ = ("value", "entries", "_layout", "_run")
@@ -218,10 +283,15 @@ class PackedBucket:
     shared = True
 
     def __init__(self, layout: PackedLayout, slot: int) -> None:
-        self.value = layout.values[slot]
-        self.entries = layout.flat[layout.starts[slot] : layout.starts[slot + 1]]
+        value = self.value = layout.values[slot]
         self._layout = layout
-        self._run: kernels.Run | None = None
+        run: kernels.Run | None = None
+        if layout.days:
+            run = layout.run(value)
+            self.entries = run.entries
+        else:
+            self.entries = layout.entries(value)
+        self._run = run
 
     @property
     def offset_in_extent(self) -> int:
@@ -243,5 +313,5 @@ class PackedBucket:
         """Return the slice's run, building it on the first call."""
         run = self._run
         if run is None:
-            run = self._run = self._layout.run(self.value, self.entries)
+            run = self._run = kernels.Run.of(self.entries)
         return run

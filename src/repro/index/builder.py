@@ -9,18 +9,19 @@ of the finished index (both single-seek streams).  Space: exactly
 ``entry_count * entry_size`` — this is the paper's ``S`` per day, versus the
 CONTIGUOUS ``S'`` an incremental build would leave behind.
 
-What is laid down is one :class:`~repro.index.bucket.PackedLayout` — the
-entries in scan order in one tuple, a bucket an offset range — and the
-index keeps exactly that until something mutates it.
+What is laid down is one :class:`~repro.index.bucket.PackedLayout` —
+each bucket's offset range in scan order, over the groupings its entries
+came in — and the index keeps exactly that until something mutates it.
 :meth:`PackedLayout.of <repro.index.bucket.PackedLayout.of>` is the one
-packed-layout computation in the package: it merges the groupings it is
-given column-wise.  :func:`build_index_from_store` hands it one grouping
-per posting run — the days' runs, never a merged copy — with the runs'
-days, so the layout keeps the runs' days and groupings and a bucket's
-first read cuts its day column from how many entries it has each day.  :func:`_pack` for every other
-build and smart copy on one device, and the cross-device copies, hand it
-one grouping; a byte-for-byte copy shares the layout of the index it
-copies.
+packed-layout computation in the package: it counts the groupings it is
+given column-wise and copies no entry.  :func:`build_index_from_store`
+hands it one grouping per posting run — the days' runs, never a merged
+copy — with the runs' days, so the layout keeps the runs and nothing
+else: a bucket's first read joins its entries and their day column in
+one pass over them, and a one-day scan lays out that day's run alone.
+:func:`_pack` for every other build and smart copy on one device, and
+the cross-device copies, hand it one grouping, which it freezes; a
+byte-for-byte copy shares the layout of the index it copies.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ def build_index_from_store(
     until it is first mutated or dropped — so the next build over any of
     these days (REINDEX's daily rebuild, a repair, a retune) finds them
     alive instead of re-posting the records.  The layout keeps the runs'
-    days and groupings, so a bucket's first read knows its day column
-    without reading an entry.  The device is charged for reading
-    the source records all the same.
+    days and groupings and no copy of their entries, so a bucket's first
+    read knows its day column without reading an entry.  The device is
+    charged for reading the source records all the same.
     """
     days = sorted(set(days))
     runs = store.runs_for(days)
@@ -116,7 +117,7 @@ def _pack(
     layout = PackedLayout.of(
         groupings, config.entry_size_bytes, [run.day for run in runs]
     )
-    total_bytes = len(layout.flat) * config.entry_size_bytes
+    total_bytes = layout.starts[-1] * config.entry_size_bytes
 
     # Pass 1: scan the source records to count bucket sizes.
     disk.stream_read(source_bytes if source_bytes is not None else total_bytes)

@@ -20,10 +20,11 @@ Cost charging follows Section 5's model exactly:
 * directory operations are free (the directory is assumed memory-resident).
 
 A packed index is held in the form ``BuildIndex`` laid it down in — one
-flat :class:`~repro.index.bucket.PackedLayout` on one shared extent —
-until it is first mutated: reads slice it, and ``insert_postings`` /
-``delete_days`` lay the :class:`~repro.index.bucket.Bucket` objects out
-on entry and carry on from there.  Which form an index is in follows from
+:class:`~repro.index.bucket.PackedLayout` of bucket offsets on one shared
+extent — until it is first mutated: reads join what they ask for from
+it, and ``insert_postings`` / ``delete_days`` lay the
+:class:`~repro.index.bucket.Bucket` objects out on entry and carry on
+from there.  Which form an index is in follows from
 its history alone, and no simulated charge depends on it.
 """
 
@@ -80,15 +81,18 @@ class ConstituentIndex:
         # slot.  _unpack (on entry to the first mutation) ends it.
         self._layout: PackedLayout | None = None
         self._views: list[PackedBucket | None] = []
-        # Derived state, valid only for the contents it was made from; both
+        # Derived state, valid only for the contents it was made from; all
         # are dropped by _invalidate_derived on entry to every mutating op.
         # _runs: the posting runs this index was built from (see
         # build_index_from_store), held only while the index is exactly
         # their merge, so runs never outlive the packed indexes that could
         # hand them to the next build.  _sweep: the scan sweep (see sweep()),
-        # built by the first scan after a mutation.
+        # built by the first scan that needs it after a mutation.
+        # _day_runs: a layout laid from day runs' one-day scans (see
+        # select()), one run per day, made by the first scan of that day.
         self._runs: tuple = ()
         self._sweep: kernels.Sweep | None = None
+        self._day_runs: dict[int, kernels.Run] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -139,20 +143,24 @@ class ConstituentIndex:
         views, self._views = self._views, []
         extent = self._shared_extent
         entry_size = self.config.entry_size_bytes
-        flat, starts = layout.flat, layout.starts
+        starts = layout.starts
         for slot, value in enumerate(layout.values):
             lo, hi = starts[slot], starts[slot + 1]
             view = views[slot]
+            if view is None:
+                entries, run = layout.entries(value), None
+            else:
+                entries, run = view.entries, view._run
             self.directory.put(
                 value,
                 Bucket(
                     value=value,
-                    entries=list(flat[lo:hi]),
+                    entries=list(entries),
                     extent=extent,
                     shared=True,
                     capacity_entries=hi - lo,
                     offset_in_extent=lo * entry_size,
-                    _run=None if view is None else view._run,
+                    _run=run,
                 ),
             )
         self._shared_live_buckets = len(layout.values)
@@ -172,10 +180,12 @@ class ConstituentIndex:
         extents (``_adopt_packed``, ``insert_postings``, ``delete_days``,
         ``drop``), so an op that dies half-way on a fault leaves nothing
         stale behind.  Derived state is dropped whole, never patched —
-        the sweep takes its day runs with it.
+        the sweep takes its day runs with it, and the layout's day runs
+        go too.
         """
         self._runs = ()
         self._sweep = None
+        self._day_runs = {}
 
     @property
     def dropped(self) -> bool:
@@ -196,7 +206,7 @@ class ConstituentIndex:
         """Return the number of live entries across all buckets."""
         self._check_not_dropped()
         if self._layout is not None:
-            return len(self._layout.flat)
+            return self._layout.starts[-1]
         return sum(b.live_count for b in self.directory.values())
 
     @property
@@ -251,7 +261,7 @@ class ConstituentIndex:
         """Iterate every live entry in directory/bucket order."""
         self._check_not_dropped()
         if self._layout is not None:
-            return iter(self._layout.flat)
+            return iter(self._layout.flat())
         return chain.from_iterable(b.entries for b in self.directory.values())
 
     # ------------------------------------------------------------------
@@ -561,23 +571,58 @@ class ConstituentIndex:
         The sweep (live entries in scan order, their day column, the
         bytes a scan transfers) is derived state: the first call after a
         mutation builds it from the buckets' entry lists — touching no
-        bucket's own day column; a flat index's tuple is wrapped as it
-        is — and publishes it with one assignment; later calls return
-        the same immutable object until the next mutating op drops it.
-        Reading it charges nothing: a query pays through
-        :meth:`charge_scan` first.
+        bucket's own day column; a flat index's is its layout's
+        :meth:`~repro.index.bucket.PackedLayout.flat`, as it is — and
+        publishes it with one assignment; later calls return the same
+        immutable object until the next mutating op drops it.  Reading it
+        charges nothing: a query pays through :meth:`charge_scan` first.
+        A scan that :meth:`select` answers from a day run never builds
+        it.
         """
         self._check_not_dropped()
         sweep = self._sweep
         if sweep is None:
             if self._layout is not None:
-                flat: Sequence[Entry] = self._layout.flat
+                flat: Sequence[Entry] = self._layout.flat()
             else:
                 flat = []
                 for bucket in self.directory.values():
                     flat.extend(bucket.entries)
             sweep = self._sweep = kernels.Sweep.of(flat, self.allocated_bytes)
         return sweep
+
+    def select(
+        self, t1: int, t2: int
+    ) -> tuple[Sequence[Entry], kernels.Part | None]:
+        """Return the live entries with insert day in ``[t1, t2]``, in scan
+        order, as a :func:`kernels.select <repro.index.kernels.select>`
+        pair.
+
+        A flat index laid from day runs answers a range holding exactly
+        one of its days with entries by that day's run — its grouping
+        laid out in slot order (:meth:`PackedLayout.day_run
+        <repro.index.bucket.PackedLayout.day_run>`), made by the first
+        such scan and kept with the index's other derived state — and a
+        range holding none by nothing.  Every other range filters the
+        :meth:`sweep`.  Reading charges nothing: a query pays through
+        :meth:`charge_scan` first.
+        """
+        layout = self._layout
+        if layout is not None and layout.days:
+            held = [
+                day
+                for day, grouping in zip(layout.days, layout.groupings)
+                if grouping and t1 <= day <= t2
+            ]
+            if not held:
+                return (), None
+            if len(held) == 1:
+                (day,) = held
+                run = self._day_runs.get(day)
+                if run is None:
+                    run = self._day_runs[day] = layout.day_run(day)
+                return run.entries, (run, 0, len(run.entries))
+        return kernels.select(self.sweep(), t1, t2)
 
     def charge_scan(self) -> float:
         """Charge one full transfer of the index; return the seconds.

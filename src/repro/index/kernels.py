@@ -21,7 +21,11 @@ buffers:
   runs, so a scan leaves no state on the buckets.  Scan order is
   bucket-major, so the sweep also keeps one run per distinct day, made
   by the first scan of that one day (the paper's newest-day scan): such
-  a scan is that run, a scan of every day is the sweep;
+  a scan is that run, a scan of every day is the sweep.  A constituent
+  still in the packed form it was laid from day runs in needs no sweep
+  for one day: it keeps that day's run itself
+  (:meth:`~repro.index.constituent.ConstituentIndex.select`), and builds
+  a sweep only for a range holding two or more of its days;
 * day-range filters run on the column instead of the entry objects —
   two ``bisect`` calls and a slice when the column is non-decreasing
   (the common case: entries arrive in day order); when it is not,
@@ -165,7 +169,9 @@ class Sweep(Run):
     are scattered over it: the sweep also keeps one immutable *day run*
     per distinct day (:meth:`day_run`), made by the first scan that asks
     for that one day.  The constituent that owns the sweep drops it —
-    day runs and all — whole on its next mutation.
+    day runs and all — whole on its next mutation.  A constituent in the
+    packed form laid from day runs keeps its one-day runs itself and
+    builds a sweep only for a scan of two or more of its days.
 
     Attributes:
         nbytes: The constituent's ``allocated_bytes`` when built.
@@ -308,36 +314,6 @@ def cut_days(
 # ----------------------------------------------------------------------
 # Batch request grouping (probe/scan result assembly)
 # ----------------------------------------------------------------------
-
-
-class RangeFilterCache:
-    """Memoizes day-range filters over one run.
-
-    ``scan_many`` serves batches where many requests share the same
-    ``(t1, t2)`` range (a serving replay uses one sliding window for the
-    whole stream): the cache filters once per *unique* range and hands
-    every requester the same :func:`select` pair.
-    Sharing is safe because the pair is only read — a slice of the
-    run's tuple, or a gathered list that requesters copy from.  The memo
-    lives for one batch; what outlives the batch is the constituent's
-    :class:`Sweep` it was made over.
-    """
-
-    __slots__ = ("run", "_cache")
-
-    def __init__(self, run: Run) -> None:
-        self.run = run
-        self._cache: dict[
-            tuple[int, int], tuple[Sequence["Entry"], Part | None]
-        ] = {}
-
-    def filter(self, t1: int, t2: int) -> tuple[Sequence["Entry"], Part | None]:
-        """Return the memoized :func:`select` of the run for ``[t1, t2]``."""
-        key = (t1, t2)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._cache[key] = select(self.run, t1, t2)
-        return got
 
 
 def assemble(

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.core.wave import WaveIndex
-from repro.index import kernels
 from repro.storage.disk import SimulatedDisk
 from tests.conftest import depth
 from tests.core.test_vectorized_equivalence import (
@@ -29,7 +28,6 @@ from tests.core.test_vectorized_equivalence import (
     ranges,
     serve_both,
 )
-from tests.reference.batch import probe_many_object
 
 VALUES = "abcdefghz"
 
@@ -92,21 +90,3 @@ def test_specs_of_a_window_share_their_coverage():
         assert result.covered_days is first.covered_days
         assert result.missing_days is first.missing_days
     assert other.covered_days is not first.covered_days
-
-
-def test_a_probe_batch_builds_no_range_filter_cache(monkeypatch):
-    built = []
-
-    class Counted(kernels.RangeFilterCache):
-        def __init__(self, run):
-            built.append(run)
-            super().__init__(run)
-
-    monkeypatch.setattr(kernels, "RangeFilterCache", Counted)
-    distinct = [("a", LO, HI), ("b", LO + 1, HI), ("c", LO, HI), ("z", LO, HI)]
-    # "a" over two windows: one bucket, two requesters.
-    requests = distinct * 2 + [("a", LO + 1, HI)]
-    got = build_wave(SimulatedDisk()).probe_many(requests)
-    assert built == []
-    want = probe_many_object(build_wave(SimulatedDisk()), requests)
-    assert got.results == want.results and got.summary == want.summary

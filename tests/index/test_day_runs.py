@@ -28,6 +28,7 @@ from repro.storage.disk import SimulatedDisk
 from tests.index.test_constituent import grouped
 from tests.index.test_scan_sweep import N, SEVEN_SCHEMES, WINDOW, start
 from tests.reference.batch import scan_many_object
+from tests.reference.packed import EagerLayout
 
 LAST_DAY = WINDOW + N + 1
 
@@ -45,31 +46,52 @@ def joined(parts):
     )
 
 
+def holders(wave, spec):
+    """What each constituent a scan of ``spec`` reaches answers it from:
+    ``(index, sweep, days)`` — the sweep it filters (``None`` when its
+    layout's day runs answer) and its days with entries in range."""
+    t1, t2 = spec
+    held = []
+    for index in wave.live_constituents():
+        if not any(t1 <= d <= t2 for d in index.time_set):
+            continue
+        layout = index._layout
+        if layout is not None and layout.days:
+            days = [
+                d for d, g in zip(layout.days, layout.groupings) if g and t1 <= d <= t2
+            ]
+            if len(days) < 2:
+                held.append((index, None, days))
+                continue
+        sweep = index._sweep
+        held.append((index, sweep, [d for d in sweep.distinct if t1 <= d <= t2]))
+    return held
+
+
 def shapes_of(wave, spec, result):
     """Name where an answer came from; check it did."""
-    t1, t2 = spec
-    sweeps = [
-        index._sweep for index in wave.live_constituents()
-        if any(t1 <= d <= t2 for d in index.time_set)
-    ]
-    in_range = [[d for d in sweep.distinct if t1 <= d <= t2] for sweep in sweeps]
+    held = holders(wave, spec)
     if result.parts is None:
         assert any(
-            1 < len(days) < len(sweep.distinct) and not sweep.sorted
-            for sweep, days in zip(sweeps, in_range)
+            sweep is not None and 1 < len(days) < len(sweep.distinct)
+            and not sweep.sorted
+            for _, sweep, days in held
         )
         return "filtered"
-    if len(sweeps) != 1 or not result.entries:
+    if len(held) != 1 or not result.entries:
         return None
-    (sweep,), (days,) = sweeps, in_range
+    ((index, sweep, days),) = held
     ((run, lo, hi),) = result.parts
     assert result.entries == run.entries[lo:hi]
-    if run is sweep:
+    if sweep is not None and run is sweep:
         assert sweep.sorted or len(days) == len(sweep.distinct)
         return "sweep"
-    assert run is sweep._day_runs[days[0]] and len(days) == 1
+    # A day run: the sweep's, or, on a layout laid from day runs, the
+    # index's own — and then no sweep was built for it.
+    owner = index._day_runs if sweep is None else sweep._day_runs
+    assert run is owner[days[0]] and len(days) == 1
     assert result.entries is run.entries and (lo, hi) == (0, len(run.entries))
-    return "day run"
+    return "day run" if sweep is not None else "layout day run"
 
 
 def serve_days(scan_many, scheme_cls, technique, *, check):
@@ -96,8 +118,13 @@ def serve_days(scan_many, scheme_cls, technique, *, check):
                 block = protocol.result_to_wire(result)["entries"]
                 assert block == codec.encode_entries_object(result.entries)
             for index in wave.live_constituents():
+                layout = index._layout
+                if index._day_runs:
+                    eager = EagerLayout.of(layout.groupings)
+                    for day_, run_ in index._day_runs.items():
+                        assert (run_.entries, run_.days) == eager.day_run(day_)
                 sweep = index._sweep
-                if sweep is None:  # an empty time-set: no scan reaches it
+                if sweep is None:  # only day runs, or no scan reached it
                     continue
                 widest = max(widest, len(sweep.distinct))
                 assert set(sweep._day_runs) <= set(sweep.distinct)
@@ -121,7 +148,9 @@ def test_every_range_identical_to_flattening_twin(scheme_cls, technique):
     want, _, _ = serve_days(scan_many_object, scheme_cls, technique, check=False)
     assert got == want
     # Not vacuous: answers took each of the paths the scheme's layout allows.
-    assert shapes >= {"day run", "sweep"}
+    # Every scheme builds from the store, so some one-day scan meets a
+    # layout laid from day runs; a sweep's own day runs serve the rest.
+    assert shapes >= {"layout day run", "sweep"}
     assert ("filtered" in shapes) == (widest > 2)
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.index.bucket import Bucket
 from repro.index.entry import Entry
 from repro.index.kernels import (
-    RangeFilterCache,
     Run,
     Sweep,
     assemble,
@@ -67,10 +66,8 @@ def test_bucket_run_cache_matches_reference(days, bounds):
     t1, t2 = bounds
     bucket = Bucket(value="v", entries=entries_for(days))
     expected = filter_entries_object(bucket.entries, t1, t2)
-    cache = RangeFilterCache(bucket.run())
-    found, part = cache.filter(t1, t2)
+    found, part = select(bucket.run(), t1, t2)
     assert list(found) == expected
-    assert cache.filter(t1, t2) is cache.filter(t1, t2)  # memoized
     if part is None:  # gathered: the range cuts into an unsorted column
         assert not bucket.run().sorted and len(expected) < len(days)
     else:
@@ -100,9 +97,13 @@ def test_sweep_and_its_cache_match_reference(days, bounds):
     assert sweep.nbytes == 7
     entries.clear()  # the sweep is its own copy
     expected = filter_entries_object(sweep.entries, t1, t2)
-    cache = RangeFilterCache(sweep)
-    assert list(cache.filter(t1, t2)[0]) == expected
-    assert cache.filter(t1, t2) is cache.filter(t1, t2)
+    found, part = select(sweep, t1, t2)
+    assert list(found) == expected
+    # Its cache: a range holding one distinct day of an unsorted sweep is
+    # that day's run, made once.
+    if part is not None and part[0] is not sweep:
+        assert part[0] is sweep.day_run(part[0].lo) and found is part[0].entries
+        assert select(sweep, t1, t2)[0] is found
 
 
 @given(day_lists, st.sets(st.integers(min_value=-60, max_value=60)))

@@ -1,17 +1,22 @@
 """A packed layout laid from day runs knows its days: proven the same.
 
 ``build_index_from_store`` hands ``PackedLayout.of`` one grouping per
-posting run and merges them column-wise; the layout keeps the runs'
-days and their own groupings, and ``PackedBucket.run()`` cuts a
-bucket's day column from the groupings' per-day lengths without reading
-an entry.  Two claims, over
+posting run, and the layout keeps the runs' days and their own
+groupings and no copy of their entries: a view joins its value's
+entries of each day and lays their day column in the same pass, a
+one-day scan is the day's grouping laid out in slot order, and the whole
+index in scan order is laid out only when asked for.  Three claims, over
 random stores with empty days, a value repeated inside a record,
-unorderable values and infos (``--hypothesis-profile nightly``: 2 000
-examples):
+unorderable values and infos (the nightly ``charge-path-properties``
+job runs them at 2 000 examples, ``--hypothesis-profile nightly``):
 
-* the layout equals the one the build made before, from the merged
-  ``RecordStore.grouped_for`` dict (``tests.reference.packed``), field
-  for field — directory order, offsets, scan order;
+* the layout's offsets equal the ones the build made before, from the
+  merged ``RecordStore.grouped_for`` dict (``tests.reference.packed``),
+  field for field — directory order, offsets;
+* every slot's view, every day's one-day run and the on-demand scan
+  order equal the eager layout's (``EagerLayout``, which laid every
+  entry into one tuple at build time): the same entries, in the same
+  order;
 * every slot's run equals ``kernels.Run.of`` of its entries: the same
   entries, day bytes, sortedness and bounds.
 """
@@ -23,11 +28,13 @@ from hypothesis import strategies as st
 
 from repro.core.records import Record, RecordStore
 from repro.index import kernels
+from repro.index.bucket import PackedLayout
 from repro.index.builder import build_index_from_store, build_packed_index
 from repro.index.config import IndexConfig
 from repro.index.entry import Entry
+from repro.index.updates import clone_index
 from repro.storage.disk import SimulatedDisk
-from tests.reference.packed import layout_of_grouped
+from tests.reference.packed import EagerLayout, layout_of_grouped
 
 ORDERABLE = ("a", "b", "c", "d", "e")
 MIXED = ("c", "a", "b", 1, "d", 2, ("t", 1))
@@ -68,12 +75,12 @@ def make_store(shape):
 
 
 def fields(layout):
-    return layout.values, layout.starts, layout.flat, list(layout.slots.items())
+    return layout.values, layout.starts, list(layout.slots.items())
 
 
 def fields_of(oracle):
-    values, starts, flat, slots = oracle
-    return values, starts, flat, list(slots.items())
+    values, starts, _flat, slots = oracle
+    return values, starts, list(slots.items())
 
 
 def run_fields(run):
@@ -110,10 +117,18 @@ def test_a_layout_from_runs_is_the_merged_layout_and_knows_its_days(shape):
     # The runs' own dicts, which the index holds anyway: no copy is kept.
     assert all(g is run.grouped for g, run in zip(layout.groupings, index._runs))
     assert len(layout.groupings) == len(index._runs)
-    for view in index.buckets():
+    eager = EagerLayout.of(layout.groupings)
+    for slot, view in enumerate(index.buckets()):
+        assert view.entries == eager.entries(slot)
         run = view.run()
         assert run.entries is view.entries
         assert run_fields(run) == run_fields(kernels.Run.of(view.entries))
+    for day in days:
+        entries, column = eager.day_run(day)
+        run = layout.day_run(day)
+        assert run_fields(run) == (entries, column.tobytes(), True, day, day)
+    assert layout._flat is None  # nothing above laid out the scan order
+    assert layout.flat() == eager.flat and layout.flat() is layout.flat()
 
 
 def test_a_build_from_a_store_neither_merges_nor_reads_a_day():
@@ -141,7 +156,38 @@ def test_a_build_from_a_store_neither_merges_nor_reads_a_day():
 def test_a_layout_without_days_reads_its_entries():
     grouped = {"a": [Entry(1, 3), Entry(2, 1)], "b": [Entry(3, 2)]}
     index = build_packed_index(SimulatedDisk(), IndexConfig(), grouped, [1, 2, 3])
-    assert index._layout.days == () and index._layout.groupings == ()
+    assert index._layout.days == () and len(index._layout.groupings) == 1
+    assert index.bucket("a")._run is None  # no column until a reader asks
     run = index.bucket("a").run()
     assert (run.sorted, run.lo, run.hi, list(run.days)) == (False, 1, 3, [3, 1])
+
+
+def test_a_one_grouping_layout_keeps_its_answers_when_the_caller_writes():
+    """``clone_index`` hands ``PackedLayout.of`` a source's live bucket
+    lists: the layout freezes them, so a later write to the source is
+    not the copy's."""
+    lists = {"a": [Entry(1, 3), Entry(2, 1)], "b": [Entry(3, 2)]}
+    layout = PackedLayout.of([lists], IndexConfig().entry_size_bytes)
+    want = EagerLayout.of([lists])
+    lists["a"].append(Entry(4, 3))
+    lists["b"].clear()
+    lists["c"] = [Entry(5, 1)]
+    assert layout.values == want.values and layout.starts == want.starts
+    assert [layout.entries(v) for v in layout.values] == [
+        want.entries(slot) for slot in range(len(want.values))
+    ]
+    assert layout.flat() == want.flat
+
+
+def test_a_copy_of_a_laid_out_index_is_not_written_by_its_source():
+    disk = SimulatedDisk()
+    grouped = {"a": [Entry(1, 3), Entry(2, 1)], "b": [Entry(3, 2)]}
+    index = build_packed_index(disk, IndexConfig(), grouped, [1, 2, 3])
+    index.insert_postings({}, [])  # packed, laid out as buckets: live lists
+    copy = clone_index(index)
+    want = [(b.value, list(b.entries)) for b in copy.buckets()]
+    index.bucket("a").entries.append(Entry(4, 2))  # a write behind its back
+    index.delete_days([1])
+    assert [(b.value, list(b.entries)) for b in copy.buckets()] == want
+    assert copy.scan()[0] == [e for _, entries in want for e in entries]
 

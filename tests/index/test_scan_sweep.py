@@ -24,7 +24,7 @@ from repro.errors import (
     FaultError,
 )
 from repro.index import kernels
-from repro.index.builder import build_packed_index
+from repro.index.builder import build_index_from_store, build_packed_index
 from repro.index.config import IndexConfig
 from repro.index.constituent import ConstituentIndex
 from repro.index.entry import Entry
@@ -137,7 +137,7 @@ def test_sweep_lives_from_first_scan_to_next_mutation():
     assert sweep is not None and index.sweep() is sweep
     index.scan()
     index.charge_scan()
-    kernels.select(index.sweep(), 1, 1)  # a one-day scan, as a batch makes it
+    index.select(1, 1)  # a one-day scan, as a batch makes it
     assert index._sweep is sweep
 
     index.insert_postings(grouped(("a", Entry(4, 3)), ("d", Entry(4, 3))), [3])
@@ -160,6 +160,35 @@ def test_sweep_lives_from_first_scan_to_next_mutation():
         index.sweep()
     with pytest.raises(ConstituentIndexError):
         index.scan()
+
+
+def test_a_layouts_day_runs_live_from_first_scan_to_next_mutation():
+    """The same lifetime for the other owner of one-day runs: an index
+    laid from day runs keeps them itself and never builds a sweep."""
+    index = build_index_from_store(SimulatedDisk(), IndexConfig(), make_store(4), [2, 3, 4])
+    assert index._day_runs == {} and index._sweep is None  # a build scans nothing
+    entries, (run, lo, hi) = index.select(3, 3)
+    assert index._day_runs == {3: run} and index._sweep is None
+    assert entries is run.entries and (lo, hi) == (0, len(entries))
+    assert [e.day for e in entries] == [3] * len(entries) and entries
+    assert index.select(2.5, 3.5)[1][0] is run  # one day in a wider range
+    assert index._layout._flat is None  # nothing laid the scan order out
+
+    index.insert_postings(grouped(("a", Entry(99, 3))), [3])
+    assert index._day_runs == {} and index._layout is None
+    again, _ = index.select(3, 3)
+    assert list(again) == [e for b in index.buckets() for e in b.entries if e.day == 3]
+    assert len(again) == len(entries) + 1
+    assert index._sweep is not None  # laid out as buckets: the sweep's turn
+    assert list(run.entries) == list(entries)  # the old answer stands
+
+    rebuilt = build_index_from_store(SimulatedDisk(), IndexConfig(), make_store(4), [2, 3])
+    held, _ = rebuilt.select(2, 2)
+    rebuilt.drop()
+    assert rebuilt._day_runs == {}
+    assert all(e.day == 2 for e in held)  # a reader's copy is still whole
+    with pytest.raises(ConstituentIndexError):
+        rebuilt.select(2, 2)
 
 
 def test_no_op_mutations_drop_the_sweep_too():
@@ -251,12 +280,11 @@ def test_second_scan_rederives_nothing_for_any_range(monkeypatch):
     other_ranges = batch_for(day) + [(day - 2, day - 1), (1, day + 9)]
     later = wave.scan_many(other_ranges)
     assert calls == {"day_column": 0, "all_entries": 0}
-    # No bucket was given a run on the way.
-    assert all(
-        bucket._run is None
-        for index in wave.bindings.values()
-        for bucket in index.buckets()
-    )
+    # No bucket was given a run on the way, and no view of a flat index
+    # was made (a view on a layout laid from day runs is made with its run).
+    for index in wave.bindings.values():
+        assert index._views == [None] * len(index._views)
+        assert all(bucket._run is None for bucket in index.directory.values())
     assert later.results == scan_many_object(twin, other_ranges).results
 
 

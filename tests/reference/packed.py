@@ -15,10 +15,16 @@ a store); :func:`pack_eager` first merges them the way
 :func:`layout_of_grouped` over :func:`merge_groupings` is the layout
 computation as it was before the build merged the runs column-wise —
 the oracle a layout built from runs is held to, field for field.
+:class:`EagerLayout` is the column-wise merge as it was before a layout
+stopped copying entries: every entry laid into one bucket-major ``flat``
+tuple at build time, a bucket a slice of it, a one-day scan gathered
+from it.
 """
 
+from array import array
 from contextlib import contextmanager
-from itertools import accumulate, chain
+from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from unittest import mock
 
 from repro.core import executor
@@ -78,6 +84,45 @@ def layout_of_grouped(grouped):
         tuple(chain.from_iterable(lists)),
         {value: slot for slot, value in enumerate(values)},
     )
+
+
+@dataclass(frozen=True)
+class EagerLayout:
+    """``PackedLayout`` as it was: ``flat`` holds every entry, eagerly."""
+
+    values: tuple
+    starts: tuple
+    flat: tuple
+    slots: dict
+
+    @classmethod
+    def of(cls, groupings):
+        """``PackedLayout.of`` as it was, word for word but the fields
+        the oracle does not need (entry size, days, groupings)."""
+        values = list(dict.fromkeys(chain.from_iterable(groupings)))
+        try:
+            values = sorted(values)
+        except TypeError:
+            pass
+        columns = [list(map(g.get, values, repeat(()))) for g in groupings]
+        sizes = map(sum, zip(*[map(len, column) for column in columns]))
+        pieces = chain.from_iterable(zip(*columns))
+        return cls(
+            tuple(values),
+            (0, *accumulate(sizes)),
+            tuple(chain.from_iterable(pieces)),
+            {value: slot for slot, value in enumerate(values)},
+        )
+
+    def entries(self, slot):
+        """A view's entries as they were: a slice of ``flat``."""
+        return self.flat[self.starts[slot] : self.starts[slot + 1]]
+
+    def day_run(self, day):
+        """``Sweep.day_run`` over ``flat``: the day's entries gathered in
+        scan order, over a constant day column."""
+        entries = tuple(e for e in self.flat if e.day == day)
+        return entries, array("q", [day] * len(entries))
 
 
 def pack_eager(disk, config, groupings, days, *, name, source_bytes, runs=()):
