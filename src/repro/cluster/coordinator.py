@@ -7,7 +7,7 @@ serving APIs (:meth:`~repro.core.wave.WaveIndex.probe_many` /
 one shard owning each value (scatter), scans fan out to every shard, and
 per-shard answers are reassembled in request order (gather) with the
 per-shard :class:`~repro.core.queries.BatchCostSummary`\\ s merged into a
-cluster-level :class:`ClusterCostSummary`.
+cluster-level :class:`ClusterCostSummary` when the bill is first read.
 
 The one serving rule.  Every answer the cluster gives — a coordinator
 batch, or a unit of the simulated day loop
@@ -42,7 +42,12 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..core.queries import BatchCostSummary, ProbeResult, ScanResult
+from ..core.queries import (
+    BatchCostSummary,
+    BilledBatch,
+    ProbeResult,
+    ScanResult,
+)
 from ..errors import (
     ClusterError,
     DegradedWindowError,
@@ -92,21 +97,14 @@ class ClusterCostSummary:
         return not self.missing_days
 
 
-@dataclass(frozen=True)
-class ClusterBatchResult:
-    """Per-request merged results plus the cluster cost summary."""
+class ClusterBatchResult(BilledBatch):
+    """Per-request merged results, and the :class:`ClusterCostSummary`
+    built on the first :attr:`summary` read from what the batch kept
+    when it ended: the per-shard batches (whose own bills are read
+    then), the dark shards, each shard's aborted seconds and the
+    batch's failover count."""
 
-    results: tuple[Any, ...]
-    summary: ClusterCostSummary
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __getitem__(self, i: int):
-        return self.results[i]
+    __slots__ = ()
 
     @property
     def seconds(self) -> float:
@@ -210,18 +208,24 @@ class ClusterCoordinator:
         tuned replicas when no health monitor owns the choice; the
         batch methods build it only when a router is attached.  Returns
         ``(outcome, replica, aborted_seconds)``, or ``(None, None,
-        aborted_seconds)`` when no replica can serve.
+        aborted_seconds)`` when no replica can serve.  An attempt that
+        answers first time makes no retry table and no exclusion set, and
+        serves from the shard's live replicas as they are.
         """
         monitor = self.monitor
         if now is None:
             now = monitor.now if monitor is not None else 0.0
         aborted = 0.0
-        attempts: dict[int, int] = {}
-        exclude: set[int] = set()
+        # Retry counts and exclusions are made by the first attempt that
+        # fails: an answer on the first try needs neither.
+        attempts: dict[int, int] | None = None
+        exclude: frozenset[int] = frozenset()
         while True:
-            candidates = [
-                r for r in shard.alive_replicas() if r.replica_id not in exclude
-            ]
+            candidates = shard.alive_replicas()
+            if exclude:
+                candidates = [
+                    r for r in candidates if r.replica_id not in exclude
+                ]
             if monitor is not None:
                 replica, breaker_wait = monitor.serving_replica(
                     shard, now=now + aborted, exclude=exclude
@@ -258,7 +262,7 @@ class ClusterCoordinator:
             if fault is DegradedWindowError:
                 # A stale offline mark: another replica may hold the
                 # constituent; this one stays in service.
-                exclude.add(replica.replica_id)
+                exclude |= {replica.replica_id}
                 continue
             if fault is TransientIOError:
                 # The data is intact: clear the marks the fault left.
@@ -267,10 +271,12 @@ class ClusterCoordinator:
                 self._fail_over(replica)
                 continue
             monitor.on_transient(replica, now=now + aborted)
+            if attempts is None:
+                attempts = {}
             n = attempts.get(replica.replica_id, 0) + 1
             attempts[replica.replica_id] = n
             if n >= monitor.retry.max_attempts:
-                exclude.add(replica.replica_id)
+                exclude |= {replica.replica_id}
                 continue
             delay = monitor.retry.delay_before_retry(n)
             replica.device.advance(delay)
@@ -301,10 +307,15 @@ class ClusterCoordinator:
         per-shard amortization (value dedup, offset-ordered bucket reads)
         is preserved.  Results come back in request order; each is
         exactly what the owning shard's wave index answered, or an empty
-        result with ``missing_days`` set when the shard is dark.
+        result with ``missing_days`` set when the shard is dark.  The
+        batch keeps its shards' batches, dark shards, aborted seconds and
+        failover count, and builds its :class:`ClusterCostSummary` (and
+        the shards' bills) on the first ``summary`` read, so serving,
+        which never reads a bill, builds none.
         """
         specs = list(requests)
-        self.obs.counter("cluster.probes").inc(len(specs))
+        n = len(specs)
+        self.obs.counter("cluster.probes").inc(n)
         by_shard: dict[int, list[int]] = {}
         shard_ids = self.partitioner.shards_for_many(
             [value for value, _t1, _t2 in specs]
@@ -313,13 +324,16 @@ class ClusterCoordinator:
             by_shard.setdefault(shard_id, []).append(i)
 
         failovers = self.failovers
-        results: list[ProbeResult | None] = [None] * len(specs)
-        merge = _SummaryMerge()
+        answers: list[ProbeResult | None] = [None] * n
+        batches: list[tuple[int, BilledBatch]] = []
+        dark: list[int] = []
+        aborted: dict[int, float] = {}
+        partial = False
         for shard_id in sorted(by_shard):
             shard = self.shards[shard_id]
             indices = by_shard[shard_id]
             shard_specs = [specs[i] for i in indices]
-            batch, _replica, aborted = self._serve(
+            batch, _replica, lost = self._serve(
                 shard,
                 lambda r, d: r.wave.probe_many(shard_specs, degraded=d),
                 degraded=degraded,
@@ -331,23 +345,30 @@ class ClusterCoordinator:
                 if self.router is not None
                 else None,
             )
-            merge.charge_aborted(shard_id, aborted)
+            if lost > 0.0:
+                aborted[shard_id] = lost
             if batch is None:
-                merge.shard_dark(shard)
+                dark.append(shard_id)
                 for i in indices:
                     _value, t1, t2 = specs[i]
                     missing = frozenset(shard.window_days(t1, t2))
-                    merge.missing |= missing
-                    results[i] = ProbeResult((), 0.0, 0, frozenset(), missing)
+                    partial = partial or bool(missing)
+                    answers[i] = ProbeResult((), 0.0, 0, frozenset(), missing)
                 continue
-            merge.add(shard_id, batch.summary)
+            batches.append((shard_id, batch))
             for i, result in zip(indices, batch.results):
-                results[i] = result
-                merge.missing |= result.missing_days
-        if merge.missing:
+                answers[i] = result
+                if result.missing_days:
+                    partial = True
+        if partial:
             self.obs.counter("cluster.partial_answers").inc()
+        results = tuple(answers)
         return ClusterBatchResult(
-            tuple(results), merge.finish(len(specs), self.failovers - failovers)
+            results,
+            (
+                _cluster_bill, results, batches, dark, aborted,
+                self.failovers - failovers,
+            ),
         )
 
     def scan_many(
@@ -361,15 +382,18 @@ class ClusterCoordinator:
         Scans are value-oblivious, so every request fans out to every
         shard; each merged result concatenates the shards' entries in
         shard order, sums their seconds, and unions their coverage.
+        The bill is kept and built as :meth:`probe_many`'s is.
         """
         specs = list(requests)
         self.obs.counter("cluster.scans").inc(len(specs))
         failovers = self.failovers
-        merge = _SummaryMerge()
+        batches: list[tuple[int, BilledBatch]] = []
+        dark: list[int] = []
+        aborted: dict[int, float] = {}
         answers: list[list[ScanResult]] = [[] for _ in specs]
         dark_missing: list[set[int]] = [set() for _ in specs]
         for shard in self.shards:
-            batch, _replica, aborted = self._serve(
+            batch, _replica, lost = self._serve(
                 shard,
                 lambda r, d: r.wave.scan_many(specs, degraded=d),
                 degraded=degraded,
@@ -381,24 +405,27 @@ class ClusterCoordinator:
                 if specs and self.router is not None
                 else None,
             )
-            merge.charge_aborted(shard.shard_id, aborted)
+            if lost > 0.0:
+                aborted[shard.shard_id] = lost
             if batch is None:
-                merge.shard_dark(shard)
+                dark.append(shard.shard_id)
                 for i, (t1, t2) in enumerate(specs):
                     dark_missing[i] |= shard.window_days(t1, t2)
                 continue
-            merge.add(shard.shard_id, batch.summary)
-            for i, result in zip(range(len(specs)), batch.results):
-                answers[i].append(result)
-        results = []
-        for i in range(len(specs)):
-            merged = _merge_scans(answers[i], dark_missing[i])
-            merge.missing |= merged.missing_days
-            results.append(merged)
-        if merge.missing:
+            batches.append((shard.shard_id, batch))
+            for shard_answers, result in zip(answers, batch.results):
+                shard_answers.append(result)
+        results = tuple(
+            _merge_scans(answers[i], dark_missing[i]) for i in range(len(specs))
+        )
+        if any(result.missing_days for result in results):
             self.obs.counter("cluster.partial_answers").inc()
         return ClusterBatchResult(
-            tuple(results), merge.finish(len(specs), self.failovers - failovers)
+            results,
+            (
+                _cluster_bill, results, batches, dark, aborted,
+                self.failovers - failovers,
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -416,53 +443,44 @@ class ClusterCoordinator:
         return self.scan_many([(t1, t2)], degraded=degraded).results[0]
 
 
-class _SummaryMerge:
-    """Accumulates per-shard batch summaries into a cluster summary."""
+def _cluster_bill(
+    results: tuple[Any, ...],
+    batches: list[tuple[int, BilledBatch]],
+    dark: list[int],
+    aborted: dict[int, float],
+    failovers: int,
+) -> ClusterCostSummary:
+    """Build a cluster batch's bill from what the batch kept when it ended.
 
-    def __init__(self) -> None:
-        self.per_shard: list[tuple[int, BatchCostSummary]] = []
-        self.unavailable: list[int] = []
-        self.missing: set[int] = set()
-        self.aborted: dict[int, float] = {}
-
-    def add(self, shard_id: int, summary: BatchCostSummary) -> None:
-        self.per_shard.append((shard_id, summary))
-
-    def shard_dark(self, shard: Shard) -> None:
-        self.unavailable.append(shard.shard_id)
-
-    def charge_aborted(self, shard_id: int, seconds: float) -> None:
-        """Charge a shard's aborted-attempt device time to the batch."""
-        if seconds > 0.0:
-            self.aborted[shard_id] = (
-                self.aborted.get(shard_id, 0.0) + seconds
-            )
-
-    def finish(self, requests: int, failovers: int) -> ClusterCostSummary:
-        # Aborted attempts are sequential with the surviving replica's
-        # answer on the same shard, so they stretch that shard's elapsed
-        # contribution as well as the serial total; a dark shard's futile
-        # attempts still occupy elapsed time.
-        totals = [
-            s.seconds + self.aborted.get(sid, 0.0)
-            for sid, s in self.per_shard
-        ]
-        totals.extend(self.aborted.get(sid, 0.0) for sid in self.unavailable)
-        aborted_total = sum(self.aborted.values())
-        return ClusterCostSummary(
-            requests=requests,
-            serial_seconds=sum(s.seconds for _, s in self.per_shard)
-            + aborted_total,
-            elapsed_seconds=max(totals, default=0.0),
-            seeks=sum(s.seeks for _, s in self.per_shard),
-            bytes_read=sum(s.bytes_read for _, s in self.per_shard),
-            failovers=failovers,
-            shards_queried=len(self.per_shard),
-            shards_unavailable=tuple(self.unavailable),
-            missing_days=frozenset(self.missing),
-            per_shard=tuple(self.per_shard),
-            aborted_seconds=aborted_total,
-        )
+    ``batches`` are the answering shards' batches in the order they were
+    served, ``dark`` the shards no replica answered, ``aborted`` each
+    shard's device time spent on attempts that died (only shards that
+    lost any), and the coverage the answers lost is read off ``results``.
+    """
+    per_shard = tuple((shard_id, batch.summary) for shard_id, batch in batches)
+    # Aborted attempts are sequential with the surviving replica's
+    # answer on the same shard, so they stretch that shard's elapsed
+    # contribution as well as the serial total; a dark shard's futile
+    # attempts still occupy elapsed time.
+    totals = [s.seconds + aborted.get(sid, 0.0) for sid, s in per_shard]
+    totals.extend(aborted.get(sid, 0.0) for sid in dark)
+    aborted_total = sum(aborted.values())
+    missing: set[int] = set()
+    for result in results:
+        missing |= result.missing_days
+    return ClusterCostSummary(
+        requests=len(results),
+        serial_seconds=sum(s.seconds for _, s in per_shard) + aborted_total,
+        elapsed_seconds=max(totals, default=0.0),
+        seeks=sum(s.seeks for _, s in per_shard),
+        bytes_read=sum(s.bytes_read for _, s in per_shard),
+        failovers=failovers,
+        shards_queried=len(per_shard),
+        shards_unavailable=tuple(dark),
+        missing_days=frozenset(missing),
+        per_shard=per_shard,
+        aborted_seconds=aborted_total,
+    )
 
 
 def _merge_scans(answers: list[ScanResult], dark_days: set[int]) -> ScanResult:

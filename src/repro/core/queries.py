@@ -23,11 +23,15 @@ paper's probe returns — from the block's id column without building it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 from ..index.codec import EntryBlock
 from ..index.entry import Entry
 from ..index.kernels import Part
+
+
+#: Stores a frozen record's ``__dict__`` whole, at construction.
+_publish = object.__setattr__
 
 
 def _record_ids(entries: Sequence[Entry]) -> tuple[int, ...]:
@@ -36,7 +40,7 @@ def _record_ids(entries: Sequence[Entry]) -> tuple[int, ...]:
     return tuple(e.record_id for e in entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProbeResult:
     """Outcome of a (timed) index probe."""
 
@@ -53,6 +57,31 @@ class ProbeResult:
         default=None, compare=False, repr=False
     )
 
+    def __init__(
+        self,
+        entries: Sequence[Entry],
+        seconds: float,
+        indexes_probed: int,
+        covered_days: frozenset[int] = frozenset(),
+        missing_days: frozenset[int] = frozenset(),
+        parts: tuple[Part, ...] | None = None,
+    ) -> None:
+        # One store of the whole ``__dict__``, not a frozen dataclass's
+        # ``object.__setattr__`` per field: a batch builds one result
+        # per unique spec.
+        _publish(
+            self,
+            "__dict__",
+            {
+                "entries": entries,
+                "seconds": seconds,
+                "indexes_probed": indexes_probed,
+                "covered_days": covered_days,
+                "missing_days": missing_days,
+                "parts": parts,
+            },
+        )
+
     @property
     def record_ids(self) -> tuple[int, ...]:
         """Return the matching record ids in retrieval order."""
@@ -64,7 +93,7 @@ class ProbeResult:
         return not self.missing_days
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScanResult:
     """Outcome of a (timed) segment scan."""
 
@@ -78,6 +107,29 @@ class ScanResult:
     parts: tuple[Part, ...] | None = field(
         default=None, compare=False, repr=False
     )
+
+    def __init__(
+        self,
+        entries: Sequence[Entry],
+        seconds: float,
+        indexes_scanned: int,
+        covered_days: frozenset[int] = frozenset(),
+        missing_days: frozenset[int] = frozenset(),
+        parts: tuple[Part, ...] | None = None,
+    ) -> None:
+        # As ProbeResult's: one store of the whole ``__dict__``.
+        _publish(
+            self,
+            "__dict__",
+            {
+                "entries": entries,
+                "seconds": seconds,
+                "indexes_scanned": indexes_scanned,
+                "covered_days": covered_days,
+                "missing_days": missing_days,
+                "parts": parts,
+            },
+        )
 
     @property
     def record_ids(self) -> tuple[int, ...]:
@@ -117,12 +169,35 @@ class BatchCostSummary:
         return self.seconds / self.requests if self.requests else 0.0
 
 
-@dataclass(frozen=True)
-class BatchProbeResult:
-    """Outcome of :meth:`~repro.core.wave.WaveIndex.probe_many`."""
+class BilledBatch:
+    """A batch's results, and its bill built when first read.
 
-    results: tuple[ProbeResult, ...]
-    summary: BatchCostSummary
+    ``bill`` is ``(build, *readings)``: what the batch read off its
+    device counters and shards when it ended, and the function that
+    makes the summary record of them, ``build(*readings)``.  Serving
+    never reads a bill, so it builds none; the first :attr:`summary`
+    read builds the record and publishes it by one assignment (as
+    :meth:`~repro.index.kernels.Run.records` publishes its slot), so a
+    bill read twice, or read after later batches have run, is the one
+    record of the batch as it ended.  Equality, hashing and ``repr``
+    are those of a frozen ``(results, summary)`` record.
+    """
+
+    __slots__ = ("results", "_bill", "_summary")
+
+    def __init__(self, results: tuple, bill: tuple) -> None:
+        self.results = results
+        self._bill = bill
+        self._summary = None
+
+    @property
+    def summary(self) -> Any:
+        """Return the batch's bill, building it on the first read."""
+        summary = self._summary
+        if summary is None:
+            build, *readings = self._bill
+            summary = self._summary = build(*readings)
+        return summary
 
     def __len__(self) -> int:
         return len(self.results)
@@ -130,8 +205,32 @@ class BatchProbeResult:
     def __iter__(self):
         return iter(self.results)
 
-    def __getitem__(self, i: int) -> ProbeResult:
+    def __getitem__(self, i: int) -> Any:
         return self.results[i]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.results, self.summary) == (other.results, other.summary)
+
+    def __hash__(self) -> int:
+        return hash((self.results, self.summary))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(results={self.results!r}, "
+            f"summary={self.summary!r})"
+        )
+
+
+class BatchProbeResult(BilledBatch):
+    """Outcome of :meth:`~repro.core.wave.WaveIndex.probe_many`: the
+    per-request :class:`ProbeResult`\\ s and a :class:`BatchCostSummary`
+    built on the first :attr:`summary` read from the five counter
+    readings the batch took at each end (``WaveIndex._finish_batch``)."""
+
+    __slots__ = ()
+    results: tuple[ProbeResult, ...]
 
     @property
     def seconds(self) -> float:
@@ -139,21 +238,12 @@ class BatchProbeResult:
         return self.summary.seconds
 
 
-@dataclass(frozen=True)
-class BatchScanResult:
-    """Outcome of :meth:`~repro.core.wave.WaveIndex.scan_many`."""
+class BatchScanResult(BilledBatch):
+    """Outcome of :meth:`~repro.core.wave.WaveIndex.scan_many`, billed as
+    :class:`BatchProbeResult` is."""
 
+    __slots__ = ()
     results: tuple[ScanResult, ...]
-    summary: BatchCostSummary
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __getitem__(self, i: int) -> ScanResult:
-        return self.results[i]
 
     @property
     def seconds(self) -> float:

@@ -34,6 +34,27 @@ from .queries import (
 NEG_INF = -(10**9)
 POS_INF = 10**9
 
+#: The coverage of a result that lost no day.
+_NO_DAYS: frozenset[int] = frozenset()
+
+
+def _lose(
+    missing: list[set[int] | None], relevant: list[tuple[int, set[int]]]
+) -> None:
+    """Charge a skipped constituent's days to the ranges that needed it;
+    a range's set is made by its first loss."""
+    for r, days in relevant:
+        lost = missing[r]
+        if lost is None:
+            missing[r] = set(days)
+        else:
+            lost.update(days)
+
+
+def _missing(lost: set[int] | None, covered: set[int]) -> frozenset[int]:
+    """Return the days a range lost and no other constituent covered."""
+    return _NO_DAYS if lost is None else frozenset(lost - covered)
+
 
 def constituent_names(n_indexes: int) -> list[str]:
     """Return the standard constituent names ``I1`` .. ``In``."""
@@ -162,12 +183,17 @@ class WaveIndex:
         return {d for d in index.time_set if t1 <= d <= t2}
 
     def _skip_offline(
-        self, name: str, relevant: set[int], degraded: bool, kind: str
+        self,
+        name: str,
+        relevant: list[tuple[int, set[int]]],
+        degraded: bool,
+        kind: str,
     ) -> None:
         """Raise unless the caller accepted a partial (degraded) answer."""
         if not degraded:
+            days = set().union(*(days for _, days in relevant))
             raise DegradedWindowError(
-                f"constituent {name} (days {sorted(relevant)}) is offline; "
+                f"constituent {name} (days {sorted(days)}) is offline; "
                 f"pass degraded=True to {kind} the surviving window"
             )
 
@@ -208,9 +234,10 @@ class WaveIndex:
     # ------------------------------------------------------------------
 
     def _begin_batch(self) -> tuple[float, float, int, int, int]:
-        """Read the live counters :meth:`_finish_batch` subtracts from.
+        """Read the live counters a batch's bill is the difference of.
 
-        ``(clock, seeks, bytes_read, cache hits, cache misses)``: no
+        ``(clock, seeks, bytes_read, cache hits, cache misses)``: a batch
+        reads them when it starts and again when it ends, and no
         snapshot record is built on the read path.
         """
         disk = self.disk
@@ -220,16 +247,22 @@ class WaveIndex:
             return disk.clock, stats.seeks, stats.bytes_read, 0, 0
         return disk.clock, stats.seeks, stats.bytes_read, cache.hits, cache.misses
 
+    @staticmethod
     def _finish_batch(
-        self,
         begin: tuple[float, float, int, int, int],
-        *,
+        end: tuple[float, float, int, int, int],
         requests: int,
         constituents_touched: int,
         buckets_read: int,
         duplicate_hits: int,
     ) -> BatchCostSummary:
-        clock, seeks, bytes_read, hits, misses = self._begin_batch()
+        """Build a batch's bill from its two :meth:`_begin_batch` readings.
+
+        Run by the first ``summary`` read of the batch's result, never by
+        the batch itself (:class:`~repro.core.queries.BilledBatch`); a
+        function of the readings alone, so a kept bill holds no wave.
+        """
+        clock, seeks, bytes_read, hits, misses = end
         clock0, seeks0, bytes_read0, hits0, misses0 = begin
         return BatchCostSummary(
             requests=requests,
@@ -261,8 +294,11 @@ class WaveIndex:
         Returns per-request :class:`ProbeResult`\\ s in request order —
         each request's entries and coverage are what a batch of its own
         (:meth:`timed_index_probe`) returns, whatever else the batch holds
-        — plus a :class:`BatchCostSummary` of what the whole batch cost
-        the device.
+        — plus the batch's bill: the device counters read as the batch
+        starts and as it ends (:meth:`_begin_batch`), which the first
+        ``summary`` read turns into a :class:`BatchCostSummary` of what
+        the whole batch cost the device (:meth:`_finish_batch`).  A
+        caller that never reads the bill builds no record.
         A shared bucket read's seconds are split evenly across the requests
         it served, so per-request latencies sum to the batch total.
 
@@ -291,15 +327,10 @@ class WaveIndex:
         per constituent: offline or failing constituents are reported in
         the affected requests' ``missing_days``.
         """
-        specs = list(requests)
-        for value, t1, t2 in specs:
-            if t1 > t2:
-                raise WaveIndexError(f"empty time range [{t1}, {t2}]")
-        n = len(specs)
         unique_ids: dict[tuple[Any, int, int], int] = {}
         fanout: list[int] = []
         weights: list[int] = []
-        for spec in specs:
+        for spec in requests:
             j = unique_ids.setdefault(spec, len(unique_ids))
             if j == len(weights):
                 weights.append(0)
@@ -307,25 +338,33 @@ class WaveIndex:
             weights[j] += 1
         uspecs = list(unique_ids)
         m = len(uspecs)
-        # Each unique spec's window, and each value's requesters in spec
-        # order with the requests they stand for: what a constituent
-        # every window needs is asked for.
+        # Each unique spec's window and hit list, each window's coverage
+        # sets, and each value's requesters in spec order with the
+        # requests they stand for: what a constituent every window needs
+        # is asked for.  Each is made as its spec or window first shows
+        # up, so a small batch pays for no comprehension.
         window_ids: dict[tuple[int, int], int] = {}
         spec_window: list[int] = []
+        hits: list[list] = []
+        covered: list[set[int]] = []
         everyone: dict[Any, list[int]] = {}
         everyone_requests: dict[Any, int] = {}
         for j, (value, t1, t2) in enumerate(uspecs):
-            spec_window.append(window_ids.setdefault((t1, t2), len(window_ids)))
+            if t1 > t2:
+                raise WaveIndexError(f"empty time range [{t1}, {t2}]")
+            w = window_ids.setdefault((t1, t2), len(covered))
+            if w == len(covered):
+                covered.append(set())
+            spec_window.append(w)
+            hits.append([])
             everyone.setdefault(value, []).append(j)
             everyone_requests[value] = everyone_requests.get(value, 0) + weights[j]
         windows = list(window_ids)
         k = len(windows)
         begin = self._begin_batch()
-        hits: list[list] = [[] for _ in range(m)]
         seconds = [0.0] * m
         probed = [0] * k
-        covered: list[set[int]] = [set() for _ in range(k)]
-        missing: list[set[int]] = [set() for _ in range(k)]
+        missing: list[set[int] | None] = [None] * k
         constituents_touched = 0
         buckets_read = 0
         duplicate_hits = 0
@@ -342,12 +381,8 @@ class WaveIndex:
             if not relevant:
                 continue
             if name in self.offline:
-                self._skip_offline(
-                    name, set().union(*(days for _, days in relevant)),
-                    degraded, "probe",
-                )
-                for w, days in relevant:
-                    missing[w].update(days)
+                self._skip_offline(name, relevant, degraded, "probe")
+                _lose(missing, relevant)
                 continue
             if len(relevant) == k:
                 by_value, value_requests = everyone, everyone_requests
@@ -366,8 +401,7 @@ class WaveIndex:
                 self.offline.add(name)
                 if not degraded:
                     raise
-                for w, days in relevant:
-                    missing[w].update(days)
+                _lose(missing, relevant)
                 continue
             constituents_touched += 1
             buckets_read += nbuckets
@@ -385,33 +419,33 @@ class WaveIndex:
                     if hit[0]:
                         hits[j].append(hit)
                     seconds[j] += share
-        coverage = [
-            (frozenset(covered[w]), frozenset(missing[w] - covered[w]))
-            for w in range(k)
-        ]
+        coverage = []
+        for w in range(k):
+            coverage.append(
+                (frozenset(covered[w]), _missing(missing[w], covered[w]))
+            )
         unique_results = []
         for j in range(m):
             entries, parts = kernels.assemble(hits[j])
-            covered_days, missing_days = coverage[spec_window[j]]
+            w = spec_window[j]
+            covered_days, missing_days = coverage[w]
             unique_results.append(
                 ProbeResult(
                     entries,
                     seconds[j],
-                    probed[spec_window[j]],
+                    probed[w],
                     covered_days,
                     missing_days,
                     parts,
                 )
             )
-        results = tuple(unique_results[j] for j in fanout)
-        summary = self._finish_batch(
-            begin,
-            requests=n,
-            constituents_touched=constituents_touched,
-            buckets_read=buckets_read,
-            duplicate_hits=duplicate_hits,
+        return BatchProbeResult(
+            tuple([unique_results[j] for j in fanout]),
+            (
+                self._finish_batch, begin, self._begin_batch(), len(fanout),
+                constituents_touched, buckets_read, duplicate_hits,
+            ),
         )
-        return BatchProbeResult(results, summary)
 
     def scan_many(
         self,
@@ -438,29 +472,31 @@ class WaveIndex:
         constituent's sweep itself — both kept by the constituent, so the
         answer is their own tuple and its ``parts`` say so; any other
         range is filtered on every call and nothing filtered outlives it.
+        The bill is kept and built as :meth:`probe_many`'s is.
         """
-        specs = list(requests)
-        for t1, t2 in specs:
-            if t1 > t2:
-                raise WaveIndexError(f"empty time range [{t1}, {t2}]")
-        n = len(specs)
         unique_ids: dict[tuple[int, int], int] = {}
         fanout: list[int] = []
         weights: list[int] = []
-        for spec in specs:
+        for spec in requests:
             j = unique_ids.setdefault(spec, len(unique_ids))
             if j == len(weights):
                 weights.append(0)
             fanout.append(j)
             weights[j] += 1
         uspecs = list(unique_ids)
+        # Each unique range's hit list and coverage set, made with it.
+        hits: list[list] = []
+        covered: list[set[int]] = []
+        for t1, t2 in uspecs:
+            if t1 > t2:
+                raise WaveIndexError(f"empty time range [{t1}, {t2}]")
+            hits.append([])
+            covered.append(set())
         m = len(uspecs)
         begin = self._begin_batch()
-        hits: list[list] = [[] for _ in range(m)]
         seconds = [0.0] * m
         scanned = [0] * m
-        covered: list[set[int]] = [set() for _ in range(m)]
-        missing: list[set[int]] = [set() for _ in range(m)]
+        missing: list[set[int] | None] = [None] * m
         constituents_touched = 0
         duplicate_hits = 0
         for name in self.constituents:
@@ -476,11 +512,9 @@ class WaveIndex:
                     total_requests += weights[j]
             if not relevant:
                 continue
-            all_days = set().union(*(days for _, days in relevant))
             if name in self.offline:
-                self._skip_offline(name, all_days, degraded, "scan")
-                for j, days in relevant:
-                    missing[j].update(days)
+                self._skip_offline(name, relevant, degraded, "scan")
+                _lose(missing, relevant)
                 continue
             try:
                 cost = index.charge_scan()
@@ -488,8 +522,7 @@ class WaveIndex:
                 self.offline.add(name)
                 if not degraded:
                     raise
-                for j, days in relevant:
-                    missing[j].update(days)
+                _lose(missing, relevant)
                 continue
             constituents_touched += 1
             duplicate_hits += total_requests - 1
@@ -511,19 +544,17 @@ class WaveIndex:
                     seconds[j],
                     scanned[j],
                     frozenset(covered[j]),
-                    frozenset(missing[j] - covered[j]),
+                    _missing(missing[j], covered[j]),
                     parts,
                 )
             )
-        results = tuple(unique_results[j] for j in fanout)
-        summary = self._finish_batch(
-            begin,
-            requests=n,
-            constituents_touched=constituents_touched,
-            buckets_read=0,
-            duplicate_hits=duplicate_hits,
+        return BatchScanResult(
+            tuple([unique_results[j] for j in fanout]),
+            (
+                self._finish_batch, begin, self._begin_batch(), len(fanout),
+                constituents_touched, 0, duplicate_hits,
+            ),
         )
-        return BatchScanResult(results, summary)
 
     def cluster_aligned_probe(
         self, value: Any, t1: int, t2: int

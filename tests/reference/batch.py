@@ -20,15 +20,19 @@ and reads nothing a constituent caches between calls (no ``scan()``, no
 ``begin_batch`` / ``finish_batch`` are the bill as it was, two
 ``IOSnapshot`` and two ``PageCacheSnapshot`` records subtracted;
 :func:`snapshot_bill` serves a twin wave with them
-(``tests/core/test_batch_bill.py``).
+(``tests/core/test_batch_bill.py``).  :func:`probe_many_eager` /
+:func:`scan_many_eager` are the coordinator's batches with the eager
+bill: every shard's summary read as its batch lands and merged by
+:class:`SummaryMerge` as the batch ends.
 """
 
 from contextlib import contextmanager
 from unittest import mock
 
+from repro.cluster.coordinator import ClusterCostSummary, _merge_scans
 from repro.core import queries
 from repro.core.wave import WaveIndex
-from repro.errors import DegradedWindowError
+from repro.errors import DegradedWindowError, FaultError, TransientIOError
 from .disk import ComposedPageCache, page_span
 
 
@@ -44,9 +48,8 @@ def begin_batch(wave):
 
 
 def finish_batch(
-    wave,
     begin,
-    *,
+    end,
     requests,
     constituents_touched,
     buckets_read,
@@ -54,14 +57,15 @@ def finish_batch(
 ):
     """``WaveIndex._finish_batch`` as it was: subtract two snapshots."""
     clock0, io0, cache0 = begin
-    io = wave.disk.stats.snapshot() - io0
+    clock, io1, cache1 = end
+    io = io1 - io0
     cache_hits = cache_misses = 0
     if cache0 is not None:
-        delta = wave.disk.page_cache.snapshot() - cache0
+        delta = cache1 - cache0
         cache_hits, cache_misses = delta.hits, delta.misses
     return queries.BatchCostSummary(
         requests=requests,
-        seconds=wave.disk.clock - clock0,
+        seconds=clock - clock0,
         seeks=io.seeks,
         bytes_read=io.bytes_read,
         constituents_touched=constituents_touched,
@@ -72,6 +76,11 @@ def finish_batch(
     )
 
 
+def bill(wave, begin, *counts):
+    """The bill a batch begun at ``begin`` keeps as it ends, in snapshots."""
+    return (finish_batch, begin, begin_batch(wave), *counts)
+
+
 @contextmanager
 def snapshot_bill():
     """Bill every ``probe_many`` / ``scan_many`` batch the snapshot way.
@@ -79,10 +88,13 @@ def snapshot_bill():
     Swaps :func:`begin_batch` / :func:`finish_batch` in for
     ``WaveIndex._begin_batch`` / ``_finish_batch``, so a twin wave served
     inside the block is billed by snapshot records and the one served
-    outside it by the live counters.
+    outside it by the live counters.  A batch keeps the finishing
+    function it ended under, so its bill may be read after the block.
     """
     with mock.patch.object(WaveIndex, "_begin_batch", begin_batch), \
-            mock.patch.object(WaveIndex, "_finish_batch", finish_batch):
+            mock.patch.object(
+                WaveIndex, "_finish_batch", staticmethod(finish_batch)
+            ):
         yield
 
 
@@ -158,14 +170,7 @@ def probe_many_object(wave, specs, degraded=False):
                 seconds[i] += cost / len(requesters)
     return queries.BatchProbeResult(
         _results(queries.ProbeResult, entries, seconds, probed, covered, missing),
-        finish_batch(
-            wave,
-            begin,
-            requests=n,
-            constituents_touched=constituents_touched,
-            buckets_read=buckets_read,
-            duplicate_hits=duplicate_hits,
-        ),
+        bill(wave, begin, n, constituents_touched, buckets_read, duplicate_hits),
     )
 
 
@@ -192,14 +197,7 @@ def scan_many_object(wave, specs, degraded=False):
             entries[i].extend(e for e in found if t1 <= e.day <= t2)
     return queries.BatchScanResult(
         _results(queries.ScanResult, entries, seconds, scanned, covered, missing),
-        finish_batch(
-            wave,
-            begin,
-            requests=n,
-            constituents_touched=constituents_touched,
-            buckets_read=0,
-            duplicate_hits=duplicate_hits,
-        ),
+        bill(wave, begin, n, constituents_touched, 0, duplicate_hits),
     )
 
 
@@ -223,3 +221,213 @@ class PerPagePageCache(ComposedPageCache):
                 self.misses += 1
                 self._admit(key)
         return missed, len(span)
+
+
+# ----------------------------------------------------------------------
+# The coordinator's eager bill
+# ----------------------------------------------------------------------
+#
+# ``ClusterCoordinator.probe_many`` / ``scan_many`` as they were before a
+# bill was built on read: every shard's ``BatchCostSummary`` is read as
+# its batch lands and merged into the ``ClusterCostSummary`` as the
+# batch ends, and the serving rule makes its retry table, exclusion set
+# and filtered candidate list on every call.  Each returns ``(results,
+# summary)``; a twin cluster served by them must end with the same
+# answers, bills, clocks and counters as the one under test
+# (``tests/core/test_batch_bill.py``).
+
+
+class SummaryMerge:
+    """Accumulates per-shard batch summaries into a cluster summary."""
+
+    def __init__(self):
+        self.per_shard = []
+        self.unavailable = []
+        self.missing = set()
+        self.aborted = {}
+
+    def add(self, shard_id, summary):
+        self.per_shard.append((shard_id, summary))
+
+    def shard_dark(self, shard):
+        self.unavailable.append(shard.shard_id)
+
+    def charge_aborted(self, shard_id, seconds):
+        if seconds > 0.0:
+            self.aborted[shard_id] = self.aborted.get(shard_id, 0.0) + seconds
+
+    def finish(self, requests, failovers):
+        totals = [
+            s.seconds + self.aborted.get(sid, 0.0) for sid, s in self.per_shard
+        ]
+        totals.extend(self.aborted.get(sid, 0.0) for sid in self.unavailable)
+        aborted_total = sum(self.aborted.values())
+        return ClusterCostSummary(
+            requests=requests,
+            serial_seconds=sum(s.seconds for _, s in self.per_shard)
+            + aborted_total,
+            elapsed_seconds=max(totals, default=0.0),
+            seeks=sum(s.seeks for _, s in self.per_shard),
+            bytes_read=sum(s.bytes_read for _, s in self.per_shard),
+            failovers=failovers,
+            shards_queried=len(self.per_shard),
+            shards_unavailable=tuple(self.unavailable),
+            missing_days=frozenset(self.missing),
+            per_shard=tuple(self.per_shard),
+            aborted_seconds=aborted_total,
+        )
+
+
+def serve_eager(coordinator, shard, call, *, degraded=True, route=None):
+    """``ClusterCoordinator._serve`` as it was (the serving rule)."""
+    monitor = coordinator.monitor
+    now = monitor.now if monitor is not None else 0.0
+    aborted = 0.0
+    attempts = {}
+    exclude = set()
+    while True:
+        candidates = [
+            r for r in shard.alive_replicas() if r.replica_id not in exclude
+        ]
+        if monitor is not None:
+            replica, breaker_wait = monitor.serving_replica(
+                shard, now=now + aborted, exclude=exclude
+            )
+            aborted += breaker_wait
+        elif coordinator.router is not None and route is not None:
+            replica = coordinator.router.choose(
+                shard, *route, candidates=candidates
+            )
+        else:
+            replica = candidates[0] if candidates else None
+        if replica is None:
+            return None, None, aborted
+        wave = replica.wave
+        before = replica.clock
+        before_offline = frozenset(wave.offline)
+        try:
+            outcome = call(replica, degraded and len(candidates) == 1)
+        except DegradedWindowError:
+            fault = DegradedWindowError
+        except TransientIOError:
+            fault = TransientIOError
+        except FaultError:
+            fault = FaultError
+        else:
+            if wave.offline == before_offline:
+                if monitor is not None:
+                    monitor.record_success(replica)
+                return outcome, replica, aborted
+            fault = FaultError if replica.device_failed else TransientIOError
+        aborted += replica.clock - before
+        if fault is DegradedWindowError:
+            exclude.add(replica.replica_id)
+            continue
+        if fault is TransientIOError:
+            wave.offline &= before_offline
+        if fault is FaultError or monitor is None:
+            coordinator._fail_over(replica)
+            continue
+        monitor.on_transient(replica, now=now + aborted)
+        n = attempts.get(replica.replica_id, 0) + 1
+        attempts[replica.replica_id] = n
+        if n >= monitor.retry.max_attempts:
+            exclude.add(replica.replica_id)
+            continue
+        delay = monitor.retry.delay_before_retry(n)
+        replica.device.advance(delay)
+        aborted += delay
+        monitor.note_retry(n)
+
+
+def probe_many_eager(coordinator, requests, *, degraded=True):
+    """``ClusterCoordinator.probe_many`` with the eager bill."""
+    specs = list(requests)
+    coordinator.obs.counter("cluster.probes").inc(len(specs))
+    by_shard = {}
+    shard_ids = coordinator.partitioner.shards_for_many(
+        [value for value, _t1, _t2 in specs]
+    )
+    for i, shard_id in enumerate(shard_ids):
+        by_shard.setdefault(shard_id, []).append(i)
+    failovers = coordinator.failovers
+    results = [None] * len(specs)
+    merge = SummaryMerge()
+    for shard_id in sorted(by_shard):
+        shard = coordinator.shards[shard_id]
+        indices = by_shard[shard_id]
+        shard_specs = [specs[i] for i in indices]
+        batch, _replica, aborted = serve_eager(
+            coordinator,
+            shard,
+            lambda r, d: r.wave.probe_many(shard_specs, degraded=d),
+            degraded=degraded,
+            route=(
+                min(t1 for _v, t1, _t2 in shard_specs),
+                max(t2 for _v, _t1, t2 in shard_specs),
+                "probe",
+            )
+            if coordinator.router is not None
+            else None,
+        )
+        merge.charge_aborted(shard_id, aborted)
+        if batch is None:
+            merge.shard_dark(shard)
+            for i in indices:
+                _value, t1, t2 = specs[i]
+                missing = frozenset(shard.window_days(t1, t2))
+                merge.missing |= missing
+                results[i] = queries.ProbeResult((), 0.0, 0, frozenset(), missing)
+            continue
+        merge.add(shard_id, batch.summary)
+        for i, result in zip(indices, batch.results):
+            results[i] = result
+            merge.missing |= result.missing_days
+    if merge.missing:
+        coordinator.obs.counter("cluster.partial_answers").inc()
+    return tuple(results), merge.finish(
+        len(specs), coordinator.failovers - failovers
+    )
+
+
+def scan_many_eager(coordinator, requests, *, degraded=True):
+    """``ClusterCoordinator.scan_many`` with the eager bill."""
+    specs = list(requests)
+    coordinator.obs.counter("cluster.scans").inc(len(specs))
+    failovers = coordinator.failovers
+    merge = SummaryMerge()
+    answers = [[] for _ in specs]
+    dark_missing = [set() for _ in specs]
+    for shard in coordinator.shards:
+        batch, _replica, aborted = serve_eager(
+            coordinator,
+            shard,
+            lambda r, d: r.wave.scan_many(specs, degraded=d),
+            degraded=degraded,
+            route=(
+                min(t1 for t1, _t2 in specs),
+                max(t2 for _t1, t2 in specs),
+                "scan",
+            )
+            if specs and coordinator.router is not None
+            else None,
+        )
+        merge.charge_aborted(shard.shard_id, aborted)
+        if batch is None:
+            merge.shard_dark(shard)
+            for i, (t1, t2) in enumerate(specs):
+                dark_missing[i] |= shard.window_days(t1, t2)
+            continue
+        merge.add(shard.shard_id, batch.summary)
+        for i, result in zip(range(len(specs)), batch.results):
+            answers[i].append(result)
+    results = []
+    for i in range(len(specs)):
+        merged = _merge_scans(answers[i], dark_missing[i])
+        merge.missing |= merged.missing_days
+        results.append(merged)
+    if merge.missing:
+        coordinator.obs.counter("cluster.partial_answers").inc()
+    return tuple(results), merge.finish(
+        len(specs), coordinator.failovers - failovers
+    )
