@@ -15,6 +15,14 @@ first (the old slice is dead space until the shared extent is rewritten) —
 precisely why the paper says in-place/simple-shadow updates leave an index
 unpacked.
 
+A :class:`Bucket` keeps its entries' insert days as run lengths, ``(day,
+count)`` pairs in append order, written by the same statements that
+write its entries.  Entries arrive a day at a time, so a bucket holds
+about one pair a day of the window however many entries it holds: the
+first reader after a write lays its day column from the pairs (as a
+layout lays its views'), and the paper's ``DeleteFromIndex`` finds the
+expired day's entries by offset — neither reads an entry.
+
 ``BuildIndex`` lays a packed index down once and, under the paper's
 recommended configurations, nothing touches it until it is dropped.  Such
 an index is stored as one :class:`PackedLayout` — each bucket's offset
@@ -33,16 +41,27 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..storage.extent import Extent
 from . import kernels
 from .entry import Entry
 
 
-@dataclass
+@dataclass(slots=True)
 class Bucket:
     """Postings for one search value plus where they live on disk.
+
+    Its day column is stored beside its entries, as run lengths: the
+    entries' insert days, in append order, as ``(day, count, day,
+    count, ...)`` — one pair a run of equal days, no two neighbours of
+    one day, no count of 0.  The writers of ``entries`` write them in
+    the same statement: a one-day append adds one pair or lengthens the
+    last one and reads no entry, a multi-day or unsorted one encodes its
+    own entries, and the delete cuts whole pairs.  So the reader that
+    builds the run lays the column from the pairs and reads no entry's
+    day, and the delete finds which days a bucket holds, and where, by
+    offset.
 
     Attributes:
         value: The search value this bucket serves.
@@ -63,6 +82,10 @@ class Bucket:
     shared: bool = False
     capacity_entries: int = 0
     offset_in_extent: int = 0
+    #: Stored: ``entries``' day column as run lengths, read through
+    #: :meth:`lengths`.  Empty for a bucket made with entries and no
+    #: lengths, which the length rule encodes on its first read.
+    _lengths: tuple[int, ...] = field(default=(), repr=False, compare=False)
     #: Derived read state: the :class:`~repro.index.kernels.Run` of
     #: ``entries``, built by :meth:`run` and dropped by the two writers
     #: of ``entries``, :meth:`append_entries` and :meth:`replace_entries`.
@@ -87,31 +110,66 @@ class Bucket:
 
     def fits(self, n_more: int) -> bool:
         """Return ``True`` if ``n_more`` entries fit in the current placement."""
-        return not self.shared and n_more <= self.free_entries()
+        return not self.shared and n_more <= self.capacity_entries - len(self.entries)
+
+    def lengths(self) -> tuple[int, ...]:
+        """Return the day column as run lengths, ``(day, count, ...)``.
+
+        The stored pairs, unless entries were changed behind the
+        writers' backs: pairs that do not count ``len(entries)`` are
+        encoded again from the entries before anyone reads them (the
+        length rule of :meth:`run`).
+        """
+        lengths = self._lengths
+        if sum(lengths[1::2]) != len(self.entries):
+            lengths = self._lengths = kernels.run_lengths(self.entries)
+        return lengths
 
     def run(self) -> kernels.Run:
         """Return the bucket's run, building it if none is current.
 
-        The first read after a mutation builds it (one pass for the day
-        column, one ``tuple(entries)``) and publishes it with one
-        assignment; later reads get the same immutable object until a
-        writer drops it.  Entries changed behind the writers' backs are
-        caught by length: a stale run is rebuilt, never served.
+        The first read after a mutation builds it — one ``tuple(entries)``
+        and the day column laid from :meth:`lengths`, with no entry's
+        day read — and publishes it with one assignment; later reads get
+        the same immutable object until a writer drops it.  Entries
+        changed behind the writers' backs are caught by length: a stale
+        run is rebuilt, never served.
         """
         run = self._run
         if run is None or len(run.days) != len(self.entries):
-            run = self._run = kernels.Run.of(self.entries)
+            run = self._run = kernels.Run.laid(self.entries, self.lengths())
         return run
 
-    def append_entries(self, entries: Iterable[Entry]) -> None:
-        """Append ``entries``, dropping the run."""
+    def append_entries(self, entries: Sequence[Entry], day: int | None = None) -> None:
+        """Append ``entries``, dropping the run.
+
+        ``day``, when given, is the insert day of every one of
+        ``entries``: the pairs grow by one pair, or the last one
+        lengthens, without an entry being read.  Without it the appended
+        entries are encoded.
+        """
         self._run = None
         self.entries.extend(entries)
+        if not entries:
+            return
+        more = kernels.run_lengths(entries) if day is None else (day, len(entries))
+        lengths = self._lengths
+        if lengths and lengths[-2] == more[0]:
+            # The last run and the first appended one are of one day.
+            self._lengths = (*lengths[:-1], lengths[-1] + more[1], *more[2:])
+        else:
+            self._lengths = lengths + more
 
-    def replace_entries(self, entries: list[Entry]) -> None:
-        """Swap in a new entry list, dropping the run."""
+    def replace_entries(
+        self, entries: list[Entry], lengths: tuple[int, ...] | None = None
+    ) -> None:
+        """Swap in a new entry list and its ``lengths``, dropping the run.
+
+        Without ``lengths`` the new entries are encoded.
+        """
         self._run = None
         self.entries = entries
+        self._lengths = kernels.run_lengths(entries) if lengths is None else lengths
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -217,6 +275,17 @@ class PackedLayout:
                 pieces.append(piece)
                 column += unit * len(piece)
         return kernels.Run(_joined(pieces), column, True, column[0], column[-1])
+
+    def lengths(self, value: Any) -> tuple[int, ...]:
+        """Return the day column of ``value``'s bucket on a layout with
+        days, as :meth:`Bucket.lengths` keeps it: one pair a grouping
+        that holds the value, from the groupings' lengths alone."""
+        lengths: list[int] = []
+        for day, grouping in zip(self.days, self.groupings):
+            piece = grouping.get(value)
+            if piece:
+                lengths += (day, len(piece))
+        return tuple(lengths)
 
     def day_run(self, day: int) -> kernels.Run:
         """Return the entries of ``day``, one of :attr:`days`, as a run.

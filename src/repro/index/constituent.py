@@ -151,6 +151,9 @@ class ConstituentIndex:
                 entries, run = layout.entries(value), None
             else:
                 entries, run = view.entries, view._run
+            lengths = (
+                layout.lengths(value) if layout.days else kernels.run_lengths(entries)
+            )
             self.directory.put(
                 value,
                 Bucket(
@@ -160,6 +163,7 @@ class ConstituentIndex:
                     shared=True,
                     capacity_entries=hi - lo,
                     offset_in_extent=lo * entry_size,
+                    _lengths=lengths,
                     _run=run,
                 ),
             )
@@ -280,6 +284,10 @@ class ConstituentIndex:
         times larger and pay to copy it.  Appending to a packed index evicts
         touched buckets into private extents, after which the index is no
         longer packed.
+
+        ``days`` are the insert days of the postings' entries, which join
+        the time-set: when there is one, every entry is of that day, and
+        no entry's day is read.
         """
         self._check_not_dropped()
         self._invalidate_derived()
@@ -291,16 +299,23 @@ class ConstituentIndex:
         # empty index is not a streaming caller, and a warm pool absorbs
         # its first touches instead of charging a full seek.
         seek = self.disk.effective_seeks(1.0, float(self.allocated_bytes))
+        days = set(days)
+        # A one-day insert: each bucket's run lengths grow by one pair.
+        day = next(iter(days)) if len(days) == 1 else None
         for value, entries in grouped.items():
             if entries:
-                self._append_to_bucket(value, entries, seek)
+                self._append_to_bucket(value, entries, seek, day)
         self.time_set.update(days)
         if grouped:
             self.packed = False
         return self.disk.clock - start
 
     def _append_to_bucket(
-        self, value: Any, entries: list[Entry], seek: float = 1.0
+        self,
+        value: Any,
+        entries: list[Entry],
+        seek: float = 1.0,
+        day: int | None = None,
     ) -> None:
         entry_size = self.config.entry_size_bytes
         policy = self.config.contiguous
@@ -315,7 +330,7 @@ class ConstituentIndex:
                 capacity_entries=capacity,
             )
             self._put_private(bucket)
-            bucket.append_entries(entries)
+            bucket.append_entries(entries, day)
             self.disk.write(extent, len(entries) * entry_size, seeks=seek)
             return
 
@@ -323,7 +338,7 @@ class ConstituentIndex:
             self._evict_shared_bucket(bucket, extra=len(entries), seek=seek)
 
         if bucket.fits(len(entries)):
-            bucket.append_entries(entries)
+            bucket.append_entries(entries, day)
             # Append into the free tail: one (possibly cached) seek plus
             # the new bytes.
             self.disk.write(
@@ -337,7 +352,7 @@ class ConstituentIndex:
         old_extent = bucket.extent
         new_extent = self.disk.allocate(new_capacity * entry_size)
         self.disk.read(old_extent, bucket.live_count * entry_size, seeks=seek)
-        bucket.append_entries(entries)
+        bucket.append_entries(entries, day)
         self.disk.write(
             new_extent, bucket.live_count * entry_size, seeks=seek
         )
@@ -388,10 +403,13 @@ class ConstituentIndex:
         Implements ``DeleteFromIndex``: each affected bucket is read,
         compacted, and written back in place.  Buckets that become empty are
         removed from the directory and their private extents freed; sparse
-        buckets shrink per the CONTIGUOUS policy.  What a bucket keeps is
-        cut on the day column of the run its readers left, when that run
-        is current and sorted (:func:`~repro.index.kernels.cut_days`), and
-        filtered entry by entry otherwise.
+        buckets shrink per the CONTIGUOUS policy.  A bucket's stored run
+        lengths say whether it holds any of ``days`` and where: the ones
+        that hold none are skipped, and the others lose those days' spans
+        by offset (:func:`~repro.index.kernels.cut_runs`), with no entry
+        read.  The check, the skip and the one-slice cut of a lone first
+        run sit in the loop itself: a call a bucket costs what the cut
+        saves (DESIGN.md, "The delete cuts by offset").
         """
         self._check_not_dropped()
         self._invalidate_derived()
@@ -407,22 +425,22 @@ class ConstituentIndex:
         seek = self.disk.effective_seeks(1.0, float(self.allocated_bytes))
         removed_any = False
         read, write = self.disk.read, self.disk.write
-        ordered = sorted(day_set)
-        first, last = ordered[0], ordered[-1]
-        cut_days = kernels.cut_days
         for value, bucket in list(self.directory.items()):
             entries = bucket.entries
-            # The run a reader left, if it is current (Bucket.run()'s
-            # rule); the delete never builds one.
-            run = bucket._run
-            if run is None or len(run.days) != len(entries) or not run.sorted:
-                kept = [e for e in entries if e.day not in day_set]
-            elif last < run.lo or first > run.hi:
+            # Bucket.lengths(), inline: pairs that miscount the entries
+            # (written behind the writers' backs) are encoded again.
+            lengths = bucket._lengths
+            if sum(lengths[1::2]) != len(entries):
+                lengths = bucket.lengths()
+            held = lengths[0::2]
+            if day_set.isdisjoint(held):
                 continue
+            if day_set.isdisjoint(held[1:]):
+                # Only the first run goes: DEL's daily delete of its
+                # oldest day is one slice.
+                kept, lengths = entries[lengths[1]:], lengths[2:]
             else:
-                kept = cut_days(entries, run.days, ordered)
-            if len(kept) == len(entries):
-                continue
+                kept, lengths = kernels.cut_runs(entries, lengths, day_set)
             removed_any = True
             # Read the bucket as it was, compact it, write it back in
             # place: a fault on the read leaves the entries untouched, one
@@ -433,7 +451,7 @@ class ConstituentIndex:
             else:
                 extent, offset = bucket.extent, 0
             read(extent, len(entries) * entry_size, seeks=seek, offset=offset)
-            bucket.replace_entries(kept)
+            bucket.replace_entries(kept, lengths)
             write(extent, len(kept) * entry_size, seeks=seek, offset=offset)
             if not kept:
                 self._retire_bucket(value, bucket)

@@ -13,7 +13,10 @@ buffers:
   **day column**, the column's sortedness and bounds and, from the
   first time an answer cut from it goes over the wire, its encoded
   record run.  :meth:`~repro.index.bucket.Bucket.run` builds it on the
-  first read after a mutation; the bucket's two writers drop it whole;
+  first read after a mutation, laying the column from the **run
+  lengths** the bucket stores beside its entries (:func:`run_lengths`,
+  :meth:`Run.laid`) without reading an entry; the bucket's two writers
+  drop it whole;
 * a whole constituent's scan-order entries are a :class:`Sweep` — a run
   plus the bytes a scan transfers — built once per mutation by
   :meth:`~repro.index.constituent.ConstituentIndex.sweep` (which owns
@@ -36,13 +39,12 @@ buffers:
   for element — and a slice of a run remembers where it was cut
   (:data:`Part`), which is what lets the wire layer send the run's own
   bytes instead of encoding the answer again;
-* the in-place delete cuts on the same column (:func:`cut_days`): a
-  bucket whose readers left it a current run with a sorted column is
-  skipped outright when the deleted days miss the run's bounds, and
-  otherwise loses each deleted day as the span between two bisects and
-  keeps slices of its entry list; a bucket without one (no read since
-  it was last written, or an unsorted column) is filtered entry by
-  entry.  Either way the kept list is the comprehension's, element for
+* the in-place delete cuts on the stored run lengths, not on a
+  column: a bucket whose pairs hold none of the deleted days is
+  skipped, and any other loses each deleted day's span, found by
+  offset (:func:`cut_runs`; the oldest day alone, what DEL's daily
+  delete drops, is one slice).  No entry is read, and no reader need
+  have left a run.  The kept list is the comprehension's, element for
   element.
 
 There is no switch and no second implementation in ``src/``, and the
@@ -78,13 +80,56 @@ def day_column(entries: Sequence["Entry"]) -> array:
     return array("q", [e.day for e in entries])
 
 
+def run_lengths(entries: Sequence["Entry"]) -> tuple[int, ...]:
+    """Return the insert days of ``entries`` as run lengths.
+
+    ``(day, count, day, count, ...)``: one pair a run of equal days, in
+    order, so no two neighbouring pairs share a day and no count is 0.
+    """
+    lengths: list[int] = []
+    for e in entries:
+        if lengths and lengths[-2] == e.day:
+            lengths[-1] += 1
+        else:
+            lengths += (e.day, 1)
+    return tuple(lengths)
+
+
+def cut_runs(
+    entries: list["Entry"], lengths: tuple[int, ...], days: set[int]
+) -> tuple[list["Entry"], tuple[int, ...]]:
+    """Return ``entries`` and their run ``lengths`` less the runs of ``days``.
+
+    Each pair of a deleted day is a span of ``entries`` found by offset,
+    and the kept list is the slices between those spans: the
+    comprehension's elements, in order, with no entry's day read.  Kept
+    pairs of one day that the cut makes neighbours are joined.  Always
+    a new list.
+    """
+    kept: list["Entry"] = []
+    kept_lengths: list[int] = []
+    start = end = 0
+    for day, count in zip(lengths[0::2], lengths[1::2]):
+        if day in days:
+            kept += entries[start:end]
+            start = end + count
+        elif kept_lengths and kept_lengths[-2] == day:
+            kept_lengths[-1] += count
+        else:
+            kept_lengths += (day, count)
+        end += count
+    kept += entries[start:]
+    return kept, tuple(kept_lengths)
+
+
 def is_nondecreasing(column: array) -> bool:
     """Return ``True`` if ``column`` is sorted in non-decreasing order."""
     return all(map(le, column, islice(column, 1, None)))
 
 
-def _order(days: array) -> tuple[bool, int, int]:
-    """Return ``(is_sorted, min, max)`` of a bucket's day column.
+def _order(days: Sequence[int]) -> tuple[bool, int, int]:
+    """Return ``(is_sorted, min, max)`` of a day column (or of its run
+    lengths' days, which are sorted exactly when the column is).
 
     Entries arrive in insert-day order in every maintenance path, so the
     sorted flag is almost always ``True`` — it is *checked*, never
@@ -137,6 +182,32 @@ class Run:
         """Build the run of ``entries`` (one pass for the column)."""
         days = day_column(entries)
         return cls(tuple(entries), days, *_order(days))
+
+    @classmethod
+    def laid(cls, entries: Sequence["Entry"], lengths: Sequence[int]) -> "Run":
+        """Build the run of ``entries`` whose day column is ``lengths``.
+
+        ``lengths`` is the column as run lengths (:func:`run_lengths`):
+        each day is laid ``count`` times, as
+        :meth:`PackedLayout.run <repro.index.bucket.PackedLayout.run>`
+        lays a layout's, and the sorted flag and bounds are read off the
+        pairs' days.  No entry is read.
+        """
+        if len(lengths) == 2:
+            # One day, the commonest bucket: one repeat.
+            day, count = lengths
+            return cls(tuple(entries), array("q", (day,)) * count, True, day, day)
+        days = lengths[0::2]
+        if len(days) == len(entries):
+            # Every run is one entry long: the column is the days.
+            column = array("q", days)
+        else:
+            column = array("q")
+            for i in range(0, len(lengths), 2):
+                # Joined by concatenation, which sizes every array exactly:
+                # one grown in place keeps up to a sixteenth and 7 slots spare.
+                column = column + array("q", (lengths[i],)) * lengths[i + 1]
+        return cls(tuple(entries), column, *_order(days))
 
     def records(self) -> bytes | None:
         """Return ``entries``' encoded record run, encoding on first call.
@@ -280,35 +351,6 @@ def _gather(run: Run, t1: int, t2: int) -> list["Entry"]:
     it takes whatever bounds the comprehension takes, float ones too.
     """
     return [e for e, d in zip(run.entries, run.days) if t1 <= d <= t2]
-
-
-def cut_days(
-    entries: list["Entry"], column: array, ordered: Sequence[int]
-) -> list["Entry"]:
-    """Return ``entries`` less those whose insert day is in ``ordered``.
-
-    ``column`` is ``entries``' day column, non-decreasing; ``ordered`` is
-    the deleted days, ascending.  Each deleted day is the span
-    ``[bisect_left, bisect_right)`` of the column, and the kept list is
-    the slices between spans: the comprehension's elements, in order.
-    Returns ``entries`` itself when nothing is cut, else a new list.
-    """
-    kept = None
-    start = 0
-    for day in ordered:
-        lo = bisect_left(column, day, start)
-        hi = bisect_right(column, day, lo)
-        if lo == hi:
-            continue
-        if kept is None:
-            kept = entries[:lo]
-        else:
-            kept += entries[start:lo]
-        start = hi
-    if kept is None:
-        return entries
-    kept += entries[start:]
-    return kept
 
 
 # ----------------------------------------------------------------------

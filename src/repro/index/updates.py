@@ -72,6 +72,7 @@ def clone_index(
                 extent=extent,
                 shared=False,
                 capacity_entries=capacity,
+                _lengths=bucket.lengths(),
             )
             clone._put_private(copied)
         clone.time_set = set(index.time_set)

@@ -1,19 +1,22 @@
-"""The in-place delete cuts on the readers' day column: proven the same.
+"""The in-place delete cuts by offset on the stored day column: proven the same.
 
-``ConstituentIndex.delete_days`` looks at each bucket's *current* run
-(the run a reader left, under ``Bucket.run()``'s currency rule; the
-delete never builds one).  Where that run's day column is sorted, a
-bucket whose bounds miss the deleted days is skipped and any other keeps
-what is left between two bisects per deleted day (``kernels.cut_days``);
-elsewhere what it keeps is the comprehension over the entries.  The comprehension
-everywhere is ``tests.reference.delete.delete_days_comprehension``: on
-twin indexes the two must keep the same lists and leave the same clock,
-``IOStats``, page-cache counters, LRU order and extents — over buckets
-with and without a current run, sorted and unsorted columns, stale runs,
-one-day and multi-day sets, shared (packed) and private buckets
-(``--hypothesis-profile nightly``: 2 000 examples).  A fault keeps its
-meaning: one on a bucket's read leaves its entries untouched, one on its
-write leaves them compacted.
+``ConstituentIndex.delete_days`` reads each bucket's day column as the
+run lengths the bucket stores beside its entries (``Bucket.lengths()``,
+re-derived from the entries only when they were changed behind the
+writers' backs).  A bucket whose pairs hold none of the deleted days is
+skipped; any other loses those days' spans, found by offset (one slice
+when the first run is all that goes, ``kernels.cut_runs`` otherwise),
+and reads no entry.  On twin indexes it must
+keep the same lists and leave the same clock, ``IOStats``, page-cache
+counters, LRU order and extents as the comprehension
+(``tests.reference.delete.delete_days_comprehension``) and as the
+delete it replaced, which cut on the day column of the run a reader had
+left (``tests.reference.delete.delete_days_on_runs``) — over buckets
+with and without a run, sorted and unsorted columns, entries shortened
+behind the writers' backs, one-day and multi-day sets, shared (packed)
+and private buckets (``--hypothesis-profile nightly``: 2 000 examples).
+A fault keeps its meaning: one on a bucket's read leaves its entries
+untouched, one on its write leaves them compacted.
 """
 
 import operator
@@ -31,7 +34,11 @@ from repro.index.entry import Entry
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import CrashPoint, FaultInjector, FaultyDisk
 from repro.storage.pagecache import PageCache
-from tests.reference.delete import delete_days_comprehension
+from tests.reference.delete import (
+    cut_days,
+    delete_days_comprehension,
+    delete_days_on_runs,
+)
 
 VALUES = "abcdef"
 BUILT_DAYS = range(1, 7)
@@ -140,11 +147,14 @@ SORTED_RUNS = {
 @example(shape={**SORTED_RUNS, "stale": {"a"}}, days={3})
 @settings(deadline=None)
 def test_the_cut_equals_the_comprehension(shape, days):
-    got, want = build(shape), build(shape)
-    assert state(got, None) == state(want, None)
+    got, want, on_runs = build(shape), build(shape), build(shape)
+    assert state(got, None) == state(want, None) == state(on_runs, None)
     got_s = got.delete_days(days)
     want_s = delete_days_comprehension(want, days)
-    assert state(got, got_s) == state(want, want_s)
+    on_runs_s = delete_days_on_runs(on_runs, days)
+    assert state(got, got_s) == state(want, want_s) == state(on_runs, on_runs_s)
+    for bucket in got.buckets():
+        assert bucket.lengths() == kernels.run_lengths(bucket.entries)
 
 
 # ----------------------------------------------------------------------
@@ -153,37 +163,74 @@ def test_the_cut_equals_the_comprehension(shape, days):
 
 
 def test_a_sorted_column_is_cut_between_bisects():
+    # The cut the delete used to make on a reader's run, kept as the
+    # oracle's (tests.reference.delete.cut_days).
     entries = [Entry(i, d) for i, d in enumerate([1, 1, 2, 3, 3, 5, 5, 5])]
     column = kernels.Run.of(entries).days
     for days in ([1], [3], [5], [4], [1, 3], [1, 2, 3, 5], [0, 9], [2, 5]):
-        kept = kernels.cut_days(entries, column, days)
+        kept = cut_days(entries, column, days)
         want = [e for e in entries if e.day not in days]
         assert kept == want and all(map(operator.is_, kept, want)), days
         # Nothing cut: the list itself; anything cut: a new list.
         assert (kept is entries) == (len(kept) == len(entries)), days
     # The cut reads the column it is given, not the entries' days.
     other = array("q", [1, 2, 2, 2, 3, 3, 3, 4])
-    assert kernels.cut_days(entries, other, [2]) == entries[:1] + entries[4:]
+    assert cut_days(entries, other, [2]) == entries[:1] + entries[4:]
 
 
-def test_the_delete_reads_the_run_a_reader_left_and_builds_none():
-    # "a" was read and "b" was not.  A current run whose column differs
-    # from the entries steers the cut; one of the wrong length does not.
+class CountedEntry(Entry):
+    """An entry that counts reads of its day."""
+
+    __slots__ = ()
+    reads = 0
+
+    @property
+    def day(self):
+        CountedEntry.reads += 1
+        return self[1]
+
+
+def test_the_delete_cuts_on_the_stored_pairs_and_reads_no_entry():
+    # "a" was read and "b" was not: the delete neither needs nor builds
+    # a run, and reads no entry's day to find what to cut.
     shape = {**SORTED_RUNS, "read_flat": {"a"}, "read_after": set(), "added": {}}
     index = build(shape)
     index._unpack()
     a, b = index.bucket("a"), index.bucket("b")
     assert a._run is not None and b._run is None
-    doctored = kernels.Run.of([Entry(0, d) for d in [3, 3, 3, 3, 4, 4, 5]])
-    a._run = doctored  # a current run whose column lies: the cut obeys it
+    for bucket in index.buckets():
+        bucket.entries = [CountedEntry(*e) for e in bucket.entries]
+        bucket._run = None
+    CountedEntry.reads = 0
+    index.delete_days([3, 4])
+    assert CountedEntry.reads == 0
+    assert b._run is None  # no run was built for the delete
+    assert [e[1] for e in a.entries] == [1, 1, 2, 5]
+    assert a._lengths == (1, 2, 2, 1, 5, 1)
+    assert [e[1] for e in b.entries] == [2, 6] and b._lengths == (2, 1, 6, 1)
+    # Pairs of one day that the cut makes neighbours are joined.
+    assert [e[1] for e in index.bucket("c").entries] == [1, 2, 1]
+    assert index.bucket("c")._lengths == (1, 1, 2, 1, 1, 1)
+    index.delete_days([2])
+    assert index.bucket("c")._lengths == (1, 2)
+
+
+def test_pairs_that_lie_steer_the_cut_and_pairs_that_miscount_are_rederived():
+    shape = {**SORTED_RUNS, "read_flat": set(), "read_after": set(), "added": {}}
+    index = build(shape)
+    index._unpack()
+    a = index.bucket("a")
+    # Pairs that count the entries are believed: the cut obeys them.
+    a._lengths = (3, 4, 4, 2, 5, 1)
     index.delete_days([3])
     assert [e.day for e in a.entries] == [3, 3, 5]
-    assert b._run is None  # no run was built for the delete
     stale = build(shape)
     stale._unpack()
-    stale.bucket("a")._run = kernels.Run.of([Entry(0, 3)])  # wrong length
+    a = stale.bucket("a")
+    a._lengths = (3, 1)  # counts one entry of seven: encoded again
     stale.delete_days([3])
-    assert [e.day for e in stale.bucket("a").entries] == [1, 1, 2, 5]
+    assert [e.day for e in a.entries] == [1, 1, 2, 5]
+    assert a._lengths == (1, 2, 2, 1, 5, 1)
 
 
 # ----------------------------------------------------------------------
@@ -196,8 +243,9 @@ def test_the_delete_reads_the_run_a_reader_left_and_builds_none():
 def test_a_fault_on_the_read_leaves_entries_a_fault_on_the_write_compacts(
     after_ios, read_first
 ):
-    # "a" is the first bucket the delete touches; with a current sorted
-    # run it is cut, without one it takes the comprehension.
+    # "a" is the first bucket the delete touches, with a reader's run
+    # ("cut") or without one ("comprehension", the old delete's paths);
+    # the cut by offset reads neither.
     shape = {**SORTED_RUNS, "read_flat": {"a"} if read_first else set(), "added": {}}
 
     def crashed(delete):

@@ -14,8 +14,18 @@ over its entries, run or no run.  The cut must keep the same lists and
 leave the same clock, counters, cache and LRU order
 (``tests/index/test_delete_cut.py``).
 
-Both are kept word for word as functions of a bucket or an index.
+:func:`delete_days_on_runs` is the method before buckets stored their
+day column as run lengths: it cut a bucket on the day column of the run
+its readers had left, when that run was current and sorted
+(:func:`cut_days`, two bisects a deleted day), and took the
+comprehension otherwise.  The cut by offset must keep the same lists
+and leave the same clock, counters, cache and LRU order
+(``tests/index/test_delete_cut.py``).
+
+All three are kept as they were, as functions of a bucket or an index.
 """
+
+from bisect import bisect_left, bisect_right
 
 
 def bucket_touches_days(bucket, days):
@@ -136,5 +146,81 @@ def delete_days_comprehension(index, days):
     index.time_set.difference_update(day_set)
     if removed_any:
         # Holes (packed) or slack (contiguous) remain: no longer packed.
+        index.packed = False
+    return index.disk.clock - start
+
+
+def cut_days(entries, column, ordered):
+    """Return ``entries`` less those whose insert day is in ``ordered``.
+
+    ``column`` is ``entries``' day column, non-decreasing; ``ordered`` is
+    the deleted days, ascending.  Each deleted day is the span
+    ``[bisect_left, bisect_right)`` of the column, and the kept list is
+    the slices between spans: the comprehension's elements, in order.
+    Returns ``entries`` itself when nothing is cut, else a new list.
+    """
+    kept = None
+    start = 0
+    for day in ordered:
+        lo = bisect_left(column, day, start)
+        hi = bisect_right(column, day, lo)
+        if lo == hi:
+            continue
+        if kept is None:
+            kept = entries[:lo]
+        else:
+            kept += entries[start:lo]
+        start = hi
+    if kept is None:
+        return entries
+    kept += entries[start:]
+    return kept
+
+
+def delete_days_on_runs(index, days):
+    """``ConstituentIndex.delete_days`` cutting on the readers' runs."""
+    index._check_not_dropped()
+    index._invalidate_derived()
+    index._unpack()
+    day_set = set(days)
+    if not day_set:
+        return 0.0
+    start = index.disk.clock
+    entry_size = index.config.entry_size_bytes
+    policy = index.config.contiguous
+    seek = index.disk.effective_seeks(1.0, float(index.allocated_bytes))
+    removed_any = False
+    read, write = index.disk.read, index.disk.write
+    ordered = sorted(day_set)
+    first, last = ordered[0], ordered[-1]
+    for value, bucket in list(index.directory.items()):
+        entries = bucket.entries
+        # The run a reader left, if it is current (Bucket.run()'s
+        # rule); the delete never builds one.
+        run = bucket._run
+        if run is None or len(run.days) != len(entries) or not run.sorted:
+            kept = [e for e in entries if e.day not in day_set]
+        elif last < run.lo or first > run.hi:
+            continue
+        else:
+            kept = cut_days(entries, run.days, ordered)
+        if len(kept) == len(entries):
+            continue
+        removed_any = True
+        if bucket.shared:
+            extent, offset = index._shared_extent, bucket.offset_in_extent
+        else:
+            extent, offset = bucket.extent, 0
+        read(extent, len(entries) * entry_size, seeks=seek, offset=offset)
+        bucket.replace_entries(kept)
+        write(extent, len(kept) * entry_size, seeks=seek, offset=offset)
+        if not kept:
+            index._retire_bucket(value, bucket)
+        elif not bucket.shared and policy.should_shrink(
+            bucket.capacity_entries, len(kept)
+        ):
+            index._shrink_bucket(bucket)
+    index.time_set.difference_update(day_set)
+    if removed_any:
         index.packed = False
     return index.disk.clock - start
