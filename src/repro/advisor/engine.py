@@ -101,7 +101,7 @@ class Retune:
     def validate(self) -> None:
         replica = self.replica
         for shard in self.sim.shards:
-            if replica in shard.replicas and not replica.failed:
+            if replica in shard.replicas:
                 self.shard = shard
                 return
         raise ChangeAborted(

@@ -26,7 +26,7 @@ last-replica answers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.shard import Shard, ShardReplica
@@ -61,16 +61,14 @@ class DesignRouter:
         *,
         candidates: Sequence["ShardReplica"] | None = None,
     ) -> "ShardReplica | None":
-        """Return the cheapest healthy replica for ``[t1, t2]``.
+        """Return the cheapest replica for ``[t1, t2]``.
 
         ``candidates`` restricts the choice (the failover loop passes the
-        not-yet-exhausted healthy set); by default all live replicas are
-        considered.  Returns ``None`` when nothing is alive.
+        replicas not yet excluded for the request); by default every
+        replica the shard holds — a retired one has left it — is
+        considered.  Returns ``None`` when none is left.
         """
-        pool: Iterable["ShardReplica"] = (
-            candidates if candidates is not None else shard.alive_replicas()
-        )
-        pool = [r for r in pool if not r.failed]
+        pool = candidates if candidates is not None else shard.replicas
         if not pool:
             return None
         if len(pool) == 1:

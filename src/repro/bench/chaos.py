@@ -503,7 +503,7 @@ class _ChaosRun:
             # (a cluster-wide upper bound keeps the check simple).
             self._aborts_in_window[shard_id] += stats.rebuilds_failed
         for shard in sim.shards:
-            alive = len(shard.alive_replicas())
+            alive = len(shard.replicas)
             shard_id = shard.shard_id
             if alive < config.cluster.replication:
                 self._under_since.setdefault(shard_id, day)

@@ -24,11 +24,13 @@ transient      raised, or swallowed by a degraded call on a live device:
                its offline marks are cleared; retried under the monitor
                (backoff charged to the device) until the request's budget
                is spent, then excluded; retired without a monitor
-dead device    raised, or swallowed (``device.failed``): retired (reason
-               ``serving-fault``), one failover counted
-no replica     the shard is dark: an empty answer, its window days in
-               ``missing_days`` (partial, never wrong), the shard in
-               ``shards_unavailable``
+dead device    raised, or swallowed (``device.failed``): retired — it
+               leaves ``shard.replicas`` (:meth:`Shard.retire`, reason
+               ``serving-fault``) — and one failover counted
+no replica     an empty answer, its window days in ``missing_days``
+               (partial, never wrong); once none is left the shard is
+               dark, its days the window its last replica held, and it
+               is in ``shards_unavailable``
 breaker clock  the caller's ``now`` (default ``monitor.now``) plus the
                attempt time already charged
 aborted time   a dying attempt's charge over the replica's whole span,
@@ -221,7 +223,7 @@ class ClusterCoordinator:
         attempts: dict[int, int] | None = None
         exclude: frozenset[int] = frozenset()
         while True:
-            candidates = shard.alive_replicas()
+            candidates = shard.replicas
             if exclude:
                 candidates = [
                     r for r in candidates if r.replica_id not in exclude
@@ -268,7 +270,7 @@ class ClusterCoordinator:
                 # The data is intact: clear the marks the fault left.
                 wave.offline &= before_offline
             if fault is FaultError or monitor is None:
-                self._fail_over(replica)
+                self._fail_over(shard, replica)
                 continue
             monitor.on_transient(replica, now=now + aborted)
             if attempts is None:
@@ -283,9 +285,9 @@ class ClusterCoordinator:
             aborted += delay
             monitor.note_retry(n)
 
-    def _fail_over(self, replica: ShardReplica) -> None:
+    def _fail_over(self, shard: Shard, replica: ShardReplica) -> None:
         """Retire a replica whose answer died; count the failover."""
-        replica.retire(self.monitor, reason="serving-fault")
+        shard.retire(replica, self.monitor, reason="serving-fault")
         self.obs.counter("cluster.failovers").inc()
         self.failovers += 1
 

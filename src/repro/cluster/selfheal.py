@@ -228,12 +228,9 @@ class ReplicaHealthMonitor:
         health.consecutive_failures = 0
 
     def retire(self, replica: ShardReplica, *, reason: str) -> None:
-        """Permanently remove the replica from service."""
-        health = replica.health
-        if replica.failed and health.state is BreakerState.RETIRED:
-            return
-        replica.failed = True
-        health.state = BreakerState.RETIRED
+        """Record the replica's retirement (:meth:`Shard.retire
+        <repro.cluster.shard.Shard.retire>` takes it out of its shard)."""
+        replica.health.state = BreakerState.RETIRED
         self.obs.counter("cluster.heal.retired").inc()
         self.obs.counter(f"cluster.heal.retired.{reason}").inc()
 
@@ -262,13 +259,14 @@ class ReplicaHealthMonitor:
         request *waits out* the soonest cooldown (the wait is returned so
         the caller charges it to request latency, not to any device) and
         probes that replica.  ``None`` when no replica can serve —
-        everything failed or is in ``exclude`` (excluded for this request:
-        retry-exhausted, or holding a stale offline mark).
+        every replica in service is in ``exclude`` (excluded for this
+        request: retry-exhausted, or holding a stale offline mark), or
+        none is left.
         """
         best: ShardReplica | None = None
         best_ready = float("inf")
         for replica in shard.replicas:
-            if replica.failed or replica.replica_id in exclude:
+            if replica.replica_id in exclude:
                 continue
             health = replica.health
             if health.state in (
@@ -347,7 +345,7 @@ def rebuild_steps(
     """
     spares = span.devices
     technique = donor.executor.technique
-    replica_id = max(r.replica_id for r in shard.replicas) + 1
+    replica_id = shard.next_replica_id
     replica = ShardReplica(
         shard.shard_id,
         replica_id,
@@ -423,7 +421,7 @@ def rebuild_steps(
             )
     except (FaultError, OutOfSpaceError) as exc:
         if donor.device_failed:
-            donor.retire(monitor, reason="died-during-rebuild")
+            shard.retire(donor, monitor, reason="died-during-rebuild")
         discard_partial(new_wave, spares)
         raise ChangeAborted(
             f"rebuild of shard {shard.shard_id} aborted: {exc}",

@@ -7,9 +7,10 @@ of the cluster's record store (the slice's postings of every daily batch;
 distinct devices of the cluster's :class:`~repro.storage.array.DiskArray`.
 Every replica runs its own planner's plan against its own devices — the
 shard's planner, unless a retune gave it one of its own — so any replica
-can serve the shard's queries; the first non-failed replica is the
-*primary*, and the coordinator fails over down the replica list when a
-device dies.
+can serve the shard's queries.  :attr:`Shard.replicas` holds only the
+replicas in service, the first of them the *primary*: a replica that
+retires leaves the list (:meth:`Shard.retire`), so the coordinator fails
+over down what is left when a device dies.
 """
 
 from __future__ import annotations
@@ -117,7 +118,6 @@ class ShardReplica:
         #: The planner whose plans the replica runs.  The day loop draws
         #: one plan a day per planner, shared by every replica bound to it.
         self.scheme = scheme
-        self.failed = False
         self.intervals: list[OpInterval] = []
         self.maintenance_start = 0.0
         self.maintenance_end = 0.0
@@ -128,9 +128,6 @@ class ShardReplica:
         #: The replica's circuit breaker, driven by the cluster's
         #: :class:`~repro.cluster.selfheal.ReplicaHealthMonitor`.
         self.health = ReplicaHealth()
-        #: Days of the constituents :meth:`retire` dropped, which
-        #: :meth:`Shard.window_days` still reports for a dark shard.
-        self.released_days: frozenset[int] = frozenset()
 
     @property
     def name(self) -> str:
@@ -165,33 +162,6 @@ class ShardReplica:
     def device_failed(self) -> bool:
         """Return ``True`` once a device of the span has failed for good."""
         return any(device.failed for device in self.span.devices)
-
-    def retire(
-        self, monitor: "ReplicaHealthMonitor | None", *, reason: str
-    ) -> None:
-        """Take the replica out of service for good.
-
-        Marks it failed, through ``monitor``'s breaker (which records
-        ``reason``) when the cluster self-heals.  Once a device of its
-        span has failed, every binding on the span's surviving devices is
-        dropped, cleanup faults suppressed: a retired replica never
-        serves or turns again, so those devices hold nothing for it.  The
-        failed device keeps its bindings and their accounting; a replica
-        retired with every device healthy keeps its wave.
-        """
-        if monitor is None:
-            self.failed = True
-        else:
-            monitor.retire(self, reason=reason)
-        if not self.device_failed:
-            return
-        wave = self.wave
-        for name, index in list(wave.bindings.items()):
-            if not index.disk.failed:
-                if wave.is_constituent(name):
-                    self.released_days |= index.time_set
-                with suppress(FaultError, OutOfSpaceError):
-                    wave.unbind(name).drop()
 
     def busy_until(self) -> dict[SimulatedDisk, float]:
         """Return when each device of the span finishes today's maintenance.
@@ -231,7 +201,8 @@ class ShardReplica:
         monitor: "ReplicaHealthMonitor | None" = None,
     ) -> Steps:
         """Execute ``plan`` on this replica's span, starting at ``start``;
-        return its :class:`~repro.core.executor.ExecutionReport`.
+        return its :class:`~repro.core.executor.ExecutionReport` and why
+        the replica must retire (``None`` when the plan ran to its end).
 
         Yields an ``"op"`` :class:`~repro.core.boundary.Boundary` before
         each op (``ordinal`` = ops done).  Op for op this performs exactly
@@ -243,14 +214,16 @@ class ShardReplica:
         as long as the time it charged across the span.
 
         Without a ``monitor``, any :class:`~repro.errors.FaultError` (the
-        device died mid-plan) marks the replica failed and stops its
-        plan; surviving replicas of the shard keep the shard serving.
-        With one, faults are classified: escaped transients are retried
-        under the monitor's retry policy (the op's partially-mutated
-        target is first restored from the record store so the re-run is
-        idempotent, with repair I/O and backoff charged to this device's
-        clock); exhaustion or a :class:`~repro.errors.DeviceFailure`
-        retires the replica through the monitor.
+        device died mid-plan) stops the plan, reason
+        ``maintenance-fault``; surviving replicas of the shard keep the
+        shard serving.  With one, faults are classified: escaped
+        transients are retried under the monitor's retry policy (the op's
+        partially-mutated target is first restored from the record store
+        so the re-run is idempotent, with repair I/O and backoff charged
+        to this device's clock); exhaustion or a
+        :class:`~repro.errors.DeviceFailure` stops it with its reason.
+        The replica does not retire itself: its shard does
+        (:meth:`Shard.retire`), which the caller holds.
         """
         report = ExecutionReport()
         self.intervals = []
@@ -259,6 +232,7 @@ class ShardReplica:
         span = self.span
         span.reset_high_water()
         devices = tuple(span.devices)
+        reason: str | None = None
         for i, op in enumerate(plan):
             yield Boundary(
                 day, "op", type(op).__name__, i, self.shard_id,
@@ -270,13 +244,13 @@ class ShardReplica:
                 try:
                     self.executor.execute_op(op, report)
                 except FaultError:
-                    self.retire(None, reason="maintenance-fault")
-                    break
+                    reason = "maintenance-fault"
             else:
-                if not self._execute_op_healed(
+                reason = self._execute_op_healed(
                     op, report, monitor, now=monitor.now + cursor
-                ):
-                    break
+                )
+            if reason is not None:
+                break
             deltas = [now - then for now, then in zip(span.clocks(), before)]
             duration = sum(deltas)
             self.intervals.append(
@@ -296,7 +270,7 @@ class ShardReplica:
             cursor += duration
         report.peak_bytes = span.high_water_bytes
         self.maintenance_end = cursor
-        return report
+        return report, reason
 
     def _execute_op_healed(
         self,
@@ -305,9 +279,9 @@ class ShardReplica:
         monitor: "ReplicaHealthMonitor",
         *,
         now: float,
-    ) -> bool:
-        """Run one op with cluster-level retry; return ``False`` if the
-        replica was retired.
+    ) -> str | None:
+        """Run one op with cluster-level retry; return why the replica
+        must retire, or ``None`` once the op is done.
 
         Maintenance ops are not idempotent, so a blind re-run after a
         mid-op transient would double-apply: each retry first sweeps any
@@ -335,16 +309,13 @@ class ShardReplica:
         try:
             retry_transients(attempt, self.wave, monitor, repair)
         except TransientIOError:
-            reason = "flaky-maintenance"
+            return "flaky-maintenance"
         except DeviceFailure:
-            reason = "device-failure"
+            return "device-failure"
         except _RepairFailed:
-            reason = "repair-failed"
-        else:
-            monitor.record_success(self)
-            return True
-        self.retire(monitor, reason=reason)
-        return False
+            return "repair-failed"
+        monitor.record_success(self)
+        return None
 
 
 class _RepairFailed(Exception):
@@ -388,37 +359,74 @@ class Shard:
             technique=replicas[0].executor.technique.value,
         )
         self.traffic: TrafficWindow | None = None
-
-    def alive_replicas(self) -> list[ShardReplica]:
-        """Return the replicas still able to serve, primary first."""
-        return [r for r in self.replicas if not r.failed]
+        #: The id the shard's next rebuilt replica takes: ids are never
+        #: reused, though retired replicas leave :attr:`replicas`.
+        self.next_replica_id = max(r.replica_id for r in replicas) + 1
+        #: The days the last replica's constituents held when it retired
+        #: (empty while any replica serves): what a dark shard reports.
+        self.released_days: frozenset[int] = frozenset()
 
     @property
     def primary(self) -> ShardReplica | None:
         """Return the serving replica (``None`` when the shard is dark)."""
-        for replica in self.replicas:
-            if not replica.failed:
-                return replica
-        return None
+        return self.replicas[0] if self.replicas else None
 
     @property
     def available(self) -> bool:
         """Return ``True`` while at least one replica can serve."""
-        return self.primary is not None
+        return bool(self.replicas)
+
+    def join(self, replica: ShardReplica) -> None:
+        """Add ``replica``, numbered :attr:`next_replica_id`, as the last
+        in service."""
+        self.replicas = [*self.replicas, replica]
+        self.next_replica_id += 1
+
+    def retire(
+        self,
+        replica: ShardReplica,
+        monitor: "ReplicaHealthMonitor | None",
+        *,
+        reason: str,
+    ) -> None:
+        """Take ``replica`` out of the shard for good.
+
+        One assignment publishes the list without it, so a caller walking
+        the old list walks on undisturbed; ``monitor``, if any, records
+        ``RETIRED`` and counts ``reason``.  Every binding on a healthy
+        device of its span is dropped, cleanup faults suppressed; a
+        failed device keeps its bindings and their accounting.  When the
+        last replica leaves, its constituents' days become
+        :attr:`released_days`, the window a dark shard still reports.
+        """
+        if monitor is not None:
+            monitor.retire(replica, reason=reason)
+        wave = replica.wave
+        if len(self.replicas) == 1:
+            self.released_days = frozenset(wave.covered_days())
+        self.replicas = [r for r in self.replicas if r is not replica]
+        for name, index in list(wave.bindings.items()):
+            if not index.disk.failed:
+                with suppress(FaultError, OutOfSpaceError):
+                    wave.unbind(name).drop()
 
     def window_days(self, t1: int, t2: int) -> set[int]:
         """Return the days in ``[t1, t2]`` this shard's window covers.
 
-        Computed from the replicas' in-memory time-set metadata, which
-        survives device failure — a dark shard can still *enumerate* the
-        days its answers would have covered, which is what turns a dead
-        device into a correct partial result instead of a wrong one.
+        Read from the first replica whose constituents' time-sets —
+        in-memory metadata, which survives device failure — hold any,
+        else from :attr:`released_days`: a dark shard can still
+        *enumerate* the days its answers would have covered, which is
+        what turns a dead device into a correct partial result instead
+        of a wrong one.
         """
-        days: set[int] = set()
         for replica in self.replicas:
-            days.update(d for d in replica.released_days if t1 <= d <= t2)
-            for index in replica.wave.live_constituents():
-                days.update(d for d in index.time_set if t1 <= d <= t2)
+            days = {
+                d
+                for index in replica.wave.live_constituents()
+                for d in index.time_set
+                if t1 <= d <= t2
+            }
             if days:
-                break
-        return days
+                return days
+        return {d for d in self.released_days if t1 <= d <= t2}

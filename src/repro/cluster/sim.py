@@ -16,7 +16,7 @@ Model
 -----
 
 **Maintenance.**  Each day, every shard's scheme emits its plan and every
-alive replica executes it on its device(s).  The *staggered* policy
+replica in service executes it on its device(s).  The *staggered* policy
 (Kimura et al.'s deploy-order concern applied to shard transitions) runs
 shards in batches of at most ``ceil(k * max_concurrent_frac)``: batch
 ``j+1`` starts when batch ``j``'s slowest shard finishes, so the cluster
@@ -47,6 +47,8 @@ devices            held first come first served for the time the unit
                    charged each; a device charged nothing does not delay it
 no replica         the shard answers dark: its window days missing,
                    never a wrong answer
+dark day           a shard dark before the day records zero I/O and zero
+                   bytes in its ``DayMetrics``: it holds nothing to serve
 =================  ======================================================
 
 With ``k=1, r=1`` and lockstep maintenance the whole machinery is the
@@ -146,7 +148,7 @@ class ClusterConfig:
         selfheal: Optional self-healing configuration (retry/backoff,
             per-replica circuit breakers, automatic re-replication — see
             :mod:`repro.cluster.selfheal`).  ``None`` (the default)
-            keeps the PR 4 behaviour: failed replicas stay failed.
+            keeps the PR 4 behaviour: a retired replica is not replaced.
         elastic: Optional elastic-resharding configuration (online shard
             split/merge plus the per-day autoscaler — see
             :mod:`repro.cluster.elastic`).  ``None`` (the default) keeps
@@ -367,9 +369,10 @@ class Turn:
 
     ``reports`` and ``windows`` are per shard: the plan report of the
     shard's metrics replica and its ``(start, end)`` maintenance window on
-    the day's timeline.  ``baselines`` hold that replica with its I/O and
-    page-cache counters from before the day's plans ran; the day's
-    bookkeeping measures its deltas from them.
+    the day's timeline.  ``baselines`` hold that replica (the primary as
+    the plans begin; ``None`` for a dark shard) with its I/O and
+    page-cache counters from before they ran; the day's bookkeeping
+    measures its deltas from them, even if it retired meanwhile.
     """
 
     day: int
@@ -377,7 +380,7 @@ class Turn:
     windows: tuple[tuple[float, float], ...]
     maintenance_makespan_seconds: float
     baselines: tuple[
-        tuple[ShardReplica, IOSnapshot, PageCacheSnapshot | None], ...
+        tuple[ShardReplica, IOSnapshot, PageCacheSnapshot | None] | None, ...
     ]
     rebuilds: tuple[RebuildReport, ...] = ()
     rebuilds_failed: int = 0
@@ -615,7 +618,8 @@ class ClusterSimulation:
     def rebalance_shard(
         self, shard_id: int, to_device: int, *, replica_id: int = 0
     ) -> RebalanceReport:
-        """Move one replica of ``shard_id`` onto array device ``to_device``.
+        """Move replica ``replica_id`` (by id; a retired one is refused)
+        of ``shard_id`` onto array device ``to_device``.
 
         The move is a packed-shadow-style copy charged to both devices'
         cost clocks (see :mod:`repro.cluster.rebalance`); freed source
@@ -628,9 +632,11 @@ class ClusterSimulation:
                 f"device {to_device} outside [0, {len(self.array)})"
             )
         shard = self.shards[shard_id]
-        if not 0 <= replica_id < len(shard.replicas):
+        replica = next(
+            (r for r in shard.replicas if r.replica_id == replica_id), None
+        )
+        if replica is None:
             raise ClusterError(f"shard {shard_id} has no replica {replica_id}")
-        replica = shard.replicas[replica_id]
         if len(replica.span) > 1:
             raise ClusterError(f"{replica.name} spans devices; it cannot move")
         if self.array.devices[to_device] is replica.device:
@@ -685,8 +691,7 @@ class ClusterSimulation:
         if self._monitor is None or selfheal is None or not selfheal.rebuild:
             return False
         return any(
-            shard.primary is not None
-            and len(shard.alive_replicas()) < self.config.replication
+            0 < len(shard.replicas) < self.config.replication
             for shard in self.shards
         )
 
@@ -752,10 +757,10 @@ class ClusterSimulation:
             traffic.end_day()
             obs = traffic.observation(shard.shard_id)
             for replica in shard.replicas:
-                if replica.failed or replica in queued:
+                if replica in queued:
                     continue
                 view = planner.replica_view(
-                    obs, replica.replica_id, len(shard.replicas)
+                    obs, replica.replica_id, self.config.replication
                 )
                 decision = planner.decide(
                     replica, day, self._replica_design(replica), view
@@ -801,7 +806,7 @@ class ClusterSimulation:
             return delays, reports, failed
         for shard in self.shards:
             donor = shard.primary
-            if donor is None or len(shard.alive_replicas()) >= self.config.replication:
+            if donor is None or len(shard.replicas) >= self.config.replication:
                 continue
             span = DiskArray(
                 provision_spares(
@@ -824,7 +829,7 @@ class ClusterSimulation:
                 failed += 1
                 self.obs.counter("cluster.heal.rebuilds_failed").inc()
                 continue
-            shard.replicas.append(replica)
+            shard.join(replica)
             reports.append(report)
             delays[shard.shard_id] = max(
                 delays[shard.shard_id], report.copy_read_end
@@ -868,21 +873,18 @@ class ClusterSimulation:
             batch_end = batch_start
             for shard in batch:
                 start = max(batch_start, delays[shard.shard_id])
-                metrics_replica = shard.primary or shard.replicas[0]
+                metrics_replica = shard.primary
                 shard_end = start
                 for replica in shard.replicas:
-                    if replica.failed:
-                        replica.intervals = []
-                        replica.maintenance_start = start
-                        replica.maintenance_end = start
-                        continue
                     if replica.caught_up_day == day:
                         shard_end = max(shard_end, replica.maintenance_end)
                         continue
-                    report = yield from replica.maintenance_steps(
+                    report, retired = yield from replica.maintenance_steps(
                         plans[replica.scheme], start, day=day,
                         monitor=self._monitor,
                     )
+                    if retired is not None:
+                        shard.retire(replica, self._monitor, reason=retired)
                     if replica is metrics_replica:
                         reports[shard.shard_id] = report
                     shard_end = max(shard_end, replica.maintenance_end)
@@ -1039,7 +1041,10 @@ class ClusterSimulation:
         changed = yield from self._change_steps(day)
         baselines = []
         for shard in self.shards:
-            replica = shard.primary or shard.replicas[0]
+            replica = shard.primary
+            if replica is None:
+                baselines.append(None)
+                continue
             span = replica.span
             baselines.append(
                 (replica, span.io_snapshot(), span.cache_snapshot())
@@ -1051,7 +1056,7 @@ class ClusterSimulation:
         # left to plan.
         plans: dict[WaveScheme, list[Op]] = {}
         for shard in self.shards:
-            for replica in shard.alive_replicas():
+            for replica in shard.replicas:
                 scheme = replica.scheme
                 if scheme in plans:
                     continue
@@ -1177,9 +1182,19 @@ class ClusterSimulation:
         """Record the day: per-shard metrics, the autoscaler's and the
         advisor's day-boundary decisions, and the day's stats."""
         day = turn.day
-        for shard, (replica, io_before, cache_before), report, seconds in zip(
+        for shard, baseline, report, seconds in zip(
             self.shards, turn.baselines, turn.reports, served.query_seconds
         ):
+            if baseline is None:
+                # A dark shard holds nothing it can serve: no I/O, no bytes.
+                shard.series.days.append(
+                    DayMetrics(
+                        day, report.seconds, seconds, 0, 0, 0, 0,
+                        frozenset(), IOSnapshot(),
+                    )
+                )
+                continue
+            replica, io_before, cache_before = baseline
             span = replica.span
             cache_after = span.cache_snapshot()
             wave = replica.wave

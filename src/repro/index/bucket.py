@@ -265,15 +265,19 @@ class PackedLayout:
         One pass over the groupings joins the value's entries and lays
         its day column — each day repeated as many times as the value
         has entries that day, ascending, so sorted by construction — and
-        reads no entry.
+        reads no entry.  The column is joined by concatenation, which
+        sizes every array exactly (one grown in place keeps up to a
+        sixteenth and 7 slots spare), as :meth:`kernels.Run.laid
+        <repro.index.kernels.Run.laid>` joins a bucket's.
         """
         pieces = []
-        column = array("q")
+        column: array | None = None
         for unit, grouping in zip(self._units, self.groupings):
             piece = grouping.get(value)
             if piece:
                 pieces.append(piece)
-                column += unit * len(piece)
+                days = unit * len(piece)
+                column = days if column is None else column + days
         return kernels.Run(_joined(pieces), column, True, column[0], column[-1])
 
     def lengths(self, value: Any) -> tuple[int, ...]:

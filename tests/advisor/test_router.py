@@ -22,20 +22,16 @@ class FakeWave:
 class FakeReplica:
     replica_id: int
     wave: FakeWave
-    failed: bool = False
 
 
 @dataclass
 class FakeShard:
     replicas: list = field(default_factory=list)
 
-    def alive_replicas(self):
-        return [r for r in self.replicas if not r.failed]
 
-
-def _replica(replica_id, day_sets, failed=False):
+def _replica(replica_id, day_sets):
     wave = FakeWave([FakeIndex(frozenset(days)) for days in day_sets])
-    return FakeReplica(replica_id, wave, failed)
+    return FakeReplica(replica_id, wave)
 
 
 class TestCostKey:
@@ -85,9 +81,12 @@ class TestChoose:
 
     def test_failed_replicas_are_never_chosen(self):
         router = DesignRouter()
-        best = _replica(0, [range(1, 7)], failed=True)
+        best = _replica(0, [range(1, 7)])
         fallback = _replica(1, [[d] for d in range(1, 7)])
         shard = FakeShard([best, fallback])
+        assert router.choose(shard, 1, 6, "probe") is best
+        # A retired replica leaves its shard's list, and with it the pool.
+        shard.replicas = [fallback]
         assert router.choose(shard, 1, 6, "probe") is fallback
 
     def test_candidates_restrict_the_pool(self):
@@ -99,5 +98,5 @@ class TestChoose:
 
     def test_nothing_alive_returns_none(self):
         router = DesignRouter()
-        shard = FakeShard([_replica(0, [[1]], failed=True)])
+        shard = FakeShard([])
         assert router.choose(shard, 1, 1, "probe") is None

@@ -29,7 +29,7 @@ def warm(sim, day):
     """Probe every value on every alive replica and frame the answers:
     each live bucket ends up with a run, and the run with its bytes."""
     for shard in sim.shards:
-        for replica in shard.alive_replicas():
+        for replica in shard.replicas:
             values = sorted({b.value for b in buckets(replica)})
             batch = replica.wave.probe_many([(v, day - W + 1, day) for v in values])
             for result in batch.results:
@@ -68,7 +68,7 @@ def test_rebuilt_replica_starts_without_runs():
         warm(s, W + 1)
         s.run_transition(W + 2)  # ...and re-created from the survivor
     assert sim.result.total_rebuilds() == 1
-    (rebuilt,) = [r for r in shard.alive_replicas() if r is not survivor]
+    (rebuilt,) = [r for r in shard.replicas if r is not survivor]
     # The donor kept the runs of the buckets the day did not write to;
     # the copies of those same buckets have none.
     assert any(runs(survivor)) and not all(runs(survivor))

@@ -153,7 +153,7 @@ def test_a_crash_at_a_rebuild_boundary_resumes_in_place():
     assert copies[1].name == copies[2].name
     assert [b.ordinal for b in copies] == list(range(len(copies)))
     assert sim.obs.counters()["cluster.heal.rebuild_crash_recoveries"] == 1
-    assert len(sim.shards[0].alive_replicas()) == 2
+    assert len(sim.shards[0].replicas) == 2
     for day in range(W + 3, LAST + 1):
         sim.run_transition(day)
         twin.run_transition(day)

@@ -207,8 +207,9 @@ class TestAbortReasons:
         store = int_store(WINDOW + 1)
         sim = make_sim(store, elastic=ElasticConfig(autoscale=False))
         run_to(sim, WINDOW + 1)
-        for replica in sim.shards[1].replicas:
-            replica.failed = True
+        shard = sim.shards[1]
+        for replica in shard.replicas:
+            shard.retire(replica, None, reason="device-failure")
         action = ScaleAction(kind="split", shard_id=1)
         with pytest.raises(ChangeAborted) as excinfo:
             drive(sim.staged.steps(reshard_change(sim, action), day=WINDOW + 2))

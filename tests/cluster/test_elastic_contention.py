@@ -80,7 +80,8 @@ class TestHealerWins:
         )
         run_to(sim, WINDOW + 1)
         # A replica dies and a split is queued for the same day.
-        sim.shards[1].replicas[1].failed = True
+        shard = sim.shards[1]
+        shard.retire(shard.replicas[1], sim._monitor, reason="device-failure")
         sim.request_split(1)
         stats = sim.run_transition(WINDOW + 2)
         # The rebuild ran; the topology change waited its turn.

@@ -16,6 +16,7 @@ from repro.core.schemes import scheme_by_name
 from repro.sim.querygen import QueryWorkload
 from repro.sim.scheduler import OverlapPolicy
 from repro.storage.faults import FaultInjector, FaultyDisk
+from tests.cluster.conservation import assert_bytes_conserved
 from tests.conftest import make_store
 
 W, N, LAST = 8, 2, 13
@@ -87,8 +88,9 @@ class TestFaultMatrix:
         victim.device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
+            assert_bytes_conserved(sim)
             twin.run_transition(day)
-        assert victim.failed
+        assert victim not in sim.shards[0].replicas
         assert sim.shards[0].primary is not None
         assert sim.shards[0].primary.replica_id == 1
         # Failover is invisible to correctness: answers equal the
@@ -116,6 +118,7 @@ class TestFaultMatrix:
         victim.device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
+            assert_bytes_conserved(sim)
             twin.run_transition(day)
         assert not sim.shards[0].available
         assert 0 in sim.result.days[-1].shards_unavailable
@@ -171,7 +174,8 @@ class TestMidTransitionFailureTimeline:
             victim.device.injector.stats.ios + 3
         )
         stats = sim.run_transition(W + 1)
-        assert victim.failed
+        assert_bytes_conserved(sim)
+        assert victim not in sim.shards[0].replicas
         # The replica's timeline stops at the failure point; the shard's
         # window is still well formed and the day completed.
         assert victim.maintenance_end >= victim.maintenance_start
@@ -191,7 +195,8 @@ class TestMidTransitionFailureTimeline:
                 victim.device.injector.fail_device()
 
         stats = drive(sim.day_steps(W + 1), die_at_serving)
-        assert victim.failed
+        assert_bytes_conserved(sim)
+        assert victim not in sim.shards[0].replicas
         assert stats.failovers >= 1
         # Failover kept every answer complete.
         assert not any(d.missing_days for d in sim.result.days)
@@ -266,9 +271,10 @@ class TestServingTimeFailoverBeatsDegradation:
 
         probes, scan = _final_answers(sim)
         want_probes, want_scan = _final_answers(twin)
-        assert victim.failed
+        assert victim not in sim.shards[0].replicas
         assert sim.shards[0].primary.replica_id != victim.replica_id
         assert probes.summary.failovers >= 1
+        assert_bytes_conserved(sim)
         for got, want in zip(probes, want_probes):
             assert sorted(got.record_ids) == sorted(want.record_ids)
             assert not got.missing_days

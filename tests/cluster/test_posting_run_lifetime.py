@@ -60,24 +60,25 @@ def build(scheme, technique, replication, *, selfheal=None, injectors=None):
     )
 
 
-def assert_live_runs_are_held(sim, *, collect=True):
+def assert_live_runs_are_held(sim, *, collect=True, retired=()):
     """Per shard: live cuts == runs held by its replicas' bound indexes
-    (a retired replica's indexes are never dropped and count too), and
-    the source store holds none.  Return the days alive replicas hold,
-    per shard."""
+    (those of ``retired``, replicas that left the shard, on a failed
+    device are never dropped and count too), and the source store holds
+    none.  Return the days the shard's replicas hold, per shard."""
     if collect:
         gc.collect()
     assert not sim.store._runs
     alive_days = []
     for shard in sim.shards:
         held, alive = set(), set()
-        for replica in shard.replicas:
+        gone = [r for r in retired if r.shard_id == shard.shard_id]
+        for replica in [*shard.replicas, *gone]:
             for index in replica.wave.bindings.values():
                 days = {run.day for run in index._runs}
                 if days:
                     assert index.packed and days == index.time_set
                 held |= days
-                if not replica.failed:
+                if replica in shard.replicas:
                     alive |= days
         assert sorted(shard.store._runs.keys()) == sorted(held)
         alive_days.append(sorted(alive))
@@ -131,9 +132,11 @@ def test_rebuilt_replica_shares_the_shards_runs(posted):
         # so the survivor finds the cut the victim asked for.
         assert posted == [sim.store.batch(day)]
         window = list(range(day - W + 1, day + 1))
-        assert assert_live_runs_are_held(sim) == [window] * SHARDS
+        assert assert_live_runs_are_held(sim, retired=[victim]) == (
+            [window] * SHARDS
+        )
     assert sim.result.total_rebuilds() == 1
-    assert len(sim.shards[0].alive_replicas()) == 2
+    assert len(sim.shards[0].replicas) == 2
     # The retired replica's wave is never touched again: what it holds is
     # what it held when it died, and nothing else outlives the window.
     retired_days = {

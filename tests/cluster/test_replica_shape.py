@@ -108,7 +108,7 @@ def test_every_replica_spans_its_width_however_it_was_made(width):
     sim = _split_retune_and_rebuild(
         make_int_store(LAST, domain=16, seed=3), width
     )
-    live = [r for shard in sim.shards for r in shard.replicas if not r.failed]
+    live = [r for shard in sim.shards for r in shard.replicas]
     assert [len(r.span) for r in live] == [width] * len(live)
     spanned = {device for r in live for device in r.span.devices}
     # A retired wave was discarded from every device of its span.
@@ -199,14 +199,18 @@ def test_a_replica_retired_for_a_dead_device_frees_its_surviving_devices():
     dead.injector.fail_device()
     for day in range(W + 1, W + 5):
         sim.run_transition(day)
-    assert victim.failed and sum(d.rebuilds for d in sim.result.days) == 1
+    assert victim not in sim.shards[0].replicas
+    assert sum(d.rebuilds for d in sim.result.days) == 1
     assert surviving == sim.array.devices[4:6]
     assert [device.live_bytes for device in surviving] == [0, 0]
     # The dead device's accounting is left as it was.
     assert dead.live_bytes == held > 0
     assert {index.disk for index in victim.wave.bindings.values()} == {dead}
-    # It retired holding days 1..W; were the shard dark, those are still
-    # the days its answers would have covered.
+    # Were the shard to go dark now, the window its last replica held is
+    # still what its answers would have covered, though the wave is gone.
     shard = sim.shards[0]
-    shard.replicas = [victim]
-    assert shard.window_days(1, LAST) == set(range(1, W + 1))
+    for replica in shard.replicas:
+        shard.retire(replica, None, reason="serving-fault")
+    assert not shard.replicas and not replica.wave.bindings
+    window = set(range(5, W + 5))
+    assert shard.window_days(1, W + 4) == window

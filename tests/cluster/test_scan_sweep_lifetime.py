@@ -53,7 +53,7 @@ def build(*, replication=1, selfheal=None, elastic=None, injectors=None, per_day
 def warm(sim, day):
     """Scan every alive replica directly: each constituent caches a sweep."""
     for shard in sim.shards:
-        for replica in shard.alive_replicas():
+        for replica in shard.replicas:
             replica.wave.scan_many([(day - W + 1, day)])
             assert all(ix._sweep is not None for ix in replica.wave.bindings.values())
 
@@ -85,7 +85,7 @@ def test_rebuilt_replica_starts_without_a_sweep():
         warm(s, W + 1)
         s.run_transition(W + 2)  # ...and re-created from the survivor
     assert sim.result.total_rebuilds() == 1
-    (rebuilt,) = [r for r in shard.alive_replicas() if r is not survivor]
+    (rebuilt,) = [r for r in shard.replicas if r is not survivor]
     # The donor kept the sweep of the constituent the day did not touch;
     # the copy of that same constituent has none.
     assert sorted(cached(survivor)) == [False, True]

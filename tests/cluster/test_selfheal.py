@@ -30,6 +30,7 @@ from repro.storage.faults import (
     FaultyDisk,
     RetryPolicy,
 )
+from tests.cluster.conservation import assert_bytes_conserved
 from tests.conftest import make_store
 
 W, N, LAST = 8, 2, 14
@@ -45,7 +46,6 @@ VALUES = "abcdefgh"
 class _FakeReplica:
     shard_id: int
     replica_id: int
-    failed: bool = False
     health: ReplicaHealth = field(default_factory=ReplicaHealth)
 
 
@@ -164,7 +164,6 @@ class TestBreakerStateMachine:
         replica = _FakeReplica(0, 0)
         shard = _FakeShard([replica])
         monitor.retire(replica, reason="device-failure")
-        assert replica.failed
         assert replica.health.state is BreakerState.RETIRED
         counters = monitor.obs.counters()
         assert counters["cluster.heal.retired"] == 1
@@ -262,12 +261,14 @@ class TestReReplication:
         victim.device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
+            assert_bytes_conserved(sim)
             twin.run_transition(day)
         # The kill retired the replica; the healer restored replication.
-        assert victim.failed
-        assert len(sim.shards[0].alive_replicas()) == 2
+        assert victim not in sim.shards[0].replicas
+        assert victim.health.state is BreakerState.RETIRED
+        assert len(sim.shards[0].replicas) == 2
         assert sim.result.total_rebuilds() == 1
-        rebuilt = sim.shards[0].alive_replicas()[-1]
+        rebuilt = sim.shards[0].replicas[-1]
         assert rebuilt.replica_id > victim.replica_id
         assert rebuilt.caught_up_day is not None
         counters = sim.obs.counters()
@@ -292,10 +293,12 @@ class TestReReplication:
         victim.device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
+            assert_bytes_conserved(sim)
             twin.run_transition(day)
         replicas = sim.shards[0].replicas
-        assert [len(r.span) for r in replicas] == [3, 3, 3]
-        assert [r.failed for r in replicas] == [False, True, False]
+        assert [len(r.span) for r in replicas] == [3, 3]
+        assert [r.replica_id for r in replicas] == [0, 2]
+        assert victim not in replicas
         rebuilt = replicas[-1]
         # Three fresh spares, the array's last three in order; its
         # indexes sit on them, spread as the donor's are.
@@ -324,6 +327,7 @@ class TestReReplication:
         sim.shards[0].replicas[1].device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
+            assert_bytes_conserved(sim)
         assert sim.result.total_rebuilds() == 1
         # One acquisition of three spares: each is made for the slot it
         # is appended to, not all for the first.
@@ -337,7 +341,9 @@ class TestReReplication:
         victim = sim.shards[0].primary
         victim.device.injector.fail_device()
         sim.run_transition(W + 1)  # kill observed, replica retired
+        assert_bytes_conserved(sim)
         stats = sim.run_transition(W + 2)  # rebuild day
+        assert_bytes_conserved(sim)
         assert stats.rebuilds == 1
         (span,) = stats.rebuild_spans
         assert span > 0.0
@@ -368,13 +374,14 @@ class TestReReplication:
         victim.device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
+            assert_bytes_conserved(sim)
             twin.run_transition(day)
         # Day one of healing aborted on the dead spare (donor intact),
         # day two succeeded on a fresh one.
         assert sim.result.total_rebuilds_failed() == 1
         assert sim.result.total_rebuilds() == 1
         assert len(dead_spares_served) == 2
-        assert len(sim.shards[0].alive_replicas()) == 2
+        assert len(sim.shards[0].replicas) == 2
         assert sim.obs.counters()["cluster.heal.rebuilds_failed"] == 1
         _assert_matches_twin(sim, twin)
 
@@ -396,6 +403,7 @@ class TestReReplication:
         victim.device.injector.fail_device()
         for day in range(W + 1, LAST + 1):
             sim.run_transition(day)
+            assert_bytes_conserved(sim)
             twin.run_transition(day)
         # The crash cost a recovery pass, not the rebuild: the spare's
         # disk state survived, the copy swept and rolled forward.
@@ -403,7 +411,7 @@ class TestReReplication:
         assert counters["cluster.heal.rebuild_crash_recoveries"] >= 1
         assert sim.result.total_rebuilds() == 1
         assert sim.result.total_rebuilds_failed() == 0
-        assert len(sim.shards[0].alive_replicas()) == 2
+        assert len(sim.shards[0].replicas) == 2
         _assert_matches_twin(sim, twin)
 
     def test_acceptance_one_kill_per_shard_k4_r2(self):
@@ -421,12 +429,13 @@ class TestReReplication:
                 victim = sim.shards[shard_id].primary
                 victim.device.injector.fail_device()
             sim.run_transition(day)
+            assert_bytes_conserved(sim)
             twin.run_transition(day)
         # Every shard lost a replica and got it back; no shard ever went
         # dark; every answer is bit-identical to the fault-free twin.
         assert sim.result.total_rebuilds() == 4
         for shard in sim.shards:
-            assert len(shard.alive_replicas()) == 2
+            assert len(shard.replicas) == 2
         assert all(not d.shards_unavailable for d in sim.result.days)
         assert not any(d.missing_days for d in sim.result.days)
         assert sim.result.total_queries_degraded() == 0
@@ -464,7 +473,7 @@ class TestServingUnderTransients:
         assert probes.summary.aborted_seconds > 0.0
         # The flaky replica is quarantined, not retired — transients are
         # not a death sentence.
-        assert not flaky.failed
+        assert flaky in sim.shards[0].replicas
         assert flaky.health.state in (
             BreakerState.OPEN,
             BreakerState.HALF_OPEN,

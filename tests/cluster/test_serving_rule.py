@@ -124,28 +124,31 @@ def _arm(sim, fault):
         replicas[0].wave.offline.add(STALE)
 
 
-def _state(sim, missing, failovers):
-    replicas = sim.shards[0].replicas
+def _state(sim, replicas, missing, failovers):
+    """The rule's outcome over ``replicas``, the shard's before the fault:
+    those that retired have left the shard."""
+    held = sim.shards[0].replicas
     monitor = sim._monitor
     return (
         frozenset(missing),
-        {r.name for r in replicas if r.failed},
+        {r.name for r in replicas if r not in held},
         failovers,
         None
         if monitor is None
         else tuple(r.health.state.value for r in replicas),
-        tuple(frozenset(r.wave.offline) for r in replicas if not r.failed),
+        tuple(frozenset(r.wave.offline) for r in held),
     )
 
 
 def _day_loop(fault, r, monitor, column):
     sim = _build(r, monitor, column)
     _run_until_last(sim)
+    replicas = sim.shards[0].replicas
     stats = drive(
         sim.day_steps(LAST),
         lambda b: _arm(sim, fault) if b.kind == "serve" else None,
     )
-    return _state(sim, stats.missing_days, stats.failovers)
+    return _state(sim, replicas, stats.missing_days, stats.failovers)
 
 
 def _coordinator(fault, r, monitor, column):
@@ -153,6 +156,7 @@ def _coordinator(fault, r, monitor, column):
     _run_until_last(sim)
     base = sim._clock_base
     stats = sim.run_transition(LAST)
+    replicas = sim.shards[0].replicas
     _arm(sim, fault)
     units = sim.queries.day_requests(LAST, W)
     horizon = stats.maintenance_makespan_seconds * sim.config.arrival_stretch
@@ -169,7 +173,7 @@ def _coordinator(fault, r, monitor, column):
         summary = serve(unit.specs).summary
         missing |= summary.missing_days
         failovers += summary.failovers
-    return _state(sim, missing, failovers)
+    return _state(sim, replicas, missing, failovers)
 
 
 @pytest.mark.parametrize("column", ["post", "mid"])
@@ -213,7 +217,7 @@ def test_a_stale_offline_mark_never_retires_a_healthy_replica():
     assert not probes.summary.missing_days
     assert not scan.missing_days
     assert probes.summary.failovers == 0
-    assert not primary.failed
+    assert primary in sim.shards[0].replicas
     assert primary.wave.offline == {STALE}
 
 
@@ -233,7 +237,7 @@ def test_a_swallowed_transient_leaves_no_constituent_offline():
     probes, scan = _window_answers(sim)
     assert not probes.summary.missing_days
     assert not scan.missing_days
-    assert not replica.failed
+    assert replica in sim.shards[0].replicas
 
 
 def test_the_day_loop_fails_over_to_a_full_copy_instead_of_degrading():
@@ -249,7 +253,7 @@ def test_the_day_loop_fails_over_to_a_full_copy_instead_of_degrading():
     assert stats.missing_days == frozenset()
     assert stats.queries_degraded == 0
     assert stats.failovers == 0
-    assert not primary.failed
+    assert primary in sim.shards[0].replicas
 
 
 def test_aborted_time_is_billed_over_the_whole_span():
@@ -263,7 +267,7 @@ def test_aborted_time_is_billed_over_the_whole_span():
     before = [first.clock, second.clock]
     scan = sim.coordinator.scan_many([(LAST - W + 1, LAST)])
     charged = [first.clock - before[0], second.clock - before[1]]
-    assert primary.failed
+    assert primary not in sim.shards[0].replicas
     assert charged[0] > 0.0 and charged[1] > 0.0
     assert scan.summary.aborted_seconds == pytest.approx(sum(charged))
     assert not scan.summary.missing_days
@@ -278,7 +282,7 @@ def test_a_dead_last_replica_retires_and_its_shard_answers_dark():
     replica = sim.shards[0].primary
     replica.device.injector.fail_device()
     probes, scan = _window_answers(sim)
-    assert replica.failed
+    assert replica not in sim.shards[0].replicas
     assert replica.health.state is BreakerState.RETIRED
     assert probes.summary.failovers == 1
     assert probes.summary.shards_unavailable == (0,)

@@ -293,10 +293,20 @@ def drive_cluster(sim, steps, serve_probe, serve_scan):
     served = []
     for step in steps:
         kind = step[0]
-        if kind == "kill":
-            sim.shards[step[1]].replicas[step[2]].device.injector.fail_device()
-        elif kind == "stale":
-            sim.shards[step[1]].replicas[step[2]].wave.offline.add(step[3])
+        if kind in ("kill", "stale"):
+            # By id: a retired replica has left its shard, and a step
+            # naming it does nothing.
+            replica = next(
+                (r for r in sim.shards[step[1]].replicas
+                 if r.replica_id == step[2]),
+                None,
+            )
+            if replica is None:
+                continue
+            if kind == "kill":
+                replica.device.injector.fail_device()
+            else:
+                replica.wave.offline.add(step[3])
         else:
             serve = serve_probe if kind == "probe" else serve_scan
             try:
@@ -318,7 +328,7 @@ def cluster_state(sim):
         [(d.clock, d.snapshot(), d.page_cache and d.page_cache.snapshot())
          for d in sim.array.devices],
         [
-            (r.failed, sorted(r.wave.offline))
+            (r.name, sorted(r.wave.offline))
             for shard in sim.shards
             for r in shard.replicas
         ],

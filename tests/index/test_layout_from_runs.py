@@ -21,6 +21,8 @@ job runs them at 2 000 examples, ``--hypothesis-profile nightly``):
   entries, day bytes, sortedness and bounds.
 """
 
+import sys
+from array import array
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -123,12 +125,30 @@ def test_a_layout_from_runs_is_the_merged_layout_and_knows_its_days(shape):
         run = view.run()
         assert run.entries is view.entries
         assert run_fields(run) == run_fields(kernels.Run.of(view.entries))
+        assert sys.getsizeof(run.days) == sys.getsizeof(exact_column(view))
     for day in days:
         entries, column = eager.day_run(day)
         run = layout.day_run(day)
         assert run_fields(run) == (entries, column.tobytes(), True, day, day)
     assert layout._flat is None  # nothing above laid out the scan order
     assert layout.flat() == eager.flat and layout.flat() is layout.flat()
+
+
+def exact_column(view):
+    """``view``'s day column in an array sized to it exactly."""
+    return array("q", [entry.day for entry in view.entries])
+
+
+def test_a_views_day_column_holds_no_spare_slot():
+    # A column grown in place keeps up to a sixteenth and 7 slots spare;
+    # 'a' here has 53 entries over three days, 'b' 7.
+    store = make_store(BIG_AND_SMALL)
+    days = sorted(BIG_AND_SMALL["built"])
+    index = build_index_from_store(SimulatedDisk(), IndexConfig(), store, days)
+    for view in index.buckets():
+        days_column = view.run().days
+        assert days_column == exact_column(view)
+        assert sys.getsizeof(days_column) == sys.getsizeof(exact_column(view))
 
 
 def test_a_build_from_a_store_neither_merges_nor_reads_a_day():

@@ -287,7 +287,7 @@ def serve_eager(coordinator, shard, call, *, degraded=True, route=None):
     exclude = set()
     while True:
         candidates = [
-            r for r in shard.alive_replicas() if r.replica_id not in exclude
+            r for r in shard.replicas if r.replica_id not in exclude
         ]
         if monitor is not None:
             replica, breaker_wait = monitor.serving_replica(
@@ -326,7 +326,7 @@ def serve_eager(coordinator, shard, call, *, degraded=True, route=None):
         if fault is TransientIOError:
             wave.offline &= before_offline
         if fault is FaultError or monitor is None:
-            coordinator._fail_over(replica)
+            coordinator._fail_over(shard, replica)
             continue
         monitor.on_transient(replica, now=now + aborted)
         n = attempts.get(replica.replica_id, 0) + 1
